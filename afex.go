@@ -39,9 +39,10 @@
 // engine (Engine): candidate leasing, impact scoring, coverage
 // accounting, redundancy clustering, feedback weighting and stop logic
 // exist exactly once. Options.Workers runs that many in-process node
-// managers; Options.Batch sets how many candidates each worker leases
-// per coordination round (sequential runs always lease one at a time and
-// stay bit-for-bit deterministic). Advanced callers can build an Engine
+// managers, each running the same lease → execute → fold loop;
+// Options.Batch sets how many candidates a worker leases per round (a
+// single worker always leases one at a time and stays bit-for-bit
+// deterministic). Advanced callers can build an Engine
 // directly with NewEngine and drive it with a custom Executor — that is
 // exactly how the distributed Coordinator is built.
 //
@@ -103,7 +104,7 @@
 // whichever format recorded them; ReadStateStats (CLI: afex stats)
 // inspects a directory; CompactState folds the snapshot-covered prefix
 // of a binary journal into its archive segment.
-// NewPersistentCoordinator gives a distributed coordinator the same
+// CoordinatorOptions.StateDir gives a distributed coordinator the same
 // durability. See the README's "Persistence & resume" section.
 package afex
 
@@ -278,8 +279,8 @@ const DefaultBatch = core.DefaultBatch
 
 // PrefetchAdaptive, as Options.PrefetchDepth, sizes the asynchronous
 // candidate prefetch ring adaptively (~2× the adaptive wire batch);
-// positive depths fix the capacity, 0 keeps the synchronous lease
-// path.
+// positive depths fix the capacity, at 0 no ring is filled and every
+// lease generates its own candidates.
 const PrefetchAdaptive = core.PrefetchAdaptive
 
 // NewEngine validates opts and builds the execution engine without

@@ -93,7 +93,12 @@ func TestPublicImpactDefaults(t *testing.T) {
 func TestPublicDistributedCluster(t *testing.T) {
 	target, _ := Target("coreutils")
 	space := SpaceFor(target, 19, 0, 2)
-	coord := NewCoordinator(space, ExploreOptions{Seed: 5}, 40)
+	coord, _, err := NewCoordinatorWithOptions(CoordinatorOptions{
+		Space: space, Explore: ExploreOptions{Seed: 5}, Budget: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, err := ServeCoordinator("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +121,12 @@ func TestPublicDistributedCluster(t *testing.T) {
 func TestPublicShardedCoordinator(t *testing.T) {
 	target, _ := Target("coreutils")
 	space := SpaceFor(target, 19, 0, 2)
-	coord := NewShardedCoordinator(space, ExploreOptions{Seed: 5}, 40, 4)
+	coord, _, err := NewCoordinatorWithOptions(CoordinatorOptions{
+		Space: space, Explore: ExploreOptions{Seed: 5}, Budget: 40, Shards: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, err := ServeCoordinator("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"afex/internal/core"
-	"afex/internal/explore"
 	"afex/internal/faultspace"
 	"afex/internal/rpcnode"
 	"afex/internal/store"
@@ -31,59 +30,9 @@ type (
 	ClusterStats = rpcnode.Stats
 )
 
-// newClusterExplorer builds the coordinator-side exploration stack:
-// the named registered strategy, wrapped in sharding when shards > 1 —
-// the same composition order (strategy → sharded) local sessions use.
-// algorithm == "" selects the fitness default.
-func newClusterExplorer(space *Space, algorithm string, cfg ExploreOptions, shards int) (explore.Explorer, error) {
-	if algorithm == "" {
-		algorithm = FitnessGuided
-	}
-	if shards > 1 {
-		return explore.NewShardedStrategy(space, shards, algorithm, cfg)
-	}
-	return explore.New(algorithm, space, cfg)
-}
-
-// NewCoordinator wraps a fitness-guided explorer over space for
-// distributed execution. budget caps the number of executed tests
-// (0 = until the space is exhausted); impact == nil selects the default
-// scoring.
-func NewCoordinator(space *Space, cfg ExploreOptions, budget int) *Coordinator {
-	return rpcnode.NewCoordinator(space, explore.NewFitnessGuided(space, cfg), budget, nil)
-}
-
-// NewShardedCoordinator is NewCoordinator with the space partitioned
-// into shards disjoint regions (Space.Shard), one independent
-// fitness-guided search per region, candidates striped across them — so
-// remote node managers always work disjoint parts of the space. shards
-// <= 1 degenerates to NewCoordinator. Use NewCoordinatorFor to pick a
-// different strategy.
-func NewShardedCoordinator(space *Space, cfg ExploreOptions, budget, shards int) *Coordinator {
-	c, err := NewCoordinatorFor(space, FitnessGuided, cfg, budget, shards)
-	if err != nil {
-		// The fitness strategy is always registered.
-		panic("afex: " + err.Error())
-	}
-	return c
-}
-
-// NewCoordinatorFor builds a distributed coordinator running any
-// registered exploration strategy ("fitness", "random", "genetic",
-// "portfolio", …), sharded over shards disjoint regions when shards >
-// 1. Unknown algorithm names return the registry's error listing every
-// valid choice.
-func NewCoordinatorFor(space *Space, algorithm string, cfg ExploreOptions, budget, shards int) (*Coordinator, error) {
-	ex, err := newClusterExplorer(space, algorithm, cfg, shards)
-	if err != nil {
-		return nil, err
-	}
-	return rpcnode.NewCoordinatorConfig(core.Config{Space: space, Iterations: budget}, ex, nil)
-}
-
 // CoordinatorOptions configures NewCoordinatorWithOptions — the full
 // surface of a (possibly persistent, possibly peer-sharded)
-// distributed coordinator.
+// distributed coordinator. Space is the only required field.
 type CoordinatorOptions struct {
 	// TargetName labels the session (managers load the target itself).
 	TargetName string
@@ -104,10 +53,9 @@ type CoordinatorOptions struct {
 	LeaseTimeout time.Duration
 	// Prefetch enables the engine's asynchronous candidate prefetch
 	// ring (Options.PrefetchDepth): NextBatch rounds are then served
-	// from pre-generated candidates under the narrow lease lock instead
-	// of running the explorer under the session lock. Positive fixes
-	// the ring capacity, PrefetchAdaptive (-1) tracks ~2× the adaptive
-	// wire batch, 0 keeps the synchronous path.
+	// from pre-generated candidates instead of running the explorer
+	// per round. Positive fixes the ring capacity, PrefetchAdaptive
+	// (-1) tracks ~2× the adaptive wire batch, at 0 no generator runs.
 	Prefetch int
 	// HeartbeatEvery/HeartbeatMisses enable heartbeat-driven liveness:
 	// a manager silent for HeartbeatMisses beats has its leases expired
@@ -129,11 +77,23 @@ type CoordinatorOptions struct {
 	Peers int
 }
 
-// NewCoordinatorWithOptions builds a distributed coordinator from the
-// full options surface: any registered strategy, optional persistence,
-// lease expiry, heartbeat liveness, and multi-coordinator peer
-// sharding. The returned cleanup flushes and closes the store (a no-op
-// without StateDir); call it after Coordinator.Result.
+// NewCoordinatorWithOptions builds a distributed coordinator: any
+// registered strategy ("fitness", "random", "genetic", "portfolio", …;
+// unknown names return the registry's error listing every valid
+// choice), sharded over Shards disjoint regions when Shards > 1 so
+// remote node managers always work disjoint parts of the space, with
+// optional persistence, lease expiry, heartbeat liveness, and
+// multi-coordinator peer sharding.
+//
+// With StateDir set the coordinator journals every result its managers
+// report, snapshots the session state, and — on a directory with prior
+// state — continues the same session, never re-leasing a journaled
+// scenario; Resume additionally restores the explorer's search state
+// (including a portfolio's bandit counters), so a restarted
+// `afex serve` picks up exactly where the killed one stopped.
+//
+// The returned cleanup flushes and closes the store (a no-op without
+// StateDir); call it after Coordinator.Result.
 func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error, error) {
 	space := o.Space
 	if o.Peers > 1 {
@@ -147,7 +107,17 @@ func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error
 		}
 		space = regions[o.Peer]
 	}
-	ecfg := core.Config{Space: space, Iterations: o.Budget, Resume: o.Resume, PrefetchDepth: o.Prefetch}
+	// The engine composes the exploration stack (strategy → sharded)
+	// from the config, exactly as a local session's does.
+	ecfg := core.Config{
+		Space:         space,
+		Algorithm:     o.Algorithm,
+		Explore:       o.Explore,
+		Shards:        o.Shards,
+		Iterations:    o.Budget,
+		Resume:        o.Resume,
+		PrefetchDepth: o.Prefetch,
+	}
 	cleanup := func() error { return nil }
 	if o.StateDir != "" {
 		st, err := store.OpenOptions(o.StateDir, store.Options{
@@ -165,12 +135,7 @@ func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error
 		}
 		cleanup = st.Close
 	}
-	ex, err := newClusterExplorer(space, o.Algorithm, o.Explore, o.Shards)
-	if err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	coord, err := rpcnode.NewCoordinatorConfig(ecfg, ex, nil)
+	coord, err := rpcnode.NewCoordinatorConfig(ecfg, nil, nil)
 	if err != nil {
 		cleanup()
 		return nil, nil, err
@@ -183,32 +148,6 @@ func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error
 		coord.SetHeartbeat(o.HeartbeatEvery, o.HeartbeatMisses)
 	}
 	return coord, cleanup, nil
-}
-
-// NewPersistentCoordinator is NewCoordinatorFor backed by the
-// persistent exploration store: the coordinator journals every result
-// its managers report under stateDir, snapshots the session state, and —
-// on a directory with prior state — continues the same session, never
-// re-leasing a journaled scenario. resume additionally restores the
-// explorer's search state (including a portfolio's bandit counters), so
-// a restarted `afex serve` picks up exactly where the killed one
-// stopped. targetName is recorded in the store's metadata (a
-// coordinator never loads the target itself). algorithm == "" selects
-// the fitness default.
-//
-// The returned cleanup function flushes and closes the store; call it
-// after Coordinator.Result.
-func NewPersistentCoordinator(targetName string, space *Space, algorithm string, cfg ExploreOptions, budget, shards int, stateDir string, resume bool) (*Coordinator, func() error, error) {
-	return NewCoordinatorWithOptions(CoordinatorOptions{
-		TargetName: targetName,
-		Space:      space,
-		Algorithm:  algorithm,
-		Explore:    cfg,
-		Budget:     budget,
-		Shards:     shards,
-		StateDir:   stateDir,
-		Resume:     resume,
-	})
 }
 
 // ServeCoordinator starts serving the coordinator on addr ("host:port";

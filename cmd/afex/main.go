@@ -175,7 +175,7 @@ func cmdExplore(args []string) error {
 	feedback := fs.Bool("feedback", false, "enable redundancy feedback (§7.4)")
 	workers := fs.Int("workers", 1, "concurrent node managers")
 	batch := fs.Int("batch", 0, "candidates leased per worker coordination round (0 = default; parallel mode only)")
-	prefetch := fs.Int("prefetch", 0, "candidate prefetch ring depth: >0 fixed capacity, -1 adaptive (~2x the adaptive batch), 0 synchronous leasing")
+	prefetch := fs.Int("prefetch", 0, "candidate prefetch ring depth: >0 fixed capacity, -1 adaptive (~2x the adaptive batch), 0 no ring (each lease generates its own candidates)")
 	shards := fs.Int("shards", 0, "partition the space into this many disjoint regions, one fitness search each (0/1 = unsharded)")
 	nFuncs := fs.Int("funcs", 19, "function-axis size")
 	callLo := fs.Int("call-lo", 1, "callNumber axis lower bound (0 adds a no-injection point)")
@@ -575,7 +575,7 @@ func cmdServe(args []string) error {
 	resume := fs.Bool("resume", false, "with --state-dir: restore the explorer's search state from the last snapshot")
 	backendName := fs.String("backend", "", "validate that workers will use this execution backend name: "+strings.Join(afex.Backends(), " | ")+" (the backend itself runs on the workers)")
 	leaseTimeout := fs.Duration("lease-timeout", 0, "re-lease tasks a manager never reported back after this long (0 = never; leases then leak if a manager dies)")
-	prefetch := fs.Int("prefetch", 0, "candidate prefetch ring depth: >0 fixed capacity, -1 adaptive (~2x the adaptive batch), 0 synchronous leasing")
+	prefetch := fs.Int("prefetch", 0, "candidate prefetch ring depth: >0 fixed capacity, -1 adaptive (~2x the adaptive batch), 0 no ring (each lease generates its own candidates)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof profiles on this address (e.g. localhost:6060)")
 	heartbeat := fs.Duration("heartbeat", 0, "expect manager heartbeats at this interval; a manager missing --heartbeat-misses beats has its leases expired immediately (0 = off)")
 	heartbeatMisses := fs.Int("heartbeat-misses", 0, "heartbeats a manager may miss before being declared dead (0 = default)")
@@ -689,10 +689,9 @@ func cmdWorker(args []string) error {
 	testsPerProc := fs.Int("tests-per-proc", 0, "process backend: scenarios a warm worker process serves before being recycled (0 = default, negative = fork/exec per scenario)")
 	addr := fs.String("addr", "127.0.0.1:7070", "coordinator address")
 	id := fs.String("id", "worker", "manager identity reported to the coordinator")
-	rpcBatch := fs.Int("rpc-batch", 0, "tests leased per RPC round trip: 0 = adaptive (coordinator-sized from measured test latency), 1 = single-task protocol, >1 = fixed batch")
-	rpcConcurrency := fs.Int("rpc-concurrency", 0, "batched mode: leased tests executing at once (0 = backend pool width, or GOMAXPROCS)")
-	rpcFlush := fs.Duration("rpc-flush", 0, "batched mode: max age of buffered results before a report flush (0 = default)")
-	rpcScenario := fs.Bool("rpc-scenario", false, "batched mode: ship the formatted scenario string with every lease (compat/debugging; costs wire bytes)")
+	rpcBatch := fs.Int("rpc-batch", 0, "tests leased per RPC round trip: 0 = adaptive (coordinator-sized from measured test latency), 1 = one at a time with no lease in flight during execution, >1 = fixed batch")
+	rpcConcurrency := fs.Int("rpc-concurrency", 0, "leased tests executing at once (0 = backend pool width, or GOMAXPROCS)")
+	rpcFlush := fs.Duration("rpc-flush", 0, "max age of buffered results before a report flush (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -722,7 +721,6 @@ func cmdWorker(args []string) error {
 	mgr.Batch = *rpcBatch
 	mgr.Concurrency = *rpcConcurrency
 	mgr.FlushEvery = *rpcFlush
-	mgr.CompatScenario = *rpcScenario
 	n, err := mgr.RunUntilDone()
 	fmt.Printf("%s executed %d tests\n", *id, n)
 	return err

@@ -167,7 +167,9 @@ func TestCmdWorkerProcessBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := afex.NewCoordinatorFor(space, afex.Exhaustive, afex.ExploreOptions{Seed: 1}, 0, 0)
+	coord, _, err := afex.NewCoordinatorWithOptions(afex.CoordinatorOptions{
+		Space: space, Algorithm: afex.Exhaustive, Explore: afex.ExploreOptions{Seed: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

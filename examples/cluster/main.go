@@ -25,7 +25,14 @@ func main() {
 	space := afex.SpaceFor(target, 19, 1, 10)
 
 	const budget = 600
-	coord := afex.NewCoordinator(space, afex.ExploreOptions{Seed: 99}, budget)
+	coord, _, err := afex.NewCoordinatorWithOptions(afex.CoordinatorOptions{
+		Space:   space,
+		Explore: afex.ExploreOptions{Seed: 99},
+		Budget:  budget,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv, err := afex.ServeCoordinator("127.0.0.1:0", coord)
 	if err != nil {
 		log.Fatal(err)

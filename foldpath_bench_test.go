@@ -1,10 +1,8 @@
 package afex
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -23,10 +21,6 @@ import (
 // similarity index behind §7.4 feedback. Run with:
 //
 //	go test -bench='BenchmarkEngineThroughputFeedback|BenchmarkFoldPipeline|BenchmarkClusterMaxSimilarity' -benchtime=1x
-//
-// and write the machine-readable report with:
-//
-//	AFEX_BENCH_JSON=$PWD/BENCH_foldpath.json go test -run TestWriteFoldpathBenchJSON -count=1 .
 //
 // BenchmarkEngineThroughputFeedback is the headline number: a
 // feedback-enabled session (every fold pays clustering, a similarity
@@ -303,50 +297,4 @@ func simBenchSet(n int) (*cluster.Set, [][]string) {
 		probes[i] = st
 	}
 	return set, probes
-}
-
-func measureMaxSimilarityNS(n, rounds int) float64 {
-	set, probes := simBenchSet(n)
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		p := probes[i%len(probes)]
-		set.PeekSimilarity(p, cluster.StackKey(p))
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(rounds)
-}
-
-// TestWriteFoldpathBenchJSON writes the machine-readable fold-path
-// report (scenarios/sec serial vs pipeline, ns per MaxSimilarity probe
-// at 10k and 100k stacks). Skipped unless AFEX_BENCH_JSON names the
-// output file.
-func TestWriteFoldpathBenchJSON(t *testing.T) {
-	path := os.Getenv("AFEX_BENCH_JSON")
-	if path == "" {
-		t.Skip("set AFEX_BENCH_JSON to write the fold-path benchmark report")
-	}
-	tests := makeFoldTests(t, 8000)
-	workers := foldBenchWorkers()
-	serial := measureFoldSerial(t, tests)
-	pipeline := measureFoldPipeline(t, tests, workers)
-	report := map[string]any{
-		"fold_pipeline": map[string]any{
-			"scenarios":                  len(tests),
-			"precompute_workers":         workers,
-			"serial_scenarios_per_sec":   serial,
-			"pipeline_scenarios_per_sec": pipeline,
-			"speedup":                    pipeline / serial,
-		},
-		"max_similarity": map[string]any{
-			"ns_per_probe_10k_stacks":  measureMaxSimilarityNS(10000, 4096),
-			"ns_per_probe_100k_stacks": measureMaxSimilarityNS(100000, 2048),
-		},
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", path, blob)
 }

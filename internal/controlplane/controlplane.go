@@ -80,8 +80,7 @@ type SessionSpec struct {
 	Feedback bool `json:"feedback,omitempty"`
 	// Prefetch enables the engine's asynchronous candidate prefetch
 	// ring (core.Config.PrefetchDepth): positive fixes the ring
-	// capacity, -1 sizes it adaptively, 0 keeps the synchronous lease
-	// path.
+	// capacity, -1 sizes it adaptively, at 0 no generator runs.
 	Prefetch int `json:"prefetch,omitempty"`
 	// TestArgs are the process backend's per-test argument rows
 	// (row i serves testID i), each row whitespace-split.
@@ -350,21 +349,19 @@ func (m *Manager) build(spec SessionSpec) (*Session, error) {
 		// Coordinator mode: serve the rpcnode protocol, remote managers
 		// execute. The engine runs nothing locally.
 		s.mode = "coordinator"
-		ecfg := core.Config{Space: space, Iterations: spec.Iterations, Resume: spec.Resume, PrefetchDepth: spec.Prefetch}
+		ecfg := core.Config{
+			Space:         space,
+			Algorithm:     spec.Algorithm,
+			Explore:       explore.Config{Seed: spec.Seed},
+			Shards:        spec.Shards,
+			Iterations:    spec.Iterations,
+			Resume:        spec.Resume,
+			PrefetchDepth: spec.Prefetch,
+		}
 		if err := openStore(&ecfg, spec.Target); err != nil {
 			return nil, err
 		}
-		var ex explore.Explorer
-		if spec.Shards > 1 {
-			ex, err = explore.NewShardedStrategy(space, spec.Shards, spec.Algorithm, explore.Config{Seed: spec.Seed})
-		} else {
-			ex, err = explore.New(spec.Algorithm, space, explore.Config{Seed: spec.Seed})
-		}
-		if err != nil {
-			s.cleanup()
-			return nil, err
-		}
-		coord, err := rpcnode.NewCoordinatorConfig(ecfg, ex, nil)
+		coord, err := rpcnode.NewCoordinatorConfig(ecfg, nil, nil)
 		if err != nil {
 			s.cleanup()
 			return nil, err

@@ -107,7 +107,7 @@ func writeMetrics(w io.Writer, m *Manager) {
 		func(i int) float64 { return float64(snaps[i].AvgTestNS) / 1e9 })
 	perSession("afex_adaptive_batch", "Engine-suggested wire-batch size from measured test latency.", "gauge",
 		func(i int) float64 { return float64(snaps[i].AdaptiveBatch) })
-	perSession("afex_prefetch_depth", "Candidate prefetch ring capacity target (0 = synchronous leasing).", "gauge",
+	perSession("afex_prefetch_depth", "Candidate prefetch ring capacity target (0 = no ring).", "gauge",
 		func(i int) float64 { return float64(snaps[i].PrefetchDepth) })
 	perSession("afex_prefetch_ready", "Pre-generated candidates buffered in the prefetch ring.", "gauge",
 		func(i int) float64 { return float64(snaps[i].PrefetchReady) })

@@ -15,8 +15,8 @@ import (
 	"afex/internal/prog"
 )
 
-// DefaultBatch is the number of candidates a worker leases per lock
-// acquisition when Config.Batch is unset and the session runs parallel.
+// DefaultBatch is the number of candidates a worker leases per round
+// when Config.Batch is unset and the session runs parallel.
 const DefaultBatch = 8
 
 // DefaultSnapshotEvery is the floor on the number of folded tests
@@ -48,9 +48,10 @@ type Executor interface {
 // it, so candidate accounting, impact scoring, coverage, clustering,
 // feedback weighting and stop/progress logic live in one place.
 //
-// The engine is safe for concurrent use. Workers amortize the session
-// lock by leasing candidates in batches (Config.Batch); outcome folding
-// is serialized, so the explorer itself never needs to be thread-safe.
+// The engine is safe for concurrent use. Workers lease and fold in
+// batches (Config.Batch), so the session lock is taken once per batch;
+// explorer access is serialized on its own lock, so the explorer itself
+// never needs to be thread-safe.
 type Engine struct {
 	cfg      Config
 	explorer explore.Explorer
@@ -77,14 +78,15 @@ type Engine struct {
 
 	// mu is the session lock: fold state (counters, coverage, clusters,
 	// records, hooks). Lease bookkeeping and the explorer have their own
-	// narrower locks below; lock order is mu → {leaseMu, exMu, latMu},
-	// and leaseMu/exMu are never held together.
+	// narrower locks below; Lease takes only those, never mu. Lock order
+	// is mu → {leaseMu, exMu}, and leaseMu/exMu are never held together.
 	mu sync.Mutex
 
 	// leaseMu guards lease bookkeeping: the pending/committed budget
-	// counters, the lease-expiry heap, and the prefetch ring. It is
-	// deliberately narrow — never held across explorer calls or fold
-	// work — so the prefetched Lease path stays near-O(batch).
+	// counters, the lease-expiry heap, the prefetch ring and the latency
+	// average. It is deliberately narrow — never held across explorer
+	// calls or fold work — so a Lease served from the ring stays
+	// near-O(batch).
 	leaseMu sync.Mutex
 	// pending counts candidates handed out but not yet folded back.
 	// committed counts every claim against the Iterations budget:
@@ -104,10 +106,11 @@ type Engine struct {
 	lq           *leaseQueue
 	leaseTimeout time.Duration
 	// The prefetch pipeline (see prefetch.go). prefetchDepth is the
-	// resolved Config.PrefetchDepth (0 = synchronous, immutable);
-	// ring/flags/channels are the generator's shared state. sealed
-	// means no further candidates will ever be handed out from or
-	// admitted to the ring; exhausted means the explorer ran dry.
+	// resolved Config.PrefetchDepth (immutable; at 0 no generator runs
+	// and the ring stays empty, so every Lease generates what it hands
+	// out); ring/flags/channels are the generator's shared state. sealed
+	// means no further candidates will ever be handed out or admitted
+	// to the ring; exhausted means the explorer ran dry.
 	ring              candRing
 	ringStarted       bool
 	ringSealed        bool
@@ -123,10 +126,18 @@ type Engine struct {
 	// the generator's hands.
 	genReserved int
 
+	// latEWMA tracks per-test execution wall clock (nanoseconds) as an
+	// exponentially weighted moving average of executor observations
+	// (ObserveLatency). Adaptive wire batching divides a target round
+	// duration by it: slow targets get small lease batches (lease-expiry
+	// responsiveness), fast ones large batches (round-trip
+	// amortization). Zero until the first observation.
+	latEWMA float64
+
 	// exMu guards all explorer access — BatchNext, ReportBatch, state
 	// export, sensitivities, arm statistics — preserving the Explorer
 	// contract ("Next and Report may be called from one goroutine
-	// only") now that generation no longer serializes on mu.
+	// only"): generation runs under it alone, never under mu.
 	exMu sync.Mutex
 
 	covered     map[int]struct{}
@@ -162,17 +173,6 @@ type Engine struct {
 	// it append-only for O(1) snapshot capture.
 	seen     map[string]struct{}
 	seenList []string
-	// latMu guards latEWMA, which tracks per-test execution wall clock
-	// (nanoseconds) as an exponentially weighted moving average of
-	// executor observations (ObserveLatency). Adaptive wire batching
-	// divides a target round duration by it: slow targets get small
-	// lease batches (lease-expiry responsiveness), fast ones large
-	// batches (round-trip amortization). Zero until the first
-	// observation. Its own lock so latency reports and the prefetch
-	// generator's adaptive sizing never touch the session lock.
-	latMu   sync.Mutex
-	latEWMA float64
-
 	// snapMu serializes session-snapshot delivery to the store, which
 	// happens outside e.mu so O(session) state serialization no longer
 	// stalls folding. snapSeq is the highest Seq delivered; a snapshot
@@ -348,8 +348,8 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	// The asynchronous prefetch pipeline (prefetch.go) requires the
 	// explorer stack to tolerate batch-boundary feedback reordering;
 	// explorers declare that via explore.Prefetchable. Anything else —
-	// notably third-party explorers handed to NewEngine — keeps the
-	// synchronous path regardless of the knob.
+	// notably third-party explorers handed to NewEngine — runs at depth
+	// 0 regardless of the knob.
 	if cfg.PrefetchDepth != 0 && explore.IsPrefetchable(ex) {
 		e.prefetchDepth = cfg.PrefetchDepth
 		e.ringWake = make(chan struct{}, 1)
@@ -375,11 +375,15 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 // at first lease), so a session whose whole remaining budget is stuck
 // on lost leases drains instead of stalling until Finish.
 //
-// With Config.PrefetchDepth enabled, candidates come from the
-// asynchronous prefetch ring under the narrow lease lock (never the
-// session lock); at depth 0 this is the synchronous path — the whole
-// call under the session lock, generation included — preserving the
-// exact pre-pipeline serialization and journals.
+// Fresh candidates come off the prefetch ring (prefetch.go) under the
+// narrow lease lock; what the ring cannot supply — everything, at
+// Config.PrefetchDepth 0, where no generator fills it — is generated
+// here under the explorer lock alone. The session lock is never taken,
+// so leasing does not serialize against fold commits. The budget stays
+// exact without it by reserve-then-refund: the request is committed
+// before the explorer runs and any shortfall returned after. A
+// single-worker session calls Lease and FoldBatch from one goroutine,
+// so at depth 0 its explorer sees strict Next/Report alternation.
 func (e *Engine) Lease(max int) []explore.Candidate {
 	if max <= 0 {
 		max = 1
@@ -397,58 +401,70 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 		e.Stop()
 		return nil
 	}
-	if e.prefetchEnabled() {
-		return e.leasePrefetched(max, now)
-	}
-	return e.leaseSync(max, now)
-}
-
-// leaseSync is the synchronous (depth-0) lease path: everything under
-// one session-lock acquisition, exactly as before the prefetch
-// pipeline existed, so sequential sessions keep their bit-for-bit
-// Next/Report interleaving.
-func (e *Engine) leaseSync(max int, now time.Time) []explore.Candidate {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped.Load() {
-		return nil
-	}
-	var cands []explore.Candidate
 	e.leaseMu.Lock()
-	timeout := e.leaseTimeout
+	var cands []explore.Candidate
 	if e.lq != nil {
-		cands = e.lq.takeExpired(now, max, timeout)
-		if len(cands) == max {
-			e.leaseMu.Unlock()
-			return cands
+		cands = e.lq.takeExpired(now, max, e.leaseTimeout)
+	}
+	if n := len(cands); n < max && e.ring.n > 0 {
+		cands = e.ring.take(cands, max-n)
+		e.admitLocked(cands[n:], now)
+	}
+	if e.prefetchEnabled() {
+		e.startPrefetchLocked()
+		// Refill wake at the low-water mark (half the target),
+		// non-blocking: the generator coalesces signals.
+		if !e.ringSealed && !e.ringExhausted && e.ring.n <= e.prefetchTargetLocked()/2 {
+			select {
+			case e.ringWake <- struct{}{}:
+			default:
+			}
 		}
 	}
 	fresh := max - len(cands)
 	if e.cfg.Iterations > 0 {
-		remaining := e.cfg.Iterations - e.committed
-		if remaining <= 0 {
-			e.leaseMu.Unlock()
-			return cands
-		}
-		if fresh > remaining {
+		if remaining := e.cfg.Iterations - e.committed; fresh > remaining {
 			fresh = remaining
 		}
 	}
+	if fresh <= 0 || e.ringSealed || e.ringExhausted {
+		e.leaseMu.Unlock()
+		return cands
+	}
+	e.committed += fresh
 	e.leaseMu.Unlock()
+
 	e.exMu.Lock()
 	next := explore.BatchNext(e.explorer, fresh)
 	e.exMu.Unlock()
+
 	e.leaseMu.Lock()
-	e.pending += len(next)
-	e.committed += len(next)
+	defer e.leaseMu.Unlock()
+	e.committed -= fresh - len(next)
+	if e.ringSealed {
+		// Sealed during generation: drop the candidates and refund them,
+		// as the generator does (see prefetchLoop).
+		e.committed -= len(next)
+		return cands
+	}
+	if len(next) < fresh {
+		e.ringExhausted = true
+	}
+	e.admitLocked(next, now)
+	return append(cands, next...)
+}
+
+// admitLocked books budget-committed candidates as leased: they count
+// as pending and, under lease expiry, enter the expiry heap. Callers
+// hold e.leaseMu.
+func (e *Engine) admitLocked(cands []explore.Candidate, now time.Time) {
+	e.pending += len(cands)
 	if e.lq != nil {
-		expires := now.Add(timeout)
-		for _, c := range next {
+		expires := now.Add(e.leaseTimeout)
+		for _, c := range cands {
 			e.lq.add(c.Point.Key(), c, expires)
 		}
 	}
-	e.leaseMu.Unlock()
-	return append(cands, next...)
 }
 
 // Unlease returns budget for n leased candidates that will never be
@@ -507,7 +523,6 @@ type FoldPre struct {
 	// ResolveSimilarity.
 	sim        float64
 	simVersion int
-	hasSim     bool
 }
 
 // Precompute runs the precompute stage of the fold pipeline for one
@@ -523,7 +538,6 @@ func (e *Engine) Precompute(et *ExecutedTest) {
 		pre.stackKey = cluster.StackKey(et.Out.InjectionStack)
 		if e.cfg.Feedback {
 			pre.sim, pre.simVersion = e.allStacks.PeekSimilarity(et.Out.InjectionStack, pre.stackKey)
-			pre.hasSim = true
 		}
 	}
 	et.Pre = pre
@@ -711,12 +725,7 @@ func (e *Engine) foldLocked(et *ExecutedTest, bs *batchSnap) (bool, explore.Feed
 	rec.Fitness = rec.Impact
 	if outcome.Injected {
 		if e.cfg.Feedback {
-			var sim float64
-			if pre.hasSim {
-				sim = e.allStacks.ResolveSimilarity(outcome.InjectionStack, pre.stackKey, pre.sim, pre.simVersion)
-			} else {
-				sim = e.allStacks.MaxSimilarity(outcome.InjectionStack)
-			}
+			sim := e.allStacks.ResolveSimilarity(outcome.InjectionStack, pre.stackKey, pre.sim, pre.simVersion)
 			rec.Fitness = rec.Impact * cluster.FeedbackWeight(sim)
 		}
 		e.allStacks.AddKeyed(rec.ID, outcome.InjectionStack, pre.stackKey)
@@ -785,8 +794,8 @@ func (e *Engine) SetTargetName(name string) {
 // still materializing into the ring: Lease just returned nothing, but
 // the session is not over — an executor should poll again shortly
 // rather than quit. Always false without Config.LeaseTimeout or
-// prefetching, where outstanding leases are trusted to fold and
-// generation is synchronous.
+// prefetching, where outstanding leases are trusted to fold and every
+// Lease generates what it hands out.
 func (e *Engine) Waiting() bool {
 	if e.stopped.Load() {
 		return false
@@ -836,26 +845,26 @@ func (e *Engine) ObserveLatency(perTest time.Duration) {
 	if perTest <= 0 {
 		return
 	}
-	e.latMu.Lock()
+	e.leaseMu.Lock()
 	if e.latEWMA == 0 {
 		e.latEWMA = float64(perTest)
 	} else {
 		e.latEWMA += latencyAlpha * (float64(perTest) - e.latEWMA)
 	}
-	e.latMu.Unlock()
+	e.leaseMu.Unlock()
 }
 
 // AdaptiveBatch suggests how many candidates one lease round trip
 // should carry given the observed per-test latency (DefaultWireBatch
 // before any observation).
 func (e *Engine) AdaptiveBatch() int {
-	e.latMu.Lock()
-	defer e.latMu.Unlock()
+	e.leaseMu.Lock()
+	defer e.leaseMu.Unlock()
 	return e.adaptiveBatchLocked()
 }
 
 // adaptiveBatchLocked computes the suggested wire batch; callers hold
-// e.latMu.
+// e.leaseMu.
 func (e *Engine) adaptiveBatchLocked() int {
 	if e.latEWMA <= 0 {
 		return DefaultWireBatch
@@ -936,16 +945,14 @@ func (e *Engine) quickSnapshotLocked() Snapshot {
 		s.PrefetchDepth = e.prefetchTargetLocked()
 		s.PrefetchReady = e.ring.n
 	}
-	e.leaseMu.Unlock()
-	if e.recycles != nil {
-		s.PoolRecycles = e.recycles()
-	}
-	e.latMu.Lock()
 	if e.latEWMA > 0 {
 		s.AvgTestNS = int64(e.latEWMA)
 		s.AdaptiveBatch = e.adaptiveBatchLocked()
 	}
-	e.latMu.Unlock()
+	e.leaseMu.Unlock()
+	if e.recycles != nil {
+		s.PoolRecycles = e.recycles()
+	}
 	return s
 }
 
@@ -1080,126 +1087,72 @@ func (l *backendExecutor) Execute(c explore.Candidate) (Record, prog.Outcome) {
 }
 
 // RunLocal drives the engine to completion with its backend executor
-// and returns the sealed result set. Workers <= 1 runs the fully
-// deterministic sequential loop; otherwise Config.Workers node managers
-// run concurrently with batched leasing.
+// and returns the sealed result set.
 func (e *Engine) RunLocal() *ResultSet {
 	e.RunWith(e.LocalExecutor())
 	return e.Finish()
 }
 
-// RunWith drives the engine to completion against an arbitrary executor.
+// foldEvery bounds how long a worker sits on finished results of a
+// lease batch it is still executing: on a slow target a result journals
+// and reaches the Observe/Stop hooks when it finishes, not when its
+// batch-mates do.
+const foldEvery = 50 * time.Millisecond
+
+// RunWith drives the engine to completion against an arbitrary
+// executor: Config.Workers copies of the worker loop leasing
+// Config.Batch candidates at a time. Workers <= 1 runs the loop on the
+// calling goroutine with a batch of one, so the explorer observes
+// strict Next/Report alternation and the session is bit-for-bit
+// reproducible.
 func (e *Engine) RunWith(exec Executor) {
 	if e.cfg.Workers <= 1 {
-		e.runSequential(exec)
-	} else {
-		e.runParallel(exec, e.cfg.Workers, e.cfg.Batch)
+		e.work(exec, 1)
+		return
 	}
-}
-
-// runSequential leases one candidate at a time so the explorer observes
-// the exact Next/Report interleaving of the original single-threaded
-// session — sequential runs are bit-for-bit reproducible.
-func (e *Engine) runSequential(exec Executor) {
-	for {
-		cands := e.Lease(1)
-		if len(cands) == 0 {
-			if e.Waiting() {
-				// Lease-expiry mode: outstanding leases (e.g. lost by a
-				// prior run's executor) may still re-lease.
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			return
-		}
-		rec, outcome := exec.Execute(cands[0])
-		if stop := e.Fold(cands[0], rec, outcome); stop {
-			return
-		}
-	}
-}
-
-// runParallel runs workers concurrent node managers. Each worker leases
-// a batch of candidates (one lock acquisition per batch) and executes
-// them lock-free; finished tests flow through a channel to a single
-// reducer — this goroutine — which drains whatever has accumulated and
-// folds it as one batch (FoldBatch, one lock acquisition). The hot path
-// therefore takes the session lock once per batch on each side instead
-// of twice per test.
-func (e *Engine) runParallel(exec Executor, workers, batch int) {
-	results := make(chan ExecutedTest, workers*batch)
-	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < e.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				cands := e.Lease(batch)
-				if len(cands) == 0 {
-					if e.Waiting() {
-						// Lease-expiry mode: poll for leases that may still
-						// expire and re-lease instead of quitting on them.
-						select {
-						case <-done:
-							return
-						case <-time.After(5 * time.Millisecond):
-						}
-						continue
-					}
-					return
-				}
-				for i, c := range cands {
-					select {
-					case <-done:
-						// Stop executing further candidates of this batch;
-						// everything already executed has been sent and will
-						// fold.
-						e.Unlease(len(cands) - i)
-						return
-					default:
-					}
-					rec, out := exec.Execute(c)
-					// Precompute stage of the fold pipeline: the worker does
-					// the pure per-test work (keying, stack hashing, the
-					// similarity screen) here, in parallel, so the reducer's
-					// commit under the session lock stays short.
-					et := ExecutedTest{C: c, Rec: rec, Out: out}
-					e.Precompute(&et)
-					// Unconditional send: the reducer drains until the
-					// channel closes, so executed outcomes are never lost.
-					results <- et
-				}
-			}
+			e.work(exec, e.cfg.Batch)
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
+	wg.Wait()
+}
 
-	stopped := false
-	pending := make([]ExecutedTest, 0, batch)
-	for et := range results {
-		// Gather everything already queued behind et into one fold batch.
-		pending = append(pending[:0], et)
-	drain:
-		for len(pending) < batch {
-			select {
-			case more, ok := <-results:
-				if !ok {
-					break drain
-				}
-				pending = append(pending, more)
-			default:
-				break drain
+// work is the worker loop: lease a batch, execute it lock-free, fold it
+// (FoldBatch precomputes outside the session lock), until the session
+// has nothing more to hand out. Every executed result folds, stopped or
+// not: stopping ends leasing, not accounting.
+func (e *Engine) work(exec Executor, batch int) {
+	done := make([]ExecutedTest, 0, batch)
+	for {
+		cands := e.Lease(batch)
+		if len(cands) == 0 {
+			if !e.Waiting() {
+				return
+			}
+			// Leases that may yet expire and re-lease, or budget still in
+			// the prefetch generator's hands: poll instead of quitting.
+			time.Sleep(5 * time.Millisecond)
+			continue
+		}
+		folded := time.Now()
+		for i, c := range cands {
+			if e.stopped.Load() {
+				e.Unlease(len(cands) - i)
+				break
+			}
+			rec, out := exec.Execute(c)
+			done = append(done, ExecutedTest{C: c, Rec: rec, Out: out})
+			if i < len(cands)-1 && time.Since(folded) >= foldEvery {
+				e.FoldBatch(done)
+				done = done[:0]
+				folded = time.Now()
 			}
 		}
-		// Every executed result folds, stopped or not, matching the
-		// sequential session: stopping ends leasing, not accounting.
-		if e.FoldBatch(pending) && !stopped {
-			stopped = true
-			close(done)
-		}
+		e.FoldBatch(done)
+		done = done[:0]
 	}
 }

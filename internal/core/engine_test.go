@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -413,5 +414,60 @@ func TestParallelStopFoldsInFlightResults(t *testing.T) {
 	}
 	if res.Failed < 1 {
 		t.Error("Stop fired before any failure folded")
+	}
+}
+
+// stampedExecutor is a slow target that records when each test finished.
+type stampedExecutor struct {
+	inner    Executor
+	cost     time.Duration
+	mu       sync.Mutex
+	finished map[string]time.Time
+}
+
+func (s *stampedExecutor) Execute(c explore.Candidate) (Record, prog.Outcome) {
+	rec, out := s.inner.Execute(c)
+	time.Sleep(s.cost)
+	s.mu.Lock()
+	s.finished[c.Point.Key()] = time.Now()
+	s.mu.Unlock()
+	return rec, out
+}
+
+// TestSlowTargetFoldsWhenFinished: on a target slower than foldEvery a
+// result folds — journals, reaches Observe and Stop — when it finishes,
+// not when the rest of its worker's lease batch does.
+func TestSlowTargetFoldsWhenFinished(t *testing.T) {
+	exec := &stampedExecutor{cost: 2 * foldEvery, finished: make(map[string]time.Time)}
+	var worst time.Duration
+	eng, err := NewEngine(Config{
+		Target:     sessionTarget(),
+		Space:      sessionSpace(),
+		Algorithm:  "exhaustive",
+		Iterations: 8,
+		Workers:    2,
+		Batch:      4,
+		// Observe runs under the session lock, so worst needs no other.
+		Observe: func(rec Record) {
+			exec.mu.Lock()
+			lag := time.Since(exec.finished[rec.Point.Key()])
+			exec.mu.Unlock()
+			if lag > worst {
+				worst = lag
+			}
+		},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec.inner = eng.LocalExecutor()
+	eng.RunWith(exec)
+	if res := eng.Finish(); res.Executed != 8 {
+		t.Fatalf("executed %d tests, want 8", res.Executed)
+	}
+	// Held to the end of a batch of four, the first result would wait
+	// three more executions (6 × foldEvery).
+	if worst >= foldEvery {
+		t.Errorf("a finished result waited %v to fold, want under %v", worst, foldEvery)
 	}
 }

@@ -1,19 +1,18 @@
 package core
 
 // The asynchronous candidate prefetch pipeline and the lease-expiry
-// heap — the two data structures that take candidate generation and
-// lease bookkeeping off the session lock.
+// heap — the two data structures Engine.Lease works on, both under the
+// narrow lease lock.
 //
-// Lease used to run the entire explorer (fitness mutation, genetic
-// crossover, the portfolio bandit's allocation) inside e.mu, the same
-// mutex commitBatch takes, so at high worker counts lease rounds and
-// fold commits serialized against each other. With prefetch enabled
-// (Config.PrefetchDepth != 0), a dedicated generator goroutine
+// Lease generates what it hands out under the explorer lock, so with
+// many workers and an expensive explorer (fitness mutation, genetic
+// crossover, the portfolio bandit's allocation) lease rounds queue
+// behind each other and behind the fold commits' feedback reports.
+// With Config.PrefetchDepth != 0 a dedicated generator goroutine
 // batch-calls the explorer ahead of demand into a bounded ring of
 // pre-generated, budget-stamped candidates, refilled at a low-water
-// mark; Lease becomes a near-O(batch) ring dequeue plus lease
-// bookkeeping under the narrow lease lock, and candidate generation
-// overlaps fold commits instead of serializing behind them.
+// mark; Lease then is a near-O(batch) ring dequeue plus lease
+// bookkeeping, and generates only what the ring cannot supply.
 //
 // Staleness contract: the generator serializes explorer access with
 // fold feedback on the engine's explorer mutex, so the explorer still
@@ -23,10 +22,10 @@ package core
 // concurrently with it, which is the same reordering any parallel
 // session already exhibits, bounded here by the ring capacity.
 // Explorers opt in via explore.Prefetchable; for anything else the
-// engine silently falls back to the synchronous path. Depth 0 (the
-// default) is exactly the pre-pipeline code path: generation under
-// e.mu, strict Next/Report alternation for sequential sessions, and
-// bit-for-bit identical journals.
+// engine runs at depth 0. Depth 0 (the default) starts no generator:
+// the ring stays empty, every candidate is generated by the Lease that
+// hands it out, and a single-worker session keeps strict Next/Report
+// alternation and bit-for-bit identical journals.
 
 import (
 	"container/heap"
@@ -232,14 +231,11 @@ func (e *Engine) prefetchTargetLocked() int {
 	if e.prefetchDepth > 0 {
 		return e.prefetchDepth
 	}
-	e.latMu.Lock()
-	n := e.adaptiveBatchLocked()
-	e.latMu.Unlock()
-	return 2 * n
+	return 2 * e.adaptiveBatchLocked()
 }
 
 // startPrefetchLocked lazily launches the generator goroutine on the
-// first prefetched Lease. Callers hold e.leaseMu.
+// first Lease of a prefetching engine. Callers hold e.leaseMu.
 func (e *Engine) startPrefetchLocked() {
 	if e.ringStarted || e.ringSealed {
 		return
@@ -336,87 +332,4 @@ func (e *Engine) sealPrefetchLocked() {
 	if e.ringStop != nil {
 		close(e.ringStop)
 	}
-}
-
-// leasePrefetched is Lease's pipeline path: expired re-leases and a
-// ring dequeue under the narrow lease lock — never e.mu — with a
-// synchronous explorer fallback (under the explorer lock only) when
-// demand outruns the generator.
-func (e *Engine) leasePrefetched(max int, now time.Time) []explore.Candidate {
-	e.leaseMu.Lock()
-	e.startPrefetchLocked()
-	var cands []explore.Candidate
-	timeout := e.leaseTimeout
-	if e.lq != nil {
-		cands = e.lq.takeExpired(now, max, timeout)
-		if len(cands) == max {
-			e.leaseMu.Unlock()
-			return cands
-		}
-	}
-	if n := e.ring.n; n > 0 {
-		take := max - len(cands)
-		before := len(cands)
-		cands = e.ring.take(cands, take)
-		taken := len(cands) - before
-		e.pending += taken
-		if e.lq != nil {
-			expires := now.Add(timeout)
-			for _, c := range cands[before:] {
-				e.lq.add(c.Point.Key(), c, expires)
-			}
-		}
-	}
-	// Refill wake at the low-water mark (half the target), non-blocking:
-	// the generator coalesces signals.
-	if !e.ringSealed && !e.ringExhausted && e.ring.n <= e.prefetchTargetLocked()/2 {
-		select {
-		case e.ringWake <- struct{}{}:
-		default:
-		}
-	}
-	fresh := max - len(cands)
-	if fresh <= 0 || e.ringSealed || e.ringExhausted {
-		e.leaseMu.Unlock()
-		return cands
-	}
-	// Ring underflow (cold start, demand spike): generate synchronously
-	// with the same reserve-then-refund budget arithmetic the generator
-	// uses.
-	if e.cfg.Iterations > 0 {
-		remaining := e.cfg.Iterations - e.committed
-		if remaining <= 0 {
-			e.leaseMu.Unlock()
-			return cands
-		}
-		if fresh > remaining {
-			fresh = remaining
-		}
-	}
-	e.committed += fresh
-	e.leaseMu.Unlock()
-
-	e.exMu.Lock()
-	next := explore.BatchNext(e.explorer, fresh)
-	e.exMu.Unlock()
-
-	e.leaseMu.Lock()
-	e.committed -= fresh - len(next)
-	if e.ringSealed {
-		e.committed -= len(next)
-		e.leaseMu.Unlock()
-		return cands
-	}
-	e.pending += len(next)
-	if e.lq != nil {
-		expires := now.Add(timeout)
-		for _, c := range next {
-			e.lq.add(c.Point.Key(), c, expires)
-		}
-	}
-	if len(next) < fresh {
-		e.ringExhausted = true
-	}
-	e.leaseMu.Unlock()
-	return append(cands, next...)
 }

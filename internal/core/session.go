@@ -13,7 +13,8 @@
 //
 // # The engine layer
 //
-// Execution is organized around three pieces (see engine.go):
+// Execution is organized around three pieces (see engine.go), chained
+// lease → execute → fold:
 //
 //   - Engine owns all shared session state — candidate leasing, impact
 //     scoring (scoring.go), coverage accounting, redundancy clustering,
@@ -26,9 +27,11 @@
 //     in-process "model", or "process" for real supervised
 //     subprocesses); package rpcnode adapts remote node managers
 //     reporting over TCP to the same engine.
-//   - Workers lease candidates in batches (Config.Batch) and a single
-//     reducer folds outcomes back, so the parallel hot path takes the
-//     session lock once per batch instead of twice per test.
+//   - One worker loop drives them: lease a batch (Config.Batch) under
+//     the narrow lease and explorer locks, execute it lock-free, fold it
+//     back under one session-lock acquisition. RunWith runs
+//     Config.Workers copies of it; a sequential session is one copy with
+//     a batch of one.
 //
 // Run is the high-level entry point; advanced callers (distributed
 // coordinators, custom executors, throughput benchmarks) build an Engine
@@ -105,8 +108,9 @@ type Config struct {
 	// Iterations caps the number of tests executed. Zero means run until
 	// the explorer exhausts the space or Stop fires.
 	Iterations int
-	// Workers is the number of concurrent node managers; 0 or 1 runs the
-	// fully deterministic sequential loop.
+	// Workers is the number of concurrent node managers — copies of the
+	// engine's worker loop. 0 or 1 runs one, on the calling goroutine,
+	// leasing one candidate at a time: fully deterministic.
 	Workers int
 	// Shards partitions the fault space into this many disjoint regions
 	// (faultspace.Union.Shard), each explored by an independent instance
@@ -116,23 +120,22 @@ type Config struct {
 	// Sharding composes with every registered strategy (the composition
 	// order is strategy → sharded → novelty filter).
 	Shards int
-	// Batch is the number of candidates a worker leases from the session
-	// per lock acquisition when Workers > 1 (amortizing coordination the
-	// way the RPC protocol amortizes round-trips). 0 selects
-	// DefaultBatch. Sequential sessions always lease one candidate at a
-	// time, so Batch never affects their determinism.
+	// Batch is the number of candidates a worker leases and folds per
+	// round when Workers > 1 (amortizing coordination the way the RPC
+	// protocol amortizes round-trips). 0 selects DefaultBatch.
+	// Sequential sessions always lease one candidate at a time, so Batch
+	// never affects their determinism.
 	Batch int
 	// PrefetchDepth enables the asynchronous candidate prefetch
 	// pipeline (see prefetch.go): a generator stage batch-calls the
 	// explorer ahead of demand into a bounded ring, so Lease becomes a
-	// near-O(batch) dequeue off the session lock and candidate
-	// generation overlaps fold commits. Positive values fix the ring
-	// capacity; PrefetchAdaptive (-1) tracks ~2× the adaptive wire
-	// batch. 0 (the default) keeps today's synchronous path —
-	// generation under the session lock, strict Next/Report
-	// alternation, bit-for-bit sequential journals. Silently ignored
-	// (treated as 0) when the explorer does not implement
-	// explore.Prefetchable.
+	// near-O(batch) dequeue and lease rounds stop queueing on the
+	// explorer. Positive values fix the ring capacity; PrefetchAdaptive
+	// (-1) tracks ~2× the adaptive wire batch. At 0 (the default) no
+	// generator runs and every Lease generates what it hands out:
+	// strict Next/Report alternation and bit-for-bit journals for
+	// sequential sessions. Silently ignored (treated as 0) when the
+	// explorer does not implement explore.Prefetchable.
 	PrefetchDepth int
 	// Feedback enables the §7.4 result-quality feedback loop: the
 	// fitness of a new result is weighted by (1 - max similarity) to all
@@ -238,7 +241,7 @@ type Snapshot struct {
 	// by executors (Engine.ObserveLatency) and AdaptiveBatch the
 	// engine's current suggested wire-batch size derived from it. Both
 	// stay zero until an executor reports latency — today only
-	// distributed batched managers do.
+	// distributed managers do.
 	AvgTestNS     int64 `json:"avgTestNs,omitempty"`
 	AdaptiveBatch int   `json:"adaptiveBatch,omitempty"`
 	// PrefetchDepth is the prefetch ring's current capacity target and

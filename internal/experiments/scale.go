@@ -97,22 +97,22 @@ type ScaleResult struct {
 	// overhead, not test execution, the bottleneck — the opposite of the
 	// deployment the paper describes).
 	WorkFactor int
-	// SingleTask reports which wire protocol the managers ran: the seed
-	// one-task-per-round-trip protocol, or (false) the batched
-	// pipelined one.
+	// SingleTask reports how the managers leased: one task per round
+	// trip with no lease in flight during execution (Manager.Batch = 1),
+	// or (false) adaptive pipelined batches.
 	SingleTask bool
 }
 
-// Scalability runs a local TCP cluster with 1..max managers on the
-// batched wire protocol. ScalabilitySingleTask is the same experiment
-// pinned to the seed protocol — the pair quantifies how much of the
-// distributed ceiling is coordination round trips.
+// Scalability runs a local TCP cluster with 1..max managers leasing
+// adaptive pipelined batches. ScalabilitySingleTask is the same
+// experiment at Manager.Batch = 1 — the pair quantifies how much of
+// the distributed ceiling is coordination round trips.
 func Scalability(o Opts, nodeCounts []int, testsPerRun, workFactor int) ScaleResult {
 	return scalability(o, nodeCounts, testsPerRun, workFactor, false)
 }
 
-// ScalabilitySingleTask is Scalability over the seed single-task
-// protocol (each manager pins Batch = 1).
+// ScalabilitySingleTask is Scalability with every manager leasing one
+// task at a time (Batch = 1): strict lease → run → report alternation.
 func ScalabilitySingleTask(o Opts, nodeCounts []int, testsPerRun, workFactor int) ScaleResult {
 	return scalability(o, nodeCounts, testsPerRun, workFactor, true)
 }
@@ -151,6 +151,10 @@ func scalability(o Opts, nodeCounts []int, testsPerRun, workFactor int, singleTa
 				}
 				defer mgr.Close()
 				mgr.Work = workFactor
+				// A §7.7 node runs one test at a time; without the cap
+				// a single in-process manager fans out over every core
+				// and node count stops being the unit of parallelism.
+				mgr.Concurrency = 1
 				if singleTask {
 					mgr.Batch = 1
 				}
@@ -193,11 +197,11 @@ func ExplorerThroughput(o Opts) float64 {
 // String renders the scalability table.
 func (r ScaleResult) String() string {
 	var b strings.Builder
-	proto := "batched"
+	leasing := "adaptive batches"
 	if r.SingleTask {
-		proto = "single-task"
+		leasing = "one task per lease"
 	}
-	fmt.Fprintf(&b, "§7.7 — scalability (%d tests per run, work factor %d, %s protocol)\n", r.Tests, r.WorkFactor, proto)
+	fmt.Fprintf(&b, "§7.7 — scalability (%d tests per run, work factor %d, %s)\n", r.Tests, r.WorkFactor, leasing)
 	fmt.Fprintf(&b, "  %-8s %12s %14s %10s\n", "nodes", "elapsed", "tests/sec", "speedup")
 	base := 0.0
 	for i, n := range r.Nodes {

@@ -1,13 +1,11 @@
 package rpcnode
 
-// The batched wire protocol (generation 2). The seed protocol pays two
-// blocking gob round trips per scenario — NextTest + ReportResult,
-// serial in Manager.RunOne — which makes the network, not test
-// execution, the bottleneck once the warm-worker backend executes a
-// scenario in tens of microseconds. Generation 2 keeps the coordinator
-// a thin adapter over the same core.Engine seams (Lease/FoldBatch,
-// lease expiry, heartbeat reaping, journaled resume) but moves many
-// tasks per round trip:
+// The wire protocol. Two blocking gob round trips per scenario would
+// make the network, not test execution, the bottleneck once the
+// warm-worker backend executes a scenario in tens of microseconds, so
+// the coordinator — a thin adapter over the core.Engine seams
+// (Lease/FoldBatch, lease expiry, heartbeat reaping, journaled resume) —
+// moves many tasks per round trip:
 //
 //   - Coordinator.NextBatch leases up to Max candidates at once; the
 //     coordinator sizes adaptive requests from the managers' measured
@@ -15,22 +13,22 @@ package rpcnode
 //     small batches for lease-expiry responsiveness, fast ones large
 //     batches for wire amortization.
 //   - The manager double-buffers leases (the next NextBatch is in
-//     flight while the current batch executes), fans tasks across its
-//     backend's pool concurrently, and flushes accumulated results by
-//     size and age through Coordinator.ReportBatch, which folds them
-//     through Engine.FoldBatch — one session-lock round per flush.
+//     flight while the current batch executes; not at Batch = 1, see
+//     Manager.Batch), fans tasks across its backend's pool
+//     concurrently, and flushes accumulated results by size and age
+//     through Coordinator.ReportBatch, which folds them through
+//     Engine.FoldBatch — one session-lock round per flush.
 //   - Tasks ship coordinates and axis values, not formatted scenario
 //     strings (the axis names travel once, in the Hello reply);
 //     results ship varint-delta block sets and interned stacks
 //     (wire.go).
 //
-// The protocol generation is negotiated at dial time via
-// Coordinator.Hello. Legacy coordinators lack the method, so the call
-// errors and the manager falls back to the seed single-task protocol;
-// legacy managers simply never call the batched methods, which stay
-// registered alongside the old ones.
+// Coordinator.Hello is the dial-time handshake. It carries the axis
+// names and a protocol generation, which both ends require to be
+// protoBatched: a mismatch fails the dial with an error naming it.
 
 import (
+	"fmt"
 	"math/rand"
 	"net/rpc"
 	"runtime"
@@ -45,20 +43,13 @@ import (
 	"afex/internal/prog"
 )
 
-// Protocol generations: protoSingle is the seed one-task-per-round-trip
-// protocol, protoBatched adds Hello/NextBatch/ReportBatch.
-const (
-	protoSingle  = 1
-	protoBatched = 2
-)
+// protoBatched is the protocol generation of Hello/NextBatch/ReportBatch
+// — the only one spoken.
+const protoBatched = 2
 
 // DefaultFlushEvery bounds how long executed results may buffer on the
 // manager before a ReportBatch flush when Manager.FlushEvery is zero.
 const DefaultFlushEvery = 50 * time.Millisecond
-
-// maxRetrySleepMS caps the manager's self-imposed Retry backoff when a
-// legacy coordinator suggests none.
-const maxRetrySleepMS = 200
 
 // maxSuggestRetryMS caps the coordinator-suggested Retry backoff.
 const maxSuggestRetryMS = 250
@@ -66,17 +57,17 @@ const maxSuggestRetryMS = 250
 // Hello is the manager's dial-time handshake.
 type Hello struct {
 	Manager string
-	// Proto is the highest protocol generation the manager speaks.
+	// Proto is the protocol generation the manager speaks.
 	Proto int
 }
 
 // HelloReply answers the handshake.
 type HelloReply struct {
-	// Proto is the negotiated protocol generation.
+	// Proto is the coordinator's protocol generation.
 	Proto int
-	// AxisNames carries each subspace's axis names, sent once so
-	// batched leases can ship bare axis values (TaskWire.Vals) instead
-	// of a formatted scenario string per task.
+	// AxisNames carries each subspace's axis names, sent once so leases
+	// can ship bare axis values (TaskWire.Vals) instead of a formatted
+	// scenario string per task.
 	AxisNames [][]string
 }
 
@@ -92,35 +83,36 @@ type BatchRequest struct {
 	// themselves because backends may not report durations (the model
 	// backend deliberately journals none).
 	AvgTestNS int64
-	// WantScenario asks for the formatted Scenario string on every
-	// task — compat for managers that parse scenarios instead of
-	// converting coordinates.
-	WantScenario bool
 }
 
-// TaskWire is one leased test in batched wire form: coordinates plus
-// axis values (pairing with HelloReply.AxisNames[Sub]), no scenario
-// string unless requested.
+// TaskWire is one leased test in wire form: the coordinator-assigned
+// lease sequence number (echoed back in ResultWire.Seq), the fault's
+// coordinates, and its axis values (pairing with
+// HelloReply.AxisNames[Sub]).
 type TaskWire struct {
 	Seq   int
 	Sub   int
 	Fault []int
 	Vals  []string
-	// Scenario is populated only for WantScenario requests.
-	Scenario string
 }
 
-// TaskBatch answers NextBatch. Done and Retry mean what they do on
-// Task; RetryAfterMS is the coordinator-suggested poll backoff
-// accompanying Retry (the manager adds jitter).
+// TaskBatch answers NextBatch.
 type TaskBatch struct {
-	Tasks        []TaskWire
-	Done         bool
+	Tasks []TaskWire
+	// Done indicates the exploration is over; the manager should exit.
+	Done bool
+	// Retry indicates no candidate is available right now but the
+	// session is still running — outstanding leases of a dead manager
+	// may yet expire and be re-leased (Config.LeaseTimeout), or the
+	// prefetch generator still holds budget. The manager polls again
+	// after RetryAfterMS, the coordinator-suggested backoff (growing
+	// with the manager's consecutive empty polls; the manager adds
+	// jitter).
 	Retry        bool
 	RetryAfterMS int
 }
 
-// ResultWire is one executed test in batched wire form. Stack/StackHash
+// ResultWire is one executed test in wire form. Stack/StackHash
 // implement per-connection interning: the frames travel with the
 // hash's first use, the bare hash thereafter. Blocks is the
 // varint-delta encoding of the covered block set (wire.go).
@@ -157,26 +149,22 @@ type BatchAck struct {
 	Folded int
 }
 
-// Hello negotiates the wire protocol at dial time and hands the
-// manager the per-subspace axis names. Legacy coordinators lack the
-// method — the manager treats the call error as protocol 1.
+// Hello is the dial-time handshake: it hands the manager the
+// per-subspace axis names and rejects a manager speaking an older
+// protocol generation.
 func (c *Coordinator) Hello(h Hello, reply *HelloReply) error {
+	if h.Proto < protoBatched {
+		return fmt.Errorf("rpcnode: manager %q speaks protocol %d, this coordinator needs %d", h.Manager, h.Proto, protoBatched)
+	}
 	c.noteManager(h.Manager)
-	proto := h.Proto
-	if proto > protoBatched {
-		proto = protoBatched
-	}
-	if proto < protoSingle {
-		proto = protoSingle
-	}
-	reply.Proto = proto
+	reply.Proto = protoBatched
 	reply.AxisNames = c.axisNames
 	return nil
 }
 
 // NextBatch leases up to req.Max candidates (0 = adaptive) in one
-// round trip. Done/Retry semantics match NextTest; Retry additionally
-// suggests a poll backoff.
+// round trip. A batch with Done set means the session is over; Retry
+// means poll again after the suggested backoff.
 func (c *Coordinator) NextBatch(req BatchRequest, batch *TaskBatch) error {
 	c.noteManager(req.Manager)
 	if req.AvgTestNS > 0 {
@@ -204,16 +192,12 @@ func (c *Coordinator) NextBatch(req BatchRequest, batch *TaskBatch) error {
 		scenario := dsl.FormatPairs(c.axisNames[cand.Point.Sub], vals)
 		c.seq++
 		c.leases[c.seq] = lease{cand: cand, scenario: scenario, vals: vals, manager: req.Manager}
-		tw := TaskWire{
+		batch.Tasks[i] = TaskWire{
 			Seq:   c.seq,
 			Sub:   cand.Point.Sub,
 			Fault: append([]int(nil), cand.Point.Fault...),
 			Vals:  vals,
 		}
-		if req.WantScenario {
-			tw.Scenario = scenario
-		}
-		batch.Tasks[i] = tw
 	}
 	c.mu.Unlock()
 	return nil
@@ -294,7 +278,7 @@ func (c *Coordinator) retryAfter(id string) int {
 	return ms
 }
 
-// Hello negotiates the protocol (RPC method).
+// Hello is the dial-time handshake (RPC method).
 func (s *service) Hello(h Hello, reply *HelloReply) error {
 	return s.c.Hello(h, reply)
 }
@@ -309,47 +293,38 @@ func (s *service) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 	return s.c.ReportBatch(rb, ack)
 }
 
-// sleepRetry waits out a Retry poll. The coordinator suggests the
-// backoff (growing with the manager's consecutive empty polls); a
-// legacy coordinator suggests nothing, so the manager backs off
-// exponentially itself. Either way ±25% jitter keeps a fleet of idle
-// managers from polling in lockstep.
-func sleepRetry(suggestMS int, attempts *int) {
-	ms := suggestMS
-	if ms <= 0 {
-		n := *attempts
-		if n > 6 {
-			n = 6
-		}
-		ms = 2 << n
-		if ms > maxRetrySleepMS {
-			ms = maxRetrySleepMS
-		}
+// sleepRetry waits out a Retry poll for the coordinator-suggested
+// backoff (growing with the manager's consecutive empty polls); ±25%
+// jitter keeps a fleet of idle managers from polling in lockstep.
+func sleepRetry(suggestMS int) {
+	if suggestMS < 1 {
+		suggestMS = 1 // never spin on a reply that suggests nothing
 	}
-	*attempts++
-	d := time.Duration(ms) * time.Millisecond
+	d := time.Duration(suggestMS) * time.Millisecond
 	jitter := time.Duration(rand.Int63n(int64(d)/2 + 1))
 	time.Sleep(d*3/4 + jitter)
 }
 
-// negotiate performs the dial-time protocol handshake. Any error reads
-// as a legacy coordinator (net/rpc reports unknown methods as call
-// errors) and selects the seed single-task protocol — genuine
-// transport faults surface on the first work RPC either way.
-func (m *Manager) negotiate() {
+// hello performs the dial-time handshake. A coordinator that does not
+// serve Coordinator.Hello (net/rpc reports unknown methods as call
+// errors) or answers with another protocol generation cannot be worked
+// for; the error says which.
+func (m *Manager) hello() error {
 	var reply HelloReply
 	if err := m.client.Call("Coordinator.Hello", Hello{Manager: m.ID, Proto: protoBatched}, &reply); err != nil {
-		m.proto = protoSingle
-		return
+		return fmt.Errorf("handshake: %w", err)
 	}
-	m.proto = reply.Proto
+	if reply.Proto != protoBatched {
+		return fmt.Errorf("handshake: coordinator speaks protocol %d, this manager needs %d", reply.Proto, protoBatched)
+	}
 	m.axisNames = reply.AxisNames
+	return nil
 }
 
-// runBatched is the protocol-2 work loop: double-buffered leasing (the
-// next NextBatch is in flight while the current batch executes),
-// concurrent execution across the backend's pool, and size/age-bounded
-// result flushing. It returns how many results this manager reported.
+// runBatched is the work loop: double-buffered leasing (the next
+// NextBatch is in flight while the current batch executes), concurrent
+// execution across the backend's pool, and size/age-bounded result
+// flushing. It returns how many results this manager reported.
 func (m *Manager) runBatched() (int, error) {
 	workers := m.Concurrency
 	if workers <= 0 {
@@ -360,10 +335,13 @@ func (m *Manager) runBatched() (int, error) {
 		flushEvery = DefaultFlushEvery
 	}
 	executed := 0
-	idle := 0
-	pending := m.goNextBatch()
+	var pending *rpc.Call
 	for {
+		if pending == nil {
+			pending = m.goNextBatch()
+		}
 		call := <-pending.Done
+		pending = nil
 		if call.Error != nil {
 			return executed, call.Error
 		}
@@ -372,14 +350,15 @@ func (m *Manager) runBatched() (int, error) {
 			return executed, nil
 		}
 		if batch.Retry {
-			sleepRetry(batch.RetryAfterMS, &idle)
-			pending = m.goNextBatch()
+			sleepRetry(batch.RetryAfterMS)
 			continue
 		}
-		idle = 0
-		// The prefetch: request the next batch before executing this
-		// one, so leasing and execution overlap instead of alternating.
-		pending = m.goNextBatch()
+		// Request the next batch before executing this one, so leasing
+		// and execution overlap instead of alternating — except at Batch
+		// 1, which promises no second lease while one is held.
+		if m.Batch != 1 {
+			pending = m.goNextBatch()
+		}
 		n, err := m.executeBatch(batch.Tasks, workers, flushEvery)
 		executed += n
 		if err != nil {
@@ -390,12 +369,7 @@ func (m *Manager) runBatched() (int, error) {
 
 // goNextBatch issues an asynchronous lease request.
 func (m *Manager) goNextBatch() *rpc.Call {
-	req := BatchRequest{
-		Manager:      m.ID,
-		Max:          m.Batch,
-		AvgTestNS:    m.avgLatency(),
-		WantScenario: m.CompatScenario,
-	}
+	req := BatchRequest{Manager: m.ID, Max: m.Batch, AvgTestNS: m.avgLatency()}
 	return m.client.Go("Coordinator.NextBatch", req, new(TaskBatch), nil)
 }
 
@@ -518,18 +492,13 @@ func (m *Manager) executeOne(tw TaskWire) ResultWire {
 }
 
 // convertTask rebuilds the injection plan straight from the leased
-// coordinates — the batched protocol ships axis values, not formatted
-// scenario strings, so nothing is parsed per task. The scenario
-// fallback covers compat leases (CompatScenario).
+// coordinates — the wire ships axis values, not formatted scenario
+// strings, so nothing is parsed per task.
 func (m *Manager) convertTask(tw TaskWire) (inject.Point, inject.Plan, error) {
-	if tw.Sub < len(m.axisNames) && len(tw.Vals) > 0 {
-		return m.plugin.ConvertValues(m.axisNames[tw.Sub], tw.Vals)
+	if tw.Sub < 0 || tw.Sub >= len(m.axisNames) {
+		return inject.Point{}, inject.Plan{}, fmt.Errorf("rpcnode: task %d names subspace %d of %d", tw.Seq, tw.Sub, len(m.axisNames))
 	}
-	sc, err := dsl.ParseScenario(tw.Scenario)
-	if err != nil {
-		return inject.Point{}, inject.Plan{}, err
-	}
-	return m.plugin.Convert(sc)
+	return m.plugin.ConvertValues(m.axisNames[tw.Sub], tw.Vals)
 }
 
 // internStacks applies per-connection stack interning: every non-empty

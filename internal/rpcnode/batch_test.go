@@ -5,6 +5,7 @@ import (
 	"net/rpc"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"afex/internal/core"
@@ -50,11 +51,11 @@ func TestStackHashSensitivity(t *testing.T) {
 }
 
 // TestBatchedMatchesSingleTaskAndLocal is the wire-protocol parity
-// contract: one ordered batched manager (Concurrency 1) must produce
-// the identical ResultSet — tallies, per-record scenarios, impacts,
-// cluster ids — as the seed single-task protocol and as a local
-// sequential run, because all three fold the same candidates in the
-// same order through the same engine.
+// contract: one ordered manager (Concurrency 1) must produce the
+// identical ResultSet — tallies, per-record scenarios, impacts,
+// cluster ids — whether it leases adaptively or one task at a time,
+// and the same as a local sequential run, because all three fold the
+// same candidates in the same order through the same engine.
 func TestBatchedMatchesSingleTaskAndLocal(t *testing.T) {
 	target := rpcTarget()
 
@@ -88,7 +89,7 @@ func TestBatchedMatchesSingleTaskAndLocal(t *testing.T) {
 		return coord.Result()
 	}
 
-	single := runDistributed(1) // pins the seed single-task protocol
+	single := runDistributed(1)
 	batched := runDistributed(0)
 
 	for _, tc := range []struct {
@@ -120,11 +121,11 @@ func TestBatchedMatchesSingleTaskAndLocal(t *testing.T) {
 }
 
 // TestBatchedClusterParityFourManagers is the acceptance-criteria
-// cluster check: a 4-manager batched pipelined session over a fully
-// swept space finds exactly the unique-failure clusters the
-// single-task protocol does at equal budget. (Fold order differs
-// between concurrent managers, so the comparison is set-shaped:
-// tallies, cluster counts and crash identities.)
+// cluster check: a 4-manager adaptively batched, pipelined session
+// over a fully swept space finds exactly the unique-failure clusters
+// four managers leasing one task at a time do at equal budget. (Fold
+// order differs between concurrent managers, so the comparison is
+// set-shaped: tallies, cluster counts and crash identities.)
 func TestBatchedClusterParityFourManagers(t *testing.T) {
 	target := rpcTarget()
 	run := func(batch int) *core.ResultSet {
@@ -173,9 +174,9 @@ func TestBatchedClusterParityFourManagers(t *testing.T) {
 	}
 }
 
-// TestBatchedPersistentJournalEquivalence: a persistent batched session
-// journals the same entries as a persistent single-task one —
-// scenario, outcome, plan, backend — record for record (ordered
+// TestBatchedPersistentJournalEquivalence: a persistent adaptively
+// batched session journals the same entries as a persistent Batch = 1
+// one — scenario, outcome, plan, backend — record for record (ordered
 // managers fold in candidate order, so even the order matches; the
 // sort below only de-flakes the comparison contract to "modulo fold
 // order", which is all concurrent sessions promise).
@@ -246,31 +247,74 @@ func TestBatchedPersistentJournalEquivalence(t *testing.T) {
 	}
 }
 
-// legacyService mimics a seed-era coordinator: the single-task RPCs
-// only, no Hello/NextBatch/ReportBatch.
-type legacyService struct{ c *Coordinator }
+// TestSingleLeaseMatchesSequentialWithFeedback: one manager at Batch = 1
+// drives a fitness-guided explorer with §7.4 feedback through exactly
+// the Next/Report alternation of a local sequential session, so the
+// two sessions agree record for record. (The exhaustive parity tests
+// above cannot see a lost alternation: enumeration ignores feedback.)
+func TestSingleLeaseMatchesSequentialWithFeedback(t *testing.T) {
+	target := rpcTarget()
+	cfg := core.Config{
+		Space:      benchRPCSpace(50),
+		Algorithm:  "fitness",
+		Explore:    explore.Config{Seed: 11},
+		Feedback:   true,
+		Iterations: 150,
+	}
+	localCfg := cfg
+	localCfg.Target = target
+	local, err := core.Run(localCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-func (s *legacyService) NextTest(managerID string, task *Task) error {
-	return s.c.NextTest(managerID, task)
+	coord, err := NewCoordinatorConfig(cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve("127.0.0.1:0", coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	mgr, err := Dial(srv.Addr(), "solo", target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	mgr.Batch = 1
+	if _, err := mgr.RunUntilDone(); err != nil {
+		t.Fatal(err)
+	}
+	dist := coord.Result()
+
+	if len(dist.Records) != len(local.Records) {
+		t.Fatalf("distributed kept %d records, local %d", len(dist.Records), len(local.Records))
+	}
+	for i := range dist.Records {
+		d, l := dist.Records[i], local.Records[i]
+		if d.Scenario != l.Scenario || d.Impact != l.Impact || d.Fitness != l.Fitness || d.Cluster != l.Cluster {
+			t.Fatalf("record %d diverges: distributed {%q %.2f %.2f c%d}, local {%q %.2f %.2f c%d}",
+				i, d.Scenario, d.Impact, d.Fitness, d.Cluster, l.Scenario, l.Impact, l.Fitness, l.Cluster)
+		}
+	}
 }
 
-func (s *legacyService) ReportResult(res Result, ack *bool) error {
-	return s.c.ReportResult(res, ack)
-}
+// helloLess is a coordinator service without the Hello handshake.
+type helloLess struct{ c *Coordinator }
 
-func (s *legacyService) Heartbeat(managerID string, ack *bool) error {
+func (s *helloLess) Heartbeat(managerID string, ack *bool) error {
 	return s.c.Heartbeat(managerID, ack)
 }
 
-// TestLegacyCoordinatorFallback: a manager dialing a coordinator that
-// predates the batched protocol (Hello errors as an unknown method)
-// falls back to the single-task protocol and still completes the
-// session.
-func TestLegacyCoordinatorFallback(t *testing.T) {
+// TestDialWithoutHelloFails: a coordinator that does not serve the
+// handshake is a dial error naming it, not a manager that connects and
+// then cannot work.
+func TestDialWithoutHelloFails(t *testing.T) {
 	space := rpcSpace()
 	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Coordinator", &legacyService{c: coord}); err != nil {
+	if err := srv.RegisterName("Coordinator", &helloLess{c: coord}); err != nil {
 		t.Fatal(err)
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -289,23 +333,26 @@ func TestLegacyCoordinatorFallback(t *testing.T) {
 	}()
 
 	mgr, err := Dial(lis.Addr().String(), "modern", rpcTarget())
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		mgr.Close()
+		t.Fatal("dial against a coordinator without Hello succeeded")
 	}
-	defer mgr.Close()
-	if mgr.proto != protoSingle {
-		t.Fatalf("negotiated proto %d against a legacy coordinator, want %d", mgr.proto, protoSingle)
+	if !strings.Contains(err.Error(), "Hello") {
+		t.Errorf("dial error %q does not name the missing handshake", err)
 	}
-	n, err := mgr.RunUntilDone()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestHelloRejectsOlderManager: a peer offering a protocol generation
+// below the coordinator's is refused at the handshake.
+func TestHelloRejectsOlderManager(t *testing.T) {
+	space := rpcSpace()
+	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	var reply HelloReply
+	if err := coord.Hello(Hello{Manager: "old", Proto: protoBatched - 1}, &reply); err == nil {
+		t.Fatal("a generation-1 manager was accepted")
 	}
-	if want := int(space.Size()); n != want {
-		t.Fatalf("executed %d tests, want %d", n, want)
-	}
-	st := coord.Snapshot()
-	if st.Failed != 6 || st.Crashed != 2 {
-		t.Errorf("stats = %+v, want failed=6 crashed=2", st)
+	if err := coord.Hello(Hello{Manager: "new", Proto: protoBatched}, &reply); err != nil || reply.Proto != protoBatched {
+		t.Fatalf("current-generation handshake: proto %d, err %v", reply.Proto, err)
 	}
 }
 
@@ -347,9 +394,9 @@ func TestRetryBackoffGrowsAndResets(t *testing.T) {
 			t.Fatalf("suggested backoff %dms above the %dms cap", ms, maxSuggestRetryMS)
 		}
 	}
-	var task Task
-	if err := coord.NextTest("m", &task); err != nil || task.Done || task.Retry {
-		t.Fatalf("lease failed: %v %+v", err, task)
+	var batch TaskBatch
+	if err := coord.NextBatch(BatchRequest{Manager: "m", Max: 1}, &batch); err != nil || len(batch.Tasks) != 1 {
+		t.Fatalf("lease failed: %v %+v", err, batch)
 	}
 	if ms := coord.retryAfter("m"); ms != 5 {
 		t.Errorf("backoff after a successful lease = %dms, want reset to 5ms", ms)
@@ -423,18 +470,13 @@ func TestStackInterningAcrossBatches(t *testing.T) {
 }
 
 // TestBatchedWireLeaner measures real on-the-wire bytes per test and
-// asserts the batched protocol beats the single-task one, and that
-// dropping the Scenario string (the default) beats the compat mode
-// that keeps it.
+// asserts that leasing in batches beats leasing one task per round
+// trip.
 func TestBatchedWireLeaner(t *testing.T) {
-	single, _ := measureWireBytes(t, 1, false)
-	batched, _ := measureWireBytes(t, 0, false)
-	compat, _ := measureWireBytes(t, 0, true)
-	t.Logf("bytes/test: single-task %.0f, batched %.0f, batched+scenario %.0f", single, batched, compat)
+	single, _ := measureWireBytes(t, 1)
+	batched, _ := measureWireBytes(t, 0)
+	t.Logf("bytes/test: batch 1 %.0f, adaptive batch %.0f", single, batched)
 	if batched >= single {
-		t.Errorf("batched protocol costs %.0f bytes/test, single-task %.0f — no wire win", batched, single)
-	}
-	if batched >= compat {
-		t.Errorf("dropping the scenario string saved nothing: %.0f vs %.0f bytes/test", batched, compat)
+		t.Errorf("adaptive batches cost %.0f bytes/test, batch 1 %.0f — no wire win", batched, single)
 	}
 }

@@ -1,10 +1,8 @@
 package rpcnode
 
 import (
-	"encoding/json"
 	"net"
 	"net/rpc"
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,15 +12,10 @@ import (
 	"afex/internal/faultspace"
 )
 
-// Wire-protocol benchmarks: the batched pipelined protocol against the
-// seed's one-task-per-round-trip shape, over real loopback TCP. Run
-// with:
+// Wire-protocol benchmarks: adaptive pipelined batches against one task
+// per round trip (Manager.Batch = 1), over real loopback TCP. Run with:
 //
 //	go test ./internal/rpcnode -bench=BenchmarkRPCThroughput -benchtime=1x
-//
-// and write the machine-readable report with:
-//
-//	AFEX_BENCH_JSON=$PWD/BENCH_rpc.json go test ./internal/rpcnode -run TestWriteRPCBenchJSON -count=1
 
 // benchRPCSpace widens rpcSpace's callNumber axis so a throughput run
 // has thousands of points to sweep (4 × maxCall).
@@ -35,8 +28,8 @@ func benchRPCSpace(maxCall int) *faultspace.Union {
 }
 
 // measureRPC sweeps budget tests through one manager on the model
-// backend and returns scenarios/second. batch selects the protocol:
-// 1 pins the seed single-task shape, 0 the adaptive batched one.
+// backend and returns scenarios/second. batch is Manager.Batch: 1
+// leases one task per round trip, 0 adaptively.
 func measureRPC(tb testing.TB, budget, batch int) float64 {
 	space := benchRPCSpace((budget + 3) / 4 * 2)
 	coord := NewCoordinator(space, explore.NewExhaustive(space), budget, nil)
@@ -101,7 +94,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // byte-counting loopback connection and returns the measured wire cost
 // per executed test (both directions, gob framing included) plus the
 // executed count.
-func measureWireBytes(tb testing.TB, batch int, compatScenario bool) (float64, int) {
+func measureWireBytes(tb testing.TB, batch int) (float64, int) {
 	space := benchRPCSpace(50)
 	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
@@ -125,15 +118,16 @@ func measureWireBytes(tb testing.TB, batch int, compatScenario bool) (float64, i
 		ID:             "wire",
 		Target:         target,
 		Batch:          batch,
-		CompatScenario: compatScenario,
 		HeartbeatEvery: -1,
 		client:         rpc.NewClient(cc),
 		runner:         runner,
 		backendName:    backend.Model,
 		sentStacks:     make(map[uint64]bool),
 	}
-	mgr.negotiate()
 	defer mgr.Close()
+	if err := mgr.hello(); err != nil {
+		tb.Fatal(err)
+	}
 
 	n, err := mgr.RunUntilDone()
 	if err != nil {
@@ -143,41 +137,4 @@ func measureWireBytes(tb testing.TB, batch int, compatScenario bool) (float64, i
 		tb.Fatalf("executed %d tests, want the whole %d-point space", n, space.Size())
 	}
 	return float64(cc.bytes.Load()) / float64(n), n
-}
-
-// TestWriteRPCBenchJSON writes the machine-readable RPC report
-// (scenarios/sec single-task vs batched, wire bytes per test). Skipped
-// unless AFEX_BENCH_JSON names the output file.
-func TestWriteRPCBenchJSON(t *testing.T) {
-	path := os.Getenv("AFEX_BENCH_JSON")
-	if path == "" {
-		t.Skip("set AFEX_BENCH_JSON to write the RPC benchmark report")
-	}
-	const budget = 2000
-	single := measureRPC(t, budget, 1)
-	batched := measureRPC(t, budget, 0)
-	wireSingle, _ := measureWireBytes(t, 1, false)
-	wireBatched, _ := measureWireBytes(t, 0, false)
-	wireCompat, _ := measureWireBytes(t, 0, true)
-	report := map[string]any{
-		"throughput": map[string]any{
-			"scenarios":                 budget,
-			"single_scenarios_per_sec":  single,
-			"batched_scenarios_per_sec": batched,
-			"speedup":                   batched / single,
-		},
-		"wire": map[string]any{
-			"bytes_per_test_single":           wireSingle,
-			"bytes_per_test_batched":          wireBatched,
-			"bytes_per_test_batched_scenario": wireCompat,
-		},
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", path, blob)
 }

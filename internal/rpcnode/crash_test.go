@@ -2,12 +2,37 @@ package rpcnode
 
 import (
 	"net/rpc"
+	"reflect"
 	"testing"
 	"time"
 
 	"afex/internal/core"
 	"afex/internal/explore"
 )
+
+// leaseOne leases a single task at the raw protocol level.
+func leaseOne(t *testing.T, client *rpc.Client, manager string) TaskWire {
+	t.Helper()
+	var batch TaskBatch
+	if err := client.Call("Coordinator.NextBatch", BatchRequest{Manager: manager, Max: 1}, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if batch.Done || batch.Retry || len(batch.Tasks) != 1 {
+		t.Fatalf("lease: got %+v, want one task", batch)
+	}
+	return batch.Tasks[0]
+}
+
+// executed reports whether res holds a record for the leased task's
+// fault point.
+func executed(res *core.ResultSet, tw TaskWire) bool {
+	for _, rec := range res.Records {
+		if rec.Point.Sub == tw.Sub && reflect.DeepEqual([]int(rec.Point.Fault), tw.Fault) {
+			return true
+		}
+	}
+	return false
+}
 
 // TestManagerCrashMidLease is the distributed lease-expiry satellite: a
 // manager leases a batch of tasks and disconnects without reporting.
@@ -35,16 +60,9 @@ func TestManagerCrashMidLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leased := make([]Task, 0, 5)
+	leased := make([]TaskWire, 0, 5)
 	for i := 0; i < 5; i++ {
-		var task Task
-		if err := doomed.Call("Coordinator.NextTest", "doomed", &task); err != nil {
-			t.Fatal(err)
-		}
-		if task.Done || task.Retry {
-			t.Fatalf("lease %d: unexpected done/retry %+v", i, task)
-		}
-		leased = append(leased, task)
+		leased = append(leased, leaseOne(t, doomed, "doomed"))
 	}
 	doomed.Close() // the crash: five leases leak
 
@@ -77,16 +95,9 @@ func TestManagerCrashMidLease(t *testing.T) {
 	}
 	// Every scenario the dead manager held hostage was re-leased and
 	// executed by the survivor.
-	for _, task := range leased {
-		found := false
-		for _, rec := range res.Records {
-			if rec.Scenario == task.Scenario {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("scenario %q leased by the dead manager was never executed", task.Scenario)
+	for _, tw := range leased {
+		if !executed(res, tw) {
+			t.Errorf("fault %v leased by the dead manager was never executed", tw.Fault)
 		}
 	}
 	if res.Failed == 0 || res.UniqueFailures == 0 {
@@ -94,8 +105,8 @@ func TestManagerCrashMidLease(t *testing.T) {
 	}
 }
 
-// TestManagerCrashMidBatch is TestHeartbeatLeaseExpiry at the batched
-// protocol level: a manager leases a whole batch in one NextBatch call
+// TestManagerCrashMidBatch is TestHeartbeatLeaseExpiry with a whole
+// batch at stake: a manager leases five tasks in one NextBatch call
 // and goes silent mid-batch. The heartbeat reaper expires the batch's
 // leases exactly once, a surviving batched manager re-executes them,
 // and — the exactly-once half — a late partial ReportBatch from the
@@ -195,27 +206,27 @@ func TestManagerCrashMidBatch(t *testing.T) {
 	}
 }
 
-// TestNextTestDoneWithoutLeaseTimeout: the Retry protocol is strictly
+// TestNextBatchDoneWithoutLeaseTimeout: the Retry protocol is strictly
 // opt-in — without Config.LeaseTimeout an exhausted session reports
-// Done even with leases outstanding, exactly the seed behaviour.
-func TestNextTestDoneWithoutLeaseTimeout(t *testing.T) {
+// Done even with leases outstanding.
+func TestNextBatchDoneWithoutLeaseTimeout(t *testing.T) {
 	space := rpcSpace()
 	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
 	for i := 0; i < int(space.Size()); i++ {
-		var task Task
-		if err := coord.NextTest("m", &task); err != nil {
+		var batch TaskBatch
+		if err := coord.NextBatch(BatchRequest{Manager: "m", Max: 1}, &batch); err != nil {
 			t.Fatal(err)
 		}
-		if task.Done || task.Retry {
-			t.Fatalf("lease %d: unexpected %+v", i, task)
+		if batch.Done || batch.Retry || len(batch.Tasks) != 1 {
+			t.Fatalf("lease %d: unexpected %+v", i, batch)
 		}
 	}
-	var task Task
-	if err := coord.NextTest("m", &task); err != nil {
+	var batch TaskBatch
+	if err := coord.NextBatch(BatchRequest{Manager: "m", Max: 1}, &batch); err != nil {
 		t.Fatal(err)
 	}
-	if !task.Done || task.Retry {
-		t.Fatalf("exhausted session should be Done, got %+v", task)
+	if !batch.Done || batch.Retry {
+		t.Fatalf("exhausted session should be Done, got %+v", batch)
 	}
 }
 
@@ -242,22 +253,15 @@ func TestHeartbeatLeaseExpiry(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// The doomed manager leases five tasks (each NextTest doubles as a
+	// The doomed manager leases five tasks (each NextBatch doubles as a
 	// heartbeat) and then stops beating without reporting anything.
 	doomed, err := rpc.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	leased := make([]Task, 0, 5)
+	leased := make([]TaskWire, 0, 5)
 	for i := 0; i < 5; i++ {
-		var task Task
-		if err := doomed.Call("Coordinator.NextTest", "doomed", &task); err != nil {
-			t.Fatal(err)
-		}
-		if task.Done || task.Retry {
-			t.Fatalf("lease %d: unexpected done/retry %+v", i, task)
-		}
-		leased = append(leased, task)
+		leased = append(leased, leaseOne(t, doomed, "doomed"))
 	}
 	doomed.Close()
 
@@ -295,16 +299,9 @@ func TestHeartbeatLeaseExpiry(t *testing.T) {
 		}
 		seen[rec.Point.Key()] = true
 	}
-	for _, task := range leased {
-		found := false
-		for _, rec := range res.Records {
-			if rec.Scenario == task.Scenario {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("scenario %q leased by the silent manager was never executed", task.Scenario)
+	for _, tw := range leased {
+		if !executed(res, tw) {
+			t.Errorf("fault %v leased by the silent manager was never executed", tw.Fault)
 		}
 	}
 	if res.Failed == 0 || res.UniqueFailures == 0 {

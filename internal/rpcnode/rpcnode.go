@@ -4,16 +4,15 @@
 // to 14 nodes in Amazon EC2 and verified that the number of tests
 // performed scales linearly").
 //
-// The protocol is built on stdlib net/rpc in two generations, selected
-// per connection by a dial-time handshake (Coordinator.Hello). The seed
-// protocol leases and reports one task per round trip
-// (Coordinator.NextTest / Coordinator.ReportResult, still registered
-// for legacy managers); the batched protocol (batch.go) moves many
-// tasks per round trip, pipelines leasing against execution, and
-// compacts the wire format (wire.go). The explorer's own work
-// (selecting the next test) is tiny compared to executing one — §7.7
-// measures the explorer at thousands of generated tests per second — so
-// a single coordinator keeps many managers busy.
+// The protocol (batch.go) is built on stdlib net/rpc: a dial-time
+// handshake (Coordinator.Hello) delivers the fault space's axis names,
+// Coordinator.NextBatch leases many tasks per round trip and
+// Coordinator.ReportBatch folds many results, with a compact wire
+// format (wire.go). A manager pipelines leasing against execution;
+// leasing one task at a time is the same protocol at Manager.Batch = 1.
+// The explorer's own work (selecting the next test) is tiny compared to
+// executing one — §7.7 measures the explorer at thousands of generated
+// tests per second — so a single coordinator keeps many managers busy.
 //
 // The coordinator is a thin protocol adapter over the shared execution
 // engine (core.Engine): it owns only wire concerns — lease sequence
@@ -41,59 +40,6 @@ import (
 	"afex/internal/inject"
 	"afex/internal/prog"
 )
-
-// Task is one leased fault-injection test, in wire form.
-type Task struct {
-	// Seq is the coordinator-assigned sequence number; echo it back in
-	// Result.
-	Seq int
-	// Sub and Fault are the fault's coordinates in the fault space.
-	Sub   int
-	Fault []int
-	// Scenario is the Fig. 5 wire-format fault description.
-	Scenario string
-	// Done indicates the exploration is over; the manager should exit.
-	Done bool
-	// Retry indicates no candidate is available right now but the
-	// session is still running — outstanding leases of a dead manager
-	// may yet expire and be re-leased (Config.LeaseTimeout). The
-	// manager polls again shortly instead of exiting.
-	Retry bool
-	// RetryAfterMS is the coordinator-suggested poll backoff
-	// accompanying Retry, growing with the manager's consecutive empty
-	// polls. Zero (a legacy coordinator) leaves the manager to back off
-	// by itself.
-	RetryAfterMS int
-}
-
-// Result is a manager's report for one executed task.
-type Result struct {
-	Seq      int
-	Failed   bool
-	Crashed  bool
-	Hung     bool
-	Injected bool
-	CrashID  string
-	// Stack is the injection-point stack trace for clustering.
-	Stack []string
-	// Blocks are the covered basic blocks.
-	Blocks []int
-	// TestID is the target test the manager ran.
-	TestID int
-	// Skipped reports that the manager's injector could not express the
-	// scenario (a fault-space hole); the engine tallies it.
-	Skipped bool
-	// Manager identifies the reporting node, for the synopsis.
-	Manager string
-	// Backend is the registered name of the execution backend the
-	// manager ran the test on ("" from legacy managers reads as
-	// "model"); ExitStatus and DurationNS carry the process backend's
-	// exit disposition and wall clock, journaled per record by
-	// persistent coordinators.
-	Backend    string
-	ExitStatus string
-	DurationNS int64
-}
 
 // Stats summarizes a distributed session.
 type Stats struct {
@@ -152,10 +98,10 @@ const DefaultHeartbeat = time.Second
 const DefaultHeartbeatMisses = 3
 
 // NewCoordinator wraps an explorer. budget caps executed tests (0 = until
-// the explorer exhausts). impact scores a result given the count of newly
-// covered blocks; nil selects the engine's default scoring (1/block +
-// 10 fail + 20 crash + 15 hang).
-func NewCoordinator(space *faultspace.Union, ex explore.Explorer, budget int, impact func(Result, int) float64) *Coordinator {
+// the explorer exhausts). impact scores an outcome given the count of
+// newly covered blocks; nil selects the engine's default scoring (1/block
+// + 10 fail + 20 crash + 15 hang).
+func NewCoordinator(space *faultspace.Union, ex explore.Explorer, budget int, impact func(prog.Outcome, int) float64) *Coordinator {
 	c, err := NewCoordinatorConfig(core.Config{Space: space, Iterations: budget}, ex, impact)
 	if err != nil {
 		// The explorer is caller-provided, so the only way here is a nil
@@ -170,16 +116,15 @@ func NewCoordinator(space *faultspace.Union, ex explore.Explorer, budget int, im
 // budget — most importantly persistent coordinators: a Config carrying
 // Store/Seen/Restore (wired by store.Attach) makes a restarted
 // `afex serve` continue the same journaled session, with prior scenario
-// keys never handed to managers again. cfg.Space must be set; cfg.Impact
-// is overridden by impact when non-nil.
-func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(Result, int) float64) (*Coordinator, error) {
+// keys never handed to managers again. cfg.Space must be set; a nil ex
+// has the engine compose the exploration stack from cfg.Algorithm,
+// cfg.Shards and cfg.Explore, exactly as a local session's does;
+// cfg.Impact.Score is overridden by impact when non-nil.
+func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog.Outcome, int) float64) (*Coordinator, error) {
 	space := cfg.Space
 	if impact != nil {
-		// Adapt the wire-level scoring hook to the engine's single scoring
-		// path: the Result is reconstructed from the outcome (Seq and
-		// Manager are protocol state, not fault properties).
-		cfg.Impact.Score = func(out prog.Outcome, newBlocks int, plan inject.Plan, testID int) float64 {
-			return impact(wireResult(out, testID), newBlocks)
+		cfg.Impact.Score = func(out prog.Outcome, newBlocks int, _ inject.Plan, _ int) float64 {
+			return impact(out, newBlocks)
 		}
 	}
 	engine, err := core.NewEngine(cfg, ex)
@@ -210,97 +155,6 @@ type lease struct {
 	scenario string
 	vals     []string
 	manager  string
-}
-
-// wireResult reconstructs the wire view of an outcome for custom impact
-// hooks.
-func wireResult(out prog.Outcome, testID int) Result {
-	blocks := make([]int, 0, len(out.Blocks))
-	for b := range out.Blocks {
-		blocks = append(blocks, b)
-	}
-	return Result{
-		Failed:   out.Failed,
-		Crashed:  out.Crashed,
-		Hung:     out.Hung,
-		Injected: out.Injected,
-		CrashID:  out.CrashID,
-		Stack:    out.InjectionStack,
-		Blocks:   blocks,
-		TestID:   testID,
-	}
-}
-
-// NextTest leases the next candidate to a manager. A Task with Done set
-// means the session is over; Retry means poll again shortly (the
-// session is waiting out lost leases that will re-lease on expiry).
-func (c *Coordinator) NextTest(managerID string, task *Task) error {
-	c.noteManager(managerID)
-	cands := c.engine.Lease(1)
-	if len(cands) == 0 {
-		if c.engine.Waiting() {
-			task.Retry = true
-			task.RetryAfterMS = c.retryAfter(managerID)
-			return nil
-		}
-		task.Done = true
-		return nil
-	}
-	cand := cands[0]
-	vals := dsl.ValuesFor(c.space, cand.Point)
-	scenario := dsl.FormatPairs(c.axisNames[cand.Point.Sub], vals)
-	c.mu.Lock()
-	delete(c.idle, managerID)
-	c.seq++
-	seq := c.seq
-	c.leases[seq] = lease{cand: cand, scenario: scenario, vals: vals, manager: managerID}
-	c.mu.Unlock()
-	*task = Task{
-		Seq:      seq,
-		Sub:      cand.Point.Sub,
-		Fault:    append([]int(nil), cand.Point.Fault...),
-		Scenario: scenario,
-	}
-	return nil
-}
-
-// ReportResult folds a manager's result back through the engine — the
-// same scoring, coverage and clustering path local sessions use.
-func (c *Coordinator) ReportResult(res Result, ack *bool) error {
-	c.noteManager(res.Manager)
-	c.mu.Lock()
-	ls, ok := c.leases[res.Seq]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("rpcnode: result for unknown lease %d", res.Seq)
-	}
-	delete(c.leases, res.Seq)
-	c.perManager[res.Manager]++
-	c.mu.Unlock()
-
-	out := prog.Outcome{
-		Failed:         res.Failed,
-		Crashed:        res.Crashed,
-		Hung:           res.Hung,
-		CrashID:        res.CrashID,
-		Injected:       res.Injected,
-		InjectionStack: res.Stack,
-	}
-	if len(res.Blocks) > 0 {
-		out.Blocks = make(map[int]struct{}, len(res.Blocks))
-		for _, b := range res.Blocks {
-			out.Blocks[b] = struct{}{}
-		}
-	}
-	bname := res.Backend
-	if bname == "" {
-		// Legacy managers predate the backend field; they run the model.
-		bname = backend.Model
-	}
-	et := c.foldInput(ls, res.TestID, res.Skipped, out, bname, res.ExitStatus, res.DurationNS)
-	c.engine.Fold(et.C, et.Rec, et.Out)
-	*ack = true
-	return nil
 }
 
 // foldInput assembles the engine fold inputs from a retired lease and
@@ -335,7 +189,7 @@ func (c *Coordinator) SetTargetName(name string) {
 // SetLeaseTimeout enables lease expiry before serving: candidates
 // leased by a manager that dies without reporting are re-leased to
 // other managers after d instead of leaking until Finish. Call it
-// before the first NextTest.
+// before the first NextBatch.
 func (c *Coordinator) SetLeaseTimeout(d time.Duration) {
 	c.engine.SetLeaseTimeout(d)
 }
@@ -349,7 +203,7 @@ func (c *Coordinator) SetLeaseTimeout(d time.Duration) {
 // DefaultHeartbeatMisses. Lease tracking is required; when the engine
 // was built without a LeaseTimeout a conservative fallback timeout is
 // installed (heartbeats then drive expiry in practice). Call before
-// the first NextTest.
+// the first NextBatch.
 //
 // Reaping is lazy — it runs inside the RPC paths rather than on its own
 // timer, so a dead manager is noticed at the next beat or lease call of
@@ -426,7 +280,7 @@ func (c *Coordinator) noteManager(id string) {
 // status endpoint does).
 func (c *Coordinator) Engine() *core.Engine { return c.engine }
 
-// Stop ends the session; subsequent NextTest calls return Done.
+// Stop ends the session; subsequent NextBatch calls return Done.
 func (c *Coordinator) Stop() {
 	c.engine.Stop()
 }
@@ -507,16 +361,6 @@ func (s *Server) Close() error {
 // service adapts Coordinator to net/rpc's method signature rules.
 type service struct{ c *Coordinator }
 
-// NextTest leases a candidate (RPC method).
-func (s *service) NextTest(managerID string, task *Task) error {
-	return s.c.NextTest(managerID, task)
-}
-
-// ReportResult reports an executed test (RPC method).
-func (s *service) ReportResult(res Result, ack *bool) error {
-	return s.c.ReportResult(res, ack)
-}
-
 // Heartbeat records a manager liveness beat (RPC method).
 func (s *service) Heartbeat(managerID string, ack *bool) error {
 	return s.c.Heartbeat(managerID, ack)
@@ -539,37 +383,32 @@ type Manager struct {
 	// RunUntilDone sends alongside the work loop, so a coordinator with
 	// SetHeartbeat enabled can tell a dead manager from one grinding
 	// through a slow test. Zero selects DefaultHeartbeat; negative
-	// disables beating. Beat errors are ignored — legacy coordinators
-	// lack the method, and transport failures surface on the work loop.
+	// disables beating. Beat errors are ignored — transport failures
+	// surface on the work loop.
 	HeartbeatEvery time.Duration
-	// Batch controls wire batching against coordinators speaking the
-	// batched protocol: 0 leases adaptively (the coordinator sizes each
-	// batch from measured test latency), 1 forces the seed single-task
-	// protocol, >1 fixes the lease size. Moot against a legacy
-	// coordinator, where only the single-task protocol exists.
+	// Batch is how many tests one NextBatch round trip leases: 0 lets
+	// the coordinator size each batch from measured test latency, >1
+	// fixes it. At 1 the manager also stops pipelining — it requests the
+	// next task only after reporting the current one, so it never holds
+	// two leases and a lone manager drives the explorer in strict
+	// lease → run → report alternation.
 	Batch int
-	// Concurrency caps how many leased tests execute at once in batched
-	// mode. 0 sizes the fan-out from the backend's own pool width
-	// (process backends' Config.Procs) or GOMAXPROCS.
+	// Concurrency caps how many leased tests execute at once. 0 sizes
+	// the fan-out from the backend's own pool width (process backends'
+	// Config.Procs) or GOMAXPROCS.
 	Concurrency int
 	// FlushEvery bounds how long executed results may buffer before a
 	// ReportBatch flush (they also flush by size — half the batch).
 	// Zero selects DefaultFlushEvery.
 	FlushEvery time.Duration
-	// CompatScenario asks the coordinator to ship the formatted
-	// scenario string with every batched lease, for managers that still
-	// parse scenarios instead of converting coordinates. Costs wire
-	// bytes; only useful for debugging or foreign managers.
-	CompatScenario bool
 
 	client      *rpc.Client
 	plugin      inject.Plugin
 	runner      backend.Runner
 	backendName string
-	// proto is the dial-negotiated protocol generation (negotiate);
-	// axisNames the coordinator's per-subspace axis names, delivered
-	// once in the Hello reply so batched tasks convert from coordinates.
-	proto      int
+	// axisNames holds the coordinator's per-subspace axis names,
+	// delivered once in the Hello reply so leased tasks convert from
+	// coordinates.
 	axisNames  [][]string
 	sentStacks map[uint64]bool
 	// latSumNS/latN accumulate measured per-test wall clock across the
@@ -611,7 +450,10 @@ func DialBackend(addr, id, name string, bcfg backend.Config) (*Manager, error) {
 		backendName: name,
 		sentStacks:  make(map[uint64]bool),
 	}
-	m.negotiate()
+	if err := m.hello(); err != nil {
+		m.Close()
+		return nil, fmt.Errorf("rpcnode: dial %s: %w", addr, err)
+	}
 	return m, nil
 }
 
@@ -624,51 +466,6 @@ func (m *Manager) Close() error {
 		}
 	}
 	return err
-}
-
-// RunOne leases and executes a single task. It returns done == true when
-// the coordinator has no more work. Retry responses (the session
-// waiting out expirable lost leases) are polled through internally.
-func (m *Manager) RunOne() (done bool, err error) {
-	var task Task
-	attempts := 0
-	for {
-		task = Task{}
-		if err := m.client.Call("Coordinator.NextTest", m.ID, &task); err != nil {
-			return false, err
-		}
-		if !task.Retry {
-			break
-		}
-		sleepRetry(task.RetryAfterMS, &attempts)
-	}
-	if task.Done {
-		return true, nil
-	}
-	sc, err := dsl.ParseScenario(task.Scenario)
-	if err != nil {
-		return false, err
-	}
-	pt, plan, err := m.plugin.Convert(sc)
-	if err != nil {
-		// Report the hole; the coordinator still needs the lease back and
-		// the engine tallies the skip.
-		var ack bool
-		return false, m.client.Call("Coordinator.ReportResult",
-			Result{Seq: task.Seq, Skipped: true, Manager: m.ID}, &ack)
-	}
-	out, ex := m.runner.Run(pt.TestID, plan)
-	for extra := 1; extra < m.Work; extra++ {
-		out, ex = m.runner.Run(pt.TestID, plan)
-	}
-	res := wireResult(out, pt.TestID)
-	res.Seq = task.Seq
-	res.Manager = m.ID
-	res.Backend = ex.Backend
-	res.ExitStatus = ex.ExitStatus
-	res.DurationNS = int64(ex.Duration)
-	var ack bool
-	return false, m.client.Call("Coordinator.ReportResult", res, &ack)
 }
 
 // startHeartbeat beats Coordinator.Heartbeat on the manager's interval
@@ -704,34 +501,14 @@ func (m *Manager) startHeartbeat() (stop func()) {
 
 // RunUntilDone executes leased tests until the coordinator reports
 // completion, heartbeating in the background (see HeartbeatEvery), and
-// returns the number of tests this manager executed. Against a batched
-// coordinator it runs the pipelined batch loop (runBatched) unless
-// Batch pins the single-task protocol; against a legacy coordinator it
-// loops RunOne.
+// returns the number of tests this manager executed.
 func (m *Manager) RunUntilDone() (int, error) {
 	stopBeat := m.startHeartbeat()
 	defer stopBeat()
-	if m.proto >= protoBatched && m.Batch != 1 {
-		n, err := m.runBatched()
-		if err != nil && errors.Is(err, rpc.ErrShutdown) {
-			// A closed coordinator mid-shutdown is a normal way to end.
-			return n, nil
-		}
-		return n, err
+	n, err := m.runBatched()
+	if errors.Is(err, rpc.ErrShutdown) {
+		// A closed coordinator mid-shutdown is a normal way to end.
+		return n, nil
 	}
-	n := 0
-	for {
-		done, err := m.RunOne()
-		if err != nil {
-			// A closed coordinator mid-shutdown is a normal way to end.
-			if errors.Is(err, rpc.ErrShutdown) {
-				return n, nil
-			}
-			return n, err
-		}
-		if done {
-			return n, nil
-		}
-		n++
-	}
+	return n, err
 }

@@ -131,20 +131,11 @@ func TestStopEndsSession(t *testing.T) {
 	}
 }
 
-func TestUnknownLeaseRejected(t *testing.T) {
-	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
-	var ack bool
-	if err := coord.ReportResult(Result{Seq: 999}, &ack); err == nil {
-		t.Error("unknown lease accepted")
-	}
-}
-
 func TestCustomImpactUsed(t *testing.T) {
 	space := rpcSpace()
 	var got []float64
 	var mu sync.Mutex
-	impact := func(r Result, newBlocks int) float64 {
+	impact := func(out prog.Outcome, newBlocks int) float64 {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, 42)

@@ -1,6 +1,6 @@
 package rpcnode
 
-// Wire compaction for the batched protocol: covered-block sets travel
+// Wire compaction: covered-block sets travel
 // as sorted varint deltas instead of a gob []int (block IDs cluster
 // densely, so most deltas fit one byte), and injection stacks are
 // interned per connection — a manager ships a stack's frames the first

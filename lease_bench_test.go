@@ -1,10 +1,7 @@
 package afex
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,23 +9,20 @@ import (
 	"afex/internal/core"
 )
 
-// Lease-path benchmarks: the asynchronous candidate prefetch pipeline
-// against the synchronous lease path it replaces. Run with:
+// Lease-path benchmarks: the asynchronous candidate prefetch ring
+// against depth 0, where every Lease generates what it hands out. Run
+// with:
 //
 //	go test -bench BenchmarkLeaseFoldContention -benchtime=1x
-//
-// and write the machine-readable report with:
-//
-//	AFEX_BENCH_JSON=$PWD/BENCH_lease.json go test -run TestWriteLeaseBenchJSON -count=1 .
 //
 // The workload is the engine's worst case for lease/fold contention:
 // every worker alternates between leasing a small batch and folding its
 // own results into a feedback-enabled session, so lease rounds and fold
-// commits fight over the engine continuously. Synchronously, candidate
-// generation runs under the same session lock fold commits take; with
-// the pipeline, Lease dequeues pre-generated candidates under the
-// narrow lease lock while the generator refills the ring concurrently
-// with commits.
+// commits fight over the engine continuously. At depth 0 every lease
+// round runs the explorer under the explorer lock, queueing behind the
+// other workers' rounds and the commits' feedback reports; with the
+// ring, Lease dequeues pre-generated candidates under the narrow lease
+// lock while the generator refills the ring concurrently with commits.
 
 const (
 	leaseBenchIterations = 12000
@@ -37,7 +31,7 @@ const (
 
 // measureLeaseFoldThroughput runs one session to completion with the
 // mixed Lease/FoldBatch worker shape and returns scenarios/sec. depth
-// is Options.PrefetchDepth: 0 measures the synchronous path.
+// is Options.PrefetchDepth.
 func measureLeaseFoldThroughput(tb testing.TB, workers, depth int, seed int64) float64 {
 	eng, err := NewEngine(Options{
 		Target:        benchTarget(),
@@ -98,7 +92,7 @@ func BenchmarkLeaseFoldContention(b *testing.B) {
 		for _, mode := range []struct {
 			name  string
 			depth int
-		}{{"sync", 0}, {"prefetch", PrefetchAdaptive}} {
+		}{{"depth0", 0}, {"prefetch", PrefetchAdaptive}} {
 			b.Run(fmt.Sprintf("workers=%d/%s", workers, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.ReportMetric(measureLeaseFoldThroughput(b, workers, mode.depth, int64(i+1)), "scenarios/sec")
@@ -106,40 +100,4 @@ func BenchmarkLeaseFoldContention(b *testing.B) {
 			})
 		}
 	}
-}
-
-// TestWriteLeaseBenchJSON writes the machine-readable lease-pipeline
-// report (scenarios/sec sync vs prefetched at 1/4/16 workers). Skipped
-// unless AFEX_BENCH_JSON names the output file.
-func TestWriteLeaseBenchJSON(t *testing.T) {
-	path := os.Getenv("AFEX_BENCH_JSON")
-	if path == "" {
-		t.Skip("set AFEX_BENCH_JSON to write the lease-pipeline benchmark report")
-	}
-	perWorkers := map[string]any{}
-	for _, workers := range []int{1, 4, 16} {
-		off := measureLeaseFoldThroughput(t, workers, 0, 1)
-		on := measureLeaseFoldThroughput(t, workers, PrefetchAdaptive, 1)
-		perWorkers[fmt.Sprintf("%d", workers)] = map[string]any{
-			"sync_scenarios_per_sec":     off,
-			"prefetch_scenarios_per_sec": on,
-			"speedup":                    on / off,
-		}
-	}
-	report := map[string]any{
-		"lease_pipeline": map[string]any{
-			"iterations":  leaseBenchIterations,
-			"lease_batch": leaseBenchBatch,
-			"cores":       runtime.GOMAXPROCS(0),
-			"per_workers": perWorkers,
-		},
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", path, blob)
 }

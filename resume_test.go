@@ -376,8 +376,16 @@ func TestPersistentCoordinatorResume(t *testing.T) {
 	dir := t.TempDir()
 
 	runServe := func(budget int, resume bool) *Result {
-		coord, cleanup, err := NewPersistentCoordinator(target.Name, space, FitnessGuided,
-			ExploreOptions{Seed: 9}, budget, 2, dir, resume)
+		coord, cleanup, err := NewCoordinatorWithOptions(CoordinatorOptions{
+			TargetName: target.Name,
+			Space:      space,
+			Algorithm:  FitnessGuided,
+			Explore:    ExploreOptions{Seed: 9},
+			Budget:     budget,
+			Shards:     2,
+			StateDir:   dir,
+			Resume:     resume,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
