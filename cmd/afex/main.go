@@ -795,7 +795,7 @@ func cmdStats(args []string, w io.Writer) error {
 		st.Entries, st.ArchivedEntries, st.LiveEntries, st.Segments, plural(st.Segments))
 	fmt.Fprintf(w, "index blocks:       %d (side-index records %d)\n", st.IndexBlocks, st.SideIndexRecords)
 	if st.HasSnapshot {
-		fmt.Fprintf(w, "snapshot seq:       %d\n", st.SnapshotSeq)
+		fmt.Fprintf(w, "snapshot seq:       %d (%d bytes)\n", st.SnapshotSeq, st.SnapshotBytes)
 	} else {
 		fmt.Fprintf(w, "snapshot seq:       none\n")
 	}

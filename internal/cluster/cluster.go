@@ -18,6 +18,12 @@
 // DP — the screening only skips comparisons whose distance provably
 // cannot win.
 //
+// The similarity memory holds each distinct stack once: every question
+// asked of it is "was this stack seen" or "how close is the nearest
+// one", and a repeat can never beat its first copy at either. Memory,
+// scans and snapshots (state.go) therefore scale with the distinct
+// stacks of a session, not with its length.
+//
 // Set is safe for concurrent use: read-only similarity screening
 // (PeekSimilarity, View) takes a shared lock so executor workers can
 // screen in parallel, while Add/AddKeyed/ResolveSimilarity/MaxSimilarity
@@ -185,8 +191,8 @@ func StackKey(stack []string) string { return stackKey(stack) }
 // high-similarity limits that matter once any decent match is known.
 const sigFrames = 4
 
-// lenBucket holds every remembered stack of one frame count, with a
-// frame-signature inverted index over the first sigFrames frames.
+// lenBucket holds the distinct remembered stacks of one frame count, with
+// a frame-signature inverted index over the first sigFrames frames.
 type lenBucket struct {
 	// stacks in insertion order; byHead posting lists refer into it.
 	stacks [][]string
@@ -205,7 +211,9 @@ type simMemo struct {
 
 // Set maintains redundancy clusters incrementally. Each added stack is
 // either absorbed by the nearest existing cluster (distance to its
-// representative ≤ Threshold) or founds a new one.
+// representative ≤ Threshold) or founds a new one. Every occurrence is
+// counted in its cluster's Members; the similarity memory remembers a
+// stack only the first time its key is seen.
 type Set struct {
 	// Threshold is the maximum edit distance (in frames) for two traces
 	// to land in the same cluster.
@@ -222,19 +230,21 @@ type Set struct {
 	// only clusters within ±Threshold frames can absorb a stack.
 	repsByLen map[int][]int
 
-	// The stack memory behind MaxSimilarity: exact multiset plus
-	// length/frame-signature buckets of every stack ever added.
-	allByKey map[string]int
+	// The stack memory behind MaxSimilarity: the exact-match set plus
+	// length/frame-signature buckets of every distinct stack added.
+	allByKey map[string]struct{}
 	allByLen map[int]*lenBucket
-	allN     int
 	minLen   int
 	maxLen   int
 
-	// log records every remembered stack occurrence in insertion order.
-	// It is append-only, which gives similarity answers a version: an
-	// answer computed at log length v stays exact for the first v stacks
-	// forever, so stale answers are repaired by scanning log[v:] only.
-	log [][]string
+	// log records each distinct remembered stack in first-seen order, and
+	// logKeys the key each was remembered under (what ExportState orders
+	// by, so a snapshot never rebuilds a key). Both are append-only, which
+	// gives similarity answers a version: an answer computed at log
+	// length v stays exact for the first v stacks forever, so stale
+	// answers are repaired by scanning log[v:] only.
+	log     [][]string
+	logKeys []string
 	// memo caches MaxSimilarity by exact stack key. Entries are deleted
 	// when their own stack is added (the exact-match hash answers 1 from
 	// then on) and extended lazily via the log when stale.
@@ -263,7 +273,7 @@ func (s *Set) init() {
 	if s.repByKey == nil {
 		s.repByKey = make(map[string]int)
 		s.repsByLen = make(map[int][]int)
-		s.allByKey = make(map[string]int)
+		s.allByKey = make(map[string]struct{})
 		s.allByLen = make(map[int]*lenBucket)
 		s.memo = make(map[string]simMemo)
 	}
@@ -286,11 +296,11 @@ func (s *Set) Clusters() []Cluster {
 	return out
 }
 
-// remember indexes one stack into the MaxSimilarity memory and returns
-// the (copied) stack actually stored.
+// remember indexes one stack, not yet in the MaxSimilarity memory, under
+// its key and returns the (copied) stack actually stored.
 func (s *Set) remember(key string, stack []string) []string {
 	stored := append([]string(nil), stack...)
-	s.allByKey[key]++
+	s.allByKey[key] = struct{}{}
 	l := len(stored)
 	b := s.allByLen[l]
 	if b == nil {
@@ -315,15 +325,21 @@ func (s *Set) remember(key string, stack []string) []string {
 			b.byHead[f] = append(b.byHead[f], idx)
 		}
 	}
-	if s.allN == 0 || l < s.minLen {
+	if len(s.log) == 0 || l < s.minLen {
 		s.minLen = l
 	}
 	if l > s.maxLen {
 		s.maxLen = l
 	}
-	s.allN++
 	s.log = append(s.log, stored)
+	s.logKeys = append(s.logKeys, key)
 	return stored
+}
+
+// remembered reports whether the exact stack is in the memory.
+func (s *Set) remembered(key string) bool {
+	_, ok := s.allByKey[key]
+	return ok
 }
 
 // Add inserts the stack with caller id and returns the cluster index it
@@ -342,7 +358,12 @@ func (s *Set) AddKeyed(id int, stack []string, key string) (clusterID int, isNew
 	// This exact stack now answers MaxSimilarity 1 via the exact-match
 	// hash; its memo entry (if any) is dead weight.
 	delete(s.memo, key)
-	stored := s.remember(key, stack)
+	// A repeat adds nothing to the memory: its first copy already answers
+	// every similarity question at least as well.
+	var stored []string
+	if !s.remembered(key) {
+		stored = s.remember(key, stack)
+	}
 
 	// Exact fast path: a stack identical to a representative is at
 	// distance 0, the unbeatable minimum (representatives are pairwise
@@ -386,6 +407,9 @@ func (s *Set) AddKeyed(id int, stack []string, key string) (clusterID int, isNew
 		return best, false
 	}
 
+	if stored == nil {
+		stored = append([]string(nil), stack...)
+	}
 	ci := len(s.clusters)
 	s.clusters = append(s.clusters, Cluster{
 		Representative: stored,
@@ -416,10 +440,10 @@ func (s *Set) MaxSimilarity(stack []string) float64 {
 // maxSimilarityLocked answers MaxSimilarity under the write lock,
 // reading and refreshing the memo.
 func (s *Set) maxSimilarityLocked(stack []string, key string) float64 {
-	if s.allN == 0 {
+	if len(s.log) == 0 {
 		return 0
 	}
-	if s.allByKey[key] > 0 {
+	if s.remembered(key) {
 		return 1
 	}
 	var best float64
@@ -445,10 +469,10 @@ func (s *Set) maxSimilarityLocked(stack []string, key string) float64 {
 func (s *Set) PeekSimilarity(stack []string, key string) (sim float64, version int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.allN == 0 {
+	if len(s.log) == 0 {
 		return 0, 0
 	}
-	if s.allByKey[key] > 0 {
+	if s.remembered(key) {
 		return 1, len(s.log)
 	}
 	var best float64
@@ -470,7 +494,7 @@ func (s *Set) ResolveSimilarity(stack []string, key string, sim float64, version
 	if version < len(s.log) {
 		sim = s.scanLog(stack, sim, version)
 	}
-	if s.allByKey[key] == 0 {
+	if !s.remembered(key) {
 		if s.memo == nil {
 			s.memo = make(map[string]simMemo)
 		}

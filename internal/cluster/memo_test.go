@@ -6,7 +6,10 @@ package cluster
 // after later adds) must be value-identical to the naive
 // full-Levenshtein linear reference on randomized stack corpora, and
 // the whole index — including behaviour the memo and signature index
-// influence — must survive a snapshot/restore round trip.
+// influence — must survive a snapshot/restore round trip. The reference
+// keeps every stack occurrence; the Set remembers each distinct stack
+// once, so every corpus here (the duplicate-heavy one above all) also
+// holds that deduplication to the occurrence-keeping answers.
 
 import (
 	"bytes"
@@ -50,6 +53,90 @@ func deepStacks(rng *xrand.Rand, n int) [][]string {
 	return out
 }
 
+// repeatStacks generates a duplicate-heavy corpus — n draws from about
+// n/25 distinct stacks, the shape of a real session, where injection at
+// one call site reproduces one stack — with shared frames and varied
+// depths so the few distinct stacks are still near misses of each other.
+func repeatStacks(rng *xrand.Rand, n int) [][]string {
+	distinct := randomStacks(rng, n/25+2)
+	out := make([][]string, n)
+	for i := range out {
+		out[i] = distinct[rng.Intn(len(distinct))]
+	}
+	return out
+}
+
+// exportJSON round-trips a set's exported state through the encoding
+// the store uses.
+func exportJSON(t *testing.T, s *Set) ([]byte, *SetState) {
+	t.Helper()
+	blob, err := json.Marshal(s.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := new(SetState)
+	if err := json.Unmarshal(blob, st); err != nil {
+		t.Fatal(err)
+	}
+	return blob, st
+}
+
+// checkExportedMemory holds idx's exported state to the occurrence-
+// keeping reference it was fed alongside: the memory is the distinct
+// stacks; export → import → export is a fixed point; and a state in the
+// shape written before the memory deduplicated (every occurrence listed)
+// imports to a set that answers, clusters and re-exports the same.
+func checkExportedMemory(t *testing.T, idx *Set, ref *naiveSet, probes [][]string) {
+	t.Helper()
+	distinct := make(map[string]bool)
+	for _, st := range ref.all {
+		distinct[stackKey(st)] = true
+	}
+	blob, st := exportJSON(t, idx)
+	if len(st.Stacks) != len(distinct) {
+		t.Fatalf("exported %d stacks for %d distinct among %d added", len(st.Stacks), len(distinct), len(ref.all))
+	}
+	clone, err := NewSetFromState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := exportJSON(t, clone); !bytes.Equal(again, blob) {
+		t.Fatal("export → import → export is not a fixed point")
+	}
+	_, legacy := exportJSON(t, idx)
+	legacy.Stacks = nil
+	for _, stack := range st.Stacks {
+		legacy.Stacks = append(legacy.Stacks, stack, stack, stack)
+	}
+	old, err := NewSetFromState(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, probe := range probes {
+		want := ref.maxSimilarity(probe)
+		key := StackKey(probe)
+		for name, set := range map[string]*Set{"live": idx, "reimported": clone, "legacy": old} {
+			sim, ver := set.PeekSimilarity(probe, key)
+			if got := set.ResolveSimilarity(probe, key, sim, ver); got != want {
+				t.Fatalf("%s set: similarity of %v = %v, occurrence-keeping reference %v", name, probe, got, want)
+			}
+		}
+		id := len(ref.all)
+		wi, wn := ref.add(id, probe)
+		for name, set := range map[string]*Set{"live": idx, "reimported": clone, "legacy": old} {
+			if gi, gn := set.AddKeyed(id, probe, key); gi != wi || gn != wn {
+				t.Fatalf("%s set: add %d (%v) = (%d,%v), reference (%d,%v)", name, i, probe, gi, gn, wi, wn)
+			}
+		}
+	}
+	want, _ := exportJSON(t, idx)
+	for name, set := range map[string]*Set{"reimported": clone, "legacy": old} {
+		if got, _ := exportJSON(t, set); !bytes.Equal(got, want) {
+			t.Fatalf("%s set re-exports different bytes after identical traffic", name)
+		}
+	}
+}
+
 func TestScreenedMemoizedSimilarityMatchesNaive(t *testing.T) {
 	corpora := []struct {
 		name string
@@ -58,6 +145,7 @@ func TestScreenedMemoizedSimilarityMatchesNaive(t *testing.T) {
 	}{
 		{"shallow", randomStacks, 400},
 		{"deep", deepStacks, 300},
+		{"repeats", repeatStacks, 600},
 	}
 	for _, corpus := range corpora {
 		for _, threshold := range []int{0, 1, 2} {
@@ -130,6 +218,8 @@ func TestScreenedMemoizedSimilarityMatchesNaive(t *testing.T) {
 					}
 					fresh = append(fresh, fmt.Sprintf("other!x%d", i))
 				}
+
+				checkExportedMemory(t, idx, ref, corpus.gen(rng, 60))
 			})
 		}
 	}

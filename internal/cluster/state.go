@@ -7,6 +7,12 @@ package cluster
 // exactly; the exact-match hash, length buckets, frame-signature index
 // and similarity memo are derived state and are rebuilt (or repopulated
 // lazily) on import.
+//
+// A snapshot costs what the set holds, not what the session ran: the
+// memory is the distinct stacks, exported in the order of the keys they
+// were remembered under (stored beside the log, never rebuilt), and
+// nothing behind the view is copied — clusters, members and stacks are
+// append-only and never mutated in place.
 
 import (
 	"fmt"
@@ -19,10 +25,10 @@ type SetState struct {
 	// Clusters preserves cluster order (indices are cluster ids, recorded
 	// in session records).
 	Clusters []ClusterState `json:"clusters"`
-	// Stacks is every remembered stack occurrence — the MaxSimilarity
-	// memory. Occurrence multiplicity matters (an exact re-trigger must
-	// still answer similarity 1), order does not; stacks are sorted for
-	// stable snapshot bytes.
+	// Stacks is the MaxSimilarity memory: each distinct remembered stack
+	// once, sorted by stack key for stable snapshot bytes (order carries
+	// no meaning). States written before the memory deduplicated repeat a
+	// stack per occurrence; import skips the repeats.
 	Stacks [][]string `json:"stacks"`
 }
 
@@ -33,15 +39,17 @@ type ClusterState struct {
 }
 
 // SetView is a consistent point-in-time capture of a Set, taken in
-// O(#clusters) under the shared lock. The expensive O(#stacks) copy and
-// sort happen in ExportState, which needs no lock at all: the view pins
-// slice lengths, and the underlying arrays are append-only (cluster
-// representatives and logged stacks are never mutated in place), so the
-// Set can keep absorbing stacks while a snapshot serializes.
+// O(#clusters) under the shared lock. Ordering the O(#distinct stacks)
+// memory happens in ExportState, which needs no lock at all: the view
+// pins slice lengths, and the underlying arrays are append-only (cluster
+// representatives, member lists and logged stacks are never mutated in
+// place), so the Set can keep absorbing stacks while a snapshot
+// serializes.
 type SetView struct {
 	threshold int
 	clusters  []clusterView
 	stacks    [][]string
+	keys      []string
 }
 
 type clusterView struct {
@@ -54,7 +62,7 @@ type clusterView struct {
 func (s *Set) View() *SetView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v := &SetView{threshold: s.Threshold, stacks: s.log}
+	v := &SetView{threshold: s.Threshold, stacks: s.log, keys: s.logKeys}
 	v.clusters = make([]clusterView, len(s.clusters))
 	for i := range s.clusters {
 		v.clusters[i] = clusterView{
@@ -66,22 +74,32 @@ func (s *Set) View() *SetView {
 }
 
 // ExportState materializes the captured view as a serializable
-// snapshot. Lock-free; see SetView.
+// snapshot. Lock-free; see SetView. The state aliases the set's
+// append-only storage (capacity clipped, so appending to it reallocates):
+// it is for encoding or NewSetFromState, which copies, and must not be
+// modified in place.
 func (v *SetView) ExportState() *SetState {
 	st := &SetState{Threshold: v.threshold}
 	st.Clusters = make([]ClusterState, len(v.clusters))
 	for i, c := range v.clusters {
 		st.Clusters[i] = ClusterState{
-			Representative: append([]string(nil), c.rep...),
-			Members:        append([]int(nil), c.members...),
+			Representative: c.rep[:len(c.rep):len(c.rep)],
+			Members:        c.members[:len(c.members):len(c.members)],
 		}
 	}
-	for _, stack := range v.stacks {
-		st.Stacks = append(st.Stacks, append([]string(nil), stack...))
+	if len(v.stacks) > 0 {
+		// Keys are distinct, so the order — and the snapshot's bytes — are
+		// a function of the set's contents alone.
+		order := make([]int, len(v.stacks))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(i, j int) bool { return v.keys[order[i]] < v.keys[order[j]] })
+		st.Stacks = make([][]string, len(order))
+		for i, at := range order {
+			st.Stacks[i] = v.stacks[at]
+		}
 	}
-	sort.Slice(st.Stacks, func(i, j int) bool {
-		return stackKey(st.Stacks[i]) < stackKey(st.Stacks[j])
-	})
 	return st
 }
 
@@ -118,7 +136,9 @@ func NewSetFromState(st *SetState) (*Set, error) {
 		s.repsByLen[len(rep)] = append(s.repsByLen[len(rep)], i)
 	}
 	for _, stack := range st.Stacks {
-		s.remember(stackKey(stack), stack)
+		if key := stackKey(stack); !s.remembered(key) {
+			s.remember(key, stack)
+		}
 	}
 	return s, nil
 }

@@ -114,6 +114,9 @@ func TestLocalSessionOverHTTP(t *testing.T) {
 		`afex_unique_failure_clusters{session="` + st.ID + `"}`,
 		`afex_pending_leases{session="` + st.ID + `"}`,
 		`afex_worker_pool_recycles_total{session="` + st.ID + `"}`,
+		// 40 scenarios stay under the periodic cadence: Finish's snapshot only.
+		`afex_session_snapshots_total{session="` + st.ID + `"} 1`,
+		"# TYPE afex_session_snapshot_seconds_total counter",
 		"# TYPE afex_scenarios_per_second gauge",
 	} {
 		if !strings.Contains(metrics, want) {

@@ -59,6 +59,8 @@ func (mw *metricWriter) sample(name, help, typ string, labels [][2]string, value
 //	afex_adaptive_batch{session=}         engine-suggested wire-batch size
 //	afex_prefetch_depth{session=}         prefetch ring capacity target
 //	afex_prefetch_ready{session=}         pre-generated candidates buffered
+//	afex_session_snapshots_total{session=} session snapshots handed to the store
+//	afex_session_snapshot_seconds_total{session=} engine wall clock spent on them
 //	afex_arm_pulls_total{session=,arm=}   portfolio pulls per strategy
 //	afex_arm_mean_reward{session=,arm=}   portfolio mean reward per strategy
 func writeMetrics(w io.Writer, m *Manager) {
@@ -111,6 +113,10 @@ func writeMetrics(w io.Writer, m *Manager) {
 		func(i int) float64 { return float64(snaps[i].PrefetchDepth) })
 	perSession("afex_prefetch_ready", "Pre-generated candidates buffered in the prefetch ring.", "gauge",
 		func(i int) float64 { return float64(snaps[i].PrefetchReady) })
+	perSession("afex_session_snapshots_total", "Session snapshots handed to the store.", "counter",
+		func(i int) float64 { return float64(snaps[i].Snapshots) })
+	perSession("afex_session_snapshot_seconds_total", "Engine wall clock spent capturing, assembling and enqueueing session snapshots.", "counter",
+		func(i int) float64 { return float64(snaps[i].SnapshotNS) / 1e9 })
 	for i, s := range sessions {
 		for _, a := range snaps[i].Arms {
 			mw.sample("afex_arm_pulls_total", "Portfolio pulls per strategy arm.", "counter",

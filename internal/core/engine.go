@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +23,12 @@ const DefaultBatch = 8
 // DefaultSnapshotEvery is the floor on the number of folded tests
 // between periodic session snapshots when Config.SnapshotEvery is unset
 // and a Store is attached; the defaulted interval then grows with
-// session size (Executed/8), since snapshots cost O(session) to
-// assemble. The cadence trades resume fidelity (post-snapshot records
-// replay from the journal with stale explorer randomness) against
-// fold-path overhead. An explicit Config.SnapshotEvery is honored
-// exactly.
+// session size (Executed/8): assembling a snapshot costs the distinct
+// state only, but the store still encodes and writes the executed keys
+// and cluster members, which grow with the session. The cadence trades
+// resume fidelity (post-snapshot records replay from the journal with
+// stale explorer randomness) against that write. An explicit
+// Config.SnapshotEvery is honored exactly.
 const DefaultSnapshotEvery = 256
 
 // Executor runs leased candidates against the system under test. It is
@@ -161,8 +163,8 @@ type Engine struct {
 	// prevElapsed accumulates wall clock from prior runs of a restored
 	// session; sinceSnap counts folds since the last periodic snapshot.
 	// adaptiveSnap (set when SnapshotEvery was defaulted) grows the
-	// snapshot interval with session size, keeping O(session) snapshot
-	// assembly amortized O(1) per fold.
+	// snapshot interval with session size, keeping the store's
+	// O(session) snapshot encode amortized O(1) per fold.
 	prevElapsed  time.Duration
 	sinceSnap    int
 	adaptiveSnap bool
@@ -170,16 +172,22 @@ type Engine struct {
 	// attached; snapshots export it (SessionState.Aggregates.SeenKeys)
 	// so a tail restore can seed the novelty filter without re-reading
 	// the whole journal. Nil for store-less sessions. seenList mirrors
-	// it append-only for O(1) snapshot capture.
+	// it append-only — the keys the session started with, sorted, then
+	// fold order — and is what a snapshot exports, as a view.
 	seen     map[string]struct{}
 	seenList []string
 	// snapMu serializes session-snapshot delivery to the store, which
-	// happens outside e.mu so O(session) state serialization no longer
-	// stalls folding. snapSeq is the highest Seq delivered; a snapshot
-	// overtaken by a newer one while waiting its turn is dropped
-	// (latest wins — the store only ever needs the most recent one).
+	// happens outside e.mu so assembling never stalls folding. snapSeq is
+	// the highest Seq delivered; a snapshot overtaken by a newer one
+	// while waiting its turn is dropped (latest wins — the store only
+	// ever needs the most recent one).
 	snapMu  sync.Mutex
 	snapSeq int
+	// snapshots counts the session snapshots handed to the store and
+	// snapshotNS their cumulative capture + assemble + enqueue wall clock
+	// (Snapshot.Snapshots/SnapshotNS). Timed per snapshot, never per fold.
+	snapshots  atomic.Int64
+	snapshotNS atomic.Int64
 }
 
 // NewEngine validates cfg and builds an engine. ex overrides the
@@ -331,6 +339,9 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 			e.seen[k] = struct{}{}
 			e.seenList = append(e.seenList, k)
 		}
+		// Map order must not reach the snapshot: sorted once here, the
+		// exported keys stay a function of the journal.
+		sort.Strings(e.seenList)
 		for i := range e.res.Records {
 			k := e.res.Records[i].Point.Key()
 			if _, dup := e.seen[k]; dup {
@@ -560,8 +571,8 @@ func (e *Engine) Precompute(et *ExecutedTest) {
 // session lock is what provides that order). Store implementations only
 // enqueue here — journal encoding and file IO happen on the store's
 // background writer, never on the fold path. Periodic session snapshots
-// are captured as O(1) views under the lock and serialized to the store
-// after it is released (see deliverSnapshot).
+// are captured as views under the lock and assembled for the store after
+// it is released (see deliverSnapshot).
 func (e *Engine) FoldBatch(batch []ExecutedTest) bool {
 	if len(batch) == 0 {
 		return false
@@ -644,10 +655,10 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 			e.cfg.Store.JournalRecord(batch[i].C, recs[j])
 		}
 		e.sinceSnap += len(folded)
-		// Snapshot serialization is O(session), so with the default
-		// cadence the interval scales with session size (amortized O(1)
-		// per fold); an explicit SnapshotEvery is honored exactly —
-		// tests pin it to control resume fidelity.
+		// The store encodes O(session) bytes per snapshot, so with the
+		// default cadence the interval scales with session size
+		// (amortized O(1) per fold); an explicit SnapshotEvery is
+		// honored exactly — tests pin it to control resume fidelity.
 		threshold := e.cfg.SnapshotEvery
 		if e.adaptiveSnap {
 			if t := e.res.Executed / 8; t > threshold {
@@ -953,6 +964,8 @@ func (e *Engine) quickSnapshotLocked() Snapshot {
 	if e.recycles != nil {
 		s.PoolRecycles = e.recycles()
 	}
+	s.Snapshots = e.snapshots.Load()
+	s.SnapshotNS = e.snapshotNS.Load()
 	return s
 }
 

@@ -7,12 +7,24 @@ package core
 // prior journal + snapshot) is applied by NewEngine so a session
 // continues exactly where the previous process stopped.
 //
+// What a snapshot holds, and what it costs. The similarity memory and
+// the cluster sets export each distinct stack once; the executed-key sets
+// (Aggregates.SeenKeys here, History/Seen in the explorer state) are
+// views of append-only lists in fold/report order. Nothing in a snapshot
+// is produced by walking a map of the session or sorting a copy of it:
+// capturing costs O(clusters + explorer pool and windows) under the
+// locks, assembling O(distinct stacks + covered blocks) outside them,
+// and the lists the state refers to are shared with the live session —
+// they only ever grow past the captured length, so the store's writer
+// can encode them while folding continues. A SessionState is therefore
+// read-only to whoever receives it.
+//
 // Ordering contract: JournalRecord is called under the session lock, in
 // fold order (folds can arrive from concurrent RPC goroutines; the lock
 // is what serializes them). SnapshotSession is called outside the
-// session lock — the engine captures an O(1) view of session state
-// under the lock and serializes it afterwards, so O(session) snapshot
-// assembly never stalls folding — but calls remain serialized (on their
+// session lock — the engine captures a view of session state under the
+// lock and assembles it afterwards, so ordering the stack memory never
+// stalls folding — but calls remain serialized (on their
 // own mutex), monotone in Seq (a snapshot overtaken by a newer one is
 // dropped; latest wins), and each SnapshotSession(st) still happens
 // only after every record with ID < st.Seq has been passed to
@@ -90,7 +102,10 @@ type SessionState struct {
 }
 
 // Aggregates are the result-set counters over journal entries [0, Seq)
-// plus the scenario keys executed so far (the novelty-filter seed).
+// plus the scenario keys executed so far (the novelty-filter seed), in
+// fold order — behind the sorted keys a resumed session started from.
+// Readers treat SeenKeys as a set; snapshots written before the order
+// changed list them sorted.
 type Aggregates struct {
 	Injected int            `json:"injected"`
 	Failed   int            `json:"failed"`
@@ -265,8 +280,8 @@ func restoreExplorer(ex explore.Explorer, r *Restore) (explore.Explorer, error) 
 // views into the engine's append-only mirrors (coveredList,
 // recoveredList, seenList) and the cluster sets' append-only logs: the
 // captured slice headers pin the lengths, and no element behind them is
-// ever mutated in place, so assembling — the O(session) copying and
-// sorting — races with nothing even while folds continue.
+// ever mutated in place, so assembling — sorting the covered blocks and
+// the distinct stacks — races with nothing even while folds continue.
 type sessionView struct {
 	seq           int
 	elapsed       time.Duration
@@ -289,12 +304,14 @@ type sessionView struct {
 // sessionViewLocked captures a snapshot view; callers hold e.mu and
 // hand the result to deliverSnapshot after unlocking.
 func (e *Engine) sessionViewLocked() *sessionView {
+	began := time.Now()
+	defer func() { e.snapshotNS.Add(int64(time.Since(began))) }()
 	v := &sessionView{
 		seq:           e.res.Executed,
-		elapsed:       e.prevElapsed + time.Since(e.start),
+		elapsed:       e.prevElapsed + began.Sub(e.start),
 		covered:       e.coveredList,
 		recovered:     e.recoveredList,
-		seenKeys:      e.seenList,
+		seenKeys:      e.seenList[:len(e.seenList):len(e.seenList)],
 		allStacks:     e.allStacks.View(),
 		failClusters:  e.failClusters.View(),
 		crashClusters: e.crashClusters.View(),
@@ -306,8 +323,9 @@ func (e *Engine) sessionViewLocked() *sessionView {
 	}
 	// CrashIDs counts mutate in place, so the (small) map is copied here
 	// rather than viewed. The explorer also mutates in place; exporting
-	// its state stays under the lock (it is O(arms + mutation pool), not
-	// O(session)).
+	// its state stays under the lock, where it copies the arms, the
+	// mutation pool and the sensitivity windows and takes its executed-key
+	// lists as views (explore.keyLog) — nothing O(session).
 	if len(e.res.CrashIDs) > 0 {
 		v.crashIDs = make(map[string]int, len(e.res.CrashIDs))
 		for id, n := range e.res.CrashIDs {
@@ -333,7 +351,7 @@ func (e *Engine) sessionViewLocked() *sessionView {
 // assemble materializes the view as a serializable SessionState. No
 // locks; see sessionView.
 func (v *sessionView) assemble() *SessionState {
-	st := &SessionState{
+	return &SessionState{
 		Seq:           v.seq,
 		Elapsed:       v.elapsed,
 		Covered:       sortedIntCopy(v.covered),
@@ -350,14 +368,9 @@ func (v *sessionView) assemble() *SessionState {
 			Hung:     v.hung,
 			Holes:    v.holes,
 			CrashIDs: v.crashIDs,
+			SeenKeys: v.seenKeys,
 		},
 	}
-	if len(v.seenKeys) > 0 {
-		keys := append([]string(nil), v.seenKeys...)
-		sort.Strings(keys)
-		st.Aggregates.SeenKeys = keys
-	}
-	return st
 }
 
 // deliverSnapshot serializes a captured view and hands it to the store,
@@ -373,7 +386,10 @@ func (e *Engine) deliverSnapshot(v *sessionView) {
 		return
 	}
 	e.snapSeq = v.seq
+	began := time.Now()
 	e.cfg.Store.SnapshotSession(v.assemble())
+	e.snapshots.Add(1)
+	e.snapshotNS.Add(int64(time.Since(began)))
 }
 
 func sortedIntCopy(s []int) []int {

@@ -251,6 +251,13 @@ type Snapshot struct {
 	// Pending — they have not been handed out yet.
 	PrefetchDepth int `json:"prefetchDepth,omitempty"`
 	PrefetchReady int `json:"prefetchReady,omitempty"`
+	// Snapshots counts the session snapshots handed to the store so far
+	// and SnapshotNS the wall clock they cost the engine, cumulatively:
+	// capturing the view under the session lock, assembling it outside,
+	// and enqueueing it (encoding and IO are the store's, see
+	// store.Stats). Both zero for store-less sessions.
+	Snapshots  int64 `json:"snapshots,omitempty"`
+	SnapshotNS int64 `json:"snapshotNs,omitempty"`
 	// Arms is the portfolio explorer's live per-arm bandit statistics
 	// (nil for fixed-strategy sessions).
 	Arms []explore.ArmStat `json:"arms,omitempty"`

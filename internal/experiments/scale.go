@@ -89,6 +89,11 @@ type ScaleResult struct {
 	Tests      int
 	Elapsed    []time.Duration
 	Throughput []float64
+	// PeakBusy[i] is the most managers that held leased tests at the
+	// same moment (rpcnode.Stats.PeakBusy): whether the nodes really
+	// worked at once, which — unlike the throughput figures — does not
+	// depend on how many CPUs the run had to itself.
+	PeakBusy []int
 	// ExplorerTestsPerSec is the explorer's standalone generation rate.
 	ExplorerTestsPerSec float64
 	// WorkFactor is how many times each manager re-runs a test to emulate
@@ -166,7 +171,9 @@ func scalability(o Opts, nodeCounts []int, testsPerRun, workFactor int, singleTa
 		srv.Close()
 		res.Nodes = append(res.Nodes, n)
 		res.Elapsed = append(res.Elapsed, elapsed)
-		res.Throughput = append(res.Throughput, float64(coord.Snapshot().Executed)/elapsed.Seconds())
+		stats := coord.Snapshot()
+		res.Throughput = append(res.Throughput, float64(stats.Executed)/elapsed.Seconds())
+		res.PeakBusy = append(res.PeakBusy, stats.PeakBusy)
 	}
 
 	res.ExplorerTestsPerSec = ExplorerThroughput(o)
@@ -202,13 +209,13 @@ func (r ScaleResult) String() string {
 		leasing = "one task per lease"
 	}
 	fmt.Fprintf(&b, "§7.7 — scalability (%d tests per run, work factor %d, %s)\n", r.Tests, r.WorkFactor, leasing)
-	fmt.Fprintf(&b, "  %-8s %12s %14s %10s\n", "nodes", "elapsed", "tests/sec", "speedup")
+	fmt.Fprintf(&b, "  %-8s %12s %14s %10s %9s\n", "nodes", "elapsed", "tests/sec", "speedup", "peak busy")
 	base := 0.0
 	for i, n := range r.Nodes {
 		if i == 0 {
 			base = r.Throughput[0]
 		}
-		fmt.Fprintf(&b, "  %-8d %12v %14.0f %9.2fx\n", n, r.Elapsed[i].Round(time.Millisecond), r.Throughput[i], r.Throughput[i]/base)
+		fmt.Fprintf(&b, "  %-8d %12v %14.0f %9.2fx %9d\n", n, r.Elapsed[i].Round(time.Millisecond), r.Throughput[i], r.Throughput[i]/base, r.PeakBusy[i])
 	}
 	fmt.Fprintf(&b, "  explorer standalone: %.0f tests/sec generated\n", r.ExplorerTestsPerSec)
 	fmt.Fprintf(&b, "  paper shape: linear scaling with node count; explorer ≈8,500 tests/s, far from the bottleneck\n")

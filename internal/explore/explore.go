@@ -155,6 +155,46 @@ type executed struct {
 	impact  float64
 }
 
+// keyLog is a set of point keys that remembers the order they entered
+// in: the map answers membership, the append-only list is what state
+// export hands out — as a view, so a snapshot neither walks the map nor
+// sorts a copy of the session's keys.
+type keyLog struct {
+	set  map[string]bool
+	list []string
+}
+
+func newKeyLog() keyLog { return keyLog{set: make(map[string]bool)} }
+
+// keyLogOf rebuilds a log from exported keys, keeping their order (and
+// dropping repeats, which only a hand-edited state could hold).
+func keyLogOf(keys []string) keyLog {
+	l := keyLog{set: make(map[string]bool, len(keys)), list: make([]string, 0, len(keys))}
+	for _, k := range keys {
+		l.add(k)
+	}
+	return l
+}
+
+func (l *keyLog) has(k string) bool { return l.set[k] }
+
+func (l *keyLog) len() int { return len(l.list) }
+
+// add logs k unless it is already in the set. One hash of k: whether
+// the key was new shows in the map's size.
+func (l *keyLog) add(k string) {
+	n := len(l.set)
+	l.set[k] = true
+	if len(l.set) > n {
+		l.list = append(l.list, k)
+	}
+}
+
+// view returns the keys logged so far. The elements are never written
+// again and the capacity is clipped, so the caller may keep reading (or
+// encoding) the view while the log grows.
+func (l *keyLog) view() []string { return l.list[:len(l.list):len(l.list)] }
+
 // axisWindow is the per-axis ring buffer behind the sensitivity vector.
 type axisWindow struct {
 	vals []float64
@@ -191,7 +231,7 @@ type FitnessGuided struct {
 
 	pool    []*executed // Qpriority
 	pending []Candidate // Qpending
-	history map[string]bool
+	history keyLog
 	queued  map[string]bool // keys currently in pending
 	// sensitivity per subspace per axis.
 	sens [][]*axisWindow
@@ -207,7 +247,7 @@ func NewFitnessGuided(space *faultspace.Union, cfg Config) *FitnessGuided {
 		cfg:       cfg,
 		space:     space,
 		rng:       xrand.New(cfg.Seed),
-		history:   make(map[string]bool),
+		history:   newKeyLog(),
 		queued:    make(map[string]bool),
 		seedsLeft: cfg.InitialBatch,
 	}
@@ -234,7 +274,7 @@ func (fg *FitnessGuided) Executed() int { return fg.executedN }
 
 // HistorySize reports the number of distinct tests ever enqueued for
 // execution (i.e. coverage of the fault space in points).
-func (fg *FitnessGuided) HistorySize() int { return len(fg.history) }
+func (fg *FitnessGuided) HistorySize() int { return fg.history.len() }
 
 // Next implements Explorer.
 func (fg *FitnessGuided) Next() (Candidate, bool) {
@@ -248,7 +288,7 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 	// candidate (vicinity exhausted); bounded retries then fall back to
 	// random seeds so the search keeps making progress. If the whole
 	// space is in History, give up.
-	if fg.space.Size() > 0 && int64(len(fg.history)) >= fg.space.Size() {
+	if fg.space.Size() > 0 && int64(fg.history.len()) >= fg.space.Size() {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 500; attempt++ {
@@ -271,7 +311,7 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 			continue
 		}
 		key := c.Point.Key()
-		if fg.history[key] || fg.queued[key] {
+		if fg.history.has(key) || fg.queued[key] {
 			continue
 		}
 		if fromSeed && fg.seedsLeft > 0 {
@@ -288,7 +328,7 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 	found := false
 	fg.space.Enumerate(func(p faultspace.Point) bool {
 		key := p.Key()
-		if fg.history[key] || fg.queued[key] {
+		if fg.history.has(key) || fg.queued[key] {
 			return true
 		}
 		fg.queued[key] = true
@@ -390,7 +430,7 @@ func (fg *FitnessGuided) mutate() (Candidate, bool) {
 func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 	key := c.Point.Key()
 	delete(fg.queued, key)
-	fg.history[key] = true
+	fg.history.add(key)
 	fg.executedN++
 
 	if c.MutatedAxis >= 0 && c.Point.Sub < len(fg.sens) && c.MutatedAxis < len(fg.sens[c.Point.Sub]) {
@@ -424,7 +464,7 @@ func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 func (fg *FitnessGuided) Skip(c Candidate) {
 	key := c.Point.Key()
 	delete(fg.queued, key)
-	fg.history[key] = true
+	fg.history.add(key)
 }
 
 // retire drops pool members whose decayed fitness fell below
@@ -468,13 +508,13 @@ func (fg *FitnessGuided) Sensitivities(sub int) []float64 {
 type Random struct {
 	space     *faultspace.Union
 	rng       *xrand.Rand
-	history   map[string]bool
+	history   keyLog
 	executedN int
 }
 
 // NewRandom builds a random explorer with the given seed.
 func NewRandom(space *faultspace.Union, seed int64) *Random {
-	return &Random{space: space, rng: xrand.New(seed), history: make(map[string]bool)}
+	return &Random{space: space, rng: xrand.New(seed), history: newKeyLog()}
 }
 
 // Name implements Named.
@@ -486,16 +526,16 @@ func (r *Random) Prefetchable() bool { return true }
 
 // Next implements Explorer.
 func (r *Random) Next() (Candidate, bool) {
-	if r.space.Size() == 0 || int64(len(r.history)) >= r.space.Size() {
+	if r.space.Size() == 0 || int64(r.history.len()) >= r.space.Size() {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 10000; attempt++ {
 		p := r.space.Random(r.rng.Intn)
 		key := p.Key()
-		if r.history[key] {
+		if r.history.has(key) {
 			continue
 		}
-		r.history[key] = true
+		r.history.add(key)
 		return Candidate{Point: p, MutatedAxis: -1}, true
 	}
 	return Candidate{}, false
@@ -505,18 +545,18 @@ func (r *Random) Next() (Candidate, bool) {
 // reported point still enters History so externally sourced feedback
 // (journal replay on resume) is never regenerated.
 func (r *Random) Report(c Candidate, _, _ float64) {
-	r.history[c.Point.Key()] = true
+	r.history.add(c.Point.Key())
 	r.executedN++
 }
 
 // Skip implements Skipper.
-func (r *Random) Skip(c Candidate) { r.history[c.Point.Key()] = true }
+func (r *Random) Skip(c Candidate) { r.history.add(c.Point.Key()) }
 
 // Executed implements Countable.
 func (r *Random) Executed() int { return r.executedN }
 
 // HistorySize implements Countable.
-func (r *Random) HistorySize() int { return len(r.history) }
+func (r *Random) HistorySize() int { return r.history.len() }
 
 // Exhaustive enumerates the whole space in lexicographic order, the
 // brute-force baseline of Gunawi et al. that §3 contrasts with.

@@ -28,7 +28,7 @@ type Genetic struct {
 	population []*executed
 	// offspring queues the next generation awaiting execution.
 	offspring []Candidate
-	history   map[string]bool
+	history   keyLog
 	queued    map[string]bool
 	executedN int
 }
@@ -56,14 +56,14 @@ func NewGenetic(space *faultspace.Union, cfg GeneticConfig) *Genetic {
 		rng:          xrand.New(cfg.Seed),
 		popSize:      cfg.PopSize,
 		mutationRate: cfg.MutationRate,
-		history:      make(map[string]bool),
+		history:      newKeyLog(),
 		queued:       make(map[string]bool),
 	}
 }
 
 // Next implements Explorer.
 func (g *Genetic) Next() (Candidate, bool) {
-	if g.space.Size() > 0 && int64(len(g.history)) >= g.space.Size() {
+	if g.space.Size() > 0 && int64(g.history.len()) >= g.space.Size() {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 500; attempt++ {
@@ -80,7 +80,7 @@ func (g *Genetic) Next() (Candidate, bool) {
 			c = Candidate{Point: g.space.Random(g.rng.Intn), MutatedAxis: -1}
 		}
 		key := c.Point.Key()
-		if g.history[key] || g.queued[key] {
+		if g.history.has(key) || g.queued[key] {
 			continue
 		}
 		g.queued[key] = true
@@ -91,7 +91,7 @@ func (g *Genetic) Next() (Candidate, bool) {
 	found := false
 	g.space.Enumerate(func(p faultspace.Point) bool {
 		key := p.Key()
-		if g.history[key] || g.queued[key] {
+		if g.history.has(key) || g.queued[key] {
 			return true
 		}
 		g.queued[key] = true
@@ -160,7 +160,7 @@ func (g *Genetic) mutate(p faultspace.Point) {
 func (g *Genetic) Report(c Candidate, impact, fitness float64) {
 	key := c.Point.Key()
 	delete(g.queued, key)
-	g.history[key] = true
+	g.history.add(key)
 	g.executedN++
 	g.population = append(g.population, &executed{
 		point:   c.Point,
@@ -184,11 +184,11 @@ func (g *Genetic) Prefetchable() bool { return true }
 func (g *Genetic) Skip(c Candidate) {
 	key := c.Point.Key()
 	delete(g.queued, key)
-	g.history[key] = true
+	g.history.add(key)
 }
 
 // Executed implements Countable.
 func (g *Genetic) Executed() int { return g.executedN }
 
 // HistorySize implements Countable.
-func (g *Genetic) HistorySize() int { return len(g.history) }
+func (g *Genetic) HistorySize() int { return g.history.len() }

@@ -56,7 +56,6 @@ package explore
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"afex/internal/faultspace"
 )
@@ -132,9 +131,11 @@ type Portfolio struct {
 	// inflight routes Report back to the arm that leased the candidate:
 	// point key → arm index.
 	inflight map[string]int
-	// seen holds every point key leased or executed by any arm — the
-	// shared deduplication set.
-	seen map[string]bool
+	// executed logs every point key reported back (or skipped) by any
+	// arm, in report order. Together with inflight it is the shared
+	// deduplication set (see taken); alone it is what ExportState hands
+	// out.
+	executed keyLog
 	// maxFitness is the running reward normalizer (the largest fitness
 	// reported so far).
 	maxFitness float64
@@ -149,7 +150,7 @@ func NewPortfolio(space *faultspace.Union, cfg Config) *Portfolio {
 	p := &Portfolio{
 		space:    space,
 		inflight: make(map[string]int),
-		seen:     make(map[string]bool),
+		executed: newKeyLog(),
 	}
 	for i, name := range portfolioArms {
 		sub := cfg
@@ -215,9 +216,17 @@ func (p *Portfolio) pickArm() int {
 	return best
 }
 
+// taken reports whether any arm has leased or executed the point.
+func (p *Portfolio) taken(key string) bool {
+	if _, leased := p.inflight[key]; leased {
+		return true
+	}
+	return p.executed.has(key)
+}
+
 // nextFromArm draws the arm's next candidate that no other arm has
-// already taken. Points in the shared seen set are committed to the
-// arm's own history (Skip when the arm supports it — no aging or
+// already taken. Points in the shared deduplication set are committed
+// to the arm's own history (Skip when the arm supports it — no aging or
 // sensitivity distortion — zero-fitness Report otherwise), so every
 // skip is permanent progress and the loop terminates — either with a
 // fresh candidate or with the arm exhausted.
@@ -227,7 +236,7 @@ func (p *Portfolio) nextFromArm(a *portfolioArm) (Candidate, bool) {
 		if !ok {
 			return Candidate{}, false
 		}
-		if !p.seen[c.Point.Key()] {
+		if !p.taken(c.Point.Key()) {
 			return c, true
 		}
 		if sk, ok := a.ex.(Skipper); ok {
@@ -252,7 +261,6 @@ func (p *Portfolio) Next() (Candidate, bool) {
 			continue
 		}
 		key := c.Point.Key()
-		p.seen[key] = true
 		p.inflight[key] = idx
 		a.pending++
 		return c, true
@@ -325,13 +333,13 @@ const (
 // report is the single feedback path: route to the leasing arm, update
 // the bandit statistics, teach the arm. Feedback for a candidate the
 // portfolio never leased (a persisted journal replayed on resume) only
-// enters the shared seen set — no arm is credited, and no arm will
+// enters the shared executed log — no arm is credited, and no arm will
 // regenerate the point.
 func (p *Portfolio) report(c Candidate, impact, fitness float64, newCluster bool) {
 	key := c.Point.Key()
 	idx, leased := p.inflight[key]
+	p.executed.add(key)
 	if !leased {
-		p.seen[key] = true
 		return
 	}
 	delete(p.inflight, key)
@@ -376,7 +384,7 @@ func (p *Portfolio) Report(c Candidate, impact, fitness float64) {
 // arms' relative merit.
 func (p *Portfolio) Skip(c Candidate) {
 	key := c.Point.Key()
-	p.seen[key] = true
+	p.executed.add(key)
 	idx, leased := p.inflight[key]
 	if !leased {
 		return
@@ -418,7 +426,7 @@ func (p *Portfolio) ArmStats() []ArmStat {
 func (p *Portfolio) Executed() int { return p.totalPulls }
 
 // HistorySize implements Countable: distinct points leased or executed.
-func (p *Portfolio) HistorySize() int { return len(p.seen) }
+func (p *Portfolio) HistorySize() int { return p.executed.len() + len(p.inflight) }
 
 // Sensitivities delegates to the first arm that exposes the §7.3
 // sensitivity vector (the fitness arm), so portfolio sessions still
@@ -434,9 +442,9 @@ func (p *Portfolio) Sensitivities(sub int) []float64 {
 
 // ExportState implements StatefulExplorer: per-arm pull counts, reward
 // sums and nested explorer states (exact RNG positions included), plus
-// the shared seen set and the reward normalizer. In-flight leases are
-// excluded from the seen set — a crash loses their outcomes, so the
-// resumed bandit must be able to regenerate them.
+// the shared executed log (a view, in report order) and the reward
+// normalizer. In-flight leases are not in it — a crash loses their
+// outcomes, so the resumed bandit must be able to regenerate them.
 func (p *Portfolio) ExportState() *State {
 	st := &State{Algorithm: p.Name(), MaxFitness: p.maxFitness}
 	st.Arms = make([]ArmSnapshot, len(p.arms))
@@ -450,14 +458,7 @@ func (p *Portfolio) ExportState() *State {
 		}
 		st.Arms[i] = snap
 	}
-	st.Seen = make([]string, 0, len(p.seen))
-	for k := range p.seen {
-		if _, leased := p.inflight[k]; leased {
-			continue
-		}
-		st.Seen = append(st.Seen, k)
-	}
-	sort.Strings(st.Seen)
+	st.Seen = p.executed.view()
 	return st
 }
 
@@ -497,10 +498,7 @@ func (p *Portfolio) ImportState(st *State) error {
 	}
 	p.totalPulls = total
 	p.maxFitness = st.MaxFitness
-	p.seen = make(map[string]bool, len(st.Seen))
-	for _, k := range st.Seen {
-		p.seen[k] = true
-	}
+	p.executed = keyLogOf(st.Seen)
 	p.inflight = make(map[string]int)
 	return nil
 }

@@ -7,6 +7,12 @@ package explore
 // a resumed sequential session generates the same candidates an
 // uninterrupted one would have.
 //
+// Exporting copies what mutates in place (pool, windows, bandit
+// counters) and takes the executed-key sets — History, the portfolio's
+// Seen — as views of append-only lists (keyLog), in the order the keys
+// entered. The engine exports under its locks on every snapshot, so
+// nothing here may cost O(session); a State is read-only to its holder.
+//
 // What is deliberately NOT exported is the queued set (candidates leased
 // but never folded back): a crash loses their outcomes, so they must be
 // regenerable, and dropping them from the state is exactly what lets the
@@ -14,7 +20,6 @@ package explore
 
 import (
 	"fmt"
-	"sort"
 
 	"afex/internal/faultspace"
 	"afex/internal/xrand"
@@ -62,9 +67,9 @@ type State struct {
 	// Arms holds the portfolio explorer's per-arm bandit statistics and
 	// nested explorer states, in arm order.
 	Arms []ArmSnapshot `json:"arms,omitempty"`
-	// Seen is the portfolio's shared executed-key set, sorted for stable
-	// bytes (in-flight leases are excluded: a crash loses their outcomes,
-	// so the resumed search must be able to regenerate them).
+	// Seen is the portfolio's shared executed-key set, in report order
+	// (in-flight leases are excluded: a crash loses their outcomes, so
+	// the resumed search must be able to regenerate them).
 	Seen []string `json:"seen,omitempty"`
 	// MaxFitness is the portfolio's running reward normalizer.
 	MaxFitness float64 `json:"maxFitness,omitempty"`
@@ -84,7 +89,8 @@ type SearchState struct {
 	// Offspring is the genetic explorer's generated-but-not-yet-executed
 	// queue, in emission order.
 	Offspring []PoolEntry `json:"offspring,omitempty"`
-	// History holds every executed point key, sorted for stable bytes.
+	// History holds every executed point key, in the order the search
+	// committed them; import keeps the order, whatever it is.
 	History []string `json:"history"`
 	// SeedsLeft counts remaining initial random seeds.
 	SeedsLeft int `json:"seedsLeft"`
@@ -148,11 +154,7 @@ func (fg *FitnessGuided) exportSearch() SearchState {
 			Impact:  e.impact,
 		}
 	}
-	st.History = make([]string, 0, len(fg.history))
-	for k := range fg.history {
-		st.History = append(st.History, k)
-	}
-	sort.Strings(st.History)
+	st.History = fg.history.view()
 	st.Sens = make([][]WindowState, len(fg.sens))
 	for i, ws := range fg.sens {
 		st.Sens[i] = make([]WindowState, len(ws))
@@ -199,10 +201,7 @@ func (fg *FitnessGuided) importSearch(st *SearchState) error {
 		p := faultspace.Point{Sub: pe.Sub, Fault: append(faultspace.Fault(nil), pe.Fault...)}
 		fg.pool[i] = &executed{point: p, key: p.Key(), fitness: pe.Fitness, impact: pe.Impact}
 	}
-	fg.history = make(map[string]bool, len(st.History))
-	for _, k := range st.History {
-		fg.history[k] = true
-	}
+	fg.history = keyLogOf(st.History)
 	fg.queued = make(map[string]bool)
 	fg.pending = nil
 	for i := range st.Sens {
@@ -302,7 +301,7 @@ func (s *Sharded) importLegacySearches(st *State) error {
 // draws the exact points an uninterrupted one would have.
 func (r *Random) ExportState() *State {
 	st := SearchState{Rng: r.rng.State(), Executed: r.executedN}
-	st.History = sortedStringKeys(r.history)
+	st.History = r.history.view()
 	return &State{Algorithm: r.Name(), Searches: []SearchState{st}}
 }
 
@@ -317,10 +316,7 @@ func (r *Random) ImportState(st *State) error {
 	src := &st.Searches[0]
 	r.rng = xrand.Restore(src.Rng)
 	r.executedN = src.Executed
-	r.history = make(map[string]bool, len(src.History))
-	for _, k := range src.History {
-		r.history[k] = true
-	}
+	r.history = keyLogOf(src.History)
 	return nil
 }
 
@@ -347,7 +343,7 @@ func (g *Genetic) ExportState() *State {
 			Fault: append([]int(nil), c.Point.Fault...),
 		}
 	}
-	st.History = sortedStringKeys(g.history)
+	st.History = g.history.view()
 	return &State{Algorithm: g.Name(), Searches: []SearchState{st}}
 }
 
@@ -377,10 +373,7 @@ func (g *Genetic) ImportState(st *State) error {
 		p := faultspace.Point{Sub: pe.Sub, Fault: append(faultspace.Fault(nil), pe.Fault...)}
 		g.offspring[i] = Candidate{Point: p, MutatedAxis: -1}
 	}
-	g.history = make(map[string]bool, len(src.History))
-	for _, k := range src.History {
-		g.history[k] = true
-	}
+	g.history = keyLogOf(src.History)
 	g.queued = make(map[string]bool)
 	return nil
 }
@@ -407,16 +400,6 @@ func (e *Exhaustive) ImportState(st *State) error {
 	e.next = src.Cursor
 	e.executedN = src.Executed
 	return nil
-}
-
-// sortedStringKeys returns the keys of m, sorted for stable bytes.
-func sortedStringKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Novel filters an explorer through a set of already-executed scenario

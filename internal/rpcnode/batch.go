@@ -187,6 +187,10 @@ func (c *Coordinator) NextBatch(req BatchRequest, batch *TaskBatch) error {
 	batch.Tasks = make([]TaskWire, len(cands))
 	c.mu.Lock()
 	delete(c.idle, req.Manager)
+	c.held[req.Manager] += len(cands)
+	if len(c.held) > c.peakBusy {
+		c.peakBusy = len(c.held)
+	}
 	for i, cand := range cands {
 		vals := dsl.ValuesFor(c.space, cand.Point)
 		scenario := dsl.FormatPairs(c.axisNames[cand.Point.Sub], vals)
@@ -224,6 +228,9 @@ func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 			continue
 		}
 		delete(c.leases, rw.Seq)
+		if c.held[ls.manager]--; c.held[ls.manager] <= 0 {
+			delete(c.held, ls.manager)
+		}
 		c.perManager[rb.Manager]++
 		stack := rw.Stack
 		if rw.StackHash != 0 {

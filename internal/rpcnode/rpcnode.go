@@ -50,6 +50,11 @@ type Stats struct {
 	Injected int
 	// PerManager counts tests executed by each manager.
 	PerManager map[string]int
+	// PeakBusy is the most managers that held leased, unreported tests
+	// at the same moment — how many nodes the session ever had working
+	// at once. It counts leases, not CPU time, so it reads the same on a
+	// loaded machine as on an idle one.
+	PeakBusy int
 }
 
 // Coordinator is the RPC service adapting remote node managers to the
@@ -70,6 +75,11 @@ type Coordinator struct {
 	seq        int
 	leases     map[int]lease
 	perManager map[string]int
+	// held counts each manager's outstanding leases (absent at zero), so
+	// len(held) is the number of managers with work in hand; peakBusy is
+	// the most it has been (Stats.PeakBusy).
+	held     map[string]int
+	peakBusy int
 	// stacks interns reported injection stacks by content hash: a
 	// manager ships a stack's frames once and the 8-byte hash
 	// thereafter (ResultWire.StackHash). Content addressing lets all
@@ -136,6 +146,7 @@ func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog
 		space:      space,
 		leases:     make(map[int]lease),
 		perManager: make(map[string]int),
+		held:       make(map[string]int),
 	}
 	if space != nil {
 		c.axisNames = make([][]string, len(space.Spaces))
@@ -297,6 +308,7 @@ func (c *Coordinator) Snapshot() Stats {
 		Hung:       snap.Hung,
 		Injected:   snap.Injected,
 		PerManager: make(map[string]int, len(c.perManager)),
+		PeakBusy:   c.peakBusy,
 	}
 	for k, v := range c.perManager {
 		st.PerManager[k] = v

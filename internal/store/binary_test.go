@@ -438,6 +438,37 @@ func TestStatsJSONL(t *testing.T) {
 	}
 }
 
+// TestStatsSnapshot: the stats reader takes the snapshot's seq from
+// wherever the field sits — leading the compact object the store writes,
+// or anywhere in an indented one — without decoding the rest, reports
+// the file's size, and treats anything else as no snapshot.
+func TestStatsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	writeEntries(t, dir, Options{}, 12)
+	for _, tc := range []struct {
+		name, body string
+		seq        int
+		ok         bool
+	}{
+		{"compact", `{"seq":9,"elapsed":5,"aggregates":{"injected":3,"seenKeys":["0:1","0:2"]}}`, 9, true},
+		{"indented, seq last", "{\n \"elapsed\": 5,\n \"covered\": [1, 2],\n \"seq\": 7\n}", 7, true},
+		{"no seq", `{"elapsed":5}`, 0, false},
+		{"torn", `{"elapsed":5,"covered":[1,`, 0, false},
+		{"not an object", `[9]`, 0, false},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ReadStats(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.HasSnapshot != tc.ok || st.SnapshotSeq != tc.seq || st.SnapshotBytes != int64(len(tc.body)) || st.TailEntries != 12-tc.seq {
+			t.Errorf("%s: stats %+v, want snapshot=%v seq=%d bytes=%d", tc.name, st, tc.ok, tc.seq, len(tc.body))
+		}
+	}
+}
+
 // TestStatsBinaryIndexCounts: index frames appear on the configured
 // cadence and the side index mirrors them.
 func TestStatsBinaryIndexCounts(t *testing.T) {

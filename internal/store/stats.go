@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -39,11 +40,13 @@ type Stats struct {
 	// file. Zero for JSONL.
 	IndexBlocks      int `json:"indexBlocks"`
 	SideIndexRecords int `json:"sideIndexRecords"`
-	// HasSnapshot/SnapshotSeq describe the latest snapshot;
-	// CompactedSeq is the archive watermark.
-	HasSnapshot  bool `json:"hasSnapshot"`
-	SnapshotSeq  int  `json:"snapshotSeq"`
-	CompactedSeq int  `json:"compactedSeq"`
+	// HasSnapshot/SnapshotSeq/SnapshotBytes describe the latest
+	// snapshot (its journal sequence and file size); CompactedSeq is the
+	// archive watermark.
+	HasSnapshot   bool  `json:"hasSnapshot"`
+	SnapshotSeq   int   `json:"snapshotSeq"`
+	SnapshotBytes int64 `json:"snapshotBytes"`
+	CompactedSeq  int   `json:"compactedSeq"`
 	// TailEntries is the resume-tail size: entries past the snapshot,
 	// the amount of journal a tail resume must materialize.
 	TailEntries int `json:"tailEntries"`
@@ -95,20 +98,46 @@ func ReadStats(dir string) (*Stats, error) {
 		return nil, err
 	}
 	// Snapshot + resume tail.
-	if raw, err := os.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
-		var snap struct {
-			Seq int `json:"seq"`
+	if f, err := os.Open(filepath.Join(dir, snapshotName)); err == nil {
+		if fi, err := f.Stat(); err == nil {
+			st.SnapshotBytes = fi.Size()
 		}
-		if json.Unmarshal(raw, &snap) == nil {
+		if seq, ok := snapshotSeq(f); ok {
 			st.HasSnapshot = true
-			st.SnapshotSeq = snap.Seq
+			st.SnapshotSeq = seq
 		}
+		f.Close()
 	}
 	st.TailEntries = st.Entries - st.SnapshotSeq
 	if st.TailEntries < 0 {
 		st.TailEntries = 0
 	}
 	return st, nil
+}
+
+// snapshotSeq reads the "seq" field of a snapshot by streaming its
+// top-level keys — the field leads the object, so the snapshot's
+// O(session) key lists are never decoded. ok is false for anything that
+// is not a JSON object carrying an integer seq.
+func snapshotSeq(r io.Reader) (seq int, ok bool) {
+	dec := json.NewDecoder(r)
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return 0, false
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return 0, false
+		}
+		if key == "seq" {
+			return seq, dec.Decode(&seq) == nil
+		}
+		var skipped json.RawMessage
+		if dec.Decode(&skipped) != nil {
+			return 0, false
+		}
+	}
+	return 0, false
 }
 
 // JournalPath resolves a state directory's live journal file —

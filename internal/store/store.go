@@ -660,7 +660,7 @@ func (s *Store) process(m *msg) {
 			s.setErr(err)
 			return
 		}
-		raw, err := json.MarshalIndent(m.snap, "", " ")
+		raw, err := json.Marshal(m.snap)
 		if err != nil {
 			s.setErr(err)
 			return
