@@ -197,12 +197,30 @@ func BenchmarkAblationGreedy(b *testing.B)      { ablationRun(b, explore.Config{
 
 // Micro-benchmarks of the hot paths.
 
+// BenchmarkProgRunMySQLTest is the execution layer's micro-benchmark, one
+// arm per path through prog.Run: a fault that fires (the compiled
+// interpreter walks the test) and one the test never reaches (the
+// fault-free memo answers).
 func BenchmarkProgRunMySQLTest(b *testing.B) {
 	p := targets.Mysqld()
-	plan := inject.Single(inject.Fault{Function: "read", CallNumber: 3, Err: libc.ErrorReturn{Retval: -1, Errno: "EIO"}})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog.Run(p, i%len(p.TestSuite), plan)
+	for _, arm := range []struct {
+		name       string
+		callNumber int
+		fires      bool
+	}{{"firing", 3, true}, {"non-firing", 1 << 20, false}} {
+		plan := inject.Single(inject.Fault{Function: "read", CallNumber: arm.callNumber, Err: libc.ErrorReturn{Retval: -1, Errno: "EIO"}})
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			injected := 0
+			for i := 0; i < b.N; i++ {
+				if prog.Run(p, i%len(p.TestSuite), plan).Injected {
+					injected++
+				}
+			}
+			if (injected > 0) != arm.fires {
+				b.Fatalf("%d of %d runs injected", injected, b.N)
+			}
+		})
 	}
 }
 

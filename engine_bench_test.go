@@ -3,29 +3,17 @@ package afex
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"afex/internal/cluster"
-	"afex/internal/core"
-	"afex/internal/explore"
-	"afex/internal/faultspace"
 	"afex/internal/prog"
 	"afex/internal/xrand"
 )
 
-// Engine and cluster-index benchmarks. Run with:
+// Cluster-index benchmarks, and the target the fold-path and lease
+// benchmarks share. Whole-session throughput is bench/'s business
+// (`bash bench/run.sh --workload model-seq`). Run with:
 //
-//	go test -bench='BenchmarkEngineThroughput|BenchmarkClusterSetAdd' -benchtime=1x
-//
-// BenchmarkEngineThroughput measures the execution engine's scaling
-// across worker counts. Real fault-injection tests are wall-clock bound
-// (start the system, drive the workload, tear down — seconds per test,
-// §6.1), while the simulated targets here execute in microseconds; the
-// benchmark therefore drives the engine through its Executor seam with a
-// fixed per-test service time, the same compute-to-coordination ratio
-// rpcnode.Manager.Work emulates. What is measured is exactly what the
-// batched-lease/reducer design is for: how much of that latency the
-// engine can hide per added worker.
+//	go test -bench='BenchmarkClusterSetAdd|BenchmarkClusterMaxSimilarity' -benchtime=1x
 
 // benchTarget is a target whose every test tolerates faults, keeping the
 // fold path realistic (coverage accounting, occasional clustering) but
@@ -52,92 +40,6 @@ func benchTarget() *prog.Program {
 		panic(err)
 	}
 	return p
-}
-
-func benchSpace() *faultspace.Union {
-	return faultspace.NewUnion(faultspace.New("s",
-		faultspace.IntAxis("testID", 0, 3),
-		faultspace.SetAxis("function", "read", "malloc", "write"),
-		faultspace.IntAxis("callNumber", 1, 64),
-	))
-}
-
-// pacedExecutor wraps the engine's local executor with a fixed per-test
-// service time, emulating a wall-clock-bound system under test.
-type pacedExecutor struct {
-	inner   core.Executor
-	service time.Duration
-}
-
-func (p *pacedExecutor) Execute(c explore.Candidate) (core.Record, prog.Outcome) {
-	time.Sleep(p.service)
-	return p.inner.Execute(c)
-}
-
-func BenchmarkEngineThroughput(b *testing.B) {
-	const (
-		iterations = 96
-		service    = 2 * time.Millisecond
-	)
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng, err := NewEngine(Options{
-					Target:     benchTarget(),
-					Space:      benchSpace(),
-					Algorithm:  Random,
-					Iterations: iterations,
-					Workers:    workers,
-					Explore:    ExploreOptions{Seed: int64(i + 1)},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				start := time.Now()
-				eng.RunWith(&pacedExecutor{inner: eng.LocalExecutor(), service: service})
-				res := eng.Finish()
-				if res.Executed != iterations {
-					b.Fatalf("executed %d, want %d", res.Executed, iterations)
-				}
-				b.ReportMetric(float64(res.Executed)/time.Since(start).Seconds(), "tests/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkPortfolio measures the adaptive bandit explorer's overhead
-// end to end: a full portfolio session against the mysqld model,
-// reporting both tests/sec and the unique-failure yield. The bandit's
-// own work (arm selection, reward accounting, shared dedup) must stay
-// negligible next to test execution — §7.7's "the explorer is not the
-// bottleneck" claim, extended to the meta-explorer.
-func BenchmarkPortfolio(b *testing.B) {
-	target, err := Target("mysqld")
-	if err != nil {
-		b.Fatal(err)
-	}
-	space := SpaceFor(target, 19, 1, 20)
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		res, err := Explore(Options{
-			Target:     target,
-			Space:      space,
-			Algorithm:  Portfolio,
-			Iterations: 800,
-			Explore:    ExploreOptions{Seed: int64(i + 1)},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Executed != 800 {
-			b.Fatalf("executed %d, want 800", res.Executed)
-		}
-		if len(res.Arms) == 0 {
-			b.Fatal("portfolio session reported no arm statistics")
-		}
-		b.ReportMetric(float64(res.Executed)/time.Since(start).Seconds(), "tests/sec")
-		b.ReportMetric(float64(res.UniqueFailures), "unique-failures")
-	}
 }
 
 // BenchmarkClusterSetAdd measures incremental clustering at session

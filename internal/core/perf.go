@@ -14,7 +14,7 @@ import (
 // The simulated performance metric is work completed per run (executed
 // operations): a fault that makes a test complete far less work than its
 // fault-free baseline has degraded the service, whether or not anything
-// failed outright. The baseline per test is measured once, lazily.
+// failed outright. The baseline is the program's memoised fault-free run.
 //
 // The returned score is:
 //
@@ -25,10 +25,6 @@ import (
 // (crashes, failed tests) naturally show large work loss; a tolerated
 // fault that silently halves throughput also scores, which is the point.
 func PerfScore(target *prog.Program, im ImpactConfig, perfWeight float64) func(prog.Outcome, int, inject.Plan, int) float64 {
-	baseline := make([]int, len(target.TestSuite))
-	for i := range baseline {
-		baseline[i] = -1 // unmeasured
-	}
 	return func(out prog.Outcome, newBlocks int, plan inject.Plan, testID int) float64 {
 		v := im.PerNewBlock * float64(newBlocks)
 		if out.Injected {
@@ -41,21 +37,10 @@ func PerfScore(target *prog.Program, im ImpactConfig, perfWeight float64) func(p
 				v += im.Failed
 			}
 		}
-		if testID >= 0 && testID < len(baseline) {
-			if baseline[testID] < 0 {
-				clean := prog.Run(target, testID, inject.Plan{})
-				baseline[testID] = clean.OpsExecuted
-			}
-			if b := baseline[testID]; b > 0 {
-				loss := float64(b-out.OpsExecuted) / float64(b)
-				if loss < 0 {
-					loss = 0
-				}
-				if loss > 1 {
-					loss = 1
-				}
-				v += perfWeight * loss
-			}
+		clean, _ := target.FaultFree(testID)
+		if b := clean.OpsExecuted; b > 0 {
+			loss := float64(b-out.OpsExecuted) / float64(b)
+			v += perfWeight * min(max(loss, 0), 1)
 		}
 		return v
 	}

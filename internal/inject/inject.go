@@ -1,7 +1,9 @@
 // Package inject is the library-level fault injector of this repository —
 // the stand-in for LFI. It turns abstract fault descriptions (package dsl
-// scenarios, or points in a faultspace) into armed injection plans that
-// the simulated libc consults during execution.
+// scenarios, or points in a faultspace) into injection plans that the
+// program model's interpreter (prog.Run) arms and consults on every
+// simulated libc call: each fault fires at most once, at the callNumber-th
+// call to its function, the first match in plan order winning.
 //
 // An injection point is the tuple ⟨testID, functionName, callNumber⟩ (§4
 // "Injection Point Precision"): testID selects one execution path (a test
@@ -66,47 +68,6 @@ func (p Plan) String() string {
 		s += f.String()
 	}
 	return s
-}
-
-// Injector is a libc.Hook that injects according to a Plan. It is
-// single-execution state: create one per test run (the Armed constructor
-// is cheap).
-type Injector struct {
-	plan Plan
-	// fired tracks which plan entries already fired, so a fault injects
-	// exactly once even if call counters wrap around in a pathological
-	// target.
-	fired []bool
-}
-
-// Armed returns an Injector armed with the plan.
-func Armed(plan Plan) *Injector {
-	return &Injector{plan: plan, fired: make([]bool, len(plan.Faults))}
-}
-
-// Inject implements libc.Hook.
-func (in *Injector) Inject(function string, number int) (libc.ErrorReturn, bool) {
-	for i, f := range in.plan.Faults {
-		if in.fired[i] || f.CallNumber <= 0 {
-			continue
-		}
-		if f.Function == function && f.CallNumber == number {
-			in.fired[i] = true
-			return f.Err, true
-		}
-	}
-	return libc.ErrorReturn{}, false
-}
-
-// Fired reports how many plan entries actually injected.
-func (in *Injector) Fired() int {
-	n := 0
-	for _, f := range in.fired {
-		if f {
-			n++
-		}
-	}
-	return n
 }
 
 // Point is a fully qualified injection point: the ⟨testID, function,

@@ -8,41 +8,6 @@ import (
 	"afex/internal/libc"
 )
 
-func TestInjectorFiresExactlyOnce(t *testing.T) {
-	plan := Single(Fault{Function: "read", CallNumber: 2, Err: libc.ErrorReturn{Retval: -1, Errno: "EIO"}})
-	in := Armed(plan)
-	if _, fired := in.Inject("read", 1); fired {
-		t.Fatal("fired at wrong call number")
-	}
-	er, fired := in.Inject("read", 2)
-	if !fired || er.Errno != "EIO" {
-		t.Fatalf("did not fire at call 2: %+v %v", er, fired)
-	}
-	if _, fired := in.Inject("read", 2); fired {
-		t.Fatal("fired twice for the same plan entry")
-	}
-	if in.Fired() != 1 {
-		t.Errorf("Fired = %d, want 1", in.Fired())
-	}
-}
-
-func TestInjectorMultiFault(t *testing.T) {
-	plan := Plan{Faults: []Fault{
-		{Function: "read", CallNumber: 3, Err: libc.ErrorReturn{Retval: -1, Errno: "EINTR"}},
-		{Function: "malloc", CallNumber: 7, Err: libc.ErrorReturn{Retval: 0, Errno: "ENOMEM"}},
-	}}
-	in := Armed(plan)
-	if _, fired := in.Inject("malloc", 7); !fired {
-		t.Error("second fault did not fire")
-	}
-	if _, fired := in.Inject("read", 3); !fired {
-		t.Error("first fault did not fire")
-	}
-	if in.Fired() != 2 {
-		t.Errorf("Fired = %d, want 2", in.Fired())
-	}
-}
-
 func TestPlanEmpty(t *testing.T) {
 	if !(Plan{}).Empty() {
 		t.Error("zero plan should be empty")
@@ -163,27 +128,6 @@ func TestPluginConvertTwoFaultScenario(t *testing.T) {
 	second := plan.Faults[1]
 	if second.Function != "malloc" || second.CallNumber != 7 || second.Err.Errno != "ENOMEM" {
 		t.Errorf("secondary fault = %+v", second)
-	}
-}
-
-func TestPluginConvertSecondSlotNoInjection(t *testing.T) {
-	var p Plugin
-	_, plan, err := p.Convert(dsl.Scenario{
-		"function": "read", "callNumber": "1",
-		"function2": "malloc", "callNumber2": "0", // explicit no-injection slot
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Faults) != 2 {
-		t.Fatalf("plan = %+v", plan)
-	}
-	in := Armed(plan)
-	if _, fired := in.Inject("malloc", 1); fired {
-		t.Error("callNumber2 = 0 must not arm anything")
-	}
-	if _, fired := in.Inject("read", 1); !fired {
-		t.Error("primary fault lost")
 	}
 }
 

@@ -10,16 +10,13 @@
 //   - a registry of library functions, each with a fault profile (the set
 //     of plausible error return values and errno codes) — the output
 //     LFI's callsite analyzer produces from libc.so;
-//   - per-function call counting within one execution, so an injection
-//     point can be addressed as ⟨function, callNumber⟩;
-//   - an interposition hook consulted on every call, which decides
-//     whether this particular call fails and how.
+//   - the addressing of an injection point as ⟨function, callNumber⟩: the
+//     n-th call one execution makes to a function. The counting and the
+//     interposition themselves are part of the interpreter (package prog),
+//     which consults the armed plan on every call it simulates.
 package libc
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // ErrorReturn is one way a library function can fail: the value it
 // returns and the errno it sets.
@@ -196,86 +193,4 @@ func Functions() []string {
 		return names[i] < names[j]
 	})
 	return names
-}
-
-// Hook is the interposition point: it is consulted on every simulated
-// libc call and decides whether that call fails. number is the 1-based
-// cardinality of this call to this function within the current execution.
-type Hook interface {
-	// Inject returns whether to fail the call, and if so with which error
-	// return. Implementations must be deterministic for reproducibility.
-	Inject(function string, number int) (ErrorReturn, bool)
-}
-
-// NoInjection is a Hook that never injects. It is the fault-free baseline
-// used when running a test suite without fault injection.
-type NoInjection struct{}
-
-// Inject implements Hook by always declining.
-func (NoInjection) Inject(string, int) (ErrorReturn, bool) { return ErrorReturn{}, false }
-
-// Call records one simulated library call, for tracing (package trace is
-// the consumer, mirroring ltrace).
-type Call struct {
-	Function string
-	Number   int
-	Injected bool
-	Err      ErrorReturn
-}
-
-// Env is one execution's view of the simulated libc: per-function call
-// counters, the interposition hook, and an optional trace. An Env must
-// not be shared between concurrent executions; create one per test run.
-type Env struct {
-	hook    Hook
-	counts  map[string]int
-	tracing bool
-	trace   []Call
-	// Injections counts how many calls were actually failed.
-	Injections int
-	// LastInjected records the most recent injected call, if any.
-	LastInjected *Call
-}
-
-// NewEnv returns an Env that consults hook on every call. A nil hook
-// behaves like NoInjection.
-func NewEnv(hook Hook) *Env {
-	if hook == nil {
-		hook = NoInjection{}
-	}
-	return &Env{hook: hook, counts: make(map[string]int)}
-}
-
-// EnableTrace turns on call recording (the ltrace substitute).
-func (e *Env) EnableTrace() { e.tracing = true }
-
-// Trace returns the recorded calls; empty unless EnableTrace was called
-// before execution.
-func (e *Env) Trace() []Call { return e.trace }
-
-// Counts returns the per-function call counts observed so far. The
-// returned map is the live counter state; callers must not mutate it.
-func (e *Env) Counts() map[string]int { return e.counts }
-
-// Call simulates one call to the named library function. It increments
-// the function's call counter, consults the hook, and reports whether the
-// call failed and with what error. Calling an unregistered function
-// panics: the program model referencing a function the simulated libc
-// lacks is a programming error, not a runtime condition.
-func (e *Env) Call(function string) (ErrorReturn, bool) {
-	if Lookup(function) == nil {
-		panic(fmt.Sprintf("libc: call to unregistered function %q", function))
-	}
-	e.counts[function]++
-	n := e.counts[function]
-	er, failed := e.hook.Inject(function, n)
-	if e.tracing {
-		e.trace = append(e.trace, Call{Function: function, Number: n, Injected: failed, Err: er})
-	}
-	if failed {
-		e.Injections++
-		c := Call{Function: function, Number: n, Injected: true, Err: er}
-		e.LastInjected = &c
-	}
-	return er, failed
 }

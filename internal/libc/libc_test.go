@@ -76,99 +76,3 @@ func TestClassString(t *testing.T) {
 		t.Errorf("unknown class should render as misc")
 	}
 }
-
-// hookAt fails the n-th call to fn.
-type hookAt struct {
-	fn string
-	n  int
-}
-
-func (h hookAt) Inject(function string, number int) (ErrorReturn, bool) {
-	if function == h.fn && number == h.n {
-		return ErrorReturn{Retval: -1, Errno: "EIO"}, true
-	}
-	return ErrorReturn{}, false
-}
-
-func TestEnvCountsAndInjects(t *testing.T) {
-	env := NewEnv(hookAt{"read", 3})
-	for i := 1; i <= 5; i++ {
-		er, failed := env.Call("read")
-		if (i == 3) != failed {
-			t.Fatalf("call %d: failed=%v", i, failed)
-		}
-		if failed && (er.Retval != -1 || er.Errno != "EIO") {
-			t.Fatalf("wrong error return %+v", er)
-		}
-	}
-	if env.Counts()["read"] != 5 {
-		t.Errorf("read counted %d times, want 5", env.Counts()["read"])
-	}
-	if env.Injections != 1 {
-		t.Errorf("Injections = %d, want 1", env.Injections)
-	}
-	if env.LastInjected == nil || env.LastInjected.Number != 3 {
-		t.Errorf("LastInjected = %+v", env.LastInjected)
-	}
-}
-
-func TestEnvCountersPerFunction(t *testing.T) {
-	env := NewEnv(nil)
-	env.Call("read")
-	env.Call("write")
-	env.Call("read")
-	if env.Counts()["read"] != 2 || env.Counts()["write"] != 1 {
-		t.Errorf("counts = %v", env.Counts())
-	}
-}
-
-func TestEnvNilHookNeverInjects(t *testing.T) {
-	env := NewEnv(nil)
-	for i := 0; i < 100; i++ {
-		if _, failed := env.Call("malloc"); failed {
-			t.Fatal("nil hook injected")
-		}
-	}
-}
-
-func TestEnvTrace(t *testing.T) {
-	env := NewEnv(hookAt{"write", 2})
-	env.EnableTrace()
-	env.Call("write")
-	env.Call("write")
-	env.Call("read")
-	tr := env.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace has %d entries, want 3", len(tr))
-	}
-	if tr[1].Function != "write" || tr[1].Number != 2 || !tr[1].Injected {
-		t.Errorf("trace[1] = %+v", tr[1])
-	}
-	if tr[2].Injected {
-		t.Errorf("trace[2] marked injected: %+v", tr[2])
-	}
-}
-
-func TestEnvTraceDisabledByDefault(t *testing.T) {
-	env := NewEnv(nil)
-	env.Call("read")
-	if len(env.Trace()) != 0 {
-		t.Error("trace recorded without EnableTrace")
-	}
-}
-
-func TestEnvUnknownFunctionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unregistered function")
-		}
-	}()
-	NewEnv(nil).Call("bogus_fn")
-}
-
-func TestNoInjection(t *testing.T) {
-	var h NoInjection
-	if _, failed := h.Inject("read", 1); failed {
-		t.Error("NoInjection injected")
-	}
-}

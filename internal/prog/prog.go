@@ -9,10 +9,22 @@
 // is the "recovery code" whose testing is the point of the paper. A test
 // case is a script of routine invocations.
 //
-// Executing a test against an armed injector yields an Outcome: whether
-// the test failed, whether the process crashed or hung, the simulated
-// stack trace at the injection point (what AFEX clusters on), and the set
-// of basic blocks covered (the gcov substitute).
+// Executing a test with an injection plan armed (Run) yields an Outcome:
+// whether the test failed, whether the process crashed or hung, the
+// simulated stack trace at the injection point (what AFEX clusters on),
+// and the set of basic blocks covered (the gcov substitute).
+//
+// There is one interpreter, and it runs a compiled form of the Program
+// built once, on the first Run (exec.go): names resolved to small ints,
+// frame strings precomputed, per-function call counters a slice, coverage
+// a bitset. A Program is therefore immutable after its first Run. Because
+// Run is a pure function of (program, test, plan), each test's fault-free
+// run is memoised on the Program, and a plan that cannot fire — no fault
+// with 0 < callNumber ≤ the calls the test makes to its function — is
+// answered from the memo without running anything. Outcomes answered that
+// way share one Blocks map: Outcome.Blocks is read-only to the holder.
+// The memo holds at most suite × (blocks + functions) entries; with the
+// compiled form it comes to ≈ 5 MB of heap on the mysqld target.
 //
 // What makes this a faithful substrate is that the error behaviours are
 // attached to code locations, so the induced fault space has the same kind
@@ -24,8 +36,9 @@ package prog
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync/atomic"
 
-	"afex/internal/inject"
 	"afex/internal/libc"
 )
 
@@ -178,11 +191,17 @@ type Program struct {
 	// NumBlocks is the total number of basic blocks, for coverage
 	// percentages. Blocks are 1-based; 0 means "no block".
 	NumBlocks int
+
+	// code is the compiled form, built by the first Run. A Program is
+	// immutable from then on: later edits to Routines or TestSuite are
+	// not seen.
+	code atomic.Pointer[compiled]
 }
 
 // Validate checks referential integrity: every script entry and callee
-// must name an existing routine, and block ids must be within range.
-// Generators call this once after construction.
+// must name an existing routine, block ids must be within range, and no
+// routine may call itself, directly or through others. Generators call
+// this once after construction.
 func (p *Program) Validate() error {
 	for name, r := range p.Routines {
 		if r.Name != name {
@@ -212,6 +231,57 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
+	if cycle := p.callCycle(); cycle != nil {
+		return fmt.Errorf("prog %s: routine call cycle %s", p.Name, strings.Join(cycle, " → "))
+	}
+	return nil
+}
+
+// callCycle returns a cycle of the routine call graph as a path that
+// ends where it starts, or nil if the graph is acyclic. Roots are tried
+// in name order so the cycle reported is always the same one.
+func (p *Program) callCycle() []string {
+	const (
+		visiting = 1
+		done     = 2
+	)
+	state := make(map[string]int, len(p.Routines))
+	var path []string
+	var visit func(name string) []string
+	visit = func(name string) []string {
+		switch state[name] {
+		case done:
+			return nil
+		case visiting:
+			for i, n := range path {
+				if n == name {
+					return append(path[i:len(path):len(path)], name)
+				}
+			}
+		}
+		state[name] = visiting
+		path = append(path, name)
+		for _, op := range p.Routines[name].Ops {
+			if op.Callee != "" {
+				if cycle := visit(op.Callee); cycle != nil {
+					return cycle
+				}
+			}
+		}
+		path = path[:len(path)-1]
+		state[name] = done
+		return nil
+	}
+	names := make([]string, 0, len(p.Routines))
+	for name := range p.Routines {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if cycle := visit(name); cycle != nil {
+			return cycle
+		}
+	}
 	return nil
 }
 
@@ -235,7 +305,8 @@ type Outcome struct {
 	// the fault was injected — frames from outermost to innermost. This
 	// is what redundancy clustering compares (§5).
 	InjectionStack []string
-	// Blocks is the set of basic blocks covered.
+	// Blocks is the set of basic blocks covered. It may be shared with
+	// other outcomes of the same test: read-only to the holder.
 	Blocks map[int]struct{}
 	// OpsExecuted counts executed operations (a cheap progress/perf
 	// proxy).
@@ -248,223 +319,6 @@ func (o Outcome) Coverage(p *Program) float64 {
 		return 0
 	}
 	return float64(len(o.Blocks)) / float64(p.NumBlocks)
-}
-
-// control models non-local exit of routine execution.
-type control int
-
-const (
-	ctlOK control = iota
-	ctlError
-	ctlCrash
-	ctlHang
-	// ctlExit is an orderly whole-program exit with a failure code; it
-	// unwinds past every caller like a crash but is not one.
-	ctlExit
-)
-
-type executor struct {
-	p       *Program
-	env     *libc.Env
-	out     *Outcome
-	stack   []string
-	crashID string
-	depth   int
-}
-
-// maxDepth bounds routine recursion; generated programs are acyclic, but
-// a hand-built target with a cycle should fail loudly, not blow the Go
-// stack.
-const maxDepth = 64
-
-// Run executes the testID-th test of the program with the given plan
-// armed, returning the outcome. testID is 0-based. A plan whose faults
-// never match (e.g. callNumber 0 or beyond the executed range) yields the
-// fault-free outcome with Injected == false.
-//
-// Execution is deterministic: the same (program, testID, plan) triple
-// always yields the same outcome. Determinism is what makes the
-// generated regression tests replayable and the impact-precision metric
-// meaningful.
-func Run(p *Program, testID int, plan inject.Plan) Outcome {
-	if testID < 0 || testID >= len(p.TestSuite) {
-		return Outcome{Failed: true}
-	}
-	env := libc.NewEnv(inject.Armed(plan))
-	return runEnv(p, testID, env)
-}
-
-// RunEnv is like Run but against a caller-provided env, so tracing
-// (package trace) can observe the calls.
-func RunEnv(p *Program, testID int, env *libc.Env) Outcome {
-	if testID < 0 || testID >= len(p.TestSuite) {
-		return Outcome{Failed: true}
-	}
-	return runEnv(p, testID, env)
-}
-
-func runEnv(p *Program, testID int, env *libc.Env) Outcome {
-	out := Outcome{Blocks: make(map[int]struct{})}
-	ex := &executor{p: p, env: env, out: &out}
-	test := p.TestSuite[testID]
-	for _, rn := range test.Script {
-		ctl := ex.call(rn)
-		switch ctl {
-		case ctlError, ctlExit:
-			out.Failed = true
-		case ctlCrash:
-			out.Failed = true
-			out.Crashed = true
-			out.CrashID = ex.crashID
-		case ctlHang:
-			out.Failed = true
-			out.Hung = true
-		}
-		if ctl != ctlOK {
-			break
-		}
-	}
-	return out
-}
-
-func (ex *executor) call(routine string) control {
-	r := ex.p.Routines[routine]
-	if r == nil {
-		panic(fmt.Sprintf("prog: call to unknown routine %q", routine))
-	}
-	if ex.depth >= maxDepth {
-		panic(fmt.Sprintf("prog %s: routine call depth exceeds %d (cycle through %q?)", ex.p.Name, maxDepth, routine))
-	}
-	ex.depth++
-	ex.stack = append(ex.stack, r.Module+"!"+r.Name)
-	defer func() {
-		ex.stack = ex.stack[:len(ex.stack)-1]
-		ex.depth--
-	}()
-
-	sawError := false
-	for i := range r.Ops {
-		op := &r.Ops[i]
-		if op.OnlyAfterError && !sawError {
-			continue
-		}
-		ex.out.OpsExecuted++
-		if op.Block != 0 {
-			ex.out.Blocks[op.Block] = struct{}{}
-		}
-		var failed bool
-		if op.Callee != "" {
-			switch ex.call(op.Callee) {
-			case ctlOK:
-				failed = false
-			case ctlError:
-				failed = true
-			case ctlCrash:
-				return ctlCrash
-			case ctlHang:
-				return ctlHang
-			case ctlExit:
-				return ctlExit
-			}
-		} else {
-			var er libc.ErrorReturn
-			er, failed = ex.libcCall(op)
-			if failed && op.behaviorFor(er.Errno) == Retry {
-				// One retry of the same callsite; the injector fires per
-				// call number, so the retry normally succeeds.
-				er, failed = ex.libcCall(op)
-				if failed {
-					sawError = true
-					if ctl := ex.fail(op, Propagate); ctl != ctlOK {
-						return ctl
-					}
-				}
-				continue
-			}
-			if failed {
-				sawError = true
-				if ctl := ex.fail(op, op.behaviorFor(er.Errno)); ctl != ctlOK {
-					return ctl
-				}
-			}
-			continue
-		}
-		if !failed {
-			continue
-		}
-		sawError = true
-		if ctl := ex.fail(op, op.OnError); ctl != ctlOK {
-			return ctl
-		}
-	}
-	return ctlOK
-}
-
-// libcCall performs one (or Repeat) simulated libc calls for op and
-// reports whether any of them failed, returning the error of the failing
-// call. The injection stack is snapshotted at the failing call.
-func (ex *executor) libcCall(op *Op) (libc.ErrorReturn, bool) {
-	n := op.Repeat
-	if n <= 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		er, failed := ex.env.Call(op.Func)
-		if failed {
-			ex.out.Injected = true
-			frame := fmt.Sprintf("%s:%s", op.Func, ex.frameHere(op))
-			stack := make([]string, len(ex.stack), len(ex.stack)+1)
-			copy(stack, ex.stack)
-			ex.out.InjectionStack = append(stack, frame)
-			return er, true
-		}
-	}
-	return libc.ErrorReturn{}, false
-}
-
-func (ex *executor) frameHere(op *Op) string {
-	// A stable pseudo-callsite: block id doubles as a line number.
-	return fmt.Sprintf("b%d", op.Block)
-}
-
-// fail applies an error behaviour at op and returns the resulting control
-// flow.
-func (ex *executor) fail(op *Op, b Behavior) control {
-	if op.RecoveryBlock != 0 {
-		switch b {
-		case CleanRecovery, BuggyRecovery, RecoveredThenCrash, AbortOnError, Propagate, ExitOnError:
-			ex.out.Blocks[op.RecoveryBlock] = struct{}{}
-		}
-	}
-	switch b {
-	case Tolerate, UncheckedSilent:
-		return ctlOK
-	case Propagate, CleanRecovery:
-		return ctlError
-	case ExitOnError:
-		return ctlExit
-	case BuggyRecovery, RecoveredThenCrash, UncheckedCrash, AbortOnError:
-		ex.crashID = op.CrashID
-		if ex.crashID == "" {
-			ex.crashID = fmt.Sprintf("crash@%s/b%d", top(ex.stack), op.Block)
-		}
-		return ctlCrash
-	case HangOnError:
-		return ctlHang
-	case Retry:
-		// Handled inline in call(); reaching here means a callee op was
-		// (mis)labelled Retry — treat as propagate.
-		return ctlError
-	default:
-		return ctlError
-	}
-}
-
-func top(stack []string) string {
-	if len(stack) == 0 {
-		return "?"
-	}
-	return stack[len(stack)-1]
 }
 
 // RecoveryBlocks returns the total number of recovery blocks in the

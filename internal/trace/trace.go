@@ -5,8 +5,8 @@
 // The paper defines fault spaces by (1) running the target's default test
 // suite under ltrace to see which libc functions it calls and how often,
 // and (2) running LFI's analyzer over libc.so to get each function's
-// possible error returns. Here, Profile runs the simulated suite with
-// call tracing enabled, and the libc registry already carries the fault
+// possible error returns. Here, Profile reads the simulated suite's
+// fault-free call counts, and the libc registry already carries the fault
 // profiles; BuildDescription assembles the two into a description in the
 // Fig. 3 language, and BuildSpace into an explorable fault space.
 package trace
@@ -43,7 +43,8 @@ type SuiteProfile struct {
 	FailedBaseline int
 }
 
-// Profile runs every test of p with tracing and no injection.
+// Profile reads every test's fault-free run from p's memo (running those
+// not run yet), so the session that follows starts with the memo warm.
 func Profile(p *prog.Program) *SuiteProfile {
 	sp := &SuiteProfile{
 		Target:     p.Name,
@@ -52,20 +53,22 @@ func Profile(p *prog.Program) *SuiteProfile {
 		MaxPerTest: make(map[string]int),
 		PerTest:    make([]map[string]int, len(p.TestSuite)),
 	}
+	funcs := p.FunctionsUsed()
 	covered := make(map[int]struct{})
 	for t := range p.TestSuite {
-		env := libc.NewEnv(nil)
-		out := prog.RunEnv(p, t, env)
+		out, calls := p.FaultFree(t)
 		if out.Failed {
 			sp.FailedBaseline++
 		}
-		counts := make(map[string]int, len(env.Counts()))
-		for fn, n := range env.Counts() {
-			counts[fn] = n
-			sp.TotalCalls[fn] += n
-			if n > sp.MaxPerTest[fn] {
-				sp.MaxPerTest[fn] = n
+		counts := make(map[string]int)
+		for id, n := range calls {
+			if n == 0 {
+				continue
 			}
+			fn := funcs[id]
+			counts[fn] = int(n)
+			sp.TotalCalls[fn] += int(n)
+			sp.MaxPerTest[fn] = max(sp.MaxPerTest[fn], int(n))
 		}
 		sp.PerTest[t] = counts
 		for b := range out.Blocks {
