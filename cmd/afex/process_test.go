@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"afex"
 )
@@ -203,6 +204,72 @@ func TestCmdWorkerProcessBackend(t *testing.T) {
 	for _, rec := range res.Records {
 		if rec.Backend != afex.ProcessBackend {
 			t.Fatalf("record %d folded with backend %q, want process", rec.ID, rec.Backend)
+		}
+	}
+}
+
+// TestBatchedProcessSessionMatchesSequential: a two-worker session,
+// whose workers arm whole lease batches of 8 on the warm pool, yields key
+// for key the outcome class and exit status a sequential session (one
+// arm, one done) yields — the fixture's 4 failures, 1 crash and 1 hang,
+// each folded once wherever in a batch it fell — and journals them as
+// records that read back the same.
+func TestBatchedProcessSessionMatchesSequential(t *testing.T) {
+	space, err := afex.ParseSpace(crashySpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := afex.ParseCommandSpec("cmd:" + crashyBin + " {test}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	class := func(failed, crashed, hung bool, exit string) string {
+		return fmt.Sprintf("failed=%v crashed=%v hung=%v %s", failed, crashed, hung, exit)
+	}
+	session := func(workers int) map[string]string {
+		dir := t.TempDir()
+		eng, closeStore, err := afex.NewSession(afex.Options{
+			Command: spec, Space: space, Algorithm: afex.Exhaustive,
+			Workers: workers, Batch: 8, Procs: 2, ExecTimeout: 500 * time.Millisecond,
+			StateDir: dir, JournalFormat: afex.JournalJSONL,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := eng.RunLocal()
+		if err := closeStore(); err != nil {
+			t.Fatal(err)
+		}
+		if res.Executed != 48 || res.Failed != 4 || res.Crashed != 1 || res.Hung != 1 {
+			t.Fatalf("workers=%d: %d executed, %d failures / %d crashes / %d hangs, want 48 and 4 / 1 / 1",
+				workers, res.Executed, res.Failed, res.Crashed, res.Hung)
+		}
+		entries, err := readJournalEntries(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(res.Records) {
+			t.Fatalf("workers=%d: journal holds %d entries for %d records", workers, len(entries), len(res.Records))
+		}
+		byKey := map[string]string{}
+		for i, rec := range res.Records {
+			key, o := rec.Point.Key(), rec.Outcome
+			if _, dup := byKey[key]; dup {
+				t.Fatalf("workers=%d: scenario %s folded twice", workers, key)
+			}
+			byKey[key] = class(o.Failed, o.Crashed, o.Hung, rec.ExitStatus)
+			// Fold order is journal order.
+			if e := entries[i]; e.Key() != key || class(e.Failed, e.Crashed, e.Hung, e.ExitStatus) != byKey[key] {
+				t.Fatalf("workers=%d: journal entry %d = %s %s, record = %s %s", workers, i,
+					e.Key(), class(e.Failed, e.Crashed, e.Hung, e.ExitStatus), key, byKey[key])
+			}
+		}
+		return byKey
+	}
+	sequential, batched := session(1), session(2)
+	for key, want := range sequential {
+		if got := batched[key]; got != want {
+			t.Errorf("scenario %s: batched session folded %q, sequential %q", key, got, want)
 		}
 	}
 }

@@ -115,3 +115,31 @@ type Recycler interface {
 type Parallel interface {
 	Parallelism() int
 }
+
+// Test is one armed scenario of a batch: what Runner.Run takes.
+type Test struct {
+	TestID int
+	Plan   inject.Plan
+}
+
+// Batcher is the optional capability of runners that execute a batch of
+// tests for less than the sum of its Runs (the warm pool arms a whole
+// batch on one worker in one pipe write). RunBatch calls emit exactly
+// once per test, on the calling goroutine, in index order, each as its
+// test ends; like Run it must be safe for concurrent use.
+type Batcher interface {
+	RunBatch(tests []Test, emit func(i int, out prog.Outcome, ex Exec))
+}
+
+// RunBatch executes tests on r — through its batch entry when it has
+// one, one Run per test otherwise — under Batcher's emit contract.
+func RunBatch(r Runner, tests []Test, emit func(i int, out prog.Outcome, ex Exec)) {
+	if b, ok := r.(Batcher); ok {
+		b.RunBatch(tests, emit)
+		return
+	}
+	for i, t := range tests {
+		out, ex := r.Run(t.TestID, t.Plan)
+		emit(i, out, ex)
+	}
+}

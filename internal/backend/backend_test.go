@@ -208,16 +208,18 @@ func TestProcessDeterministicOutcomes(t *testing.T) {
 }
 
 // BenchmarkProcessExecutor measures one supervised scenario execution
-// end to end under both execution modes: cold pays a fork/exec + env
+// end to end under each execution mode: cold pays a fork/exec + env
 // marshal per scenario (TestsPerProc < 0 forces it), warm re-arms a
-// persistent worker over the arm pipe. CI's bench smoke asserts the
-// warm/cold scenarios/sec ratio stays ≥ 5x.
+// persistent worker over the arm pipe one Run at a time, warm/batch8
+// arms eight scenarios per pipe write through RunBatch (the lease batch
+// an engine worker holds). CI's bench smoke asserts the warm/cold
+// scenarios/sec ratio stays ≥ 5x and prints the batch arm.
 func BenchmarkProcessExecutor(b *testing.B) {
 	plan := fault("open", 1)
 	for _, mode := range []struct {
-		name string
-		tpp  int
-	}{{"cold", -1}, {"warm", 0}} {
+		name       string
+		tpp, batch int
+	}{{"cold", -1, 1}, {"warm", 0, 1}, {"warm/batch8", 0, 8}} {
 		b.Run(mode.name, func(b *testing.B) {
 			spec, err := ParseSpec("cmd:" + crashyBin + " {test}")
 			if err != nil {
@@ -230,11 +232,23 @@ func BenchmarkProcessExecutor(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer r.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, _ := r.Run(0, plan)
+			tests := make([]Test, mode.batch)
+			for i := range tests {
+				tests[i] = Test{TestID: 0, Plan: plan}
+			}
+			check := func(_ int, out prog.Outcome, _ Exec) {
 				if !out.Injected {
 					b.Fatal("fault did not fire")
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(tests) {
+				if mode.batch == 1 {
+					out, ex := r.Run(0, plan)
+					check(0, out, ex)
+				} else {
+					RunBatch(r, tests[:min(len(tests), b.N-i)], check)
 				}
 			}
 			b.StopTimer()

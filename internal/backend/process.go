@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -103,27 +104,41 @@ func newColdProcess(cfg Config) (*processRunner, error) {
 // Parallelism implements Parallel: the pool width (Config.Procs).
 func (p *processRunner) Parallelism() int { return cap(p.sem) }
 
-// wirePlan renders the armed plan in the shim's PlanWire shape.
-func wirePlan(testID, seq int, plan inject.Plan) shim.PlanWire {
-	w := shim.PlanWire{TestID: testID, Seq: seq, Faults: make([]shim.FaultWire, 0, len(plan.Faults))}
-	for _, f := range plan.Faults {
-		w.Faults = append(w.Faults, shim.FaultWire{
-			Function:   f.Function,
-			CallNumber: f.CallNumber,
-			Errno:      f.Err.Errno,
-			Retval:     f.Err.Retval,
-		})
+// appendPlan renders the armed plan as the bytes json.Marshal gives its
+// shim.PlanWire: the AFEX_PLAN value (seq 0) and the worker arm line.
+func appendPlan(b []byte, testID, seq int, plan inject.Plan) []byte {
+	b = strconv.AppendInt(append(b, `{"testID":`...), int64(testID), 10)
+	if seq != 0 {
+		b = strconv.AppendInt(append(b, `,"seq":`...), int64(seq), 10)
 	}
-	return w
+	b = append(b, `,"faults":[`...)
+	for i, f := range plan.Faults {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(append(b, `{"function":`...), f.Function)
+		b = strconv.AppendInt(append(b, `,"callNumber":`...), int64(f.CallNumber), 10)
+		if f.Err.Errno != "" {
+			b = appendString(append(b, `,"errno":`...), f.Err.Errno)
+		}
+		b = strconv.AppendInt(append(b, `,"retval":`...), int64(f.Err.Retval), 10)
+		b = append(b, '}')
+	}
+	return append(b, ']', '}')
 }
 
-// planWire renders the armed plan in the shim's AFEX_PLAN format.
-func planWire(testID int, plan inject.Plan) string {
-	raw, err := json.Marshal(wirePlan(testID, 0, plan))
-	if err != nil {
-		panic("backend: plan wire encoding cannot fail: " + err.Error())
+// appendString quotes s as encoding/json does: verbatim when every byte
+// is printable ASCII that JSON and HTML leave alone, through
+// json.Marshal otherwise (function names come from user-written DSL
+// sets). The shim keeps its own copy: fixtures link it alone.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // cannot fail for a string
+			return append(b, q...)
+		}
 	}
-	return string(raw)
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // Run launches one supervised test execution.
@@ -156,7 +171,7 @@ func (p *processRunner) Run(testID int, plan inject.Plan) (prog.Outcome, Exec) {
 	// The capacity cap forces append to copy, so concurrent Runs never
 	// share the hoisted slice's backing array.
 	cmd.Env = append(p.baseEnv[:len(p.baseEnv):len(p.baseEnv)],
-		shim.PlanEnv+"="+planWire(testID, plan))
+		shim.PlanEnv+"="+string(appendPlan(nil, testID, 0, plan)))
 
 	start := time.Now()
 	if err := cmd.Start(); err != nil {
@@ -172,13 +187,9 @@ func (p *processRunner) Run(testID int, plan inject.Plan) (prog.Outcome, Exec) {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		sc := bufio.NewScanner(pr)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		for sc.Scan() {
-			var ev shim.Event
-			if json.Unmarshal(sc.Bytes(), &ev) == nil {
-				events = append(events, ev)
-			}
+		rd := bufio.NewReaderSize(pr, reportLineMax)
+		for ev, err := nextEvent(rd); err == nil; ev, err = nextEvent(rd) {
+			events = append(events, ev)
 		}
 	}()
 

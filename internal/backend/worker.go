@@ -8,7 +8,10 @@ package backend
 // The shim resets call counters and coverage between scenarios
 // (shim.Serve / rearm) and answers each with a "done" event carrying
 // the scenario's exit code, so a clean scenario costs one pipe write
-// and one pipe read instead of a process lifetime.
+// and one pipe read instead of a process lifetime — and a batch of
+// scenarios (RunBatch) one write for all its arm lines, the worker
+// serving them in order while the goroutine that armed it reads the
+// report pipe.
 //
 // Lifecycle:
 //
@@ -21,6 +24,9 @@ package backend
 //     one-shot crash would — and the slot respawns lazily.
 //   - A scenario that exceeds the timeout gets its worker's process
 //     group killed and folds to Hung, again exactly once.
+//   - Arms queued behind a scenario that took its worker down were
+//     never reached (the worker serves one at a time); they are armed
+//     again on a fresh worker, so they too fold exactly once.
 //   - Construction probes the fixture: a binary that never announces
 //     worker readiness (an old one-shot fixture that ignores
 //     AFEX_WORKER_FD) falls back to the cold per-scenario runner, so
@@ -33,7 +39,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,16 +56,29 @@ const DefaultTestsPerProc = 256
 // one-shot binary and the pool falls back to cold execution.
 const readyTimeout = 2 * time.Second
 
+// armGroupBytes caps the arm lines sent in one write. An idle worker's
+// arm pipe is empty and holds at least a page, so a group this size is
+// written whole or — the worker already dead — not at all, and the
+// write never waits on a worker that is itself waiting to report.
+const armGroupBytes = 4096
+
+// reportLineMax is the longest report line either supervisor decodes;
+// a longer one is skipped (see nextEvent).
+const reportLineMax = 64 << 10
+
 // worker is one persistent fixture process of the pool.
 type worker struct {
 	cmd *exec.Cmd
 	arm *os.File // supervisor's write end of the arm pipe (child fd 4)
-	// events carries the worker's report stream; the reader goroutine
-	// closes it at report-pipe EOF, which is how Run observes death.
-	events chan shim.Event
+	// report is the supervisor's read end of the report pipe (child fd
+	// 3), read through rd by whichever goroutine holds the worker's slot;
+	// EOF is how it observes death.
+	report *os.File
+	rd     *bufio.Reader
 	wait   chan error // buffered; receives cmd.Wait exactly once
-	seq    int        // last arm sequence number issued
+	seq    int        // last arm sequence number whose done was awaited
 	served int        // scenarios completed since spawn
+	line   []byte     // arm-line render buffer
 }
 
 // workerRunner is the warm pool. It reuses the cold runner's spec,
@@ -78,9 +96,7 @@ type workerRunner struct {
 	// recycled counts workers retired after serving their quota
 	// (Recycler capability; shutdown retires are not recycles).
 	recycled atomic.Int64
-
-	mu     sync.Mutex
-	closed bool
+	closed   atomic.Bool
 }
 
 // Recycles implements Recycler: quota-driven worker recycles so far.
@@ -156,199 +172,204 @@ func (p *workerRunner) spawn(testID int) (*worker, error) {
 	w := &worker{
 		cmd:    cmd,
 		arm:    armW,
-		events: make(chan shim.Event, 64),
+		report: reportR,
+		rd:     bufio.NewReaderSize(reportR, reportLineMax),
 		wait:   make(chan error, 1),
 	}
-	go func() {
-		defer close(w.events)
-		defer reportR.Close()
-		sc := bufio.NewScanner(reportR)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		for sc.Scan() {
-			var ev shim.Event
-			if json.Unmarshal(sc.Bytes(), &ev) == nil {
-				w.events <- ev
-			}
-		}
-	}()
 	go func() { w.wait <- cmd.Wait() }()
 
 	// Handshake: a worker-mode shim emits "ready" before anything else.
-	// A one-shot fixture instead runs its test fault-free and exits
-	// (events closes without a ready), selecting the cold fallback.
-	timer := time.NewTimer(readyTimeout)
-	defer timer.Stop()
-	select {
-	case ev, ok := <-w.events:
-		if ok && ev.Kind == shim.EventReady {
+	// A one-shot fixture instead runs its test fault-free and exits (the
+	// report pipe closes without a ready), selecting the cold fallback.
+	// (So does a platform whose pipes take no read deadline: the pool
+	// could not time a scenario out.)
+	if err := reportR.SetReadDeadline(time.Now().Add(readyTimeout)); err == nil {
+		if ev, err := nextEvent(w.rd); err == nil && ev.Kind == shim.EventReady {
 			return w, nil
 		}
-	case <-timer.C:
 	}
-	p.reap(w)
+	p.retire(w, 0)
 	return nil, errNotWorkerMode
 }
 
 var errNotWorkerMode = errors.New("fixture does not speak worker mode")
 
-// reap force-kills a worker and waits out its exit; used for handshake
-// failures, timeouts, and pool shutdown.
-func (p *workerRunner) reap(w *worker) {
+// nextEvent returns the next event of a report stream. Lines that do
+// not decode are skipped, and so is one longer than rd's buffer, through
+// its newline — the events after it still pair with their scenarios.
+func nextEvent(rd *bufio.Reader) (shim.Event, error) {
+	for {
+		line, err := rd.ReadSlice('\n')
+		for err == bufio.ErrBufferFull {
+			line = nil
+			_, err = rd.ReadSlice('\n')
+		}
+		if err != nil {
+			return shim.Event{}, err
+		}
+		var ev shim.Event
+		if json.Unmarshal(line, &ev) == nil {
+			return ev, nil
+		}
+	}
+}
+
+// retire shuts a worker down and waits out its exit. Closing the arm
+// pipe is the orderly signal (shim.Serve returns and exits 0) a worker
+// that served its quota gets p.timeout to honour; the kill that backs
+// it up is immediate (grace 0) for handshake failures and a pool closed
+// under a waiting batch.
+func (p *workerRunner) retire(w *worker, grace time.Duration) {
 	if w == nil {
 		return
 	}
 	w.arm.Close()
-	killTree(w.cmd)
+	backstop := time.AfterFunc(grace, func() { killTree(w.cmd) })
 	<-w.wait
-	for range w.events {
-	}
+	backstop.Stop()
+	w.report.Close()
 }
 
-// retire recycles a worker that served its quota: closing the arm pipe
-// is the orderly shutdown signal (shim.Serve returns and exits 0), with
-// a kill backstop should the fixture ignore it.
-func (p *workerRunner) retire(w *worker) {
-	if w == nil {
-		return
-	}
-	w.arm.Close()
-	timer := time.NewTimer(p.timeout)
-	defer timer.Stop()
-	select {
-	case <-w.wait:
-	case <-timer.C:
-		killTree(w.cmd)
-		<-w.wait
-	}
-	for range w.events {
-	}
+// Run executes one scenario on a warm worker: a batch of one.
+func (p *workerRunner) Run(testID int, plan inject.Plan) (out prog.Outcome, ex Exec) {
+	p.RunBatch([]Test{{TestID: testID, Plan: plan}}, func(_ int, o prog.Outcome, e Exec) { out, ex = o, e })
+	return out, ex
 }
 
-// Run executes one scenario on a warm worker, spawning or respawning
-// the slot's worker as needed. Each call folds exactly one outcome,
-// even when the scenario kills its worker mid-flight.
-func (p *workerRunner) Run(testID int, plan inject.Plan) (prog.Outcome, Exec) {
+// RunBatch implements Batcher: it holds one pool slot for the whole
+// batch, spawning or respawning its worker as needed, and emits exactly
+// one outcome per test, in order, each as its scenario ends — even when
+// a scenario kills the worker mid-batch.
+func (p *workerRunner) RunBatch(tests []Test, emit func(i int, out prog.Outcome, ex Exec)) {
 	w := <-p.slots
 	defer func() { p.slots <- w }()
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		p.reap(w)
-		w = nil
-		return prog.Outcome{Failed: true}, Exec{Backend: Process, ExitStatus: "runner-closed"}
+	fail := func(i int, status string) {
+		emit(i, prog.Outcome{Failed: true}, Exec{Backend: Process, ExitStatus: status})
 	}
-
-	// Two attempts: an arm-pipe write can fail only when the worker died
-	// between scenarios (its outcome already folded), so retrying once
-	// on a fresh worker never double-reports a scenario.
-	for attempt := 0; attempt < 2; attempt++ {
+	if p.closed.Load() {
+		p.retire(w, 0)
+		w = nil
+		for i := range tests {
+			fail(i, "runner-closed")
+		}
+		return
+	}
+	// An arm write can fail only when the worker died between scenarios
+	// (its outcomes already folded), so arming the same group again on a
+	// fresh worker never double-reports a scenario; lost counts the
+	// writes in a row that did, and the second gives up on the head.
+	for i, lost := 0, 0; i < len(tests); {
 		if w == nil {
-			fresh, err := p.spawn(testID)
+			fresh, err := p.spawn(tests[i].TestID)
 			if err != nil {
-				return prog.Outcome{Failed: true}, Exec{Backend: Process, ExitStatus: "spawn:" + err.Error()}
+				fail(i, "spawn:"+err.Error())
+				i++
+				continue
 			}
 			w = fresh
 		}
-		out, ex, armed := p.runScenario(&w, testID, plan)
-		if armed {
-			return out, ex
+		n := p.runGroup(&w, i, tests[i:], emit)
+		i += n
+		switch {
+		case n > 0:
+			lost = 0
+		case lost == 0:
+			lost = 1
+		default:
+			fail(i, "worker-lost")
+			i, lost = i+1, 0
 		}
 	}
-	return prog.Outcome{Failed: true}, Exec{Backend: Process, ExitStatus: "worker-lost"}
 }
 
-// runScenario arms one plan on *wp and collects its outcome. armed
-// reports whether the scenario reached the worker: false means the arm
-// write failed against an already-dead worker and the caller may retry
-// on a fresh one. *wp is nilled whenever the worker is gone (death,
-// timeout, recycling), so the slot respawns lazily.
-func (p *workerRunner) runScenario(wp **worker, testID int, plan inject.Plan) (prog.Outcome, Exec, bool) {
+// runGroup arms, in one write, as many of tests as *wp's recycle quota
+// and armGroupBytes allow, then reads the report pipe and emits each
+// outcome (tests[k] as index base+k) as its seq-paired done arrives. It
+// returns how many tests it folded. Zero means the arm write failed
+// against an already-dead worker: nothing was armed and the caller may
+// arm again. Fewer than it armed means the last of them took the worker
+// down, which never reached the arms queued behind it. *wp is nilled
+// whenever the worker is gone (death, timeout, recycling), so the slot
+// respawns lazily.
+func (p *workerRunner) runGroup(wp **worker, base int, tests []Test, emit func(i int, out prog.Outcome, ex Exec)) int {
 	w := *wp
-	w.seq++
-	seq := w.seq
-	msg, err := json.Marshal(wirePlan(testID, seq, plan))
-	if err != nil {
-		panic("backend: plan wire encoding cannot fail: " + err.Error())
+	n, line := 0, w.line[:0]
+	for most := min(len(tests), p.testsPerProc-w.served); n < most; n++ {
+		mark := len(line)
+		line = append(appendPlan(line, tests[n].TestID, w.seq+n+1, tests[n].Plan), '\n')
+		if n > 0 && len(line) > armGroupBytes {
+			line = line[:mark]
+			break
+		}
 	}
+	w.line = line
 	start := time.Now()
-	if _, err := w.arm.Write(append(msg, '\n')); err != nil {
-		// The worker died between scenarios; nothing was armed.
-		p.reap(w)
+	if _, err := w.arm.Write(line); err != nil {
+		p.retire(w, 0)
 		*wp = nil
-		return prog.Outcome{}, Exec{}, false
+		return 0
 	}
 
 	var events []shim.Event
-	timer := time.NewTimer(p.timeout)
-	defer timer.Stop()
-	for {
-		select {
-		case ev, ok := <-w.events:
-			if !ok {
-				// Report-pipe EOF mid-scenario: the scenario crashed its
-				// worker. Fold the death as this scenario's outcome —
-				// exactly once — and leave the slot empty.
-				<-w.wait
-				duration := time.Since(start)
-				out, crashID := foldEvents(events)
-				ex := Exec{Backend: Process, Duration: duration}
-				if ps := w.cmd.ProcessState; ps != nil && ps.ExitCode() >= 0 {
-					// Orderly exit without a done event (fixture bypassed
-					// Serve, e.g. os.Exit inside the body): still one
-					// scenario, one outcome.
-					foldExit(&out, &ex, ps.ExitCode())
-				} else {
-					foldDeath(&out, &ex, w.cmd.ProcessState, crashID)
+	for k := 0; k < n; k++ {
+		// The scenario's clock starts when the worker reaches it: at the
+		// write for the first, at its predecessor's done for the rest.
+		w.seq++
+		events = events[:0]
+		_ = w.report.SetReadDeadline(start.Add(p.timeout)) // took one at spawn; a closed pipe fails the read too
+		for {
+			ev, err := nextEvent(w.rd)
+			if err != nil {
+				// The scenario took its worker down and folds here, exactly
+				// once. A passed deadline is a hang: kill the whole group,
+				// fold Hung. Anything else is report-pipe EOF: a crash,
+				// folded from the ProcessState as a one-shot death would be
+				// (an orderly exit that bypassed Serve's done included).
+				hung := errors.Is(err, os.ErrDeadlineExceeded)
+				if hung {
+					killTree(w.cmd)
 				}
+				<-w.wait
+				w.arm.Close()
+				w.report.Close()
 				*wp = nil
-				return out, ex, true
+				out, ex := foldReport(events, w.cmd.ProcessState, hung, time.Since(start))
+				emit(base+k, out, ex)
+				return k + 1
 			}
-			if ev.Kind == shim.EventDone && ev.Seq == seq {
-				duration := time.Since(start)
+			if ev.Kind == shim.EventDone && ev.Seq == w.seq {
 				out, _ := foldEvents(events)
-				ex := Exec{Backend: Process, Duration: duration}
+				ex := Exec{Backend: Process, Duration: time.Since(start)}
 				foldExit(&out, &ex, ev.Exit)
 				w.served++
-				if w.served >= p.testsPerProc {
-					p.retire(w)
-					p.recycled.Add(1)
-					*wp = nil
-				}
-				return out, ex, true
+				emit(base+k, out, ex)
+				break
 			}
 			events = append(events, ev)
-		case <-timer.C:
-			// Per-scenario wall clock exhausted: the scenario hung its
-			// worker. Kill the whole group and fold Hung.
-			killTree(w.cmd)
-			<-w.wait
-			for range w.events {
-			}
-			out, ex := foldReport(events, w.cmd.ProcessState, true, time.Since(start))
-			*wp = nil
-			return out, ex, true
 		}
+		start = time.Now()
 	}
+	if w.served >= p.testsPerProc {
+		p.retire(w, p.timeout)
+		p.recycled.Add(1)
+		*wp = nil
+	}
+	return n
 }
 
 // Close retires every worker and refuses further runs. Draining the
-// slots waits out in-flight scenarios, exactly like the cold runner's
+// slots waits out in-flight batches, exactly like the cold runner's
 // semaphore drain.
 func (p *workerRunner) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.closed.Swap(true) {
 		return nil
 	}
-	p.closed = true
-	p.mu.Unlock()
 	workers := make([]*worker, 0, cap(p.slots))
 	for i := 0; i < cap(p.slots); i++ {
 		workers = append(workers, <-p.slots)
 	}
 	for _, w := range workers {
-		p.retire(w)
+		p.retire(w, p.timeout)
 	}
 	for i := 0; i < cap(p.slots); i++ {
 		p.slots <- nil

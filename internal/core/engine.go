@@ -1066,37 +1066,58 @@ func (e *Engine) Backend() string { return e.backendName }
 // runs outside the session lock.
 type backendExecutor struct{ e *Engine }
 
-func (l *backendExecutor) Execute(c explore.Candidate) (Record, prog.Outcome) {
+// convert renders a candidate as its record and the test it arms. A
+// scenario the injector cannot express is a hole in practice: ok is
+// false and the record a zero-impact run, marked Skipped so the result
+// set can tally it. (With spaces built by package trace this cannot
+// happen; custom spaces may include e.g. functions the injector lacks.)
+func (l *backendExecutor) convert(c explore.Candidate) (rec Record, t backend.Test, ok bool) {
 	e := l.e
 	// Slice-based scenario path: axis names are cached per subspace and
 	// values render in axis order, so converting and formatting a
 	// candidate allocates no intermediate map.
 	names := e.axisNames[c.Point.Sub]
 	vals := dsl.ValuesFor(e.cfg.Space, c.Point)
+	rec = Record{Point: c.Point, Scenario: dsl.FormatPairs(names, vals), Backend: e.backendName}
 	pt, plan, err := e.plugin.ConvertValues(names, vals)
 	if err != nil {
-		// A scenario the injector cannot express is a hole in practice:
-		// record a zero-impact run, marked Skipped so the result set can
-		// tally it. (With spaces built by package trace this cannot
-		// happen; custom spaces may include e.g. functions the injector
-		// lacks.)
-		return Record{
-			Point:    c.Point,
-			Scenario: dsl.FormatPairs(names, vals),
-			Skipped:  true,
-			Backend:  e.backendName,
-		}, prog.Outcome{}
+		rec.Skipped = true
+		return rec, t, false
 	}
-	outcome, ex := e.runner.Run(pt.TestID, plan)
-	return Record{
-		Point:      c.Point,
-		Scenario:   dsl.FormatPairs(names, vals),
-		TestID:     pt.TestID,
-		Plan:       plan,
-		Backend:    ex.Backend,
-		ExitStatus: ex.ExitStatus,
-		Duration:   ex.Duration,
-	}, outcome
+	rec.TestID, rec.Plan = pt.TestID, plan
+	return rec, backend.Test{TestID: pt.TestID, Plan: plan}, true
+}
+
+func (l *backendExecutor) Execute(c explore.Candidate) (Record, prog.Outcome) {
+	rec, t, ok := l.convert(c)
+	if !ok {
+		return rec, prog.Outcome{}
+	}
+	outcome, ex := l.e.runner.Run(t.TestID, t.Plan)
+	rec.Backend, rec.ExitStatus, rec.Duration = ex.Backend, ex.ExitStatus, ex.Duration
+	return rec, outcome
+}
+
+// executeBatch is Execute for a whole lease: every candidate converts
+// first, then the convertible ones run as one backend batch, each
+// emitted as it ends.
+func (l *backendExecutor) executeBatch(cands []explore.Candidate, emit func(i int, rec Record, out prog.Outcome)) {
+	recs := make([]Record, 0, len(cands))
+	tests := make([]backend.Test, 0, len(cands))
+	at := make([]int, 0, len(cands)) // tests[j] arms cands[at[j]]
+	for i, c := range cands {
+		rec, t, ok := l.convert(c)
+		if !ok {
+			emit(i, rec, prog.Outcome{})
+			continue
+		}
+		recs, tests, at = append(recs, rec), append(tests, t), append(at, i)
+	}
+	backend.RunBatch(l.e.runner, tests, func(j int, out prog.Outcome, ex backend.Exec) {
+		rec := recs[j]
+		rec.Backend, rec.ExitStatus, rec.Duration = ex.Backend, ex.ExitStatus, ex.Duration
+		emit(at[j], rec, out)
+	})
 }
 
 // RunLocal drives the engine to completion with its backend executor
@@ -1139,9 +1160,22 @@ func (e *Engine) RunWith(exec Executor) {
 // has nothing more to hand out. Every executed result folds, stopped or
 // not: stopping ends leasing, not accounting.
 func (e *Engine) work(exec Executor, batch int) {
-	done := make([]ExecutedTest, 0, batch)
+	var (
+		cands  []explore.Candidate
+		left   int // of cands, not yet emitted
+		folded time.Time
+		done   = make([]ExecutedTest, 0, batch)
+	)
+	emit := func(i int, rec Record, out prog.Outcome) {
+		done = append(done, ExecutedTest{C: cands[i], Rec: rec, Out: out})
+		if left--; left > 0 && time.Since(folded) >= foldEvery {
+			e.FoldBatch(done)
+			done = done[:0]
+			folded = time.Now()
+		}
+	}
 	for {
-		cands := e.Lease(batch)
+		cands = e.Lease(batch)
 		if len(cands) == 0 {
 			if !e.Waiting() {
 				return
@@ -1151,21 +1185,33 @@ func (e *Engine) work(exec Executor, batch int) {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		folded := time.Now()
-		for i, c := range cands {
-			if e.stopped.Load() {
-				e.Unlease(len(cands) - i)
-				break
-			}
-			rec, out := exec.Execute(c)
-			done = append(done, ExecutedTest{C: c, Rec: rec, Out: out})
-			if i < len(cands)-1 && time.Since(folded) >= foldEvery {
-				e.FoldBatch(done)
-				done = done[:0]
-				folded = time.Now()
-			}
-		}
+		left, folded = len(cands), time.Now()
+		e.execute(exec, cands, emit)
 		e.FoldBatch(done)
 		done = done[:0]
+	}
+}
+
+// execute runs a leased batch and emits each result as it ends. The
+// engine's own executor takes a batch whole, so the backend can arm it
+// at once; any other Executor, and a batch of one, runs candidate by
+// candidate. A stop is honoured before anything is armed — the
+// candidates not started are unleased — and what is armed runs out.
+func (e *Engine) execute(exec Executor, cands []explore.Candidate, emit func(i int, rec Record, out prog.Outcome)) {
+	if l, ok := exec.(*backendExecutor); ok && len(cands) > 1 {
+		if e.stopped.Load() {
+			e.Unlease(len(cands))
+			return
+		}
+		l.executeBatch(cands, emit)
+		return
+	}
+	for i, c := range cands {
+		if e.stopped.Load() {
+			e.Unlease(len(cands) - i)
+			return
+		}
+		rec, out := exec.Execute(c)
+		emit(i, rec, out)
 	}
 }

@@ -471,3 +471,47 @@ func TestSlowTargetFoldsWhenFinished(t *testing.T) {
 		t.Errorf("a finished result waited %v to fold, want under %v", worst, foldEvery)
 	}
 }
+
+// TestStopMidBatchedSession: a Stop raised while workers hand whole
+// lease batches to the engine's own executor ends leasing, not
+// accounting — a batch already armed runs out and folds, a batch leased
+// but not yet armed is unleased — so the budget the session committed is
+// exactly what it executed and journaled, with nothing left pending.
+func TestStopMidBatchedSession(t *testing.T) {
+	const stopAt = 20
+	st := &countingStore{}
+	eng, err := NewEngine(Config{
+		Target:        sessionTarget(),
+		Space:         feedbackParitySpace(),
+		Algorithm:     "exhaustive",
+		Workers:       2,
+		Batch:         8,
+		Store:         st,
+		SnapshotEvery: 1 << 30,
+		Stop:          func(s Snapshot) bool { return s.Executed >= stopAt },
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := eng.RunLocal()
+	if res.Executed < stopAt || res.Executed >= 200 {
+		t.Fatalf("executed %d of 200 points, want the session stopped soon after %d", res.Executed, stopAt)
+	}
+	eng.leaseMu.Lock()
+	committed, pending := eng.committed, eng.pending
+	eng.leaseMu.Unlock()
+	if committed != res.Executed || pending != 0 {
+		t.Fatalf("committed %d, pending %d after executing %d: a leased candidate was neither folded nor unleased",
+			committed, pending, res.Executed)
+	}
+	if n := st.count(); n != res.Executed {
+		t.Fatalf("journaled %d records for %d executed", n, res.Executed)
+	}
+	seen := map[string]bool{}
+	for _, rec := range res.Records {
+		if seen[rec.Point.Key()] {
+			t.Fatalf("scenario %s folded twice", rec.Point.Key())
+		}
+		seen[rec.Point.Key()] = true
+	}
+}

@@ -55,15 +55,15 @@ import (
 // environment on first use.
 type state struct {
 	active bool
-	report *os.File
+	report io.Writer // nil outside a supervised session
 	worker *os.File
-	enc    *json.Encoder
 
 	mu     sync.Mutex
 	plan   PlanWire
 	calls  map[string]int // per-function call counters
 	fired  []bool         // which plan faults already fired
 	blocks map[int]struct{}
+	line   []byte // emit's render buffer
 }
 
 var (
@@ -75,11 +75,10 @@ func arm() {
 	// The pipes come up regardless of the plan: worker-mode processes
 	// start plan-less (the first plan arrives as an arm message) but
 	// must already be able to emit their "ready" event.
-	st.report = pipeFromEnv(ReportFDEnv, "afex-report")
-	st.worker = pipeFromEnv(WorkerFDEnv, "afex-worker")
-	if st.report != nil {
-		st.enc = json.NewEncoder(st.report)
+	if f := pipeFromEnv(ReportFDEnv, "afex-report"); f != nil {
+		st.report = f
 	}
+	st.worker = pipeFromEnv(WorkerFDEnv, "afex-worker")
 	raw := os.Getenv(PlanEnv)
 	if raw == "" {
 		return
@@ -108,14 +107,19 @@ func pipeFromEnv(env, name string) *os.File {
 }
 
 // rearm installs a plan and zeroes all per-scenario state: call
-// counters, fired flags, and the covered-block set. One-shot processes
-// rearm once from AFEX_PLAN; workers rearm per arm message.
+// counters, fired flags, and the covered-block set (cleared in place — a
+// worker re-arms per scenario). One-shot processes rearm once from
+// AFEX_PLAN; workers rearm per arm message.
 func rearm(p PlanWire) {
 	st.mu.Lock()
 	st.plan = p
-	st.calls = make(map[string]int)
-	st.fired = make([]bool, len(p.Faults))
-	st.blocks = make(map[int]struct{})
+	if st.calls == nil {
+		st.calls = make(map[string]int)
+		st.blocks = make(map[int]struct{})
+	}
+	clear(st.calls)
+	clear(st.blocks)
+	st.fired = append(st.fired[:0], make([]bool, len(p.Faults))...)
 	st.active = true
 	st.mu.Unlock()
 }
@@ -209,6 +213,11 @@ func Flush() {
 	if !st.active {
 		return
 	}
+	emit(coverage())
+}
+
+// coverage renders the covered-block set as an EventBlocks.
+func coverage() Event {
 	st.mu.Lock()
 	blocks := make([]int, 0, len(st.blocks))
 	for b := range st.blocks {
@@ -216,7 +225,7 @@ func Flush() {
 	}
 	st.mu.Unlock()
 	sort.Ints(blocks)
-	emit(Event{Kind: EventBlocks, Blocks: blocks})
+	return Event{Kind: EventBlocks, Blocks: blocks}
 }
 
 // Serve runs the fixture's per-test body under the supervisor and never
@@ -246,7 +255,11 @@ func Serve(test int, run func(test int) int) {
 }
 
 // serveLoop is Serve's worker-mode engine, split out so tests can drive
-// it against an in-memory pipe. It returns at arm-pipe EOF.
+// it against an in-memory pipe. It returns at arm-pipe EOF. Arms may
+// arrive several to a read; they are served in order, and each
+// scenario's coverage and done leave in one write the moment it ends —
+// a done held back for a later scenario would be lost to that
+// scenario's crash, and the supervisor would blame the wrong one.
 func serveLoop(armPipe io.Reader, run func(test int) int) {
 	emit(Event{Kind: EventReady})
 	sc := bufio.NewScanner(armPipe)
@@ -265,21 +278,80 @@ func serveLoop(armPipe io.Reader, run func(test int) int) {
 		}
 		rearm(p)
 		code := run(p.TestID)
-		Flush()
-		emit(Event{Kind: EventDone, Exit: code, Seq: p.Seq})
+		emit(coverage(), Event{Kind: EventDone, Exit: code, Seq: p.Seq})
 	}
 }
 
-// emit writes one event line to the report pipe. os.File writes are
-// unbuffered, so every event is durable the moment emit returns — which
-// is what lets injection stacks survive an immediately following crash.
-func emit(ev Event) {
-	if st.enc == nil {
+// emit writes the events, one line each, to the report pipe in a single
+// write. os.File writes are unbuffered, so every event is durable the
+// moment emit returns — which is what lets injection stacks survive an
+// immediately following crash.
+func emit(evs ...Event) {
+	if st.report == nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_ = st.enc.Encode(ev) // a broken pipe means the supervisor is gone; nothing to do
+	st.line = st.line[:0]
+	for i := range evs {
+		st.line = appendEvent(st.line, &evs[i])
+	}
+	_, _ = st.report.Write(st.line) // a broken pipe means the supervisor is gone; nothing to do
+}
+
+// appendEvent renders ev as the line json.Encoder writes for it: same
+// field order, same omissions, same bytes.
+func appendEvent(b []byte, ev *Event) []byte {
+	b = appendString(append(b, `{"e":`...), ev.Kind)
+	if ev.Function != "" {
+		b = appendString(append(b, `,"function":`...), ev.Function)
+	}
+	if ev.Call != 0 {
+		b = strconv.AppendInt(append(b, `,"call":`...), int64(ev.Call), 10)
+	}
+	if len(ev.Stack) > 0 {
+		b = append(b, `,"stack":[`...)
+		for i, fr := range ev.Stack {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, fr)
+		}
+		b = append(b, ']')
+	}
+	if len(ev.Blocks) > 0 {
+		b = append(b, `,"blocks":[`...)
+		for i, blk := range ev.Blocks {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(blk), 10)
+		}
+		b = append(b, ']')
+	}
+	if ev.ID != "" {
+		b = appendString(append(b, `,"id":`...), ev.ID)
+	}
+	if ev.Exit != 0 {
+		b = strconv.AppendInt(append(b, `,"exit":`...), int64(ev.Exit), 10)
+	}
+	if ev.Seq != 0 {
+		b = strconv.AppendInt(append(b, `,"seq":`...), int64(ev.Seq), 10)
+	}
+	return append(b, '}', '\n')
+}
+
+// appendString quotes s as encoding/json does: verbatim when every byte
+// is printable ASCII that JSON and HTML leave alone, through
+// json.Marshal (escapes, U+FFFD for invalid UTF-8) otherwise.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // cannot fail for a string
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // shimFile is this source file's path — the file every shim harness

@@ -37,13 +37,25 @@ package shim
 // then announces itself with a "ready" event and loops: each
 // newline-delimited JSON PlanWire arriving on the worker pipe re-arms
 // the plan (call counters, fired flags and coverage reset to zero), the
-// test body runs, coverage flushes, and a "done" event echoing the
-// arm message's Seq reports the scenario's exit code — all without a
-// new process. EOF on the worker pipe is the orderly shutdown signal
-// (the supervisor recycles workers by closing their arm pipe). A
-// scenario that crashes or hangs takes the whole worker down exactly
-// like a one-shot process would; the supervisor observes the missing
-// "done", maps the death the usual way, and respawns only that worker.
+// test body runs, and the scenario's "blocks" and a "done" event echoing
+// the arm message's Seq and carrying its exit code leave in one write —
+// all without a new process. EOF on the worker pipe is the orderly
+// shutdown signal (the supervisor recycles workers by closing their arm
+// pipe).
+//
+// The supervisor may send several arm lines in one write (a lease batch
+// its engine worker holds); they are served one at a time, in order,
+// and the supervisor times each from the done before it. A scenario
+// that crashes or hangs takes the whole worker down exactly like a
+// one-shot process would: the supervisor observes the missing "done",
+// maps the death the usual way onto that scenario alone, respawns only
+// that worker, and arms the lines queued behind the dead scenario —
+// which the worker never reached — again on the fresh one. A shim
+// written elsewhere must therefore keep doing three things: read the
+// worker pipe line by line, answer every arm line with a "done" echoing
+// its Seq, and never hold a "done" back behind a later scenario (its
+// crash would lose the held ones and the wrong scenario would be
+// blamed).
 
 // Environment variable names of the supervisor→shim half of the
 // protocol.
