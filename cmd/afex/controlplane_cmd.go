@@ -121,6 +121,9 @@ func writeStatus(w io.Writer, st controlplane.Status) {
 		fmt.Fprintf(w, "state-dir  %s\n", st.StateDir)
 	}
 	fmt.Fprintf(w, "progress   %s\n", st.Progress)
+	if st.Snapshot.Resume != nil {
+		fmt.Fprintf(w, "resumed    %s\n", st.Snapshot.Resume)
+	}
 	for id, n := range st.PerManager {
 		fmt.Fprintf(w, "manager    %s executed %d\n", id, n)
 	}

@@ -795,11 +795,12 @@ func cmdStats(args []string, w io.Writer) error {
 		st.Entries, st.ArchivedEntries, st.LiveEntries, st.Segments, plural(st.Segments))
 	fmt.Fprintf(w, "index blocks:       %d (side-index records %d)\n", st.IndexBlocks, st.SideIndexRecords)
 	if st.HasSnapshot {
-		fmt.Fprintf(w, "snapshot seq:       %d (%d bytes)\n", st.SnapshotSeq, st.SnapshotBytes)
+		fmt.Fprintf(w, "snapshot seq:       %d (%s, %d bytes, %d keys)\n", st.SnapshotSeq, st.SnapshotFormat, st.SnapshotBytes, st.SnapshotKeys)
 	} else {
 		fmt.Fprintf(w, "snapshot seq:       none\n")
 	}
 	fmt.Fprintf(w, "resume tail:        %d entr%s\n", st.TailEntries, pluralY(st.TailEntries))
+	fmt.Fprintf(w, "resume path:        %s\n", st.ResumePath)
 	fmt.Fprintf(w, "compacted through:  %d\n", st.CompactedSeq)
 	fmt.Fprintf(w, "journal bytes:      %d (archive %d)\n", st.JournalBytes, st.ArchiveBytes)
 	return nil

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"regexp"
 	"testing"
 
 	"afex"
+	"afex/internal/store"
 )
 
 // statsStateDir runs a deterministic model session (fixed seed, model
@@ -30,15 +29,20 @@ func statsStateDir(t *testing.T, format string) string {
 		t.Fatal(err)
 	}
 	// The snapshot's wall clock is the one thing in the directory that
-	// varies from run to run; pinned, the snapshot's size is a function
-	// of the session parameters like the rest.
-	path := filepath.Join(dir, "snapshot.json")
-	raw, err := os.ReadFile(path)
+	// varies from run to run; written again with it pinned, the
+	// snapshot's size is a function of the session parameters like the
+	// rest.
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = regexp.MustCompile(`"elapsed":\d+`).ReplaceAll(raw, []byte(`"elapsed":0`))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	snap, err := st.LoadSnapshot()
+	if err != nil || snap == nil {
+		t.Fatalf("session left snapshot %v, %v", snap, err)
+	}
+	snap.Elapsed = 0
+	st.SnapshotSession(snap)
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return dir

@@ -61,6 +61,8 @@ func (mw *metricWriter) sample(name, help, typ string, labels [][2]string, value
 //	afex_prefetch_ready{session=}         pre-generated candidates buffered
 //	afex_session_snapshots_total{session=} session snapshots handed to the store
 //	afex_session_snapshot_seconds_total{session=} engine wall clock spent on them
+//	afex_session_resume_entries{session=,path=,reason=} journal entries read to restore the session
+//	afex_session_resume_seconds{session=,phase=} what the restore cost: snapshot, journal, restore
 //	afex_arm_pulls_total{session=,arm=}   portfolio pulls per strategy
 //	afex_arm_mean_reward{session=,arm=}   portfolio mean reward per strategy
 func writeMetrics(w io.Writer, m *Manager) {
@@ -117,6 +119,21 @@ func writeMetrics(w io.Writer, m *Manager) {
 		func(i int) float64 { return float64(snaps[i].Snapshots) })
 	perSession("afex_session_snapshot_seconds_total", "Engine wall clock spent capturing, assembling and enqueueing session snapshots.", "counter",
 		func(i int) float64 { return float64(snaps[i].SnapshotNS) / 1e9 })
+	for i, s := range sessions {
+		if r := snaps[i].Resume; r != nil {
+			mw.sample("afex_session_resume_entries", "Journal entries read to restore the session, by path (tail, or full-journal and why).", "gauge",
+				[][2]string{{"session", s.ID}, {"path", r.Path}, {"reason", r.Reason}}, float64(r.Entries))
+		}
+	}
+	for i, s := range sessions {
+		if r := snaps[i].Resume; r != nil {
+			ns := [...]int64{r.SnapshotNS, r.JournalNS, r.RestoreNS}
+			for j, phase := range [...]string{"snapshot", "journal", "restore"} {
+				mw.sample("afex_session_resume_seconds", "Wall clock of restoring the session: decoding the snapshot, reading the journal, rebuilding engine and explorer.", "gauge",
+					[][2]string{{"session", s.ID}, {"phase", phase}}, float64(ns[j])/1e9)
+			}
+		}
+	}
 	for i, s := range sessions {
 		for _, a := range snaps[i].Arms {
 			mw.sample("afex_arm_pulls_total", "Portfolio pulls per strategy arm.", "counter",

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,14 +167,16 @@ type Engine struct {
 	prevElapsed  time.Duration
 	sinceSnap    int
 	adaptiveSnap bool
-	// seen accumulates every folded scenario key when a store is
-	// attached; snapshots export it (SessionState.Aggregates.SeenKeys)
-	// so a tail restore can seed the novelty filter without re-reading
-	// the whole journal. Nil for store-less sessions. seenList mirrors
-	// it append-only — the keys the session started with, sorted, then
-	// fold order — and is what a snapshot exports, as a view.
+	// seen holds the scenario keys this run folded that cfg.Seen, the
+	// frozen set the session started from, does not; nil for store-less
+	// sessions. seenList is what a snapshot exports, as a view
+	// (SessionState.Aggregates.SeenKeys, so a tail restore can seed the
+	// novelty filter without re-reading the journal): cfg.Seen's keys,
+	// then this run's, which is fold order across every run.
 	seen     map[string]struct{}
 	seenList []string
+	// resume is how the session was restored (nil when it was not).
+	resume *ResumeInfo
 	// snapMu serializes session-snapshot delivery to the store, which
 	// happens outside e.mu so assembling never stalls folding. snapSeq is
 	// the highest Seq delivered; a snapshot overtaken by a newer one
@@ -308,6 +309,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	// snapshot, then put the cross-run novelty filter in front of the
 	// explorer so no journaled scenario key is ever executed twice.
 	if cfg.Restore != nil {
+		began := time.Now()
 		if err := e.applyRestore(cfg.Restore); err != nil {
 			return nil, err
 		}
@@ -315,6 +317,9 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 		if ex, err = restoreExplorer(ex, cfg.Restore); err != nil {
 			return nil, err
 		}
+		info := cfg.Restore.Info
+		info.RestoreNS = int64(time.Since(began))
+		e.resume = &info
 	}
 	// Shard labels exist for the journal; the per-fold geometry lookup
 	// (O(shards), under the session lock) is only paid when a store is
@@ -327,28 +332,16 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	if ar, ok := ex.(explore.ArmReporter); ok {
 		e.armStats = ar.ArmStats
 	}
-	if len(cfg.Seen) > 0 {
+	if cfg.Seen.Len() > 0 {
 		ex = explore.NewNovel(ex, cfg.Seen)
 	}
 	// Seen-key tracking feeds snapshot aggregates, which is what makes
 	// tail-only resume possible; only store-backed sessions pay for it.
 	if cfg.Store != nil {
-		e.seen = make(map[string]struct{}, len(cfg.Seen)+len(e.res.Records))
-		e.seenList = make([]string, 0, len(cfg.Seen)+len(e.res.Records))
-		for k := range cfg.Seen {
-			e.seen[k] = struct{}{}
-			e.seenList = append(e.seenList, k)
-		}
-		// Map order must not reach the snapshot: sorted once here, the
-		// exported keys stay a function of the journal.
-		sort.Strings(e.seenList)
+		e.seen = make(map[string]struct{})
+		e.seenList = cfg.Seen.Keys()
 		for i := range e.res.Records {
-			k := e.res.Records[i].Point.Key()
-			if _, dup := e.seen[k]; dup {
-				continue
-			}
-			e.seen[k] = struct{}{}
-			e.seenList = append(e.seenList, k)
+			e.noteSeen(e.res.Records[i].Point.Key())
 		}
 	}
 	e.explorer = ex
@@ -463,6 +456,17 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 	}
 	e.admitLocked(next, now)
 	return append(cands, next...)
+}
+
+// noteSeen lists a folded key for the next snapshot unless the session
+// started with it or has folded it already. Callers hold e.mu (or are
+// NewEngine).
+func (e *Engine) noteSeen(k string) {
+	if _, dup := e.seen[k]; dup || e.cfg.Seen.Has(k) {
+		return
+	}
+	e.seen[k] = struct{}{}
+	e.seenList = append(e.seenList, k)
 }
 
 // admitLocked books budget-committed candidates as leased: they count
@@ -745,10 +749,7 @@ func (e *Engine) foldLocked(et *ExecutedTest, bs *batchSnap) (bool, explore.Feed
 	// Tally and cluster.
 	e.res.Executed++
 	if e.seen != nil {
-		if _, dup := e.seen[pre.pointKey]; !dup {
-			e.seen[pre.pointKey] = struct{}{}
-			e.seenList = append(e.seenList, pre.pointKey)
-		}
+		e.noteSeen(pre.pointKey)
 	}
 	if rec.Skipped {
 		e.res.Holes++
@@ -966,6 +967,7 @@ func (e *Engine) quickSnapshotLocked() Snapshot {
 	}
 	s.Snapshots = e.snapshots.Load()
 	s.SnapshotNS = e.snapshotNS.Load()
+	s.Resume = e.resume
 	return s
 }
 

@@ -16,8 +16,18 @@ package core
 // locks, assembling O(distinct stacks + covered blocks) outside them,
 // and the lists the state refers to are shared with the live session —
 // they only ever grow past the captured length, so the store's writer
-// can encode them while folding continues. A SessionState is therefore
-// read-only to whoever receives it.
+// can encode them while folding continues. The lists of a SessionState
+// are therefore read-only to whoever receives it; the state itself is
+// the receiver's. The store writes the lists length-prefixed, apart from
+// the JSON of the rest: writing one is a copy, reading it one pass.
+//
+// What coming back costs. The executed keys cross the layers as one
+// explore.KeySet: the store builds it once in Recover, Config.Seen hands
+// it to the engine frozen, the novelty filter and the fold path read it,
+// and the engine keeps only this run's additions beside it — so SeenKeys
+// of the next snapshot is fold order across every run, exactly what an
+// uninterrupted session lists. Snapshot.Resume reports which way a
+// session came back and what each step cost.
 //
 // Ordering contract: JournalRecord is called under the session lock, in
 // fold order (folds can arrive from concurrent RPC goroutines; the lock
@@ -39,6 +49,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"afex/internal/cluster"
@@ -103,9 +114,9 @@ type SessionState struct {
 
 // Aggregates are the result-set counters over journal entries [0, Seq)
 // plus the scenario keys executed so far (the novelty-filter seed), in
-// fold order — behind the sorted keys a resumed session started from.
-// Readers treat SeenKeys as a set; snapshots written before the order
-// changed list them sorted.
+// fold order, whichever runs folded them. Readers treat SeenKeys as a
+// set and keep the order they are given; snapshots written before the
+// order was kept list some or all of them sorted.
 type Aggregates struct {
 	Injected int            `json:"injected"`
 	Failed   int            `json:"failed"`
@@ -139,6 +150,32 @@ type Restore struct {
 	Tail []explore.Feedback
 	// Elapsed is the prior runs' cumulative wall clock.
 	Elapsed time.Duration
+	// Seen is the executed-key set of journal entries [0, Base +
+	// len(Records)) in fold order, built once by the store: Config.Seen
+	// of the resumed session.
+	Seen *explore.KeySet
+	// Info is the store's account of the recovery; the engine adds its
+	// own restore time and reports it as Snapshot.Resume.
+	Info ResumeInfo
+}
+
+// ResumeInfo says how a session was recovered — Path "tail" when only
+// the Entries past the snapshot were read, "full-journal" with the
+// Reason otherwise — and the wall clock of decoding the snapshot, of
+// reading the journal, and of rebuilding engine and explorer from both.
+type ResumeInfo struct {
+	Path       string `json:"path"`
+	Reason     string `json:"reason,omitempty"`
+	Entries    int    `json:"entries"`
+	SnapshotNS int64  `json:"snapshotNs"`
+	JournalNS  int64  `json:"journalNs"`
+	RestoreNS  int64  `json:"restoreNs"`
+}
+
+// String renders the info as `afex status` prints it.
+func (r *ResumeInfo) String() string {
+	return fmt.Sprintf("%s, %d entries; snapshot %.1fms journal %.1fms restore %.1fms", strings.TrimSpace(r.Path+" "+r.Reason),
+		r.Entries, float64(r.SnapshotNS)/1e6, float64(r.JournalNS)/1e6, float64(r.RestoreNS)/1e6)
 }
 
 // applyRestore rebuilds the engine's session state from a recovered
@@ -325,7 +362,7 @@ func (e *Engine) sessionViewLocked() *sessionView {
 	// rather than viewed. The explorer also mutates in place; exporting
 	// its state stays under the lock, where it copies the arms, the
 	// mutation pool and the sensitivity windows and takes its executed-key
-	// lists as views (explore.keyLog) — nothing O(session).
+	// lists as views (explore.KeySet) — nothing O(session).
 	if len(e.res.CrashIDs) > 0 {
 		v.crashIDs = make(map[string]int, len(e.res.CrashIDs))
 		for id, n := range e.res.CrashIDs {

@@ -199,9 +199,12 @@ type Config struct {
 	// Store receives every folded record and periodic session
 	// snapshots.
 	Store Store
-	// Seen holds scenario keys executed by prior runs; the engine wraps
-	// the explorer in a novelty filter that never hands them out again.
-	Seen map[string]bool
+	// Seen holds scenario keys executed by prior runs, frozen: the engine
+	// wraps the explorer in a novelty filter that never hands them out
+	// again and lists them, in the set's order, ahead of this run's in
+	// every snapshot. Nothing adds to the set once the engine has it, so
+	// the filter and the fold path read it without a lock.
+	Seen *explore.KeySet
 	// Restore, if non-nil, rebuilds the session (records, counters,
 	// clusters, explorer state) before the first lease.
 	Restore *Restore
@@ -258,6 +261,9 @@ type Snapshot struct {
 	// store.Stats). Both zero for store-less sessions.
 	Snapshots  int64 `json:"snapshots,omitempty"`
 	SnapshotNS int64 `json:"snapshotNs,omitempty"`
+	// Resume says how a restored session came back and what that cost;
+	// nil for a session that started from nothing.
+	Resume *ResumeInfo `json:"resume,omitempty"`
 	// Arms is the portfolio explorer's live per-arm bandit statistics
 	// (nil for fixed-strategy sessions).
 	Arms []explore.ArmStat `json:"arms,omitempty"`

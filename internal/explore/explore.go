@@ -155,46 +155,6 @@ type executed struct {
 	impact  float64
 }
 
-// keyLog is a set of point keys that remembers the order they entered
-// in: the map answers membership, the append-only list is what state
-// export hands out — as a view, so a snapshot neither walks the map nor
-// sorts a copy of the session's keys.
-type keyLog struct {
-	set  map[string]bool
-	list []string
-}
-
-func newKeyLog() keyLog { return keyLog{set: make(map[string]bool)} }
-
-// keyLogOf rebuilds a log from exported keys, keeping their order (and
-// dropping repeats, which only a hand-edited state could hold).
-func keyLogOf(keys []string) keyLog {
-	l := keyLog{set: make(map[string]bool, len(keys)), list: make([]string, 0, len(keys))}
-	for _, k := range keys {
-		l.add(k)
-	}
-	return l
-}
-
-func (l *keyLog) has(k string) bool { return l.set[k] }
-
-func (l *keyLog) len() int { return len(l.list) }
-
-// add logs k unless it is already in the set. One hash of k: whether
-// the key was new shows in the map's size.
-func (l *keyLog) add(k string) {
-	n := len(l.set)
-	l.set[k] = true
-	if len(l.set) > n {
-		l.list = append(l.list, k)
-	}
-}
-
-// view returns the keys logged so far. The elements are never written
-// again and the capacity is clipped, so the caller may keep reading (or
-// encoding) the view while the log grows.
-func (l *keyLog) view() []string { return l.list[:len(l.list):len(l.list)] }
-
 // axisWindow is the per-axis ring buffer behind the sensitivity vector.
 type axisWindow struct {
 	vals []float64
@@ -231,7 +191,7 @@ type FitnessGuided struct {
 
 	pool    []*executed // Qpriority
 	pending []Candidate // Qpending
-	history keyLog
+	history KeySet
 	queued  map[string]bool // keys currently in pending
 	// sensitivity per subspace per axis.
 	sens [][]*axisWindow
@@ -247,7 +207,6 @@ func NewFitnessGuided(space *faultspace.Union, cfg Config) *FitnessGuided {
 		cfg:       cfg,
 		space:     space,
 		rng:       xrand.New(cfg.Seed),
-		history:   newKeyLog(),
 		queued:    make(map[string]bool),
 		seedsLeft: cfg.InitialBatch,
 	}
@@ -274,7 +233,7 @@ func (fg *FitnessGuided) Executed() int { return fg.executedN }
 
 // HistorySize reports the number of distinct tests ever enqueued for
 // execution (i.e. coverage of the fault space in points).
-func (fg *FitnessGuided) HistorySize() int { return fg.history.len() }
+func (fg *FitnessGuided) HistorySize() int { return fg.history.Len() }
 
 // Next implements Explorer.
 func (fg *FitnessGuided) Next() (Candidate, bool) {
@@ -288,7 +247,7 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 	// candidate (vicinity exhausted); bounded retries then fall back to
 	// random seeds so the search keeps making progress. If the whole
 	// space is in History, give up.
-	if fg.space.Size() > 0 && int64(fg.history.len()) >= fg.space.Size() {
+	if fg.space.Size() > 0 && int64(fg.history.Len()) >= fg.space.Size() {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 500; attempt++ {
@@ -311,7 +270,7 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 			continue
 		}
 		key := c.Point.Key()
-		if fg.history.has(key) || fg.queued[key] {
+		if fg.history.Has(key) || fg.queued[key] {
 			continue
 		}
 		if fromSeed && fg.seedsLeft > 0 {
@@ -328,7 +287,7 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 	found := false
 	fg.space.Enumerate(func(p faultspace.Point) bool {
 		key := p.Key()
-		if fg.history.has(key) || fg.queued[key] {
+		if fg.history.Has(key) || fg.queued[key] {
 			return true
 		}
 		fg.queued[key] = true
@@ -430,7 +389,7 @@ func (fg *FitnessGuided) mutate() (Candidate, bool) {
 func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 	key := c.Point.Key()
 	delete(fg.queued, key)
-	fg.history.add(key)
+	fg.history.Add(key)
 	fg.executedN++
 
 	if c.MutatedAxis >= 0 && c.Point.Sub < len(fg.sens) && c.MutatedAxis < len(fg.sens[c.Point.Sub]) {
@@ -464,7 +423,7 @@ func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 func (fg *FitnessGuided) Skip(c Candidate) {
 	key := c.Point.Key()
 	delete(fg.queued, key)
-	fg.history.add(key)
+	fg.history.Add(key)
 }
 
 // retire drops pool members whose decayed fitness fell below
@@ -508,13 +467,13 @@ func (fg *FitnessGuided) Sensitivities(sub int) []float64 {
 type Random struct {
 	space     *faultspace.Union
 	rng       *xrand.Rand
-	history   keyLog
+	history   KeySet
 	executedN int
 }
 
 // NewRandom builds a random explorer with the given seed.
 func NewRandom(space *faultspace.Union, seed int64) *Random {
-	return &Random{space: space, rng: xrand.New(seed), history: newKeyLog()}
+	return &Random{space: space, rng: xrand.New(seed)}
 }
 
 // Name implements Named.
@@ -526,16 +485,16 @@ func (r *Random) Prefetchable() bool { return true }
 
 // Next implements Explorer.
 func (r *Random) Next() (Candidate, bool) {
-	if r.space.Size() == 0 || int64(r.history.len()) >= r.space.Size() {
+	if r.space.Size() == 0 || int64(r.history.Len()) >= r.space.Size() {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 10000; attempt++ {
 		p := r.space.Random(r.rng.Intn)
 		key := p.Key()
-		if r.history.has(key) {
+		if r.history.Has(key) {
 			continue
 		}
-		r.history.add(key)
+		r.history.Add(key)
 		return Candidate{Point: p, MutatedAxis: -1}, true
 	}
 	return Candidate{}, false
@@ -545,18 +504,18 @@ func (r *Random) Next() (Candidate, bool) {
 // reported point still enters History so externally sourced feedback
 // (journal replay on resume) is never regenerated.
 func (r *Random) Report(c Candidate, _, _ float64) {
-	r.history.add(c.Point.Key())
+	r.history.Add(c.Point.Key())
 	r.executedN++
 }
 
 // Skip implements Skipper.
-func (r *Random) Skip(c Candidate) { r.history.add(c.Point.Key()) }
+func (r *Random) Skip(c Candidate) { r.history.Add(c.Point.Key()) }
 
 // Executed implements Countable.
 func (r *Random) Executed() int { return r.executedN }
 
 // HistorySize implements Countable.
-func (r *Random) HistorySize() int { return r.history.len() }
+func (r *Random) HistorySize() int { return r.history.Len() }
 
 // Exhaustive enumerates the whole space in lexicographic order, the
 // brute-force baseline of Gunawi et al. that §3 contrasts with.

@@ -28,7 +28,7 @@ type Genetic struct {
 	population []*executed
 	// offspring queues the next generation awaiting execution.
 	offspring []Candidate
-	history   keyLog
+	history   KeySet
 	queued    map[string]bool
 	executedN int
 }
@@ -56,14 +56,13 @@ func NewGenetic(space *faultspace.Union, cfg GeneticConfig) *Genetic {
 		rng:          xrand.New(cfg.Seed),
 		popSize:      cfg.PopSize,
 		mutationRate: cfg.MutationRate,
-		history:      newKeyLog(),
 		queued:       make(map[string]bool),
 	}
 }
 
 // Next implements Explorer.
 func (g *Genetic) Next() (Candidate, bool) {
-	if g.space.Size() > 0 && int64(g.history.len()) >= g.space.Size() {
+	if g.space.Size() > 0 && int64(g.history.Len()) >= g.space.Size() {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 500; attempt++ {
@@ -80,7 +79,7 @@ func (g *Genetic) Next() (Candidate, bool) {
 			c = Candidate{Point: g.space.Random(g.rng.Intn), MutatedAxis: -1}
 		}
 		key := c.Point.Key()
-		if g.history.has(key) || g.queued[key] {
+		if g.history.Has(key) || g.queued[key] {
 			continue
 		}
 		g.queued[key] = true
@@ -91,7 +90,7 @@ func (g *Genetic) Next() (Candidate, bool) {
 	found := false
 	g.space.Enumerate(func(p faultspace.Point) bool {
 		key := p.Key()
-		if g.history.has(key) || g.queued[key] {
+		if g.history.Has(key) || g.queued[key] {
 			return true
 		}
 		g.queued[key] = true
@@ -160,7 +159,7 @@ func (g *Genetic) mutate(p faultspace.Point) {
 func (g *Genetic) Report(c Candidate, impact, fitness float64) {
 	key := c.Point.Key()
 	delete(g.queued, key)
-	g.history.add(key)
+	g.history.Add(key)
 	g.executedN++
 	g.population = append(g.population, &executed{
 		point:   c.Point,
@@ -184,11 +183,11 @@ func (g *Genetic) Prefetchable() bool { return true }
 func (g *Genetic) Skip(c Candidate) {
 	key := c.Point.Key()
 	delete(g.queued, key)
-	g.history.add(key)
+	g.history.Add(key)
 }
 
 // Executed implements Countable.
 func (g *Genetic) Executed() int { return g.executedN }
 
 // HistorySize implements Countable.
-func (g *Genetic) HistorySize() int { return g.history.len() }
+func (g *Genetic) HistorySize() int { return g.history.Len() }

@@ -135,7 +135,7 @@ type Portfolio struct {
 	// arm, in report order. Together with inflight it is the shared
 	// deduplication set (see taken); alone it is what ExportState hands
 	// out.
-	executed keyLog
+	executed KeySet
 	// maxFitness is the running reward normalizer (the largest fitness
 	// reported so far).
 	maxFitness float64
@@ -150,7 +150,6 @@ func NewPortfolio(space *faultspace.Union, cfg Config) *Portfolio {
 	p := &Portfolio{
 		space:    space,
 		inflight: make(map[string]int),
-		executed: newKeyLog(),
 	}
 	for i, name := range portfolioArms {
 		sub := cfg
@@ -221,7 +220,7 @@ func (p *Portfolio) taken(key string) bool {
 	if _, leased := p.inflight[key]; leased {
 		return true
 	}
-	return p.executed.has(key)
+	return p.executed.Has(key)
 }
 
 // nextFromArm draws the arm's next candidate that no other arm has
@@ -338,7 +337,7 @@ const (
 func (p *Portfolio) report(c Candidate, impact, fitness float64, newCluster bool) {
 	key := c.Point.Key()
 	idx, leased := p.inflight[key]
-	p.executed.add(key)
+	p.executed.Add(key)
 	if !leased {
 		return
 	}
@@ -384,7 +383,7 @@ func (p *Portfolio) Report(c Candidate, impact, fitness float64) {
 // arms' relative merit.
 func (p *Portfolio) Skip(c Candidate) {
 	key := c.Point.Key()
-	p.executed.add(key)
+	p.executed.Add(key)
 	idx, leased := p.inflight[key]
 	if !leased {
 		return
@@ -426,7 +425,7 @@ func (p *Portfolio) ArmStats() []ArmStat {
 func (p *Portfolio) Executed() int { return p.totalPulls }
 
 // HistorySize implements Countable: distinct points leased or executed.
-func (p *Portfolio) HistorySize() int { return p.executed.len() + len(p.inflight) }
+func (p *Portfolio) HistorySize() int { return p.executed.Len() + len(p.inflight) }
 
 // Sensitivities delegates to the first arm that exposes the §7.3
 // sensitivity vector (the fitness arm), so portfolio sessions still
@@ -458,7 +457,7 @@ func (p *Portfolio) ExportState() *State {
 		}
 		st.Arms[i] = snap
 	}
-	st.Seen = p.executed.view()
+	st.Seen = p.executed.Keys()
 	return st
 }
 
@@ -498,7 +497,7 @@ func (p *Portfolio) ImportState(st *State) error {
 	}
 	p.totalPulls = total
 	p.maxFitness = st.MaxFitness
-	p.executed = keyLogOf(st.Seen)
+	p.executed = *NewKeySet(st.Seen)
 	p.inflight = make(map[string]int)
 	return nil
 }

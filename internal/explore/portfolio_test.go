@@ -241,7 +241,7 @@ func TestNovelFilterDoesNotDistortBandit(t *testing.T) {
 		},
 	} {
 		inner := mk()
-		n := NewNovel(inner, seen)
+		n := NewNovel(inner, keySetOf(seen))
 		executed := 0
 		for executed < 60 {
 			c, ok := n.Next()

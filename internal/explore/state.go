@@ -9,8 +9,9 @@ package explore
 //
 // Exporting copies what mutates in place (pool, windows, bandit
 // counters) and takes the executed-key sets — History, the portfolio's
-// Seen — as views of append-only lists (keyLog), in the order the keys
-// entered. The engine exports under its locks on every snapshot, so
+// Seen — as views of append-only lists (KeySet), in the order the keys
+// entered; importing builds the set over the list it is given, without
+// copying it. The engine exports under its locks on every snapshot, so
 // nothing here may cost O(session); a State is read-only to its holder.
 //
 // What is deliberately NOT exported is the queued set (candidates leased
@@ -154,7 +155,7 @@ func (fg *FitnessGuided) exportSearch() SearchState {
 			Impact:  e.impact,
 		}
 	}
-	st.History = fg.history.view()
+	st.History = fg.history.Keys()
 	st.Sens = make([][]WindowState, len(fg.sens))
 	for i, ws := range fg.sens {
 		st.Sens[i] = make([]WindowState, len(ws))
@@ -201,7 +202,7 @@ func (fg *FitnessGuided) importSearch(st *SearchState) error {
 		p := faultspace.Point{Sub: pe.Sub, Fault: append(faultspace.Fault(nil), pe.Fault...)}
 		fg.pool[i] = &executed{point: p, key: p.Key(), fitness: pe.Fitness, impact: pe.Impact}
 	}
-	fg.history = keyLogOf(st.History)
+	fg.history = *NewKeySet(st.History)
 	fg.queued = make(map[string]bool)
 	fg.pending = nil
 	for i := range st.Sens {
@@ -301,7 +302,7 @@ func (s *Sharded) importLegacySearches(st *State) error {
 // draws the exact points an uninterrupted one would have.
 func (r *Random) ExportState() *State {
 	st := SearchState{Rng: r.rng.State(), Executed: r.executedN}
-	st.History = r.history.view()
+	st.History = r.history.Keys()
 	return &State{Algorithm: r.Name(), Searches: []SearchState{st}}
 }
 
@@ -316,7 +317,7 @@ func (r *Random) ImportState(st *State) error {
 	src := &st.Searches[0]
 	r.rng = xrand.Restore(src.Rng)
 	r.executedN = src.Executed
-	r.history = keyLogOf(src.History)
+	r.history = *NewKeySet(src.History)
 	return nil
 }
 
@@ -343,7 +344,7 @@ func (g *Genetic) ExportState() *State {
 			Fault: append([]int(nil), c.Point.Fault...),
 		}
 	}
-	st.History = g.history.view()
+	st.History = g.history.Keys()
 	return &State{Algorithm: g.Name(), Searches: []SearchState{st}}
 }
 
@@ -373,7 +374,7 @@ func (g *Genetic) ImportState(st *State) error {
 		p := faultspace.Point{Sub: pe.Sub, Fault: append(faultspace.Fault(nil), pe.Fault...)}
 		g.offspring[i] = Candidate{Point: p, MutatedAxis: -1}
 	}
-	g.history = keyLogOf(src.History)
+	g.history = *NewKeySet(src.History)
 	g.queued = make(map[string]bool)
 	return nil
 }
@@ -415,13 +416,14 @@ func (e *Exhaustive) ImportState(st *State) error {
 // false only when the inner explorer is exhausted.
 type Novel struct {
 	inner Explorer
-	seen  map[string]bool
+	seen  *KeySet
 }
 
-// NewNovel wraps inner with the seen-key filter. A nil or empty seen set
-// degenerates to the inner explorer's behaviour (the wrapper stays
-// transparent: Name, batching and state passthrough all delegate).
-func NewNovel(inner Explorer, seen map[string]bool) *Novel {
+// NewNovel wraps inner with the seen-key filter; it only ever reads seen,
+// so the set may be shared. A nil or empty seen set degenerates to the
+// inner explorer's behaviour (the wrapper stays transparent: Name,
+// batching and state passthrough all delegate).
+func NewNovel(inner Explorer, seen *KeySet) *Novel {
 	return &Novel{inner: inner, seen: seen}
 }
 
@@ -456,7 +458,7 @@ func (n *Novel) Next() (Candidate, bool) {
 		if !ok {
 			return Candidate{}, false
 		}
-		if !n.seen[c.Point.Key()] {
+		if !n.seen.Has(c.Point.Key()) {
 			return c, true
 		}
 		n.skip(c)
@@ -476,7 +478,7 @@ func (n *Novel) BatchNext(k int) []Candidate {
 			break
 		}
 		for _, c := range batch {
-			if n.seen[c.Point.Key()] {
+			if n.seen.Has(c.Point.Key()) {
 				n.skip(c)
 				continue
 			}

@@ -219,7 +219,7 @@ func TestNovelFilter(t *testing.T) {
 		}
 		return true
 	})
-	n := NewNovel(NewFitnessGuided(space, Config{Seed: 8}), seen)
+	n := NewNovel(NewFitnessGuided(space, Config{Seed: 8}), keySetOf(seen))
 	got := make(map[string]bool)
 	for {
 		c, ok := n.Next()
@@ -263,4 +263,13 @@ func TestShardedReportWithoutLease(t *testing.T) {
 		}
 		s.Report(c, 1, 1)
 	}
+}
+
+// keySetOf builds the frozen set a store would hand the novelty filter.
+func keySetOf(seen map[string]bool) *KeySet {
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	return NewKeySet(keys)
 }

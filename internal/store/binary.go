@@ -53,6 +53,9 @@ const (
 
 	frameEntry = 1
 	frameIndex = 2
+	// frameState and frameKeys are the snapshot file's (snapshot.go).
+	frameState = 3
+	frameKeys  = 4
 
 	// DefaultIndexEvery is the entry interval between index blocks: the
 	// maximum number of entries a tail seek over-reads.
@@ -61,10 +64,6 @@ const (
 	// idxRecSize is the side-index record width: uint64 seq + uint64
 	// frame offset, little endian.
 	idxRecSize = 16
-
-	// maxFramePayload bounds a single frame; larger length prefixes are
-	// treated as corruption rather than allocated.
-	maxFramePayload = 64 << 20
 )
 
 // segEnc is a reusable binary Entry encoder (one per writer goroutine,
@@ -282,16 +281,22 @@ func decodeEntry(payload []byte) (Entry, error) {
 	return en, nil
 }
 
+// openFrame starts a frame in dst whose payload, appended by the caller,
+// will be n bytes; closeFrame then seals it with the crc. Together they
+// render a frame in place, without the payload existing anywhere else.
+func openFrame(dst []byte, kind byte, n int) []byte {
+	return binary.AppendUvarint(append(dst, kind), uint64(n))
+}
+
+func closeFrame(dst []byte, kind byte, n int) []byte {
+	crc := crc32.Update(crc32.ChecksumIEEE([]byte{kind}), crc32.IEEETable, dst[len(dst)-n:])
+	return binary.LittleEndian.AppendUint32(dst, crc)
+}
+
 // appendFrame renders one complete frame (kind, length, payload, crc)
 // into dst and returns the extended slice.
 func appendFrame(dst []byte, kind byte, payload []byte) []byte {
-	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{kind})
-	crc.Write(payload)
-	return binary.LittleEndian.AppendUint32(dst, crc.Sum32())
+	return closeFrame(append(openFrame(dst, kind, len(payload)), payload...), kind, len(payload))
 }
 
 // indexPayload renders an index frame's payload: the seq of the next
@@ -308,6 +313,24 @@ func indexPayload(nextSeq int, prevOff int64) []byte {
 type frameReader struct {
 	r   *bufio.Reader
 	off int64 // offset of the NEXT frame
+	// size is where the bytes end: a length prefix reaching past it is a
+	// torn frame, never an allocation.
+	size int64
+}
+
+// newFrameReader reads frames from r, which is positioned at offset off
+// of size bytes.
+func newFrameReader(r io.Reader, off, size int64) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 1<<16), off: off, size: size}
+}
+
+// fileFrames reads f's frames from its current position, offset off.
+func fileFrames(f *os.File, off int64) (*frameReader, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return newFrameReader(f, off, fi.Size()), nil
 }
 
 // next reads one frame. io.EOF (clean boundary) means end of segment;
@@ -320,15 +343,12 @@ func (fr *frameReader) next() (kind byte, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, io.EOF
 	}
-	if kindB != frameEntry && kindB != frameIndex {
+	if kindB < frameEntry || kindB > frameKeys {
 		return 0, nil, fmt.Errorf("bad frame kind %d at offset %d", kindB, start)
 	}
 	n, err := binary.ReadUvarint(fr.r)
-	if err != nil {
+	if err != nil || int64(n) < 0 || int64(n) > fr.size-start {
 		return 0, nil, io.EOF
-	}
-	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("frame length %d at offset %d exceeds limit", n, start)
 	}
 	lenWidth := uvarintLen(n)
 	payload = make([]byte, n)
@@ -378,7 +398,10 @@ func readSegment(path string) ([]Entry, error) {
 	if string(magic[:]) != segMagic {
 		return nil, fmt.Errorf("store: %s is not an AFEX binary journal", path)
 	}
-	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16), off: int64(len(segMagic))}
+	fr, err := fileFrames(f, int64(len(segMagic)))
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	var entries []Entry
 	for {
 		kind, payload, err := fr.next()
@@ -419,8 +442,8 @@ func readIdx(path string, journalSize int64) []idxRec {
 			seq: int(binary.LittleEndian.Uint64(raw[i*idxRecSize:])),
 			off: int64(binary.LittleEndian.Uint64(raw[i*idxRecSize+8:])),
 		}
-		if rec.off >= journalSize || rec.off < int64(len(segMagic)) {
-			break // stale records past a truncation repair
+		if rec.off >= journalSize || rec.off < int64(len(segMagic)) || rec.seq < 0 {
+			break // stale records past a truncation repair, or not records at all
 		}
 		recs = append(recs, rec)
 	}
@@ -448,7 +471,10 @@ func scanSegment(f *os.File, from int64) (segScanResult, error) {
 	if _, err := f.Seek(from, io.SeekStart); err != nil {
 		return res, err
 	}
-	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16), off: from}
+	fr, err := fileFrames(f, from)
+	if err != nil {
+		return res, err
+	}
 	for {
 		start := fr.off
 		kind, payload, err := fr.next()
@@ -580,7 +606,7 @@ func readSegmentTail(journalPath, idxPath string, from int) (entries []Entry, sc
 	if _, err := f.Seek(start, io.SeekStart); err != nil {
 		return nil, 0, -1, false
 	}
-	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16), off: start}
+	fr := newFrameReader(f, start, fi.Size())
 	if startSeq >= 0 {
 		// Validate the landing: the frame at the index offset must be the
 		// index frame announcing startSeq.

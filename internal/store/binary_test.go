@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 
 // writeEntries journals n testRecord entries into dir with the given
 // options and closes the store.
-func writeEntries(t *testing.T, dir string, opts Options, n int) {
+func writeEntries(t testing.TB, dir string, opts Options, n int) {
 	t.Helper()
 	s, err := OpenOptions(dir, opts)
 	if err != nil {
@@ -276,6 +277,9 @@ func TestBinaryTailResumeFallsBack(t *testing.T) {
 	if r == nil || r.Base != 0 || len(r.Records) != n {
 		t.Fatalf("fallback recover: %+v (records %d), want base 0 with %d records", r, len(r.Records), n)
 	}
+	if r.Info.Path != "full-journal" || !strings.Contains(r.Info.Reason, "does not describe") || r.Info.Entries != n {
+		t.Fatalf("fallback recover reports %+v", r.Info)
+	}
 }
 
 // TestBinaryTailResumeRejectsLostJournal: a snapshot ahead of what the
@@ -300,8 +304,8 @@ func TestBinaryTailResumeRejectsLostJournal(t *testing.T) {
 	}
 	snap := testSnapshot(n, all)
 	snap.Seq = n + 5 // claims records the journal never got
-	if r := s.recoverTail(snap); r != nil {
-		t.Fatalf("tail resume accepted a snapshot ahead of the journal: %+v", r)
+	if r, why := s.recoverTail(snap); r != nil || !strings.Contains(why, "ahead of the journal") {
+		t.Fatalf("tail resume of a snapshot ahead of the journal: %+v, reason %q", r, why)
 	}
 }
 
@@ -438,10 +442,11 @@ func TestStatsJSONL(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshot: the stats reader takes the snapshot's seq from
-// wherever the field sits — leading the compact object the store writes,
-// or anywhere in an indented one — without decoding the rest, reports
-// the file's size, and treats anything else as no snapshot.
+// TestStatsSnapshot: the stats reader takes a legacy snapshot.json's seq
+// from wherever the field sits — leading the compact object builds before
+// snapshot.afexs wrote, or anywhere in an indented one — reports the
+// file's size, and treats anything else, a snapshot at no seq included,
+// as no snapshot.
 func TestStatsSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	writeEntries(t, dir, Options{}, 12)
@@ -456,7 +461,7 @@ func TestStatsSnapshot(t *testing.T) {
 		{"torn", `{"elapsed":5,"covered":[1,`, 0, false},
 		{"not an object", `[9]`, 0, false},
 	} {
-		if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(tc.body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, legacySnapshotName), []byte(tc.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		st, err := ReadStats(dir)

@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"afex/internal/core"
 )
 
 // Compact folds the journaled prefix covered by the latest snapshot
@@ -51,18 +49,9 @@ func Compact(dir string) (int, error) {
 		return 0, fmt.Errorf("store: compaction requires the %q journal format; %s journals in %q", FormatBinary, dir, format)
 	}
 
-	snapRaw, err := os.ReadFile(filepath.Join(dir, snapshotName))
-	if os.IsNotExist(err) {
-		return 0, nil // no snapshot, nothing provably coverable
-	}
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	var snap core.SessionState
-	if err := json.Unmarshal(snapRaw, &snap); err != nil {
-		return 0, nil // unreadable snapshot: compact nothing
-	}
-	if snap.Seq <= meta.CompactedSeq {
+	// No snapshot, or an unreadable one: nothing is provably covered.
+	snap, _, _, _ := readSnapshot(dir, true)
+	if snap == nil || snap.Seq <= meta.CompactedSeq {
 		return 0, nil
 	}
 

@@ -1,0 +1,256 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"afex/internal/core"
+	"afex/internal/explore"
+)
+
+// The bytes a resume trusts: the framed snapshot (and the legacy JSON one
+// it still reads), the segment frames and the side index. The invariant
+// is the shim pipe's: arbitrary input never panics and never sizes an
+// allocation by a number it has not checked against the bytes present;
+// it decodes, or it is an error or a clean truncation.
+
+// fuzzSnapshot is a snapshot with every kind of key list in it: the
+// aggregates', a portfolio's shared one, and arms' and shards' histories.
+func fuzzSnapshot() *core.SessionState {
+	var entries []Entry
+	for i := 0; i < 9; i++ {
+		c, rec := testRecord(i)
+		entries = append(entries, *entryFrom(0, c, rec))
+	}
+	st := testSnapshot(len(entries), entries)
+	flat := func(keys ...string) *explore.State {
+		return &explore.State{Algorithm: "random", Searches: []explore.SearchState{{History: keys}}}
+	}
+	st.Explorer = &explore.State{Algorithm: "sharded-portfolio", RR: 1, Shards: []*explore.State{
+		{Algorithm: "portfolio", Seen: []string{"0:1,2", "0:3,4"}, Arms: []explore.ArmSnapshot{
+			{Name: "fitness", Pulls: 2, State: flat("0:1,2", "")},
+			{Name: "random", State: flat()},
+		}},
+		nil,
+		flat("0:9,9,9"),
+	}}
+	return st
+}
+
+func FuzzSnapshotDecode(f *testing.F) {
+	framed, err := appendSnapshot(nil, fuzzSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy, err := json.Marshal(fuzzSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(framed)
+	f.Add(framed[:len(framed)-7])
+	f.Add(framed[:len(snapMagic)+40])
+	f.Add(legacy)
+	f.Add([]byte(`{"seq":9,"elapsed":5,"aggregates":{"injected":3,"seenKeys":["0:1","0:2"]}}`))
+	f.Add([]byte("{\n \"elapsed\": 5,\n \"covered\": [1, 2],\n \"seq\": 7\n}"))
+	f.Add([]byte(snapMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)), false)
+		if err != nil {
+			return
+		}
+		for _, list := range keyLists(st) {
+			if cap(*list) > len(data)*9/8+32 {
+				t.Fatalf("%d bytes of snapshot decoded to a key list with room for %d", len(data), cap(*list))
+			}
+		}
+		// What decodes writes back as a file that decodes to the same.
+		again, err := appendSnapshot(nil, st)
+		if err != nil {
+			return // a legacy snapshot can hold a float the encoder refuses
+		}
+		st2, err := decodeSnapshot(bytes.NewReader(again), int64(len(again)), false)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		a, b := keyLists(st), keyLists(st2)
+		if len(a) != len(b) {
+			t.Fatalf("snapshot with %d key lists re-decodes to %d", len(a), len(b))
+		}
+		for i := range a {
+			if len(*a[i]) != len(*b[i]) || (len(*a[i]) > 0 && !reflect.DeepEqual(*a[i], *b[i])) {
+				t.Fatalf("key list %d: %q re-decodes to %q", i, *a[i], *b[i])
+			}
+		}
+		head, err := decodeSnapshot(bytes.NewReader(again), int64(len(again)), true)
+		if err != nil || head.Seq != st.Seq || st2.Seq != st.Seq {
+			t.Fatalf("seq %d re-decodes to %d, and to %v (%v) from the state frame alone", st.Seq, st2.Seq, head, err)
+		}
+	})
+}
+
+func FuzzSegmentFrames(f *testing.F) {
+	var enc segEnc
+	var seg []byte
+	for i := 0; i < 5; i++ {
+		c, rec := testRecord(i)
+		enc.encodeEntry(entryFrom(0, c, rec))
+		seg = appendFrame(seg, frameEntry, enc.bytes())
+	}
+	seg = appendFrame(seg, frameIndex, indexPayload(5, -1))
+	f.Add(seg)
+	f.Add(seg[:len(seg)-3])
+	f.Add(append([]byte{frameEntry, 0xff, 0xff, 0xff, 0xff, 0x0f}, seg...))
+	f.Add([]byte{frameKeys, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr := newFrameReader(bytes.NewReader(data), 0, int64(len(data)))
+		for frames := 0; ; frames++ {
+			at := fr.off
+			kind, payload, err := fr.next()
+			if err != nil {
+				if err != io.EOF && fr.off != at {
+					t.Fatalf("a frame that failed (%v) moved the offset from %d to %d", err, at, fr.off)
+				}
+				return
+			}
+			if fr.off <= at || fr.off > int64(len(data)) || len(payload) > len(data) || frames > len(data) {
+				t.Fatalf("frame %d of %d bytes: offset %d -> %d, payload %d", frames, len(data), at, fr.off, len(payload))
+			}
+			if kind != frameEntry {
+				continue
+			}
+			en, err := decodeEntry(payload)
+			if err != nil {
+				continue
+			}
+			if len(en.Fault)+len(en.Plan)+len(en.Stack)+len(en.Blocks) > len(payload) {
+				t.Fatalf("%d payload bytes decoded to %d list elements", len(payload), len(en.Fault)+len(en.Plan)+len(en.Stack)+len(en.Blocks))
+			}
+			// An entry that decodes encodes to bytes that decode to it.
+			enc.encodeEntry(&en)
+			first := append([]byte(nil), enc.bytes()...)
+			en2, err := decodeEntry(first)
+			if err != nil {
+				t.Fatalf("re-encoded entry does not decode: %v", err)
+			}
+			if enc.encodeEntry(&en2); !bytes.Equal(first, enc.bytes()) {
+				t.Fatalf("entry %+v re-decodes to %+v", en, en2)
+			}
+		}
+	})
+}
+
+// FuzzReadIdx: the side index is advisory. Whatever its bytes, a tail
+// read through it is refused or returns exactly the journal's tail.
+func FuzzReadIdx(f *testing.F) {
+	const n, every = 100, 8
+	dir := f.TempDir()
+	writeEntries(f, dir, Options{Format: FormatBinary, IndexEvery: every}, n)
+	journal, idx := filepath.Join(dir, binJournalName), filepath.Join(dir, idxName)
+	good, err := os.ReadFile(idx)
+	if err != nil || len(good) != n/every*idxRecSize {
+		f.Fatalf("side index of the fixture: %d bytes, %v", len(good), err)
+	}
+	fi, err := os.Stat(journal)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good, 50)
+	f.Add(good[:len(good)-5], 99)
+	f.Add(append(appendIdxRec(nil, 40, 9), good...), 41)
+	f.Add(appendIdxRec(nil, 1<<62, 1<<62), 0)
+	f.Add(appendIdxRec(nil, -1<<62, 9000), 41) // a seq no journal has, at an offset inside this one
+	f.Fuzz(func(t *testing.T, raw []byte, from int) {
+		if err := os.WriteFile(idx, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs := readIdx(idx, fi.Size())
+		if len(recs) > len(raw)/idxRecSize {
+			t.Fatalf("%d index bytes read as %d records", len(raw), len(recs))
+		}
+		for _, r := range recs {
+			if r.off < int64(len(segMagic)) || r.off >= fi.Size() {
+				t.Fatalf("index record %+v points outside the %d-byte journal", r, fi.Size())
+			}
+		}
+		entries, _, _, ok := readSegmentTail(journal, idx, from)
+		if !ok {
+			return
+		}
+		want := max(n-max(from, 0), 0)
+		if len(entries) != want {
+			t.Fatalf("tail from %d through a fuzzed index holds %d entries, want %d", from, len(entries), want)
+		}
+		for i := range entries {
+			if entries[i].Seq != n-want+i {
+				t.Fatalf("tail from %d: entry %d has seq %d", from, i, entries[i].Seq)
+			}
+		}
+	})
+}
+
+// TestDamagedSnapshotFallsBack: a snapshot torn at any length or with a
+// byte flipped anywhere never fails the open or the recovery. Either the
+// damage is caught — crc, framing, JSON — and the journal alone rebuilds
+// every record, with the reason on the restore, or (a flip inside the
+// magic makes the file legacy JSON, which it is not) likewise.
+func TestDamagedSnapshotFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	const n, snapAt = 60, 50
+	writeEntries(t, dir, Options{Format: FormatBinary, IndexEvery: 16}, n)
+	all, err := ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenOptions(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SnapshotSession(testSnapshot(snapAt, all))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recover := func(raw []byte) *core.Restore {
+		t.Helper()
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenOptions(dir, Options{TailResume: true})
+		if err != nil {
+			t.Fatalf("open with a damaged snapshot: %v", err)
+		}
+		defer s.Close()
+		r, err := s.Recover()
+		if err != nil || r == nil {
+			t.Fatalf("recover with a damaged snapshot: %v, %v", r, err)
+		}
+		return r
+	}
+	if r := recover(whole); r.Info.Path != "tail" || r.Base != snapAt || r.Info.Entries != n-snapAt || r.Seen.Len() != n {
+		t.Fatalf("undamaged snapshot: %+v, base %d, %d keys", r.Info, r.Base, r.Seen.Len())
+	}
+	check := func(what string, raw []byte) {
+		t.Helper()
+		r := recover(raw)
+		if r.Info.Path != "full-journal" || r.Info.Reason == "" || r.Base != 0 || len(r.Records) != n || r.State != nil || r.Seen.Len() != n {
+			t.Fatalf("%s: %+v, base %d, %d records, state %v", what, r.Info, r.Base, len(r.Records), r.State != nil)
+		}
+	}
+	for cut := 0; cut < len(whole); cut += 7 {
+		check("torn", whole[:cut])
+	}
+	for at := 0; at < len(whole); at += 11 {
+		raw := append([]byte(nil), whole...)
+		raw[at] ^= 0x20
+		check("flipped", raw)
+	}
+}

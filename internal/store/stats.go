@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -41,15 +40,22 @@ type Stats struct {
 	IndexBlocks      int `json:"indexBlocks"`
 	SideIndexRecords int `json:"sideIndexRecords"`
 	// HasSnapshot/SnapshotSeq/SnapshotBytes describe the latest
-	// snapshot (its journal sequence and file size); CompactedSeq is the
+	// snapshot (its journal sequence and file size), SnapshotFormat its
+	// encoding ("framed", or "json" for a legacy snapshot.json) and
+	// SnapshotKeys the executed keys it lists; CompactedSeq is the
 	// archive watermark.
-	HasSnapshot   bool  `json:"hasSnapshot"`
-	SnapshotSeq   int   `json:"snapshotSeq"`
-	SnapshotBytes int64 `json:"snapshotBytes"`
-	CompactedSeq  int   `json:"compactedSeq"`
+	HasSnapshot    bool   `json:"hasSnapshot"`
+	SnapshotSeq    int    `json:"snapshotSeq"`
+	SnapshotBytes  int64  `json:"snapshotBytes"`
+	SnapshotFormat string `json:"snapshotFormat,omitempty"`
+	SnapshotKeys   int    `json:"snapshotKeys"`
+	CompactedSeq   int    `json:"compactedSeq"`
 	// TailEntries is the resume-tail size: entries past the snapshot,
-	// the amount of journal a tail resume must materialize.
-	TailEntries int `json:"tailEntries"`
+	// the amount of journal a tail resume must materialize. ResumePath
+	// says whether the next --resume can get by on that: "tail", or
+	// "full-journal" and why.
+	TailEntries int    `json:"tailEntries"`
+	ResumePath  string `json:"resumePath"`
 	// JournalBytes and ArchiveBytes are the segment file sizes.
 	JournalBytes int64 `json:"journalBytes"`
 	ArchiveBytes int64 `json:"archiveBytes"`
@@ -97,47 +103,28 @@ func ReadStats(dir string) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot + resume tail.
-	if f, err := os.Open(filepath.Join(dir, snapshotName)); err == nil {
-		if fi, err := f.Stat(); err == nil {
-			st.SnapshotBytes = fi.Size()
+	// Snapshot + resume tail. A snapshot at seq 0 describes nothing.
+	snap, name, size, err := readSnapshot(dir, false)
+	st.SnapshotBytes = size
+	why := "no snapshot"
+	if err != nil {
+		why = err.Error()
+	} else if snap != nil && snap.Seq > 0 {
+		st.HasSnapshot, st.SnapshotSeq, st.SnapshotFormat = true, snap.Seq, "framed"
+		if name == legacySnapshotName {
+			st.SnapshotFormat = "json"
 		}
-		if seq, ok := snapshotSeq(f); ok {
-			st.HasSnapshot = true
-			st.SnapshotSeq = seq
+		if snap.Aggregates != nil {
+			st.SnapshotKeys = len(snap.Aggregates.SeenKeys)
 		}
-		f.Close()
+		_, why = tailOf(dir, format, meta, snap)
 	}
-	st.TailEntries = st.Entries - st.SnapshotSeq
-	if st.TailEntries < 0 {
-		st.TailEntries = 0
+	st.TailEntries = max(st.Entries-st.SnapshotSeq, 0)
+	st.ResumePath = "tail"
+	if why != "" {
+		st.ResumePath = "full-journal: " + why
 	}
 	return st, nil
-}
-
-// snapshotSeq reads the "seq" field of a snapshot by streaming its
-// top-level keys — the field leads the object, so the snapshot's
-// O(session) key lists are never decoded. ok is false for anything that
-// is not a JSON object carrying an integer seq.
-func snapshotSeq(r io.Reader) (seq int, ok bool) {
-	dec := json.NewDecoder(r)
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return 0, false
-	}
-	for dec.More() {
-		key, err := dec.Token()
-		if err != nil {
-			return 0, false
-		}
-		if key == "seq" {
-			return seq, dec.Decode(&seq) == nil
-		}
-		var skipped json.RawMessage
-		if dec.Decode(&skipped) != nil {
-			return 0, false
-		}
-	}
-	return 0, false
 }
 
 // JournalPath resolves a state directory's live journal file —

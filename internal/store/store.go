@@ -36,7 +36,12 @@
 //	              resume seeks to the tail instead of scanning the run
 //	archive.afexj compacted journal prefix already covered by a
 //	              snapshot (binary format only; see Compact)
-//	snapshot.json latest core.SessionState, replaced atomically
+//	snapshot.afexs latest core.SessionState, replaced atomically: one
+//	              crc frame of JSON with the executed-key lists elided,
+//	              then one length-prefixed frame per list (snapshot.go)
+//	snapshot.json the snapshot as builds before that file wrote it:
+//	              read when it is all there is, never written, removed
+//	              once a snapshot.afexs has landed
 //
 // The journal format is chosen per directory at creation (Options.Format
 // via OpenOptions) and recorded in meta.json; an existing directory
@@ -71,10 +76,9 @@ import (
 )
 
 const (
-	metaName     = "meta.json"
-	journalName  = "journal.jsonl"
-	snapshotName = "snapshot.json"
-	lockName     = "lock"
+	metaName    = "meta.json"
+	journalName = "journal.jsonl"
+	lockName    = "lock"
 
 	// Version guards the on-disk format.
 	Version = 1
@@ -343,6 +347,9 @@ type Store struct {
 	liveOff      int64
 	lastIndexOff int64
 	idx          *os.File
+	// snapBuf is the snapshot file under construction, reused from one
+	// snapshot to the next.
+	snapBuf []byte
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -660,12 +667,18 @@ func (s *Store) process(m *msg) {
 			s.setErr(err)
 			return
 		}
-		raw, err := json.Marshal(m.snap)
+		var err error
+		if s.snapBuf, err = appendSnapshot(s.snapBuf[:0], m.snap); err == nil {
+			err = s.writeAtomic(snapshotName, s.snapBuf)
+		}
 		if err != nil {
 			s.setErr(err)
 			return
 		}
-		s.setErr(s.writeAtomic(snapshotName, raw))
+		// The snapshot an older build left is now the stale one.
+		if err := os.Remove(filepath.Join(s.dir, legacySnapshotName)); err != nil && !os.IsNotExist(err) {
+			s.setErr(err)
+		}
 	}
 }
 
@@ -877,39 +890,40 @@ func (s *Store) LoadEntries() ([]Entry, error) {
 }
 
 // LoadSnapshot reads the latest session snapshot; (nil, nil) when none
-// exists. A snapshot that fails to decode is treated as absent — resume
-// then rebuilds everything from the journal alone.
+// exists, an error when one exists and does not decode.
 func (s *Store) LoadSnapshot() (*core.SessionState, error) {
-	raw, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var st core.SessionState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, nil // unreadable snapshot: fall back to the journal
-	}
-	return &st, nil
+	st, _, _, err := readSnapshot(s.dir, false)
+	return st, err
 }
 
 // Recover rebuilds a core.Restore from the directory's journal and
 // snapshot: records and explorer-tail feedback from the journal, cluster
-// and search state from the snapshot when one is usable. It returns nil
-// when the directory holds no prior state.
+// and search state from the snapshot when one is usable, and the
+// executed-key set of it all, built here once. It returns nil when the
+// directory holds no prior state. A snapshot that is torn or corrupt
+// never fails the recovery: the journal alone rebuilds everything, and
+// Restore.Info says why it had to.
 func (s *Store) Recover() (*core.Restore, error) {
+	began := time.Now()
 	snap, err := s.LoadSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	if s.tailResume {
+	info := core.ResumeInfo{Path: "full-journal", SnapshotNS: int64(time.Since(began))}
+	began = time.Now()
+	switch {
+	case err != nil:
+		info.Reason = err.Error()
+	case !s.tailResume:
+		info.Reason = "tail resume not requested"
+	default:
 		// Binary directories with a self-describing snapshot resume in
-		// O(snapshot + tail); any validation failure falls through to
-		// the full-journal path below.
-		if r := s.recoverTail(snap); r != nil {
+		// O(snapshot + tail); anything else takes the full-journal path
+		// below, which handles every degenerate case.
+		r, why := s.recoverTail(snap)
+		if r != nil {
+			info.Path, info.Entries, info.JournalNS = "tail", len(r.Records), int64(time.Since(began))
+			r.Info = info
 			return r, nil
 		}
+		info.Reason = why
 	}
 	entries, err := s.LoadEntries()
 	if err != nil {
@@ -936,9 +950,12 @@ func (s *Store) Recover() (*core.Restore, error) {
 	}
 	r := &core.Restore{State: snap}
 	r.Records = make([]core.Record, len(entries))
+	keys := make([]string, len(entries))
 	for i := range entries {
 		r.Records[i] = entries[i].Record()
+		keys[i] = entries[i].Key()
 	}
+	r.Seen = explore.NewKeySet(keys)
 	// Prior wall clock is known only as of the last snapshot; runtime
 	// between it and a crash is not recoverable (the journal carries no
 	// per-entry clock by design), so cumulative Elapsed under-reports by
@@ -954,65 +971,68 @@ func (s *Store) Recover() (*core.Restore, error) {
 			r.Tail = append(r.Tail, entries[i].Feedback())
 		}
 	}
+	info.Entries, info.JournalNS = len(entries), int64(time.Since(began))
+	r.Info = info
 	return r, nil
 }
 
-// recoverTail builds a tail-only Restore: the snapshot self-describes
-// journal entries [0, Seq) via its aggregates, so only the tail past it
-// is decoded — seeked to through the segment's index blocks. Returns
-// nil whenever any precondition or validation fails; Recover then takes
-// the full-journal path, which handles every degenerate case.
-func (s *Store) recoverTail(snap *core.SessionState) *core.Restore {
-	if s.format != FormatBinary || snap == nil || snap.Seq <= 0 {
-		return nil
-	}
-	if snap.Aggregates == nil || snap.AllStacks == nil || snap.FailClusters == nil || snap.CrashClusters == nil {
-		return nil
-	}
-	if s.meta.CompactedSeq > snap.Seq {
-		return nil // archive reaches past the snapshot: inconsistent
+// tailOf returns the journal entries past snap when a binary directory
+// can resume from the snapshot and that tail alone — the snapshot
+// self-describes entries [0, Seq) via its aggregates, and the tail is
+// seeked to through the segment's index blocks — or else the reason it
+// cannot.
+func tailOf(dir, format string, meta Meta, snap *core.SessionState) ([]Entry, string) {
+	switch {
+	case format != FormatBinary:
+		return nil, "the " + format + " journal has no index to seek by"
+	case snap == nil || snap.Seq <= 0:
+		return nil, "no snapshot"
+	case snap.Aggregates == nil || snap.AllStacks == nil || snap.FailClusters == nil || snap.CrashClusters == nil:
+		return nil, "snapshot does not describe the journal before it"
+	case meta.CompactedSeq > snap.Seq:
+		return nil, "archive reaches past the snapshot"
 	}
 	entries, _, lastSeq, ok := readSegmentTail(
-		filepath.Join(s.dir, binJournalName), filepath.Join(s.dir, idxName), snap.Seq)
+		filepath.Join(dir, binJournalName), filepath.Join(dir, idxName), snap.Seq)
 	if !ok {
-		return nil
+		return nil, "journal tail unreadable through the index"
 	}
 	// The journal (live segment, or archive when the live tail is empty)
 	// must reach the snapshot: a snapshot ahead of the journal means
 	// journal bytes were lost, which the full path detects and handles
 	// by discarding the snapshot.
-	end := lastSeq + 1
-	if end < s.meta.CompactedSeq {
-		end = s.meta.CompactedSeq
-	}
-	if end < snap.Seq {
-		return nil
-	}
-	// The tail must be contiguous from the snapshot and introduce no
-	// duplicate scenario keys (vs itself or the snapshot's seen set) —
-	// otherwise the full path's renumbering/dedup semantics apply.
-	seen := make(map[string]bool, len(snap.Aggregates.SeenKeys)+len(entries))
-	for _, k := range snap.Aggregates.SeenKeys {
-		seen[k] = true
+	if end := max(lastSeq+1, meta.CompactedSeq); end < snap.Seq {
+		return nil, fmt.Sprintf("snapshot at %d is ahead of the journal's %d entries", snap.Seq, end)
 	}
 	for i := range entries {
 		if entries[i].Seq != snap.Seq+i {
-			return nil
-		}
-		if key := entries[i].Key(); seen[key] {
-			return nil
-		} else {
-			seen[key] = true
+			return nil, "journal tail is not contiguous from the snapshot"
 		}
 	}
+	return entries, ""
+}
+
+// recoverTail builds a tail-only Restore, or says why it cannot. The
+// executed-key set is the snapshot's list with the tail's keys added —
+// which is also the check that the tail repeats no key, of its own or
+// the snapshot's (the full path's dedup semantics apply otherwise).
+func (s *Store) recoverTail(snap *core.SessionState) (*core.Restore, string) {
+	entries, why := tailOf(s.dir, s.format, s.meta, snap)
+	if why != "" {
+		return nil, why
+	}
 	r := &core.Restore{State: snap, Base: snap.Seq, Elapsed: snap.Elapsed}
+	r.Seen = explore.NewKeySet(snap.Aggregates.SeenKeys)
 	r.Records = make([]core.Record, len(entries))
 	r.Tail = make([]explore.Feedback, len(entries))
 	for i := range entries {
+		if !r.Seen.Add(entries[i].Key()) {
+			return nil, "journal tail repeats an executed key"
+		}
 		r.Records[i] = entries[i].Record()
 		r.Tail[i] = entries[i].Feedback()
 	}
-	return r
+	return r, ""
 }
 
 // Attach wires the store into an exploration config: it registers the
@@ -1060,18 +1080,7 @@ func (s *Store) AttachNamed(cfg *core.Config, target string) error {
 				r.State.Explorer = nil
 			}
 		}
-		cfg.Restore = r
-		cfg.Seen = make(map[string]bool, len(r.Records))
-		if r.Base > 0 && r.State != nil && r.State.Aggregates != nil {
-			// Tail restore: keys for the unmaterialized prefix come from
-			// the snapshot's aggregates.
-			for _, k := range r.State.Aggregates.SeenKeys {
-				cfg.Seen[k] = true
-			}
-		}
-		for i := range r.Records {
-			cfg.Seen[r.Records[i].Point.Key()] = true
-		}
+		cfg.Restore, cfg.Seen = r, r.Seen
 	}
 	cfg.Store = s
 	return nil

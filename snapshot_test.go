@@ -6,20 +6,25 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
 	"afex/internal/cluster"
 	"afex/internal/core"
 	"afex/internal/explore"
+	"afex/internal/faultspace"
+	"afex/internal/prog"
+	"afex/internal/store"
 )
 
-// Snapshot shape tests. snapshot.json lists each distinct stack once and
-// the executed keys in fold order, as compact JSON; before that it listed
-// every stack occurrence and sorted keys, indented. The file has no
-// format version, so both shapes must resume to the same session, and
-// the new one must stay a function of the seed.
+// Snapshot shape tests. snapshot.afexs lists each distinct stack once
+// and the executed keys in fold order, the key lists in frames of their
+// own; before it there was snapshot.json, all JSON, which once listed
+// every stack occurrence and sorted keys, indented. Every shape must
+// resume to the same session, and the new one must stay a function of
+// the seed.
 
 // killedSession runs opts until killAt folds and abandons the engine
 // without Finish, as resume_test.go does: only the store's writes
@@ -74,20 +79,54 @@ func copyStateDir(t *testing.T, from string) string {
 	return to
 }
 
-// rewriteSnapshotLegacy rewrites dir's snapshot.json into the shape
-// written before the memory deduplicated: stacks repeated per occurrence
-// (adjacent, the list being sorted), every key list sorted, indented.
-func rewriteSnapshotLegacy(t *testing.T, dir string) {
+// loadSnapshot reads a closed state directory's snapshot through the
+// store, whichever file it is in.
+func loadSnapshot(t *testing.T, dir string) *core.SessionState {
 	t.Helper()
-	path := filepath.Join(dir, "snapshot.json")
-	raw, err := os.ReadFile(path)
+	s, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st core.SessionState
-	if err := json.Unmarshal(raw, &st); err != nil {
+	defer s.Close()
+	st, err := s.LoadSnapshot()
+	if err != nil || st == nil {
+		t.Fatalf("snapshot of %s: %v, %v", dir, st, err)
+	}
+	return st
+}
+
+// snapshotBytes returns dir's snapshot file with the wall clock pinned:
+// the snapshot written again through the store with Elapsed zeroed.
+func snapshotBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	st := loadSnapshot(t, dir)
+	st.Elapsed = 0
+	s, err := store.Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	s.SnapshotSession(st)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "snapshot.afexs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("AFEXSNP1")) {
+		t.Fatalf("snapshot.afexs starts %q, not with the snapshot magic", raw[:8])
+	}
+	return raw
+}
+
+// rewriteSnapshotLegacy replaces dir's snapshot with the only one a
+// directory written before snapshot.afexs holds: snapshot.json, key
+// lists as JSON arrays, in the shape written before the memory
+// deduplicated — stacks repeated per occurrence (adjacent, the list
+// being sorted), every key list sorted, indented.
+func rewriteSnapshotLegacy(t *testing.T, dir string) {
+	t.Helper()
+	st := *loadSnapshot(t, dir)
 	if st.Aggregates == nil || st.Explorer == nil || len(st.AllStacks.Stacks) == 0 {
 		t.Fatalf("snapshot at seq %d is too empty to exercise the legacy shape", st.Seq)
 	}
@@ -118,17 +157,22 @@ func rewriteSnapshotLegacy(t *testing.T, dir string) {
 		}
 	}
 	sortKeys(st.Explorer)
-	if raw, err = json.MarshalIndent(&st, "", " "); err != nil {
+	raw, err := json.MarshalIndent(&st, "", " ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "snapshot.afexs")); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLegacySnapshotShapeResumes: a state directory whose snapshot is in
-// the old shape resumes to the record-for-record continuation the new
-// shape gives.
+// TestLegacySnapshotShapeResumes: a state directory holding only an
+// old-shape snapshot.json resumes to the record-for-record continuation
+// the new file gives, and that resume leaves its snapshot in the new
+// file and the old one gone.
 func TestLegacySnapshotShapeResumes(t *testing.T) {
 	const total, killAt = 120, 59
 	for _, algo := range []string{FitnessGuided, Portfolio} {
@@ -165,17 +209,27 @@ func TestLegacySnapshotShapeResumes(t *testing.T) {
 					t.Fatalf("legacy shape ends with %d/%d clusters, new shape with %d/%d",
 						got.UniqueFailures, got.UniqueCrashes, want.UniqueFailures, want.UniqueCrashes)
 				}
+				if _, err := os.Stat(filepath.Join(legacyDir, "snapshot.json")); !os.IsNotExist(err) {
+					t.Fatalf("snapshot.json outlived the resume (stat: %v)", err)
+				}
+				// Same file, same keys; the ones the legacy snapshot listed
+				// stay in the (sorted) order it listed them in.
+				a, b := snapshotBytes(t, legacyDir), snapshotBytes(t, dir)
+				ka, kb := loadSnapshot(t, legacyDir).Aggregates.SeenKeys, loadSnapshot(t, dir).Aggregates.SeenKeys
+				sort.Strings(ka)
+				sort.Strings(kb)
+				if len(a) != len(b) || len(ka) != total || !reflect.DeepEqual(ka, kb) {
+					t.Fatalf("the resume from snapshot.json left %d snapshot bytes listing %d keys, the one from the new file %d bytes and %d keys",
+						len(a), len(ka), len(b), len(kb))
+				}
 			})
 		}
 	}
 }
 
-var elapsedField = regexp.MustCompile(`"elapsed":\d+`)
-
 // TestSnapshotBytesDeterministic: two same-seed sequential sessions write
 // byte-identical snapshots apart from the wall clock — uninterrupted, and
-// killed and resumed at the same point, where the keys the resumed engine
-// starts from arrive in a map.
+// killed and resumed at the same point.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	const total, killAt = 150, 71
 	for _, algo := range []string{FitnessGuided, Portfolio} {
@@ -194,14 +248,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 						} else if _, err := Explore(opts); err != nil {
 							t.Fatal(err)
 						}
-						raw, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if bytes.ContainsRune(raw, '\n') {
-							t.Fatal("snapshot.json is not compact JSON")
-						}
-						out[i] = elapsedField.ReplaceAll(raw, []byte(`"elapsed":0`))
+						out[i] = snapshotBytes(t, dir)
 					}
 					return out
 				}
@@ -221,48 +268,191 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 // other fold the two overlap constantly — run under -race in CI — and
 // every snapshot must still be the session as of its own seq: here the
 // last one, which a resumed run then continues without re-executing.
+// That run shares too: its four workers generate through the novelty
+// filter, which reads the store's frozen key set under the explorer
+// lock, while their folds probe the same set under the session lock and
+// add this run's keys beside it.
 func TestSnapshotSharesListsWithLiveSession(t *testing.T) {
-	const total, more = 400, 40
+	const total, more = 400, 200
 	for _, algo := range []string{FitnessGuided, Portfolio} {
 		t.Run(algo, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := resumeOptions(11, total, dir)
-			opts.Algorithm = algo
-			opts.Workers = 4
-			opts.Batch = 4
-			opts.SnapshotEvery = 2
-			if _, err := Explore(opts); err != nil {
-				t.Fatal(err)
-			}
-			raw, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st core.SessionState
-			if err := json.Unmarshal(raw, &st); err != nil {
-				t.Fatal(err)
-			}
-			if st.Seq != total || len(st.Aggregates.SeenKeys) != total {
-				t.Fatalf("final snapshot has seq %d and %d executed keys, want %d of each", st.Seq, len(st.Aggregates.SeenKeys), total)
-			}
-			distinct := make(map[string]bool, total)
-			for _, k := range st.Aggregates.SeenKeys {
-				distinct[k] = true
-			}
-			if len(distinct) != total {
-				t.Fatalf("snapshot lists %d distinct executed keys, want %d", len(distinct), total)
-			}
+			for _, format := range []string{JournalJSONL, JournalBinary} {
+				t.Run(format, func(t *testing.T) {
+					dir := t.TempDir()
+					opts := resumeOptions(11, total, dir)
+					opts.Algorithm = algo
+					opts.JournalFormat = format
+					opts.Workers = 4
+					opts.Batch = 4
+					opts.SnapshotEvery = 2
+					if _, err := Explore(opts); err != nil {
+						t.Fatal(err)
+					}
+					st := loadSnapshot(t, dir)
+					if st.Seq != total || len(st.Aggregates.SeenKeys) != total {
+						t.Fatalf("final snapshot has seq %d and %d executed keys, want %d of each", st.Seq, len(st.Aggregates.SeenKeys), total)
+					}
+					distinct := make(map[string]bool, total)
+					for _, k := range st.Aggregates.SeenKeys {
+						distinct[k] = true
+					}
+					if len(distinct) != total {
+						t.Fatalf("snapshot lists %d distinct executed keys, want %d", len(distinct), total)
+					}
 
-			opts.Iterations = total + more
-			res := resumedSession(t, opts)
-			if res.Executed != total+more {
-				t.Fatalf("resumed session executed %d, want %d", res.Executed, total+more)
-			}
-			for _, rec := range res.Records {
-				if rec.ID >= total && distinct[rec.Point.Key()] {
-					t.Fatalf("scenario %s executed again after resume", rec.Point.Key())
-				}
+					opts.Iterations = total + more
+					res := resumedSession(t, opts)
+					if res.Executed != total+more {
+						t.Fatalf("resumed session executed %d, want %d", res.Executed, total+more)
+					}
+					for _, rec := range res.Records {
+						if rec.ID >= total && distinct[rec.Point.Key()] {
+							t.Fatalf("scenario %s executed again after resume", rec.Point.Key())
+						}
+					}
+					if st = loadSnapshot(t, dir); len(st.Aggregates.SeenKeys) != total+more {
+						t.Fatalf("resumed session's snapshot lists %d executed keys, want %d", len(st.Aggregates.SeenKeys), total+more)
+					}
+				})
 			}
 		})
 	}
+}
+
+// TestResumedSnapshotEqualsUninterrupted: a sequential session killed
+// after a snapshot and resumed to the budget leaves the final snapshot an
+// uninterrupted one leaves — key lists, cluster sets and explorer state
+// element for element, nothing sorted on either side. The resumed engine
+// starts from the store's key set, in fold order, and lists this run's
+// keys behind it; a sorted or map-ordered start would show here.
+func TestResumedSnapshotEqualsUninterrupted(t *testing.T) {
+	const total, killAt = 150, 71
+	for _, tc := range []struct {
+		name, algo string
+		shards     int
+	}{{"fitness", FitnessGuided, 0}, {"portfolio", Portfolio, 0}, {"sharded-random", Random, 3}} {
+		for _, format := range []string{JournalJSONL, JournalBinary} {
+			t.Run(fmt.Sprintf("%s/%s", tc.name, format), func(t *testing.T) {
+				final := func(kill bool) []byte {
+					dir := t.TempDir()
+					opts := resumeOptions(9, total, dir)
+					opts.Algorithm, opts.Shards, opts.JournalFormat = tc.algo, tc.shards, format
+					if kill {
+						killedSession(t, opts, killAt)
+						if res := resumedSession(t, opts); res.Executed != total {
+							t.Fatalf("resumed session executed %d, want %d", res.Executed, total)
+						}
+					} else if _, err := Explore(opts); err != nil {
+						t.Fatal(err)
+					}
+					st := loadSnapshot(t, dir)
+					if n := len(st.Aggregates.SeenKeys); st.Seq != total || n != total {
+						t.Fatalf("final snapshot at seq %d lists %d keys, want %d", st.Seq, n, total)
+					}
+					st.Elapsed = 0
+					raw, err := json.Marshal(st)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return raw
+				}
+				if want, got := final(false), final(true); !bytes.Equal(want, got) {
+					t.Fatalf("resumed session's final snapshot differs from the uninterrupted one's:\n got %s\nwant %s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// keyHeavySession is a session whose snapshot is mostly executed keys:
+// a four-test target that hardly ever injects, under a space of 1.2 M
+// points, so clusters, coverage and journal entries stay small.
+func keyHeavySession(dir string, entries int) Options {
+	target := &System{
+		Name: "tiny",
+		Routines: map[string]*prog.Routine{
+			"serve": {Name: "serve", Module: "srv", Ops: []prog.Op{
+				{Func: "read", Repeat: 2, OnError: prog.Tolerate, Block: 1},
+				{Func: "malloc", OnError: prog.Tolerate, Block: 2},
+				{Func: "write", Repeat: 2, OnError: prog.Tolerate, Block: 3},
+			}},
+		},
+		TestSuite: []prog.Test{
+			{Name: "t0", Script: []string{"serve"}}, {Name: "t1", Script: []string{"serve"}},
+			{Name: "t2", Script: []string{"serve"}}, {Name: "t3", Script: []string{"serve"}},
+		},
+		NumBlocks: 3,
+	}
+	if err := target.Validate(); err != nil {
+		panic(err)
+	}
+	return Options{
+		Target: target,
+		Space: faultspace.NewUnion(faultspace.New("tiny",
+			faultspace.IntAxis("testID", 0, 3),
+			faultspace.SetAxis("function", "read", "malloc", "write"),
+			faultspace.IntAxis("callNumber", 1, 100000))),
+		Algorithm:     Random,
+		Iterations:    entries,
+		StateDir:      dir,
+		JournalFormat: JournalBinary,
+		Explore:       ExploreOptions{Seed: 4},
+	}
+}
+
+// TestResumeCostsTheSnapshot pins what a tail resume pays before its
+// first lease, by counting rather than timing. The executed-key set is
+// built at most twice: the store's, which the engine and the novelty
+// filter share, and the explorer's history. And everything allocated
+// from opening the directory to the first Lease stays within a small
+// multiple of the snapshot file: per key and list, the frame it is read
+// in (~13 bytes, the strings alias it), a string header (16, plus an
+// eighth of headroom) and 8 to 16 bytes of index — no second copy of the
+// keys, no map per layer, no JSON scanner garbage.
+func TestResumeCostsTheSnapshot(t *testing.T) {
+	const entries, tail = 20000, 100
+	dir := t.TempDir()
+	opts := keyHeavySession(dir, entries)
+	opts.SnapshotEvery, opts.StateStamp = entries-tail, "run-0"
+	// No Finish: the last snapshot stays tail entries behind the journal.
+	eng, cleanup, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunWith(eng.LocalExecutor())
+	if err := cleanup(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, "snapshot.afexs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opts.Iterations, opts.Resume, opts.StateStamp = entries+10, true, "run-1"
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	built := explore.KeysBuilt()
+	eng, cleanup, err = NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	cands := eng.Lease(1)
+	runtime.ReadMemStats(&after)
+	built = explore.KeysBuilt() - built
+
+	snap := eng.Snapshot()
+	if len(cands) != 1 || snap.Executed != entries || snap.Resume == nil || snap.Resume.Path != "tail" || snap.Resume.Entries != tail {
+		t.Fatalf("resume leased %d candidates at %d executed, resumed %+v; want a tail resume of %d entries", len(cands), snap.Executed, snap.Resume, tail)
+	}
+	if built < entries-tail || built > 2*entries {
+		t.Errorf("resume indexed %d keys building key sets, want the %d executed keys at most twice", built, entries)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("open to first Lease allocated %d bytes, %.2fx the snapshot's %d", alloc, float64(alloc)/float64(fi.Size()), fi.Size())
+	if alloc > 6*uint64(fi.Size()) {
+		t.Errorf("open to first Lease allocated %d bytes, more than 6x the snapshot's %d", alloc, fi.Size())
+	}
+	eng.Finish()
 }
