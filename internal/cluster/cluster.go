@@ -209,6 +209,15 @@ type simMemo struct {
 	upto int
 }
 
+// nearest is AddKeyed's memoized answer for a remembered stack that is
+// not a representative: the cluster that absorbed it, at what distance,
+// and how many clusters existed then (0: not asked yet). Clusters are
+// append-only and their representatives immutable, so the answer stays
+// exact for clusters[:upto] forever, as a simMemo does for the log.
+type nearest struct {
+	cluster, dist, upto int
+}
+
 // Set maintains redundancy clusters incrementally. Each added stack is
 // either absorbed by the nearest existing cluster (distance to its
 // representative ≤ Threshold) or founds a new one. Every occurrence is
@@ -226,13 +235,11 @@ type Set struct {
 	// O(1) fast path for the overwhelmingly common case of a re-triggered
 	// identical trace.
 	repByKey map[string]int
-	// repsByLen buckets cluster indices by representative frame count;
-	// only clusters within ±Threshold frames can absorb a stack.
-	repsByLen map[int][]int
 
-	// The stack memory behind MaxSimilarity: the exact-match set plus
+	// The stack memory behind MaxSimilarity: the exact-match set (each
+	// key with the cluster that last absorbed its stack) plus
 	// length/frame-signature buckets of every distinct stack added.
-	allByKey map[string]struct{}
+	allByKey map[string]nearest
 	allByLen map[int]*lenBucket
 	minLen   int
 	maxLen   int
@@ -272,8 +279,7 @@ func NewSet(threshold int) *Set {
 func (s *Set) init() {
 	if s.repByKey == nil {
 		s.repByKey = make(map[string]int)
-		s.repsByLen = make(map[int][]int)
-		s.allByKey = make(map[string]struct{})
+		s.allByKey = make(map[string]nearest)
 		s.allByLen = make(map[int]*lenBucket)
 		s.memo = make(map[string]simMemo)
 	}
@@ -300,7 +306,7 @@ func (s *Set) Clusters() []Cluster {
 // its key and returns the (copied) stack actually stored.
 func (s *Set) remember(key string, stack []string) []string {
 	stored := append([]string(nil), stack...)
-	s.allByKey[key] = struct{}{}
+	s.allByKey[key] = nearest{}
 	l := len(stored)
 	b := s.allByLen[l]
 	if b == nil {
@@ -355,13 +361,14 @@ func (s *Set) AddKeyed(id int, stack []string, key string) (clusterID int, isNew
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.init()
-	// This exact stack now answers MaxSimilarity 1 via the exact-match
-	// hash; its memo entry (if any) is dead weight.
-	delete(s.memo, key)
 	// A repeat adds nothing to the memory: its first copy already answers
 	// every similarity question at least as well.
+	near, repeat := s.allByKey[key]
 	var stored []string
-	if !s.remembered(key) {
+	if !repeat {
+		// This exact stack now answers MaxSimilarity 1 via the exact-match
+		// hash; its memo entry (if any) is dead weight.
+		delete(s.memo, key)
 		stored = s.remember(key, stack)
 	}
 
@@ -375,34 +382,29 @@ func (s *Set) AddKeyed(id int, stack []string, key string) (clusterID int, isNew
 
 	// Only clusters whose representative has a frame count within
 	// ±Threshold can be at distance ≤ Threshold (edit distance is at
-	// least the length difference); scan exactly those, lowest cluster
-	// index first so tie-breaking matches the historical linear scan.
-	// Distances beyond the threshold never influence the outcome, so the
-	// screen is the banded bounded distance, and — since the exact probe
-	// above ruled out distance 0 — a distance-1 hit ends the scan: no
-	// later cluster can tie-break it.
+	// least the length difference); screen exactly those, lowest cluster
+	// index first so tie-breaking matches the historical linear scan —
+	// and only those founded since this stack was last absorbed, which a
+	// nearer one must beat outright. The screen is the banded distance
+	// bounded by what would still win, and — since the exact probe above
+	// ruled out distance 0 — a distance-1 hit is final: no later cluster
+	// can tie-break it.
 	la := len(stack)
-	best, bestDist := -1, int(^uint(0)>>1)
-	if s.Threshold > 0 {
-		var cands []int
-		for lb := la - s.Threshold; lb <= la+s.Threshold; lb++ {
-			if lb < 0 {
-				continue
-			}
-			cands = append(cands, s.repsByLen[lb]...)
+	best, bestDist := -1, s.Threshold+1
+	if near.upto > 0 {
+		best, bestDist = near.cluster, near.dist
+	}
+	for i := near.upto; i < len(s.clusters) && bestDist > 1; i++ {
+		rep := s.clusters[i].Representative
+		if gap := len(rep) - la; gap >= bestDist || -gap >= bestDist {
+			continue
 		}
-		sort.Ints(cands)
-		for _, i := range cands {
-			d := boundedLevenshtein(stack, s.clusters[i].Representative, s.Threshold)
-			if d <= s.Threshold && d < bestDist {
-				best, bestDist = i, d
-				if bestDist <= 1 {
-					break
-				}
-			}
+		if d := boundedLevenshtein(stack, rep, bestDist-1); d < bestDist {
+			best, bestDist = i, d
 		}
 	}
-	if best >= 0 && bestDist <= s.Threshold {
+	if best >= 0 {
+		s.allByKey[key] = nearest{cluster: best, dist: bestDist, upto: len(s.clusters)}
 		s.clusters[best].Members = append(s.clusters[best].Members, id)
 		return best, false
 	}
@@ -416,7 +418,6 @@ func (s *Set) AddKeyed(id int, stack []string, key string) (clusterID int, isNew
 		Members:        []int{id},
 	})
 	s.repByKey[key] = ci
-	s.repsByLen[la] = append(s.repsByLen[la], ci)
 	return ci, true
 }
 

@@ -66,6 +66,87 @@ func repeatStacks(rng *xrand.Rand, n int) [][]string {
 	return out
 }
 
+// driftStacks generates chains that wander a frame or two at a time
+// away from a base stack, every link of every chain coming round again
+// later: a stack absorbed by an early cluster keeps meeting clusters
+// founded since that are nearer, which is where AddKeyed's per-key memo
+// has to rescan and move it rather than repeat its first answer.
+func driftStacks(rng *xrand.Rand, n int) [][]string {
+	frame := func() string { return fmt.Sprintf("m%d!f%d", rng.Intn(6), rng.Intn(40)) }
+	var links [][]string
+	for len(links) < n/4 {
+		st := make([]string, 8+rng.Intn(4))
+		for j := range st {
+			st[j] = frame()
+		}
+		for hop := 0; hop < 6; hop++ {
+			links = append(links, st)
+			st = append([]string(nil), st...)
+			for edits := 1 + rng.Intn(2); edits > 0; edits-- {
+				st[rng.Intn(len(st))] = frame()
+			}
+		}
+	}
+	out := make([][]string, n)
+	for i := range out {
+		if i < len(links) {
+			out[i] = links[i]
+		} else {
+			out[i] = links[rng.Intn(len(links))]
+		}
+	}
+	return out
+}
+
+// TestRepeatMovesToNearerCluster: B is absorbed by A's cluster at
+// distance 3; C, two frames from B and five from A, then founds its
+// own. The next B belongs to C's cluster — the memoized (0, 3) is a
+// bound to beat, not the answer — and stays there.
+func TestRepeatMovesToNearerCluster(t *testing.T) {
+	a := []string{"a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7"}
+	b := append([]string{"x", "y", "z"}, a[3:]...)
+	c := append([]string{"x", "y", "z", "p", "q"}, a[5:]...)
+	idx, ref := NewSet(3), &naiveSet{threshold: 3}
+	for id, step := range []struct {
+		stack []string
+		want  int
+		isNew bool
+	}{{a, 0, true}, {b, 0, false}, {b, 0, false}, {c, 1, true}, {b, 1, false}, {b, 1, false}, {a, 0, false}} {
+		gi, gn := idx.Add(id, step.stack)
+		wi, wn := ref.add(id, step.stack)
+		if gi != step.want || gn != step.isNew || gi != wi || gn != wn {
+			t.Fatalf("add %d (%v) = (%d,%v), want (%d,%v), naive (%d,%v)",
+				id, step.stack, gi, gn, step.want, step.isNew, wi, wn)
+		}
+	}
+}
+
+// TestRepeatedAbsorbedStackAllocatesNothing pins what the memo buys: a
+// stack some cluster absorbed costs its repeats three map probes — no
+// candidate list, no sort, no distance matrix.
+func TestRepeatedAbsorbedStackAllocatesNothing(t *testing.T) {
+	rng := xrand.New(5)
+	set := NewSet(2)
+	stacks := driftStacks(rng, 200)
+	for id, st := range stacks {
+		set.Add(id, st)
+	}
+	var absorbed []string
+	for _, st := range stacks {
+		if _, rep := set.repByKey[stackKey(st)]; !rep {
+			absorbed = st
+			break
+		}
+	}
+	if absorbed == nil {
+		t.Fatal("corpus has no absorbed stack")
+	}
+	key := StackKey(absorbed)
+	if n := testing.AllocsPerRun(1000, func() { set.AddKeyed(0, absorbed, key) }); n != 0 {
+		t.Fatalf("AddKeyed of a repeated absorbed stack allocates %v objects", n)
+	}
+}
+
 // exportJSON round-trips a set's exported state through the encoding
 // the store uses.
 func exportJSON(t *testing.T, s *Set) ([]byte, *SetState) {
@@ -146,9 +227,10 @@ func TestScreenedMemoizedSimilarityMatchesNaive(t *testing.T) {
 		{"shallow", randomStacks, 400},
 		{"deep", deepStacks, 300},
 		{"repeats", repeatStacks, 600},
+		{"drift", driftStacks, 400},
 	}
 	for _, corpus := range corpora {
-		for _, threshold := range []int{0, 1, 2} {
+		for _, threshold := range []int{0, 1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/threshold=%d", corpus.name, threshold), func(t *testing.T) {
 				rng := xrand.New(int64(61 + threshold))
 				stacks := corpus.gen(rng, corpus.n)

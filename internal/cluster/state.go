@@ -133,7 +133,6 @@ func NewSetFromState(st *SetState) (*Set, error) {
 			Members:        append([]int(nil), c.Members...),
 		})
 		s.repByKey[key] = i
-		s.repsByLen[len(rep)] = append(s.repsByLen[len(rep)], i)
 	}
 	for _, stack := range st.Stacks {
 		if key := stackKey(stack); !s.remembered(key) {

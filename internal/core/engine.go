@@ -477,7 +477,7 @@ func (e *Engine) admitLocked(cands []explore.Candidate, now time.Time) {
 	if e.lq != nil {
 		expires := now.Add(e.leaseTimeout)
 		for _, c := range cands {
-			e.lq.add(c.Point.Key(), c, expires)
+			e.lq.add(c.Key(), c, expires)
 		}
 	}
 }
@@ -548,7 +548,7 @@ type FoldPre struct {
 // from executor goroutines. FoldBatch precomputes any entry that skipped
 // this stage, so calling it is an optimization, never a requirement.
 func (e *Engine) Precompute(et *ExecutedTest) {
-	pre := &FoldPre{pointKey: et.C.Point.Key()}
+	pre := &FoldPre{pointKey: et.C.Key()}
 	if et.Out.Injected {
 		pre.stackKey = cluster.StackKey(et.Out.InjectionStack)
 		if e.cfg.Feedback {

@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 	"time"
+
+	"afex/internal/explore"
+	"afex/internal/faultspace"
 )
 
 // Lease-expiry satellite tests: candidates leased but never folded
@@ -272,5 +275,43 @@ func TestLeaseExpiryOffTrustsExecutors(t *testing.T) {
 	}
 	if len(seen) != int(sessionSpace().Size()) {
 		t.Fatalf("leased %d distinct points, want %d", len(seen), sessionSpace().Size())
+	}
+}
+
+// TestScenarioKeyBuiltOnce: a candidate's key is rendered where the
+// explorer accepts it and carried from there — through the bandit, the
+// shards, the novelty filter, the lease table (expiry on, so Lease books
+// every key), precompute and the explorer's Report. Candidate.Key's
+// fallback render, counted process-wide, must never run for a session
+// the engine generated itself.
+func TestScenarioKeyBuiltOnce(t *testing.T) {
+	space := faultspace.NewUnion(faultspace.New("s",
+		faultspace.IntAxis("testID", 0, 3),
+		faultspace.SetAxis("function", "read", "write"),
+		faultspace.IntAxis("callNumber", 1, 60),
+	))
+	for _, shards := range []int{1, 3} {
+		before := explore.KeyFallbacks()
+		res, err := Run(Config{
+			Target:       sessionTarget(),
+			Space:        space,
+			Algorithm:    "portfolio",
+			Shards:       shards,
+			Iterations:   300,
+			Workers:      2,
+			Batch:        8,
+			LeaseTimeout: time.Minute,
+			Seen:         explore.NewKeySet([]string{"0:0,0,0", "0:2,1,17"}),
+			Explore:      explore.Config{Seed: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Executed != 300 {
+			t.Fatalf("shards=%d: executed %d, want 300", shards, res.Executed)
+		}
+		if n := explore.KeyFallbacks() - before; n != 0 {
+			t.Errorf("shards=%d: %d scenario keys rendered again downstream of the explorer", shards, n)
+		}
 	}
 }

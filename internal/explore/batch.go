@@ -128,7 +128,7 @@ func (e *Exhaustive) BatchNext(n int) []Candidate {
 	}
 	out := make([]Candidate, n)
 	for i := 0; i < n; i++ {
-		out[i] = Candidate{Point: e.points[e.next+i], MutatedAxis: -1}
+		out[i] = e.at(e.next + i)
 	}
 	e.next += n
 	return out

@@ -11,7 +11,8 @@
 //     tests. Parents are sampled from it with probability proportional to
 //     fitness; when full, victims are dropped with probability inversely
 //     proportional to fitness.
-//   - Qpending: generated-but-not-yet-executed candidates.
+//   - Qpending: generated-but-not-yet-executed candidates (their keys:
+//     the candidates themselves are with whoever leased them).
 //   - History: every test ever executed, so nothing re-executes.
 //   - Sensitivity: one value per fault-space axis, the sum of the fitness
 //     of the last n tests that mutated that axis. Axis choice for the
@@ -24,9 +25,22 @@
 //     tests whose fitness drops below a threshold retire and can never
 //     have offspring, pushing the search to keep improving coverage
 //     rather than orbiting one high-impact vicinity.
+//
+// Cost model. History makes generation a rejection loop: a mutation that
+// lands on an executed or queued point is thrown away and another is
+// drawn — expect tens of attempts per candidate once a vicinity is mined
+// out (20 on the mysqld model, 25–35 behind the RPC coordinator). An
+// attempt is two weighted draws, one Gaussian draw, one key render and
+// one probe, all in buffers the explorer owns; only an accepted candidate
+// allocates — its fault and its key string, which then rides on the
+// Candidate (Candidate.Key) through the portfolio, the shards, the
+// novelty filter, the engine's lease table and precompute, and back into
+// Report, so a scenario's key is built once.
 package explore
 
 import (
+	"sync/atomic"
+
 	"afex/internal/faultspace"
 	"afex/internal/xrand"
 )
@@ -40,6 +54,75 @@ type Candidate struct {
 	MutatedAxis int
 	// ParentKey is the History key of the parent test, or "" for seeds.
 	ParentKey string
+	// key is Point.Key(), set by the explorer that generated the
+	// candidate; whoever moves Point resets it.
+	key string
+}
+
+var keyFallbacks atomic.Int64
+
+// KeyFallbacks reports how many times Candidate.Key has had to render a
+// key in this process: the test hook that pins a generated candidate's
+// key being built once, at acceptance.
+func KeyFallbacks() int64 { return keyFallbacks.Load() }
+
+// Key returns the candidate's scenario key, Point.Key(): carried from
+// generation when an explorer in this package produced the candidate,
+// rendered on each call for one built elsewhere (a test, a forwarding
+// wrapper's own candidate, journal replay).
+func (c Candidate) Key() string {
+	if c.key != "" {
+		return c.key
+	}
+	keyFallbacks.Add(1)
+	return c.Point.Key()
+}
+
+// admitter is the History check of the generating explorers, in one
+// place: a point is fresh when neither History nor the queued set holds
+// its key. It renders the key into a buffer it reuses, so a rejected
+// attempt costs the render and two probes and allocates nothing.
+type admitter struct {
+	space   *faultspace.Union
+	history KeySet
+	// queued holds the keys handed out and not yet reported. Random has
+	// none (nil): its points enter History as they are generated.
+	queued map[string]bool
+	keyBuf []byte
+}
+
+// exhausted reports that History already holds as many points as the
+// space has.
+func (a *admitter) exhausted() bool { return int64(a.history.Len()) >= a.space.Size() }
+
+// admit reports whether c's point is fresh, and if so keys c and books
+// the key as handed out.
+func (a *admitter) admit(c *Candidate) bool {
+	a.keyBuf = c.Point.AppendKey(a.keyBuf[:0])
+	if a.history.HasBytes(a.keyBuf) || a.queued[string(a.keyBuf)] {
+		return false
+	}
+	c.key = string(a.keyBuf)
+	if a.queued == nil {
+		a.history.Add(c.key)
+	} else {
+		a.queued[c.key] = true
+	}
+	return true
+}
+
+// scan admits the first fresh point in enumeration order. Random draws
+// can miss the last few unvisited points of a nearly exhausted space;
+// the systematic scan makes every explorer complete (coverage
+// "increases proportionally to the allocated time budget", §3 — all the
+// way to 100%).
+func (a *admitter) scan() (out Candidate, found bool) {
+	a.space.Enumerate(func(p faultspace.Point) bool {
+		out = Candidate{Point: p, MutatedAxis: -1}
+		found = a.admit(&out)
+		return !found
+	})
+	return out, found
 }
 
 // Explorer generates fault-injection tests and learns from their results.
@@ -185,19 +268,22 @@ func (w *axisWindow) sensitivity() float64 {
 
 // FitnessGuided is the Algorithm 1 explorer.
 type FitnessGuided struct {
-	cfg   Config
-	space *faultspace.Union
-	rng   *xrand.Rand
+	cfg Config
+	admitter
+	rng *xrand.Rand
 
-	pool    []*executed // Qpriority
-	pending []Candidate // Qpending
-	history KeySet
-	queued  map[string]bool // keys currently in pending
+	pool []*executed // Qpriority
 	// sensitivity per subspace per axis.
 	sens [][]*axisWindow
 	// seedsLeft counts remaining initial random seeds.
 	seedsLeft int
 	executedN int
+
+	// Scratch of one generation attempt and one report: the weights of
+	// the draw in progress and the mutated fault, which is cloned only
+	// if the attempt is accepted.
+	weightBuf []float64
+	faultBuf  faultspace.Fault
 }
 
 // NewFitnessGuided builds a fitness-guided explorer over the given space.
@@ -205,9 +291,8 @@ func NewFitnessGuided(space *faultspace.Union, cfg Config) *FitnessGuided {
 	cfg = cfg.withDefaults()
 	fg := &FitnessGuided{
 		cfg:       cfg,
-		space:     space,
+		admitter:  admitter{space: space, queued: make(map[string]bool)},
 		rng:       xrand.New(cfg.Seed),
-		queued:    make(map[string]bool),
 		seedsLeft: cfg.InitialBatch,
 	}
 	fg.sens = make([][]*axisWindow, len(space.Spaces))
@@ -237,17 +322,12 @@ func (fg *FitnessGuided) HistorySize() int { return fg.history.Len() }
 
 // Next implements Explorer.
 func (fg *FitnessGuided) Next() (Candidate, bool) {
-	if len(fg.pending) > 0 {
-		c := fg.pending[0]
-		fg.pending = fg.pending[1:]
-		return c, true
-	}
 	// Generate: either a remaining initial seed, or a mutation of a pool
 	// member (Algorithm 1). Mutation can fail to produce a fresh
 	// candidate (vicinity exhausted); bounded retries then fall back to
 	// random seeds so the search keeps making progress. If the whole
 	// space is in History, give up.
-	if fg.space.Size() > 0 && int64(fg.history.Len()) >= fg.space.Size() {
+	if fg.exhausted() {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 500; attempt++ {
@@ -266,36 +346,19 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 				c, ok = fg.randomSeed()
 			}
 		}
-		if !ok {
+		if !ok || !fg.admit(&c) {
 			continue
 		}
-		key := c.Point.Key()
-		if fg.history.Has(key) || fg.queued[key] {
-			continue
+		if c.MutatedAxis >= 0 {
+			// Lines 10–11's clone, now that the mutation is kept.
+			c.Point.Fault = c.Point.Fault.Clone()
 		}
 		if fromSeed && fg.seedsLeft > 0 {
 			fg.seedsLeft--
 		}
-		fg.queued[key] = true
 		return c, true
 	}
-	// Random retries can miss the last few unvisited points of a nearly
-	// exhausted space; fall back to a systematic scan so the explorer is
-	// complete (its coverage "increases proportionally to the allocated
-	// time budget", §3 — all the way to 100%).
-	var out Candidate
-	found := false
-	fg.space.Enumerate(func(p faultspace.Point) bool {
-		key := p.Key()
-		if fg.history.Has(key) || fg.queued[key] {
-			return true
-		}
-		fg.queued[key] = true
-		out = Candidate{Point: p, MutatedAxis: -1}
-		found = true
-		return false
-	})
-	return out, found
+	return fg.scan()
 }
 
 // randomSeed draws a uniform random point (step 1 of §3).
@@ -307,7 +370,8 @@ func (fg *FitnessGuided) randomSeed() (Candidate, bool) {
 	return Candidate{Point: p, MutatedAxis: -1}, true
 }
 
-// mutate implements lines 1–11 of Algorithm 1.
+// mutate implements lines 1–11 of Algorithm 1. The candidate's fault is
+// the explorer's scratch: valid until the next call.
 func (fg *FitnessGuided) mutate() (Candidate, bool) {
 	if len(fg.pool) == 0 {
 		return Candidate{}, false
@@ -323,11 +387,7 @@ func (fg *FitnessGuided) mutate() (Candidate, bool) {
 			}
 		}
 	} else {
-		weights := make([]float64, len(fg.pool))
-		for i, e := range fg.pool {
-			weights[i] = e.fitness
-		}
-		parent = fg.pool[fg.rng.Weighted(weights)]
+		parent = fg.pool[fg.rng.Weighted(fg.poolWeights())]
 	}
 	sub := fg.space.Spaces[parent.point.Sub]
 
@@ -340,7 +400,7 @@ func (fg *FitnessGuided) mutate() (Candidate, bool) {
 	if fg.cfg.NoSensitivity || sub.Dims() == 1 {
 		axis = fg.rng.Intn(sub.Dims())
 	} else {
-		weights := make([]float64, sub.Dims())
+		weights := fg.weights(sub.Dims())
 		total := 0.0
 		for k, w := range fg.sens[parent.point.Sub] {
 			weights[k] = w.sensitivity()
@@ -372,8 +432,10 @@ func (fg *FitnessGuided) mutate() (Candidate, bool) {
 		newVal = fg.rng.Gaussian(n, old, sigma)
 	}
 
-	// Lines 10–11: clone and substitute.
-	f := parent.point.Fault.Clone()
+	// Lines 10–11: copy and substitute — into the scratch fault, which
+	// the next attempt overwrites; Next clones it if the point is fresh.
+	f := append(fg.faultBuf[:0], parent.point.Fault...)
+	fg.faultBuf = f
 	f[axis] = newVal
 	p := faultspace.Point{Sub: parent.point.Sub, Fault: f}
 	if sub.Hole != nil && sub.Hole(f) {
@@ -382,12 +444,30 @@ func (fg *FitnessGuided) mutate() (Candidate, bool) {
 	return Candidate{Point: p, MutatedAxis: axis, ParentKey: parent.key}, true
 }
 
+// weights returns the scratch weight vector at length n, contents
+// unspecified.
+func (fg *FitnessGuided) weights(n int) []float64 {
+	if cap(fg.weightBuf) < n {
+		fg.weightBuf = make([]float64, n)
+	}
+	return fg.weightBuf[:n]
+}
+
+// poolWeights fills the scratch vector with the pool's fitness values.
+func (fg *FitnessGuided) poolWeights() []float64 {
+	weights := fg.weights(len(fg.pool))
+	for i, e := range fg.pool {
+		weights[i] = e.fitness
+	}
+	return weights
+}
+
 // Report implements Explorer. It moves the candidate into History,
 // inserts it into Qpriority (evicting inverse-fitness-proportionally when
 // full), updates the mutated axis's sensitivity window, and applies one
 // aging step to the pool.
 func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
-	key := c.Point.Key()
+	key := c.Key()
 	delete(fg.queued, key)
 	fg.history.Add(key)
 	fg.executedN++
@@ -406,11 +486,8 @@ func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 	e := &executed{point: c.Point, key: key, fitness: fitness, impact: impact}
 	fg.pool = append(fg.pool, e)
 	if len(fg.pool) > fg.cfg.QueueSize {
-		weights := make([]float64, len(fg.pool))
-		for i, m := range fg.pool {
-			weights[i] = m.fitness
-		}
-		victim := fg.rng.InverseWeighted(weights)
+		weights := fg.poolWeights()
+		victim := fg.rng.InverseWeightedInto(weights, weights)
 		fg.pool[victim] = fg.pool[len(fg.pool)-1]
 		fg.pool = fg.pool[:len(fg.pool)-1]
 	}
@@ -421,7 +498,7 @@ func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 // are untouched — the test was not executed, so there is nothing to
 // learn.
 func (fg *FitnessGuided) Skip(c Candidate) {
-	key := c.Point.Key()
+	key := c.Key()
 	delete(fg.queued, key)
 	fg.history.Add(key)
 }
@@ -465,15 +542,14 @@ func (fg *FitnessGuided) Sensitivities(sub int) []float64 {
 // re-executes a point (sampling without replacement), matching AFEX's
 // accounting of "tests executed".
 type Random struct {
-	space     *faultspace.Union
+	admitter
 	rng       *xrand.Rand
-	history   KeySet
 	executedN int
 }
 
 // NewRandom builds a random explorer with the given seed.
 func NewRandom(space *faultspace.Union, seed int64) *Random {
-	return &Random{space: space, rng: xrand.New(seed)}
+	return &Random{admitter: admitter{space: space}, rng: xrand.New(seed)}
 }
 
 // Name implements Named.
@@ -485,31 +561,28 @@ func (r *Random) Prefetchable() bool { return true }
 
 // Next implements Explorer.
 func (r *Random) Next() (Candidate, bool) {
-	if r.space.Size() == 0 || int64(r.history.Len()) >= r.space.Size() {
+	if r.exhausted() {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 10000; attempt++ {
-		p := r.space.Random(r.rng.Intn)
-		key := p.Key()
-		if r.history.Has(key) {
-			continue
+		c := Candidate{Point: r.space.Random(r.rng.Intn), MutatedAxis: -1}
+		if r.admit(&c) {
+			return c, true
 		}
-		r.history.Add(key)
-		return Candidate{Point: p, MutatedAxis: -1}, true
 	}
-	return Candidate{}, false
+	return r.scan()
 }
 
 // Report implements Explorer; random search learns nothing, but the
 // reported point still enters History so externally sourced feedback
 // (journal replay on resume) is never regenerated.
 func (r *Random) Report(c Candidate, _, _ float64) {
-	r.history.Add(c.Point.Key())
+	r.history.Add(c.Key())
 	r.executedN++
 }
 
 // Skip implements Skipper.
-func (r *Random) Skip(c Candidate) { r.history.Add(c.Point.Key()) }
+func (r *Random) Skip(c Candidate) { r.history.Add(c.Key()) }
 
 // Executed implements Countable.
 func (r *Random) Executed() int { return r.executedN }
@@ -549,9 +622,16 @@ func (e *Exhaustive) Next() (Candidate, bool) {
 	if e.next >= len(e.points) {
 		return Candidate{}, false
 	}
-	p := e.points[e.next]
+	c := e.at(e.next)
 	e.next++
-	return Candidate{Point: p, MutatedAxis: -1}, true
+	return c, true
+}
+
+// at is the candidate for enumeration position i, keyed here so the
+// layers it passes through do not each render the key.
+func (e *Exhaustive) at(i int) Candidate {
+	p := e.points[i]
+	return Candidate{Point: p, MutatedAxis: -1, key: p.Key()}
 }
 
 // Report implements Explorer; exhaustive search learns nothing.

@@ -18,8 +18,8 @@ import (
 // mutation. Compare it against FitnessGuided on any structured target
 // (BenchmarkAblationGenetic does).
 type Genetic struct {
-	space *faultspace.Union
-	rng   *xrand.Rand
+	admitter
+	rng *xrand.Rand
 
 	popSize      int
 	mutationRate float64
@@ -28,8 +28,6 @@ type Genetic struct {
 	population []*executed
 	// offspring queues the next generation awaiting execution.
 	offspring []Candidate
-	history   KeySet
-	queued    map[string]bool
 	executedN int
 }
 
@@ -52,17 +50,16 @@ func NewGenetic(space *faultspace.Union, cfg GeneticConfig) *Genetic {
 		cfg.MutationRate = 0.1
 	}
 	return &Genetic{
-		space:        space,
+		admitter:     admitter{space: space, queued: make(map[string]bool)},
 		rng:          xrand.New(cfg.Seed),
 		popSize:      cfg.PopSize,
 		mutationRate: cfg.MutationRate,
-		queued:       make(map[string]bool),
 	}
 }
 
 // Next implements Explorer.
 func (g *Genetic) Next() (Candidate, bool) {
-	if g.space.Size() > 0 && int64(g.history.Len()) >= g.space.Size() {
+	if g.exhausted() {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 500; attempt++ {
@@ -78,27 +75,11 @@ func (g *Genetic) Next() (Candidate, bool) {
 			// with random members.
 			c = Candidate{Point: g.space.Random(g.rng.Intn), MutatedAxis: -1}
 		}
-		key := c.Point.Key()
-		if g.history.Has(key) || g.queued[key] {
-			continue
+		if g.admit(&c) {
+			return c, true
 		}
-		g.queued[key] = true
-		return c, true
 	}
-	// Deduplicate-resistant fallback: systematic scan.
-	var out Candidate
-	found := false
-	g.space.Enumerate(func(p faultspace.Point) bool {
-		key := p.Key()
-		if g.history.Has(key) || g.queued[key] {
-			return true
-		}
-		g.queued[key] = true
-		out = Candidate{Point: p, MutatedAxis: -1}
-		found = true
-		return false
-	})
-	return out, found
+	return g.scan()
 }
 
 // breed produces the next generation from the current population:
@@ -157,7 +138,7 @@ func (g *Genetic) mutate(p faultspace.Point) {
 
 // Report implements Explorer.
 func (g *Genetic) Report(c Candidate, impact, fitness float64) {
-	key := c.Point.Key()
+	key := c.Key()
 	delete(g.queued, key)
 	g.history.Add(key)
 	g.executedN++
@@ -181,7 +162,7 @@ func (g *Genetic) Prefetchable() bool { return true }
 // Skip implements Skipper: the point enters History without joining the
 // population — an unexecuted point has no fitness to breed from.
 func (g *Genetic) Skip(c Candidate) {
-	key := c.Point.Key()
+	key := c.Key()
 	delete(g.queued, key)
 	g.history.Add(key)
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"hash/maphash"
 	"sync/atomic"
+	"unsafe"
 )
 
 // KeySet is an ordered set of scenario keys: an append-only list — what
@@ -83,6 +84,12 @@ func (s *KeySet) Has(k string) bool {
 	}
 	_, ok := s.slot(k)
 	return ok
+}
+
+// HasBytes is Has for a key still in the buffer it was rendered into;
+// the string view of those bytes lives only for the probe.
+func (s *KeySet) HasBytes(k []byte) bool {
+	return s.Has(unsafe.String(unsafe.SliceData(k), len(k)))
 }
 
 // Add appends k unless the set holds it, and reports whether it was new.

@@ -235,7 +235,7 @@ func (p *Portfolio) nextFromArm(a *portfolioArm) (Candidate, bool) {
 		if !ok {
 			return Candidate{}, false
 		}
-		if !p.taken(c.Point.Key()) {
+		if !p.taken(c.Key()) {
 			return c, true
 		}
 		if sk, ok := a.ex.(Skipper); ok {
@@ -259,7 +259,7 @@ func (p *Portfolio) Next() (Candidate, bool) {
 			a.done = true
 			continue
 		}
-		key := c.Point.Key()
+		key := c.Key()
 		p.inflight[key] = idx
 		a.pending++
 		return c, true
@@ -335,7 +335,7 @@ const (
 // enters the shared executed log — no arm is credited, and no arm will
 // regenerate the point.
 func (p *Portfolio) report(c Candidate, impact, fitness float64, newCluster bool) {
-	key := c.Point.Key()
+	key := c.Key()
 	idx, leased := p.inflight[key]
 	p.executed.Add(key)
 	if !leased {
@@ -382,7 +382,7 @@ func (p *Portfolio) Report(c Candidate, impact, fitness float64) {
 // discount step and no reward, the collision says nothing about the
 // arms' relative merit.
 func (p *Portfolio) Skip(c Candidate) {
-	key := c.Point.Key()
+	key := c.Key()
 	p.executed.Add(key)
 	idx, leased := p.inflight[key]
 	if !leased {

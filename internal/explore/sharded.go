@@ -144,7 +144,8 @@ func (s *Sharded) Strategy() string { return s.strategy }
 // Shards reports how many non-empty shards the explorer runs.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// toParent translates a shard-local candidate into parent coordinates.
+// toParent translates a shard-local candidate into parent coordinates;
+// a point that moves is keyed again, once, where it is.
 func (st *shardSearch) toParent(c Candidate) Candidate {
 	sub := c.Point.Sub
 	k := st.axis[sub]
@@ -154,6 +155,7 @@ func (st *shardSearch) toParent(c Candidate) Candidate {
 	f := c.Point.Fault.Clone()
 	f[k] += st.off[sub]
 	c.Point = faultspace.Point{Sub: sub, Fault: f}
+	c.key = c.Point.Key()
 	return c
 }
 
@@ -173,7 +175,7 @@ func (s *Sharded) Next() (Candidate, bool) {
 			continue
 		}
 		c := st.toParent(local)
-		s.inflight[c.Point.Key()] = pendingLease{shard: idx, local: local}
+		s.inflight[c.Key()] = pendingLease{shard: idx, local: local}
 		return c, true
 	}
 	return Candidate{}, false
@@ -249,13 +251,13 @@ func (s *Sharded) ShardOf(p faultspace.Point) int {
 // shard-local space, and replayed tail feedback updates the same
 // sensitivity window a live fold would have.
 func (s *Sharded) route(c Candidate) (int, Candidate, bool) {
-	key := c.Point.Key()
+	key := c.Key()
 	if p, ok := s.inflight[key]; ok {
 		delete(s.inflight, key)
 		return p.shard, p.local, true
 	}
 	if i, local, ok := s.locate(c.Point); ok {
-		c.Point = local
+		c.Point, c.key = local, ""
 		return i, c, true
 	}
 	return 0, Candidate{}, false

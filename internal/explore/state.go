@@ -204,7 +204,6 @@ func (fg *FitnessGuided) importSearch(st *SearchState) error {
 	}
 	fg.history = *NewKeySet(st.History)
 	fg.queued = make(map[string]bool)
-	fg.pending = nil
 	for i := range st.Sens {
 		for k := range st.Sens[i] {
 			w := newAxisWindow(fg.cfg.SensitivityWindow)
@@ -458,7 +457,7 @@ func (n *Novel) Next() (Candidate, bool) {
 		if !ok {
 			return Candidate{}, false
 		}
-		if !n.seen.Has(c.Point.Key()) {
+		if !n.seen.Has(c.Key()) {
 			return c, true
 		}
 		n.skip(c)
@@ -478,7 +477,7 @@ func (n *Novel) BatchNext(k int) []Candidate {
 			break
 		}
 		for _, c := range batch {
-			if n.seen.Has(c.Point.Key()) {
+			if n.seen.Has(c.Key()) {
 				n.skip(c)
 				continue
 			}

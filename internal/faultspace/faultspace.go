@@ -438,9 +438,15 @@ type Point struct {
 // Key returns a unique string identity for the point.
 func (p Point) Key() string {
 	var buf [72]byte
-	b := strconv.AppendInt(buf[:0], int64(p.Sub), 10)
+	return string(p.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of Key to b: the form for a caller that
+// only probes a set with the key and keeps its own buffer.
+func (p Point) AppendKey(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(p.Sub), 10)
 	b = append(b, ':')
-	return string(p.Fault.appendKey(b))
+	return p.Fault.appendKey(b)
 }
 
 // Random draws a subspace with probability proportional to its size, then

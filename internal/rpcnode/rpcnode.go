@@ -275,7 +275,7 @@ func (c *Coordinator) noteManager(id string) {
 		delete(c.lastBeat, m)
 		for _, ls := range c.leases {
 			if ls.manager == m {
-				expired = append(expired, ls.cand.Point.Key())
+				expired = append(expired, ls.cand.Key())
 			}
 		}
 	}

@@ -184,11 +184,17 @@ func (r *Rand) Weighted(weights []float64) int {
 // Each weight w is mapped to 1/(epsilon+max(w,0)); epsilon keeps zero
 // weights finite and guarantees every entry stays droppable.
 func (r *Rand) InverseWeighted(weights []float64) int {
+	return r.InverseWeightedInto(make([]float64, len(weights)), weights)
+}
+
+// InverseWeightedInto is InverseWeighted with the inverted weights
+// written to inv, which must be as long as weights and may be weights
+// itself: the form for a caller that samples per test and owns a buffer.
+func (r *Rand) InverseWeightedInto(inv, weights []float64) int {
 	if len(weights) == 0 {
 		panic("xrand: InverseWeighted on empty slice")
 	}
 	const epsilon = 1e-9
-	inv := make([]float64, len(weights))
 	for i, w := range weights {
 		if w < 0 {
 			w = 0
