@@ -121,6 +121,7 @@ func writeStatus(w io.Writer, st controlplane.Status) {
 		fmt.Fprintf(w, "state-dir  %s\n", st.StateDir)
 	}
 	fmt.Fprintf(w, "progress   %s\n", st.Progress)
+	fmt.Fprintf(w, "blocks     %d sets, %d walks\n", st.Snapshot.BlockSets, st.Snapshot.BlockWalks)
 	if st.Snapshot.Resume != nil {
 		fmt.Fprintf(w, "resumed    %s\n", st.Snapshot.Resume)
 	}

@@ -49,7 +49,8 @@ type processRunner struct {
 	// sem is the process pool: one slot per concurrently running
 	// subprocess. Sized independently of the engine's worker count —
 	// effective parallelism is min(workers, procs).
-	sem chan struct{}
+	sem  chan struct{}
+	sets prog.BlockSets // see foldEvents
 
 	mu     sync.Mutex
 	closed bool
@@ -220,14 +221,15 @@ func (p *processRunner) Run(testID int, plan inject.Plan) (prog.Outcome, Exec) {
 	pr.Close()
 	<-readerDone
 
-	return foldReport(events, cmd.ProcessState, timedOut, duration)
+	return foldReport(events, &p.sets, cmd.ProcessState, timedOut, duration)
 }
 
 // foldEvents parses the shim's report stream into the outcome fields it
 // carries directly: injection stack, covered blocks, and the planted
 // crash label (returned separately — only a signaled death promotes it
-// to the outcome).
-func foldEvents(events []shim.Event) (out prog.Outcome, crashID string) {
+// to the outcome). The block set is summed and interned in sets, the
+// runner's table: scenarios that covered the same blocks share one map.
+func foldEvents(events []shim.Event, sets *prog.BlockSets) (out prog.Outcome, crashID string) {
 	for _, ev := range events {
 		switch ev.Kind {
 		case shim.EventInject:
@@ -248,6 +250,8 @@ func foldEvents(events []shim.Event) (out prog.Outcome, crashID string) {
 			crashID = ev.ID
 		}
 	}
+	out.BlockSum = prog.SumBlocks(out.Blocks)
+	out.Blocks = sets.Intern(out.BlockSum, out.Blocks)
 	return out, crashID
 }
 
@@ -278,8 +282,8 @@ func foldDeath(out *prog.Outcome, ex *Exec, ps *os.ProcessState, crashID string)
 
 // foldReport maps the report events and the process disposition onto
 // the engine's outcome vocabulary.
-func foldReport(events []shim.Event, ps *os.ProcessState, timedOut bool, duration time.Duration) (prog.Outcome, Exec) {
-	out, crashID := foldEvents(events)
+func foldReport(events []shim.Event, sets *prog.BlockSets, ps *os.ProcessState, timedOut bool, duration time.Duration) (prog.Outcome, Exec) {
+	out, crashID := foldEvents(events, sets)
 	ex := Exec{Backend: Process, Duration: duration}
 	switch {
 	case timedOut:

@@ -93,6 +93,7 @@ type workerRunner struct {
 	// (spawn lazily on first use). Receiving a slot bounds concurrency
 	// exactly like the cold runner's semaphore.
 	slots chan *worker
+	sets  prog.BlockSets // see foldEvents
 	// recycled counts workers retired after serving their quota
 	// (Recycler capability; shutdown retires are not recycles).
 	recycled atomic.Int64
@@ -333,12 +334,12 @@ func (p *workerRunner) runGroup(wp **worker, base int, tests []Test, emit func(i
 				w.arm.Close()
 				w.report.Close()
 				*wp = nil
-				out, ex := foldReport(events, w.cmd.ProcessState, hung, time.Since(start))
+				out, ex := foldReport(events, &p.sets, w.cmd.ProcessState, hung, time.Since(start))
 				emit(base+k, out, ex)
 				return k + 1
 			}
 			if ev.Kind == shim.EventDone && ev.Seq == w.seq {
-				out, _ := foldEvents(events)
+				out, _ := foldEvents(events, &p.sets)
 				ex := Exec{Backend: Process, Duration: time.Since(start)}
 				foldExit(&out, &ex, ev.Exit)
 				w.served++

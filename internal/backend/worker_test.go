@@ -1,11 +1,14 @@
 package backend
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"afex/internal/inject"
+	"afex/internal/prog"
+	"afex/shim"
 )
 
 // warmRunner builds the process backend with explicit pool/recycle
@@ -190,5 +193,35 @@ func TestWorkerForcedColdByNegativeTestsPerProc(t *testing.T) {
 	defer r.Close()
 	if _, ok := r.(*processRunner); !ok {
 		t.Fatalf("TestsPerProc=-1 selected %T, want cold runner", r)
+	}
+}
+
+// TestProcessOutcomesCarryInternedSums: the supervisor sums the blocks a
+// shim reports — however the report splits or repeats them — to what
+// SumBlocks says of the finished set, and a runner hands every scenario
+// that covered one set the same map; end to end on the warm pool, two
+// runs of one fault-free test share theirs.
+func TestProcessOutcomesCarryInternedSums(t *testing.T) {
+	var sets prog.BlockSets
+	report := []shim.Event{{Kind: shim.EventBlocks, Blocks: []int{5, 1, 9, 5}}, {Kind: shim.EventBlocks, Blocks: []int{9, 12}}}
+	a, _ := foldEvents(report, &sets)
+	b, _ := foldEvents([]shim.Event{{Kind: shim.EventBlocks, Blocks: []int{12, 9, 5, 1}}}, &sets)
+	want := map[int]struct{}{1: {}, 5: {}, 9: {}, 12: {}}
+	if !reflect.DeepEqual(a.Blocks, want) || a.BlockSum != prog.SumBlocks(want) || b.BlockSum != a.BlockSum {
+		t.Fatalf("folded %v (sum %#x) and %v (sum %#x), want %v (sum %#x)", a.Blocks, a.BlockSum, b.Blocks, b.BlockSum, want, prog.SumBlocks(want))
+	}
+	if reflect.ValueOf(a.Blocks).Pointer() != reflect.ValueOf(b.Blocks).Pointer() {
+		t.Error("two reports of one set must share the interned map")
+	}
+	if none, _ := foldEvents(nil, &sets); none.Blocks != nil || none.BlockSum != 0 {
+		t.Errorf("a report without blocks folded to %+v", none)
+	}
+
+	r := warmRunner(t, 1, 0, 5*time.Second)
+	first, _ := r.Run(3, inject.Plan{})
+	second, _ := r.Run(3, inject.Plan{})
+	if len(first.Blocks) == 0 || first.BlockSum != prog.SumBlocks(first.Blocks) || second.BlockSum != first.BlockSum ||
+		reflect.ValueOf(first.Blocks).Pointer() != reflect.ValueOf(second.Blocks).Pointer() {
+		t.Errorf("two fault-free runs of one test: %v (sum %#x) and %v (sum %#x), want one shared set", first.Blocks, first.BlockSum, second.Blocks, second.BlockSum)
 	}
 }

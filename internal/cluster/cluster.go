@@ -79,7 +79,8 @@ func Levenshtein(a, b []string) int {
 // boundedLevenshtein returns the frame edit distance between a and b
 // when it is at most limit, and limit+1 otherwise. It computes only the
 // ±limit diagonal band of the DP matrix, so screening candidates against
-// a clustering threshold costs O(len × limit) instead of O(len²).
+// a clustering threshold costs O(len × limit) instead of O(len²). Its two
+// rows live on the stack for stacks of up to 64 frames.
 func boundedLevenshtein(a, b []string, limit int) int {
 	la, lb := len(a), len(b)
 	if la > lb {
@@ -90,8 +91,12 @@ func boundedLevenshtein(a, b []string, limit int) int {
 		return limit + 1
 	}
 	inf := limit + 1
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
+	var rows [2][65]int
+	prev, cur := rows[0][:], rows[1][:]
+	if lb >= len(prev) {
+		prev, cur = make([]int, lb+1), make([]int, lb+1)
+	}
+	prev, cur = prev[:lb+1], cur[:lb+1]
 	for j := range prev {
 		if j <= limit {
 			prev[j] = j

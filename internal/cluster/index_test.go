@@ -143,3 +143,54 @@ func TestBoundedLevenshteinMatchesFull(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedLevenshteinDeepStacks walks the boundary where the DP rows
+// leave the goroutine stack: 64 frames and fewer allocate nothing, deeper
+// stacks allocate their two rows, and the answers on either side are the
+// full computation's.
+func TestBoundedLevenshteinDeepStacks(t *testing.T) {
+	rng := xrand.New(5)
+	deep := func(n int) []string {
+		s := make([]string, n)
+		for i := range s {
+			s[i] = fmt.Sprintf("m%d!f%d", rng.Intn(3), rng.Intn(5))
+		}
+		return s
+	}
+	for _, n := range []int{1, 8, 63, 64, 65, 66, 100} {
+		for trial := 0; trial < 20; trial++ {
+			a := deep(n)
+			b := append([]string(nil), a...)
+			for e := rng.Intn(6); e > 0 && len(b) > 1; e-- {
+				switch i := rng.Intn(len(b)); rng.Intn(3) {
+				case 0:
+					b[i] = "edited"
+				case 1:
+					b = append(b[:i], b[i+1:]...)
+				default:
+					b = append(b[:i+1], b[i:]...)
+				}
+			}
+			for _, limit := range []int{0, 2, 7, n} {
+				want := Levenshtein(a, b)
+				if want > limit {
+					want = limit + 1
+				}
+				if got := boundedLevenshtein(a, b, limit); got != want {
+					t.Fatalf("%d frames, limit %d: %d, want %d", n, limit, got, want)
+				}
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		a, b := deep(n), deep(n)
+		want := 0.0
+		if n > 64 {
+			want = 2
+		}
+		if got := testing.AllocsPerRun(50, func() { boundedLevenshtein(a, b, n) }); got != want {
+			t.Errorf("%d frames: %v allocations per comparison, want %v", n, got, want)
+		}
+	}
+}

@@ -118,6 +118,9 @@ func TestLocalSessionOverHTTP(t *testing.T) {
 		`afex_session_snapshots_total{session="` + st.ID + `"} 1`,
 		"# TYPE afex_session_snapshot_seconds_total counter",
 		"# TYPE afex_scenarios_per_second gauge",
+		// the fold's skip of repeated coverage sets reports itself
+		`afex_block_sets{session="` + st.ID + `"}`,
+		"# TYPE afex_block_walks_total counter",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)

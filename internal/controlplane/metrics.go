@@ -46,6 +46,8 @@ func (mw *metricWriter) sample(name, help, typ string, labels [][2]string, value
 //
 //	afex_sessions{state=}                 sessions per lifecycle state
 //	afex_scenarios_total{session=}        executed fault scenarios
+//	afex_block_sets{session=}             distinct coverage sets folded
+//	afex_block_walks_total{session=}      folds that walked their set (the rest skipped a repeat)
 //	afex_scenarios_per_second{session=}   execution throughput
 //	afex_failures_total{session=}         failed scenarios
 //	afex_crashes_total{session=}          crashed scenarios
@@ -89,6 +91,10 @@ func writeMetrics(w io.Writer, m *Manager) {
 	}
 	perSession("afex_scenarios_total", "Fault scenarios executed.", "counter",
 		func(i int) float64 { return float64(snaps[i].Executed) })
+	perSession("afex_block_sets", "Distinct coverage sets folded, by content sum.", "gauge",
+		func(i int) float64 { return float64(snaps[i].BlockSets) })
+	perSession("afex_block_walks_total", "Folds that walked their coverage set; 1 - walks/scenarios is the share that repeated a set and skipped.", "counter",
+		func(i int) float64 { return float64(snaps[i].BlockWalks) })
 	perSession("afex_scenarios_per_second", "Scenario execution throughput.", "gauge",
 		func(i int) float64 { return sessions[i].rate(snaps[i]) })
 	perSession("afex_failures_total", "Scenarios that produced a failure.", "counter",

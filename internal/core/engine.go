@@ -149,6 +149,12 @@ type Engine struct {
 	// the lock and sort a copy outside it (see sessionViewLocked).
 	coveredList   []int
 	recoveredList []int
+	// foldedSets holds the coverage sets walked into covered/recovered,
+	// as (content sum, size), and blockWalks counts the walks: the maps
+	// only grow, so foldLocked skips a set found here. Derived state, not
+	// snapshotted, empty after a restore, at most maxFoldedSets.
+	foldedSets    map[[2]uint64]struct{}
+	blockWalks    int
 	allStacks     *cluster.Set
 	failClusters  *cluster.Set
 	crashClusters *cluster.Set
@@ -248,6 +254,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 		cfg:           cfg,
 		covered:       make(map[int]struct{}),
 		recovered:     make(map[int]struct{}),
+		foldedSets:    make(map[[2]uint64]struct{}),
 		allStacks:     cluster.NewSet(cfg.ClusterThreshold),
 		failClusters:  cluster.NewSet(cfg.ClusterThreshold),
 		crashClusters: cluster.NewSet(cfg.ClusterThreshold),
@@ -320,6 +327,8 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 		info := cfg.Restore.Info
 		info.RestoreNS = int64(time.Since(began))
 		e.resume = &info
+	} else {
+		e.res.Records = e.reserveRecords(nil)
 	}
 	// Shard labels exist for the journal; the per-fold geometry lookup
 	// (O(shards), under the session lock) is only paid when a store is
@@ -700,6 +709,19 @@ func (e *Engine) batchSnapshotLocked(bs *batchSnap) Snapshot {
 	return bs.snap
 }
 
+const (
+	maxFoldedSets      = 1 << 20 // bounds Engine.foldedSets
+	maxReservedRecords = 1 << 18 // bounds reserveRecords
+)
+
+// reserveRecords copies restored into a slice with room for the rest of
+// the Iterations budget, reserved once instead of regrown at every
+// doubling; capped, so a nominal budget of billions reserves megabytes.
+func (e *Engine) reserveRecords(restored []Record) []Record {
+	room := max(0, min(e.cfg.Iterations-e.res.base-len(restored), maxReservedRecords))
+	return append(make([]Record, 0, len(restored)+room), restored...)
+}
+
 func (e *Engine) foldLocked(et *ExecutedTest, bs *batchSnap) (bool, explore.Feedback) {
 	c, rec, outcome, pre := et.C, et.Rec, et.Out, et.Pre
 	rec.ID = e.res.Executed
@@ -713,18 +735,26 @@ func (e *Engine) foldLocked(et *ExecutedTest, bs *batchSnap) (bool, explore.Feed
 		rec.Shard = e.shardOf(c.Point)
 	}
 
-	// Coverage accounting: count blocks first covered by this run.
-	for b := range outcome.Blocks {
-		if _, seen := e.covered[b]; !seen {
-			e.covered[b] = struct{}{}
-			e.coveredList = append(e.coveredList, b)
-			rec.NewBlocks++
-		}
-		if _, isRec := e.recoverySet[b]; isRec {
-			if _, have := e.recovered[b]; !have {
-				e.recovered[b] = struct{}{}
-				e.recoveredList = append(e.recoveredList, b)
+	// Coverage accounting: count blocks first covered by this run. A set
+	// already folded covers nothing first; sum 0 is never remembered.
+	set := [2]uint64{outcome.BlockSum, uint64(len(outcome.Blocks))}
+	if _, folded := e.foldedSets[set]; !folded {
+		e.blockWalks++
+		for b := range outcome.Blocks {
+			if _, seen := e.covered[b]; !seen {
+				e.covered[b] = struct{}{}
+				e.coveredList = append(e.coveredList, b)
+				rec.NewBlocks++
 			}
+			if _, isRec := e.recoverySet[b]; isRec {
+				if _, have := e.recovered[b]; !have {
+					e.recovered[b] = struct{}{}
+					e.recoveredList = append(e.recoveredList, b)
+				}
+			}
+		}
+		if set[0] != 0 && len(e.foldedSets) < maxFoldedSets {
+			e.foldedSets[set] = struct{}{}
 		}
 	}
 
@@ -947,6 +977,8 @@ func (e *Engine) quickSnapshotLocked() Snapshot {
 		NewCrashIDs:    len(e.res.CrashIDs),
 		UniqueFailures: e.failClusters.Len(),
 		Coverage:       cov,
+		BlockSets:      len(e.foldedSets),
+		BlockWalks:     e.blockWalks,
 	}
 	e.leaseMu.Lock()
 	s.Pending = e.pending

@@ -237,7 +237,7 @@ func (e *Engine) applyRestore(r *Restore) error {
 	}
 
 	e.res.base = base
-	e.res.Records = append([]Record(nil), r.Records...)
+	e.res.Records = e.reserveRecords(r.Records)
 	e.res.Executed = base + len(r.Records)
 	for i := range e.res.Records {
 		rec := &e.res.Records[i]

@@ -240,6 +240,11 @@ type Snapshot struct {
 	// only; zero elsewhere).
 	PoolRecycles int64   `json:"poolRecycles"`
 	Coverage     float64 `json:"coverage"`
+	// BlockSets counts the distinct coverage sets folded (by content sum,
+	// prog.Outcome.BlockSum) and BlockWalks the folds that walked theirs;
+	// the rest repeated a set and skipped: 1 − BlockWalks/Executed.
+	BlockSets  int `json:"blockSets"`
+	BlockWalks int `json:"blockWalks"`
 	// AvgTestNS is the EWMA of per-test execution wall clock reported
 	// by executors (Engine.ObserveLatency) and AdaptiveBatch the
 	// engine's current suggested wire-batch size derived from it. Both

@@ -144,27 +144,34 @@ func scalability(o Opts, nodeCounts []int, testsPerRun, workFactor int, singleTa
 		if err != nil {
 			panic("experiments: " + err.Error())
 		}
+		// Every node says Hello before any leases: whether several hold
+		// leases at once is then the coordinator's doing, not a race of
+		// one node draining the budget against the others' dials.
+		var mgrs []*rpcnode.Manager
+		for m := 0; m < n; m++ {
+			mgr, err := rpcnode.Dial(srv.Addr(), fmt.Sprintf("mgr%02d", m), p)
+			if err != nil {
+				continue
+			}
+			mgr.Work = workFactor
+			// A §7.7 node runs one test at a time; without the cap
+			// a single in-process manager fans out over every core
+			// and node count stops being the unit of parallelism.
+			mgr.Concurrency = 1
+			if singleTask {
+				mgr.Batch = 1
+			}
+			mgrs = append(mgrs, mgr)
+		}
 		start := time.Now()
 		var wg sync.WaitGroup
-		for m := 0; m < n; m++ {
+		for _, mgr := range mgrs {
 			wg.Add(1)
-			go func(id int) {
+			go func(mgr *rpcnode.Manager) {
 				defer wg.Done()
-				mgr, err := rpcnode.Dial(srv.Addr(), fmt.Sprintf("mgr%02d", id), p)
-				if err != nil {
-					return
-				}
 				defer mgr.Close()
-				mgr.Work = workFactor
-				// A §7.7 node runs one test at a time; without the cap
-				// a single in-process manager fans out over every core
-				// and node count stops being the unit of parallelism.
-				mgr.Concurrency = 1
-				if singleTask {
-					mgr.Batch = 1
-				}
 				mgr.RunUntilDone()
-			}(m)
+			}(mgr)
 		}
 		wg.Wait()
 		elapsed := time.Since(start)

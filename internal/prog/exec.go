@@ -22,6 +22,10 @@ type compiled struct {
 	funcs  []string
 	funcID map[string]int32
 	blocks []int // dense block index → block id
+	// mixes[i] is mix(blocks[i]): a run sums its coverage from the
+	// bitset, and sets interns the maps materialised so far by that sum.
+	mixes []uint64
+	sets  BlockSets
 	// memo[t] is test t's fault-free run, filled on first use by the
 	// same interpreter. At most suite × (blocks + functions) entries.
 	memo []atomic.Pointer[faultFree]
@@ -96,6 +100,7 @@ func (p *Program) compile() *compiled {
 			idx = int32(len(c.blocks))
 			blockIdx[block] = idx
 			c.blocks = append(c.blocks, block)
+			c.mixes = append(c.mixes, mix(block))
 		}
 		return idx
 	}
@@ -152,8 +157,8 @@ type armedFault struct {
 // meaningful — and what lets Run answer a plan that cannot fire from the
 // test's memoised fault-free run: nothing fires before the first fault
 // that would fire fault-free, so if no fault names a call the fault-free
-// run reaches, the run is the fault-free run. The returned Blocks map may
-// therefore be shared between outcomes: it is read-only to the holder.
+// run reaches, the run is the fault-free run. The returned Blocks map is
+// shared with every outcome of p that covered the same set: read-only.
 func Run(p *Program, testID int, plan inject.Plan) Outcome {
 	if testID < 0 || testID >= len(p.TestSuite) {
 		return Outcome{Failed: true}
@@ -255,15 +260,24 @@ func (c *compiled) run(testID int, armed []armedFault) (Outcome, []int32) {
 		m.out.Hung = ctl == ctlHang
 		break
 	}
+	var acc uint64
 	n := 0
-	for _, w := range m.covered {
-		n += bits.OnesCount64(w)
-	}
-	m.out.Blocks = make(map[int]struct{}, n)
 	for i, w := range m.covered {
+		n += bits.OnesCount64(w)
 		for ; w != 0; w &= w - 1 {
-			m.out.Blocks[c.blocks[i*64+bits.TrailingZeros64(w)]] = struct{}{}
+			acc += c.mixes[i*64+bits.TrailingZeros64(w)]
 		}
+	}
+	// A set this program has produced before is not materialised again.
+	m.out.BlockSum = closeSum(acc, n)
+	if m.out.Blocks = c.sets.Lookup(m.out.BlockSum); m.out.Blocks == nil {
+		blocks := make(map[int]struct{}, n)
+		for i, w := range m.covered {
+			for ; w != 0; w &= w - 1 {
+				blocks[c.blocks[i*64+bits.TrailingZeros64(w)]] = struct{}{}
+			}
+		}
+		m.out.Blocks = c.sets.Intern(m.out.BlockSum, blocks)
 	}
 	return m.out, m.calls
 }

@@ -55,7 +55,9 @@ func TestRunAllocations(t *testing.T) {
 }
 
 // TestMemoIsShared: plans that cannot fire all return the one memoised
-// outcome, Blocks map included; a plan that fires gets its own.
+// outcome, Blocks map included; a plan that fires is run, and shares the
+// map of every run that covered the same set — here its own second run,
+// and the fault-free run too, since failing the ninth read skips nothing.
 func TestMemoIsShared(t *testing.T) {
 	p := loopProgram(3)
 	clean, _ := p.FaultFree(0)
@@ -65,9 +67,14 @@ func TestMemoIsShared(t *testing.T) {
 			t.Errorf("plan %q: not the memoised outcome: %+v", plan, out)
 		}
 	}
-	fired := Run(p, 0, failRead(9))
-	if !fired.Injected || reflect.ValueOf(fired.Blocks).Pointer() == reflect.ValueOf(clean.Blocks).Pointer() {
-		t.Errorf("a firing run must own its Blocks map: %+v", fired)
+	fired, again := Run(p, 0, failRead(9)), Run(p, 0, failRead(9))
+	if want, _ := ReferenceRun(p, 0, failRead(9)); !fired.Injected || !reflect.DeepEqual(fired, want) {
+		t.Errorf("a firing run is not the reference's: %+v, want %+v", fired, want)
+	}
+	for _, other := range []Outcome{again, clean} {
+		if reflect.ValueOf(fired.Blocks).Pointer() != reflect.ValueOf(other.Blocks).Pointer() {
+			t.Errorf("runs that covered the same set must share one Blocks map: %+v and %+v", fired, other)
+		}
 	}
 	if again, _ := p.FaultFree(0); !reflect.DeepEqual(again, clean) {
 		t.Errorf("the memo changed: %+v, was %+v", again, clean)

@@ -21,10 +21,16 @@
 // Run is a pure function of (program, test, plan), each test's fault-free
 // run is memoised on the Program, and a plan that cannot fire — no fault
 // with 0 < callNumber ≤ the calls the test makes to its function — is
-// answered from the memo without running anything. Outcomes answered that
-// way share one Blocks map: Outcome.Blocks is read-only to the holder.
-// The memo holds at most suite × (blocks + functions) entries; with the
-// compiled form it comes to ≈ 5 MB of heap on the mysqld target.
+// answered from the memo without running anything. The memo holds at most
+// suite × (blocks + functions) entries; with the compiled form it comes to
+// ≈ 5 MB of heap on the mysqld target.
+//
+// Coverage sets are content-addressed (blocksum.go): the interpreter sums
+// a run's set from its bitset into Outcome.BlockSum and hands a sum it has
+// produced before the map it materialised then, so any two outcomes that
+// covered the same blocks, memoised or not, may share one Blocks map — it
+// is read-only to every holder. Downstream the sum is the set's identity:
+// the engine's fold skips a set it has folded, a manager encodes it once.
 //
 // What makes this a faithful substrate is that the error behaviours are
 // attached to code locations, so the induced fault space has the same kind
@@ -306,8 +312,13 @@ type Outcome struct {
 	// is what redundancy clustering compares (§5).
 	InjectionStack []string
 	// Blocks is the set of basic blocks covered. It may be shared with
-	// other outcomes of the same test: read-only to the holder.
+	// any outcome that covered the same set: read-only to every holder.
 	Blocks map[int]struct{}
+	// BlockSum is the content sum of Blocks (SumBlocks), computed by
+	// whoever built the set (the interpreter, the process supervisor,
+	// the RPC coordinator, journal replay) so that consumers can key on
+	// it. 0 when Blocks is empty or no sum was computed: walk Blocks.
+	BlockSum uint64
 	// OpsExecuted counts executed operations (a cheap progress/perf
 	// proxy).
 	OpsExecuted int

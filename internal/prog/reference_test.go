@@ -51,13 +51,18 @@ type executor struct {
 
 // ReferenceRun is the old Run — range check, a fresh env armed with the
 // plan, then the tree walk — also returning the env's per-function call
-// counts. Exported to the package's external tests only.
+// counts. The one thing added to the old outcome is the content sum of
+// the set the tree walk built, taken over the finished map, so that the
+// differential tests hold the interpreter's bitset sum to it. Exported to
+// the package's external tests only.
 func ReferenceRun(p *Program, testID int, plan inject.Plan) (Outcome, map[string]int) {
 	if testID < 0 || testID >= len(p.TestSuite) {
 		return Outcome{Failed: true}, nil
 	}
 	env := &refEnv{plan: plan, fired: make([]bool, len(plan.Faults)), counts: make(map[string]int)}
-	return runEnv(p, testID, env), env.counts
+	out := runEnv(p, testID, env)
+	out.BlockSum = SumBlocks(out.Blocks)
+	return out, env.counts
 }
 
 // RunFromScratch is Run without the memo: the compiled interpreter over

@@ -245,15 +245,9 @@ func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 				stack = c.stacks[rw.StackHash]
 			}
 		}
-		out := prog.Outcome{
-			Failed:         rw.Failed,
-			Crashed:        rw.Crashed,
-			Hung:           rw.Hung,
-			CrashID:        rw.CrashID,
-			Injected:       rw.Injected,
-			InjectionStack: stack,
-			Blocks:         decodeBlocks(rw.Blocks),
-		}
+		out := c.coverage(rw.Blocks)
+		out.Failed, out.Crashed, out.Hung, out.Injected = rw.Failed, rw.Crashed, rw.Hung, rw.Injected
+		out.CrashID, out.InjectionStack = rw.CrashID, stack
 		ets = append(ets, c.foldInput(ls, rw.TestID, rw.Skipped, out, bname, rw.ExitStatus, rw.DurationNS))
 	}
 	c.mu.Unlock()
@@ -262,6 +256,21 @@ func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 	}
 	ack.Folded = len(ets)
 	return nil
+}
+
+// coverage returns an outcome holding the block set enc encodes and its
+// content sum: decoded and summed the first time these bytes arrive, that
+// one read-only map thereafter. Called under c.mu.
+func (c *Coordinator) coverage(enc []byte) prog.Outcome {
+	cov, ok := c.covs[string(enc)] // the conversion only keys the lookup: no allocation
+	if !ok {
+		cov.Blocks = decodeBlocks(enc)
+		cov.BlockSum = prog.SumBlocks(cov.Blocks)
+		if len(c.covs) < maxInternedSets {
+			c.covs[string(enc)] = cov // a copy: the entry outlives the RPC buffer
+		}
+	}
+	return cov
 }
 
 // retryAfter suggests the poll backoff for a manager's Retry response,
@@ -492,10 +501,29 @@ func (m *Manager) executeOne(tw TaskWire) ResultWire {
 		Injected:   out.Injected,
 		CrashID:    out.CrashID,
 		Stack:      out.InjectionStack,
-		Blocks:     encodeBlocks(out.Blocks),
+		Blocks:     m.encodeCoverage(out),
 		ExitStatus: ex.ExitStatus,
 		DurationNS: int64(ex.Duration),
 	}
+}
+
+// encodeCoverage returns the wire bytes of out's block set: one
+// sort-and-encode per distinct set, keyed by its content sum (a set
+// without one is encoded per result). The bytes are shared.
+func (m *Manager) encodeCoverage(out prog.Outcome) []byte {
+	if out.BlockSum == 0 {
+		return encodeBlocks(out.Blocks) // outside the lock: every result of a sum-less runner comes here
+	}
+	m.encMu.Lock()
+	defer m.encMu.Unlock()
+	enc, ok := m.encoded[out.BlockSum]
+	if !ok {
+		enc = encodeBlocks(out.Blocks)
+		if len(m.encoded) < maxInternedSets {
+			m.encoded[out.BlockSum] = enc
+		}
+	}
+	return enc
 }
 
 // convertTask rebuilds the injection plan straight from the leased

@@ -123,6 +123,7 @@ func measureWireBytes(tb testing.TB, batch int) (float64, int) {
 		runner:         runner,
 		backendName:    backend.Model,
 		sentStacks:     make(map[uint64]bool),
+		encoded:        make(map[uint64][]byte),
 	}
 	defer mgr.Close()
 	if err := mgr.hello(); err != nil {

@@ -85,6 +85,9 @@ type Coordinator struct {
 	// thereafter (ResultWire.StackHash). Content addressing lets all
 	// managers share one table. Lazily allocated.
 	stacks map[uint64][]string
+	// covs interns decoded coverage sets by their wire encoding (see
+	// coverage, wire.go); at most maxInternedSets.
+	covs map[string]prog.Outcome
 	// idle counts each manager's consecutive empty polls, growing the
 	// suggested Retry backoff (retryAfter); a successful lease resets
 	// it. Lazily allocated.
@@ -146,6 +149,7 @@ func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog
 		space:      space,
 		leases:     make(map[int]lease),
 		perManager: make(map[string]int),
+		covs:       make(map[string]prog.Outcome),
 		held:       make(map[string]int),
 	}
 	if space != nil {
@@ -423,6 +427,10 @@ type Manager struct {
 	// coordinates.
 	axisNames  [][]string
 	sentStacks map[uint64]bool
+	// encoded caches the wire bytes of each distinct coverage set run
+	// (see encodeCoverage; the execution workers share it under encMu).
+	encMu   sync.Mutex
+	encoded map[uint64][]byte
 	// latSumNS/latN accumulate measured per-test wall clock across the
 	// execution workers; their ratio rides every lease request as the
 	// adaptive-sizing signal.
@@ -461,6 +469,7 @@ func DialBackend(addr, id, name string, bcfg backend.Config) (*Manager, error) {
 		runner:      r,
 		backendName: name,
 		sentStacks:  make(map[uint64]bool),
+		encoded:     make(map[uint64][]byte),
 	}
 	if err := m.hello(); err != nil {
 		m.Close()

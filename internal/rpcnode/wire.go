@@ -7,12 +7,23 @@ package rpcnode
 // time it sees them and an 8-byte content hash thereafter (fault
 // exploration revisits the same few injection sites constantly, so the
 // dedup rate is high).
+//
+// The block encoding is canonical — ascending ids, minimal uvarints: one
+// set, one encoding — and the coordinator relies on it: it interns decoded
+// sets by the wire bytes themselves (Coordinator.coverage), which asks
+// nothing of the manager. Bytes encodeBlocks would not write (a zero
+// delta, a padded uvarint, a torn tail) decode to some set under their
+// own key: a second entry, never a wrong answer.
 
 import (
 	"encoding/binary"
 	"hash/fnv"
 	"sort"
 )
+
+// maxInternedSets bounds each end's table of coverage sets; past it a
+// set is encoded, or decoded, per result.
+const maxInternedSets = 1 << 14
 
 // encodeBlocks renders a covered-block set as sorted uvarint deltas.
 // Nil/empty sets encode as nil.

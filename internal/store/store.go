@@ -220,6 +220,7 @@ func (e *Entry) Record() core.Record {
 		for _, b := range e.Blocks {
 			out.Blocks[b] = struct{}{}
 		}
+		out.BlockSum = prog.SumBlocks(out.Blocks)
 	}
 	backendName := e.Backend
 	if backendName == "" {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -292,5 +293,27 @@ func TestEntryBackendFieldsRoundTrip(t *testing.T) {
 	}
 	if got := modelBack.Record().Backend; got != "model" {
 		t.Errorf("restored model record has backend %q, want the implicit default", got)
+	}
+}
+
+// TestReplayedOutcomeCarriesItsSum: journal replay gives an outcome the
+// content sum its producer computed — a function of the set alone — so a
+// restored record equals the live one, sum included.
+func TestReplayedOutcomeCarriesItsSum(t *testing.T) {
+	c, rec := testRecord(3)
+	rec.Outcome.Blocks = map[int]struct{}{4: {}, 17: {}, 1 << 20: {}}
+	rec.Outcome.BlockSum = prog.SumBlocks(rec.Outcome.Blocks)
+	for _, ids := range [][]int{nil, {17, 4, 1 << 20, 4}} {
+		e := entryFrom(0, c, rec)
+		if ids != nil {
+			e.Blocks = ids // a hand-edited journal: unsorted, repeated
+		}
+		if got := e.Record().Outcome; got.BlockSum != rec.Outcome.BlockSum || !reflect.DeepEqual(got.Blocks, rec.Outcome.Blocks) {
+			t.Errorf("replayed %v (sum %#x), journaled %v (sum %#x)", got.Blocks, got.BlockSum, rec.Outcome.Blocks, rec.Outcome.BlockSum)
+		}
+	}
+	rec.Outcome.Blocks, rec.Outcome.BlockSum = nil, 0
+	if got := entryFrom(0, c, rec).Record().Outcome; got.Blocks != nil || got.BlockSum != 0 {
+		t.Errorf("an outcome without blocks replayed as %+v", got)
 	}
 }
