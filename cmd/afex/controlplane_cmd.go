@@ -42,7 +42,7 @@ func cmdSubmit(args []string, w io.Writer) error {
 	fs.Var(&testArgs, "test-args", "process backend: argument row for one testID (repeatable)")
 	fs.StringVar(&spec.Timeout, "timeout", "", "process backend: per-test wall-clock cap (duration)")
 	fs.IntVar(&spec.Procs, "procs", 0, "process backend: max concurrent subprocesses")
-	fs.IntVar(&spec.TestsPerProc, "tests-per-proc", 0, "process backend: tests per warm worker before recycling")
+	fs.IntVar(&spec.TestsPerProc, "tests-per-proc", 0, "process backend: scenarios a warm worker serves before being recycled (0 = default, negative = one-shot mode: one process per scenario)")
 	fs.StringVar(&spec.TimeBudget, "time-budget", "", "stop the session after this much wall clock (duration)")
 	fs.StringVar(&spec.StateDir, "state-dir", "", "persist the session in this state directory on the server")
 	fs.StringVar(&spec.JournalFormat, "journal-format", "", "journal encoding for a new state directory")

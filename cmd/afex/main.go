@@ -165,7 +165,7 @@ func cmdExplore(args []string) error {
 	spaceDesc := fs.String("space", "", "fault-space description in the Fig. 3 language, or @file (required for cmd: targets; overrides the profiled space for built-in ones)")
 	execTimeout := fs.Duration("timeout", 0, "process backend: per-test wall-clock cap; expired tests are killed and folded as Hung (0 = default)")
 	procs := fs.Int("procs", 0, "process backend: max concurrently running subprocesses, independent of --workers (0 = default)")
-	testsPerProc := fs.Int("tests-per-proc", 0, "process backend: scenarios a warm worker process serves before being recycled (0 = default, negative = fork/exec per scenario)")
+	testsPerProc := fs.Int("tests-per-proc", 0, "process backend: scenarios a warm worker serves before being recycled (0 = default, negative = one-shot mode: one process per scenario)")
 	var testArgs multiFlag
 	fs.Var(&testArgs, "test-args", "process backend: per-test argument row appended to the command template, repeatable (row i serves testID i)")
 	algorithm := fs.String("algorithm", afex.FitnessGuided, "exploration strategy: "+strings.Join(afex.Algorithms(), " | "))
@@ -686,7 +686,7 @@ func cmdWorker(args []string) error {
 	backendName := fs.String("backend", "", "execution backend: "+strings.Join(afex.Backends(), " | ")+" (default: model for built-in targets, process for cmd: targets)")
 	execTimeout := fs.Duration("timeout", 0, "process backend: per-test wall-clock cap (0 = default)")
 	procs := fs.Int("procs", 0, "process backend: max concurrently running subprocesses (0 = default)")
-	testsPerProc := fs.Int("tests-per-proc", 0, "process backend: scenarios a warm worker process serves before being recycled (0 = default, negative = fork/exec per scenario)")
+	testsPerProc := fs.Int("tests-per-proc", 0, "process backend: scenarios a warm worker serves before being recycled (0 = default, negative = one-shot mode: one process per scenario)")
 	addr := fs.String("addr", "127.0.0.1:7070", "coordinator address")
 	id := fs.String("id", "worker", "manager identity reported to the coordinator")
 	rpcBatch := fs.Int("rpc-batch", 0, "tests leased per RPC round trip: 0 = adaptive (coordinator-sized from measured test latency), 1 = one at a time with no lease in flight during execution, >1 = fixed batch")

@@ -60,11 +60,10 @@ type Config struct {
 	// throttled below it. Zero selects DefaultProcs.
 	Procs int
 	// TestsPerProc bounds how many scenarios one warm worker process
-	// serves before the supervisor recycles it (process backend, worker
+	// serves before the supervisor recycles it (process backend, warm
 	// mode) — the defense against state leaking across scenarios in
 	// long-lived fixtures. Zero selects DefaultTestsPerProc; negative
-	// disables warm workers entirely, forcing one fork/exec per
-	// scenario.
+	// puts the pool in one-shot mode, one fork/exec per scenario.
 	TestsPerProc int
 }
 

@@ -18,36 +18,63 @@ import (
 // TestMain — the same binary CI builds for the binary-level round trip.
 var crashyBin string
 
+// fixtures maps each package TestMain builds to where its binary's path
+// goes; platform test files add their own in init.
+var fixtures = map[string]*string{"afex/cmd/crashy": &crashyBin}
+
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "afex-backend-*")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	crashyBin = filepath.Join(dir, "crashy")
-	out, err := exec.Command("go", "build", "-o", crashyBin, "afex/cmd/crashy").CombinedOutput()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "building fixture: %v\n%s", err, out)
-		os.RemoveAll(dir)
-		os.Exit(1)
+	for pkg, bin := range fixtures {
+		*bin = filepath.Join(dir, filepath.Base(pkg))
+		out, err := exec.Command("go", "build", "-o", *bin, pkg).CombinedOutput()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "building fixture %s: %v\n%s", pkg, err, out)
+			os.RemoveAll(dir)
+			os.Exit(1)
+		}
 	}
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
 }
 
-func crashyRunner(t testing.TB, timeout time.Duration) Runner {
+// poolModes are the two ways the one process pool comes up, each with
+// the Config.TestsPerProc that selects it for a worker-mode fixture.
+var poolModes = []struct {
+	name         string
+	testsPerProc int
+}{{"warm", 0}, {"one-shot", -1}}
+
+// fixtureRunner builds the process backend over bin and asserts it came
+// up in the mode testsPerProc asks for: warm is a Recycler, one-shot is
+// not.
+func fixtureRunner(t testing.TB, bin string, procs, testsPerProc int, timeout time.Duration) Runner {
 	t.Helper()
-	spec, err := ParseSpec("cmd:" + crashyBin + " {test}")
+	spec, err := ParseSpec("cmd:" + bin + " {test}")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(Process, Config{Command: spec, Timeout: timeout, Procs: 2})
+	r, err := New(Process, Config{Command: spec, Timeout: timeout, Procs: procs, TestsPerProc: testsPerProc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
+	if _, warm := r.(Recycler); warm != (testsPerProc >= 0) {
+		t.Fatalf("TestsPerProc %d built %T (Recycler: %v)", testsPerProc, r, warm)
+	}
 	return r
+}
+
+// inBothModes runs f once per pool mode, as a subtest, on a crashy
+// runner that came up in it.
+func inBothModes(t *testing.T, timeout time.Duration, f func(t *testing.T, r Runner)) {
+	for _, m := range poolModes {
+		t.Run(m.name, func(t *testing.T) { f(t, fixtureRunner(t, crashyBin, 2, m.testsPerProc, timeout)) })
+	}
 }
 
 func fault(fn string, call int) inject.Plan {
@@ -87,7 +114,10 @@ func TestRegistryContract(t *testing.T) {
 	}
 }
 
-func TestModelRunnerMatchesProgRun(t *testing.T) {
+// tinyModel is a one-test program model whose only op is a read that
+// propagates its error.
+func tinyModel(t *testing.T) *prog.Program {
+	t.Helper()
 	target := &prog.Program{
 		Name: "m",
 		Routines: map[string]*prog.Routine{
@@ -101,6 +131,11 @@ func TestModelRunnerMatchesProgRun(t *testing.T) {
 	if err := target.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return target
+}
+
+func TestModelRunnerMatchesProgRun(t *testing.T) {
+	target := tinyModel(t)
 	r, err := New("", Config{Target: target}) // "" selects model
 	if err != nil {
 		t.Fatal(err)
@@ -118,93 +153,99 @@ func TestModelRunnerMatchesProgRun(t *testing.T) {
 }
 
 func TestProcessCleanPass(t *testing.T) {
-	r := crashyRunner(t, 5*time.Second)
-	out, ex := r.Run(3, inject.Plan{})
-	if out.Failed || out.Injected {
-		t.Errorf("fault-free probe run = %+v, want pass", out)
-	}
-	if ex.ExitStatus != "exit:0" || ex.Backend != Process {
-		t.Errorf("Exec = %+v, want exit:0/process", ex)
-	}
-	if ex.Duration <= 0 {
-		t.Error("process run reported no duration")
-	}
-	if len(out.Blocks) == 0 {
-		t.Error("orderly exit delivered no coverage blocks")
-	}
+	inBothModes(t, 5*time.Second, func(t *testing.T, r Runner) {
+		out, ex := r.Run(3, inject.Plan{})
+		if out.Failed || out.Injected {
+			t.Errorf("fault-free probe run = %+v, want pass", out)
+		}
+		if ex.ExitStatus != "exit:0" || ex.Backend != Process {
+			t.Errorf("Exec = %+v, want exit:0/process", ex)
+		}
+		if ex.Duration <= 0 {
+			t.Error("process run reported no duration")
+		}
+		if len(out.Blocks) == 0 {
+			t.Error("orderly exit delivered no coverage blocks")
+		}
+	})
 }
 
 func TestProcessOrderlyFailure(t *testing.T) {
-	r := crashyRunner(t, 5*time.Second)
-	out, ex := r.Run(0, fault("open", 1))
-	if !out.Injected || !out.Failed || out.Crashed || out.Hung {
-		t.Fatalf("open fault outcome = %+v, want injected orderly failure", out)
-	}
-	if ex.ExitStatus != "exit:1" {
-		t.Errorf("ExitStatus = %q, want exit:1", ex.ExitStatus)
-	}
-	if len(out.InjectionStack) < 2 {
-		t.Fatalf("stack %v too short; want fixture frames + injection point", out.InjectionStack)
-	}
-	inner := out.InjectionStack[len(out.InjectionStack)-1]
-	if inner != "open:c1" {
-		t.Errorf("innermost frame %q, want open:c1", inner)
-	}
-	if !strings.Contains(strings.Join(out.InjectionStack, " "), "main.readConfig") {
-		t.Errorf("stack %v does not name the fixture function", out.InjectionStack)
-	}
+	inBothModes(t, 5*time.Second, func(t *testing.T, r Runner) {
+		out, ex := r.Run(0, fault("open", 1))
+		if !out.Injected || !out.Failed || out.Crashed || out.Hung {
+			t.Fatalf("open fault outcome = %+v, want injected orderly failure", out)
+		}
+		if ex.ExitStatus != "exit:1" {
+			t.Errorf("ExitStatus = %q, want exit:1", ex.ExitStatus)
+		}
+		if len(out.InjectionStack) < 2 {
+			t.Fatalf("stack %v too short; want fixture frames + injection point", out.InjectionStack)
+		}
+		inner := out.InjectionStack[len(out.InjectionStack)-1]
+		if inner != "open:c1" {
+			t.Errorf("innermost frame %q, want open:c1", inner)
+		}
+		if !strings.Contains(strings.Join(out.InjectionStack, " "), "main.readConfig") {
+			t.Errorf("stack %v does not name the fixture function", out.InjectionStack)
+		}
+	})
 }
 
 func TestProcessRetryAbsorbsSingleFault(t *testing.T) {
-	r := crashyRunner(t, 5*time.Second)
-	out, ex := r.Run(0, fault("read", 1))
-	if !out.Injected || out.Failed {
-		t.Errorf("retried read fault = %+v (%s), want injected pass", out, ex.ExitStatus)
-	}
+	inBothModes(t, 5*time.Second, func(t *testing.T, r Runner) {
+		out, ex := r.Run(0, fault("read", 1))
+		if !out.Injected || out.Failed {
+			t.Errorf("retried read fault = %+v (%s), want injected pass", out, ex.ExitStatus)
+		}
+	})
 }
 
 func TestProcessCrashMapsSignaledExit(t *testing.T) {
-	r := crashyRunner(t, 5*time.Second)
-	out, ex := r.Run(1, fault("malloc", 1))
-	if !out.Injected || !out.Failed || !out.Crashed || out.Hung {
-		t.Fatalf("malloc crash outcome = %+v, want crash", out)
-	}
-	if out.CrashID != "crashy/unchecked-malloc" {
-		t.Errorf("CrashID = %q, want the shim-labelled planted bug", out.CrashID)
-	}
-	if !strings.HasPrefix(ex.ExitStatus, "signal:") {
-		t.Errorf("ExitStatus = %q, want signal:*", ex.ExitStatus)
-	}
+	inBothModes(t, 5*time.Second, func(t *testing.T, r Runner) {
+		out, ex := r.Run(1, fault("malloc", 1))
+		if !out.Injected || !out.Failed || !out.Crashed || out.Hung {
+			t.Fatalf("malloc crash outcome = %+v, want crash", out)
+		}
+		if out.CrashID != "crashy/unchecked-malloc" {
+			t.Errorf("CrashID = %q, want the shim-labelled planted bug", out.CrashID)
+		}
+		if !strings.HasPrefix(ex.ExitStatus, "signal:") {
+			t.Errorf("ExitStatus = %q, want signal:*", ex.ExitStatus)
+		}
+	})
 }
 
 func TestProcessTimeoutMapsToHung(t *testing.T) {
-	r := crashyRunner(t, 300*time.Millisecond)
-	start := time.Now()
-	out, ex := r.Run(2, fault("write", 1))
-	if !out.Injected || !out.Failed || !out.Hung || out.Crashed {
-		t.Fatalf("hung write outcome = %+v, want Hung", out)
-	}
-	if ex.ExitStatus != "timeout" {
-		t.Errorf("ExitStatus = %q, want timeout", ex.ExitStatus)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("timeout enforcement took %v", elapsed)
-	}
+	inBothModes(t, 300*time.Millisecond, func(t *testing.T, r Runner) {
+		start := time.Now()
+		out, ex := r.Run(2, fault("write", 1))
+		if !out.Injected || !out.Failed || !out.Hung || out.Crashed {
+			t.Fatalf("hung write outcome = %+v, want Hung", out)
+		}
+		if ex.ExitStatus != "timeout" {
+			t.Errorf("ExitStatus = %q, want timeout", ex.ExitStatus)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("timeout enforcement took %v", elapsed)
+		}
+	})
 }
 
 func TestProcessDeterministicOutcomes(t *testing.T) {
-	// The fixture is deterministic, so repeated runs of one plan agree
-	// on everything but wall clock — the property process-backend
-	// resume equality rests on.
-	r := crashyRunner(t, 5*time.Second)
-	first, _ := r.Run(0, fault("open", 1))
-	for i := 0; i < 3; i++ {
-		out, _ := r.Run(0, fault("open", 1))
-		if out.Failed != first.Failed || out.Injected != first.Injected ||
-			strings.Join(out.InjectionStack, "|") != strings.Join(first.InjectionStack, "|") {
-			t.Fatalf("run %d diverged: %+v vs %+v", i, out, first)
+	inBothModes(t, 5*time.Second, func(t *testing.T, r Runner) {
+		// The fixture is deterministic, so repeated runs of one plan agree
+		// on everything but wall clock — the property process-backend
+		// resume equality rests on.
+		first, _ := r.Run(0, fault("open", 1))
+		for i := 0; i < 3; i++ {
+			out, _ := r.Run(0, fault("open", 1))
+			if out.Failed != first.Failed || out.Injected != first.Injected ||
+				strings.Join(out.InjectionStack, "|") != strings.Join(first.InjectionStack, "|") {
+				t.Fatalf("run %d diverged: %+v vs %+v", i, out, first)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkProcessExecutor measures one supervised scenario execution
@@ -221,17 +262,7 @@ func BenchmarkProcessExecutor(b *testing.B) {
 		tpp, batch int
 	}{{"cold", -1, 1}, {"warm", 0, 1}, {"warm/batch8", 0, 8}} {
 		b.Run(mode.name, func(b *testing.B) {
-			spec, err := ParseSpec("cmd:" + crashyBin + " {test}")
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := New(Process, Config{
-				Command: spec, Timeout: 5 * time.Second, Procs: 2, TestsPerProc: mode.tpp,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
+			r := fixtureRunner(b, crashyBin, 2, mode.tpp, 5*time.Second)
 			tests := make([]Test, mode.batch)
 			for i := range tests {
 				tests[i] = Test{TestID: 0, Plan: plan}

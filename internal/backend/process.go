@@ -1,26 +1,24 @@
 package backend
 
 // The process backend: real-process fault injection. Each leased
-// scenario's armed plan is handed to a supervised subprocess over the
-// shim protocol (package afex/shim): the plan travels in the AFEX_PLAN
-// environment variable, and the fixture's shim streams injection-point
-// stacks, covered blocks and crash labels back over a pipe the
-// supervisor passes as fd 3. The supervisor enforces a per-test
-// wall-clock timeout (expired tests are killed and reported Hung),
-// maps exit dispositions onto the model's outcome vocabulary (nonzero
-// exit ⇒ Failed, signaled exit ⇒ Crashed), and bounds concurrency with
-// a process pool sized independently of the engine's workers.
+// scenario's armed plan is handed to a supervised fixture process over
+// the shim protocol (package afex/shim), and the fixture's shim streams
+// injection-point stacks, covered blocks and crash labels back over a
+// pipe the supervisor passes as fd 3. This file holds what does not
+// depend on how the process came to be: construction (which picks the
+// supervisor's mode), the plan encoding, and the fold of a report and an
+// exit disposition onto the model's outcome vocabulary (nonzero exit ⇒
+// Failed, signaled exit ⇒ Crashed, killed by the timeout ⇒ Hung). The
+// one supervisor — spawn, timeout kill, pipe drain, Close — is the pool
+// in worker.go, for warm workers and fork/exec per scenario alike.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"afex/internal/inject"
@@ -37,47 +35,13 @@ const DefaultTimeout = 10 * time.Second
 // unset.
 const DefaultProcs = 4
 
-type processRunner struct {
-	spec    *CommandSpec
-	timeout time.Duration
-	// baseEnv is the spawn environment minus the plan: the inherited
-	// environment plus the report-fd convention, built once at
-	// construction. Per scenario only the AFEX_PLAN entry differs, so
-	// Run appends it to a capacity-capped view of this slice instead of
-	// re-walking os.Environ per spawn.
-	baseEnv []string
-	// sem is the process pool: one slot per concurrently running
-	// subprocess. Sized independently of the engine's worker count —
-	// effective parallelism is min(workers, procs).
-	sem  chan struct{}
-	sets prog.BlockSets // see foldEvents
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// newProcess builds the process backend. It prefers the warm-worker
-// pool (one persistent fixture process per pool slot, re-armed per
-// scenario) and falls back to per-scenario fork/exec when the fixture
-// does not speak worker mode, when the spec carries per-test argv tails
-// (which must be baked in at spawn time), or when Config.TestsPerProc
-// is negative.
+// newProcess builds the process backend: one pool of supervised fixture
+// processes (worker.go). It comes up warm — one persistent process per
+// pool slot, re-armed per scenario — when the fixture answers the
+// worker-mode probe, and one-shot — fork/exec per scenario — when it
+// does not, when the spec carries per-test argv tails (which must be
+// baked in at spawn time), or when Config.TestsPerProc is negative.
 func newProcess(cfg Config) (Runner, error) {
-	cold, err := newColdProcess(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(cfg.Command.TestArgs) > 0 || cfg.TestsPerProc < 0 {
-		return cold, nil
-	}
-	if warm := newWorkerRunner(cfg, cold); warm != nil {
-		return warm, nil
-	}
-	return cold, nil
-}
-
-// newColdProcess builds the one-shot (fork/exec per scenario) runner.
-func newColdProcess(cfg Config) (*processRunner, error) {
 	if cfg.Command == nil || len(cfg.Command.Argv) == 0 {
 		return nil, fmt.Errorf("process backend requires a command spec (cmd: target)")
 	}
@@ -86,24 +50,33 @@ func newColdProcess(cfg Config) (*processRunner, error) {
 	if _, err := exec.LookPath(cfg.Command.Argv[0]); err != nil {
 		return nil, fmt.Errorf("process backend: %w", err)
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
+	p := &pool{spec: cfg.Command, timeout: cfg.Timeout, testsPerProc: cfg.TestsPerProc}
+	if p.timeout <= 0 {
+		p.timeout = DefaultTimeout
+	}
+	if p.testsPerProc == 0 {
+		p.testsPerProc = DefaultTestsPerProc
 	}
 	procs := cfg.Procs
 	if procs <= 0 {
 		procs = DefaultProcs
 	}
-	return &processRunner{
-		spec:    cfg.Command,
-		timeout: timeout,
-		baseEnv: append(os.Environ(), shim.ReportFDEnv+"=3"),
-		sem:     make(chan struct{}, procs),
-	}, nil
+	p.slots = make(chan *worker, procs)
+	for i := 1; i < procs; i++ {
+		p.slots <- nil
+	}
+	p.baseEnv = append(os.Environ(), shim.ReportFDEnv+"=3", shim.WorkerFDEnv+"=4")
+	if len(cfg.Command.TestArgs) == 0 && cfg.TestsPerProc >= 0 {
+		if probe, err := p.spawn(Test{}); err == nil {
+			p.slots <- probe
+			return &workerRunner{p}, nil
+		}
+	}
+	// One-shot: a quota of one, and no arm pipe for the environment to name.
+	p.oneShot, p.testsPerProc, p.baseEnv = true, 1, p.baseEnv[:len(p.baseEnv)-1]
+	p.slots <- nil
+	return p, nil
 }
-
-// Parallelism implements Parallel: the pool width (Config.Procs).
-func (p *processRunner) Parallelism() int { return cap(p.sem) }
 
 // appendPlan renders the armed plan as the bytes json.Marshal gives its
 // shim.PlanWire: the AFEX_PLAN value (seq 0) and the worker arm line.
@@ -140,88 +113,6 @@ func appendString(b []byte, s string) []byte {
 		}
 	}
 	return append(append(append(b, '"'), s...), '"')
-}
-
-// Run launches one supervised test execution.
-func (p *processRunner) Run(testID int, plan inject.Plan) (prog.Outcome, Exec) {
-	p.sem <- struct{}{}
-	defer func() { <-p.sem }()
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return prog.Outcome{Failed: true}, Exec{Backend: Process, ExitStatus: "runner-closed"}
-	}
-
-	argv := p.spec.ArgvFor(testID)
-	cmd := exec.Command(argv[0], argv[1:]...)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = io.Discard
-	// The fixture leads its own process group, so a timeout kill reaps
-	// any helpers it spawned instead of orphaning them one per hung
-	// test.
-	isolateProcessGroup(cmd)
-
-	pr, pw, err := os.Pipe()
-	if err != nil {
-		return prog.Outcome{Failed: true}, Exec{Backend: Process, ExitStatus: "spawn:" + err.Error()}
-	}
-	// The report pipe rides after stdio: ExtraFiles[0] is fd 3 in the
-	// child, and AFEX_REPORT_FD names it so the convention can move.
-	cmd.ExtraFiles = []*os.File{pw}
-	// The capacity cap forces append to copy, so concurrent Runs never
-	// share the hoisted slice's backing array.
-	cmd.Env = append(p.baseEnv[:len(p.baseEnv):len(p.baseEnv)],
-		shim.PlanEnv+"="+string(appendPlan(nil, testID, 0, plan)))
-
-	start := time.Now()
-	if err := cmd.Start(); err != nil {
-		pr.Close()
-		pw.Close()
-		return prog.Outcome{Failed: true}, Exec{Backend: Process, ExitStatus: "spawn:" + err.Error()}
-	}
-	pw.Close() // parent's copy; the child holds the write end now
-
-	// Drain the report pipe concurrently so a chatty fixture never
-	// blocks on a full pipe buffer while the supervisor waits on it.
-	var events []shim.Event
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		rd := bufio.NewReaderSize(pr, reportLineMax)
-		for ev, err := nextEvent(rd); err == nil; ev, err = nextEvent(rd) {
-			events = append(events, ev)
-		}
-	}()
-
-	waitDone := make(chan error, 1)
-	go func() { waitDone <- cmd.Wait() }()
-	timedOut := false
-	timer := time.NewTimer(p.timeout)
-	select {
-	case <-waitDone:
-		timer.Stop()
-	case <-timer.C:
-		// Per-test wall-clock budget exhausted: the test is hung. Kill
-		// its whole process group and report Hung, not Crashed — the
-		// signal is ours.
-		timedOut = true
-		killTree(cmd)
-		<-waitDone
-	}
-	duration := time.Since(start)
-
-	// The child exited, so the pipe EOFs once buffered events drain —
-	// unless an inherited fd in a grandchild holds the write end open;
-	// a short grace then force-closes the read end.
-	select {
-	case <-readerDone:
-	case <-time.After(500 * time.Millisecond):
-	}
-	pr.Close()
-	<-readerDone
-
-	return foldReport(events, &p.sets, cmd.ProcessState, timedOut, duration)
 }
 
 // foldEvents parses the shim's report stream into the outcome fields it
@@ -316,24 +207,4 @@ func signalName(ps *os.ProcessState) string {
 		return name
 	}
 	return s
-}
-
-// Close waits for in-flight executions to finish and refuses further
-// runs.
-func (p *processRunner) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	p.mu.Unlock()
-	// Draining every pool slot waits out the in-flight subprocesses.
-	for i := 0; i < cap(p.sem); i++ {
-		p.sem <- struct{}{}
-	}
-	for i := 0; i < cap(p.sem); i++ {
-		<-p.sem
-	}
-	return nil
 }

@@ -1,42 +1,52 @@
 package backend
 
-// The warm-worker pool: the process backend's answer to the fork/exec
-// tax. Instead of spawning one subprocess per leased scenario, the
-// supervisor spawns Config.Procs persistent fixture processes in worker
-// mode (AFEX_WORKER_FD set, no AFEX_PLAN) and streams re-arm messages —
-// one serialized PlanWire per scenario — down each worker's arm pipe.
-// The shim resets call counters and coverage between scenarios
-// (shim.Serve / rearm) and answers each with a "done" event carrying
-// the scenario's exit code, so a clean scenario costs one pipe write
-// and one pipe read instead of a process lifetime — and a batch of
-// scenarios (RunBatch) one write for all its arm lines, the worker
-// serving them in order while the goroutine that armed it reads the
-// report pipe.
+// The process supervisor: one pool of Config.Procs slots, sized
+// independently of the engine's workers, that runs every scenario of the
+// process backend through one start → inject → sense → clean-up
+// sequence. It comes up in one of two modes.
+//
+// Warm, its answer to the fork/exec tax: a slot holds a persistent
+// fixture process in worker mode (AFEX_WORKER_FD set, no AFEX_PLAN) and
+// the supervisor streams re-arm messages — one serialized PlanWire per
+// scenario — down its arm pipe. The shim resets call counters and
+// coverage between scenarios (shim.Serve / rearm) and answers each with
+// a "done" event carrying the scenario's exit code, so a clean scenario
+// costs one pipe write and one pipe read instead of a process lifetime —
+// and a batch of scenarios (RunBatch) one write for all its arm lines,
+// the worker serving them in order while the goroutine that armed it
+// reads the report pipe.
+//
+// One-shot, for fixtures that do not speak worker mode, specs with
+// per-test argv tails and a negative Config.TestsPerProc: a worker is
+// spawned per scenario with the plan in AFEX_PLAN and no arm pipe, does
+// no handshake, has a quota of one, and its scenario always takes it
+// down — so it folds through the death branch below, like a warm crash.
 //
 // Lifecycle:
 //
 //   - A worker is recycled (arm pipe closed → orderly exit 0 → respawn
 //     on next use) after Config.TestsPerProc scenarios, bounding how
 //     much fixture state can leak across scenarios.
-//   - A scenario that crashes its worker takes only that worker down:
-//     the report pipe's EOF is the death signal, the in-flight scenario
-//     folds exactly once — from the worker's ProcessState, exactly as a
-//     one-shot crash would — and the slot respawns lazily.
-//   - A scenario that exceeds the timeout gets its worker's process
-//     group killed and folds to Hung, again exactly once.
+//   - A scenario that takes its worker down takes only that worker: the
+//     report pipe's EOF is the death signal — or its closing pipeGrace
+//     after the exit, when a helper holds the write end — the in-flight
+//     scenario folds exactly once, from the worker's ProcessState, and
+//     the slot respawns lazily.
+//   - Each scenario runs under the worker's kill timer. Firing on a
+//     process that has not exited, it kills the whole process group and
+//     the scenario folds Hung, again exactly once; nothing else does.
 //   - Arms queued behind a scenario that took its worker down were
 //     never reached (the worker serves one at a time); they are armed
 //     again on a fresh worker, so they too fold exactly once.
 //   - Construction probes the fixture: a binary that never announces
 //     worker readiness (an old one-shot fixture that ignores
-//     AFEX_WORKER_FD) falls back to the cold per-scenario runner, so
-//     warm workers are the default without breaking existing targets.
+//     AFEX_WORKER_FD) puts the pool in one-shot mode, so warm workers
+//     are the default without breaking existing targets.
 
 import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"io"
 	"os"
 	"os/exec"
 	"sync/atomic"
@@ -53,7 +63,7 @@ const DefaultTestsPerProc = 256
 
 // readyTimeout caps the construction-time probe: a fixture that has not
 // announced worker readiness this long after spawn is treated as a
-// one-shot binary and the pool falls back to cold execution.
+// one-shot binary and the pool comes up one-shot.
 const readyTimeout = 2 * time.Second
 
 // armGroupBytes caps the arm lines sent in one write. An idle worker's
@@ -62,132 +72,151 @@ const readyTimeout = 2 * time.Second
 // write never waits on a worker that is itself waiting to report.
 const armGroupBytes = 4096
 
-// reportLineMax is the longest report line either supervisor decodes;
+// reportLineMax is the longest report line the supervisor decodes;
 // a longer one is skipped (see nextEvent).
 const reportLineMax = 64 << 10
 
-// worker is one persistent fixture process of the pool.
+// pipeGrace is how long the report pipe may outlive its process: a
+// helper that inherited the write end keeps it from reaching EOF, so
+// this long after the exit the read end is closed under the reader.
+const pipeGrace = 500 * time.Millisecond
+
+// A worker's fate: it runs until it exits by itself or the kill timer
+// takes it down, whichever comes first.
+const (
+	running int32 = iota
+	exited
+	killed
+)
+
+// worker is one supervised fixture process of the pool.
 type worker struct {
 	cmd *exec.Cmd
-	arm *os.File // supervisor's write end of the arm pipe (child fd 4)
+	arm *os.File // supervisor's write end of the arm pipe (child fd 4); nil one-shot
 	// report is the supervisor's read end of the report pipe (child fd
 	// 3), read through rd by whichever goroutine holds the worker's slot;
 	// EOF is how it observes death.
 	report *os.File
 	rd     *bufio.Reader
 	wait   chan error // buffered; receives cmd.Wait exactly once
-	seq    int        // last arm sequence number whose done was awaited
-	served int        // scenarios completed since spawn
-	line   []byte     // arm-line render buffer
+	// kill is the one timeout kill: armed for the handshake, for each
+	// scenario and for a retirement, it takes the whole process group
+	// down, and only its firing on a running worker makes a scenario Hung.
+	kill  *time.Timer
+	drain *time.Timer // closes report pipeGrace after the exit; set before wait is sent
+	fate  atomic.Int32
+	// start is when the scenario being served began: at the spawn
+	// one-shot; warm, at its arm write or its predecessor's done.
+	start  time.Time
+	seq    int    // last arm sequence number whose done was awaited
+	served int    // scenarios completed since spawn
+	line   []byte // arm-line render buffer
 }
 
-// workerRunner is the warm pool. It reuses the cold runner's spec,
-// timeout and validation; cold remains the spawn-failure fallback path
-// only in the sense that both speak the same fold vocabulary.
-type workerRunner struct {
+// pool is the process supervisor: every spawn, timeout kill, pipe drain
+// and death fold of the process backend happens here, in either mode.
+type pool struct {
 	spec         *CommandSpec
 	timeout      time.Duration
 	testsPerProc int
-	baseEnv      []string
+	// oneShot is the fork/exec-per-scenario mode: a worker is spawned
+	// with its one scenario's plan in AFEX_PLAN and no arm pipe, shakes no
+	// hands, and that scenario always takes it down.
+	oneShot bool
+	// baseEnv is the spawn environment minus the plan: the inherited
+	// environment plus the fd conventions, built once at construction.
+	baseEnv []string
 	// slots is the pool: cap = Procs, each holding a live worker or nil
-	// (spawn lazily on first use). Receiving a slot bounds concurrency
-	// exactly like the cold runner's semaphore.
+	// (spawn lazily on first use; always nil one-shot). Receiving a slot
+	// bounds concurrency — effective parallelism is min(workers, procs).
 	slots chan *worker
 	sets  prog.BlockSets // see foldEvents
 	// recycled counts workers retired after serving their quota
-	// (Recycler capability; shutdown retires are not recycles).
+	// (shutdown retires are not recycles).
 	recycled atomic.Int64
 	closed   atomic.Bool
 }
+
+// workerRunner is the pool come up warm, and the only process runner
+// that is a Recycler: callers take the capability to mean "warm pool".
+type workerRunner struct{ *pool }
 
 // Recycles implements Recycler: quota-driven worker recycles so far.
 func (p *workerRunner) Recycles() int64 { return p.recycled.Load() }
 
 // Parallelism implements Parallel: the pool width (Config.Procs).
-func (p *workerRunner) Parallelism() int { return cap(p.slots) }
+func (p *pool) Parallelism() int { return cap(p.slots) }
 
-// newWorkerRunner probes the fixture for worker mode and builds the
-// pool, or returns nil when the fixture does not speak it (the caller
-// falls back to the cold runner). cold supplies the already-validated
-// spec and timeout.
-func newWorkerRunner(cfg Config, cold *processRunner) Runner {
-	tpp := cfg.TestsPerProc
-	if tpp == 0 {
-		tpp = DefaultTestsPerProc
-	}
-	p := &workerRunner{
-		spec:         cold.spec,
-		timeout:      cold.timeout,
-		testsPerProc: tpp,
-		baseEnv:      append(os.Environ(), shim.ReportFDEnv+"=3", shim.WorkerFDEnv+"=4"),
-		slots:        make(chan *worker, cap(cold.sem)),
-	}
-	probe, err := p.spawn(0)
-	if err != nil {
-		return nil
-	}
-	p.slots <- probe
-	for i := 1; i < cap(p.slots); i++ {
-		p.slots <- nil
-	}
-	return p
-}
-
-// spawn launches one worker-mode fixture process and waits for its
-// readiness announcement. The testID only feeds the argv template —
-// worker-mode fixtures take the authoritative test id from each arm
-// message.
-func (p *workerRunner) spawn(testID int) (*worker, error) {
-	argv := p.spec.ArgvFor(testID)
+// spawn launches one fixture process for t: warm, it waits for the
+// readiness announcement and t.TestID only feeds the argv template
+// (worker-mode fixtures take the authoritative test id from each arm
+// message); one-shot, t's plan rides in the environment and the
+// scenario is under way when spawn returns.
+func (p *pool) spawn(t Test) (*worker, error) {
+	argv := p.spec.ArgvFor(t.TestID)
+	// Stdout and Stderr stay nil: the null device.
 	cmd := exec.Command(argv[0], argv[1:]...)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = io.Discard
+	// The fixture leads its own process group, so a timeout kill reaps
+	// any helpers it spawned instead of orphaning them one per hung test.
 	isolateProcessGroup(cmd)
 
+	w := &worker{cmd: cmd, wait: make(chan error, 1), start: time.Now()}
 	reportR, reportW, err := os.Pipe()
 	if err != nil {
-		return nil, err
-	}
-	armR, armW, err := os.Pipe()
-	if err != nil {
-		reportR.Close()
-		reportW.Close()
 		return nil, err
 	}
 	// ExtraFiles[0] is child fd 3 (report, child writes), ExtraFiles[1]
 	// is child fd 4 (arm, child reads); the env names both so the
 	// convention can move.
-	cmd.ExtraFiles = []*os.File{reportW, armR}
-	cmd.Env = p.baseEnv
-
-	if err := cmd.Start(); err != nil {
+	cmd.ExtraFiles = []*os.File{reportW}
+	if p.oneShot {
+		// The capacity cap forces append to copy, so concurrent spawns
+		// never share the hoisted slice's backing array.
+		cmd.Env = append(p.baseEnv[:len(p.baseEnv):len(p.baseEnv)],
+			shim.PlanEnv+"="+string(appendPlan(nil, t.TestID, 0, t.Plan)))
+	} else {
+		armR, armW, err := os.Pipe()
+		if err != nil {
+			reportR.Close()
+			reportW.Close()
+			return nil, err
+		}
+		cmd.ExtraFiles = append(cmd.ExtraFiles, armR)
+		cmd.Env = p.baseEnv
+		w.arm = armW
+	}
+	err = cmd.Start()
+	for _, f := range cmd.ExtraFiles {
+		f.Close() // the child's ends
+	}
+	if err != nil {
 		reportR.Close()
-		reportW.Close()
-		armR.Close()
-		armW.Close()
+		w.arm.Close()
 		return nil, err
 	}
-	reportW.Close() // child's ends now
-	armR.Close()
-
-	w := &worker{
-		cmd:    cmd,
-		arm:    armW,
-		report: reportR,
-		rd:     bufio.NewReaderSize(reportR, reportLineMax),
-		wait:   make(chan error, 1),
+	w.report, w.rd = reportR, bufio.NewReaderSize(reportR, reportLineMax)
+	w.kill = time.AfterFunc(readyTimeout, func() {
+		if w.fate.CompareAndSwap(running, killed) {
+			killTree(cmd)
+		}
+	})
+	// The exit is seen here, not at the pipe: it disarms the kill (a
+	// reaped pid is nobody's to signal) and starts the pipe's grace.
+	go func() {
+		err := cmd.Wait()
+		w.fate.CompareAndSwap(running, exited)
+		w.drain = time.AfterFunc(pipeGrace, func() { reportR.Close() })
+		w.wait <- err
+	}()
+	if p.oneShot {
+		return w, nil
 	}
-	go func() { w.wait <- cmd.Wait() }()
 
 	// Handshake: a worker-mode shim emits "ready" before anything else.
 	// A one-shot fixture instead runs its test fault-free and exits (the
-	// report pipe closes without a ready), selecting the cold fallback.
-	// (So does a platform whose pipes take no read deadline: the pool
-	// could not time a scenario out.)
-	if err := reportR.SetReadDeadline(time.Now().Add(readyTimeout)); err == nil {
-		if ev, err := nextEvent(w.rd); err == nil && ev.Kind == shim.EventReady {
-			return w, nil
-		}
+	// report pipe closes without a ready), or runs into the kill timer.
+	if ev, err := nextEvent(w.rd); err == nil && ev.Kind == shim.EventReady && w.kill.Stop() {
+		return w, nil
 	}
 	p.retire(w, 0)
 	return nil, errNotWorkerMode
@@ -215,24 +244,31 @@ func nextEvent(rd *bufio.Reader) (shim.Event, error) {
 	}
 }
 
+// reap waits out w's exit — whatever kill is armed for is the backstop —
+// and releases its pipes.
+func (w *worker) reap() {
+	w.arm.Close()
+	<-w.wait
+	w.kill.Stop()
+	w.drain.Stop()
+	w.report.Close()
+}
+
 // retire shuts a worker down and waits out its exit. Closing the arm
 // pipe is the orderly signal (shim.Serve returns and exits 0) a worker
 // that served its quota gets p.timeout to honour; the kill that backs
 // it up is immediate (grace 0) for handshake failures and a pool closed
 // under a waiting batch.
-func (p *workerRunner) retire(w *worker, grace time.Duration) {
+func (p *pool) retire(w *worker, grace time.Duration) {
 	if w == nil {
 		return
 	}
-	w.arm.Close()
-	backstop := time.AfterFunc(grace, func() { killTree(w.cmd) })
-	<-w.wait
-	backstop.Stop()
-	w.report.Close()
+	w.kill.Reset(grace)
+	w.reap()
 }
 
-// Run executes one scenario on a warm worker: a batch of one.
-func (p *workerRunner) Run(testID int, plan inject.Plan) (out prog.Outcome, ex Exec) {
+// Run executes one scenario: a batch of one.
+func (p *pool) Run(testID int, plan inject.Plan) (out prog.Outcome, ex Exec) {
 	p.RunBatch([]Test{{TestID: testID, Plan: plan}}, func(_ int, o prog.Outcome, e Exec) { out, ex = o, e })
 	return out, ex
 }
@@ -240,8 +276,8 @@ func (p *workerRunner) Run(testID int, plan inject.Plan) (out prog.Outcome, ex E
 // RunBatch implements Batcher: it holds one pool slot for the whole
 // batch, spawning or respawning its worker as needed, and emits exactly
 // one outcome per test, in order, each as its scenario ends — even when
-// a scenario kills the worker mid-batch.
-func (p *workerRunner) RunBatch(tests []Test, emit func(i int, out prog.Outcome, ex Exec)) {
+// a scenario kills the worker mid-batch, as every one-shot scenario does.
+func (p *pool) RunBatch(tests []Test, emit func(i int, out prog.Outcome, ex Exec)) {
 	w := <-p.slots
 	defer func() { p.slots <- w }()
 	fail := func(i int, status string) {
@@ -261,7 +297,7 @@ func (p *workerRunner) RunBatch(tests []Test, emit func(i int, out prog.Outcome,
 	// writes in a row that did, and the second gives up on the head.
 	for i, lost := 0, 0; i < len(tests); {
 		if w == nil {
-			fresh, err := p.spawn(tests[i].TestID)
+			fresh, err := p.spawn(tests[i])
 			if err != nil {
 				fail(i, "spawn:"+err.Error())
 				i++
@@ -283,19 +319,16 @@ func (p *workerRunner) RunBatch(tests []Test, emit func(i int, out prog.Outcome,
 	}
 }
 
-// runGroup arms, in one write, as many of tests as *wp's recycle quota
-// and armGroupBytes allow, then reads the report pipe and emits each
-// outcome (tests[k] as index base+k) as its seq-paired done arrives. It
-// returns how many tests it folded. Zero means the arm write failed
-// against an already-dead worker: nothing was armed and the caller may
-// arm again. Fewer than it armed means the last of them took the worker
-// down, which never reached the arms queued behind it. *wp is nilled
-// whenever the worker is gone (death, timeout, recycling), so the slot
-// respawns lazily.
-func (p *workerRunner) runGroup(wp **worker, base int, tests []Test, emit func(i int, out prog.Outcome, ex Exec)) int {
-	w := *wp
+// armGroup writes the arm lines of as many of tests as armGroupBytes
+// allows, in one write, and returns how many: zero when the write
+// failed. The first scenario's clock starts at the write. One-shot, the
+// spawn armed the one scenario and started its clock.
+func (w *worker) armGroup(tests []Test) int {
+	if w.arm == nil {
+		return 1
+	}
 	n, line := 0, w.line[:0]
-	for most := min(len(tests), p.testsPerProc-w.served); n < most; n++ {
+	for ; n < len(tests); n++ {
 		mark := len(line)
 		line = append(appendPlan(line, tests[n].TestID, w.seq+n+1, tests[n].Plan), '\n')
 		if n > 0 && len(line) > armGroupBytes {
@@ -304,8 +337,26 @@ func (p *workerRunner) runGroup(wp **worker, base int, tests []Test, emit func(i
 		}
 	}
 	w.line = line
-	start := time.Now()
+	w.start = time.Now()
 	if _, err := w.arm.Write(line); err != nil {
+		return 0
+	}
+	return n
+}
+
+// runGroup arms, in one write, as many of tests as *wp's recycle quota
+// and armGroupBytes allow — one-shot, the spawn armed the one — then
+// reads the report pipe and emits each outcome (tests[k] as index
+// base+k) as its seq-paired done arrives. It returns how many tests it
+// folded. Zero means the arm write failed against an already-dead
+// worker: nothing was armed and the caller may arm again. Fewer than it
+// armed means the last of them took the worker down, which never
+// reached the arms queued behind it. *wp is nilled whenever the worker
+// is gone (death, timeout, recycling), so the slot respawns lazily.
+func (p *pool) runGroup(wp **worker, base int, tests []Test, emit func(i int, out prog.Outcome, ex Exec)) int {
+	w := *wp
+	n := w.armGroup(tests[:min(len(tests), p.testsPerProc-w.served)])
+	if n == 0 {
 		p.retire(w, 0)
 		*wp = nil
 		return 0
@@ -314,33 +365,29 @@ func (p *workerRunner) runGroup(wp **worker, base int, tests []Test, emit func(i
 	var events []shim.Event
 	for k := 0; k < n; k++ {
 		// The scenario's clock starts when the worker reaches it: at the
-		// write for the first, at its predecessor's done for the rest.
+		// spawn or the write for the first, at its predecessor's done for
+		// the rest.
 		w.seq++
 		events = events[:0]
-		_ = w.report.SetReadDeadline(start.Add(p.timeout)) // took one at spawn; a closed pipe fails the read too
+		w.kill.Reset(p.timeout)
 		for {
 			ev, err := nextEvent(w.rd)
 			if err != nil {
 				// The scenario took its worker down and folds here, exactly
-				// once. A passed deadline is a hang: kill the whole group,
-				// fold Hung. Anything else is report-pipe EOF: a crash,
-				// folded from the ProcessState as a one-shot death would be
-				// (an orderly exit that bypassed Serve's done included).
-				hung := errors.Is(err, os.ErrDeadlineExceeded)
-				if hung {
-					killTree(w.cmd)
-				}
-				<-w.wait
-				w.arm.Close()
-				w.report.Close()
+				// once: the report pipe reached EOF, or was closed pipeGrace
+				// after the exit, and the exit is reaped. If the kill timer
+				// brought it about the scenario hung; anything else folds
+				// from the ProcessState (a crash, or an orderly exit: every
+				// one-shot scenario's, or one that bypassed Serve's done).
+				w.reap()
 				*wp = nil
-				out, ex := foldReport(events, &p.sets, w.cmd.ProcessState, hung, time.Since(start))
+				out, ex := foldReport(events, &p.sets, w.cmd.ProcessState, w.fate.Load() == killed, time.Since(w.start))
 				emit(base+k, out, ex)
 				return k + 1
 			}
 			if ev.Kind == shim.EventDone && ev.Seq == w.seq {
 				out, _ := foldEvents(events, &p.sets)
-				ex := Exec{Backend: Process, Duration: time.Since(start)}
+				ex := Exec{Backend: Process, Duration: time.Since(w.start)}
 				foldExit(&out, &ex, ev.Exit)
 				w.served++
 				emit(base+k, out, ex)
@@ -348,7 +395,14 @@ func (p *workerRunner) runGroup(wp **worker, base int, tests []Test, emit func(i
 			}
 			events = append(events, ev)
 		}
-		start = time.Now()
+		w.start = time.Now()
+		if !w.kill.Stop() {
+			// The timer fired under the done: the worker is being killed,
+			// and whatever it reached of the next arm is armed again.
+			w.reap()
+			*wp = nil
+			return k + 1
+		}
 	}
 	if w.served >= p.testsPerProc {
 		p.retire(w, p.timeout)
@@ -359,18 +413,13 @@ func (p *workerRunner) runGroup(wp **worker, base int, tests []Test, emit func(i
 }
 
 // Close retires every worker and refuses further runs. Draining the
-// slots waits out in-flight batches, exactly like the cold runner's
-// semaphore drain.
-func (p *workerRunner) Close() error {
+// slots waits out in-flight batches.
+func (p *pool) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
-	workers := make([]*worker, 0, cap(p.slots))
 	for i := 0; i < cap(p.slots); i++ {
-		workers = append(workers, <-p.slots)
-	}
-	for _, w := range workers {
-		p.retire(w, p.timeout)
+		p.retire(<-p.slots, p.timeout)
 	}
 	for i := 0; i < cap(p.slots); i++ {
 		p.slots <- nil

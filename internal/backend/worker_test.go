@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,26 +13,12 @@ import (
 	"afex/shim"
 )
 
-// warmRunner builds the process backend with explicit pool/recycle
-// parameters and asserts it actually selected the warm-worker pool.
+// warmRunner builds the process backend over crashy with explicit
+// pool/recycle parameters; it came up warm, so it is the pool's
+// Recycler face.
 func warmRunner(t *testing.T, procs, testsPerProc int, timeout time.Duration) *workerRunner {
 	t.Helper()
-	spec, err := ParseSpec("cmd:" + crashyBin + " {test}")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(Process, Config{
-		Command: spec, Timeout: timeout, Procs: procs, TestsPerProc: testsPerProc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, ok := r.(*workerRunner)
-	if !ok {
-		t.Fatalf("process backend selected %T, want warm worker pool", r)
-	}
-	t.Cleanup(func() { w.Close() })
-	return w
+	return fixtureRunner(t, crashyBin, procs, testsPerProc, timeout).(*workerRunner)
 }
 
 func TestWorkerPoolReusesProcess(t *testing.T) {
@@ -142,58 +130,76 @@ func TestWorkerRecyclesAfterQuota(t *testing.T) {
 	}
 }
 
-func TestWorkerFallsBackColdForTestArgs(t *testing.T) {
-	spec, err := ParseSpec("cmd:" + crashyBin + " {test}")
-	if err != nil {
-		t.Fatal(err)
+// pidLogged wraps argv in a shell that appends its pid to a file before
+// it becomes the fixture, and returns the spec plus a reader of the pids
+// logged so far: one per process the pool has spawned.
+func pidLogged(t *testing.T, argv ...string) (*CommandSpec, func() []string) {
+	t.Helper()
+	log := filepath.Join(t.TempDir(), "pids")
+	spec := &CommandSpec{Argv: append([]string{"/bin/sh", "-c", `echo $$ >> "$0"; exec "$@"`, log}, argv...)}
+	return spec, func() []string {
+		b, err := os.ReadFile(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Fields(string(b))
 	}
-	// Per-test argv tails must be baked in at spawn time, so the
-	// backend keeps one fork/exec per scenario for them.
-	spec.TestArgs = [][]string{{}, {}, {}, {}}
-	r, err := New(Process, Config{Command: spec, Timeout: 5 * time.Second, Procs: 1})
+}
+
+// requirePoolMode builds the process backend over the pid-logged argv and
+// holds it to its mode by behaviour: warm is a Recycler and serves every
+// scenario from one process; one-shot is not, and spawns a fresh process
+// per scenario (after probes processes the construction probe left dead).
+func requirePoolMode(t *testing.T, warm bool, probes int, testArgs [][]string, testsPerProc int, argv ...string) {
+	t.Helper()
+	spec, pids := pidLogged(t, argv...)
+	spec.TestArgs = testArgs
+	r, err := New(Process, Config{Command: spec, Timeout: 5 * time.Second, Procs: 1, TestsPerProc: testsPerProc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, ok := r.(*processRunner); !ok {
-		t.Fatalf("TestArgs spec selected %T, want cold runner", r)
+	if _, ok := r.(Recycler); ok != warm {
+		t.Errorf("%T is a Recycler: %v, want %v", r, ok, warm)
 	}
-	if out, _ := r.Run(3, inject.Plan{}); out.Failed {
-		t.Fatal("cold run failed")
+	const scenarios = 3
+	for i := 0; i < scenarios; i++ {
+		if out, ex := r.Run(3, inject.Plan{}); out.Failed || ex.ExitStatus != "exit:0" {
+			t.Fatalf("scenario %d = %+v (%s), want a clean pass", i, out, ex.ExitStatus)
+		}
 	}
+	want := probes + scenarios
+	if warm {
+		want = 1
+	}
+	seen := map[string]bool{}
+	for _, pid := range pids() {
+		seen[pid] = true
+	}
+	if len(seen) != want {
+		t.Errorf("%d scenarios ran on %d processes %v, want %d", scenarios, len(seen), pids(), want)
+	}
+}
+
+func TestWorkerPoolComesUpWarmForWorkerModeFixture(t *testing.T) {
+	requirePoolMode(t, true, 0, nil, 0, crashyBin, "{test}")
+}
+
+func TestWorkerFallsBackColdForTestArgs(t *testing.T) {
+	// Per-test argv tails must be baked in at spawn time, so the pool
+	// keeps one fork/exec per scenario for them, unprobed.
+	requirePoolMode(t, false, 0, [][]string{{}, {}, {}, {}}, 0, crashyBin, "{test}")
 }
 
 func TestWorkerFallsBackColdForOneShotFixture(t *testing.T) {
 	// A binary that ignores AFEX_WORKER_FD never announces readiness;
-	// the probe must notice and fall back to cold execution rather than
-	// treating every scenario as a dead worker.
-	spec, err := ParseSpec("cmd:sleep 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(Process, Config{Command: spec, Timeout: 5 * time.Second, Procs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, ok := r.(*processRunner); !ok {
-		t.Fatalf("one-shot fixture selected %T, want cold runner", r)
-	}
+	// the probe must notice and the pool come up one-shot rather than
+	// treat every scenario as a dead worker.
+	requirePoolMode(t, false, 1, nil, 0, "true")
 }
 
 func TestWorkerForcedColdByNegativeTestsPerProc(t *testing.T) {
-	spec, err := ParseSpec("cmd:" + crashyBin + " {test}")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(Process, Config{Command: spec, Timeout: 5 * time.Second, Procs: 1, TestsPerProc: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, ok := r.(*processRunner); !ok {
-		t.Fatalf("TestsPerProc=-1 selected %T, want cold runner", r)
-	}
+	requirePoolMode(t, false, 0, nil, -1, crashyBin, "{test}")
 }
 
 // TestProcessOutcomesCarryInternedSums: the supervisor sums the blocks a

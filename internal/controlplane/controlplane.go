@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"afex"
 	"afex/internal/backend"
 	"afex/internal/core"
 	"afex/internal/dsl"
@@ -300,19 +301,7 @@ func (m *Manager) build(spec SessionSpec) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Peer sharding: this session owns one disjoint region of the
-	// space, carved by the same Union.Shard local sharded sessions use.
-	if spec.Peers > 1 {
-		if spec.Peer < 0 || spec.Peer >= spec.Peers {
-			return nil, fmt.Errorf("controlplane: peer %d out of range for %d peers", spec.Peer, spec.Peers)
-		}
-		regions := space.Shard(spec.Peers)
-		if spec.Peer >= len(regions) {
-			return nil, fmt.Errorf("controlplane: space splits into only %d regions, peer %d has none",
-				len(regions), spec.Peer)
-		}
-		space = regions[spec.Peer]
-	} else {
+	if spec.Peers <= 1 {
 		spec.Peer, spec.Peers = 0, 0
 	}
 
@@ -324,55 +313,34 @@ func (m *Manager) build(spec SessionSpec) (*Session, error) {
 		done:     make(chan struct{}),
 		cleanup:  func() error { return nil },
 	}
-	openStore := func(cfg *core.Config, targetName string) error {
-		if spec.StateDir == "" {
-			return nil
-		}
-		st, err := store.OpenOptions(spec.StateDir, store.Options{
-			Format:     spec.JournalFormat,
-			TailResume: spec.Resume,
-			Peer:       spec.Peer,
-			Peers:      spec.Peers,
-		})
-		if err != nil {
-			return err
-		}
-		if err := st.AttachNamed(cfg, targetName); err != nil {
-			st.Close()
-			return err
-		}
-		s.cleanup = st.Close
-		return nil
-	}
 
 	if spec.Serve != "" {
 		// Coordinator mode: serve the rpcnode protocol, remote managers
-		// execute. The engine runs nothing locally.
+		// execute. The engine runs nothing locally, and the session is the
+		// one `afex serve` builds: peer region, store, lease and heartbeat
+		// wiring included.
 		s.mode = "coordinator"
-		ecfg := core.Config{
-			Space:         space,
-			Algorithm:     spec.Algorithm,
-			Explore:       explore.Config{Seed: spec.Seed},
-			Shards:        spec.Shards,
-			Iterations:    spec.Iterations,
-			Resume:        spec.Resume,
-			PrefetchDepth: spec.Prefetch,
-		}
-		if err := openStore(&ecfg, spec.Target); err != nil {
-			return nil, err
-		}
-		coord, err := rpcnode.NewCoordinatorConfig(ecfg, nil, nil)
+		coord, cleanup, err := afex.NewCoordinatorWithOptions(afex.CoordinatorOptions{
+			TargetName:      spec.Target,
+			Space:           space,
+			Algorithm:       spec.Algorithm,
+			Explore:         explore.Config{Seed: spec.Seed},
+			Budget:          spec.Iterations,
+			Shards:          spec.Shards,
+			LeaseTimeout:    leaseTimeout,
+			Prefetch:        spec.Prefetch,
+			HeartbeatEvery:  heartbeat,
+			HeartbeatMisses: spec.HeartbeatMisses,
+			StateDir:        spec.StateDir,
+			JournalFormat:   spec.JournalFormat,
+			Resume:          spec.Resume,
+			Peer:            spec.Peer,
+			Peers:           spec.Peers,
+		})
 		if err != nil {
-			s.cleanup()
 			return nil, err
 		}
-		coord.SetTargetName(spec.Target)
-		if leaseTimeout > 0 {
-			coord.SetLeaseTimeout(leaseTimeout)
-		}
-		if heartbeat > 0 {
-			coord.SetHeartbeat(heartbeat, spec.HeartbeatMisses)
-		}
+		s.cleanup = cleanup
 		srv, err := rpcnode.Serve(spec.Serve, coord)
 		if err != nil {
 			s.cleanup()
@@ -380,6 +348,20 @@ func (m *Manager) build(spec SessionSpec) (*Session, error) {
 		}
 		s.coord, s.rpc, s.eng = coord, srv, coord.Engine()
 		return s, nil
+	}
+
+	// Peer sharding: a local session owns one disjoint region of the
+	// space, carved by the same Union.Shard local sharded sessions use.
+	if spec.Peers > 1 {
+		if spec.Peer < 0 || spec.Peer >= spec.Peers {
+			return nil, fmt.Errorf("controlplane: peer %d out of range for %d peers", spec.Peer, spec.Peers)
+		}
+		regions := space.Shard(spec.Peers)
+		if spec.Peer >= len(regions) {
+			return nil, fmt.Errorf("controlplane: space splits into only %d regions, peer %d has none",
+				len(regions), spec.Peer)
+		}
+		space = regions[spec.Peer]
 	}
 
 	// Local mode: the engine's own worker pool executes.
@@ -408,8 +390,21 @@ func (m *Manager) build(spec SessionSpec) (*Session, error) {
 	if command != nil {
 		targetName = command.Target()
 	}
-	if err := openStore(&cfg, targetName); err != nil {
-		return nil, err
+	if spec.StateDir != "" {
+		st, err := store.OpenOptions(spec.StateDir, store.Options{
+			Format:     spec.JournalFormat,
+			TailResume: spec.Resume,
+			Peer:       spec.Peer,
+			Peers:      spec.Peers,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if err := st.AttachNamed(&cfg, targetName); err != nil {
+			st.Close()
+			return nil, err
+		}
+		s.cleanup = st.Close
 	}
 	eng, err := core.NewEngine(cfg, nil)
 	if err != nil {
