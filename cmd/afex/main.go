@@ -795,7 +795,9 @@ func cmdStats(args []string, w io.Writer) error {
 		st.Entries, st.ArchivedEntries, st.LiveEntries, st.Segments, plural(st.Segments))
 	fmt.Fprintf(w, "index blocks:       %d (side-index records %d)\n", st.IndexBlocks, st.SideIndexRecords)
 	if st.HasSnapshot {
-		fmt.Fprintf(w, "snapshot seq:       %d (%s, %d bytes, %d keys)\n", st.SnapshotSeq, st.SnapshotFormat, st.SnapshotBytes, st.SnapshotKeys)
+		fmt.Fprintf(w, "snapshot seq:       %d (%s, %d keys)\n", st.SnapshotSeq, st.SnapshotFormat, st.SnapshotKeys)
+		fmt.Fprintf(w, "snapshot bytes:     %d (state %d + sets %d + keys %d; %d key list%s, %d written as a reference)\n", st.SnapshotBytes,
+			st.SnapshotStateBytes, st.SnapshotSetsBytes, st.SnapshotKeysBytes, st.SnapshotKeyLists, plural(st.SnapshotKeyLists), st.SnapshotKeyRefs)
 	} else {
 		fmt.Fprintf(w, "snapshot seq:       none\n")
 	}

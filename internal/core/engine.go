@@ -348,7 +348,10 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	// tail-only resume possible; only store-backed sessions pay for it.
 	if cfg.Store != nil {
 		e.seen = make(map[string]struct{})
-		e.seenList = cfg.Seen.Keys()
+		// With the room the store left behind the keys: the set is frozen,
+		// so this run's keys are appended in place, not after a copy of
+		// every key before them.
+		e.seenList = cfg.Seen.Detach()
 		for i := range e.res.Records {
 			e.noteSeen(e.res.Records[i].Point.Key())
 		}

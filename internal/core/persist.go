@@ -18,8 +18,10 @@ package core
 // they only ever grow past the captured length, so the store's writer
 // can encode them while folding continues. The lists of a SessionState
 // are therefore read-only to whoever receives it; the state itself is
-// the receiver's. The store writes the lists length-prefixed, apart from
-// the JSON of the rest: writing one is a copy, reading it one pass.
+// the receiver's. The store writes the cluster sets and the lists
+// length-prefixed, apart from the JSON of the small rest — each distinct
+// stack once for the three sets, a list that repeats another as a
+// reference to it: writing is a copy, reading one pass.
 //
 // What coming back costs. The executed keys cross the layers as one
 // explore.KeySet: the store builds it once in Recover, Config.Seen hands

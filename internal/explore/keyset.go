@@ -123,3 +123,17 @@ func (s *KeySet) Keys() []string {
 	}
 	return s.list[:len(s.list):len(s.list)]
 }
+
+// Detach returns the keys in the order they entered with the list's
+// spare capacity, for the one holder that goes on appending to its own
+// copy of the header once the set is frozen (the engine, listing this
+// run's keys behind the ones it resumed with). The set keeps none of the
+// capacity, so it stays correct — an Add reallocates — whoever asks next.
+func (s *KeySet) Detach() []string {
+	if s == nil {
+		return nil
+	}
+	keys := s.list
+	s.list = keys[:len(keys):len(keys)]
+	return keys
+}

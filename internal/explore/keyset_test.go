@@ -69,3 +69,30 @@ func TestKeySetRepeatsAndViews(t *testing.T) {
 		t.Fatal("a nil set is not an empty set")
 	}
 }
+
+// TestKeySetDetach: the one holder that goes on listing keys behind a
+// frozen set's gets the list with its room, and appends in place; the set
+// keeps reading what it held, and anyone who asks later — or adds to the
+// set after all — gets a copy instead of the same room.
+func TestKeySetDetach(t *testing.T) {
+	list := append(make([]string, 0, 8), "a", "b", "c")
+	s := NewKeySet(list)
+	own := s.Detach()
+	if len(own) != 3 || cap(own) != 8 {
+		t.Fatalf("detached list has len %d cap %d, want the 3 keys and the room of 8", len(own), cap(own))
+	}
+	own = append(own, "d")
+	if &own[0] != &list[0] || s.Len() != 3 || s.Has("d") || !s.Has("c") {
+		t.Fatalf("appending to the detached list moved it or changed the set (len %d)", s.Len())
+	}
+	if again := s.Detach(); cap(again) != 3 {
+		t.Fatalf("a second detach has room for %d keys, want none to spare", cap(again)-len(again))
+	}
+	if !s.Add("e") || own[3] != "d" || !reflect.DeepEqual(s.Keys(), []string{"a", "b", "c", "e"}) {
+		t.Fatalf("adding to the set after a detach: set %v, detached list %v", s.Keys(), own)
+	}
+	var none *KeySet
+	if none.Detach() != nil {
+		t.Fatal("a nil set detaches a list")
+	}
+}

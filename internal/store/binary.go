@@ -39,6 +39,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
+	"unsafe"
 
 	"afex/internal/inject"
 	"afex/internal/libc"
@@ -53,9 +55,11 @@ const (
 
 	frameEntry = 1
 	frameIndex = 2
-	// frameState and frameKeys are the snapshot file's (snapshot.go).
-	frameState = 3
-	frameKeys  = 4
+	// The rest are the snapshot file's (snapshot.go).
+	frameState   = 3
+	frameKeys    = 4
+	frameSets    = 5
+	frameKeysRef = 6
 
 	// DefaultIndexEvery is the entry interval between index blocks: the
 	// maximum number of entries a tail seek over-reads.
@@ -75,7 +79,13 @@ type segEnc struct {
 func (e *segEnc) reset()        { e.buf = e.buf[:0] }
 func (e *segEnc) bytes() []byte { return e.buf }
 func (e *segEnc) byte(b byte)   { e.buf = append(e.buf, b) }
-func (e *segEnc) bool(v bool)   { e.byte(map[bool]byte{false: 0, true: 1}[v]) }
+func (e *segEnc) bool(v bool) {
+	if v {
+		e.byte(1)
+	} else {
+		e.byte(0)
+	}
+}
 func (e *segEnc) uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *segEnc) int(v int)     { e.buf = binary.AppendVarint(e.buf, int64(v)) }
 func (e *segEnc) int64(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
@@ -201,15 +211,30 @@ func (d *segDec) float() float64 {
 	return v
 }
 
-func (d *segDec) str() string {
+func (d *segDec) str() string { return strings.Clone(d.view()) }
+
+// view is str without the copy: a substring of the payload, which must
+// never be written again.
+func (d *segDec) view() string {
 	n := d.uint()
 	if d.err != nil || uint64(len(d.buf)) < n {
 		d.fail()
 		return ""
 	}
-	s := string(d.buf[:n])
+	s := unsafe.String(unsafe.SliceData(d.buf), int(n))
 	d.buf = d.buf[n:]
 	return s
+}
+
+// count reads the length of a list whose elements take a byte or more
+// each: one the bytes left cannot hold is an error, never an allocation.
+func (d *segDec) count() int {
+	n := d.uint()
+	if n > uint64(len(d.buf)) {
+		d.fail()
+		return 0
+	}
+	return int(n)
 }
 
 func (d *segDec) strs() []string {
@@ -343,7 +368,7 @@ func (fr *frameReader) next() (kind byte, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, io.EOF
 	}
-	if kindB < frameEntry || kindB > frameKeys {
+	if kindB < frameEntry || kindB > frameKeysRef {
 		return 0, nil, fmt.Errorf("bad frame kind %d at offset %d", kindB, start)
 	}
 	n, err := binary.ReadUvarint(fr.r)

@@ -50,7 +50,7 @@ func Compact(dir string) (int, error) {
 	}
 
 	// No snapshot, or an unreadable one: nothing is provably covered.
-	snap, _, _, _ := readSnapshot(dir, true)
+	snap, _, _ := readSnapshot(dir, snapSeq)
 	if snap == nil || snap.Seq <= meta.CompactedSeq {
 		return 0, nil
 	}

@@ -3,12 +3,16 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"afex/internal/cluster"
 	"afex/internal/core"
 	"afex/internal/explore"
 )
@@ -19,8 +23,10 @@ import (
 // allocation by a number it has not checked against the bytes present;
 // it decodes, or it is an error or a clean truncation.
 
-// fuzzSnapshot is a snapshot with every kind of key list in it: the
-// aggregates', a portfolio's shared one, and arms' and shards' histories.
+// fuzzSnapshot is a snapshot with every kind of key list in it — the
+// aggregates', a portfolio's shared one, arms' and shards' histories, one
+// of them the executed keys over again — and cluster sets that share
+// stacks and frames.
 func fuzzSnapshot() *core.SessionState {
 	var entries []Entry
 	for i := 0; i < 9; i++ {
@@ -28,6 +34,14 @@ func fuzzSnapshot() *core.SessionState {
 		entries = append(entries, *entryFrom(0, c, rec))
 	}
 	st := testSnapshot(len(entries), entries)
+	all, fail := cluster.NewSet(1), cluster.NewSet(1)
+	for i, stack := range [][]string{{"main", "serve", "read"}, {"main", "serve", "write"}, {"main", "init"}, nil, {"main", "serve", "read"}} {
+		all.Add(i, stack)
+		if i%2 == 0 {
+			fail.Add(i, stack)
+		}
+	}
+	st.AllStacks, st.FailClusters = all.ExportState(), fail.ExportState()
 	flat := func(keys ...string) *explore.State {
 		return &explore.State{Algorithm: "random", Searches: []explore.SearchState{{History: keys}}}
 	}
@@ -37,9 +51,127 @@ func fuzzSnapshot() *core.SessionState {
 			{Name: "random", State: flat()},
 		}},
 		nil,
-		flat("0:9,9,9"),
+		flat(st.Aggregates.SeenKeys...),
 	}}
 	return st
+}
+
+// snapFrame is one frame of a snapshot file, taken apart to be damaged.
+type snapFrame struct {
+	kind    byte
+	payload []byte
+}
+
+func splitSnapshot(t testing.TB, raw []byte) []snapFrame {
+	t.Helper()
+	var frames []snapFrame
+	fr := newFrameReader(bytes.NewReader(raw[len(snapMagic):]), int64(len(snapMagic)), int64(len(raw)))
+	for {
+		kind, payload, err := fr.next()
+		if err == io.EOF && fr.off == int64(len(raw)) {
+			return frames
+		}
+		if err != nil {
+			t.Fatalf("snapshot frame at %d: %v", fr.off, err)
+		}
+		frames = append(frames, snapFrame{kind, payload})
+	}
+}
+
+func joinSnapshot(frames []snapFrame) []byte {
+	raw := []byte(snapMagic)
+	for _, f := range frames {
+		raw = appendFrame(raw, f.kind, f.payload)
+	}
+	return raw
+}
+
+// hostileSnapshots are files whose frames all pass their crc and say
+// something no writer says: an id outside its table, a count the bytes
+// cannot hold, a list that refers to itself, to a later or to a missing
+// one. good must be a new-shape file of three or more key lists; each
+// case is keyed by what the decoder's error must mention.
+func hostileSnapshots(t testing.TB, good []byte) map[string][]byte {
+	t.Helper()
+	frames := splitSnapshot(t, good)
+	if len(frames) < 5 || frames[0].kind != frameState || frames[1].kind != frameSets {
+		t.Fatalf("snapshot of %d frames is not state, sets and three key lists", len(frames))
+	}
+	with := func(at int, kind byte, payload func(e *segEnc)) []byte {
+		var e segEnc
+		payload(&e)
+		damaged := slices.Clone(frames)
+		damaged[at] = snapFrame{kind, e.buf}
+		return joinSnapshot(damaged)
+	}
+	// One frame, one stack of it, and the head of a set with one cluster.
+	tables := func(e *segEnc) {
+		e.strs([]string{"main"})
+		e.uint(1)
+		e.uint(1)
+		e.uint(0)
+	}
+	oneCluster := func(e *segEnc) {
+		tables(e)
+		e.bool(true)
+		e.int(1)
+		e.uint(1)
+	}
+	ref := func(to uint64) func(*segEnc) { return func(e *segEnc) { e.uint(to) } }
+	last := len(frames) - 1
+	return map[string][]byte{
+		"frame id 5 in a table of 1": with(1, frameSets, func(e *segEnc) {
+			e.strs([]string{"main"})
+			e.uint(1)
+			e.uint(1)
+			e.uint(5)
+		}),
+		"stack id 7 in a table of 1": with(1, frameSets, func(e *segEnc) {
+			oneCluster(e)
+			e.uint(7)
+		}),
+		"truncated": with(1, frameSets, func(e *segEnc) { // a million members in four bytes
+			oneCluster(e)
+			e.uint(0)
+			e.uint(1 << 20)
+			e.int(1)
+		}),
+		"bytes past the last set": with(1, frameSets, func(e *segEnc) {
+			tables(e)
+			e.buf = append(e.buf, 0, 0, 0, 0)
+		}),
+		fmt.Sprintf("key list %d written as a reference to list %d", last-2, last-2): with(last, frameKeysRef, ref(uint64(last-2))),
+		fmt.Sprintf("key list %d written as a reference to list %d", last-3, last-2): with(last-1, frameKeysRef, ref(uint64(last-2))),
+		fmt.Sprintf("key list %d written as a reference to list 99", last-2):         with(last, frameKeysRef, ref(99)),
+	}
+}
+
+// setsFootprint counts what decoding st's cluster sets allocated, in
+// elements: clusters, member ids, memory entries, and the frames of each
+// stack once however many places share it.
+func setsFootprint(st *core.SessionState) int {
+	n := 0
+	seen := map[*string]bool{}
+	stack := func(s []string) {
+		if len(s) > 0 && !seen[&s[0]] {
+			seen[&s[0]] = true
+			n += len(s)
+		}
+	}
+	for _, p := range clusterSets(st) {
+		if *p == nil {
+			continue
+		}
+		n += len((*p).Clusters) + len((*p).Stacks)
+		for _, c := range (*p).Clusters {
+			n += len(c.Members)
+			stack(c.Representative)
+		}
+		for _, s := range (*p).Stacks {
+			stack(s)
+		}
+	}
+	return n
 }
 
 func FuzzSnapshotDecode(f *testing.F) {
@@ -51,7 +183,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	inline, err := referenceAppendSnapshot(nil, fuzzSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(framed)
+	f.Add(inline)
+	for _, raw := range hostileSnapshots(f, framed) {
+		f.Add(raw)
+	}
 	f.Add(framed[:len(framed)-7])
 	f.Add(framed[:len(snapMagic)+40])
 	f.Add(legacy)
@@ -59,7 +199,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte("{\n \"elapsed\": 5,\n \"covered\": [1, 2],\n \"seq\": 7\n}"))
 	f.Add([]byte(snapMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodeSnapshot(bytes.NewReader(data), int64(len(data)), false)
+		st, err := decodeSnapshot(bytes.NewReader(data), &snapFile{size: int64(len(data))}, snapFull)
 		if err != nil {
 			return
 		}
@@ -68,12 +208,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("%d bytes of snapshot decoded to a key list with room for %d", len(data), cap(*list))
 			}
 		}
+		if n := setsFootprint(st); n > len(data) {
+			t.Fatalf("%d bytes of snapshot decoded to cluster sets of %d elements", len(data), n)
+		}
 		// What decodes writes back as a file that decodes to the same.
 		again, err := appendSnapshot(nil, st)
 		if err != nil {
 			return // a legacy snapshot can hold a float the encoder refuses
 		}
-		st2, err := decodeSnapshot(bytes.NewReader(again), int64(len(again)), false)
+		st2, err := decodeSnapshot(bytes.NewReader(again), &snapFile{size: int64(len(again))}, snapFull)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
@@ -86,9 +229,57 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("key list %d: %q re-decodes to %q", i, *a[i], *b[i])
 			}
 		}
-		head, err := decodeSnapshot(bytes.NewReader(again), int64(len(again)), true)
+		head, err := decodeSnapshot(bytes.NewReader(again), &snapFile{size: int64(len(again))}, snapSeq)
 		if err != nil || head.Seq != st.Seq || st2.Seq != st.Seq {
 			t.Fatalf("seq %d re-decodes to %d, and to %v (%v) from the state frame alone", st.Seq, st2.Seq, head, err)
+		}
+		// The file is a function of the state it decodes to, sets and
+		// references included; and its headers count the keys it lists.
+		if third, err := appendSnapshot(nil, st2); err != nil || !bytes.Equal(third, again) {
+			t.Fatalf("a decoded snapshot encodes to %d bytes, not the %d it was decoded from (%v)", len(third), len(again), err)
+		}
+		shape := snapFile{size: int64(len(again))}
+		if _, err := decodeSnapshot(bytes.NewReader(again), &shape, snapShape); err != nil || len(shape.keyCounts) != len(b) {
+			t.Fatalf("frame headers list %v keys in a snapshot of %d lists (%v)", shape.keyCounts, len(b), err)
+		}
+		for i, n := range shape.keyCounts {
+			if n != len(*b[i]) {
+				t.Fatalf("frame headers say list %d holds %d keys, it holds %d", i, n, len(*b[i]))
+			}
+		}
+	})
+}
+
+// FuzzSnapshotPayloads: the sets and key-list decoders behind the crc,
+// which a mutated file rarely gets past. Fed the payload alone, they
+// decode it or refuse it, size nothing by a number the bytes cannot back,
+// and what decodes encodes to bytes that decode to the same.
+func FuzzSnapshotPayloads(f *testing.F) {
+	framed, err := appendSnapshot(nil, fuzzSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(splitSnapshot(f, framed)[1].payload)
+	for _, raw := range hostileSnapshots(f, framed) {
+		for _, frame := range splitSnapshot(f, raw)[1:] {
+			f.Add(frame.payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if keys, err := decodeKeys(data); err == nil && (len(keys) > len(data) || cap(keys) > len(data)*9/8+32) {
+			t.Fatalf("%d bytes decoded to %d keys with room for %d", len(data), len(keys), cap(keys))
+		}
+		sets, err := decodeSets(data)
+		if err != nil {
+			return
+		}
+		st := &core.SessionState{AllStacks: sets[0], FailClusters: sets[1], CrashClusters: sets[2]}
+		if n := setsFootprint(st); n > len(data) {
+			t.Fatalf("%d bytes decoded to cluster sets of %d elements", len(data), n)
+		}
+		again := splitSnapshot(t, append([]byte(snapMagic), encodeSets(sets).appendFrame(nil)...))[0].payload
+		if sets2, err := decodeSets(again); err != nil || !reflect.DeepEqual(sets, sets2) {
+			t.Fatalf("re-encoded sets decode to %+v (%v), not %+v", sets2, err, sets)
 		}
 	})
 }
@@ -193,11 +384,13 @@ func FuzzReadIdx(f *testing.F) {
 	})
 }
 
-// TestDamagedSnapshotFallsBack: a snapshot torn at any length or with a
-// byte flipped anywhere never fails the open or the recovery. Either the
-// damage is caught — crc, framing, JSON — and the journal alone rebuilds
-// every record, with the reason on the restore, or (a flip inside the
-// magic makes the file legacy JSON, which it is not) likewise.
+// TestDamagedSnapshotFallsBack: a snapshot torn at any length, with a
+// byte flipped anywhere, or with whole frames that say what no writer
+// says never fails the open or the recovery. Either the damage is caught
+// — crc, framing, JSON, an id or a reference out of range — and the
+// journal alone rebuilds every record, with the reason on the restore, or
+// (a flip inside the magic makes the file legacy JSON, which it is not)
+// likewise.
 func TestDamagedSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	const n, snapAt = 60, 50
@@ -210,7 +403,9 @@ func TestDamagedSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SnapshotSession(testSnapshot(snapAt, all))
+	snap := testSnapshot(snapAt, all)
+	snap.Explorer = &explore.State{Algorithm: "random", Searches: []explore.SearchState{{History: snap.Aggregates.SeenKeys}}}
+	s.SnapshotSession(snap)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +433,30 @@ func TestDamagedSnapshotFallsBack(t *testing.T) {
 	if r := recover(whole); r.Info.Path != "tail" || r.Base != snapAt || r.Info.Entries != n-snapAt || r.Seen.Len() != n {
 		t.Fatalf("undamaged snapshot: %+v, base %d, %d keys", r.Info, r.Base, r.Seen.Len())
 	}
-	check := func(what string, raw []byte) {
+	check := func(what, reason string, raw []byte) {
 		t.Helper()
 		r := recover(raw)
 		if r.Info.Path != "full-journal" || r.Info.Reason == "" || r.Base != 0 || len(r.Records) != n || r.State != nil || r.Seen.Len() != n {
 			t.Fatalf("%s: %+v, base %d, %d records, state %v", what, r.Info, r.Base, len(r.Records), r.State != nil)
 		}
+		// The reason is what `afex status` prints on its resumed line.
+		if !strings.Contains(r.Info.Reason, reason) || !strings.Contains(r.Info.String(), reason) {
+			t.Fatalf("%s: resumed %q, which does not say %q", what, r.Info.String(), reason)
+		}
 	}
 	for cut := 0; cut < len(whole); cut += 7 {
-		check("torn", whole[:cut])
+		check("torn", snapshotName, whole[:cut])
 	}
 	for at := 0; at < len(whole); at += 11 {
 		raw := append([]byte(nil), whole...)
 		raw[at] ^= 0x20
-		check("flipped", raw)
+		check("flipped", snapshotName, raw)
+	}
+	for reason, raw := range hostileSnapshots(t, whole) {
+		check("hostile", reason, raw)
+	}
+	// A reference to an earlier list is what the writer wrote.
+	if frames := splitSnapshot(t, whole); frames[len(frames)-1].kind != frameKeysRef {
+		t.Fatalf("the history that repeats the executed keys was written as frame kind %d", frames[len(frames)-1].kind)
 	}
 }

@@ -1,20 +1,39 @@
 package store
 
 // The snapshot file (snapshot.afexs): the latest core.SessionState in
-// the journal's own crc frames.
+// the journal's own crc frames, each thing it holds written once.
 //
 //	magic "AFEXSNP1" (8 bytes)
-//	frameState  uvarint seq, then the state as JSON with every
-//	            executed-key list elided
-//	frameKeys*  one per elided list, in keyLists order: uvarint count,
-//	            then per key uvarint length + bytes
+//	frameState    uvarint seq, then the state as JSON with the cluster
+//	              sets and every executed-key list elided: counters,
+//	              coverage, explorer pool/windows/arms, prefetch
+//	frameSets     the three cluster sets in the segEnc codec:
+//	                uvarint count, then the distinct frame strings
+//	                uvarint count, then each distinct stack of the whole
+//	                  snapshot: uvarint depth, then frame ids
+//	                per set (similarity memory, failure clusters, crash
+//	                  clusters): a presence byte, varint threshold,
+//	                  uvarint count and per cluster its representative's
+//	                  stack id, uvarint count and the member ids as
+//	                  varint deltas, then uvarint count and the memory's
+//	                  stack ids
+//	              ids are positions in the two tables, handed out in the
+//	              order the sets are walked, so the bytes stay a function
+//	              of the state
+//	frameKeys |   one per elided list, in keyLists order: uvarint count,
+//	frameKeysRef  then per key uvarint length + bytes — or, when the list
+//	              is element for element an earlier one, the uvarint
+//	              position of that list
 //
-// The key lists are the part of a snapshot that grows with the session,
-// and a resume needs them whole: length-prefixed, a list is written by
-// copying and read as substrings of its frame, with no JSON scanner pass
-// over megabytes. Every journal format writes this one file;
-// snapshot.json, which builds before it wrote, is read when it is all a
-// directory has and removed once a snapshot in this form has landed.
+// Nothing that grows with the session is JSON: the sets and the key
+// lists are written by copying and read as substrings of their frames,
+// with no scanner pass over megabytes and no reflection, and what is left
+// in the state frame is small and fixed, so a new explorer field still
+// costs no codec work. Every journal format writes this one file. Two
+// older shapes are still read: the files written before the sets had a
+// frame (no frameSets: the sets are in the JSON and every list is in
+// full), and snapshot.json (no magic: all JSON), which is read when it is
+// all a directory has and removed once a snapshot in this form has landed.
 
 import (
 	"encoding/binary"
@@ -25,8 +44,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"unsafe"
 
+	"afex/internal/cluster"
 	"afex/internal/core"
 	"afex/internal/explore"
 )
@@ -35,6 +54,14 @@ const (
 	snapshotName       = "snapshot.afexs"
 	legacySnapshotName = "snapshot.json"
 	snapMagic          = "AFEXSNP1"
+
+	// SnapshotFramed, SnapshotFramedJSON and SnapshotJSON name the three
+	// shapes a snapshot is read in (Stats.SnapshotFormat): this file, the
+	// framed file with the cluster sets still inside the JSON, and
+	// snapshot.json.
+	SnapshotFramed     = "framed"
+	SnapshotFramedJSON = "framed-json"
+	SnapshotJSON       = "json"
 )
 
 // keyLists returns every executed-key list of a session state, in the
@@ -64,35 +91,233 @@ func keyLists(st *core.SessionState) []*[]string {
 	return out
 }
 
+// clusterSets returns the three cluster sets of a session state, in the
+// order the sets frame holds them.
+func clusterSets(st *core.SessionState) [3]**cluster.SetState {
+	return [3]**cluster.SetState{&st.AllStacks, &st.FailClusters, &st.CrashClusters}
+}
+
+// setsEnc renders the sets frame: the two tables and the sets that refer
+// into them grow side by side in one walk. The failure and
+// crash clusters' memories are subsets of the similarity memory's and
+// every representative is a remembered stack, so interning across the
+// three sets is what makes the frame hold each stack once.
+type setsEnc struct {
+	frames, stacks     map[string]uint64
+	frameTab, stackTab segEnc
+	sets               segEnc
+	ids                []byte // one stack as frame ids, the stack table's key
+}
+
+// stack returns the id of a stack, entering it (and the frames it is the
+// first to name) into the tables when it is new.
+func (e *setsEnc) stack(stack []string) uint64 {
+	e.ids = e.ids[:0]
+	for _, f := range stack {
+		id, ok := e.frames[f]
+		if !ok {
+			id = uint64(len(e.frames))
+			e.frames[f] = id
+			e.frameTab.str(f)
+		}
+		e.ids = binary.AppendUvarint(e.ids, id)
+	}
+	id, ok := e.stacks[string(e.ids)]
+	if !ok {
+		id = uint64(len(e.stacks))
+		e.stacks[string(e.ids)] = id
+		e.stackTab.uint(uint64(len(stack)))
+		e.stackTab.buf = append(e.stackTab.buf, e.ids...)
+	}
+	return id
+}
+
+func (e *setsEnc) set(st *cluster.SetState) {
+	e.sets.bool(st != nil)
+	if st == nil {
+		return
+	}
+	e.sets.int(st.Threshold)
+	e.sets.uint(uint64(len(st.Clusters)))
+	for i := range st.Clusters {
+		c := &st.Clusters[i]
+		e.sets.uint(e.stack(c.Representative))
+		e.sets.uint(uint64(len(c.Members)))
+		prev := 0
+		for _, m := range c.Members {
+			e.sets.int(m - prev)
+			prev = m
+		}
+	}
+	e.sets.uint(uint64(len(st.Stacks)))
+	for _, stack := range st.Stacks {
+		e.sets.uint(e.stack(stack))
+	}
+}
+
+// encodeSets walks the three sets into an encoder that knows the frame's
+// size (payloadLen) before it is written (appendFrame).
+func encodeSets(sets [3]*cluster.SetState) *setsEnc {
+	n := 0
+	if sets[0] != nil {
+		n = len(sets[0].Stacks)
+	}
+	e := &setsEnc{frames: make(map[string]uint64, n), stacks: make(map[string]uint64, n)}
+	for _, st := range sets {
+		e.set(st)
+	}
+	return e
+}
+
+func (e *setsEnc) payloadLen() int {
+	return uvarintLen(uint64(len(e.frames))) + len(e.frameTab.buf) +
+		uvarintLen(uint64(len(e.stacks))) + len(e.stackTab.buf) + len(e.sets.buf)
+}
+
+func (e *setsEnc) appendFrame(dst []byte) []byte {
+	n := e.payloadLen()
+	dst = binary.AppendUvarint(openFrame(dst, frameSets, n), uint64(len(e.frames)))
+	dst = binary.AppendUvarint(append(dst, e.frameTab.buf...), uint64(len(e.stacks)))
+	return closeFrame(append(append(dst, e.stackTab.buf...), e.sets.buf...), frameSets, n)
+}
+
+// decodeSets decodes a sets frame into strings that are substrings of the
+// payload and stacks that the sets share, as they share them in the
+// frame: both are read-only to whoever holds the state (cluster.SetState
+// says so already). Every count is checked against the bytes left before
+// anything is sized by it, every id against its table.
+func decodeSets(payload []byte) (sets [3]*cluster.SetState, err error) {
+	d := segDec{buf: payload}
+	pick := func(what string, table int) int {
+		id := d.uint()
+		if d.err == nil && id >= uint64(table) {
+			d.err = fmt.Errorf("%s id %d in a table of %d", what, id, table)
+		}
+		if d.err != nil {
+			return -1
+		}
+		return int(id)
+	}
+	frames := make([]string, d.count())
+	for i := range frames {
+		frames[i] = d.view()
+	}
+	stacks := make([][]string, d.count())
+	for i := 0; i < len(stacks) && d.err == nil; i++ {
+		depth := d.count()
+		if depth == 0 {
+			continue
+		}
+		stacks[i] = make([]string, depth)
+		for k := range stacks[i] {
+			id := pick("frame", len(frames))
+			if id < 0 {
+				break
+			}
+			stacks[i][k] = frames[id]
+		}
+	}
+	stack := func() []string {
+		if id := pick("stack", len(stacks)); id >= 0 {
+			return stacks[id]
+		}
+		return nil
+	}
+	for s := 0; s < len(sets) && d.err == nil; s++ {
+		if !d.bool() {
+			continue
+		}
+		st := &cluster.SetState{Threshold: d.int()}
+		// What the JSON these sets used to be in decoded to: no clusters
+		// is an empty list, no memory and no members are nil.
+		st.Clusters = make([]cluster.ClusterState, d.count())
+		for i := 0; i < len(st.Clusters) && d.err == nil; i++ {
+			c := &st.Clusters[i]
+			c.Representative = stack()
+			if n := d.count(); n > 0 {
+				c.Members = make([]int, n)
+			}
+			prev := 0
+			for k := 0; k < len(c.Members) && d.err == nil; k++ {
+				prev += d.int()
+				c.Members[k] = prev
+			}
+		}
+		if n := d.count(); n > 0 {
+			st.Stacks = make([][]string, n)
+		}
+		for i := 0; i < len(st.Stacks) && d.err == nil; i++ {
+			st.Stacks[i] = stack()
+		}
+		sets[s] = st
+	}
+	if d.err == nil && len(d.buf) > 0 {
+		d.err = fmt.Errorf("%d bytes past the last set", len(d.buf))
+	}
+	return sets, d.err
+}
+
 // appendSnapshot renders st as a snapshot file, sized before it is
 // written and every list framed in place, so a snapshot costs one buffer
-// and one copy of its keys. The lists are lifted out of st while its
-// JSON is taken and put back after, so st is the caller's alone for the
-// duration — as a state handed to SnapshotSession is the store's. The
-// lists themselves are only read.
+// and one copy of its keys. The sets and the lists are lifted out of st
+// while its JSON is taken and put back after, so st is the caller's alone
+// for the duration — as a state handed to SnapshotSession is the store's.
+// The sets and lists themselves are only read.
 func appendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) {
 	lists := keyLists(st)
-	keys, sizes := make([][]string, len(lists)), make([]int, len(lists))
+	keys := make([][]string, len(lists))
 	for i, p := range lists {
 		keys[i], *p = *p, nil
 	}
+	var sets [3]*cluster.SetState
+	for i, p := range clusterSets(st) {
+		sets[i], *p = *p, nil
+	}
 	raw, err := json.Marshal(st)
-	total := len(snapMagic) + len(raw) + 32
+	for i, p := range clusterSets(st) {
+		*p = sets[i]
+	}
 	for i, p := range lists {
 		*p = keys[i]
-		sizes[i] = uvarintLen(uint64(len(keys[i])))
-		for _, k := range keys[i] {
-			sizes[i] += uvarintLen(uint64(len(k))) + len(k)
-		}
-		total += sizes[i] + 16
 	}
 	if err != nil {
 		return nil, err
 	}
+	setsFrame := encodeSets(sets)
+	// A list that repeats an earlier one is written as that list's
+	// position. A sequential session's lists are one key string each,
+	// built once and carried from Next to Report, and string equality
+	// compares lengths, then data pointers, before any bytes: telling
+	// that two lists are the same costs a pass over their headers. Lists
+	// in different orders (parallel folds, portfolio arms) differ early.
+	// The first list equal to it is never a reference itself.
+	refs, sizes := make([]int, len(keys)), make([]int, len(keys))
+	total := len(snapMagic) + len(raw) + setsFrame.payloadLen() + 64
+	for i, list := range keys {
+		refs[i] = -1
+		for j := 0; j < i && len(list) > 0; j++ {
+			if slices.Equal(list, keys[j]) {
+				refs[i], sizes[i] = j, uvarintLen(uint64(j))
+				break
+			}
+		}
+		if refs[i] < 0 {
+			sizes[i] = uvarintLen(uint64(len(list)))
+			for _, k := range list {
+				sizes[i] += uvarintLen(uint64(len(k))) + len(k)
+			}
+		}
+		total += sizes[i] + 16
+	}
 	seq := binary.AppendUvarint(nil, uint64(st.Seq))
 	dst = openFrame(append(slices.Grow(dst, total), snapMagic...), frameState, len(seq)+len(raw))
 	dst = closeFrame(append(append(dst, seq...), raw...), frameState, len(seq)+len(raw))
+	dst = setsFrame.appendFrame(dst)
 	for i, list := range keys {
+		if refs[i] >= 0 {
+			dst = appendFrame(dst, frameKeysRef, binary.AppendUvarint(nil, uint64(refs[i])))
+			continue
+		}
 		enc := segEnc{buf: openFrame(dst, frameKeys, sizes[i])}
 		enc.strs(list)
 		dst = closeFrame(enc.buf, frameKeys, sizes[i])
@@ -100,40 +325,68 @@ func appendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) {
 	return dst, nil
 }
 
+// keyRoom is the capacity a decoded list of n keys is given: the spare
+// lets the resumed session's first appends land in place.
+func keyRoom(n int) int { return n + n/8 + 32 }
+
 // decodeKeys decodes a key-list payload into substrings of the payload
 // itself, which must never be written again (a frame reader's payload is
 // its own allocation, so it is not). The count is checked against the
-// payload before anything is sized by it; the spare capacity lets the
-// resumed session's first appends land in place.
+// payload before anything is sized by it.
 func decodeKeys(payload []byte) ([]string, error) {
-	n, w := binary.Uvarint(payload)
-	if w <= 0 || n > uint64(len(payload)) {
-		return nil, errors.New("bad key count")
+	d := segDec{buf: payload}
+	n := d.count()
+	keys := make([]string, 0, keyRoom(n))
+	for i := 0; i < n && d.err == nil; i++ {
+		keys = append(keys, d.view())
 	}
-	blob := unsafe.String(unsafe.SliceData(payload), len(payload))
-	keys := make([]string, 0, n+n/8+32)
-	for off := w; uint64(len(keys)) < n; {
-		l, w := binary.Uvarint(payload[off:])
-		if w <= 0 || l > uint64(len(payload)-off-w) {
-			return nil, errors.New("truncated key list")
-		}
-		off += w
-		keys = append(keys, blob[off:off+int(l)])
-		off += int(l)
+	if d.err != nil {
+		return nil, errors.New("truncated key list")
 	}
 	return keys, nil
 }
 
-// decodeSnapshot reads a snapshot of size bytes, in full or — with
-// seqOnly — just far enough to know the journal sequence it stands at: a
-// framed file's state frame, or all of a legacy JSON one (sniffed by the
-// missing magic). Any error means the bytes are not a snapshot: torn,
-// corrupt, or something else entirely.
-func decodeSnapshot(r io.Reader, size int64, seqOnly bool) (*core.SessionState, error) {
+// snapDepth is how much of a snapshot file a reader wants.
+type snapDepth int
+
+const (
+	// snapSeq stops at the journal sequence the snapshot stands at: the
+	// head of a framed file's state frame, all of a legacy JSON one.
+	snapSeq snapDepth = iota
+	// snapShape decodes everything but the key lists, whose lengths come
+	// from their frame headers (snapFile.keyCounts).
+	snapShape
+	snapFull
+)
+
+// snapFile describes a snapshot file as it was found: its name, shape and
+// size, how the bytes split between the state frame (magic included), the
+// sets frame and the key frames, how many keys each list holds and how
+// many of the lists are references to an earlier one.
+type snapFile struct {
+	name, format      string
+	size              int64
+	state, sets, keys int64
+	keyCounts         []int
+	refs              int
+}
+
+// decodeSnapshot reads a snapshot of file.size bytes to the depth asked
+// for and fills in the rest of file. The shape is told by what is there:
+// no magic is a legacy JSON snapshot, no sets frame behind the state
+// frame one of the framed files that kept the sets in the JSON. Any error
+// means the bytes are not a snapshot: torn, corrupt, or something else
+// entirely.
+func decodeSnapshot(r io.Reader, file *snapFile, depth snapDepth) (*core.SessionState, error) {
 	st := new(core.SessionState)
-	fr := newFrameReader(r, int64(len(snapMagic)), size)
+	fr := newFrameReader(r, int64(len(snapMagic)), file.size)
 	if magic, _ := fr.r.Peek(len(snapMagic)); string(magic) != snapMagic {
-		return st, json.NewDecoder(fr.r).Decode(st)
+		file.format, file.state = SnapshotJSON, file.size
+		err := json.NewDecoder(fr.r).Decode(st)
+		for _, list := range keyLists(st) {
+			file.keyCounts = append(file.keyCounts, len(*list))
+		}
+		return st, err
 	}
 	fr.r.Discard(len(snapMagic))
 	kind, payload, err := fr.next()
@@ -141,22 +394,68 @@ func decodeSnapshot(r io.Reader, size int64, seqOnly bool) (*core.SessionState, 
 	if err == nil && (kind != frameState || w <= 0) {
 		err = errors.New("no state frame")
 	}
-	if st.Seq = int(seq); seqOnly && err == nil {
+	if st.Seq = int(seq); depth == snapSeq && err == nil {
 		return st, nil
 	}
 	if err == nil {
 		err = json.Unmarshal(payload[w:], st)
 	}
-	for _, list := range keyLists(st) {
+	file.format, file.state = SnapshotFramedJSON, fr.off
+	lists, stateRead := keyLists(st), err == nil
+	var at int64
+	next := func() {
+		if err == nil {
+			at = fr.off
+			kind, payload, err = fr.next()
+		}
+	}
+	next()
+	if err == nil && kind == frameSets {
+		var sets [3]*cluster.SetState
+		sets, err = decodeSets(payload)
+		for i, p := range clusterSets(st) {
+			*p = sets[i]
+		}
+		file.format, file.sets = SnapshotFramed, fr.off-at
+		next()
+	}
+	if stateRead && len(lists) == 0 && err == io.EOF {
+		err = nil // nothing follows the state of a session that lists no keys
+	}
+	for i, list := range lists {
+		if i > 0 {
+			next()
+		}
+		switch {
+		case err != nil:
+		case kind == frameKeys && depth == snapShape:
+			d := segDec{buf: payload}
+			file.keyCounts = append(file.keyCounts, d.count())
+			err = d.err
+		case kind == frameKeys:
+			*list, err = decodeKeys(payload)
+			file.keyCounts = append(file.keyCounts, len(*list))
+		case kind == frameKeysRef:
+			j, w := binary.Uvarint(payload)
+			if w <= 0 || j >= uint64(i) {
+				err = fmt.Errorf("key list %d written as a reference to list %d", i, j)
+				break
+			}
+			// Its own headers over the same bytes, never the same slice:
+			// whoever builds a key set over a list takes its spare
+			// capacity over.
+			if src := *lists[j]; depth == snapFull {
+				*list = append(make([]string, 0, keyRoom(len(src))), src...)
+			}
+			file.keyCounts = append(file.keyCounts, file.keyCounts[j])
+			file.refs++
+		default:
+			err = fmt.Errorf("frame kind %d where a key list belongs", kind)
+		}
 		if err != nil {
 			break
 		}
-		if kind, payload, err = fr.next(); err == nil && kind != frameKeys {
-			err = fmt.Errorf("frame kind %d where a key list belongs", kind)
-		}
-		if err == nil {
-			*list, err = decodeKeys(payload)
-		}
+		file.keys += fr.off - at
 	}
 	if err != nil {
 		return nil, fmt.Errorf("frame at offset %d: %w", fr.off, err)
@@ -165,28 +464,30 @@ func decodeSnapshot(r io.Reader, size int64, seqOnly bool) (*core.SessionState, 
 }
 
 // readSnapshot loads dir's latest snapshot — the framed file, else the
-// snapshot.json an older build left — with its file name and size. It
-// returns (nil, "", 0, nil) when the directory has neither and an error
-// naming the file when it has one that does not decode.
-func readSnapshot(dir string, seqOnly bool) (st *core.SessionState, name string, size int64, err error) {
-	name = snapshotName
-	f, err := os.Open(filepath.Join(dir, name))
+// snapshot.json an older build left — to the depth asked for, and says
+// what file it found. It returns a nil state and no error when the
+// directory has neither and an error naming the file when it has one that
+// does not decode.
+func readSnapshot(dir string, depth snapDepth) (*core.SessionState, snapFile, error) {
+	file := snapFile{name: snapshotName}
+	f, err := os.Open(filepath.Join(dir, file.name))
 	if os.IsNotExist(err) {
-		name = legacySnapshotName
-		f, err = os.Open(filepath.Join(dir, name))
+		file.name = legacySnapshotName
+		f, err = os.Open(filepath.Join(dir, file.name))
 	}
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, "", 0, nil
+			return nil, snapFile{}, nil
 		}
-		return nil, name, 0, err
+		return nil, file, err
 	}
 	defer f.Close()
 	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
+		file.size = fi.Size()
 	}
-	if st, err = decodeSnapshot(f, size, seqOnly); err != nil {
-		return nil, name, size, fmt.Errorf("%s: %w", name, err)
+	st, err := decodeSnapshot(f, &file, depth)
+	if err != nil {
+		return nil, file, fmt.Errorf("%s: %w", file.name, err)
 	}
-	return st, name, size, nil
+	return st, file, nil
 }

@@ -40,16 +40,27 @@ type Stats struct {
 	IndexBlocks      int `json:"indexBlocks"`
 	SideIndexRecords int `json:"sideIndexRecords"`
 	// HasSnapshot/SnapshotSeq/SnapshotBytes describe the latest
-	// snapshot (its journal sequence and file size), SnapshotFormat its
-	// encoding ("framed", or "json" for a legacy snapshot.json) and
-	// SnapshotKeys the executed keys it lists; CompactedSeq is the
+	// snapshot (its journal sequence and file size) and SnapshotFormat
+	// its shape: SnapshotFramed, SnapshotFramedJSON for a framed file of
+	// the builds that kept the cluster sets in its JSON, SnapshotJSON for
+	// a snapshot.json. The bytes split into the state frame, the sets
+	// frame and the key frames (all state for the JSON shape).
+	// SnapshotKeys is the executed keys it lists, SnapshotKeyLists how
+	// many lists of keys it holds (the executed keys', the explorers'
+	// histories) and SnapshotKeyRefs how many of those repeat an earlier
+	// list and are written as a reference to it. CompactedSeq is the
 	// archive watermark.
-	HasSnapshot    bool   `json:"hasSnapshot"`
-	SnapshotSeq    int    `json:"snapshotSeq"`
-	SnapshotBytes  int64  `json:"snapshotBytes"`
-	SnapshotFormat string `json:"snapshotFormat,omitempty"`
-	SnapshotKeys   int    `json:"snapshotKeys"`
-	CompactedSeq   int    `json:"compactedSeq"`
+	HasSnapshot        bool   `json:"hasSnapshot"`
+	SnapshotSeq        int    `json:"snapshotSeq"`
+	SnapshotBytes      int64  `json:"snapshotBytes"`
+	SnapshotFormat     string `json:"snapshotFormat,omitempty"`
+	SnapshotStateBytes int64  `json:"snapshotStateBytes"`
+	SnapshotSetsBytes  int64  `json:"snapshotSetsBytes"`
+	SnapshotKeysBytes  int64  `json:"snapshotKeysBytes"`
+	SnapshotKeys       int    `json:"snapshotKeys"`
+	SnapshotKeyLists   int    `json:"snapshotKeyLists"`
+	SnapshotKeyRefs    int    `json:"snapshotKeyRefs"`
+	CompactedSeq       int    `json:"compactedSeq"`
 	// TailEntries is the resume-tail size: entries past the snapshot,
 	// the amount of journal a tail resume must materialize. ResumePath
 	// says whether the next --resume can get by on that: "tail", or
@@ -103,19 +114,19 @@ func ReadStats(dir string) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot + resume tail. A snapshot at seq 0 describes nothing.
-	snap, name, size, err := readSnapshot(dir, false)
-	st.SnapshotBytes = size
+	// Snapshot + resume tail. A snapshot at seq 0 describes nothing. The
+	// key counts come from the frame headers: nothing here needs the keys.
+	snap, file, err := readSnapshot(dir, snapShape)
+	st.SnapshotBytes = file.size
 	why := "no snapshot"
 	if err != nil {
 		why = err.Error()
 	} else if snap != nil && snap.Seq > 0 {
-		st.HasSnapshot, st.SnapshotSeq, st.SnapshotFormat = true, snap.Seq, "framed"
-		if name == legacySnapshotName {
-			st.SnapshotFormat = "json"
-		}
+		st.HasSnapshot, st.SnapshotSeq, st.SnapshotFormat = true, snap.Seq, file.format
+		st.SnapshotStateBytes, st.SnapshotSetsBytes, st.SnapshotKeysBytes = file.state, file.sets, file.keys
+		st.SnapshotKeyLists, st.SnapshotKeyRefs = len(file.keyCounts), file.refs
 		if snap.Aggregates != nil {
-			st.SnapshotKeys = len(snap.Aggregates.SeenKeys)
+			st.SnapshotKeys = file.keyCounts[0] // keyLists lists the aggregates' first
 		}
 		_, why = tailOf(dir, format, meta, snap)
 	}

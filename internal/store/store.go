@@ -36,9 +36,13 @@
 //	              resume seeks to the tail instead of scanning the run
 //	archive.afexj compacted journal prefix already covered by a
 //	              snapshot (binary format only; see Compact)
-//	snapshot.afexs latest core.SessionState, replaced atomically: one
-//	              crc frame of JSON with the executed-key lists elided,
-//	              then one length-prefixed frame per list (snapshot.go)
+//	snapshot.afexs latest core.SessionState, replaced atomically: crc
+//	              frames — the small fixed part as JSON, the three
+//	              cluster sets with each distinct stack and frame once,
+//	              then each executed-key list length-prefixed, or as a
+//	              reference when it repeats an earlier one (snapshot.go);
+//	              the same file with the sets still in its JSON, as
+//	              earlier builds wrote it, is read too
 //	snapshot.json the snapshot as builds before that file wrote it:
 //	              read when it is all there is, never written, removed
 //	              once a snapshot.afexs has landed
@@ -893,7 +897,7 @@ func (s *Store) LoadEntries() ([]Entry, error) {
 // LoadSnapshot reads the latest session snapshot; (nil, nil) when none
 // exists, an error when one exists and does not decode.
 func (s *Store) LoadSnapshot() (*core.SessionState, error) {
-	st, _, _, err := readSnapshot(s.dir, false)
+	st, _, err := readSnapshot(s.dir, snapFull)
 	return st, err
 }
 

@@ -2,8 +2,10 @@ package afex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,12 +21,13 @@ import (
 	"afex/internal/store"
 )
 
-// Snapshot shape tests. snapshot.afexs lists each distinct stack once
-// and the executed keys in fold order, the key lists in frames of their
-// own; before it there was snapshot.json, all JSON, which once listed
-// every stack occurrence and sorted keys, indented. Every shape must
-// resume to the same session, and the new one must stay a function of
-// the seed.
+// Snapshot shape tests. snapshot.afexs holds each distinct stack and
+// each distinct list of executed keys once, in fold order, in frames of
+// their own; the same file once kept the cluster sets in its JSON and
+// wrote every list in full; before it there was snapshot.json, all JSON,
+// which once listed every stack occurrence and sorted keys, indented.
+// Every shape must resume to the same session, and the new one must stay
+// a function of the seed.
 
 // killedSession runs opts until killAt folds and abandons the engine
 // without Finish, as resume_test.go does: only the store's writes
@@ -119,6 +122,31 @@ func snapshotBytes(t *testing.T, dir string) []byte {
 	return raw
 }
 
+// eachKeyList calls fn on every executed-key list of a snapshot, in the
+// order the file holds them: the aggregates', then the explorer's.
+func eachKeyList(st *core.SessionState, fn func(*[]string)) {
+	if st.Aggregates != nil {
+		fn(&st.Aggregates.SeenKeys)
+	}
+	var walk func(*explore.State)
+	walk = func(ex *explore.State) {
+		if ex == nil {
+			return
+		}
+		fn(&ex.Seen)
+		for i := range ex.Searches {
+			fn(&ex.Searches[i].History)
+		}
+		for _, sh := range ex.Shards {
+			walk(sh)
+		}
+		for i := range ex.Arms {
+			walk(ex.Arms[i].State)
+		}
+	}
+	walk(st.Explorer)
+}
+
 // rewriteSnapshotLegacy replaces dir's snapshot with the only one a
 // directory written before snapshot.afexs holds: snapshot.json, key
 // lists as JSON arrays, in the shape written before the memory
@@ -130,7 +158,6 @@ func rewriteSnapshotLegacy(t *testing.T, dir string) {
 	if st.Aggregates == nil || st.Explorer == nil || len(st.AllStacks.Stacks) == 0 {
 		t.Fatalf("snapshot at seq %d is too empty to exercise the legacy shape", st.Seq)
 	}
-	sort.Strings(st.Aggregates.SeenKeys)
 	for _, set := range []*cluster.SetState{st.AllStacks, st.FailClusters, st.CrashClusters} {
 		var repeated [][]string
 		for i, stack := range set.Stacks {
@@ -140,23 +167,7 @@ func rewriteSnapshotLegacy(t *testing.T, dir string) {
 		}
 		set.Stacks = repeated
 	}
-	var sortKeys func(*explore.State)
-	sortKeys = func(ex *explore.State) {
-		if ex == nil {
-			return
-		}
-		sort.Strings(ex.Seen)
-		for i := range ex.Searches {
-			sort.Strings(ex.Searches[i].History)
-		}
-		for _, sh := range ex.Shards {
-			sortKeys(sh)
-		}
-		for i := range ex.Arms {
-			sortKeys(ex.Arms[i].State)
-		}
-	}
-	sortKeys(st.Explorer)
+	eachKeyList(&st, func(l *[]string) { sort.Strings(*l) })
 	raw, err := json.MarshalIndent(&st, "", " ")
 	if err != nil {
 		t.Fatal(err)
@@ -169,10 +180,63 @@ func rewriteSnapshotLegacy(t *testing.T, dir string) {
 	}
 }
 
+// rewriteSnapshotFramedJSON replaces dir's snapshot with the same state
+// in the file's earlier shape: behind the magic, a frame (kind 3) of the
+// uvarint seq and the state as JSON, cluster sets included and the key
+// lists elided, then a frame (kind 4) per list, every list in full —
+// uvarint count, then uvarint length and bytes per key. A frame is its
+// kind, the uvarint payload length, the payload, and the little-endian
+// IEEE crc32 of kind and payload. (internal/store keeps that writer itself
+// as its codec's oracle; testdata/oldbuild there is a directory it wrote.)
+func rewriteSnapshotFramedJSON(t *testing.T, dir string) {
+	t.Helper()
+	st := loadSnapshot(t, dir)
+	frame := func(dst []byte, kind byte, payload []byte) []byte {
+		dst = append(binary.AppendUvarint(append(dst, kind), uint64(len(payload))), payload...)
+		crc := crc32.Update(crc32.ChecksumIEEE([]byte{kind}), crc32.IEEETable, payload)
+		return binary.LittleEndian.AppendUint32(dst, crc)
+	}
+	var lists [][]byte
+	eachKeyList(st, func(l *[]string) {
+		payload := binary.AppendUvarint(nil, uint64(len(*l)))
+		for _, k := range *l {
+			payload = append(binary.AppendUvarint(payload, uint64(len(k))), k...)
+		}
+		lists, *l = append(lists, payload), nil
+	})
+	state, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := frame([]byte("AFEXSNP1"), 3, append(binary.AppendUvarint(nil, uint64(st.Seq)), state...))
+	for _, payload := range lists {
+		raw = frame(raw, 4, payload)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.afexs"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// canonicalSnapshot renders dir's snapshot with the wall clock pinned
+// and every key list sorted: equal for two sessions that hold the same
+// state, whatever order an older shape handed them their keys in.
+func canonicalSnapshot(t *testing.T, dir string) []byte {
+	t.Helper()
+	st := loadSnapshot(t, dir)
+	st.Elapsed = 0
+	eachKeyList(st, func(l *[]string) { sort.Strings(*l) })
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestLegacySnapshotShapeResumes: a state directory holding only an
-// old-shape snapshot.json resumes to the record-for-record continuation
-// the new file gives, and that resume leaves its snapshot in the new
-// file and the old one gone.
+// old-shape snapshot — snapshot.json, or the framed file with its sets in
+// the JSON — resumes to the record-for-record continuation the new file
+// gives, and that resume leaves its snapshot in the new shape, holding
+// the same state, and snapshot.json gone.
 func TestLegacySnapshotShapeResumes(t *testing.T) {
 	const total, killAt = 120, 59
 	for _, algo := range []string{FitnessGuided, Portfolio} {
@@ -186,41 +250,50 @@ func TestLegacySnapshotShapeResumes(t *testing.T) {
 				}
 				dir := t.TempDir()
 				killedSession(t, mkOpts(dir), killAt)
-				legacyDir := copyStateDir(t, dir)
-				rewriteSnapshotLegacy(t, legacyDir)
+				legacy := map[string]string{store.SnapshotJSON: copyStateDir(t, dir), store.SnapshotFramedJSON: copyStateDir(t, dir)}
+				rewriteSnapshotLegacy(t, legacy[store.SnapshotJSON])
+				rewriteSnapshotFramedJSON(t, legacy[store.SnapshotFramedJSON])
 
 				want := resumedSession(t, mkOpts(dir))
-				got := resumedSession(t, mkOpts(legacyDir))
-				if got.Executed != total || want.Executed != total {
-					t.Fatalf("resumed sessions executed %d (legacy shape) and %d, want %d", got.Executed, want.Executed, total)
+				if want.Executed != total {
+					t.Fatalf("resumed session executed %d, want %d", want.Executed, total)
 				}
-				if got.Base() != want.Base() || len(got.Records) != len(want.Records) {
-					t.Fatalf("legacy shape resumed from base %d with %d records, new shape from %d with %d",
-						got.Base(), len(got.Records), want.Base(), len(want.Records))
-				}
-				for i := range want.Records {
-					a, b := want.Records[i], got.Records[i]
-					if a.Scenario != b.Scenario || a.Impact != b.Impact || a.Fitness != b.Fitness || a.Cluster != b.Cluster {
-						t.Fatalf("record %d diverges under the legacy snapshot shape:\n got %q impact=%v fitness=%v cluster=%d\nwant %q impact=%v fitness=%v cluster=%d",
-							a.ID, b.Scenario, b.Impact, b.Fitness, b.Cluster, a.Scenario, a.Impact, a.Fitness, a.Cluster)
+				for shape, legacyDir := range legacy {
+					if stats, err := ReadStateStats(legacyDir); err != nil || stats.SnapshotFormat != shape || stats.SnapshotSeq != killAt {
+						t.Fatalf("rewritten snapshot reads as %+v (%v), want a %s one at %d", stats, err, shape, killAt)
 					}
-				}
-				if got.UniqueFailures != want.UniqueFailures || got.UniqueCrashes != want.UniqueCrashes {
-					t.Fatalf("legacy shape ends with %d/%d clusters, new shape with %d/%d",
-						got.UniqueFailures, got.UniqueCrashes, want.UniqueFailures, want.UniqueCrashes)
-				}
-				if _, err := os.Stat(filepath.Join(legacyDir, "snapshot.json")); !os.IsNotExist(err) {
-					t.Fatalf("snapshot.json outlived the resume (stat: %v)", err)
-				}
-				// Same file, same keys; the ones the legacy snapshot listed
-				// stay in the (sorted) order it listed them in.
-				a, b := snapshotBytes(t, legacyDir), snapshotBytes(t, dir)
-				ka, kb := loadSnapshot(t, legacyDir).Aggregates.SeenKeys, loadSnapshot(t, dir).Aggregates.SeenKeys
-				sort.Strings(ka)
-				sort.Strings(kb)
-				if len(a) != len(b) || len(ka) != total || !reflect.DeepEqual(ka, kb) {
-					t.Fatalf("the resume from snapshot.json left %d snapshot bytes listing %d keys, the one from the new file %d bytes and %d keys",
-						len(a), len(ka), len(b), len(kb))
+					got := resumedSession(t, mkOpts(legacyDir))
+					if got.Executed != total {
+						t.Fatalf("%s: resumed session executed %d, want %d", shape, got.Executed, total)
+					}
+					if got.Base() != want.Base() || len(got.Records) != len(want.Records) {
+						t.Fatalf("%s shape resumed from base %d with %d records, new shape from %d with %d",
+							shape, got.Base(), len(got.Records), want.Base(), len(want.Records))
+					}
+					for i := range want.Records {
+						a, b := want.Records[i], got.Records[i]
+						if a.Scenario != b.Scenario || a.Impact != b.Impact || a.Fitness != b.Fitness || a.Cluster != b.Cluster {
+							t.Fatalf("record %d diverges under the %s snapshot shape:\n got %q impact=%v fitness=%v cluster=%d\nwant %q impact=%v fitness=%v cluster=%d",
+								a.ID, shape, b.Scenario, b.Impact, b.Fitness, b.Cluster, a.Scenario, a.Impact, a.Fitness, a.Cluster)
+						}
+					}
+					if got.UniqueFailures != want.UniqueFailures || got.UniqueCrashes != want.UniqueCrashes {
+						t.Fatalf("%s shape ends with %d/%d clusters, new shape with %d/%d",
+							shape, got.UniqueFailures, got.UniqueCrashes, want.UniqueFailures, want.UniqueCrashes)
+					}
+					if _, err := os.Stat(filepath.Join(legacyDir, "snapshot.json")); !os.IsNotExist(err) {
+						t.Fatalf("snapshot.json outlived the resume (stat: %v)", err)
+					}
+					// Same state in the same shape. The keys an old snapshot
+					// listed sorted stay in that order, so a history that
+					// kept it is not the journal's list over again and is
+					// written in full: the files compare by what they hold.
+					if stats, err := ReadStateStats(legacyDir); err != nil || stats.SnapshotFormat != store.SnapshotFramed || stats.SnapshotKeys != total {
+						t.Fatalf("%s: the resume left a snapshot that reads as %+v (%v)", shape, stats, err)
+					}
+					if a, b := canonicalSnapshot(t, legacyDir), canonicalSnapshot(t, dir); !bytes.Equal(a, b) {
+						t.Fatalf("the resume from the %s shape left a different state:\n got %s\nwant %s", shape, a, b)
+					}
 				}
 			})
 		}
@@ -401,14 +474,15 @@ func keyHeavySession(dir string, entries int) Options {
 }
 
 // TestResumeCostsTheSnapshot pins what a tail resume pays before its
-// first lease, by counting rather than timing. The executed-key set is
+// first lease, and for its first fold, by counting rather than timing. The executed-key set is
 // built at most twice: the store's, which the engine and the novelty
 // filter share, and the explorer's history. And everything allocated
 // from opening the directory to the first Lease stays within a small
-// multiple of the snapshot file: per key and list, the frame it is read
-// in (~13 bytes, the strings alias it), a string header (16, plus an
-// eighth of headroom) and 8 to 16 bytes of index — no second copy of the
-// keys, no map per layer, no JSON scanner garbage.
+// multiple of the snapshot file, which holds the keys once: per key, the
+// frame it is read in (~12 bytes, the strings alias it) and, for each of
+// the two lists decoded over it, a string header (16, plus an eighth of
+// headroom) and 8 to 16 bytes of index — no second copy of the keys, no
+// map per layer, no JSON scanner garbage.
 func TestResumeCostsTheSnapshot(t *testing.T) {
 	const entries, tail = 20000, 100
 	dir := t.TempDir()
@@ -451,8 +525,130 @@ func TestResumeCostsTheSnapshot(t *testing.T) {
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("open to first Lease allocated %d bytes, %.2fx the snapshot's %d", alloc, float64(alloc)/float64(fi.Size()), fi.Size())
-	if alloc > 6*uint64(fi.Size()) {
-		t.Errorf("open to first Lease allocated %d bytes, more than 6x the snapshot's %d", alloc, fi.Size())
+	if alloc > 10*uint64(fi.Size()) {
+		t.Errorf("open to first Lease allocated %d bytes, more than 10x the snapshot's %d", alloc, fi.Size())
+	}
+	// The first fold lists its key in the room the store left behind the
+	// keys it decoded, not in a grown copy of all of them.
+	rec, out := eng.LocalExecutor().Execute(cands[0])
+	eng.Fold(cands[0], rec, out)
+	var folded runtime.MemStats
+	runtime.ReadMemStats(&folded)
+	if grew := folded.TotalAlloc - after.TotalAlloc; grew > 8*entries {
+		t.Errorf("the first fold after the resume allocated %d bytes: the executed-key list of %d was copied", grew, entries)
 	}
 	eng.Finish()
+}
+
+// TestOldBuildDirectoryResumes: internal/store/testdata/oldbuild is a
+// state directory the build before this snapshot shape wrote (`afex
+// explore --target coreutils --journal-format binary --call-hi 200`,
+// SIGKILLed at 512 entries, snapshot at 256). As it is, with its snapshot
+// rewritten as the snapshot.json of older builds still, and rewritten in
+// today's shape, it resumes to the same records, clusters and next
+// candidate.
+func TestOldBuildDirectoryResumes(t *testing.T) {
+	const journaled, snapAt, total = 512, 256, 600
+	target, err := Target("coreutils")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(shape string, rewrite func(dir string)) *Result {
+		t.Helper()
+		dir := copyStateDir(t, filepath.Join("internal", "store", "testdata", "oldbuild"))
+		rewrite(dir)
+		stats, err := ReadStateStats(dir)
+		if err != nil || stats.Entries != journaled || stats.SnapshotSeq != snapAt || stats.SnapshotFormat != shape || stats.ResumePath != "tail" {
+			t.Fatalf("%s: directory reads as %+v (%v)", shape, stats, err)
+		}
+		res := resumedSession(t, Options{
+			Target:     target,
+			Space:      SpaceFor(target, 19, 1, 200),
+			Algorithm:  FitnessGuided,
+			Iterations: total,
+			StateDir:   dir,
+			Explore:    ExploreOptions{Seed: 1},
+		})
+		if res.Executed != total || res.Base() != snapAt || len(res.Records) != total-snapAt {
+			t.Fatalf("%s: resumed to %d executed, %d records from base %d", shape, res.Executed, len(res.Records), res.Base())
+		}
+		if stats, err = ReadStateStats(dir); err != nil || stats.SnapshotFormat != store.SnapshotFramed || stats.SnapshotSeq != total {
+			t.Fatalf("%s: the resume left a snapshot that reads as %+v (%v)", shape, stats, err)
+		}
+		return res
+	}
+	want := resume(store.SnapshotFramedJSON, func(string) {})
+	for shape, rewrite := range map[string]func(string){
+		store.SnapshotJSON:   func(dir string) { rewriteSnapshotLegacy(t, dir) },
+		store.SnapshotFramed: func(dir string) { snapshotBytes(t, dir) },
+	} {
+		got := resume(shape, rewrite)
+		for i := range want.Records {
+			a, b := &want.Records[i], &got.Records[i]
+			if a.ID != b.ID || a.Scenario != b.Scenario || a.Impact != b.Impact || a.Fitness != b.Fitness || a.Cluster != b.Cluster || !reflect.DeepEqual(a.Outcome, b.Outcome) {
+				t.Fatalf("%s: record %d is %q (cluster %d), the old build's own snapshot resumes to %q (cluster %d)", shape, a.ID, b.Scenario, b.Cluster, a.Scenario, a.Cluster)
+			}
+		}
+		if got.UniqueFailures != want.UniqueFailures || got.UniqueCrashes != want.UniqueCrashes {
+			t.Fatalf("%s: %d/%d clusters, the old build's own snapshot resumes to %d/%d", shape, got.UniqueFailures, got.UniqueCrashes, want.UniqueFailures, want.UniqueCrashes)
+		}
+	}
+}
+
+// longResume kills a 1 200-scenario sequential session at 400, with a
+// snapshot at every fold, resumes it, and holds its journal and final
+// snapshot to the uninterrupted session's: the length the resume
+// workload of bench/ runs at, where the suites above stop at 150.
+func longResume(t *testing.T, algo string) {
+	const total, killAt = 1200, 400
+	target, err := Target("mysqld")
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(kill bool) (string, []JournalEntry) {
+		dir := t.TempDir()
+		opts := Options{
+			Target:        target,
+			Space:         SpaceFor(target, 12, 0, 40),
+			Algorithm:     algo,
+			Iterations:    total,
+			Feedback:      true,
+			StateDir:      dir,
+			JournalFormat: JournalBinary,
+			Explore:       ExploreOptions{Seed: 9},
+		}
+		if kill {
+			killedSession(t, opts, killAt)
+			resumedSession(t, opts)
+		} else if _, err := Explore(opts); err != nil {
+			t.Fatal(err)
+		}
+		journal, err := ReplayJournal(dir)
+		if err != nil || len(journal) != total {
+			t.Fatalf("journal of %d entries, want %d (%v)", len(journal), total, err)
+		}
+		return dir, journal
+	}
+	wantDir, want := session(false)
+	gotDir, got := session(true)
+	for i := range want {
+		got[i].Run = want[i].Run // which run folded it is the one thing a kill changes
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("killed at %d and resumed, the session diverges at record %d:\n got %+v\nwant %+v", killAt, i, got[i], want[i])
+		}
+	}
+	if a, b := snapshotBytes(t, gotDir), snapshotBytes(t, wantDir); !bytes.Equal(a, b) {
+		t.Fatalf("resumed session's final snapshot (%d bytes) differs from the uninterrupted one's (%d)", len(a), len(b))
+	}
+}
+
+// TestLongResumeEqualsUninterrupted: resume equality at the length and
+// for the configuration bench/'s resume-tail runs (random, one worker,
+// binary journal), and the case that does not hold yet beside it.
+func TestLongResumeEqualsUninterrupted(t *testing.T) {
+	t.Run("random", func(t *testing.T) { longResume(t, Random) })
+	t.Run("fitness", func(t *testing.T) {
+		t.Skip("known: diverges from the uninterrupted session at record 968 (759 on coreutils) — ROADMAP, schedule-harness item; delete this line to reproduce")
+		longResume(t, FitnessGuided)
+	})
 }
