@@ -103,9 +103,12 @@
 // re-executes recorded failures from their journaled injection plans,
 // whichever format recorded them; ReadStateStats (CLI: afex stats)
 // inspects a directory; CompactState folds the snapshot-covered prefix
-// of a binary journal into its archive segment.
-// CoordinatorOptions.StateDir gives a distributed coordinator the same
-// durability. See the README's "Persistence & resume" section.
+// of a binary journal into its archive segment. Options.Peer/Peers
+// narrow a session to one of Peers disjoint regions of the space,
+// recorded in the directory so it only resumes as the peer that wrote
+// it. CoordinatorOptions carries the same StateDir, Resume and Peer/Peers
+// for a distributed coordinator. See the README's "Persistence &
+// resume" section.
 package afex
 
 import (
@@ -294,43 +297,69 @@ const PrefetchAdaptive = core.PrefetchAdaptive
 // for a persistent engine.
 func NewEngine(opts Options) (*Engine, error) { return core.NewEngine(opts, nil) }
 
-// NewSession builds the execution engine with persistence wired up: when
-// Options.StateDir is set, it opens (creating if needed) the state
-// directory, verifies the journal was written for the same target and
-// fault space, loads prior scenario keys into the engine's novelty
-// filter, restores the journaled records and clusters — plus the
-// explorer's search state when Options.Resume is set — and installs the
-// store so every executed scenario is journaled and the session state is
-// snapshotted periodically and on Finish.
+// NewSession builds the execution engine with its region and persistence
+// wired up. With Options.Peers > 1 the engine explores only region
+// Options.Peer of the space. When Options.StateDir is set, it opens
+// (creating if needed) the state directory, verifies the journal was
+// written for the same target, fault space and peer region, loads prior
+// scenario keys into the engine's novelty filter, restores the journaled
+// records and clusters — plus the explorer's search state when
+// Options.Resume is set — and installs the store so every executed
+// scenario is journaled and the session state is snapshotted periodically
+// and on Finish.
 //
 // The returned cleanup function flushes and closes the store (a no-op
 // without StateDir); call it after the engine finishes. Drive the engine
 // with RunLocal, or with RunWith for custom executors.
 func NewSession(opts Options) (*Engine, func() error, error) {
-	if opts.StateDir == "" {
-		eng, err := core.NewEngine(opts, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		return eng, func() error { return nil }, nil
-	}
-	st, err := store.OpenOptions(opts.StateDir, store.Options{
-		Format:     opts.JournalFormat,
-		TailResume: opts.Resume,
-	})
+	cleanup, err := attach(&opts, "")
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := st.Attach(&opts); err != nil {
-		st.Close()
 		return nil, nil, err
 	}
 	eng, err := core.NewEngine(opts, nil)
 	if err != nil {
-		st.Close()
+		cleanup()
 		return nil, nil, err
 	}
-	return eng, st.Close, nil
+	return eng, cleanup, nil
+}
+
+// attach decides a session's region and durability, for local sessions
+// and coordinators alike: it narrows cfg.Space to peer region cfg.Peer
+// of cfg.Peers and, with cfg.StateDir set, opens the store and attaches
+// it under the target identity name ("" = cfg's own Target or Command).
+// The returned cleanup closes the store.
+func attach(cfg *core.Config, name string) (cleanup func() error, err error) {
+	if cfg.Peers > 1 {
+		if cfg.Peer < 0 || cfg.Peer >= cfg.Peers {
+			return nil, fmt.Errorf("afex: peer %d out of range for %d peers", cfg.Peer, cfg.Peers)
+		}
+		// Always Peers regions; one left empty by a space narrower than
+		// that is refused by the engine like any empty space.
+		cfg.Space = cfg.Space.Shard(cfg.Peers)[cfg.Peer]
+	}
+	if cfg.StateDir == "" {
+		return func() error { return nil }, nil
+	}
+	st, err := store.OpenOptions(cfg.StateDir, store.Options{
+		Format:     cfg.JournalFormat,
+		TailResume: cfg.Resume,
+		Peer:       cfg.Peer,
+		Peers:      cfg.Peers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if name == "" {
+		err = st.Attach(cfg)
+	} else {
+		err = st.AttachNamed(cfg, name)
+	}
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
+	return st.Close, nil
 }
 
 // Explore runs one fault-exploration session. With Options.StateDir set
@@ -339,9 +368,6 @@ func NewSession(opts Options) (*Engine, func() error, error) {
 // Options.Resume continues a killed run where it stopped (see the
 // "Persistence & resume" section of the README).
 func Explore(opts Options) (*Result, error) {
-	if opts.StateDir == "" {
-		return core.Run(opts)
-	}
 	if opts.Target == nil && opts.Command == nil {
 		return nil, fmt.Errorf("afex: Options.Target is nil and no process Command is set")
 	}

@@ -1,13 +1,10 @@
 package afex
 
 import (
-	"fmt"
 	"time"
 
 	"afex/internal/core"
-	"afex/internal/faultspace"
 	"afex/internal/rpcnode"
-	"afex/internal/store"
 )
 
 // Distributed-mode re-exports (§6.1/§7.7): an explorer served over TCP
@@ -49,6 +46,12 @@ type CoordinatorOptions struct {
 	// Shards partitions this coordinator's own space into disjoint
 	// per-strategy regions (within its peer region, when both are set).
 	Shards int
+	// Feedback enables §7.4 result-quality feedback on the stacks the
+	// managers report; TimeBudget, if positive, ends the session after
+	// this much wall clock — managers are then told it is done, whatever
+	// is left of Budget (Options.Feedback, Options.TimeBudget).
+	Feedback   bool
+	TimeBudget time.Duration
 	// LeaseTimeout re-leases tasks never reported back (0 = never).
 	LeaseTimeout time.Duration
 	// Prefetch enables the engine's asynchronous candidate prefetch
@@ -95,45 +98,26 @@ type CoordinatorOptions struct {
 // The returned cleanup flushes and closes the store (a no-op without
 // StateDir); call it after Coordinator.Result.
 func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error, error) {
-	space := o.Space
-	if o.Peers > 1 {
-		if o.Peer < 0 || o.Peer >= o.Peers {
-			return nil, nil, fmt.Errorf("afex: peer %d out of range for %d peers", o.Peer, o.Peers)
-		}
-		regions := space.Shard(o.Peers)
-		if o.Peer >= len(regions) {
-			return nil, nil, fmt.Errorf("afex: space %q splits into only %d regions, peer %d has none",
-				faultspace.Signature(space), len(regions), o.Peer)
-		}
-		space = regions[o.Peer]
-	}
 	// The engine composes the exploration stack (strategy → sharded)
 	// from the config, exactly as a local session's does.
 	ecfg := core.Config{
-		Space:         space,
+		Space:         o.Space,
 		Algorithm:     o.Algorithm,
 		Explore:       o.Explore,
 		Shards:        o.Shards,
 		Iterations:    o.Budget,
-		Resume:        o.Resume,
+		Feedback:      o.Feedback,
+		TimeBudget:    o.TimeBudget,
 		PrefetchDepth: o.Prefetch,
+		StateDir:      o.StateDir,
+		JournalFormat: o.JournalFormat,
+		Resume:        o.Resume,
+		Peer:          o.Peer,
+		Peers:         o.Peers,
 	}
-	cleanup := func() error { return nil }
-	if o.StateDir != "" {
-		st, err := store.OpenOptions(o.StateDir, store.Options{
-			Format:     o.JournalFormat,
-			TailResume: o.Resume,
-			Peer:       o.Peer,
-			Peers:      o.Peers,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := st.AttachNamed(&ecfg, o.TargetName); err != nil {
-			st.Close()
-			return nil, nil, err
-		}
-		cleanup = st.Close
+	cleanup, err := attach(&ecfg, o.TargetName)
+	if err != nil {
+		return nil, nil, err
 	}
 	coord, err := rpcnode.NewCoordinatorConfig(ecfg, nil, nil)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"afex/internal/controlplane"
@@ -22,52 +21,15 @@ import (
 const defaultControlAddr = "127.0.0.1:8040"
 
 func cmdSubmit(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+	fs, spec := specFlags("submit")
 	httpAddr := fs.String("http", defaultControlAddr, "control-plane server address")
-	spec := controlplane.SessionSpec{}
-	fs.StringVar(&spec.Target, "target", "coreutils", "target system under test: a built-in model or a \"cmd:\" spec")
-	fs.StringVar(&spec.Backend, "backend", "", "execution backend (local sessions; default inferred from the target)")
-	fs.StringVar(&spec.Space, "space", "", "fault-space description (literal or @file); required for cmd: targets")
-	fs.StringVar(&spec.Algorithm, "algorithm", "", "exploration strategy (default fitness)")
-	fs.StringVar(&spec.Algorithm, "algo", "", "alias for --algorithm")
-	fs.IntVar(&spec.Iterations, "iterations", 0, "test budget (0 = until exhausted; coordinator sessions then run until stopped)")
-	fs.Int64Var(&spec.Seed, "seed", 1, "RNG seed")
-	fs.IntVar(&spec.Workers, "workers", 0, "local worker count")
-	fs.IntVar(&spec.Shards, "shards", 0, "partition the session's space into disjoint per-strategy regions")
-	fs.BoolVar(&spec.Feedback, "feedback", false, "enable result-quality feedback")
-	fs.IntVar(&spec.Funcs, "funcs", 0, "function-axis size for profiled spaces (default 19)")
-	fs.IntVar(&spec.CallLo, "call-lo", 0, "callNumber axis lower bound (default 1)")
-	fs.IntVar(&spec.CallHi, "call-hi", 0, "callNumber axis upper bound (default 10)")
-	var testArgs multiFlag
-	fs.Var(&testArgs, "test-args", "process backend: argument row for one testID (repeatable)")
-	fs.StringVar(&spec.Timeout, "timeout", "", "process backend: per-test wall-clock cap (duration)")
-	fs.IntVar(&spec.Procs, "procs", 0, "process backend: max concurrent subprocesses")
-	fs.IntVar(&spec.TestsPerProc, "tests-per-proc", 0, "process backend: scenarios a warm worker serves before being recycled (0 = default, negative = one-shot mode: one process per scenario)")
-	fs.StringVar(&spec.TimeBudget, "time-budget", "", "stop the session after this much wall clock (duration)")
-	fs.StringVar(&spec.StateDir, "state-dir", "", "persist the session in this state directory on the server")
-	fs.StringVar(&spec.JournalFormat, "journal-format", "", "journal encoding for a new state directory")
-	fs.BoolVar(&spec.Resume, "resume", false, "restore the explorer's search state from the state directory")
-	fs.StringVar(&spec.Serve, "serve", "", "coordinator mode: serve the manager RPC protocol on this address")
-	fs.StringVar(&spec.LeaseTimeout, "lease-timeout", "", "re-lease unreported tasks after this long (duration)")
-	fs.StringVar(&spec.Heartbeat, "heartbeat", "", "coordinator mode: manager heartbeat interval (duration)")
-	fs.IntVar(&spec.HeartbeatMisses, "heartbeat-misses", 0, "heartbeats a manager may miss before its leases expire")
-	fs.IntVar(&spec.Peer, "peer", 0, "this session's 0-based region among --peers peer coordinators")
-	fs.IntVar(&spec.Peers, "peers", 0, "split the space across this many peer coordinators")
 	wait := fs.Bool("wait", false, "block until the session finishes and print its final progress line")
-	if err := fs.Parse(args); err != nil {
+	if err := parseSpec(fs, args, spec); err != nil {
 		return err
 	}
-	if strings.HasPrefix(spec.Space, "@") {
-		raw, err := os.ReadFile(spec.Space[1:])
-		if err != nil {
-			return err
-		}
-		spec.Space = string(raw)
-	}
-	spec.TestArgs = testArgs
 
 	cl := controlplane.NewClient(*httpAddr)
-	st, err := cl.Submit(spec)
+	st, err := cl.Submit(*spec)
 	if err != nil {
 		return err
 	}

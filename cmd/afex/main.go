@@ -3,27 +3,33 @@
 // failures, profile a target, or serve / join a distributed exploration
 // cluster.
 //
-// Usage:
+// Usage — explore, serve and submit describe a session with the same
+// flags (one table, spec.go; one meaning, controlplane.SessionSpec):
 //
-//	afex explore --target mysqld [--algo fitness|random|exhaustive|genetic|portfolio]
-//	             [--backend model|process] [--iterations 1000] [--seed 1]
-//	             [--feedback] [--workers 4] [--batch 16] [--prefetch -1] [--shards 4]
-//	             [--funcs 19] [--call-lo 1] [--call-hi 100] [--top 10]
-//	             [--repro] [--state-dir DIR] [--resume] [--progress 5s]
-//	             [--pprof localhost:6060]
-//	afex explore --backend process --target "cmd:./crashy {test}" \
-//	             --space "testID : [ 0 , 3 ]  function : { open , read }  callNumber : [ 1 , 3 ] ;" \
-//	             [--timeout 5s] [--procs 4] [--test-args "row0"] [--test-args "row1"]
+//	afex explore [session flags] [--top 10] [--repro] [--out DIR] [--precision-trials 3]
+//	             [--progress 5s] [--verbose] [--pprof localhost:6060]
+//	afex serve   [session flags] --addr :7070 [--pprof localhost:6060]
+//	afex serve   --http 127.0.0.1:8040
+//	afex submit  [session flags] [--http 127.0.0.1:8040] [--wait]
+//	afex status  [--http 127.0.0.1:8040] [--json] [session-id]
+//	afex worker  --target coreutils --addr host:7070 --id mgr01
+//	afex worker  --backend process --target "cmd:./crashy {test}" --addr host:7070 --id mgr02
 //	afex replay  --target mysqld --scenario "testID 5 function read errno EIO retval -1 callNumber 3"
 //	afex replay  <state-dir-or-journal> [--target mysqld] [--all] [--trials 1] [--timeout 5s]
 //	afex profile --target coreutils [--funcs 19]
-//	afex serve   --target coreutils --addr :7070 [--iterations 500] [--shards 4]
-//	             [--algo portfolio] [--state-dir DIR] [--resume] [--lease-timeout 30s]
-//	             [--prefetch -1] [--pprof localhost:6060]
-//	afex worker  --target coreutils --addr host:7070 --id mgr01
-//	afex worker  --backend process --target "cmd:./crashy {test}" --addr host:7070 --id mgr02
 //	afex targets [--json]
 //	afex stats   <state-dir> [--json]
+//
+//	session flags:
+//	  --target mysqld | "cmd:./crashy {test}"  [--backend model|process]
+//	  [--space "testID : [ 0 , 3 ]  function : { open , read }  callNumber : [ 1 , 3 ] ;" | @file]
+//	  [--funcs 19] [--call-lo 1] [--call-hi 100] [--pairs] [--errno-axis]
+//	  [--algo fitness|random|exhaustive|genetic|portfolio] [--iterations 1000] [--seed 1]
+//	  [--feedback] [--shards 4] [--prefetch -1] [--time-budget 10m] [--lease-timeout 30s]
+//	  [--state-dir DIR] [--journal-format jsonl|binary] [--resume] [--peers 2 --peer 0]
+//	  local sessions:       [--workers 4] [--batch 16] [--timeout 5s] [--procs 4]
+//	                        [--tests-per-proc 100] [--test-args "row0"] [--test-args "row1"]
+//	  coordinator sessions: --serve :7070 (serve: --addr) [--heartbeat 1s] [--heartbeat-misses 3]
 //
 // Exit status: 0 on success with no failures found, 1 on errors, 2 on
 // usage mistakes, and 3 when the exploration (or serve session) found
@@ -37,9 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"strings"
 	"time"
@@ -119,179 +122,90 @@ commands:
 exit status 3 means the exploration found failure-inducing scenarios.`)
 }
 
-// startPprof serves net/http/pprof on addr for the lifetime of the
-// process — the --pprof flag's backing. An explicit mux keeps the
-// profiler off http.DefaultServeMux, which other subsystems never use
-// either.
-func startPprof(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("--pprof: %w", err)
+// newManager returns the in-process session manager explore and serve
+// run on. With a --pprof address its control-plane handler is served
+// there for the life of the process: net/http/pprof, and beside it
+// /metrics and the status API (`afex status --http addr`) of its sessions.
+func newManager(pprofAddr string) (*controlplane.Manager, error) {
+	m := controlplane.NewManager()
+	if pprofAddr == "" {
+		return m, nil
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", ln.Addr())
-	go http.Serve(ln, mux)
+	srv, err := controlplane.Serve(pprofAddr, m)
+	if err != nil {
+		return nil, fmt.Errorf("--pprof: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", srv.Addr())
+	return m, nil
+}
+
+// verdict turns a sealed session into the command's error — last, after
+// everything is printed: a store flush failure must not discard results.
+func verdict(res *afex.Result, storeErr error) error {
+	if storeErr != nil {
+		return fmt.Errorf("state store: %w", storeErr)
+	}
+	if res.Failed > 0 {
+		return fmt.Errorf("%d failures in %d clusters: %w", res.Failed, res.UniqueFailures, errFailuresFound)
+	}
 	return nil
 }
 
-// multiFlag collects a repeatable string flag (e.g. --test-args).
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, "; ") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-// loadSpace parses a fault-space description given literally or as
-// "@path" to a description file.
-func loadSpace(desc string) (*afex.Space, error) {
-	if strings.HasPrefix(desc, "@") {
-		raw, err := os.ReadFile(desc[1:])
-		if err != nil {
-			return nil, err
-		}
-		desc = string(raw)
-	}
-	return afex.ParseSpace(desc)
-}
-
 func cmdExplore(args []string) error {
-	fs := flag.NewFlagSet("explore", flag.ExitOnError)
-	targetName := fs.String("target", "coreutils", "target system under test: a built-in model, or a \"cmd:\" spec launching a real fixture ({test} expands to the testID)")
-	backendName := fs.String("backend", "", "execution backend: "+strings.Join(afex.Backends(), " | ")+" (default: model for built-in targets, process for cmd: targets)")
-	spaceDesc := fs.String("space", "", "fault-space description in the Fig. 3 language, or @file (required for cmd: targets; overrides the profiled space for built-in ones)")
-	execTimeout := fs.Duration("timeout", 0, "process backend: per-test wall-clock cap; expired tests are killed and folded as Hung (0 = default)")
-	procs := fs.Int("procs", 0, "process backend: max concurrently running subprocesses, independent of --workers (0 = default)")
-	testsPerProc := fs.Int("tests-per-proc", 0, "process backend: scenarios a warm worker serves before being recycled (0 = default, negative = one-shot mode: one process per scenario)")
-	var testArgs multiFlag
-	fs.Var(&testArgs, "test-args", "process backend: per-test argument row appended to the command template, repeatable (row i serves testID i)")
-	algorithm := fs.String("algorithm", afex.FitnessGuided, "exploration strategy: "+strings.Join(afex.Algorithms(), " | "))
-	fs.StringVar(algorithm, "algo", afex.FitnessGuided, "alias for --algorithm")
-	iterations := fs.Int("iterations", 250, "number of tests to execute (0 = until exhausted)")
-	seed := fs.Int64("seed", 1, "RNG seed")
-	feedback := fs.Bool("feedback", false, "enable redundancy feedback (§7.4)")
-	workers := fs.Int("workers", 1, "concurrent node managers")
-	batch := fs.Int("batch", 0, "candidates leased per worker coordination round (0 = default; parallel mode only)")
-	prefetch := fs.Int("prefetch", 0, "candidate prefetch ring depth: >0 fixed capacity, -1 adaptive (~2x the adaptive batch), 0 no ring (each lease generates its own candidates)")
-	shards := fs.Int("shards", 0, "partition the space into this many disjoint regions, one fitness search each (0/1 = unsharded)")
-	nFuncs := fs.Int("funcs", 19, "function-axis size")
-	callLo := fs.Int("call-lo", 1, "callNumber axis lower bound (0 adds a no-injection point)")
-	callHi := fs.Int("call-hi", 10, "callNumber axis upper bound")
+	fs, spec := specFlags("explore")
 	top := fs.Int("top", 10, "top-K faults to print")
 	repro := fs.Bool("repro", false, "print generated reproduction scripts for cluster representatives")
-	pairs := fs.Bool("pairs", false, "explore two-fault scenarios (quadratic space; keep --funcs/--call-hi small)")
-	errnoAxis := fs.Bool("errno-axis", false, "use a detailed space with per-function errno/retval axes (Fig. 4 style)")
 	precisionTrials := fs.Int("precision-trials", 0, "re-run each representative this many times and report impact precision")
 	out := fs.String("out", "", "write the full result tree (report, TSV, clusters, repro scripts, per-test logs) to this directory")
-	budget := fs.Duration("time-budget", 0, "stop after this much wall clock (0 = no limit)")
 	verbose := fs.Bool("verbose", false, "log progress every 100 tests")
-	stateDir := fs.String("state-dir", "", "persist the session here: journal every scenario, never re-execute one across runs; --iterations counts the whole session including prior runs")
-	journalFormat := fs.String("journal-format", "", "with --state-dir: journal format for a NEW directory, "+afex.JournalJSONL+" (default) or "+afex.JournalBinary+" (indexed binary segments; existing directories keep their format)")
-	resume := fs.Bool("resume", false, "with --state-dir: restore the explorer's search state and continue where the previous run stopped")
 	progress := fs.Duration("progress", 0, "print engine stats (tests run, failures, clusters, leases) on this interval (0 = off)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof profiles on this address (e.g. localhost:6060)")
-	if err := fs.Parse(args); err != nil {
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof profiles — and this process's /metrics and session status API — on this address (e.g. localhost:6060)")
+	if err := parseSpec(fs, args, spec); err != nil {
 		return err
 	}
-	if *resume && *stateDir == "" {
-		return fmt.Errorf("--resume requires --state-dir")
+	// Resolve → open → run, as a control-plane server does a submitted
+	// spec; between resolve and open go the hooks no wire spec carries.
+	plan, err := spec.Resolve()
+	if err != nil {
+		return err
 	}
-	if *pprofAddr != "" {
-		if err := startPprof(*pprofAddr); err != nil {
-			return err
-		}
-	}
-	// A cmd: target runs on the process backend; built-in model targets
-	// default to the model backend. An explicit --backend must agree
-	// with the target's kind.
-	procTarget := strings.HasPrefix(*targetName, "cmd:")
-	if procTarget && *backendName == "" {
-		*backendName = afex.ProcessBackend
-	}
-	if *backendName == afex.ProcessBackend && !procTarget {
-		return fmt.Errorf(`--backend process requires a cmd: target spec, e.g. --target "cmd:./crashy {test}"`)
-	}
-	if procTarget && *backendName != afex.ProcessBackend {
-		return fmt.Errorf("cmd: targets run on the process backend, not %q", *backendName)
-	}
-
-	var target *afex.System
-	var command *afex.CommandSpec
-	var space *afex.Space
-	var err error
-	if procTarget {
-		if command, err = afex.ParseCommandSpec(*targetName); err != nil {
-			return err
-		}
-		for _, row := range testArgs {
-			command.TestArgs = append(command.TestArgs, strings.Fields(row))
-		}
-		if *spaceDesc == "" {
-			return fmt.Errorf("cmd: targets need --space (a Fig. 3 fault-space description, or @file)")
-		}
-	} else {
-		if target, err = afex.Target(*targetName); err != nil {
-			return err
-		}
-	}
+	target := plan.Options.Target
 	if *precisionTrials > 0 && target == nil {
 		// Fail before the exploration runs, not after hours of it.
 		return fmt.Errorf("--precision-trials re-runs through the program model and needs a built-in target")
 	}
-	switch {
-	case *spaceDesc != "":
-		if space, err = loadSpace(*spaceDesc); err != nil {
-			return err
-		}
-	case *pairs:
-		space = afex.PairSpaceFor(target, *nFuncs, *callHi)
-	case *errnoAxis:
-		space = afex.DetailedSpaceFor(target, *nFuncs, *callLo, *callHi)
-	default:
-		space = afex.SpaceFor(target, *nFuncs, *callLo, *callHi)
-	}
-	opts := afex.Options{
-		Target:        target,
-		Backend:       *backendName,
-		Command:       command,
-		ExecTimeout:   *execTimeout,
-		Procs:         *procs,
-		TestsPerProc:  *testsPerProc,
-		Space:         space,
-		Algorithm:     *algorithm,
-		Iterations:    *iterations,
-		Workers:       *workers,
-		Batch:         *batch,
-		PrefetchDepth: *prefetch,
-		Shards:        *shards,
-		Feedback:      *feedback,
-		TimeBudget:    *budget,
-		StateDir:      *stateDir,
-		JournalFormat: *journalFormat,
-		Resume:        *resume,
-		Explore:       afex.ExploreOptions{Seed: *seed},
-	}
 	if *verbose {
-		opts.Progress = func(s afex.Snapshot) {
+		plan.Options.Progress = func(s afex.Snapshot) {
 			fmt.Fprintf(os.Stderr, "progress: executed=%d injected=%d failed=%d crashed=%d coverage=%.1f%%\n",
 				s.Executed, s.Injected, s.Failed, s.Crashed, 100*s.Coverage)
 		}
 	}
-	eng, cleanup, err := afex.NewSession(opts)
+	m, err := newManager(*pprofAddr)
 	if err != nil {
 		return err
 	}
-	if *progress > 0 {
-		stop := startProgress(eng, *progress)
-		defer stop()
+	s, err := m.Start(plan)
+	if err != nil {
+		return err
 	}
-	res := eng.RunLocal()
-	// A store flush failure must not discard the run's in-memory
-	// results: print and write everything first, surface the error last.
-	storeErr := cleanup()
+	// --progress prints the status endpoint's own line while waiting, so
+	// terminal and API watchers read the identical rendering — per-arm
+	// portfolio stats and lease waits included.
+	var tick <-chan time.Time
+	if *progress > 0 {
+		t := time.NewTicker(*progress)
+		defer t.Stop()
+		tick = t.C
+	}
+	for sealed := false; !sealed; {
+		select {
+		case <-s.Done():
+			sealed = true
+		case <-tick:
+			fmt.Fprintf(os.Stderr, "progress: %s\n", s.Status(false).Progress)
+		}
+	}
+	res, storeErr := s.Result()
 	fmt.Print(res.Report(*top))
 	if *out != "" {
 		if err := res.WriteDir(*out); err != nil {
@@ -312,64 +226,46 @@ func cmdExplore(args []string) error {
 			fmt.Print(res.ReproScript(rec))
 		}
 	}
-	if storeErr != nil {
-		return fmt.Errorf("state store: %w", storeErr)
-	}
-	if res.Failed > 0 {
-		return fmt.Errorf("%d failures in %d clusters: %w", res.Failed, res.UniqueFailures, errFailuresFound)
-	}
-	return nil
+	return verdict(res, storeErr)
 }
 
-// startProgress prints the engine's live tally — the long-run visibility
-// --progress asks for — until the returned stop function is called.
-func startProgress(eng *afex.Engine, every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				// Summary is the same rendering the control plane's status
-				// endpoint serves, so terminal and API watchers read the
-				// identical line — per-arm portfolio stats and lease waits
-				// included.
-				fmt.Fprintf(os.Stderr, "progress: %s\n", eng.Snapshot().Summary())
-			}
-		}
-	}()
-	return func() { close(done) }
-}
-
-// replayRunner builds the re-execution function for a target name: the
-// program model for built-in targets, the process backend for "cmd:"
-// specs (the journaled plan re-arms the same fixture the session
-// drove). The returned cleanup releases the backend.
-func replayRunner(targetName string, timeout time.Duration) (run func(testID int, plan inject.Plan) prog.Outcome, target *afex.System, cleanup func() error, err error) {
+// targetBackend fills cfg for a bare execution backend — what replay
+// and worker run, with no session around it — from a target name: a
+// "cmd:" spec runs on the process backend, a built-in target on the
+// model. An explicit backendName that disagrees — a typo included — is
+// an error, never silently ignored.
+func targetBackend(targetName, backendName string, cfg afex.BackendConfig) (string, afex.BackendConfig, error) {
+	name := afex.ModelBackend
+	var err error
 	if strings.HasPrefix(targetName, "cmd:") {
-		spec, err := afex.ParseCommandSpec(targetName)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		r, err := backend.New(backend.Process, backend.Config{Command: spec, Timeout: timeout})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		run = func(testID int, plan inject.Plan) prog.Outcome {
-			out, _ := r.Run(testID, plan)
-			return out
-		}
-		return run, nil, r.Close, nil
+		name = afex.ProcessBackend
+		cfg.Command, err = afex.ParseCommandSpec(targetName)
+	} else {
+		cfg.Target, err = afex.Target(targetName)
 	}
-	t, err := afex.Target(targetName)
+	if err == nil && backendName != "" && backendName != name {
+		err = fmt.Errorf("target %q runs on the %s backend, not %q", targetName, name, backendName)
+	}
+	return name, cfg, err
+}
+
+// replayRunner builds the re-execution function for a target name (the
+// journaled plan re-arms the fixture, or model, the session drove) and
+// returns the model target, if it is one; cleanup releases the backend.
+func replayRunner(targetName, backendName string, timeout time.Duration) (run func(testID int, plan inject.Plan) prog.Outcome, target *afex.System, cleanup func() error, err error) {
+	name, cfg, err := targetBackend(targetName, backendName, afex.BackendConfig{Timeout: timeout})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	run = func(testID int, plan inject.Plan) prog.Outcome { return prog.Run(t, testID, plan) }
-	return run, t, func() error { return nil }, nil
+	r, err := backend.New(name, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	run = func(testID int, plan inject.Plan) prog.Outcome {
+		out, _ := r.Run(testID, plan)
+		return out
+	}
+	return run, cfg.Target, r.Close, nil
 }
 
 func cmdReplay(args []string) error {
@@ -389,23 +285,6 @@ func cmdReplay(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *backendName != "" {
-		// The backend is inferred from the target's kind; an explicit
-		// flag must agree (and catches typos with the registry's list).
-		procTarget := strings.HasPrefix(*targetName, "cmd:")
-		switch *backendName {
-		case afex.ProcessBackend:
-			if !procTarget && journal == "" {
-				return fmt.Errorf(`--backend process replays a cmd: target, e.g. --target "cmd:./crashy {test}"`)
-			}
-		case afex.ModelBackend:
-			if procTarget {
-				return fmt.Errorf("cmd: targets replay on the process backend, not %q", *backendName)
-			}
-		default:
-			return fmt.Errorf("unknown execution backend %q (valid: %s)", *backendName, strings.Join(afex.Backends(), ", "))
-		}
-	}
 	if journal != "" {
 		return replayJournal(journal, *targetName, *backendName, *trials, *all, *execTimeout)
 	}
@@ -421,7 +300,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	run, target, cleanup, err := replayRunner(*targetName, *execTimeout)
+	run, target, cleanup, err := replayRunner(*targetName, *backendName, *execTimeout)
 	if err != nil {
 		return err
 	}
@@ -465,18 +344,7 @@ func replayJournal(path, targetName, backendName string, trials int, all bool, e
 		}
 		targetName = meta.Target
 	}
-	// The backend follows the (possibly journal-recorded) target's
-	// kind; an explicit --backend that disagrees is an error, never
-	// silently ignored.
-	if procTarget := strings.HasPrefix(targetName, "cmd:"); backendName != "" {
-		if procTarget && backendName != afex.ProcessBackend {
-			return fmt.Errorf("journal target %q replays on the process backend, not %q", targetName, backendName)
-		}
-		if !procTarget && backendName != afex.ModelBackend {
-			return fmt.Errorf("journal target %q replays on the model backend, not %q", targetName, backendName)
-		}
-	}
-	run, _, cleanup, err := replayRunner(targetName, execTimeout)
+	run, _, cleanup, err := replayRunner(targetName, backendName, execTimeout)
 	if err != nil {
 		return err
 	}
@@ -559,38 +427,17 @@ func cmdProfile(args []string) error {
 }
 
 func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	targetName := fs.String("target", "coreutils", "target system under test")
-	addr := fs.String("addr", ":7070", "listen address")
+	fs, spec := specFlags("serve")
 	httpAddr := fs.String("http", "", "run the control-plane HTTP server on this address instead of a single coordinator; sessions are then submitted via `afex submit` or POST /v1/sessions")
-	iterations := fs.Int("iterations", 500, "test budget (0 = until exhausted)")
-	algorithm := fs.String("algorithm", afex.FitnessGuided, "exploration strategy: "+strings.Join(afex.Algorithms(), " | "))
-	fs.StringVar(algorithm, "algo", afex.FitnessGuided, "alias for --algorithm")
-	seed := fs.Int64("seed", 1, "RNG seed")
-	nFuncs := fs.Int("funcs", 19, "function-axis size")
-	callLo := fs.Int("call-lo", 1, "callNumber axis lower bound")
-	callHi := fs.Int("call-hi", 10, "callNumber axis upper bound")
-	shards := fs.Int("shards", 0, "partition the space into this many disjoint regions, one fitness search each (0/1 = unsharded)")
-	stateDir := fs.String("state-dir", "", "persist the coordinator's session here; a restarted serve continues the same session")
-	resume := fs.Bool("resume", false, "with --state-dir: restore the explorer's search state from the last snapshot")
-	backendName := fs.String("backend", "", "validate that workers will use this execution backend name: "+strings.Join(afex.Backends(), " | ")+" (the backend itself runs on the workers)")
-	leaseTimeout := fs.Duration("lease-timeout", 0, "re-lease tasks a manager never reported back after this long (0 = never; leases then leak if a manager dies)")
-	prefetch := fs.Int("prefetch", 0, "candidate prefetch ring depth: >0 fixed capacity, -1 adaptive (~2x the adaptive batch), 0 no ring (each lease generates its own candidates)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof profiles on this address (e.g. localhost:6060)")
-	heartbeat := fs.Duration("heartbeat", 0, "expect manager heartbeats at this interval; a manager missing --heartbeat-misses beats has its leases expired immediately (0 = off)")
-	heartbeatMisses := fs.Int("heartbeat-misses", 0, "heartbeats a manager may miss before being declared dead (0 = default)")
-	peers := fs.Int("peers", 0, "split the space across this many peer coordinators via disjoint sharding; this process serves region --peer")
-	peer := fs.Int("peer", 0, "this coordinator's 0-based region index among --peers")
-	if err := fs.Parse(args); err != nil {
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof profiles — and this process's /metrics and session status API — on this address (e.g. localhost:6060)")
+	if err := parseSpec(fs, args, spec); err != nil {
 		return err
 	}
-	if *pprofAddr != "" {
-		if err := startPprof(*pprofAddr); err != nil {
-			return err
-		}
+	m, err := newManager(*pprofAddr)
+	if err != nil {
+		return err
 	}
 	if *httpAddr != "" {
-		m := controlplane.NewManager()
 		srv, err := controlplane.Serve(*httpAddr, m)
 		if err != nil {
 			return err
@@ -600,84 +447,32 @@ func cmdServe(args []string) error {
 		fmt.Println("submit sessions with `afex submit --http " + srv.Addr() + " ...`; press Ctrl-C to stop")
 		select {} // serve until killed
 	}
-	if *resume && *stateDir == "" {
-		return fmt.Errorf("--resume requires --state-dir")
+	if spec.Serve == "" {
+		return fmt.Errorf("serve needs an --addr for managers to dial (or --http for the control plane)")
 	}
-	if *backendName != "" {
-		// The coordinator never executes tests itself; workers bring the
-		// backend. Validating the name here surfaces typos at serve time
-		// with the registry's full-choice error.
-		valid := false
-		for _, n := range afex.Backends() {
-			if n == *backendName {
-				valid = true
-			}
-		}
-		if !valid {
-			return fmt.Errorf("unknown execution backend %q (valid: %s)", *backendName, strings.Join(afex.Backends(), ", "))
-		}
-	}
-	target, err := afex.Target(*targetName)
+	s, err := m.Submit(*spec)
 	if err != nil {
 		return err
 	}
-	space := afex.SpaceFor(target, *nFuncs, *callLo, *callHi)
-	coord, cleanup, err := afex.NewCoordinatorWithOptions(afex.CoordinatorOptions{
-		TargetName:      target.Name,
-		Space:           space,
-		Algorithm:       *algorithm,
-		Explore:         afex.ExploreOptions{Seed: *seed},
-		Budget:          *iterations,
-		Shards:          *shards,
-		LeaseTimeout:    *leaseTimeout,
-		Prefetch:        *prefetch,
-		HeartbeatEvery:  *heartbeat,
-		HeartbeatMisses: *heartbeatMisses,
-		StateDir:        *stateDir,
-		Resume:          *resume,
-		Peer:            *peer,
-		Peers:           *peers,
-	})
-	if err != nil {
-		return err
+	region := ""
+	if s.Spec.Peers > 1 {
+		region = fmt.Sprintf(", region %d of %d", s.Spec.Peer, s.Spec.Peers)
 	}
-	srv, err := afex.ServeCoordinator(*addr, coord)
-	if err != nil {
-		cleanup()
-		return err
-	}
-	defer srv.Close()
-	if *peers > 1 {
-		fmt.Printf("coordinator serving %s exploration on %s (budget %d tests, region %d of %d)\n",
-			target.Name, srv.Addr(), *iterations, *peer, *peers)
-	} else {
-		fmt.Printf("coordinator serving %s exploration on %s (budget %d tests)\n", target.Name, srv.Addr(), *iterations)
-	}
+	fmt.Printf("coordinator serving %s exploration on %s (budget %d tests%s)\n", s.Spec.Target, s.Addr(), s.Spec.Iterations, region)
 	fmt.Println("press Ctrl-C to stop; stats are printed when the budget is reached")
-	// Poll until the budget is consumed (a restored session counts its
-	// prior runs' tests toward the budget).
-	for {
-		time.Sleep(200 * time.Millisecond)
-		st := coord.Snapshot()
-		if *iterations > 0 && st.Executed >= *iterations {
-			fmt.Printf("done: executed=%d injected=%d failed=%d crashed=%d hung=%d\n",
-				st.Executed, st.Injected, st.Failed, st.Crashed, st.Hung)
-			for id, n := range st.PerManager {
-				fmt.Printf("  %s executed %d\n", id, n)
-			}
-			// The distributed session runs on the same engine as a local
-			// one, so the full synopsis is available here too.
-			res := coord.Result()
-			fmt.Print(res.Report(10))
-			if err := cleanup(); err != nil {
-				return fmt.Errorf("state store: %w", err)
-			}
-			if res.Failed > 0 {
-				return fmt.Errorf("%d failures in %d clusters: %w", res.Failed, res.UniqueFailures, errFailuresFound)
-			}
-			return nil
-		}
+	// The session seals once the budget is consumed (a restored session
+	// counts its prior runs' tests toward it).
+	<-s.Done()
+	res, storeErr := s.Result()
+	fmt.Printf("done: executed=%d injected=%d failed=%d crashed=%d hung=%d\n",
+		res.Executed, res.Injected, res.Failed, res.Crashed, res.Hung)
+	for id, n := range s.Status(false).PerManager {
+		fmt.Printf("  %s executed %d\n", id, n)
 	}
+	// The distributed session runs on the same engine as a local one, so
+	// the full synopsis is available here too.
+	fmt.Print(res.Report(10))
+	return verdict(res, storeErr)
 }
 
 func cmdWorker(args []string) error {
@@ -695,25 +490,12 @@ func cmdWorker(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	procTarget := strings.HasPrefix(*targetName, "cmd:")
-	if procTarget && *backendName == "" {
-		*backendName = afex.ProcessBackend
+	name, bcfg, err := targetBackend(*targetName, *backendName,
+		afex.BackendConfig{Timeout: *execTimeout, Procs: *procs, TestsPerProc: *testsPerProc})
+	if err != nil {
+		return err
 	}
-	bcfg := afex.BackendConfig{Timeout: *execTimeout, Procs: *procs, TestsPerProc: *testsPerProc}
-	if procTarget {
-		spec, err := afex.ParseCommandSpec(*targetName)
-		if err != nil {
-			return err
-		}
-		bcfg.Command = spec
-	} else {
-		target, err := afex.Target(*targetName)
-		if err != nil {
-			return err
-		}
-		bcfg.Target = target
-	}
-	mgr, err := afex.DialManagerBackend(*addr, *id, *backendName, bcfg)
+	mgr, err := afex.DialManagerBackend(*addr, *id, name, bcfg)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ package controlplane
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -29,29 +30,39 @@ func NewClient(addr string) *Client {
 	return &Client{base: strings.TrimRight(addr, "/"), http: &http.Client{}}
 }
 
-// decodeError unpacks the server's {"error": ...} body.
-func decodeError(resp *http.Response) error {
+// do sends one request and returns the response body, or — for any
+// status but want — the error the server's {"error": ...} body carries.
+func (c *Client) do(method, path string, body []byte, want int) ([]byte, error) {
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode == want {
+		return raw, err
+	}
 	var e struct {
 		Error string `json:"error"`
 	}
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-		return fmt.Errorf("%s", e.Error)
+		return nil, errors.New(e.Error)
 	}
-	return fmt.Errorf("controlplane: server returned %s", resp.Status)
+	return nil, fmt.Errorf("controlplane: server returned %s", resp.Status)
 }
 
-func (c *Client) getJSON(path string, out any) error {
-	resp, err := c.http.Get(c.base + path)
+// doJSON is do with the body decoded into out.
+func (c *Client) doJSON(method, path string, body []byte, want int, out any) error {
+	raw, err := c.do(method, path, body, want)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
+	return json.Unmarshal(raw, out)
 }
 
 // Submit posts a session spec and returns the new session's status.
@@ -61,41 +72,25 @@ func (c *Client) Submit(spec SessionSpec) (Status, error) {
 	if err != nil {
 		return st, err
 	}
-	resp, err := c.http.Post(c.base+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode != http.StatusCreated {
-		return st, decodeError(resp)
-	}
-	defer resp.Body.Close()
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return st, c.doJSON("POST", "/v1/sessions", body, http.StatusCreated, &st)
 }
 
 // Status fetches one session's status (store stats included).
 func (c *Client) Status(id string) (Status, error) {
 	var st Status
-	return st, c.getJSON("/v1/sessions/"+id, &st)
+	return st, c.doJSON("GET", "/v1/sessions/"+id, nil, http.StatusOK, &st)
 }
 
 // List fetches every session's status.
 func (c *Client) List() ([]Status, error) {
 	var out []Status
-	return out, c.getJSON("/v1/sessions", &out)
+	return out, c.doJSON("GET", "/v1/sessions", nil, http.StatusOK, &out)
 }
 
 // Stop requests a session to stop and returns its status.
 func (c *Client) Stop(id string) (Status, error) {
 	var st Status
-	resp, err := c.http.Post(c.base+"/v1/sessions/"+id+"/stop", "application/json", nil)
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return st, decodeError(resp)
-	}
-	defer resp.Body.Close()
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return st, c.doJSON("POST", "/v1/sessions/"+id+"/stop", nil, http.StatusOK, &st)
 }
 
 // Wait polls until the session leaves the running state, returning its
@@ -118,45 +113,21 @@ func (c *Client) Wait(id string, poll time.Duration) (Status, error) {
 
 // Journal fetches the session's raw journal bytes.
 func (c *Client) Journal(id string) ([]byte, error) {
-	resp, err := c.http.Get(c.base + "/v1/sessions/" + id + "/journal")
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return c.do("GET", "/v1/sessions/"+id+"/journal", nil, http.StatusOK)
 }
 
 // Report fetches the sealed session's top-K report text.
 func (c *Client) Report(id string, top int) (string, error) {
-	url := c.base + "/v1/sessions/" + id + "/report"
+	path := "/v1/sessions/" + id + "/report"
 	if top > 0 {
-		url += fmt.Sprintf("?top=%d", top)
+		path += fmt.Sprintf("?top=%d", top)
 	}
-	resp, err := c.http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", decodeError(resp)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := c.do("GET", path, nil, http.StatusOK)
 	return string(raw), err
 }
 
 // Metrics fetches the /metrics exposition text.
 func (c *Client) Metrics() (string, error) {
-	resp, err := c.http.Get(c.base + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", decodeError(resp)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := c.do("GET", "/metrics", nil, http.StatusOK)
 	return string(raw), err
 }

@@ -7,12 +7,24 @@
 // The paper's premise is that fault-space exploration is a throughput
 // game — AFEX wins by parallelizing scenario execution across machines
 // (§6.1/§7.7) — and the control plane is what turns the engine into a
-// service that scales that way:
+// service that scales that way. It is also the one place a description
+// becomes a running session, in three steps:
 //
-//   - Manager hosts any number of concurrent Sessions, each a full
-//     exploration session: local (the in-process worker pool runs the
-//     scenarios) or coordinator (an rpcnode RPC endpoint is served and
-//     remote node managers execute).
+//   - resolve (SessionSpec.Resolve): every check a description can fail,
+//     made once and touching no file, socket or process, yielding a
+//     Plan — the afex.Options or afex.CoordinatorOptions to run.
+//   - open (Manager.Start): afex.NewSession for a local session (the
+//     in-process worker pool executes) or afex.NewCoordinatorWithOptions
+//     plus an rpcnode endpoint for a coordinator session (remote node
+//     managers execute); region, store and engine are the library's.
+//   - run: one goroutine drives the Session until its budget is consumed
+//     or Stop is called, then seals the result (Done, Result).
+//
+// The CLI is the first client: `afex explore` and `afex serve --addr`
+// fill a SessionSpec from their flags and run it on an in-process
+// Manager; `afex submit` posts the same spec to a server. Around that:
+//
+//   - Manager hosts any number of concurrent Sessions.
 //   - Server (server.go) exposes the manager over HTTP: submit a
 //     SessionSpec, poll Status (the engine's live Snapshot — arms,
 //     clusters, lease waits — plus the store's artifact stats), stream
@@ -27,22 +39,17 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"afex"
-	"afex/internal/backend"
 	"afex/internal/core"
-	"afex/internal/dsl"
-	"afex/internal/explore"
-	"afex/internal/faultspace"
-	"afex/internal/prog"
 	"afex/internal/rpcnode"
 	"afex/internal/store"
-	"afex/internal/targets"
-	"afex/internal/trace"
 )
 
 // SessionSpec is the JSON body of POST /v1/sessions: everything needed
@@ -54,8 +61,9 @@ type SessionSpec struct {
 	// ("mysqld", …) or a "cmd:" process spec ("cmd:./crashy {test}").
 	Target string `json:"target"`
 	// Backend selects the execution backend ("model", "process");
-	// empty infers it from the target's kind. Local sessions only —
-	// coordinator sessions execute on their remote managers.
+	// empty infers it from the target's kind. A coordinator session
+	// executes on its remote managers and only checks the name against
+	// the registry.
 	Backend string `json:"backend,omitempty"`
 	// Space is a fault-space description in the Fig. 3 language.
 	// Required for cmd: targets; overrides the profiled space for
@@ -66,6 +74,11 @@ type SessionSpec struct {
 	Funcs  int `json:"funcs,omitempty"`
 	CallLo int `json:"callLo,omitempty"`
 	CallHi int `json:"callHi,omitempty"`
+	// Pairs makes the profiled space a two-fault one (quadratic; keep
+	// Funcs/CallHi small or shard it); ErrnoAxis a Fig. 4-style one with
+	// per-function errno/retval axes. Pairs wins when both are set.
+	Pairs     bool `json:"pairs,omitempty"`
+	ErrnoAxis bool `json:"errnoAxis,omitempty"`
 	// Algorithm selects the exploration strategy ("" = fitness).
 	Algorithm string `json:"algorithm,omitempty"`
 	// Iterations caps executed tests (0 = until the space is
@@ -73,8 +86,10 @@ type SessionSpec struct {
 	Iterations int `json:"iterations,omitempty"`
 	// Seed is the RNG seed.
 	Seed int64 `json:"seed,omitempty"`
-	// Workers is the local worker count (local sessions).
+	// Workers is the local worker count and Batch the candidates each
+	// leases per coordination round (0 = default; local sessions).
 	Workers int `json:"workers,omitempty"`
+	Batch   int `json:"batch,omitempty"`
 	// Shards partitions the session's space into per-strategy regions.
 	Shards int `json:"shards,omitempty"`
 	// Feedback enables §7.4 result-quality feedback.
@@ -165,29 +180,23 @@ type Status struct {
 // concurrent use; Server exposes it over HTTP.
 type Manager struct {
 	mu       sync.Mutex
-	seq      int
-	sessions map[string]*Session
-	order    []string
+	sessions []*Session // in submission order
 }
 
 // NewManager returns an empty session manager.
-func NewManager() *Manager {
-	return &Manager{sessions: make(map[string]*Session)}
-}
+func NewManager() *Manager { return &Manager{} }
 
 // Session is one running (or finished) exploration session.
 type Session struct {
 	// ID is the manager-assigned session identifier ("s1", "s2", …).
 	ID string
-	// Spec is the submitted spec, normalized.
+	// Spec is the submitted spec, normalized (Plan.Spec).
 	Spec SessionSpec
 
-	mode    string
-	backend string
-	budget  int
 	started time.Time
 
-	eng     *core.Engine
+	eng *core.Engine
+	// coord and rpc are set for a coordinator session only.
 	coord   *rpcnode.Coordinator
 	rpc     *rpcnode.Server
 	cleanup func() error
@@ -203,31 +212,111 @@ type Session struct {
 	err      error
 }
 
-// parseDur parses an optional duration field.
-func parseDur(field, v string) (time.Duration, error) {
-	if v == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("controlplane: %s: %w", field, err)
-	}
-	return d, nil
+// Plan is a resolved SessionSpec: the spec normalized (algorithm, target
+// and a cmd: target's backend named; the peer pair zeroed unless
+// Peers > 1) and the library options that run it — Coordinator when
+// Spec.Serve is set, Options otherwise. Hooks no wire spec carries
+// (Options.Progress, Stop, Observe) may be set before Manager.Start.
+type Plan struct {
+	Spec        SessionSpec
+	Options     afex.Options
+	Coordinator afex.CoordinatorOptions
 }
 
-// buildSpace resolves a spec's fault space: the DSL description when
-// given, the target's profiled space otherwise.
-func buildSpace(spec *SessionSpec, target *prog.Program) (*faultspace.Union, error) {
-	if spec.Space != "" {
-		d, err := dsl.Parse(spec.Space)
-		if err != nil {
+// settleBackend checks the spec against its mode. A field configuring
+// what the mode does not have is refused, never dropped. A cmd: target
+// runs on the process backend, a built-in one on the model, and an
+// explicit backend must agree — except on a coordinator, whose managers
+// bring the backend: there the name is only checked against the registry.
+func (spec *SessionSpec) settleBackend(procTarget bool) error {
+	coordinator := spec.Serve != ""
+	for _, f := range []struct {
+		name             string
+		set, coordinator bool
+	}{
+		{"workers", spec.Workers > 1, false}, {"batch", spec.Batch != 0, false}, {"procs", spec.Procs != 0, false},
+		{"testsPerProc", spec.TestsPerProc != 0, false}, {"timeout", spec.Timeout != "", false}, {"testArgs", len(spec.TestArgs) > 0, false},
+		{"heartbeat", spec.Heartbeat != "", true}, {"heartbeatMisses", spec.HeartbeatMisses != 0, true},
+	} {
+		if f.set && f.coordinator != coordinator {
+			if coordinator {
+				return fmt.Errorf("controlplane: %s configures a local executor; a coordinator session's managers execute", f.name)
+			}
+			return fmt.Errorf("controlplane: %s needs serve: only a coordinator session has managers to hear from", f.name)
+		}
+	}
+	if coordinator {
+		if spec.Backend != "" && !slices.Contains(afex.Backends(), spec.Backend) {
+			return fmt.Errorf("unknown execution backend %q (valid: %s)", spec.Backend, strings.Join(afex.Backends(), ", "))
+		}
+		return nil
+	}
+	if procTarget && spec.Backend == "" {
+		spec.Backend = afex.ProcessBackend
+	}
+	if spec.Backend == afex.ProcessBackend && !procTarget {
+		return errors.New(`--backend process requires a cmd: target spec, e.g. --target "cmd:./crashy {test}"`)
+	}
+	if procTarget && spec.Backend != afex.ProcessBackend {
+		return fmt.Errorf("cmd: targets run on the process backend, not %q", spec.Backend)
+	}
+	return nil
+}
+
+// Resolve validates the spec and turns it into the Plan that runs it.
+// It is pure — no file read, directory made, listener or process
+// started — so a spec can be checked (and fuzzed) without being run; an
+// "@file" space is the client's to inline before the spec leaves it.
+func (spec SessionSpec) Resolve() (*Plan, error) {
+	if spec.Algorithm == "" {
+		spec.Algorithm = afex.FitnessGuided
+	}
+	if spec.Resume && spec.StateDir == "" {
+		return nil, errors.New("--resume requires --state-dir")
+	}
+	if spec.Peers <= 1 {
+		spec.Peer, spec.Peers = 0, 0
+	}
+	var err error
+	dur := func(name, v string) (d time.Duration) {
+		if v == "" || err != nil {
+			return 0
+		}
+		if d, err = time.ParseDuration(v); err != nil {
+			err = fmt.Errorf("controlplane: %s: %w", name, err)
+		}
+		return d
+	}
+	execTimeout, timeBudget := dur("timeout", spec.Timeout), dur("timeBudget", spec.TimeBudget)
+	leaseTimeout, heartbeat := dur("leaseTimeout", spec.LeaseTimeout), dur("heartbeat", spec.Heartbeat)
+	if err != nil {
+		return nil, err
+	}
+
+	procTarget := strings.HasPrefix(spec.Target, "cmd:")
+	if err := spec.settleBackend(procTarget); err != nil {
+		return nil, err
+	}
+	var target *afex.System
+	var command *afex.CommandSpec
+	if procTarget {
+		if command, err = afex.ParseCommandSpec(spec.Target); err != nil {
 			return nil, err
 		}
-		return d.Build(), nil
+		for _, row := range spec.TestArgs {
+			command.TestArgs = append(command.TestArgs, strings.Fields(row))
+		}
+		if spec.Space == "" {
+			return nil, errors.New("cmd: targets need --space (a Fig. 3 fault-space description, or @file)")
+		}
+		spec.Target = command.Target()
+	} else {
+		if target, err = afex.Target(spec.Target); err != nil {
+			return nil, err
+		}
+		spec.Target = target.Name
 	}
-	if target == nil {
-		return nil, fmt.Errorf("controlplane: cmd: targets need a space description")
-	}
+
 	funcs, lo, hi := spec.Funcs, spec.CallLo, spec.CallHi
 	if funcs <= 0 {
 		funcs = 19
@@ -235,98 +324,43 @@ func buildSpace(spec *SessionSpec, target *prog.Program) (*faultspace.Union, err
 	if hi <= 0 {
 		lo, hi = 1, 10
 	}
-	return trace.Profile(target).BuildSpace(funcs, lo, hi), nil
-}
-
-// Submit validates a spec, starts its session, and registers it under a
-// fresh ID. The session runs in the background; watch it via Status,
-// Done, or the server's events stream.
-func (m *Manager) Submit(spec SessionSpec) (*Session, error) {
-	s, err := m.build(spec)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	m.seq++
-	s.ID = fmt.Sprintf("s%d", m.seq)
-	m.sessions[s.ID] = s
-	m.order = append(m.order, s.ID)
-	m.mu.Unlock()
-	s.start()
-	return s, nil
-}
-
-// build constructs the session without starting or registering it.
-func (m *Manager) build(spec SessionSpec) (*Session, error) {
-	if spec.Target == "" {
-		return nil, fmt.Errorf("controlplane: spec has no target")
-	}
-	if spec.Algorithm == "" {
-		spec.Algorithm = "fitness"
-	}
-	execTimeout, err := parseDur("timeout", spec.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	timeBudget, err := parseDur("timeBudget", spec.TimeBudget)
-	if err != nil {
-		return nil, err
-	}
-	leaseTimeout, err := parseDur("leaseTimeout", spec.LeaseTimeout)
-	if err != nil {
-		return nil, err
-	}
-	heartbeat, err := parseDur("heartbeat", spec.Heartbeat)
-	if err != nil {
-		return nil, err
-	}
-
-	// Target resolution mirrors the CLI: built-in model targets load
-	// in-process, cmd: specs describe a process-backend fixture.
-	var target *prog.Program
-	var command *backend.CommandSpec
-	if strings.HasPrefix(spec.Target, "cmd:") {
-		if command, err = backend.ParseSpec(spec.Target); err != nil {
+	var space *afex.Space
+	switch {
+	case spec.Space != "":
+		if space, err = afex.ParseSpace(spec.Space); err != nil {
 			return nil, err
 		}
-		for _, row := range spec.TestArgs {
-			command.TestArgs = append(command.TestArgs, strings.Fields(row))
-		}
-	} else {
-		if target, err = targets.ByName(spec.Target); err != nil {
-			return nil, err
+	case spec.Pairs:
+		space = afex.PairSpaceFor(target, funcs, hi)
+	case spec.ErrnoAxis:
+		space = afex.DetailedSpaceFor(target, funcs, lo, hi)
+	default:
+		space = afex.SpaceFor(target, funcs, lo, hi)
+	}
+	// An interval of 2^63 values overflows its own length: refuse it
+	// while it is still input, not in the search's first random draw.
+	for _, sub := range space.Spaces {
+		for _, a := range sub.Axes {
+			if a.Len() < 1 {
+				return nil, fmt.Errorf("controlplane: axis %s of the fault space cannot be indexed (length %d)", a.Name(), a.Len())
+			}
 		}
 	}
-	space, err := buildSpace(&spec, target)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Peers <= 1 {
-		spec.Peer, spec.Peers = 0, 0
+	if space.Size() == 0 {
+		return nil, errors.New("controlplane: the fault space is empty")
 	}
 
-	s := &Session{
-		Spec:     spec,
-		budget:   spec.Iterations,
-		state:    StateRunning,
-		stopping: make(chan struct{}),
-		done:     make(chan struct{}),
-		cleanup:  func() error { return nil },
-	}
-
+	p := &Plan{Spec: spec}
 	if spec.Serve != "" {
-		// Coordinator mode: serve the rpcnode protocol, remote managers
-		// execute. The engine runs nothing locally, and the session is the
-		// one `afex serve` builds: peer region, store, lease and heartbeat
-		// wiring included.
-		s.mode = "coordinator"
-		coord, cleanup, err := afex.NewCoordinatorWithOptions(afex.CoordinatorOptions{
+		p.Coordinator = afex.CoordinatorOptions{
 			TargetName:      spec.Target,
 			Space:           space,
 			Algorithm:       spec.Algorithm,
-			Explore:         explore.Config{Seed: spec.Seed},
+			Explore:         afex.ExploreOptions{Seed: spec.Seed},
 			Budget:          spec.Iterations,
 			Shards:          spec.Shards,
+			Feedback:        spec.Feedback,
+			TimeBudget:      timeBudget,
 			LeaseTimeout:    leaseTimeout,
 			Prefetch:        spec.Prefetch,
 			HeartbeatEvery:  heartbeat,
@@ -336,37 +370,10 @@ func (m *Manager) build(spec SessionSpec) (*Session, error) {
 			Resume:          spec.Resume,
 			Peer:            spec.Peer,
 			Peers:           spec.Peers,
-		})
-		if err != nil {
-			return nil, err
 		}
-		s.cleanup = cleanup
-		srv, err := rpcnode.Serve(spec.Serve, coord)
-		if err != nil {
-			s.cleanup()
-			return nil, err
-		}
-		s.coord, s.rpc, s.eng = coord, srv, coord.Engine()
-		return s, nil
+		return p, nil
 	}
-
-	// Peer sharding: a local session owns one disjoint region of the
-	// space, carved by the same Union.Shard local sharded sessions use.
-	if spec.Peers > 1 {
-		if spec.Peer < 0 || spec.Peer >= spec.Peers {
-			return nil, fmt.Errorf("controlplane: peer %d out of range for %d peers", spec.Peer, spec.Peers)
-		}
-		regions := space.Shard(spec.Peers)
-		if spec.Peer >= len(regions) {
-			return nil, fmt.Errorf("controlplane: space splits into only %d regions, peer %d has none",
-				len(regions), spec.Peer)
-		}
-		space = regions[spec.Peer]
-	}
-
-	// Local mode: the engine's own worker pool executes.
-	s.mode = "local"
-	cfg := core.Config{
+	p.Options = afex.Options{
 		Target:        target,
 		Backend:       spec.Backend,
 		Command:       command,
@@ -375,72 +382,96 @@ func (m *Manager) build(spec SessionSpec) (*Session, error) {
 		TestsPerProc:  spec.TestsPerProc,
 		Space:         space,
 		Algorithm:     spec.Algorithm,
-		Explore:       explore.Config{Seed: spec.Seed},
+		Explore:       afex.ExploreOptions{Seed: spec.Seed},
 		Iterations:    spec.Iterations,
 		Workers:       spec.Workers,
+		Batch:         spec.Batch,
 		Shards:        spec.Shards,
 		Feedback:      spec.Feedback,
 		PrefetchDepth: spec.Prefetch,
 		TimeBudget:    timeBudget,
 		LeaseTimeout:  leaseTimeout,
-		Resume:        spec.Resume,
+		StateDir:      spec.StateDir,
 		JournalFormat: spec.JournalFormat,
+		Resume:        spec.Resume,
+		Peer:          spec.Peer,
+		Peers:         spec.Peers,
 	}
-	targetName := spec.Target
-	if command != nil {
-		targetName = command.Target()
-	}
-	if spec.StateDir != "" {
-		st, err := store.OpenOptions(spec.StateDir, store.Options{
-			Format:     spec.JournalFormat,
-			TailResume: spec.Resume,
-			Peer:       spec.Peer,
-			Peers:      spec.Peers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := st.AttachNamed(&cfg, targetName); err != nil {
-			st.Close()
-			return nil, err
-		}
-		s.cleanup = st.Close
-	}
-	eng, err := core.NewEngine(cfg, nil)
+	return p, nil
+}
+
+// Submit resolves a spec and starts its session; see Start.
+func (m *Manager) Submit(spec SessionSpec) (*Session, error) {
+	p, err := spec.Resolve()
 	if err != nil {
-		s.cleanup()
 		return nil, err
 	}
-	s.eng = eng
-	s.backend = eng.Backend()
+	return m.Start(p)
+}
+
+// Start opens a resolved plan's session, registers it under a fresh ID
+// and runs it in the background; watch it via Status, Done, or the
+// server's events stream.
+func (m *Manager) Start(p *Plan) (*Session, error) {
+	s, err := open(p)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	s.ID = fmt.Sprintf("s%d", len(m.sessions)+1)
+	m.sessions = append(m.sessions, s)
+	m.mu.Unlock()
+	go s.run()
 	return s, nil
 }
 
-// start launches the session's run loop.
-func (s *Session) start() {
-	s.started = time.Now()
-	if s.mode == "coordinator" {
-		go s.runCoordinator()
-		return
+// open is the one place a session comes into being, and it builds
+// nothing itself: region, store and engine are the library's; a
+// coordinator session adds the rpcnode endpoint its managers dial.
+func open(p *Plan) (*Session, error) {
+	s := &Session{
+		Spec:     p.Spec,
+		started:  time.Now(),
+		state:    StateRunning,
+		stopping: make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	go func() {
-		res := s.eng.RunLocal()
-		s.finish(res, s.cleanup())
-	}()
+	var err error
+	if p.Spec.Serve == "" {
+		if s.eng, s.cleanup, err = afex.NewSession(p.Options); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	if s.coord, s.cleanup, err = afex.NewCoordinatorWithOptions(p.Coordinator); err != nil {
+		return nil, err
+	}
+	if s.rpc, err = rpcnode.Serve(p.Spec.Serve, s.coord); err != nil {
+		s.cleanup()
+		return nil, err
+	}
+	s.eng = s.coord.Engine()
+	return s, nil
 }
 
-// runCoordinator watches a coordinator session until its budget is
-// consumed or Stop is called, then seals it. Sessions with no budget
-// run until stopped — the coordinator cannot tell a drained space from
-// managers that have yet to connect.
-func (s *Session) runCoordinator() {
+// run drives the session to its seal: a local one by the engine's own
+// worker pool, a coordinator by watching until its iteration budget is
+// consumed or Stop is called. Without that budget it runs until stopped
+// — a drained space or an elapsed time budget sends its managers home,
+// but looks the same as managers that have yet to connect.
+func (s *Session) run() {
+	if s.coord == nil {
+		res := s.eng.RunLocal()
+		s.finish(res, s.cleanup())
+		return
+	}
 	t := time.NewTicker(100 * time.Millisecond)
 	defer t.Stop()
 	for {
 		select {
 		case <-s.stopping:
 		case <-t.C:
-			if s.budget <= 0 || s.eng.Snapshot().Executed < s.budget {
+			if s.Spec.Iterations <= 0 || s.eng.Snapshot().Executed < s.Spec.Iterations {
 				continue
 			}
 		}
@@ -522,12 +553,12 @@ func (s *Session) Status(withStore bool) Status {
 	st := Status{
 		ID:        s.ID,
 		State:     state,
-		Mode:      s.mode,
+		Mode:      "local",
 		Target:    s.Spec.Target,
-		Backend:   s.backend,
+		Backend:   s.eng.Backend(),
 		Algorithm: s.Spec.Algorithm,
 		Addr:      s.Addr(),
-		Budget:    s.budget,
+		Budget:    s.Spec.Iterations,
 		Peer:      s.Spec.Peer,
 		Peers:     s.Spec.Peers,
 		StateDir:  s.Spec.StateDir,
@@ -536,6 +567,7 @@ func (s *Session) Status(withStore bool) Status {
 		Error:     errMsg,
 	}
 	if s.coord != nil {
+		st.Mode = "coordinator"
 		st.PerManager = s.coord.Snapshot().PerManager
 	}
 	if withStore && s.Spec.StateDir != "" {
@@ -565,19 +597,19 @@ func (s *Session) rate(snap core.Snapshot) float64 {
 func (m *Manager) Get(id string) (*Session, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.sessions[id]
-	return s, ok
+	for _, s := range m.sessions {
+		if s.ID == id {
+			return s, true
+		}
+	}
+	return nil, false
 }
 
 // List returns every session in submission order.
 func (m *Manager) List() []*Session {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Session, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.sessions[id])
-	}
-	return out
+	return slices.Clone(m.sessions)
 }
 
 // StopAll stops every session and waits for each to seal — the

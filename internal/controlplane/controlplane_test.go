@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"os"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"afex"
 	"afex/internal/cluster"
 	"afex/internal/controlplane"
 	"afex/internal/core"
@@ -388,4 +390,182 @@ func TestPeerResumeOwnRegion(t *testing.T) {
 	}
 	s.Stop()
 	<-s.Done()
+}
+
+// TestCoordinatorHonoursFeedback: a coordinator spec's feedback used to
+// be dropped on the way to the engine (CoordinatorOptions had no such
+// field). With it on, some journaled record's fitness is its impact
+// weighted down by similarity to an earlier stack.
+func TestCoordinatorHonoursFeedback(t *testing.T) {
+	m := controlplane.NewManager()
+	defer m.StopAll()
+	dir := t.TempDir() + "/state"
+	runCoordinatorSession(t, m, controlplane.SessionSpec{
+		Target:     "mysqld",
+		Seed:       7,
+		Serve:      "127.0.0.1:0",
+		Iterations: 300,
+		Feedback:   true,
+		StateDir:   dir,
+	}, 2)
+	entries, err := store.ReadJournal(dir)
+	if err != nil || len(entries) != 300 {
+		t.Fatalf("journal of %d entries, want 300 (%v)", len(entries), err)
+	}
+	for _, e := range entries {
+		if e.Fitness < e.Impact {
+			return
+		}
+	}
+	t.Fatal("feedback on, yet every journaled fitness equals its impact")
+}
+
+// TestCoordinatorHonoursTimeBudget: with no iteration budget over a
+// space far larger than the time budget's worth of work, managers are
+// told Done once the engine's deadline has passed — the field used to
+// be dropped and they ran until stopped. Sealing a session without an
+// iteration budget still takes Stop.
+func TestCoordinatorHonoursTimeBudget(t *testing.T) {
+	m := controlplane.NewManager()
+	defer m.StopAll()
+	s, err := m.Submit(controlplane.SessionSpec{
+		Target:     "mysqld",
+		Serve:      "127.0.0.1:0",
+		CallHi:     1_000_000,
+		TimeBudget: "300ms",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := targets.ByName("mysqld")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := rpcnode.Dial(s.Addr(), "m", target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	ran := make(chan error, 1)
+	go func() {
+		_, err := mgr.RunUntilDone()
+		ran <- err
+	}()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the manager is still being handed work long after the time budget")
+	}
+	select {
+	case <-s.Done():
+		t.Fatal("a session with no iteration budget sealed without Stop")
+	default:
+	}
+	s.Stop()
+	<-s.Done()
+	if res, err := s.Result(); err != nil || res.Executed == 0 {
+		t.Fatalf("sealed with %+v, %v", res, err)
+	}
+}
+
+// TestResolveRefusals: every way a description can be wrong is found by
+// the one resolver, with the message `afex explore` has always given
+// where it had one, and a field the session's mode cannot honour is
+// named, not dropped.
+func TestResolveRefusals(t *testing.T) {
+	const space = "testID : [ 0 , 3 ]  function : { open , read }  callNumber : [ 1 , 3 ] ;"
+	for _, c := range []struct {
+		name string
+		spec controlplane.SessionSpec
+		want string
+	}{
+		{"no target", controlplane.SessionSpec{}, `unknown target ""`},
+		{"unknown target", controlplane.SessionSpec{Target: "nope"}, `unknown target "nope"`},
+		{"process backend on a model target", controlplane.SessionSpec{Target: "mysqld", Backend: "process"}, "--backend process requires a cmd: target spec"},
+		{"cmd: target on the model backend", controlplane.SessionSpec{Target: "cmd:./crashy {test}", Backend: "model", Space: space}, `cmd: targets run on the process backend, not "model"`},
+		{"cmd: target on an unknown backend", controlplane.SessionSpec{Target: "cmd:./crashy {test}", Backend: "qemu", Space: space}, `not "qemu"`},
+		{"cmd: target without a space", controlplane.SessionSpec{Target: "cmd:./crashy {test}"}, "cmd: targets need --space"},
+		{"empty cmd: target", controlplane.SessionSpec{Target: "cmd:", Space: space}, "empty cmd: target spec"},
+		{"resume without a state directory", controlplane.SessionSpec{Target: "mysqld", Resume: true}, "--resume requires --state-dir"},
+		{"bad duration", controlplane.SessionSpec{Target: "mysqld", TimeBudget: "soon"}, "timeBudget"},
+		{"bad space", controlplane.SessionSpec{Target: "mysqld", Space: "function : {"}, "dsl"},
+		{"empty space", controlplane.SessionSpec{Target: "mysqld", Space: " "}, "fault space is empty"},
+		{"axis too long to index", controlplane.SessionSpec{Target: "mysqld", CallLo: 0, CallHi: math.MaxInt64}, "axis callNumber"},
+		{"DSL axis too long to index", controlplane.SessionSpec{Target: "mysqld", Space: "f : { a } n : [ 0 , 9223372036854775807 ] ;"}, "axis n"},
+		{"heartbeat without serve", controlplane.SessionSpec{Target: "mysqld", Heartbeat: "1s"}, "heartbeat needs serve"},
+		{"heartbeatMisses without serve", controlplane.SessionSpec{Target: "mysqld", HeartbeatMisses: 2}, "heartbeatMisses needs serve"},
+		{"serve with workers", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 4}, "workers configures a local executor"},
+		{"serve with batch", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Batch: 8}, "batch configures"},
+		{"serve with procs", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Procs: 2}, "procs configures"},
+		{"serve with testsPerProc", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", TestsPerProc: -1}, "testsPerProc configures"},
+		{"serve with timeout", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Timeout: "1s"}, "timeout configures"},
+		{"serve with testArgs", controlplane.SessionSpec{Target: "cmd:./crashy {test}", Space: space, Serve: ":0", TestArgs: []string{"a"}}, "testArgs configures"},
+		{"serve with an unknown backend", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Backend: "qemu"}, `unknown execution backend "qemu" (valid: model, process)`},
+	} {
+		if p, err := c.spec.Resolve(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: resolved to %+v, %v; want an error containing %q", c.name, p, err, c.want)
+		}
+	}
+	// What a coordinator's backend keeps meaning: any registered name,
+	// whatever the target's kind — its workers bring the backend.
+	if _, err := (controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Backend: "process", Workers: 1}).Resolve(); err != nil {
+		t.Errorf("serve with a registered backend name: %v", err)
+	}
+}
+
+// TestResolveNormalizesAndTouchesNothing: the plan carries the spec in
+// canonical form and the options that run it, and getting there creates
+// nothing — not the state directory, not the fixture's process.
+func TestResolveNormalizesAndTouchesNothing(t *testing.T) {
+	dir := t.TempDir()
+	p, err := controlplane.SessionSpec{
+		Target:   "cmd:/nonexistent/fixture  {test}",
+		Space:    "testID : [ 0 , 3 ]  function : { open , read }  callNumber : [ 1 , 3 ] ;",
+		TestArgs: []string{"--row 0", "--row 1"},
+		Timeout:  "2s",
+		StateDir: dir + "/state",
+		Peers:    1,
+		Peer:     0,
+	}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("resolving created %v", left)
+	}
+	want := controlplane.SessionSpec{
+		Target:    "cmd:/nonexistent/fixture {test}",
+		Backend:   "process",
+		Algorithm: "fitness",
+		Space:     p.Spec.Space,
+		TestArgs:  []string{"--row 0", "--row 1"},
+		Timeout:   "2s",
+		StateDir:  dir + "/state",
+	}
+	if !reflect.DeepEqual(p.Spec, want) {
+		t.Fatalf("normalized spec %+v, want %+v", p.Spec, want)
+	}
+	o := p.Options
+	if o.Command == nil || o.Command.Target() != want.Target || !reflect.DeepEqual(o.Command.TestArgs, [][]string{{"--row", "0"}, {"--row", "1"}}) ||
+		o.ExecTimeout != 2*time.Second || o.Space.Size() != 4*2*3 || o.StateDir != want.StateDir || o.Peers != 0 {
+		t.Fatalf("options %+v (command %+v)", o, o.Command)
+	}
+
+	// An alias resolves to the name the state directory will record, and
+	// a serve spec to coordinator options carrying what used to be lost.
+	p, err = controlplane.SessionSpec{Target: "mysql", Serve: ":0", Feedback: true, TimeBudget: "1m", Peers: 2, Peer: 1, Pairs: true, Funcs: 3, CallHi: 2}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.Coordinator
+	if p.Spec.Target != "mysqld" || c.TargetName != "mysqld" || !c.Feedback || c.TimeBudget != time.Minute || c.Peer != 1 || c.Peers != 2 || p.Options.Space != nil {
+		t.Fatalf("coordinator plan %+v", p)
+	}
+	target, _ := targets.ByName("mysqld")
+	if got, want := c.Space.Size(), afex.PairSpaceFor(target, 3, 2).Size(); got != want {
+		t.Fatalf("pairs space of %d points, want %d", got, want)
+	}
 }

@@ -207,9 +207,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // Serve starts the control-plane HTTP server on addr (":0" picks an

@@ -172,12 +172,12 @@ type Config struct {
 	// have been executed".
 	Observe func(Record)
 
-	// Persistence (see persist.go and internal/store). StateDir and
-	// Resume are declarative knobs consumed by the afex entry points
-	// (afex.NewSession / afex.Explore, cmd/afex): they open the store
-	// and fill Store, Seen and Restore below. Engines built directly
-	// through core.NewEngine use those three seams and ignore
-	// StateDir/Resume.
+	// Persistence (see persist.go and internal/store). StateDir, Resume
+	// and Peer/Peers are declarative knobs consumed by the afex entry
+	// points (afex.NewSession / afex.Explore, the control plane): they
+	// carve the peer region out of Space, open the store and fill Store,
+	// Seen and Restore below. Engines built directly through
+	// core.NewEngine use those three seams and ignore all four.
 
 	// StateDir, when non-empty, persists the session under this
 	// directory: an append-only journal of every executed scenario plus
@@ -190,6 +190,14 @@ type Config struct {
 	// the previous run stopped instead of restarting its search (the
 	// journal-backed novelty filter applies either way).
 	Resume bool
+	// Peer/Peers place the session in a multi-coordinator hunt: Space is
+	// split into Peers disjoint regions (faultspace.Union.Shard) and the
+	// session explores region Peer (0-based) only. The assignment is
+	// recorded in the state directory's meta.json, so a directory only
+	// ever resumes as the peer that wrote it. Peers <= 1 explores the
+	// whole space.
+	Peer  int
+	Peers int
 	// StateStamp is the run's timestamp-from-config recorded in the
 	// store's metadata (journal entries carry only their run index, so
 	// deterministic sessions produce deterministic journal bytes). Empty

@@ -111,10 +111,17 @@ type PoolEntry struct {
 	Impact  float64 `json:"impact"`
 }
 
-// WindowState is one serialized sensitivity ring buffer.
+// WindowState is one serialized sensitivity ring buffer. Sum is the
+// window's running sum as the live explorer holds it: push maintains it
+// incrementally, so once the ring has wrapped over non-integral values
+// it differs from Σ Vals in its last bits, and a resumed search must
+// weigh its axes by the same float the killed one did. Nil in states
+// written before the field existed; the sum is then recomputed from
+// Vals, as those builds did.
 type WindowState struct {
 	Vals []float64 `json:"vals"`
 	Next int       `json:"next"`
+	Sum  *float64  `json:"sum,omitempty"`
 }
 
 // ExportState implements StatefulExplorer.
@@ -160,7 +167,8 @@ func (fg *FitnessGuided) exportSearch() SearchState {
 	for i, ws := range fg.sens {
 		st.Sens[i] = make([]WindowState, len(ws))
 		for k, w := range ws {
-			st.Sens[i][k] = WindowState{Vals: append([]float64(nil), w.vals...), Next: w.next}
+			sum := w.sum
+			st.Sens[i][k] = WindowState{Vals: append([]float64(nil), w.vals...), Next: w.next, Sum: &sum}
 		}
 	}
 	return st
@@ -209,8 +217,12 @@ func (fg *FitnessGuided) importSearch(st *SearchState) error {
 			w := newAxisWindow(fg.cfg.SensitivityWindow)
 			w.vals = append(w.vals, st.Sens[i][k].Vals...)
 			w.next = st.Sens[i][k].Next
-			for _, v := range w.vals {
-				w.sum += v
+			if sum := st.Sens[i][k].Sum; sum != nil {
+				w.sum = *sum
+			} else {
+				for _, v := range w.vals {
+					w.sum += v
+				}
 			}
 			fg.sens[i][k] = w
 		}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"afex/internal/faultspace"
@@ -68,6 +69,78 @@ func TestFitnessStateRoundTrip(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("continuations diverged at %d: %s vs %s", i, a[i], b[i])
 		}
+	}
+}
+
+// rawSums is the sensitivity vector before normalisation: the running
+// sums mutate weighs the axes by.
+func rawSums(fg *FitnessGuided) []float64 {
+	var out []float64
+	for _, ws := range fg.sens {
+		for _, w := range ws {
+			out = append(out, w.sum)
+		}
+	}
+	return out
+}
+
+// TestWindowSumSurvivesRoundTrip: a window's running sum is maintained
+// as sum += v − evicted, so once the ring has wrapped over non-integral
+// fitness (feedback on) it is not Σ vals to the last bit. A restored
+// explorer must hold the live one's float, or the first Weighted draw
+// that lands in the gap mutates another axis; a state from before the
+// field existed still restores to the recomputed sum, as it always did.
+func TestWindowSumSurvivesRoundTrip(t *testing.T) {
+	cfg := Config{Seed: 5}
+	orig := NewFitnessGuided(stateSpace(), cfg)
+	for i := 0; i < 10*orig.cfg.SensitivityWindow; i++ {
+		c, ok := orig.Next()
+		if !ok {
+			t.Fatalf("space exhausted after %d", i)
+		}
+		impact := fakeImpact(c)
+		orig.Report(c, impact, impact*(0.1+0.9/float64(i%13+1)))
+	}
+	restore := func(edit func(*WindowState)) []float64 {
+		t.Helper()
+		blob, err := json.Marshal(orig.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st State
+		if err := json.Unmarshal(blob, &st); err != nil {
+			t.Fatal(err)
+		}
+		for _, ws := range st.Searches[0].Sens {
+			for k := range ws {
+				edit(&ws[k])
+			}
+		}
+		clone := NewFitnessGuided(stateSpace(), cfg)
+		if err := clone.ImportState(&st); err != nil {
+			t.Fatal(err)
+		}
+		return rawSums(clone)
+	}
+	live := rawSums(orig)
+	var recomputed []float64
+	for _, ws := range orig.sens {
+		for _, w := range ws {
+			sum := 0.0
+			for _, v := range w.vals {
+				sum += v
+			}
+			recomputed = append(recomputed, sum)
+		}
+	}
+	if slices.Equal(live, recomputed) {
+		t.Fatal("the running sums equal Σ vals bit for bit: the drive does not exercise the drift")
+	}
+	if got := restore(func(*WindowState) {}); !slices.Equal(got, live) {
+		t.Fatalf("restored sums %v, live %v", got, live)
+	}
+	if got := restore(func(w *WindowState) { w.Sum = nil }); !slices.Equal(got, recomputed) {
+		t.Fatalf("a state without sums restored to %v, want Σ vals %v", got, recomputed)
 	}
 }
 

@@ -595,29 +595,32 @@ func TestOldBuildDirectoryResumes(t *testing.T) {
 	}
 }
 
-// longResume kills a 1 200-scenario sequential session at 400, with a
-// snapshot at every fold, resumes it, and holds its journal and final
-// snapshot to the uninterrupted session's: the length the resume
+// longResume runs a 1 200-scenario sequential session with feedback on —
+// fitness is then impact × a similarity weight, not integral, which is
+// what the sensitivity windows' running sums are sensitive to — and holds
+// the same session killed at each of kills (a snapshot at every fold)
+// and resumed to its journal and final snapshot: the length the resume
 // workload of bench/ runs at, where the suites above stop at 150.
-func longResume(t *testing.T, algo string) {
-	const total, killAt = 1200, 400
+func longResume(t *testing.T, algo string, shards int, kills ...int) {
+	const total = 1200
 	target, err := Target("mysqld")
 	if err != nil {
 		t.Fatal(err)
 	}
-	session := func(kill bool) (string, []JournalEntry) {
+	session := func(killAt int) (string, []JournalEntry) {
 		dir := t.TempDir()
 		opts := Options{
 			Target:        target,
 			Space:         SpaceFor(target, 12, 0, 40),
 			Algorithm:     algo,
+			Shards:        shards,
 			Iterations:    total,
 			Feedback:      true,
 			StateDir:      dir,
 			JournalFormat: JournalBinary,
 			Explore:       ExploreOptions{Seed: 9},
 		}
-		if kill {
+		if killAt > 0 {
 			killedSession(t, opts, killAt)
 			resumedSession(t, opts)
 		} else if _, err := Explore(opts); err != nil {
@@ -629,26 +632,40 @@ func longResume(t *testing.T, algo string) {
 		}
 		return dir, journal
 	}
-	wantDir, want := session(false)
-	gotDir, got := session(true)
-	for i := range want {
-		got[i].Run = want[i].Run // which run folded it is the one thing a kill changes
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("killed at %d and resumed, the session diverges at record %d:\n got %+v\nwant %+v", killAt, i, got[i], want[i])
-		}
-	}
-	if a, b := snapshotBytes(t, gotDir), snapshotBytes(t, wantDir); !bytes.Equal(a, b) {
-		t.Fatalf("resumed session's final snapshot (%d bytes) differs from the uninterrupted one's (%d)", len(a), len(b))
+	wantDir, want := session(0)
+	wantSnap := snapshotBytes(t, wantDir)
+	for _, killAt := range kills {
+		t.Run(fmt.Sprintf("kill=%d", killAt), func(t *testing.T) {
+			gotDir, got := session(killAt)
+			for i := range want {
+				got[i].Run = want[i].Run // which run folded it is the one thing a kill changes
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("killed at %d and resumed, the session diverges at record %d:\n got %+v\nwant %+v", killAt, i, got[i], want[i])
+				}
+			}
+			if a := snapshotBytes(t, gotDir); !bytes.Equal(a, wantSnap) {
+				t.Fatalf("resumed session's final snapshot (%d bytes) differs from the uninterrupted one's (%d)", len(a), len(wantSnap))
+			}
+		})
 	}
 }
 
-// TestLongResumeEqualsUninterrupted: resume equality at the length and
-// for the configuration bench/'s resume-tail runs (random, one worker,
-// binary journal), and the case that does not hold yet beside it.
+// TestLongResumeEqualsUninterrupted: resume equality at the length
+// bench/'s resume-tail runs, for every stateful strategy and a sharded
+// one, killed at the first fold, mid-run (400 is where the fitness
+// search used to come back with its window sums recomputed and diverge
+// at record 968; 777 is past every window's wrap) and at the last fold.
 func TestLongResumeEqualsUninterrupted(t *testing.T) {
-	t.Run("random", func(t *testing.T) { longResume(t, Random) })
-	t.Run("fitness", func(t *testing.T) {
-		t.Skip("known: diverges from the uninterrupted session at record 968 (759 on coreutils) — ROADMAP, schedule-harness item; delete this line to reproduce")
-		longResume(t, FitnessGuided)
-	})
+	for _, c := range []struct {
+		name, algo string
+		shards     int
+	}{
+		{"random", Random, 0},
+		{"fitness", FitnessGuided, 0},
+		{"genetic", Genetic, 0},
+		{"portfolio", Portfolio, 0},
+		{"sharded-fitness", FitnessGuided, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) { longResume(t, c.algo, c.shards, 1, 400, 777, 1199) })
+	}
 }
