@@ -280,12 +280,6 @@ func CompactState(dir string) (int, error) { return store.Compact(dir) }
 // Options.Batch is zero and the session runs parallel.
 const DefaultBatch = core.DefaultBatch
 
-// PrefetchAdaptive, as Options.PrefetchDepth, sizes the asynchronous
-// candidate prefetch ring adaptively (~2× the adaptive wire batch);
-// positive depths fix the capacity, at 0 no ring is filled and every
-// lease generates its own candidates.
-const PrefetchAdaptive = core.PrefetchAdaptive
-
 // NewEngine validates opts and builds the execution engine without
 // running it — the entry point for custom drivers (bespoke executors,
 // throughput harnesses, alternative transports). Most callers want

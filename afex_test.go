@@ -5,6 +5,9 @@ package afex
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"afex/internal/rpcnode"
 )
 
 func TestPublicQuickstartWorkflow(t *testing.T) {
@@ -154,6 +157,53 @@ func TestPublicShardedCoordinator(t *testing.T) {
 			t.Fatalf("distributed sharded session executed %v twice", rec.Point)
 		}
 		seen[rec.Point.Key()] = true
+	}
+}
+
+// TestPublicHeartbeatWithoutLeaseTimeout: heartbeats asked for without a
+// LeaseTimeout still recover a dead manager's batch — the coordinator is
+// built tracking leases under a fallback timeout of a minute or more, so
+// it is the miss budget (30 ms here) that hands the batch to the
+// survivor.
+func TestPublicHeartbeatWithoutLeaseTimeout(t *testing.T) {
+	target, _ := Target("coreutils")
+	coord, _, err := NewCoordinatorWithOptions(CoordinatorOptions{
+		Space: SpaceFor(target, 19, 0, 2), Explore: ExploreOptions{Seed: 5}, Budget: 40,
+		HeartbeatEvery: 10 * time.Millisecond, HeartbeatMisses: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeCoordinator("127.0.0.1:0", coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// One manager leases a batch and dies with it (the wire types are
+	// rpcnode's; no public call abandons a lease).
+	var lost rpcnode.TaskBatch
+	if err := coord.NextBatch(rpcnode.BatchRequest{Manager: "doomed", Max: 5}, &lost); err != nil || len(lost.Tasks) != 5 {
+		t.Fatalf("doomed manager leased %+v (%v), want 5 tasks", lost, err)
+	}
+	start := time.Now()
+	mgr, err := DialManager(srv.Addr(), "survivor", target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	mgr.HeartbeatEvery = 10 * time.Millisecond
+	n, err := mgr.RunUntilDone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 40 {
+		t.Fatalf("survivor executed %d tests, want the whole budget of 40: the dead manager's batch was never re-leased", n)
+	}
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("session took %v — the batch waited out the fallback timeout, not the heartbeat miss budget", elapsed)
+	}
+	if res := coord.Result(); res.Executed != 40 {
+		t.Fatalf("session executed %d, want 40", res.Executed)
 	}
 }
 

@@ -52,14 +52,9 @@ type CoordinatorOptions struct {
 	// is left of Budget (Options.Feedback, Options.TimeBudget).
 	Feedback   bool
 	TimeBudget time.Duration
-	// LeaseTimeout re-leases tasks never reported back (0 = never).
+	// LeaseTimeout re-leases tasks never reported back (0 = never,
+	// unless heartbeats are on: see NewCoordinatorWithOptions).
 	LeaseTimeout time.Duration
-	// Prefetch enables the engine's asynchronous candidate prefetch
-	// ring (Options.PrefetchDepth): NextBatch rounds are then served
-	// from pre-generated candidates instead of running the explorer
-	// per round. Positive fixes the ring capacity, PrefetchAdaptive
-	// (-1) tracks ~2× the adaptive wire batch, at 0 no generator runs.
-	Prefetch int
 	// HeartbeatEvery/HeartbeatMisses enable heartbeat-driven liveness:
 	// a manager silent for HeartbeatMisses beats has its leases expired
 	// immediately (see Coordinator.SetHeartbeat). Zero disables.
@@ -98,6 +93,17 @@ type CoordinatorOptions struct {
 // The returned cleanup flushes and closes the store (a no-op without
 // StateDir); call it after Coordinator.Result.
 func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error, error) {
+	leaseTimeout := o.LeaseTimeout
+	if o.HeartbeatEvery > 0 && leaseTimeout <= 0 {
+		// Heartbeat reaping expires tracked leases, so it needs lease
+		// tracking: without a LeaseTimeout install a conservative one
+		// (heartbeats then drive expiry in practice).
+		misses := o.HeartbeatMisses
+		if misses < 1 {
+			misses = rpcnode.DefaultHeartbeatMisses
+		}
+		leaseTimeout = max(time.Minute, 20*time.Duration(misses)*o.HeartbeatEvery)
+	}
 	// The engine composes the exploration stack (strategy → sharded)
 	// from the config, exactly as a local session's does.
 	ecfg := core.Config{
@@ -108,7 +114,7 @@ func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error
 		Iterations:    o.Budget,
 		Feedback:      o.Feedback,
 		TimeBudget:    o.TimeBudget,
-		PrefetchDepth: o.Prefetch,
+		LeaseTimeout:  leaseTimeout,
 		StateDir:      o.StateDir,
 		JournalFormat: o.JournalFormat,
 		Resume:        o.Resume,
@@ -125,11 +131,9 @@ func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error
 		return nil, nil, err
 	}
 	coord.SetTargetName(o.TargetName)
-	if o.LeaseTimeout > 0 {
-		coord.SetLeaseTimeout(o.LeaseTimeout)
-	}
-	if o.HeartbeatEvery > 0 {
-		coord.SetHeartbeat(o.HeartbeatEvery, o.HeartbeatMisses)
+	if err := coord.SetHeartbeat(o.HeartbeatEvery, o.HeartbeatMisses); err != nil {
+		cleanup()
+		return nil, nil, err
 	}
 	return coord, cleanup, nil
 }

@@ -59,7 +59,6 @@ func bindSpec(fs *flag.FlagSet, spec *controlplane.SessionSpec) {
 	fs.BoolVar(&spec.Feedback, "feedback", spec.Feedback, "enable redundancy feedback (§7.4)")
 	fs.IntVar(&spec.Workers, "workers", spec.Workers, "concurrent node managers of a local session")
 	fs.IntVar(&spec.Batch, "batch", spec.Batch, "candidates leased per worker coordination round (0 = default; parallel mode only)")
-	fs.IntVar(&spec.Prefetch, "prefetch", spec.Prefetch, "candidate prefetch ring depth: >0 fixed capacity, -1 adaptive (~2x the adaptive batch), 0 no ring (each lease generates its own candidates)")
 	fs.IntVar(&spec.Shards, "shards", spec.Shards, "partition the space into this many disjoint regions, one search each (0/1 = unsharded)")
 	fs.Var((*multiFlag)(&spec.TestArgs), "test-args", "process backend: per-test argument row appended to the command template, repeatable (row i serves testID i)")
 	fs.StringVar(&spec.Timeout, "timeout", spec.Timeout, "process backend: per-test wall-clock cap, a `duration`; expired tests are killed and folded as Hung (0 = default)")

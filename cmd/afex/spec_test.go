@@ -23,7 +23,7 @@ func TestSessionFlagTable(t *testing.T) {
 		"--target", "cmd:./crashy {test}", "--backend", "process", "--space", "@" + spaceFile,
 		"--funcs", "4", "--call-lo", "0", "--call-hi", "7", "--pairs", "--errno-axis",
 		"--algorithm", "genetic", "--iterations", "99", "--seed", "-3", "--feedback",
-		"--workers", "8", "--batch", "16", "--prefetch", "-1", "--shards", "4",
+		"--workers", "8", "--batch", "16", "--shards", "4",
 		"--test-args", "row 0", "--test-args", "row 1", "--timeout", "1500ms", "--procs", "2", "--tests-per-proc", "-1",
 		"--time-budget", "1h", "--state-dir", "/tmp/hunt", "--journal-format", "binary", "--resume",
 		"--serve", ":7171", "--lease-timeout", "30s", "--heartbeat", "1s", "--heartbeat-misses", "5",
@@ -33,7 +33,7 @@ func TestSessionFlagTable(t *testing.T) {
 		Target: "cmd:./crashy {test}", Backend: "process", Space: crashySpace,
 		Funcs: 4, CallLo: 0, CallHi: 7, Pairs: true, ErrnoAxis: true,
 		Algorithm: "genetic", Iterations: 99, Seed: -3, Feedback: true,
-		Workers: 8, Batch: 16, Prefetch: -1, Shards: 4,
+		Workers: 8, Batch: 16, Shards: 4,
 		TestArgs: []string{"row 0", "row 1"}, Timeout: "1500ms", Procs: 2, TestsPerProc: -1,
 		TimeBudget: "1h", StateDir: "/tmp/hunt", JournalFormat: "binary", Resume: true,
 		Serve: ":7171", LeaseTimeout: "30s", Heartbeat: "1s", HeartbeatMisses: 5,

@@ -94,10 +94,6 @@ type SessionSpec struct {
 	Shards int `json:"shards,omitempty"`
 	// Feedback enables §7.4 result-quality feedback.
 	Feedback bool `json:"feedback,omitempty"`
-	// Prefetch enables the engine's asynchronous candidate prefetch
-	// ring (core.Config.PrefetchDepth): positive fixes the ring
-	// capacity, -1 sizes it adaptively, at 0 no generator runs.
-	Prefetch int `json:"prefetch,omitempty"`
 	// TestArgs are the process backend's per-test argument rows
 	// (row i serves testID i), each row whitespace-split.
 	TestArgs []string `json:"testArgs,omitempty"`
@@ -362,7 +358,6 @@ func (spec SessionSpec) Resolve() (*Plan, error) {
 			Feedback:        spec.Feedback,
 			TimeBudget:      timeBudget,
 			LeaseTimeout:    leaseTimeout,
-			Prefetch:        spec.Prefetch,
 			HeartbeatEvery:  heartbeat,
 			HeartbeatMisses: spec.HeartbeatMisses,
 			StateDir:        spec.StateDir,
@@ -388,7 +383,6 @@ func (spec SessionSpec) Resolve() (*Plan, error) {
 		Batch:         spec.Batch,
 		Shards:        spec.Shards,
 		Feedback:      spec.Feedback,
-		PrefetchDepth: spec.Prefetch,
 		TimeBudget:    timeBudget,
 		LeaseTimeout:  leaseTimeout,
 		StateDir:      spec.StateDir,

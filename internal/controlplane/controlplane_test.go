@@ -130,6 +130,30 @@ func TestLocalSessionOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRemovedSpecKeyIsIgnored: a spec body written for a build that had
+// the prefetch ring still submits and runs — "prefetch" is an unknown
+// key like any other.
+func TestRemovedSpecKeyIsIgnored(t *testing.T) {
+	_, srv, cl := startServer(t)
+	resp, err := http.Post("http://"+srv.Addr()+"/v1/sessions", "application/json",
+		strings.NewReader(`{"target": "mysqld", "iterations": 20, "seed": 5, "prefetch": -1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st controlplane.Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit answered %s (decode: %v)", resp.Status, err)
+	}
+	final, err := cl.Wait(st.ID, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != controlplane.StateDone || final.Snapshot.Executed != 20 {
+		t.Fatalf("session ended %q (%s) with %d executed, want done with 20", final.State, final.Error, final.Snapshot.Executed)
+	}
+}
+
 // TestStatusJSONSchema pins the wire schema: the status document's
 // snapshot uses the shared core.Snapshot JSON tags and the store
 // object decodes back into store.Stats without loss.

@@ -31,6 +31,8 @@ func FuzzSessionSpec(f *testing.F) {
 	f.Add([]byte(`{"target": "mysqld", "iterations": 500, "seed": 7, "stateDir": "` + stateDir + `"}`))
 	f.Add([]byte(`{"target": "mysqld", "serve": ":7070", "peers": 2, "peer": 0, "iterations": 250, "heartbeat": "1s"}`))
 	seed(controlplane.SessionSpec{Target: "mysqld", Iterations: 40, Seed: 5})
+	// a body written for a build that had the prefetch ring: the key is ignored
+	f.Add([]byte(`{"target": "httpd", "feedback": true, "prefetch": -1}`))
 	// a real-process session, as CI's control-plane step submits it
 	seed(controlplane.SessionSpec{Target: "cmd:/nonexistent/crashy {test}", Backend: "process", Space: crashy,
 		Timeout: "1s", Algorithm: "exhaustive", StateDir: stateDir, TestArgs: []string{"--row 0"}})
@@ -44,7 +46,7 @@ func FuzzSessionSpec(f *testing.F) {
 	}
 	// the profiled shapes
 	seed(controlplane.SessionSpec{Target: "coreutils", Pairs: true, Funcs: 4, CallHi: 100000, Shards: 4, Workers: 2, Batch: 16})
-	seed(controlplane.SessionSpec{Target: "httpd", ErrnoAxis: true, CallLo: 9, CallHi: 3, Prefetch: -1, Feedback: true})
+	seed(controlplane.SessionSpec{Target: "httpd", ErrnoAxis: true, CallLo: 9, CallHi: 3, Feedback: true})
 	seed(controlplane.SessionSpec{Target: "mysqld", CallHi: math.MaxInt64})
 	// one per refusal
 	seed(controlplane.SessionSpec{})

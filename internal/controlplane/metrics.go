@@ -59,8 +59,6 @@ func (mw *metricWriter) sample(name, help, typ string, labels [][2]string, value
 //	afex_worker_pool_recycles_total{session=} quota-driven worker recycles
 //	afex_avg_test_seconds{session=}       EWMA of per-test execution wall clock
 //	afex_adaptive_batch{session=}         engine-suggested wire-batch size
-//	afex_prefetch_depth{session=}         prefetch ring capacity target
-//	afex_prefetch_ready{session=}         pre-generated candidates buffered
 //	afex_session_snapshots_total{session=} session snapshots handed to the store
 //	afex_session_snapshot_seconds_total{session=} engine wall clock spent on them
 //	afex_session_resume_entries{session=,path=,reason=} journal entries read to restore the session
@@ -117,10 +115,6 @@ func writeMetrics(w io.Writer, m *Manager) {
 		func(i int) float64 { return float64(snaps[i].AvgTestNS) / 1e9 })
 	perSession("afex_adaptive_batch", "Engine-suggested wire-batch size from measured test latency.", "gauge",
 		func(i int) float64 { return float64(snaps[i].AdaptiveBatch) })
-	perSession("afex_prefetch_depth", "Candidate prefetch ring capacity target (0 = no ring).", "gauge",
-		func(i int) float64 { return float64(snaps[i].PrefetchDepth) })
-	perSession("afex_prefetch_ready", "Pre-generated candidates buffered in the prefetch ring.", "gauge",
-		func(i int) float64 { return float64(snaps[i].PrefetchReady) })
 	perSession("afex_session_snapshots_total", "Session snapshots handed to the store.", "counter",
 		func(i int) float64 { return float64(snaps[i].Snapshots) })
 	perSession("afex_session_snapshot_seconds_total", "Engine wall clock spent capturing, assembling and enqueueing session snapshots.", "counter",

@@ -84,48 +84,28 @@ type Engine struct {
 	mu sync.Mutex
 
 	// leaseMu guards lease bookkeeping: the pending/committed budget
-	// counters, the lease-expiry heap, the prefetch ring and the latency
-	// average. It is deliberately narrow — never held across explorer
-	// calls or fold work — so a Lease served from the ring stays
-	// near-O(batch).
+	// counters, the lease-expiry heap and the latency average. It is
+	// deliberately narrow — never held across explorer calls or fold
+	// work.
 	leaseMu sync.Mutex
 	// pending counts candidates handed out but not yet folded back.
 	// committed counts every claim against the Iterations budget:
-	// executed + pending + candidates buffered in the prefetch ring.
-	// The remaining budget is Iterations - committed, so concurrent
-	// lease paths and the generator never overshoot.
+	// executed + pending, plus what a Lease has reserved for the
+	// candidates it is generating right now. The remaining budget is
+	// Iterations - committed, so concurrent leases never overshoot.
 	pending   int
 	committed int
 	// lq tracks outstanding candidates in an expiry-ordered min-heap
-	// when lease expiry is on (Config.LeaseTimeout/SetLeaseTimeout):
-	// expired entries are re-leased oldest-first — deterministically,
-	// unlike the map walk it replaced — and a fold retires its entry,
-	// so a late duplicate fold from a presumed-dead executor is
-	// dropped and each candidate folds exactly once. Nil when lease
-	// expiry is off. leaseTimeout mirrors cfg.LeaseTimeout under
-	// leaseMu (SetLeaseTimeout may change it after construction).
-	lq           *leaseQueue
-	leaseTimeout time.Duration
-	// The prefetch pipeline (see prefetch.go). prefetchDepth is the
-	// resolved Config.PrefetchDepth (immutable; at 0 no generator runs
-	// and the ring stays empty, so every Lease generates what it hands
-	// out); ring/flags/channels are the generator's shared state. sealed
-	// means no further candidates will ever be handed out or admitted
-	// to the ring; exhausted means the explorer ran dry.
-	ring              candRing
-	ringStarted       bool
-	ringSealed        bool
-	ringExhausted     bool
-	ringWake          chan struct{}
-	ringStop          chan struct{}
-	prefetchGenerated int
-	prefetchDepth     int
-	// genReserved is the generator's in-flight budget reservation: the
-	// candidates it is generating right now, already counted in
-	// committed but not yet in the ring. Waiting reports it so workers
-	// poll instead of quitting when the tail of the budget is still in
-	// the generator's hands.
-	genReserved int
+	// when lease expiry is on (Config.LeaseTimeout): expired entries
+	// are re-leased oldest-first — deterministically, unlike the map
+	// walk it replaced — and a fold retires its entry, so a late
+	// duplicate fold from a presumed-dead executor is dropped and each
+	// candidate folds exactly once. Nil when lease expiry is off, for
+	// the engine's whole life.
+	lq *leaseQueue
+	// exhausted means the explorer ran dry (a BatchNext came back
+	// short): no Lease asks it again.
+	exhausted bool
 
 	// latEWMA tracks per-test execution wall clock (nanoseconds) as an
 	// exponentially weighted moving average of executor observations
@@ -301,7 +281,6 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 			e.recycles = rc.Recycles
 		}
 	}
-	e.leaseTimeout = cfg.LeaseTimeout
 	if cfg.LeaseTimeout > 0 {
 		e.lq = newLeaseQueue()
 	}
@@ -359,18 +338,8 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	e.explorer = ex
 	e.adaptiveSnap = adaptiveSnap
 	// The committed budget counter starts at what the restored journal
-	// already spent; every lease and ring refill claims against it.
+	// already spent; every lease claims against it.
 	e.committed = e.res.Executed
-	// The asynchronous prefetch pipeline (prefetch.go) requires the
-	// explorer stack to tolerate batch-boundary feedback reordering;
-	// explorers declare that via explore.Prefetchable. Anything else —
-	// notably third-party explorers handed to NewEngine — runs at depth
-	// 0 regardless of the knob.
-	if cfg.PrefetchDepth != 0 && explore.IsPrefetchable(ex) {
-		e.prefetchDepth = cfg.PrefetchDepth
-		e.ringWake = make(chan struct{}, 1)
-		e.ringStop = make(chan struct{})
-	}
 	e.start = time.Now()
 	if cfg.TimeBudget > 0 {
 		e.deadline = e.start.Add(cfg.TimeBudget)
@@ -379,10 +348,9 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 }
 
 // Lease hands out up to max candidates, bounded by the remaining
-// Iterations budget (counting outstanding leases and prefetched
-// candidates, so the session never overshoots). It returns nil once
-// the session is stopped, the deadline has passed, the budget is
-// committed, or the explorer is exhausted.
+// Iterations budget (counting outstanding leases, so the session never
+// overshoots). It returns nil once the session is stopped, the deadline
+// has passed, the budget is committed, or the explorer is exhausted.
 //
 // With Config.LeaseTimeout set, candidates leased but not folded back
 // within the timeout — a dead distributed manager, a killed worker —
@@ -391,15 +359,13 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 // at first lease), so a session whose whole remaining budget is stuck
 // on lost leases drains instead of stalling until Finish.
 //
-// Fresh candidates come off the prefetch ring (prefetch.go) under the
-// narrow lease lock; what the ring cannot supply — everything, at
-// Config.PrefetchDepth 0, where no generator fills it — is generated
-// here under the explorer lock alone. The session lock is never taken,
+// Fresh candidates are generated here, by the Lease that hands them
+// out, under the explorer lock alone. The session lock is never taken,
 // so leasing does not serialize against fold commits. The budget stays
 // exact without it by reserve-then-refund: the request is committed
 // before the explorer runs and any shortfall returned after. A
 // single-worker session calls Lease and FoldBatch from one goroutine,
-// so at depth 0 its explorer sees strict Next/Report alternation.
+// so its explorer sees strict Next/Report alternation.
 func (e *Engine) Lease(max int) []explore.Candidate {
 	if max <= 0 {
 		max = 1
@@ -420,22 +386,7 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 	e.leaseMu.Lock()
 	var cands []explore.Candidate
 	if e.lq != nil {
-		cands = e.lq.takeExpired(now, max, e.leaseTimeout)
-	}
-	if n := len(cands); n < max && e.ring.n > 0 {
-		cands = e.ring.take(cands, max-n)
-		e.admitLocked(cands[n:], now)
-	}
-	if e.prefetchEnabled() {
-		e.startPrefetchLocked()
-		// Refill wake at the low-water mark (half the target),
-		// non-blocking: the generator coalesces signals.
-		if !e.ringSealed && !e.ringExhausted && e.ring.n <= e.prefetchTargetLocked()/2 {
-			select {
-			case e.ringWake <- struct{}{}:
-			default:
-			}
-		}
+		cands = e.lq.takeExpired(now, max, e.cfg.LeaseTimeout)
 	}
 	fresh := max - len(cands)
 	if e.cfg.Iterations > 0 {
@@ -443,7 +394,7 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 			fresh = remaining
 		}
 	}
-	if fresh <= 0 || e.ringSealed || e.ringExhausted {
+	if fresh <= 0 || e.exhausted {
 		e.leaseMu.Unlock()
 		return cands
 	}
@@ -456,17 +407,26 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 
 	e.leaseMu.Lock()
 	defer e.leaseMu.Unlock()
-	e.committed -= fresh - len(next)
-	if e.ringSealed {
-		// Sealed during generation: drop the candidates and refund them,
-		// as the generator does (see prefetchLoop).
-		e.committed -= len(next)
+	if e.stopped.Load() {
+		// Stopped during generation: the candidates were never leased,
+		// journaled or counted — they live on in the explorer's
+		// regenerable queued set — so drop them and refund the whole
+		// reservation.
+		e.committed -= fresh
 		return cands
 	}
+	e.committed -= fresh - len(next)
 	if len(next) < fresh {
-		e.ringExhausted = true
+		e.exhausted = true
 	}
-	e.admitLocked(next, now)
+	// Booked as leased: pending and, under lease expiry, in the heap.
+	e.pending += len(next)
+	if e.lq != nil {
+		expires := now.Add(e.cfg.LeaseTimeout)
+		for _, c := range next {
+			e.lq.add(c.Key(), c, expires)
+		}
+	}
 	return append(cands, next...)
 }
 
@@ -479,19 +439,6 @@ func (e *Engine) noteSeen(k string) {
 	}
 	e.seen[k] = struct{}{}
 	e.seenList = append(e.seenList, k)
-}
-
-// admitLocked books budget-committed candidates as leased: they count
-// as pending and, under lease expiry, enter the expiry heap. Callers
-// hold e.leaseMu.
-func (e *Engine) admitLocked(cands []explore.Candidate, now time.Time) {
-	e.pending += len(cands)
-	if e.lq != nil {
-		expires := now.Add(e.leaseTimeout)
-		for _, c := range cands {
-			e.lq.add(c.Key(), c, expires)
-		}
-	}
 }
 
 // Unlease returns budget for n leased candidates that will never be
@@ -654,15 +601,11 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 		stop = true
 	}
 	// Explorer feedback at the batch boundary, under the explorer lock
-	// alone: the prefetch generator blocks only for this report — the
-	// bounded-staleness window — and feedback order remains commit
-	// order.
+	// alone: a concurrent Lease's generation waits only for this report,
+	// and feedback order remains commit order.
 	e.exMu.Lock()
 	explore.ReportBatch(e.explorer, feedback)
 	e.exMu.Unlock()
-	if stop {
-		e.sealPrefetch()
-	}
 	var view *sessionView
 	if e.cfg.Store != nil && len(folded) > 0 {
 		// The completed records are the last len(folded) folds, in order.
@@ -835,35 +778,17 @@ func (e *Engine) SetTargetName(name string) {
 
 // Waiting reports whether the session is merely waiting on work that
 // may yet become leasable — outstanding leases that can expire and
-// re-lease (lease-expiry mode), or budget the prefetch generator is
-// still materializing into the ring: Lease just returned nothing, but
-// the session is not over — an executor should poll again shortly
-// rather than quit. Always false without Config.LeaseTimeout or
-// prefetching, where outstanding leases are trusted to fold and every
-// Lease generates what it hands out.
+// re-lease (lease-expiry mode): Lease just returned nothing, but the
+// session is not over — an executor should poll again shortly rather
+// than quit. Always false without Config.LeaseTimeout, where
+// outstanding leases are trusted to fold.
 func (e *Engine) Waiting() bool {
 	if e.stopped.Load() {
 		return false
 	}
 	e.leaseMu.Lock()
 	defer e.leaseMu.Unlock()
-	if e.lq != nil && e.lq.Len() > 0 {
-		return true
-	}
-	return !e.ringSealed && (e.genReserved > 0 || e.ring.n > 0)
-}
-
-// SetLeaseTimeout enables lease expiry on an engine built without
-// Config.LeaseTimeout (see that field's contract). It must be called
-// before the first Lease: leases handed out earlier are untracked, and
-// their folds would be dropped as duplicates.
-func (e *Engine) SetLeaseTimeout(d time.Duration) {
-	e.leaseMu.Lock()
-	defer e.leaseMu.Unlock()
-	e.leaseTimeout = d
-	if d > 0 && e.lq == nil {
-		e.lq = newLeaseQueue()
-	}
+	return e.lq != nil && e.lq.Len() > 0
 }
 
 // Wire-batch sizing: an adaptive lease batch targets WireBatchRound of
@@ -924,14 +849,6 @@ func (e *Engine) adaptiveBatchLocked() int {
 	return n
 }
 
-// LeaseExpiryEnabled reports whether the engine tracks outstanding
-// leases for expiry (Config.LeaseTimeout or SetLeaseTimeout).
-func (e *Engine) LeaseExpiryEnabled() bool {
-	e.leaseMu.Lock()
-	defer e.leaseMu.Unlock()
-	return e.lq != nil
-}
-
 // ExpireLeases force-expires the tracked leases for the given scenario
 // keys, making their candidates immediately re-leasable without waiting
 // out the wall-clock LeaseTimeout — the liveness path for executors
@@ -949,13 +866,10 @@ func (e *Engine) ExpireLeases(keys []string) int {
 	return e.lq.expire(keys)
 }
 
-// Stop ends the session: subsequent Lease calls return nil and the
-// prefetch ring is sealed (buffered candidates return their budget).
-// In-flight tests may still fold.
-func (e *Engine) Stop() {
-	e.stopped.Store(true)
-	e.sealPrefetch()
-}
+// Stop ends the session: subsequent Lease calls return nil, and one
+// caught generating drops what it generated. In-flight tests may still
+// fold.
+func (e *Engine) Stop() { e.stopped.Store(true) }
 
 // Snapshot returns the running tally.
 func (e *Engine) Snapshot() Snapshot {
@@ -988,10 +902,6 @@ func (e *Engine) quickSnapshotLocked() Snapshot {
 	if e.lq != nil {
 		s.WaitingLeases = e.lq.Len()
 	}
-	if e.prefetchEnabled() {
-		s.PrefetchDepth = e.prefetchTargetLocked()
-		s.PrefetchReady = e.ring.n
-	}
 	if e.latEWMA > 0 {
 		s.AvgTestNS = int64(e.latEWMA)
 		s.AdaptiveBatch = e.adaptiveBatchLocked()
@@ -1022,10 +932,8 @@ func (e *Engine) snapshotLocked() Snapshot {
 // attached, emits the final session snapshot (serialized outside the
 // session lock, like periodic ones).
 func (e *Engine) Finish() *ResultSet {
-	// Seal the prefetch pipeline first: the generator goroutine exits
-	// and buffered (never-leased) candidates return their budget, so
-	// nothing generates or journals after the seal.
-	e.sealPrefetch()
+	// Stop first, so nothing is handed out after the result is sealed.
+	e.Stop()
 	res, view, runner := e.finishLocked()
 	if view != nil {
 		e.deliverSnapshot(view)
@@ -1217,8 +1125,8 @@ func (e *Engine) work(exec Executor, batch int) {
 			if !e.Waiting() {
 				return
 			}
-			// Leases that may yet expire and re-lease, or budget still in
-			// the prefetch generator's hands: poll instead of quitting.
+			// Leases that may yet expire and re-lease: poll instead of
+			// quitting.
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}

@@ -208,21 +208,122 @@ func TestLeaseRespectsBudgetAndStop(t *testing.T) {
 	if len(first) != 3 {
 		t.Fatalf("leased %d, want 3", len(first))
 	}
+	budgetAtRest(t, eng, "first Lease")
 	second := eng.Lease(10)
 	if len(second) != 2 {
 		t.Fatalf("budget ignored: leased %d more, want 2", len(second))
 	}
+	budgetAtRest(t, eng, "second Lease")
 	if extra := eng.Lease(1); extra != nil {
 		t.Fatalf("over-budget lease granted: %v", extra)
 	}
+	budgetAtRest(t, eng, "over-budget Lease")
 	// Returning budget re-opens the lease window.
 	eng.Unlease(len(second))
+	budgetAtRest(t, eng, "Unlease")
 	if again := eng.Lease(10); len(again) != 2 {
 		t.Fatalf("after Unlease: leased %d, want 2", len(again))
 	}
+	budgetAtRest(t, eng, "Lease after Unlease")
+	exec := eng.LocalExecutor()
+	done := make([]ExecutedTest, len(first))
+	for i, c := range first {
+		rec, out := exec.Execute(c)
+		done[i] = ExecutedTest{C: c, Rec: rec, Out: out}
+	}
+	eng.FoldBatch(done)
+	budgetAtRest(t, eng, "FoldBatch")
 	eng.Stop()
 	if after := eng.Lease(1); after != nil {
 		t.Fatal("stopped engine still leases")
+	}
+	budgetAtRest(t, eng, "Lease after Stop")
+}
+
+// budgetAtRest asserts what holds of the lease budget whenever no Lease
+// is mid-generation: every claim is an executed test or a pending one.
+func budgetAtRest(t *testing.T, eng *Engine, step string) {
+	t.Helper()
+	executed := eng.Snapshot().Executed
+	eng.leaseMu.Lock()
+	committed, pending := eng.committed, eng.pending
+	eng.leaseMu.Unlock()
+	if committed != executed+pending {
+		t.Fatalf("after %s: committed %d, want executed %d + pending %d", step, committed, executed, pending)
+	}
+}
+
+// countingStore counts journal and snapshot deliveries.
+type countingStore struct {
+	mu      sync.Mutex
+	records int
+	snaps   int
+}
+
+func (s *countingStore) JournalRecord(c explore.Candidate, rec Record) {
+	s.mu.Lock()
+	s.records++
+	s.mu.Unlock()
+}
+
+func (s *countingStore) SnapshotSession(st *SessionState) {
+	s.mu.Lock()
+	s.snaps++
+	s.mu.Unlock()
+}
+
+func (s *countingStore) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.records
+}
+
+// stoppingExplorer stops the session from inside generation: a Stop
+// landing while a Lease holds only the explorer lock.
+type stoppingExplorer struct {
+	explore.Explorer
+	stop func()
+}
+
+func (s *stoppingExplorer) BatchNext(n int) []explore.Candidate {
+	next := explore.BatchNext(s.Explorer, n)
+	s.stop()
+	return next
+}
+
+// TestStopMidGenerationRefunds: a Lease caught generating by Stop hands
+// out nothing, refunds what it reserved and leaves no trace — nothing
+// pending, nothing journaled.
+func TestStopMidGenerationRefunds(t *testing.T) {
+	inner, err := explore.New("random", sessionSpace(), explore.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &stoppingExplorer{Explorer: inner}
+	st := &countingStore{}
+	eng, err := NewEngine(Config{
+		Target:        sessionTarget(),
+		Space:         sessionSpace(),
+		Iterations:    10,
+		Store:         st,
+		SnapshotEvery: 1 << 30,
+	}, ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.stop = eng.Stop
+	if got := eng.Lease(4); got != nil {
+		t.Fatalf("Lease stopped mid-generation handed out %d candidates", len(got))
+	}
+	budgetAtRest(t, eng, "Lease stopped mid-generation")
+	if snap := eng.Snapshot(); snap.Pending != 0 {
+		t.Fatalf("pending %d, want 0", snap.Pending)
+	}
+	if res := eng.Finish(); res.Executed != 0 {
+		t.Fatalf("executed %d, want 0", res.Executed)
+	}
+	if n := st.count(); n != 0 {
+		t.Fatalf("journaled %d records for candidates never handed out", n)
 	}
 }
 
@@ -497,12 +598,9 @@ func TestStopMidBatchedSession(t *testing.T) {
 	if res.Executed < stopAt || res.Executed >= 200 {
 		t.Fatalf("executed %d of 200 points, want the session stopped soon after %d", res.Executed, stopAt)
 	}
-	eng.leaseMu.Lock()
-	committed, pending := eng.committed, eng.pending
-	eng.leaseMu.Unlock()
-	if committed != res.Executed || pending != 0 {
-		t.Fatalf("committed %d, pending %d after executing %d: a leased candidate was neither folded nor unleased",
-			committed, pending, res.Executed)
+	budgetAtRest(t, eng, "the stopped session")
+	if pending := eng.Snapshot().Pending; pending != 0 {
+		t.Fatalf("pending %d after executing %d: a leased candidate was neither folded nor unleased", pending, res.Executed)
 	}
 	if n := st.count(); n != res.Executed {
 		t.Fatalf("journaled %d records for %d executed", n, res.Executed)

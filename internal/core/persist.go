@@ -105,13 +105,6 @@ type SessionState struct {
 	// snapshots written before this field existed — those resume via the
 	// full-journal path.
 	Aggregates *Aggregates `json:"aggregates,omitempty"`
-	// Prefetch is the prefetch pipeline's metadata when the session runs
-	// with Config.PrefetchDepth enabled; nil otherwise, so depth-0
-	// snapshots serialize byte-identically to pre-prefetch ones. Ring
-	// contents are never exported: pre-generated candidates were never
-	// executed or journaled, so a restore regenerates them (see
-	// PrefetchState).
-	Prefetch *PrefetchState `json:"prefetch,omitempty"`
 }
 
 // Aggregates are the result-set counters over journal entries [0, Seq)
@@ -337,7 +330,6 @@ type sessionView struct {
 	hung          int
 	holes         int
 	crashIDs      map[string]int
-	prefetch      *PrefetchState
 }
 
 // sessionViewLocked captures a snapshot view; callers hold e.mu and
@@ -376,14 +368,6 @@ func (e *Engine) sessionViewLocked() *sessionView {
 		v.explorer = se.ExportState()
 		e.exMu.Unlock()
 	}
-	if e.prefetchEnabled() {
-		e.leaseMu.Lock()
-		v.prefetch = &PrefetchState{
-			Depth:     e.cfg.PrefetchDepth,
-			Generated: e.prefetchGenerated,
-		}
-		e.leaseMu.Unlock()
-	}
 	return v
 }
 
@@ -399,7 +383,6 @@ func (v *sessionView) assemble() *SessionState {
 		FailClusters:  v.failClusters.ExportState(),
 		CrashClusters: v.crashClusters.ExportState(),
 		Explorer:      v.explorer,
-		Prefetch:      v.prefetch,
 		Aggregates: &Aggregates{
 			Injected: v.injected,
 			Failed:   v.failed,

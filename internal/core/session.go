@@ -126,17 +126,6 @@ type Config struct {
 	// Sequential sessions always lease one candidate at a time, so Batch
 	// never affects their determinism.
 	Batch int
-	// PrefetchDepth enables the asynchronous candidate prefetch
-	// pipeline (see prefetch.go): a generator stage batch-calls the
-	// explorer ahead of demand into a bounded ring, so Lease becomes a
-	// near-O(batch) dequeue and lease rounds stop queueing on the
-	// explorer. Positive values fix the ring capacity; PrefetchAdaptive
-	// (-1) tracks ~2× the adaptive wire batch. At 0 (the default) no
-	// generator runs and every Lease generates what it hands out:
-	// strict Next/Report alternation and bit-for-bit journals for
-	// sequential sessions. Silently ignored (treated as 0) when the
-	// explorer does not implement explore.Prefetchable.
-	PrefetchDepth int
 	// Feedback enables the §7.4 result-quality feedback loop: the
 	// fitness of a new result is weighted by (1 - max similarity) to all
 	// previously seen injection stacks.
@@ -260,13 +249,6 @@ type Snapshot struct {
 	// distributed managers do.
 	AvgTestNS     int64 `json:"avgTestNs,omitempty"`
 	AdaptiveBatch int   `json:"adaptiveBatch,omitempty"`
-	// PrefetchDepth is the prefetch ring's current capacity target and
-	// PrefetchReady the number of pre-generated candidates buffered in
-	// it, awaiting lease. Both zero when the prefetch pipeline is off
-	// (Config.PrefetchDepth 0). Ring candidates are not counted in
-	// Pending — they have not been handed out yet.
-	PrefetchDepth int `json:"prefetchDepth,omitempty"`
-	PrefetchReady int `json:"prefetchReady,omitempty"`
 	// Snapshots counts the session snapshots handed to the store so far
 	// and SnapshotNS the wall clock they cost the engine, cumulatively:
 	// capturing the view under the session lock, assembling it outside,

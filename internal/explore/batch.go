@@ -14,28 +14,14 @@ package explore
 // with identical semantics, so a batch of size 1 is always equivalent to
 // the unbatched path.
 
-// Prefetchable is the opt-in contract for the engine's asynchronous
-// candidate prefetch pipeline: an explorer declaring Prefetchable()
-// true guarantees that its search stays correct when Next/BatchNext
-// calls run ahead of the Report feedback for candidates already handed
-// out — i.e. feedback may arrive a bounded number of candidates late
-// (at batch boundaries), though never reordered and never from more
-// than one goroutine at a time.
-//
-// Every built-in strategy satisfies this: fitness and genetic merely
-// see slightly stale fitness when mutating, random and exhaustive
-// ignore feedback entirely, the portfolio bandit routes rewards
-// through its per-candidate inflight map (order-independent), and the
-// novelty filter's seen set only grows, so a prefetched candidate can
-// never become a duplicate after generation. Explorers that do NOT
-// implement the interface are conservatively treated as requiring
-// strict Next/Report alternation, and the engine keeps its synchronous
-// lease path for them regardless of the prefetch knob.
+// Prefetchable and IsPrefetchable stay only because package bench names
+// them and may change only in a [benchmark] PR: nothing else implements
+// or reads them, and ROADMAP item 3 removes both.
 type Prefetchable interface {
 	Prefetchable() bool
 }
 
-// IsPrefetchable reports whether ex opts into prefetched generation.
+// IsPrefetchable is false for every explorer; see Prefetchable.
 func IsPrefetchable(ex Explorer) bool {
 	p, ok := ex.(Prefetchable)
 	return ok && p.Prefetchable()

@@ -308,11 +308,6 @@ func NewFitnessGuided(space *faultspace.Union, cfg Config) *FitnessGuided {
 // Name implements Named.
 func (fg *FitnessGuided) Name() string { return "fitness" }
 
-// Prefetchable implements Prefetchable: mutation against slightly
-// stale fitness values is still Algorithm 1 — the pool and
-// sensitivities catch up at the next batched report.
-func (fg *FitnessGuided) Prefetchable() bool { return true }
-
 // Executed reports how many tests have been reported back so far.
 func (fg *FitnessGuided) Executed() int { return fg.executedN }
 
@@ -555,10 +550,6 @@ func NewRandom(space *faultspace.Union, seed int64) *Random {
 // Name implements Named.
 func (r *Random) Name() string { return "random" }
 
-// Prefetchable implements Prefetchable: uniform sampling ignores
-// feedback entirely.
-func (r *Random) Prefetchable() bool { return true }
-
 // Next implements Explorer.
 func (r *Random) Next() (Candidate, bool) {
 	if r.exhausted() {
@@ -612,10 +603,6 @@ func NewExhaustive(space *faultspace.Union) *Exhaustive {
 
 // Name implements Named.
 func (e *Exhaustive) Name() string { return "exhaustive" }
-
-// Prefetchable implements Prefetchable: enumeration order is fixed
-// regardless of feedback.
-func (e *Exhaustive) Prefetchable() bool { return true }
 
 // Next implements Explorer.
 func (e *Exhaustive) Next() (Candidate, bool) {

@@ -153,12 +153,6 @@ func (g *Genetic) Report(c Candidate, impact, fitness float64) {
 // Name implements Named.
 func (g *Genetic) Name() string { return "genetic" }
 
-// Prefetchable implements Prefetchable: fitness values for selection
-// arrive through the queued results map keyed by scenario, so
-// batch-late feedback only delays — never corrupts — a generation
-// turnover.
-func (g *Genetic) Prefetchable() bool { return true }
-
 // Skip implements Skipper: the point enters History without joining the
 // population — an unexecuted point has no fitness to breed from.
 func (g *Genetic) Skip(c Candidate) {

@@ -176,13 +176,6 @@ func NewPortfolio(space *faultspace.Union, cfg Config) *Portfolio {
 // Name implements Named.
 func (p *Portfolio) Name() string { return "portfolio" }
 
-// Prefetchable implements Prefetchable: rewards route through the
-// per-candidate inflight map back to the arm that generated the
-// candidate, so the bandit's accounting is exact under batch-late
-// feedback — only the UCB allocation of in-flight pulls is (boundedly)
-// stale.
-func (p *Portfolio) Prefetchable() bool { return true }
-
 // pickArm returns the index of the UCB1-maximal live arm, or -1 when
 // every arm is exhausted. Ties break toward the lowest index, keeping
 // the choice deterministic.

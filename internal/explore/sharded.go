@@ -125,19 +125,6 @@ func NewShardedStrategy(space *faultspace.Union, n int, strategy string, cfg Con
 // Name implements Named: "sharded-" plus the wrapped strategy's name.
 func (s *Sharded) Name() string { return "sharded-" + s.strategy }
 
-// Prefetchable implements Prefetchable: sharded exploration is
-// prefetchable exactly when every per-shard search is (feedback routes
-// through the inflight map back to the generating shard, so striping
-// adds no ordering requirement of its own).
-func (s *Sharded) Prefetchable() bool {
-	for _, st := range s.shards {
-		if !IsPrefetchable(st.ex) {
-			return false
-		}
-	}
-	return true
-}
-
 // Strategy returns the canonical name of the per-shard algorithm.
 func (s *Sharded) Strategy() string { return s.strategy }
 

@@ -446,13 +446,6 @@ func (n *Novel) Name() string {
 	return "novel"
 }
 
-// Prefetchable implements Prefetchable by delegation: the seen filter
-// itself is prefetch-exact — its set only grows, and inner explorers
-// never regenerate a point in their history, so a candidate that
-// passed the filter at generation time can never become a duplicate by
-// the time it executes.
-func (n *Novel) Prefetchable() bool { return IsPrefetchable(n.inner) }
-
 // skip commits a seen candidate to the inner explorer's History.
 func (n *Novel) skip(c Candidate) {
 	if sk, ok := n.inner.(Skipper); ok {

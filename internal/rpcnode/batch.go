@@ -103,11 +103,10 @@ type TaskBatch struct {
 	Done bool
 	// Retry indicates no candidate is available right now but the
 	// session is still running — outstanding leases of a dead manager
-	// may yet expire and be re-leased (Config.LeaseTimeout), or the
-	// prefetch generator still holds budget. The manager polls again
-	// after RetryAfterMS, the coordinator-suggested backoff (growing
-	// with the manager's consecutive empty polls; the manager adds
-	// jitter).
+	// may yet expire and be re-leased (Config.LeaseTimeout). The
+	// manager polls again after RetryAfterMS, the coordinator-suggested
+	// backoff (growing with the manager's consecutive empty polls; the
+	// manager adds jitter).
 	Retry        bool
 	RetryAfterMS int
 }

@@ -122,7 +122,9 @@ func TestManagerCrashMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.SetHeartbeat(10*time.Millisecond, 3)
+	if err := coord.SetHeartbeat(10*time.Millisecond, 3); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +152,10 @@ func TestManagerCrashMidBatch(t *testing.T) {
 	if batch.Done || batch.Retry || len(batch.Tasks) != 5 {
 		t.Fatalf("batched lease: got %+v, want 5 tasks", batch)
 	}
+	// Past the miss budget before anyone else shows up: the survivor's
+	// first contact reaps the doomed manager, so the two never hold
+	// leases at the same moment.
+	time.Sleep(50 * time.Millisecond)
 
 	start := time.Now()
 	mgr, err := Dial(srv.Addr(), "survivor", rpcTarget())
@@ -189,6 +195,10 @@ func TestManagerCrashMidBatch(t *testing.T) {
 	if after.Executed != before.Executed || after.Failed != before.Failed {
 		t.Fatalf("late report moved the tallies: %+v -> %+v", before, after)
 	}
+	// A reaped manager stops counting as busy.
+	if after.PeakBusy != 1 {
+		t.Fatalf("PeakBusy %d, want 1: one manager at a time ever held live leases", after.PeakBusy)
+	}
 
 	res := coord.Result()
 	if res.Executed != want || len(res.Records) != want {
@@ -208,10 +218,14 @@ func TestManagerCrashMidBatch(t *testing.T) {
 
 // TestNextBatchDoneWithoutLeaseTimeout: the Retry protocol is strictly
 // opt-in — without Config.LeaseTimeout an exhausted session reports
-// Done even with leases outstanding.
+// Done even with leases outstanding, and heartbeat liveness, which has
+// nothing to expire there, is refused.
 func TestNextBatchDoneWithoutLeaseTimeout(t *testing.T) {
 	space := rpcSpace()
 	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	if err := coord.SetHeartbeat(time.Second, 3); err == nil {
+		t.Fatal("SetHeartbeat accepted a coordinator that tracks no leases")
+	}
 	for i := 0; i < int(space.Size()); i++ {
 		var batch TaskBatch
 		if err := coord.NextBatch(BatchRequest{Manager: "m", Max: 1}, &batch); err != nil {
@@ -246,7 +260,9 @@ func TestHeartbeatLeaseExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.SetHeartbeat(10*time.Millisecond, 3)
+	if err := coord.SetHeartbeat(10*time.Millisecond, 3); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)

@@ -97,9 +97,12 @@ type Coordinator struct {
 	// hbMisses×hbEvery has its outstanding leases force-expired on the
 	// engine — re-leasable immediately instead of waiting out the
 	// wall-clock LeaseTimeout. lastBeat is nil while heartbeats are off.
+	// tracked says the engine was built with a Config.LeaseTimeout, which
+	// reaping needs.
 	lastBeat map[string]time.Time
 	hbEvery  time.Duration
 	hbMisses int
+	tracked  bool
 }
 
 // DefaultHeartbeat is the manager-side beat interval when
@@ -151,6 +154,7 @@ func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog
 		perManager: make(map[string]int),
 		covs:       make(map[string]prog.Outcome),
 		held:       make(map[string]int),
+		tracked:    cfg.LeaseTimeout > 0,
 	}
 	if space != nil {
 		c.axisNames = make([][]string, len(space.Spaces))
@@ -201,42 +205,29 @@ func (c *Coordinator) SetTargetName(name string) {
 	c.engine.SetTargetName(name)
 }
 
-// SetLeaseTimeout enables lease expiry before serving: candidates
-// leased by a manager that dies without reporting are re-leased to
-// other managers after d instead of leaking until Finish. Call it
-// before the first NextBatch.
-func (c *Coordinator) SetLeaseTimeout(d time.Duration) {
-	c.engine.SetLeaseTimeout(d)
-}
-
 // SetHeartbeat enables heartbeat-driven liveness before serving:
 // managers beat every `every` (Manager sends Coordinator.Heartbeat on
 // that interval), and one silent for more than misses beats — no
 // heartbeat, lease, or report — has its outstanding leases expired on
 // the engine immediately, so recovery waits on the heartbeat budget,
 // not the wall-clock LeaseTimeout. misses < 1 selects
-// DefaultHeartbeatMisses. Lease tracking is required; when the engine
-// was built without a LeaseTimeout a conservative fallback timeout is
-// installed (heartbeats then drive expiry in practice). Call before
-// the first NextBatch.
+// DefaultHeartbeatMisses. Lease tracking is required: on an engine
+// built without a Config.LeaseTimeout there is nothing to expire, and
+// SetHeartbeat returns an error. Call before the first NextBatch.
 //
 // Reaping is lazy — it runs inside the RPC paths rather than on its own
 // timer, so a dead manager is noticed at the next beat or lease call of
 // any surviving manager (a session with no surviving callers has nobody
 // to hand the leases to anyway).
-func (c *Coordinator) SetHeartbeat(every time.Duration, misses int) {
+func (c *Coordinator) SetHeartbeat(every time.Duration, misses int) error {
 	if every <= 0 {
-		return
+		return nil
+	}
+	if !c.tracked {
+		return errors.New("rpcnode: heartbeat liveness needs lease tracking (Config.LeaseTimeout)")
 	}
 	if misses < 1 {
 		misses = DefaultHeartbeatMisses
-	}
-	if !c.engine.LeaseExpiryEnabled() {
-		fallback := 20 * time.Duration(misses) * every
-		if fallback < time.Minute {
-			fallback = time.Minute
-		}
-		c.engine.SetLeaseTimeout(fallback)
 	}
 	c.mu.Lock()
 	c.hbEvery, c.hbMisses = every, misses
@@ -244,6 +235,7 @@ func (c *Coordinator) SetHeartbeat(every time.Duration, misses int) {
 		c.lastBeat = make(map[string]time.Time)
 	}
 	c.mu.Unlock()
+	return nil
 }
 
 // Heartbeat records a manager liveness beat (RPC method). Managers send
@@ -258,10 +250,10 @@ func (c *Coordinator) Heartbeat(managerID string, ack *bool) error {
 // noteManager marks a manager live and reaps managers that have missed
 // their beat budget: every coordinator lease held by a reaped manager
 // is force-expired on the engine, making the candidates immediately
-// re-leasable. The coordinator's own lease entries stay — a reaped
-// manager that was merely slow can still report, and the engine folds
-// each candidate exactly once either way. No-op while heartbeats are
-// off.
+// re-leasable, and the manager stops counting as busy (held). The
+// coordinator's own lease entries stay — a reaped manager that was
+// merely slow can still report, and the engine folds each candidate
+// exactly once either way. No-op while heartbeats are off.
 func (c *Coordinator) noteManager(id string) {
 	c.mu.Lock()
 	if c.lastBeat == nil {
@@ -277,6 +269,7 @@ func (c *Coordinator) noteManager(id string) {
 			continue
 		}
 		delete(c.lastBeat, m)
+		delete(c.held, m)
 		for _, ls := range c.leases {
 			if ls.manager == m {
 				expired = append(expired, ls.cand.Key())

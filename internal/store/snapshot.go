@@ -6,7 +6,7 @@ package store
 //	magic "AFEXSNP1" (8 bytes)
 //	frameState    uvarint seq, then the state as JSON with the cluster
 //	              sets and every executed-key list elided: counters,
-//	              coverage, explorer pool/windows/arms, prefetch
+//	              coverage, explorer pool/windows/arms
 //	frameSets     the three cluster sets in the segEnc codec:
 //	                uvarint count, then the distinct frame strings
 //	                uvarint count, then each distinct stack of the whole

@@ -191,11 +191,6 @@ func rewriteSnapshotLegacy(t *testing.T, dir string) {
 func rewriteSnapshotFramedJSON(t *testing.T, dir string) {
 	t.Helper()
 	st := loadSnapshot(t, dir)
-	frame := func(dst []byte, kind byte, payload []byte) []byte {
-		dst = append(binary.AppendUvarint(append(dst, kind), uint64(len(payload))), payload...)
-		crc := crc32.Update(crc32.ChecksumIEEE([]byte{kind}), crc32.IEEETable, payload)
-		return binary.LittleEndian.AppendUint32(dst, crc)
-	}
 	var lists [][]byte
 	eachKeyList(st, func(l *[]string) {
 		payload := binary.AppendUvarint(nil, uint64(len(*l)))
@@ -208,11 +203,44 @@ func rewriteSnapshotFramedJSON(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := frame([]byte("AFEXSNP1"), 3, append(binary.AppendUvarint(nil, uint64(st.Seq)), state...))
+	raw := snapFrame([]byte("AFEXSNP1"), 3, append(binary.AppendUvarint(nil, uint64(st.Seq)), state...))
 	for _, payload := range lists {
-		raw = frame(raw, 4, payload)
+		raw = snapFrame(raw, 4, payload)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "snapshot.afexs"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// snapFrame appends one frame of a snapshot file: its kind, the uvarint
+// payload length, the payload, and the little-endian IEEE crc32 of kind
+// and payload.
+func snapFrame(dst []byte, kind byte, payload []byte) []byte {
+	dst = append(binary.AppendUvarint(append(dst, kind), uint64(len(payload))), payload...)
+	crc := crc32.Update(crc32.ChecksumIEEE([]byte{kind}), crc32.IEEETable, payload)
+	return binary.LittleEndian.AppendUint32(dst, crc)
+}
+
+// rewriteSnapshotRingSession gives dir's snapshot the one key a session
+// run with the removed prefetch ring added to the state frame's JSON;
+// the frames behind it stay as they are.
+func rewriteSnapshotRingSession(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, "snapshot.afexs")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const magic = "AFEXSNP1"
+	size, w := binary.Uvarint(raw[len(magic)+1:])
+	body := len(magic) + 1 + w
+	end := body + int(size)
+	if raw[len(magic)] != 3 || w <= 0 || raw[end-1] != '}' {
+		t.Fatalf("snapshot.afexs does not open with a state frame of JSON")
+	}
+	payload := append(append([]byte{}, raw[body:end-1]...), `,"prefetch":{"depth":64,"generated":128}}`...)
+	out := append(snapFrame([]byte(magic), 3, payload), raw[end+4:]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,10 +261,11 @@ func canonicalSnapshot(t *testing.T, dir string) []byte {
 }
 
 // TestLegacySnapshotShapeResumes: a state directory holding only an
-// old-shape snapshot — snapshot.json, or the framed file with its sets in
-// the JSON — resumes to the record-for-record continuation the new file
-// gives, and that resume leaves its snapshot in the new shape, holding
-// the same state, and snapshot.json gone.
+// old-shape snapshot — snapshot.json, the framed file with its sets in
+// the JSON, or today's file with the "prefetch" key a ring session wrote
+// — resumes to the record-for-record continuation the new file gives,
+// and that resume leaves its snapshot in the new shape, holding the same
+// state, and snapshot.json gone.
 func TestLegacySnapshotShapeResumes(t *testing.T) {
 	const total, killAt = 120, 59
 	for _, algo := range []string{FitnessGuided, Portfolio} {
@@ -250,9 +279,10 @@ func TestLegacySnapshotShapeResumes(t *testing.T) {
 				}
 				dir := t.TempDir()
 				killedSession(t, mkOpts(dir), killAt)
-				legacy := map[string]string{store.SnapshotJSON: copyStateDir(t, dir), store.SnapshotFramedJSON: copyStateDir(t, dir)}
+				legacy := map[string]string{store.SnapshotJSON: copyStateDir(t, dir), store.SnapshotFramedJSON: copyStateDir(t, dir), store.SnapshotFramed: copyStateDir(t, dir)}
 				rewriteSnapshotLegacy(t, legacy[store.SnapshotJSON])
 				rewriteSnapshotFramedJSON(t, legacy[store.SnapshotFramedJSON])
+				rewriteSnapshotRingSession(t, legacy[store.SnapshotFramed])
 
 				want := resumedSession(t, mkOpts(dir))
 				if want.Executed != total {
