@@ -176,7 +176,12 @@ func Similarity(a, b []string) float64 {
 // stackKey is a collision-free encoding of a stack (each frame is
 // length-prefixed, so no frame content can alias the separator).
 func stackKey(stack []string) string {
+	size := 0
+	for _, fr := range stack {
+		size += len(strconv.Itoa(len(fr))) + 1 + len(fr)
+	}
 	var b strings.Builder
+	b.Grow(size)
 	for _, fr := range stack {
 		b.WriteString(strconv.Itoa(len(fr)))
 		b.WriteByte(':')
@@ -308,9 +313,8 @@ func (s *Set) Clusters() []Cluster {
 }
 
 // remember indexes one stack, not yet in the MaxSimilarity memory, under
-// its key and returns the (copied) stack actually stored.
-func (s *Set) remember(key string, stack []string) []string {
-	stored := append([]string(nil), stack...)
+// its key. The set keeps stored as it is and never writes to it.
+func (s *Set) remember(key string, stored []string) {
 	s.allByKey[key] = nearest{}
 	l := len(stored)
 	b := s.allByLen[l]
@@ -344,7 +348,6 @@ func (s *Set) remember(key string, stack []string) []string {
 	}
 	s.log = append(s.log, stored)
 	s.logKeys = append(s.logKeys, key)
-	return stored
 }
 
 // remembered reports whether the exact stack is in the memory.
@@ -374,7 +377,8 @@ func (s *Set) AddKeyed(id int, stack []string, key string) (clusterID int, isNew
 		// This exact stack now answers MaxSimilarity 1 via the exact-match
 		// hash; its memo entry (if any) is dead weight.
 		delete(s.memo, key)
-		stored = s.remember(key, stack)
+		stored = append([]string(nil), stack...)
+		s.remember(key, stored)
 	}
 
 	// Exact fast path: a stack identical to a representative is at

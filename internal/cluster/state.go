@@ -76,8 +76,8 @@ func (s *Set) View() *SetView {
 // ExportState materializes the captured view as a serializable
 // snapshot. Lock-free; see SetView. The state aliases the set's
 // append-only storage (capacity clipped, so appending to it reallocates):
-// it is for encoding or NewSetFromState, which copies, and must not be
-// modified in place.
+// it is for encoding or NewSetFromState, and must not be modified in
+// place.
 func (v *SetView) ExportState() *SetState {
 	st := &SetState{Threshold: v.threshold}
 	st.Clusters = make([]ClusterState, len(v.clusters))
@@ -113,30 +113,42 @@ func (s *Set) ExportState() *SetState {
 // nil state is an error, not an empty set — a snapshot missing its
 // cluster sets must make the caller fall back to journal replay rather
 // than silently losing the clusters.
+//
+// The set adopts the state's representatives, member lists and stacks —
+// a SetState is read-only to everyone — and takes each slice clipped, so
+// the first member it appends to a cluster reallocates.
 func NewSetFromState(st *SetState) (*Set, error) {
 	if st == nil {
 		return nil, fmt.Errorf("cluster: nil set snapshot")
 	}
-	s := NewSet(st.Threshold)
-	s.init()
+	s := &Set{
+		Threshold: st.Threshold,
+		clusters:  make([]Cluster, 0, len(st.Clusters)),
+		repByKey:  make(map[string]int, len(st.Clusters)),
+		allByKey:  make(map[string]nearest, len(st.Stacks)),
+		allByLen:  make(map[int]*lenBucket),
+		memo:      make(map[string]simMemo),
+		log:       make([][]string, 0, len(st.Stacks)),
+		logKeys:   make([]string, 0, len(st.Stacks)),
+	}
 	for i, c := range st.Clusters {
 		if len(c.Members) == 0 {
 			return nil, fmt.Errorf("cluster: snapshot cluster %d has no members", i)
 		}
-		rep := append([]string(nil), c.Representative...)
+		rep := c.Representative[:len(c.Representative):len(c.Representative)]
 		key := stackKey(rep)
 		if _, dup := s.repByKey[key]; dup {
 			return nil, fmt.Errorf("cluster: snapshot has duplicate representative at cluster %d", i)
 		}
 		s.clusters = append(s.clusters, Cluster{
 			Representative: rep,
-			Members:        append([]int(nil), c.Members...),
+			Members:        c.Members[:len(c.Members):len(c.Members)],
 		})
 		s.repByKey[key] = i
 	}
 	for _, stack := range st.Stacks {
 		if key := stackKey(stack); !s.remembered(key) {
-			s.remember(key, stack)
+			s.remember(key, stack[:len(stack):len(stack)])
 		}
 	}
 	return s, nil

@@ -69,6 +69,70 @@ func TestSetStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoredSetsShareNothingWritable: NewSetFromState adopts the
+// state's slices instead of copying them, so two sets restored from one
+// state share every representative, member list and stack — here with
+// the spare capacity a JSON decode leaves behind them. Adding to both —
+// joining existing clusters, founding new ones, remembering new stacks —
+// changes neither the state nor what the other set holds: each ends as a
+// set restored on its own and fed the same stacks does.
+func TestRestoredSetsShareNothingWritable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	orig := NewSet(1)
+	for id := 0; id < 200; id++ {
+		orig.Add(id, randomStack(rng))
+	}
+	blob, err := json.Marshal(orig.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() *SetState {
+		var st SetState
+		if err := json.Unmarshal(blob, &st); err != nil {
+			t.Fatal(err)
+		}
+		return &st
+	}
+	restore := func(st *SetState) *Set {
+		s, err := NewSetFromState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	feeds := [2][][]string{}
+	for i := range feeds {
+		for id := 0; id < 200; id++ {
+			stack := randomStack(rng)
+			if id%3 == 0 {
+				stack = append(stack, fmt.Sprintf("novel_%d_%d", i, id))
+			}
+			feeds[i] = append(feeds[i], stack)
+		}
+	}
+	shared := decode()
+	sets := [2]*Set{restore(shared), restore(shared)}
+	for id := range feeds[0] {
+		for i, s := range sets {
+			s.Add(200+id, feeds[i][id])
+		}
+	}
+	if after, _ := json.Marshal(shared); string(after) != string(blob) {
+		t.Fatal("adding to the restored sets changed the state they were restored from")
+	}
+	for i, s := range sets {
+		alone := restore(decode())
+		for id, stack := range feeds[i] {
+			alone.Add(200+id, stack)
+		}
+		got, _ := json.Marshal(s.ExportState())
+		want, _ := json.Marshal(alone.ExportState())
+		if string(got) != string(want) {
+			t.Fatalf("set %d restored beside another holds what a set restored alone does not", i)
+		}
+	}
+}
+
 // TestSetStateRejectsCorrupt: malformed snapshots fail instead of
 // silently building a broken set.
 func TestSetStateRejectsCorrupt(t *testing.T) {

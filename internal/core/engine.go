@@ -153,14 +153,12 @@ type Engine struct {
 	prevElapsed  time.Duration
 	sinceSnap    int
 	adaptiveSnap bool
-	// seen holds the scenario keys this run folded that cfg.Seen, the
-	// frozen set the session started from, does not; nil for store-less
-	// sessions. seenList is what a snapshot exports, as a view
-	// (SessionState.Aggregates.SeenKeys, so a tail restore can seed the
-	// novelty filter without re-reading the journal): cfg.Seen's keys,
-	// then this run's, which is fold order across every run.
-	seen     map[string]struct{}
-	seenList []string
+	// seen is every executed key in fold order across every run: a set
+	// over cfg.Seen, the frozen set the session started from, with this
+	// run's folds beside it; nil for store-less sessions. A snapshot
+	// exports it as a view (SessionState.Aggregates.SeenKeys), so a tail
+	// restore can seed the novelty filter without re-reading the journal.
+	seen *explore.KeySet
 	// resume is how the session was restored (nil when it was not).
 	resume *ResumeInfo
 	// snapMu serializes session-snapshot delivery to the store, which
@@ -326,13 +324,9 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	// Seen-key tracking feeds snapshot aggregates, which is what makes
 	// tail-only resume possible; only store-backed sessions pay for it.
 	if cfg.Store != nil {
-		e.seen = make(map[string]struct{})
-		// With the room the store left behind the keys: the set is frozen,
-		// so this run's keys are appended in place, not after a copy of
-		// every key before them.
-		e.seenList = cfg.Seen.Detach()
+		e.seen = explore.Over(cfg.Seen)
 		for i := range e.res.Records {
-			e.noteSeen(e.res.Records[i].Point.Key())
+			e.seen.Add(e.res.Records[i].Point.Key())
 		}
 	}
 	e.explorer = ex
@@ -428,17 +422,6 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 		}
 	}
 	return append(cands, next...)
-}
-
-// noteSeen lists a folded key for the next snapshot unless the session
-// started with it or has folded it already. Callers hold e.mu (or are
-// NewEngine).
-func (e *Engine) noteSeen(k string) {
-	if _, dup := e.seen[k]; dup || e.cfg.Seen.Has(k) {
-		return
-	}
-	e.seen[k] = struct{}{}
-	e.seenList = append(e.seenList, k)
 }
 
 // Unlease returns budget for n leased candidates that will never be
@@ -725,7 +708,7 @@ func (e *Engine) foldLocked(et *ExecutedTest, bs *batchSnap) (bool, explore.Feed
 	// Tally and cluster.
 	e.res.Executed++
 	if e.seen != nil {
-		e.noteSeen(pre.pointKey)
+		e.seen.Add(pre.pointKey)
 	}
 	if rec.Skipped {
 		e.res.Holes++

@@ -24,12 +24,13 @@ package core
 // reference to it: writing is a copy, reading one pass.
 //
 // What coming back costs. The executed keys cross the layers as one
-// explore.KeySet: the store builds it once in Recover, Config.Seen hands
-// it to the engine frozen, the novelty filter and the fold path read it,
-// and the engine keeps only this run's additions beside it — so SeenKeys
-// of the next snapshot is fold order across every run, exactly what an
-// uninterrupted session lists. Snapshot.Resume reports which way a
-// session came back and what each step cost.
+// explore.KeySet: the store decodes the snapshot's list into an arena and
+// indexes it once with the tail's keys in Recover, Config.Seen hands it to
+// the engine frozen, the novelty filter and every explorer history that
+// repeats it read it, and the engine keeps only this run's folds beside
+// it — so SeenKeys of the next snapshot is fold order across every run,
+// exactly what an uninterrupted session lists. Snapshot.Resume reports
+// which way a session came back and what each step cost.
 //
 // Ordering contract: JournalRecord is called under the session lock, in
 // fold order (folds can arrive from concurrent RPC goroutines; the lock
@@ -119,7 +120,7 @@ type Aggregates struct {
 	Hung     int            `json:"hung"`
 	Holes    int            `json:"holes,omitempty"`
 	CrashIDs map[string]int `json:"crashIDs,omitempty"`
-	SeenKeys []string       `json:"seenKeys,omitempty"`
+	SeenKeys *explore.Keys  `json:"seenKeys,omitempty"`
 }
 
 // Restore is a recovered session handed to NewEngine via
@@ -310,7 +311,7 @@ func restoreExplorer(ex explore.Explorer, r *Restore) (explore.Explorer, error) 
 // session state, taken in O(counters + #clusters) under e.mu and
 // materialized into a SessionState outside it. The list fields are
 // views into the engine's append-only mirrors (coveredList,
-// recoveredList, seenList) and the cluster sets' append-only logs: the
+// recoveredList, the seen set) and the cluster sets' append-only logs: the
 // captured slice headers pin the lengths, and no element behind them is
 // ever mutated in place, so assembling — sorting the covered blocks and
 // the distinct stacks — races with nothing even while folds continue.
@@ -319,7 +320,7 @@ type sessionView struct {
 	elapsed       time.Duration
 	covered       []int
 	recovered     []int
-	seenKeys      []string
+	seenKeys      *explore.Keys
 	allStacks     *cluster.SetView
 	failClusters  *cluster.SetView
 	crashClusters *cluster.SetView
@@ -342,7 +343,7 @@ func (e *Engine) sessionViewLocked() *sessionView {
 		elapsed:       e.prevElapsed + began.Sub(e.start),
 		covered:       e.coveredList,
 		recovered:     e.recoveredList,
-		seenKeys:      e.seenList[:len(e.seenList):len(e.seenList)],
+		seenKeys:      e.seen.Keys(),
 		allStacks:     e.allStacks.View(),
 		failClusters:  e.failClusters.View(),
 		crashClusters: e.crashClusters.View(),

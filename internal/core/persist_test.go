@@ -81,10 +81,10 @@ func TestSnapshotCostsDistinctState(t *testing.T) {
 		if n := len(last.AllStacks.Stacks); n == 0 || n > 64 {
 			t.Fatalf("%d scenarios snapshot %d remembered stacks, want 1..64", scenarios, n)
 		}
-		if n := len(last.Aggregates.SeenKeys); n != scenarios {
+		if n := last.Aggregates.SeenKeys.Len(); n != scenarios {
 			t.Fatalf("snapshot lists %d executed keys, want %d", n, scenarios)
 		}
-		if n := len(last.Explorer.Searches[0].History); n != scenarios {
+		if n := last.Explorer.Searches[0].History.Len(); n != scenarios {
 			t.Fatalf("explorer state lists %d history keys, want %d", n, scenarios)
 		}
 		return testing.AllocsPerRun(10, func() {

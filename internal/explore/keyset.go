@@ -1,23 +1,43 @@
 package explore
 
 import (
+	"bytes"
+	"encoding/json"
 	"hash/maphash"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 )
 
-// KeySet is an ordered set of scenario keys: an append-only list — what
-// state export hands out, as a view, so a snapshot neither walks a map
-// nor sorts a copy of the session's keys — under an open-addressing
-// table of list indices. One set crosses the layers: the store builds a
-// recovered journal's executed keys into it once, and the engine and the
-// novelty filter read that same set; nobody adds to it any more, so they
-// need no lock. The zero value is an empty set; a nil *KeySet reads as one.
+// KeySet is an ordered set of scenario keys, pointer-free: the keys back
+// to back in one byte arena, their end offsets, and an open-addressing
+// table over them — no string header per key to write or to scan. A set
+// may begin with the first n keys of a frozen base set, read through the
+// base's table; it follows the base at no cost while the keys it adds are
+// the base's next ones (a resumed explorer replaying the journal tail) and
+// indexes only what it adds itself. So the store indexes a recovered
+// session's executed keys once, and the engine, the novelty filter and
+// every explorer history that repeats them read that set, without a lock:
+// nobody adds to a base. The zero value is an empty set; a nil *KeySet
+// reads as one.
 type KeySet struct {
-	list []string
-	// tab holds list index + 1 per slot, 0 for empty, in a power of two
-	// of slots at least twice len(list).
+	keys Keys
+	// tab holds own key index + 1 per slot, 0 for empty, in a power of two
+	// of slots at least twice the own keys; nil before the own keys are
+	// indexed.
 	tab []uint32
+}
+
+// Keys is an ordered list of scenario keys as it crosses layers: the
+// first n keys of a frozen base set, then an own segment of keys back to
+// back in buf, own key i ending at ends[i]. It is a view: nothing behind
+// it is ever written again, so it may be read (encoded, compared) while
+// the set it was taken from grows. JSON is an array of strings.
+type Keys struct {
+	base *KeySet
+	n    int
+	buf  []byte
+	ends []uint32
 }
 
 var (
@@ -25,65 +45,213 @@ var (
 	keysBuilt atomic.Int64
 )
 
-// KeysBuilt reports how many keys NewKeySet has indexed in this process:
-// the test hook that pins how often a resume builds its executed-key set.
+// KeysBuilt reports how many keys this process has entered into a table,
+// built or regrown: the test hook that pins a resume's one index.
 func KeysBuilt() int64 { return keysBuilt.Load() }
 
-// NewKeySet builds a set over keys in the order given, dropping repeats
-// (only a hand-edited state holds any). It takes keys over without
-// copying — spare capacity included, so the caller must not append to
-// the slice afterwards.
-func NewKeySet(keys []string) *KeySet {
-	keysBuilt.Add(int64(len(keys)))
-	s := &KeySet{list: keys}
-	if !s.index() {
-		s = &KeySet{}
-		for _, k := range keys {
-			s.Add(k)
-		}
+func keyHash(k string) uint64 { return maphash.String(keySeed, k) }
+
+// NewKeys returns the keys of an arena handed over, never again written
+// below len(buf): key i is buf[ends[i-1]:ends[i]], from 0 for the first;
+// nil for none. It is the base of a set nobody has indexed yet: the first
+// set built over the list indexes it, once, for every list sharing it.
+func NewKeys(buf []byte, ends []uint32) *Keys {
+	if len(ends) == 0 {
+		return nil
 	}
-	return s
+	return &Keys{base: &KeySet{keys: Keys{buf: buf, ends: ends}}, n: len(ends)}
 }
 
-// index rebuilds the table over the list at the smallest size that
-// takes one more key; false when the list holds a repeat.
-func (s *KeySet) index() bool {
-	size := 8
-	for size < 2*(len(s.list)+1) {
-		size <<= 1
+// push appends keys to the own segment, its offsets grown at most once.
+func (k *Keys) push(keys ...string) {
+	if cap(k.ends)-len(k.ends) < len(keys) {
+		k.ends = append(make([]uint32, 0, len(k.ends)+len(keys)), k.ends...)
 	}
-	s.tab = make([]uint32, size)
-	for i, k := range s.list {
-		h, dup := s.slot(k)
-		if dup {
+	for _, key := range keys {
+		k.buf = append(k.buf, key...)
+		k.ends = append(k.ends, uint32(len(k.buf)))
+	}
+}
+
+// Len is the number of keys.
+func (k *Keys) Len() int {
+	if k == nil {
+		return 0
+	}
+	return k.n + len(k.ends)
+}
+
+// At returns key i, a view of the arena that holds it.
+func (k *Keys) At(i int) string {
+	if i < k.n {
+		return k.base.keys.At(i)
+	}
+	return k.own(i - k.n)
+}
+
+func (k *Keys) own(i int) string {
+	start := uint32(0)
+	if i > 0 {
+		start = k.ends[i-1]
+	}
+	b := k.buf[start:k.ends[i]]
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// Strings returns the keys as views of their arenas, a header each.
+func (k *Keys) Strings() []string {
+	out := make([]string, k.Len())
+	for i := range out {
+		out[i] = k.At(i)
+	}
+	return out
+}
+
+// Equal reports whether k and o list the same keys in the same order. A
+// prefix of one base is equal without a look, and own segments that start
+// at the same key compare as two blocks of bytes.
+func (k *Keys) Equal(o *Keys) bool {
+	n := k.Len()
+	if n != o.Len() || n == 0 {
+		return n == o.Len()
+	}
+	if k.base == o.base && k.n == o.n {
+		return slices.Equal(k.ends, o.ends) && bytes.Equal(k.buf, o.buf)
+	}
+	for i := 0; i < n; i++ {
+		if k.At(i) != o.At(i) {
 			return false
 		}
-		s.tab[h] = uint32(i + 1)
 	}
 	return true
 }
 
-// slot finds k's table position: the one holding it, or the empty one
-// it belongs in.
-func (s *KeySet) slot(k string) (int, bool) {
-	mask := len(s.tab) - 1
-	for h := int(maphash.String(keySeed, k)) & mask; ; h = (h + 1) & mask {
-		switch i := s.tab[h]; {
-		case i == 0:
-			return h, false
-		case s.list[i-1] == k:
-			return h, true
+// clip returns the view with its own segment clipped: appending copies.
+func (k *Keys) clip() Keys {
+	return Keys{base: k.base, n: k.n, buf: k.buf[:len(k.buf):len(k.buf)], ends: k.ends[:len(k.ends):len(k.ends)]}
+}
+
+// arena returns the base when k is all of an arena nobody has indexed.
+func (k *Keys) arena() *KeySet {
+	if k.Len() > 0 && len(k.ends) == 0 && k.base.keys.base == nil && k.base.tab == nil && k.n == len(k.base.keys.ends) {
+		return k.base
+	}
+	return nil
+}
+
+// MarshalJSON renders the keys as an array of strings.
+func (k *Keys) MarshalJSON() ([]byte, error) { return json.Marshal(k.Strings()) }
+
+// UnmarshalJSON reads an array of strings into an own segment.
+func (k *Keys) UnmarshalJSON(data []byte) error {
+	var list []string
+	err := json.Unmarshal(data, &list)
+	*k = Keys{}
+	k.push(list...)
+	return err
+}
+
+// NewKeySet builds a set over keys in the order given, dropping repeats.
+func NewKeySet(keys []string) *KeySet {
+	s := &KeySet{}
+	for _, k := range keys {
+		s.Add(k)
+	}
+	return s
+}
+
+// Set returns a set to add to that begins with k's keys, in k's order
+// (repeats dropped: only a hand-edited state holds any). It shares k's
+// base — indexing it when nobody has, which is an arena's one build — and
+// indexes k's own keys in a table of its own; adding never writes into k.
+func (k *Keys) Set() *KeySet {
+	if k.Len() == 0 {
+		return &KeySet{}
+	}
+	s := &KeySet{keys: k.clip()}
+	if b := s.keys.base; (s.keys.n > 0 && b.tab == nil && !b.index()) || !s.index() {
+		return NewKeySet(k.Strings())
+	}
+	return s
+}
+
+// Over returns a set to add to that begins with every key of base, which
+// must never change again.
+func Over(base *KeySet) *KeySet {
+	return (&Keys{base: base, n: base.Len()}).Set()
+}
+
+// Extend returns the set of k's keys followed by more, indexed once, or
+// false when a key repeats. When k is all of an arena nobody has indexed —
+// a list the store has just decoded — the set is that arena: it takes the
+// new keys in its spare room, and every list that views it stays a prefix
+// of the set. Anything else is copied into a set of its own.
+func (k *Keys) Extend(more []string) (*KeySet, bool) {
+	a := k.arena()
+	if a == nil {
+		a = &KeySet{}
+		a.keys.push(k.Strings()...)
+	}
+	n, size := len(a.keys.ends), len(a.keys.buf)
+	a.keys.push(more...)
+	if !a.index() {
+		a.keys.buf, a.keys.ends = a.keys.buf[:size], a.keys.ends[:n]
+		return nil, false
+	}
+	return a, true
+}
+
+// index builds the table over the own keys at the smallest size that
+// takes one more; false, and the table it had, when they hold a repeat.
+func (s *KeySet) index() bool {
+	size, old := 8, s.tab
+	for size < 2*(len(s.keys.ends)+1) {
+		size <<= 1
+	}
+	s.tab = make([]uint32, size)
+	for i := range s.keys.ends {
+		k := s.keys.own(i)
+		at := s.slot(k, keyHash(k))
+		if s.tab[at] != 0 {
+			s.tab = old
+			return false
+		}
+		s.tab[at] = uint32(i + 1)
+	}
+	keysBuilt.Add(int64(len(s.keys.ends)))
+	return true
+}
+
+// find returns k's position in the set, or -1; h is keyHash(k).
+func (s *KeySet) find(k string, h uint64) int {
+	if s.keys.n > 0 {
+		if i := s.keys.base.find(k, h); i >= 0 && i < s.keys.n {
+			return i
+		}
+	}
+	if i := s.slot(k, h); i >= 0 && s.tab[i] != 0 {
+		return s.keys.n + int(s.tab[i]-1)
+	}
+	return -1
+}
+
+// slot finds k's position in the own table: the slot holding it, or the
+// empty one it belongs in; -1 when there is no table.
+func (s *KeySet) slot(k string, h uint64) int {
+	if len(s.tab) == 0 {
+		return -1
+	}
+	mask := uint64(len(s.tab) - 1)
+	for h &= mask; ; h = (h + 1) & mask {
+		if i := s.tab[h]; i == 0 || s.keys.own(int(i-1)) == k {
+			return int(h)
 		}
 	}
 }
 
 // Has reports whether k is in the set.
 func (s *KeySet) Has(k string) bool {
-	if s == nil || len(s.tab) == 0 {
-		return false
-	}
-	_, ok := s.slot(k)
-	return ok
+	return s.Len() > 0 && s.find(k, keyHash(k)) >= 0
 }
 
 // HasBytes is Has for a key still in the buffer it was rendered into;
@@ -94,15 +262,27 @@ func (s *KeySet) HasBytes(k []byte) bool {
 
 // Add appends k unless the set holds it, and reports whether it was new.
 func (s *KeySet) Add(k string) bool {
-	if 2*(len(s.list)+1) > len(s.tab) {
+	ks := &s.keys
+	if len(ks.ends) == 0 && ks.n < ks.base.Len() && ks.base.keys.At(ks.n) == k {
+		ks.n++ // the base's next key: follow it
+		return true
+	}
+	h := keyHash(k)
+	if ks.n > 0 {
+		if i := ks.base.find(k, h); i >= 0 && i < ks.n {
+			return false
+		}
+	}
+	if 2*(len(ks.ends)+1) > len(s.tab) {
 		s.index()
 	}
-	h, dup := s.slot(k)
-	if dup {
+	at := s.slot(k, h)
+	if s.tab[at] != 0 {
 		return false
 	}
-	s.list = append(s.list, k)
-	s.tab[h] = uint32(len(s.list))
+	ks.buf = append(ks.buf, k...)
+	ks.ends = append(ks.ends, uint32(len(ks.buf)))
+	s.tab[at] = uint32(len(ks.ends))
 	return true
 }
 
@@ -111,29 +291,16 @@ func (s *KeySet) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.list)
+	return s.keys.Len()
 }
 
-// Keys returns the keys in the order they entered. The elements are
-// never written again and the capacity is clipped, so the caller may keep
-// reading (or encoding, or appending to) the view while the set grows.
-func (s *KeySet) Keys() []string {
-	if s == nil {
+// Keys returns the keys in the order they entered, as a view the caller
+// may keep reading (or encoding) while the set grows; nil for an empty
+// set.
+func (s *KeySet) Keys() *Keys {
+	if s.Len() == 0 {
 		return nil
 	}
-	return s.list[:len(s.list):len(s.list)]
-}
-
-// Detach returns the keys in the order they entered with the list's
-// spare capacity, for the one holder that goes on appending to its own
-// copy of the header once the set is frozen (the engine, listing this
-// run's keys behind the ones it resumed with). The set keeps none of the
-// capacity, so it stays correct — an Add reallocates — whoever asks next.
-func (s *KeySet) Detach() []string {
-	if s == nil {
-		return nil
-	}
-	keys := s.list
-	s.list = keys[:len(keys):len(keys)]
-	return keys
+	k := s.keys.clip()
+	return &k
 }

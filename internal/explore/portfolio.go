@@ -490,7 +490,7 @@ func (p *Portfolio) ImportState(st *State) error {
 	}
 	p.totalPulls = total
 	p.maxFitness = st.MaxFitness
-	p.executed = *NewKeySet(st.Seen)
+	p.executed = *st.Seen.Set()
 	p.inflight = make(map[string]int)
 	return nil
 }

@@ -9,10 +9,12 @@ package explore
 //
 // Exporting copies what mutates in place (pool, windows, bandit
 // counters) and takes the executed-key sets — History, the portfolio's
-// Seen — as views of append-only lists (KeySet), in the order the keys
-// entered; importing builds the set over the list it is given, without
-// copying it. The engine exports under its locks on every snapshot, so
-// nothing here may cost O(session); a State is read-only to its holder.
+// Seen — as views (Keys) of their sets, in the order the keys entered;
+// importing builds a set over the list it is given without copying it,
+// on the list's own base: a list the store decoded as a prefix of the
+// session's executed keys is read through the store's one index of them.
+// The engine exports under its locks on every snapshot, so nothing here
+// may cost O(session); a State is read-only to its holder.
 //
 // What is deliberately NOT exported is the queued set (candidates leased
 // but never folded back): a crash loses their outcomes, so they must be
@@ -71,7 +73,7 @@ type State struct {
 	// Seen is the portfolio's shared executed-key set, in report order
 	// (in-flight leases are excluded: a crash loses their outcomes, so
 	// the resumed search must be able to regenerate them).
-	Seen []string `json:"seen,omitempty"`
+	Seen *Keys `json:"seen,omitempty"`
 	// MaxFitness is the portfolio's running reward normalizer.
 	MaxFitness float64 `json:"maxFitness,omitempty"`
 }
@@ -92,7 +94,7 @@ type SearchState struct {
 	Offspring []PoolEntry `json:"offspring,omitempty"`
 	// History holds every executed point key, in the order the search
 	// committed them; import keeps the order, whatever it is.
-	History []string `json:"history"`
+	History *Keys `json:"history"`
 	// SeedsLeft counts remaining initial random seeds.
 	SeedsLeft int `json:"seedsLeft"`
 	// Executed is the number of tests reported back.
@@ -210,7 +212,7 @@ func (fg *FitnessGuided) importSearch(st *SearchState) error {
 		p := faultspace.Point{Sub: pe.Sub, Fault: append(faultspace.Fault(nil), pe.Fault...)}
 		fg.pool[i] = &executed{point: p, key: p.Key(), fitness: pe.Fitness, impact: pe.Impact}
 	}
-	fg.history = *NewKeySet(st.History)
+	fg.history = *st.History.Set()
 	fg.queued = make(map[string]bool)
 	for i := range st.Sens {
 		for k := range st.Sens[i] {
@@ -328,7 +330,7 @@ func (r *Random) ImportState(st *State) error {
 	src := &st.Searches[0]
 	r.rng = xrand.Restore(src.Rng)
 	r.executedN = src.Executed
-	r.history = *NewKeySet(src.History)
+	r.history = *src.History.Set()
 	return nil
 }
 
@@ -385,7 +387,7 @@ func (g *Genetic) ImportState(st *State) error {
 		p := faultspace.Point{Sub: pe.Sub, Fault: append(faultspace.Fault(nil), pe.Fault...)}
 		g.offspring[i] = Candidate{Point: p, MutatedAxis: -1}
 	}
-	g.history = *NewKeySet(src.History)
+	g.history = *src.History.Set()
 	g.queued = make(map[string]bool)
 	return nil
 }

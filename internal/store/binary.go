@@ -149,10 +149,13 @@ func (e *segEnc) encodeEntry(en *Entry) {
 
 // segDec decodes the binary Entry encoding. Zero-length slices decode
 // to nil and absent strings to "", so a binary round trip produces
-// entries deep-equal to a JSONL round trip of the same records.
+// entries deep-equal to a JSONL round trip of the same records. A skipping
+// decoder walks the same fields and keeps only the numbers: strings are
+// read as views and dropped, lists stepped over, nothing allocated.
 type segDec struct {
-	buf []byte
-	err error
+	buf  []byte
+	err  error
+	skip bool
 }
 
 func (d *segDec) fail() {
@@ -211,7 +214,12 @@ func (d *segDec) float() float64 {
 	return v
 }
 
-func (d *segDec) str() string { return strings.Clone(d.view()) }
+func (d *segDec) str() string {
+	if v := d.view(); !d.skip {
+		return strings.Clone(v)
+	}
+	return ""
+}
 
 // view is str without the copy: a substring of the payload, which must
 // never be written again.
@@ -237,32 +245,32 @@ func (d *segDec) count() int {
 	return int(n)
 }
 
-func (d *segDec) strs() []string {
+func (d *segDec) strs() []string { return decodeList(d, d.str) }
+func (d *segDec) ints() []int    { return decodeList(d, d.int) }
+
+// decodeList reads a count and that many elements, kept unless d skips.
+func decodeList[T any](d *segDec, elem func() T) []T {
 	n := d.uint()
 	if d.err != nil || n == 0 || n > uint64(len(d.buf)) {
 		return nil
 	}
-	out := make([]string, 0, n)
+	var out []T
+	if !d.skip {
+		out = make([]T, 0, n)
+	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, d.str())
+		if v := elem(); !d.skip {
+			out = append(out, v)
+		}
 	}
 	return out
 }
 
-func (d *segDec) ints() []int {
-	n := d.uint()
-	if d.err != nil || n == 0 || n > uint64(len(d.buf)) {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, d.int())
-	}
-	return out
-}
+func decodeEntry(payload []byte) (Entry, error) { return readEntry(&segDec{buf: payload}) }
 
-func decodeEntry(payload []byte) (Entry, error) {
-	d := segDec{buf: payload}
+// readEntry decodes one entry's fields in their fixed order; a skipping
+// decoder fails where a full one does and keeps only the numbers.
+func readEntry(d *segDec) (Entry, error) {
 	var en Entry
 	en.Seq = d.int()
 	en.Run = d.int()
@@ -273,17 +281,10 @@ func decodeEntry(payload []byte) (Entry, error) {
 	en.ParentKey = d.str()
 	en.Scenario = d.str()
 	en.TestID = d.int()
-	if n := d.uint(); d.err == nil && n > 0 && n <= uint64(len(d.buf)) {
-		en.Plan = make([]inject.Fault, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			var f inject.Fault
-			f.Function = d.str()
-			f.CallNumber = d.int()
-			f.Err = libc.ErrorReturn{Errno: d.str(), Retval: 0}
-			f.Err.Retval = d.int()
-			en.Plan = append(en.Plan, f)
-		}
-	}
+	en.Plan = decodeList(d, func() inject.Fault {
+		// Calls in a literal run left to right: the fields' order.
+		return inject.Fault{Function: d.str(), CallNumber: d.int(), Err: libc.ErrorReturn{Errno: d.str(), Retval: d.int()}}
+	})
 	en.Skipped = d.bool()
 	en.Backend = d.str()
 	en.ExitStatus = d.str()
@@ -602,12 +603,13 @@ func repairSegment(journalPath, idxPath string) (size int64, lastIndexOff int64,
 }
 
 // readSegmentTail decodes the entries with Seq >= from, seeking via the
-// side index so the cost is O(tail + IndexEvery), not O(run). scanned
-// counts the entries actually decoded (the flatness tests pin it) and
-// lastSeq is the Seq of the segment's final entry — startSeq-1 when the
-// seek landed past an empty tail, -1 when the whole segment is empty.
-// ok is false when the tail cannot be trusted cheaply — the caller
-// falls back to the full read.
+// side index so the cost is O(tail + IndexEvery), not O(run); the ones
+// before from, told by their seq, are walked by a skipping decoder.
+// scanned counts the entries walked or decoded (the flatness tests pin
+// it) and lastSeq is the Seq of the segment's final entry — startSeq-1
+// when the seek landed past an empty tail, -1 when the whole segment is
+// empty. ok is false when the tail cannot be trusted cheaply — the
+// caller falls back to the full read.
 func readSegmentTail(journalPath, idxPath string, from int) (entries []Entry, scanned, lastSeq int, ok bool) {
 	lastSeq = -1
 	f, err := os.Open(journalPath)
@@ -659,7 +661,11 @@ func readSegmentTail(journalPath, idxPath string, from int) (entries []Entry, sc
 		if kind != frameEntry {
 			continue
 		}
-		en, derr := decodeEntry(payload)
+		d := &segDec{buf: payload}
+		if seq, w := binary.Varint(payload); w > 0 && seq < int64(from) {
+			d.skip = true
+		}
+		en, derr := readEntry(d)
 		if derr != nil {
 			return entries, scanned, lastSeq, true
 		}

@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +14,7 @@ import (
 
 	"afex/internal/cluster"
 	"afex/internal/core"
+	"afex/internal/explore"
 	"afex/internal/inject"
 	"afex/internal/libc"
 )
@@ -179,6 +184,7 @@ func TestBinaryCorruptFrameDropsTail(t *testing.T) {
 // (aggregates + cluster sets), as the engine's sessionStateLocked does.
 func testSnapshot(seq int, entries []Entry) *core.SessionState {
 	ag := &core.Aggregates{CrashIDs: map[string]int{}}
+	var keys []string
 	for i := 0; i < seq; i++ {
 		e := &entries[i]
 		if e.Injected {
@@ -187,8 +193,9 @@ func testSnapshot(seq int, entries []Entry) *core.SessionState {
 		if e.Injected && e.Failed {
 			ag.Failed++
 		}
-		ag.SeenKeys = append(ag.SeenKeys, e.Key())
+		keys = append(keys, e.Key())
 	}
+	ag.SeenKeys = explore.NewKeySet(keys).Keys()
 	return &core.SessionState{
 		Seq:           seq,
 		Aggregates:    ag,
@@ -244,6 +251,95 @@ func TestBinaryTailResume(t *testing.T) {
 	}
 	if max := (n - snapAt) + indexEvery; scanned > max {
 		t.Fatalf("tail seek decoded %d entries, want <= tail+interval = %d", scanned, max)
+	}
+}
+
+// TestTailSkipStopsWhereDecodeDoes: the entries between the index landing
+// point and the snapshot are walked without being kept — every field read,
+// nothing allocated — and an entry there whose frame passes its crc but
+// whose payload does not decode still ends the tail read, so the resume
+// takes the full journal for the reason it always gave: the journal that
+// reads back ends before the snapshot.
+func TestTailSkipStopsWhereDecodeDoes(t *testing.T) {
+	c, rec := testRecord(3)
+	rec.Plan = inject.Plan{Faults: []inject.Fault{{Function: "read", CallNumber: 2, Err: libc.ErrorReturn{Retval: -1, Errno: "EIO"}}}}
+	var enc segEnc
+	enc.encodeEntry(entryFrom(1, c, rec))
+	payload := enc.bytes()
+	if n := testing.AllocsPerRun(20, func() {
+		if en, err := readEntry(&segDec{buf: payload, skip: true}); err != nil || en.Seq != rec.ID {
+			t.Fatalf("skipping a whole entry: seq %d, %v", en.Seq, err)
+		}
+	}); n != 0 {
+		t.Fatalf("skipping an entry allocates %v times", n)
+	}
+	for cut := 1; cut < len(payload); cut++ {
+		_, full := decodeEntry(payload[:len(payload)-cut])
+		_, skip := readEntry(&segDec{buf: payload[:len(payload)-cut], skip: true})
+		if (full == nil) != (skip == nil) {
+			t.Fatalf("payload cut by %d: decode says %v, skip says %v", cut, full, skip)
+		}
+	}
+
+	dir := t.TempDir()
+	const n, indexEvery, snapAt = 80, 16, 50
+	writeEntries(t, dir, Options{Format: FormatBinary, IndexEvery: indexEvery}, n)
+	all, err := ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenOptions(dir, Options{IndexEvery: indexEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SnapshotSession(testSnapshot(snapAt, all))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the segment with entry snapAt-1 one byte short behind a valid
+	// crc, and the side index to match the frames' new offsets.
+	raw, err := os.ReadFile(filepath.Join(dir, binJournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, idx := []byte(segMagic), []byte(nil)
+	fr := newFrameReader(bytes.NewReader(raw[len(segMagic):]), int64(len(segMagic)), int64(len(raw)))
+	for {
+		kind, payload, err := fr.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch seq, _ := binary.Varint(payload); {
+		case kind == frameIndex:
+			next, _ := binary.Uvarint(payload)
+			idx = appendIdxRec(idx, int(next), int64(len(seg)))
+		case seq == snapAt-1:
+			payload = payload[:len(payload)-1]
+		}
+		seg = appendFrame(seg, kind, payload)
+	}
+	if err := os.WriteFile(filepath.Join(dir, binJournalName), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, idxName), idx, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenOptions(dir, Options{TailResume: true, IndexEvery: indexEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r, err := s.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("snapshot at %d is ahead of the journal's %d entries", snapAt, snapAt-1)
+	if r.Info.Path != "full-journal" || r.Info.Reason != want || r.State != nil || len(r.Records) != snapAt-1 {
+		t.Fatalf("resume past an undecodable entry before the snapshot: %+v with %d records, state %v; want the full journal because %q",
+			r.Info, len(r.Records), r.State != nil, want)
 	}
 }
 

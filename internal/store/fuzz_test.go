@@ -43,15 +43,15 @@ func fuzzSnapshot() *core.SessionState {
 	}
 	st.AllStacks, st.FailClusters = all.ExportState(), fail.ExportState()
 	flat := func(keys ...string) *explore.State {
-		return &explore.State{Algorithm: "random", Searches: []explore.SearchState{{History: keys}}}
+		return &explore.State{Algorithm: "random", Searches: []explore.SearchState{{History: explore.NewKeySet(keys).Keys()}}}
 	}
 	st.Explorer = &explore.State{Algorithm: "sharded-portfolio", RR: 1, Shards: []*explore.State{
-		{Algorithm: "portfolio", Seen: []string{"0:1,2", "0:3,4"}, Arms: []explore.ArmSnapshot{
+		{Algorithm: "portfolio", Seen: explore.NewKeySet([]string{"0:1,2", "0:3,4"}).Keys(), Arms: []explore.ArmSnapshot{
 			{Name: "fitness", Pulls: 2, State: flat("0:1,2", "")},
 			{Name: "random", State: flat()},
 		}},
 		nil,
-		flat(st.Aggregates.SeenKeys...),
+		flat(st.Aggregates.SeenKeys.Strings()...),
 	}}
 	return st
 }
@@ -174,6 +174,18 @@ func setsFootprint(st *core.SessionState) int {
 	return n
 }
 
+// arenaBytes is what a decoded key list needs of the payload it was
+// decoded in: its keys' bytes and, per key, the length prefix it had —
+// at least one byte — which is where its end offset comes from. A list
+// that needs more than its bytes was sized by a number they do not back.
+func arenaBytes(k *explore.Keys) int {
+	n := k.Len()
+	for i := 0; i < k.Len(); i++ {
+		n += len(k.At(i))
+	}
+	return n
+}
+
 func FuzzSnapshotDecode(f *testing.F) {
 	framed, err := appendSnapshot(nil, fuzzSnapshot())
 	if err != nil {
@@ -204,8 +216,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 			return
 		}
 		for _, list := range keyLists(st) {
-			if cap(*list) > len(data)*9/8+32 {
-				t.Fatalf("%d bytes of snapshot decoded to a key list with room for %d", len(data), cap(*list))
+			if n := arenaBytes(*list); n > len(data) {
+				t.Fatalf("%d bytes of snapshot decoded to a key list that takes %d", len(data), n)
 			}
 		}
 		if n := setsFootprint(st); n > len(data) {
@@ -225,8 +237,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("snapshot with %d key lists re-decodes to %d", len(a), len(b))
 		}
 		for i := range a {
-			if len(*a[i]) != len(*b[i]) || (len(*a[i]) > 0 && !reflect.DeepEqual(*a[i], *b[i])) {
-				t.Fatalf("key list %d: %q re-decodes to %q", i, *a[i], *b[i])
+			if !(*a[i]).Equal(*b[i]) {
+				t.Fatalf("key list %d: %q re-decodes to %q", i, (*a[i]).Strings(), (*b[i]).Strings())
 			}
 		}
 		head, err := decodeSnapshot(bytes.NewReader(again), &snapFile{size: int64(len(again))}, snapSeq)
@@ -243,8 +255,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("frame headers list %v keys in a snapshot of %d lists (%v)", shape.keyCounts, len(b), err)
 		}
 		for i, n := range shape.keyCounts {
-			if n != len(*b[i]) {
-				t.Fatalf("frame headers say list %d holds %d keys, it holds %d", i, n, len(*b[i]))
+			if n != (*b[i]).Len() {
+				t.Fatalf("frame headers say list %d holds %d keys, it holds %d", i, n, (*b[i]).Len())
 			}
 		}
 	})
@@ -266,8 +278,8 @@ func FuzzSnapshotPayloads(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if keys, err := decodeKeys(data); err == nil && (len(keys) > len(data) || cap(keys) > len(data)*9/8+32) {
-			t.Fatalf("%d bytes decoded to %d keys with room for %d", len(data), len(keys), cap(keys))
+		if keys, err := decodeKeys(slices.Clone(data)); err == nil && arenaBytes(keys) > len(data) {
+			t.Fatalf("%d bytes decoded to %d keys that take %d", len(data), keys.Len(), arenaBytes(keys))
 		}
 		sets, err := decodeSets(data)
 		if err != nil {

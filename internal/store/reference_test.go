@@ -29,13 +29,14 @@ import (
 func referenceAppendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) {
 	lists := keyLists(st)
 	keys, sizes := make([][]string, len(lists)), make([]int, len(lists))
+	held := make([]*explore.Keys, len(lists))
 	for i, p := range lists {
-		keys[i], *p = *p, nil
+		keys[i], held[i], *p = (*p).Strings(), *p, nil
 	}
 	raw, err := json.Marshal(st)
 	total := len(snapMagic) + len(raw) + 32
 	for i, p := range lists {
-		*p = keys[i]
+		*p = held[i]
 		sizes[i] = uvarintLen(uint64(len(keys[i])))
 		for _, k := range keys[i] {
 			sizes[i] += uvarintLen(uint64(len(k))) + len(k)
@@ -117,10 +118,9 @@ func decodeBytes(t *testing.T, raw []byte) (*core.SessionState, snapFile) {
 // and 4-worker sessions of every stateful strategy, the new file decodes
 // to what the old file of the same state decodes to — deep-equal, and
 // equal as JSON, which prints a float64 by its bits — at well under the
-// old size. A list that repeats an earlier one is a reference, one that
-// does not is in full, and either way no two decoded lists share a
-// backing array: building a key set over one takes its spare capacity
-// over.
+// old size. A list that repeats an earlier one is a reference — the
+// decoded list itself, not a copy of it — one that does not is in full,
+// and a key set built over any decoded list and added to changes no list.
 func TestSnapshotCodecMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		algo   string
@@ -179,27 +179,38 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 
 				// A list in another order is not the same list.
 				lists := keyLists(st)
-				if at := slices.IndexFunc(lists[1:], func(l *[]string) bool { return slices.Equal(*l, *lists[0]) }) + 1; workers == 1 && at > 0 {
-					moved := slices.Clone(*lists[at])
+				if at := slices.IndexFunc(lists[1:], func(l **explore.Keys) bool { return (*l).Equal(*lists[0]) }) + 1; workers == 1 && at > 0 {
+					moved := (*lists[at]).Strings()
 					moved[0], moved[len(moved)-1] = moved[len(moved)-1], moved[0]
-					*lists[at] = moved
+					*lists[at] = explore.NewKeySet(moved).Keys()
 					full, err := appendSnapshot(nil, st)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if back, f := decodeBytes(t, full); f.refs != tc.refs-1 || !reflect.DeepEqual(*keyLists(back)[at], moved) {
-						t.Errorf("a reordered list came back as %d references, list %v", f.refs, *keyLists(back)[at])
+					if back, f := decodeBytes(t, full); f.refs != tc.refs-1 || !reflect.DeepEqual((*keyLists(back)[at]).Strings(), moved) {
+						t.Errorf("a reordered list came back as %d references, list %v", f.refs, (*keyLists(back)[at]).Strings())
 					}
 				}
 
-				// Appending to one decoded list shows in no other.
+				// A reference is the list it refers to; adding to a set
+				// built over any decoded list shows in no list.
 				decoded := keyLists(got)
 				for i, l := range decoded {
+					if k := file.keyCounts[i]; (*l).Len() != k {
+						t.Fatalf("decoded list %d holds %d keys, its frame %d", i, (*l).Len(), k)
+					}
+					if j := slices.IndexFunc(decoded[:i], func(o **explore.Keys) bool { return (*o).Len() > 0 && (*o).Equal(*l) }); j >= 0 && *decoded[j] != *l {
+						t.Fatalf("decoded list %d repeats list %d but is a copy of it", i, j)
+					}
+				}
+				for i, l := range decoded {
 					mark := fmt.Sprintf("appended to list %d", i)
-					_ = append(*l, mark)
+					if set := (*l).Set(); !set.Add(mark) || set.Len() != (*l).Len()+1 {
+						t.Fatalf("a set over decoded list %d does not take a new key", i)
+					}
 					for j, other := range decoded {
-						if o := *other; j != i && cap(o) > len(o) && o[:len(o)+1][len(o)] == mark {
-							t.Fatalf("decoded lists %d and %d share a backing array", i, j)
+						if n := (*other).Len(); n != file.keyCounts[j] || (n > 0 && (*other).At(n-1) == mark) {
+							t.Fatalf("adding to a set over decoded list %d changed list %d", i, j)
 						}
 					}
 				}

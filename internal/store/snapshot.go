@@ -26,14 +26,16 @@ package store
 //	              position of that list
 //
 // Nothing that grows with the session is JSON: the sets and the key
-// lists are written by copying and read as substrings of their frames,
-// with no scanner pass over megabytes and no reflection, and what is left
-// in the state frame is small and fixed, so a new explorer field still
-// costs no codec work. Every journal format writes this one file. Two
-// older shapes are still read: the files written before the sets had a
-// frame (no frameSets: the sets are in the JSON and every list is in
-// full), and snapshot.json (no magic: all JSON), which is read when it is
-// all a directory has and removed once a snapshot in this form has landed.
+// lists are written by copying and read in place — the sets' strings
+// substrings of their frame, a key frame compacted into the arena of an
+// explore.Keys that every list referring to it shares — with no scanner
+// pass and no reflection, and what is left in the state frame is small
+// and fixed, so a new explorer field still costs no codec work. Every
+// journal format writes this one file. Two older shapes are still read:
+// the files written before the sets had a frame (no frameSets: the sets
+// are in the JSON and every list is in full), and snapshot.json (no
+// magic: all JSON), which is read when it is all a directory has and
+// removed once a snapshot in this form has landed.
 
 import (
 	"encoding/binary"
@@ -41,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -66,8 +69,8 @@ const (
 
 // keyLists returns every executed-key list of a session state, in the
 // fixed order their frames follow the state frame in.
-func keyLists(st *core.SessionState) []*[]string {
-	var out []*[]string
+func keyLists(st *core.SessionState) []**explore.Keys {
+	var out []**explore.Keys
 	if st.Aggregates != nil {
 		out = append(out, &st.Aggregates.SeenKeys)
 	}
@@ -265,7 +268,7 @@ func decodeSets(payload []byte) (sets [3]*cluster.SetState, err error) {
 // The sets and lists themselves are only read.
 func appendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) {
 	lists := keyLists(st)
-	keys := make([][]string, len(lists))
+	keys := make([]*explore.Keys, len(lists))
 	for i, p := range lists {
 		keys[i], *p = *p, nil
 	}
@@ -285,26 +288,26 @@ func appendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) {
 	}
 	setsFrame := encodeSets(sets)
 	// A list that repeats an earlier one is written as that list's
-	// position. A sequential session's lists are one key string each,
-	// built once and carried from Next to Report, and string equality
-	// compares lengths, then data pointers, before any bytes: telling
-	// that two lists are the same costs a pass over their headers. Lists
-	// in different orders (parallel folds, portfolio arms) differ early.
-	// The first list equal to it is never a reference itself.
+	// position. A sequential session's lists are the same keys in the
+	// same order — the shared prefix of one base and two own segments of
+	// equal bytes — so telling costs a compare of two blocks; lists in
+	// different orders (parallel folds, portfolio arms) differ early. The
+	// first list equal to it is never a reference itself.
 	refs, sizes := make([]int, len(keys)), make([]int, len(keys))
 	total := len(snapMagic) + len(raw) + setsFrame.payloadLen() + 64
 	for i, list := range keys {
 		refs[i] = -1
-		for j := 0; j < i && len(list) > 0; j++ {
-			if slices.Equal(list, keys[j]) {
+		for j := 0; j < i && list.Len() > 0; j++ {
+			if list.Equal(keys[j]) {
 				refs[i], sizes[i] = j, uvarintLen(uint64(j))
 				break
 			}
 		}
 		if refs[i] < 0 {
-			sizes[i] = uvarintLen(uint64(len(list)))
-			for _, k := range list {
-				sizes[i] += uvarintLen(uint64(len(k))) + len(k)
+			sizes[i] = uvarintLen(uint64(list.Len()))
+			for k := 0; k < list.Len(); k++ {
+				n := len(list.At(k))
+				sizes[i] += uvarintLen(uint64(n)) + n
 			}
 		}
 		total += sizes[i] + 16
@@ -319,31 +322,36 @@ func appendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) {
 			continue
 		}
 		enc := segEnc{buf: openFrame(dst, frameKeys, sizes[i])}
-		enc.strs(list)
+		enc.uint(uint64(list.Len()))
+		for k := 0; k < list.Len(); k++ {
+			enc.str(list.At(k))
+		}
 		dst = closeFrame(enc.buf, frameKeys, sizes[i])
 	}
 	return dst, nil
 }
 
-// keyRoom is the capacity a decoded list of n keys is given: the spare
-// lets the resumed session's first appends land in place.
-func keyRoom(n int) int { return n + n/8 + 32 }
-
-// decodeKeys decodes a key-list payload into substrings of the payload
-// itself, which must never be written again (a frame reader's payload is
-// its own allocation, so it is not). The count is checked against the
-// payload before anything is sized by it.
-func decodeKeys(payload []byte) ([]string, error) {
+// decodeKeys decodes a key-list payload in place: the keys move to its
+// front, back to back, their end offsets noted in the same pass, and the
+// payload — the caller's no longer — is the list's arena. The count is
+// checked against the payload before anything is sized by it.
+func decodeKeys(payload []byte) (*explore.Keys, error) {
 	d := segDec{buf: payload}
-	n := d.count()
-	keys := make([]string, 0, keyRoom(n))
-	for i := 0; i < n && d.err == nil; i++ {
-		keys = append(keys, d.view())
+	ends := make([]uint32, d.count())
+	end := 0
+	for i := range ends {
+		n := d.uint()
+		if d.err != nil || n > uint64(len(d.buf)) || uint64(end)+n > math.MaxUint32 {
+			return nil, errors.New("truncated key list")
+		}
+		end += copy(payload[end:], d.buf[:n])
+		d.buf = d.buf[n:]
+		ends[i] = uint32(end)
 	}
 	if d.err != nil {
 		return nil, errors.New("truncated key list")
 	}
-	return keys, nil
+	return explore.NewKeys(payload[:end], ends), nil
 }
 
 // snapDepth is how much of a snapshot file a reader wants.
@@ -384,7 +392,7 @@ func decodeSnapshot(r io.Reader, file *snapFile, depth snapDepth) (*core.Session
 		file.format, file.state = SnapshotJSON, file.size
 		err := json.NewDecoder(fr.r).Decode(st)
 		for _, list := range keyLists(st) {
-			file.keyCounts = append(file.keyCounts, len(*list))
+			file.keyCounts = append(file.keyCounts, (*list).Len())
 		}
 		return st, err
 	}
@@ -402,6 +410,7 @@ func decodeSnapshot(r io.Reader, file *snapFile, depth snapDepth) (*core.Session
 	}
 	file.format, file.state = SnapshotFramedJSON, fr.off
 	lists, stateRead := keyLists(st), err == nil
+	file.keyCounts = make([]int, 0, len(lists))
 	var at int64
 	next := func() {
 		if err == nil {
@@ -434,18 +443,18 @@ func decodeSnapshot(r io.Reader, file *snapFile, depth snapDepth) (*core.Session
 			err = d.err
 		case kind == frameKeys:
 			*list, err = decodeKeys(payload)
-			file.keyCounts = append(file.keyCounts, len(*list))
+			file.keyCounts = append(file.keyCounts, (*list).Len())
 		case kind == frameKeysRef:
 			j, w := binary.Uvarint(payload)
 			if w <= 0 || j >= uint64(i) {
 				err = fmt.Errorf("key list %d written as a reference to list %d", i, j)
 				break
 			}
-			// Its own headers over the same bytes, never the same slice:
-			// whoever builds a key set over a list takes its spare
-			// capacity over.
-			if src := *lists[j]; depth == snapFull {
-				*list = append(make([]string, 0, keyRoom(len(src))), src...)
+			// The same list: a view is read-only to every holder, and a
+			// set built over it shares its arena and that arena's one
+			// index.
+			if depth == snapFull {
+				*list = *lists[j]
 			}
 			file.keyCounts = append(file.keyCounts, file.keyCounts[j])
 			file.refs++

@@ -955,12 +955,11 @@ func (s *Store) Recover() (*core.Restore, error) {
 	}
 	r := &core.Restore{State: snap}
 	r.Records = make([]core.Record, len(entries))
-	keys := make([]string, len(entries))
+	r.Seen = &explore.KeySet{}
 	for i := range entries {
 		r.Records[i] = entries[i].Record()
-		keys[i] = entries[i].Key()
+		r.Seen.Add(entries[i].Key())
 	}
-	r.Seen = explore.NewKeySet(keys)
 	// Prior wall clock is known only as of the last snapshot; runtime
 	// between it and a crash is not recoverable (the journal carries no
 	// per-entry clock by design), so cumulative Elapsed under-reports by
@@ -1018,24 +1017,28 @@ func tailOf(dir, format string, meta Meta, snap *core.SessionState) ([]Entry, st
 }
 
 // recoverTail builds a tail-only Restore, or says why it cannot. The
-// executed-key set is the snapshot's list with the tail's keys added —
-// which is also the check that the tail repeats no key, of its own or
-// the snapshot's (the full path's dedup semantics apply otherwise).
+// executed-key set is the snapshot's list extended by the tail's keys and
+// indexed once, in the arena the list was decoded into — so every list of
+// the snapshot that repeats it is a prefix of the set — and the build is
+// also the check that no key repeats (the full path's dedup semantics
+// apply otherwise).
 func (s *Store) recoverTail(snap *core.SessionState) (*core.Restore, string) {
 	entries, why := tailOf(s.dir, s.format, s.meta, snap)
 	if why != "" {
 		return nil, why
 	}
 	r := &core.Restore{State: snap, Base: snap.Seq, Elapsed: snap.Elapsed}
-	r.Seen = explore.NewKeySet(snap.Aggregates.SeenKeys)
 	r.Records = make([]core.Record, len(entries))
 	r.Tail = make([]explore.Feedback, len(entries))
+	keys := make([]string, len(entries))
 	for i := range entries {
-		if !r.Seen.Add(entries[i].Key()) {
-			return nil, "journal tail repeats an executed key"
-		}
 		r.Records[i] = entries[i].Record()
 		r.Tail[i] = entries[i].Feedback()
+		keys[i] = entries[i].Key()
+	}
+	var ok bool
+	if r.Seen, ok = snap.Aggregates.SeenKeys.Extend(keys); !ok {
+		return nil, "journal tail repeats an executed key"
 	}
 	return r, ""
 }

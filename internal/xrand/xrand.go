@@ -28,6 +28,7 @@ import (
 // — exporting costs one counter increment per draw, nothing else.
 type Rand struct {
 	src   *rand.Rand
+	raw   rand.Source64 // the stock source behind the counter
 	seed  int64
 	draws uint64
 }
@@ -62,8 +63,8 @@ func (s countedSource) Seed(seed int64) { s.inner.Seed(seed) }
 
 // New returns a Rand seeded with seed. Equal seeds yield equal streams.
 func New(seed int64) *Rand {
-	r := &Rand{seed: seed}
-	r.src = rand.New(countedSource{inner: rand.NewSource(seed).(rand.Source64), n: &r.draws})
+	r := &Rand{seed: seed, raw: rand.NewSource(seed).(rand.Source64)}
+	r.src = rand.New(countedSource{inner: r.raw, n: &r.draws})
 	return r
 }
 
@@ -71,14 +72,14 @@ func New(seed int64) *Rand {
 func (r *Rand) State() State { return State{Seed: r.seed, Draws: r.draws} }
 
 // Restore returns a Rand positioned exactly at st: the same future values
-// as the Rand that exported it. The stock generator's raw draws cost a
-// few nanoseconds each, so fast-forwarding even millions of draws is
-// cheap next to a single fault-injection test.
+// as the Rand that exported it. The replay steps the stock source itself,
+// not through the counting wrapper (every draw of the wrapper is one of
+// the source's), at a few nanoseconds a draw — cheap next to a single
+// fault-injection test even for millions.
 func Restore(st State) *Rand {
 	r := New(st.Seed)
-	src := r.src
 	for i := uint64(0); i < st.Draws; i++ {
-		src.Uint64()
+		r.raw.Uint64()
 	}
 	r.draws = st.Draws
 	return r

@@ -279,6 +279,34 @@ func TestStateMatchesStockStream(t *testing.T) {
 	}
 }
 
+// TestRestoreAtDrawCounts: a restore replays exactly the exported number
+// of raw draws — none, one, past the stock source's 607-word lag, and a
+// resumed long session's count — and continues the stream, counter
+// included, where the exporter and the stock generator do.
+func TestRestoreAtDrawCounts(t *testing.T) {
+	for _, draws := range []uint64{0, 1, 607, 416693} {
+		r, stock := New(31), newStockRand(31)
+		for i := uint64(0); i < draws; i++ {
+			r.Int63()
+			stock.Int63()
+		}
+		st := r.State()
+		clone := Restore(st)
+		if st.Draws != draws || clone.State() != st {
+			t.Fatalf("draws %d: exported %+v, restored to %+v", draws, st, clone.State())
+		}
+		for i := 0; i < 50; i++ {
+			a, b, c := r.Int63(), clone.Int63(), stock.Int63()
+			if a != b || b != c {
+				t.Fatalf("draws %d: value %d after the restore is %d, the exporter's %d, the stock stream's %d", draws, i, b, a, c)
+			}
+		}
+		if r.State() != clone.State() {
+			t.Fatalf("draws %d: counters diverged: %+v vs %+v", draws, r.State(), clone.State())
+		}
+	}
+}
+
 // newStockRand builds an unwrapped math/rand generator for stream
 // comparison.
 func newStockRand(seed int64) *mrand.Rand { return mrand.New(mrand.NewSource(seed)) }
