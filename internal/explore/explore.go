@@ -29,13 +29,15 @@
 // Cost model. History makes generation a rejection loop: a mutation that
 // lands on an executed or queued point is thrown away and another is
 // drawn — expect tens of attempts per candidate once a vicinity is mined
-// out (20 on the mysqld model, 25–35 behind the RPC coordinator). An
-// attempt is two weighted draws, one Gaussian draw, one key render and
-// one probe, all in buffers the explorer owns; only an accepted candidate
-// allocates — its fault and its key string, which then rides on the
-// Candidate (Candidate.Key) through the portfolio, the shards, the
-// novelty filter, the engine's lease table and precompute, and back into
-// Report, so a scenario's key is built once.
+// out (24.1 on the mysqld model, 25–35 behind the RPC coordinator). An
+// attempt is two weighted draws, one Gaussian draw and one probe of the
+// parent's memo of refused mutations; only a first refusal (1.6 History
+// checks per candidate on the mysqld model) renders the key and probes,
+// all in buffers the explorer owns. Only an accepted candidate allocates
+// — its fault and its key string, which then rides on the Candidate
+// (Candidate.Key) through the portfolio, the shards, the novelty filter,
+// the engine's lease table and precompute, and back into Report, so a
+// scenario's key is built once.
 package explore
 
 import (
@@ -238,6 +240,59 @@ type executed struct {
 	impact  float64
 }
 
+// refusals is one pool member's memo: its single-axis mutations (axis,
+// new value) that admit refused. It is exact because "taken" (History ∪
+// queued) only grows: Report and Skip move a key from queued to History,
+// a lease handed back never returns to the explorer, and the one shrink,
+// ImportState dropping the queued keys, rebuilds the pool, so every memo
+// dies with its member. Two words a slot, a tag (the generation written
+// in, above axis+1) and the value: any value is exact, reset clears none.
+type refusals struct {
+	tab []uint64
+	n   int    // entries, all of generation gen
+	gen uint64 // tags carry gen+1: a zeroed slot is of no generation
+}
+
+func (r *refusals) tag(axis int) uint64 { return (r.gen+1)<<32 | uint64(axis+1) }
+
+func (r *refusals) has(axis, v int) bool {
+	return r != nil && r.n > 0 && r.tab[2*r.find(axis, v)] == r.tag(axis)
+}
+
+// find returns the slot holding (axis, v), or the free one it belongs in.
+func (r *refusals) find(axis, v int) int {
+	mask := len(r.tab)/2 - 1
+	h := (uint64(v)<<7 ^ uint64(axis)) * 0x9e3779b97f4a7c15
+	for i := int(h^h>>32) & mask; ; i = (i + 1) & mask {
+		if t := r.tab[2*i]; t>>32 != r.gen+1 || t == r.tag(axis) && r.tab[2*i+1] == uint64(v) {
+			return i
+		}
+	}
+}
+
+// add enters a pair has just reported absent, keeping the load ≤ 1/2.
+func (r *refusals) add(axis, v int) {
+	if 4*(r.n+1) > len(r.tab) {
+		old := r.tab
+		r.tab, r.n = make([]uint64, max(2*len(old), 32)), 0
+		for i := 0; i < len(old); i += 2 {
+			if old[i]>>32 == r.gen+1 {
+				r.add(int(uint32(old[i]))-1, int(old[i+1]))
+			}
+		}
+	}
+	i := r.find(axis, v)
+	r.tab[2*i], r.tab[2*i+1] = r.tag(axis), uint64(v)
+	r.n++
+}
+
+// reset empties the set for reuse: a new generation, the table kept.
+func (r *refusals) reset() {
+	if r.n, r.gen = 0, (r.gen+1)%(1<<32-1); r.gen == 0 {
+		clear(r.tab)
+	}
+}
+
 // axisWindow is the per-axis ring buffer behind the sensitivity vector.
 type axisWindow struct {
 	vals []float64
@@ -258,7 +313,8 @@ func (w *axisWindow) push(v float64) {
 	w.next = (w.next + 1) % len(w.vals)
 }
 
-// Fitness is the current sensitivity contribution of the axis.
+// sensitivity is the axis's current contribution to the sensitivity
+// vector: the window's running sum, floored at zero.
 func (w *axisWindow) sensitivity() float64 {
 	if w.sum < 0 {
 		return 0 // guard against float drift
@@ -273,6 +329,10 @@ type FitnessGuided struct {
 	rng *xrand.Rand
 
 	pool []*executed // Qpriority
+	// refused[i] is pool[i]'s memo, nil until its first refusal (beside
+	// pool: executed fills its size class); spare holds reset memos.
+	refused, spare      []*refusals
+	admissions, answers int // Next's History checks; memo answers instead
 	// sensitivity per subspace per axis.
 	sens [][]*axisWindow
 	// seedsLeft counts remaining initial random seeds.
@@ -326,8 +386,7 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 		return Candidate{}, false
 	}
 	for attempt := 0; attempt < 500; attempt++ {
-		var c Candidate
-		var ok bool
+		c, ok, parent := Candidate{}, false, -1
 		// After repeated failures to find a fresh mutation (the current
 		// vicinity is mined out and every neighbour is in History), fall
 		// back to random seeding so the search keeps moving — this is the
@@ -335,13 +394,16 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 		fromSeed := fg.seedsLeft > 0 || len(fg.pool) == 0 || attempt >= 100
 		if fromSeed {
 			c, ok = fg.randomSeed()
-		} else {
-			c, ok = fg.mutate()
-			if !ok {
-				c, ok = fg.randomSeed()
-			}
+		} else if c, parent, ok = fg.mutate(); !ok {
+			c, ok = fg.randomSeed()
+		} else if fg.refused[parent].has(c.MutatedAxis, c.Point.Fault[c.MutatedAxis]) {
+			fg.answers++
+			continue
 		}
-		if !ok || !fg.admit(&c) {
+		if fg.admissions++; !ok || !fg.admit(&c) {
+			if parent >= 0 {
+				fg.refuse(parent, c)
+			}
 			continue
 		}
 		if c.MutatedAxis >= 0 {
@@ -356,6 +418,24 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 	return fg.scan()
 }
 
+// refuse enters c, a refused mutation of pool member i, in i's memo.
+func (fg *FitnessGuided) refuse(i int, c Candidate) {
+	if n := len(fg.spare); fg.refused[i] == nil && n > 0 {
+		fg.refused[i], fg.spare = fg.spare[n-1], fg.spare[:n-1]
+	} else if fg.refused[i] == nil {
+		fg.refused[i] = &refusals{}
+	}
+	fg.refused[i].add(c.MutatedAxis, c.Point.Fault[c.MutatedAxis])
+}
+
+// recycle resets the memo of a member leaving the pool for a later one.
+func (fg *FitnessGuided) recycle(r *refusals) {
+	if r != nil {
+		r.reset()
+		fg.spare = append(fg.spare, r)
+	}
+}
+
 // randomSeed draws a uniform random point (step 1 of §3).
 func (fg *FitnessGuided) randomSeed() (Candidate, bool) {
 	if fg.space.Size() == 0 {
@@ -365,25 +445,26 @@ func (fg *FitnessGuided) randomSeed() (Candidate, bool) {
 	return Candidate{Point: p, MutatedAxis: -1}, true
 }
 
-// mutate implements lines 1–11 of Algorithm 1. The candidate's fault is
-// the explorer's scratch: valid until the next call.
-func (fg *FitnessGuided) mutate() (Candidate, bool) {
+// mutate implements lines 1–11 of Algorithm 1, returning the candidate
+// and its parent's pool index. The candidate's fault is the explorer's
+// scratch: valid until the next call.
+func (fg *FitnessGuided) mutate() (Candidate, int, bool) {
 	if len(fg.pool) == 0 {
-		return Candidate{}, false
+		return Candidate{}, -1, false
 	}
 	// Lines 1–4: sample the parent fitness-proportionally (or greedily,
 	// for the ablation).
-	var parent *executed
+	i := 0
 	if fg.cfg.Greedy {
-		parent = fg.pool[0]
-		for _, e := range fg.pool[1:] {
-			if e.fitness > parent.fitness {
-				parent = e
+		for k, e := range fg.pool {
+			if e.fitness > fg.pool[i].fitness {
+				i = k
 			}
 		}
 	} else {
-		parent = fg.pool[fg.rng.Weighted(fg.poolWeights())]
+		i = fg.rng.Weighted(fg.poolWeights())
 	}
+	parent := fg.pool[i]
 	sub := fg.space.Spaces[parent.point.Sub]
 
 	// Lines 5–6: choose the attribute to mutate, sensitivity-weighted.
@@ -413,7 +494,7 @@ func (fg *FitnessGuided) mutate() (Candidate, bool) {
 	// Lines 7–9: choose the new value. σ is proportional to |Ai|.
 	n := sub.Axes[axis].Len()
 	if n <= 1 {
-		return Candidate{}, false
+		return Candidate{}, -1, false
 	}
 	old := parent.point.Fault[axis]
 	var newVal int
@@ -434,9 +515,9 @@ func (fg *FitnessGuided) mutate() (Candidate, bool) {
 	f[axis] = newVal
 	p := faultspace.Point{Sub: parent.point.Sub, Fault: f}
 	if sub.Hole != nil && sub.Hole(f) {
-		return Candidate{}, false
+		return Candidate{}, -1, false
 	}
-	return Candidate{Point: p, MutatedAxis: axis, ParentKey: parent.key}, true
+	return Candidate{Point: p, MutatedAxis: axis, ParentKey: parent.key}, i, true
 }
 
 // weights returns the scratch weight vector at length n, contents
@@ -479,12 +560,13 @@ func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 	}
 
 	e := &executed{point: c.Point, key: key, fitness: fitness, impact: impact}
-	fg.pool = append(fg.pool, e)
-	if len(fg.pool) > fg.cfg.QueueSize {
+	fg.pool, fg.refused = append(fg.pool, e), append(fg.refused, nil)
+	if last := len(fg.pool) - 1; last >= fg.cfg.QueueSize {
 		weights := fg.poolWeights()
 		victim := fg.rng.InverseWeightedInto(weights, weights)
-		fg.pool[victim] = fg.pool[len(fg.pool)-1]
-		fg.pool = fg.pool[:len(fg.pool)-1]
+		fg.recycle(fg.refused[victim])
+		fg.pool[victim], fg.refused[victim] = fg.pool[last], fg.refused[last]
+		fg.pool, fg.refused = fg.pool[:last], fg.refused[:last]
 	}
 }
 
@@ -513,13 +595,15 @@ func (fg *FitnessGuided) retire() {
 		return
 	}
 	threshold := fg.cfg.RetireFraction * mean
-	kept := fg.pool[:0]
-	for _, e := range fg.pool {
+	kept, memos := fg.pool[:0], fg.refused[:0]
+	for i, e := range fg.pool {
 		if e.fitness >= threshold {
-			kept = append(kept, e)
+			kept, memos = append(kept, e), append(memos, fg.refused[i])
+		} else {
+			fg.recycle(fg.refused[i])
 		}
 	}
-	fg.pool = kept
+	fg.pool, fg.refused = kept, memos
 }
 
 // Sensitivities returns the current normalized sensitivity vector of

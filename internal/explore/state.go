@@ -213,7 +213,10 @@ func (fg *FitnessGuided) importSearch(st *SearchState) error {
 		fg.pool[i] = &executed{point: p, key: p.Key(), fitness: pe.Fitness, impact: pe.Impact}
 	}
 	fg.history = *st.History.Set()
+	// Dropping the queued keys is the one place "taken" shrinks, so no
+	// refusal memo may outlive it: each dies with the pool it described.
 	fg.queued = make(map[string]bool)
+	fg.refused = make([]*refusals, len(fg.pool))
 	for i := range st.Sens {
 		for k := range st.Sens[i] {
 			w := newAxisWindow(fg.cfg.SensitivityWindow)

@@ -1,7 +1,7 @@
 // Package xrand provides the deterministic random primitives used by the
 // AFEX exploration algorithm: weighted (fitness-proportional) sampling, a
-// discrete Gaussian distribution over attribute indices, permutations, and
-// reproducible sub-streams.
+// discrete Gaussian distribution over attribute indices, permutations, an
+// exportable stream position, and seeds derived for independent streams.
 //
 // Everything in AFEX that involves chance flows through a *Rand so that a
 // whole exploration session is reproducible from a single seed. That
@@ -116,20 +116,6 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Sub derives an independent, reproducible sub-stream identified by id.
-// Two Rands with the same seed produce identical Sub(id) streams; different
-// ids produce uncorrelated streams. AFEX uses sub-streams to give each node
-// manager and each experiment arm its own deterministic randomness.
-func (r *Rand) Sub(id int64) *Rand {
-	// Mix the id with splitmix64-style finalization so that adjacent ids
-	// do not produce correlated seeds.
-	z := uint64(id) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return New(r.src.Int63() ^ int64(z))
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
 func (r *Rand) Intn(n int) int { return r.src.Intn(n) }
@@ -142,9 +128,6 @@ func (r *Rand) Float64() float64 { return r.src.Float64() }
 
 // Perm returns a uniform random permutation of [0, n).
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // Weighted samples an index in [0, len(weights)) with probability
 // proportional to weights[i]. Negative weights are treated as zero. If the
