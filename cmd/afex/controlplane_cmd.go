@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"afex/internal/controlplane"
 )
@@ -44,7 +43,7 @@ func cmdSubmit(args []string, w io.Writer) error {
 	if !*wait {
 		return nil
 	}
-	final, err := cl.Wait(st.ID, 200*time.Millisecond)
+	final, err := cl.Wait(st.ID)
 	if err != nil {
 		return err
 	}

@@ -459,9 +459,9 @@ func cmdServe(args []string) error {
 		region = fmt.Sprintf(", region %d of %d", s.Spec.Peer, s.Spec.Peers)
 	}
 	fmt.Printf("coordinator serving %s exploration on %s (budget %d tests%s)\n", s.Spec.Target, s.Addr(), s.Spec.Iterations, region)
-	fmt.Println("press Ctrl-C to stop; stats are printed when the budget is reached")
-	// The session seals once the budget is consumed (a restored session
-	// counts its prior runs' tests toward it).
+	fmt.Println("press Ctrl-C to stop; stats are printed when the budget is spent, the space drained or the time budget passed")
+	// The session seals by itself (a restored session counts its prior
+	// runs' tests toward the budget).
 	<-s.Done()
 	res, storeErr := s.Result()
 	fmt.Printf("done: executed=%d injected=%d failed=%d crashed=%d hung=%d\n",

@@ -5,6 +5,7 @@ package controlplane
 // server without shelling out to curl.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -12,7 +13,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 )
 
 // Client talks to a control-plane server.
@@ -93,21 +93,30 @@ func (c *Client) Stop(id string) (Status, error) {
 	return st, c.doJSON("POST", "/v1/sessions/"+id+"/stop", nil, http.StatusOK, &st)
 }
 
-// Wait polls until the session leaves the running state, returning its
-// final status.
-func (c *Client) Wait(id string, poll time.Duration) (Status, error) {
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
+// Wait follows the session's event stream and returns the first status
+// whose state is not running: the sealed session's, store stats
+// included. A stream that ends before that is an error.
+func (c *Client) Wait(id string) (Status, error) {
+	resp, err := c.http.Get(c.base + "/v1/sessions/" + id + "/events")
+	if err != nil {
+		return Status{}, err
 	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return Status{}, fmt.Errorf("controlplane: session %s: server returned %s", id, resp.Status)
+	}
+	events := bufio.NewReader(resp.Body)
 	for {
-		st, err := c.Status(id)
+		line, err := events.ReadBytes('\n')
 		if err != nil {
-			return st, err
+			return Status{}, fmt.Errorf("controlplane: session %s: event stream ended before it sealed: %w", id, err)
 		}
-		if st.State != StateRunning {
-			return st, nil
+		var st Status
+		if data, ok := bytes.CutPrefix(line, []byte("data: ")); ok {
+			if err := json.Unmarshal(data, &st); err != nil || st.State != StateRunning {
+				return st, err
+			}
 		}
-		time.Sleep(poll)
 	}
 }
 

@@ -17,8 +17,9 @@
 //     in-process worker pool executes) or afex.NewCoordinatorWithOptions
 //     plus an rpcnode endpoint for a coordinator session (remote node
 //     managers execute); region, store and engine are the library's.
-//   - run: one goroutine drives the Session until its budget is consumed
-//     or Stop is called, then seals the result (Done, Result).
+//   - run: one goroutine drives the Session until its engine is done —
+//     budget spent, space drained, deadline passed or Stop called —
+//     then seals the result (Done, Result).
 //
 // The CLI is the first client: `afex explore` and `afex serve --addr`
 // fill a SessionSpec from their flags and run it on an in-process
@@ -81,8 +82,8 @@ type SessionSpec struct {
 	ErrnoAxis bool `json:"errnoAxis,omitempty"`
 	// Algorithm selects the exploration strategy ("" = fitness).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Iterations caps executed tests (0 = until the space is
-	// exhausted; coordinator sessions with 0 run until stopped).
+	// Iterations caps executed tests (0 = until the space is exhausted,
+	// the time budget passes or the session is stopped).
 	Iterations int `json:"iterations,omitempty"`
 	// Seed is the RNG seed.
 	Seed int64 `json:"seed,omitempty"`
@@ -197,11 +198,10 @@ type Session struct {
 	rpc     *rpcnode.Server
 	cleanup func() error
 
-	stopOnce sync.Once
-	stopping chan struct{}
-	done     chan struct{}
+	done chan struct{}
 
 	mu       sync.Mutex
+	stopped  bool // Stop was called
 	state    string
 	finished time.Time
 	res      *core.ResultSet
@@ -424,11 +424,10 @@ func (m *Manager) Start(p *Plan) (*Session, error) {
 // coordinator session adds the rpcnode endpoint its managers dial.
 func open(p *Plan) (*Session, error) {
 	s := &Session{
-		Spec:     p.Spec,
-		started:  time.Now(),
-		state:    StateRunning,
-		stopping: make(chan struct{}),
-		done:     make(chan struct{}),
+		Spec:    p.Spec,
+		started: time.Now(),
+		state:   StateRunning,
+		done:    make(chan struct{}),
 	}
 	var err error
 	if p.Spec.Serve == "" {
@@ -449,43 +448,27 @@ func open(p *Plan) (*Session, error) {
 }
 
 // run drives the session to its seal: a local one by the engine's own
-// worker pool, a coordinator by watching until its iteration budget is
-// consumed or Stop is called. Without that budget it runs until stopped
-// — a drained space or an elapsed time budget sends its managers home,
-// but looks the same as managers that have yet to connect.
+// worker pool, a coordinator by waiting on its engine's Done — its
+// iteration budget spent, its space drained by the managers, its time
+// budget seen by a lease or fold, or Stop. Then it seals the session:
+// result, store error, final state.
 func (s *Session) run() {
+	var res *core.ResultSet
 	if s.coord == nil {
-		res := s.eng.RunLocal()
-		s.finish(res, s.cleanup())
-		return
-	}
-	t := time.NewTicker(100 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopping:
-		case <-t.C:
-			if s.Spec.Iterations <= 0 || s.eng.Snapshot().Executed < s.Spec.Iterations {
-				continue
-			}
-		}
-		s.eng.Stop()
-		res := s.coord.Result()
+		res = s.eng.RunLocal()
+	} else {
+		<-s.eng.Done()
+		res = s.coord.Result()
 		s.rpc.Close()
-		s.finish(res, s.cleanup())
-		return
 	}
-}
-
-// finish seals the session: result, error, final state.
-func (s *Session) finish(res *core.ResultSet, cleanupErr error) {
+	err := s.cleanup()
 	s.mu.Lock()
-	s.res, s.err = res, cleanupErr
+	s.res, s.err = res, err
 	s.finished = time.Now()
 	switch {
-	case cleanupErr != nil:
+	case err != nil:
 		s.state = StateFailed
-	case s.stopRequested():
+	case s.stopped:
 		s.state = StateStopped
 	default:
 		s.state = StateDone
@@ -494,23 +477,14 @@ func (s *Session) finish(res *core.ResultSet, cleanupErr error) {
 	close(s.done)
 }
 
-func (s *Session) stopRequested() bool {
-	select {
-	case <-s.stopping:
-		return true
-	default:
-		return false
-	}
-}
-
 // Stop requests the session to end: leasing stops, in-flight tests
 // still fold, and the session seals (local mode via RunLocal's return,
-// coordinator mode via the watcher). Idempotent.
+// coordinator mode via the engine's Done). Idempotent.
 func (s *Session) Stop() {
-	s.stopOnce.Do(func() {
-		close(s.stopping)
-		s.eng.Stop()
-	})
+	s.mu.Lock()
+	s.stopped = true
+	s.mu.Unlock()
+	s.eng.Stop()
 }
 
 // Done is closed when the session has sealed its result.

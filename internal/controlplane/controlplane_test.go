@@ -54,7 +54,7 @@ func TestLocalSessionOverHTTP(t *testing.T) {
 	if st.Mode != "local" {
 		t.Fatalf("mode = %q, want local", st.Mode)
 	}
-	final, err := cl.Wait(st.ID, 50*time.Millisecond)
+	final, err := cl.Wait(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRemovedSpecKeyIsIgnored(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit answered %s (decode: %v)", resp.Status, err)
 	}
-	final, err := cl.Wait(st.ID, 20*time.Millisecond)
+	final, err := cl.Wait(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestStatusJSONSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Wait(st.ID, 20*time.Millisecond); err != nil {
+	if _, err := cl.Wait(st.ID); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get("http://" + srv.Addr() + "/v1/sessions/" + st.ID)
@@ -447,8 +447,8 @@ func TestCoordinatorHonoursFeedback(t *testing.T) {
 // TestCoordinatorHonoursTimeBudget: with no iteration budget over a
 // space far larger than the time budget's worth of work, managers are
 // told Done once the engine's deadline has passed — the field used to
-// be dropped and they ran until stopped. Sealing a session without an
-// iteration budget still takes Stop.
+// be dropped and they ran until stopped — and the session seals by
+// itself, as a local one does, without Stop.
 func TestCoordinatorHonoursTimeBudget(t *testing.T) {
 	m := controlplane.NewManager()
 	defer m.StopAll()
@@ -485,13 +485,82 @@ func TestCoordinatorHonoursTimeBudget(t *testing.T) {
 	}
 	select {
 	case <-s.Done():
-		t.Fatal("a session with no iteration budget sealed without Stop")
-	default:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the deadline stopped the engine, yet the session never sealed")
 	}
-	s.Stop()
-	<-s.Done()
+	if st := s.Status(false); st.State != controlplane.StateDone {
+		t.Fatalf("session sealed %q, want done", st.State)
+	}
 	if res, err := s.Result(); err != nil || res.Executed == 0 {
 		t.Fatalf("sealed with %+v, %v", res, err)
+	}
+}
+
+// TestCoordinatorSealsWhenSpaceDrained: a coordinator session with no
+// iteration budget seals once its manager has drained the space, and
+// Client.Wait, following the event stream, returns that sealed status.
+func TestCoordinatorSealsWhenSpaceDrained(t *testing.T) {
+	_, _, cl := startServer(t)
+	dir := t.TempDir() + "/state"
+	st, err := cl.Submit(controlplane.SessionSpec{
+		Target:   "mysqld",
+		Space:    "testID : [ 0 , 3 ]  function : { read , write }  callNumber : [ 1 , 2 ] ;",
+		Serve:    "127.0.0.1:0",
+		StateDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := targets.ByName("mysqld")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := rpcnode.Dial(st.Addr, "m", target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	if n, err := mgr.RunUntilDone(); err != nil || n != 16 {
+		t.Fatalf("manager executed %d of the 16-point space (%v)", n, err)
+	}
+	final, err := cl.Wait(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != controlplane.StateDone || final.Snapshot.Executed != 16 || final.Snapshot.Pending != 0 {
+		t.Fatalf("Wait returned %q with %d executed, %d pending; want done with 16, 0", final.State, final.Snapshot.Executed, final.Snapshot.Pending)
+	}
+	if final.Store == nil || final.Store.Entries != 16 {
+		t.Fatalf("sealed status store stats %+v, want a 16-entry journal", final.Store)
+	}
+}
+
+// TestWaitFailsWhenServerCloses: a session that never seals on its own
+// (a coordinator with no budget and no managers) cannot outlive its
+// server, and Wait says so instead of hanging.
+func TestWaitFailsWhenServerCloses(t *testing.T) {
+	srv, err := controlplane.Serve("127.0.0.1:0", controlplane.NewManager())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := controlplane.NewClient(srv.Addr())
+	st, err := cl.Submit(controlplane.SessionSpec{Target: "mysqld", Serve: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() {
+		_, err := cl.Wait(st.ID)
+		waited <- err
+	}()
+	srv.Close()
+	select {
+	case err := <-waited:
+		if err == nil {
+			t.Fatal("Wait returned no error for a session whose server closed before it sealed")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Wait still blocked after the server closed")
 	}
 }
 

@@ -99,7 +99,8 @@ func withSession(m *Manager, h func(http.ResponseWriter, *http.Request, *Session
 
 // serveEvents streams the session's Status as server-sent events, one
 // per tick (?interval=, default 1s, floor 100ms), plus a final event
-// when the session seals; the stream then ends. Pairs with
+// when the session seals — the full status, store stats included, that
+// Client.Wait returns; the stream then ends. Pairs with
 // `curl -N .../events`.
 func serveEvents(w http.ResponseWriter, r *http.Request, s *Session) {
 	interval := time.Second
@@ -123,7 +124,11 @@ func serveEvents(w http.ResponseWriter, r *http.Request, s *Session) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	emit := func() bool {
-		raw, err := json.Marshal(s.Status(false))
+		st := s.Status(false)
+		if st.State != StateRunning {
+			st = s.Status(true) // the sealed status carries the store stats too
+		}
+		raw, err := json.Marshal(st)
 		if err != nil {
 			return false
 		}

@@ -84,17 +84,21 @@ type Engine struct {
 	mu sync.Mutex
 
 	// leaseMu guards lease bookkeeping: the pending/committed budget
-	// counters, the lease-expiry heap and the latency average. It is
-	// deliberately narrow — never held across explorer calls or fold
-	// work.
+	// counters, the lease-expiry heap, the wake-up, the seal and the
+	// latency average. It is deliberately narrow — never held across
+	// explorer calls or fold work.
 	leaseMu sync.Mutex
-	// pending counts candidates handed out but not yet folded back.
-	// committed counts every claim against the Iterations budget:
-	// executed + pending, plus what a Lease has reserved for the
-	// candidates it is generating right now. The remaining budget is
-	// Iterations - committed, so concurrent leases never overshoot.
+	// pending counts candidates handed out (or being generated by a
+	// Lease) but not yet folded back. committed counts every claim
+	// against the Iterations budget: executed + pending. The remaining
+	// budget is Iterations - committed, so leases never overshoot.
 	pending   int
 	committed int
+	// done is Done's channel, closed through seal; wake is closed and
+	// cleared by progressLocked, nil while no worker is parked.
+	done chan struct{}
+	seal sync.Once
+	wake chan struct{}
 	// lq tracks outstanding candidates in an expiry-ordered min-heap
 	// when lease expiry is on (Config.LeaseTimeout): expired entries
 	// are re-leased oldest-first — deterministically, unlike the map
@@ -224,12 +228,16 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	if cfg.Batch <= 0 {
 		cfg.Batch = DefaultBatch
 	}
+	if cfg.clock == nil {
+		cfg.clock = wallClock{}
+	}
 	adaptiveSnap := cfg.SnapshotEvery <= 0
 	if adaptiveSnap {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
 	e := &Engine{
 		cfg:           cfg,
+		done:          make(chan struct{}),
 		covered:       make(map[int]struct{}),
 		recovered:     make(map[int]struct{}),
 		foldedSets:    make(map[[2]uint64]struct{}),
@@ -293,7 +301,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	// snapshot, then put the cross-run novelty filter in front of the
 	// explorer so no journaled scenario key is ever executed twice.
 	if cfg.Restore != nil {
-		began := time.Now()
+		began := cfg.clock.Now()
 		if err := e.applyRestore(cfg.Restore); err != nil {
 			return nil, err
 		}
@@ -302,7 +310,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 			return nil, err
 		}
 		info := cfg.Restore.Info
-		info.RestoreNS = int64(time.Since(began))
+		info.RestoreNS = int64(cfg.clock.Now().Sub(began))
 		e.resume = &info
 	} else {
 		e.res.Records = e.reserveRecords(nil)
@@ -332,9 +340,10 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	e.explorer = ex
 	e.adaptiveSnap = adaptiveSnap
 	// The committed budget counter starts at what the restored journal
-	// already spent; every lease claims against it.
+	// already spent (seal a spent budget); every lease claims against it.
 	e.committed = e.res.Executed
-	e.start = time.Now()
+	e.progressLocked()
+	e.start = cfg.clock.Now()
 	if cfg.TimeBudget > 0 {
 		e.deadline = e.start.Add(cfg.TimeBudget)
 	}
@@ -369,11 +378,11 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 	}
 	// One clock read serves the deadline check, the expiry scan and
 	// fresh-lease stamping for the whole call.
-	now := time.Now()
+	now := e.cfg.clock.Now()
 	// Check the deadline here too, not only when folding: a session with
 	// slow tests (or none finishing) must stop handing out work the
 	// moment the TimeBudget elapses, not at the next fold.
-	if !e.deadline.IsZero() && now.After(e.deadline) {
+	if !e.deadline.IsZero() && !now.Before(e.deadline) {
 		e.Stop()
 		return nil
 	}
@@ -393,6 +402,7 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 		return cands
 	}
 	e.committed += fresh
+	e.pending += fresh
 	e.leaseMu.Unlock()
 
 	e.exMu.Lock()
@@ -407,14 +417,16 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 		// regenerable queued set — so drop them and refund the whole
 		// reservation.
 		e.committed -= fresh
+		e.pending -= fresh
 		return cands
 	}
+	// Refund the shortfall; the rest is leased (under expiry, heaped).
 	e.committed -= fresh - len(next)
+	e.pending -= fresh - len(next)
 	if len(next) < fresh {
 		e.exhausted = true
+		e.progressLocked()
 	}
-	// Booked as leased: pending and, under lease expiry, in the heap.
-	e.pending += len(next)
 	if e.lq != nil {
 		expires := now.Add(e.cfg.LeaseTimeout)
 		for _, c := range next {
@@ -440,6 +452,21 @@ func (e *Engine) Unlease(n int) {
 	}
 	e.pending -= n
 	e.committed -= n
+	e.progressLocked()
+}
+
+// progressLocked is the one wake-up, called at every fold, Unlease,
+// forced expiry and Stop and when the explorer runs dry: it wakes the
+// parked workers, if any, and seals Done once the engine is stopped or
+// owes nothing with the explorer dry or the budget committed.
+func (e *Engine) progressLocked() {
+	if e.wake != nil {
+		close(e.wake)
+		e.wake = nil
+	}
+	if e.stopped.Load() || e.pending == 0 && (e.exhausted || e.cfg.Iterations > 0 && e.committed >= e.cfg.Iterations) {
+		e.seal.Do(func() { close(e.done) })
+	}
 }
 
 // Fold folds one executed test back into shared state and the explorer:
@@ -510,7 +537,9 @@ func (e *Engine) Precompute(et *ExecutedTest) {
 // explorer is fed through its batched report fast path. Every executed
 // test folds — observed outcomes are never discarded, even when a Stop
 // condition or the deadline fires mid-batch (stopping only prevents
-// further leases). It returns true when the session should stop.
+// further leases). It returns true when the session should stop. Only
+// a batch that arrives after Finish — a remote manager reporting to a
+// coordinator that already sealed — is dropped: the result is final.
 //
 // When a Store is attached, each completed record is handed to it in
 // fold order (folds may come from concurrent RPC goroutines, so the
@@ -541,6 +570,9 @@ func (e *Engine) FoldBatch(batch []ExecutedTest) bool {
 func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.finished {
+		return true, nil
+	}
 	feedback := make([]explore.Feedback, 0, len(batch))
 	// Lease bookkeeping for the whole batch under one short lease-lock
 	// acquisition: duplicate detection, lease retirement and the pending
@@ -563,6 +595,7 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 		folding = e.pending
 	}
 	e.pending -= folding
+	e.progressLocked()
 	e.leaseMu.Unlock()
 	folded := make([]int, 0, len(batch))
 	stop := false
@@ -579,8 +612,8 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 	// The deadline is checked once per batch (a sequential session folds
 	// batches of one, so its per-fold cadence is unchanged); Lease checks
 	// it too, so a stopped-on-time session also stops handing out work.
-	if !e.stopped.Load() && !e.deadline.IsZero() && time.Now().After(e.deadline) {
-		e.stopped.Store(true)
+	if !e.stopped.Load() && !e.deadline.IsZero() && !e.cfg.clock.Now().Before(e.deadline) {
+		e.Stop()
 		stop = true
 	}
 	// Explorer feedback at the batch boundary, under the explorer lock
@@ -744,7 +777,7 @@ func (e *Engine) foldLocked(et *ExecutedTest, bs *batchSnap) (bool, explore.Feed
 		e.cfg.Progress(e.batchSnapshotLocked(bs))
 	}
 	if e.cfg.Stop != nil && e.cfg.Stop(e.batchSnapshotLocked(bs)) {
-		e.stopped.Store(true)
+		e.Stop()
 		return true, fb
 	}
 	return e.stopped.Load(), fb
@@ -772,6 +805,30 @@ func (e *Engine) Waiting() bool {
 	e.leaseMu.Lock()
 	defer e.leaseMu.Unlock()
 	return e.lq != nil && e.lq.Len() > 0
+}
+
+// park is Waiting for the worker loop: while it holds, park blocks the
+// worker until the next progressLocked, the earliest lease expiry or the
+// deadline, and reports true.
+func (e *Engine) park() bool {
+	e.leaseMu.Lock()
+	if e.stopped.Load() || e.lq == nil || e.lq.Len() == 0 {
+		e.leaseMu.Unlock()
+		return false
+	}
+	if e.wake == nil {
+		e.wake = make(chan struct{})
+	}
+	wake, until := e.wake, e.lq.entries[0].expires
+	if !e.deadline.IsZero() && e.deadline.Before(until) {
+		until = e.deadline
+	}
+	e.leaseMu.Unlock()
+	select {
+	case <-wake:
+	case <-e.cfg.clock.After(until.Sub(e.cfg.clock.Now())):
+	}
+	return true
 }
 
 // Wire-batch sizing: an adaptive lease batch targets WireBatchRound of
@@ -846,13 +903,25 @@ func (e *Engine) ExpireLeases(keys []string) int {
 	if e.lq == nil {
 		return 0
 	}
+	defer e.progressLocked()
 	return e.lq.expire(keys)
 }
 
-// Stop ends the session: subsequent Lease calls return nil, and one
-// caught generating drops what it generated. In-flight tests may still
-// fold.
-func (e *Engine) Stop() { e.stopped.Store(true) }
+// Stop ends the session: subsequent Lease calls return nil, one caught
+// generating drops what it generated, and Done closes. In-flight tests
+// may still fold.
+func (e *Engine) Stop() {
+	e.stopped.Store(true)
+	e.leaseMu.Lock()
+	e.progressLocked()
+	e.leaseMu.Unlock()
+}
+
+// Done is closed once the engine will hand out nothing more and owes
+// nothing: on Stop (by the caller, the Stop hook, or a Lease or fold
+// past the deadline), at the fold that spends the Iterations budget, or
+// at the last fold after the explorer ran dry.
+func (e *Engine) Done() <-chan struct{} { return e.done }
 
 // Snapshot returns the running tally.
 func (e *Engine) Snapshot() Snapshot {
@@ -936,7 +1005,7 @@ func (e *Engine) finishLocked() (*ResultSet, *sessionView, backend.Runner) {
 	first := !e.finished
 	if first {
 		e.finished = true
-		e.res.Elapsed = e.prevElapsed + time.Since(e.start)
+		e.res.Elapsed = e.prevElapsed + e.cfg.clock.Now().Sub(e.start)
 	}
 	e.exMu.Lock()
 	if s, ok := e.explorer.(explore.Sensitive); ok && e.cfg.Space != nil && len(e.cfg.Space.Spaces) > 0 {
@@ -1096,24 +1165,22 @@ func (e *Engine) work(exec Executor, batch int) {
 	)
 	emit := func(i int, rec Record, out prog.Outcome) {
 		done = append(done, ExecutedTest{C: cands[i], Rec: rec, Out: out})
-		if left--; left > 0 && time.Since(folded) >= foldEvery {
+		if left--; left > 0 && e.cfg.clock.Now().Sub(folded) >= foldEvery {
 			e.FoldBatch(done)
 			done = done[:0]
-			folded = time.Now()
+			folded = e.cfg.clock.Now()
 		}
 	}
 	for {
 		cands = e.Lease(batch)
 		if len(cands) == 0 {
-			if !e.Waiting() {
-				return
+			// Leases that may yet expire and re-lease: wait, don't quit.
+			if e.park() {
+				continue
 			}
-			// Leases that may yet expire and re-lease: poll instead of
-			// quitting.
-			time.Sleep(5 * time.Millisecond)
-			continue
+			return
 		}
-		left, folded = len(cands), time.Now()
+		left, folded = len(cands), e.cfg.clock.Now()
 		e.execute(exec, cands, emit)
 		e.FoldBatch(done)
 		done = done[:0]

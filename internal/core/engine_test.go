@@ -333,14 +333,14 @@ func TestStopMidGenerationRefunds(t *testing.T) {
 // the deadline. Lease itself must refuse once the budget has elapsed,
 // with no fold required to notice.
 func TestLeaseChecksDeadline(t *testing.T) {
-	// The budget is generous so the first lease cannot lose the race
-	// against a stalled CI scheduler; the sleep then overshoots it.
 	const budget = 250 * time.Millisecond
+	clk := newFakeClock()
 	eng, err := NewEngine(Config{
 		Target:     sessionTarget(),
 		Space:      sessionSpace(),
 		Algorithm:  "exhaustive",
 		TimeBudget: budget,
+		clock:      clk,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +348,7 @@ func TestLeaseChecksDeadline(t *testing.T) {
 	if first := eng.Lease(2); len(first) != 2 {
 		t.Fatalf("pre-deadline lease handed out %d candidates, want 2", len(first))
 	}
-	time.Sleep(budget + 50*time.Millisecond)
+	clk.Advance(budget)
 	// No fold has happened; the deadline alone must stop leasing.
 	if late := eng.Lease(1); late != nil {
 		t.Fatalf("lease granted %d candidates after the deadline with no fold", len(late))
@@ -518,51 +518,48 @@ func TestParallelStopFoldsInFlightResults(t *testing.T) {
 	}
 }
 
-// stampedExecutor is a slow target that records when each test finished.
+// stampedExecutor is a slow target that records when each test
+// finished: each test moves the fake clock on by its cost.
 type stampedExecutor struct {
 	inner    Executor
+	clk      *fakeClock
 	cost     time.Duration
-	mu       sync.Mutex
 	finished map[string]time.Time
 }
 
 func (s *stampedExecutor) Execute(c explore.Candidate) (Record, prog.Outcome) {
 	rec, out := s.inner.Execute(c)
-	time.Sleep(s.cost)
-	s.mu.Lock()
-	s.finished[c.Point.Key()] = time.Now()
-	s.mu.Unlock()
+	s.clk.Advance(s.cost)
+	s.finished[c.Point.Key()] = s.clk.Now()
 	return rec, out
 }
 
 // TestSlowTargetFoldsWhenFinished: on a target slower than foldEvery a
 // result folds — journals, reaches Observe and Stop — when it finishes,
-// not when the rest of its worker's lease batch does.
+// not when the rest of its worker's lease batch does. One worker loop
+// at a batch of four runs on the test's goroutine, so the only time
+// that passes is its own tests'.
 func TestSlowTargetFoldsWhenFinished(t *testing.T) {
-	exec := &stampedExecutor{cost: 2 * foldEvery, finished: make(map[string]time.Time)}
+	clk := newFakeClock()
+	exec := &stampedExecutor{clk: clk, cost: 2 * foldEvery, finished: make(map[string]time.Time)}
 	var worst time.Duration
 	eng, err := NewEngine(Config{
 		Target:     sessionTarget(),
 		Space:      sessionSpace(),
 		Algorithm:  "exhaustive",
 		Iterations: 8,
-		Workers:    2,
-		Batch:      4,
-		// Observe runs under the session lock, so worst needs no other.
 		Observe: func(rec Record) {
-			exec.mu.Lock()
-			lag := time.Since(exec.finished[rec.Point.Key()])
-			exec.mu.Unlock()
-			if lag > worst {
+			if lag := clk.Now().Sub(exec.finished[rec.Point.Key()]); lag > worst {
 				worst = lag
 			}
 		},
+		clock: clk,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exec.inner = eng.LocalExecutor()
-	eng.RunWith(exec)
+	eng.work(exec, 4)
 	if res := eng.Finish(); res.Executed != 8 {
 		t.Fatalf("executed %d tests, want 8", res.Executed)
 	}

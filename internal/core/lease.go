@@ -1,7 +1,7 @@
 package core
 
-// The lease-expiry heap Engine.Lease works on, under the narrow lease
-// lock.
+// The engine's clock, and the lease-expiry heap Engine.Lease works on
+// under the narrow lease lock.
 
 import (
 	"container/heap"
@@ -9,6 +9,18 @@ import (
 
 	"afex/internal/explore"
 )
+
+// clock is the engine's one source of time (see "Time" in the package
+// doc). Config.clock nil is wallClock; this package's tests pass a fake.
+type clock interface {
+	Now() time.Time
+	After(d time.Duration) <-chan time.Time
+}
+
+type wallClock struct{}
+
+func (wallClock) Now() time.Time                         { return time.Now() }
+func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // leaseEntry is one outstanding lease in the expiry heap: the
 // candidate, the instant after which it may be handed out again, and a
@@ -75,15 +87,15 @@ func (q *leaseQueue) add(key string, c explore.Candidate, expires time.Time) {
 	heap.Push(q, e)
 }
 
-// takeExpired re-leases up to max expired candidates, oldest expiry
-// first (force-expired entries sort before everything), re-stamping
-// each with a fresh expiry so it is not handed out again before
-// timeout elapses.
+// takeExpired re-leases up to max expired candidates — a lease expires
+// at its stamp — oldest expiry first (force-expired entries sort before
+// everything), re-stamping each with a fresh expiry so it is not handed
+// out again before timeout elapses.
 func (q *leaseQueue) takeExpired(now time.Time, max int, timeout time.Duration) []explore.Candidate {
 	var out []explore.Candidate
 	for len(out) < max && len(q.entries) > 0 {
 		top := q.entries[0]
-		if !now.After(top.expires) {
+		if now.Before(top.expires) {
 			break
 		}
 		top.expires = now.Add(timeout)

@@ -15,38 +15,42 @@ import (
 
 const testLeaseTimeout = 30 * time.Millisecond
 
-func leaseExpiryEngine(t *testing.T, iterations int) *Engine {
+// leaseExpiryEngine builds a lease-expiry engine on a fake clock: its
+// leases expire only when the test advances the clock past them.
+func leaseExpiryEngine(t *testing.T, iterations int) (*Engine, *fakeClock) {
 	t.Helper()
+	clk := newFakeClock()
 	eng, err := NewEngine(Config{
 		Target:       sessionTarget(),
 		Space:        sessionSpace(),
 		Algorithm:    "exhaustive",
 		Iterations:   iterations,
 		LeaseTimeout: testLeaseTimeout,
+		clock:        clk,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng
+	return eng, clk
 }
 
 // drain drives the engine like a surviving worker: execute whatever
-// Lease hands out, polling through the expiry window, until the session
+// Lease hands out and, when it hands out nothing but leases are still
+// outstanding, move the clock past their expiry, until the session
 // neither hands out work nor waits on outstanding leases.
-func drain(t *testing.T, eng *Engine) {
+func drain(t *testing.T, eng *Engine, clk *fakeClock) {
 	t.Helper()
 	exec := eng.LocalExecutor()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	for expiries := 0; ; {
 		cands := eng.Lease(4)
 		if len(cands) == 0 {
 			if !eng.Waiting() {
 				return
 			}
-			if time.Now().After(deadline) {
+			if expiries++; expiries > 10 {
 				t.Fatal("session did not drain: lost leases never re-leased")
 			}
-			time.Sleep(2 * time.Millisecond)
+			clk.Advance(testLeaseTimeout)
 			continue
 		}
 		for _, c := range cands {
@@ -60,12 +64,12 @@ func drain(t *testing.T, eng *Engine) {
 // a batch and disconnects: the session still executes every point of
 // the space, exactly once.
 func TestLeaseExpiryReleasesLostCandidates(t *testing.T) {
-	eng := leaseExpiryEngine(t, 0)
+	eng, clk := leaseExpiryEngine(t, 0)
 	lost := eng.Lease(5) // the dead manager's batch — never folded
 	if len(lost) != 5 {
 		t.Fatalf("leased %d candidates, want 5", len(lost))
 	}
-	drain(t, eng)
+	drain(t, eng, clk)
 	res := eng.Finish()
 	if want := int(sessionSpace().Size()); res.Executed != want {
 		t.Fatalf("executed %d tests, want the whole %d-point space", res.Executed, want)
@@ -90,11 +94,11 @@ func TestLeaseExpiryReleasesLostCandidates(t *testing.T) {
 // exactly the budget — no stall, no overshoot.
 func TestLeaseExpiryRespectsIterationsBudget(t *testing.T) {
 	const budget = 10
-	eng := leaseExpiryEngine(t, budget)
+	eng, clk := leaseExpiryEngine(t, budget)
 	if got := len(eng.Lease(4)); got != 4 {
 		t.Fatalf("leased %d, want 4", got)
 	}
-	drain(t, eng)
+	drain(t, eng, clk)
 	res := eng.Finish()
 	if res.Executed != budget {
 		t.Fatalf("executed %d, want exactly the budget %d", res.Executed, budget)
@@ -112,14 +116,14 @@ func TestLeaseExpiryRespectsIterationsBudget(t *testing.T) {
 // reports after its candidate was re-leased and folded, the late
 // duplicate is dropped — each candidate folds exactly once.
 func TestLeaseExpiryDropsDuplicateFold(t *testing.T) {
-	eng := leaseExpiryEngine(t, 0)
+	eng, clk := leaseExpiryEngine(t, 0)
 	exec := eng.LocalExecutor()
 	cands := eng.Lease(1)
 	if len(cands) != 1 {
 		t.Fatal("no candidate leased")
 	}
 	c := cands[0]
-	time.Sleep(testLeaseTimeout + 10*time.Millisecond)
+	clk.Advance(testLeaseTimeout)
 	re := eng.Lease(1)
 	if len(re) != 1 || re[0].Point.Key() != c.Point.Key() {
 		t.Fatalf("expired lease not re-leased first: got %v", re)
@@ -147,7 +151,7 @@ func TestLeaseExpiryDropsDuplicateFold(t *testing.T) {
 // replaced handed expired leases out in random map-iteration order.
 func TestLeaseExpiryDeterministicOrder(t *testing.T) {
 	reLease := func() []string {
-		eng := leaseExpiryEngine(t, 0)
+		eng, clk := leaseExpiryEngine(t, 0)
 		first := eng.Lease(6)
 		if len(first) != 6 {
 			t.Fatalf("leased %d candidates, want 6", len(first))
@@ -156,7 +160,7 @@ func TestLeaseExpiryDeterministicOrder(t *testing.T) {
 		for i, c := range first {
 			want[i] = c.Point.Key()
 		}
-		time.Sleep(testLeaseTimeout + 10*time.Millisecond)
+		clk.Advance(testLeaseTimeout)
 		// One at a time, so each call must pick the single oldest expiry.
 		var got []string
 		for range want {
@@ -186,13 +190,13 @@ func TestLeaseExpiryDeterministicOrder(t *testing.T) {
 // must not discard candidates — they stay committed and re-lease on
 // expiry, so the session still covers the whole space.
 func TestUnleaseWithLeaseTimeoutIsNoop(t *testing.T) {
-	eng := leaseExpiryEngine(t, 0)
+	eng, clk := leaseExpiryEngine(t, 0)
 	batch := eng.Lease(4)
 	if len(batch) != 4 {
 		t.Fatalf("leased %d candidates, want 4", len(batch))
 	}
 	eng.Unlease(len(batch)) // a worker shutting down mid-batch
-	drain(t, eng)
+	drain(t, eng, clk)
 	res := eng.Finish()
 	if want := int(sessionSpace().Size()); res.Executed != want {
 		t.Fatalf("executed %d tests, want the whole %d-point space — Unlease dropped tracked leases", res.Executed, want)
@@ -241,10 +245,12 @@ func TestUnleaseReturnsBudgetWithoutTimeout(t *testing.T) {
 // tracked — Lease never re-hands a candidate and Waiting is always
 // false — preserving the seed semantics for every existing session.
 func TestLeaseExpiryOffTrustsExecutors(t *testing.T) {
+	clk := newFakeClock()
 	eng, err := NewEngine(Config{
 		Target:    sessionTarget(),
 		Space:     sessionSpace(),
 		Algorithm: "exhaustive",
+		clock:     clk,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +259,7 @@ func TestLeaseExpiryOffTrustsExecutors(t *testing.T) {
 	if len(first) != 3 {
 		t.Fatal("lease failed")
 	}
-	time.Sleep(5 * time.Millisecond)
+	clk.Advance(time.Hour)
 	if eng.Waiting() {
 		t.Fatal("Waiting() true without LeaseTimeout")
 	}

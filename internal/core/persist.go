@@ -336,8 +336,8 @@ type sessionView struct {
 // sessionViewLocked captures a snapshot view; callers hold e.mu and
 // hand the result to deliverSnapshot after unlocking.
 func (e *Engine) sessionViewLocked() *sessionView {
-	began := time.Now()
-	defer func() { e.snapshotNS.Add(int64(time.Since(began))) }()
+	began := e.cfg.clock.Now()
+	defer func() { e.snapshotNS.Add(int64(e.cfg.clock.Now().Sub(began))) }()
 	v := &sessionView{
 		seq:           e.res.Executed,
 		elapsed:       e.prevElapsed + began.Sub(e.start),
@@ -409,10 +409,10 @@ func (e *Engine) deliverSnapshot(v *sessionView) {
 		return
 	}
 	e.snapSeq = v.seq
-	began := time.Now()
+	began := e.cfg.clock.Now()
 	e.cfg.Store.SnapshotSession(v.assemble())
 	e.snapshots.Add(1)
-	e.snapshotNS.Add(int64(time.Since(began)))
+	e.snapshotNS.Add(int64(e.cfg.clock.Now().Sub(began)))
 }
 
 func sortedIntCopy(s []int) []int {

@@ -36,6 +36,14 @@
 // Run is the high-level entry point; advanced callers (distributed
 // coordinators, custom executors, throughput benchmarks) build an Engine
 // directly via NewEngine and drive it with RunWith, Lease and Fold.
+//
+// # Time
+//
+// The engine reads one clock (lease.go) and wakes workers parked on
+// expiring leases at every fold, Unlease, forced expiry and Stop, never
+// on a poll; Done tells a coordinator the session is over. The clock is
+// the wall clock except in this package's tests, which own a fake one so
+// an expiry or a deadline falls at a chosen step, not after a sleep.
 package core
 
 import (
@@ -208,6 +216,8 @@ type Config struct {
 	// SnapshotEvery is the number of folds between periodic snapshots
 	// when a Store is attached (default DefaultSnapshotEvery).
 	SnapshotEvery int
+
+	clock clock // the engine's time source; nil is the wall clock
 }
 
 // Snapshot is the running tally handed to Stop conditions and progress

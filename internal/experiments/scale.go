@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"afex/internal/core"
 	"afex/internal/explore"
 	"afex/internal/prog"
 	"afex/internal/rpcnode"
@@ -139,8 +140,11 @@ func scalability(o Opts, nodeCounts []int, testsPerRun, workFactor int, singleTa
 
 	for _, n := range nodeCounts {
 		ex := explore.NewFitnessGuided(space, explore.Config{Seed: o.Seed})
-		coord := rpcnode.NewCoordinator(space, ex, testsPerRun, nil)
-		srv, err := rpcnode.Serve("127.0.0.1:0", coord)
+		coord, err := rpcnode.NewCoordinatorConfig(core.Config{Space: space, Iterations: testsPerRun}, ex, nil)
+		var srv *rpcnode.Server
+		if err == nil {
+			srv, err = rpcnode.Serve("127.0.0.1:0", coord)
+		}
 		if err != nil {
 			panic("experiments: " + err.Error())
 		}

@@ -142,7 +142,7 @@ func TestFitnessMemoMatchesReference(t *testing.T) {
 // continue exactly as a fresh explorer that imports the same state.
 func TestMetaExplorersResumeInPlace(t *testing.T) {
 	for name, mk := range map[string]func() StatefulExplorer{
-		"sharded-fitness": func() StatefulExplorer { return NewSharded(memoSpace(), 3, Config{Seed: 4}) },
+		"sharded-fitness": func() StatefulExplorer { return newSharded(memoSpace(), 3, Config{Seed: 4}) },
 		"portfolio":       func() StatefulExplorer { return NewPortfolio(memoSpace(), Config{Seed: 4}) },
 	} {
 		t.Run(name, func(t *testing.T) {

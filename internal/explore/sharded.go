@@ -59,19 +59,6 @@ type shardSearch struct {
 	off  []int
 }
 
-// NewSharded builds a sharded fitness-guided explorer over space with n
-// shards — the historical default composition, kept as a convenience
-// over NewShardedStrategy(space, n, "fitness", cfg).
-func NewSharded(space *faultspace.Union, n int, cfg Config) *Sharded {
-	s, err := NewShardedStrategy(space, n, "fitness", cfg)
-	if err != nil {
-		// "fitness" is always registered; the only failure mode is an
-		// unknown strategy name, which cannot happen here.
-		panic("explore: " + err.Error())
-	}
-	return s
-}
-
 // NewShardedStrategy builds a sharded explorer over space with n shards,
 // each running an independent instance of the named registered strategy.
 // n < 1 is treated as 1; shards that come back empty (the space is

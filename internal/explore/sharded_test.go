@@ -6,6 +6,15 @@ import (
 	"afex/internal/faultspace"
 )
 
+// newSharded is the sharded fitness-guided explorer most tests compose.
+func newSharded(space *faultspace.Union, n int, cfg Config) *Sharded {
+	s, err := NewShardedStrategy(space, n, "fitness", cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func shardedSpace() *faultspace.Union {
 	return faultspace.NewUnion(faultspace.New("s",
 		faultspace.IntAxis("testID", 0, 3),
@@ -19,7 +28,7 @@ func shardedSpace() *faultspace.Union {
 // visited twice and every candidate valid in the parent.
 func TestShardedCoversSpaceOnce(t *testing.T) {
 	space := shardedSpace()
-	s := NewSharded(space, 4, Config{Seed: 3})
+	s := newSharded(space, 4, Config{Seed: 3})
 	if s.Shards() != 4 {
 		t.Fatalf("Shards = %d", s.Shards())
 	}
@@ -52,7 +61,7 @@ func TestShardedCoversSpaceOnce(t *testing.T) {
 // disjoint callNumber regions.
 func TestShardedBatchStripesAcrossShards(t *testing.T) {
 	space := shardedSpace() // widest axis: callNumber (12 values → 3 per shard)
-	s := NewSharded(space, 4, Config{Seed: 9})
+	s := newSharded(space, 4, Config{Seed: 9})
 	batch := s.BatchNext(8)
 	if len(batch) != 8 {
 		t.Fatalf("leased %d candidates, want 8", len(batch))
@@ -78,7 +87,7 @@ func TestShardedBatchStripesAcrossShards(t *testing.T) {
 // TestShardedDeterministic: identical seeds yield identical candidate
 // streams under identical feedback.
 func TestShardedDeterministic(t *testing.T) {
-	mk := func() *Sharded { return NewSharded(shardedSpace(), 3, Config{Seed: 5}) }
+	mk := func() *Sharded { return newSharded(shardedSpace(), 3, Config{Seed: 5}) }
 	a, b := mk(), mk()
 	for i := 0; i < 60; i++ {
 		ca, oka := a.Next()
@@ -102,7 +111,7 @@ func TestShardedDeterministic(t *testing.T) {
 // land in the shard that generated it — the shard's own history grows,
 // the others' do not.
 func TestShardedFeedbackRoutesToOwningShard(t *testing.T) {
-	s := NewSharded(shardedSpace(), 4, Config{Seed: 1})
+	s := newSharded(shardedSpace(), 4, Config{Seed: 1})
 	c, ok := s.Next()
 	if !ok {
 		t.Fatal("no candidate")
@@ -213,7 +222,7 @@ func TestShardedMoreShardsThanWidth(t *testing.T) {
 		faultspace.IntAxis("x", 0, 2), // widest axis has 3 values
 		faultspace.IntAxis("y", 0, 1),
 	))
-	s := NewSharded(space, 8, Config{Seed: 2})
+	s := newSharded(space, 8, Config{Seed: 2})
 	if s.Shards() != 3 {
 		t.Fatalf("Shards = %d, want 3 non-empty", s.Shards())
 	}

@@ -148,7 +148,7 @@ func TestWindowSumSurvivesRoundTrip(t *testing.T) {
 // whose state carries one search per shard plus the round-robin cursor.
 func TestShardedStateRoundTrip(t *testing.T) {
 	cfg := Config{Seed: 3}
-	orig := NewSharded(stateSpace(), 3, cfg)
+	orig := newSharded(stateSpace(), 3, cfg)
 	driveKeys(orig, 45)
 
 	blob, err := json.Marshal(orig.ExportState())
@@ -159,7 +159,7 @@ func TestShardedStateRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	clone := NewSharded(stateSpace(), 3, cfg)
+	clone := newSharded(stateSpace(), 3, cfg)
 	if err := clone.ImportState(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestShardedStatefulStrategiesRoundTrip(t *testing.T) {
 // state dirs must still resume, continuing the stream exactly.
 func TestShardedImportsLegacySearchesFormat(t *testing.T) {
 	cfg := Config{Seed: 3}
-	orig := NewSharded(stateSpace(), 3, cfg)
+	orig := newSharded(stateSpace(), 3, cfg)
 	driveKeys(orig, 45)
 
 	st := orig.ExportState()
@@ -239,7 +239,7 @@ func TestShardedImportsLegacySearchesFormat(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	clone := NewSharded(stateSpace(), 3, cfg)
+	clone := newSharded(stateSpace(), 3, cfg)
 	if err := clone.ImportState(&decoded); err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +270,11 @@ func TestImportStateRejectsMismatch(t *testing.T) {
 	if err := other.ImportState(st); err == nil {
 		t.Fatal("import across space shapes succeeded")
 	}
-	sh := NewSharded(stateSpace(), 2, Config{Seed: 1})
+	sh := newSharded(stateSpace(), 2, Config{Seed: 1})
 	if err := sh.ImportState(st); err == nil {
 		t.Fatal("sharded import of fitness state succeeded")
 	}
-	if err := sh.ImportState(NewSharded(stateSpace(), 4, Config{Seed: 1}).ExportState()); err == nil {
+	if err := sh.ImportState(newSharded(stateSpace(), 4, Config{Seed: 1}).ExportState()); err == nil {
 		t.Fatal("sharded import across shard counts succeeded")
 	}
 }
@@ -319,7 +319,7 @@ func TestNovelFilter(t *testing.T) {
 // shard's history so the point is not regenerated.
 func TestShardedReportWithoutLease(t *testing.T) {
 	space := stateSpace()
-	s := NewSharded(space, 3, Config{Seed: 2})
+	s := newSharded(space, 3, Config{Seed: 2})
 	p := faultspace.Point{Sub: 0, Fault: faultspace.Fault{4, 2, 7}}
 	before := s.HistorySize()
 	s.Report(Candidate{Point: p, MutatedAxis: -1}, 3, 3)

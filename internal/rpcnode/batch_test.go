@@ -70,7 +70,7 @@ func TestBatchedMatchesSingleTaskAndLocal(t *testing.T) {
 
 	runDistributed := func(batch int) *core.ResultSet {
 		space := rpcSpace()
-		coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+		coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 		srv, err := Serve("127.0.0.1:0", coord)
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +130,7 @@ func TestBatchedClusterParityFourManagers(t *testing.T) {
 	target := rpcTarget()
 	run := func(batch int) *core.ResultSet {
 		space := rpcSpace()
-		coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+		coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 		srv, err := Serve("127.0.0.1:0", coord)
 		if err != nil {
 			t.Fatal(err)
@@ -312,7 +312,7 @@ func (s *helloLess) Heartbeat(managerID string, ack *bool) error {
 // then cannot work.
 func TestDialWithoutHelloFails(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Coordinator", &helloLess{c: coord}); err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestDialWithoutHelloFails(t *testing.T) {
 // below the coordinator's is refused at the handshake.
 func TestHelloRejectsOlderManager(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	var reply HelloReply
 	if err := coord.Hello(Hello{Manager: "old", Proto: protoBatched - 1}, &reply); err == nil {
 		t.Fatal("a generation-1 manager was accepted")
@@ -360,7 +360,7 @@ func TestHelloRejectsOlderManager(t *testing.T) {
 // (not errors), and the ack reports only the folded count.
 func TestReportBatchDropsUnknownLeases(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	var ack BatchAck
 	if err := coord.ReportBatch(ResultBatch{
 		Manager: "m",
@@ -380,7 +380,7 @@ func TestReportBatchDropsUnknownLeases(t *testing.T) {
 // suggested backoff up to the cap; a successful lease resets it.
 func TestRetryBackoffGrowsAndResets(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	got := make([]int, 0, 8)
 	for i := 0; i < 8; i++ {
 		got = append(got, coord.retryAfter("m"))
@@ -408,7 +408,7 @@ func TestRetryBackoffGrowsAndResets(t *testing.T) {
 // round target — and surfaces in the snapshot.
 func TestAdaptiveBatchSizing(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	eng := coord.Engine()
 	if got := eng.AdaptiveBatch(); got != core.DefaultWireBatch {
 		t.Errorf("cold batch = %d, want %d", got, core.DefaultWireBatch)
@@ -437,7 +437,7 @@ func TestAdaptiveBatchSizing(t *testing.T) {
 // is unchanged.
 func TestStackInterningAcrossBatches(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func benchRPCSpace(maxCall int) *faultspace.Union {
 // leases one task per round trip, 0 adaptively.
 func measureRPC(tb testing.TB, budget, batch int) float64 {
 	space := benchRPCSpace((budget + 3) / 4 * 2)
-	coord := NewCoordinator(space, explore.NewExhaustive(space), budget, nil)
+	coord := newCoordinator(tb, space, explore.NewExhaustive(space), budget, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		tb.Fatal(err)
@@ -96,7 +96,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // executed count.
 func measureWireBytes(tb testing.TB, batch int) (float64, int) {
 	space := benchRPCSpace(50)
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(tb, space, explore.NewExhaustive(space), 0, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		tb.Fatal(err)

@@ -222,7 +222,7 @@ func TestManagerCrashMidBatch(t *testing.T) {
 // nothing to expire there, is refused.
 func TestNextBatchDoneWithoutLeaseTimeout(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	if err := coord.SetHeartbeat(time.Second, 3); err == nil {
 		t.Fatal("SetHeartbeat accepted a coordinator that tracks no leases")
 	}

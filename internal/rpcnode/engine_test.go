@@ -25,7 +25,7 @@ func TestDistributedMatchesLocalSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestDistributedMatchesLocalSession(t *testing.T) {
 // the full §6.3 synopsis, which only the local path used to produce.
 func TestDistributedReportRenders(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 2, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 2, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,7 @@ package rpcnode
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/rpc"
 	"sync"
@@ -113,29 +114,17 @@ const DefaultHeartbeat = time.Second
 // manager dead when SetHeartbeat is given a non-positive miss budget.
 const DefaultHeartbeatMisses = 3
 
-// NewCoordinator wraps an explorer. budget caps executed tests (0 = until
-// the explorer exhausts). impact scores an outcome given the count of
-// newly covered blocks; nil selects the engine's default scoring (1/block
-// + 10 fail + 20 crash + 15 hang).
-func NewCoordinator(space *faultspace.Union, ex explore.Explorer, budget int, impact func(prog.Outcome, int) float64) *Coordinator {
-	c, err := NewCoordinatorConfig(core.Config{Space: space, Iterations: budget}, ex, impact)
-	if err != nil {
-		// The explorer is caller-provided, so the only way here is a nil
-		// explorer with an unusable space — a programming error.
-		panic(fmt.Sprintf("rpcnode: %v", err))
-	}
-	return c
-}
-
-// NewCoordinatorConfig is NewCoordinator with the full engine
-// configuration exposed, for sessions that need more than a space and a
-// budget — most importantly persistent coordinators: a Config carrying
+// NewCoordinatorConfig builds a coordinator over a new engine of cfg —
+// at least a Space, and Iterations (0 = until the explorer exhausts).
+// The rest serves bigger sessions, most importantly persistent
+// coordinators: a Config carrying
 // Store/Seen/Restore (wired by store.Attach) makes a restarted
 // `afex serve` continue the same journaled session, with prior scenario
 // keys never handed to managers again. cfg.Space must be set; a nil ex
 // has the engine compose the exploration stack from cfg.Algorithm,
-// cfg.Shards and cfg.Explore, exactly as a local session's does;
-// cfg.Impact.Score is overridden by impact when non-nil.
+// cfg.Shards and cfg.Explore, exactly as a local session's does. A
+// non-nil impact scores an outcome by its newly covered blocks in place
+// of cfg.Impact.Score.
 func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog.Outcome, int) float64) (*Coordinator, error) {
 	space := cfg.Space
 	if impact != nil {
@@ -287,11 +276,6 @@ func (c *Coordinator) noteManager(id string) {
 // recycles — rather than the wire-level Stats (the control plane's
 // status endpoint does).
 func (c *Coordinator) Engine() *core.Engine { return c.engine }
-
-// Stop ends the session; subsequent NextBatch calls return Done.
-func (c *Coordinator) Stop() {
-	c.engine.Stop()
-}
 
 // Snapshot returns the session statistics.
 func (c *Coordinator) Snapshot() Stats {
@@ -520,8 +504,10 @@ func (m *Manager) RunUntilDone() (int, error) {
 	stopBeat := m.startHeartbeat()
 	defer stopBeat()
 	n, err := m.runBatched()
-	if errors.Is(err, rpc.ErrShutdown) {
-		// A closed coordinator mid-shutdown is a normal way to end.
+	if errors.Is(err, rpc.ErrShutdown) || errors.Is(err, io.ErrUnexpectedEOF) {
+		// A coordinator that closed between calls or mid-call is a normal
+		// way to end: a session seals at the fold of its last report, and
+		// a process that exits then may take that report's ack with it.
 		return n, nil
 	}
 	return n, err

@@ -4,10 +4,21 @@ import (
 	"sync"
 	"testing"
 
+	"afex/internal/core"
 	"afex/internal/explore"
 	"afex/internal/faultspace"
 	"afex/internal/prog"
 )
+
+// newCoordinator is NewCoordinatorConfig over a bare space and budget.
+func newCoordinator(tb testing.TB, space *faultspace.Union, ex explore.Explorer, budget int, impact func(prog.Outcome, int) float64) *Coordinator {
+	tb.Helper()
+	c, err := NewCoordinatorConfig(core.Config{Space: space, Iterations: budget}, ex, impact)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
 
 func rpcTarget() *prog.Program {
 	p := &prog.Program{
@@ -41,7 +52,7 @@ func rpcSpace() *faultspace.Union {
 func TestDistributedSessionEndToEnd(t *testing.T) {
 	space := rpcSpace()
 	ex := explore.NewExhaustive(space)
-	coord := NewCoordinator(space, ex, 0, nil)
+	coord := newCoordinator(t, space, ex, 0, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +102,7 @@ func TestDistributedSessionEndToEnd(t *testing.T) {
 
 func TestBudgetRespected(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 3, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 3, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)
@@ -113,13 +124,13 @@ func TestBudgetRespected(t *testing.T) {
 
 func TestStopEndsSession(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 0, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	coord.Stop()
+	coord.Engine().Stop()
 	mgr, err := Dial(srv.Addr(), "late", rpcTarget())
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +152,7 @@ func TestCustomImpactUsed(t *testing.T) {
 		got = append(got, 42)
 		return 42
 	}
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 2, impact)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 2, impact)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +173,7 @@ func TestCustomImpactUsed(t *testing.T) {
 
 func TestPerManagerAccounting(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 4, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 4, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +194,7 @@ func TestPerManagerAccounting(t *testing.T) {
 
 func TestWorkFactorReruns(t *testing.T) {
 	space := rpcSpace()
-	coord := NewCoordinator(space, explore.NewExhaustive(space), 1, nil)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 1, nil)
 	srv, err := Serve("127.0.0.1:0", coord)
 	if err != nil {
 		t.Fatal(err)

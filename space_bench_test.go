@@ -53,7 +53,10 @@ func BenchmarkShardedLease(b *testing.B) {
 		b.Fatalf("space size = %d", space.Size())
 	}
 	const batch = 64
-	ex := explore.NewSharded(space, 8, explore.Config{Seed: 1})
+	ex, err := explore.NewShardedStrategy(space, 8, "fitness", explore.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	fb := make([]explore.Feedback, 0, batch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
