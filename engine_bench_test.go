@@ -46,7 +46,7 @@ func benchTarget() *prog.Program {
 // scale: 10k stacks per iteration, a mix of exact re-triggers (the
 // common case in long sessions) and novel traces of varied depth. The
 // indexed Set answers repeats from the exact-match hash and prunes the
-// rest by frame-count bucketing; the seed's linear scan was O(clusters)
+// rest by the frame-count gap; the seed's linear scan was O(clusters)
 // per Add and made sessions quadratic in executed tests.
 func BenchmarkClusterSetAdd(b *testing.B) {
 	const n = 10000

@@ -6,17 +6,22 @@
 // re-trigger manifestations of the same underlying bug.
 //
 // Set is indexed so that Add and MaxSimilarity stay fast as sessions
-// grow: an exact-match hash answers repeated stacks in O(1); stacks are
-// bucketed by frame count so the edit-distance lower bound |len(a)-len(b)|
-// prunes whole buckets; within a bucket a frame-signature inverted index
-// (first-k frames) shortlists candidates before any DP runs; and every
-// surviving comparison uses a banded Levenshtein bounded by the distance
-// the current best similarity still allows. MaxSimilarity results are
-// additionally memoized by exact stack key with a log position, so a
-// repeated probe only rescans the stacks added since it was last
-// answered. Results are identical to a naive linear scan with the full
-// DP — the screening only skips comparisons whose distance provably
-// cannot win.
+// grow: an exact-match hash answers repeated stacks in O(1); a frame
+// posting index (frame → the remembered stacks holding it, with how
+// often) adds up, for every stack sharing a frame with the probe, how
+// many frames the two share as multisets, which bounds the edit
+// distance from below by max(len) − shared; stacks sharing nothing are
+// never touched, and every surviving comparison uses a banded
+// Levenshtein bounded by the distance the current best similarity still
+// allows. MaxSimilarity results are additionally memoized by exact
+// stack key with a log position, so a repeated probe only rescans the
+// stacks added since it was last answered. Results are identical to a
+// naive linear scan with the full DP — the screening only skips
+// comparisons whose distance provably cannot win.
+//
+// The frame index is built only by similarity questions: a set that is
+// only ever added to (a failure or crash set, a session without
+// feedback, a freshly restored set) never builds one.
 //
 // The similarity memory holds each distinct stack once: every question
 // asked of it is "was this stack seen" or "how close is the nearest
@@ -27,7 +32,8 @@
 // Set is safe for concurrent use: read-only similarity screening
 // (PeekSimilarity, View) takes a shared lock so executor workers can
 // screen in parallel, while Add/AddKeyed/ResolveSimilarity/MaxSimilarity
-// serialize under the exclusive lock.
+// serialize under the exclusive lock, as does a peek that must walk a
+// frame index behind the log (only the exclusive lock extends it).
 package cluster
 
 import (
@@ -195,20 +201,18 @@ func stackKey(stack []string) string {
 // PeekSimilarity and ResolveSimilarity.
 func StackKey(stack []string) string { return stackKey(stack) }
 
-// sigFrames is how many head frames each stack is posted under in the
-// bucket's inverted index. A banded query with edit limit L can consult
-// the index only when L+1 ≤ sigFrames (see scanBucket); 4 covers the
-// high-similarity limits that matter once any decent match is known.
-const sigFrames = 4
+// posting is one entry of the frame index: a logged stack holding the
+// frame, and how many times it does.
+type posting struct {
+	stack, count int32
+}
 
-// lenBucket holds the distinct remembered stacks of one frame count, with
-// a frame-signature inverted index over the first sigFrames frames.
-type lenBucket struct {
-	// stacks in insertion order; byHead posting lists refer into it.
-	stacks [][]string
-	// byHead maps a frame value appearing among a stack's first
-	// sigFrames frames to the indices of the stacks containing it.
-	byHead map[string][]int
+// walkScratch is a walk's working memory: the shared-frame count of
+// every indexed stack (all zero between walks), the stacks touched, and
+// the touched stacks ordered by their count.
+type walkScratch struct {
+	shared, touched, order []int32
+	starts                 []int
 }
 
 // simMemo is a memoized MaxSimilarity answer: the best similarity over
@@ -246,13 +250,9 @@ type Set struct {
 	// identical trace.
 	repByKey map[string]int
 
-	// The stack memory behind MaxSimilarity: the exact-match set (each
-	// key with the cluster that last absorbed its stack) plus
-	// length/frame-signature buckets of every distinct stack added.
+	// The stack memory behind MaxSimilarity: the exact-match set, each
+	// key with the cluster that last absorbed its stack.
 	allByKey map[string]nearest
-	allByLen map[int]*lenBucket
-	minLen   int
-	maxLen   int
 
 	// log records each distinct remembered stack in first-seen order, and
 	// logKeys the key each was remembered under (what ExportState orders
@@ -266,6 +266,17 @@ type Set struct {
 	// when their own stack is added (the exact-match hash answers 1 from
 	// then on) and extended lazily via the log when stale.
 	memo map[string]simMemo
+
+	// postings is the frame index over log[:indexed]: each frame value
+	// with the stacks holding it. Only the write lock extends it, and
+	// only for a similarity question (see index).
+	postings map[string][]posting
+	indexed  int
+	// scratch is the walks' working memory, taken with TryLock: a walker
+	// that finds it taken (another walks under the shared lock) brings
+	// its own.
+	scratchMu sync.Mutex
+	scratch   walkScratch
 }
 
 // Cluster is one redundancy equivalence class.
@@ -290,7 +301,6 @@ func (s *Set) init() {
 	if s.repByKey == nil {
 		s.repByKey = make(map[string]int)
 		s.allByKey = make(map[string]nearest)
-		s.allByLen = make(map[int]*lenBucket)
 		s.memo = make(map[string]simMemo)
 	}
 }
@@ -312,40 +322,10 @@ func (s *Set) Clusters() []Cluster {
 	return out
 }
 
-// remember indexes one stack, not yet in the MaxSimilarity memory, under
+// remember logs one stack, not yet in the MaxSimilarity memory, under
 // its key. The set keeps stored as it is and never writes to it.
 func (s *Set) remember(key string, stored []string) {
 	s.allByKey[key] = nearest{}
-	l := len(stored)
-	b := s.allByLen[l]
-	if b == nil {
-		b = &lenBucket{byHead: make(map[string][]int)}
-		s.allByLen[l] = b
-	}
-	idx := len(b.stacks)
-	b.stacks = append(b.stacks, stored)
-	head := stored
-	if len(head) > sigFrames {
-		head = head[:sigFrames]
-	}
-	for i, f := range head {
-		dup := false
-		for j := 0; j < i; j++ {
-			if head[j] == f {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			b.byHead[f] = append(b.byHead[f], idx)
-		}
-	}
-	if len(s.log) == 0 || l < s.minLen {
-		s.minLen = l
-	}
-	if l > s.maxLen {
-		s.maxLen = l
-	}
 	s.log = append(s.log, stored)
 	s.logKeys = append(s.logKeys, key)
 }
@@ -444,28 +424,9 @@ func (s *Set) MaxSimilarity(stack []string) float64 {
 	key := stackKey(stack)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.maxSimilarityLocked(stack, key)
-}
-
-// maxSimilarityLocked answers MaxSimilarity under the write lock,
-// reading and refreshing the memo.
-func (s *Set) maxSimilarityLocked(stack []string, key string) float64 {
-	if len(s.log) == 0 {
-		return 0
-	}
-	if s.remembered(key) {
-		return 1
-	}
-	var best float64
-	if m, ok := s.memo[key]; ok {
-		best = s.scanLog(stack, m.best, m.upto)
-	} else {
-		best = s.walkBuckets(stack)
-	}
-	if s.memo == nil {
-		s.memo = make(map[string]simMemo)
-	}
-	s.memo[key] = simMemo{best: best, upto: len(s.log)}
+	s.index()
+	best, _ := s.answer(stack, key)
+	s.memoize(key, best)
 	return best
 }
 
@@ -475,23 +436,21 @@ func (s *Set) maxSimilarityLocked(stack []string, key string) float64 {
 // version the answer is exact for. The committing side passes both to
 // ResolveSimilarity, which repairs the answer against any stacks added
 // in between — making the pair exactly equivalent to calling
-// MaxSimilarity at commit time.
+// MaxSimilarity at commit time. Only a probe that must walk a frame
+// index behind the log takes the exclusive lock, to extend it.
 func (s *Set) PeekSimilarity(stack []string, key string) (sim float64, version int) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.log) == 0 {
-		return 0, 0
+	sim, ok := s.answer(stack, key)
+	version = len(s.log)
+	s.mu.RUnlock()
+	if ok {
+		return sim, version
 	}
-	if s.remembered(key) {
-		return 1, len(s.log)
-	}
-	var best float64
-	if m, ok := s.memo[key]; ok {
-		best = s.scanLog(stack, m.best, m.upto)
-	} else {
-		best = s.walkBuckets(stack)
-	}
-	return best, len(s.log)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.index()
+	sim, _ = s.answer(stack, key)
+	return sim, len(s.log)
 }
 
 // ResolveSimilarity finalizes a PeekSimilarity answer under the write
@@ -501,53 +460,153 @@ func (s *Set) PeekSimilarity(stack []string, key string) (sim float64, version i
 func (s *Set) ResolveSimilarity(stack []string, key string, sim float64, version int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.index()
 	if version < len(s.log) {
 		sim = s.scanLog(stack, sim, version)
 	}
-	if !s.remembered(key) {
-		if s.memo == nil {
-			s.memo = make(map[string]simMemo)
-		}
-		s.memo[key] = simMemo{best: sim, upto: len(s.log)}
-	}
+	s.memoize(key, sim)
 	return sim
 }
 
-// walkBuckets computes the best similarity against the whole memory by
-// walking length buckets outward from len(stack). A bucket of length lb
-// cannot beat similarity 1 - |la-lb|/max(la,lb), and that bound only
-// decays as |la-lb| grows, so the walk stops as soon as the best
-// similarity found dominates both directions — typically after a couple
-// of buckets.
-func (s *Set) walkBuckets(stack []string) float64 {
+// answer is MaxSimilarity against the memory as it stands, memo read but
+// not written: 1 for a remembered stack, a memo repaired over the stacks
+// logged since, or a walk of the frame index. ok is false when only a
+// walk would do and the index is behind the log.
+func (s *Set) answer(stack []string, key string) (sim float64, ok bool) {
+	if len(s.log) == 0 {
+		return 0, true
+	}
+	if s.remembered(key) {
+		return 1, true
+	}
+	if m, ok := s.memo[key]; ok {
+		return s.scanLog(stack, m.best, m.upto), true
+	}
+	if s.indexed < len(s.log) {
+		return 0, false
+	}
+	return s.walk(stack), true
+}
+
+// memoize records best as the answer for a stack not in the memory.
+func (s *Set) memoize(key string, best float64) {
+	if len(s.log) == 0 || s.remembered(key) {
+		return
+	}
+	if s.memo == nil {
+		s.memo = make(map[string]simMemo)
+	}
+	s.memo[key] = simMemo{best: best, upto: len(s.log)}
+}
+
+// frameCount returns how often stack[i] occurs in stack, or 0 when it
+// already occurs before i, so each distinct frame is counted once.
+func frameCount(stack []string, i int) int32 {
+	f := stack[i]
+	for _, g := range stack[:i] {
+		if g == f {
+			return 0
+		}
+	}
+	n := int32(1)
+	for _, g := range stack[i+1:] {
+		if g == f {
+			n++
+		}
+	}
+	return n
+}
+
+// index extends the frame index over the stacks logged since it was
+// last extended. Write lock held.
+func (s *Set) index() {
+	if s.indexed == len(s.log) {
+		return
+	}
+	if s.postings == nil {
+		s.postings = make(map[string][]posting)
+	}
+	for ; s.indexed < len(s.log); s.indexed++ {
+		stack := s.log[s.indexed]
+		for i, f := range stack {
+			if n := frameCount(stack, i); n > 0 {
+				s.postings[f] = append(s.postings[f], posting{int32(s.indexed), n})
+			}
+		}
+	}
+}
+
+// walk computes the best similarity against log[:indexed], which must
+// be the whole log. Posting by posting it adds up how many frames each
+// remembered stack shares with the probe (as multisets), and an
+// alignment keeps at most that many frames, so the edit distance is at
+// least max(la,lb) − shared. Stacks are visited most-shared first; one
+// runs the banded DP only when that bound is within the distance that
+// would still beat the best so far, and the walk stops once even a
+// stack no longer than the probe could not. A stack sharing no frame is
+// at similarity 0 and never touched.
+func (s *Set) walk(stack []string) float64 {
+	sc := &s.scratch
+	if s.scratchMu.TryLock() {
+		defer s.scratchMu.Unlock()
+	} else {
+		sc = new(walkScratch)
+	}
+	if len(sc.shared) < s.indexed {
+		sc.shared = make([]int32, max(s.indexed, 2*len(sc.shared)))
+	}
+	shared, touched := sc.shared, sc.touched[:0]
+	for i, f := range stack {
+		if n := frameCount(stack, i); n > 0 {
+			for _, p := range s.postings[f] {
+				if shared[p.stack] == 0 {
+					touched = append(touched, p.stack)
+				}
+				shared[p.stack] += min(n, p.count)
+			}
+		}
+	}
+	// Counting sort by shared frames, most first.
 	la := len(stack)
+	starts := append(sc.starts[:0], make([]int, la+2)...)
+	for _, at := range touched {
+		starts[la-int(shared[at])+1]++
+	}
+	for c := 1; c < len(starts); c++ {
+		starts[c] += starts[c-1]
+	}
+	order := append(sc.order[:0], touched...)
+	for _, at := range touched {
+		c := la - int(shared[at])
+		order[starts[c]] = at
+		starts[c]++
+	}
+
 	best := 0.0
-	maxD := la - s.minLen
-	if d := s.maxLen - la; d > maxD {
-		maxD = d
-	}
-	for d := 0; d <= maxD; d++ {
-		// Upper bounds on similarity for the two buckets at offset d.
-		ubLow, ubHigh := -1.0, -1.0
-		if lb := la - d; lb >= s.minLen && la > 0 {
-			ubLow = float64(lb) / float64(la)
+	floor := simLimit(best, la)
+	for _, at := range order {
+		n := int(shared[at])
+		if la-n > floor {
+			break // no stack no longer than la wins, and longer ones do worse
 		}
-		if lb := la + d; lb <= s.maxLen {
-			ubHigh = float64(la) / float64(lb)
+		other := s.log[at]
+		maxLen := max(la, len(other))
+		limit := floor
+		if maxLen > la {
+			limit = simLimit(best, maxLen)
 		}
-		if ubLow <= best && ubHigh <= best {
-			break // no farther bucket can win either
+		if maxLen-n > limit {
+			continue
 		}
-		if ubLow > best {
-			best = s.scanBucket(s.allByLen[la-d], stack, best)
-		}
-		if d > 0 && ubHigh > best {
-			best = s.scanBucket(s.allByLen[la+d], stack, best)
-		}
-		if best >= 1 {
-			break
+		if sim, ok := beatSim(stack, other, maxLen, limit); ok && sim > best {
+			best = sim
+			floor = simLimit(best, la)
 		}
 	}
+	for _, at := range touched {
+		shared[at] = 0
+	}
+	sc.touched, sc.order, sc.starts = touched, order, starts
 	return best
 }
 
@@ -580,93 +639,6 @@ func beatSim(a, b []string, maxLen, limit int) (float64, bool) {
 		return 0, false
 	}
 	return 1 - float64(d)/float64(maxLen), true
-}
-
-// shareTailFrame reports whether a and b share a frame value within
-// their last k frames — a necessary condition for lev(a,b) < k (the
-// last kept frame of an optimal alignment sits within the last k frames
-// of both stacks), used to prune index candidates before the DP.
-func shareTailFrame(a, b []string, k int) bool {
-	ai := len(a) - k
-	if ai < 0 {
-		ai = 0
-	}
-	bi := len(b) - k
-	if bi < 0 {
-		bi = 0
-	}
-	for _, fa := range a[ai:] {
-		for _, fb := range b[bi:] {
-			if fa == fb {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// scanBucket scans one length bucket for a similarity beating best.
-//
-// The bucket has a fixed stack length, so the edit limit that could
-// still beat best is fixed too (simLimit). When that limit L satisfies
-// L < len(stack) and L+1 ≤ sigFrames, any stack within distance L must
-// share a frame with the probe among the first L+1 frames of both (an
-// optimal alignment keeps ≥ len-L frames; at most L edits precede the
-// first kept one on either side) — so the byHead inverted index
-// shortlists the only possible winners and everything else is skipped
-// without running any DP. The symmetric tail condition prunes the
-// shortlist further. Survivors are verified with the banded DP, whose
-// band shrinks as best improves.
-func (s *Set) scanBucket(b *lenBucket, stack []string, best float64) float64 {
-	if b == nil || len(b.stacks) == 0 {
-		return best
-	}
-	la, lb := len(stack), len(b.stacks[0])
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
-	limit := simLimit(best, maxLen)
-	if limit < 0 {
-		return best
-	}
-	if limit < la && limit+1 <= sigFrames {
-		k := limit + 1
-		var visited map[int]struct{}
-		for i := 0; i < k; i++ {
-			for _, idx := range b.byHead[stack[i]] {
-				if visited == nil {
-					visited = make(map[int]struct{}, 16)
-				}
-				if _, dup := visited[idx]; dup {
-					continue
-				}
-				visited[idx] = struct{}{}
-				other := b.stacks[idx]
-				if !shareTailFrame(stack, other, k) {
-					continue
-				}
-				if sim, ok := beatSim(stack, other, maxLen, limit); ok && sim > best {
-					best = sim
-					limit = simLimit(best, maxLen)
-					if limit < 0 {
-						return best
-					}
-				}
-			}
-		}
-		return best
-	}
-	for _, other := range b.stacks {
-		if sim, ok := beatSim(stack, other, maxLen, limit); ok && sim > best {
-			best = sim
-			limit = simLimit(best, maxLen)
-			if limit < 0 {
-				return best
-			}
-		}
-	}
-	return best
 }
 
 // scanLog extends a similarity answer that is exact for log[:from] over

@@ -1,11 +1,11 @@
 package cluster
 
 // Property tests for the fold-pipeline similarity machinery: the
-// memoized, frame-screened, bounded MaxSimilarity (and its split
+// memoized, frame-indexed, bounded MaxSimilarity (and its split
 // PeekSimilarity/ResolveSimilarity form, including stale peeks resolved
 // after later adds) must be value-identical to the naive
 // full-Levenshtein linear reference on randomized stack corpora, and
-// the whole index — including behaviour the memo and signature index
+// the whole index — including behaviour the memo and frame index
 // influence — must survive a snapshot/restore round trip. The reference
 // keeps every stack occurrence; the Set remembers each distinct stack
 // once, so every corpus here (the duplicate-heavy one above all) also
@@ -15,15 +15,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"afex/internal/xrand"
 )
 
-// deepStacks generates stacks deep enough (6–16 frames) that the
-// head-signature screen (limit+1 ≤ sigFrames < depth) actually
-// activates, with heavy near-duplication so screened scans run against
-// high bests and tight bands.
+// deepStacks generates stacks of 6–16 frames with heavy
+// near-duplication, so walks of the frame index meet many stacks
+// sharing most of their frames and run against high bests and tight
+// bands.
 func deepStacks(rng *xrand.Rand, n int) [][]string {
 	base := make([][]string, n/8+1)
 	for i := range base {
@@ -42,11 +45,36 @@ func deepStacks(rng *xrand.Rand, n int) [][]string {
 		case 1: // one-frame mutation
 			st = append([]string(nil), st...)
 			st[rng.Intn(len(st))] = fmt.Sprintf("m%d!f%d", rng.Intn(8), rng.Intn(24))
-		case 2: // truncation (length-bucket neighbours)
+		case 2: // truncation (shorter neighbours)
 			st = st[:1+rng.Intn(len(st))]
-		case 3: // head mutation (stresses the signature postings)
+		case 3: // head mutation
 			st = append([]string(nil), st...)
 			st[0] = fmt.Sprintf("m%d!f%d", rng.Intn(8), rng.Intn(24))
+		}
+		out[i] = st
+	}
+	return out
+}
+
+// recursiveStacks generates recursion-shaped stacks over a handful of
+// frames — a cycle such as "a b a b a" repeated to a depth, then
+// mutated — so a frame occurs many times in one stack and the
+// shared-frame counts the frame index bounds distances with are
+// multisets, not sets.
+func recursiveStacks(rng *xrand.Rand, n int) [][]string {
+	frame := func() string { return fmt.Sprintf("r!f%d", rng.Intn(5)) }
+	out := make([][]string, n)
+	for i := range out {
+		cycle := make([]string, 1+rng.Intn(3))
+		for j := range cycle {
+			cycle[j] = frame()
+		}
+		st := make([]string, 1+rng.Intn(14))
+		for j := range st {
+			st[j] = cycle[j%len(cycle)]
+		}
+		for edits := rng.Intn(3); edits > 0; edits-- {
+			st[rng.Intn(len(st))] = frame()
 		}
 		out[i] = st
 	}
@@ -228,6 +256,7 @@ func TestScreenedMemoizedSimilarityMatchesNaive(t *testing.T) {
 		{"deep", deepStacks, 300},
 		{"repeats", repeatStacks, 600},
 		{"drift", driftStacks, 400},
+		{"recursive", recursiveStacks, 400},
 	}
 	for _, corpus := range corpora {
 		for _, threshold := range []int{0, 1, 2, 3} {
@@ -311,8 +340,8 @@ func TestScreenedMemoizedSimilarityMatchesNaive(t *testing.T) {
 // snapshot must keep answering Add / MaxSimilarity / Peek+Resolve
 // identically to the original as both continue, and re-exporting both
 // after further identical traffic must produce identical bytes — the
-// memo and signature index are derived state and must not leak into
-// (or be required by) the snapshot.
+// memo and frame index are derived state and must not leak into (or be
+// required by) the snapshot.
 func TestResumePreservesSimilarityIndex(t *testing.T) {
 	rng := xrand.New(73)
 	stacks := deepStacks(rng, 400)
@@ -369,5 +398,132 @@ func TestResumePreservesSimilarityIndex(t *testing.T) {
 	}
 	if !bytes.Equal(ob, cb) {
 		t.Fatal("re-exported snapshots diverged after identical post-restore traffic")
+	}
+}
+
+// TestRestoredSetPeeksLikeNaive: a set rebuilt from a snapshot has no
+// frame index; its first questions — peeks under the shared lock, which
+// must build the index first — answer what the naive reference does.
+func TestRestoredSetPeeksLikeNaive(t *testing.T) {
+	for _, corpus := range []func(*xrand.Rand, int) [][]string{deepStacks, recursiveStacks} {
+		rng := xrand.New(29)
+		stacks := corpus(rng, 300)
+		orig, ref := NewSet(2), &naiveSet{threshold: 2}
+		for id, st := range stacks[:200] {
+			orig.Add(id, st)
+			ref.add(id, st)
+		}
+		_, st := exportJSON(t, orig)
+		clone, err := NewSetFromState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, probe := range stacks[200:] {
+			key := StackKey(probe)
+			sim, ver := clone.PeekSimilarity(probe, key)
+			if want := ref.maxSimilarity(probe); sim != want || ver != len(st.Stacks) {
+				t.Fatalf("restored set: peek of %v = (%v, v%d), naive %v at v%d", probe, sim, ver, want, len(st.Stacks))
+			}
+		}
+	}
+}
+
+// TestUnaskedSetIndexesNothing: adds and a restore build no frame index
+// — the failure and crash sets, a session without feedback and a fresh
+// resume never pay for one — and the first question builds it whole.
+func TestUnaskedSetIndexesNothing(t *testing.T) {
+	stacks := recursiveStacks(xrand.New(3), 200)
+	set := NewSet(1)
+	for id, st := range stacks {
+		set.AddKeyed(id, st, StackKey(st))
+	}
+	_, st := exportJSON(t, set)
+	clone, err := NewSetFromState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Set{"added": set, "restored": clone} {
+		if s.indexed != 0 || len(s.postings) != 0 {
+			t.Fatalf("%s set: %d stacks indexed, %d frames posted, with nothing asked", name, s.indexed, len(s.postings))
+		}
+		s.MaxSimilarity([]string{"never!seen"})
+		if s.indexed != len(s.log) || len(s.postings) == 0 {
+			t.Fatalf("%s set: %d of %d stacks indexed after a question", name, s.indexed, len(s.log))
+		}
+	}
+}
+
+// TestConcurrentPeeksResolveToNaive: four goroutines peek while a fifth
+// adds and resolves, so peeks find the index behind (and take the
+// exclusive lock to extend it) and walk side by side (one on the set's
+// scratch, the others on their own). A peek answers for the distinct
+// stacks logged at its version, which the reference knows in advance,
+// and every answer resolved afterwards is the reference's.
+func TestConcurrentPeeksResolveToNaive(t *testing.T) {
+	rng := xrand.New(11)
+	stacks := append(recursiveStacks(rng, 150), deepStacks(rng, 150)...)
+	var distinct [][]string
+	seen := make(map[string]bool)
+	for _, st := range stacks {
+		if k := stackKey(st); !seen[k] {
+			seen[k] = true
+			distinct = append(distinct, st)
+		}
+	}
+	at := func(probe []string, version int) float64 {
+		return (&naiveSet{all: distinct[:version]}).maxSimilarity(probe)
+	}
+	probes := append(recursiveStacks(rng, 20), deepStacks(rng, 20)...)
+
+	set := NewSet(2)
+	type peek struct {
+		probe   []string
+		sim     float64
+		version int
+	}
+	// Each peeker peeks once per add, so the work stays bounded however
+	// the goroutines are scheduled.
+	var added atomic.Int64
+	var wg sync.WaitGroup
+	results := make([][]peek, 4)
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, last := g, int64(-1); last < int64(len(stacks)); i++ {
+				n := added.Load()
+				if n == last {
+					runtime.Gosched()
+					continue
+				}
+				last = n
+				p := probes[i%len(probes)]
+				sim, ver := set.PeekSimilarity(p, StackKey(p))
+				results[g] = append(results[g], peek{p, sim, ver})
+			}
+		}(g)
+	}
+	// The adder folds as the engine does: resolve the stack's own
+	// screen, then add it — which leaves the peekers' probes unmemoized.
+	for id, st := range stacks {
+		key := StackKey(st)
+		sim, ver := set.PeekSimilarity(st, key)
+		if got, want := set.ResolveSimilarity(st, key, sim, ver), at(st, len(set.log)); got != want {
+			t.Fatalf("add %d: %v resolved = %v, naive %v", id, st, got, want)
+		}
+		set.AddKeyed(id, st, key)
+		added.Add(1)
+	}
+	wg.Wait()
+
+	for g, rs := range results {
+		for _, r := range rs {
+			if want := at(r.probe, r.version); r.sim != want {
+				t.Fatalf("peeker %d: %v at v%d = %v, naive %v", g, r.probe, r.version, r.sim, want)
+			}
+			if got, want := set.ResolveSimilarity(r.probe, StackKey(r.probe), r.sim, r.version), at(r.probe, len(distinct)); got != want {
+				t.Fatalf("peeker %d: %v resolved from v%d = %v, naive %v", g, r.probe, r.version, got, want)
+			}
+		}
 	}
 }

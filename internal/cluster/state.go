@@ -4,9 +4,9 @@ package cluster
 // a Set's clusters and similarity memory that rebuilds byte-for-byte
 // equivalent behaviour without re-running the clustering over every
 // stack. Cluster indices, representatives and member ids are preserved
-// exactly; the exact-match hash, length buckets, frame-signature index
-// and similarity memo are derived state and are rebuilt (or repopulated
-// lazily) on import.
+// exactly; the exact-match hash is rebuilt on import, and the frame
+// index and similarity memo are derived state that the first similarity
+// question rebuilds (a restored set nobody asks builds no index).
 //
 // A snapshot costs what the set holds, not what the session ran: the
 // memory is the distinct stacks, exported in the order of the keys they
@@ -126,7 +126,6 @@ func NewSetFromState(st *SetState) (*Set, error) {
 		clusters:  make([]Cluster, 0, len(st.Clusters)),
 		repByKey:  make(map[string]int, len(st.Clusters)),
 		allByKey:  make(map[string]nearest, len(st.Stacks)),
-		allByLen:  make(map[int]*lenBucket),
 		memo:      make(map[string]simMemo),
 		log:       make([][]string, 0, len(st.Stacks)),
 		logKeys:   make([]string, 0, len(st.Stacks)),
