@@ -96,9 +96,9 @@
 // re-execute each other's scenarios. Options.JournalFormat picks the
 // journal encoding when the directory is created: "jsonl" (the default
 // — greppable, byte-deterministic) or "binary" (length-prefixed
-// crc-framed entries with periodic index blocks — no JSON encode on the
-// hot path, and a killed run resumes in O(snapshot + tail) instead of
-// re-reading the whole journal). Options.Resume continues a killed run
+// crc-framed entries — no JSON encode on the hot path, and a killed run
+// resumes in O(snapshot + tail) instead of re-reading the whole
+// journal). Options.Resume continues a killed run
 // exactly where it stopped; ReplayJournal (CLI: afex replay)
 // re-executes recorded failures from their journaled injection plans,
 // whichever format recorded them; ReadStateStats (CLI: afex stats)
@@ -260,8 +260,8 @@ const (
 	// sessions.
 	JournalJSONL = store.FormatJSONL
 	// JournalBinary is the hot-path format: length-prefixed crc-framed
-	// binary entries with periodic index blocks, appended without JSON
-	// encoding and resumed in O(snapshot + tail) instead of O(run).
+	// binary entries, appended without JSON encoding and resumed in
+	// O(snapshot + tail) instead of O(run).
 	JournalBinary = store.FormatBinary
 )
 

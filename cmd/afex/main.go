@@ -575,7 +575,6 @@ func cmdStats(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "runs:               %d\n", st.Runs)
 	fmt.Fprintf(w, "entries:            %d (archive %d + live %d, %d segment%s)\n",
 		st.Entries, st.ArchivedEntries, st.LiveEntries, st.Segments, plural(st.Segments))
-	fmt.Fprintf(w, "index blocks:       %d (side-index records %d)\n", st.IndexBlocks, st.SideIndexRecords)
 	if st.HasSnapshot {
 		fmt.Fprintf(w, "snapshot seq:       %d (%s, %d keys)\n", st.SnapshotSeq, st.SnapshotFormat, st.SnapshotKeys)
 		fmt.Fprintf(w, "snapshot bytes:     %d (state %d + sets %d + keys %d; %d key list%s, %d written as a reference)\n", st.SnapshotBytes,

@@ -66,7 +66,7 @@ func bindSpec(fs *flag.FlagSet, spec *controlplane.SessionSpec) {
 	fs.IntVar(&spec.TestsPerProc, "tests-per-proc", spec.TestsPerProc, "process backend: scenarios a warm worker serves before being recycled (0 = default, negative = one-shot mode: one process per scenario)")
 	fs.StringVar(&spec.TimeBudget, "time-budget", spec.TimeBudget, "stop after this `duration` of wall clock (0 = no limit)")
 	fs.StringVar(&spec.StateDir, "state-dir", spec.StateDir, "persist the session here: journal every scenario, never re-execute one across runs; --iterations counts the whole session including prior runs")
-	fs.StringVar(&spec.JournalFormat, "journal-format", spec.JournalFormat, "with --state-dir: journal format for a NEW directory, "+afex.JournalJSONL+" (default) or "+afex.JournalBinary+" (indexed binary segments; existing directories keep their format)")
+	fs.StringVar(&spec.JournalFormat, "journal-format", spec.JournalFormat, "with --state-dir: journal format for a NEW directory, "+afex.JournalJSONL+" (default) or "+afex.JournalBinary+" (crc-framed binary segments; existing directories keep their format)")
 	fs.BoolVar(&spec.Resume, "resume", spec.Resume, "with --state-dir: restore the explorer's search state and continue where the previous run stopped")
 	fs.StringVar(&spec.Serve, "serve", spec.Serve, "coordinator mode: serve the manager RPC protocol on this address; remote afex workers execute the scenarios")
 	fs.StringVar(&spec.LeaseTimeout, "lease-timeout", spec.LeaseTimeout, "re-lease tasks never reported back after this `duration` (0 = never; leases then leak if a manager dies)")

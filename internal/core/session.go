@@ -95,8 +95,8 @@ type Config struct {
 	// JournalFormat selects the persistent journal encoding for a new
 	// state directory: "jsonl" (the default — line-delimited JSON,
 	// greppable, byte-deterministic for deterministic sessions) or
-	// "binary" (length-prefixed entries with periodic index blocks —
-	// the fast path for large sessions). Existing directories keep the
+	// "binary" (length-prefixed crc-framed entries — the fast path for
+	// large sessions). Existing directories keep the
 	// format they were created with; setting a conflicting format
 	// fails session construction.
 	JournalFormat string

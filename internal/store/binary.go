@@ -1,30 +1,32 @@
 package store
 
-// The indexed binary journal: the store's fast journal encoding for
-// large sessions. Where the JSONL journal pays a JSON object encode per
+// The binary journal: the store's fast journal encoding for large
+// sessions. Where the JSONL journal pays a JSON object encode per
 // record and a full O(run) line scan per resume, the binary segment is
 // length-prefixed — appends are one buffer encode + one frame write,
-// and reads never scan bytes for delimiters — and carries periodic
-// index blocks so a resume can seek straight to the tail past the last
-// snapshot instead of decoding the whole run.
+// and reads never scan bytes for delimiters — and a resume starts at
+// the tail past the last snapshot instead of decoding the whole run.
 //
 // Segment layout (journal.afexj, archive.afexj):
 //
 //	magic "AFEXSEG1" (8 bytes)
-//	frame*          [kind:1][uvarint payloadLen][payload][crc32c:4 LE]
+//	frame*          [kind:1][uvarint payloadLen][payload][crc32:4 LE]
 //
-// Frame kinds: frameEntry (payload = one binary-encoded Entry, fixed
-// field order, varint/zigzag ints, uvarint-length strings) and
-// frameIndex (payload = uvarint nextSeq + uvarint prevIndexOff+1),
-// written after every IndexEvery-th entry. The crc covers kind +
-// payload, so a torn or corrupted tail is detected frame-precisely.
+// Entry frames (frameEntry) hold one binary-encoded Entry: fixed field
+// order, varint/zigzag ints, uvarint-length strings. The crc (IEEE)
+// covers kind + payload, so a torn or corrupted tail is detected
+// frame-precisely. Earlier builds also wrote an index frame after every
+// 1,024th entry, and a journal.idx file mirroring them; readers step
+// over those frames and never open that file.
 //
-// The side index (journal.idx) mirrors the index frames as fixed
-// 16-byte little-endian {seq, frameOff} records — frameOff is the
-// offset of the index frame whose stream continues with entry seq.
-// It is advisory: every lookup validates the frame it lands on and
-// falls back to a full scan on any mismatch, so a stale, torn, or
-// deleted side index costs speed, never correctness.
+// The seek is the snapshot's: the writer that appends the live segment
+// also publishes the snapshots, so it records in each the offset of the
+// entry frame just before it (entry Seq-1). A read trusts that offset
+// only when the frame there passes its crc, decodes and holds entry
+// Seq-1 — which also proves the journal reaches the snapshot when
+// nothing follows it — and otherwise walks from the magic, stepping
+// over the entries before the snapshot without keeping them. A stale or
+// wrong position costs speed, never correctness.
 //
 // Compaction (Compact) moves the entries a snapshot already covers
 // into archive.afexj and rewrites the live segment with only the tail,
@@ -49,25 +51,19 @@ import (
 const (
 	binJournalName = "journal.afexj"
 	archiveName    = "archive.afexj"
-	idxName        = "journal.idx"
 
 	segMagic = "AFEXSEG1"
 
 	frameEntry = 1
+	// frameIndex is the index frame earlier builds wrote; read, never
+	// written.
 	frameIndex = 2
 	// The rest are the snapshot file's (snapshot.go).
 	frameState   = 3
 	frameKeys    = 4
 	frameSets    = 5
 	frameKeysRef = 6
-
-	// DefaultIndexEvery is the entry interval between index blocks: the
-	// maximum number of entries a tail seek over-reads.
-	DefaultIndexEvery = 1024
-
-	// idxRecSize is the side-index record width: uint64 seq + uint64
-	// frame offset, little endian.
-	idxRecSize = 16
+	frameStateAt = 7
 )
 
 // segEnc is a reusable binary Entry encoder (one per writer goroutine,
@@ -325,13 +321,50 @@ func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 	return closeFrame(append(openFrame(dst, kind, len(payload)), payload...), kind, len(payload))
 }
 
-// indexPayload renders an index frame's payload: the seq of the next
-// entry frame, and the previous index frame's offset + 1 (0 = none).
-func indexPayload(nextSeq int, prevOff int64) []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(nextSeq))
-	buf = binary.AppendUvarint(buf, uint64(prevOff+1))
-	return buf
+// segWriter appends entry frames to a segment — the store's writer, the
+// archive append and the compaction rewrite all go through one — and
+// knows the offset each frame lands at. Its writer buffers, so a write
+// error surfaces at the flush at the latest.
+type segWriter struct {
+	w     io.Writer
+	off   int64 // where the next frame lands
+	enc   segEnc
+	frame []byte
+}
+
+// newSegWriter appends through w to a segment of size bytes, starting
+// the segment with its magic when it is empty.
+func newSegWriter(w io.Writer, size int64) *segWriter {
+	if size == 0 {
+		io.WriteString(w, segMagic)
+		size = int64(len(segMagic))
+	}
+	return &segWriter{w: w, off: size}
+}
+
+// append writes one entry frame and returns the offset it landed at.
+func (sw *segWriter) append(e *Entry) (int64, error) {
+	sw.enc.encodeEntry(e)
+	sw.frame = appendFrame(sw.frame[:0], frameEntry, sw.enc.bytes())
+	off := sw.off
+	if _, err := sw.w.Write(sw.frame); err != nil {
+		return off, err
+	}
+	sw.off += int64(len(sw.frame))
+	return off, nil
+}
+
+// appendRange writes the entries with Seq in [lo, hi), in order.
+func (sw *segWriter) appendRange(entries []Entry, lo, hi int) error {
+	for i := range entries {
+		if entries[i].Seq < lo || entries[i].Seq >= hi {
+			continue
+		}
+		if _, err := sw.append(&entries[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // frameReader steps through a segment's frames from an arbitrary frame
@@ -369,7 +402,7 @@ func (fr *frameReader) next() (kind byte, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, io.EOF
 	}
-	if kindB < frameEntry || kindB > frameKeysRef {
+	if kindB < frameEntry || kindB > frameStateAt {
 		return 0, nil, fmt.Errorf("bad frame kind %d at offset %d", kindB, start)
 	}
 	n, err := binary.ReadUvarint(fr.r)
@@ -409,91 +442,24 @@ func uvarintLen(v uint64) int {
 // the repair pass on open turns genuine mid-file damage into a
 // truncated-but-consistent file, exactly like the JSONL tail repair.
 func readSegment(path string) ([]Entry, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	var magic [len(segMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, nil // empty or shorter than the magic: no entries yet
-	}
-	if string(magic[:]) != segMagic {
-		return nil, fmt.Errorf("store: %s is not an AFEX binary journal", path)
-	}
-	fr, err := fileFrames(f, int64(len(segMagic)))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var entries []Entry
-	for {
-		kind, payload, err := fr.next()
-		if err == io.EOF {
-			return entries, nil
-		}
-		if err != nil {
-			return entries, nil // torn tail: the entry never happened
-		}
-		if kind != frameEntry {
-			continue
-		}
-		en, err := decodeEntry(payload)
-		if err != nil {
-			return entries, nil
-		}
-		entries = append(entries, en)
-	}
+	entries, _, _, err := readSegmentTail(path, 0, 0)
+	return entries, err
 }
 
-// idxRec is one side-index record.
-type idxRec struct {
-	seq int
-	off int64
-}
-
-// readIdx loads the side index, dropping a torn trailing record and
-// records that point past the journal's current size.
-func readIdx(path string, journalSize int64) []idxRec {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	n := len(raw) / idxRecSize
-	recs := make([]idxRec, 0, n)
-	for i := 0; i < n; i++ {
-		rec := idxRec{
-			seq: int(binary.LittleEndian.Uint64(raw[i*idxRecSize:])),
-			off: int64(binary.LittleEndian.Uint64(raw[i*idxRecSize+8:])),
-		}
-		if rec.off >= journalSize || rec.off < int64(len(segMagic)) || rec.seq < 0 {
-			break // stale records past a truncation repair, or not records at all
-		}
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
-func appendIdxRec(dst []byte, seq int, off int64) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(seq))
-	return binary.LittleEndian.AppendUint64(dst, uint64(off))
-}
-
-// segScan walks frames from a given offset, reporting the end of the
-// last whole valid frame, the last index frame's offset, and the entry
-// count — the repair and stats primitive.
+// segScanResult is what a frame walk found: the end of the last whole
+// valid frame (the repair point), the entry count, and the Seq and
+// offset of the last entry (-1 when none).
 type segScanResult struct {
-	end          int64 // end of the last valid frame
-	entries      int
-	indexFrames  int
-	lastIndexOff int64 // -1 when none seen
-	lastSeq      int   // Seq of the last entry seen; -1 when none
+	end     int64
+	entries int
+	lastSeq int
+	lastOff int64
 }
 
+// scanSegment walks f's frames from offset from — the repair and stats
+// primitive.
 func scanSegment(f *os.File, from int64) (segScanResult, error) {
-	res := segScanResult{end: from, lastIndexOff: -1, lastSeq: -1}
+	res := segScanResult{end: from, lastSeq: -1, lastOff: -1}
 	if _, err := f.Seek(from, io.SeekStart); err != nil {
 		return res, err
 	}
@@ -507,156 +473,125 @@ func scanSegment(f *os.File, from int64) (segScanResult, error) {
 		if err != nil {
 			return res, nil // torn or corrupt: res.end is the repair point
 		}
-		switch kind {
-		case frameEntry:
+		if kind == frameEntry {
 			// Only frame-validated entries count; decode checks happen on
-			// read. Peek the Seq (first varint) for repair bookkeeping.
+			// read. Peek the Seq (first varint) for the writer's bookkeeping.
 			if v, n := binary.Varint(payload); n > 0 {
-				res.lastSeq = int(v)
+				res.lastSeq, res.lastOff = int(v), start
 			}
 			res.entries++
-		case frameIndex:
-			res.indexFrames++
-			res.lastIndexOff = start
 		}
 		res.end = fr.off
 	}
 }
 
+// land reports whether the frame at offset pos of f (size bytes) is
+// where a snapshot at seq lets a read start: an entry frame that passes
+// its crc and decodes, holding entry seq-1. The reader it returns is
+// past that frame.
+func land(f *os.File, size, pos int64, seq int) (*frameReader, bool) {
+	if pos < int64(len(segMagic)) || pos >= size || seq <= 0 {
+		return nil, false
+	}
+	if _, err := f.Seek(pos, io.SeekStart); err != nil {
+		return nil, false
+	}
+	fr := newFrameReader(f, pos, size)
+	kind, payload, err := fr.next()
+	if err != nil || kind != frameEntry {
+		return nil, false
+	}
+	en, err := readEntry(&segDec{buf: payload, skip: true})
+	return fr, err == nil && en.Seq == seq-1
+}
+
 // repairSegment truncates the live segment to its last whole valid
-// frame and trims side-index records the truncation invalidated. It
-// uses the side index to keep the scan O(tail); a missing or useless
-// index degrades to a full scan. Returns the repaired size and the
-// offset of the last index frame (-1 when none).
-func repairSegment(journalPath, idxPath string) (size int64, lastIndexOff int64, err error) {
+// frame. The scan starts at the snapshot's position (pos, for a
+// snapshot at seq) when the frame there holds entry seq-1 — what lies
+// before it was whole when the snapshot was written — and at the magic
+// otherwise. A missing segment is an empty one.
+func repairSegment(journalPath string, pos int64, seq int) (segScanResult, error) {
+	none := segScanResult{lastSeq: -1, lastOff: -1}
 	f, err := os.OpenFile(journalPath, os.O_RDWR, 0)
 	if os.IsNotExist(err) {
-		return 0, -1, nil
+		return none, nil
 	}
 	if err != nil {
-		return 0, -1, err
+		return none, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, -1, err
+		return none, err
 	}
-	size = fi.Size()
+	size := fi.Size()
 	if size < int64(len(segMagic)) {
 		// A crash before the magic finished; restart the segment.
-		return 0, -1, f.Truncate(0)
+		return none, f.Truncate(0)
 	}
 	var magic [len(segMagic)]byte
 	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		return 0, -1, err
+		return none, err
 	}
 	if string(magic[:]) != segMagic {
-		return 0, -1, fmt.Errorf("%s is not an AFEX binary journal", journalPath)
+		return none, fmt.Errorf("%s is not an AFEX binary journal", journalPath)
 	}
-
-	// Start the validation scan at the last index frame the side file
-	// knows about (validated below by the frame scan itself); everything
-	// before it was already validated when the index record was written.
 	from := int64(len(segMagic))
-	recs := readIdx(idxPath, size)
-	lastIndexOff = -1
-	if len(recs) > 0 {
-		from = recs[len(recs)-1].off
+	if _, ok := land(f, size, pos, seq); ok {
+		from = pos
 	}
 	res, err := scanSegment(f, from)
 	if err != nil {
-		return 0, -1, err
-	}
-	if from > int64(len(segMagic)) && res.end == from {
-		// The frame at the index offset itself did not validate: the
-		// side file is lying. Rescan from the top.
-		recs = nil
-		from = int64(len(segMagic))
-		if res, err = scanSegment(f, from); err != nil {
-			return 0, -1, err
-		}
-	}
-	if res.lastIndexOff >= 0 {
-		lastIndexOff = res.lastIndexOff
-	} else if len(recs) > 1 {
-		lastIndexOff = recs[len(recs)-2].off
+		return none, err
 	}
 	if res.end < size {
-		if err := f.Truncate(res.end); err != nil {
-			return 0, -1, err
-		}
-		size = res.end
-		// Trim index records past the truncation.
-		keep := 0
-		for _, r := range readIdx(idxPath, size) {
-			if r.off < size {
-				keep++
-			}
-		}
-		if ifi, err := os.Stat(idxPath); err == nil && ifi.Size() > int64(keep*idxRecSize) {
-			if err := os.Truncate(idxPath, int64(keep*idxRecSize)); err != nil {
-				return 0, -1, err
-			}
-		}
+		return res, f.Truncate(res.end)
 	}
-	return size, lastIndexOff, nil
+	return res, nil
 }
 
-// readSegmentTail decodes the entries with Seq >= from, seeking via the
-// side index so the cost is O(tail + IndexEvery), not O(run); the ones
-// before from, told by their seq, are walked by a skipping decoder.
-// scanned counts the entries walked or decoded (the flatness tests pin
-// it) and lastSeq is the Seq of the segment's final entry — startSeq-1
-// when the seek landed past an empty tail, -1 when the whole segment is
-// empty. ok is false when the tail cannot be trusted cheaply — the
-// caller falls back to the full read.
-func readSegmentTail(journalPath, idxPath string, from int) (entries []Entry, scanned, lastSeq int, ok bool) {
-	lastSeq = -1
-	f, err := os.Open(journalPath)
+// readSegmentTail decodes the entries with Seq >= from, starting at pos
+// — the offset of entry from-1 a snapshot at from recorded — when the
+// frame there holds it, so the cost is O(tail), not O(run); otherwise
+// it walks from the magic and steps over the entries before from, told
+// by their seq, with a skipping decoder. Where the entries stop is
+// readSegment's rule. scanned counts the entries walked or decoded past
+// the starting point (the flatness tests pin it) and lastSeq is the Seq
+// of the segment's final entry — from-1 when the read landed before an
+// empty tail, -1 when the segment holds none. A missing segment, or one
+// shorter than its magic, holds none.
+func readSegmentTail(path string, pos int64, from int) (entries []Entry, scanned, lastSeq int, err error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, 0, -1, nil
+	}
 	if err != nil {
-		return nil, 0, -1, false
+		return nil, 0, -1, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
+	var magic [len(segMagic)]byte
+	if _, err := io.ReadFull(f, magic[:]); err != nil {
+		return nil, 0, -1, nil
+	}
+	if string(magic[:]) != segMagic {
+		return nil, 0, -1, fmt.Errorf("store: %s is not an AFEX binary journal", path)
+	}
 	fi, err := f.Stat()
-	if err != nil || fi.Size() < int64(len(segMagic)) {
-		return nil, 0, -1, false
+	if err != nil {
+		return nil, 0, -1, fmt.Errorf("store: %w", err)
 	}
-	start := int64(len(segMagic))
-	startSeq := -1
-	for _, rec := range readIdx(idxPath, fi.Size()) {
-		if rec.seq <= from {
-			start, startSeq = rec.off, rec.seq
-		} else {
-			break
+	fr, landed := land(f, fi.Size(), pos, from)
+	lastSeq = from - 1
+	if !landed {
+		if _, err := f.Seek(int64(len(segMagic)), io.SeekStart); err != nil {
+			return nil, 0, -1, fmt.Errorf("store: %w", err)
 		}
-	}
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
-		return nil, 0, -1, false
-	}
-	fr := newFrameReader(f, start, fi.Size())
-	if startSeq >= 0 {
-		// Validate the landing: the frame at the index offset must be the
-		// index frame announcing startSeq.
-		kind, payload, err := fr.next()
-		if err != nil || kind != frameIndex {
-			return nil, 0, -1, false
-		}
-		nextSeq, n := binary.Uvarint(payload)
-		if n <= 0 || int(nextSeq) != startSeq {
-			return nil, 0, -1, false
-		}
-		// The writer emits an index frame only right after entry
-		// startSeq-1, so the segment provably reaches that far even if
-		// nothing follows the landing point.
-		lastSeq = startSeq - 1
+		fr, lastSeq = newFrameReader(f, int64(len(segMagic)), fi.Size()), -1
 	}
 	for {
 		kind, payload, err := fr.next()
-		if err == io.EOF {
-			return entries, scanned, lastSeq, true
-		}
 		if err != nil {
-			return entries, scanned, lastSeq, true // torn tail, same as the full read
+			return entries, scanned, lastSeq, nil // io.EOF, or a torn tail: the entry never happened
 		}
 		if kind != frameEntry {
 			continue
@@ -667,7 +602,7 @@ func readSegmentTail(journalPath, idxPath string, from int) (entries []Entry, sc
 		}
 		en, derr := readEntry(d)
 		if derr != nil {
-			return entries, scanned, lastSeq, true
+			return entries, scanned, lastSeq, nil
 		}
 		scanned++
 		lastSeq = en.Seq

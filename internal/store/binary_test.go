@@ -205,33 +205,75 @@ func testSnapshot(seq int, entries []Entry) *core.SessionState {
 	}
 }
 
-// TestBinaryTailResume: with TailResume on, Recover materializes only
-// the entries past the snapshot — seeked to through the index blocks,
-// decoding O(tail + IndexEvery) entries, not O(run) — and reports the
-// snapshot's seq as the restore base.
-func TestBinaryTailResume(t *testing.T) {
-	dir := t.TempDir()
-	const n, indexEvery, snapAt = 200, 16, 150
-	writeEntries(t, dir, Options{Format: FormatBinary, IndexEvery: indexEvery}, n)
-	all, err := ReadJournal(dir)
+// journalWithSnapshot journals n testRecord entries into dir and, from
+// the same store, a snapshot at snapAt once the entries before it are
+// queued, the way a session does; it returns the entries.
+func journalWithSnapshot(t testing.TB, dir string, opts Options, n, snapAt int) []Entry {
+	t.Helper()
+	s, err := OpenOptions(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Begin("demo", "sig", "2026-08-08T00:00:00Z"); err != nil {
+		t.Fatal(err)
+	}
+	entries := testEntries(n)
+	for i := 0; i < n; i++ {
+		if i == snapAt {
+			s.SnapshotSession(testSnapshot(snapAt, entries))
+		}
+		c, rec := testRecord(i)
+		s.JournalRecord(c, rec)
+	}
+	if snapAt == n {
+		s.SnapshotSession(testSnapshot(snapAt, entries))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
 
-	s, err := OpenOptions(dir, Options{TailResume: true, IndexEvery: indexEvery})
+// testEntries are the entries journaling testRecord 0..n-1 writes.
+func testEntries(n int) []Entry {
+	entries := make([]Entry, n)
+	for i := range entries {
+		c, rec := testRecord(i)
+		entries[i] = *entryFrom(0, c, rec)
+	}
+	return entries
+}
+
+// snapshotAt returns the seq of dir's snapshot and the journal position
+// it records.
+func snapshotAt(t testing.TB, dir string) (int, int64) {
+	t.Helper()
+	st, file, err := readSnapshot(dir, snapSeq)
+	if err != nil || st == nil {
+		t.Fatalf("no snapshot in %s: %v", dir, err)
+	}
+	return st.Seq, file.pos
+}
+
+// TestBinaryTailResume: with TailResume on, Recover materializes only
+// the entries past the snapshot — read from the position the snapshot
+// recorded, decoding exactly the tail, not O(run) — and reports the
+// snapshot's seq as the restore base.
+func TestBinaryTailResume(t *testing.T) {
+	dir := t.TempDir()
+	const n, snapAt = 200, 150
+	journalWithSnapshot(t, dir, Options{Format: FormatBinary}, n, snapAt)
+
+	s, err := OpenOptions(dir, Options{TailResume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SnapshotSession(testSnapshot(snapAt, all))
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	r, err := s.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r == nil || r.Base != snapAt {
+	if r == nil || r.Base != snapAt || r.Info.Path != "tail" {
 		t.Fatalf("tail resume: base = %+v, want %d", r, snapAt)
 	}
 	if len(r.Records) != n-snapAt || len(r.Tail) != n-snapAt {
@@ -243,23 +285,25 @@ func TestBinaryTailResume(t *testing.T) {
 		}
 	}
 
-	// Flatness: the seek lands at most one index interval before the
-	// tail, regardless of how long the journal is.
-	_, scanned, _, ok := readSegmentTail(filepath.Join(dir, binJournalName), filepath.Join(dir, idxName), snapAt)
-	if !ok {
-		t.Fatal("readSegmentTail refused a healthy segment")
+	// Flatness: the read starts at the entry before the tail, whatever
+	// the journal's length.
+	seq, pos := snapshotAt(t, dir)
+	entries, scanned, lastSeq, err := readSegmentTail(filepath.Join(dir, binJournalName), pos, seq)
+	if err != nil || pos == 0 || len(entries) != n-snapAt || lastSeq != n-1 {
+		t.Fatalf("tail read from position %d: %v, %d entries, last seq %d", pos, err, len(entries), lastSeq)
 	}
-	if max := (n - snapAt) + indexEvery; scanned > max {
-		t.Fatalf("tail seek decoded %d entries, want <= tail+interval = %d", scanned, max)
+	if scanned != n-snapAt {
+		t.Fatalf("tail read decoded %d entries, want exactly the tail's %d", scanned, n-snapAt)
 	}
 }
 
-// TestTailSkipStopsWhereDecodeDoes: the entries between the index landing
-// point and the snapshot are walked without being kept — every field read,
-// nothing allocated — and an entry there whose frame passes its crc but
-// whose payload does not decode still ends the tail read, so the resume
-// takes the full journal for the reason it always gave: the journal that
-// reads back ends before the snapshot.
+// TestTailSkipStopsWhereDecodeDoes: the entries a walk steps over before
+// the snapshot are read without being kept — every field read, nothing
+// allocated — and an entry whose frame passes its crc but whose payload
+// does not decode ends the tail read. When that entry is the one the
+// snapshot's position names, the read does not start there: it walks,
+// stops at it, and the resume takes the full journal for the reason it
+// always gave — the journal that reads back ends before the snapshot.
 func TestTailSkipStopsWhereDecodeDoes(t *testing.T) {
 	c, rec := testRecord(3)
 	rec.Plan = inject.Plan{Faults: []inject.Fault{{Function: "read", CallNumber: 2, Err: libc.ErrorReturn{Retval: -1, Errno: "EIO"}}}}
@@ -282,27 +326,16 @@ func TestTailSkipStopsWhereDecodeDoes(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	const n, indexEvery, snapAt = 80, 16, 50
-	writeEntries(t, dir, Options{Format: FormatBinary, IndexEvery: indexEvery}, n)
-	all, err := ReadJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenOptions(dir, Options{IndexEvery: indexEvery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SnapshotSession(testSnapshot(snapAt, all))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the segment with entry snapAt-1 one byte short behind a valid
-	// crc, and the side index to match the frames' new offsets.
+	const n, snapAt = 80, 50
+	journalWithSnapshot(t, dir, Options{Format: FormatBinary}, n, snapAt)
+	// Rewrite the segment with entry snapAt-1 one byte short behind a
+	// valid crc; the frames before it, and so the position, stay put.
 	raw, err := os.ReadFile(filepath.Join(dir, binJournalName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, idx := []byte(segMagic), []byte(nil)
+	seg := []byte(segMagic)
+	_, pos := snapshotAt(t, dir)
 	fr := newFrameReader(bytes.NewReader(raw[len(segMagic):]), int64(len(segMagic)), int64(len(raw)))
 	for {
 		kind, payload, err := fr.next()
@@ -312,11 +345,10 @@ func TestTailSkipStopsWhereDecodeDoes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch seq, _ := binary.Varint(payload); {
-		case kind == frameIndex:
-			next, _ := binary.Uvarint(payload)
-			idx = appendIdxRec(idx, int(next), int64(len(seg)))
-		case seq == snapAt-1:
+		if seq, _ := binary.Varint(payload); seq == snapAt-1 {
+			if int64(len(seg)) != pos {
+				t.Fatalf("snapshot records position %d, entry %d is at %d", pos, seq, len(seg))
+			}
 			payload = payload[:len(payload)-1]
 		}
 		seg = appendFrame(seg, kind, payload)
@@ -324,10 +356,7 @@ func TestTailSkipStopsWhereDecodeDoes(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, binJournalName), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, idxName), idx, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err = OpenOptions(dir, Options{TailResume: true, IndexEvery: indexEvery})
+	s, err := OpenOptions(dir, Options{TailResume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +429,7 @@ func TestBinaryTailResumeRejectsLostJournal(t *testing.T) {
 	}
 	snap := testSnapshot(n, all)
 	snap.Seq = n + 5 // claims records the journal never got
-	if r, why := s.recoverTail(snap); r != nil || !strings.Contains(why, "ahead of the journal") {
+	if r, why := s.recoverTail(snap, 0); r != nil || !strings.Contains(why, "ahead of the journal") {
 		t.Fatalf("tail resume of a snapshot ahead of the journal: %+v, reason %q", r, why)
 	}
 }
@@ -411,7 +440,7 @@ func TestBinaryTailResumeRejectsLostJournal(t *testing.T) {
 func TestCompact(t *testing.T) {
 	dir := t.TempDir()
 	const n, snapAt = 120, 100
-	writeEntries(t, dir, Options{Format: FormatBinary, IndexEvery: 16}, n)
+	writeEntries(t, dir, Options{Format: FormatBinary}, n)
 	all, err := ReadJournal(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +562,7 @@ func TestStatsJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Format != FormatJSONL || st.Entries != 12 || st.LiveEntries != 12 ||
-		st.Segments != 1 || st.IndexBlocks != 0 || st.TailEntries != 12 {
+		st.Segments != 1 || st.TailEntries != 12 {
 		t.Fatalf("jsonl stats: %+v", st)
 	}
 }
@@ -570,16 +599,16 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 }
 
-// TestStatsBinaryIndexCounts: index frames appear on the configured
-// cadence and the side index mirrors them.
-func TestStatsBinaryIndexCounts(t *testing.T) {
+// TestStatsBinaryCounts: a binary directory counts the entry frames of
+// each segment, and nothing else.
+func TestStatsBinaryCounts(t *testing.T) {
 	dir := t.TempDir()
-	writeEntries(t, dir, Options{Format: FormatBinary, IndexEvery: 10}, 35)
+	writeEntries(t, dir, Options{Format: FormatBinary}, 35)
 	st, err := ReadStats(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Format != FormatBinary || st.Entries != 35 || st.IndexBlocks != 3 || st.SideIndexRecords != 3 {
+	if st.Format != FormatBinary || st.Entries != 35 || st.LiveEntries != 35 || st.Segments != 1 {
 		t.Fatalf("binary stats: %+v", st)
 	}
 }

@@ -8,19 +8,24 @@ package store
 // resume) concatenate archive + live with keep-first key dedup, so a
 // crash at ANY point mid-compaction leaves a directory that reads
 // identically: overlap dedups away, and a re-run skips entries the
-// archive already holds.
+// archive already holds. Both writes go through the segment appender the
+// store's writer uses (segWriter, binary.go). The rewrite moves every
+// live frame, so the position the latest snapshot recorded no longer
+// holds its entry: the next tail resume walks the rewritten segment,
+// which is the tail, and the next snapshot records a position again.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 )
 
 // Compact folds the journaled prefix covered by the latest snapshot
-// into the archive segment and rewrites the live journal (and its side
-// index) to the tail. The directory must be closed — Compact takes the
+// into the archive segment and rewrites the live journal to the tail. The directory must be closed — Compact takes the
 // same single-writer lock a Store holds — and must use the binary
 // journal format. It returns the number of entries moved to the
 // archive; (0, nil) when there is nothing new to compact.
@@ -50,15 +55,14 @@ func Compact(dir string) (int, error) {
 	}
 
 	// No snapshot, or an unreadable one: nothing is provably covered.
-	snap, _, _ := readSnapshot(dir, snapSeq)
+	snap, file, _ := readSnapshot(dir, snapSeq)
 	if snap == nil || snap.Seq <= meta.CompactedSeq {
 		return 0, nil
 	}
 
 	livePath := filepath.Join(dir, binJournalName)
-	idxPath := filepath.Join(dir, idxName)
 	archPath := filepath.Join(dir, archiveName)
-	if _, _, err := repairSegment(livePath, idxPath); err != nil {
+	if _, err := repairSegment(livePath, file.pos, snap.Seq); err != nil {
 		return 0, fmt.Errorf("store: repair journal: %w", err)
 	}
 	live, err := readSegment(livePath)
@@ -81,7 +85,7 @@ func Compact(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := rewriteLive(livePath, idxPath, live, snap.Seq); err != nil {
+	if err := rewriteLive(livePath, live, snap.Seq); err != nil {
 		return 0, err
 	}
 	meta.CompactedSeq = snap.Seq
@@ -109,25 +113,13 @@ func appendArchive(path string, live []Entry, archEnd, upto int) (int, error) {
 		return 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	if fi, err := f.Stat(); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		return 0, err
-	} else if fi.Size() == 0 {
-		if _, err := f.Write([]byte(segMagic)); err != nil {
-			return 0, err
-		}
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	var enc segEnc
-	var frame []byte
-	for i := range live {
-		if live[i].Seq < archEnd || live[i].Seq >= upto {
-			continue
-		}
-		enc.encodeEntry(&live[i])
-		frame = appendFrame(frame[:0], frameEntry, enc.bytes())
-		if _, err := bw.Write(frame); err != nil {
-			return 0, err
-		}
+	if err := newSegWriter(bw, fi.Size()).appendRange(live, archEnd, upto); err != nil {
+		return 0, err
 	}
 	if err := bw.Flush(); err != nil {
 		return 0, err
@@ -138,34 +130,12 @@ func appendArchive(path string, live []Entry, archEnd, upto int) (int, error) {
 	return moved, nil
 }
 
-// rewriteLive replaces the live segment and side index with the entries
-// at Seq >= from, re-emitting index frames on the standard cadence. Both
-// files go through temp + rename, ordered journal first, so a crash
-// between the renames leaves a stale side index that readers detect and
-// ignore.
-func rewriteLive(livePath, idxPath string, live []Entry, from int) error {
-	seg := []byte(segMagic)
-	var idx []byte
-	var enc segEnc
-	lastIndexOff := int64(-1)
-	for i := range live {
-		if live[i].Seq < from {
-			continue
-		}
-		enc.encodeEntry(&live[i])
-		seg = appendFrame(seg, frameEntry, enc.bytes())
-		if (live[i].Seq+1)%DefaultIndexEvery == 0 {
-			off := int64(len(seg))
-			seg = appendFrame(seg, frameIndex, indexPayload(live[i].Seq+1, lastIndexOff))
-			lastIndexOff = off
-			idx = appendIdxRec(idx, live[i].Seq+1, off)
-		}
-	}
-	dir := filepath.Dir(livePath)
-	if err := writeAtomicFile(dir, filepath.Base(livePath), seg); err != nil {
-		return err
-	}
-	return writeAtomicFile(dir, filepath.Base(idxPath), idx)
+// rewriteLive replaces the live segment with the entries at Seq >= from,
+// through a temp file + rename.
+func rewriteLive(livePath string, live []Entry, from int) error {
+	var seg bytes.Buffer
+	newSegWriter(&seg, 0).appendRange(live, from, math.MaxInt)
+	return writeAtomicFile(filepath.Dir(livePath), filepath.Base(livePath), seg.Bytes())
 }
 
 // writeAtomicFile replaces dir/name via a temp file + rename.

@@ -18,7 +18,8 @@ import (
 )
 
 // The bytes a resume trusts: the framed snapshot (and the legacy JSON one
-// it still reads), the segment frames and the side index. The invariant
+// it still reads), the segment frames and the journal position a
+// snapshot records. The invariant
 // is the shim pipe's: arbitrary input never panics and never sizes an
 // allocation by a number it has not checked against the bytes present;
 // it decodes, or it is an error or a clean truncation.
@@ -94,7 +95,7 @@ func joinSnapshot(frames []snapFrame) []byte {
 func hostileSnapshots(t testing.TB, good []byte) map[string][]byte {
 	t.Helper()
 	frames := splitSnapshot(t, good)
-	if len(frames) < 5 || frames[0].kind != frameState || frames[1].kind != frameSets {
+	if len(frames) < 5 || frames[0].kind != frameStateAt || frames[1].kind != frameSets {
 		t.Fatalf("snapshot of %d frames is not state, sets and three key lists", len(frames))
 	}
 	with := func(at int, kind byte, payload func(e *segEnc)) []byte {
@@ -187,7 +188,7 @@ func arenaBytes(k *explore.Keys) int {
 }
 
 func FuzzSnapshotDecode(f *testing.F) {
-	framed, err := appendSnapshot(nil, fuzzSnapshot())
+	framed, err := appendSnapshot(nil, fuzzSnapshot(), 77)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -211,7 +212,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte("{\n \"elapsed\": 5,\n \"covered\": [1, 2],\n \"seq\": 7\n}"))
 	f.Add([]byte(snapMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodeSnapshot(bytes.NewReader(data), &snapFile{size: int64(len(data))}, snapFull)
+		file := snapFile{size: int64(len(data))}
+		st, err := decodeSnapshot(bytes.NewReader(data), &file, snapFull)
 		if err != nil {
 			return
 		}
@@ -224,11 +226,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("%d bytes of snapshot decoded to cluster sets of %d elements", len(data), n)
 		}
 		// What decodes writes back as a file that decodes to the same.
-		again, err := appendSnapshot(nil, st)
+		again, err := appendSnapshot(nil, st, file.pos)
 		if err != nil {
 			return // a legacy snapshot can hold a float the encoder refuses
 		}
-		st2, err := decodeSnapshot(bytes.NewReader(again), &snapFile{size: int64(len(again))}, snapFull)
+		file2 := snapFile{size: int64(len(again))}
+		st2, err := decodeSnapshot(bytes.NewReader(again), &file2, snapFull)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
@@ -241,13 +244,17 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("key list %d: %q re-decodes to %q", i, (*a[i]).Strings(), (*b[i]).Strings())
 			}
 		}
-		head, err := decodeSnapshot(bytes.NewReader(again), &snapFile{size: int64(len(again))}, snapSeq)
+		headFile := snapFile{size: int64(len(again))}
+		head, err := decodeSnapshot(bytes.NewReader(again), &headFile, snapSeq)
 		if err != nil || head.Seq != st.Seq || st2.Seq != st.Seq {
 			t.Fatalf("seq %d re-decodes to %d, and to %v (%v) from the state frame alone", st.Seq, st2.Seq, head, err)
 		}
+		if file2.pos != file.pos || headFile.pos != file.pos {
+			t.Fatalf("position %d re-decodes to %d, and to %d from the state frame alone", file.pos, file2.pos, headFile.pos)
+		}
 		// The file is a function of the state it decodes to, sets and
 		// references included; and its headers count the keys it lists.
-		if third, err := appendSnapshot(nil, st2); err != nil || !bytes.Equal(third, again) {
+		if third, err := appendSnapshot(nil, st2, file2.pos); err != nil || !bytes.Equal(third, again) {
 			t.Fatalf("a decoded snapshot encodes to %d bytes, not the %d it was decoded from (%v)", len(third), len(again), err)
 		}
 		shape := snapFile{size: int64(len(again))}
@@ -267,7 +274,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // decode it or refuse it, size nothing by a number the bytes cannot back,
 // and what decodes encodes to bytes that decode to the same.
 func FuzzSnapshotPayloads(f *testing.F) {
-	framed, err := appendSnapshot(nil, fuzzSnapshot())
+	framed, err := appendSnapshot(nil, fuzzSnapshot(), 77)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -304,7 +311,7 @@ func FuzzSegmentFrames(f *testing.F) {
 		enc.encodeEntry(entryFrom(0, c, rec))
 		seg = appendFrame(seg, frameEntry, enc.bytes())
 	}
-	seg = appendFrame(seg, frameIndex, indexPayload(5, -1))
+	seg = appendFrame(seg, frameIndex, []byte{5, 0}) // an earlier build's index frame: next seq 5, no previous one
 	f.Add(seg)
 	f.Add(seg[:len(seg)-3])
 	f.Add(append([]byte{frameEntry, 0xff, 0xff, 0xff, 0xff, 0x0f}, seg...))
@@ -347,51 +354,79 @@ func FuzzSegmentFrames(f *testing.F) {
 	})
 }
 
-// FuzzReadIdx: the side index is advisory. Whatever its bytes, a tail
-// read through it is refused or returns exactly the journal's tail.
-func FuzzReadIdx(f *testing.F) {
-	const n, every = 100, 8
+// FuzzTailPosition: the journal position a snapshot records is trusted
+// only where it holds the entry before the snapshot. Whatever (seq,
+// offset) pair a snapshot over a real journal carries, opening the
+// directory leaves the journal as it was, the tail read returns exactly
+// the journal's entries from seq on or refuses, and Recover then takes
+// the tail it returned or the full journal with the refusal as its
+// reason.
+func FuzzTailPosition(f *testing.F) {
+	const n = 100
 	dir := f.TempDir()
-	writeEntries(f, dir, Options{Format: FormatBinary, IndexEvery: every}, n)
-	journal, idx := filepath.Join(dir, binJournalName), filepath.Join(dir, idxName)
-	good, err := os.ReadFile(idx)
-	if err != nil || len(good) != n/every*idxRecSize {
-		f.Fatalf("side index of the fixture: %d bytes, %v", len(good), err)
-	}
-	fi, err := os.Stat(journal)
+	all := journalWithSnapshot(f, dir, Options{Format: FormatBinary}, n, 50)
+	journal := filepath.Join(dir, binJournalName)
+	raw, err := os.ReadFile(journal)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good, 50)
-	f.Add(good[:len(good)-5], 99)
-	f.Add(append(appendIdxRec(nil, 40, 9), good...), 41)
-	f.Add(appendIdxRec(nil, 1<<62, 1<<62), 0)
-	f.Add(appendIdxRec(nil, -1<<62, 9000), 41) // a seq no journal has, at an offset inside this one
-	f.Fuzz(func(t *testing.T, raw []byte, from int) {
-		if err := os.WriteFile(idx, raw, 0o644); err != nil {
+	var offs []int64 // each entry frame's offset
+	fr := newFrameReader(bytes.NewReader(raw[len(segMagic):]), int64(len(segMagic)), int64(len(raw)))
+	for at := fr.off; ; at = fr.off {
+		if _, _, err := fr.next(); err != nil {
+			break
+		}
+		offs = append(offs, at)
+	}
+	if len(offs) != n {
+		f.Fatalf("fixture journal holds %d frames, want %d", len(offs), n)
+	}
+	f.Add(50, offs[49])   // where the writer put it
+	f.Add(50, offs[48])   // the entry before
+	f.Add(50, offs[49]+1) // inside the frame
+	f.Add(n, offs[n-1])   // an empty tail
+	f.Add(n+3, offs[n-1]) // ahead of the journal
+	f.Add(1, int64(len(segMagic)))
+	f.Add(0, int64(0))
+	f.Add(-5, int64(1)<<62)
+	f.Fuzz(func(t *testing.T, seq int, pos int64) {
+		snap := testSnapshot(min(max(seq, 0), n), all)
+		snap.Seq = seq
+		file, err := appendSnapshot(nil, snap, pos)
+		if err != nil {
 			t.Fatal(err)
 		}
-		recs := readIdx(idx, fi.Size())
-		if len(recs) > len(raw)/idxRecSize {
-			t.Fatalf("%d index bytes read as %d records", len(raw), len(recs))
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), file, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for _, r := range recs {
-			if r.off < int64(len(segMagic)) || r.off >= fi.Size() {
-				t.Fatalf("index record %+v points outside the %d-byte journal", r, fi.Size())
+		got, why := tailOf(dir, FormatBinary, Meta{}, snap, pos)
+		if why == "" && (seq <= 0 || seq > n || len(got) != n-seq) {
+			t.Fatalf("snapshot at %d, position %d: a tail of %d entries, want the journal's from %d", seq, pos, len(got), seq)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], all[seq+i]) {
+				t.Fatalf("snapshot at %d, position %d: tail entry %d is %+v, want %+v", seq, pos, i, got[i], all[seq+i])
 			}
 		}
-		entries, _, _, ok := readSegmentTail(journal, idx, from)
-		if !ok {
-			return
+		s, err := OpenOptions(dir, Options{TailResume: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := max(n-max(from, 0), 0)
-		if len(entries) != want {
-			t.Fatalf("tail from %d through a fuzzed index holds %d entries, want %d", from, len(entries), want)
+		r, err := s.Recover()
+		if cerr := s.Close(); err == nil {
+			err = cerr
 		}
-		for i := range entries {
-			if entries[i].Seq != n-want+i {
-				t.Fatalf("tail from %d: entry %d has seq %d", from, i, entries[i].Seq)
-			}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now, err := os.ReadFile(journal); err != nil || !bytes.Equal(now, raw) {
+			t.Fatalf("snapshot at %d, position %d: opening the directory changed the journal (%v)", seq, pos, err)
+		}
+		switch {
+		case why == "" && (r.Info.Path != "tail" || r.Base != seq || len(r.Records) != n-seq):
+			t.Fatalf("snapshot at %d, position %d: the tail read took %d entries, Recover %+v with %d records", seq, pos, len(got), r.Info, len(r.Records))
+		case why != "" && (r.Info.Path != "full-journal" || r.Info.Reason != why || len(r.Records) != n):
+			t.Fatalf("snapshot at %d, position %d: refused (%s), Recover %+v with %d records", seq, pos, why, r.Info, len(r.Records))
 		}
 	})
 }
@@ -406,7 +441,7 @@ func FuzzReadIdx(f *testing.F) {
 func TestDamagedSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	const n, snapAt = 60, 50
-	writeEntries(t, dir, Options{Format: FormatBinary, IndexEvery: 16}, n)
+	writeEntries(t, dir, Options{Format: FormatBinary}, n)
 	all, err := ReadJournal(dir)
 	if err != nil {
 		t.Fatal(err)

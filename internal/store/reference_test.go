@@ -142,7 +142,7 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				now, err := appendSnapshot(nil, st)
+				now, err := appendSnapshot(nil, st, 12345)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,6 +166,9 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 				if file.format != SnapshotFramed || oldFile.format != SnapshotFramedJSON || oldFile.refs != 0 || oldFile.sets != 0 {
 					t.Fatalf("shapes read as %q and %q (%d references, %d bytes of sets in the old one)", file.format, oldFile.format, oldFile.refs, oldFile.sets)
 				}
+				if file.pos != 12345 || oldFile.pos != 0 {
+					t.Fatalf("journal positions read as %d and %d, want 12345 and none", file.pos, oldFile.pos)
+				}
 				if file.state+file.sets+file.keys != int64(len(now)) || file.sets == 0 || !reflect.DeepEqual(file.keyCounts, oldFile.keyCounts) {
 					t.Fatalf("%d bytes split as %d + %d + %d, lists of %v keys (old file: %v)", len(now), file.state, file.sets, file.keys, file.keyCounts, oldFile.keyCounts)
 				}
@@ -183,7 +186,7 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 					moved := (*lists[at]).Strings()
 					moved[0], moved[len(moved)-1] = moved[len(moved)-1], moved[0]
 					*lists[at] = explore.NewKeySet(moved).Keys()
-					full, err := appendSnapshot(nil, st)
+					full, err := appendSnapshot(nil, st, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -264,7 +267,7 @@ func TestSetsFrameHoldsEachStackOnce(t *testing.T) {
 // new shape and holds the same state.
 func TestOldBuildFixture(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{metaName, binJournalName, idxName, snapshotName} {
+	for _, name := range []string{metaName, binJournalName, "journal.idx", snapshotName} {
 		raw, err := os.ReadFile(filepath.Join("testdata", "oldbuild", name))
 		if err != nil {
 			t.Fatal(err)

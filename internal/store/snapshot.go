@@ -4,9 +4,12 @@ package store
 // the journal's own crc frames, each thing it holds written once.
 //
 //	magic "AFEXSNP1" (8 bytes)
-//	frameState    uvarint seq, then the state as JSON with the cluster
-//	              sets and every executed-key list elided: counters,
-//	              coverage, explorer pool/windows/arms
+//	frameStateAt  uvarint seq, uvarint position, then the state as JSON
+//	              with the cluster sets and every executed-key list
+//	              elided: counters, coverage, explorer pool/windows/arms.
+//	              The position is the live binary segment's offset of
+//	              entry seq-1, where a tail read starts (binary.go); 0
+//	              when the writer cannot place it, and always for JSONL
 //	frameSets     the three cluster sets in the segEnc codec:
 //	                uvarint count, then the distinct frame strings
 //	                uvarint count, then each distinct stack of the whole
@@ -35,7 +38,9 @@ package store
 // the files written before the sets had a frame (no frameSets: the sets
 // are in the JSON and every list is in full), and snapshot.json (no
 // magic: all JSON), which is read when it is all a directory has and
-// removed once a snapshot in this form has landed.
+// removed once a snapshot in this form has landed. A state frame of the
+// kind earlier builds wrote (frameState: seq, then the JSON) reads as one
+// at position 0.
 
 import (
 	"encoding/binary"
@@ -260,13 +265,14 @@ func decodeSets(payload []byte) (sets [3]*cluster.SetState, err error) {
 	return sets, d.err
 }
 
-// appendSnapshot renders st as a snapshot file, sized before it is
-// written and every list framed in place, so a snapshot costs one buffer
-// and one copy of its keys. The sets and the lists are lifted out of st
-// while its JSON is taken and put back after, so st is the caller's alone
-// for the duration — as a state handed to SnapshotSession is the store's.
-// The sets and lists themselves are only read.
-func appendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) {
+// appendSnapshot renders st, standing at journal position pos, as a
+// snapshot file, sized before it is written and every list framed in
+// place, so a snapshot costs one buffer and one copy of its keys. The
+// sets and the lists are lifted out of st while its JSON is taken and
+// put back after, so st is the caller's alone for the duration — as a
+// state handed to SnapshotSession is the store's. The sets and lists
+// themselves are only read.
+func appendSnapshot(dst []byte, st *core.SessionState, pos int64) ([]byte, error) {
 	lists := keyLists(st)
 	keys := make([]*explore.Keys, len(lists))
 	for i, p := range lists {
@@ -312,9 +318,9 @@ func appendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) {
 		}
 		total += sizes[i] + 16
 	}
-	seq := binary.AppendUvarint(nil, uint64(st.Seq))
-	dst = openFrame(append(slices.Grow(dst, total), snapMagic...), frameState, len(seq)+len(raw))
-	dst = closeFrame(append(append(dst, seq...), raw...), frameState, len(seq)+len(raw))
+	head := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(st.Seq)), uint64(pos))
+	dst = openFrame(append(slices.Grow(dst, total), snapMagic...), frameStateAt, len(head)+len(raw))
+	dst = closeFrame(append(append(dst, head...), raw...), frameStateAt, len(head)+len(raw))
 	dst = setsFrame.appendFrame(dst)
 	for i, list := range keys {
 		if refs[i] >= 0 {
@@ -367,13 +373,14 @@ const (
 	snapFull
 )
 
-// snapFile describes a snapshot file as it was found: its name, shape and
-// size, how the bytes split between the state frame (magic included), the
-// sets frame and the key frames, how many keys each list holds and how
-// many of the lists are references to an earlier one.
+// snapFile describes a snapshot file as it was found: its name, shape,
+// size and recorded journal position, how the bytes split between the
+// state frame (magic included), the sets frame and the key frames, how
+// many keys each list holds and how many of the lists are references to
+// an earlier one.
 type snapFile struct {
 	name, format      string
-	size              int64
+	size, pos         int64
 	state, sets, keys int64
 	keyCounts         []int
 	refs              int
@@ -398,15 +405,19 @@ func decodeSnapshot(r io.Reader, file *snapFile, depth snapDepth) (*core.Session
 	}
 	fr.r.Discard(len(snapMagic))
 	kind, payload, err := fr.next()
-	seq, w := binary.Uvarint(payload)
-	if err == nil && (kind != frameState || w <= 0) {
+	d := segDec{buf: payload}
+	st.Seq = int(d.uint())
+	if kind == frameStateAt {
+		file.pos = int64(d.uint())
+	}
+	if err == nil && (kind != frameState && kind != frameStateAt || d.err != nil) {
 		err = errors.New("no state frame")
 	}
-	if st.Seq = int(seq); depth == snapSeq && err == nil {
+	if depth == snapSeq && err == nil {
 		return st, nil
 	}
 	if err == nil {
-		err = json.Unmarshal(payload[w:], st)
+		err = json.Unmarshal(d.buf, st)
 	}
 	file.format, file.state = SnapshotFramedJSON, fr.off
 	lists, stateRead := keyLists(st), err == nil

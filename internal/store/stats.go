@@ -2,12 +2,13 @@ package store
 
 // Read-only state-directory inspection backing `afex stats`: what
 // format a directory journals in, how many entries it holds and where
-// (archive vs live segment), how dense the index is, and how big the
-// resume tail past the latest snapshot is — the number that decides
-// whether the next --resume is O(tail) or O(run).
+// (archive vs live segment), and how big the resume tail past the
+// latest snapshot is — the number that decides whether the next
+// --resume is O(tail) or O(run).
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -34,11 +35,6 @@ type Stats struct {
 	LiveEntries     int `json:"liveEntries"`
 	// Segments is the number of journal segment files present.
 	Segments int `json:"segments"`
-	// IndexBlocks counts the in-segment index frames of the live binary
-	// journal; SideIndexRecords the records of the journal.idx seek
-	// file. Zero for JSONL.
-	IndexBlocks      int `json:"indexBlocks"`
-	SideIndexRecords int `json:"sideIndexRecords"`
 	// HasSnapshot/SnapshotSeq/SnapshotBytes describe the latest
 	// snapshot (its journal sequence and file size) and SnapshotFormat
 	// its shape: SnapshotFramed, SnapshotFramedJSON for a framed file of
@@ -128,7 +124,7 @@ func ReadStats(dir string) (*Stats, error) {
 		if snap.Aggregates != nil {
 			st.SnapshotKeys = file.keyCounts[0] // keyLists lists the aggregates' first
 		}
-		_, why = tailOf(dir, format, meta, snap)
+		_, why = tailOf(dir, format, meta, snap, file.pos)
 	}
 	st.TailEntries = max(st.Entries-st.SnapshotSeq, 0)
 	st.ResumePath = "tail"
@@ -180,6 +176,14 @@ func (st *Stats) scanJSONL(dir string) error {
 	st.JournalBytes = fi.Size()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64*1024), 16<<20)
+	// Lines that end in a newline: a torn final line is one ReadJournal
+	// drops and the next Open truncates.
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		return 0, nil, nil
+	})
 	for sc.Scan() {
 		if len(sc.Bytes()) > 0 {
 			st.Entries++
@@ -194,10 +198,9 @@ func (st *Stats) scanBinary(dir string) error {
 		name    string
 		entries *int
 		bytes   *int64
-		live    bool
 	}{
-		{archiveName, &st.ArchivedEntries, &st.ArchiveBytes, false},
-		{binJournalName, &st.LiveEntries, &st.JournalBytes, true},
+		{archiveName, &st.ArchivedEntries, &st.ArchiveBytes},
+		{binJournalName, &st.LiveEntries, &st.JournalBytes},
 	} {
 		f, err := os.Open(filepath.Join(dir, seg.name))
 		if os.IsNotExist(err) {
@@ -219,13 +222,7 @@ func (st *Stats) scanBinary(dir string) error {
 		st.Segments++
 		*seg.entries = res.entries
 		*seg.bytes = fi.Size()
-		if seg.live {
-			st.IndexBlocks = res.indexFrames
-		}
 	}
 	st.Entries = st.ArchivedEntries + st.LiveEntries
-	if fi, err := os.Stat(filepath.Join(dir, idxName)); err == nil {
-		st.SideIndexRecords = int(fi.Size() / idxRecSize)
-	}
 	return nil
 }

@@ -31,9 +31,7 @@
 //	              default "jsonl" format — human-greppable, and byte
 //	              deterministic for a deterministic session)
 //	journal.afexj the "binary" format: crc-framed length-prefixed
-//	              entries with periodic index blocks (see binary.go)
-//	journal.idx   side index into journal.afexj's index blocks, so a
-//	              resume seeks to the tail instead of scanning the run
+//	              entries (see binary.go)
 //	archive.afexj compacted journal prefix already covered by a
 //	              snapshot (binary format only; see Compact)
 //	snapshot.afexs latest core.SessionState, replaced atomically: crc
@@ -41,11 +39,16 @@
 //	              cluster sets with each distinct stack and frame once,
 //	              then each executed-key list length-prefixed, or as a
 //	              reference when it repeats an earlier one (snapshot.go);
-//	              the same file with the sets still in its JSON, as
-//	              earlier builds wrote it, is read too
+//	              in a binary directory it also records where in
+//	              journal.afexj the entry before it sits, so a resume
+//	              starts at the tail instead of scanning the run; the
+//	              same file with the sets still in its JSON, as earlier
+//	              builds wrote it, is read too
 //	snapshot.json the snapshot as builds before that file wrote it:
 //	              read when it is all there is, never written, removed
 //	              once a snapshot.afexs has landed
+//	journal.idx   a seek file earlier builds kept beside journal.afexj:
+//	              never read, never written
 //
 // The journal format is chosen per directory at creation (Options.Format
 // via OpenOptions) and recorded in meta.json; an existing directory
@@ -90,9 +93,8 @@ const (
 	// FormatJSONL and FormatBinary are the journal formats a state
 	// directory can use. JSONL is the default: one JSON object per line,
 	// byte-deterministic for deterministic sessions and greppable.
-	// Binary is the hot-path format: length-prefixed crc-framed entries
-	// with periodic index blocks, appended without JSON encoding and
-	// resumed in O(snapshot + tail).
+	// Binary is the hot-path format: length-prefixed crc-framed entries,
+	// appended without JSON encoding and resumed in O(snapshot + tail).
 	FormatJSONL  = "jsonl"
 	FormatBinary = "binary"
 )
@@ -112,10 +114,6 @@ type Options struct {
 	// decoding every entry. Recover falls back to the full-journal path
 	// whenever the snapshot cannot self-describe its prefix.
 	TailResume bool
-	// IndexEvery overrides the entry interval between index blocks in
-	// binary journals (0 = DefaultIndexEvery). Smaller intervals mean
-	// finer tail seeks at slightly more journal bytes.
-	IndexEvery int
 	// Peer/Peers record a multi-coordinator shard assignment: this
 	// directory journals peer index Peer of a space split across Peers
 	// coordinators (faultspace.Union.Shard). Recorded in meta.json on
@@ -331,7 +329,6 @@ type Store struct {
 	run        int
 	format     string
 	tailResume bool
-	indexEvery int
 
 	journal *os.File
 	bw      *bufio.Writer
@@ -343,15 +340,11 @@ type Store struct {
 	enc *json.Encoder
 
 	// Binary writer state, touched only by the writer goroutine: the
-	// reusable entry/frame encode buffers, the live segment's append
-	// offset, the offset of the last index frame (-1 before the first),
-	// and the open side-index file.
-	benc         segEnc
-	frameBuf     []byte
-	idxBuf       []byte
-	liveOff      int64
-	lastIndexOff int64
-	idx          *os.File
+	// live segment's appender, and the offsets of the entries a snapshot
+	// still to come may stand behind — offs[i] is entry offBase+i's.
+	seg     *segWriter
+	offs    []int64
+	offBase int
 	// snapBuf is the snapshot file under construction, reused from one
 	// snapshot to the next.
 	snapBuf []byte
@@ -422,17 +415,14 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.meta.Journal = s.format
-	s.indexEvery = opts.IndexEvery
-	if s.indexEvery <= 0 {
-		s.indexEvery = DefaultIndexEvery
-	}
 	// A SIGKILL mid-append can leave a torn final entry. Readers drop
 	// it, but appending after it would fuse the torn bytes with the next
 	// entry into permanent mid-file corruption — truncate it away before
 	// opening for append (we hold the directory lock, so no other writer
 	// can race the repair).
+	var size int64
 	if s.format == FormatBinary {
-		err = s.openBinaryJournal()
+		size, err = s.openBinaryJournal()
 	} else {
 		err = s.openJSONLJournal()
 	}
@@ -443,6 +433,8 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	s.bw = bufio.NewWriterSize(s.journal, 1<<16)
 	if s.format == FormatJSONL {
 		s.enc = json.NewEncoder(s.bw)
+	} else {
+		s.seg = newSegWriter(s.bw, size)
 	}
 	s.wg.Add(1)
 	go s.writerLoop()
@@ -461,31 +453,27 @@ func (s *Store) openJSONLJournal() error {
 	return nil
 }
 
-func (s *Store) openBinaryJournal() error {
+// openBinaryJournal repairs and opens the live segment and returns its
+// size. The repair scan starts where the snapshot says its last entry
+// is, and the last entry it finds is one a snapshot may stand behind.
+func (s *Store) openBinaryJournal() (int64, error) {
 	live := filepath.Join(s.dir, binJournalName)
-	idxPath := filepath.Join(s.dir, idxName)
-	size, lastIndexOff, err := repairSegment(live, idxPath)
+	snap, file, _ := readSnapshot(s.dir, snapSeq)
+	seq := 0
+	if snap != nil {
+		seq = snap.Seq
+	}
+	res, err := repairSegment(live, file.pos, seq)
 	if err != nil {
-		return fmt.Errorf("store: repair journal: %w", err)
+		return 0, fmt.Errorf("store: repair journal: %w", err)
 	}
-	s.journal, err = os.OpenFile(live, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+	if res.lastSeq >= 0 {
+		s.offs, s.offBase = []int64{res.lastOff}, res.lastSeq
 	}
-	if size == 0 {
-		if _, err := s.journal.Write([]byte(segMagic)); err != nil {
-			s.journal.Close()
-			return fmt.Errorf("store: %w", err)
-		}
-		size = int64(len(segMagic))
+	if s.journal, err = os.OpenFile(live, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	s.liveOff, s.lastIndexOff = size, lastIndexOff
-	s.idx, err = os.OpenFile(idxPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.journal.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return res.end, nil
 }
 
 // resolveFormat decides a directory's journal format: what meta.json
@@ -618,9 +606,6 @@ func (s *Store) Close() error {
 	s.wg.Wait()
 	s.setErr(s.bw.Flush())
 	s.setErr(s.journal.Close())
-	if s.idx != nil {
-		s.setErr(s.idx.Close())
-	}
 	s.unlockDir()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -659,7 +644,11 @@ func (s *Store) process(m *msg) {
 	case m.rec != nil:
 		e := entryFrom(m.run, m.cand, *m.rec)
 		if s.format == FormatBinary {
-			s.appendBinary(e)
+			if off, err := s.seg.append(e); err != nil {
+				s.setErr(err)
+			} else {
+				s.note(e.Seq, off)
+			}
 			return
 		}
 		// The persistent encoder produces exactly Marshal's bytes plus
@@ -673,7 +662,7 @@ func (s *Store) process(m *msg) {
 			return
 		}
 		var err error
-		if s.snapBuf, err = appendSnapshot(s.snapBuf[:0], m.snap); err == nil {
+		if s.snapBuf, err = appendSnapshot(s.snapBuf[:0], m.snap, s.place(m.snap.Seq)); err == nil {
 			err = s.writeAtomic(snapshotName, s.snapBuf)
 		}
 		if err != nil {
@@ -687,40 +676,31 @@ func (s *Store) process(m *msg) {
 	}
 }
 
-// appendBinary writes one entry frame to the live segment, plus an
-// index frame and a side-index record after every indexEvery-th entry.
-// Runs on the writer goroutine only.
-func (s *Store) appendBinary(e *Entry) {
-	s.benc.encodeEntry(e)
-	s.frameBuf = appendFrame(s.frameBuf[:0], frameEntry, s.benc.bytes())
-	if _, err := s.bw.Write(s.frameBuf); err != nil {
-		s.setErr(err)
-		return
+// note remembers that entry seq landed at offset off of the live
+// segment. Entries arrive in Seq order; one that does not continue the
+// run starts a new one.
+func (s *Store) note(seq int, off int64) {
+	if len(s.offs) > 0 && seq != s.offBase+len(s.offs) {
+		s.offs = s.offs[:0]
 	}
-	s.liveOff += int64(len(s.frameBuf))
-	if (e.Seq+1)%s.indexEvery != 0 {
-		return
+	if len(s.offs) == 0 {
+		s.offBase = seq
 	}
-	off := s.liveOff
-	s.frameBuf = appendFrame(s.frameBuf[:0], frameIndex, indexPayload(e.Seq+1, s.lastIndexOff))
-	if _, err := s.bw.Write(s.frameBuf); err != nil {
-		s.setErr(err)
-		return
+	s.offs = append(s.offs, off)
+}
+
+// place returns the live-segment offset of entry seq-1 for a snapshot at
+// seq, 0 when the writer never saw that entry, and forgets the entries
+// before it: snapshots arrive in Seq order, though entries past one may
+// have been written before it.
+func (s *Store) place(seq int) int64 {
+	i := seq - 1 - s.offBase
+	if i < 0 || i >= len(s.offs) {
+		return 0
 	}
-	s.liveOff += int64(len(s.frameBuf))
-	s.lastIndexOff = off
-	// The side index must never point past the journal's durable bytes:
-	// flush the segment before recording the offset. readIdx drops
-	// records past the file size, so a crash between the two writes
-	// costs one seek hint, never correctness.
-	if err := s.bw.Flush(); err != nil {
-		s.setErr(err)
-		return
-	}
-	s.idxBuf = appendIdxRec(s.idxBuf[:0], e.Seq+1, off)
-	if _, err := s.idx.Write(s.idxBuf); err != nil {
-		s.setErr(err)
-	}
+	pos := s.offs[i]
+	s.offs, s.offBase = s.offs[:copy(s.offs, s.offs[i:])], seq-1
+	return pos
 }
 
 func (s *Store) setErr(err error) {
@@ -910,7 +890,7 @@ func (s *Store) LoadSnapshot() (*core.SessionState, error) {
 // Restore.Info says why it had to.
 func (s *Store) Recover() (*core.Restore, error) {
 	began := time.Now()
-	snap, err := s.LoadSnapshot()
+	snap, file, err := readSnapshot(s.dir, snapFull)
 	info := core.ResumeInfo{Path: "full-journal", SnapshotNS: int64(time.Since(began))}
 	began = time.Now()
 	switch {
@@ -922,7 +902,7 @@ func (s *Store) Recover() (*core.Restore, error) {
 		// Binary directories with a self-describing snapshot resume in
 		// O(snapshot + tail); anything else takes the full-journal path
 		// below, which handles every degenerate case.
-		r, why := s.recoverTail(snap)
+		r, why := s.recoverTail(snap, file.pos)
 		if r != nil {
 			info.Path, info.Entries, info.JournalNS = "tail", len(r.Records), int64(time.Since(began))
 			r.Info = info
@@ -939,9 +919,10 @@ func (s *Store) Recover() (*core.Restore, error) {
 	}
 	// The journal is the source of truth. A snapshot that claims more
 	// records than the journal holds (possible only if journal bytes
-	// were lost after a snapshot flush, e.g. manual truncation), or that
-	// is missing its cluster sets (hand-edited or partially decoded),
-	// cannot be trusted; rebuild from the journal alone.
+	// were lost after a snapshot flush, e.g. manual truncation) or fewer
+	// than none, or that is missing its cluster sets (hand-edited or
+	// partially decoded), cannot be trusted; rebuild from the journal
+	// alone.
 	contiguous := true
 	for i := range entries {
 		if entries[i].Seq != i {
@@ -949,7 +930,7 @@ func (s *Store) Recover() (*core.Restore, error) {
 			entries[i].Seq = i
 		}
 	}
-	if snap != nil && (snap.Seq > len(entries) || !contiguous ||
+	if snap != nil && (snap.Seq < 0 || snap.Seq > len(entries) || !contiguous ||
 		snap.AllStacks == nil || snap.FailClusters == nil || snap.CrashClusters == nil) {
 		snap = nil
 	}
@@ -983,9 +964,9 @@ func (s *Store) Recover() (*core.Restore, error) {
 // tailOf returns the journal entries past snap when a binary directory
 // can resume from the snapshot and that tail alone — the snapshot
 // self-describes entries [0, Seq) via its aggregates, and the tail is
-// seeked to through the segment's index blocks — or else the reason it
-// cannot.
-func tailOf(dir, format string, meta Meta, snap *core.SessionState) ([]Entry, string) {
+// read from pos, the offset the snapshot recorded, when the entry before
+// it is there — or else the reason it cannot.
+func tailOf(dir, format string, meta Meta, snap *core.SessionState, pos int64) ([]Entry, string) {
 	switch {
 	case format != FormatBinary:
 		return nil, "the " + format + " journal has no index to seek by"
@@ -996,10 +977,9 @@ func tailOf(dir, format string, meta Meta, snap *core.SessionState) ([]Entry, st
 	case meta.CompactedSeq > snap.Seq:
 		return nil, "archive reaches past the snapshot"
 	}
-	entries, _, lastSeq, ok := readSegmentTail(
-		filepath.Join(dir, binJournalName), filepath.Join(dir, idxName), snap.Seq)
-	if !ok {
-		return nil, "journal tail unreadable through the index"
+	entries, _, lastSeq, err := readSegmentTail(filepath.Join(dir, binJournalName), pos, snap.Seq)
+	if err != nil {
+		return nil, err.Error()
 	}
 	// The journal (live segment, or archive when the live tail is empty)
 	// must reach the snapshot: a snapshot ahead of the journal means
@@ -1022,8 +1002,8 @@ func tailOf(dir, format string, meta Meta, snap *core.SessionState) ([]Entry, st
 // the snapshot that repeats it is a prefix of the set — and the build is
 // also the check that no key repeats (the full path's dedup semantics
 // apply otherwise).
-func (s *Store) recoverTail(snap *core.SessionState) (*core.Restore, string) {
-	entries, why := tailOf(s.dir, s.format, s.meta, snap)
+func (s *Store) recoverTail(snap *core.SessionState, pos int64) (*core.Restore, string) {
+	entries, why := tailOf(s.dir, s.format, s.meta, snap, pos)
 	if why != "" {
 		return nil, why
 	}

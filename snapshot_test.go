@@ -244,11 +244,12 @@ func rewriteSnapshotRingSession(t *testing.T, dir string) {
 	size, w := binary.Uvarint(raw[len(magic)+1:])
 	body := len(magic) + 1 + w
 	end := body + int(size)
-	if raw[len(magic)] != 3 || w <= 0 || raw[end-1] != '}' {
+	// Kind 7: the uvarint seq and journal position, then the JSON.
+	if raw[len(magic)] != 7 || w <= 0 || raw[end-1] != '}' {
 		t.Fatalf("snapshot.afexs does not open with a state frame of JSON")
 	}
 	payload := append(append([]byte{}, raw[body:end-1]...), `,"prefetch":{"depth":64,"generated":128}}`...)
-	out := append(snapFrame([]byte(magic), 3, payload), raw[end+4:]...)
+	out := append(snapFrame([]byte(magic), 7, payload), raw[end+4:]...)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
