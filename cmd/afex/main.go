@@ -485,8 +485,7 @@ func cmdWorker(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:7070", "coordinator address")
 	id := fs.String("id", "worker", "manager identity reported to the coordinator")
 	rpcBatch := fs.Int("rpc-batch", 0, "tests leased per RPC round trip: 0 = adaptive (coordinator-sized from measured test latency), 1 = one at a time with no lease in flight during execution, >1 = fixed batch")
-	rpcConcurrency := fs.Int("rpc-concurrency", 0, "leased tests executing at once (0 = backend pool width, or GOMAXPROCS)")
-	rpcFlush := fs.Duration("rpc-flush", 0, "max age of buffered results before a report flush (0 = default)")
+	rpcConcurrency := fs.Int("rpc-concurrency", 0, "worker loops, each executing its own lease (0 = backend pool width, or GOMAXPROCS; 1 at --rpc-batch 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -502,7 +501,6 @@ func cmdWorker(args []string) error {
 	defer mgr.Close()
 	mgr.Batch = *rpcBatch
 	mgr.Concurrency = *rpcConcurrency
-	mgr.FlushEvery = *rpcFlush
 	n, err := mgr.RunUntilDone()
 	fmt.Printf("%s executed %d tests\n", *id, n)
 	return err

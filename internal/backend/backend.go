@@ -105,12 +105,11 @@ type Recycler interface {
 
 // Parallel is the optional capability of runners with an internal pool:
 // Parallelism reports how many Run calls the runner can usefully serve
-// at once (the process backends' Config.Procs). Dispatchers that fan
-// tests out concurrently — the distributed manager's batched executor —
-// size their fan-out from it; runners without the capability are
-// assumed CPU-bound and fanned one goroutine per core. Every Runner
-// must tolerate concurrent Run calls regardless; Parallelism only says
-// how many of them make progress simultaneously.
+// at once (the process backends' Config.Procs). A distributed manager
+// runs that many worker loops by default, each executing its own lease;
+// runners without the capability are assumed CPU-bound and get one loop
+// per core. Every Runner must tolerate concurrent Run calls regardless;
+// Parallelism only says how many of them make progress simultaneously.
 type Parallel interface {
 	Parallelism() int
 }

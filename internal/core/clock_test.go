@@ -150,13 +150,13 @@ func TestParkedWorkerWakes(t *testing.T) {
 			gate := &gatedExecutor{inner: eng.LocalExecutor(), started: make(chan struct{}), release: make(chan struct{})}
 			holder := make(chan struct{})
 			go func() {
-				eng.work(gate, 16)
+				work(eng, eng.cfg.clock, gate, 16, nil)
 				close(holder)
 			}()
 			<-gate.started // the holder has leased the whole space
 			parked := make(chan struct{})
 			go func() {
-				eng.work(eng.LocalExecutor(), 16)
+				work(eng, eng.cfg.clock, eng.LocalExecutor(), 16, nil)
 				close(parked)
 			}()
 			<-clk.armed

@@ -30,16 +30,29 @@ const DefaultBatch = 8
 // Config.SnapshotEvery is honored exactly.
 const DefaultSnapshotEvery = 256
 
-// Executor runs leased candidates against the system under test. It is
-// the deployment seam of the engine: the local implementation converts
-// the scenario and calls the program model in-process, while package
-// rpcnode ships scenarios to remote node managers over TCP. Executors
-// must be safe for concurrent use; they touch no engine state.
+// Executor runs leased candidates against the system under test; a
+// BackendExecutor runs them on an execution backend, in a local worker
+// or a remote node manager alike. Executors must be safe for concurrent
+// use; they touch no engine state.
 type Executor interface {
 	// Execute runs one candidate and returns the partially filled record
 	// (Point, Scenario, TestID, Plan, Skipped) plus the observed outcome.
 	// Folding the outcome into session state is the engine's job.
 	Execute(c explore.Candidate) (Record, prog.Outcome)
+}
+
+// Source is where the worker loop leases candidates and folds what it
+// ran, in the order it ended: the Engine in process, or a lease source
+// over the wire (package rpcnode), so a remote node manager runs this
+// package's loop (Work). Park waits out an empty Lease and reports
+// whether to lease again; once Stopped, a worker arms nothing more and
+// hands back what it has not started through Unlease.
+type Source interface {
+	Lease(n int) []explore.Candidate
+	FoldBatch(done []ExecutedTest) bool
+	Park() bool
+	Stopped() bool
+	Unlease(n int)
 }
 
 // Engine is the shared execution core of a fault-exploration session.
@@ -807,10 +820,10 @@ func (e *Engine) Waiting() bool {
 	return e.lq != nil && e.lq.Len() > 0
 }
 
-// park is Waiting for the worker loop: while it holds, park blocks the
+// Park is Waiting for the worker loop: while it holds, Park blocks the
 // worker until the next progressLocked, the earliest lease expiry or the
 // deadline, and reports true.
-func (e *Engine) park() bool {
+func (e *Engine) Park() bool {
 	e.leaseMu.Lock()
 	if e.stopped.Load() || e.lq == nil || e.lq.Len() == 0 {
 		e.leaseMu.Unlock()
@@ -916,6 +929,9 @@ func (e *Engine) Stop() {
 	e.progressLocked()
 	e.leaseMu.Unlock()
 }
+
+// Stopped reports whether the session has stopped handing out work.
+func (e *Engine) Stopped() bool { return e.stopped.Load() }
 
 // Done is closed once the engine will hand out nothing more and owes
 // nothing: on Stop (by the caller, the Stop hook, or a Lease or fold
@@ -1051,25 +1067,19 @@ func (e *Engine) LocalExecutor() Executor {
 	if e.runner == nil {
 		panic("core: engine has no execution backend; set Target or Command, or drive RunWith with a custom Executor")
 	}
-	return &backendExecutor{e: e}
+	return &BackendExecutor{Runner: e.runner, Convert: e.convert}
 }
 
 // Backend returns the registered name of the engine's execution backend
 // ("" for coordinator-style engines that execute nothing themselves).
 func (e *Engine) Backend() string { return e.backendName }
 
-// backendExecutor converts candidates to armed plans and runs them on
-// the engine's backend runner. No shared engine state is touched, so it
-// runs outside the session lock.
-type backendExecutor struct{ e *Engine }
-
 // convert renders a candidate as its record and the test it arms. A
 // scenario the injector cannot express is a hole in practice: ok is
 // false and the record a zero-impact run, marked Skipped so the result
 // set can tally it. (With spaces built by package trace this cannot
 // happen; custom spaces may include e.g. functions the injector lacks.)
-func (l *backendExecutor) convert(c explore.Candidate) (rec Record, t backend.Test, ok bool) {
-	e := l.e
+func (e *Engine) convert(c explore.Candidate) (rec Record, t backend.Test, ok bool) {
 	// Slice-based scenario path: axis names are cached per subspace and
 	// values render in axis order, so converting and formatting a
 	// candidate allocates no intermediate map.
@@ -1085,12 +1095,23 @@ func (l *backendExecutor) convert(c explore.Candidate) (rec Record, t backend.Te
 	return rec, backend.Test{TestID: pt.TestID, Plan: plan}, true
 }
 
-func (l *backendExecutor) Execute(c explore.Candidate) (Record, prog.Outcome) {
-	rec, t, ok := l.convert(c)
+// BackendExecutor runs candidates on an execution backend: Convert
+// renders one as its record and the test it arms (ok false: a hole,
+// folded as the Skipped record it returned). The worker loop hands it a
+// lease whole, so a backend.Batcher arms the batch at once. The engine's
+// own executor and a remote node manager's are both one; neither
+// touches shared engine state, so they run outside the session lock.
+type BackendExecutor struct {
+	Runner  backend.Runner
+	Convert func(explore.Candidate) (Record, backend.Test, bool)
+}
+
+func (l *BackendExecutor) Execute(c explore.Candidate) (Record, prog.Outcome) {
+	rec, t, ok := l.Convert(c)
 	if !ok {
 		return rec, prog.Outcome{}
 	}
-	outcome, ex := l.e.runner.Run(t.TestID, t.Plan)
+	outcome, ex := l.Runner.Run(t.TestID, t.Plan)
 	rec.Backend, rec.ExitStatus, rec.Duration = ex.Backend, ex.ExitStatus, ex.Duration
 	return rec, outcome
 }
@@ -1098,19 +1119,19 @@ func (l *backendExecutor) Execute(c explore.Candidate) (Record, prog.Outcome) {
 // executeBatch is Execute for a whole lease: every candidate converts
 // first, then the convertible ones run as one backend batch, each
 // emitted as it ends.
-func (l *backendExecutor) executeBatch(cands []explore.Candidate, emit func(i int, rec Record, out prog.Outcome)) {
+func (l *BackendExecutor) executeBatch(cands []explore.Candidate, emit func(i int, rec Record, out prog.Outcome)) {
 	recs := make([]Record, 0, len(cands))
 	tests := make([]backend.Test, 0, len(cands))
 	at := make([]int, 0, len(cands)) // tests[j] arms cands[at[j]]
 	for i, c := range cands {
-		rec, t, ok := l.convert(c)
+		rec, t, ok := l.Convert(c)
 		if !ok {
 			emit(i, rec, prog.Outcome{})
 			continue
 		}
 		recs, tests, at = append(recs, rec), append(tests, t), append(at, i)
 	}
-	backend.RunBatch(l.e.runner, tests, func(j int, out prog.Outcome, ex backend.Exec) {
+	backend.RunBatch(l.Runner, tests, func(j int, out prog.Outcome, ex backend.Exec) {
 		rec := recs[j]
 		rec.Backend, rec.ExitStatus, rec.Duration = ex.Backend, ex.ExitStatus, ex.Duration
 		emit(at[j], rec, out)
@@ -1138,7 +1159,7 @@ const foldEvery = 50 * time.Millisecond
 // reproducible.
 func (e *Engine) RunWith(exec Executor) {
 	if e.cfg.Workers <= 1 {
-		e.work(exec, 1)
+		work(e, e.cfg.clock, exec, 1, nil)
 		return
 	}
 	var wg sync.WaitGroup
@@ -1146,17 +1167,24 @@ func (e *Engine) RunWith(exec Executor) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.work(exec, e.cfg.Batch)
+			work(e, e.cfg.clock, exec, e.cfg.Batch, nil)
 		}()
 	}
 	wg.Wait()
 }
 
+// Work is the worker loop over any lease source, timed by the wall
+// clock: what a remote node manager runs against its coordinator.
+func Work(src Source, exec Executor, batch int, observe func(perTest time.Duration)) {
+	work(src, wallClock{}, exec, batch, observe)
+}
+
 // work is the worker loop: lease a batch, execute it lock-free, fold it
-// (FoldBatch precomputes outside the session lock), until the session
-// has nothing more to hand out. Every executed result folds, stopped or
-// not: stopping ends leasing, not accounting.
-func (e *Engine) work(exec Executor, batch int) {
+// (an engine's FoldBatch precomputes outside the session lock), until
+// the source has nothing more to hand out. Every executed result folds,
+// stopped or not: stopping ends leasing, not accounting. A non-nil
+// observe takes each executed lease's wall clock per test.
+func work(src Source, clk clock, exec Executor, batch int, observe func(time.Duration)) {
 	var (
 		cands  []explore.Candidate
 		left   int // of cands, not yet emitted
@@ -1165,45 +1193,49 @@ func (e *Engine) work(exec Executor, batch int) {
 	)
 	emit := func(i int, rec Record, out prog.Outcome) {
 		done = append(done, ExecutedTest{C: cands[i], Rec: rec, Out: out})
-		if left--; left > 0 && e.cfg.clock.Now().Sub(folded) >= foldEvery {
-			e.FoldBatch(done)
+		if left--; left > 0 && clk.Now().Sub(folded) >= foldEvery {
+			src.FoldBatch(done)
 			done = done[:0]
-			folded = e.cfg.clock.Now()
+			folded = clk.Now()
 		}
 	}
 	for {
-		cands = e.Lease(batch)
+		cands = src.Lease(batch)
 		if len(cands) == 0 {
 			// Leases that may yet expire and re-lease: wait, don't quit.
-			if e.park() {
+			if src.Park() {
 				continue
 			}
 			return
 		}
-		left, folded = len(cands), e.cfg.clock.Now()
-		e.execute(exec, cands, emit)
-		e.FoldBatch(done)
+		began := clk.Now()
+		left, folded = len(cands), began
+		execute(src, exec, cands, emit)
+		if observe != nil {
+			observe(clk.Now().Sub(began) / time.Duration(len(cands)))
+		}
+		src.FoldBatch(done)
 		done = done[:0]
 	}
 }
 
-// execute runs a leased batch and emits each result as it ends. The
-// engine's own executor takes a batch whole, so the backend can arm it
-// at once; any other Executor, and a batch of one, runs candidate by
+// execute runs a leased batch and emits each result as it ends. A
+// backend executor takes a batch whole, so the backend can arm it at
+// once; any other Executor, and a batch of one, runs candidate by
 // candidate. A stop is honoured before anything is armed — the
 // candidates not started are unleased — and what is armed runs out.
-func (e *Engine) execute(exec Executor, cands []explore.Candidate, emit func(i int, rec Record, out prog.Outcome)) {
-	if l, ok := exec.(*backendExecutor); ok && len(cands) > 1 {
-		if e.stopped.Load() {
-			e.Unlease(len(cands))
+func execute(src Source, exec Executor, cands []explore.Candidate, emit func(i int, rec Record, out prog.Outcome)) {
+	if l, ok := exec.(*BackendExecutor); ok && len(cands) > 1 {
+		if src.Stopped() {
+			src.Unlease(len(cands))
 			return
 		}
 		l.executeBatch(cands, emit)
 		return
 	}
 	for i, c := range cands {
-		if e.stopped.Load() {
-			e.Unlease(len(cands) - i)
+		if src.Stopped() {
+			src.Unlease(len(cands) - i)
 			return
 		}
 		rec, out := exec.Execute(c)

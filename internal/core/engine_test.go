@@ -559,7 +559,7 @@ func TestSlowTargetFoldsWhenFinished(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec.inner = eng.LocalExecutor()
-	eng.work(exec, 4)
+	work(eng, eng.cfg.clock, exec, 4, nil)
 	if res := eng.Finish(); res.Executed != 8 {
 		t.Fatalf("executed %d tests, want 8", res.Executed)
 	}

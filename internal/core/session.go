@@ -31,7 +31,9 @@
 //     the narrow lease and explorer locks, execute it lock-free, fold it
 //     back under one session-lock acquisition. RunWith runs
 //     Config.Workers copies of it; a sequential session is one copy with
-//     a batch of one.
+//     a batch of one. The loop leases from a Source, of which the Engine
+//     is one: a remote node manager (package rpcnode) runs the same loop
+//     (Work) against a source that leases and folds over the wire.
 //
 // Run is the high-level entry point; advanced callers (distributed
 // coordinators, custom executors, throughput benchmarks) build an Engine

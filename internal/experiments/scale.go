@@ -159,7 +159,7 @@ func scalability(o Opts, nodeCounts []int, testsPerRun, workFactor int, singleTa
 			}
 			mgr.Work = workFactor
 			// A §7.7 node runs one test at a time; without the cap
-			// a single in-process manager fans out over every core
+			// a single in-process manager runs a worker loop per core
 			// and node count stops being the unit of parallelism.
 			mgr.Concurrency = 1
 			if singleTask {

@@ -114,7 +114,7 @@ func (e *Exhaustive) BatchNext(n int) []Candidate {
 	}
 	out := make([]Candidate, n)
 	for i := 0; i < n; i++ {
-		out[i] = e.at(e.next + i)
+		out[i] = CandidateAt(e.points[e.next+i])
 	}
 	e.next += n
 	return out

@@ -693,15 +693,14 @@ func (e *Exhaustive) Next() (Candidate, bool) {
 	if e.next >= len(e.points) {
 		return Candidate{}, false
 	}
-	c := e.at(e.next)
+	c := CandidateAt(e.points[e.next])
 	e.next++
 	return c, true
 }
 
-// at is the candidate for enumeration position i, keyed here so the
-// layers it passes through do not each render the key.
-func (e *Exhaustive) at(i int) Candidate {
-	p := e.points[i]
+// CandidateAt is a seed candidate at p — no parent, no mutated axis —
+// keyed here so the layers it passes through do not each render the key.
+func CandidateAt(p faultspace.Point) Candidate {
 	return Candidate{Point: p, MutatedAxis: -1, key: p.Key()}
 }
 

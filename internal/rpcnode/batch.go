@@ -12,12 +12,12 @@ package rpcnode
 //     per-test latency (core.Engine.AdaptiveBatch) — slow targets get
 //     small batches for lease-expiry responsiveness, fast ones large
 //     batches for wire amortization.
-//   - The manager double-buffers leases (the next NextBatch is in
-//     flight while the current batch executes; not at Batch = 1, see
-//     Manager.Batch), fans tasks across its backend's pool
-//     concurrently, and flushes accumulated results by size and age
-//     through Coordinator.ReportBatch, which folds them through
-//     Engine.FoldBatch — one session-lock round per flush.
+//   - Coordinator.ReportBatch folds many results through
+//     Engine.FoldBatch, one session-lock round per report.
+//   - A manager runs the engine's worker loop (core.Work) against the
+//     lease source these calls make (remote), executing each lease whole
+//     so a batching backend arms it at once; the next NextBatch is in
+//     flight while a lease executes — not at Batch = 1, see Manager.Batch.
 //   - Tasks ship coordinates and axis values, not formatted scenario
 //     strings (the axis names travel once, in the Hello reply);
 //     results ship varint-delta block sets and interned stacks
@@ -33,12 +33,13 @@ import (
 	"net/rpc"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"afex/internal/backend"
 	"afex/internal/core"
 	"afex/internal/dsl"
+	"afex/internal/explore"
+	"afex/internal/faultspace"
 	"afex/internal/inject"
 	"afex/internal/prog"
 )
@@ -46,10 +47,6 @@ import (
 // protoBatched is the protocol generation of Hello/NextBatch/ReportBatch
 // — the only one spoken.
 const protoBatched = 2
-
-// DefaultFlushEvery bounds how long executed results may buffer on the
-// manager before a ReportBatch flush when Manager.FlushEvery is zero.
-const DefaultFlushEvery = 50 * time.Millisecond
 
 // maxSuggestRetryMS caps the coordinator-suggested Retry backoff.
 const maxSuggestRetryMS = 250
@@ -78,10 +75,10 @@ type BatchRequest struct {
 	// adaptively from measured test latency.
 	Max int
 	// AvgTestNS is the manager's measured per-test execution wall
-	// clock so far (0 = no data yet), folded into the coordinator's
-	// latency average to steer adaptive sizing. Managers measure it
-	// themselves because backends may not report durations (the model
-	// backend deliberately journals none).
+	// clock over the last lease it executed (0 = no data yet), folded
+	// into the coordinator's latency average to steer adaptive sizing.
+	// Managers measure it themselves because backends may not report
+	// durations (the model backend deliberately journals none).
 	AvgTestNS int64
 }
 
@@ -293,21 +290,6 @@ func (c *Coordinator) retryAfter(id string) int {
 	return ms
 }
 
-// Hello is the dial-time handshake (RPC method).
-func (s *service) Hello(h Hello, reply *HelloReply) error {
-	return s.c.Hello(h, reply)
-}
-
-// NextBatch leases a batch of candidates (RPC method).
-func (s *service) NextBatch(req BatchRequest, batch *TaskBatch) error {
-	return s.c.NextBatch(req, batch)
-}
-
-// ReportBatch reports a batch of executed tests (RPC method).
-func (s *service) ReportBatch(rb ResultBatch, ack *BatchAck) error {
-	return s.c.ReportBatch(rb, ack)
-}
-
 // sleepRetry waits out a Retry poll for the coordinator-suggested
 // backoff (growing with the manager's consecutive empty polls); ±25%
 // jitter keeps a fleet of idle managers from polling in lockstep.
@@ -336,174 +318,147 @@ func (m *Manager) hello() error {
 	return nil
 }
 
-// runBatched is the work loop: double-buffered leasing (the next
-// NextBatch is in flight while the current batch executes), concurrent
-// execution across the backend's pool, and size/age-bounded result
-// flushing. It returns how many results this manager reported.
-func (m *Manager) runBatched() (int, error) {
-	workers := m.Concurrency
-	if workers <= 0 {
-		workers = m.defaultConcurrency()
-	}
-	flushEvery := m.FlushEvery
-	if flushEvery <= 0 {
-		flushEvery = DefaultFlushEvery
-	}
-	executed := 0
-	var pending *rpc.Call
-	for {
-		if pending == nil {
-			pending = m.goNextBatch()
-		}
-		call := <-pending.Done
-		pending = nil
-		if call.Error != nil {
-			return executed, call.Error
-		}
-		batch := call.Reply.(*TaskBatch)
-		if batch.Done {
-			return executed, nil
-		}
-		if batch.Retry {
-			sleepRetry(batch.RetryAfterMS)
-			continue
-		}
-		// Request the next batch before executing this one, so leasing
-		// and execution overlap instead of alternating — except at Batch
-		// 1, which promises no second lease while one is held.
-		if m.Batch != 1 {
-			pending = m.goNextBatch()
-		}
-		n, err := m.executeBatch(batch.Tasks, workers, flushEvery)
-		executed += n
-		if err != nil {
-			return executed, err
-		}
-	}
+// remote is the worker loop's lease source over the wire: Lease is
+// NextBatch, with the next in flight while a lease executes (not at
+// Batch = 1); FoldBatch is ReportBatch, one at a time so a stack's
+// frames arrive before its bare hash; Park sleeps out a Retry. The locks
+// held across a call wait on the coordinator alone.
+type remote struct {
+	m         *Manager
+	leasing   sync.Mutex   // held across a lease reply's wait; guards next
+	next      *rpc.Call    // the prefetched NextBatch
+	reporting sync.Mutex   // held across a report; guards rws and reported
+	rws       []ResultWire // the report being sent, reused
+	reported  int          // results the coordinator acknowledged
+
+	mu sync.Mutex
+	// tasks holds the leased tasks not yet reported, by scenario key: a
+	// candidate converts from the first, and its report retires it.
+	tasks     map[string][]TaskWire
+	perTestNS int64 // the last executed lease's wall clock per test
+	retryMS   int   // the last empty lease's suggested backoff
+	done      bool  // nothing more to lease: Done, or a call failed
+	err       error // the first failed call; the loops arm nothing more
 }
 
-// goNextBatch issues an asynchronous lease request.
-func (m *Manager) goNextBatch() *rpc.Call {
-	req := BatchRequest{Manager: m.ID, Max: m.Batch, AvgTestNS: m.avgLatency()}
-	return m.client.Go("Coordinator.NextBatch", req, new(TaskBatch), nil)
-}
-
-// executeBatch fans the batch across workers goroutines and flushes
-// accumulated results whenever half the batch is ready or flushEvery
-// has passed — large batches amortize the report round trip without
-// sitting on finished results. It returns how many results were
-// reported.
-func (m *Manager) executeBatch(tasks []TaskWire, workers int, flushEvery time.Duration) (int, error) {
-	if len(tasks) == 0 {
-		return 0, nil
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var abort atomic.Bool
-	taskc := make(chan TaskWire)
-	resc := make(chan ResultWire, len(tasks))
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tw := range taskc {
-				if abort.Load() {
-					continue
-				}
-				resc <- m.executeOne(tw)
-			}
-		}()
-	}
-	go func() {
-		for _, tw := range tasks {
-			taskc <- tw
-		}
-		close(taskc)
-		wg.Wait()
-		close(resc)
-	}()
-
-	flushSize := (len(tasks) + 1) / 2
-	buf := make([]ResultWire, 0, flushSize)
-	reported := 0
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		rb := ResultBatch{Manager: m.ID, Backend: m.backendName, Results: m.internStacks(buf)}
-		var ack BatchAck
-		if err := m.client.Call("Coordinator.ReportBatch", rb, &ack); err != nil {
-			return err
-		}
-		reported += len(buf)
-		buf = buf[:0]
+// Lease takes the prefetched NextBatch reply, or asks for one, and
+// prefetches the next before handing the tasks out.
+func (r *remote) Lease(n int) []explore.Candidate {
+	r.leasing.Lock()
+	defer r.leasing.Unlock()
+	call := r.next
+	r.next = nil
+	r.mu.Lock()
+	req, done := BatchRequest{Manager: r.m.ID, Max: n, AvgTestNS: r.perTestNS}, r.done
+	r.mu.Unlock()
+	if done {
 		return nil
 	}
-	timer := time.NewTimer(flushEvery)
-	defer timer.Stop()
-	var err error
-collect:
-	for {
-		select {
-		case rw, ok := <-resc:
-			if !ok {
-				break collect
-			}
-			buf = append(buf, rw)
-			if len(buf) >= flushSize {
-				if err = flush(); err != nil {
-					break collect
-				}
-			}
-		case <-timer.C:
-			if err = flush(); err != nil {
-				break collect
-			}
-			timer.Reset(flushEvery)
-		}
+	if call == nil {
+		call = r.m.client.Go("Coordinator.NextBatch", req, new(TaskBatch), nil)
 	}
-	if err != nil {
-		// Stop executing and wait the workers out, so no goroutine is
-		// left touching the runner when the caller Closes it.
-		abort.Store(true)
-		for range resc {
-		}
-		return reported, err
+	<-call.Done
+	batch := call.Reply.(*TaskBatch)
+	leased := call.Error == nil && len(batch.Tasks) > 0
+	if leased && n != 1 {
+		r.next = r.m.client.Go("Coordinator.NextBatch", req, new(TaskBatch), nil)
 	}
-	err = flush()
-	return reported, err
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !leased {
+		r.failLocked(call.Error)
+		r.done, r.retryMS = r.done || !batch.Retry, batch.RetryAfterMS
+		return nil
+	}
+	cands := make([]explore.Candidate, len(batch.Tasks))
+	for i := range batch.Tasks {
+		q := batch.Tasks[i : i+1 : i+1] // the task's queue, copied only if its key is already held
+		cands[i] = explore.CandidateAt(faultspace.Point{Sub: q[0].Sub, Fault: q[0].Fault})
+		if held := r.tasks[cands[i].Key()]; held != nil {
+			q = append(held, q[0])
+		}
+		r.tasks[cands[i].Key()] = q
+	}
+	return cands
 }
 
-// executeOne converts and runs one leased task, measuring its wall
-// clock for the adaptive-batch feedback loop.
-func (m *Manager) executeOne(tw TaskWire) ResultWire {
-	pt, plan, err := m.convertTask(tw)
+// convert rebuilds a leased candidate's injection plan from its task's
+// axis values; a task that does not convert is reported as a skip, so
+// its lease retires and the engine tallies the hole.
+func (r *remote) convert(c explore.Candidate) (core.Record, backend.Test, bool) {
+	r.mu.Lock()
+	tw := r.tasks[c.Key()][0]
+	r.mu.Unlock()
+	pt, plan, err := convertTask(r.m.axisNames, tw)
 	if err != nil {
-		// A fault-space hole: report the skip so the lease retires and
-		// the engine tallies it.
-		return ResultWire{Seq: tw.Seq, Skipped: true}
+		return core.Record{Skipped: true}, backend.Test{}, false
 	}
-	start := time.Now()
-	out, ex := m.runner.Run(pt.TestID, plan)
-	for extra := 1; extra < m.Work; extra++ {
-		out, ex = m.runner.Run(pt.TestID, plan)
+	return core.Record{TestID: pt.TestID, Plan: plan}, backend.Test{TestID: pt.TestID, Plan: plan}, true
+}
+
+// FoldBatch reports executed tests in one ReportBatch. A failed report
+// stops the loops; the coordinator re-leases what it never heard of.
+func (r *remote) FoldBatch(done []core.ExecutedTest) bool {
+	r.reporting.Lock()
+	defer r.reporting.Unlock()
+	r.rws = r.rws[:0]
+	r.mu.Lock()
+	for _, et := range done {
+		k, out := et.C.Key(), et.Out
+		q := r.tasks[k]
+		if r.tasks[k] = q[1:]; len(q) == 1 {
+			delete(r.tasks, k)
+		}
+		r.rws = append(r.rws, ResultWire{Seq: q[0].Seq, TestID: et.Rec.TestID, Failed: out.Failed, Crashed: out.Crashed,
+			Hung: out.Hung, Injected: out.Injected, Skipped: et.Rec.Skipped, CrashID: out.CrashID, Stack: out.InjectionStack,
+			Blocks: r.m.encodeCoverage(out), ExitStatus: et.Rec.ExitStatus, DurationNS: int64(et.Rec.Duration)})
 	}
-	m.noteLatency(time.Since(start))
-	return ResultWire{
-		Seq:        tw.Seq,
-		TestID:     pt.TestID,
-		Failed:     out.Failed,
-		Crashed:    out.Crashed,
-		Hung:       out.Hung,
-		Injected:   out.Injected,
-		CrashID:    out.CrashID,
-		Stack:      out.InjectionStack,
-		Blocks:     m.encodeCoverage(out),
-		ExitStatus: ex.ExitStatus,
-		DurationNS: int64(ex.Duration),
+	r.mu.Unlock()
+	var ack BatchAck
+	err := r.m.client.Call("Coordinator.ReportBatch", ResultBatch{Manager: r.m.ID, Backend: r.m.backendName, Results: r.m.internStacks(r.rws)}, &ack)
+	if err != nil {
+		r.mu.Lock()
+		r.failLocked(err)
+		r.mu.Unlock()
+		return true
 	}
+	r.reported += len(r.rws)
+	return false
+}
+
+// failLocked records the first failed call, which ends leasing.
+func (r *remote) failLocked(err error) {
+	if err != nil && r.err == nil {
+		r.err, r.done = err, true
+	}
+}
+
+// Park sleeps out the coordinator's Retry backoff and reports whether
+// to lease again.
+func (r *remote) Park() bool {
+	r.mu.Lock()
+	done, ms := r.done, r.retryMS
+	r.mu.Unlock()
+	if !done {
+		sleepRetry(ms)
+	}
+	return !done
+}
+
+func (r *remote) Stopped() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err != nil
+}
+
+// Unlease hands nothing back: the coordinator re-leases on expiry.
+func (r *remote) Unlease(int) {}
+
+// observe keeps a lease's per-test wall clock for the next request.
+func (r *remote) observe(perTest time.Duration) {
+	r.mu.Lock()
+	r.perTestNS = int64(perTest)
+	r.mu.Unlock()
 }
 
 // encodeCoverage returns the wire bytes of out's block set: one
@@ -527,17 +482,23 @@ func (m *Manager) encodeCoverage(out prog.Outcome) []byte {
 
 // convertTask rebuilds the injection plan straight from the leased
 // coordinates — the wire ships axis values, not formatted scenario
-// strings, so nothing is parsed per task.
-func (m *Manager) convertTask(tw TaskWire) (inject.Point, inject.Plan, error) {
-	if tw.Sub < 0 || tw.Sub >= len(m.axisNames) {
-		return inject.Point{}, inject.Plan{}, fmt.Errorf("rpcnode: task %d names subspace %d of %d", tw.Seq, tw.Sub, len(m.axisNames))
+// strings, so nothing is parsed per task. A task naming a subspace the
+// coordinator did not announce, or carrying other than one value per
+// axis, is an error.
+func convertTask(axisNames [][]string, tw TaskWire) (inject.Point, inject.Plan, error) {
+	if tw.Sub < 0 || tw.Sub >= len(axisNames) {
+		return inject.Point{}, inject.Plan{}, fmt.Errorf("rpcnode: task %d names subspace %d of %d", tw.Seq, tw.Sub, len(axisNames))
 	}
-	return m.plugin.ConvertValues(m.axisNames[tw.Sub], tw.Vals)
+	names := axisNames[tw.Sub]
+	if len(tw.Vals) != len(names) {
+		return inject.Point{}, inject.Plan{}, fmt.Errorf("rpcnode: task %d carries %d values for %d axes", tw.Seq, len(tw.Vals), len(names))
+	}
+	return inject.Plugin{}.ConvertValues(names, tw.Vals)
 }
 
 // internStacks applies per-connection stack interning: every non-empty
 // stack gets its content hash, and the frames are stripped for stacks
-// this manager has already shipped.
+// this manager has already shipped. Called under remote.reporting.
 func (m *Manager) internStacks(rws []ResultWire) []ResultWire {
 	for i := range rws {
 		if len(rws[i].Stack) == 0 {
@@ -554,30 +515,31 @@ func (m *Manager) internStacks(rws []ResultWire) []ResultWire {
 	return rws
 }
 
-// noteLatency accumulates measured per-test wall clock; avgLatency is
-// the running average reported with each lease request to steer the
-// coordinator's adaptive sizing.
-func (m *Manager) noteLatency(d time.Duration) {
-	m.latSumNS.Add(int64(d))
-	m.latN.Add(1)
+// rerun runs each test Manager.Work times and reports the last run.
+type rerun struct {
+	backend.Runner
+	n int
 }
 
-func (m *Manager) avgLatency() int64 {
-	n := m.latN.Load()
-	if n == 0 {
-		return 0
+func (r rerun) Run(testID int, plan inject.Plan) (prog.Outcome, backend.Exec) {
+	for i := 1; i < r.n; i++ {
+		r.Runner.Run(testID, plan)
 	}
-	return m.latSumNS.Load() / n
+	return r.Runner.Run(testID, plan)
 }
 
-// defaultConcurrency sizes the batch fan-out: a backend advertising
-// its own pool width (process backends) bounds it, anything else is
-// assumed CPU-bound and fanned one goroutine per core.
-func (m *Manager) defaultConcurrency() int {
-	if p, ok := m.runner.(backend.Parallel); ok {
-		if n := p.Parallelism(); n > 0 {
-			return n
-		}
+// loops is how many worker loops RunUntilDone runs: one at Batch = 1,
+// else Concurrency, else the backend's own pool width (process
+// backends' Config.Procs), else one per core.
+func (m *Manager) loops() int {
+	p, _ := m.runner.(backend.Parallel)
+	switch {
+	case m.Batch == 1:
+		return 1
+	case m.Concurrency > 0:
+		return m.Concurrency
+	case p != nil && p.Parallelism() > 0:
+		return p.Parallelism()
 	}
 	return runtime.GOMAXPROCS(0)
 }

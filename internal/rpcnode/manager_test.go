@@ -1,0 +1,336 @@
+package rpcnode
+
+import (
+	"net"
+	"net/rpc"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"afex/internal/backend"
+	"afex/internal/core"
+	"afex/internal/explore"
+	"afex/internal/faultspace"
+	"afex/internal/prog"
+)
+
+// batchCounter is a model runner with a batch entry that notes the size
+// of every batch it is handed.
+type batchCounter struct {
+	backend.Runner
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (b *batchCounter) RunBatch(tests []backend.Test, emit func(i int, out prog.Outcome, ex backend.Exec)) {
+	b.mu.Lock()
+	b.sizes = append(b.sizes, len(tests))
+	b.mu.Unlock()
+	for i, t := range tests {
+		out, ex := b.Runner.Run(t.TestID, t.Plan)
+		emit(i, out, ex)
+	}
+}
+
+func init() {
+	backend.Register("batch-counter", func(cfg backend.Config) (backend.Runner, error) {
+		r, err := backend.New(backend.Model, cfg)
+		return &batchCounter{Runner: r}, err
+	})
+}
+
+// TestManagerArmsEachLeaseWhole: a manager runs the engine's worker
+// loop, so a backend that takes batches gets each lease as one — the
+// warm pool's batch arming reaches tests leased over the wire.
+func TestManagerArmsEachLeaseWhole(t *testing.T) {
+	space := benchRPCSpace(50)
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
+	srv, err := Serve("127.0.0.1:0", coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	mgr, err := DialBackend(srv.Addr(), "armed", "batch-counter", backend.Config{Target: rpcTarget()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	mgr.Batch, mgr.Concurrency, mgr.HeartbeatEvery = 8, 1, -1
+	n, err := mgr.RunUntilDone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int(space.Size()) {
+		t.Fatalf("reported %d tests, want the whole %d-point space", n, space.Size())
+	}
+	b := mgr.runner.(*batchCounter)
+	armed := 0
+	for _, size := range b.sizes {
+		if size < 2 {
+			t.Fatalf("a lease of 8 reached the runner as batches of %v", b.sizes)
+		}
+		armed += size
+	}
+	if armed != n {
+		t.Errorf("batches of %v armed %d tests, the manager ran %d", b.sizes, armed, n)
+	}
+}
+
+// TestConcurrentLoopsLeaseOnce: a manager's worker loops share one
+// lease source — one NextBatch in flight, one report at a time — and
+// between them execute every point of the space exactly once, with the
+// tallies of a local sweep.
+func TestConcurrentLoopsLeaseOnce(t *testing.T) {
+	space := benchRPCSpace(50)
+	local, err := core.Run(core.Config{Target: rpcTarget(), Space: benchRPCSpace(50), Algorithm: "exhaustive"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
+	srv, err := Serve("127.0.0.1:0", coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	mgr, err := Dial(srv.Addr(), "loops", rpcTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	mgr.Batch, mgr.Concurrency, mgr.HeartbeatEvery = 3, 4, -1
+	n, err := mgr.RunUntilDone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := coord.Result()
+	if n != int(space.Size()) || res.Executed != n || len(coord.leases) != 0 {
+		t.Fatalf("reported %d, folded %d, %d leases outstanding; want the %d-point space", n, res.Executed, len(coord.leases), space.Size())
+	}
+	seen := map[string]bool{}
+	for _, rec := range res.Records {
+		if seen[rec.Point.Key()] {
+			t.Fatalf("point %s executed twice", rec.Point.Key())
+		}
+		seen[rec.Point.Key()] = true
+	}
+	if res.Failed != local.Failed || res.Crashed != local.Crashed || res.Injected != local.Injected || res.UniqueFailures != local.UniqueFailures {
+		t.Errorf("tallies failed=%d crashed=%d injected=%d unique=%d, local %d/%d/%d/%d",
+			res.Failed, res.Crashed, res.Injected, res.UniqueFailures, local.Failed, local.Crashed, local.Injected, local.UniqueFailures)
+	}
+}
+
+// fakeCoordinator serves a fixed list of tasks in one lease, then Done,
+// and keeps what is reported.
+type fakeCoordinator struct {
+	axisNames [][]string
+	tasks     []TaskWire
+	mu        sync.Mutex
+	leased    bool
+	results   []ResultWire
+}
+
+func (f *fakeCoordinator) Hello(h Hello, reply *HelloReply) error {
+	reply.Proto, reply.AxisNames = protoBatched, f.axisNames
+	return nil
+}
+
+func (f *fakeCoordinator) NextBatch(req BatchRequest, batch *TaskBatch) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.leased {
+		batch.Done = true
+		return nil
+	}
+	f.leased, batch.Tasks = true, f.tasks
+	return nil
+}
+
+func (f *fakeCoordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.results = append(f.results, rb.Results...)
+	ack.Folded = len(rb.Results)
+	return nil
+}
+
+func (f *fakeCoordinator) Heartbeat(string, *bool) error { return nil }
+
+// TestMalformedTasksAreSkipped: a task whose values do not match its
+// subspace's axes — too few, too many, or a subspace the handshake never
+// named — is reported as a skip for its seq, and the manager runs the
+// rest of its lease.
+func TestMalformedTasksAreSkipped(t *testing.T) {
+	fake := &fakeCoordinator{
+		axisNames: [][]string{{"testID", "function", "callNumber"}},
+		tasks: []TaskWire{
+			{Seq: 1, Sub: 0, Fault: []int{1}, Vals: nil},
+			{Seq: 2, Sub: 0, Fault: []int{2}, Vals: []string{"0"}},
+			{Seq: 3, Sub: 0, Fault: []int{0, 0, 0}, Vals: []string{"0", "read", "1"}},
+			{Seq: 4, Sub: 0, Fault: []int{4}, Vals: []string{"0", "read", "1", "9"}},
+			{Seq: 5, Sub: 7, Fault: []int{0, 0, 0}, Vals: []string{"0", "read", "1"}},
+		},
+	}
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Coordinator", fake); err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go srv.ServeConn(conn)
+		}
+	}()
+	mgr, err := Dial(lis.Addr().String(), "m", rpcTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	mgr.Concurrency, mgr.HeartbeatEvery = 1, -1
+	if _, err := mgr.RunUntilDone(); err != nil {
+		t.Fatal(err)
+	}
+	fake.mu.Lock()
+	defer fake.mu.Unlock()
+	sort.Slice(fake.results, func(i, j int) bool { return fake.results[i].Seq < fake.results[j].Seq })
+	if len(fake.results) != len(fake.tasks) {
+		t.Fatalf("reported %d results for %d tasks: %+v", len(fake.results), len(fake.tasks), fake.results)
+	}
+	for i, rw := range fake.results {
+		if rw.Seq != fake.tasks[i].Seq || rw.Skipped != (rw.Seq != 3) {
+			t.Errorf("task %d reported as %+v", fake.tasks[i].Seq, rw)
+		}
+	}
+}
+
+// fuzzAxes are the subspaces a fuzzed task is converted against: one
+// single-fault, one two-fault.
+var fuzzAxes = [][]string{
+	{"testID", "function", "callNumber"},
+	{"testID", "function", "errno", "callNumber", "function2", "callNumber2"},
+}
+
+// FuzzTaskConversion: a leased task with any subspace and any values
+// never panics the manager; it yields a run, or a skip that runs
+// nothing.
+func FuzzTaskConversion(f *testing.F) {
+	f.Add(0, "0,read,1")
+	f.Add(0, "")
+	f.Add(0, "0")
+	f.Add(0, "0,read,1,9")
+	f.Add(1, "1,read,EIO,2,write,1")
+	f.Add(1, "1,read,EIO,2,frobnicate,1")
+	f.Add(-1, "0,read,1")
+	f.Add(2, "0,read,1")
+	f.Add(0, "99,write,-4")
+	f.Add(0, "x,read,y")
+	runner, err := backend.New(backend.Model, backend.Config{Target: rpcTarget()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, sub int, raw string) {
+		var vals []string
+		if raw != "" {
+			vals = strings.Split(raw, ",")
+		}
+		tw := TaskWire{Seq: 1, Sub: sub, Fault: []int{len(vals)}, Vals: vals}
+		m := &Manager{axisNames: fuzzAxes, backendName: backend.Model}
+		src := &remote{m: m, tasks: map[string][]TaskWire{}}
+		c := explore.CandidateAt(faultspace.Point{Sub: tw.Sub, Fault: tw.Fault})
+		src.tasks[c.Key()] = []TaskWire{tw}
+		rec, out := (&core.BackendExecutor{Runner: runner, Convert: src.convert}).Execute(c)
+		pt, plan, err := convertTask(fuzzAxes, tw)
+		if rec.Skipped != (err != nil) {
+			t.Fatalf("task %+v: skipped %v, conversion error %v", tw, rec.Skipped, err)
+		}
+		if rec.Skipped {
+			if !reflect.DeepEqual(out, prog.Outcome{}) {
+				t.Fatalf("skipped task %+v produced %+v", tw, out)
+			}
+			return
+		}
+		if rec.TestID != pt.TestID || rec.Plan.String() != plan.String() {
+			t.Fatalf("task %+v ran test %d with %s, converts to %d with %s", tw, rec.TestID, rec.Plan, pt.TestID, plan)
+		}
+	})
+}
+
+// FuzzReportBatch: a report of any results never panics the coordinator.
+// It folds only the seqs it leased, each once, and acknowledges exactly
+// the leases it retired. Each result picks its seq (leased or not), its
+// outcome flags, an interned stack hash that arrives with or without its
+// frames (possibly without them first), and its block bytes from the
+// input.
+func FuzzReportBatch(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 0x0f, 1, 2, 1, 2, 1, 0x08, 2, 0, 2, 9, 0x01, 3, 3, 0x80, 0x01, 0})
+	f.Add(uint8(1), []byte{7, 0x00, 0, 0})
+	f.Add(uint8(8), []byte{0, 0x11, 2, 0, 0, 0x01, 1, 4, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint8(0), []byte{})
+	stacks := [][]string{nil, {"m!r", "m!read"}, {"m!r", "m!write"}, {"m!w"}}
+	f.Fuzz(func(t *testing.T, lease uint8, in []byte) {
+		space := rpcSpace()
+		coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
+		var batch TaskBatch
+		if err := coord.NextBatch(BatchRequest{Manager: "m", Max: int(lease%9) + 1}, &batch); err != nil {
+			t.Fatal(err)
+		}
+		leased := map[int]bool{}
+		for _, tw := range batch.Tasks {
+			leased[tw.Seq] = true
+		}
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		var rb ResultBatch
+		retired := map[int]bool{}
+		for len(in) > 0 && len(rb.Results) < 64 {
+			rw := ResultWire{Seq: int(next()) - 1, TestID: int(int8(next()))}
+			flags := next()
+			rw.Failed, rw.Crashed, rw.Hung = flags&1 != 0, flags&2 != 0, flags&4 != 0
+			rw.Injected, rw.Skipped = flags&8 != 0, flags&16 != 0
+			if s := stacks[flags>>5&3]; s != nil {
+				rw.StackHash = stackHash(s)
+				if flags&0x80 != 0 {
+					rw.Stack = s
+				}
+			}
+			n := int(next() % 8)
+			for i := 0; i < n && len(in) > 0; i++ {
+				rw.Blocks = append(rw.Blocks, next())
+			}
+			if leased[rw.Seq] {
+				retired[rw.Seq] = true
+			}
+			rb.Results = append(rb.Results, rw)
+		}
+		rb.Manager = "m"
+		var ack BatchAck
+		if err := coord.ReportBatch(rb, &ack); err != nil {
+			t.Fatal(err)
+		}
+		if ack.Folded != len(retired) {
+			t.Fatalf("acknowledged %d folds, %d leases retired", ack.Folded, len(retired))
+		}
+		snap := coord.Snapshot()
+		if snap.Executed != len(retired) || snap.PerManager["m"] != len(retired) {
+			t.Fatalf("folded %d (%v per manager), %d leases retired", snap.Executed, snap.PerManager, len(retired))
+		}
+		if len(coord.leases) != len(leased)-len(retired) {
+			t.Fatalf("%d leases outstanding, want %d", len(coord.leases), len(leased)-len(retired))
+		}
+	})
+}

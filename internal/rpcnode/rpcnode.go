@@ -8,11 +8,10 @@
 // handshake (Coordinator.Hello) delivers the fault space's axis names,
 // Coordinator.NextBatch leases many tasks per round trip and
 // Coordinator.ReportBatch folds many results, with a compact wire
-// format (wire.go). A manager pipelines leasing against execution;
-// leasing one task at a time is the same protocol at Manager.Batch = 1.
-// The explorer's own work (selecting the next test) is tiny compared to
-// executing one — §7.7 measures the explorer at thousands of generated
-// tests per second — so a single coordinator keeps many managers busy.
+// format (wire.go). The explorer's own work (selecting the next test) is
+// tiny compared to executing one — §7.7 measures the explorer at
+// thousands of generated tests per second — so a single coordinator
+// keeps many managers busy.
 //
 // The coordinator is a thin protocol adapter over the shared execution
 // engine (core.Engine): it owns only wire concerns — lease sequence
@@ -20,7 +19,10 @@
 // candidate leasing, impact scoring, coverage accounting, redundancy
 // clustering and stop logic are the engine's, exactly the same code the
 // in-process worker pool runs. A distributed session therefore produces
-// the same full core.ResultSet (Result method) a local one does.
+// the same full core.ResultSet (Result method) a local one does. A
+// manager runs the engine's worker loop (core.Work) against a lease
+// source over the wire; leasing one task at a time is the same loop at
+// Manager.Batch = 1.
 package rpcnode
 
 import (
@@ -30,7 +32,6 @@ import (
 	"net"
 	"net/rpc"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"afex/internal/backend"
@@ -58,8 +59,9 @@ type Stats struct {
 	PeakBusy int
 }
 
-// Coordinator is the RPC service adapting remote node managers to the
-// shared execution engine. It is safe for concurrent RPC access.
+// Coordinator is the RPC service (Serve registers it as is) adapting
+// remote node managers to the shared execution engine. It is safe for
+// concurrent RPC access.
 type Coordinator struct {
 	engine *core.Engine
 	space  *faultspace.Union
@@ -322,7 +324,7 @@ func Serve(addr string, c *Coordinator) (*Server, error) {
 		return nil, fmt.Errorf("rpcnode: listen %s: %w", addr, err)
 	}
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Coordinator", &service{c: c}); err != nil {
+	if err := srv.RegisterName("Coordinator", c); err != nil {
 		lis.Close()
 		return nil, err
 	}
@@ -351,14 +353,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// service adapts Coordinator to net/rpc's method signature rules.
-type service struct{ c *Coordinator }
-
-// Heartbeat records a manager liveness beat (RPC method).
-func (s *service) Heartbeat(managerID string, ack *bool) error {
-	return s.c.Heartbeat(managerID, ack)
-}
-
 // Manager is a remote node manager: it connects to a coordinator, leases
 // tasks, executes them on its execution backend — its local copy of the
 // program model, or real supervised subprocesses — and reports results,
@@ -381,22 +375,18 @@ type Manager struct {
 	HeartbeatEvery time.Duration
 	// Batch is how many tests one NextBatch round trip leases: 0 lets
 	// the coordinator size each batch from measured test latency, >1
-	// fixes it. At 1 the manager also stops pipelining — it requests the
-	// next task only after reporting the current one, so it never holds
-	// two leases and a lone manager drives the explorer in strict
-	// lease → run → report alternation.
+	// fixes it. At 1 the manager runs one worker loop and stops
+	// pipelining — it requests the next task only after reporting the
+	// current one, so it never holds two leases and a lone manager drives
+	// the explorer in strict lease → run → report alternation.
 	Batch int
-	// Concurrency caps how many leased tests execute at once. 0 sizes
-	// the fan-out from the backend's own pool width (process backends'
-	// Config.Procs) or GOMAXPROCS.
+	// Concurrency is how many copies of the worker loop run against the
+	// coordinator, each executing its own lease. 0 sizes it from the
+	// backend's own pool width (process backends' Config.Procs) or
+	// GOMAXPROCS.
 	Concurrency int
-	// FlushEvery bounds how long executed results may buffer before a
-	// ReportBatch flush (they also flush by size — half the batch).
-	// Zero selects DefaultFlushEvery.
-	FlushEvery time.Duration
 
 	client      *rpc.Client
-	plugin      inject.Plugin
 	runner      backend.Runner
 	backendName string
 	// axisNames holds the coordinator's per-subspace axis names,
@@ -405,14 +395,9 @@ type Manager struct {
 	axisNames  [][]string
 	sentStacks map[uint64]bool
 	// encoded caches the wire bytes of each distinct coverage set run
-	// (see encodeCoverage; the execution workers share it under encMu).
+	// (see encodeCoverage; the worker loops share it under encMu).
 	encMu   sync.Mutex
 	encoded map[uint64][]byte
-	// latSumNS/latN accumulate measured per-test wall clock across the
-	// execution workers; their ratio rides every lease request as the
-	// adaptive-sizing signal.
-	latSumNS atomic.Int64
-	latN     atomic.Int64
 }
 
 // Dial connects a manager that executes on the model backend against
@@ -497,18 +482,33 @@ func (m *Manager) startHeartbeat() (stop func()) {
 	return func() { close(done); wg.Wait() }
 }
 
-// RunUntilDone executes leased tests until the coordinator reports
-// completion, heartbeating in the background (see HeartbeatEvery), and
-// returns the number of tests this manager executed.
+// RunUntilDone runs Concurrency copies of the engine's worker loop
+// (core.Work) against the coordinator until it reports completion,
+// heartbeating in the background (see HeartbeatEvery), and returns the
+// number of tests this manager reported.
 func (m *Manager) RunUntilDone() (int, error) {
 	stopBeat := m.startHeartbeat()
 	defer stopBeat()
-	n, err := m.runBatched()
-	if errors.Is(err, rpc.ErrShutdown) || errors.Is(err, io.ErrUnexpectedEOF) {
+	src := &remote{m: m, tasks: make(map[string][]TaskWire)}
+	var runner backend.Runner = m.runner
+	if m.Work > 1 {
+		runner = rerun{Runner: m.runner, n: m.Work}
+	}
+	exec := &core.BackendExecutor{Runner: runner, Convert: src.convert}
+	var wg sync.WaitGroup
+	for i := 0; i < m.loops(); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			core.Work(src, exec, m.Batch, src.observe)
+		}()
+	}
+	wg.Wait()
+	if errors.Is(src.err, rpc.ErrShutdown) || errors.Is(src.err, io.ErrUnexpectedEOF) {
 		// A coordinator that closed between calls or mid-call is a normal
 		// way to end: a session seals at the fold of its last report, and
 		// a process that exits then may take that report's ack with it.
-		return n, nil
+		return src.reported, nil
 	}
-	return n, err
+	return src.reported, src.err
 }
