@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§7), plus ablation benches for the design choices called
-// out in DESIGN.md and micro-benchmarks of the hot paths. Run with:
+// evaluation (§7), plus ablation benches for the design choices behind
+// explore.Config's ablation switches (BenchmarkAblation*, the benchmark
+// form of experiments.Ablations) and micro-benchmarks of the hot paths.
+// Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -121,8 +123,9 @@ func BenchmarkExplorerThroughput(b *testing.B) {
 	}
 }
 
-// Ablation benches: the design choices DESIGN.md calls out, each compared
-// against the full algorithm on the Apache target.
+// Ablation benches: the design choices explore.Config's ablation switches
+// turn off, each compared against the full algorithm on the Apache
+// target (experiments.Ablations tabulates the same variants).
 
 func ablationRun(b *testing.B, cfg explore.Config) {
 	b.Helper()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"afex/internal/inject"
 	"afex/internal/prog"
 	"afex/internal/quality"
@@ -27,14 +29,16 @@ type ImpactConfig struct {
 	Hang float64
 	// Relevance optionally weighs the impact by the statistical
 	// environment model (§7.5): the measured impact is multiplied by the
-	// normalized probability of the failed function's fault class.
+	// normalized probability of the failed function's fault class (a NaN
+	// or infinite weight folds as 0).
 	Relevance *quality.RelevanceModel
 	// Score, if non-nil, replaces the additive scoring entirely: it
 	// receives the outcome, the count of newly covered blocks, the armed
 	// plan and the test id, and returns the impact. Sessions with an
 	// explicit search target use it to encode that target (e.g. "a
 	// malloc fault that fails an ln test is what we are looking for").
-	// Relevance still applies on top.
+	// Relevance still applies on top. A NaN or infinite impact folds as
+	// 0: the journal cannot encode it, nor the search learn from it.
 	Score func(out prog.Outcome, newBlocks int, plan inject.Plan, testID int) float64
 }
 
@@ -78,8 +82,16 @@ func (im ImpactConfig) score(out prog.Outcome, newBlocks int, plan inject.Plan, 
 		impact = im.PerNewBlock*float64(newBlocks) + im.outcomeBase(out)
 	}
 	if im.Relevance != nil && len(plan.Faults) > 0 {
-		relevance = im.Relevance.Weight(plan.Faults[0].Function)
+		relevance = finite(im.Relevance.Weight(plan.Faults[0].Function))
 		impact *= relevance
 	}
-	return impact, relevance
+	return finite(impact), relevance
+}
+
+// finite is x, or 0 for a NaN or an infinity.
+func finite(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0
+	}
+	return x
 }

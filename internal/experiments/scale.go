@@ -234,7 +234,8 @@ func (r ScaleResult) String() string {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations — the design choices DESIGN.md calls out.
+// Ablations — the design choices explore.Config's ablation switches turn
+// off (BenchmarkAblation* in the root package runs them as benchmarks).
 
 // AblationResult compares the full algorithm against variants with one
 // mechanism disabled, at a fixed budget on the Apache target. Raw counts

@@ -30,9 +30,12 @@
 // lands on an executed or queued point is thrown away and another is
 // drawn — expect tens of attempts per candidate once a vicinity is mined
 // out (24.1 on the mysqld model, 25–35 behind the RPC coordinator). An
-// attempt is two weighted draws, one Gaussian draw and one probe of the
-// parent's memo of refused mutations; only a first refusal (1.6 History
-// checks per candidate on the mysqld model) renders the key and probes,
+// attempt costs its draws (two weighted, one Gaussian) and one probe of
+// the parent's memo of refused mutations, before the fault is copied:
+// what one Next call cannot change (the pool's fitness vector, each
+// subspace's axis weights, their totals) is built once a call, the axis
+// lengths once. Only a first refusal (1.6 History checks per candidate
+// on the mysqld model) copies the fault, renders the key and probes,
 // all in buffers the explorer owns. Only an accepted candidate allocates
 // — its fault and its key string, which then rides on the Candidate
 // (Candidate.Key) through the portfolio, the shards, the novelty filter,
@@ -194,8 +197,8 @@ type Config struct {
 	// RetireFraction times the pool's mean fitness. Default 0.05.
 	RetireFraction float64
 
-	// Ablation switches (all default off, i.e. full algorithm). They
-	// exist for the design-choice benchmarks in DESIGN.md.
+	// Ablation switches (all default off, i.e. full algorithm), compared
+	// by experiments.Ablations and the root package's BenchmarkAblation*.
 
 	// NoAging disables the aging mechanism.
 	NoAging bool
@@ -335,15 +338,26 @@ type FitnessGuided struct {
 	admissions, answers int // Next's History checks; memo answers instead
 	// sensitivity per subspace per axis.
 	sens [][]*axisWindow
+	// axisLen[s][k] is |Ak| of subspace s.
+	axisLen [][]int
 	// seedsLeft counts remaining initial random seeds.
 	seedsLeft int
 	executedN int
 
-	// Scratch of one generation attempt and one report: the weights of
-	// the draw in progress and the mutated fault, which is cloned only
-	// if the attempt is accepted.
-	weightBuf []float64
-	faultBuf  faultspace.Fault
+	// What the attempts of one Next call draw from, built on first use
+	// in the call: the pool's fitness and each subspace's axis weights.
+	call  uint64
+	poolW drawWeights
+	axisW []drawWeights
+	// faultBuf is an attempt's mutated fault, cloned only if accepted.
+	faultBuf faultspace.Fault
+}
+
+// drawWeights is a weight vector and its xrand.WeightTotal, of one call.
+type drawWeights struct {
+	w     []float64
+	total float64
+	call  uint64
 }
 
 // NewFitnessGuided builds a fitness-guided explorer over the given space.
@@ -356,10 +370,13 @@ func NewFitnessGuided(space *faultspace.Union, cfg Config) *FitnessGuided {
 		seedsLeft: cfg.InitialBatch,
 	}
 	fg.sens = make([][]*axisWindow, len(space.Spaces))
+	fg.axisLen = make([][]int, len(space.Spaces))
+	fg.axisW = make([]drawWeights, len(space.Spaces))
 	for i, s := range space.Spaces {
 		fg.sens[i] = make([]*axisWindow, s.Dims())
-		for k := range fg.sens[i] {
+		for k, a := range s.Axes {
 			fg.sens[i][k] = newAxisWindow(cfg.SensitivityWindow)
+			fg.axisLen[i] = append(fg.axisLen[i], a.Len())
 		}
 	}
 	return fg
@@ -385,6 +402,7 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 	if fg.exhausted() {
 		return Candidate{}, false
 	}
+	fg.call++ // the last call's weights are stale
 	for attempt := 0; attempt < 500; attempt++ {
 		c, ok, parent := Candidate{}, false, -1
 		// After repeated failures to find a fresh mutation (the current
@@ -394,11 +412,11 @@ func (fg *FitnessGuided) Next() (Candidate, bool) {
 		fromSeed := fg.seedsLeft > 0 || len(fg.pool) == 0 || attempt >= 100
 		if fromSeed {
 			c, ok = fg.randomSeed()
-		} else if c, parent, ok = fg.mutate(); !ok {
-			c, ok = fg.randomSeed()
-		} else if fg.refused[parent].has(c.MutatedAxis, c.Point.Fault[c.MutatedAxis]) {
+		} else if c, parent, ok = fg.mutate(); !ok && parent >= 0 {
 			fg.answers++
 			continue
+		} else if !ok {
+			c, ok = fg.randomSeed()
 		}
 		if fg.admissions++; !ok || !fg.admit(&c) {
 			if parent >= 0 {
@@ -446,12 +464,10 @@ func (fg *FitnessGuided) randomSeed() (Candidate, bool) {
 }
 
 // mutate implements lines 1–11 of Algorithm 1, returning the candidate
-// and its parent's pool index. The candidate's fault is the explorer's
-// scratch: valid until the next call.
-func (fg *FitnessGuided) mutate() (Candidate, int, bool) {
-	if len(fg.pool) == 0 {
-		return Candidate{}, -1, false
-	}
+// and its parent's pool index (−1 for none: a one-value axis or a hole;
+// not ok with a parent: the parent's memo holds it). The candidate's
+// fault is the explorer's scratch: valid until the next call.
+func (fg *FitnessGuided) mutate() (c Candidate, parent int, ok bool) {
 	// Lines 1–4: sample the parent fitness-proportionally (or greedily,
 	// for the ablation).
 	i := 0
@@ -462,41 +478,27 @@ func (fg *FitnessGuided) mutate() (Candidate, int, bool) {
 			}
 		}
 	} else {
-		i = fg.rng.Weighted(fg.poolWeights())
+		w := fg.poolWeights()
+		i = fg.rng.WeightedTotal(w.w, w.total)
 	}
-	parent := fg.pool[i]
-	sub := fg.space.Spaces[parent.point.Sub]
+	p := fg.pool[i]
+	lens := fg.axisLen[p.point.Sub]
 
 	// Lines 5–6: choose the attribute to mutate, sensitivity-weighted.
-	// A small uniform floor keeps every axis's probability non-zero, the
-	// same way parent selection keeps low-fitness tests selectable:
-	// without it, one productive axis starves the others and the search
-	// never discovers that a neighbouring axis has become rewarding.
 	var axis int
-	if fg.cfg.NoSensitivity || sub.Dims() == 1 {
-		axis = fg.rng.Intn(sub.Dims())
+	if fg.cfg.NoSensitivity || len(lens) == 1 {
+		axis = fg.rng.Intn(len(lens))
 	} else {
-		weights := fg.weights(sub.Dims())
-		total := 0.0
-		for k, w := range fg.sens[parent.point.Sub] {
-			weights[k] = w.sensitivity()
-			total += weights[k]
-		}
-		if total > 0 {
-			floor := 0.1 * total / float64(len(weights))
-			for k := range weights {
-				weights[k] += floor
-			}
-		}
-		axis = fg.rng.Weighted(weights)
+		w := fg.axisWeights(p.point.Sub)
+		axis = fg.rng.WeightedTotal(w.w, w.total)
 	}
 
 	// Lines 7–9: choose the new value. σ is proportional to |Ai|.
-	n := sub.Axes[axis].Len()
+	n := lens[axis]
 	if n <= 1 {
 		return Candidate{}, -1, false
 	}
-	old := parent.point.Fault[axis]
+	old := p.point.Fault[axis]
 	var newVal int
 	if fg.cfg.UniformMutation {
 		newVal = fg.rng.Intn(n - 1)
@@ -507,35 +509,60 @@ func (fg *FitnessGuided) mutate() (Candidate, int, bool) {
 		sigma := fg.cfg.SigmaFraction * float64(n)
 		newVal = fg.rng.Gaussian(n, old, sigma)
 	}
+	// A memoised mutation was no hole (Hole is a function of the fault),
+	// so the memo can answer before the copy and the Hole test.
+	if fg.refused[i].has(axis, newVal) {
+		return Candidate{}, i, false
+	}
 
 	// Lines 10–11: copy and substitute — into the scratch fault, which
 	// the next attempt overwrites; Next clones it if the point is fresh.
-	f := append(fg.faultBuf[:0], parent.point.Fault...)
+	f := append(fg.faultBuf[:0], p.point.Fault...)
 	fg.faultBuf = f
 	f[axis] = newVal
-	p := faultspace.Point{Sub: parent.point.Sub, Fault: f}
-	if sub.Hole != nil && sub.Hole(f) {
+	if sub := fg.space.Spaces[p.point.Sub]; sub.Hole != nil && sub.Hole(f) {
 		return Candidate{}, -1, false
 	}
-	return Candidate{Point: p, MutatedAxis: axis, ParentKey: parent.key}, i, true
+	return Candidate{Point: faultspace.Point{Sub: p.point.Sub, Fault: f}, MutatedAxis: axis, ParentKey: p.key}, i, true
 }
 
-// weights returns the scratch weight vector at length n, contents
-// unspecified.
-func (fg *FitnessGuided) weights(n int) []float64 {
-	if cap(fg.weightBuf) < n {
-		fg.weightBuf = make([]float64, n)
+// poolWeights returns the pool's fitness vector, built once a call.
+func (fg *FitnessGuided) poolWeights() *drawWeights {
+	w := &fg.poolW
+	if w.call != fg.call {
+		w.w = w.w[:0]
+		for _, e := range fg.pool {
+			w.w = append(w.w, e.fitness)
+		}
+		w.total, w.call = xrand.WeightTotal(w.w), fg.call
 	}
-	return fg.weightBuf[:n]
+	return w
 }
 
-// poolWeights fills the scratch vector with the pool's fitness values.
-func (fg *FitnessGuided) poolWeights() []float64 {
-	weights := fg.weights(len(fg.pool))
-	for i, e := range fg.pool {
-		weights[i] = e.fitness
+// axisWeights returns subspace sub's axis weights, built once a call:
+// sensitivity plus a small uniform floor, which keeps every axis
+// selectable as parent selection keeps low-fitness tests: without it,
+// one productive axis starves the others for good.
+func (fg *FitnessGuided) axisWeights(sub int) *drawWeights {
+	w := &fg.axisW[sub]
+	if w.call == fg.call {
+		return w
 	}
-	return weights
+	w.w = w.w[:0]
+	total := 0.0
+	for _, a := range fg.sens[sub] {
+		v := a.sensitivity()
+		w.w = append(w.w, v)
+		total += v
+	}
+	if total > 0 {
+		floor := 0.1 * total / float64(len(w.w))
+		for k := range w.w {
+			w.w[k] += floor
+		}
+	}
+	w.total, w.call = xrand.WeightTotal(w.w), fg.call
+	return w
 }
 
 // Report implements Explorer. It moves the candidate into History,
@@ -562,7 +589,8 @@ func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 	e := &executed{point: c.Point, key: key, fitness: fitness, impact: impact}
 	fg.pool, fg.refused = append(fg.pool, e), append(fg.refused, nil)
 	if last := len(fg.pool) - 1; last >= fg.cfg.QueueSize {
-		weights := fg.poolWeights()
+		fg.call++ // the pool changed: rebuild its weights
+		weights := fg.poolWeights().w
 		victim := fg.rng.InverseWeightedInto(weights, weights)
 		fg.recycle(fg.refused[victim])
 		fg.pool[victim], fg.refused[victim] = fg.pool[last], fg.refused[last]

@@ -91,9 +91,10 @@ func (g *Genetic) breed() {
 	for i, m := range g.population {
 		weights[i] = m.fitness
 	}
+	total := xrand.WeightTotal(weights)
 	for len(g.offspring) < g.popSize {
-		a := g.population[g.rng.Weighted(weights)]
-		b := g.population[g.rng.Weighted(weights)]
+		a := g.population[g.rng.WeightedTotal(weights, total)]
+		b := g.population[g.rng.WeightedTotal(weights, total)]
 		child := g.crossover(a, b)
 		g.mutate(child)
 		g.offspring = append(g.offspring, Candidate{Point: child, MutatedAxis: -1})

@@ -4,11 +4,12 @@ package explore
 // allocating per attempt, kept as the oracle the scratch-buffer code is
 // held to draw for draw — as internal/prog/reference_test.go keeps the
 // tree-walking interpreter. refFitness's Next, randomSeed, mutate,
-// Report, Skip and retire and refGenetic's Next are those bodies
-// verbatim (receiver type aside): a fresh slice per weighted draw, a
-// cloned fault and a rendered key string per attempt, the History check
-// written out in each loop. Everything else — state export and import,
-// breeding, the windows — is the live code's, reached through the
+// Report, Skip and retire and refGenetic's Next and breed are those
+// bodies verbatim (receiver type aside): a fresh slice per weighted draw,
+// a weight total summed per draw, a cloned fault and a rendered key
+// string per attempt, the History check written out in each loop.
+// Everything else — state export and import, crossover and mutation,
+// the windows — is the live code's, reached through the
 // embedded explorer, so both sides of a comparison share one definition
 // of "state".
 
@@ -275,6 +276,21 @@ func (g *refGenetic) Next() (Candidate, bool) {
 		return false
 	})
 	return out, found
+}
+
+func (g *refGenetic) breed() {
+	weights := make([]float64, len(g.population))
+	for i, m := range g.population {
+		weights[i] = m.fitness
+	}
+	for len(g.offspring) < g.popSize {
+		a := g.population[g.rng.Weighted(weights)]
+		b := g.population[g.rng.Weighted(weights)]
+		child := g.crossover(a, b)
+		g.mutate(child)
+		g.offspring = append(g.offspring, Candidate{Point: child, MutatedAxis: -1})
+	}
+	g.population = g.population[:0]
 }
 
 // ridgeImpact gives the search a structured, deterministic landscape:

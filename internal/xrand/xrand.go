@@ -9,6 +9,9 @@
 // search on the same fault space must not be confounded by shared RNG
 // state) and for the generated regression tests, which must replay the
 // exact faults that were found.
+//
+// Its distributions are math/rand's value for value, drawn from the stock
+// source directly (the ziggurat tables are Go's math/rand/normal.go).
 package xrand
 
 import (
@@ -16,19 +19,16 @@ import (
 	"math/rand"
 )
 
-// Rand is a deterministic random source. It wraps math/rand.Rand with the
-// sampling distributions Algorithm 1 needs. A zero Rand is not usable;
-// construct one with New.
+// Rand is a deterministic random source with the sampling distributions
+// Algorithm 1 needs. A zero Rand is not usable; construct one with New.
 //
-// A Rand's position in its stream is exportable (State/Restore): the
-// underlying source is the stock math/rand generator behind a wrapper
-// that counts raw draws, so the full generator state is just
-// ⟨seed, draws⟩ and restoring replays that many draws from a fresh
-// source. Streams are bit-for-bit identical to rand.New(rand.NewSource)
-// — exporting costs one counter increment per draw, nothing else.
+// It holds the stock math/rand source and counts the raw draws it takes,
+// so the full generator state is just ⟨seed, draws⟩ (State/Restore) and
+// restoring replays that many draws from a fresh source. Each
+// distribution uses those draws as math/rand.Rand does, so streams are
+// bit-for-bit those of rand.New(rand.NewSource(seed)).
 type Rand struct {
-	src   *rand.Rand
-	raw   rand.Source64 // the stock source behind the counter
+	src   rand.Source64 // rand.NewSource(seed)
 	seed  int64
 	draws uint64
 }
@@ -41,45 +41,22 @@ type State struct {
 	Draws uint64 `json:"draws"`
 }
 
-// countedSource counts every raw draw taken from the wrapped stock
-// source. math/rand.Rand derives all its distributions purely from the
-// source stream, so the count pins down the generator's entire state.
-type countedSource struct {
-	inner rand.Source64
-	n     *uint64
-}
-
-func (s countedSource) Int63() int64 {
-	*s.n++
-	return s.inner.Int63()
-}
-
-func (s countedSource) Uint64() uint64 {
-	*s.n++
-	return s.inner.Uint64()
-}
-
-func (s countedSource) Seed(seed int64) { s.inner.Seed(seed) }
-
 // New returns a Rand seeded with seed. Equal seeds yield equal streams.
 func New(seed int64) *Rand {
-	r := &Rand{seed: seed, raw: rand.NewSource(seed).(rand.Source64)}
-	r.src = rand.New(countedSource{inner: r.raw, n: &r.draws})
-	return r
+	return &Rand{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
 }
 
 // State returns the Rand's current stream position.
 func (r *Rand) State() State { return State{Seed: r.seed, Draws: r.draws} }
 
 // Restore returns a Rand positioned exactly at st: the same future values
-// as the Rand that exported it. The replay steps the stock source itself,
-// not through the counting wrapper (every draw of the wrapper is one of
-// the source's), at a few nanoseconds a draw — cheap next to a single
-// fault-injection test even for millions.
+// as the Rand that exported it. The replay steps the stock source a few
+// nanoseconds a draw — cheap next to a single fault-injection test even
+// for millions.
 func Restore(st State) *Rand {
 	r := New(st.Seed)
 	for i := uint64(0); i < st.Draws; i++ {
-		r.raw.Uint64()
+		r.src.Uint64()
 	}
 	r.draws = st.Draws
 	return r
@@ -116,18 +93,53 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Intn returns a uniform int in [0, n). It panics if n <= 0, matching
-// math/rand semantics.
-func (r *Rand) Intn(n int) int { return r.src.Intn(n) }
+// Int63 returns a uniform non-negative int64: one raw draw.
+func (r *Rand) Int63() int64 {
+	r.draws++
+	return r.src.Int63()
+}
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 { return r.src.Int63() }
+// Intn returns a uniform int in [0, n). It panics if n <= 0, and draws
+// as math/rand's does: Int31n (a draw's top 31 bits) up to 1<<31-1, else
+// Int63n; a mask for a power of two, else rejection.
+func (r *Rand) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	shift, bits := 32, 31
+	if n > 1<<31-1 {
+		shift, bits = 0, 63
+	}
+	m := uint64(n)
+	v := uint64(r.Int63()) >> shift
+	if m&(m-1) == 0 {
+		return int(v & (m - 1))
+	}
+	for limit := 1<<bits - 1 - (1<<bits)%m; v > limit; {
+		v = uint64(r.Int63()) >> shift
+	}
+	return int(v % m)
+}
 
-// Float64 returns a uniform float64 in [0, 1).
-func (r *Rand) Float64() float64 { return r.src.Float64() }
+// Float64 returns a uniform float64 in [0, 1), resampling the rare draw
+// that rounds up to 1 as math/rand does.
+func (r *Rand) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
 
 // Perm returns a uniform random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
+func (r *Rand) Perm(n int) []int {
+	m := make([]int, n)
+	for i := range m {
+		j := r.Intn(i + 1)
+		m[i], m[j] = m[j], i
+	}
+	return m
+}
 
 // Weighted samples an index in [0, len(weights)) with probability
 // proportional to weights[i]. Negative weights are treated as zero. If the
@@ -135,14 +147,26 @@ func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 // back to a uniform choice; this mirrors the behaviour AFEX needs when all
 // fitness values are zero early in a session. It panics on an empty slice.
 func (r *Rand) Weighted(weights []float64) int {
-	if len(weights) == 0 {
-		panic("xrand: Weighted on empty slice")
-	}
+	return r.WeightedTotal(weights, WeightTotal(weights))
+}
+
+// WeightTotal is the clamped total Weighted draws against: the sum, in
+// order, of the positive weights.
+func WeightTotal(weights []float64) float64 {
 	total := 0.0
 	for _, w := range weights {
 		if w > 0 {
 			total += w
 		}
+	}
+	return total
+}
+
+// WeightedTotal is Weighted with WeightTotal(weights) computed by the
+// caller: the form for one that draws from one vector more than once.
+func (r *Rand) WeightedTotal(weights []float64, total float64) int {
+	if len(weights) == 0 {
+		panic("xrand: Weighted on empty slice")
 	}
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
 		return r.Intn(len(weights))
@@ -208,7 +232,7 @@ func (r *Rand) Gaussian(n int, mean int, sigma float64) int {
 		sigma = 1
 	}
 	for tries := 0; ; tries++ {
-		v := int(math.Round(r.src.NormFloat64()*sigma + float64(mean)))
+		v := int(math.Round(r.normFloat64()*sigma + float64(mean)))
 		if v >= 0 && v < n && v != mean {
 			return v
 		}
@@ -256,15 +280,9 @@ func Variance(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	mean := 0.0
+	mean, v := Mean(xs), 0.0
 	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	v := 0.0
-	for _, x := range xs {
-		d := x - mean
-		v += d * d
+		v += (x - mean) * (x - mean)
 	}
 	return v / float64(len(xs))
 }

@@ -3,6 +3,7 @@ package xrand
 import (
 	"math"
 	mrand "math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -236,16 +237,115 @@ func TestStateRestore(t *testing.T) {
 	}
 }
 
-// TestStateMatchesStockStream: wrapping the source for draw counting must
-// not change the values relative to the stock math/rand stream.
+// TestStateMatchesStockStream: every distribution the Rand computes from
+// its raw draws gives math/rand's values, over several seeds and a mix
+// of calls — Intn at powers of two, at general n and above 1<<31-1,
+// Float64, NormFloat64 often enough that both of the ziggurat's slow
+// paths run, Perm — and a Restore at 0, 1, 607 (the stock source's lag)
+// and a long count continues the mixed stream where the stock one does.
 func TestStateMatchesStockStream(t *testing.T) {
-	r := New(7)
-	stock := newStockRand(7)
-	for i := 0; i < 1000; i++ {
-		if a, b := r.Int63(), stock.Int63(); a != b {
-			t.Fatalf("stream changed vs stock math/rand at draw %d: %d vs %d", i, a, b)
+	var wedges, strips int
+	for _, seed := range []int64{1, 7, -3, 1 << 40} {
+		r, stock := New(seed), newStockRand(seed)
+		// shadow steps the raw stream behind r, pos draws in.
+		shadow, pos := newStockRand(seed), uint64(0)
+		for i := 0; i < 20000; i++ {
+			mixedStep(t, r, stock, i)
+			for ; pos < r.draws; pos++ {
+				shadow.Int63()
+			}
+			if a, b := r.normFloat64(), stock.NormFloat64(); a != b {
+				t.Fatalf("seed %d step %d: normFloat64 %v, math/rand %v", seed, i, a, b)
+			}
+			// Classify the ziggurat's first strip from the raw draw it
+			// took: past kn is a slow path, strip 0 the base strip.
+			j := int32(uint32(shadow.Int63() >> 31))
+			pos++
+			if absInt32(j) >= kn[j&0x7F] {
+				if j&0x7F == 0 {
+					strips++
+				} else {
+					wedges++
+				}
+			}
 		}
 	}
+	if wedges == 0 || strips == 0 {
+		t.Fatalf("the ziggurat took %d wedge tests and %d base strips: both slow paths must run", wedges, strips)
+	}
+	t.Logf("%d wedge tests, %d base strips", wedges, strips)
+
+	for _, draws := range []uint64{0, 1, 607, 416693} {
+		r, stock := New(31), newStockRand(31)
+		for r.State().Draws < draws {
+			r.Int63()
+			stock.Int63()
+		}
+		clone := Restore(r.State())
+		for i := 0; i < 2000; i++ {
+			mixedStep(t, clone, stock, i)
+		}
+	}
+}
+
+// mixedStep draws once from each distribution in turn, step i choosing
+// the sizes, and fails on the first value that is not math/rand's.
+func mixedStep(t *testing.T, r *Rand, stock *mrand.Rand, i int) {
+	t.Helper()
+	for _, n := range []int{1 << (i % 31), 3 + i%1000, 1<<31 - 1, 1<<31 + i, 1<<62 + 1} {
+		if a, b := r.Intn(n), stock.Intn(n); a != b {
+			t.Fatalf("step %d: Intn(%d) = %d, math/rand %d", i, n, a, b)
+		}
+	}
+	if a, b := r.Float64(), stock.Float64(); a != b {
+		t.Fatalf("step %d: Float64 %v, math/rand %v", i, a, b)
+	}
+	if i%50 == 0 {
+		if a, b := r.Perm(i%40), stock.Perm(i%40); !slices.Equal(a, b) {
+			t.Fatalf("step %d: Perm %v, math/rand %v", i, a, b)
+		}
+	}
+}
+
+// FuzzStream: any seed and any sequence of calls, one op byte each
+// (its low bits pick the distribution, the rest its size), draw
+// math/rand's values, and the draw counter lands where a Restore
+// continues the stream.
+func FuzzStream(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 0xff, 0x80})
+	f.Add(int64(-9), []byte("\x04\x04\x04\x04\x04\x04\x04\x04\x05\xfd"))
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		r, stock := New(seed), newStockRand(seed)
+		for i, op := range ops {
+			size := int(op >> 3)
+			var a, b float64
+			switch op & 7 {
+			case 0:
+				a, b = float64(r.Int63()), float64(stock.Int63())
+			case 1:
+				a, b = float64(r.Intn(1<<(size%31))), float64(stock.Intn(1<<(size%31)))
+			case 2:
+				a, b = float64(r.Intn(size+3)), float64(stock.Intn(size+3))
+			case 3:
+				n := 1<<31 + size*0x1234567
+				a, b = float64(r.Intn(n)), float64(stock.Intn(n))
+			case 4:
+				a, b = r.normFloat64(), stock.NormFloat64()
+			case 5:
+				if p, q := r.Perm(size), stock.Perm(size); !slices.Equal(p, q) {
+					t.Fatalf("op %d: Perm(%d) %v, math/rand %v", i, size, p, q)
+				}
+			default:
+				a, b = r.Float64(), stock.Float64()
+			}
+			if a != b {
+				t.Fatalf("op %d (%#x): %v, math/rand %v", i, op, a, b)
+			}
+		}
+		if a, b := Restore(r.State()).Int63(), stock.Int63(); a != b {
+			t.Fatalf("restored at %+v: %d, math/rand %d", r.State(), a, b)
+		}
+	})
 }
 
 // TestRestoreAtDrawCounts: a restore replays exactly the exported number

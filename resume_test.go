@@ -2,8 +2,11 @@ package afex
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
+
+	"afex/internal/inject"
 )
 
 // Crash-safe resume property tests. The contract of the persistent
@@ -470,5 +473,69 @@ func TestStateDirNoveltyWithoutResume(t *testing.T) {
 	}
 	if len(seen) != 100 {
 		t.Fatalf("cumulative session covered %d distinct scenarios, want 100", len(seen))
+	}
+}
+
+// TestNonFiniteScoreFoldsAsZero: a Score callback that returns NaN once
+// and +Inf once, in a store-backed fitness session of either journal
+// format, costs those two scenarios their impact and nothing else: the
+// session finishes its budget, every scenario is journaled with a
+// finite impact, and the session leaves a snapshot. A non-finite value
+// reaching the journal would fail its encoding and the session with it.
+func TestNonFiniteScoreFoldsAsZero(t *testing.T) {
+	const total = 3000
+	target, err := Target("coreutils")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{JournalJSONL, JournalBinary} {
+		t.Run(format, func(t *testing.T) {
+			dir, calls := t.TempDir(), 0
+			res, err := Explore(Options{
+				Target:        target,
+				Space:         SpaceFor(target, 19, 0, 9),
+				Algorithm:     FitnessGuided,
+				Iterations:    total,
+				StateDir:      dir,
+				JournalFormat: format,
+				Explore:       ExploreOptions{Seed: 1},
+				Impact: ImpactOptions{Score: func(out Outcome, newBlocks int, _ inject.Plan, _ int) float64 {
+					switch calls++; calls {
+					case 50:
+						return math.NaN()
+					case 100:
+						return math.Inf(1)
+					}
+					if out.Failed {
+						return 10 + float64(newBlocks)
+					}
+					return float64(newBlocks)
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Executed != total {
+				t.Fatalf("executed %d, want %d", res.Executed, total)
+			}
+			entries, err := ReplayJournal(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != total {
+				t.Fatalf("journal holds %d entries, want %d", len(entries), total)
+			}
+			for i, e := range entries {
+				if math.IsNaN(e.Impact) || math.IsInf(e.Impact, 0) || math.IsNaN(e.Fitness) || math.IsInf(e.Fitness, 0) {
+					t.Fatalf("entry %d: impact %v, fitness %v", i, e.Impact, e.Fitness)
+				}
+			}
+			for _, i := range []int{49, 99} {
+				if entries[i].Impact != 0 {
+					t.Fatalf("entry %d: impact %v, want the non-finite score folded as 0", i, entries[i].Impact)
+				}
+			}
+			loadSnapshot(t, dir)
+		})
 	}
 }
