@@ -303,22 +303,12 @@ func readEntry(d *segDec) (Entry, error) {
 	return en, nil
 }
 
-// openFrame starts a frame in dst whose payload, appended by the caller,
-// will be n bytes; closeFrame then seals it with the crc. Together they
-// render a frame in place, without the payload existing anywhere else.
-func openFrame(dst []byte, kind byte, n int) []byte {
-	return binary.AppendUvarint(append(dst, kind), uint64(n))
-}
-
-func closeFrame(dst []byte, kind byte, n int) []byte {
-	crc := crc32.Update(crc32.ChecksumIEEE([]byte{kind}), crc32.IEEETable, dst[len(dst)-n:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
-}
-
 // appendFrame renders one complete frame (kind, length, payload, crc)
 // into dst and returns the extended slice.
 func appendFrame(dst []byte, kind byte, payload []byte) []byte {
-	return closeFrame(append(openFrame(dst, kind, len(payload)), payload...), kind, len(payload))
+	at := len(dst)
+	dst = append(binary.AppendUvarint(append(dst, kind), uint64(len(payload))), payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Update(crc32.ChecksumIEEE(dst[at:at+1]), crc32.IEEETable, payload))
 }
 
 // segWriter appends entry frames to a segment — the store's writer, the

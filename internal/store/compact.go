@@ -18,7 +18,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -89,7 +91,7 @@ func Compact(dir string) (int, error) {
 		return 0, err
 	}
 	meta.CompactedSeq = snap.Seq
-	if err := writeAtomicFile(dir, metaName, mustJSON(&meta)); err != nil {
+	if err := writeAtomicFile(dir, metaName, writeBytes(mustJSON(&meta))); err != nil {
 		return 0, err
 	}
 	return moved, nil
@@ -135,14 +137,29 @@ func appendArchive(path string, live []Entry, archEnd, upto int) (int, error) {
 func rewriteLive(livePath string, live []Entry, from int) error {
 	var seg bytes.Buffer
 	newSegWriter(&seg, 0).appendRange(live, from, math.MaxInt)
-	return writeAtomicFile(filepath.Dir(livePath), filepath.Base(livePath), seg.Bytes())
+	return writeAtomicFile(filepath.Dir(livePath), filepath.Base(livePath), writeBytes(seg.Bytes()))
 }
 
-// writeAtomicFile replaces dir/name via a temp file + rename.
-func writeAtomicFile(dir, name string, data []byte) error {
+// writeAtomicFile replaces dir/name with what fill writes, through a temp
+// file and a rename, so a reader never sees a partial file: when fill, a
+// write or the close fails, the temp file is removed and dir/name is left
+// as it was.
+func writeAtomicFile(dir, name string, fill func(io.Writer) error) error {
 	tmp := filepath.Join(dir, name+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		err = errors.Join(fill(f), f.Close())
 	}
-	return os.Rename(tmp, filepath.Join(dir, name))
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// writeBytes is the fill of a file whose bytes are all in hand.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error { _, err := w.Write(data); return err }
 }

@@ -188,7 +188,7 @@ func arenaBytes(k *explore.Keys) int {
 }
 
 func FuzzSnapshotDecode(f *testing.F) {
-	framed, err := appendSnapshot(nil, fuzzSnapshot(), 77)
+	framed, err := snapshotBytes(fuzzSnapshot(), 77)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("%d bytes of snapshot decoded to cluster sets of %d elements", len(data), n)
 		}
 		// What decodes writes back as a file that decodes to the same.
-		again, err := appendSnapshot(nil, st, file.pos)
+		again, err := snapshotBytes(st, file.pos)
 		if err != nil {
 			return // a legacy snapshot can hold a float the encoder refuses
 		}
@@ -254,7 +254,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		// The file is a function of the state it decodes to, sets and
 		// references included; and its headers count the keys it lists.
-		if third, err := appendSnapshot(nil, st2, file2.pos); err != nil || !bytes.Equal(third, again) {
+		if third, err := snapshotBytes(st2, file2.pos); err != nil || !bytes.Equal(third, again) {
 			t.Fatalf("a decoded snapshot encodes to %d bytes, not the %d it was decoded from (%v)", len(third), len(again), err)
 		}
 		shape := snapFile{size: int64(len(again))}
@@ -274,7 +274,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // decode it or refuse it, size nothing by a number the bytes cannot back,
 // and what decodes encodes to bytes that decode to the same.
 func FuzzSnapshotPayloads(f *testing.F) {
-	framed, err := appendSnapshot(nil, fuzzSnapshot(), 77)
+	framed, err := snapshotBytes(fuzzSnapshot(), 77)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func FuzzSnapshotPayloads(f *testing.F) {
 		if n := setsFootprint(st); n > len(data) {
 			t.Fatalf("%d bytes decoded to cluster sets of %d elements", len(data), n)
 		}
-		again := splitSnapshot(t, append([]byte(snapMagic), encodeSets(sets).appendFrame(nil)...))[0].payload
+		again := splitSnapshot(t, append([]byte(snapMagic), setsFrameBytes(sets)...))[0].payload
 		if sets2, err := decodeSets(again); err != nil || !reflect.DeepEqual(sets, sets2) {
 			t.Fatalf("re-encoded sets decode to %+v (%v), not %+v", sets2, err, sets)
 		}
@@ -392,7 +392,7 @@ func FuzzTailPosition(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seq int, pos int64) {
 		snap := testSnapshot(min(max(seq, 0), n), all)
 		snap.Seq = seq
-		file, err := appendSnapshot(nil, snap, pos)
+		file, err := snapshotBytes(snap, pos)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -23,38 +24,47 @@ import (
 // from the new file must be what decodes from the old file of the same
 // state, and the files the old writer left must keep resuming.
 
-// referenceAppendSnapshot is appendSnapshot as it stood before the
-// cluster sets left the JSON, verbatim: the state frame holds the sets,
-// every key list is written in full.
+// referenceAppendSnapshot writes what the snapshot writer wrote before
+// the cluster sets left the JSON: the state frame holds the sets, every
+// key list is written in full.
 func referenceAppendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) {
 	lists := keyLists(st)
-	keys, sizes := make([][]string, len(lists)), make([]int, len(lists))
+	keys := make([][]string, len(lists))
 	held := make([]*explore.Keys, len(lists))
 	for i, p := range lists {
 		keys[i], held[i], *p = (*p).Strings(), *p, nil
 	}
 	raw, err := json.Marshal(st)
-	total := len(snapMagic) + len(raw) + 32
 	for i, p := range lists {
 		*p = held[i]
-		sizes[i] = uvarintLen(uint64(len(keys[i])))
-		for _, k := range keys[i] {
-			sizes[i] += uvarintLen(uint64(len(k))) + len(k)
-		}
-		total += sizes[i] + 16
 	}
 	if err != nil {
 		return nil, err
 	}
-	seq := binary.AppendUvarint(nil, uint64(st.Seq))
-	dst = openFrame(append(slices.Grow(dst, total), snapMagic...), frameState, len(seq)+len(raw))
-	dst = closeFrame(append(append(dst, seq...), raw...), frameState, len(seq)+len(raw))
-	for i, list := range keys {
-		enc := segEnc{buf: openFrame(dst, frameKeys, sizes[i])}
+	dst = appendFrame(append(dst, snapMagic...), frameState, append(binary.AppendUvarint(nil, uint64(st.Seq)), raw...))
+	for _, list := range keys {
+		var enc segEnc
 		enc.strs(list)
-		dst = closeFrame(enc.buf, frameKeys, sizes[i])
+		dst = appendFrame(dst, frameKeys, enc.buf)
 	}
 	return dst, nil
+}
+
+// snapshotBytes is the file the snapshot writer streams for st at pos.
+func snapshotBytes(st *core.SessionState, pos int64) ([]byte, error) {
+	var buf bytes.Buffer
+	var w snapWriter
+	err := w.write(&buf, st, pos)
+	return buf.Bytes(), err
+}
+
+// setsFrameBytes is the sets frame the snapshot writer streams for sets.
+func setsFrameBytes(sets [3]*cluster.SetState) []byte {
+	var buf bytes.Buffer
+	w := snapWriter{bw: bufio.NewWriter(&buf)}
+	w.writeSets(sets)
+	w.bw.Flush()
+	return buf.Bytes()
 }
 
 // lastState is a core.Store that keeps the latest snapshot it is handed.
@@ -142,7 +152,7 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				now, err := appendSnapshot(nil, st, 12345)
+				now, err := snapshotBytes(st, 12345)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +196,7 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 					moved := (*lists[at]).Strings()
 					moved[0], moved[len(moved)-1] = moved[len(moved)-1], moved[0]
 					*lists[at] = explore.NewKeySet(moved).Keys()
-					full, err := appendSnapshot(nil, st, 0)
+					full, err := snapshotBytes(st, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -230,7 +240,7 @@ func TestSnapshotCodecMatchesReference(t *testing.T) {
 func TestSetsFrameHoldsEachStackOnce(t *testing.T) {
 	st := exportedState(t, sessionConfig("fitness", 0, 1, 400))
 	sets := [3]*cluster.SetState{st.AllStacks, st.FailClusters, st.CrashClusters}
-	raw := encodeSets(sets).appendFrame(nil)
+	raw := setsFrameBytes(sets)
 	fr := newFrameReader(bytes.NewReader(raw), 0, int64(len(raw)))
 	kind, payload, err := fr.next()
 	if err != nil || kind != frameSets {
@@ -253,7 +263,7 @@ func TestSetsFrameHoldsEachStackOnce(t *testing.T) {
 			stacks, len(frames), d.err, len(st.AllStacks.Stacks), len(distinctFrames))
 	}
 	for i := 0; i < 5; i++ {
-		if again := encodeSets(sets).appendFrame(nil); !bytes.Equal(raw, again) {
+		if again := setsFrameBytes(sets); !bytes.Equal(raw, again) {
 			t.Fatal("the same sets encoded to different bytes")
 		}
 	}

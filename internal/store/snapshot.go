@@ -43,15 +43,17 @@ package store
 // at position 0.
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"afex/internal/cluster"
 	"afex/internal/core"
@@ -163,30 +165,26 @@ func (e *setsEnc) set(st *cluster.SetState) {
 	}
 }
 
-// encodeSets walks the three sets into an encoder that knows the frame's
-// size (payloadLen) before it is written (appendFrame).
-func encodeSets(sets [3]*cluster.SetState) *setsEnc {
-	n := 0
-	if sets[0] != nil {
-		n = len(sets[0].Stacks)
+// encode walks the three sets into the tables and sets of the frame,
+// whose size (payloadLen) is then known before it is written. The maps and
+// buffers are the encoder's own, emptied for each snapshot.
+func (e *setsEnc) encode(sets [3]*cluster.SetState) {
+	if e.frames == nil {
+		e.frames, e.stacks = make(map[string]uint64), make(map[string]uint64)
 	}
-	e := &setsEnc{frames: make(map[string]uint64, n), stacks: make(map[string]uint64, n)}
+	clear(e.frames)
+	clear(e.stacks)
+	e.frameTab.reset()
+	e.stackTab.reset()
+	e.sets.reset()
 	for _, st := range sets {
 		e.set(st)
 	}
-	return e
 }
 
 func (e *setsEnc) payloadLen() int {
 	return uvarintLen(uint64(len(e.frames))) + len(e.frameTab.buf) +
 		uvarintLen(uint64(len(e.stacks))) + len(e.stackTab.buf) + len(e.sets.buf)
-}
-
-func (e *setsEnc) appendFrame(dst []byte) []byte {
-	n := e.payloadLen()
-	dst = binary.AppendUvarint(openFrame(dst, frameSets, n), uint64(len(e.frames)))
-	dst = binary.AppendUvarint(append(dst, e.frameTab.buf...), uint64(len(e.stacks)))
-	return closeFrame(append(append(dst, e.stackTab.buf...), e.sets.buf...), frameSets, n)
 }
 
 // decodeSets decodes a sets frame into strings that are substrings of the
@@ -265,14 +263,30 @@ func decodeSets(payload []byte) (sets [3]*cluster.SetState, err error) {
 	return sets, d.err
 }
 
-// appendSnapshot renders st, standing at journal position pos, as a
-// snapshot file, sized before it is written and every list framed in
-// place, so a snapshot costs one buffer and one copy of its keys. The
-// sets and the lists are lifted out of st while its JSON is taken and
-// put back after, so st is the caller's alone for the duration — as a
-// state handed to SnapshotSession is the store's. The sets and lists
-// themselves are only read.
-func appendSnapshot(dst []byte, st *core.SessionState, pos int64) ([]byte, error) {
+// snapChunk is how much of a key list is encoded before it is written.
+const snapChunk = 16 << 10
+
+// snapWriter streams snapshot files. Every frame's size is known before
+// it is written, so each goes out once, through one buffered writer, its
+// crc taken as its bytes pass, and a key list is encoded a chunk at a
+// time. The buffered writer keeps the first write error, which the flush
+// that ends a file returns. The buffers and the sets encoder are the
+// writer's, reused from one snapshot to the next.
+type snapWriter struct {
+	bw    *bufio.Writer
+	json  bytes.Buffer
+	sets  setsEnc
+	chunk segEnc
+	hdr   [1 + binary.MaxVarintLen64]byte
+	crc   uint32
+}
+
+// write streams st, standing at journal position pos, into dst as a
+// snapshot file. The sets and the lists are lifted out of st while its
+// JSON is taken and put back after, so st is the caller's alone for the
+// duration — as a state handed to SnapshotSession is the store's. The
+// sets and lists themselves are only read.
+func (w *snapWriter) write(dst io.Writer, st *core.SessionState, pos int64) error {
 	lists := keyLists(st)
 	keys := make([]*explore.Keys, len(lists))
 	for i, p := range lists {
@@ -282,7 +296,8 @@ func appendSnapshot(dst []byte, st *core.SessionState, pos int64) ([]byte, error
 	for i, p := range clusterSets(st) {
 		sets[i], *p = *p, nil
 	}
-	raw, err := json.Marshal(st)
+	w.json.Reset()
+	err := json.NewEncoder(&w.json).Encode(st)
 	for i, p := range clusterSets(st) {
 		*p = sets[i]
 	}
@@ -290,9 +305,9 @@ func appendSnapshot(dst []byte, st *core.SessionState, pos int64) ([]byte, error
 		*p = keys[i]
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	setsFrame := encodeSets(sets)
+	raw := w.json.Bytes()[:w.json.Len()-1] // Marshal's bytes: Encode adds a newline
 	// A list that repeats an earlier one is written as that list's
 	// position. A sequential session's lists are the same keys in the
 	// same order — the shared prefix of one base and two own segments of
@@ -300,7 +315,6 @@ func appendSnapshot(dst []byte, st *core.SessionState, pos int64) ([]byte, error
 	// different orders (parallel folds, portfolio arms) differ early. The
 	// first list equal to it is never a reference itself.
 	refs, sizes := make([]int, len(keys)), make([]int, len(keys))
-	total := len(snapMagic) + len(raw) + setsFrame.payloadLen() + 64
 	for i, list := range keys {
 		refs[i] = -1
 		for j := 0; j < i && list.Len() > 0; j++ {
@@ -316,26 +330,72 @@ func appendSnapshot(dst []byte, st *core.SessionState, pos int64) ([]byte, error
 				sizes[i] += uvarintLen(uint64(n)) + n
 			}
 		}
-		total += sizes[i] + 16
 	}
-	head := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(st.Seq)), uint64(pos))
-	dst = openFrame(append(slices.Grow(dst, total), snapMagic...), frameStateAt, len(head)+len(raw))
-	dst = closeFrame(append(append(dst, head...), raw...), frameStateAt, len(head)+len(raw))
-	dst = setsFrame.appendFrame(dst)
+	if w.bw == nil {
+		w.bw = bufio.NewWriterSize(dst, 1<<16)
+	}
+	w.bw.Reset(dst)
+	w.bw.WriteString(snapMagic)
+	w.chunk.reset()
+	w.chunk.uint(uint64(st.Seq))
+	w.chunk.uint(uint64(pos))
+	w.open(frameStateAt, len(w.chunk.buf)+len(raw))
+	w.put(w.chunk.buf)
+	w.put(raw)
+	w.close()
+	w.writeSets(sets)
 	for i, list := range keys {
 		if refs[i] >= 0 {
-			dst = appendFrame(dst, frameKeysRef, binary.AppendUvarint(nil, uint64(refs[i])))
+			w.open(frameKeysRef, sizes[i])
+			w.putUint(uint64(refs[i]))
+			w.close()
 			continue
 		}
-		enc := segEnc{buf: openFrame(dst, frameKeys, sizes[i])}
-		enc.uint(uint64(list.Len()))
+		w.open(frameKeys, sizes[i])
+		w.chunk.reset()
+		w.chunk.uint(uint64(list.Len()))
 		for k := 0; k < list.Len(); k++ {
-			enc.str(list.At(k))
+			if len(w.chunk.buf) >= snapChunk {
+				w.put(w.chunk.buf)
+				w.chunk.reset()
+			}
+			w.chunk.str(list.At(k))
 		}
-		dst = closeFrame(enc.buf, frameKeys, sizes[i])
+		w.put(w.chunk.buf)
+		w.close()
 	}
-	return dst, nil
+	return w.bw.Flush()
 }
+
+// writeSets writes the sets frame.
+func (w *snapWriter) writeSets(sets [3]*cluster.SetState) {
+	e := &w.sets
+	e.encode(sets)
+	w.open(frameSets, e.payloadLen())
+	w.putUint(uint64(len(e.frames)))
+	w.put(e.frameTab.buf)
+	w.putUint(uint64(len(e.stacks)))
+	w.put(e.stackTab.buf)
+	w.put(e.sets.buf)
+	w.close()
+}
+
+// open starts a frame whose payload, put next, is n bytes; close seals
+// it with the crc of its kind and payload.
+func (w *snapWriter) open(kind byte, n int) {
+	w.hdr[0] = kind
+	w.crc = crc32.Update(0, crc32.IEEETable, w.hdr[:1])
+	w.bw.Write(binary.AppendUvarint(w.hdr[:1], uint64(n)))
+}
+
+func (w *snapWriter) put(p []byte) {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+	w.bw.Write(p)
+}
+
+func (w *snapWriter) putUint(v uint64) { w.put(binary.AppendUvarint(w.hdr[:0], v)) }
+
+func (w *snapWriter) close() { w.bw.Write(binary.LittleEndian.AppendUint32(w.hdr[:0], w.crc)) }
 
 // decodeKeys decodes a key-list payload in place: the keys move to its
 // front, back to back, their end offsets noted in the same pass, and the

@@ -70,7 +70,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -264,59 +264,46 @@ func (e *Entry) Feedback() explore.Feedback {
 	}
 }
 
-func entryFrom(run int, c explore.Candidate, rec core.Record) *Entry {
-	e := &Entry{
-		Seq:         rec.ID,
-		Run:         run,
-		Sub:         rec.Point.Sub,
-		Fault:       append([]int(nil), rec.Point.Fault...),
-		Shard:       rec.Shard,
-		MutatedAxis: c.MutatedAxis,
-		ParentKey:   c.ParentKey,
-		Scenario:    rec.Scenario,
-		TestID:      rec.TestID,
-		Plan:        append([]inject.Fault(nil), rec.Plan.Faults...),
-		Skipped:     rec.Skipped,
-		ExitStatus:  rec.ExitStatus,
-		DurationNS:  int64(rec.Duration),
-		Injected:    rec.Outcome.Injected,
-		Failed:      rec.Outcome.Failed,
-		Crashed:     rec.Outcome.Crashed,
-		Hung:        rec.Outcome.Hung,
-		CrashID:     rec.Outcome.CrashID,
-		Stack:       append([]string(nil), rec.Outcome.InjectionStack...),
-		NewBlocks:   rec.NewBlocks,
-		Impact:      rec.Impact,
-		Fitness:     rec.Fitness,
-		Relevance:   rec.Relevance,
-		Cluster:     rec.Cluster,
+// fill sets every field of e from one record. Its slices are the
+// record's own — a folded record's fault, plan, stack and block set are
+// never written again — except Blocks, which the record's block set is
+// sorted into, in blocks' storage; fill returns that storage, grown, for
+// the next record. An empty fault is nil, as the journal has always
+// written it, and the model backend is "", its implicit default: omitting
+// it keeps model journal bytes identical to the pre-backend format, and
+// Entry.Record restores it on read.
+func (e *Entry) fill(run int, c *explore.Candidate, rec *core.Record, blocks []int) []int {
+	o := &rec.Outcome
+	*e = Entry{
+		Seq: rec.ID, Run: run, Sub: rec.Point.Sub, Fault: rec.Point.Fault, Shard: rec.Shard,
+		MutatedAxis: c.MutatedAxis, ParentKey: c.ParentKey,
+		Scenario: rec.Scenario, TestID: rec.TestID, Plan: rec.Plan.Faults, Skipped: rec.Skipped,
+		Backend: rec.Backend, ExitStatus: rec.ExitStatus, DurationNS: int64(rec.Duration),
+		Injected: o.Injected, Failed: o.Failed, Crashed: o.Crashed, Hung: o.Hung, CrashID: o.CrashID, Stack: o.InjectionStack,
+		NewBlocks: rec.NewBlocks, Impact: rec.Impact, Fitness: rec.Fitness, Relevance: rec.Relevance, Cluster: rec.Cluster,
 	}
-	// "model" is the implicit default: omitting it keeps model journal
-	// bytes identical to the pre-backend format; Entry.Record restores
-	// it on read.
-	if rec.Backend != backend.Model {
-		e.Backend = rec.Backend
+	if len(e.Fault) == 0 {
+		e.Fault = nil
 	}
-	if len(rec.Outcome.Blocks) > 0 {
-		e.Blocks = sortedBlocks(rec.Outcome.Blocks)
+	if e.Backend == backend.Model {
+		e.Backend = ""
 	}
-	return e
+	if len(o.Blocks) > 0 {
+		blocks = blocks[:0]
+		for b := range o.Blocks {
+			blocks = append(blocks, b)
+		}
+		slices.Sort(blocks)
+		e.Blocks = blocks
+	}
+	return blocks
 }
 
-func sortedBlocks(m map[int]struct{}) []int {
-	out := make([]int, 0, len(m))
-	for b := range m {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// msg is one queued writer operation. Records are queued raw — the
-// Entry (including the sorted block list) is built on the writer
-// goroutine, so the fold path really does pay enqueue cost only.
+// msg is one queued writer operation. A record is queued by value and
+// the writer fills its one Entry from it, so the fold path pays a copy
+// into the queue and nothing else.
 type msg struct {
-	rec  *core.Record
+	rec  core.Record
 	cand explore.Candidate
 	run  int
 	snap *core.SessionState
@@ -339,15 +326,20 @@ type Store struct {
 	// allocating a fresh Marshal result per record.
 	enc *json.Encoder
 
+	// Writer goroutine state: the one entry every record is filled into
+	// and the storage its sorted blocks take.
+	entry  Entry
+	blocks []int
 	// Binary writer state, touched only by the writer goroutine: the
 	// live segment's appender, and the offsets of the entries a snapshot
 	// still to come may stand behind — offs[i] is entry offBase+i's.
 	seg     *segWriter
 	offs    []int64
 	offBase int
-	// snapBuf is the snapshot file under construction, reused from one
-	// snapshot to the next.
-	snapBuf []byte
+	// snap writes the snapshots; legacyGone says the snapshot.json an
+	// older build may have left has been removed.
+	snap       snapWriter
+	legacyGone bool
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -554,12 +546,12 @@ func (s *Store) Begin(target, spaceSig, stamp string) error {
 	s.run = s.meta.Runs
 	s.meta.Runs++
 	s.meta.Stamps = append(s.meta.Stamps, stamp)
-	return s.writeAtomic(metaName, mustJSON(&s.meta))
+	return writeAtomicFile(s.dir, metaName, writeBytes(mustJSON(&s.meta)))
 }
 
 // JournalRecord implements core.Store: enqueue only, never IO.
 func (s *Store) JournalRecord(c explore.Candidate, rec core.Record) {
-	s.enqueue(msg{rec: &rec, cand: c, run: s.run})
+	s.enqueue(msg{rec: rec, cand: c, run: s.run})
 }
 
 // SnapshotSession implements core.Store: enqueue only, never IO.
@@ -612,15 +604,19 @@ func (s *Store) Close() error {
 	return s.err
 }
 
+// writerLoop drains the queue by swapping it with a spare slice: the
+// enqueuers append to one while the writer walks the other, and the
+// walked one, cleared so it pins no record or state, is the next spare.
 func (s *Store) writerLoop() {
 	defer s.wg.Done()
+	var spare []msg
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
 			s.cond.Wait()
 		}
 		batch := s.queue
-		s.queue = nil
+		s.queue = spare
 		s.mu.Unlock()
 		if len(batch) == 0 {
 			s.cond.Broadcast()
@@ -629,6 +625,8 @@ func (s *Store) writerLoop() {
 		for i := range batch {
 			s.process(&batch[i])
 		}
+		clear(batch)
+		spare = batch[:0]
 		// One flush per drained batch: syscalls amortize under load,
 		// the journal tail is promptly durable when idle.
 		s.setErr(s.bw.Flush())
@@ -641,8 +639,9 @@ func (s *Store) writerLoop() {
 
 func (s *Store) process(m *msg) {
 	switch {
-	case m.rec != nil:
-		e := entryFrom(m.run, m.cand, *m.rec)
+	case m.snap == nil:
+		e := &s.entry
+		s.blocks = e.fill(m.run, &m.cand, &m.rec, s.blocks)
 		if s.format == FormatBinary {
 			if off, err := s.seg.append(e); err != nil {
 				s.setErr(err)
@@ -655,23 +654,23 @@ func (s *Store) process(m *msg) {
 		// the trailing newline, but reuses its encode buffer across
 		// records instead of allocating a fresh one per append.
 		s.setErr(s.enc.Encode(e))
-	case m.snap != nil:
+	default:
 		// The journal must never lag a snapshot that references it.
 		if err := s.bw.Flush(); err != nil {
 			s.setErr(err)
 			return
 		}
-		var err error
-		if s.snapBuf, err = appendSnapshot(s.snapBuf[:0], m.snap, s.place(m.snap.Seq)); err == nil {
-			err = s.writeAtomic(snapshotName, s.snapBuf)
-		}
-		if err != nil {
+		st, pos := m.snap, s.place(m.snap.Seq)
+		if err := writeAtomicFile(s.dir, snapshotName, func(w io.Writer) error { return s.snap.write(w, st, pos) }); err != nil {
 			s.setErr(err)
 			return
 		}
 		// The snapshot an older build left is now the stale one.
-		if err := os.Remove(filepath.Join(s.dir, legacySnapshotName)); err != nil && !os.IsNotExist(err) {
-			s.setErr(err)
+		if !s.legacyGone {
+			s.legacyGone = true
+			if err := os.Remove(filepath.Join(s.dir, legacySnapshotName)); err != nil && !os.IsNotExist(err) {
+				s.setErr(err)
+			}
 		}
 	}
 }
@@ -757,12 +756,6 @@ func repairJournalTail(path string) error {
 		}
 	}
 	return f.Truncate(0) // a single torn line and nothing else
-}
-
-// writeAtomic replaces dir/name via a temp file + rename, so readers
-// never observe a partially written file.
-func (s *Store) writeAtomic(name string, data []byte) error {
-	return writeAtomicFile(s.dir, name, data)
 }
 
 func mustJSON(v any) []byte {

@@ -43,6 +43,14 @@ func testRecord(id int) (explore.Candidate, core.Record) {
 	return c, rec
 }
 
+// entryFrom is the entry the writer journals for one record, filled the
+// way the writer fills its own, over block storage of its own.
+func entryFrom(run int, c explore.Candidate, rec core.Record) *Entry {
+	e := new(Entry)
+	e.fill(run, &c, &rec, nil)
+	return e
+}
+
 // TestJournalRoundTrip: entries written through the async writer come
 // back as equivalent records, in order.
 func TestJournalRoundTrip(t *testing.T) {
