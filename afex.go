@@ -385,14 +385,17 @@ func Explore(opts Options) (*Result, error) {
 func ReplayJournal(path string) ([]JournalEntry, error) { return store.ReadJournal(path) }
 
 // StateMeta reads a state directory's metadata (target name, space
-// signature, run stamps).
+// signature, run stamps). It only reads: a directory a live session
+// holds reads as well, and a missing one is an error, never created.
 func StateMeta(dir string) (Meta, error) {
-	st, err := store.Open(dir)
+	meta, err := store.ReadMeta(dir)
+	if err == nil && meta == nil {
+		err = fmt.Errorf("afex: %s holds no state directory metadata", dir)
+	}
 	if err != nil {
 		return Meta{}, err
 	}
-	defer st.Close()
-	return st.Meta(), nil
+	return *meta, nil
 }
 
 // DefaultImpact returns the paper's suggested impact scoring: 1 point per

@@ -545,8 +545,8 @@ func (r *ResultSet) MeasurePrecision(target *prog.Program, im ImpactConfig, tria
 		}
 		rec.Precision = quality.Precision(impacts)
 		// Reflect the measurement into the session record too.
-		if rec.ID >= 0 && rec.ID < len(r.Records) {
-			r.Records[rec.ID].Precision = rec.Precision
+		if own := r.RecordByID(rec.ID); own != nil {
+			own.Precision = rec.Precision
 		}
 	}
 	return reps

@@ -14,10 +14,13 @@ package store
 //
 // Entry frames (frameEntry) hold one binary-encoded Entry: fixed field
 // order, varint/zigzag ints, uvarint-length strings. The crc (IEEE)
-// covers kind + payload, so a torn or corrupted tail is detected
-// frame-precisely. Earlier builds also wrote an index frame after every
-// 1,024th entry, and a journal.idx file mirroring them; readers step
-// over those frames and never open that file.
+// covers kind + payload, so a segment ends frame-precisely, at its first
+// frame that is cut short or fails its crc (walkSegment): the torn tail
+// a crash mid-append leaves, which readers drop and Open truncates. A
+// frame whose crc holds but whose entry does not decode is corruption,
+// which a read refuses. Earlier builds also wrote an index frame after
+// every 1,024th entry, and a journal.idx file mirroring them; readers
+// step over those frames and never open that file.
 //
 // The seek is the snapshot's: the writer that appends the live segment
 // also publishes the snapshots, so it records in each the offset of the
@@ -303,58 +306,74 @@ func readEntry(d *segDec) (Entry, error) {
 	return en, nil
 }
 
-// appendFrame renders one complete frame (kind, length, payload, crc)
-// into dst and returns the extended slice.
-func appendFrame(dst []byte, kind byte, payload []byte) []byte {
-	at := len(dst)
-	dst = append(binary.AppendUvarint(append(dst, kind), uint64(len(payload))), payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Update(crc32.ChecksumIEEE(dst[at:at+1]), crc32.IEEETable, payload))
+// frameWriter writes frames through one buffered writer, which keeps
+// the first write error for the flush that ends a batch or a file. A
+// frame's payload size is known before it goes out: open writes the
+// header, put the payload as it comes, its crc taken as it passes, and
+// close the crc. off is where the next frame starts.
+type frameWriter struct {
+	bw  *bufio.Writer
+	off int64
+	hdr [1 + binary.MaxVarintLen64]byte
+	crc uint32
 }
+
+// open starts a frame whose payload, put next, is n bytes.
+func (w *frameWriter) open(kind byte, n int) {
+	w.hdr[0] = kind
+	w.crc = crc32.Update(0, crc32.IEEETable, w.hdr[:1])
+	hdr := binary.AppendUvarint(w.hdr[:1], uint64(n))
+	w.bw.Write(hdr)
+	w.off += int64(len(hdr) + n + 4)
+}
+
+func (w *frameWriter) put(p []byte) {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+	w.bw.Write(p)
+}
+
+func (w *frameWriter) putUint(v uint64) { w.put(binary.AppendUvarint(w.hdr[:0], v)) }
+
+func (w *frameWriter) close() { w.bw.Write(binary.LittleEndian.AppendUint32(w.hdr[:0], w.crc)) }
 
 // segWriter appends entry frames to a segment — the store's writer, the
-// archive append and the compaction rewrite all go through one — and
-// knows the offset each frame lands at. Its writer buffers, so a write
-// error surfaces at the flush at the latest.
+// archive append and the compaction rewrite all go through one.
 type segWriter struct {
-	w     io.Writer
-	off   int64 // where the next frame lands
-	enc   segEnc
-	frame []byte
+	frameWriter
+	enc segEnc
 }
 
-// newSegWriter appends through w to a segment of size bytes, starting
+// newSegWriter appends through bw to a segment of size bytes, starting
 // the segment with its magic when it is empty.
-func newSegWriter(w io.Writer, size int64) *segWriter {
+func newSegWriter(bw *bufio.Writer, size int64) *segWriter {
 	if size == 0 {
-		io.WriteString(w, segMagic)
+		bw.WriteString(segMagic)
 		size = int64(len(segMagic))
 	}
-	return &segWriter{w: w, off: size}
+	return &segWriter{frameWriter: frameWriter{bw: bw, off: size}}
 }
 
-// append writes one entry frame and returns the offset it landed at.
-func (sw *segWriter) append(e *Entry) (int64, error) {
-	sw.enc.encodeEntry(e)
-	sw.frame = appendFrame(sw.frame[:0], frameEntry, sw.enc.bytes())
+// append writes one entry frame and returns the offset it lands at.
+func (sw *segWriter) append(e *Entry) int64 {
 	off := sw.off
-	if _, err := sw.w.Write(sw.frame); err != nil {
-		return off, err
-	}
-	sw.off += int64(len(sw.frame))
-	return off, nil
+	sw.enc.encodeEntry(e)
+	sw.open(frameEntry, len(sw.enc.buf))
+	sw.put(sw.enc.buf)
+	sw.close()
+	return off
 }
 
-// appendRange writes the entries with Seq in [lo, hi), in order.
-func (sw *segWriter) appendRange(entries []Entry, lo, hi int) error {
+// appendRange writes the entries with Seq in [lo, hi), in order, and
+// returns how many it wrote.
+func (sw *segWriter) appendRange(entries []Entry, lo, hi int) int {
+	n := 0
 	for i := range entries {
-		if entries[i].Seq < lo || entries[i].Seq >= hi {
-			continue
-		}
-		if _, err := sw.append(&entries[i]); err != nil {
-			return err
+		if entries[i].Seq >= lo && entries[i].Seq < hi {
+			sw.append(&entries[i])
+			n++
 		}
 	}
-	return nil
+	return n
 }
 
 // frameReader steps through a segment's frames from an arbitrary frame
@@ -371,15 +390,6 @@ type frameReader struct {
 // of size bytes.
 func newFrameReader(r io.Reader, off, size int64) *frameReader {
 	return &frameReader{r: bufio.NewReaderSize(r, 1<<16), off: off, size: size}
-}
-
-// fileFrames reads f's frames from its current position, offset off.
-func fileFrames(f *os.File, off int64) (*frameReader, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return newFrameReader(f, off, fi.Size()), nil
 }
 
 // next reads one frame. io.EOF (clean boundary) means end of segment;
@@ -427,129 +437,72 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// readSegment decodes every entry of a segment file. A trailing frame
-// that does not validate is treated as a torn crash tail and dropped;
-// the repair pass on open turns genuine mid-file damage into a
-// truncated-but-consistent file, exactly like the JSONL tail repair.
+// walkSegment walks the segment in f to its end: the first frame that
+// is torn or fails its crc, or the end of the file. That is where every
+// read stops and where repair truncates. A segment shorter than its
+// magic ends at 0 and holds nothing. The walk starts past pos — the
+// offset of entry seq-1 that a snapshot at seq recorded — when the frame
+// there passes its crc, decodes and holds that entry (landed: what lies
+// before it was whole when the snapshot was written), and at the magic
+// otherwise. keep, when not nil, is handed each entry frame past the
+// start and its offset; its error ends the walk.
+func walkSegment(f *os.File, pos int64, seq int, keep func(off int64, payload []byte) error) (end int64, landed bool, err error) {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() < int64(len(segMagic)) {
+		return 0, false, err
+	}
+	size := fi.Size()
+	var magic [len(segMagic)]byte
+	if _, err := f.ReadAt(magic[:], 0); err != nil {
+		return 0, false, err
+	}
+	if string(magic[:]) != segMagic {
+		return 0, false, fmt.Errorf("%s is not an AFEX binary journal", f.Name())
+	}
+	frames := func(at int64) *frameReader {
+		return newFrameReader(io.NewSectionReader(f, at, size-at), at, size)
+	}
+	var fr *frameReader
+	if pos >= int64(len(segMagic)) && pos < size && seq > 0 {
+		fr = frames(pos)
+		if kind, payload, err := fr.next(); err == nil && kind == frameEntry {
+			en, err := readEntry(&segDec{buf: payload, skip: true})
+			landed = err == nil && en.Seq == seq-1
+		}
+	}
+	if !landed {
+		fr = frames(int64(len(segMagic)))
+	}
+	for {
+		at := fr.off
+		kind, payload, err := fr.next()
+		if err != nil {
+			return at, landed, nil
+		}
+		if kind == frameEntry && keep != nil {
+			if err := keep(at, payload); err != nil {
+				return at, landed, err
+			}
+		}
+	}
+}
+
+// readSegment decodes every entry of a segment file.
 func readSegment(path string) ([]Entry, error) {
 	entries, _, _, err := readSegmentTail(path, 0, 0)
 	return entries, err
 }
 
-// segScanResult is what a frame walk found: the end of the last whole
-// valid frame (the repair point), the entry count, and the Seq and
-// offset of the last entry (-1 when none).
-type segScanResult struct {
-	end     int64
-	entries int
-	lastSeq int
-	lastOff int64
-}
-
-// scanSegment walks f's frames from offset from — the repair and stats
-// primitive.
-func scanSegment(f *os.File, from int64) (segScanResult, error) {
-	res := segScanResult{end: from, lastSeq: -1, lastOff: -1}
-	if _, err := f.Seek(from, io.SeekStart); err != nil {
-		return res, err
-	}
-	fr, err := fileFrames(f, from)
-	if err != nil {
-		return res, err
-	}
-	for {
-		start := fr.off
-		kind, payload, err := fr.next()
-		if err != nil {
-			return res, nil // torn or corrupt: res.end is the repair point
-		}
-		if kind == frameEntry {
-			// Only frame-validated entries count; decode checks happen on
-			// read. Peek the Seq (first varint) for the writer's bookkeeping.
-			if v, n := binary.Varint(payload); n > 0 {
-				res.lastSeq, res.lastOff = int(v), start
-			}
-			res.entries++
-		}
-		res.end = fr.off
-	}
-}
-
-// land reports whether the frame at offset pos of f (size bytes) is
-// where a snapshot at seq lets a read start: an entry frame that passes
-// its crc and decodes, holding entry seq-1. The reader it returns is
-// past that frame.
-func land(f *os.File, size, pos int64, seq int) (*frameReader, bool) {
-	if pos < int64(len(segMagic)) || pos >= size || seq <= 0 {
-		return nil, false
-	}
-	if _, err := f.Seek(pos, io.SeekStart); err != nil {
-		return nil, false
-	}
-	fr := newFrameReader(f, pos, size)
-	kind, payload, err := fr.next()
-	if err != nil || kind != frameEntry {
-		return nil, false
-	}
-	en, err := readEntry(&segDec{buf: payload, skip: true})
-	return fr, err == nil && en.Seq == seq-1
-}
-
-// repairSegment truncates the live segment to its last whole valid
-// frame. The scan starts at the snapshot's position (pos, for a
-// snapshot at seq) when the frame there holds entry seq-1 — what lies
-// before it was whole when the snapshot was written — and at the magic
-// otherwise. A missing segment is an empty one.
-func repairSegment(journalPath string, pos int64, seq int) (segScanResult, error) {
-	none := segScanResult{lastSeq: -1, lastOff: -1}
-	f, err := os.OpenFile(journalPath, os.O_RDWR, 0)
-	if os.IsNotExist(err) {
-		return none, nil
-	}
-	if err != nil {
-		return none, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return none, err
-	}
-	size := fi.Size()
-	if size < int64(len(segMagic)) {
-		// A crash before the magic finished; restart the segment.
-		return none, f.Truncate(0)
-	}
-	var magic [len(segMagic)]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		return none, err
-	}
-	if string(magic[:]) != segMagic {
-		return none, fmt.Errorf("%s is not an AFEX binary journal", journalPath)
-	}
-	from := int64(len(segMagic))
-	if _, ok := land(f, size, pos, seq); ok {
-		from = pos
-	}
-	res, err := scanSegment(f, from)
-	if err != nil {
-		return none, err
-	}
-	if res.end < size {
-		return res, f.Truncate(res.end)
-	}
-	return res, nil
-}
-
-// readSegmentTail decodes the entries with Seq >= from, starting at pos
-// — the offset of entry from-1 a snapshot at from recorded — when the
-// frame there holds it, so the cost is O(tail), not O(run); otherwise
-// it walks from the magic and steps over the entries before from, told
-// by their seq, with a skipping decoder. Where the entries stop is
-// readSegment's rule. scanned counts the entries walked or decoded past
-// the starting point (the flatness tests pin it) and lastSeq is the Seq
-// of the segment's final entry — from-1 when the read landed before an
-// empty tail, -1 when the segment holds none. A missing segment, or one
-// shorter than its magic, holds none.
+// readSegmentTail decodes the entries with Seq >= from of the segment at
+// path, starting past pos when the walk lands there, so the cost is
+// O(tail), not O(run); otherwise it walks from the magic and steps over
+// the entries before from, told by their seq, with a skipping decoder.
+// An entry whose frame is whole but does not decode is corruption, and
+// the read refuses naming its offset. scanned counts the entries walked
+// past the start (the flatness tests pin it) and lastSeq is the Seq of
+// the segment's final entry — from-1 when the read landed before an
+// empty tail, -1 when the segment holds none. A missing segment holds
+// none.
 func readSegmentTail(path string, pos int64, from int) (entries []Entry, scanned, lastSeq int, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -559,45 +512,28 @@ func readSegmentTail(path string, pos int64, from int) (entries []Entry, scanned
 		return nil, 0, -1, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	var magic [len(segMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, 0, -1, nil
-	}
-	if string(magic[:]) != segMagic {
-		return nil, 0, -1, fmt.Errorf("store: %s is not an AFEX binary journal", path)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, -1, fmt.Errorf("store: %w", err)
-	}
-	fr, landed := land(f, fi.Size(), pos, from)
-	lastSeq = from - 1
-	if !landed {
-		if _, err := f.Seek(int64(len(segMagic)), io.SeekStart); err != nil {
-			return nil, 0, -1, fmt.Errorf("store: %w", err)
-		}
-		fr, lastSeq = newFrameReader(f, int64(len(segMagic)), fi.Size()), -1
-	}
-	for {
-		kind, payload, err := fr.next()
-		if err != nil {
-			return entries, scanned, lastSeq, nil // io.EOF, or a torn tail: the entry never happened
-		}
-		if kind != frameEntry {
-			continue
-		}
+	lastSeq = -1
+	_, landed, err := walkSegment(f, pos, from, func(off int64, payload []byte) error {
 		d := &segDec{buf: payload}
 		if seq, w := binary.Varint(payload); w > 0 && seq < int64(from) {
 			d.skip = true
 		}
-		en, derr := readEntry(d)
-		if derr != nil {
-			return entries, scanned, lastSeq, nil
+		en, err := readEntry(d)
+		if err != nil {
+			return fmt.Errorf("corrupt journal %s at offset %d: %w", path, off, err)
 		}
 		scanned++
 		lastSeq = en.Seq
 		if en.Seq >= from {
 			entries = append(entries, en)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, -1, fmt.Errorf("store: %w", err)
 	}
+	if landed && scanned == 0 {
+		lastSeq = from - 1
+	}
+	return entries, scanned, lastSeq, nil
 }

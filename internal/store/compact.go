@@ -16,8 +16,7 @@ package store
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -27,10 +26,11 @@ import (
 )
 
 // Compact folds the journaled prefix covered by the latest snapshot
-// into the archive segment and rewrites the live journal to the tail. The directory must be closed — Compact takes the
-// same single-writer lock a Store holds — and must use the binary
-// journal format. It returns the number of entries moved to the
-// archive; (0, nil) when there is nothing new to compact.
+// into the archive segment and rewrites the live journal to the tail.
+// The directory must be closed — Compact takes the same single-writer
+// lock a Store holds — and must use the binary journal format. It
+// returns the number of entries moved to the archive; (0, nil) when
+// there is nothing new to compact.
 func Compact(dir string) (int, error) {
 	s := &Store{dir: dir}
 	if err := s.lockDir(); err != nil {
@@ -38,16 +38,12 @@ func Compact(dir string) (int, error) {
 	}
 	defer s.unlockDir()
 
-	raw, err := os.ReadFile(filepath.Join(dir, metaName))
+	meta, err := ReadMeta(dir)
+	if err == nil && meta == nil {
+		err = fmt.Errorf("store: %s holds no %s", dir, metaName)
+	}
 	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	var meta Meta
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		return 0, fmt.Errorf("store: corrupt %s: %w", metaName, err)
-	}
-	if meta.Version != Version {
-		return 0, fmt.Errorf("store: %s has format version %d, this build reads %d", dir, meta.Version, Version)
+		return 0, err
 	}
 	if format := meta.Journal; format != FormatBinary {
 		if format == "" {
@@ -57,87 +53,68 @@ func Compact(dir string) (int, error) {
 	}
 
 	// No snapshot, or an unreadable one: nothing is provably covered.
-	snap, file, _ := readSnapshot(dir, snapSeq)
+	snap, _, _ := readSnapshot(dir, snapSeq)
 	if snap == nil || snap.Seq <= meta.CompactedSeq {
 		return 0, nil
 	}
-
-	livePath := filepath.Join(dir, binJournalName)
-	archPath := filepath.Join(dir, archiveName)
-	if _, err := repairSegment(livePath, file.pos, snap.Seq); err != nil {
-		return 0, fmt.Errorf("store: repair journal: %w", err)
-	}
-	live, err := readSegment(livePath)
+	live, err := readSegment(filepath.Join(dir, binJournalName))
 	if err != nil {
 		return 0, err
 	}
-	arch, err := readSegment(archPath)
+	moved, err := appendArchive(filepath.Join(dir, archiveName), live, snap.Seq)
 	if err != nil {
 		return 0, err
 	}
-	// The archive's own content, not meta's watermark, decides what to
-	// append: a crash after a prior append but before the meta rewrite
-	// must not duplicate frames on the re-run.
-	archEnd := 0
-	if len(arch) > 0 {
-		archEnd = arch[len(arch)-1].Seq + 1
-	}
-
-	moved, err := appendArchive(archPath, live, archEnd, snap.Seq)
+	err = writeAtomicFile(dir, binJournalName, func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<16)
+		newSegWriter(bw, 0).appendRange(live, snap.Seq, math.MaxInt)
+		return bw.Flush()
+	})
 	if err != nil {
-		return 0, err
-	}
-	if err := rewriteLive(livePath, live, snap.Seq); err != nil {
 		return 0, err
 	}
 	meta.CompactedSeq = snap.Seq
-	if err := writeAtomicFile(dir, metaName, writeBytes(mustJSON(&meta))); err != nil {
+	if err := writeAtomicFile(dir, metaName, writeBytes(mustJSON(meta))); err != nil {
 		return 0, err
 	}
 	return moved, nil
 }
 
-// appendArchive appends live entries with Seq in [archEnd, upto) to the
-// archive segment, creating it if needed, and syncs before returning —
-// the live rewrite may be about to drop the only other copy.
-func appendArchive(path string, live []Entry, archEnd, upto int) (int, error) {
-	moved := 0
-	for i := range live {
-		if live[i].Seq >= archEnd && live[i].Seq < upto {
-			moved++
-		}
-	}
-	if moved == 0 {
-		return 0, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// appendArchive appends the live entries before upto that the archive
+// does not hold yet, and syncs before returning — the live rewrite may
+// be about to drop the only other copy. The archive's own content, not
+// meta's watermark, decides what it holds, so a re-run after a crash
+// between this append and the meta rewrite duplicates nothing; and like
+// the live segment on open, it is cut to its whole frames first, so a
+// torn tail a crash mid-append left is never appended after.
+func appendArchive(path string, live []Entry, upto int) (int, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	fi, err := f.Stat()
+	held := 0 // the Seq past the archive's last entry
+	end, _, err := walkSegment(f, 0, 0, func(_ int64, payload []byte) error {
+		if seq, n := binary.Varint(payload); n > 0 {
+			held = int(seq) + 1
+		}
+		return nil
+	})
+	if err == nil {
+		err = f.Truncate(end)
+	}
+	if err == nil {
+		_, err = f.Seek(end, io.SeekStart)
+	}
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := newSegWriter(bw, fi.Size()).appendRange(live, archEnd, upto); err != nil {
-		return 0, err
-	}
+	moved := newSegWriter(bw, end).appendRange(live, held, upto)
 	if err := bw.Flush(); err != nil {
 		return 0, err
 	}
-	if err := f.Sync(); err != nil {
-		return 0, err
-	}
-	return moved, nil
-}
-
-// rewriteLive replaces the live segment with the entries at Seq >= from,
-// through a temp file + rename.
-func rewriteLive(livePath string, live []Entry, from int) error {
-	var seg bytes.Buffer
-	newSegWriter(&seg, 0).appendRange(live, from, math.MaxInt)
-	return writeAtomicFile(filepath.Dir(livePath), filepath.Base(livePath), writeBytes(seg.Bytes()))
+	return moved, errors.Join(f.Sync(), f.Close())
 }
 
 // writeAtomicFile replaces dir/name with what fill writes, through a temp

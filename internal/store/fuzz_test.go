@@ -431,6 +431,72 @@ func FuzzTailPosition(f *testing.F) {
 	})
 }
 
+// FuzzJournalAppend: the end rule, for any bytes in either format.
+// Whatever the live journal reads as — entries, or a refusal — opening
+// its directory, journaling one record with a new key and closing it
+// give back those entries and that record, or the same refusal: torn
+// bytes are truncated before the append, never fused with it, and a
+// whole entry that does not decode stays where it is and is refused. The
+// first byte picks the format, the rest is the journal.
+func FuzzJournalAppend(f *testing.F) {
+	for _, format := range []string{FormatJSONL, FormatBinary} {
+		dir := f.TempDir()
+		writeEntries(f, dir, Options{Format: format}, 3)
+		name, pick := journalName, byte(0)
+		if format == FormatBinary {
+			name, pick = binJournalName, 1
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		flipped := slices.Clone(raw)
+		flipped[len(flipped)-7] ^= 0x20
+		for _, journal := range [][]byte{raw, raw[:len(raw)-9], flipped, append(slices.Clone(raw[:len(raw)-9]), raw...), raw[:5], nil} {
+			f.Add(append([]byte{pick}, journal...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		dir := t.TempDir()
+		name := journalName
+		if data[0]&1 == 1 {
+			name = binJournalName
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data[1:], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before, refusal := ReadJournal(dir)
+		keys := make(map[string]bool, len(before))
+		for i := range before {
+			keys[before[i].Key()] = true
+		}
+		c, rec := testRecord(0)
+		for keys[c.Point.Key()] {
+			c, rec = testRecord(rec.ID + 1)
+		}
+		if s, err := Open(dir); err == nil {
+			s.JournalRecord(c, rec)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else if refusal == nil {
+			t.Fatalf("Open refuses a journal of %d entries: %v", len(before), err)
+		}
+		after, err := ReadJournal(dir)
+		switch {
+		case refusal != nil && (err == nil || err.Error() != refusal.Error()):
+			t.Fatalf("a journal refused with %q reads, after an append, as %d entries (%v)", refusal, len(after), err)
+		case refusal == nil && err != nil:
+			t.Fatalf("a journal of %d entries refuses after an append: %v", len(before), err)
+		case refusal == nil && (len(after) != len(before)+1 || len(before) > 0 && !reflect.DeepEqual(after[:len(before)], before) || !reflect.DeepEqual(after[len(before)], *entryFrom(0, c, rec))):
+			t.Fatalf("a journal of %d entries reads, after an append, as %d", len(before), len(after))
+		}
+	})
+}
+
 // TestDamagedSnapshotFallsBack: a snapshot torn at any length, with a
 // byte flipped anywhere, or with whole frames that say what no writer
 // says never fails the open or the recovery. Either the damage is caught

@@ -31,12 +31,8 @@ func landsIn(dir string) (bool, error) {
 		return false, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return false, err
-	}
-	_, ok := land(f, fi.Size(), file.pos, st.Seq)
-	return ok, nil
+	_, ok, err := walkSegment(f, file.pos, st.Seq, nil)
+	return ok, err
 }
 
 func lands(t testing.TB, dir string) bool {

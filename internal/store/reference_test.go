@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,6 +51,15 @@ func referenceAppendSnapshot(dst []byte, st *core.SessionState) ([]byte, error) 
 	return dst, nil
 }
 
+// appendFrame renders one complete frame (kind, length, payload, crc)
+// into dst by hand: the layout the frame writer streams, for tests that
+// build segments and snapshot files byte by byte.
+func appendFrame(dst []byte, kind byte, payload []byte) []byte {
+	at := len(dst)
+	dst = append(binary.AppendUvarint(append(dst, kind), uint64(len(payload))), payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Update(crc32.ChecksumIEEE(dst[at:at+1]), crc32.IEEETable, payload))
+}
+
 // snapshotBytes is the file the snapshot writer streams for st at pos.
 func snapshotBytes(st *core.SessionState, pos int64) ([]byte, error) {
 	var buf bytes.Buffer
@@ -61,7 +71,7 @@ func snapshotBytes(st *core.SessionState, pos int64) ([]byte, error) {
 // setsFrameBytes is the sets frame the snapshot writer streams for sets.
 func setsFrameBytes(sets [3]*cluster.SetState) []byte {
 	var buf bytes.Buffer
-	w := snapWriter{bw: bufio.NewWriter(&buf)}
+	w := snapWriter{frameWriter: frameWriter{bw: bufio.NewWriter(&buf)}}
 	w.writeSets(sets)
 	w.bw.Flush()
 	return buf.Bytes()

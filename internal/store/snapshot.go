@@ -49,7 +49,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -266,19 +265,15 @@ func decodeSets(payload []byte) (sets [3]*cluster.SetState, err error) {
 // snapChunk is how much of a key list is encoded before it is written.
 const snapChunk = 16 << 10
 
-// snapWriter streams snapshot files. Every frame's size is known before
-// it is written, so each goes out once, through one buffered writer, its
-// crc taken as its bytes pass, and a key list is encoded a chunk at a
-// time. The buffered writer keeps the first write error, which the flush
-// that ends a file returns. The buffers and the sets encoder are the
-// writer's, reused from one snapshot to the next.
+// snapWriter streams snapshot files through the frame writer, each
+// frame once, a key list encoded a chunk at a time; the flush that ends
+// a file returns the first write error. The buffers and the sets encoder
+// are the writer's, reused from one snapshot to the next.
 type snapWriter struct {
-	bw    *bufio.Writer
+	frameWriter
 	json  bytes.Buffer
 	sets  setsEnc
 	chunk segEnc
-	hdr   [1 + binary.MaxVarintLen64]byte
-	crc   uint32
 }
 
 // write streams st, standing at journal position pos, into dst as a
@@ -379,23 +374,6 @@ func (w *snapWriter) writeSets(sets [3]*cluster.SetState) {
 	w.put(e.sets.buf)
 	w.close()
 }
-
-// open starts a frame whose payload, put next, is n bytes; close seals
-// it with the crc of its kind and payload.
-func (w *snapWriter) open(kind byte, n int) {
-	w.hdr[0] = kind
-	w.crc = crc32.Update(0, crc32.IEEETable, w.hdr[:1])
-	w.bw.Write(binary.AppendUvarint(w.hdr[:1], uint64(n)))
-}
-
-func (w *snapWriter) put(p []byte) {
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
-	w.bw.Write(p)
-}
-
-func (w *snapWriter) putUint(v uint64) { w.put(binary.AppendUvarint(w.hdr[:0], v)) }
-
-func (w *snapWriter) close() { w.bw.Write(binary.LittleEndian.AppendUint32(w.hdr[:0], w.crc)) }
 
 // decodeKeys decodes a key-list payload in place: the keys move to its
 // front, back to back, their end offsets noted in the same pass, and the

@@ -7,9 +7,6 @@ package store
 // --resume is O(tail) or O(run).
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -79,20 +76,16 @@ func ReadStats(dir string) (*Stats, error) {
 	if !fi.IsDir() {
 		return nil, fmt.Errorf("store: %s is not a state directory", dir)
 	}
-	var meta Meta
-	haveMeta := false
-	if raw, err := os.ReadFile(filepath.Join(dir, metaName)); err == nil {
-		if err := json.Unmarshal(raw, &meta); err != nil {
-			return nil, fmt.Errorf("store: corrupt %s: %w", metaName, err)
-		}
-		if meta.Version != Version {
-			return nil, fmt.Errorf("store: %s has format version %d, this build reads %d", dir, meta.Version, Version)
-		}
-		haveMeta = true
-	}
-	format, err := resolveFormat(dir, meta, "", haveMeta)
+	meta, err := ReadMeta(dir)
 	if err != nil {
 		return nil, err
+	}
+	format, err := resolveFormat(dir, meta, "")
+	if err != nil {
+		return nil, err
+	}
+	if meta == nil {
+		meta = &Meta{}
 	}
 	st := &Stats{
 		Format:       format,
@@ -102,12 +95,7 @@ func ReadStats(dir string) (*Stats, error) {
 		Peers:        meta.Peers,
 		CompactedSeq: meta.CompactedSeq,
 	}
-	if format == FormatBinary {
-		err = st.scanBinary(dir)
-	} else {
-		err = st.scanJSONL(dir)
-	}
-	if err != nil {
+	if err := st.scan(dir); err != nil {
 		return nil, err
 	}
 	// Snapshot + resume tail. A snapshot at seq 0 describes nothing. The
@@ -124,7 +112,7 @@ func ReadStats(dir string) (*Stats, error) {
 		if snap.Aggregates != nil {
 			st.SnapshotKeys = file.keyCounts[0] // keyLists lists the aggregates' first
 		}
-		_, why = tailOf(dir, format, meta, snap, file.pos)
+		_, why = tailOf(dir, format, *meta, snap, file.pos)
 	}
 	st.TailEntries = max(st.Entries-st.SnapshotSeq, 0)
 	st.ResumePath = "tail"
@@ -139,15 +127,11 @@ func ReadStats(dir string) (*Stats, error) {
 // format — without locking the directory. It is how artifact readers
 // (the control plane's journal endpoint) serve the journal bytes.
 func JournalPath(dir string) (string, error) {
-	var meta Meta
-	haveMeta := false
-	if raw, err := os.ReadFile(filepath.Join(dir, metaName)); err == nil {
-		if err := json.Unmarshal(raw, &meta); err != nil {
-			return "", fmt.Errorf("store: corrupt %s: %w", metaName, err)
-		}
-		haveMeta = true
+	meta, err := ReadMeta(dir)
+	if err != nil {
+		return "", err
 	}
-	format, err := resolveFormat(dir, meta, "", haveMeta)
+	format, err := resolveFormat(dir, meta, "")
 	if err != nil {
 		return "", err
 	}
@@ -158,50 +142,19 @@ func JournalPath(dir string) (string, error) {
 	return filepath.Join(dir, name), nil
 }
 
-func (st *Stats) scanJSONL(dir string) error {
-	path := filepath.Join(dir, journalName)
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	st.Segments = 1
-	st.JournalBytes = fi.Size()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 16<<20)
-	// Lines that end in a newline: a torn final line is one ReadJournal
-	// drops and the next Open truncates.
-	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			return i + 1, data[:i], nil
-		}
-		return 0, nil, nil
-	})
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			st.Entries++
-		}
-	}
-	st.LiveEntries = st.Entries
-	return nil
-}
-
-func (st *Stats) scanBinary(dir string) error {
-	for _, seg := range []struct {
+// scan counts the entries of each journal segment present without
+// decoding one: what counts is what the end rule keeps.
+func (st *Stats) scan(dir string) error {
+	type segment struct {
 		name    string
 		entries *int
 		bytes   *int64
-	}{
-		{archiveName, &st.ArchivedEntries, &st.ArchiveBytes},
-		{binJournalName, &st.LiveEntries, &st.JournalBytes},
-	} {
+	}
+	segs := []segment{{journalName, &st.LiveEntries, &st.JournalBytes}}
+	if st.Format == FormatBinary {
+		segs = []segment{{archiveName, &st.ArchivedEntries, &st.ArchiveBytes}, {binJournalName, &st.LiveEntries, &st.JournalBytes}}
+	}
+	for _, seg := range segs {
 		f, err := os.Open(filepath.Join(dir, seg.name))
 		if os.IsNotExist(err) {
 			continue
@@ -210,17 +163,18 @@ func (st *Stats) scanBinary(dir string) error {
 			return fmt.Errorf("store: %w", err)
 		}
 		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return err
+		switch {
+		case err != nil:
+		case st.Format == FormatBinary:
+			_, _, err = walkSegment(f, 0, 0, func(int64, []byte) error { *seg.entries++; return nil })
+		default:
+			_, err = walkLines(f, func(int, []byte) error { *seg.entries++; return nil })
 		}
-		res, err := scanSegment(f, int64(len(segMagic)))
 		f.Close()
 		if err != nil {
 			return err
 		}
 		st.Segments++
-		*seg.entries = res.entries
 		*seg.bytes = fi.Size()
 	}
 	st.Entries = st.ArchivedEntries + st.LiveEntries

@@ -65,7 +65,9 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -365,62 +367,45 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, meta: Meta{Version: Version}, tailResume: opts.TailResume}
+	s := &Store{dir: dir, tailResume: opts.TailResume}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.lockDir(); err != nil {
 		return nil, err
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, metaName))
-	haveMeta := false
+	if err := s.open(opts); err != nil {
+		s.unlockDir()
+		return nil, err
+	}
+	s.wg.Add(1)
+	go s.writerLoop()
+	return s, nil
+}
+
+// open settles the locked directory's meta and format and opens its
+// journal for append.
+func (s *Store) open(opts Options) error {
+	meta, err := ReadMeta(s.dir)
+	if err == nil {
+		s.format, err = resolveFormat(s.dir, meta, opts.Format)
+	}
 	switch {
-	case err == nil:
-		haveMeta = true
-		if err := json.Unmarshal(raw, &s.meta); err != nil {
-			s.unlockDir()
-			return nil, fmt.Errorf("store: corrupt %s: %w", metaName, err)
-		}
-		if s.meta.Version != Version {
-			s.unlockDir()
-			return nil, fmt.Errorf("store: %s has format version %d, this build reads %d", dir, s.meta.Version, Version)
-		}
-	case os.IsNotExist(err):
-	default:
-		s.unlockDir()
-		return nil, fmt.Errorf("store: %w", err)
+	case err != nil:
+		return err
+	case meta == nil:
+		meta = &Meta{Version: Version, Peer: opts.Peer, Peers: opts.Peers}
+	case meta.Peers != opts.Peers || meta.Peer != opts.Peer:
+		// Peer shard assignment: recorded on first open, immutable after —
+		// a peer coordinator must only ever resume its own region of the
+		// sharded space (the space-signature check would catch a cross-
+		// region resume too, but this names the actual mistake).
+		return fmt.Errorf("store: %s journals peer shard %d of %d, not %d of %d",
+			s.dir, meta.Peer, meta.Peers, opts.Peer, opts.Peers)
 	}
-	// Peer shard assignment: recorded on first open, immutable after —
-	// a peer coordinator must only ever resume its own region of the
-	// sharded space (the space-signature check would catch a cross-
-	// region resume too, but this names the actual mistake).
-	if haveMeta {
-		if s.meta.Peers != opts.Peers || s.meta.Peer != opts.Peer {
-			s.unlockDir()
-			return nil, fmt.Errorf("store: %s journals peer shard %d of %d, not %d of %d",
-				dir, s.meta.Peer, s.meta.Peers, opts.Peer, opts.Peers)
-		}
-	} else {
-		s.meta.Peer, s.meta.Peers = opts.Peer, opts.Peers
-	}
-	s.format, err = resolveFormat(dir, s.meta, opts.Format, haveMeta)
+	meta.Journal = s.format
+	s.meta = *meta
+	size, err := s.openJournal()
 	if err != nil {
-		s.unlockDir()
-		return nil, err
-	}
-	s.meta.Journal = s.format
-	// A SIGKILL mid-append can leave a torn final entry. Readers drop
-	// it, but appending after it would fuse the torn bytes with the next
-	// entry into permanent mid-file corruption — truncate it away before
-	// opening for append (we hold the directory lock, so no other writer
-	// can race the repair).
-	var size int64
-	if s.format == FormatBinary {
-		size, err = s.openBinaryJournal()
-	} else {
-		err = s.openJSONLJournal()
-	}
-	if err != nil {
-		s.unlockDir()
-		return nil, err
+		return err
 	}
 	s.bw = bufio.NewWriterSize(s.journal, 1<<16)
 	if s.format == FormatJSONL {
@@ -428,52 +413,94 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	} else {
 		s.seg = newSegWriter(s.bw, size)
 	}
-	s.wg.Add(1)
-	go s.writerLoop()
-	return s, nil
-}
-
-func (s *Store) openJSONLJournal() error {
-	if err := repairJournalTail(filepath.Join(s.dir, journalName)); err != nil {
-		return fmt.Errorf("store: repair journal: %w", err)
-	}
-	var err error
-	s.journal, err = os.OpenFile(filepath.Join(s.dir, journalName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	return nil
 }
 
-// openBinaryJournal repairs and opens the live segment and returns its
-// size. The repair scan starts where the snapshot says its last entry
-// is, and the last entry it finds is one a snapshot may stand behind.
-func (s *Store) openBinaryJournal() (int64, error) {
-	live := filepath.Join(s.dir, binJournalName)
+// openJournal opens the live journal for append and returns its size,
+// cut first to its whole entries. A SIGKILL mid-append can leave a torn
+// final entry; readers drop it, but appending after it would fuse the
+// torn bytes with the next entry into permanent mid-file corruption (we
+// hold the directory lock, so no other writer can race the repair).
+func (s *Store) openJournal() (int64, error) {
+	name := journalName
+	if s.format == FormatBinary {
+		name = binJournalName
+	}
+	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	var end int64
+	if s.format == FormatBinary {
+		end, err = s.walkLive(f)
+	} else {
+		end, err = walkLines(f, nil)
+	}
+	fi, serr := f.Stat()
+	if err = errors.Join(err, serr); err == nil && fi.Size() > end {
+		err = f.Truncate(end)
+	}
+	if err != nil {
+		f.Close()
+		return 0, fmt.Errorf("store: repair journal: %w", err)
+	}
+	s.journal = f
+	return end, nil
+}
+
+// walkLive finds where the live segment ends, starting where the
+// snapshot says the entry before it is, and notes the last entry there:
+// one a snapshot may stand behind. Nothing past the landing is decoded
+// but each entry's Seq, its payload's first varint.
+func (s *Store) walkLive(f *os.File) (int64, error) {
 	snap, file, _ := readSnapshot(s.dir, snapSeq)
 	seq := 0
 	if snap != nil {
 		seq = snap.Seq
 	}
-	res, err := repairSegment(live, file.pos, seq)
-	if err != nil {
-		return 0, fmt.Errorf("store: repair journal: %w", err)
+	last, at := -1, int64(0)
+	end, landed, err := walkSegment(f, file.pos, seq, func(off int64, payload []byte) error {
+		if v, n := binary.Varint(payload); n > 0 {
+			last, at = int(v), off
+		}
+		return nil
+	})
+	if landed && at == 0 {
+		last, at = seq-1, file.pos
 	}
-	if res.lastSeq >= 0 {
-		s.offs, s.offBase = []int64{res.lastOff}, res.lastSeq
+	if last >= 0 {
+		s.offs, s.offBase = []int64{at}, last
 	}
-	if s.journal, err = os.OpenFile(live, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	return res.end, nil
+	return end, err
 }
 
-// resolveFormat decides a directory's journal format: what meta.json
-// records (with pre-format directories meaning JSONL), else what
-// journal files are present, else what the caller asked for, else
-// JSONL. An explicit request that contradicts the directory's existing
-// format is an error.
-func resolveFormat(dir string, meta Meta, want string, haveMeta bool) (string, error) {
+// ReadMeta reads dir's meta.json: nil when there is none, an error when
+// it does not parse or records a format version this build does not
+// read.
+func ReadMeta(dir string) (*Meta, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, metaName))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	meta := new(Meta)
+	if err := json.Unmarshal(raw, meta); err != nil {
+		return nil, fmt.Errorf("store: corrupt %s: %w", metaName, err)
+	}
+	if meta.Version != Version {
+		return nil, fmt.Errorf("store: %s has format version %d, this build reads %d", dir, meta.Version, Version)
+	}
+	return meta, nil
+}
+
+// resolveFormat decides a directory's journal format: what its meta
+// records (with pre-format directories meaning JSONL), else what journal
+// files are present, else what the caller asked for, else JSONL. An
+// explicit request that contradicts the directory's existing format is
+// an error.
+func resolveFormat(dir string, meta *Meta, want string) (string, error) {
 	switch want {
 	case "", FormatJSONL, FormatBinary:
 	default:
@@ -481,12 +508,12 @@ func resolveFormat(dir string, meta Meta, want string, haveMeta bool) (string, e
 	}
 	have := ""
 	switch {
-	case haveMeta && meta.Journal != "":
+	case meta != nil && meta.Journal != "":
 		if meta.Journal != FormatJSONL && meta.Journal != FormatBinary {
 			return "", fmt.Errorf("store: %s records unknown journal format %q", dir, meta.Journal)
 		}
 		have = meta.Journal
-	case haveMeta:
+	case meta != nil:
 		have = FormatJSONL // pre-format directories only ever wrote JSONL
 	default:
 		_, errBin := os.Stat(filepath.Join(dir, binJournalName))
@@ -643,11 +670,7 @@ func (s *Store) process(m *msg) {
 		e := &s.entry
 		s.blocks = e.fill(m.run, &m.cand, &m.rec, s.blocks)
 		if s.format == FormatBinary {
-			if off, err := s.seg.append(e); err != nil {
-				s.setErr(err)
-			} else {
-				s.note(e.Seq, off)
-			}
+			s.note(e.Seq, s.seg.append(e))
 			return
 		}
 		// The persistent encoder produces exactly Marshal's bytes plus
@@ -714,50 +737,6 @@ func (s *Store) setErr(err error) {
 	s.cond.Broadcast()
 }
 
-// repairJournalTail truncates a journal to the end of its last
-// newline-terminated entry, discarding the torn tail a crash mid-append
-// leaves behind. A missing journal is fine.
-func repairJournalTail(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	size := fi.Size()
-	if size == 0 {
-		return nil
-	}
-	// Scan backward for the last newline; the torn tail is everything
-	// after it (at most one buffered write, but scan arbitrarily far).
-	buf := make([]byte, 64<<10)
-	off := size
-	for off > 0 {
-		n := int64(len(buf))
-		if n > off {
-			n = off
-		}
-		off -= n
-		if _, err := f.ReadAt(buf[:n], off); err != nil {
-			return err
-		}
-		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
-			end := off + int64(i) + 1
-			if end == size {
-				return nil // no torn tail
-			}
-			return f.Truncate(end)
-		}
-	}
-	return f.Truncate(0) // a single torn line and nothing else
-}
-
 func mustJSON(v any) []byte {
 	raw, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
@@ -767,51 +746,80 @@ func mustJSON(v any) []byte {
 }
 
 // ReadJournal loads the entries of a journal file (or of the journal
-// inside a state directory, either format). A truncated final entry —
-// the signature of a crash mid-append — is dropped silently; JSONL
-// corruption anywhere else is an error. Duplicate scenario keys keep
-// the first occurrence.
+// inside a state directory, either format). Both formats end the same
+// way: bytes that are not whole — past the last newline, or a frame cut
+// short or failing its crc — are the torn tail a crash mid-append
+// leaves, dropped here and truncated by the next Open; a whole line or
+// frame whose entry does not decode is corruption, and the read refuses
+// naming its line or offset. Duplicate scenario keys keep the first
+// occurrence.
 func ReadJournal(path string) ([]Entry, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+	switch fi, err := os.Stat(path); {
+	case err == nil && fi.IsDir():
 		if _, err := os.Stat(filepath.Join(path, binJournalName)); err == nil {
 			return readBinaryDir(path)
 		}
 		path = filepath.Join(path, journalName)
-	}
-	if sniffBinary(path) {
+	case sniffBinary(path):
 		entries, err := readSegment(path)
 		if err != nil {
 			return nil, err
 		}
 		return dedupEntries(entries), nil
 	}
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	lines := bytes.Split(raw, []byte{'\n'})
-	entries := make([]Entry, 0, len(lines))
-	seen := make(map[string]bool, len(lines))
-	for i, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	defer f.Close()
+	var entries []Entry
+	_, err = walkLines(f, func(no int, line []byte) error {
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
-			if i >= len(lines)-2 {
-				break // torn tail write from a crash; the entry never happened
-			}
-			return nil, fmt.Errorf("store: corrupt journal %s at line %d: %w", path, i+1, err)
+			return fmt.Errorf("corrupt journal %s at line %d: %w", path, no, err)
 		}
-		if key := e.Key(); !seen[key] {
-			seen[key] = true
-			entries = append(entries, e)
+		entries = append(entries, e)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return dedupEntries(entries), nil
+}
+
+// walkLines walks the whole lines of a JSONL journal — what ends in a
+// newline; the bytes past the last one are the torn tail — and returns
+// where they end. each, when not nil, is handed every line that is not
+// blank, numbered from 1; its error ends the walk.
+func walkLines(r io.Reader, each func(no int, line []byte) error) (end int64, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var long []byte
+	for no := 1; ; no++ {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
+		if err == io.EOF {
+			return end, nil
+		}
+		if err != nil {
+			return end, err
+		}
+		end += int64(len(line))
+		if each != nil && len(bytes.TrimSpace(line)) > 0 {
+			if err := each(no, line); err != nil {
+				return end, err
+			}
 		}
 	}
-	return entries, nil
 }
 
 // sniffBinary reports whether the file at path starts with the binary

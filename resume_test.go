@@ -3,6 +3,8 @@ package afex
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -537,5 +539,74 @@ func TestNonFiniteScoreFoldsAsZero(t *testing.T) {
 			}
 			loadSnapshot(t, dir)
 		})
+	}
+}
+
+// TestPrecisionAfterTailResume: after a binary session resumes from its
+// snapshot and the journal tail, Records starts at Base(), so a record's
+// ID is no index into it. Measuring precision stamps each measured
+// representative's own record, and no other.
+func TestPrecisionAfterTailResume(t *testing.T) {
+	const total, killAt = 200, 90
+	dir := t.TempDir()
+	opts := resumeOptions(3, total, dir)
+	opts.JournalFormat = JournalBinary
+	opts.SnapshotEvery = 1
+	opts.Stop = func(s Snapshot) bool { return s.Executed >= killAt }
+	eng, cleanup, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunWith(eng.LocalExecutor())
+	if err := cleanup(); err != nil {
+		t.Fatal(err)
+	}
+	ropts := resumeOptions(3, total, dir)
+	ropts.Resume = true
+	res, err := Explore(ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Base() != killAt {
+		t.Fatalf("resume has base %d, want the tail restore from snapshot %d", res.Base(), killAt)
+	}
+	reps := res.MeasurePrecision(ropts.Target, DefaultImpact(), 3)
+	if len(reps) == 0 {
+		t.Fatal("no representative past the restore base")
+	}
+	measured := make(map[int]float64, len(reps))
+	for _, rec := range reps {
+		measured[rec.ID] = rec.Precision
+	}
+	for _, rec := range res.Records {
+		if want, ok := measured[rec.ID]; rec.Precision != want || ok && want == 0 {
+			t.Fatalf("record %d has precision %v, measured %v (measured: %t)", rec.ID, rec.Precision, want, ok)
+		}
+	}
+}
+
+// TestStateMetaOnlyReads: a state directory's metadata reads while a
+// live session holds the directory, and a missing path is left as it
+// was.
+func TestStateMetaOnlyReads(t *testing.T) {
+	dir := t.TempDir()
+	opts := resumeOptions(1, 10, dir)
+	_, cleanup, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := StateMeta(dir)
+	if cerr := cleanup(); err == nil {
+		err = cerr
+	}
+	if err != nil || meta.Target != "mysqld" {
+		t.Fatalf("metadata of a held directory: %+v, %v", meta, err)
+	}
+	missing := filepath.Join(t.TempDir(), "none")
+	if _, err := StateMeta(missing); err == nil {
+		t.Fatal("a missing state directory has metadata")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("reading the metadata of a missing directory created it (%v)", err)
 	}
 }
