@@ -225,9 +225,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	}
 	if cfg.Algorithm == "" {
 		// Label the result set after the caller-provided explorer.
-		if n, ok := ex.(explore.Named); ok {
-			cfg.Algorithm = n.Name()
-		}
+		cfg.Algorithm = ex.Name()
 	}
 	if cfg.ClusterThreshold == 0 {
 		cfg.ClusterThreshold = 1
@@ -318,8 +316,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 		if err := e.applyRestore(cfg.Restore); err != nil {
 			return nil, err
 		}
-		var err error
-		if ex, err = restoreExplorer(ex, cfg.Restore); err != nil {
+		if err := restoreExplorer(ex, cfg.Restore); err != nil {
 			return nil, err
 		}
 		info := cfg.Restore.Info
@@ -1024,8 +1021,8 @@ func (e *Engine) finishLocked() (*ResultSet, *sessionView, backend.Runner) {
 		e.res.Elapsed = e.prevElapsed + e.cfg.clock.Now().Sub(e.start)
 	}
 	e.exMu.Lock()
-	if s, ok := e.explorer.(explore.Sensitive); ok && e.cfg.Space != nil && len(e.cfg.Space.Spaces) > 0 {
-		if sens := s.Sensitivities(0); sens != nil {
+	if e.cfg.Space != nil && len(e.cfg.Space.Spaces) > 0 {
+		if sens := e.explorer.Sensitivities(0); sens != nil {
 			e.res.Sensitivities = sens
 		}
 	}

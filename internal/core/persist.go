@@ -290,21 +290,16 @@ func (e *Engine) applyRestore(r *Restore) error {
 }
 
 // restoreExplorer imports the snapshot's search state into ex and
-// replays the tail feedback, returning the explorer to use. It must run
-// before the novelty filter wraps ex.
-func restoreExplorer(ex explore.Explorer, r *Restore) (explore.Explorer, error) {
+// replays the tail feedback. It must run before the novelty filter
+// wraps ex.
+func restoreExplorer(ex explore.Explorer, r *Restore) error {
 	if r.State != nil && r.State.Explorer != nil {
-		se, ok := ex.(explore.StatefulExplorer)
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot has %q explorer state but the session's explorer cannot import state",
-				r.State.Explorer.Algorithm)
-		}
-		if err := se.ImportState(r.State.Explorer); err != nil {
-			return nil, fmt.Errorf("core: restore explorer: %w", err)
+		if err := ex.ImportState(r.State.Explorer); err != nil {
+			return fmt.Errorf("core: restore explorer: %w", err)
 		}
 	}
 	explore.ReportBatch(ex, r.Tail)
-	return ex, nil
+	return nil
 }
 
 // sessionView is a consistent point-in-time capture of the resumable
@@ -364,11 +359,9 @@ func (e *Engine) sessionViewLocked() *sessionView {
 			v.crashIDs[id] = n
 		}
 	}
-	if se, ok := e.explorer.(explore.StatefulExplorer); ok {
-		e.exMu.Lock()
-		v.explorer = se.ExportState()
-		e.exMu.Unlock()
-	}
+	e.exMu.Lock()
+	v.explorer = e.explorer.ExportState()
+	e.exMu.Unlock()
 	return v
 }
 

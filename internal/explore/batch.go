@@ -4,15 +4,17 @@ package explore
 // parallel (§6.1), so the execution engine runs many node managers
 // against one explorer. The explorer itself is cheap — §7.7 measures it
 // at thousands of generated tests per second — but every Next/Report
-// crosses the engine's session lock. The batched fast path lets the
-// engine lease n candidates (and fold n results) per lock acquisition,
+// crosses the engine's session lock. The batched path lets the engine
+// lease n candidates (and fold n results) per lock acquisition,
 // amortizing coordination over the batch, exactly the way the RPC
 // protocol amortizes network round-trips.
 //
-// Third-party Explorer implementations need not know about batching:
-// BatchNext and ReportBatch fall back to per-candidate Next/Report calls
-// with identical semantics, so a batch of size 1 is always equivalent to
-// the unbatched path.
+// Every Explorer has both batch methods. The searches that generate one
+// candidate at a time (mutation, rejection sampling, the bandit's
+// per-lease decision, the shards' round-robin, the novelty filter) lease
+// through nextEach and fold through reportEach, so for them a batch is n
+// single steps and the win is the one lock round-trip; only enumeration
+// has a genuinely cheaper bulk form (Exhaustive.BatchNext).
 
 // Prefetchable and IsPrefetchable stay only because package bench names
 // them and may change only in a [benchmark] PR: nothing else implements
@@ -27,10 +29,10 @@ func IsPrefetchable(ex Explorer) bool {
 	return ok && p.Prefetchable()
 }
 
-// BatchNexter is the optional batched fast path of an Explorer: one call
-// produces up to n candidates. Implementations must return exactly the
-// candidates that n successive Next calls would have produced, so that
-// batched and unbatched sessions explore the same space.
+// BatchNexter is the batched lease of an Explorer: one call produces up
+// to n candidates. Implementations must return exactly the candidates
+// that n successive Next calls would have produced, so that batched and
+// unbatched sessions explore the same space.
 type BatchNexter interface {
 	// BatchNext returns up to n candidates; fewer (possibly zero) when
 	// the explorer is exhausted.
@@ -54,25 +56,35 @@ type Feedback struct {
 	NewCluster bool
 }
 
-// BatchReporter is the optional batched counterpart of Report.
-// Implementations must be equivalent to reporting each Feedback in
-// order.
+// BatchReporter is the batched counterpart of Report. Implementations
+// must be equivalent to reporting each Feedback in order.
 type BatchReporter interface {
 	ReportBatch(batch []Feedback)
 }
 
-// BatchNext leases up to n candidates from ex. Explorers implementing
-// BatchNexter get one call; any other Explorer is driven by up to n
-// Next calls, stopping early on exhaustion. n <= 0 yields nil.
+// BatchNext leases up to n candidates from ex; n <= 0 yields nil.
 func BatchNext(ex Explorer, n int) []Candidate {
 	if n <= 0 {
 		return nil
 	}
-	if b, ok := ex.(BatchNexter); ok {
-		return b.BatchNext(n)
+	return ex.BatchNext(n)
+}
+
+// ReportBatch feeds a batch of executed candidates back to ex, in order.
+func ReportBatch(ex Explorer, batch []Feedback) {
+	if len(batch) > 0 {
+		ex.ReportBatch(batch)
+	}
+}
+
+// nextEach is BatchNext as up to n Next calls, stopping early on
+// exhaustion.
+func nextEach(ex Explorer, n int) []Candidate {
+	if n <= 0 {
+		return nil
 	}
 	out := make([]Candidate, 0, n)
-	for i := 0; i < n; i++ {
+	for len(out) < n {
 		c, ok := ex.Next()
 		if !ok {
 			break
@@ -82,26 +94,12 @@ func BatchNext(ex Explorer, n int) []Candidate {
 	return out
 }
 
-// ReportBatch feeds a batch of executed candidates back to ex, in order.
-func ReportBatch(ex Explorer, batch []Feedback) {
-	if len(batch) == 0 {
-		return
-	}
-	if b, ok := ex.(BatchReporter); ok {
-		b.ReportBatch(batch)
-		return
-	}
+// reportEach is ReportBatch as one Report per Feedback, in order.
+func reportEach(ex Explorer, batch []Feedback) {
 	for _, f := range batch {
 		ex.Report(f.C, f.Impact, f.Fitness)
 	}
 }
-
-// The fitness-guided and random explorers generate candidates one at a
-// time by construction (mutation, rejection sampling), and aging and
-// sensitivity updates are per-test parts of Algorithm 1 that must not
-// be coalesced — for them the generic per-candidate fallback above IS
-// the batched path, and the engine's win is paying one lock round-trip
-// per batch. Only enumeration has a genuinely cheaper bulk form:
 
 // BatchNext implements BatchNexter: a straight cut of the materialized
 // enumeration, with no per-candidate bookkeeping at all.

@@ -131,9 +131,14 @@ func (a *admitter) scan() (out Candidate, found bool) {
 }
 
 // Explorer generates fault-injection tests and learns from their results.
-// Next and Report may be called from one goroutine only; the parallel
-// session in package core serializes access (the explorer is cheap
-// relative to test execution — §6.1).
+// It is the whole method set the engine drives; every explorer in this
+// package implements all of it, and the meta-explorers (Sharded,
+// Portfolio) and the novelty filter rely on that instead of probing.
+// The one optional capability is ArmReporter: only the portfolio family
+// has arms.
+// Explorers may be called from one goroutine only; the parallel session
+// in package core serializes access (the explorer is cheap relative to
+// test execution — §6.1).
 type Explorer interface {
 	// Next returns the next candidate to execute, or ok == false when the
 	// explorer has exhausted the space (or cannot produce a fresh
@@ -144,32 +149,37 @@ type Explorer interface {
 	// value the search should learn from — pass fitness == impact when no
 	// result-quality feedback is in use.
 	Report(c Candidate, impact, fitness float64)
+	Named
+	Countable
+	Skipper
+	BatchNexter
+	BatchReporter
+	StatefulExplorer
+	Sensitive
 }
 
-// Named is implemented by explorers that can report their algorithm
-// name; session result sets use it to label themselves when built from
-// a caller-provided explorer.
+// Named reports the explorer's algorithm name; session result sets use
+// it to label themselves when built from a caller-provided explorer.
 type Named interface {
 	Name() string
 }
 
-// Countable is implemented by explorers that can report how many tests
-// they have folded back (Executed) and how many distinct points they
-// have committed to their history (HistorySize). The sharded and
-// portfolio meta-explorers aggregate these over their children.
+// Countable reports how many tests the explorer has folded back
+// (Executed) and how many distinct points it has committed to its
+// history (HistorySize). The sharded and portfolio meta-explorers
+// aggregate these over their children.
 type Countable interface {
 	Executed() int
 	HistorySize() int
 }
 
-// Skipper is implemented by explorers that can commit a generated
-// candidate to their history without learning from it — no aging step,
-// no pool insertion, no sensitivity update. The portfolio uses it when
-// an arm regenerates a point another arm already took: a zero-fitness
-// Report would decay the arm's pool once per skip and write zeros into
-// its sensitivity windows, punishing the arm for a collision that says
-// nothing about the fault space. Explorers without Skip get the
-// zero-fitness Report fallback.
+// Skipper commits a generated candidate to the explorer's history
+// without learning from it — no aging step, no pool insertion, no
+// sensitivity update. The portfolio uses it when an arm regenerates a
+// point another arm already took, and the novelty filter when a prior
+// run executed it: a zero-fitness Report would decay the pool once per
+// skip and write zeros into the sensitivity windows, punishing the
+// search for a collision that says nothing about the fault space.
 type Skipper interface {
 	Skip(c Candidate)
 }
@@ -608,6 +618,13 @@ func (fg *FitnessGuided) Skip(c Candidate) {
 	fg.history.Add(key)
 }
 
+// BatchNext implements BatchNexter, one mutation at a time.
+func (fg *FitnessGuided) BatchNext(n int) []Candidate { return nextEach(fg, n) }
+
+// ReportBatch implements BatchReporter: aging and the sensitivity
+// windows are per-test steps of Algorithm 1, never coalesced.
+func (fg *FitnessGuided) ReportBatch(batch []Feedback) { reportEach(fg, batch) }
+
 // retire drops pool members whose decayed fitness fell below
 // RetireFraction of the pool mean; they can no longer have offspring.
 func (fg *FitnessGuided) retire() {
@@ -687,6 +704,15 @@ func (r *Random) Report(c Candidate, _, _ float64) {
 // Skip implements Skipper.
 func (r *Random) Skip(c Candidate) { r.history.Add(c.Key()) }
 
+// BatchNext implements BatchNexter, one draw at a time.
+func (r *Random) BatchNext(n int) []Candidate { return nextEach(r, n) }
+
+// ReportBatch implements BatchReporter.
+func (r *Random) ReportBatch(batch []Feedback) { reportEach(r, batch) }
+
+// Sensitivities implements Sensitive: random search weighs no axis.
+func (r *Random) Sensitivities(int) []float64 { return nil }
+
 // Executed implements Countable.
 func (r *Random) Executed() int { return r.executedN }
 
@@ -734,6 +760,16 @@ func CandidateAt(p faultspace.Point) Candidate {
 
 // Report implements Explorer; exhaustive search learns nothing.
 func (e *Exhaustive) Report(Candidate, float64, float64) { e.executedN++ }
+
+// ReportBatch implements BatchReporter.
+func (e *Exhaustive) ReportBatch(batch []Feedback) { e.executedN += len(batch) }
+
+// Skip implements Skipper. Enumeration keeps no history to commit the
+// point to; the skip counts as executed, as Report(c, 0, 0) does.
+func (e *Exhaustive) Skip(Candidate) { e.executedN++ }
+
+// Sensitivities implements Sensitive: enumeration weighs no axis.
+func (e *Exhaustive) Sensitivities(int) []float64 { return nil }
 
 // Executed implements Countable.
 func (e *Exhaustive) Executed() int { return e.executedN }

@@ -144,12 +144,10 @@ func TestCandidateKeyIsPointKey(t *testing.T) {
 			}
 			// A resumed explorer: imported pool entries, offspring and
 			// arms hand out keyed candidates too.
-			if se, ok := ex.(StatefulExplorer); ok {
-				st := se.ExportState()
-				ex = mk()
-				if err := ex.(StatefulExplorer).ImportState(st); err != nil {
-					t.Fatal(err)
-				}
+			st := ex.ExportState()
+			ex = mk()
+			if err := ex.ImportState(st); err != nil {
+				t.Fatal(err)
 			}
 			for _, c := range BatchNext(ex, 20) {
 				check(c)

@@ -162,6 +162,15 @@ func (g *Genetic) Skip(c Candidate) {
 	g.history.Add(key)
 }
 
+// BatchNext implements BatchNexter, one offspring at a time.
+func (g *Genetic) BatchNext(n int) []Candidate { return nextEach(g, n) }
+
+// ReportBatch implements BatchReporter.
+func (g *Genetic) ReportBatch(batch []Feedback) { reportEach(g, batch) }
+
+// Sensitivities implements Sensitive: the genetic search weighs no axis.
+func (g *Genetic) Sensitivities(int) []float64 { return nil }
+
 // Executed implements Countable.
 func (g *Genetic) Executed() int { return g.executedN }
 

@@ -141,9 +141,9 @@ func TestFitnessMemoMatchesReference(t *testing.T) {
 // arms' and shards' memos full of refusals the older state never saw —
 // continue exactly as a fresh explorer that imports the same state.
 func TestMetaExplorersResumeInPlace(t *testing.T) {
-	for name, mk := range map[string]func() StatefulExplorer{
-		"sharded-fitness": func() StatefulExplorer { return newSharded(memoSpace(), 3, Config{Seed: 4}) },
-		"portfolio":       func() StatefulExplorer { return NewPortfolio(memoSpace(), Config{Seed: 4}) },
+	for name, mk := range map[string]func() Explorer{
+		"sharded-fitness": func() Explorer { return newSharded(memoSpace(), 3, Config{Seed: 4}) },
+		"portfolio":       func() Explorer { return NewPortfolio(memoSpace(), Config{Seed: 4}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			live := mk()

@@ -90,7 +90,7 @@ type ArmReporter interface {
 
 // ArmSnapshot is one serialized portfolio arm: the lifetime and
 // discounted bandit statistics plus the arm's nested explorer state
-// (nil for stateless arms).
+// (an import leaves an arm whose State is nil as constructed).
 type ArmSnapshot struct {
 	Name   string  `json:"name"`
 	Pulls  int     `json:"pulls"`
@@ -218,10 +218,9 @@ func (p *Portfolio) taken(key string) bool {
 
 // nextFromArm draws the arm's next candidate that no other arm has
 // already taken. Points in the shared deduplication set are committed
-// to the arm's own history (Skip when the arm supports it — no aging or
-// sensitivity distortion — zero-fitness Report otherwise), so every
-// skip is permanent progress and the loop terminates — either with a
-// fresh candidate or with the arm exhausted.
+// to the arm's own history by Skip (no aging or sensitivity
+// distortion), so every skip is permanent progress and the loop
+// terminates — either with a fresh candidate or with the arm exhausted.
 func (p *Portfolio) nextFromArm(a *portfolioArm) (Candidate, bool) {
 	for {
 		c, ok := a.ex.Next()
@@ -231,11 +230,7 @@ func (p *Portfolio) nextFromArm(a *portfolioArm) (Candidate, bool) {
 		if !p.taken(c.Key()) {
 			return c, true
 		}
-		if sk, ok := a.ex.(Skipper); ok {
-			sk.Skip(c)
-		} else {
-			a.ex.Report(c, 0, 0)
-		}
+		a.ex.Skip(c)
 	}
 }
 
@@ -263,20 +258,7 @@ func (p *Portfolio) Next() (Candidate, bool) {
 // candidate. Leased candidates count toward their arm's confidence
 // interval immediately, so the batch allocates across arms by posterior
 // instead of giving the whole lease to the current leader.
-func (p *Portfolio) BatchNext(n int) []Candidate {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]Candidate, 0, n)
-	for len(out) < n {
-		c, ok := p.Next()
-		if !ok {
-			break
-		}
-		out = append(out, c)
-	}
-	return out
-}
+func (p *Portfolio) BatchNext(n int) []Candidate { return nextEach(p, n) }
 
 // Reward mix: an arm's reward per pull is part normalized fitness
 // (impact-weighted, and dissimilarity-weighted when the session enables
@@ -386,11 +368,7 @@ func (p *Portfolio) Skip(c Candidate) {
 	if a.pending > 0 {
 		a.pending--
 	}
-	if sk, ok := a.ex.(Skipper); ok {
-		sk.Skip(c)
-	} else {
-		a.ex.Report(c, 0, 0)
-	}
+	a.ex.Skip(c)
 }
 
 // ReportBatch implements BatchReporter: per-candidate routing with the
@@ -420,17 +398,10 @@ func (p *Portfolio) Executed() int { return p.totalPulls }
 // HistorySize implements Countable: distinct points leased or executed.
 func (p *Portfolio) HistorySize() int { return p.executed.Len() + len(p.inflight) }
 
-// Sensitivities delegates to the first arm that exposes the §7.3
-// sensitivity vector (the fitness arm), so portfolio sessions still
-// report axis structure.
-func (p *Portfolio) Sensitivities(sub int) []float64 {
-	for _, a := range p.arms {
-		if s, ok := a.ex.(Sensitive); ok {
-			return s.Sensitivities(sub)
-		}
-	}
-	return nil
-}
+// Sensitivities implements Sensitive with the fitness arm's (arm 0)
+// §7.3 sensitivity vector, so portfolio sessions still report axis
+// structure.
+func (p *Portfolio) Sensitivities(sub int) []float64 { return p.arms[0].ex.Sensitivities(sub) }
 
 // ExportState implements StatefulExplorer: per-arm pull counts, reward
 // sums and nested explorer states (exact RNG positions included), plus
@@ -441,14 +412,10 @@ func (p *Portfolio) ExportState() *State {
 	st := &State{Algorithm: p.Name(), MaxFitness: p.maxFitness}
 	st.Arms = make([]ArmSnapshot, len(p.arms))
 	for i, a := range p.arms {
-		snap := ArmSnapshot{
+		st.Arms[i] = ArmSnapshot{
 			Name: a.name, Pulls: a.pulls, Reward: a.reward,
-			WPulls: a.wPulls, WReward: a.wReward,
+			WPulls: a.wPulls, WReward: a.wReward, State: a.ex.ExportState(),
 		}
-		if se, ok := a.ex.(StatefulExplorer); ok {
-			snap.State = se.ExportState()
-		}
-		st.Arms[i] = snap
 	}
 	st.Seen = p.executed.Keys()
 	return st
@@ -472,11 +439,7 @@ func (p *Portfolio) ImportState(st *State) error {
 	for i, a := range p.arms {
 		snap := &st.Arms[i]
 		if snap.State != nil {
-			se, ok := a.ex.(StatefulExplorer)
-			if !ok {
-				return fmt.Errorf("explore: arm %q state present but the arm cannot import state", a.name)
-			}
-			if err := se.ImportState(snap.State); err != nil {
+			if err := a.ex.ImportState(snap.State); err != nil {
 				return fmt.Errorf("arm %q: %w", a.name, err)
 			}
 		}

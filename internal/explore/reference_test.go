@@ -309,7 +309,7 @@ func ridgeImpact(p faultspace.Point) float64 {
 // the same feedback and fails at the first step where the candidates
 // differ; afterwards the exported states (pool, windows, History order,
 // seeds left, and the RNG's draw count) must be equal.
-func lockstep(t *testing.T, got, want StatefulExplorer, steps int) {
+func lockstep(t *testing.T, got, want Explorer, steps int) {
 	t.Helper()
 	for i := 0; i < steps; i++ {
 		g, gok := got.Next()

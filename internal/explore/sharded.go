@@ -49,9 +49,6 @@ type shardSearch struct {
 	ex    Explorer
 	space *faultspace.Union
 	done  bool
-	// executedN counts feedback routed to this shard, for Countable
-	// aggregation over inner explorers that are not themselves Countable.
-	executedN int
 	// axis[sub] is the index of the sliced axis in subspace sub (-1 when
 	// the shard covers the whole subspace); off[sub] is the index offset
 	// of the slice within the parent's axis.
@@ -158,20 +155,7 @@ func (s *Sharded) Next() (Candidate, bool) {
 // BatchNext implements BatchNexter: up to n candidates striped across
 // the live shards (shard 0, 1, 2, … round-robin), so a batch leased by
 // one worker still spans disjoint regions of the space.
-func (s *Sharded) BatchNext(n int) []Candidate {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]Candidate, 0, n)
-	for len(out) < n {
-		c, ok := s.Next()
-		if !ok {
-			break
-		}
-		out = append(out, c)
-	}
-	return out
-}
+func (s *Sharded) BatchNext(n int) []Candidate { return nextEach(s, n) }
 
 // toLocal translates a parent-coordinate point into the shard's local
 // coordinates, reporting whether the shard owns it.
@@ -241,7 +225,6 @@ func (s *Sharded) route(c Candidate) (int, Candidate, bool) {
 // generated the candidate, in that shard's local coordinates.
 func (s *Sharded) Report(c Candidate, impact, fitness float64) {
 	if shard, local, ok := s.route(c); ok {
-		s.shards[shard].executedN++
 		s.shards[shard].ex.Report(local, impact, fitness)
 	}
 }
@@ -251,14 +234,8 @@ func (s *Sharded) Report(c Candidate, impact, fitness float64) {
 // shard-local coordinates) without counting as an executed test or
 // distorting the shard's search state.
 func (s *Sharded) Skip(c Candidate) {
-	shard, local, ok := s.route(c)
-	if !ok {
-		return
-	}
-	if sk, ok := s.shards[shard].ex.(Skipper); ok {
-		sk.Skip(local)
-	} else {
-		s.shards[shard].ex.Report(local, 0, 0)
+	if shard, local, ok := s.route(c); ok {
+		s.shards[shard].ex.Skip(local)
 	}
 }
 
@@ -281,23 +258,17 @@ func (s *Sharded) ReportBatch(batch []Feedback) {
 	}
 	for i, st := range s.shards {
 		if len(perShard[i]) > 0 {
-			st.executedN += len(perShard[i])
-			ReportBatch(st.ex, perShard[i])
+			st.ex.ReportBatch(perShard[i])
 		}
 	}
 }
 
 // Executed implements Countable: tests reported back, summed over
-// shards. Countable inner explorers are authoritative (their counts
-// survive a state import); others fall back to the routing counter.
+// shards.
 func (s *Sharded) Executed() int {
 	n := 0
 	for _, st := range s.shards {
-		if c, ok := st.ex.(Countable); ok {
-			n += c.Executed()
-		} else {
-			n += st.executedN
-		}
+		n += st.ex.Executed()
 	}
 	return n
 }
@@ -307,14 +278,14 @@ func (s *Sharded) Executed() int {
 func (s *Sharded) HistorySize() int {
 	n := 0
 	for _, st := range s.shards {
-		if c, ok := st.ex.(Countable); ok {
-			n += c.HistorySize()
-		} else {
-			n += st.executedN
-		}
+		n += st.ex.HistorySize()
 	}
 	return n
 }
+
+// Sensitivities implements Sensitive: each shard weighs its own axes,
+// and no one vector speaks for the whole space.
+func (s *Sharded) Sensitivities(int) []float64 { return nil }
 
 // ArmStats implements ArmReporter when the wrapped strategy does
 // (sharded-portfolio): per-arm statistics are summed across shards by

@@ -118,12 +118,12 @@ func TestShardedFeedbackRoutesToOwningShard(t *testing.T) {
 	}
 	before := make([]int, len(s.shards))
 	for i, st := range s.shards {
-		before[i] = st.ex.(Countable).Executed()
+		before[i] = st.ex.Executed()
 	}
 	s.Report(c, 10, 10)
 	grew := -1
 	for i, st := range s.shards {
-		if st.ex.(Countable).Executed() != before[i] {
+		if st.ex.Executed() != before[i] {
 			if grew != -1 {
 				t.Fatal("feedback folded into more than one shard")
 			}

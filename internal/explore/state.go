@@ -28,11 +28,9 @@ import (
 	"afex/internal/xrand"
 )
 
-// StatefulExplorer is implemented by explorers whose search state can be
-// exported for persistence and imported into a freshly constructed
-// explorer over the same space.
+// StatefulExplorer exports the search state for persistence and
+// imports it into a freshly constructed explorer over the same space.
 type StatefulExplorer interface {
-	Explorer
 	// ExportState returns a serializable snapshot of the search state.
 	ExportState() *State
 	// ImportState replaces the explorer's state with a previously
@@ -42,9 +40,9 @@ type StatefulExplorer interface {
 	ImportState(*State) error
 }
 
-// Sensitive is implemented by explorers that expose the normalized
-// per-axis sensitivity vector of a subspace (the §7.3 structure
-// analysis). The engine uses it to fill ResultSet.Sensitivities without
+// Sensitive exposes the normalized per-axis sensitivity vector of a
+// subspace (the §7.3 structure analysis), nil for a search that weighs
+// no axis. The engine uses it to fill ResultSet.Sensitivities without
 // depending on a concrete explorer type.
 type Sensitive interface {
 	Sensitivities(sub int) []float64
@@ -65,7 +63,8 @@ type State struct {
 	// Searches holds a flat strategy's single search state.
 	Searches []SearchState `json:"searches,omitempty"`
 	// Shards holds one nested explorer state per shard, in shard order;
-	// nil entries stand for shards whose inner explorer is stateless.
+	// an import leaves a shard whose entry is nil (older builds wrote
+	// nil for stateless shards) as constructed.
 	Shards []*State `json:"shards,omitempty"`
 	// Arms holds the portfolio explorer's per-arm bandit statistics and
 	// nested explorer states, in arm order.
@@ -239,15 +238,11 @@ func (fg *FitnessGuided) importSearch(st *SearchState) error {
 // shard plus the round-robin cursor. Candidates in flight (leased, not
 // folded) are intentionally not part of the state — a crash loses their
 // outcomes, and omitting them lets the resumed search regenerate them.
-// Shards whose inner explorer is stateless export a nil child; their
-// resume correctness comes from the novelty filter alone.
 func (s *Sharded) ExportState() *State {
 	st := &State{Algorithm: s.Name(), RR: s.rr}
 	st.Shards = make([]*State, len(s.shards))
 	for i, sh := range s.shards {
-		if se, ok := sh.ex.(StatefulExplorer); ok {
-			st.Shards[i] = se.ExportState()
-		}
+		st.Shards[i] = sh.ex.ExportState()
 	}
 	return st
 }
@@ -269,19 +264,14 @@ func (s *Sharded) ImportState(st *State) error {
 	if len(st.Shards) != len(s.shards) {
 		return fmt.Errorf("explore: state has %d shards, explorer has %d", len(st.Shards), len(s.shards))
 	}
+	if st.RR < 0 {
+		return fmt.Errorf("explore: state round-robin cursor %d is negative", st.RR)
+	}
 	for i, sh := range s.shards {
-		child := st.Shards[i]
-		if child == nil {
-			sh.done = false
-			continue
-		}
-		se, ok := sh.ex.(StatefulExplorer)
-		if !ok {
-			return fmt.Errorf("explore: shard %d state is %q but the shard's explorer cannot import state",
-				i, child.Algorithm)
-		}
-		if err := se.ImportState(child); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+		if child := st.Shards[i]; child != nil {
+			if err := sh.ex.ImportState(child); err != nil {
+				return fmt.Errorf("shard %d: %w", i, err)
+			}
 		}
 		sh.done = false
 	}
@@ -422,43 +412,26 @@ func (e *Exhaustive) ImportState(st *State) error {
 // Novel filters an explorer through a set of already-executed scenario
 // keys — the cross-run novelty filter of the persistent store. Candidates
 // whose key was executed by a previous run are not handed out again;
-// instead they are committed to the inner explorer's History so the
-// search never regenerates them — via Skip when the inner explorer
-// supports it (no aging step, no pool entry, no sensitivity or bandit
-// distortion: the collision says nothing about the fault space), and
-// via a zero-fitness Report (the §7.4 feedback value of a scenario
-// whose outcome is already known) otherwise. Every skip strictly grows
-// the inner explorer's History, so filtering terminates: Next returns
-// false only when the inner explorer is exhausted.
+// instead the inner explorer Skips them into its History, so the search
+// never regenerates them (no aging step, no pool entry, no sensitivity
+// or bandit distortion: the collision says nothing about the fault
+// space). Every skip strictly grows the inner explorer's History, so
+// filtering terminates: Next returns false only when the inner explorer
+// is exhausted. Everything else delegates to the inner explorer.
 type Novel struct {
 	inner Explorer
 	seen  *KeySet
 }
 
 // NewNovel wraps inner with the seen-key filter; it only ever reads seen,
-// so the set may be shared. A nil or empty seen set degenerates to the
-// inner explorer's behaviour (the wrapper stays transparent: Name,
-// batching and state passthrough all delegate).
+// so the set may be shared. A nil or empty seen set leaves the inner
+// explorer's behaviour as it is.
 func NewNovel(inner Explorer, seen *KeySet) *Novel {
 	return &Novel{inner: inner, seen: seen}
 }
 
 // Name implements Named with the inner explorer's name.
-func (n *Novel) Name() string {
-	if nd, ok := n.inner.(Named); ok {
-		return nd.Name()
-	}
-	return "novel"
-}
-
-// skip commits a seen candidate to the inner explorer's History.
-func (n *Novel) skip(c Candidate) {
-	if sk, ok := n.inner.(Skipper); ok {
-		sk.Skip(c)
-		return
-	}
-	n.inner.Report(c, 0, 0)
-}
+func (n *Novel) Name() string { return n.inner.Name() }
 
 // Next implements Explorer, skipping seen candidates.
 func (n *Novel) Next() (Candidate, bool) {
@@ -470,46 +443,33 @@ func (n *Novel) Next() (Candidate, bool) {
 		if !n.seen.Has(c.Key()) {
 			return c, true
 		}
-		n.skip(c)
+		n.inner.Skip(c)
 	}
 }
 
-// BatchNext implements BatchNexter over the inner explorer's batched
-// path, topping the batch up after filtering.
-func (n *Novel) BatchNext(k int) []Candidate {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]Candidate, 0, k)
-	for len(out) < k {
-		batch := BatchNext(n.inner, k-len(out))
-		if len(batch) == 0 {
-			break
-		}
-		for _, c := range batch {
-			if n.seen.Has(c.Key()) {
-				n.skip(c)
-				continue
-			}
-			out = append(out, c)
-		}
-	}
-	return out
-}
+// BatchNext implements BatchNexter as k filtered Next calls: each seen
+// key is skipped before the next draw, as in k single leases, which an
+// explorer whose Skip moves its own choices (the portfolio releases the
+// arm's pending lease) needs to lease the same candidates either way.
+func (n *Novel) BatchNext(k int) []Candidate { return nextEach(n, k) }
 
 // Report implements Explorer by delegation.
 func (n *Novel) Report(c Candidate, impact, fitness float64) { n.inner.Report(c, impact, fitness) }
 
 // ReportBatch implements BatchReporter by delegation.
-func (n *Novel) ReportBatch(batch []Feedback) { ReportBatch(n.inner, batch) }
+func (n *Novel) ReportBatch(batch []Feedback) { n.inner.ReportBatch(batch) }
 
-// Sensitivities delegates to the inner explorer when it is Sensitive.
-func (n *Novel) Sensitivities(sub int) []float64 {
-	if s, ok := n.inner.(Sensitive); ok {
-		return s.Sensitivities(sub)
-	}
-	return nil
-}
+// Skip implements Skipper by delegation.
+func (n *Novel) Skip(c Candidate) { n.inner.Skip(c) }
+
+// Executed implements Countable by delegation.
+func (n *Novel) Executed() int { return n.inner.Executed() }
+
+// HistorySize implements Countable by delegation.
+func (n *Novel) HistorySize() int { return n.inner.HistorySize() }
+
+// Sensitivities implements Sensitive by delegation.
+func (n *Novel) Sensitivities(sub int) []float64 { return n.inner.Sensitivities(sub) }
 
 // ArmStats delegates to the inner explorer when it is an ArmReporter,
 // so a novelty-filtered portfolio still reports its bandit statistics.
@@ -520,19 +480,8 @@ func (n *Novel) ArmStats() []ArmStat {
 	return nil
 }
 
-// ExportState delegates to the inner explorer; nil when the inner
-// explorer is stateless.
-func (n *Novel) ExportState() *State {
-	if se, ok := n.inner.(StatefulExplorer); ok {
-		return se.ExportState()
-	}
-	return nil
-}
+// ExportState implements StatefulExplorer by delegation.
+func (n *Novel) ExportState() *State { return n.inner.ExportState() }
 
-// ImportState delegates to the inner explorer.
-func (n *Novel) ImportState(st *State) error {
-	if se, ok := n.inner.(StatefulExplorer); ok {
-		return se.ImportState(st)
-	}
-	return fmt.Errorf("explore: %s explorer has no importable state", n.Name())
-}
+// ImportState implements StatefulExplorer by delegation.
+func (n *Novel) ImportState(st *State) error { return n.inner.ImportState(st) }

@@ -346,3 +346,92 @@ func keySetOf(seen map[string]bool) *KeySet {
 	}
 	return NewKeySet(keys)
 }
+
+// newStrategy is the named strategy over stateSpace at seed 9, bare
+// (shards 1) or in its sharded form.
+func newStrategy(name string, shards int) Explorer {
+	var ex Explorer
+	var err error
+	if shards == 1 {
+		ex, err = New(name, stateSpace(), Config{Seed: 9})
+	} else {
+		ex, err = NewShardedStrategy(stateSpace(), shards, name, Config{Seed: 9})
+	}
+	if err != nil {
+		panic(err)
+	}
+	return ex
+}
+
+// maxDraws is the deepest random-stream position anywhere in st.
+func maxDraws(st *State) uint64 {
+	var n uint64
+	for i := range st.Searches {
+		n = max(n, st.Searches[i].Rng.Draws)
+	}
+	for _, sh := range st.Shards {
+		if sh != nil {
+			n = max(n, maxDraws(sh))
+		}
+	}
+	for i := range st.Arms {
+		if st.Arms[i].State != nil {
+			n = max(n, maxDraws(st.Arms[i].State))
+		}
+	}
+	return n
+}
+
+// FuzzImportState: ImportState is the explorer's decoder for snapshot
+// bytes. Any JSON State, imported into every strategy and its 3-shard
+// form, either is refused or leaves an explorer that Next, BatchNext,
+// ReportBatch and ExportState drive without a panic. Inputs whose random
+// streams sit more than 1<<16 draws in are not run: xrand.Restore
+// replays the draws by design, so their cost is the input's.
+func FuzzImportState(f *testing.F) {
+	for _, name := range Strategies() {
+		for _, shards := range []int{1, 3} {
+			ex := newStrategy(name, shards)
+			driveKeys(ex, 40)
+			st := ex.ExportState()
+			blob, err := json.Marshal(st)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob)
+			if shards > 1 {
+				// A negative round-robin cursor is refused, not indexed.
+				st.RR = -1
+				blob, _ = json.Marshal(st)
+				f.Add(blob)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, name := range Strategies() {
+			for _, shards := range []int{1, 3} {
+				// Decoded afresh for each explorer: an import may keep
+				// (and a legacy sharded one rewrites) what it is handed.
+				var st State
+				if json.Unmarshal(data, &st) != nil || maxDraws(&st) > 1<<16 {
+					return
+				}
+				ex := newStrategy(name, shards)
+				if ex.ImportState(&st) != nil {
+					continue
+				}
+				var leased []Candidate
+				for i := 0; i < 3; i++ {
+					if c, ok := ex.Next(); ok {
+						leased = append(leased, c)
+					}
+				}
+				leased = append(leased, BatchNext(ex, 5)...)
+				ReportBatch(ex, batchFeedback(leased, true))
+				if _, err := json.Marshal(ex.ExportState()); err != nil {
+					t.Fatalf("%s/%d shards: export after import: %v", name, shards, err)
+				}
+			}
+		}
+	})
+}
