@@ -205,7 +205,7 @@ func checkExportedMemory(t *testing.T, idx *Set, ref *naiveSet, probes [][]strin
 	if len(st.Stacks) != len(distinct) {
 		t.Fatalf("exported %d stacks for %d distinct among %d added", len(st.Stacks), len(distinct), len(ref.all))
 	}
-	clone, err := NewSetFromState(st)
+	clone, err := newSetFromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func checkExportedMemory(t *testing.T, idx *Set, ref *naiveSet, probes [][]strin
 	for _, stack := range st.Stacks {
 		legacy.Stacks = append(legacy.Stacks, stack, stack, stack)
 	}
-	old, err := NewSetFromState(legacy)
+	old, err := newSetFromState(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestResumePreservesSimilarityIndex(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	clone, err := NewSetFromState(&st)
+	clone, err := newSetFromState(&st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestRestoredSetPeeksLikeNaive(t *testing.T) {
 			ref.add(id, st)
 		}
 		_, st := exportJSON(t, orig)
-		clone, err := NewSetFromState(st)
+		clone, err := newSetFromState(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +438,7 @@ func TestUnaskedSetIndexesNothing(t *testing.T) {
 		set.AddKeyed(id, st, StackKey(st))
 	}
 	_, st := exportJSON(t, set)
-	clone, err := NewSetFromState(st)
+	clone, err := newSetFromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}

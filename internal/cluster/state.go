@@ -4,9 +4,10 @@ package cluster
 // a Set's clusters and similarity memory that rebuilds byte-for-byte
 // equivalent behaviour without re-running the clustering over every
 // stack. Cluster indices, representatives and member ids are preserved
-// exactly; the exact-match hash is rebuilt on import, and the frame
-// index and similarity memo are derived state that the first similarity
-// question rebuilds (a restored set nobody asks builds no index).
+// exactly; the exact-match hash is rebuilt on import, a session's sets in
+// one call that keys a stack they share once; the frame index and
+// similarity memo are derived state that the first similarity question
+// rebuilds (a restored set nobody asks builds no index).
 //
 // A snapshot costs what the set holds, not what the session ran: the
 // memory is the distinct stacks, exported in the order of the keys they
@@ -17,6 +18,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // SetState is a serializable snapshot of a Set.
@@ -76,7 +78,7 @@ func (s *Set) View() *SetView {
 // ExportState materializes the captured view as a serializable
 // snapshot. Lock-free; see SetView. The state aliases the set's
 // append-only storage (capacity clipped, so appending to it reallocates):
-// it is for encoding or NewSetFromState, and must not be modified in
+// it is for encoding or NewSetsFromState, and must not be modified in
 // place.
 func (v *SetView) ExportState() *SetState {
 	st := &SetState{Threshold: v.threshold}
@@ -108,47 +110,63 @@ func (s *Set) ExportState() *SetState {
 	return s.View().ExportState()
 }
 
-// NewSetFromState rebuilds a Set from a snapshot. The result clusters
-// and scores future stacks exactly as the exporting Set would have. A
-// nil state is an error, not an empty set — a snapshot missing its
-// cluster sets must make the caller fall back to journal replay rather
-// than silently losing the clusters.
-//
-// The set adopts the state's representatives, member lists and stacks —
-// a SetState is read-only to everyone — and takes each slice clipped, so
-// the first member it appends to a cluster reallocates.
-func NewSetFromState(st *SetState) (*Set, error) {
-	if st == nil {
-		return nil, fmt.Errorf("cluster: nil set snapshot")
+// NewSetsFromState rebuilds a session's Sets from their snapshots, in
+// order; each clusters and scores future stacks exactly as the exporting
+// Set would have. A nil state is an error, not an empty set, so a
+// snapshot missing its cluster sets falls back to journal replay; an
+// error comes with the position of its state. The sets adopt the states'
+// representatives, member lists and stacks — a SetState is read-only to
+// everyone — each slice clipped, so the first member one appends to a
+// cluster reallocates. A stack the states share (a decoded snapshot holds
+// each distinct stack once) has its key rendered once, for every set.
+func NewSetsFromState(states ...*SetState) ([]*Set, int, error) {
+	type stackID struct {
+		*string
+		int
 	}
-	s := &Set{
-		Threshold: st.Threshold,
-		clusters:  make([]Cluster, 0, len(st.Clusters)),
-		repByKey:  make(map[string]int, len(st.Clusters)),
-		allByKey:  make(map[string]nearest, len(st.Stacks)),
-		memo:      make(map[string]simMemo),
-		log:       make([][]string, 0, len(st.Stacks)),
-		logKeys:   make([]string, 0, len(st.Stacks)),
-	}
-	for i, c := range st.Clusters {
-		if len(c.Members) == 0 {
-			return nil, fmt.Errorf("cluster: snapshot cluster %d has no members", i)
+	keys := make(map[stackID]string)
+	keyOf := func(stack []string) string {
+		id := stackID{unsafe.SliceData(stack), len(stack)}
+		if _, ok := keys[id]; !ok {
+			keys[id] = stackKey(stack)
 		}
-		rep := c.Representative[:len(c.Representative):len(c.Representative)]
-		key := stackKey(rep)
-		if _, dup := s.repByKey[key]; dup {
-			return nil, fmt.Errorf("cluster: snapshot has duplicate representative at cluster %d", i)
-		}
-		s.clusters = append(s.clusters, Cluster{
-			Representative: rep,
-			Members:        c.Members[:len(c.Members):len(c.Members)],
-		})
-		s.repByKey[key] = i
+		return keys[id]
 	}
-	for _, stack := range st.Stacks {
-		if key := stackKey(stack); !s.remembered(key) {
-			s.remember(key, stack[:len(stack):len(stack)])
+	sets := make([]*Set, len(states))
+	for at, st := range states {
+		if st == nil {
+			return nil, at, fmt.Errorf("cluster: nil set snapshot")
 		}
+		s := &Set{
+			Threshold: st.Threshold,
+			clusters:  make([]Cluster, 0, len(st.Clusters)),
+			repByKey:  make(map[string]int, len(st.Clusters)),
+			allByKey:  make(map[string]nearest, len(st.Stacks)),
+			memo:      make(map[string]simMemo),
+			log:       make([][]string, 0, len(st.Stacks)),
+			logKeys:   make([]string, 0, len(st.Stacks)),
+		}
+		for i, c := range st.Clusters {
+			if len(c.Members) == 0 {
+				return nil, at, fmt.Errorf("cluster: snapshot cluster %d has no members", i)
+			}
+			rep := c.Representative[:len(c.Representative):len(c.Representative)]
+			key := keyOf(rep)
+			if _, dup := s.repByKey[key]; dup {
+				return nil, at, fmt.Errorf("cluster: snapshot has duplicate representative at cluster %d", i)
+			}
+			s.clusters = append(s.clusters, Cluster{
+				Representative: rep,
+				Members:        c.Members[:len(c.Members):len(c.Members)],
+			})
+			s.repByKey[key] = i
+		}
+		for _, stack := range st.Stacks {
+			if key := keyOf(stack); !s.remembered(key) {
+				s.remember(key, stack[:len(stack):len(stack)])
+			}
+		}
+		sets[at] = s
 	}
-	return s, nil
+	return sets, 0, nil
 }

@@ -4,8 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 )
+
+// newSetFromState restores one set the way a session restores three.
+func newSetFromState(st *SetState) (*Set, error) {
+	sets, _, err := NewSetsFromState(st)
+	if err != nil {
+		return nil, err
+	}
+	return sets[0], nil
+}
 
 // randomStack generates small synthetic stacks with heavy overlap so the
 // sets exercise clustering, exact re-triggers, and near misses.
@@ -36,7 +47,7 @@ func TestSetStateRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	clone, err := NewSetFromState(&st)
+	clone, err := newSetFromState(&st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +80,7 @@ func TestSetStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoredSetsShareNothingWritable: NewSetFromState adopts the
+// TestRestoredSetsShareNothingWritable: NewSetsFromState adopts the
 // state's slices instead of copying them, so two sets restored from one
 // state share every representative, member list and stack — here with
 // the spare capacity a JSON decode leaves behind them. Adding to both —
@@ -94,7 +105,7 @@ func TestRestoredSetsShareNothingWritable(t *testing.T) {
 		return &st
 	}
 	restore := func(st *SetState) *Set {
-		s, err := NewSetFromState(st)
+		s, err := newSetFromState(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,17 +145,82 @@ func TestRestoredSetsShareNothingWritable(t *testing.T) {
 }
 
 // TestSetStateRejectsCorrupt: malformed snapshots fail instead of
-// silently building a broken set.
+// silently building a broken set, and the error says which set it is.
 func TestSetStateRejectsCorrupt(t *testing.T) {
-	if _, err := NewSetFromState(&SetState{Threshold: 1, Clusters: []ClusterState{
-		{Representative: []string{"a"}, Members: nil},
-	}}); err == nil {
-		t.Fatal("empty-member cluster accepted")
+	good := &SetState{Threshold: 1, Clusters: []ClusterState{{Representative: []string{"a"}, Members: []int{0}}}}
+	for what, bad := range map[string]*SetState{
+		"empty-member cluster": {Threshold: 1, Clusters: []ClusterState{
+			{Representative: []string{"a"}, Members: nil},
+		}},
+		"duplicate representative": {Threshold: 1, Clusters: []ClusterState{
+			{Representative: []string{"a"}, Members: []int{0}},
+			{Representative: []string{"a"}, Members: []int{1}},
+		}},
+		"nil set": nil,
+	} {
+		if sets, i, err := NewSetsFromState(good, bad, good); err == nil || i != 1 || sets != nil {
+			t.Fatalf("%s accepted as set %d of three (%v)", what, i, err)
+		}
 	}
-	if _, err := NewSetFromState(&SetState{Threshold: 1, Clusters: []ClusterState{
-		{Representative: []string{"a"}, Members: []int{0}},
-		{Representative: []string{"a"}, Members: []int{1}},
-	}}); err == nil {
-		t.Fatal("duplicate representative accepted")
+}
+
+// TestSetsRestoredTogetherShareKeys: the three sets of a decoded snapshot
+// share its stacks — one slice per distinct stack — and restored in one
+// call they share one rendered key per stack, in every set that holds it.
+func TestSetsRestoredTogetherShareKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	all, fail := NewSet(2), NewSet(2)
+	for id := 0; id < 200; id++ {
+		stack := randomStack(rng)
+		all.Add(id, stack)
+		if id%3 == 0 {
+			fail.Add(id, stack)
+		}
+	}
+	// What decodeSets hands over: each distinct stack one slice.
+	interned := map[string][]string{}
+	intern := func(stack []string) []string {
+		k := stackKey(stack)
+		if _, ok := interned[k]; !ok {
+			interned[k] = slices.Clone(stack)
+		}
+		return interned[k]
+	}
+	var states []*SetState
+	for _, set := range []*Set{all, fail, fail} {
+		st := set.ExportState()
+		for i := range st.Clusters {
+			st.Clusters[i].Representative = intern(st.Clusters[i].Representative)
+		}
+		for i := range st.Stacks {
+			st.Stacks[i] = intern(st.Stacks[i])
+		}
+		states = append(states, st)
+	}
+	sets, _, err := NewSetsFromState(states...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered := map[string]*byte{}
+	shared := 0
+	for i, s := range sets {
+		keys := slices.Clone(s.logKeys)
+		for k := range s.repByKey {
+			keys = append(keys, k)
+		}
+		for _, k := range keys {
+			at, ok := rendered[k]
+			if !ok {
+				rendered[k] = unsafe.StringData(k)
+				continue
+			}
+			if at != unsafe.StringData(k) {
+				t.Fatalf("set %d renders key %q again", i, k)
+			}
+			shared++
+		}
+	}
+	if len(rendered) != len(interned) || shared == 0 {
+		t.Fatalf("%d keys rendered for %d distinct stacks, %d uses shared", len(rendered), len(interned), shared)
 	}
 }

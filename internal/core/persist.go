@@ -220,16 +220,11 @@ func (e *Engine) applyRestore(r *Restore) error {
 		if seq > base+len(r.Records) {
 			return fmt.Errorf("core: snapshot covers %d records but journal has %d", seq, base+len(r.Records))
 		}
-		var err error
-		if e.allStacks, err = cluster.NewSetFromState(r.State.AllStacks); err != nil {
-			return fmt.Errorf("core: restore similarity memory: %w", err)
+		sets, i, err := cluster.NewSetsFromState(r.State.AllStacks, r.State.FailClusters, r.State.CrashClusters)
+		if err != nil {
+			return fmt.Errorf("core: restore %s: %w", [...]string{"similarity memory", "failure clusters", "crash clusters"}[i], err)
 		}
-		if e.failClusters, err = cluster.NewSetFromState(r.State.FailClusters); err != nil {
-			return fmt.Errorf("core: restore failure clusters: %w", err)
-		}
-		if e.crashClusters, err = cluster.NewSetFromState(r.State.CrashClusters); err != nil {
-			return fmt.Errorf("core: restore crash clusters: %w", err)
-		}
+		e.allStacks, e.failClusters, e.crashClusters = sets[0], sets[1], sets[2]
 	}
 
 	e.res.base = base

@@ -18,7 +18,7 @@ package explore
 
 // Prefetchable and IsPrefetchable stay only because package bench names
 // them and may change only in a [benchmark] PR: nothing else implements
-// or reads them, and ROADMAP item 3 removes both.
+// or reads them, and ROADMAP item 7(d) removes both.
 type Prefetchable interface {
 	Prefetchable() bool
 }

@@ -2,15 +2,19 @@ package explore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"hash/maphash"
+	"math"
 	"slices"
 	"sync/atomic"
 	"unsafe"
 )
 
-// KeySet is an ordered set of scenario keys, pointer-free: the keys back
-// to back in one byte arena, their end offsets, and an open-addressing
+// KeySet is an ordered set of scenario keys, pointer-free: their records
+// back to back in one byte arena, their end offsets, and an open-addressing
 // table over them — no string header per key to write or to scan. A set
 // may begin with the first n keys of a frozen base set, read through the
 // base's table; it follows the base at no cost while the keys it adds are
@@ -29,10 +33,12 @@ type KeySet struct {
 }
 
 // Keys is an ordered list of scenario keys as it crosses layers: the
-// first n keys of a frozen base set, then an own segment of keys back to
-// back in buf, own key i ending at ends[i]. It is a view: nothing behind
-// it is ever written again, so it may be read (encoded, compared) while
-// the set it was taken from grows. JSON is an array of strings.
+// first n keys of a frozen base set, then an own segment of records back
+// to back in buf, own record i ending at ends[i]. A record is a key's
+// length as a uvarint, then its bytes, as in a snapshot's key frame, so a
+// list is written, read and compared as bytes (Records). It is a view:
+// nothing behind it is ever written again, so it may be read while the
+// set it was taken from grows. JSON is an array of strings.
 type Keys struct {
 	base *KeySet
 	n    int
@@ -51,26 +57,47 @@ func KeysBuilt() int64 { return keysBuilt.Load() }
 
 func keyHash(k string) uint64 { return maphash.String(keySeed, k) }
 
-// NewKeys returns the keys of an arena handed over, never again written
-// below len(buf): key i is buf[ends[i-1]:ends[i]], from 0 for the first;
-// nil for none. It is the base of a set nobody has indexed yet: the first
-// set built over the list indexes it, once, for every list sharing it.
-func NewKeys(buf []byte, ends []uint32) *Keys {
-	if len(ends) == 0 {
-		return nil
+// NewKeys returns the n keys whose records are buf — handed over, never
+// again written below len(buf) — noting their ends in one scan; nil for
+// none. A record not as put writes it (its length of least width, with no
+// closing zero byte) or a byte past the last is an error. The list is the
+// base of a set nobody has indexed yet, which the first set built over it
+// indexes for every list sharing it. Extend puts keys in the room past buf
+// and in room more offsets.
+func NewKeys(buf []byte, n, room int) (*Keys, error) {
+	if uint(n) > uint(len(buf)) || uint64(len(buf)) > math.MaxUint32 {
+		return nil, errors.New("malformed key list")
 	}
-	return &Keys{base: &KeySet{keys: Keys{buf: buf, ends: ends}}, n: len(ends)}
+	ends, at, ok := make([]uint32, 0, n+room), 0, true
+	for ok && len(ends) < n {
+		size, w := binary.Uvarint(buf[at:])
+		ok = (w == 1 || w > 1 && buf[at+w-1] != 0) && size <= uint64(len(buf)-at-w)
+		at += w + int(size)
+		ends = append(ends, uint32(at))
+	}
+	switch {
+	case !ok:
+		return nil, errors.New("malformed key list")
+	case at < len(buf):
+		return nil, fmt.Errorf("%d bytes past the last key", len(buf)-at)
+	case n == 0:
+		return nil, nil
+	}
+	return &Keys{base: &KeySet{keys: Keys{buf: buf, ends: ends}}, n: n}, nil
 }
 
 // push appends keys to the own segment, its offsets grown at most once.
 func (k *Keys) push(keys ...string) {
-	if cap(k.ends)-len(k.ends) < len(keys) {
-		k.ends = append(make([]uint32, 0, len(k.ends)+len(keys)), k.ends...)
-	}
+	k.ends = slices.Grow(k.ends, len(keys))
 	for _, key := range keys {
-		k.buf = append(k.buf, key...)
-		k.ends = append(k.ends, uint32(len(k.buf)))
+		k.put(key)
 	}
+}
+
+// put appends key's record to the own segment.
+func (k *Keys) put(key string) {
+	k.buf = append(binary.AppendUvarint(k.buf, uint64(len(key))), key...)
+	k.ends = append(k.ends, uint32(len(k.buf)))
 }
 
 // Len is the number of keys.
@@ -89,13 +116,18 @@ func (k *Keys) At(i int) string {
 	return k.own(i - k.n)
 }
 
+// own returns own key i: its record past the length, which is one byte
+// in a record of up to 128.
 func (k *Keys) own(i int) string {
-	start := uint32(0)
+	start, w := uint32(0), 1
 	if i > 0 {
 		start = k.ends[i-1]
 	}
 	b := k.buf[start:k.ends[i]]
-	return unsafe.String(unsafe.SliceData(b), len(b))
+	if len(b) > 128 {
+		_, w = binary.Uvarint(b)
+	}
+	return unsafe.String(unsafe.SliceData(b[w:]), len(b)-w)
 }
 
 // Strings returns the keys as views of their arenas, a header each.
@@ -107,23 +139,44 @@ func (k *Keys) Strings() []string {
 	return out
 }
 
-// Equal reports whether k and o list the same keys in the same order. A
-// prefix of one base is equal without a look, and own segments that start
-// at the same key compare as two blocks of bytes.
+// Records returns the keys' records as the pieces of storage that hold
+// them, base first. Records delimit themselves: equal bytes, equal lists.
+func (k *Keys) Records() [][]byte { return k.records(nil, k.Len()) }
+
+// records appends the pieces holding the first m records.
+func (k *Keys) records(dst [][]byte, m int) [][]byte {
+	if m == 0 {
+		return dst
+	}
+	if k.n > 0 {
+		dst = k.base.keys.records(dst, min(m, k.n))
+	}
+	if m > k.n {
+		dst = append(dst, k.buf[:k.ends[m-k.n-1]])
+	}
+	return dst
+}
+
+// Equal reports whether k and o list the same keys in the same order:
+// the same count and record bytes, compared piece by piece.
 func (k *Keys) Equal(o *Keys) bool {
-	n := k.Len()
-	if n != o.Len() || n == 0 {
-		return n == o.Len()
+	if k.Len() != o.Len() {
+		return false
 	}
-	if k.base == o.base && k.n == o.n {
-		return slices.Equal(k.ends, o.ends) && bytes.Equal(k.buf, o.buf)
-	}
-	for i := 0; i < n; i++ {
-		if k.At(i) != o.At(i) {
+	a, b := k.Records(), o.Records()
+	for len(a) > 0 && len(b) > 0 {
+		n := min(len(a[0]), len(b[0]))
+		if !bytes.Equal(a[0][:n], b[0][:n]) {
 			return false
 		}
+		if a[0], b[0] = a[0][n:], b[0][n:]; len(a[0]) == 0 {
+			a = a[1:]
+		}
+		if len(b[0]) == 0 {
+			b = b[1:]
+		}
 	}
-	return true
+	return len(a) == len(b)
 }
 
 // clip returns the view with its own segment clipped: appending copies.
@@ -280,8 +333,7 @@ func (s *KeySet) Add(k string) bool {
 	if s.tab[at] != 0 {
 		return false
 	}
-	ks.buf = append(ks.buf, k...)
-	ks.ends = append(ks.ends, uint32(len(ks.buf)))
+	ks.put(k)
 	s.tab[at] = uint32(len(ks.ends))
 	return true
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +14,11 @@ import (
 func arenaOf(keys []string) *Keys {
 	var a Keys
 	a.push(keys...)
-	return NewKeys(a.buf, a.ends)
+	k, err := NewKeys(a.buf, len(keys), 0)
+	if err != nil {
+		panic(err)
+	}
+	return k
 }
 
 func testKey(i int) string { return fmt.Sprintf("%d:%d,%d", i%3, (i*7919)%1700, i%11) }
@@ -256,7 +262,8 @@ func FuzzKeySet(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 1, 0x80, 9, 2}, uint8(0), uint8(0))
 	f.Add([]byte{4, 5, 6, 40, 7, 0x85, 5, 41, 41, 0xa9}, uint8(20), uint8(4))
 	f.Add([]byte("follow the base, then leave it"), uint8(63), uint8(63))
-	universe := append([]string{""}, distinctKeys(63)...)
+	universe := append([]string{""}, distinctKeys(60)...)
+	universe = append(universe, strings.Repeat("x", 127), strings.Repeat("x", 128), strings.Repeat("y", 300))
 	f.Fuzz(func(t *testing.T, ops []byte, baseLen, prefix uint8) {
 		s, ref, order := &KeySet{}, map[string]bool{}, []string(nil)
 		if nb := int(baseLen) % len(universe); nb > 0 {
@@ -299,7 +306,9 @@ func FuzzKeySet(f *testing.F) {
 }
 
 // TestKeysEqual: lists compare by their keys in order, whichever base and
-// own segment hold them.
+// own segment hold them: the same keys split between a base and an own
+// segment at every position are equal to each other and to the list held
+// whole, and lists that differ only in the key at the split are not.
 func TestKeysEqual(t *testing.T) {
 	keys := distinctKeys(6)
 	base := arenaOf(keys[:5]).Set()
@@ -317,5 +326,69 @@ func TestKeysEqual(t *testing.T) {
 		if c.a.Equal(c.b) != c.want || c.b.Equal(c.a) != c.want {
 			t.Errorf("%q vs %q: Equal %v, want %v", c.a.Strings(), c.b.Strings(), c.a.Equal(c.b), c.want)
 		}
+	}
+	list := append(distinctKeys(8), "", strings.Repeat("k", 300), "z")
+	whole := arenaOf(list)
+	split := func(keys []string, at int) *Keys {
+		k := &Keys{base: arenaOf(keys[:at]).Set(), n: at}
+		k.push(keys[at:]...)
+		return k
+	}
+	for at := 0; at <= len(list); at++ {
+		a := split(list, at)
+		if !a.Equal(whole) || !whole.Equal(a) || !reflect.DeepEqual(a.Strings(), list) {
+			t.Fatalf("split at %d: %q is not the list %q", at, a.Strings(), list)
+		}
+		for b := 0; b <= len(list); b++ {
+			if !a.Equal(split(list, b)) {
+				t.Fatalf("the list split at %d and at %d compare unequal", at, b)
+			}
+		}
+		if at == len(list) {
+			continue
+		}
+		for _, changed := range []string{list[at] + "x", strings.Repeat("k", 299), "y"} {
+			diff := slices.Clone(list)
+			diff[at] = changed
+			if c := split(diff, at); c.Equal(a) || a.Equal(c) || c.Equal(whole) {
+				t.Fatalf("lists differing at the split %d (%q for %q) compare equal", at, changed, list[at])
+			}
+		}
+	}
+}
+
+// TestKeyRecordEdges: the empty key (a record of its length alone) and
+// keys of 128 bytes and more (a length of two bytes) go through every
+// path a key takes — a set's adds and probes, a decoded arena's index,
+// an extension, an own segment's JSON — beside short ones.
+func TestKeyRecordEdges(t *testing.T) {
+	long := []string{strings.Repeat("a", 127), strings.Repeat("a", 128), strings.Repeat("b", 128), strings.Repeat("a", 20000)}
+	keys := append([]string{"", "a", "0:1,2"}, long...)
+	var s KeySet
+	for i, k := range keys {
+		if !s.Add(k) || s.Add(k) || !s.Has(k) || s.Keys().At(i) != k {
+			t.Fatalf("key of %d bytes: not added once, found and read back", len(k))
+		}
+	}
+	for _, k := range []string{"b", strings.Repeat("a", 129), strings.Repeat("a", 126), strings.Repeat("a", 20001)} {
+		if s.Has(k) || s.HasBytes([]byte(k)) {
+			t.Fatalf("a key of %d bytes nobody added is found", len(k))
+		}
+	}
+	list := arenaOf(keys)
+	if !list.Equal(s.Keys()) || !reflect.DeepEqual(list.Strings(), keys) {
+		t.Fatalf("the decoded arena lists %d keys, not the set's %d", list.Len(), s.Len())
+	}
+	set, ok := list.Extend([]string{strings.Repeat("c", 300), "c"})
+	if !ok || set.Len() != len(keys)+2 || !set.Has(strings.Repeat("c", 300)) || !set.Has("") {
+		t.Fatalf("extension of the arena: %v, %d keys", ok, set.Len())
+	}
+	if _, ok := arenaOf(keys).Extend([]string{strings.Repeat("a", 128)}); ok {
+		t.Fatal("an extension repeating a long key was taken")
+	}
+	raw, err := json.Marshal(s.Keys())
+	var back Keys
+	if err != nil || json.Unmarshal(raw, &back) != nil || !back.Equal(list) || back.Set().Len() != len(keys) {
+		t.Fatalf("JSON round trip of the keys reads back as %d (%v)", back.Len(), err)
 	}
 }

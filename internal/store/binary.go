@@ -384,6 +384,9 @@ type frameReader struct {
 	// size is where the bytes end: a length prefix reaching past it is a
 	// torn frame, never an allocation.
 	size int64
+	// room, when set, is the spare capacity of the next payload, given
+	// its length; the payload's read clears it.
+	room func(n int) int
 }
 
 // newFrameReader reads frames from r, which is positioned at offset off
@@ -410,7 +413,11 @@ func (fr *frameReader) next() (kind byte, payload []byte, err error) {
 		return 0, nil, io.EOF
 	}
 	lenWidth := uvarintLen(n)
-	payload = make([]byte, n)
+	extra := 0
+	if fr.room != nil {
+		extra, fr.room = fr.room(int(n)), nil
+	}
+	payload = make([]byte, n, int(n)+extra)
 	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return 0, nil, io.EOF
 	}

@@ -284,6 +284,12 @@ func TestBinaryTailResume(t *testing.T) {
 			t.Fatalf("tail record %d has ID %d, want %d", i, rec.ID, snapAt+i)
 		}
 	}
+	// The tail's keys join the arena the snapshot's were decoded into:
+	// the set is one piece of storage, the one the list is a prefix of.
+	set, list := r.Seen.Keys().Records(), r.State.Aggregates.SeenKeys.Records()
+	if r.Seen.Len() != n || len(set) != 1 || len(list) != 1 || &set[0][0] != &list[0][0] {
+		t.Fatalf("tail resume's %d keys are %d pieces; the snapshot's list %d pieces elsewhere", r.Seen.Len(), len(set), len(list))
+	}
 
 	// Flatness: the read starts at the entry before the tail, whatever
 	// the journal's length.

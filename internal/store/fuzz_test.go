@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -144,6 +145,16 @@ func hostileSnapshots(t testing.TB, good []byte) map[string][]byte {
 		fmt.Sprintf("key list %d written as a reference to list %d", last-2, last-2): with(last, frameKeysRef, ref(uint64(last-2))),
 		fmt.Sprintf("key list %d written as a reference to list %d", last-3, last-2): with(last-1, frameKeysRef, ref(uint64(last-2))),
 		fmt.Sprintf("key list %d written as a reference to list 99", last-2):         with(last, frameKeysRef, ref(99)),
+		"2 bytes past the last key": with(2, frameKeys, func(e *segEnc) {
+			e.uint(2)
+			e.str("abc")
+			e.str("d")
+			e.buf = append(e.buf, 0xEE, 0xEE)
+		}),
+		fmt.Sprintf("1 bytes past the reference of key list %d", last-2): with(last, frameKeysRef, func(e *segEnc) {
+			e.uint(0)
+			e.byte(0xEE)
+		}),
 	}
 }
 
@@ -272,7 +283,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 // FuzzSnapshotPayloads: the sets and key-list decoders behind the crc,
 // which a mutated file rarely gets past. Fed the payload alone, they
 // decode it or refuse it, size nothing by a number the bytes cannot back,
-// and what decodes encodes to bytes that decode to the same.
+// and what decodes encodes to bytes that decode to the same — a key list
+// to exactly the payload: its count, then its records.
 func FuzzSnapshotPayloads(f *testing.F) {
 	framed, err := snapshotBytes(fuzzSnapshot(), 77)
 	if err != nil {
@@ -285,8 +297,14 @@ func FuzzSnapshotPayloads(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if keys, err := decodeKeys(slices.Clone(data)); err == nil && arenaBytes(keys) > len(data) {
-			t.Fatalf("%d bytes decoded to %d keys that take %d", len(data), keys.Len(), arenaBytes(keys))
+		if keys, err := decodeKeys(slices.Clone(data)); err == nil {
+			if arenaBytes(keys) > len(data) {
+				t.Fatalf("%d bytes decoded to %d keys that take %d", len(data), keys.Len(), arenaBytes(keys))
+			}
+			again := binary.AppendUvarint(nil, uint64(keys.Len()))
+			if again = bytes.Join(append([][]byte{again}, keys.Records()...), nil); !bytes.Equal(again, data) {
+				t.Fatalf("key payload %x decodes to %q, which encodes as %x", data, keys.Strings(), again)
+			}
 		}
 		sets, err := decodeSets(data)
 		if err != nil {
@@ -571,5 +589,53 @@ func TestDamagedSnapshotFallsBack(t *testing.T) {
 	// A reference to an earlier list is what the writer wrote.
 	if frames := splitSnapshot(t, whole); frames[len(frames)-1].kind != frameKeysRef {
 		t.Fatalf("the history that repeats the executed keys was written as frame kind %d", frames[len(frames)-1].kind)
+	}
+}
+
+// TestKeyFramesRefuseWhatNoWriterWrote: a key-list payload with bytes
+// after its records, or with a length wider than the writer writes it,
+// is no frame a writer wrote; the first used to decode to its records
+// alone. hostileSnapshots holds it, and a reference with a byte past it,
+// in crc-valid files that TestDamagedSnapshotFallsBack resumes by the
+// full journal, with the reason.
+func TestKeyFramesRefuseWhatNoWriterWrote(t *testing.T) {
+	for payload, reason := range map[string]string{
+		"\x02\x03abc\x01d\xee\xee": "2 bytes past the last key",
+		"\x01\x81\x00a":            "malformed key list",
+		"\x81\x00\x01a":            "malformed key list",
+	} {
+		if keys, err := decodeKeys([]byte(payload)); err == nil || !strings.Contains(err.Error(), reason) {
+			t.Errorf("payload %x decodes to %q (%v), want %q", payload, keys.Strings(), err, reason)
+		}
+	}
+	if keys, err := decodeKeys([]byte("\x02\x03abc\x01d")); err != nil || !reflect.DeepEqual(keys.Strings(), []string{"abc", "d"}) {
+		t.Fatalf("the list without them decodes to %q (%v)", keys.Strings(), err)
+	}
+}
+
+// TestKeyRecordEdgesRoundTrip: the empty key and keys of 128 bytes and
+// more — whose records start with a two-byte length — come back from a
+// snapshot as they went in, byte for byte, and a set over them finds
+// each.
+func TestKeyRecordEdgesRoundTrip(t *testing.T) {
+	keys := []string{"", strings.Repeat("a", 128), "0:1,2", strings.Repeat("a", 127), strings.Repeat("b", 20000)}
+	st := &core.SessionState{Seq: len(keys), Aggregates: &core.Aggregates{SeenKeys: explore.NewKeySet(keys).Keys()}}
+	raw, err := snapshotBytes(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, _ := decodeBytes(t, raw)
+	got := back.Aggregates.SeenKeys
+	if !got.Equal(st.Aggregates.SeenKeys) || !reflect.DeepEqual(got.Strings(), keys) {
+		t.Fatalf("keys of %d bytes come back as %d keys", len(raw), got.Len())
+	}
+	if again, err := snapshotBytes(back, 0); err != nil || !bytes.Equal(again, raw) {
+		t.Fatalf("the decoded keys write %d bytes, not the %d read (%v)", len(again), len(raw), err)
+	}
+	set := got.Set()
+	for _, k := range keys {
+		if !set.Has(k) || set.Add(k) {
+			t.Fatalf("a set over the decoded list does not hold the key of %d bytes", len(k))
+		}
 	}
 }

@@ -24,13 +24,13 @@ package store
 //	              order the sets are walked, so the bytes stay a function
 //	              of the state
 //	frameKeys |   one per elided list, in keyLists order: uvarint count,
-//	frameKeysRef  then per key uvarint length + bytes — or, when the list
-//	              is element for element an earlier one, the uvarint
-//	              position of that list
+//	frameKeysRef  then per key its record, uvarint length + bytes — or,
+//	              when the list is element for element an earlier one,
+//	              the uvarint position of that list
 //
 // Nothing that grows with the session is JSON: the sets and the key
 // lists are written by copying and read in place — the sets' strings
-// substrings of their frame, a key frame compacted into the arena of an
+// substrings of their frame, a key frame's records the arena of an
 // explore.Keys that every list referring to it shares — with no scanner
 // pass and no reflection, and what is left in the state frame is small
 // and fixed, so a new explorer field still costs no codec work. Every
@@ -50,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -262,18 +261,14 @@ func decodeSets(payload []byte) (sets [3]*cluster.SetState, err error) {
 	return sets, d.err
 }
 
-// snapChunk is how much of a key list is encoded before it is written.
-const snapChunk = 16 << 10
-
 // snapWriter streams snapshot files through the frame writer, each
-// frame once, a key list encoded a chunk at a time; the flush that ends
-// a file returns the first write error. The buffers and the sets encoder
-// are the writer's, reused from one snapshot to the next.
+// frame once, a key list as the storage holding its records; the flush
+// that ends a file returns the first write error. The buffers and the
+// sets encoder are the writer's, reused from one snapshot to the next.
 type snapWriter struct {
 	frameWriter
-	json  bytes.Buffer
-	sets  setsEnc
-	chunk segEnc
+	json bytes.Buffer
+	sets setsEnc
 }
 
 // write streams st, standing at journal position pos, into dst as a
@@ -303,60 +298,42 @@ func (w *snapWriter) write(dst io.Writer, st *core.SessionState, pos int64) erro
 		return err
 	}
 	raw := w.json.Bytes()[:w.json.Len()-1] // Marshal's bytes: Encode adds a newline
+	if w.bw == nil {
+		w.bw = bufio.NewWriterSize(dst, 1<<16)
+	}
+	w.bw.Reset(dst)
+	w.bw.WriteString(snapMagic)
+	w.open(frameStateAt, uvarintLen(uint64(st.Seq))+uvarintLen(uint64(pos))+len(raw))
+	w.putUint(uint64(st.Seq))
+	w.putUint(uint64(pos))
+	w.put(raw)
+	w.close()
+	w.writeSets(sets)
 	// A list that repeats an earlier one is written as that list's
 	// position. A sequential session's lists are the same keys in the
 	// same order — the shared prefix of one base and two own segments of
 	// equal bytes — so telling costs a compare of two blocks; lists in
 	// different orders (parallel folds, portfolio arms) differ early. The
 	// first list equal to it is never a reference itself.
-	refs, sizes := make([]int, len(keys)), make([]int, len(keys))
+lists:
 	for i, list := range keys {
-		refs[i] = -1
 		for j := 0; j < i && list.Len() > 0; j++ {
 			if list.Equal(keys[j]) {
-				refs[i], sizes[i] = j, uvarintLen(uint64(j))
-				break
+				w.open(frameKeysRef, uvarintLen(uint64(j)))
+				w.putUint(uint64(j))
+				w.close()
+				continue lists
 			}
 		}
-		if refs[i] < 0 {
-			sizes[i] = uvarintLen(uint64(list.Len()))
-			for k := 0; k < list.Len(); k++ {
-				n := len(list.At(k))
-				sizes[i] += uvarintLen(uint64(n)) + n
-			}
+		records, size := list.Records(), uvarintLen(uint64(list.Len()))
+		for _, r := range records {
+			size += len(r)
 		}
-	}
-	if w.bw == nil {
-		w.bw = bufio.NewWriterSize(dst, 1<<16)
-	}
-	w.bw.Reset(dst)
-	w.bw.WriteString(snapMagic)
-	w.chunk.reset()
-	w.chunk.uint(uint64(st.Seq))
-	w.chunk.uint(uint64(pos))
-	w.open(frameStateAt, len(w.chunk.buf)+len(raw))
-	w.put(w.chunk.buf)
-	w.put(raw)
-	w.close()
-	w.writeSets(sets)
-	for i, list := range keys {
-		if refs[i] >= 0 {
-			w.open(frameKeysRef, sizes[i])
-			w.putUint(uint64(refs[i]))
-			w.close()
-			continue
+		w.open(frameKeys, size)
+		w.putUint(uint64(list.Len()))
+		for _, r := range records {
+			w.put(r)
 		}
-		w.open(frameKeys, sizes[i])
-		w.chunk.reset()
-		w.chunk.uint(uint64(list.Len()))
-		for k := 0; k < list.Len(); k++ {
-			if len(w.chunk.buf) >= snapChunk {
-				w.put(w.chunk.buf)
-				w.chunk.reset()
-			}
-			w.chunk.str(list.At(k))
-		}
-		w.put(w.chunk.buf)
 		w.close()
 	}
 	return w.bw.Flush()
@@ -375,28 +352,30 @@ func (w *snapWriter) writeSets(sets [3]*cluster.SetState) {
 	w.close()
 }
 
-// decodeKeys decodes a key-list payload in place: the keys move to its
-// front, back to back, their end offsets noted in the same pass, and the
-// payload — the caller's no longer — is the list's arena. The count is
-// checked against the payload before anything is sized by it.
+// decodeKeys decodes a key-list payload in place: past the count it is
+// the list's records, which explore.NewKeys takes as its arena — the
+// payload is the caller's no longer. Room past the payload (the executed
+// keys' in a resume) asks for tailRoom more offsets too. The count is
+// checked against the payload before anything is sized by it, and must
+// be written as the writer writes it.
 func decodeKeys(payload []byte) (*explore.Keys, error) {
 	d := segDec{buf: payload}
-	ends := make([]uint32, d.count())
-	end := 0
-	for i := range ends {
-		n := d.uint()
-		if d.err != nil || n > uint64(len(d.buf)) || uint64(end)+n > math.MaxUint32 {
-			return nil, errors.New("truncated key list")
-		}
-		end += copy(payload[end:], d.buf[:n])
-		d.buf = d.buf[n:]
-		ends[i] = uint32(end)
+	n := d.count()
+	if d.err != nil || len(payload)-len(d.buf) != uvarintLen(uint64(n)) {
+		return nil, errors.New("malformed key list")
 	}
-	if d.err != nil {
-		return nil, errors.New("truncated key list")
+	room := 0
+	if cap(payload) > len(payload) {
+		room = tailRoom(n, 1)
 	}
-	return explore.NewKeys(payload[:end], ends), nil
+	return explore.NewKeys(d.buf, n, room)
 }
+
+// tailRoom is the room the executed keys are read with past n of them, in
+// keys (each 1) or bytes (each the longest key it counts on): a tail
+// resume extends them in place, and the default cadence leaves a tail of
+// under n/7 or DefaultSnapshotEvery keys. A longer one is copied.
+func tailRoom(n, each int) int { return n/6 + core.DefaultSnapshotEvery*each }
 
 // snapDepth is how much of a snapshot file a reader wants.
 type snapDepth int
@@ -475,6 +454,11 @@ func decodeSnapshot(r io.Reader, file *snapFile, depth snapDepth) (*core.Session
 			*p = sets[i]
 		}
 		file.format, file.sets = SnapshotFramed, fr.off-at
+		if depth == snapFull && st.Aggregates != nil {
+			// The first list is the executed keys, which a tail resume
+			// extends in place (Store.recoverTail).
+			fr.room = func(n int) int { return tailRoom(n, 128) }
+		}
 		next()
 	}
 	if stateRead && len(lists) == 0 && err == io.EOF {
@@ -497,6 +481,10 @@ func decodeSnapshot(r io.Reader, file *snapFile, depth snapDepth) (*core.Session
 			j, w := binary.Uvarint(payload)
 			if w <= 0 || j >= uint64(i) {
 				err = fmt.Errorf("key list %d written as a reference to list %d", i, j)
+				break
+			}
+			if w < len(payload) {
+				err = fmt.Errorf("%d bytes past the reference of key list %d", len(payload)-w, i)
 				break
 			}
 			// The same list: a view is read-only to every holder, and a
