@@ -12,6 +12,7 @@ import (
 	"afex/internal/inject"
 	"afex/internal/libc"
 	"afex/internal/prog"
+	"afex/shim"
 )
 
 // crashyBin is the bundled fixture, built once per test run by
@@ -22,7 +23,19 @@ var crashyBin string
 // goes; platform test files add their own in init.
 var fixtures = map[string]*string{"afex/cmd/crashy": &crashyBin}
 
+// wideEnv makes the test binary a worker-mode fixture whose one test
+// covers blocks 1…20,000, a set too large for one report line.
+const wideEnv = "AFEX_TEST_WIDE_FIXTURE"
+
 func TestMain(m *testing.M) {
+	if os.Getenv(wideEnv) != "" {
+		shim.Serve(0, func(int) int {
+			for b := 1; b <= 20000; b++ {
+				shim.Cover(b)
+			}
+			return 0
+		})
+	}
 	dir, err := os.MkdirTemp("", "afex-backend-*")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

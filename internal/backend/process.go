@@ -13,7 +13,7 @@ package backend
 // in worker.go, for warm workers and fork/exec per scenario alike.
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"os"
 	"os/exec"
@@ -61,7 +61,7 @@ func newProcess(cfg Config) (Runner, error) {
 	if procs <= 0 {
 		procs = DefaultProcs
 	}
-	p.slots = make(chan *worker, procs)
+	p.slots, p.readers = make(chan *worker, procs), make(chan *bufio.Reader, procs)
 	for i := 1; i < procs; i++ {
 		p.slots <- nil
 	}
@@ -90,10 +90,10 @@ func appendPlan(b []byte, testID, seq int, plan inject.Plan) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(append(b, `{"function":`...), f.Function)
+		b = shim.AppendString(append(b, `{"function":`...), f.Function)
 		b = strconv.AppendInt(append(b, `,"callNumber":`...), int64(f.CallNumber), 10)
 		if f.Err.Errno != "" {
-			b = appendString(append(b, `,"errno":`...), f.Err.Errno)
+			b = shim.AppendString(append(b, `,"errno":`...), f.Err.Errno)
 		}
 		b = strconv.AppendInt(append(b, `,"retval":`...), int64(f.Err.Retval), 10)
 		b = append(b, '}')
@@ -101,28 +101,17 @@ func appendPlan(b []byte, testID, seq int, plan inject.Plan) []byte {
 	return append(b, ']', '}')
 }
 
-// appendString quotes s as encoding/json does: verbatim when every byte
-// is printable ASCII that JSON and HTML leave alone, through
-// json.Marshal otherwise (function names come from user-written DSL
-// sets). The shim keeps its own copy: fixtures link it alone.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // cannot fail for a string
-			return append(b, q...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
-}
-
 // foldEvents parses the shim's report stream into the outcome fields it
 // carries directly: injection stack, covered blocks, and the planted
 // crash label (returned separately — only a signaled death promotes it
 // to the outcome). The block set is summed and interned in sets, the
 // runner's table: scenarios that covered the same blocks share one map.
+// A set already interned, reported in one sorted list as the shim sends
+// all but the largest sets, is summed from the list and builds no map.
 func foldEvents(events []shim.Event, sets *prog.BlockSets) (out prog.Outcome, crashID string) {
-	for _, ev := range events {
-		switch ev.Kind {
+	lists, first := 0, []int(nil) // blocks events, and the first one's ids
+	for i := range events {
+		switch ev := &events[i]; ev.Kind {
 		case shim.EventInject:
 			out.Injected = true
 			// The innermost frame is the injection point itself, in the
@@ -131,14 +120,27 @@ func foldEvents(events []shim.Event, sets *prog.BlockSets) (out prog.Outcome, cr
 			stack := append([]string(nil), ev.Stack...)
 			out.InjectionStack = append(stack, fmt.Sprintf("%s:c%d", ev.Function, ev.Call))
 		case shim.EventBlocks:
-			if out.Blocks == nil {
-				out.Blocks = make(map[int]struct{}, len(ev.Blocks))
-			}
-			for _, b := range ev.Blocks {
-				out.Blocks[b] = struct{}{}
+			if lists++; lists == 1 {
+				first = ev.Blocks
 			}
 		case shim.EventCrash:
 			crashID = ev.ID
+		}
+	}
+	if sum, ok := prog.SumAscending(first); ok && lists == 1 {
+		if m := sets.Lookup(sum); m != nil {
+			out.Blocks, out.BlockSum = m, sum
+			return out, crashID
+		}
+	}
+	for i := range events {
+		if events[i].Kind == shim.EventBlocks {
+			if out.Blocks == nil {
+				out.Blocks = make(map[int]struct{}, len(first))
+			}
+			for _, b := range events[i].Blocks {
+				out.Blocks[b] = struct{}{}
+			}
 		}
 	}
 	out.BlockSum = prog.SumBlocks(out.Blocks)
@@ -146,11 +148,23 @@ func foldEvents(events []shim.Event, sets *prog.BlockSets) (out prog.Outcome, cr
 	return out, crashID
 }
 
+// exitStatus is each exit code a process can report, rendered.
+var exitStatus = func() (t [256]string) {
+	for code := range t {
+		t[code] = "exit:" + strconv.Itoa(code)
+	}
+	return t
+}()
+
 // foldExit maps an orderly scenario exit code onto the outcome
 // vocabulary; shared by the one-shot process disposition and the warm
 // worker's per-scenario "done" report.
 func foldExit(out *prog.Outcome, ex *Exec, code int) {
-	ex.ExitStatus = fmt.Sprintf("exit:%d", code)
+	if 0 <= code && code < len(exitStatus) {
+		ex.ExitStatus = exitStatus[code]
+	} else {
+		ex.ExitStatus = fmt.Sprintf("exit:%d", code)
+	}
 	out.Failed = code != 0
 }
 

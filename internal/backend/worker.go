@@ -45,10 +45,10 @@ package backend
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -108,9 +108,10 @@ type worker struct {
 	// start is when the scenario being served began: at the spawn
 	// one-shot; warm, at its arm write or its predecessor's done.
 	start  time.Time
-	seq    int    // last arm sequence number whose done was awaited
-	served int    // scenarios completed since spawn
-	line   []byte // arm-line render buffer
+	seq    int          // last arm sequence number whose done was awaited
+	served int          // scenarios completed since spawn
+	line   []byte       // arm-line render buffer
+	events []shim.Event // a scenario's report, decoded into reused storage
 }
 
 // pool is the process supervisor: every spawn, timeout kill, pipe drain
@@ -129,8 +130,9 @@ type pool struct {
 	// slots is the pool: cap = Procs, each holding a live worker or nil
 	// (spawn lazily on first use; always nil one-shot). Receiving a slot
 	// bounds concurrency — effective parallelism is min(workers, procs).
-	slots chan *worker
-	sets  prog.BlockSets // see foldEvents
+	slots   chan *worker
+	readers chan *bufio.Reader // reaped workers' report readers, for spawns to reuse
+	sets    prog.BlockSets     // see foldEvents
 	// recycled counts workers retired after serving their quota
 	// (shutdown retires are not recycles).
 	recycled atomic.Int64
@@ -194,7 +196,13 @@ func (p *pool) spawn(t Test) (*worker, error) {
 		w.arm.Close()
 		return nil, err
 	}
-	w.report, w.rd = reportR, bufio.NewReaderSize(reportR, reportLineMax)
+	select {
+	case w.rd = <-p.readers:
+		w.rd.Reset(reportR)
+	default:
+		w.rd = bufio.NewReaderSize(reportR, reportLineMax)
+	}
+	w.report = reportR
 	w.kill = time.AfterFunc(readyTimeout, func() {
 		if w.fate.CompareAndSwap(running, killed) {
 			killTree(cmd)
@@ -215,7 +223,8 @@ func (p *pool) spawn(t Test) (*worker, error) {
 	// Handshake: a worker-mode shim emits "ready" before anything else.
 	// A one-shot fixture instead runs its test fault-free and exits (the
 	// report pipe closes without a ready), or runs into the kill timer.
-	if ev, err := nextEvent(w.rd); err == nil && ev.Kind == shim.EventReady && w.kill.Stop() {
+	var ev shim.Event
+	if nextEvent(w.rd, &ev) == nil && ev.Kind == shim.EventReady && w.kill.Stop() {
 		return w, nil
 	}
 	p.retire(w, 0)
@@ -224,10 +233,10 @@ func (p *pool) spawn(t Test) (*worker, error) {
 
 var errNotWorkerMode = errors.New("fixture does not speak worker mode")
 
-// nextEvent returns the next event of a report stream. Lines that do
-// not decode are skipped, and so is one longer than rd's buffer, through
-// its newline — the events after it still pair with their scenarios.
-func nextEvent(rd *bufio.Reader) (shim.Event, error) {
+// nextEvent decodes the next event of a report stream into ev. Lines
+// that do not decode are skipped, and so is one longer than rd's buffer,
+// through its newline — the events after it still pair with their scenarios.
+func nextEvent(rd *bufio.Reader, ev *shim.Event) error {
 	for {
 		line, err := rd.ReadSlice('\n')
 		for err == bufio.ErrBufferFull {
@@ -235,23 +244,26 @@ func nextEvent(rd *bufio.Reader) (shim.Event, error) {
 			_, err = rd.ReadSlice('\n')
 		}
 		if err != nil {
-			return shim.Event{}, err
+			return err
 		}
-		var ev shim.Event
-		if json.Unmarshal(line, &ev) == nil {
-			return ev, nil
+		if _, err := shim.DecodeEvent(line, ev); err == nil {
+			return nil
 		}
 	}
 }
 
 // reap waits out w's exit — whatever kill is armed for is the backstop —
-// and releases its pipes.
-func (w *worker) reap() {
+// releases its pipes and hands its report reader on.
+func (p *pool) reap(w *worker) {
 	w.arm.Close()
 	<-w.wait
 	w.kill.Stop()
 	w.drain.Stop()
 	w.report.Close()
+	select {
+	case p.readers <- w.rd:
+	default:
+	}
 }
 
 // retire shuts a worker down and waits out its exit. Closing the arm
@@ -264,7 +276,7 @@ func (p *pool) retire(w *worker, grace time.Duration) {
 		return
 	}
 	w.kill.Reset(grace)
-	w.reap()
+	p.reap(w)
 }
 
 // Run executes one scenario: a batch of one.
@@ -362,44 +374,45 @@ func (p *pool) runGroup(wp **worker, base int, tests []Test, emit func(i int, ou
 		return 0
 	}
 
-	var events []shim.Event
 	for k := 0; k < n; k++ {
 		// The scenario's clock starts when the worker reaches it: at the
 		// spawn or the write for the first, at its predecessor's done for
 		// the rest.
 		w.seq++
-		events = events[:0]
+		events := w.events[:0]
 		w.kill.Reset(p.timeout)
 		for {
-			ev, err := nextEvent(w.rd)
-			if err != nil {
+			// Each line reuses a slot's storage; the done's slot is dropped.
+			events = slices.Grow(events, 1)[:len(events)+1]
+			ev := &events[len(events)-1]
+			if err := nextEvent(w.rd, ev); err != nil {
 				// The scenario took its worker down and folds here, exactly
 				// once: the report pipe reached EOF, or was closed pipeGrace
 				// after the exit, and the exit is reaped. If the kill timer
 				// brought it about the scenario hung; anything else folds
 				// from the ProcessState (a crash, or an orderly exit: every
 				// one-shot scenario's, or one that bypassed Serve's done).
-				w.reap()
+				p.reap(w)
 				*wp = nil
-				out, ex := foldReport(events, &p.sets, w.cmd.ProcessState, w.fate.Load() == killed, time.Since(w.start))
+				out, ex := foldReport(events[:len(events)-1], &p.sets, w.cmd.ProcessState, w.fate.Load() == killed, time.Since(w.start))
 				emit(base+k, out, ex)
 				return k + 1
 			}
 			if ev.Kind == shim.EventDone && ev.Seq == w.seq {
-				out, _ := foldEvents(events, &p.sets)
+				out, _ := foldEvents(events[:len(events)-1], &p.sets)
 				ex := Exec{Backend: Process, Duration: time.Since(w.start)}
 				foldExit(&out, &ex, ev.Exit)
 				w.served++
+				w.events = events
 				emit(base+k, out, ex)
 				break
 			}
-			events = append(events, ev)
 		}
 		w.start = time.Now()
 		if !w.kill.Stop() {
 			// The timer fired under the done: the worker is being killed,
 			// and whatever it reached of the next arm is armed again.
-			w.reap()
+			p.reap(w)
 			*wp = nil
 			return k + 1
 		}

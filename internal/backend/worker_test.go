@@ -65,6 +65,28 @@ func TestWorkerCoverageResetsBetweenScenarios(t *testing.T) {
 	}
 }
 
+// TestLargeCoverageSetFoldsWhole: a coverage set whose one report line
+// would pass reportLineMax goes out over several lines, and both pool
+// modes fold all of it.
+func TestLargeCoverageSetFoldsWhole(t *testing.T) {
+	bin, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(wideEnv, "1")
+	for _, m := range poolModes {
+		t.Run(m.name, func(t *testing.T) {
+			r := fixtureRunner(t, bin, 1, m.testsPerProc, 5*time.Second)
+			for i := 0; i < 2; i++ { // the second fold finds the set interned
+				out, ex := r.Run(0, inject.Plan{})
+				if ex.ExitStatus != "exit:0" || len(out.Blocks) != 20000 || out.BlockSum != prog.SumBlocks(out.Blocks) {
+					t.Fatalf("run %d: %s with %d blocks (sum %#x), want exit:0 and blocks 1…20000", i, ex.ExitStatus, len(out.Blocks), out.BlockSum)
+				}
+			}
+		})
+	}
+}
+
 func TestWorkerCrashMidScenarioFoldsOnceAndRespawns(t *testing.T) {
 	r := warmRunner(t, 1, 0, 5*time.Second)
 	// Warm up the worker with a clean scenario, then crash it.

@@ -31,6 +31,19 @@ func SumBlocks(blocks map[int]struct{}) uint64 {
 	return closeSum(acc, len(blocks))
 }
 
+// SumAscending is SumBlocks of the set a strictly ascending list holds;
+// ok is false, and the sum 0, when the list is not strictly ascending.
+func SumAscending(ids []int) (sum uint64, ok bool) {
+	var acc uint64
+	for i, b := range ids {
+		if i > 0 && b <= ids[i-1] {
+			return 0, false
+		}
+		acc += mix(b)
+	}
+	return closeSum(acc, len(ids)), true
+}
+
 // maxBlockSets bounds a BlockSets table; past it sets go out unshared.
 const maxBlockSets = 1 << 14
 

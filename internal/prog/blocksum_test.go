@@ -13,11 +13,12 @@ import (
 
 // TestBlockSumIsAFunctionOfTheSet: whatever order the blocks are summed
 // in — a producer's own loop over a list (mix, closeSum), Go's randomised
-// walk of the finished map (SumBlocks) — the sum is the same; it is 0 for
-// the empty set only, and removing a block changes it.
+// walk of the finished map (SumBlocks), the sorted list (SumAscending,
+// which refuses any other order) — the sum is the same; it is 0 for the
+// empty set only, and removing a block changes it.
 func TestBlockSumIsAFunctionOfTheSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if SumBlocks(nil) != 0 || SumBlocks(map[int]struct{}{}) != 0 || closeSum(0, 0) != 0 {
+	if sum, ok := SumAscending(nil); SumBlocks(nil) != 0 || SumBlocks(map[int]struct{}{}) != 0 || closeSum(0, 0) != 0 || sum != 0 || !ok {
 		t.Error("the empty set must sum to 0")
 	}
 	for trial := 0; trial < 2000; trial++ {
@@ -32,6 +33,15 @@ func TestBlockSumIsAFunctionOfTheSet(t *testing.T) {
 		sum := SumBlocks(set)
 		if sum == 0 {
 			t.Fatalf("the %d blocks %v summed to 0", len(ids), ids)
+		}
+		sort.Ints(ids)
+		if got, ok := SumAscending(ids); !ok || got != sum {
+			t.Fatalf("SumAscending(%v) = %#x, %v; want %#x", ids, got, ok, sum)
+		}
+		if len(ids) > 1 {
+			if _, ok := SumAscending(append([]int{ids[1]}, ids[1:]...)); ok {
+				t.Fatalf("SumAscending took a repeated id")
+			}
 		}
 		for pass := 0; pass < 3; pass++ {
 			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })

@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzAppendEvent: the append encoder writes, for any field values, the
 // line json.Encoder writes — the supervisor (and a third-party one) may
-// decode with any JSON library.
+// decode with any JSON library — and, when every string is printable
+// ASCII, a line DecodeEvent reads back to the event without falling back
+// to encoding/json.
 func FuzzAppendEvent(f *testing.F) {
 	f.Add("inject", "read", 2, "main.main:12\x00main.readConfig:40", []byte{}, "", 0, 0)
 	f.Add("blocks", "", 0, "", []byte{3, 7, 40}, "", 0, 0)
@@ -30,8 +33,50 @@ func FuzzAppendEvent(f *testing.F) {
 		if err := json.NewEncoder(&want).Encode(ev); err != nil {
 			t.Fatal(err)
 		}
-		if got := appendEvent(nil, &ev); !bytes.Equal(got, want.Bytes()) {
+		got := appendEvent(nil, &ev)
+		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("appendEvent(%+v)\n got %q\nwant %q", ev, got, want.Bytes())
+		}
+		if !printable(kind + function + strings.ReplaceAll(stack, "\x00", "") + id) {
+			return
+		}
+		var back Event
+		if canonical, err := DecodeEvent(got, &back); !canonical || err != nil || !reflect.DeepEqual(back, ev) {
+			t.Fatalf("line %q decoded to %+v (canonical %v, %v), want %+v", got, back, canonical, err, ev)
+		}
+	})
+}
+
+// printable reports whether AppendString writes s verbatim.
+func printable(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !verbatim(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzArmLine: every line of an arm stream, decoded the way serveLoop
+// decodes it — into one reused PlanWire, through one PlanDecoder — is
+// what json.Unmarshal makes of it in a zero PlanWire, error or not.
+func FuzzArmLine(f *testing.F) {
+	f.Add([]byte(`{"testID":1,"seq":1,"faults":[{"function":"read","callNumber":1,"errno":"EIO","retval":-1},{"function":"open","callNumber":2,"retval":0}]}` + "\n" +
+		`{"testID":2,"seq":2,"faults":[]}` + "\n" + `{"testID":3,"faults":[{"function":"read","callNumber":1,"retval":-9223372036854775808}]}`))
+	f.Add([]byte(`{"testID":0,"seq":7,"faults":null}` + "\n" + `{"testID":1, "faults":[]}` + "\n" + `{"TestID":4,"faults":[]}` + "\n" +
+		`{"faults":[],"testID":5}` + "\n" + `{"testID":-0,"seq":0,"faults":[{"function":"r\u0065ad","callNumber":01,"retval":1}]}` + "\n" +
+		`{"testID":9223372036854775808,"faults":[]}` + "\n" + `{"testID":1.5,"faults":[]}` + "\n" + `{"testID":1,"faults":[{"function":"é","callNumber":1,"retval":1}]}`))
+	f.Fuzz(func(t *testing.T, arms []byte) {
+		var (
+			dec PlanDecoder
+			p   PlanWire
+		)
+		for _, line := range bytes.Split(arms, []byte("\n")) {
+			var want PlanWire
+			wantErr := json.Unmarshal(line, &want)
+			if _, err := dec.Decode(line, &p); (err == nil) != (wantErr == nil) || !reflect.DeepEqual(p, want) {
+				t.Fatalf("line %q decoded to %+v (%v), want %+v (%v)", line, p, err, want, wantErr)
+			}
 		}
 	})
 }
@@ -98,4 +143,23 @@ func FuzzArmStream(f *testing.F) {
 			t.Fatalf("%d arm lines (%d parse) got %d dones and %d runs", lines, parsed, len(dones), ran)
 		}
 	})
+}
+
+// TestCanonicalArmLineAllocatesNothing: once its names are interned and
+// its faults slice grown, a decoder reads a canonical arm line with no
+// allocation.
+func TestCanonicalArmLineAllocatesNothing(t *testing.T) {
+	line := []byte(`{"testID":1,"seq":7,"faults":[{"function":"read","callNumber":1,"errno":"EIO","retval":-1},{"function":"malloc","callNumber":2,"retval":0}]}`)
+	var (
+		dec PlanDecoder
+		p   PlanWire
+	)
+	n := testing.AllocsPerRun(100, func() {
+		if canonical, err := dec.Decode(line, &p); !canonical || err != nil || len(p.Faults) != 2 || p.Faults[0].Errno != "EIO" {
+			t.Fatalf("decoded %+v (canonical %v, %v)", p, canonical, err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a canonical arm line costs %v allocations, want 0", n)
+	}
 }

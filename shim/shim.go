@@ -41,7 +41,6 @@ package shim
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"io"
 	"os"
 	"runtime"
@@ -54,7 +53,7 @@ import (
 // state is the process-wide shim runtime, armed once from the
 // environment on first use.
 type state struct {
-	active bool
+	active bool      // set by the first rearm and never cleared; read without mu
 	report io.Writer // nil outside a supervised session
 	worker *os.File
 
@@ -63,6 +62,7 @@ type state struct {
 	calls  map[string]int // per-function call counters
 	fired  []bool         // which plan faults already fired
 	blocks map[int]struct{}
+	cov    []int  // the covered-block set, sorted, as it last went out
 	line   []byte // emit's render buffer
 }
 
@@ -84,12 +84,12 @@ func arm() {
 		return
 	}
 	var p PlanWire
-	if err := json.Unmarshal([]byte(raw), &p); err != nil {
+	if _, err := new(PlanDecoder).Decode([]byte(raw), &p); err != nil {
 		// A malformed plan means a broken supervisor, not a fixture bug;
 		// run fault-free rather than guessing.
 		return
 	}
-	rearm(p)
+	rearm(&p)
 }
 
 // pipeFromEnv opens the inherited fd named (in decimal) by the
@@ -106,21 +106,22 @@ func pipeFromEnv(env, name string) *os.File {
 	return os.NewFile(uintptr(fd), name)
 }
 
-// rearm installs a plan and zeroes all per-scenario state: call
-// counters, fired flags, and the covered-block set (cleared in place — a
-// worker re-arms per scenario). One-shot processes rearm once from
-// AFEX_PLAN; workers rearm per arm message.
-func rearm(p PlanWire) {
+// rearm installs a copy of a plan and zeroes all per-scenario state:
+// call counters, fired flags, and the covered-block set (cleared in
+// place — a worker re-arms per scenario). One-shot processes rearm once
+// from AFEX_PLAN; workers rearm per arm message.
+func rearm(p *PlanWire) {
 	st.mu.Lock()
-	st.plan = p
+	st.plan.TestID, st.plan.Seq = p.TestID, p.Seq
+	st.plan.Faults = append(st.plan.Faults[:0], p.Faults...)
 	if st.calls == nil {
 		st.calls = make(map[string]int)
 		st.blocks = make(map[int]struct{})
+		st.active = true
 	}
 	clear(st.calls)
 	clear(st.blocks)
 	st.fired = append(st.fired[:0], make([]bool, len(p.Faults))...)
-	st.active = true
 	st.mu.Unlock()
 }
 
@@ -154,29 +155,30 @@ func Call(function string) (errno string, retval int, failed bool) {
 	st.mu.Lock()
 	st.calls[function]++
 	n := st.calls[function]
-	var hit *FaultWire
 	for i := range st.plan.Faults {
 		f := &st.plan.Faults[i]
 		if st.fired[i] || f.CallNumber <= 0 {
 			continue
 		}
 		if f.Function == function && f.CallNumber == n {
+			// Copied under the lock: the next arm rewrites the plan in
+			// place, and a goroutine of this scenario may outlive it.
 			st.fired[i] = true
-			hit = f
+			errno, retval, failed = f.Errno, f.Retval, true
 			break
 		}
 	}
 	st.mu.Unlock()
-	if hit == nil {
+	if !failed {
 		return "", 0, false
 	}
-	emit(Event{
+	emit(false, Event{
 		Kind:     EventInject,
 		Function: function,
 		Call:     n,
 		Stack:    captureStack(),
 	})
-	return hit.Errno, hit.Retval, true
+	return errno, retval, true
 }
 
 // Cover records that the basic block executed. Block ids are the
@@ -200,7 +202,7 @@ func Crash(id string) {
 	if !st.active {
 		return
 	}
-	emit(Event{Kind: EventCrash, ID: id})
+	emit(false, Event{Kind: EventCrash, ID: id})
 }
 
 // Flush streams the covered-block set to the supervisor. Call it on
@@ -213,19 +215,7 @@ func Flush() {
 	if !st.active {
 		return
 	}
-	emit(coverage())
-}
-
-// coverage renders the covered-block set as an EventBlocks.
-func coverage() Event {
-	st.mu.Lock()
-	blocks := make([]int, 0, len(st.blocks))
-	for b := range st.blocks {
-		blocks = append(blocks, b)
-	}
-	st.mu.Unlock()
-	sort.Ints(blocks)
-	return Event{Kind: EventBlocks, Blocks: blocks}
+	emit(true)
 }
 
 // Serve runs the fixture's per-test body under the supervisor and never
@@ -261,97 +251,56 @@ func Serve(test int, run func(test int) int) {
 // a done held back for a later scenario would be lost to that
 // scenario's crash, and the supervisor would blame the wrong one.
 func serveLoop(armPipe io.Reader, run func(test int) int) {
-	emit(Event{Kind: EventReady})
+	emit(false, Event{Kind: EventReady})
 	sc := bufio.NewScanner(armPipe)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	var (
+		dec PlanDecoder
+		p   PlanWire // reused: rearm copies what it keeps
+	)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var p PlanWire
-		if err := json.Unmarshal(line, &p); err != nil {
+		if _, err := dec.Decode(line, &p); err != nil {
 			// A malformed arm message means a broken supervisor; report
 			// the scenario as a clean no-op rather than stalling it.
-			emit(Event{Kind: EventDone, Seq: p.Seq})
+			emit(false, Event{Kind: EventDone, Seq: p.Seq})
 			continue
 		}
-		rearm(p)
+		rearm(&p)
 		code := run(p.TestID)
-		emit(coverage(), Event{Kind: EventDone, Exit: code, Seq: p.Seq})
+		emit(true, Event{Kind: EventDone, Exit: code, Seq: p.Seq})
 	}
 }
 
-// emit writes the events, one line each, to the report pipe in a single
-// write. os.File writes are unbuffered, so every event is durable the
-// moment emit returns — which is what lets injection stacks survive an
-// immediately following crash.
-func emit(evs ...Event) {
+// emit writes the events — behind the covered-block set, in "blocks"
+// lines, when cover is set — to the report pipe in one unbuffered write,
+// so each is durable the moment emit returns: injection stacks survive
+// an immediately following crash.
+func emit(cover bool, evs ...Event) {
 	if st.report == nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.line = st.line[:0]
+	if cover {
+		st.cov = st.cov[:0]
+		for b := range st.blocks {
+			st.cov = append(st.cov, b)
+		}
+		sort.Ints(st.cov)
+		for i := 0; i == 0 || i < len(st.cov); i += BlocksPerLine {
+			ev := Event{Kind: EventBlocks, Blocks: st.cov[i:min(i+BlocksPerLine, len(st.cov))]}
+			st.line = appendEvent(st.line, &ev)
+		}
+	}
 	for i := range evs {
 		st.line = appendEvent(st.line, &evs[i])
 	}
 	_, _ = st.report.Write(st.line) // a broken pipe means the supervisor is gone; nothing to do
-}
-
-// appendEvent renders ev as the line json.Encoder writes for it: same
-// field order, same omissions, same bytes.
-func appendEvent(b []byte, ev *Event) []byte {
-	b = appendString(append(b, `{"e":`...), ev.Kind)
-	if ev.Function != "" {
-		b = appendString(append(b, `,"function":`...), ev.Function)
-	}
-	if ev.Call != 0 {
-		b = strconv.AppendInt(append(b, `,"call":`...), int64(ev.Call), 10)
-	}
-	if len(ev.Stack) > 0 {
-		b = append(b, `,"stack":[`...)
-		for i, fr := range ev.Stack {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendString(b, fr)
-		}
-		b = append(b, ']')
-	}
-	if len(ev.Blocks) > 0 {
-		b = append(b, `,"blocks":[`...)
-		for i, blk := range ev.Blocks {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(blk), 10)
-		}
-		b = append(b, ']')
-	}
-	if ev.ID != "" {
-		b = appendString(append(b, `,"id":`...), ev.ID)
-	}
-	if ev.Exit != 0 {
-		b = strconv.AppendInt(append(b, `,"exit":`...), int64(ev.Exit), 10)
-	}
-	if ev.Seq != 0 {
-		b = strconv.AppendInt(append(b, `,"seq":`...), int64(ev.Seq), 10)
-	}
-	return append(b, '}', '\n')
-}
-
-// appendString quotes s as encoding/json does: verbatim when every byte
-// is printable ASCII that JSON and HTML leave alone, through
-// json.Marshal (escapes, U+FFFD for invalid UTF-8) otherwise.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // cannot fail for a string
-			return append(b, q...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
 }
 
 // shimFile is this source file's path — the file every shim harness

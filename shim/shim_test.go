@@ -2,6 +2,7 @@ package shim
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -239,5 +240,46 @@ func TestServeLoopExitsAtArmEOF(t *testing.T) {
 	}
 	if len(events) != 1 || events[0].Kind != EventReady {
 		t.Fatalf("events = %+v, want only ready", events)
+	}
+}
+
+// TestCallOutlivingItsScenario: a goroutine a scenario left behind may
+// still Call while the next arm re-arms the shim; under -race nothing
+// Call reads may be written by rearm outside the lock (the active flag
+// was, on every arm).
+func TestCallOutlivingItsScenario(t *testing.T) {
+	t.Setenv(PlanEnv, "")
+	t.Setenv(ReportFDEnv, "")
+	reset()
+	defer reset()
+	once.Do(arm)
+	var report bytes.Buffer
+	st.report = &report
+	var arms bytes.Buffer
+	for seq := 1; seq <= 200; seq++ {
+		fmt.Fprintf(&arms, `{"testID":0,"seq":%d,"faults":[{"function":"read","callNumber":%d,"errno":"EIO","retval":-1}]}`+"\n", seq, 1+seq%3)
+	}
+	// Each scenario wakes the leftover goroutine and returns without
+	// waiting for it, so nothing orders its Calls before the next arm.
+	wake, done := make(chan struct{}, 1), make(chan struct{})
+	go func() {
+		defer close(done)
+		for range wake {
+			for i := 0; i < 3; i++ {
+				Call("read")
+			}
+		}
+	}()
+	serveLoop(&arms, func(int) int {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+		return 0
+	})
+	close(wake)
+	<-done
+	if !strings.Contains(report.String(), `"inject"`) {
+		t.Fatal("the leftover goroutine never injected")
 	}
 }

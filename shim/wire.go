@@ -17,8 +17,8 @@ package shim
 //     JSON Events into it: an "inject" event the moment a fault fires
 //     (carrying the injection-point stack trace AFEX clusters on), an
 //     optional "crash" event labelling a planted bug just before the
-//     process dies, and a final "blocks" event with the covered-block
-//     set flushed on orderly exit.
+//     process dies, and the covered-block set in "blocks" events flushed
+//     on orderly exit.
 //
 // Injection events are written and flushed immediately, not buffered to
 // exit: a fixture that crashes or is SIGKILLed right after the fault
@@ -56,6 +56,11 @@ package shim
 // its Seq, and never hold a "done" back behind a later scenario (its
 // crash would lose the held ones and the wrong scenario would be
 // blamed).
+
+import (
+	"encoding/json"
+	"strconv"
+)
 
 // Environment variable names of the supervisor→shim half of the
 // protocol.
@@ -134,4 +139,259 @@ type Event struct {
 	// number (EventDone, worker mode).
 	Exit int `json:"exit,omitempty"`
 	Seq  int `json:"seq,omitempty"`
+}
+
+// # Canonical lines
+//
+// Both ends write the bytes encoding/json gives each line's value
+// (appendEvent; appendPlan in internal/backend) and read that one shape
+// with a byte scanner instead of reflection:
+//
+//	{"e":K[,"function":S][,"call":N][,"stack":[S,…]][,"blocks":[N,…]][,"id":S][,"exit":N][,"seq":N]}
+//	{"testID":N[,"seq":N],"faults":[{"function":S,"callNumber":N[,"errno":S],"retval":N},…]}
+//
+// in that key order with no whitespace, where S is a string AppendString
+// writes verbatim and N an int without a leading zero. Any other line —
+// whitespace, escapes, non-ASCII, another key order or case, null, an
+// empty stack or blocks — decodes through encoding/json, so a shim or a
+// supervisor written elsewhere still interoperates.
+//
+// A "blocks" line carries at most BlocksPerLine ids, under 43 KiB
+// whatever the ids: a larger coverage set goes out as several "blocks"
+// events, in the scenario's one write, and the supervisor, which skips
+// a report line past 64 KiB, folds their union.
+
+// appendEvent renders ev as the line json.Encoder writes for it: same
+// field order, same omissions, same bytes.
+func appendEvent(b []byte, ev *Event) []byte {
+	b = AppendString(append(b, `{"e":`...), ev.Kind)
+	if ev.Function != "" {
+		b = AppendString(append(b, `,"function":`...), ev.Function)
+	}
+	if ev.Call != 0 {
+		b = strconv.AppendInt(append(b, `,"call":`...), int64(ev.Call), 10)
+	}
+	if len(ev.Stack) > 0 {
+		b = append(b, `,"stack":[`...)
+		for i, fr := range ev.Stack {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = AppendString(b, fr)
+		}
+		b = append(b, ']')
+	}
+	if len(ev.Blocks) > 0 {
+		b = append(b, `,"blocks":[`...)
+		for i, blk := range ev.Blocks {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(blk), 10)
+		}
+		b = append(b, ']')
+	}
+	if ev.ID != "" {
+		b = AppendString(append(b, `,"id":`...), ev.ID)
+	}
+	if ev.Exit != 0 {
+		b = strconv.AppendInt(append(b, `,"exit":`...), int64(ev.Exit), 10)
+	}
+	if ev.Seq != 0 {
+		b = strconv.AppendInt(append(b, `,"seq":`...), int64(ev.Seq), 10)
+	}
+	return append(b, '}', '\n')
+}
+
+// AppendString appends s quoted as encoding/json quotes it: verbatim
+// when every byte is printable ASCII that JSON and HTML leave alone,
+// through json.Marshal (escapes, U+FFFD for invalid UTF-8) otherwise.
+func AppendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !verbatim(s[i]) {
+			q, _ := json.Marshal(s) // cannot fail for a string
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// verbatim reports whether encoding/json writes c as itself inside a
+// string: printable ASCII that JSON and HTML leave alone.
+func verbatim(c byte) bool {
+	return ' ' <= c && c <= '~' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// BlocksPerLine bounds the ids of one "blocks" event line.
+const BlocksPerLine = 2048
+
+// DecodeEvent decodes a report line into ev as json.Unmarshal does into
+// a zero Event, except that an empty Blocks may keep its backing array,
+// and reports whether the line was canonical (read without reflection).
+func DecodeEvent(line []byte, ev *Event) (canonical bool, err error) {
+	*ev = Event{Blocks: ev.Blocks[:0]}
+	s := scanner{b: line, ok: true}
+	s.want(`{"e":`)
+	ev.Kind = eventKind(s.str())
+	if s.opt(`,"function":`) {
+		ev.Function = string(s.str())
+	}
+	if s.opt(`,"call":`) {
+		ev.Call = s.int()
+	}
+	if s.opt(`,"stack":[`) {
+		for ok := true; ok; ok = s.opt(",") {
+			ev.Stack = append(ev.Stack, string(s.str()))
+		}
+		s.want("]")
+	}
+	if s.opt(`,"blocks":[`) {
+		for ok := true; ok; ok = s.opt(",") {
+			ev.Blocks = append(ev.Blocks, s.int())
+		}
+		s.want("]")
+	}
+	if s.opt(`,"id":`) {
+		ev.ID = string(s.str())
+	}
+	if s.opt(`,"exit":`) {
+		ev.Exit = s.int()
+	}
+	if s.opt(`,"seq":`) {
+		ev.Seq = s.int()
+	}
+	if s.end() {
+		return true, nil
+	}
+	*ev = Event{Blocks: ev.Blocks[:0]}
+	return false, json.Unmarshal(line, ev)
+}
+
+// eventKind is b as a string, allocating only for an unknown kind.
+func eventKind(b []byte) string {
+	for _, k := range [...]string{EventBlocks, EventDone, EventInject, EventCrash, EventReady} {
+		if string(b) == k {
+			return k
+		}
+	}
+	return string(b)
+}
+
+// A PlanDecoder decodes arm lines and AFEX_PLAN values, interning up to
+// 1,024 function and errno names so a recurring one allocates nothing.
+// The zero value is ready; it is not safe for concurrent use.
+type PlanDecoder struct{ names map[string]string }
+
+func (d *PlanDecoder) intern(b []byte) string {
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if d.names == nil {
+		d.names = make(map[string]string)
+	}
+	if len(d.names) < 1024 {
+		d.names[s] = s
+	}
+	return s
+}
+
+// Decode decodes line into p as json.Unmarshal does into a zero
+// PlanWire, reusing p.Faults' array if the line is canonical, and
+// reports whether it was.
+func (d *PlanDecoder) Decode(line []byte, p *PlanWire) (canonical bool, err error) {
+	faults := p.Faults[:0]
+	if faults == nil {
+		faults = []FaultWire{}
+	}
+	*p = PlanWire{}
+	s := scanner{b: line, ok: true}
+	s.want(`{"testID":`)
+	p.TestID = s.int()
+	if s.opt(`,"seq":`) {
+		p.Seq = s.int()
+	}
+	s.want(`,"faults":[`)
+	for more := s.opt(`{"function":`); more; more = s.opt(`,{"function":`) {
+		var f FaultWire
+		f.Function = d.intern(s.str())
+		s.want(`,"callNumber":`)
+		f.CallNumber = s.int()
+		if s.opt(`,"errno":`) {
+			f.Errno = d.intern(s.str())
+		}
+		s.want(`,"retval":`)
+		f.Retval = s.int()
+		s.want("}")
+		faults = append(faults, f)
+	}
+	s.want("]")
+	if s.end() {
+		p.Faults = faults
+		return true, nil
+	}
+	*p = PlanWire{}
+	return false, json.Unmarshal(line, p)
+}
+
+// scanner reads one line in the canonical shape; the first mismatch
+// clears ok, and every read after it yields zero values.
+type scanner struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// opt consumes lit if the line continues with it.
+func (s *scanner) opt(lit string) bool {
+	if s.ok && len(s.b)-s.i >= len(lit) && string(s.b[s.i:s.i+len(lit)]) == lit {
+		s.i += len(lit)
+		return true
+	}
+	return false
+}
+
+// want consumes lit, which the line must continue with.
+func (s *scanner) want(lit string) {
+	s.ok = s.opt(lit)
+}
+
+// str consumes a string AppendString writes verbatim, and returns it.
+func (s *scanner) str() []byte {
+	if s.opt(`"`) {
+		start := s.i
+		for s.i < len(s.b) && verbatim(s.b[s.i]) {
+			s.i++
+		}
+		if s.opt(`"`) {
+			return s.b[start : s.i-1]
+		}
+	}
+	s.ok = false
+	return nil
+}
+
+// int consumes an integer in int's range, with no leading zero.
+func (s *scanner) int() int {
+	neg, n, digits := s.opt("-"), uint64(0), 0
+	for ; s.ok && s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' && digits < 19 && (digits == 0 || n > 0); s.i++ {
+		n, digits = n*10+uint64(s.b[s.i]-'0'), digits+1
+	}
+	if neg {
+		n = -n
+	}
+	// n must survive the trip through int, with the sign it was given.
+	if digits == 0 || uint64(int(n)) != n || (n != 0 && int(n) < 0 != neg) {
+		s.ok = false
+		return 0
+	}
+	return int(n)
+}
+
+// end consumes the closing brace and a newline, if any, and reports
+// whether that was the whole line and all of it canonical.
+func (s *scanner) end() bool {
+	s.want("}")
+	s.opt("\n")
+	return s.ok && s.i == len(s.b)
 }
