@@ -112,8 +112,10 @@ func BenchmarkFig9Mongo(b *testing.B) {
 
 func BenchmarkScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Scalability(benchOpts(), []int{1, 2, 4}, 120, 30)
-		b.ReportMetric(r.Throughput[len(r.Throughput)-1]/r.Throughput[0], "speedup-4-nodes")
+		r := experiments.Scalability(benchOpts(), []int{1, 4, 64})
+		b.ReportMetric(r.Adaptive.Speedup(1), "speedup-4-nodes")
+		b.ReportMetric(r.Adaptive.Speedup(2), "speedup-64-nodes")
+		b.ReportMetric(r.Adaptive.Bound, "bound-nodes")
 	}
 }
 

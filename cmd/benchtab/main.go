@@ -1,12 +1,12 @@
 // Command benchtab regenerates every table and figure of the paper's
 // evaluation section against the synthetic targets and prints them in the
 // paper's layout, annotated with the expected shape. EXPERIMENTS.md is
-// the curated record of one such run.
+// the curated record of one such run. Every line is a function of the
+// flags except those marked experiments.WallClock.
 //
 // Usage:
 //
 //	benchtab [--seed 1] [--reps 3] [--scale 1.0] [--only table3,fig8]
-//	         [--skip-slow]
 package main
 
 import (
@@ -38,7 +38,6 @@ func run(args []string, w io.Writer) error {
 	reps := fs.Int("reps", 3, "repetitions to average stochastic experiments over")
 	scale := fs.Float64("scale", 1.0, "iteration budget multiplier (use <1 for a quick pass)")
 	only := fs.String("only", "", "comma-separated subset: fig1,table1,table2,table3,fig8,table4,table5,table6,fig9,scale,ablation,sharding,portfolio")
-	skipSlow := fs.Bool("skip-slow", false, "skip the slowest experiments (table1, scale)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -50,19 +49,9 @@ func run(args []string, w io.Writer) error {
 			want[strings.TrimSpace(k)] = true
 		}
 	}
-	sel := func(key string) bool {
-		if len(want) > 0 {
-			return want[key]
-		}
-		if *skipSlow && (key == "table1" || key == "scale") {
-			return false
-		}
-		return true
-	}
-
 	ran := 0
 	show := func(key string, gen func() fmt.Stringer) {
-		if !sel(key) {
+		if len(want) > 0 && !want[key] {
 			return
 		}
 		ran++
@@ -78,7 +67,7 @@ func run(args []string, w io.Writer) error {
 	show("table5", func() fmt.Stringer { return experiments.Table5(o) })
 	show("table6", func() fmt.Stringer { return experiments.Table6(o) })
 	show("fig9", func() fmt.Stringer { return experiments.Fig9(o) })
-	show("scale", func() fmt.Stringer { return experiments.Scalability(o, nil, 0, 0) })
+	show("scale", func() fmt.Stringer { return experiments.Scalability(o, nil) })
 	show("ablation", func() fmt.Stringer { return experiments.Ablations(o) })
 	show("sharding", func() fmt.Stringer { return experiments.Sharding(o, 4) })
 	show("portfolio", func() fmt.Stringer { return experiments.Portfolio(o) })

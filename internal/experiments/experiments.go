@@ -26,7 +26,7 @@ import (
 
 // Opts tunes experiment execution without changing its meaning.
 type Opts struct {
-	// Seed is the base RNG seed; rep r uses Seed+r.
+	// Seed is the base RNG seed; rep r uses Seed + 1000*r.
 	Seed int64
 	// Reps averages stochastic experiments over this many repetitions.
 	// Default 3.
@@ -105,17 +105,26 @@ func ApacheSpace() *faultspace.Union { return spaceFor(targets.Httpd(), 19, 1, 1
 // CoreutilsSpace returns Φ_coreutils (29 × 19 × {0,1,2} = 1,653).
 func CoreutilsSpace() *faultspace.Union { return spaceFor(targets.Coreutils(), 19, 0, 2) }
 
-// coreRun executes one fitness-guided session with a custom explorer
-// configuration (used by the ablation experiments).
-func coreRun(p *prog.Program, space *faultspace.Union, cfg explore.Config, iters int) (*core.ResultSet, error) {
-	return core.Run(core.Config{
+// session configures a session of alg over space against p, scored
+// by expImpact.
+func session(p *prog.Program, space *faultspace.Union, alg string, iters int, ex explore.Config) core.Config {
+	return core.Config{
 		Target:     p,
 		Space:      space,
-		Algorithm:  "fitness",
+		Algorithm:  alg,
 		Iterations: iters,
 		Impact:     expImpact(),
-		Explore:    cfg,
-	})
+		Explore:    ex,
+	}
+}
+
+// mustRun runs a session to completion.
+func mustRun(cfg core.Config) *core.ResultSet {
+	res, err := core.Run(cfg)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return res
 }
 
 // expImpact is the impact scoring used throughout the experiment
@@ -131,19 +140,9 @@ func expImpact() core.ImpactConfig {
 
 // run executes one session with the given algorithm and budget.
 func run(p *prog.Program, space *faultspace.Union, alg string, iters int, seed int64, feedback bool) *core.ResultSet {
-	res, err := core.Run(core.Config{
-		Target:     p,
-		Space:      space,
-		Algorithm:  alg,
-		Iterations: iters,
-		Feedback:   feedback,
-		Impact:     expImpact(),
-		Explore:    explore.Config{Seed: seed},
-	})
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return res
+	cfg := session(p, space, alg, iters, explore.Config{Seed: seed})
+	cfg.Feedback = feedback
+	return mustRun(cfg)
 }
 
 // avg runs fn over reps seeds and averages the returned metrics

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"afex/internal/core"
 	"afex/internal/explore"
 	"afex/internal/targets"
 )
@@ -38,18 +37,9 @@ func Sharding(o Opts, shards int) ShardingResult {
 	iters := o.iters(1000)
 	vals := avg(o, func(seed int64) []float64 {
 		base := run(p, space, "fitness", iters, seed, false)
-		sh, err := core.Run(core.Config{
-			Target:     p,
-			Space:      space,
-			Algorithm:  "fitness",
-			Shards:     shards,
-			Iterations: iters,
-			Impact:     expImpact(),
-			Explore:    explore.Config{Seed: seed},
-		})
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
+		cfg := session(p, space, "fitness", iters, explore.Config{Seed: seed})
+		cfg.Shards = shards
+		sh := mustRun(cfg)
 		return []float64{
 			float64(base.Failed), float64(sh.Failed),
 			float64(base.UniqueFailures), float64(sh.UniqueFailures),

@@ -313,7 +313,7 @@ func samplesToFindAll(target *prog.Program, space *faultspace.Union, alg string,
 		}
 	}
 	samples := 0
-	res, err := core.Run(core.Config{
+	res := mustRun(core.Config{
 		Target:     target,
 		Space:      space,
 		Algorithm:  alg,
@@ -328,9 +328,6 @@ func samplesToFindAll(target *prog.Program, space *faultspace.Union, alg string,
 			return len(remaining) == 0
 		},
 	})
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
 	if len(remaining) > 0 {
 		return res.Executed
 	}

@@ -183,10 +183,6 @@ func (c *Coordinator) NextBatch(req BatchRequest, batch *TaskBatch) error {
 	batch.Tasks = make([]TaskWire, len(cands))
 	c.mu.Lock()
 	delete(c.idle, req.Manager)
-	c.held[req.Manager] += len(cands)
-	if len(c.held) > c.peakBusy {
-		c.peakBusy = len(c.held)
-	}
 	for i, cand := range cands {
 		vals := dsl.ValuesFor(c.space, cand.Point)
 		scenario := dsl.FormatPairs(c.axisNames[cand.Point.Sub], vals)
@@ -224,9 +220,6 @@ func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 			continue
 		}
 		delete(c.leases, rw.Seq)
-		if c.held[ls.manager]--; c.held[ls.manager] <= 0 {
-			delete(c.held, ls.manager)
-		}
 		c.perManager[rb.Manager]++
 		stack := rw.Stack
 		if rw.StackHash != 0 {
@@ -513,19 +506,6 @@ func (m *Manager) internStacks(rws []ResultWire) []ResultWire {
 		}
 	}
 	return rws
-}
-
-// rerun runs each test Manager.Work times and reports the last run.
-type rerun struct {
-	backend.Runner
-	n int
-}
-
-func (r rerun) Run(testID int, plan inject.Plan) (prog.Outcome, backend.Exec) {
-	for i := 1; i < r.n; i++ {
-		r.Runner.Run(testID, plan)
-	}
-	return r.Runner.Run(testID, plan)
 }
 
 // loops is how many worker loops RunUntilDone runs: one at Batch = 1,

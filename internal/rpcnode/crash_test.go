@@ -195,10 +195,6 @@ func TestManagerCrashMidBatch(t *testing.T) {
 	if after.Executed != before.Executed || after.Failed != before.Failed {
 		t.Fatalf("late report moved the tallies: %+v -> %+v", before, after)
 	}
-	// A reaped manager stops counting as busy.
-	if after.PeakBusy != 1 {
-		t.Fatalf("PeakBusy %d, want 1: one manager at a time ever held live leases", after.PeakBusy)
-	}
 
 	res := coord.Result()
 	if res.Executed != want || len(res.Records) != want {

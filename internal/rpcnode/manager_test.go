@@ -212,43 +212,56 @@ func TestMalformedTasksAreSkipped(t *testing.T) {
 	}
 }
 
-// fuzzAxes are the subspaces a fuzzed task is converted against: one
-// single-fault, one two-fault.
-var fuzzAxes = [][]string{
-	{"testID", "function", "callNumber"},
-	{"testID", "function", "errno", "callNumber", "function2", "callNumber2"},
+// fuzzAxes are the Hello reply's subspaces that a fuzzed task is
+// converted against, as the input spells them (subspaces split by ';',
+// axis names by ','): one single-fault, one two-fault.
+const fuzzAxes = "testID,function,callNumber;testID,function,errno,callNumber,function2,callNumber2"
+
+// splitList splits s at sep; the empty string has no elements.
+func splitList(s, sep string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, sep)
 }
 
-// FuzzTaskConversion: a leased task with any subspace and any values
-// never panics the manager; it yields a run, or a skip that runs
-// nothing.
+// FuzzTaskConversion: a leased task with any subspace and any values,
+// converted against any axis names a Hello reply may carry, never
+// panics the manager; it yields a run, or a skip that runs nothing.
 func FuzzTaskConversion(f *testing.F) {
-	f.Add(0, "0,read,1")
-	f.Add(0, "")
-	f.Add(0, "0")
-	f.Add(0, "0,read,1,9")
-	f.Add(1, "1,read,EIO,2,write,1")
-	f.Add(1, "1,read,EIO,2,frobnicate,1")
-	f.Add(-1, "0,read,1")
-	f.Add(2, "0,read,1")
-	f.Add(0, "99,write,-4")
-	f.Add(0, "x,read,y")
+	f.Add(fuzzAxes, 0, "0,read,1")
+	f.Add(fuzzAxes, 0, "")
+	f.Add(fuzzAxes, 0, "0")
+	f.Add(fuzzAxes, 0, "0,read,1,9")
+	f.Add(fuzzAxes, 1, "1,read,EIO,2,write,1")
+	f.Add(fuzzAxes, 1, "1,read,EIO,2,frobnicate,1")
+	f.Add(fuzzAxes, -1, "0,read,1")
+	f.Add(fuzzAxes, 2, "0,read,1")
+	f.Add(fuzzAxes, 0, "99,write,-4")
+	f.Add(fuzzAxes, 0, "x,read,y")
+	f.Add("", 0, "0,read,1")
+	f.Add(";", 1, "")
+	f.Add("callNumber,function,testID", 0, "1,read,0")
+	f.Add("testID,testID,function,callNumber", 0, "0,1,read,1")
+	f.Add("testID,function", 0, "0,read")
+	f.Add("testID,function,callNumber,bogus", 0, "0,read,1,x")
 	runner, err := backend.New(backend.Model, backend.Config{Target: rpcTarget()})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, sub int, raw string) {
-		var vals []string
-		if raw != "" {
-			vals = strings.Split(raw, ",")
+	f.Fuzz(func(t *testing.T, axes string, sub int, raw string) {
+		var axisNames [][]string
+		for _, names := range splitList(axes, ";") {
+			axisNames = append(axisNames, splitList(names, ","))
 		}
+		vals := splitList(raw, ",")
 		tw := TaskWire{Seq: 1, Sub: sub, Fault: []int{len(vals)}, Vals: vals}
-		m := &Manager{axisNames: fuzzAxes, backendName: backend.Model}
+		m := &Manager{axisNames: axisNames, backendName: backend.Model}
 		src := &remote{m: m, tasks: map[string][]TaskWire{}}
 		c := explore.CandidateAt(faultspace.Point{Sub: tw.Sub, Fault: tw.Fault})
 		src.tasks[c.Key()] = []TaskWire{tw}
 		rec, out := (&core.BackendExecutor{Runner: runner, Convert: src.convert}).Execute(c)
-		pt, plan, err := convertTask(fuzzAxes, tw)
+		pt, plan, err := convertTask(axisNames, tw)
 		if rec.Skipped != (err != nil) {
 			t.Fatalf("task %+v: skipped %v, conversion error %v", tw, rec.Skipped, err)
 		}

@@ -4,14 +4,9 @@
 // to 14 nodes in Amazon EC2 and verified that the number of tests
 // performed scales linearly").
 //
-// The protocol (batch.go) is built on stdlib net/rpc: a dial-time
-// handshake (Coordinator.Hello) delivers the fault space's axis names,
-// Coordinator.NextBatch leases many tasks per round trip and
-// Coordinator.ReportBatch folds many results, with a compact wire
-// format (wire.go). The explorer's own work (selecting the next test) is
-// tiny compared to executing one — §7.7 measures the explorer at
-// thousands of generated tests per second — so a single coordinator
-// keeps many managers busy.
+// The protocol (batch.go) is batched net/rpc with a compact wire format
+// (wire.go). How many managers one coordinator keeps busy is §7.7's
+// question, which experiments.Scalability answers on the engine itself.
 //
 // The coordinator is a thin protocol adapter over the shared execution
 // engine (core.Engine): it owns only wire concerns — lease sequence
@@ -52,11 +47,6 @@ type Stats struct {
 	Injected int
 	// PerManager counts tests executed by each manager.
 	PerManager map[string]int
-	// PeakBusy is the most managers that held leased, unreported tests
-	// at the same moment — how many nodes the session ever had working
-	// at once. It counts leases, not CPU time, so it reads the same on a
-	// loaded machine as on an idle one.
-	PeakBusy int
 }
 
 // Coordinator is the RPC service (Serve registers it as is) adapting
@@ -78,11 +68,6 @@ type Coordinator struct {
 	seq        int
 	leases     map[int]lease
 	perManager map[string]int
-	// held counts each manager's outstanding leases (absent at zero), so
-	// len(held) is the number of managers with work in hand; peakBusy is
-	// the most it has been (Stats.PeakBusy).
-	held     map[string]int
-	peakBusy int
 	// stacks interns reported injection stacks by content hash: a
 	// manager ships a stack's frames once and the 8-byte hash
 	// thereafter (ResultWire.StackHash). Content addressing lets all
@@ -144,7 +129,6 @@ func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog
 		leases:     make(map[int]lease),
 		perManager: make(map[string]int),
 		covs:       make(map[string]prog.Outcome),
-		held:       make(map[string]int),
 		tracked:    cfg.LeaseTimeout > 0,
 	}
 	if space != nil {
@@ -241,8 +225,7 @@ func (c *Coordinator) Heartbeat(managerID string, ack *bool) error {
 // noteManager marks a manager live and reaps managers that have missed
 // their beat budget: every coordinator lease held by a reaped manager
 // is force-expired on the engine, making the candidates immediately
-// re-leasable, and the manager stops counting as busy (held). The
-// coordinator's own lease entries stay — a reaped manager that was
+// re-leasable. The coordinator's own lease entries stay — a reaped manager that was
 // merely slow can still report, and the engine folds each candidate
 // exactly once either way. No-op while heartbeats are off.
 func (c *Coordinator) noteManager(id string) {
@@ -260,7 +243,6 @@ func (c *Coordinator) noteManager(id string) {
 			continue
 		}
 		delete(c.lastBeat, m)
-		delete(c.held, m)
 		for _, ls := range c.leases {
 			if ls.manager == m {
 				expired = append(expired, ls.cand.Key())
@@ -291,7 +273,6 @@ func (c *Coordinator) Snapshot() Stats {
 		Hung:       snap.Hung,
 		Injected:   snap.Injected,
 		PerManager: make(map[string]int, len(c.perManager)),
-		PeakBusy:   c.peakBusy,
 	}
 	for k, v := range c.perManager {
 		st.PerManager[k] = v
@@ -360,12 +341,6 @@ func (s *Server) Close() error {
 type Manager struct {
 	ID     string
 	Target *prog.Program
-	// Work re-runs each leased test this many times (reporting the last
-	// outcome). Real fault-injection tests cost seconds of wall-clock —
-	// starting the system, generating workload, tearing down — while the
-	// simulated ones cost microseconds; Work lets experiments emulate a
-	// realistic compute-to-coordination ratio. 0 or 1 runs once.
-	Work int
 	// HeartbeatEvery is the interval between Coordinator.Heartbeat beats
 	// RunUntilDone sends alongside the work loop, so a coordinator with
 	// SetHeartbeat enabled can tell a dead manager from one grinding
@@ -490,11 +465,7 @@ func (m *Manager) RunUntilDone() (int, error) {
 	stopBeat := m.startHeartbeat()
 	defer stopBeat()
 	src := &remote{m: m, tasks: make(map[string][]TaskWire)}
-	var runner backend.Runner = m.runner
-	if m.Work > 1 {
-		runner = rerun{Runner: m.runner, n: m.Work}
-	}
-	exec := &core.BackendExecutor{Runner: runner, Convert: src.convert}
+	exec := &core.BackendExecutor{Runner: m.runner, Convert: src.convert}
 	var wg sync.WaitGroup
 	for i := 0; i < m.loops(); i++ {
 		wg.Add(1)

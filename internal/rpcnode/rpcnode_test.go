@@ -191,25 +191,3 @@ func TestPerManagerAccounting(t *testing.T) {
 		t.Errorf("per-manager = %v", coord.Snapshot().PerManager)
 	}
 }
-
-func TestWorkFactorReruns(t *testing.T) {
-	space := rpcSpace()
-	coord := newCoordinator(t, space, explore.NewExhaustive(space), 1, nil)
-	srv, err := Serve("127.0.0.1:0", coord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	mgr, err := Dial(srv.Addr(), "w", rpcTarget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	mgr.Work = 10
-	if _, err := mgr.RunUntilDone(); err != nil {
-		t.Fatal(err)
-	}
-	if coord.Snapshot().Executed != 1 {
-		t.Error("work factor must not inflate the executed count")
-	}
-}
