@@ -52,14 +52,6 @@ type CoordinatorOptions struct {
 	// is left of Budget (Options.Feedback, Options.TimeBudget).
 	Feedback   bool
 	TimeBudget time.Duration
-	// LeaseTimeout re-leases tasks never reported back (0 = never,
-	// unless heartbeats are on: see NewCoordinatorWithOptions).
-	LeaseTimeout time.Duration
-	// HeartbeatEvery/HeartbeatMisses enable heartbeat-driven liveness:
-	// a manager silent for HeartbeatMisses beats has its leases expired
-	// immediately (see Coordinator.SetHeartbeat). Zero disables.
-	HeartbeatEvery  time.Duration
-	HeartbeatMisses int
 	// StateDir persists the session (empty = in-memory only);
 	// JournalFormat picks the journal encoding for a new directory, and
 	// Resume restores the explorer's search state.
@@ -80,8 +72,9 @@ type CoordinatorOptions struct {
 // unknown names return the registry's error listing every valid
 // choice), sharded over Shards disjoint regions when Shards > 1 so
 // remote node managers always work disjoint parts of the space, with
-// optional persistence, lease expiry, heartbeat liveness, and
-// multi-coordinator peer sharding.
+// optional persistence and multi-coordinator peer sharding. Manager
+// liveness needs no option: a manager that misses its beats has its
+// leases handed to the others (see package rpcnode).
 //
 // With StateDir set the coordinator journals every result its managers
 // report, snapshots the session state, and — on a directory with prior
@@ -93,17 +86,6 @@ type CoordinatorOptions struct {
 // The returned cleanup flushes and closes the store (a no-op without
 // StateDir); call it after Coordinator.Result.
 func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error, error) {
-	leaseTimeout := o.LeaseTimeout
-	if o.HeartbeatEvery > 0 && leaseTimeout <= 0 {
-		// Heartbeat reaping expires tracked leases, so it needs lease
-		// tracking: without a LeaseTimeout install a conservative one
-		// (heartbeats then drive expiry in practice).
-		misses := o.HeartbeatMisses
-		if misses < 1 {
-			misses = rpcnode.DefaultHeartbeatMisses
-		}
-		leaseTimeout = max(time.Minute, 20*time.Duration(misses)*o.HeartbeatEvery)
-	}
 	// The engine composes the exploration stack (strategy → sharded)
 	// from the config, exactly as a local session's does.
 	ecfg := core.Config{
@@ -114,7 +96,6 @@ func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error
 		Iterations:    o.Budget,
 		Feedback:      o.Feedback,
 		TimeBudget:    o.TimeBudget,
-		LeaseTimeout:  leaseTimeout,
 		StateDir:      o.StateDir,
 		JournalFormat: o.JournalFormat,
 		Resume:        o.Resume,
@@ -131,10 +112,6 @@ func NewCoordinatorWithOptions(o CoordinatorOptions) (*Coordinator, func() error
 		return nil, nil, err
 	}
 	coord.SetTargetName(o.TargetName)
-	if err := coord.SetHeartbeat(o.HeartbeatEvery, o.HeartbeatMisses); err != nil {
-		cleanup()
-		return nil, nil, err
-	}
 	return coord, cleanup, nil
 }
 

@@ -25,11 +25,11 @@
 //	  [--space "testID : [ 0 , 3 ]  function : { open , read }  callNumber : [ 1 , 3 ] ;" | @file]
 //	  [--funcs 19] [--call-lo 1] [--call-hi 100] [--pairs] [--errno-axis]
 //	  [--algo fitness|random|exhaustive|genetic|portfolio] [--iterations 1000] [--seed 1]
-//	  [--feedback] [--shards 4] [--time-budget 10m] [--lease-timeout 30s]
+//	  [--feedback] [--shards 4] [--time-budget 10m]
 //	  [--state-dir DIR] [--journal-format jsonl|binary] [--resume] [--peers 2 --peer 0]
 //	  local sessions:       [--workers 4] [--batch 16] [--timeout 5s] [--procs 4]
 //	                        [--tests-per-proc 100] [--test-args "row0"] [--test-args "row1"]
-//	  coordinator sessions: --serve :7070 (serve: --addr) [--heartbeat 1s] [--heartbeat-misses 3]
+//	  coordinator sessions: --serve :7070 (serve: --addr)
 //
 // Exit status: 0 on success with no failures found, 1 on errors, 2 on
 // usage mistakes, and 3 when the exploration (or serve session) found

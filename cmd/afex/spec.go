@@ -69,9 +69,6 @@ func bindSpec(fs *flag.FlagSet, spec *controlplane.SessionSpec) {
 	fs.StringVar(&spec.JournalFormat, "journal-format", spec.JournalFormat, "with --state-dir: journal format for a NEW directory, "+afex.JournalJSONL+" (default) or "+afex.JournalBinary+" (crc-framed binary segments; existing directories keep their format)")
 	fs.BoolVar(&spec.Resume, "resume", spec.Resume, "with --state-dir: restore the explorer's search state and continue where the previous run stopped")
 	fs.StringVar(&spec.Serve, "serve", spec.Serve, "coordinator mode: serve the manager RPC protocol on this address; remote afex workers execute the scenarios")
-	fs.StringVar(&spec.LeaseTimeout, "lease-timeout", spec.LeaseTimeout, "re-lease tasks never reported back after this `duration` (0 = never; leases then leak if a manager dies)")
-	fs.StringVar(&spec.Heartbeat, "heartbeat", spec.Heartbeat, "coordinator mode: expect manager heartbeats at this `duration`; a manager missing --heartbeat-misses beats has its leases expired immediately (0 = off)")
-	fs.IntVar(&spec.HeartbeatMisses, "heartbeat-misses", spec.HeartbeatMisses, "heartbeats a manager may miss before being declared dead (0 = default)")
 	fs.IntVar(&spec.Peers, "peers", spec.Peers, "split the space across this many peer sessions via disjoint sharding; this one explores region --peer")
 	fs.IntVar(&spec.Peer, "peer", spec.Peer, "this session's 0-based region index among --peers")
 }

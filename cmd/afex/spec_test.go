@@ -26,7 +26,7 @@ func TestSessionFlagTable(t *testing.T) {
 		"--workers", "8", "--batch", "16", "--shards", "4",
 		"--test-args", "row 0", "--test-args", "row 1", "--timeout", "1500ms", "--procs", "2", "--tests-per-proc", "-1",
 		"--time-budget", "1h", "--state-dir", "/tmp/hunt", "--journal-format", "binary", "--resume",
-		"--serve", ":7171", "--lease-timeout", "30s", "--heartbeat", "1s", "--heartbeat-misses", "5",
+		"--serve", ":7171",
 		"--peers", "3", "--peer", "2",
 	}
 	all := spec{
@@ -36,7 +36,7 @@ func TestSessionFlagTable(t *testing.T) {
 		Workers: 8, Batch: 16, Shards: 4,
 		TestArgs: []string{"row 0", "row 1"}, Timeout: "1500ms", Procs: 2, TestsPerProc: -1,
 		TimeBudget: "1h", StateDir: "/tmp/hunt", JournalFormat: "binary", Resume: true,
-		Serve: ":7171", LeaseTimeout: "30s", Heartbeat: "1s", HeartbeatMisses: 5,
+		Serve: ":7171",
 		Peers: 3, Peer: 2,
 	}
 	for _, c := range []struct {

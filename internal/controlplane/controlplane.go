@@ -115,14 +115,6 @@ type SessionSpec struct {
 	// endpoint is served on this address ("host:port", ":0" for an
 	// ephemeral port) and remote node managers execute the scenarios.
 	Serve string `json:"serve,omitempty"`
-	// LeaseTimeout re-leases tasks never reported back (coordinator
-	// and lease-tracking local sessions).
-	LeaseTimeout string `json:"leaseTimeout,omitempty"`
-	// Heartbeat enables heartbeat-driven manager liveness on a
-	// coordinator session: a manager silent for HeartbeatMisses beats
-	// of this interval has its leases expired immediately.
-	Heartbeat       string `json:"heartbeat,omitempty"`
-	HeartbeatMisses int    `json:"heartbeatMisses,omitempty"`
 	// Peer/Peers place the session in a multi-coordinator hunt: the
 	// space is split across Peers coordinators via Union.Shard and this
 	// session explores region Peer (0-based). Recorded in meta.json.
@@ -220,28 +212,24 @@ type Plan struct {
 }
 
 // settleBackend checks the spec against its mode. A field configuring
-// what the mode does not have is refused, never dropped. A cmd: target
-// runs on the process backend, a built-in one on the model, and an
-// explicit backend must agree — except on a coordinator, whose managers
-// bring the backend: there the name is only checked against the registry.
+// what the mode does not have — a local executor, on a coordinator — is
+// refused, never dropped. A cmd: target runs on the process backend, a
+// built-in one on the model, and an explicit backend must agree — except
+// on a coordinator, whose managers bring the backend: there the name is
+// only checked against the registry.
 func (spec *SessionSpec) settleBackend(procTarget bool) error {
-	coordinator := spec.Serve != ""
-	for _, f := range []struct {
-		name             string
-		set, coordinator bool
-	}{
-		{"workers", spec.Workers > 1, false}, {"batch", spec.Batch != 0, false}, {"procs", spec.Procs != 0, false},
-		{"testsPerProc", spec.TestsPerProc != 0, false}, {"timeout", spec.Timeout != "", false}, {"testArgs", len(spec.TestArgs) > 0, false},
-		{"heartbeat", spec.Heartbeat != "", true}, {"heartbeatMisses", spec.HeartbeatMisses != 0, true},
-	} {
-		if f.set && f.coordinator != coordinator {
-			if coordinator {
+	if spec.Serve != "" {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"workers", spec.Workers > 1}, {"batch", spec.Batch != 0}, {"procs", spec.Procs != 0},
+			{"testsPerProc", spec.TestsPerProc != 0}, {"timeout", spec.Timeout != ""}, {"testArgs", len(spec.TestArgs) > 0},
+		} {
+			if f.set {
 				return fmt.Errorf("controlplane: %s configures a local executor; a coordinator session's managers execute", f.name)
 			}
-			return fmt.Errorf("controlplane: %s needs serve: only a coordinator session has managers to hear from", f.name)
 		}
-	}
-	if coordinator {
 		if spec.Backend != "" && !slices.Contains(afex.Backends(), spec.Backend) {
 			return fmt.Errorf("unknown execution backend %q (valid: %s)", spec.Backend, strings.Join(afex.Backends(), ", "))
 		}
@@ -284,7 +272,6 @@ func (spec SessionSpec) Resolve() (*Plan, error) {
 		return d
 	}
 	execTimeout, timeBudget := dur("timeout", spec.Timeout), dur("timeBudget", spec.TimeBudget)
-	leaseTimeout, heartbeat := dur("leaseTimeout", spec.LeaseTimeout), dur("heartbeat", spec.Heartbeat)
 	if err != nil {
 		return nil, err
 	}
@@ -349,22 +336,19 @@ func (spec SessionSpec) Resolve() (*Plan, error) {
 	p := &Plan{Spec: spec}
 	if spec.Serve != "" {
 		p.Coordinator = afex.CoordinatorOptions{
-			TargetName:      spec.Target,
-			Space:           space,
-			Algorithm:       spec.Algorithm,
-			Explore:         afex.ExploreOptions{Seed: spec.Seed},
-			Budget:          spec.Iterations,
-			Shards:          spec.Shards,
-			Feedback:        spec.Feedback,
-			TimeBudget:      timeBudget,
-			LeaseTimeout:    leaseTimeout,
-			HeartbeatEvery:  heartbeat,
-			HeartbeatMisses: spec.HeartbeatMisses,
-			StateDir:        spec.StateDir,
-			JournalFormat:   spec.JournalFormat,
-			Resume:          spec.Resume,
-			Peer:            spec.Peer,
-			Peers:           spec.Peers,
+			TargetName:    spec.Target,
+			Space:         space,
+			Algorithm:     spec.Algorithm,
+			Explore:       afex.ExploreOptions{Seed: spec.Seed},
+			Budget:        spec.Iterations,
+			Shards:        spec.Shards,
+			Feedback:      spec.Feedback,
+			TimeBudget:    timeBudget,
+			StateDir:      spec.StateDir,
+			JournalFormat: spec.JournalFormat,
+			Resume:        spec.Resume,
+			Peer:          spec.Peer,
+			Peers:         spec.Peers,
 		}
 		return p, nil
 	}
@@ -384,7 +368,6 @@ func (spec SessionSpec) Resolve() (*Plan, error) {
 		Shards:        spec.Shards,
 		Feedback:      spec.Feedback,
 		TimeBudget:    timeBudget,
-		LeaseTimeout:  leaseTimeout,
 		StateDir:      spec.StateDir,
 		JournalFormat: spec.JournalFormat,
 		Resume:        spec.Resume,

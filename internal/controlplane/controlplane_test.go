@@ -179,7 +179,7 @@ func TestStatusJSONSchema(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"executed", "failed", "uniqueFailures", "pending", "waitingLeases", "coverage"} {
+	for _, key := range []string{"executed", "failed", "uniqueFailures", "pending", "coverage"} {
 		if _, ok := doc.Snapshot[key]; !ok {
 			t.Errorf("snapshot missing %q: %v", key, doc.Snapshot)
 		}
@@ -588,8 +588,6 @@ func TestResolveRefusals(t *testing.T) {
 		{"empty space", controlplane.SessionSpec{Target: "mysqld", Space: " "}, "fault space is empty"},
 		{"axis too long to index", controlplane.SessionSpec{Target: "mysqld", CallLo: 0, CallHi: math.MaxInt64}, "axis callNumber"},
 		{"DSL axis too long to index", controlplane.SessionSpec{Target: "mysqld", Space: "f : { a } n : [ 0 , 9223372036854775807 ] ;"}, "axis n"},
-		{"heartbeat without serve", controlplane.SessionSpec{Target: "mysqld", Heartbeat: "1s"}, "heartbeat needs serve"},
-		{"heartbeatMisses without serve", controlplane.SessionSpec{Target: "mysqld", HeartbeatMisses: 2}, "heartbeatMisses needs serve"},
 		{"serve with workers", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 4}, "workers configures a local executor"},
 		{"serve with batch", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Batch: 8}, "batch configures"},
 		{"serve with procs", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Procs: 2}, "procs configures"},

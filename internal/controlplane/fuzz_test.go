@@ -56,8 +56,9 @@ func FuzzSessionSpec(f *testing.F) {
 	seed(controlplane.SessionSpec{Target: "cmd:./crashy {test}"})
 	seed(controlplane.SessionSpec{Target: "cmd:", Space: crashy})
 	seed(controlplane.SessionSpec{Target: "mysqld", Resume: true})
-	seed(controlplane.SessionSpec{Target: "mysqld", TimeBudget: "soon", LeaseTimeout: "-1s"})
-	seed(controlplane.SessionSpec{Target: "mysqld", Heartbeat: "1s", HeartbeatMisses: 2})
+	seed(controlplane.SessionSpec{Target: "mysqld", TimeBudget: "soon"})
+	// a body written for a build that had lease and heartbeat knobs: the keys are ignored
+	f.Add([]byte(`{"target": "mysqld", "leaseTimeout": "-1s", "heartbeat": "1s", "heartbeatMisses": 2}`))
 	seed(controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 4, Procs: 2, TestsPerProc: -1})
 	seed(controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Backend: "qemu", Peers: 2, Peer: -1})
 	f.Add([]byte(`{"target": 7}`))

@@ -54,7 +54,6 @@ func (mw *metricWriter) sample(name, help, typ string, labels [][2]string, value
 //	afex_hangs_total{session=}            hung scenarios
 //	afex_unique_failure_clusters{session=} distinct failure clusters
 //	afex_pending_leases{session=}         leased, unreported tests
-//	afex_waiting_leases{session=}         tracked outstanding leases
 //	afex_coverage_ratio{session=}         explored fraction of the space
 //	afex_worker_pool_recycles_total{session=} quota-driven worker recycles
 //	afex_avg_test_seconds{session=}       EWMA of per-test execution wall clock
@@ -105,8 +104,6 @@ func writeMetrics(w io.Writer, m *Manager) {
 		func(i int) float64 { return float64(snaps[i].UniqueFailures) })
 	perSession("afex_pending_leases", "Tests leased out and not yet reported.", "gauge",
 		func(i int) float64 { return float64(snaps[i].Pending) })
-	perSession("afex_waiting_leases", "Outstanding leases tracked for expiry.", "gauge",
-		func(i int) float64 { return float64(snaps[i].WaitingLeases) })
 	perSession("afex_coverage_ratio", "Explored fraction of the fault space.", "gauge",
 		func(i int) float64 { return snaps[i].Coverage })
 	perSession("afex_worker_pool_recycles_total", "Worker processes recycled at their test quota.", "counter",

@@ -45,8 +45,9 @@ type Executor interface {
 // ran, in the order it ended: the Engine in process, or a lease source
 // over the wire (package rpcnode), so a remote node manager runs this
 // package's loop (Work). Park waits out an empty Lease and reports
-// whether to lease again; once Stopped, a worker arms nothing more and
-// hands back what it has not started through Unlease.
+// whether to lease again (the Engine never waits: its Park is false);
+// once Stopped, a worker arms nothing more and hands back what it has
+// not started through Unlease.
 type Source interface {
 	Lease(n int) []explore.Candidate
 	FoldBatch(done []ExecutedTest) bool
@@ -97,9 +98,8 @@ type Engine struct {
 	mu sync.Mutex
 
 	// leaseMu guards lease bookkeeping: the pending/committed budget
-	// counters, the lease-expiry heap, the wake-up, the seal and the
-	// latency average. It is deliberately narrow — never held across
-	// explorer calls or fold work.
+	// counters, the seal and the latency average. It is deliberately
+	// narrow — never held across explorer calls or fold work.
 	leaseMu sync.Mutex
 	// pending counts candidates handed out (or being generated by a
 	// Lease) but not yet folded back. committed counts every claim
@@ -107,19 +107,9 @@ type Engine struct {
 	// budget is Iterations - committed, so leases never overshoot.
 	pending   int
 	committed int
-	// done is Done's channel, closed through seal; wake is closed and
-	// cleared by progressLocked, nil while no worker is parked.
+	// done is Done's channel, closed through seal.
 	done chan struct{}
 	seal sync.Once
-	wake chan struct{}
-	// lq tracks outstanding candidates in an expiry-ordered min-heap
-	// when lease expiry is on (Config.LeaseTimeout): expired entries
-	// are re-leased oldest-first — deterministically, unlike the map
-	// walk it replaced — and a fold retires its entry, so a late
-	// duplicate fold from a presumed-dead executor is dropped and each
-	// candidate folds exactly once. Nil when lease expiry is off, for
-	// the engine's whole life.
-	lq *leaseQueue
 	// exhausted means the explorer ran dry (a BatchNext came back
 	// short): no Lease asks it again.
 	exhausted bool
@@ -127,8 +117,8 @@ type Engine struct {
 	// latEWMA tracks per-test execution wall clock (nanoseconds) as an
 	// exponentially weighted moving average of executor observations
 	// (ObserveLatency). Adaptive wire batching divides a target round
-	// duration by it: slow targets get small lease batches (lease-expiry
-	// responsiveness), fast ones large batches (round-trip
+	// duration by it: slow targets get small lease batches (little
+	// lost with a dead manager), fast ones large batches (round-trip
 	// amortization). Zero until the first observation.
 	latEWMA float64
 
@@ -298,9 +288,6 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 			e.recycles = rc.Recycles
 		}
 	}
-	if cfg.LeaseTimeout > 0 {
-		e.lq = newLeaseQueue()
-	}
 	if cfg.Space != nil {
 		e.res.SpaceSize = cfg.Space.Size()
 		e.axisNames = make([][]string, len(cfg.Space.Spaces))
@@ -365,14 +352,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 // overshoots). It returns nil once the session is stopped, the deadline
 // has passed, the budget is committed, or the explorer is exhausted.
 //
-// With Config.LeaseTimeout set, candidates leased but not folded back
-// within the timeout — a dead distributed manager, a killed worker —
-// are handed out again before any fresh candidates, oldest expiry
-// first, outside the Iterations arithmetic (their budget was committed
-// at first lease), so a session whose whole remaining budget is stuck
-// on lost leases drains instead of stalling until Finish.
-//
-// Fresh candidates are generated here, by the Lease that hands them
+// Candidates are generated here, by the Lease that hands them
 // out, under the explorer lock alone. The session lock is never taken,
 // so leasing does not serialize against fold commits. The budget stays
 // exact without it by reserve-then-refund: the request is committed
@@ -386,22 +366,15 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 	if e.stopped.Load() {
 		return nil
 	}
-	// One clock read serves the deadline check, the expiry scan and
-	// fresh-lease stamping for the whole call.
-	now := e.cfg.clock.Now()
 	// Check the deadline here too, not only when folding: a session with
 	// slow tests (or none finishing) must stop handing out work the
 	// moment the TimeBudget elapses, not at the next fold.
-	if !e.deadline.IsZero() && !now.Before(e.deadline) {
+	if !e.deadline.IsZero() && !e.cfg.clock.Now().Before(e.deadline) {
 		e.Stop()
 		return nil
 	}
 	e.leaseMu.Lock()
-	var cands []explore.Candidate
-	if e.lq != nil {
-		cands = e.lq.takeExpired(now, max, e.cfg.LeaseTimeout)
-	}
-	fresh := max - len(cands)
+	fresh := max
 	if e.cfg.Iterations > 0 {
 		if remaining := e.cfg.Iterations - e.committed; fresh > remaining {
 			fresh = remaining
@@ -409,7 +382,7 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 	}
 	if fresh <= 0 || e.exhausted {
 		e.leaseMu.Unlock()
-		return cands
+		return nil
 	}
 	e.committed += fresh
 	e.pending += fresh
@@ -428,35 +401,23 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 		// reservation.
 		e.committed -= fresh
 		e.pending -= fresh
-		return cands
+		return nil
 	}
-	// Refund the shortfall; the rest is leased (under expiry, heaped).
+	// Refund the shortfall; the rest is leased.
 	e.committed -= fresh - len(next)
 	e.pending -= fresh - len(next)
 	if len(next) < fresh {
 		e.exhausted = true
 		e.progressLocked()
 	}
-	if e.lq != nil {
-		expires := now.Add(e.cfg.LeaseTimeout)
-		for _, c := range next {
-			e.lq.add(c.Key(), c, expires)
-		}
-	}
-	return append(cands, next...)
+	return next
 }
 
 // Unlease returns budget for n leased candidates that will never be
-// executed (a worker shutting down mid-batch, a lost remote manager).
-// With Config.LeaseTimeout set it is a no-op: tracked candidates stay
-// budget-committed and re-lease on expiry instead of being lost to the
-// session.
+// executed (a worker shutting down mid-batch).
 func (e *Engine) Unlease(n int) {
 	e.leaseMu.Lock()
 	defer e.leaseMu.Unlock()
-	if e.lq != nil {
-		return
-	}
 	if n > e.pending {
 		n = e.pending
 	}
@@ -465,15 +426,10 @@ func (e *Engine) Unlease(n int) {
 	e.progressLocked()
 }
 
-// progressLocked is the one wake-up, called at every fold, Unlease,
-// forced expiry and Stop and when the explorer runs dry: it wakes the
-// parked workers, if any, and seals Done once the engine is stopped or
+// progressLocked is called at every fold, Unlease and Stop and when
+// the explorer runs dry: it seals Done once the engine is stopped or
 // owes nothing with the explorer dry or the budget committed.
 func (e *Engine) progressLocked() {
-	if e.wake != nil {
-		close(e.wake)
-		e.wake = nil
-	}
 	if e.stopped.Load() || e.pending == 0 && (e.exhausted || e.cfg.Iterations > 0 && e.committed >= e.cfg.Iterations) {
 		e.seal.Do(func() { close(e.done) })
 	}
@@ -504,8 +460,8 @@ type ExecutedTest struct {
 // stage consumes it and re-verifies anything the index may have
 // invalidated in between, so results are identical to folding serially.
 type FoldPre struct {
-	// pointKey is the candidate's scenario key, shared by lease
-	// retirement, the seen tally and the novelty seed within one fold.
+	// pointKey is the candidate's scenario key, shared by the seen
+	// tally and the novelty seed within one fold.
 	pointKey string
 	// stackKey is the injection stack's exact-match encoding (injected
 	// outcomes only), shared by the similarity memo and all cluster
@@ -584,39 +540,19 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 		return true, nil
 	}
 	feedback := make([]explore.Feedback, 0, len(batch))
-	// Lease bookkeeping for the whole batch under one short lease-lock
-	// acquisition: duplicate detection, lease retirement and the pending
-	// decrement. Under Config.LeaseTimeout a candidate folds exactly
-	// once, so a late duplicate from a presumed-dead executor is dropped
-	// (it appends no record, feeds no explorer, journals nothing).
-	var dup []bool
-	folding := len(batch)
+	// The pending decrement for the whole batch under one short
+	// lease-lock acquisition. Every candidate folds: the engine trusts
+	// its executors to fold each lease once (a coordinator drops a late
+	// report from a manager it has given up on before it gets here).
 	e.leaseMu.Lock()
-	if e.lq != nil {
-		dup = make([]bool, len(batch))
-		for i := range batch {
-			if !e.lq.retire(batch[i].Pre.pointKey) {
-				dup[i] = true
-				folding--
-			}
-		}
-	}
-	if folding > e.pending {
-		folding = e.pending
-	}
-	e.pending -= folding
+	e.pending -= min(len(batch), e.pending)
 	e.progressLocked()
 	e.leaseMu.Unlock()
-	folded := make([]int, 0, len(batch))
 	stop := false
 	var bs batchSnap
 	for i := range batch {
-		if dup != nil && dup[i] {
-			continue
-		}
 		stopped, fb := e.foldLocked(&batch[i], &bs)
 		feedback = append(feedback, fb)
-		folded = append(folded, i)
 		stop = stop || stopped
 	}
 	// The deadline is checked once per batch (a sequential session folds
@@ -633,13 +569,13 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 	explore.ReportBatch(e.explorer, feedback)
 	e.exMu.Unlock()
 	var view *sessionView
-	if e.cfg.Store != nil && len(folded) > 0 {
-		// The completed records are the last len(folded) folds, in order.
-		recs := e.res.Records[len(e.res.Records)-len(folded):]
-		for j, i := range folded {
-			e.cfg.Store.JournalRecord(batch[i].C, recs[j])
+	if e.cfg.Store != nil {
+		// The completed records are the last len(batch) folds, in order.
+		recs := e.res.Records[len(e.res.Records)-len(batch):]
+		for i := range batch {
+			e.cfg.Store.JournalRecord(batch[i].C, recs[i])
 		}
-		e.sinceSnap += len(folded)
+		e.sinceSnap += len(batch)
 		// The store encodes O(session) bytes per snapshot, so with the
 		// default cadence the interval scales with session size
 		// (amortized O(1) per fold); an explicit SnapshotEvery is
@@ -802,49 +738,21 @@ func (e *Engine) SetTargetName(name string) {
 	e.mu.Unlock()
 }
 
-// Waiting reports whether the session is merely waiting on work that
-// may yet become leasable — outstanding leases that can expire and
-// re-lease (lease-expiry mode): Lease just returned nothing, but the
-// session is not over — an executor should poll again shortly rather
-// than quit. Always false without Config.LeaseTimeout, where
-// outstanding leases are trusted to fold.
-func (e *Engine) Waiting() bool {
-	if e.stopped.Load() {
-		return false
-	}
-	e.leaseMu.Lock()
-	defer e.leaseMu.Unlock()
-	return e.lq != nil && e.lq.Len() > 0
-}
+// Waiting reports whether an empty Lease should be polled again. The
+// engine tracks no lease it could hand out a second time, so never: an
+// outstanding lease folds or is unleased by its executor, and a lease
+// lost with a remote manager is its coordinator's to re-lease.
+func (e *Engine) Waiting() bool { return false }
 
-// Park is Waiting for the worker loop: while it holds, Park blocks the
-// worker until the next progressLocked, the earliest lease expiry or the
-// deadline, and reports true.
-func (e *Engine) Park() bool {
-	e.leaseMu.Lock()
-	if e.stopped.Load() || e.lq == nil || e.lq.Len() == 0 {
-		e.leaseMu.Unlock()
-		return false
-	}
-	if e.wake == nil {
-		e.wake = make(chan struct{})
-	}
-	wake, until := e.wake, e.lq.entries[0].expires
-	if !e.deadline.IsZero() && e.deadline.Before(until) {
-		until = e.deadline
-	}
-	e.leaseMu.Unlock()
-	select {
-	case <-wake:
-	case <-e.cfg.clock.After(until.Sub(e.cfg.clock.Now())):
-	}
-	return true
-}
+// Park is Waiting for the worker loop: a worker whose Lease came back
+// empty is done.
+func (e *Engine) Park() bool { return false }
 
 // Wire-batch sizing: an adaptive lease batch targets WireBatchRound of
 // execution wall clock per round trip, between 1 (a test slower than
-// the round — expiry responsiveness wins) and MaxWireBatch (fast
-// model/warm tests — amortization wins). DefaultWireBatch is the size
+// the round — a dead manager's lease is small) and MaxWireBatch (fast
+// model/warm tests — amortization wins), and never more than a
+// manager's share of the remaining budget. DefaultWireBatch is the size
 // before any latency has been observed.
 const (
 	WireBatchRound   = 250 * time.Millisecond
@@ -876,45 +784,27 @@ func (e *Engine) ObserveLatency(perTest time.Duration) {
 
 // AdaptiveBatch suggests how many candidates one lease round trip
 // should carry given the observed per-test latency (DefaultWireBatch
-// before any observation).
-func (e *Engine) AdaptiveBatch() int {
+// before any observation), capped at ⌈(Iterations − committed) /
+// managers⌉ so that, at a session's start and its end, the managers
+// sharing the budget each get a lease.
+func (e *Engine) AdaptiveBatch(managers int) int {
 	e.leaseMu.Lock()
 	defer e.leaseMu.Unlock()
-	return e.adaptiveBatchLocked()
+	return e.adaptiveBatchLocked(managers)
 }
 
 // adaptiveBatchLocked computes the suggested wire batch; callers hold
 // e.leaseMu.
-func (e *Engine) adaptiveBatchLocked() int {
-	if e.latEWMA <= 0 {
-		return DefaultWireBatch
+func (e *Engine) adaptiveBatchLocked(managers int) int {
+	n := DefaultWireBatch
+	if e.latEWMA > 0 {
+		n = min(max(int(float64(WireBatchRound)/e.latEWMA), 1), MaxWireBatch)
 	}
-	n := int(float64(WireBatchRound) / e.latEWMA)
-	if n < 1 {
-		return 1
-	}
-	if n > MaxWireBatch {
-		return MaxWireBatch
+	if left := e.cfg.Iterations - e.committed; e.cfg.Iterations > 0 && left > 0 {
+		managers = max(managers, 1)
+		n = min(n, (left+managers-1)/managers)
 	}
 	return n
-}
-
-// ExpireLeases force-expires the tracked leases for the given scenario
-// keys, making their candidates immediately re-leasable without waiting
-// out the wall-clock LeaseTimeout — the liveness path for executors
-// known to be dead (a distributed manager that stopped heartbeating).
-// Keys without an outstanding lease are ignored; it returns how many
-// leases were expired. A late fold from the presumed-dead executor is
-// still exactly-once: whichever fold lands first retires the lease, the
-// other is dropped as a duplicate.
-func (e *Engine) ExpireLeases(keys []string) int {
-	e.leaseMu.Lock()
-	defer e.leaseMu.Unlock()
-	if e.lq == nil {
-		return 0
-	}
-	defer e.progressLocked()
-	return e.lq.expire(keys)
 }
 
 // Stop ends the session: subsequent Lease calls return nil, one caught
@@ -964,12 +854,9 @@ func (e *Engine) quickSnapshotLocked() Snapshot {
 	}
 	e.leaseMu.Lock()
 	s.Pending = e.pending
-	if e.lq != nil {
-		s.WaitingLeases = e.lq.Len()
-	}
 	if e.latEWMA > 0 {
 		s.AvgTestNS = int64(e.latEWMA)
-		s.AdaptiveBatch = e.adaptiveBatchLocked()
+		s.AdaptiveBatch = e.adaptiveBatchLocked(1)
 	}
 	e.leaseMu.Unlock()
 	if e.recycles != nil {
@@ -1199,7 +1086,7 @@ func work(src Source, clk clock, exec Executor, batch int, observe func(time.Dur
 	for {
 		cands = src.Lease(batch)
 		if len(cands) == 0 {
-			// Leases that may yet expire and re-lease: wait, don't quit.
+			// A coordinator with leases out: wait, don't quit.
 			if src.Park() {
 				continue
 			}

@@ -41,11 +41,13 @@
 //
 // # Time
 //
-// The engine reads one clock (lease.go) and wakes workers parked on
-// expiring leases at every fold, Unlease, forced expiry and Stop, never
-// on a poll; Done tells a coordinator the session is over. The clock is
-// the wall clock except in this package's tests, which own a fake one so
-// an expiry or a deadline falls at a chosen step, not after a sleep.
+// The engine reads one clock (clock.go) and never sleeps: a worker
+// whose Lease comes back empty returns, and Done tells a coordinator the
+// session is over. Outstanding leases are trusted to fold or Unlease;
+// a lease lost with a remote manager is the coordinator's to hand out
+// again (package rpcnode). The clock is the wall clock except in this
+// package's tests, which own a fake one so a deadline falls at a chosen
+// step, not after a sleep.
 package core
 
 import (
@@ -152,15 +154,6 @@ type Config struct {
 	// clock ("the tester can choose to stop the tests after some
 	// specified amount of time", §6.4).
 	TimeBudget time.Duration
-	// LeaseTimeout, if positive, re-leases candidates that were handed
-	// out but never folded back within this much wall clock — the
-	// recovery path for dead distributed managers and killed worker
-	// processes, which would otherwise leak their leases until Finish.
-	// With a timeout set, each candidate folds exactly once: a late
-	// duplicate fold from an executor that was presumed dead is
-	// dropped. Zero (the default) trusts executors to always fold or
-	// Unlease.
-	LeaseTimeout time.Duration
 	// Progress, if non-nil, receives a snapshot every ProgressEvery
 	// executed tests (default 100) — the progress log of §6.4 step 7.
 	Progress      func(Snapshot)
@@ -239,11 +232,6 @@ type Snapshot struct {
 	// Pending counts candidates leased but not yet folded back — the
 	// outstanding work of in-flight workers or remote managers.
 	Pending int `json:"pending"`
-	// WaitingLeases counts the tracked outstanding leases of a
-	// lease-expiry session (Config.LeaseTimeout) — the candidates the
-	// session may still be waiting out before it can drain. Zero when
-	// lease expiry is off.
-	WaitingLeases int `json:"waitingLeases"`
 	// PoolRecycles counts warm worker processes the execution backend
 	// has recycled after serving their scenario quota (process backend
 	// only; zero elsewhere).
@@ -256,7 +244,8 @@ type Snapshot struct {
 	BlockWalks int `json:"blockWalks"`
 	// AvgTestNS is the EWMA of per-test execution wall clock reported
 	// by executors (Engine.ObserveLatency) and AdaptiveBatch the
-	// engine's current suggested wire-batch size derived from it. Both
+	// engine's current suggested wire-batch size derived from it, for a
+	// lone manager (Engine.AdaptiveBatch(1)). Both
 	// stay zero until an executor reports latency — today only
 	// distributed managers do.
 	AvgTestNS     int64 `json:"avgTestNs,omitempty"`
@@ -282,8 +271,8 @@ type Snapshot struct {
 // sessions — the live per-arm pulls and mean reward.
 func (s Snapshot) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "executed=%d failures=%d clusters=%d leases=%d waits=%d coverage=%.1f%%",
-		s.Executed, s.Failed, s.UniqueFailures, s.Pending, s.WaitingLeases, 100*s.Coverage)
+	fmt.Fprintf(&b, "executed=%d failures=%d clusters=%d leases=%d coverage=%.1f%%",
+		s.Executed, s.Failed, s.UniqueFailures, s.Pending, 100*s.Coverage)
 	if len(s.Arms) > 0 {
 		b.WriteString(" arms[")
 		for i, a := range s.Arms {

@@ -207,6 +207,20 @@ func TestScalabilitySpeedsUp(t *testing.T) {
 	}
 }
 
+// TestAdaptiveLeaseScalesAtASmallBudget: at 2,000 tests, 64 managers
+// sharing the budget are no slower than 32 — an adaptive lease is never
+// more than a manager's share of what is left, so the first leases do
+// not take the whole budget.
+func TestAdaptiveLeaseScalesAtASmallBudget(t *testing.T) {
+	r := Scalability(Opts{Seed: 1, Scale: 0.66667}, []int{1, 32, 64})
+	if r.Tests != 2000 {
+		t.Fatalf("simulated %d tests, want 2000", r.Tests)
+	}
+	if r.Adaptive.Throughput[2] < r.Adaptive.Throughput[1] {
+		t.Errorf("adaptive lease: %.1f tests/s at 64 nodes, %.1f at 32", r.Adaptive.Throughput[2], r.Adaptive.Throughput[1])
+	}
+}
+
 func TestAblationsRun(t *testing.T) {
 	r := Ablations(quickOpts())
 	if len(r.Names) != 5 || r.Names[0] != "full algorithm" {

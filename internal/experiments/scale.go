@@ -112,11 +112,9 @@ const (
 	simCandidateCost = time.Millisecond
 	// scaleTests is each simulated session's budget: about 47 tests,
 	// four adaptive leases, for each of 64 managers, so a session is
-	// more than its start and its end. At 2,000 tests the start decides
-	// the 64-node row: Engine.AdaptiveBatch leases DefaultWireBatch (32)
-	// before any latency is observed, the first leases take the whole
-	// budget, and adaptive leasing is slower at 64 nodes than at 32
-	// (ROADMAP item 14).
+	// more than its start and its end. Engine.AdaptiveBatch caps a lease
+	// at the managers' share of what is left, so a smaller budget moves
+	// the 64-node row little (25.13× at 2,000 tests, EXPERIMENTS.md).
 	scaleTests = 3000
 )
 
@@ -232,7 +230,7 @@ func simulate(seed int64, tests, n int, single bool) (s simSession) {
 		}
 		size := 1
 		if !single {
-			size = eng.AdaptiveBatch()
+			size = eng.AdaptiveBatch(n)
 		}
 		cands := eng.Lease(size)
 		s.leaseFold += time.Since(wall)

@@ -4,13 +4,14 @@ package rpcnode
 // make the network, not test execution, the bottleneck once the
 // warm-worker backend executes a scenario in tens of microseconds, so
 // the coordinator — a thin adapter over the core.Engine seams
-// (Lease/FoldBatch, lease expiry, heartbeat reaping, journaled resume) —
-// moves many tasks per round trip:
+// (Lease/FoldBatch, journaled resume) plus its own liveness — moves many
+// tasks per round trip:
 //
 //   - Coordinator.NextBatch leases up to Max candidates at once; the
 //     coordinator sizes adaptive requests from the managers' measured
-//     per-test latency (core.Engine.AdaptiveBatch) — slow targets get
-//     small batches for lease-expiry responsiveness, fast ones large
+//     per-test latency and the live managers' share of the remaining
+//     budget (core.Engine.AdaptiveBatch) — slow targets get small
+//     batches, so a dead manager takes little with it, fast ones large
 //     batches for wire amortization.
 //   - Coordinator.ReportBatch folds many results through
 //     Engine.FoldBatch, one session-lock round per report.
@@ -24,8 +25,9 @@ package rpcnode
 //     (wire.go).
 //
 // Coordinator.Hello is the dial-time handshake. It carries the axis
-// names and a protocol generation, which both ends require to be
-// protoBatched: a mismatch fails the dial with an error naming it.
+// names, the beat interval and a protocol generation, which both ends
+// require to be protoBatched: a mismatch fails the dial with an error
+// naming it.
 
 import (
 	"fmt"
@@ -66,6 +68,8 @@ type HelloReply struct {
 	// can ship bare axis values (TaskWire.Vals) instead of a formatted
 	// scenario string per task.
 	AxisNames [][]string
+	// Heartbeat is the interval the manager beats on (DefaultHeartbeat).
+	Heartbeat time.Duration
 }
 
 // BatchRequest leases up to Max tasks in one round trip.
@@ -99,11 +103,10 @@ type TaskBatch struct {
 	// Done indicates the exploration is over; the manager should exit.
 	Done bool
 	// Retry indicates no candidate is available right now but the
-	// session is still running — outstanding leases of a dead manager
-	// may yet expire and be re-leased (Config.LeaseTimeout). The
-	// manager polls again after RetryAfterMS, the coordinator-suggested
-	// backoff (growing with the manager's consecutive empty polls; the
-	// manager adds jitter).
+	// session is still running — leases are out, and one whose manager
+	// dies comes back to be leased again. The manager polls again after
+	// RetryAfterMS, the coordinator-suggested backoff (growing with the
+	// manager's consecutive empty polls; the manager adds jitter).
 	Retry        bool
 	RetryAfterMS int
 }
@@ -138,10 +141,9 @@ type ResultBatch struct {
 
 // BatchAck acknowledges a ResultBatch.
 type BatchAck struct {
-	// Folded counts the results that retired a lease; stale seqs (a
-	// manager reaped for silence whose candidates were already
-	// re-executed elsewhere, then folded again by the engine's
-	// exactly-once dedup) are dropped, not errors.
+	// Folded counts the results that retired a lease; unknown seqs —
+	// among them those of a manager declared dead, whose leases went to
+	// others — are dropped, not errors.
 	Folded int
 }
 
@@ -155,57 +157,124 @@ func (c *Coordinator) Hello(h Hello, reply *HelloReply) error {
 	c.noteManager(h.Manager)
 	reply.Proto = protoBatched
 	reply.AxisNames = c.axisNames
+	reply.Heartbeat = DefaultHeartbeat
 	return nil
 }
 
 // NextBatch leases up to req.Max candidates (0 = adaptive) in one
-// round trip. A batch with Done set means the session is over; Retry
-// means poll again after the suggested backoff.
+// round trip: the leases of dead managers first, then fresh candidates
+// from the engine. A batch with Done set means the session is over;
+// Retry means poll again after the suggested backoff. With nothing to
+// hand out while leases are out, NextBatch first waits out that backoff
+// itself, looking again at every report and reap, so a session's end,
+// or a dead manager's leases, reach an idle manager at once.
 func (c *Coordinator) NextBatch(req BatchRequest, batch *TaskBatch) error {
-	c.noteManager(req.Manager)
+	live := c.noteManager(req.Manager)
 	if req.AvgTestNS > 0 {
 		c.engine.ObserveLatency(time.Duration(req.AvgTestNS))
 	}
 	n := req.Max
 	if n <= 0 {
-		n = c.engine.AdaptiveBatch()
+		n = c.engine.AdaptiveBatch(live)
 	}
-	cands := c.engine.Lease(n)
-	if len(cands) == 0 {
-		if c.engine.Waiting() {
-			batch.Retry = true
-			batch.RetryAfterMS = c.retryAfter(req.Manager)
+	var (
+		backoff *time.Timer
+		ms      int
+	)
+	for {
+		tasks, progress := c.leaseTasks(req.Manager, n)
+		if len(tasks) > 0 {
+			batch.Tasks = tasks
 			return nil
 		}
-		batch.Done = true
-		return nil
-	}
-	batch.Tasks = make([]TaskWire, len(cands))
-	c.mu.Lock()
-	delete(c.idle, req.Manager)
-	for i, cand := range cands {
-		vals := dsl.ValuesFor(c.space, cand.Point)
-		scenario := dsl.FormatPairs(c.axisNames[cand.Point.Sub], vals)
-		c.seq++
-		c.leases[c.seq] = lease{cand: cand, scenario: scenario, vals: vals, manager: req.Manager}
-		batch.Tasks[i] = TaskWire{
-			Seq:   c.seq,
-			Sub:   cand.Point.Sub,
-			Fault: append([]int(nil), cand.Point.Fault...),
-			Vals:  vals,
+		if progress == nil {
+			batch.Done = true
+			return nil
+		}
+		if backoff == nil {
+			ms = c.retryAfter(req.Manager)
+			backoff = time.NewTimer(time.Duration(ms) * time.Millisecond)
+			defer backoff.Stop()
+		}
+		select {
+		case <-progress:
+		case <-backoff.C:
+			batch.Retry, batch.RetryAfterMS = true, ms
+			return nil
 		}
 	}
+}
+
+// leaseTasks hands manager up to n tasks: dead managers' leases first, then
+// fresh candidates. With none to hand out it returns, while leases are
+// out and the engine runs, the channel the next report or reap closes;
+// otherwise a nil channel: the session is done.
+func (c *Coordinator) leaseTasks(manager string, n int) ([]TaskWire, chan struct{}) {
+	c.mu.Lock()
+	var relet []lease
+	if !c.engine.Stopped() {
+		k := min(n, len(c.relet))
+		relet, c.relet = c.relet[:k:k], c.relet[k:]
+	}
+	c.leasing++
 	c.mu.Unlock()
-	return nil
+	var cands []explore.Candidate
+	if len(relet) < n {
+		cands = c.engine.Lease(n - len(relet))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.leasing--
+	if len(relet)+len(cands) == 0 {
+		if c.leasing+len(c.leases) == 0 || c.engine.Stopped() {
+			return nil, nil
+		}
+		if c.progress == nil {
+			c.progress = make(chan struct{})
+		}
+		return nil, c.progress
+	}
+	delete(c.idle, manager)
+	tasks := make([]TaskWire, 0, len(relet)+len(cands))
+	for _, ls := range relet {
+		ls.manager = manager
+		tasks = append(tasks, c.leaseLocked(ls))
+	}
+	for _, cand := range cands {
+		vals := dsl.ValuesFor(c.space, cand.Point)
+		scenario := dsl.FormatPairs(c.axisNames[cand.Point.Sub], vals)
+		tasks = append(tasks, c.leaseLocked(lease{cand: cand, scenario: scenario, vals: vals, manager: manager}))
+	}
+	return tasks, nil
+}
+
+// wakeLocked ends the wait of every NextBatch waiting for a report or a
+// reap. Called under c.mu.
+func (c *Coordinator) wakeLocked() {
+	if c.progress != nil {
+		close(c.progress)
+		c.progress = nil
+	}
+}
+
+// leaseLocked enters ls in the lease table under the next seq and
+// returns its task. Called under c.mu.
+func (c *Coordinator) leaseLocked(ls lease) TaskWire {
+	c.seq++
+	c.leases[c.seq] = ls
+	return TaskWire{
+		Seq:   c.seq,
+		Sub:   ls.cand.Point.Sub,
+		Fault: append([]int(nil), ls.cand.Point.Fault...),
+		Vals:  ls.vals,
+	}
 }
 
 // ReportBatch folds a batch of results through Engine.FoldBatch — the
 // parallel-precompute fold pipeline local sessions use, one
 // session-lock round for the whole batch. Results for unknown leases
-// are dropped (see BatchAck.Folded); a partial batch from a manager
-// since declared dead folds whatever leases it still holds, and the
-// engine's exactly-once dedup drops candidates a survivor already
-// re-executed.
+// are dropped (see BatchAck.Folded), among them every lease of a
+// manager since declared dead: those are another manager's now.
 func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 	c.noteManager(rb.Manager)
 	bname := rb.Backend
@@ -238,6 +307,9 @@ func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 		out.Failed, out.Crashed, out.Hung, out.Injected = rw.Failed, rw.Crashed, rw.Hung, rw.Injected
 		out.CrashID, out.InjectionStack = rw.CrashID, stack
 		ets = append(ets, c.foldInput(ls, rw.TestID, rw.Skipped, out, bname, rw.ExitStatus, rw.DurationNS))
+	}
+	if len(ets) > 0 {
+		c.wakeLocked()
 	}
 	c.mu.Unlock()
 	if len(ets) > 0 {
@@ -308,7 +380,20 @@ func (m *Manager) hello() error {
 		return fmt.Errorf("handshake: coordinator speaks protocol %d, this manager needs %d", reply.Proto, protoBatched)
 	}
 	m.axisNames = reply.AxisNames
+	m.beat = beatOf(reply)
 	return nil
+}
+
+// beatOf is the interval to beat on that a Hello reply announces, or
+// DefaultHeartbeat when it announces none a manager can keep: a
+// non-positive one (time.NewTicker panics on it), or one outside
+// [DefaultHeartbeat/100, 60·DefaultHeartbeat], which would flood the
+// connection or let the coordinator declare a live manager dead.
+func beatOf(reply HelloReply) time.Duration {
+	if d := reply.Heartbeat; d >= DefaultHeartbeat/100 && d <= 60*DefaultHeartbeat {
+		return d
+	}
+	return DefaultHeartbeat
 }
 
 // remote is the worker loop's lease source over the wire: Lease is
@@ -322,7 +407,7 @@ type remote struct {
 	next      *rpc.Call    // the prefetched NextBatch
 	reporting sync.Mutex   // held across a report; guards rws and reported
 	rws       []ResultWire // the report being sent, reused
-	reported  int          // results the coordinator acknowledged
+	reported  int          // results the coordinator acknowledged folding
 
 	mu sync.Mutex
 	// tasks holds the leased tasks not yet reported, by scenario key: a
@@ -415,7 +500,7 @@ func (r *remote) FoldBatch(done []core.ExecutedTest) bool {
 		r.mu.Unlock()
 		return true
 	}
-	r.reported += len(r.rws)
+	r.reported += ack.Folded
 	return false
 }
 
@@ -444,7 +529,8 @@ func (r *remote) Stopped() bool {
 	return r.err != nil
 }
 
-// Unlease hands nothing back: the coordinator re-leases on expiry.
+// Unlease hands nothing back: a lease this manager never reports goes
+// to another once the coordinator declares it dead.
 func (r *remote) Unlease(int) {}
 
 // observe keeps a lease's per-test wall clock for the next request.

@@ -405,29 +405,44 @@ func TestRetryBackoffGrowsAndResets(t *testing.T) {
 
 // TestAdaptiveBatchSizing: the engine's suggested batch tracks observed
 // latency — large for microsecond tests, 1 for tests slower than the
-// round target — and surfaces in the snapshot.
+// round target — and surfaces in the snapshot; under a budget it is
+// never more than a manager's share of what is left.
 func TestAdaptiveBatchSizing(t *testing.T) {
 	space := rpcSpace()
 	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
 	eng := coord.Engine()
-	if got := eng.AdaptiveBatch(); got != core.DefaultWireBatch {
+	if got := eng.AdaptiveBatch(64); got != core.DefaultWireBatch {
 		t.Errorf("cold batch = %d, want %d", got, core.DefaultWireBatch)
 	}
 	for i := 0; i < 50; i++ {
 		eng.ObserveLatency(10 * 1000) // 10µs tests
 	}
-	if got := eng.AdaptiveBatch(); got != core.MaxWireBatch {
+	if got := eng.AdaptiveBatch(2); got != core.MaxWireBatch {
 		t.Errorf("fast-target batch = %d, want cap %d", got, core.MaxWireBatch)
 	}
 	for i := 0; i < 200; i++ {
 		eng.ObserveLatency(2 * 1000 * 1000 * 1000) // 2s tests
 	}
-	if got := eng.AdaptiveBatch(); got != 1 {
+	if got := eng.AdaptiveBatch(1); got != 1 {
 		t.Errorf("slow-target batch = %d, want 1", got)
 	}
 	snap := eng.Snapshot()
 	if snap.AdaptiveBatch != 1 || snap.AvgTestNS == 0 {
 		t.Errorf("snapshot lacks adaptive sizing: %+v", snap)
+	}
+
+	budgeted := newCoordinator(t, space, explore.NewExhaustive(space), 7, nil).Engine()
+	for _, c := range []struct{ managers, leased, want int }{
+		{0, 0, 7}, {1, 0, 7}, {2, 0, 4}, {3, 0, 3}, {64, 0, 1},
+		{2, 3, 2}, {3, 2, 1}, {1, 1, 1},
+		{2, 1, core.DefaultWireBatch}, // spent: only dead managers' leases are left to hand out
+	} {
+		if c.leased > 0 && len(budgeted.Lease(c.leased)) != c.leased {
+			t.Fatalf("leased fewer than %d", c.leased)
+		}
+		if got := budgeted.AdaptiveBatch(c.managers); got != c.want {
+			t.Errorf("%d managers after %d more leased: batch %d, want %d", c.managers, c.leased, got, c.want)
+		}
 	}
 }
 

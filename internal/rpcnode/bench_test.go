@@ -44,7 +44,6 @@ func measureRPC(tb testing.TB, budget, batch int) float64 {
 	}
 	defer mgr.Close()
 	mgr.Batch = batch
-	mgr.HeartbeatEvery = -1
 	start := time.Now()
 	n, err := mgr.RunUntilDone()
 	elapsed := time.Since(start)
@@ -115,15 +114,14 @@ func measureWireBytes(tb testing.TB, batch int) (float64, int) {
 	}
 	cc := &countingConn{Conn: raw}
 	mgr := &Manager{
-		ID:             "wire",
-		Target:         target,
-		Batch:          batch,
-		HeartbeatEvery: -1,
-		client:         rpc.NewClient(cc),
-		runner:         runner,
-		backendName:    backend.Model,
-		sentStacks:     make(map[uint64]bool),
-		encoded:        make(map[uint64][]byte),
+		ID:          "wire",
+		Target:      target,
+		Batch:       batch,
+		client:      rpc.NewClient(cc),
+		runner:      runner,
+		backendName: backend.Model,
+		sentStacks:  make(map[uint64]bool),
+		encoded:     make(map[uint64][]byte),
 	}
 	defer mgr.Close()
 	if err := mgr.hello(); err != nil {

@@ -5,9 +5,11 @@ import (
 	"net/rpc"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"afex/internal/backend"
 	"afex/internal/core"
@@ -57,7 +59,7 @@ func TestManagerArmsEachLeaseWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	mgr.Batch, mgr.Concurrency, mgr.HeartbeatEvery = 8, 1, -1
+	mgr.Batch, mgr.Concurrency = 8, 1
 	n, err := mgr.RunUntilDone()
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +101,7 @@ func TestConcurrentLoopsLeaseOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	mgr.Batch, mgr.Concurrency, mgr.HeartbeatEvery = 3, 4, -1
+	mgr.Batch, mgr.Concurrency = 3, 4
 	n, err := mgr.RunUntilDone()
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +127,7 @@ func TestConcurrentLoopsLeaseOnce(t *testing.T) {
 // and keeps what is reported.
 type fakeCoordinator struct {
 	axisNames [][]string
+	beat      time.Duration
 	tasks     []TaskWire
 	mu        sync.Mutex
 	leased    bool
@@ -132,7 +135,7 @@ type fakeCoordinator struct {
 }
 
 func (f *fakeCoordinator) Hello(h Hello, reply *HelloReply) error {
-	reply.Proto, reply.AxisNames = protoBatched, f.axisNames
+	reply.Proto, reply.AxisNames, reply.Heartbeat = protoBatched, f.axisNames, f.beat
 	return nil
 }
 
@@ -195,7 +198,7 @@ func TestMalformedTasksAreSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	mgr.Concurrency, mgr.HeartbeatEvery = 1, -1
+	mgr.Concurrency = 1
 	if _, err := mgr.RunUntilDone(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +212,59 @@ func TestMalformedTasksAreSkipped(t *testing.T) {
 		if rw.Seq != fake.tasks[i].Seq || rw.Skipped != (rw.Seq != 3) {
 			t.Errorf("task %d reported as %+v", fake.tasks[i].Seq, rw)
 		}
+	}
+}
+
+// stingyCoordinator is a fakeCoordinator that folds only the results
+// with even seqs.
+type stingyCoordinator struct{ *fakeCoordinator }
+
+func (s stingyCoordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
+	if err := s.fakeCoordinator.ReportBatch(rb, ack); err != nil {
+		return err
+	}
+	ack.Folded = 0
+	for _, rw := range rb.Results {
+		if rw.Seq%2 == 0 {
+			ack.Folded++
+		}
+	}
+	return nil
+}
+
+// TestRunUntilDoneCountsAcknowledgedFolds: a manager counts the results
+// the coordinator says it folded — a report it drops, such as one of a
+// manager it has declared dead, is not work done — not the ones it sent.
+func TestRunUntilDoneCountsAcknowledgedFolds(t *testing.T) {
+	fake := &fakeCoordinator{axisNames: [][]string{{"testID", "function", "callNumber"}}}
+	for seq := 1; seq <= 5; seq++ {
+		fake.tasks = append(fake.tasks, TaskWire{Seq: seq, Sub: 0, Fault: []int{0, 0, seq}, Vals: []string{"0", "read", strconv.Itoa(seq)}})
+	}
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Coordinator", stingyCoordinator{fake}); err != nil {
+		t.Fatal(err)
+	}
+	here, there := net.Pipe()
+	go srv.ServeConn(there)
+	runner, err := backend.New(backend.Model, backend.Config{Target: rpcTarget()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := &Manager{ID: "m", Concurrency: 1, client: rpc.NewClient(here), runner: runner, backendName: backend.Model,
+		sentStacks: map[uint64]bool{}, encoded: map[uint64][]byte{}}
+	defer mgr.Close()
+	if err := mgr.hello(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := mgr.RunUntilDone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake.mu.Lock()
+	sent := len(fake.results)
+	fake.mu.Unlock()
+	if sent != 5 || n != 2 {
+		t.Errorf("sent %d results, the coordinator folded 2, RunUntilDone counted %d", sent, n)
 	}
 }
 
@@ -278,27 +334,62 @@ func FuzzTaskConversion(f *testing.F) {
 }
 
 // FuzzReportBatch: a report of any results never panics the coordinator.
-// It folds only the seqs it leased, each once, and acknowledges exactly
+// It folds only the seqs it has out, each once, and acknowledges exactly
 // the leases it retired. Each result picks its seq (leased or not), its
 // outcome flags, an interned stack hash that arrives with or without its
 // frames (possibly without them first), and its block bytes from the
-// input.
+// input. With the lease byte's top bit set, the manager is declared dead
+// before it reports: another manager's lease takes part of its tasks
+// back under new seqs, the dead one's report folds none of its own, and
+// the survivor's folds each re-leased candidate once. Throughout, the
+// leases out plus those waiting to be re-leased are the engine's pending.
 func FuzzReportBatch(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 0x0f, 1, 2, 1, 2, 1, 0x08, 2, 0, 2, 9, 0x01, 3, 3, 0x80, 0x01, 0})
 	f.Add(uint8(1), []byte{7, 0x00, 0, 0})
 	f.Add(uint8(8), []byte{0, 0x11, 2, 0, 0, 0x01, 1, 4, 0xff, 0xff, 0xff, 0xff})
 	f.Add(uint8(0), []byte{})
+	f.Add(uint8(0x84), []byte{0, 0x0f, 1, 2, 1, 2, 1, 0x08, 2, 0, 6, 9, 0x01, 3, 7, 0x80, 0x01, 0})
+	f.Add(uint8(0x88), []byte{9, 0x00, 0, 0, 8, 1, 2, 0})
 	stacks := [][]string{nil, {"m!r", "m!read"}, {"m!r", "m!write"}, {"m!w"}}
 	f.Fuzz(func(t *testing.T, lease uint8, in []byte) {
 		space := rpcSpace()
 		coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
-		var batch TaskBatch
-		if err := coord.NextBatch(BatchRequest{Manager: "m", Max: int(lease%9) + 1}, &batch); err != nil {
-			t.Fatal(err)
+		clk := &stepClock{}
+		coord.now = clk.Now
+		balanced := func(step string) {
+			t.Helper()
+			coord.mu.Lock()
+			out := len(coord.leases) + len(coord.relet)
+			coord.mu.Unlock()
+			if pending := coord.Engine().Snapshot().Pending; out != pending {
+				t.Fatalf("after %s: %d leases out or waiting, engine pending %d", step, out, pending)
+			}
 		}
-		leased := map[int]bool{}
-		for _, tw := range batch.Tasks {
-			leased[tw.Seq] = true
+		out := map[int]bool{} // the seqs the coordinator has out
+		nextBatch := func(manager string, max int) []TaskWire {
+			var batch TaskBatch
+			if err := coord.NextBatch(BatchRequest{Manager: manager, Max: max}, &batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, tw := range batch.Tasks {
+				out[tw.Seq] = true
+			}
+			balanced(manager + "'s lease")
+			return batch.Tasks
+		}
+		leased := nextBatch("m", int(lease%9)+1)
+		var relet []TaskWire
+		if lease&0x80 != 0 {
+			clk.Advance(deathAfter)
+			relet = nextBatch("s", int(lease%3)+1)
+			for i, tw := range relet {
+				if i < len(leased) && (tw.Sub != leased[i].Sub || !reflect.DeepEqual(tw.Fault, leased[i].Fault)) {
+					t.Fatalf("re-lease %d is %+v, want the dead manager's %+v", i, tw, leased[i])
+				}
+			}
+			for _, tw := range leased {
+				delete(out, tw.Seq)
+			}
 		}
 		next := func() byte {
 			if len(in) == 0 {
@@ -309,7 +400,7 @@ func FuzzReportBatch(f *testing.F) {
 			return b
 		}
 		var rb ResultBatch
-		retired := map[int]bool{}
+		retired := 0
 		for len(in) > 0 && len(rb.Results) < 64 {
 			rw := ResultWire{Seq: int(next()) - 1, TestID: int(int8(next()))}
 			flags := next()
@@ -325,8 +416,9 @@ func FuzzReportBatch(f *testing.F) {
 			for i := 0; i < n && len(in) > 0; i++ {
 				rw.Blocks = append(rw.Blocks, next())
 			}
-			if leased[rw.Seq] {
-				retired[rw.Seq] = true
+			if out[rw.Seq] {
+				delete(out, rw.Seq)
+				retired++
 			}
 			rb.Results = append(rb.Results, rw)
 		}
@@ -335,15 +427,65 @@ func FuzzReportBatch(f *testing.F) {
 		if err := coord.ReportBatch(rb, &ack); err != nil {
 			t.Fatal(err)
 		}
-		if ack.Folded != len(retired) {
-			t.Fatalf("acknowledged %d folds, %d leases retired", ack.Folded, len(retired))
+		if ack.Folded != retired {
+			t.Fatalf("acknowledged %d folds, %d leases retired", ack.Folded, retired)
 		}
-		snap := coord.Snapshot()
-		if snap.Executed != len(retired) || snap.PerManager["m"] != len(retired) {
-			t.Fatalf("folded %d (%v per manager), %d leases retired", snap.Executed, snap.PerManager, len(retired))
+		if snap := coord.Snapshot(); snap.Executed != retired || snap.PerManager["m"] != retired {
+			t.Fatalf("folded %d (%v per manager), %d leases retired", snap.Executed, snap.PerManager, retired)
 		}
-		if len(coord.leases) != len(leased)-len(retired) {
-			t.Fatalf("%d leases outstanding, want %d", len(coord.leases), len(leased)-len(retired))
+		balanced("m's report")
+		survivor := ResultBatch{Manager: "s"}
+		want := 0
+		for _, tw := range relet {
+			survivor.Results = append(survivor.Results, ResultWire{Seq: tw.Seq})
+			if out[tw.Seq] {
+				delete(out, tw.Seq)
+				want++
+			}
 		}
+		if err := coord.ReportBatch(survivor, &ack); err != nil {
+			t.Fatal(err)
+		}
+		if ack.Folded != want {
+			t.Fatalf("the survivor's report folded %d, %d of its leases were out", ack.Folded, want)
+		}
+		balanced("s's report")
+		seen := map[string]bool{}
+		for _, rec := range coord.Result().Records {
+			if seen[rec.Point.Key()] {
+				t.Fatalf("point %s folded twice", rec.Point.Key())
+			}
+			seen[rec.Point.Key()] = true
+		}
+	})
+}
+
+// FuzzHello: whatever beat interval a Hello reply announces, the
+// manager dials, beats on an interval it can keep — the announced one
+// when it is one — and stops beating when told to.
+func FuzzHello(f *testing.F) {
+	for _, d := range []time.Duration{0, -1, DefaultHeartbeat, DefaultHeartbeat / 100, DefaultHeartbeat/100 - 1, time.Nanosecond, time.Hour, 1 << 62} {
+		f.Add(int64(d))
+	}
+	f.Fuzz(func(t *testing.T, announced int64) {
+		srv := rpc.NewServer()
+		if err := srv.RegisterName("Coordinator", &fakeCoordinator{beat: time.Duration(announced)}); err != nil {
+			t.Fatal(err)
+		}
+		here, there := net.Pipe()
+		go srv.ServeConn(there)
+		m := &Manager{ID: "m", client: rpc.NewClient(here)}
+		defer m.client.Close()
+		if err := m.hello(); err != nil {
+			t.Fatal(err)
+		}
+		want := time.Duration(announced)
+		if want < DefaultHeartbeat/100 || want > 60*DefaultHeartbeat {
+			want = DefaultHeartbeat
+		}
+		if m.beat != want {
+			t.Fatalf("announced %v, beats every %v, want %v", time.Duration(announced), m.beat, want)
+		}
+		m.startHeartbeat()()
 	})
 }

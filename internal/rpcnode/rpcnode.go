@@ -10,14 +10,28 @@
 //
 // The coordinator is a thin protocol adapter over the shared execution
 // engine (core.Engine): it owns only wire concerns — lease sequence
-// numbers, per-manager accounting, scenario marshalling — while
-// candidate leasing, impact scoring, coverage accounting, redundancy
-// clustering and stop logic are the engine's, exactly the same code the
+// numbers, manager liveness, per-manager accounting, scenario
+// marshalling — while candidate leasing, impact scoring, coverage
+// accounting, redundancy clustering and stop logic are the engine's, exactly the same code the
 // in-process worker pool runs. A distributed session therefore produces
 // the same full core.ResultSet (Result method) a local one does. A
 // manager runs the engine's worker loop (core.Work) against a lease
 // source over the wire; leasing one task at a time is the same loop at
 // Manager.Batch = 1.
+//
+// Liveness is the coordinator's alone, and always on. It announces a
+// beat interval (DefaultHeartbeat) in the Hello reply; a manager beats
+// on it while it works, and every call it makes counts as a beat. A
+// manager silent for missedBeats beats is declared dead: its leases
+// leave the lease table, in seq order, for a queue that NextBatch hands
+// out before it asks the engine for fresh candidates, and a report it
+// sends later names seqs the coordinator no longer knows, so it folds
+// nothing. Each candidate therefore folds once, and the engine, which
+// trusts its executors, tracks no lease of its own. The reaper runs
+// inside the RPC paths, not on a timer: a dead manager is noticed at
+// the next call of any other. While any lease is out, a manager that
+// finds nothing to lease is told to retry, not that the session is
+// done: the lease may yet come back.
 package rpcnode
 
 import (
@@ -26,6 +40,7 @@ import (
 	"io"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,9 +79,17 @@ type Coordinator struct {
 	// Plan (managers report outcomes, not plans). Zero value is ready.
 	plugin inject.Plugin
 
-	mu         sync.Mutex
-	seq        int
-	leases     map[int]lease
+	mu     sync.Mutex
+	seq    int
+	leases map[int]lease
+	// relet holds the leases of managers declared dead, in seq order,
+	// for NextBatch to hand out before fresh candidates; leasing counts
+	// the NextBatch calls between asking the engine for candidates and
+	// entering them in leases, whose work is out too. progress is what
+	// an idle NextBatch waits on (wakeLocked), nil while none does.
+	relet      []lease
+	leasing    int
+	progress   chan struct{}
 	perManager map[string]int
 	// stacks interns reported injection stacks by content hash: a
 	// manager ships a stack's frames once and the 8-byte hash
@@ -80,26 +103,20 @@ type Coordinator struct {
 	// suggested Retry backoff (retryAfter); a successful lease resets
 	// it. Lazily allocated.
 	idle map[string]int
-	// Heartbeat liveness (SetHeartbeat): lastBeat records each
-	// manager's most recent RPC contact; a manager silent for more than
-	// hbMisses×hbEvery has its outstanding leases force-expired on the
-	// engine — re-leasable immediately instead of waiting out the
-	// wall-clock LeaseTimeout. lastBeat is nil while heartbeats are off.
-	// tracked says the engine was built with a Config.LeaseTimeout, which
-	// reaping needs.
+	// lastBeat is the beat table: each live manager's most recent
+	// contact, on now (the wall clock; tests set their own).
 	lastBeat map[string]time.Time
-	hbEvery  time.Duration
-	hbMisses int
-	tracked  bool
+	now      func() time.Time
 }
 
-// DefaultHeartbeat is the manager-side beat interval when
-// Manager.HeartbeatEvery is zero.
+// DefaultHeartbeat is the beat interval the coordinator announces in
+// its Hello reply, and the one a manager uses when the reply announces
+// none it can use.
 const DefaultHeartbeat = time.Second
 
-// DefaultHeartbeatMisses is how many consecutive missed beats declare a
-// manager dead when SetHeartbeat is given a non-positive miss budget.
-const DefaultHeartbeatMisses = 3
+// missedBeats is how many beats a manager may miss before the
+// coordinator declares it dead and hands its leases to others.
+const missedBeats = 3
 
 // NewCoordinatorConfig builds a coordinator over a new engine of cfg —
 // at least a Space, and Iterations (0 = until the explorer exhausts).
@@ -129,7 +146,8 @@ func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog
 		leases:     make(map[int]lease),
 		perManager: make(map[string]int),
 		covs:       make(map[string]prog.Outcome),
-		tracked:    cfg.LeaseTimeout > 0,
+		lastBeat:   make(map[string]time.Time),
+		now:        time.Now,
 	}
 	if space != nil {
 		c.axisNames = make([][]string, len(space.Spaces))
@@ -142,8 +160,8 @@ func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog
 
 // lease is one outstanding task: the candidate plus its formatted
 // scenario and axis values (kept so the report path re-marshals and
-// re-parses nothing) and the manager holding it (so heartbeat reaping
-// can expire a dead manager's leases by scenario key).
+// re-parses nothing) and the manager holding it (so a dead manager's
+// leases can be handed to others).
 type lease struct {
 	cand     explore.Candidate
 	scenario string
@@ -180,83 +198,52 @@ func (c *Coordinator) SetTargetName(name string) {
 	c.engine.SetTargetName(name)
 }
 
-// SetHeartbeat enables heartbeat-driven liveness before serving:
-// managers beat every `every` (Manager sends Coordinator.Heartbeat on
-// that interval), and one silent for more than misses beats — no
-// heartbeat, lease, or report — has its outstanding leases expired on
-// the engine immediately, so recovery waits on the heartbeat budget,
-// not the wall-clock LeaseTimeout. misses < 1 selects
-// DefaultHeartbeatMisses. Lease tracking is required: on an engine
-// built without a Config.LeaseTimeout there is nothing to expire, and
-// SetHeartbeat returns an error. Call before the first NextBatch.
-//
-// Reaping is lazy — it runs inside the RPC paths rather than on its own
-// timer, so a dead manager is noticed at the next beat or lease call of
-// any surviving manager (a session with no surviving callers has nobody
-// to hand the leases to anyway).
-func (c *Coordinator) SetHeartbeat(every time.Duration, misses int) error {
-	if every <= 0 {
-		return nil
-	}
-	if !c.tracked {
-		return errors.New("rpcnode: heartbeat liveness needs lease tracking (Config.LeaseTimeout)")
-	}
-	if misses < 1 {
-		misses = DefaultHeartbeatMisses
-	}
-	c.mu.Lock()
-	c.hbEvery, c.hbMisses = every, misses
-	if c.lastBeat == nil {
-		c.lastBeat = make(map[string]time.Time)
-	}
-	c.mu.Unlock()
-	return nil
-}
-
 // Heartbeat records a manager liveness beat (RPC method). Managers send
-// it on their HeartbeatEvery interval; it also triggers reaping of
-// other managers that have gone silent.
+// it on the interval the Hello reply announces; like every call, it also
+// reaps the managers that have gone silent.
 func (c *Coordinator) Heartbeat(managerID string, ack *bool) error {
 	c.noteManager(managerID)
 	*ack = true
 	return nil
 }
 
-// noteManager marks a manager live and reaps managers that have missed
-// their beat budget: every coordinator lease held by a reaped manager
-// is force-expired on the engine, making the candidates immediately
-// re-leasable. The coordinator's own lease entries stay — a reaped manager that was
-// merely slow can still report, and the engine folds each candidate
-// exactly once either way. No-op while heartbeats are off.
-func (c *Coordinator) noteManager(id string) {
+// noteManager marks a manager live, reaps every manager silent for more
+// than missedBeats beats — its leases move, in seq order, to relet —
+// and returns how many managers are live.
+func (c *Coordinator) noteManager(id string) int {
+	now := c.now()
 	c.mu.Lock()
-	if c.lastBeat == nil {
-		c.mu.Unlock()
-		return
-	}
-	now := time.Now()
+	defer c.mu.Unlock()
 	c.lastBeat[id] = now
-	cutoff := time.Duration(c.hbMisses) * c.hbEvery
-	var expired []string
+	dead := false
 	for m, t := range c.lastBeat {
-		if now.Sub(t) <= cutoff {
-			continue
-		}
-		delete(c.lastBeat, m)
-		for _, ls := range c.leases {
-			if ls.manager == m {
-				expired = append(expired, ls.cand.Key())
-			}
+		if now.Sub(t) > missedBeats*DefaultHeartbeat {
+			delete(c.lastBeat, m)
+			dead = true
 		}
 	}
-	c.mu.Unlock()
-	if len(expired) > 0 {
-		c.engine.ExpireLeases(expired)
+	if !dead {
+		return len(c.lastBeat)
 	}
+	var seqs []int
+	for seq, ls := range c.leases {
+		if _, live := c.lastBeat[ls.manager]; !live {
+			seqs = append(seqs, seq)
+		}
+	}
+	slices.Sort(seqs)
+	for _, seq := range seqs {
+		c.relet = append(c.relet, c.leases[seq])
+		delete(c.leases, seq)
+	}
+	if len(seqs) > 0 {
+		c.wakeLocked()
+	}
+	return len(c.lastBeat)
 }
 
 // Engine returns the coordinator's underlying execution engine, for
-// callers needing the full core.Snapshot — arms, lease waits, pool
+// callers needing the full core.Snapshot — arms, pending leases, pool
 // recycles — rather than the wire-level Stats (the control plane's
 // status endpoint does).
 func (c *Coordinator) Engine() *core.Engine { return c.engine }
@@ -341,13 +328,6 @@ func (s *Server) Close() error {
 type Manager struct {
 	ID     string
 	Target *prog.Program
-	// HeartbeatEvery is the interval between Coordinator.Heartbeat beats
-	// RunUntilDone sends alongside the work loop, so a coordinator with
-	// SetHeartbeat enabled can tell a dead manager from one grinding
-	// through a slow test. Zero selects DefaultHeartbeat; negative
-	// disables beating. Beat errors are ignored — transport failures
-	// surface on the work loop.
-	HeartbeatEvery time.Duration
 	// Batch is how many tests one NextBatch round trip leases: 0 lets
 	// the coordinator size each batch from measured test latency, >1
 	// fixes it. At 1 the manager runs one worker loop and stops
@@ -367,7 +347,12 @@ type Manager struct {
 	// axisNames holds the coordinator's per-subspace axis names,
 	// delivered once in the Hello reply so leased tasks convert from
 	// coordinates.
-	axisNames  [][]string
+	axisNames [][]string
+	// beat is the interval between the Coordinator.Heartbeat calls
+	// RunUntilDone sends alongside the work loop, so the coordinator can
+	// tell a dead manager from one grinding through a slow test: the
+	// Hello reply's, clamped (see beatOf).
+	beat       time.Duration
 	sentStacks map[uint64]bool
 	// encoded caches the wire bytes of each distinct coverage set run
 	// (see encodeCoverage; the worker loops share it under encMu).
@@ -426,23 +411,17 @@ func (m *Manager) Close() error {
 	return err
 }
 
-// startHeartbeat beats Coordinator.Heartbeat on the manager's interval
+// startHeartbeat beats Coordinator.Heartbeat on the announced interval
 // until the returned stop function is called. net/rpc clients multiplex
-// concurrent calls, so beats ride the work loop's connection.
+// concurrent calls, so beats ride the work loop's connection. Beat
+// errors are ignored: transport failures surface on the work loop.
 func (m *Manager) startHeartbeat() (stop func()) {
-	every := m.HeartbeatEvery
-	if every < 0 {
-		return func() {}
-	}
-	if every == 0 {
-		every = DefaultHeartbeat
-	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		t := time.NewTicker(every)
+		t := time.NewTicker(m.beat)
 		defer t.Stop()
 		for {
 			select {
@@ -459,8 +438,8 @@ func (m *Manager) startHeartbeat() (stop func()) {
 
 // RunUntilDone runs Concurrency copies of the engine's worker loop
 // (core.Work) against the coordinator until it reports completion,
-// heartbeating in the background (see HeartbeatEvery), and returns the
-// number of tests this manager reported.
+// heartbeating in the background, and returns the number of tests the
+// coordinator acknowledged folding from this manager.
 func (m *Manager) RunUntilDone() (int, error) {
 	stopBeat := m.startHeartbeat()
 	defer stopBeat()
