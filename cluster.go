@@ -31,7 +31,7 @@ type (
 // surface of a (possibly persistent, possibly peer-sharded)
 // distributed coordinator. Space is the only required field.
 type CoordinatorOptions struct {
-	// TargetName labels the session (managers load the target itself).
+	// TargetName labels the session; a manager of another target is refused.
 	TargetName string
 	// Space is the fault space to explore — the full space; when
 	// Peers > 1 the coordinator carves out and explores only its own

@@ -2,6 +2,7 @@ package afex_test
 
 import (
 	"fmt"
+	"sync"
 
 	"afex"
 )
@@ -67,4 +68,53 @@ func ExampleProfile() {
 	// tests: 58
 	// baseline failures: 0
 	// Φ_Apache: 11020
+}
+
+// ExampleServeCoordinator is the paper's cluster deployment (§6.1,
+// §7.7) on loopback: a coordinator serves the explorer over TCP, and
+// four node managers, each with its own copy of the target, lease tests,
+// run them and report back. An exhaustive sweep runs every point of the
+// space once, whichever manager runs it, so the totals are stable.
+func ExampleServeCoordinator() {
+	target, _ := afex.Target("httpd")
+	space := afex.SpaceFor(target, 19, 1, 2)
+	coord, _, err := afex.NewCoordinatorWithOptions(afex.CoordinatorOptions{
+		TargetName: target.Name,
+		Space:      space,
+		Algorithm:  afex.Exhaustive,
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	srv, err := afex.ServeCoordinator("127.0.0.1:0", coord)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	ran := make([]int, 4)
+	var wg sync.WaitGroup
+	for i := range ran {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mgr, err := afex.DialManager(srv.Addr(), fmt.Sprintf("mgr%d", i), target)
+			if err != nil {
+				fmt.Println(err)
+				return
+			}
+			defer mgr.Close()
+			ran[i], _ = mgr.RunUntilDone()
+		}()
+	}
+	wg.Wait()
+	srv.Close()
+	res := coord.Result()
+	fmt.Println("space:", space.Size())
+	fmt.Println("reported by the managers:", ran[0]+ran[1]+ran[2]+ran[3])
+	fmt.Printf("executed=%d injected=%d failed=%d crashed=%d\n", res.Executed, res.Injected, res.Failed, res.Crashed)
+	// Output:
+	// space: 2204
+	// reported by the managers: 2204
+	// executed=2204 injected=879 failed=496 crashed=141
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"afex/internal/rpcnode"
 )
 
 // quick returns options that shrink the iteration budgets so the whole
@@ -204,6 +206,21 @@ func TestScalabilitySpeedsUp(t *testing.T) {
 	}
 	if paid := 1/r.Single.Throughput[0] - 1/r.Adaptive.Throughput[0]; paid < simRoundTrip.Seconds()/2 {
 		t.Errorf("1 node: one test per lease takes %.2f ms a test longer than adaptive, want most of a %v round trip", paid*1e3, simRoundTrip)
+	}
+	// A manager that dies mid-lease costs the session: its lease comes
+	// back only once it has missed three beats, so no session with a
+	// death ends before then.
+	if r.OneDies[0] != 0 {
+		t.Errorf("1 node: %.1f tests/s with the only manager dead", r.OneDies[0])
+	}
+	for i, n := range r.Nodes[1:] {
+		died := r.OneDies[i+1]
+		if died <= 0 || died >= r.Adaptive.Throughput[i+1] {
+			t.Errorf("%d nodes: %.1f tests/s with one dead, %.1f with none", n, died, r.Adaptive.Throughput[i+1])
+		}
+		if makespan := float64(r.Tests) / died; makespan < (3 * rpcnode.DefaultHeartbeat).Seconds() {
+			t.Errorf("%d nodes: a session with one dead ended at %.2f s, before its three missed beats", n, makespan)
+		}
 	}
 }
 

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"afex/internal/core"
 	"afex/internal/explore"
+	"afex/internal/faultspace"
 	"afex/internal/prog"
+	"afex/internal/rpcnode"
 	"afex/internal/targets"
 	"afex/internal/xrand"
 )
@@ -80,8 +84,9 @@ func (r Fig9Result) String() string {
 //
 // The paper ran AFEX on up to 14 EC2 nodes and found that the tests run
 // scale linearly with them. Timing managers on one machine measures the
-// machine, so this is a discrete-event simulation: n managers lease from
-// a real core.Engine, run each candidate through its executor and fold
+// machine, so this is a discrete-event simulation: n managers lease
+// through the coordinator's own lease book (rpcnode.LeaseBook) over a
+// real core.Engine, run each candidate through its executor and report
 // the results back, on one goroutine. Only the clock is modelled.
 
 // The model's costs. Speedup is a ratio: what matters is how they
@@ -116,6 +121,9 @@ const (
 	// at the managers' share of what is left, so a smaller budget moves
 	// the 64-node row little (25.13× at 2,000 tests, EXPERIMENTS.md).
 	scaleTests = 3000
+	// simDeath is when the "one dies" column's manager stops calling,
+	// mid-lease: early enough that at 64 nodes the session still runs.
+	simDeath = time.Second
 )
 
 // WallClock marks each rendered line that carries a wall-clock figure;
@@ -126,10 +134,14 @@ const WallClock = "[wall clock]"
 // search at each node count, for two lease sizes. Adaptive sizes leases
 // from the per-test cost the managers report (Engine.AdaptiveBatch), as
 // over the wire by default; Single leases one test per round trip.
+// OneDies is adaptive leasing's tests/s when one manager stops calling
+// at simDeath, mid-lease: the survivors' calls reap it after three
+// missed beats and take its leases, in seq order (0 at one node).
 type ScaleResult struct {
 	Nodes            []int
 	Tests            int
 	Adaptive, Single ScaleRun
+	OneDies          []float64
 	// LeaseFoldNS is the engine's wall clock in Lease and FoldBatch per
 	// candidate.
 	LeaseFoldNS         float64
@@ -159,15 +171,22 @@ func Scalability(o Opts, nodeCounts []int) ScaleResult {
 	res := ScaleResult{Nodes: nodeCounts, Tests: o.iters(scaleTests)}
 	var wall time.Duration
 	folded := 0
-	for _, run := range []*ScaleRun{&res.Adaptive, &res.Single} {
+	for size, run := range []*ScaleRun{&res.Adaptive, &res.Single} { // lease 0 = adaptive, then 1
 		for _, n := range nodeCounts {
-			s := simulate(o.Seed, res.Tests, n, run == &res.Single)
+			s := simulate(o.Seed, res.Tests, n, size, 0)
 			run.Throughput = append(run.Throughput, float64(s.tests)/s.makespan.Seconds())
 			run.PeakBusy = append(run.PeakBusy, s.peakBusy)
 			if run.Bound == 0 {
 				run.Bound = float64(n) * float64(s.makespan) / float64(s.busy)
 			}
 			wall, folded = wall+s.leaseFold, folded+s.tests
+		}
+	}
+	res.OneDies = make([]float64, len(nodeCounts))
+	for i, n := range nodeCounts {
+		if n > 1 { // one node leaves no survivor
+			s := simulate(o.Seed, res.Tests, n, 0, simDeath)
+			res.OneDies[i] = float64(s.tests) / s.makespan.Seconds()
 		}
 	}
 	res.LeaseFoldNS = float64(wall) / float64(folded)
@@ -184,75 +203,80 @@ type simSession struct {
 }
 
 // simulate runs a session of the given budget with n managers, leasing
-// one test a round trip if single, else Engine.AdaptiveBatch. A request
+// size tests a round trip (0 = adaptively) through a lease book
+// on the virtual clock: each manager says Hello at 0, and each request
+// it sends reports its last lease and asks for the next. A request
 // reaches the coordinator, one FIFO server, half a round trip after it
 // is sent; the coordinator folds the results it carries, leases, and
 // replies half a round trip later; the manager runs the lease's tests
 // one after another and sends its next request. Requests are served in
-// order of arrival, then of manager index. A manager whose lease comes
-// back empty while leases are outstanding waits for the next fold.
-func simulate(seed int64, tests, n int, single bool) (s simSession) {
-	eng, err := core.NewEngine(session(targets.Httpd(), ApacheSpace(), "fitness", tests, explore.Config{Seed: seed}), nil)
+// order of arrival, then of manager index. A manager told to retry asks
+// again rpcnode.RetryAfter after the reply. With die > 0, manager 0
+// stops calling at die: the lease it holds then is never reported.
+func simulate(seed int64, tests, n, size int, die time.Duration) (s simSession) {
+	space := ApacheSpace()
+	eng, err := core.NewEngine(session(targets.Httpd(), space, "fitness", tests, explore.Config{Seed: seed}), nil)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
 	exec := eng.LocalExecutor()
+	var mu sync.Mutex
+	mu.Lock() // one goroutine: the simulation holds the book's lock throughout
+	book := rpcnode.NewLeaseBook(eng, space, &mu)
+	at := func(d time.Duration) time.Time { return time.Unix(0, int64(d)) }
 	type manager struct {
+		id          string
 		sent        time.Duration // its request, half a round trip out
-		parked      bool
-		done        []core.ExecutedTest
-		from, until time.Duration // it runs done's tests
+		leased      []rpcnode.TaskWire
+		done        []core.ExecutedTest // leased's results, in order
+		from, until time.Duration       // it runs done's tests
 	}
 	mgrs := make([]manager, n)
+	for i := range mgrs {
+		mgrs[i].id = fmt.Sprint("m", i)
+		book.Hello(at(0), mgrs[i].id, "")
+	}
 	var free time.Duration // the coordinator is idle from then on
 	for {
-		m := -1
+		m := 0
 		for i := range mgrs {
-			if !mgrs[i].parked && (m < 0 || mgrs[i].sent < mgrs[m].sent) {
+			if mgrs[i].sent < mgrs[m].sent {
 				m = i
 			}
 		}
 		mg := &mgrs[m]
 		now := max(mg.sent+simRoundTrip/2, free)
 		wall := time.Now()
+		var perTest time.Duration
 		if len(mg.done) > 0 {
-			if !single {
-				eng.ObserveLatency((mg.until - mg.from) / time.Duration(len(mg.done)))
-			}
-			eng.FoldBatch(mg.done)
-			s.tests += len(mg.done)
+			perTest = (mg.until - mg.from) / time.Duration(len(mg.done))
+			s.tests += book.Report(at(now), mg.id, len(mg.leased),
+				func(i int) int { return mg.leased[i].Seq },
+				func(i int, t rpcnode.Task) core.ExecutedTest { mg.done[i].C = t.Cand; return mg.done[i] })
 			s.makespan, mg.done = now, nil
-			for i := range mgrs {
-				if mgrs[i].parked {
-					mgrs[i].parked, mgrs[i].sent = false, now-simRoundTrip/2
-				}
-			}
 		}
-		size := 1
-		if !single {
-			size = eng.AdaptiveBatch(n)
-		}
-		cands := eng.Lease(size)
+		g := book.Lease(at(now), mg.id, size, perTest)
 		s.leaseFold += time.Since(wall)
-		if len(cands) == 0 {
-			select {
-			case <-eng.Done():
-				return s // nothing is leased, so every result has folded
-			default:
-				mg.parked = true
-				continue
-			}
+		if g.Done {
+			return s // nothing is out, so every result has folded
 		}
-		service := time.Duration(len(cands)) * simCandidateCost
+		if g.Retry {
+			mg.sent = now + simRoundTrip/2 + rpcnode.RetryAfter
+			continue
+		}
+		service := time.Duration(len(g.Tasks)) * simCandidateCost
 		free, s.busy = now+service, s.busy+service
-		mg.from = free + simRoundTrip/2
+		mg.from, mg.leased = free+simRoundTrip/2, g.Tasks
 		mg.until = mg.from
-		for _, c := range cands {
-			rec, out := exec.Execute(c)
-			mg.done = append(mg.done, core.ExecutedTest{C: c, Rec: rec, Out: out})
+		for _, tw := range g.Tasks { // run as a manager does, from the wire's coordinates
+			rec, out := exec.Execute(explore.CandidateAt(faultspace.Point{Sub: tw.Sub, Fault: tw.Fault}))
+			mg.done = append(mg.done, core.ExecutedTest{Rec: rec, Out: out})
 			mg.until += simTestStart + time.Duration(out.OpsExecuted)*simOpCost
 		}
 		mg.sent = mg.until
+		if die > 0 && m == 0 && mg.until > die {
+			mg.sent = math.MaxInt64 // it never calls again
+		}
 		// Leases start in the order they are served: only the managers'
 		// latest runs can cover this one's start.
 		busy := 0
@@ -292,12 +316,16 @@ func (r ScaleResult) String() string {
 	fmt.Fprintf(&b, "§7.7 — scalability, simulated (Apache model, fitness-guided, %d tests per session)\n"+
 		"  modelled costs: test %v + %v per op, round trip %v, coordinator %v per candidate\n",
 		r.Tests, simTestStart, simOpCost, simRoundTrip, simCandidateCost)
-	fmt.Fprintf(&b, "  %-6s %26s %26s\n", "", "adaptive lease", "one test per lease")
-	fmt.Fprintf(&b, "  %-6s %9s %8s %7s %9s %8s %7s\n", "nodes", "tests/s", "speedup", "busy", "tests/s", "speedup", "busy")
+	fmt.Fprintf(&b, "  %-6s %26s %26s %15s\n", "", "adaptive lease", "one test per lease", "one dies at "+simDeath.String())
+	fmt.Fprintf(&b, "  %-6s %9s %8s %7s %9s %8s %7s %15s\n", "nodes", "tests/s", "speedup", "busy", "tests/s", "speedup", "busy", "tests/s")
 	for i, n := range r.Nodes {
-		fmt.Fprintf(&b, "  %-6d %9.1f %7.2fx %7d %9.1f %7.2fx %7d\n", n,
+		died := "—"
+		if r.OneDies[i] > 0 {
+			died = fmt.Sprintf("%.1f", r.OneDies[i])
+		}
+		fmt.Fprintf(&b, "  %-6d %9.1f %7.2fx %7d %9.1f %7.2fx %7d %15s\n", n,
 			r.Adaptive.Throughput[i], r.Adaptive.Speedup(i), r.Adaptive.PeakBusy[i],
-			r.Single.Throughput[i], r.Single.Speedup(i), r.Single.PeakBusy[i])
+			r.Single.Throughput[i], r.Single.Speedup(i), r.Single.PeakBusy[i], died)
 	}
 	fmt.Fprintf(&b, "  coordinator binds at %.1f nodes (adaptive lease), %.1f nodes (one test per lease)\n", r.Adaptive.Bound, r.Single.Bound)
 	fmt.Fprintf(&b, "  %s engine lease+fold: %.1f µs per candidate measured, %v modelled\n", WallClock, r.LeaseFoldNS/1e3, simCandidateCost)

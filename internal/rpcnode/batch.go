@@ -3,16 +3,13 @@ package rpcnode
 // The wire protocol. Two blocking gob round trips per scenario would
 // make the network, not test execution, the bottleneck once the
 // warm-worker backend executes a scenario in tens of microseconds, so
-// the coordinator — a thin adapter over the core.Engine seams
-// (Lease/FoldBatch, journaled resume) plus its own liveness — moves many
-// tasks per round trip:
+// the protocol moves many tasks per round trip:
 //
-//   - Coordinator.NextBatch leases up to Max candidates at once; the
-//     coordinator sizes adaptive requests from the managers' measured
-//     per-test latency and the live managers' share of the remaining
-//     budget (core.Engine.AdaptiveBatch) — slow targets get small
-//     batches, so a dead manager takes little with it, fast ones large
-//     batches for wire amortization.
+//   - Coordinator.NextBatch leases up to Max candidates at once, sized
+//     by default from the managers' measured per-test latency and the
+//     live managers' share of the remaining budget (LeaseBook.Lease) —
+//     slow targets get small batches, so a dead manager takes little
+//     with it, fast ones large batches for wire amortization.
 //   - Coordinator.ReportBatch folds many results through
 //     Engine.FoldBatch, one session-lock round per report.
 //   - A manager runs the engine's worker loop (core.Work) against the
@@ -31,7 +28,6 @@ package rpcnode
 
 import (
 	"fmt"
-	"math/rand"
 	"net/rpc"
 	"runtime"
 	"sync"
@@ -39,7 +35,6 @@ import (
 
 	"afex/internal/backend"
 	"afex/internal/core"
-	"afex/internal/dsl"
 	"afex/internal/explore"
 	"afex/internal/faultspace"
 	"afex/internal/inject"
@@ -50,14 +45,20 @@ import (
 // — the only one spoken.
 const protoBatched = 2
 
-// maxSuggestRetryMS caps the coordinator-suggested Retry backoff.
-const maxSuggestRetryMS = 250
+// pollWait bounds how long NextBatch waits, with nothing to hand out,
+// for a report or a reap before it answers Retry: one beat, so a
+// manager that sends no heartbeat of its own still calls well inside
+// its miss budget.
+const pollWait = DefaultHeartbeat
 
 // Hello is the manager's dial-time handshake.
 type Hello struct {
 	Manager string
 	// Proto is the protocol generation the manager speaks.
 	Proto int
+	// Target names the model target the manager runs (empty for a
+	// process backend); a coordinator exploring another refuses it.
+	Target string
 }
 
 // HelloReply answers the handshake.
@@ -104,9 +105,9 @@ type TaskBatch struct {
 	Done bool
 	// Retry indicates no candidate is available right now but the
 	// session is still running — leases are out, and one whose manager
-	// dies comes back to be leased again. The manager polls again after
-	// RetryAfterMS, the coordinator-suggested backoff (growing with the
-	// manager's consecutive empty polls; the manager adds jitter).
+	// dies comes back to be leased again. The coordinator has already
+	// waited pollWait for that; the manager asks again after
+	// RetryAfterMS (RetryAfter).
 	Retry        bool
 	RetryAfterMS int
 }
@@ -141,182 +142,112 @@ type ResultBatch struct {
 
 // BatchAck acknowledges a ResultBatch.
 type BatchAck struct {
-	// Folded counts the results that retired a lease; unknown seqs —
-	// among them those of a manager declared dead, whose leases went to
-	// others — are dropped, not errors.
+	// Folded counts the results that retired a lease the reporting
+	// manager holds; other seqs — among them those of a manager declared
+	// dead, whose leases went to others — are dropped, not errors.
 	Folded int
 }
 
 // Hello is the dial-time handshake: it hands the manager the
-// per-subspace axis names and rejects a manager speaking an older
-// protocol generation.
+// per-subspace axis names and refuses a manager speaking an older
+// protocol generation or running another target (LeaseBook.Hello).
 func (c *Coordinator) Hello(h Hello, reply *HelloReply) error {
 	if h.Proto < protoBatched {
 		return fmt.Errorf("rpcnode: manager %q speaks protocol %d, this coordinator needs %d", h.Manager, h.Proto, protoBatched)
 	}
-	c.noteManager(h.Manager)
+	c.mu.Lock()
+	err := c.book.Hello(c.now(), h.Manager, h.Target)
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	reply.Proto = protoBatched
-	reply.AxisNames = c.axisNames
+	reply.AxisNames = c.book.axisNames
 	reply.Heartbeat = DefaultHeartbeat
 	return nil
 }
 
 // NextBatch leases up to req.Max candidates (0 = adaptive) in one
-// round trip: the leases of dead managers first, then fresh candidates
-// from the engine. A batch with Done set means the session is over;
-// Retry means poll again after the suggested backoff. With nothing to
-// hand out while leases are out, NextBatch first waits out that backoff
-// itself, looking again at every report and reap, so a session's end,
-// or a dead manager's leases, reach an idle manager at once.
+// round trip through the lease book. With nothing to hand out while
+// leases are out, it waits — at most pollWait, looking again at every
+// report and reap — so a session's end, or a dead manager's leases,
+// reach an idle manager at once; past the wait it answers Retry. Once
+// the server closes it answers Done (LeaseBook.Close).
 func (c *Coordinator) NextBatch(req BatchRequest, batch *TaskBatch) error {
-	live := c.noteManager(req.Manager)
-	if req.AvgTestNS > 0 {
-		c.engine.ObserveLatency(time.Duration(req.AvgTestNS))
-	}
-	n := req.Max
-	if n <= 0 {
-		n = c.engine.AdaptiveBatch(live)
-	}
-	var (
-		backoff *time.Timer
-		ms      int
-	)
-	for {
-		tasks, progress := c.leaseTasks(req.Manager, n)
-		if len(tasks) > 0 {
-			batch.Tasks = tasks
+	var timeout *time.Timer
+	for perTest := time.Duration(req.AvgTestNS); ; perTest = 0 { // the latency is observed once
+		c.mu.Lock()
+		g := c.book.Lease(c.now(), req.Manager, req.Max, perTest)
+		c.mu.Unlock()
+		if !g.Retry {
+			batch.Tasks, batch.Done = g.Tasks, g.Done
 			return nil
 		}
-		if progress == nil {
-			batch.Done = true
-			return nil
-		}
-		if backoff == nil {
-			ms = c.retryAfter(req.Manager)
-			backoff = time.NewTimer(time.Duration(ms) * time.Millisecond)
-			defer backoff.Stop()
+		if timeout == nil {
+			timeout = time.NewTimer(pollWait)
+			defer timeout.Stop()
 		}
 		select {
-		case <-progress:
-		case <-backoff.C:
-			batch.Retry, batch.RetryAfterMS = true, ms
+		case <-g.wake:
+		case <-timeout.C:
+			batch.Retry, batch.RetryAfterMS = true, int(RetryAfter/time.Millisecond)
 			return nil
 		}
 	}
 }
 
-// leaseTasks hands manager up to n tasks: dead managers' leases first, then
-// fresh candidates. With none to hand out it returns, while leases are
-// out and the engine runs, the channel the next report or reap closes;
-// otherwise a nil channel: the session is done.
-func (c *Coordinator) leaseTasks(manager string, n int) ([]TaskWire, chan struct{}) {
-	c.mu.Lock()
-	var relet []lease
-	if !c.engine.Stopped() {
-		k := min(n, len(c.relet))
-		relet, c.relet = c.relet[:k:k], c.relet[k:]
-	}
-	c.leasing++
-	c.mu.Unlock()
-	var cands []explore.Candidate
-	if len(relet) < n {
-		cands = c.engine.Lease(n - len(relet))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.leasing--
-	if len(relet)+len(cands) == 0 {
-		if c.leasing+len(c.leases) == 0 || c.engine.Stopped() {
-			return nil, nil
-		}
-		if c.progress == nil {
-			c.progress = make(chan struct{})
-		}
-		return nil, c.progress
-	}
-	delete(c.idle, manager)
-	tasks := make([]TaskWire, 0, len(relet)+len(cands))
-	for _, ls := range relet {
-		ls.manager = manager
-		tasks = append(tasks, c.leaseLocked(ls))
-	}
-	for _, cand := range cands {
-		vals := dsl.ValuesFor(c.space, cand.Point)
-		scenario := dsl.FormatPairs(c.axisNames[cand.Point.Sub], vals)
-		tasks = append(tasks, c.leaseLocked(lease{cand: cand, scenario: scenario, vals: vals, manager: manager}))
-	}
-	return tasks, nil
-}
-
-// wakeLocked ends the wait of every NextBatch waiting for a report or a
-// reap. Called under c.mu.
-func (c *Coordinator) wakeLocked() {
-	if c.progress != nil {
-		close(c.progress)
-		c.progress = nil
-	}
-}
-
-// leaseLocked enters ls in the lease table under the next seq and
-// returns its task. Called under c.mu.
-func (c *Coordinator) leaseLocked(ls lease) TaskWire {
-	c.seq++
-	c.leases[c.seq] = ls
-	return TaskWire{
-		Seq:   c.seq,
-		Sub:   ls.cand.Point.Sub,
-		Fault: append([]int(nil), ls.cand.Point.Fault...),
-		Vals:  ls.vals,
-	}
-}
-
-// ReportBatch folds a batch of results through Engine.FoldBatch — the
-// parallel-precompute fold pipeline local sessions use, one
-// session-lock round for the whole batch. Results for unknown leases
-// are dropped (see BatchAck.Folded), among them every lease of a
-// manager since declared dead: those are another manager's now.
+// ReportBatch folds the results of the leases the reporting manager
+// holds (BatchAck.Folded) through the lease book and Engine.FoldBatch,
+// one session-lock round for the whole batch.
 func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
-	c.noteManager(rb.Manager)
 	bname := rb.Backend
 	if bname == "" {
 		bname = backend.Model
 	}
-	ets := make([]core.ExecutedTest, 0, len(rb.Results))
 	c.mu.Lock()
-	for _, rw := range rb.Results {
-		ls, ok := c.leases[rw.Seq]
-		if !ok {
-			continue
-		}
-		delete(c.leases, rw.Seq)
-		c.perManager[rb.Manager]++
-		stack := rw.Stack
-		if rw.StackHash != 0 {
-			if len(stack) > 0 {
-				if c.stacks == nil {
-					c.stacks = make(map[uint64][]string)
-				}
-				if _, seen := c.stacks[rw.StackHash]; !seen {
-					c.stacks[rw.StackHash] = append([]string(nil), stack...)
-				}
-			} else {
-				stack = c.stacks[rw.StackHash]
-			}
-		}
-		out := c.coverage(rw.Blocks)
-		out.Failed, out.Crashed, out.Hung, out.Injected = rw.Failed, rw.Crashed, rw.Hung, rw.Injected
-		out.CrashID, out.InjectionStack = rw.CrashID, stack
-		ets = append(ets, c.foldInput(ls, rw.TestID, rw.Skipped, out, bname, rw.ExitStatus, rw.DurationNS))
-	}
-	if len(ets) > 0 {
-		c.wakeLocked()
-	}
-	c.mu.Unlock()
-	if len(ets) > 0 {
-		c.engine.FoldBatch(ets)
-	}
-	ack.Folded = len(ets)
+	defer c.mu.Unlock()
+	ack.Folded = c.book.Report(c.now(), rb.Manager, len(rb.Results),
+		func(i int) int { return rb.Results[i].Seq },
+		func(i int, t Task) core.ExecutedTest { return c.foldInput(t, &rb.Results[i], bname) })
 	return nil
+}
+
+// foldInput is a retired lease's fold input: the reported outcome, its
+// interned stack and coverage set resolved, and the armed plan rebuilt
+// from the lease's axis values (the wire carries only the outcome), so
+// a persistent session's journal replays the failure. Called under c.mu.
+func (c *Coordinator) foldInput(t Task, rw *ResultWire, bname string) core.ExecutedTest {
+	stack := rw.Stack
+	if rw.StackHash != 0 {
+		if len(stack) > 0 {
+			if c.stacks == nil {
+				c.stacks = make(map[uint64][]string)
+			}
+			if _, seen := c.stacks[rw.StackHash]; !seen {
+				c.stacks[rw.StackHash] = append([]string(nil), stack...)
+			}
+		} else {
+			stack = c.stacks[rw.StackHash]
+		}
+	}
+	out := c.coverage(rw.Blocks)
+	out.Failed, out.Crashed, out.Hung, out.Injected = rw.Failed, rw.Crashed, rw.Hung, rw.Injected
+	out.CrashID, out.InjectionStack = rw.CrashID, stack
+	rec := core.Record{
+		Point:      t.Cand.Point,
+		Scenario:   t.Scenario,
+		TestID:     rw.TestID,
+		Skipped:    rw.Skipped,
+		Backend:    bname,
+		ExitStatus: rw.ExitStatus,
+		Duration:   time.Duration(rw.DurationNS),
+	}
+	if !rw.Skipped {
+		if _, plan, err := (inject.Plugin{}).ConvertValues(c.book.axisNames[t.Cand.Point.Sub], t.Vals); err == nil {
+			rec.Plan = plan
+		}
+	}
+	return core.ExecutedTest{C: t.Cand, Rec: rec, Out: out}
 }
 
 // coverage returns an outcome holding the block set enc encodes and its
@@ -334,46 +265,17 @@ func (c *Coordinator) coverage(enc []byte) prog.Outcome {
 	return cov
 }
 
-// retryAfter suggests the poll backoff for a manager's Retry response,
-// doubling from 5ms with each consecutive empty poll up to a cap. The
-// manager jitters it; a successful lease resets the growth.
-func (c *Coordinator) retryAfter(id string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.idle == nil {
-		c.idle = make(map[string]int)
-	}
-	n := c.idle[id]
-	c.idle[id]++
-	if n > 5 {
-		n = 5
-	}
-	ms := 5 << n
-	if ms > maxSuggestRetryMS {
-		ms = maxSuggestRetryMS
-	}
-	return ms
-}
-
-// sleepRetry waits out a Retry poll for the coordinator-suggested
-// backoff (growing with the manager's consecutive empty polls); ±25%
-// jitter keeps a fleet of idle managers from polling in lockstep.
-func sleepRetry(suggestMS int) {
-	if suggestMS < 1 {
-		suggestMS = 1 // never spin on a reply that suggests nothing
-	}
-	d := time.Duration(suggestMS) * time.Millisecond
-	jitter := time.Duration(rand.Int63n(int64(d)/2 + 1))
-	time.Sleep(d*3/4 + jitter)
-}
-
 // hello performs the dial-time handshake. A coordinator that does not
 // serve Coordinator.Hello (net/rpc reports unknown methods as call
 // errors) or answers with another protocol generation cannot be worked
 // for; the error says which.
 func (m *Manager) hello() error {
 	var reply HelloReply
-	if err := m.client.Call("Coordinator.Hello", Hello{Manager: m.ID, Proto: protoBatched}, &reply); err != nil {
+	h := Hello{Manager: m.ID, Proto: protoBatched}
+	if m.Target != nil && m.backendName == backend.Model {
+		h.Target = m.Target.Name // a process backend names none
+	}
+	if err := m.client.Call("Coordinator.Hello", h, &reply); err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
 	if reply.Proto != protoBatched {
@@ -414,7 +316,7 @@ type remote struct {
 	// candidate converts from the first, and its report retires it.
 	tasks     map[string][]TaskWire
 	perTestNS int64 // the last executed lease's wall clock per test
-	retryMS   int   // the last empty lease's suggested backoff
+	retryMS   int   // the last Retry's RetryAfterMS
 	done      bool  // nothing more to lease: Done, or a call failed
 	err       error // the first failed call; the loops arm nothing more
 }
@@ -511,14 +413,14 @@ func (r *remote) failLocked(err error) {
 	}
 }
 
-// Park sleeps out the coordinator's Retry backoff and reports whether
-// to lease again.
+// Park waits out a Retry's RetryAfterMS, at least a millisecond, and
+// reports whether to lease again.
 func (r *remote) Park() bool {
 	r.mu.Lock()
-	done, ms := r.done, r.retryMS
+	done, ms := r.done, max(r.retryMS, 1)
 	r.mu.Unlock()
 	if !done {
-		sleepRetry(ms)
+		time.Sleep(time.Duration(ms) * time.Millisecond)
 	}
 	return !done
 }

@@ -376,33 +376,6 @@ func TestReportBatchDropsUnknownLeases(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffGrowsAndResets: consecutive empty polls grow the
-// suggested backoff up to the cap; a successful lease resets it.
-func TestRetryBackoffGrowsAndResets(t *testing.T) {
-	space := rpcSpace()
-	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
-	got := make([]int, 0, 8)
-	for i := 0; i < 8; i++ {
-		got = append(got, coord.retryAfter("m"))
-	}
-	want := []int{5, 10, 20, 40, 80, 160, 160, 160}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("backoff growth = %v, want %v", got, want)
-	}
-	for _, ms := range got {
-		if ms > maxSuggestRetryMS {
-			t.Fatalf("suggested backoff %dms above the %dms cap", ms, maxSuggestRetryMS)
-		}
-	}
-	var batch TaskBatch
-	if err := coord.NextBatch(BatchRequest{Manager: "m", Max: 1}, &batch); err != nil || len(batch.Tasks) != 1 {
-		t.Fatalf("lease failed: %v %+v", err, batch)
-	}
-	if ms := coord.retryAfter("m"); ms != 5 {
-		t.Errorf("backoff after a successful lease = %dms, want reset to 5ms", ms)
-	}
-}
-
 // TestAdaptiveBatchSizing: the engine's suggested batch tracks observed
 // latency — large for microsecond tests, 1 for tests slower than the
 // round target — and surfaces in the snapshot; under a budget it is

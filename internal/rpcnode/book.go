@@ -1,0 +1,232 @@
+package rpcnode
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"sync"
+	"time"
+
+	"afex/internal/core"
+	"afex/internal/dsl"
+	"afex/internal/explore"
+	"afex/internal/faultspace"
+)
+
+const (
+	// DefaultHeartbeat is the beat interval the coordinator announces in
+	// its Hello reply, and the one a manager uses when the reply
+	// announces none it can use.
+	DefaultHeartbeat = time.Second
+	// missedBeats is how many beats a manager may miss before the book
+	// declares it dead and hands its leases to others.
+	missedBeats = 3
+	// RetryAfter is how long a manager told to retry waits before it
+	// asks again (TaskBatch.RetryAfterMS).
+	RetryAfter = time.Millisecond
+)
+
+// A Task is one lease in the book's table: the candidate, its axis
+// values and scenario (so a report re-marshals nothing), and its holder.
+type Task struct {
+	Cand     explore.Candidate
+	Vals     []string
+	Scenario string
+	holder   string
+}
+
+// A Grant answers a lease request: tasks in wire form, or none and
+// either Done (the session is over) or Retry (leases are out, and one
+// may come back; wake closes at the next fold or reap).
+type Grant struct {
+	Tasks       []TaskWire
+	Done, Retry bool
+	wake        <-chan struct{}
+}
+
+// LeaseBook is the coordinator's lease bookkeeping, one value that the
+// wire (Coordinator) and the §7.7 simulation (experiments.Scalability)
+// both drive: the seq counter, the lease table with each lease's
+// holder, the re-lease queue, the beat table and the per-manager
+// counts, and the engine calls leasing and folding make. Its methods
+// take the time and return decisions; none waits. Like a sync.Cond's,
+// its Locker is held by the caller across every call, and Lease and
+// Report release it around the engine's calls, which run outside any
+// coordinator-wide lock.
+type LeaseBook struct {
+	mu        sync.Locker
+	engine    *core.Engine
+	space     *faultspace.Union
+	axisNames [][]string // per subspace, sent once in the Hello reply
+	target    string     // the session's; a Hello naming another is refused
+
+	seq    int
+	leases map[int]Task
+	// relet holds the leases of managers declared dead, in seq order,
+	// for Lease to hand out before fresh candidates; leasing counts the
+	// Lease calls inside Engine.Lease, whose candidates are out too.
+	relet      []Task
+	leasing    int
+	beats      map[string]time.Time // each live manager's last call
+	perManager map[string]int
+	// wake is closed at the next fold or reap, for a lessee told to
+	// retry; nil while none has been.
+	wake   chan struct{}
+	closed bool // every lease from now on is Done (Close)
+}
+
+// NewLeaseBook returns an empty book leasing space's candidates from
+// engine, guarded by mu.
+func NewLeaseBook(engine *core.Engine, space *faultspace.Union, mu sync.Locker) *LeaseBook {
+	b := &LeaseBook{
+		mu:         mu,
+		engine:     engine,
+		space:      space,
+		axisNames:  make([][]string, len(space.Spaces)),
+		leases:     make(map[int]Task),
+		beats:      make(map[string]time.Time),
+		perManager: make(map[string]int),
+	}
+	for i := range space.Spaces {
+		b.axisNames[i] = dsl.AxisNames(space, i)
+	}
+	return b
+}
+
+// Hello admits manager m by the target it runs: one that names another
+// target than the session's is refused, and one that names none (a
+// process backend) is admitted. An admitted Hello is a beat.
+func (b *LeaseBook) Hello(now time.Time, m, target string) error {
+	if target != "" && b.target != "" && target != b.target {
+		return fmt.Errorf("rpcnode: manager %q runs target %q, this session explores %q", m, target, b.target)
+	}
+	b.Beat(now, m)
+	return nil
+}
+
+// Beat marks m live at now, reaps every manager silent for more than
+// missedBeats beats — its leases move, in seq order, to the re-lease
+// queue — and returns how many managers are live.
+func (b *LeaseBook) Beat(now time.Time, m string) int {
+	b.beats[m] = now
+	n := len(b.beats)
+	maps.DeleteFunc(b.beats, func(_ string, t time.Time) bool { return now.Sub(t) > missedBeats*DefaultHeartbeat })
+	if len(b.beats) == n {
+		return n
+	}
+	var seqs []int
+	for seq, t := range b.leases {
+		if _, live := b.beats[t.holder]; !live {
+			seqs = append(seqs, seq)
+		}
+	}
+	slices.Sort(seqs)
+	for _, seq := range seqs {
+		b.relet = append(b.relet, b.leases[seq])
+		delete(b.leases, seq)
+	}
+	b.progress()
+	return len(b.beats)
+}
+
+// Lease hands manager m up to n tasks, dead managers' leases first,
+// then fresh candidates, each under a new seq; n ≤ 0 sizes the lease
+// from perTest, m's last per-test wall clock (0 = none), and the live
+// managers' share of the budget (Engine.AdaptiveBatch). With nothing to
+// hand out it answers Retry while leases are out and the engine runs,
+// else Done; once the book is closed, Done.
+func (b *LeaseBook) Lease(now time.Time, m string, n int, perTest time.Duration) Grant {
+	live := b.Beat(now, m)
+	if b.closed {
+		return Grant{Done: true}
+	}
+	b.mu.Unlock()
+	b.engine.ObserveLatency(perTest)
+	if n <= 0 {
+		n = b.engine.AdaptiveBatch(live)
+	}
+	b.mu.Lock()
+	var relet []Task
+	if !b.engine.Stopped() {
+		k := min(n, len(b.relet))
+		relet, b.relet = b.relet[:k:k], b.relet[k:]
+	}
+	var cands []explore.Candidate
+	if len(relet) < n {
+		b.leasing++
+		b.mu.Unlock()
+		cands = b.engine.Lease(n - len(relet))
+		b.mu.Lock()
+		b.leasing--
+	}
+	if len(relet)+len(cands) == 0 {
+		if b.leasing+len(b.leases) == 0 || b.engine.Stopped() {
+			b.progress() // a lessee told to retry while this call leased is done too
+			return Grant{Done: true}
+		}
+		if b.wake == nil {
+			b.wake = make(chan struct{})
+		}
+		return Grant{Retry: true, wake: b.wake}
+	}
+	tasks := make([]TaskWire, 0, len(relet)+len(cands))
+	enter := func(t Task) {
+		b.seq++
+		t.holder = m
+		b.leases[b.seq] = t
+		tasks = append(tasks, TaskWire{Seq: b.seq, Sub: t.Cand.Point.Sub, Fault: append([]int(nil), t.Cand.Point.Fault...), Vals: t.Vals})
+	}
+	for _, t := range relet {
+		enter(t)
+	}
+	for _, c := range cands {
+		vals := dsl.ValuesFor(b.space, c.Point)
+		enter(Task{Cand: c, Vals: vals, Scenario: dsl.FormatPairs(b.axisNames[c.Point.Sub], vals)})
+	}
+	return Grant{Tasks: tasks}
+}
+
+// Report folds, in one Engine.FoldBatch, test(i, task) for each i < n
+// whose seq(i) manager m holds, retiring the lease, and returns how many
+// folded. A seq the book does not have out (a dead manager's among them)
+// or another manager holds folds nothing and counts for no one.
+func (b *LeaseBook) Report(now time.Time, m string, n int, seq func(int) int, test func(int, Task) core.ExecutedTest) int {
+	b.Beat(now, m)
+	var ets []core.ExecutedTest
+	for i := 0; i < n; i++ {
+		s := seq(i)
+		t, ok := b.leases[s]
+		if !ok || t.holder != m {
+			continue
+		}
+		delete(b.leases, s)
+		if ets == nil {
+			ets = make([]core.ExecutedTest, 0, n-i)
+		}
+		ets = append(ets, test(i, t))
+	}
+	if len(ets) == 0 {
+		return 0
+	}
+	b.perManager[m] += len(ets)
+	b.mu.Unlock()
+	b.engine.FoldBatch(ets)
+	b.mu.Lock()
+	b.progress()
+	return len(ets)
+}
+
+// Close ends leasing: the coordinator is going away, and every lessee
+// told to retry looks again, to be told Done.
+func (b *LeaseBook) Close() {
+	b.closed = true
+	b.progress()
+}
+
+// progress closes wake: every lessee told to retry looks again.
+func (b *LeaseBook) progress() {
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
+	}
+}

@@ -146,7 +146,7 @@ func TestCoverageInternedAcrossManagers(t *testing.T) {
 	if len(coord.covs) != len(sets) {
 		t.Errorf("coordinator decoded %d encodings, the records hold %d distinct sets", len(coord.covs), len(sets))
 	}
-	if snap := coord.engine.Snapshot(); snap.BlockWalks != len(sets) || snap.BlockSets != len(sets) {
+	if snap := coord.Engine().Snapshot(); snap.BlockWalks != len(sets) || snap.BlockSets != len(sets) {
 		t.Errorf("fold walked %d times over %d remembered sets, the records hold %d distinct ones", snap.BlockWalks, snap.BlockSets, len(sets))
 	}
 	for enc, cov := range coord.covs {

@@ -252,10 +252,9 @@ func TestManagerCrashMidBatch(t *testing.T) {
 }
 
 // TestNextBatchRetriesWhileLeasesOutstanding: a session with nothing
-// left to lease tells a manager to retry while a lease is out — having
-// waited for a report that does not come — and that it is done once
-// the last one folds; a manager waiting when that report lands hears so
-// at once.
+// left to lease answers retry while a lease is out, and done once the
+// last one folds; a NextBatch waiting when that report lands hears so at
+// once, not after its wait.
 func TestNextBatchRetriesWhileLeasesOutstanding(t *testing.T) {
 	space := rpcSpace()
 	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
@@ -283,31 +282,28 @@ func TestNextBatchRetriesWhileLeasesOutstanding(t *testing.T) {
 		return batch
 	}
 	report(out.Tasks[1:])
-	if batch := poll(); batch.Done || !batch.Retry || batch.RetryAfterMS <= 0 {
-		t.Fatalf("drained session with a lease out: got %+v, want Retry", batch)
-	}
-	// The next poll waits up to its backoff, long enough to see the
-	// last report land.
 	coord.mu.Lock()
-	coord.idle["n"], coord.progress = 5, nil
+	g := coord.book.Lease(coord.now(), "n", 1, 0)
+	coord.book.wake = nil // so the poll's Retry makes the next one
 	coord.mu.Unlock()
+	if g.Done || !g.Retry || g.wake == nil {
+		t.Fatalf("drained session with a lease out: got %+v, want Retry", g)
+	}
 	polled := make(chan TaskBatch)
+	start := time.Now()
 	go func() { polled <- poll() }()
-	var wait chan struct{}
-	for wait == nil {
+	for waiting := false; !waiting; {
 		runtime.Gosched()
 		coord.mu.Lock()
-		wait = coord.progress
+		waiting = coord.book.wake != nil
 		coord.mu.Unlock()
 	}
 	report(out.Tasks[:1])
-	select {
-	case <-wait:
-	default:
-		t.Fatal("the last report did not wake the waiting poll")
-	}
 	if batch := <-polled; !batch.Done || batch.Retry {
 		t.Fatalf("the last report landed during a poll: got %+v, want Done", batch)
+	}
+	if waited := time.Since(start); waited >= pollWait {
+		t.Fatalf("the waiting poll heard of the last report after %v, its whole wait", waited)
 	}
 	if batch := poll(); !batch.Done {
 		t.Fatalf("drained session with nothing out: got %+v, want Done", batch)
@@ -338,8 +334,8 @@ func TestHeartbeatLeaseExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(coord.relet) != 0 || len(coord.leases) != 5 {
-		t.Fatalf("declared a manager dead on time: %d leases out, %d to re-lease", len(coord.leases), len(coord.relet))
+	if len(coord.book.relet) != 0 || len(coord.book.leases) != 5 {
+		t.Fatalf("declared a manager dead on time: %d leases out, %d to re-lease", len(coord.book.leases), len(coord.book.relet))
 	}
 	clk.Advance(time.Nanosecond)
 	re := take("fresh", 8)

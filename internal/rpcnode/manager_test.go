@@ -107,8 +107,8 @@ func TestConcurrentLoopsLeaseOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := coord.Result()
-	if n != int(space.Size()) || res.Executed != n || len(coord.leases) != 0 {
-		t.Fatalf("reported %d, folded %d, %d leases outstanding; want the %d-point space", n, res.Executed, len(coord.leases), space.Size())
+	if n != int(space.Size()) || res.Executed != n || len(coord.book.leases) != 0 {
+		t.Fatalf("reported %d, folded %d, %d leases outstanding; want the %d-point space", n, res.Executed, len(coord.book.leases), space.Size())
 	}
 	seen := map[string]bool{}
 	for _, rec := range res.Records {
@@ -334,8 +334,10 @@ func FuzzTaskConversion(f *testing.F) {
 }
 
 // FuzzReportBatch: a report of any results never panics the coordinator.
-// It folds only the seqs it has out, each once, and acknowledges exactly
-// the leases it retired. Each result picks its seq (leased or not), its
+// It folds only the seqs the reporting manager holds, each once, and
+// acknowledges exactly the leases it retired. With the lease byte's 0x40
+// bit set, another manager first reports every seq the first holds: it
+// folds none of them and counts for no one. Each result picks its seq (leased or not), its
 // outcome flags, an interned stack hash that arrives with or without its
 // frames (possibly without them first), and its block bytes from the
 // input. With the lease byte's top bit set, the manager is declared dead
@@ -350,6 +352,7 @@ func FuzzReportBatch(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(0x84), []byte{0, 0x0f, 1, 2, 1, 2, 1, 0x08, 2, 0, 6, 9, 0x01, 3, 7, 0x80, 0x01, 0})
 	f.Add(uint8(0x88), []byte{9, 0x00, 0, 0, 8, 1, 2, 0})
+	f.Add(uint8(0x41), []byte{1, 0x00, 0, 0, 2, 1, 0x09, 0})
 	stacks := [][]string{nil, {"m!r", "m!read"}, {"m!r", "m!write"}, {"m!w"}}
 	f.Fuzz(func(t *testing.T, lease uint8, in []byte) {
 		space := rpcSpace()
@@ -359,20 +362,20 @@ func FuzzReportBatch(f *testing.F) {
 		balanced := func(step string) {
 			t.Helper()
 			coord.mu.Lock()
-			out := len(coord.leases) + len(coord.relet)
+			out := len(coord.book.leases) + len(coord.book.relet)
 			coord.mu.Unlock()
 			if pending := coord.Engine().Snapshot().Pending; out != pending {
 				t.Fatalf("after %s: %d leases out or waiting, engine pending %d", step, out, pending)
 			}
 		}
-		out := map[int]bool{} // the seqs the coordinator has out
+		out := map[int]string{} // the seqs the coordinator has out, by holder
 		nextBatch := func(manager string, max int) []TaskWire {
 			var batch TaskBatch
 			if err := coord.NextBatch(BatchRequest{Manager: manager, Max: max}, &batch); err != nil {
 				t.Fatal(err)
 			}
 			for _, tw := range batch.Tasks {
-				out[tw.Seq] = true
+				out[tw.Seq] = manager
 			}
 			balanced(manager + "'s lease")
 			return batch.Tasks
@@ -390,6 +393,20 @@ func FuzzReportBatch(f *testing.F) {
 			for _, tw := range leased {
 				delete(out, tw.Seq)
 			}
+		}
+		if lease&0x40 != 0 {
+			foreign := ResultBatch{Manager: "b"}
+			for _, tw := range leased {
+				foreign.Results = append(foreign.Results, ResultWire{Seq: tw.Seq, Failed: true})
+			}
+			var ack BatchAck
+			if err := coord.ReportBatch(foreign, &ack); err != nil {
+				t.Fatal(err)
+			}
+			if snap := coord.Snapshot(); ack.Folded != 0 || snap.Executed != 0 || snap.PerManager["b"] != 0 {
+				t.Fatalf("a report of another manager's leases folded %d (executed %d, %v per manager)", ack.Folded, snap.Executed, snap.PerManager)
+			}
+			balanced("b's report")
 		}
 		next := func() byte {
 			if len(in) == 0 {
@@ -416,7 +433,7 @@ func FuzzReportBatch(f *testing.F) {
 			for i := 0; i < n && len(in) > 0; i++ {
 				rw.Blocks = append(rw.Blocks, next())
 			}
-			if out[rw.Seq] {
+			if out[rw.Seq] == "m" {
 				delete(out, rw.Seq)
 				retired++
 			}
@@ -438,7 +455,7 @@ func FuzzReportBatch(f *testing.F) {
 		want := 0
 		for _, tw := range relet {
 			survivor.Results = append(survivor.Results, ResultWire{Seq: tw.Seq})
-			if out[tw.Seq] {
+			if out[tw.Seq] == "s" {
 				delete(out, tw.Seq)
 				want++
 			}

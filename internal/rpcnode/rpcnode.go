@@ -5,50 +5,49 @@
 // performed scales linearly").
 //
 // The protocol (batch.go) is batched net/rpc with a compact wire format
-// (wire.go). How many managers one coordinator keeps busy is §7.7's
-// question, which experiments.Scalability answers on the engine itself.
+// (wire.go). The coordinator is a thin adapter over the shared execution
+// engine (core.Engine) and one lease book (LeaseBook). The book owns the
+// lease bookkeeping — sequence numbers, each lease's holder, manager
+// liveness, per-manager counts — and §7.7's simulation
+// (experiments.Scalability) drives it too, on a virtual clock. The
+// adapter owns only wire concerns: scenario marshalling and interning.
+// Candidate leasing, impact scoring, coverage, clustering and stop logic
+// are the engine's, the code the in-process worker pool runs, so a
+// distributed session produces the same full core.ResultSet (Result
+// method) a local one does. A manager runs the engine's worker loop
+// (core.Work) against a lease source over the wire; leasing one task at
+// a time is the same loop at Manager.Batch = 1.
 //
-// The coordinator is a thin protocol adapter over the shared execution
-// engine (core.Engine): it owns only wire concerns — lease sequence
-// numbers, manager liveness, per-manager accounting, scenario
-// marshalling — while candidate leasing, impact scoring, coverage
-// accounting, redundancy clustering and stop logic are the engine's, exactly the same code the
-// in-process worker pool runs. A distributed session therefore produces
-// the same full core.ResultSet (Result method) a local one does. A
-// manager runs the engine's worker loop (core.Work) against a lease
-// source over the wire; leasing one task at a time is the same loop at
-// Manager.Batch = 1.
-//
-// Liveness is the coordinator's alone, and always on. It announces a
-// beat interval (DefaultHeartbeat) in the Hello reply; a manager beats
-// on it while it works, and every call it makes counts as a beat. A
-// manager silent for missedBeats beats is declared dead: its leases
-// leave the lease table, in seq order, for a queue that NextBatch hands
-// out before it asks the engine for fresh candidates, and a report it
-// sends later names seqs the coordinator no longer knows, so it folds
-// nothing. Each candidate therefore folds once, and the engine, which
-// trusts its executors, tracks no lease of its own. The reaper runs
-// inside the RPC paths, not on a timer: a dead manager is noticed at
-// the next call of any other. While any lease is out, a manager that
-// finds nothing to lease is told to retry, not that the session is
-// done: the lease may yet come back.
+// Liveness is always on. The coordinator announces a beat interval
+// (DefaultHeartbeat) in the Hello reply; a manager beats on it while it
+// works, and every call counts as a beat. A manager silent for
+// missedBeats beats is declared dead at the next call of any other
+// (there is no timer): its leases leave the lease table, in seq order,
+// for a queue NextBatch hands out before fresh candidates. A report
+// folds only the seqs its sender holds, so a dead manager's late report,
+// or one naming another's lease, folds nothing: each candidate folds
+// once, and the engine, which trusts its executors, tracks no lease. The
+// Hello admits a manager by the target it names: one running another
+// model target than the session's is refused. With nothing to hand out
+// while a lease is out, NextBatch waits up to one beat for a report or
+// a reap, then tells the manager to retry, not that the session is done.
+// Server.Close answers every call in flight, a lease with Done, before
+// it closes the connections.
 package rpcnode
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/rpc"
-	"slices"
 	"sync"
 	"time"
 
 	"afex/internal/backend"
 	"afex/internal/core"
-	"afex/internal/dsl"
 	"afex/internal/explore"
-	"afex/internal/faultspace"
 	"afex/internal/inject"
 	"afex/internal/prog"
 )
@@ -68,29 +67,8 @@ type Stats struct {
 // remote node managers to the shared execution engine. It is safe for
 // concurrent RPC access.
 type Coordinator struct {
-	engine *core.Engine
-	space  *faultspace.Union
-	// axisNames caches each subspace's axis names for the slice-based
-	// scenario path (no per-lease map allocation).
-	axisNames [][]string
-
-	// plugin converts leased scenarios back into injection plans when
-	// folding results, so persistent coordinators journal a replayable
-	// Plan (managers report outcomes, not plans). Zero value is ready.
-	plugin inject.Plugin
-
-	mu     sync.Mutex
-	seq    int
-	leases map[int]lease
-	// relet holds the leases of managers declared dead, in seq order,
-	// for NextBatch to hand out before fresh candidates; leasing counts
-	// the NextBatch calls between asking the engine for candidates and
-	// entering them in leases, whose work is out too. progress is what
-	// an idle NextBatch waits on (wakeLocked), nil while none does.
-	relet      []lease
-	leasing    int
-	progress   chan struct{}
-	perManager map[string]int
+	mu   sync.Mutex // guards the book and the intern tables
+	book *LeaseBook
 	// stacks interns reported injection stacks by content hash: a
 	// manager ships a stack's frames once and the 8-byte hash
 	// thereafter (ResultWire.StackHash). Content addressing lets all
@@ -99,24 +77,9 @@ type Coordinator struct {
 	// covs interns decoded coverage sets by their wire encoding (see
 	// coverage, wire.go); at most maxInternedSets.
 	covs map[string]prog.Outcome
-	// idle counts each manager's consecutive empty polls, growing the
-	// suggested Retry backoff (retryAfter); a successful lease resets
-	// it. Lazily allocated.
-	idle map[string]int
-	// lastBeat is the beat table: each live manager's most recent
-	// contact, on now (the wall clock; tests set their own).
-	lastBeat map[string]time.Time
-	now      func() time.Time
+	// now is the book's clock (the wall clock; tests set their own).
+	now func() time.Time
 }
-
-// DefaultHeartbeat is the beat interval the coordinator announces in
-// its Hello reply, and the one a manager uses when the reply announces
-// none it can use.
-const DefaultHeartbeat = time.Second
-
-// missedBeats is how many beats a manager may miss before the
-// coordinator declares it dead and hands its leases to others.
-const missedBeats = 3
 
 // NewCoordinatorConfig builds a coordinator over a new engine of cfg —
 // at least a Space, and Iterations (0 = until the explorer exhausts).
@@ -130,7 +93,6 @@ const missedBeats = 3
 // non-nil impact scores an outcome by its newly covered blocks in place
 // of cfg.Impact.Score.
 func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog.Outcome, int) float64) (*Coordinator, error) {
-	space := cfg.Space
 	if impact != nil {
 		cfg.Impact.Score = func(out prog.Outcome, newBlocks int, _ inject.Plan, _ int) float64 {
 			return impact(out, newBlocks)
@@ -140,131 +102,51 @@ func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog
 	if err != nil {
 		return nil, fmt.Errorf("rpcnode: %w", err)
 	}
-	c := &Coordinator{
-		engine:     engine,
-		space:      space,
-		leases:     make(map[int]lease),
-		perManager: make(map[string]int),
-		covs:       make(map[string]prog.Outcome),
-		lastBeat:   make(map[string]time.Time),
-		now:        time.Now,
-	}
-	if space != nil {
-		c.axisNames = make([][]string, len(space.Spaces))
-		for i := range space.Spaces {
-			c.axisNames[i] = dsl.AxisNames(space, i)
-		}
-	}
+	c := &Coordinator{covs: make(map[string]prog.Outcome), now: time.Now}
+	c.book = NewLeaseBook(engine, cfg.Space, &c.mu)
 	return c, nil
 }
 
-// lease is one outstanding task: the candidate plus its formatted
-// scenario and axis values (kept so the report path re-marshals and
-// re-parses nothing) and the manager holding it (so a dead manager's
-// leases can be handed to others).
-type lease struct {
-	cand     explore.Candidate
-	scenario string
-	vals     []string
-	manager  string
-}
-
-// foldInput assembles the engine fold inputs from a retired lease and
-// the reported outcome. The armed plan is rebuilt from the lease's
-// axis values (the wire carries only the outcome) so a persistent
-// session's journal can replay the failure without re-searching the
-// space — straight from coordinates, no scenario re-parse.
-func (c *Coordinator) foldInput(ls lease, testID int, skipped bool, out prog.Outcome, bname, exitStatus string, durNS int64) core.ExecutedTest {
-	rec := core.Record{
-		Point:      ls.cand.Point,
-		Scenario:   ls.scenario,
-		TestID:     testID,
-		Skipped:    skipped,
-		Backend:    bname,
-		ExitStatus: exitStatus,
-		Duration:   time.Duration(durNS),
-	}
-	if !skipped {
-		if _, plan, err := c.plugin.ConvertValues(c.axisNames[ls.cand.Point.Sub], ls.vals); err == nil {
-			rec.Plan = plan
-		}
-	}
-	return core.ExecutedTest{C: ls.cand, Rec: rec, Out: out}
-}
-
 // SetTargetName labels the session's result set with the system under
-// test, which only the managers load.
+// test, which only the managers load, and refuses a manager whose Hello
+// names another.
 func (c *Coordinator) SetTargetName(name string) {
-	c.engine.SetTargetName(name)
+	c.book.engine.SetTargetName(name)
+	c.mu.Lock()
+	c.book.target = name
+	c.mu.Unlock()
 }
 
 // Heartbeat records a manager liveness beat (RPC method). Managers send
 // it on the interval the Hello reply announces; like every call, it also
-// reaps the managers that have gone silent.
+// reaps the managers that have gone silent (LeaseBook.Beat).
 func (c *Coordinator) Heartbeat(managerID string, ack *bool) error {
-	c.noteManager(managerID)
+	c.mu.Lock()
+	c.book.Beat(c.now(), managerID)
+	c.mu.Unlock()
 	*ack = true
 	return nil
-}
-
-// noteManager marks a manager live, reaps every manager silent for more
-// than missedBeats beats — its leases move, in seq order, to relet —
-// and returns how many managers are live.
-func (c *Coordinator) noteManager(id string) int {
-	now := c.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lastBeat[id] = now
-	dead := false
-	for m, t := range c.lastBeat {
-		if now.Sub(t) > missedBeats*DefaultHeartbeat {
-			delete(c.lastBeat, m)
-			dead = true
-		}
-	}
-	if !dead {
-		return len(c.lastBeat)
-	}
-	var seqs []int
-	for seq, ls := range c.leases {
-		if _, live := c.lastBeat[ls.manager]; !live {
-			seqs = append(seqs, seq)
-		}
-	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		c.relet = append(c.relet, c.leases[seq])
-		delete(c.leases, seq)
-	}
-	if len(seqs) > 0 {
-		c.wakeLocked()
-	}
-	return len(c.lastBeat)
 }
 
 // Engine returns the coordinator's underlying execution engine, for
 // callers needing the full core.Snapshot — arms, pending leases, pool
 // recycles — rather than the wire-level Stats (the control plane's
 // status endpoint does).
-func (c *Coordinator) Engine() *core.Engine { return c.engine }
+func (c *Coordinator) Engine() *core.Engine { return c.book.engine }
 
 // Snapshot returns the session statistics.
 func (c *Coordinator) Snapshot() Stats {
-	snap := c.engine.Snapshot()
+	snap := c.Engine().Snapshot()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Executed:   snap.Executed,
 		Failed:     snap.Failed,
 		Crashed:    snap.Crashed,
 		Hung:       snap.Hung,
 		Injected:   snap.Injected,
-		PerManager: make(map[string]int, len(c.perManager)),
+		PerManager: maps.Clone(c.book.perManager),
 	}
-	for k, v := range c.perManager {
-		st.PerManager[k] = v
-	}
-	return st
 }
 
 // Result seals and returns the session's full result set — records,
@@ -272,15 +154,17 @@ func (c *Coordinator) Snapshot() Stats {
 // shape to what a local core.Run produces. Call it once the managers are
 // done (it fixes Elapsed on first call).
 func (c *Coordinator) Result() *core.ResultSet {
-	return c.engine.Finish()
+	return c.Engine().Finish()
 }
 
 // Server serves a Coordinator over TCP.
 type Server struct {
 	Coordinator *Coordinator
 	lis         net.Listener
-	srv         *rpc.Server
-	wg          sync.WaitGroup
+	wg          sync.WaitGroup // the accept loop and one per connection
+	mu          sync.Mutex
+	conns       []net.Conn // every connection accepted
+	deadline    time.Time  // set by Close: every connection's last moment
 }
 
 // Serve starts serving on addr ("host:port", ":0" for an ephemeral port)
@@ -296,7 +180,7 @@ func Serve(addr string, c *Coordinator) (*Server, error) {
 		lis.Close()
 		return nil, err
 	}
-	s := &Server{Coordinator: c, lis: lis, srv: srv}
+	s := &Server{Coordinator: c, lis: lis}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -305,7 +189,17 @@ func Serve(addr string, c *Coordinator) (*Server, error) {
 			if err != nil {
 				return // listener closed
 			}
-			go srv.ServeConn(conn)
+			s.mu.Lock()
+			s.conns = append(s.conns, conn)
+			if !s.deadline.IsZero() { // accepted as Close began
+				conn.SetDeadline(s.deadline)
+			}
+			s.mu.Unlock()
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				srv.ServeConn(conn) // returns once the manager hangs up and every reply is out
+			}()
 		}
 	}()
 	return s, nil
@@ -314,10 +208,22 @@ func Serve(addr string, c *Coordinator) (*Server, error) {
 // Addr returns the server's bound address.
 func (s *Server) Addr() string { return s.lis.Addr().String() }
 
-// Close stops accepting connections. In-flight RPCs may still complete.
+// Close stops accepting connections and drains the open ones: a
+// NextBatch waiting or arriving is answered Done, every call in flight
+// is answered, and each connection closes once its manager, told Done,
+// hangs up. One miss budget after Close began, the rest are closed.
 func (s *Server) Close() error {
 	err := s.lis.Close()
-	s.wg.Wait()
+	s.Coordinator.mu.Lock()
+	s.Coordinator.book.Close()
+	s.Coordinator.mu.Unlock()
+	s.mu.Lock()
+	s.deadline = time.Now().Add(missedBeats * DefaultHeartbeat)
+	for _, conn := range s.conns {
+		conn.SetDeadline(s.deadline)
+	}
+	s.mu.Unlock()
+	s.wg.Wait() // a connection is served until its manager hangs up or its deadline passes
 	return err
 }
 
