@@ -7,13 +7,13 @@
 // flags (one table, spec.go; one meaning, controlplane.SessionSpec):
 //
 //	afex explore [session flags] [--top 10] [--repro] [--out DIR] [--precision-trials 3]
-//	             [--progress 5s] [--verbose] [--pprof localhost:6060]
+//	             [--progress 5s] [--pprof localhost:6060]
 //	afex serve   [session flags] --addr :7070 [--pprof localhost:6060]
 //	afex serve   --http 127.0.0.1:8040
 //	afex submit  [session flags] [--http 127.0.0.1:8040] [--wait]
 //	afex status  [--http 127.0.0.1:8040] [--json] [session-id]
 //	afex worker  --target coreutils --addr host:7070 --id mgr01
-//	afex worker  --backend process --target "cmd:./crashy {test}" --addr host:7070 --id mgr02
+//	afex worker  --target "cmd:./crashy {test}" [--timeout 5s] [--procs 4] --addr host:7070 --id mgr02
 //	afex replay  --target mysqld --scenario "testID 5 function read errno EIO retval -1 callNumber 3"
 //	afex replay  <state-dir-or-journal> [--target mysqld] [--all] [--trials 1] [--timeout 5s]
 //	afex profile --target coreutils [--funcs 19]
@@ -21,14 +21,14 @@
 //	afex stats   <state-dir> [--json]
 //
 //	session flags:
-//	  --target mysqld | "cmd:./crashy {test}"  [--backend model|process]
+//	  --target mysqld | "cmd:./crashy {test}"  (a cmd: spec runs on the process backend)
 //	  [--space "testID : [ 0 , 3 ]  function : { open , read }  callNumber : [ 1 , 3 ] ;" | @file]
 //	  [--funcs 19] [--call-lo 1] [--call-hi 100] [--pairs] [--errno-axis]
-//	  [--algo fitness|random|exhaustive|genetic|portfolio] [--iterations 1000] [--seed 1]
+//	  [--algorithm fitness|random|exhaustive|genetic|portfolio] [--iterations 1000] [--seed 1]
 //	  [--feedback] [--shards 4] [--time-budget 10m]
 //	  [--state-dir DIR] [--journal-format jsonl|binary] [--resume] [--peers 2 --peer 0]
-//	  local sessions:       [--workers 4] [--batch 16] [--timeout 5s] [--procs 4]
-//	                        [--tests-per-proc 100] [--test-args "row0"] [--test-args "row1"]
+//	  local sessions:       [--workers 4] [--timeout 5s] [--procs 4]
+//	                        [--test-args "row0"] [--test-args "row1"]
 //	  coordinator sessions: --serve :7070 (serve: --addr)
 //
 // Exit status: 0 on success with no failures found, 1 on errors, 2 on
@@ -157,7 +157,6 @@ func cmdExplore(args []string) error {
 	repro := fs.Bool("repro", false, "print generated reproduction scripts for cluster representatives")
 	precisionTrials := fs.Int("precision-trials", 0, "re-run each representative this many times and report impact precision")
 	out := fs.String("out", "", "write the full result tree (report, TSV, clusters, repro scripts, per-test logs) to this directory")
-	verbose := fs.Bool("verbose", false, "log progress every 100 tests")
 	progress := fs.Duration("progress", 0, "print engine stats (tests run, failures, clusters, leases) on this interval (0 = off)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof profiles — and this process's /metrics and session status API — on this address (e.g. localhost:6060)")
 	if err := parseSpec(fs, args, spec); err != nil {
@@ -173,12 +172,6 @@ func cmdExplore(args []string) error {
 	if *precisionTrials > 0 && target == nil {
 		// Fail before the exploration runs, not after hours of it.
 		return fmt.Errorf("--precision-trials re-runs through the program model and needs a built-in target")
-	}
-	if *verbose {
-		plan.Options.Progress = func(s afex.Snapshot) {
-			fmt.Fprintf(os.Stderr, "progress: executed=%d injected=%d failed=%d crashed=%d coverage=%.1f%%\n",
-				s.Executed, s.Injected, s.Failed, s.Crashed, 100*s.Coverage)
-		}
 	}
 	m, err := newManager(*pprofAddr)
 	if err != nil {
@@ -232,28 +225,22 @@ func cmdExplore(args []string) error {
 // targetBackend fills cfg for a bare execution backend — what replay
 // and worker run, with no session around it — from a target name: a
 // "cmd:" spec runs on the process backend, a built-in target on the
-// model. An explicit backendName that disagrees — a typo included — is
-// an error, never silently ignored.
-func targetBackend(targetName, backendName string, cfg afex.BackendConfig) (string, afex.BackendConfig, error) {
-	name := afex.ModelBackend
+// model.
+func targetBackend(targetName string, cfg afex.BackendConfig) (string, afex.BackendConfig, error) {
 	var err error
 	if strings.HasPrefix(targetName, "cmd:") {
-		name = afex.ProcessBackend
 		cfg.Command, err = afex.ParseCommandSpec(targetName)
-	} else {
-		cfg.Target, err = afex.Target(targetName)
+		return afex.ProcessBackend, cfg, err
 	}
-	if err == nil && backendName != "" && backendName != name {
-		err = fmt.Errorf("target %q runs on the %s backend, not %q", targetName, name, backendName)
-	}
-	return name, cfg, err
+	cfg.Target, err = afex.Target(targetName)
+	return afex.ModelBackend, cfg, err
 }
 
 // replayRunner builds the re-execution function for a target name (the
 // journaled plan re-arms the fixture, or model, the session drove) and
 // returns the model target, if it is one; cleanup releases the backend.
-func replayRunner(targetName, backendName string, timeout time.Duration) (run func(testID int, plan inject.Plan) prog.Outcome, target *afex.System, cleanup func() error, err error) {
-	name, cfg, err := targetBackend(targetName, backendName, afex.BackendConfig{Timeout: timeout})
+func replayRunner(targetName string, timeout time.Duration) (run func(testID int, plan inject.Plan) prog.Outcome, target *afex.System, cleanup func() error, err error) {
+	name, cfg, err := targetBackend(targetName, afex.BackendConfig{Timeout: timeout})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -278,15 +265,17 @@ func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	targetName := fs.String("target", "", "target system under test: a built-in model or a cmd: spec (journal mode: defaults to the recorded target)")
 	scenario := fs.String("scenario", "", "scenario in the wire format, e.g. \"testID 3 function read callNumber 2\"")
-	trials := fs.Int("trials", 1, "number of re-runs (impact precision uses >1)")
+	trials := fs.Int("trials", 1, "number of re-runs, at least 1 (impact precision uses >1)")
 	all := fs.Bool("all", false, "journal mode: replay every recorded failure, not just one per redundancy cluster")
 	execTimeout := fs.Duration("timeout", 0, "process replay: per-test wall-clock cap (0 = default)")
-	backendName := fs.String("backend", "", "execution backend to replay on: "+strings.Join(afex.Backends(), " | ")+" (default: inferred from the target — process for cmd: specs)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *trials < 1 {
+		return fmt.Errorf("replay: --trials must be at least 1, not %d", *trials)
+	}
 	if journal != "" {
-		return replayJournal(journal, *targetName, *backendName, *trials, *all, *execTimeout)
+		return replayJournal(journal, *targetName, *trials, *all, *execTimeout)
 	}
 	if *targetName == "" || *scenario == "" {
 		return fmt.Errorf("replay requires --target and --scenario (or a journal path)")
@@ -300,7 +289,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	run, target, cleanup, err := replayRunner(*targetName, *backendName, *execTimeout)
+	run, target, cleanup, err := replayRunner(*targetName, *execTimeout)
 	if err != nil {
 		return err
 	}
@@ -329,7 +318,7 @@ func cmdReplay(args []string) error {
 // without re-searching the fault space. By default one representative
 // per redundancy cluster is replayed (the tests worth promoting into a
 // regression suite); --all replays every recorded failure.
-func replayJournal(path, targetName, backendName string, trials int, all bool, execTimeout time.Duration) error {
+func replayJournal(path, targetName string, trials int, all bool, execTimeout time.Duration) error {
 	entries, err := afex.ReplayJournal(path)
 	if err != nil {
 		return err
@@ -344,14 +333,11 @@ func replayJournal(path, targetName, backendName string, trials int, all bool, e
 		}
 		targetName = meta.Target
 	}
-	run, _, cleanup, err := replayRunner(targetName, backendName, execTimeout)
+	run, _, cleanup, err := replayRunner(targetName, execTimeout)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
-	if trials < 1 {
-		trials = 1
-	}
 
 	seenCluster := make(map[int]bool)
 	replayed, reproduced := 0, 0
@@ -477,38 +463,33 @@ func cmdServe(args []string) error {
 
 func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
-	targetName := fs.String("target", "coreutils", "target system under test (must match the coordinator's): a built-in model or a cmd: spec")
-	backendName := fs.String("backend", "", "execution backend: "+strings.Join(afex.Backends(), " | ")+" (default: model for built-in targets, process for cmd: targets)")
+	targetName := fs.String("target", "coreutils", "target system under test (must match the coordinator's): a built-in model, or a cmd: spec run on the process backend")
 	execTimeout := fs.Duration("timeout", 0, "process backend: per-test wall-clock cap (0 = default)")
-	procs := fs.Int("procs", 0, "process backend: max concurrently running subprocesses (0 = default)")
-	testsPerProc := fs.Int("tests-per-proc", 0, "process backend: scenarios a warm worker serves before being recycled (0 = default, negative = one-shot mode: one process per scenario)")
+	procs := fs.Int("procs", 0, "process backend: max concurrently running subprocesses, and so the worker loops (0 = default)")
 	addr := fs.String("addr", "127.0.0.1:7070", "coordinator address")
 	id := fs.String("id", "worker", "manager identity reported to the coordinator")
-	rpcBatch := fs.Int("rpc-batch", 0, "tests leased per RPC round trip: 0 = adaptive (coordinator-sized from measured test latency), 1 = one at a time with no lease in flight during execution, >1 = fixed batch")
-	rpcConcurrency := fs.Int("rpc-concurrency", 0, "worker loops, each executing its own lease (0 = backend pool width, or GOMAXPROCS; 1 at --rpc-batch 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	name, bcfg, err := targetBackend(*targetName, *backendName,
-		afex.BackendConfig{Timeout: *execTimeout, Procs: *procs, TestsPerProc: *testsPerProc})
+	name, bcfg, err := targetBackend(*targetName, afex.BackendConfig{Timeout: *execTimeout, Procs: *procs})
 	if err != nil {
 		return err
 	}
+	// Leases are sized by the coordinator from measured test latency, and
+	// the manager runs one worker loop per slot of its backend's pool.
 	mgr, err := afex.DialManagerBackend(*addr, *id, name, bcfg)
 	if err != nil {
 		return err
 	}
 	defer mgr.Close()
-	mgr.Batch = *rpcBatch
-	mgr.Concurrency = *rpcConcurrency
 	n, err := mgr.RunUntilDone()
 	fmt.Printf("%s executed %d tests\n", *id, n)
 	return err
 }
 
 // cmdTargets lists the built-in model targets and the registered
-// execution backends — everything a --target/--backend pair can name —
-// in a stable, golden-testable order. --json emits the same data
+// execution backends — everything a --target can name and run on — in
+// a stable, golden-testable order. --json emits the same data
 // machine-readably.
 func cmdTargets(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("targets", flag.ExitOnError)
@@ -530,7 +511,7 @@ func cmdTargets(args []string, w io.Writer) error {
 	for _, n := range targets {
 		fmt.Fprintf(w, "  %s\n", n)
 	}
-	fmt.Fprintln(w, "execution backends (--backend):")
+	fmt.Fprintln(w, "execution backends (the target's kind picks one):")
 	for _, n := range backends {
 		fmt.Fprintf(w, "  %s\n", n)
 	}

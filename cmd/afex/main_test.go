@@ -138,28 +138,26 @@ func TestCmdExploreUnknownTarget(t *testing.T) {
 // returning all the way up — a typo'd algorithm name must fail with a
 // message listing every valid choice instead of a silent nil explorer.
 func TestCmdExploreUnknownAlgorithm(t *testing.T) {
-	for _, flagName := range []string{"--algorithm", "--algo"} {
-		err := cmdExplore([]string{"--target", "coreutils", flagName, "simulated-annealing"})
-		if err == nil {
-			t.Fatalf("%s simulated-annealing accepted", flagName)
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, `"simulated-annealing"`) || !strings.Contains(msg, "valid:") {
-			t.Fatalf("error %q does not name the bad algorithm and the valid choices", msg)
-		}
-		for _, name := range afex.Algorithms() {
-			if !strings.Contains(msg, name) {
-				t.Errorf("error %q does not list registered strategy %q", msg, name)
-			}
+	err := cmdExplore([]string{"--target", "coreutils", "--algorithm", "simulated-annealing"})
+	if err == nil {
+		t.Fatal("--algorithm simulated-annealing accepted")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, `"simulated-annealing"`) || !strings.Contains(msg, "valid:") {
+		t.Fatalf("error %q does not name the bad algorithm and the valid choices", msg)
+	}
+	for _, name := range afex.Algorithms() {
+		if !strings.Contains(msg, name) {
+			t.Errorf("error %q does not list registered strategy %q", msg, name)
 		}
 	}
 }
 
 // TestCmdExplorePortfolio: the adaptive explorer runs end to end from
-// the CLI (via the --algo alias), composed with sharding.
+// the CLI, composed with sharding.
 func TestCmdExplorePortfolio(t *testing.T) {
 	if err := noFailures(cmdExplore([]string{
-		"--target", "coreutils", "--algo", "portfolio", "--iterations", "60",
+		"--target", "coreutils", "--algorithm", "portfolio", "--iterations", "60",
 		"--shards", "2", "--call-lo", "0", "--call-hi", "2",
 	})); err != nil {
 		t.Fatal(err)
@@ -181,6 +179,23 @@ func TestCmdReplay(t *testing.T) {
 		"--target", "mysqld", "--scenario", "odd token count here x",
 	}); err == nil {
 		t.Fatal("malformed scenario accepted")
+	}
+}
+
+// TestCmdReplayTrialsAtLeastOne: --trials below 1 is refused the same
+// way in scenario mode and in journal mode.
+func TestCmdReplayTrialsAtLeastOne(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	if err := noFailures(cmdExplore([]string{"--target", "mysqld", "--call-hi", "6", "--state-dir", dir, "--iterations", "30"})); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"--target", "mysqld", "--scenario", "testID 0 function read callNumber 3", "--trials", "0"},
+		{dir, "--trials", "0"},
+	} {
+		if err := cmdReplay(args); err == nil || !strings.Contains(err.Error(), "--trials must be at least 1") {
+			t.Errorf("replay %q: %v, want --trials refused", args, err)
+		}
 	}
 }
 

@@ -40,7 +40,6 @@ const crashySpace = "testID : [ 0 , 3 ]  function : { open , read , malloc , wri
 
 func crashyArgs(extra ...string) []string {
 	base := []string{
-		"--backend", "process",
 		"--target", "cmd:" + crashyBin + " {test}",
 		"--space", crashySpace,
 		"--timeout", "500ms",
@@ -49,30 +48,24 @@ func crashyArgs(extra ...string) []string {
 }
 
 // TestCmdExploreProcessBackend is the acceptance path: exploring the
-// bundled fixture with --backend process finds failure clusters (the
+// bundled fixture as a cmd: target finds failure clusters (the
 // fixture plants an orderly failure, a crash and a hang), surfacing the
 // CI-gating exit sentinel.
 func TestCmdExploreProcessBackend(t *testing.T) {
-	err := cmdExplore(crashyArgs("--algo", "exhaustive", "--iterations", "0"))
+	err := cmdExplore(crashyArgs("--algorithm", "exhaustive", "--iterations", "0"))
 	if !errors.Is(err, errFailuresFound) {
 		t.Fatalf("process exploration of the crashy fixture should find failures, got %v", err)
 	}
 }
 
-// TestCmdExploreProcessTargetValidation: the cmd:/backend pairing is
-// checked both ways, and cmd: targets need a space description.
+// TestCmdExploreProcessTargetValidation: a cmd: target needs a space
+// description and a binary that exists.
 func TestCmdExploreProcessTargetValidation(t *testing.T) {
-	if err := cmdExplore([]string{"--backend", "process", "--target", "mysqld"}); err == nil {
-		t.Error("--backend process accepted a built-in model target")
-	}
-	if err := cmdExplore([]string{"--backend", "model", "--target", "cmd:" + crashyBin}); err == nil {
-		t.Error("cmd: target accepted on the model backend")
-	}
 	if err := cmdExplore([]string{"--target", "cmd:" + crashyBin + " {test}"}); err == nil {
 		t.Error("cmd: target accepted without --space")
 	}
-	if err := cmdExplore(crashyArgs("--backend", "qemu")); err == nil {
-		t.Error("unknown backend accepted")
+	if err := cmdExplore([]string{"--target", "cmd:/nonexistent/afex-fixture {test}", "--space", crashySpace}); err == nil {
+		t.Error("cmd: target accepted with a missing binary")
 	}
 }
 

@@ -44,8 +44,7 @@ func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 // bindSpec registers every session-describing flag on fs, writing into
 // spec; spec's values at the call are the subcommand's defaults.
 func bindSpec(fs *flag.FlagSet, spec *controlplane.SessionSpec) {
-	fs.StringVar(&spec.Target, "target", spec.Target, "target system under test: a built-in model, or a \"cmd:\" spec launching a real fixture ({test} expands to the testID)")
-	fs.StringVar(&spec.Backend, "backend", spec.Backend, "execution backend: "+strings.Join(afex.Backends(), " | ")+" (default: model for built-in targets, process for cmd: targets; with --serve/--addr the backend runs on the workers and the name is only validated)")
+	fs.StringVar(&spec.Target, "target", spec.Target, "target system under test: a built-in model, or a \"cmd:\" spec launching a real fixture on the process backend ({test} expands to the testID)")
 	fs.StringVar(&spec.Space, "space", spec.Space, "fault-space description in the Fig. 3 language, or @file (required for cmd: targets; overrides the profiled space for built-in ones)")
 	fs.IntVar(&spec.Funcs, "funcs", spec.Funcs, "profiled space: function-axis size (0 = 19)")
 	fs.IntVar(&spec.CallLo, "call-lo", spec.CallLo, "profiled space: callNumber axis lower bound (0 adds a no-injection point)")
@@ -53,17 +52,14 @@ func bindSpec(fs *flag.FlagSet, spec *controlplane.SessionSpec) {
 	fs.BoolVar(&spec.Pairs, "pairs", spec.Pairs, "explore two-fault scenarios (quadratic space; keep --funcs/--call-hi small)")
 	fs.BoolVar(&spec.ErrnoAxis, "errno-axis", spec.ErrnoAxis, "use a detailed space with per-function errno/retval axes (Fig. 4 style)")
 	fs.StringVar(&spec.Algorithm, "algorithm", spec.Algorithm, "exploration strategy: "+strings.Join(afex.Algorithms(), " | ")+" (empty = "+afex.FitnessGuided+")")
-	fs.StringVar(&spec.Algorithm, "algo", spec.Algorithm, "alias for --algorithm")
 	fs.IntVar(&spec.Iterations, "iterations", spec.Iterations, "number of tests to execute (0 = until exhausted; a coordinator session then runs until stopped)")
 	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "RNG seed")
 	fs.BoolVar(&spec.Feedback, "feedback", spec.Feedback, "enable redundancy feedback (§7.4)")
 	fs.IntVar(&spec.Workers, "workers", spec.Workers, "concurrent node managers of a local session")
-	fs.IntVar(&spec.Batch, "batch", spec.Batch, "candidates leased per worker coordination round (0 = default; parallel mode only)")
 	fs.IntVar(&spec.Shards, "shards", spec.Shards, "partition the space into this many disjoint regions, one search each (0/1 = unsharded)")
 	fs.Var((*multiFlag)(&spec.TestArgs), "test-args", "process backend: per-test argument row appended to the command template, repeatable (row i serves testID i)")
 	fs.StringVar(&spec.Timeout, "timeout", spec.Timeout, "process backend: per-test wall-clock cap, a `duration`; expired tests are killed and folded as Hung (0 = default)")
 	fs.IntVar(&spec.Procs, "procs", spec.Procs, "process backend: max concurrently running subprocesses, independent of --workers (0 = default)")
-	fs.IntVar(&spec.TestsPerProc, "tests-per-proc", spec.TestsPerProc, "process backend: scenarios a warm worker serves before being recycled (0 = default, negative = one-shot mode: one process per scenario)")
 	fs.StringVar(&spec.TimeBudget, "time-budget", spec.TimeBudget, "stop after this `duration` of wall clock (0 = no limit)")
 	fs.StringVar(&spec.StateDir, "state-dir", spec.StateDir, "persist the session here: journal every scenario, never re-execute one across runs; --iterations counts the whole session including prior runs")
 	fs.StringVar(&spec.JournalFormat, "journal-format", spec.JournalFormat, "with --state-dir: journal format for a NEW directory, "+afex.JournalJSONL+" (default) or "+afex.JournalBinary+" (crc-framed binary segments; existing directories keep their format)")

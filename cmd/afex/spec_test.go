@@ -20,21 +20,21 @@ func TestSessionFlagTable(t *testing.T) {
 	}
 	type spec = controlplane.SessionSpec
 	everything := []string{
-		"--target", "cmd:./crashy {test}", "--backend", "process", "--space", "@" + spaceFile,
+		"--target", "cmd:./crashy {test}", "--space", "@" + spaceFile,
 		"--funcs", "4", "--call-lo", "0", "--call-hi", "7", "--pairs", "--errno-axis",
 		"--algorithm", "genetic", "--iterations", "99", "--seed", "-3", "--feedback",
-		"--workers", "8", "--batch", "16", "--shards", "4",
-		"--test-args", "row 0", "--test-args", "row 1", "--timeout", "1500ms", "--procs", "2", "--tests-per-proc", "-1",
+		"--workers", "8", "--shards", "4",
+		"--test-args", "row 0", "--test-args", "row 1", "--timeout", "1500ms", "--procs", "2",
 		"--time-budget", "1h", "--state-dir", "/tmp/hunt", "--journal-format", "binary", "--resume",
 		"--serve", ":7171",
 		"--peers", "3", "--peer", "2",
 	}
 	all := spec{
-		Target: "cmd:./crashy {test}", Backend: "process", Space: crashySpace,
+		Target: "cmd:./crashy {test}", Space: crashySpace,
 		Funcs: 4, CallLo: 0, CallHi: 7, Pairs: true, ErrnoAxis: true,
 		Algorithm: "genetic", Iterations: 99, Seed: -3, Feedback: true,
-		Workers: 8, Batch: 16, Shards: 4,
-		TestArgs: []string{"row 0", "row 1"}, Timeout: "1500ms", Procs: 2, TestsPerProc: -1,
+		Workers: 8, Shards: 4,
+		TestArgs: []string{"row 0", "row 1"}, Timeout: "1500ms", Procs: 2,
 		TimeBudget: "1h", StateDir: "/tmp/hunt", JournalFormat: "binary", Resume: true,
 		Serve: ":7171",
 		Peers: 3, Peer: 2,
@@ -50,8 +50,7 @@ func TestSessionFlagTable(t *testing.T) {
 		{"explore", everything, all},
 		{"serve", everything, all},
 		{"submit", everything, all},
-		{"explore", []string{"--algo", "random"}, spec{Target: "coreutils", Algorithm: "random", Iterations: 250, Seed: 1, Workers: 1, Funcs: 19, CallLo: 1, CallHi: 10}},
-		{"submit", []string{"--algo", "random", "--algorithm", "portfolio"}, spec{Target: "coreutils", Algorithm: "portfolio", Seed: 1}},
+		{"explore", []string{"--algorithm", "random"}, spec{Target: "coreutils", Algorithm: "random", Iterations: 250, Seed: 1, Workers: 1, Funcs: 19, CallLo: 1, CallHi: 10}},
 		{"serve", []string{"--addr", "127.0.0.1:0", "--target", "mysqld"}, spec{Target: "mysqld", Algorithm: "fitness", Iterations: 500, Seed: 1, Funcs: 19, CallLo: 1, CallHi: 10, Serve: "127.0.0.1:0"}},
 	} {
 		fs, got := specFlags(c.cmd)

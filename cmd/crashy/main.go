@@ -18,7 +18,7 @@
 // test passes. Explore it with:
 //
 //	go build -o /tmp/crashy ./cmd/crashy
-//	afex explore --backend process --target "cmd:/tmp/crashy {test}" \
+//	afex explore --target "cmd:/tmp/crashy {test}" \
 //	    --space "testID : [ 0 , 3 ]  function : { open , read , malloc , write }  callNumber : [ 1 , 3 ] ;" \
 //	    --timeout 1s --iterations 48
 package main

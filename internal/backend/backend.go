@@ -59,12 +59,6 @@ type Config struct {
 	// engine's worker count, so memory- or port-hungry targets can be
 	// throttled below it. Zero selects DefaultProcs.
 	Procs int
-	// TestsPerProc bounds how many scenarios one warm worker process
-	// serves before the supervisor recycles it (process backend, warm
-	// mode) — the defense against state leaking across scenarios in
-	// long-lived fixtures. Zero selects DefaultTestsPerProc; negative
-	// puts the pool in one-shot mode, one fork/exec per scenario.
-	TestsPerProc int
 }
 
 // Exec is the per-execution metadata a runner reports alongside the
@@ -97,7 +91,8 @@ type Runner interface {
 
 // Recycler is the optional capability of runners that maintain a warm
 // worker pool: Recycles reports how many worker processes have been
-// recycled after serving their scenario quota. It must be safe to call
+// recycled at the end of their life (a multiple of their own
+// spawn-to-ready time). It must be safe to call
 // concurrently with Run (the engine reads it while snapshotting).
 type Recycler interface {
 	Recycles() int64

@@ -55,29 +55,33 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// poolModes are the two ways the one process pool comes up, each with
-// the Config.TestsPerProc that selects it for a worker-mode fixture.
+// poolModes are the two ways the one process pool comes up for a
+// worker-mode fixture: warm, and one-shot — which a spec with per-test
+// argv rows selects, as it does in a session.
 var poolModes = []struct {
-	name         string
-	testsPerProc int
-}{{"warm", 0}, {"one-shot", -1}}
+	name    string
+	oneShot bool
+}{{"warm", false}, {"one-shot", true}}
 
-// fixtureRunner builds the process backend over bin and asserts it came
-// up in the mode testsPerProc asks for: warm is a Recycler, one-shot is
-// not.
-func fixtureRunner(t testing.TB, bin string, procs, testsPerProc int, timeout time.Duration) Runner {
+// fixtureRunner builds the process backend over bin — one-shot by an
+// empty per-test argv row, which changes no argv — and asserts it came
+// up in that mode: warm is a Recycler, one-shot is not.
+func fixtureRunner(t testing.TB, bin string, procs int, oneShot bool, timeout time.Duration) Runner {
 	t.Helper()
 	spec, err := ParseSpec("cmd:" + bin + " {test}")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(Process, Config{Command: spec, Timeout: timeout, Procs: procs, TestsPerProc: testsPerProc})
+	if oneShot {
+		spec.TestArgs = [][]string{{}}
+	}
+	r, err := New(Process, Config{Command: spec, Timeout: timeout, Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
-	if _, warm := r.(Recycler); warm != (testsPerProc >= 0) {
-		t.Fatalf("TestsPerProc %d built %T (Recycler: %v)", testsPerProc, r, warm)
+	if _, warm := r.(Recycler); warm == oneShot {
+		t.Fatalf("one-shot %v built %T (Recycler: %v)", oneShot, r, warm)
 	}
 	return r
 }
@@ -86,7 +90,7 @@ func fixtureRunner(t testing.TB, bin string, procs, testsPerProc int, timeout ti
 // runner that came up in it.
 func inBothModes(t *testing.T, timeout time.Duration, f func(t *testing.T, r Runner)) {
 	for _, m := range poolModes {
-		t.Run(m.name, func(t *testing.T) { f(t, fixtureRunner(t, crashyBin, 2, m.testsPerProc, timeout)) })
+		t.Run(m.name, func(t *testing.T) { f(t, fixtureRunner(t, crashyBin, 2, m.oneShot, timeout)) })
 	}
 }
 
@@ -263,7 +267,7 @@ func TestProcessDeterministicOutcomes(t *testing.T) {
 
 // BenchmarkProcessExecutor measures one supervised scenario execution
 // end to end under each execution mode: cold pays a fork/exec + env
-// marshal per scenario (TestsPerProc < 0 forces it), warm re-arms a
+// marshal per scenario (a per-test argv row forces it), warm re-arms a
 // persistent worker over the arm pipe one Run at a time, warm/batch8
 // arms eight scenarios per pipe write through RunBatch (the lease batch
 // an engine worker holds). CI's bench smoke asserts the warm/cold
@@ -271,11 +275,12 @@ func TestProcessDeterministicOutcomes(t *testing.T) {
 func BenchmarkProcessExecutor(b *testing.B) {
 	plan := fault("open", 1)
 	for _, mode := range []struct {
-		name       string
-		tpp, batch int
-	}{{"cold", -1, 1}, {"warm", 0, 1}, {"warm/batch8", 0, 8}} {
+		name    string
+		oneShot bool
+		batch   int
+	}{{"cold", true, 1}, {"warm", false, 1}, {"warm/batch8", false, 8}} {
 		b.Run(mode.name, func(b *testing.B) {
-			r := fixtureRunner(b, crashyBin, 2, mode.tpp, 5*time.Second)
+			r := fixtureRunner(b, crashyBin, 2, mode.oneShot, 5*time.Second)
 			tests := make([]Test, mode.batch)
 			for i := range tests {
 				tests[i] = Test{TestID: 0, Plan: plan}

@@ -39,8 +39,8 @@ const DefaultProcs = 4
 // processes (worker.go). It comes up warm — one persistent process per
 // pool slot, re-armed per scenario — when the fixture answers the
 // worker-mode probe, and one-shot — fork/exec per scenario — when it
-// does not, when the spec carries per-test argv tails (which must be
-// baked in at spawn time), or when Config.TestsPerProc is negative.
+// does not, or when the spec carries per-test argv tails (which must be
+// baked in at spawn time).
 func newProcess(cfg Config) (Runner, error) {
 	if cfg.Command == nil || len(cfg.Command.Argv) == 0 {
 		return nil, fmt.Errorf("process backend requires a command spec (cmd: target)")
@@ -50,12 +50,9 @@ func newProcess(cfg Config) (Runner, error) {
 	if _, err := exec.LookPath(cfg.Command.Argv[0]); err != nil {
 		return nil, fmt.Errorf("process backend: %w", err)
 	}
-	p := &pool{spec: cfg.Command, timeout: cfg.Timeout, testsPerProc: cfg.TestsPerProc}
+	p := &pool{spec: cfg.Command, timeout: cfg.Timeout, share: spawnShare}
 	if p.timeout <= 0 {
 		p.timeout = DefaultTimeout
-	}
-	if p.testsPerProc == 0 {
-		p.testsPerProc = DefaultTestsPerProc
 	}
 	procs := cfg.Procs
 	if procs <= 0 {
@@ -66,14 +63,14 @@ func newProcess(cfg Config) (Runner, error) {
 		p.slots <- nil
 	}
 	p.baseEnv = append(os.Environ(), shim.ReportFDEnv+"=3", shim.WorkerFDEnv+"=4")
-	if len(cfg.Command.TestArgs) == 0 && cfg.TestsPerProc >= 0 {
+	if len(cfg.Command.TestArgs) == 0 {
 		if probe, err := p.spawn(Test{}); err == nil {
 			p.slots <- probe
 			return &workerRunner{p}, nil
 		}
 	}
-	// One-shot: a quota of one, and no arm pipe for the environment to name.
-	p.oneShot, p.testsPerProc, p.baseEnv = true, 1, p.baseEnv[:len(p.baseEnv)-1]
+	// One-shot: no arm pipe for the environment to name.
+	p.oneShot, p.baseEnv = true, p.baseEnv[:len(p.baseEnv)-1]
 	p.slots <- nil
 	return p, nil
 }

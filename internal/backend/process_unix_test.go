@@ -21,8 +21,8 @@ var leakyBin string
 func init() { fixtures["./testdata/leaky"] = &leakyBin }
 
 // TestRunBatchDeathFoldsExactlyOnce: wherever in a batch a worker dies —
-// crashed or hung by a scenario, recycled at its quota, killed from
-// outside while idle — every scenario of the batch is emitted exactly
+// crashed or hung by a scenario, recycled at the end of its life, killed
+// from outside while idle — every scenario of the batch is emitted exactly
 // once, in order, with the outcome a single Run on a fresh pool gives it.
 func TestRunBatchDeathFoldsExactlyOnce(t *testing.T) {
 	at := func(planted map[int]Test) []Test { // a benign batch with tests planted at positions
@@ -32,13 +32,23 @@ func TestRunBatchDeathFoldsExactlyOnce(t *testing.T) {
 		}
 		return b
 	}
+	// One arm per write: each padded scenario's arm line fills more than
+	// half a group, so a pool whose workers live one group recycles
+	// after every scenario of the batch.
+	padded := make([]Test, 0, 8)
+	for _, ts := range benignBatch() {
+		for len(appendPlan(nil, ts.TestID, 1, ts.Plan)) <= armGroupBytes/2 {
+			ts.Plan.Faults = append(ts.Plan.Faults, fault("open", 1000+len(ts.Plan.Faults)).Faults...)
+		}
+		padded = append(padded, ts)
+	}
 	cases := []struct {
-		name     string
-		tests    []Test
-		tpp      int
-		killIdle bool
-		recycles int64
-		respawn  bool // the batch must leave the pool on a worker it did not start on
+		name       string
+		tests      []Test
+		shortLived bool
+		killIdle   bool
+		recycles   int64
+		respawn    bool // the batch must leave the pool on a worker it did not start on
 	}{
 		{name: "crash at 0", tests: at(map[int]Test{0: crashTest}), respawn: true},
 		{name: "crash at 3", tests: at(map[int]Test{3: crashTest}), respawn: true},
@@ -47,14 +57,15 @@ func TestRunBatchDeathFoldsExactlyOnce(t *testing.T) {
 		{name: "hang at 3", tests: at(map[int]Test{3: hangTest}), respawn: true},
 		{name: "hang at 7", tests: at(map[int]Test{7: hangTest}), respawn: true},
 		{name: "crash and hang", tests: at(map[int]Test{2: crashTest, 5: hangTest}), respawn: true},
-		{name: "quota inside the batch", tests: benignBatch(), tpp: 3, recycles: 2, respawn: true},
+		{name: "recycled inside the batch", tests: padded, shortLived: true, recycles: 8, respawn: true},
 		{name: "killed while idle", tests: benignBatch(), killIdle: true, respawn: true},
 		{name: "nothing dies", tests: benignBatch()},
 	}
 
 	// The reference: each distinct scenario through a single Run, each on
 	// a worker no other scenario has touched.
-	ref := warmRunner(t, 1, 1, hangTimeout)
+	ref := warmRunner(t, 1, hangTimeout)
+	shortLived(ref)
 	single := map[string]batchResult{}
 	want := func(ts Test) batchResult {
 		key := fmt.Sprintf("%d %v", ts.TestID, ts.Plan)
@@ -67,7 +78,10 @@ func TestRunBatchDeathFoldsExactlyOnce(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := warmRunner(t, 1, tc.tpp, hangTimeout)
+			r := warmRunner(t, 1, hangTimeout)
+			if tc.shortLived {
+				shortLived(r)
+			}
 			before := slotPid(r)
 			if before == 0 {
 				t.Fatal("the pool came up without its probe worker")
@@ -114,7 +128,7 @@ func TestRunBatchDeathFoldsExactlyOnce(t *testing.T) {
 			if out, ex := r.Run(3, inject.Plan{}); out.Failed || ex.ExitStatus != "exit:0" {
 				t.Fatalf("Run after the batch = %+v (%s), want a clean pass", out, ex.ExitStatus)
 			}
-			// (An empty slot: that Run was the last of its worker's quota.)
+			// (A short-lived pool's slot is empty again after that Run.)
 			if after := slotPid(r); (after != before) != tc.respawn {
 				t.Errorf("pool started on pid %d and that Run left it on pid %d, respawn want %v", before, after, tc.respawn)
 			}
@@ -133,7 +147,7 @@ func TestLeakedReportPipeFoldsByTheExit(t *testing.T) {
 	var crash, hang []batchResult
 	for _, m := range poolModes {
 		t.Run(m.name, func(t *testing.T) {
-			r := fixtureRunner(t, leakyBin, 1, m.testsPerProc, timeout)
+			r := fixtureRunner(t, leakyBin, 1, m.oneShot, timeout)
 			out, ex := r.Run(0, fault("malloc", 1))
 			if !out.Injected || !out.Crashed || out.Hung || out.CrashID != "leaky/pipe-held" || ex.ExitStatus != "signal:killed" {
 				t.Errorf("crash with the pipe held = %+v (%s), want Crashed, leaky/pipe-held, signal:killed", out, ex.ExitStatus)
@@ -168,7 +182,7 @@ func TestPoolModesAgreeOnEveryOutcome(t *testing.T) {
 	table := append(benignBatch(), crashTest, hangTest)
 	var got [][]batchResult
 	for _, m := range poolModes {
-		r := fixtureRunner(t, crashyBin, 1, m.testsPerProc, hangTimeout)
+		r := fixtureRunner(t, crashyBin, 1, m.oneShot, hangTimeout)
 		var rows []batchResult
 		RunBatch(r, table, func(_ int, out prog.Outcome, ex Exec) {
 			rows = append(rows, batchResult{out, ex}.comparable())
@@ -191,7 +205,7 @@ func TestPoolModesAgreeOnEveryOutcome(t *testing.T) {
 func TestCloseWaitsOutInFlightScenarios(t *testing.T) {
 	for _, m := range poolModes {
 		t.Run(m.name, func(t *testing.T) {
-			r := fixtureRunner(t, crashyBin, 2, m.testsPerProc, hangTimeout)
+			r := fixtureRunner(t, crashyBin, 2, m.oneShot, hangTimeout)
 			started, done := make(chan struct{}), make(chan batchResult, 1)
 			go RunBatch(r, []Test{{TestID: 3}, hangTest}, func(i int, out prog.Outcome, ex Exec) {
 				if i == 0 {

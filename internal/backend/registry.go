@@ -34,7 +34,7 @@ func Register(name string, f Factory) {
 }
 
 // Names returns the sorted names of every registered backend — the
-// valid values of core.Config.Backend and the CLI's --backend flag.
+// valid values of core.Config.Backend.
 func Names() []string {
 	names := make([]string, 0, len(registry))
 	for name := range registry {
@@ -46,8 +46,8 @@ func Names() []string {
 
 // New constructs a runner by backend name; "" selects Model. Unknown
 // names return an error listing every valid choice, so a typo'd
-// --backend fails session construction instead of surfacing as a nil
-// executor downstream.
+// Config.Backend fails session construction instead of surfacing as a
+// nil executor downstream.
 func New(name string, cfg Config) (Runner, error) {
 	if name == "" {
 		name = Model

@@ -16,17 +16,18 @@ package backend
 // the worker serving them in order while the goroutine that armed it
 // reads the report pipe.
 //
-// One-shot, for fixtures that do not speak worker mode, specs with
-// per-test argv tails and a negative Config.TestsPerProc: a worker is
-// spawned per scenario with the plan in AFEX_PLAN and no arm pipe, does
-// no handshake, has a quota of one, and its scenario always takes it
-// down — so it folds through the death branch below, like a warm crash.
+// One-shot, for fixtures that do not speak worker mode and specs with
+// per-test argv tails: a worker is spawned per scenario with the plan in
+// AFEX_PLAN and no arm pipe, does no handshake, has no life to serve,
+// and its scenario always takes it down — so it folds through the death
+// branch below, like a warm crash.
 //
 // Lifecycle:
 //
 //   - A worker is recycled (arm pipe closed → orderly exit 0 → respawn
-//     on next use) after Config.TestsPerProc scenarios, bounding how
-//     much fixture state can leak across scenarios.
+//     on next use) once the wall clock it has spent serving scenarios
+//     reaches spawnShare times its own spawn-to-ready time, bounding how
+//     long fixture state can leak across scenarios.
 //   - A scenario that takes its worker down takes only that worker: the
 //     report pipe's EOF is the death signal — or its closing pipeGrace
 //     after the exit, when a helper holds the write end — the in-flight
@@ -57,9 +58,12 @@ import (
 	"afex/shim"
 )
 
-// DefaultTestsPerProc is how many scenarios one warm worker serves
-// before recycling when Config.TestsPerProc is zero.
-const DefaultTestsPerProc = 256
+// spawnShare is how many times its own spawn-to-ready time a warm
+// worker serves scenarios before it is recycled. Recycling bounds how
+// long fixture state can leak across scenarios; measured against each
+// worker's own start-up, it keeps that start-up at or under 1% of the
+// worker's life whatever the fixture costs to spawn.
+const spawnShare = 100
 
 // readyTimeout caps the construction-time probe: a fixture that has not
 // announced worker readiness this long after spawn is treated as a
@@ -107,19 +111,24 @@ type worker struct {
 	fate  atomic.Int32
 	// start is when the scenario being served began: at the spawn
 	// one-shot; warm, at its arm write or its predecessor's done.
-	start  time.Time
-	seq    int          // last arm sequence number whose done was awaited
-	served int          // scenarios completed since spawn
-	line   []byte       // arm-line render buffer
-	events []shim.Event // a scenario's report, decoded into reused storage
+	start time.Time
+	seq   int // last arm sequence number whose done was awaited
+	// busy is the wall clock spent serving scenarios since spawn, and
+	// life the busy time after which the worker is recycled: the pool's
+	// share of its spawn-to-ready time (zero one-shot).
+	busy, life time.Duration
+	line       []byte       // arm-line render buffer
+	events     []shim.Event // a scenario's report, decoded into reused storage
 }
 
 // pool is the process supervisor: every spawn, timeout kill, pipe drain
 // and death fold of the process backend happens here, in either mode.
 type pool struct {
-	spec         *CommandSpec
-	timeout      time.Duration
-	testsPerProc int
+	spec    *CommandSpec
+	timeout time.Duration
+	// share is how many spawn-to-ready times a warm worker lives:
+	// spawnShare, which in-package tests lower.
+	share int
 	// oneShot is the fork/exec-per-scenario mode: a worker is spawned
 	// with its one scenario's plan in AFEX_PLAN and no arm pipe, shakes no
 	// hands, and that scenario always takes it down.
@@ -133,7 +142,7 @@ type pool struct {
 	slots   chan *worker
 	readers chan *bufio.Reader // reaped workers' report readers, for spawns to reuse
 	sets    prog.BlockSets     // see foldEvents
-	// recycled counts workers retired after serving their quota
+	// recycled counts workers retired at the end of their life
 	// (shutdown retires are not recycles).
 	recycled atomic.Int64
 	closed   atomic.Bool
@@ -143,7 +152,8 @@ type pool struct {
 // that is a Recycler: callers take the capability to mean "warm pool".
 type workerRunner struct{ *pool }
 
-// Recycles implements Recycler: quota-driven worker recycles so far.
+// Recycles implements Recycler: workers recycled at the end of their
+// life so far.
 func (p *workerRunner) Recycles() int64 { return p.recycled.Load() }
 
 // Parallelism implements Parallel: the pool width (Config.Procs).
@@ -225,6 +235,7 @@ func (p *pool) spawn(t Test) (*worker, error) {
 	// report pipe closes without a ready), or runs into the kill timer.
 	var ev shim.Event
 	if nextEvent(w.rd, &ev) == nil && ev.Kind == shim.EventReady && w.kill.Stop() {
+		w.life = time.Duration(p.share) * time.Since(w.start)
 		return w, nil
 	}
 	p.retire(w, 0)
@@ -268,7 +279,7 @@ func (p *pool) reap(w *worker) {
 
 // retire shuts a worker down and waits out its exit. Closing the arm
 // pipe is the orderly signal (shim.Serve returns and exits 0) a worker
-// that served its quota gets p.timeout to honour; the kill that backs
+// at the end of its life gets p.timeout to honour; the kill that backs
 // it up is immediate (grace 0) for handshake failures and a pool closed
 // under a waiting batch.
 func (p *pool) retire(w *worker, grace time.Duration) {
@@ -356,18 +367,20 @@ func (w *worker) armGroup(tests []Test) int {
 	return n
 }
 
-// runGroup arms, in one write, as many of tests as *wp's recycle quota
-// and armGroupBytes allow — one-shot, the spawn armed the one — then
-// reads the report pipe and emits each outcome (tests[k] as index
-// base+k) as its seq-paired done arrives. It returns how many tests it
+// runGroup arms, in one write, as many of tests as armGroupBytes allows
+// — one-shot, the spawn armed the one — then reads the report pipe and
+// emits each outcome (tests[k] as index base+k) as its seq-paired done
+// arrives. It returns how many tests it
 // folded. Zero means the arm write failed against an already-dead
 // worker: nothing was armed and the caller may arm again. Fewer than it
 // armed means the last of them took the worker down, which never
 // reached the arms queued behind it. *wp is nilled whenever the worker
-// is gone (death, timeout, recycling), so the slot respawns lazily.
+// is gone (death, timeout, recycling), so the slot respawns lazily. A
+// worker whose busy time has reached its life is recycled after the
+// group, never inside it: the arms it holds are its to serve.
 func (p *pool) runGroup(wp **worker, base int, tests []Test, emit func(i int, out prog.Outcome, ex Exec)) int {
 	w := *wp
-	n := w.armGroup(tests[:min(len(tests), p.testsPerProc-w.served)])
+	n := w.armGroup(tests)
 	if n == 0 {
 		p.retire(w, 0)
 		*wp = nil
@@ -402,7 +415,7 @@ func (p *pool) runGroup(wp **worker, base int, tests []Test, emit func(i int, ou
 				out, _ := foldEvents(events[:len(events)-1], &p.sets)
 				ex := Exec{Backend: Process, Duration: time.Since(w.start)}
 				foldExit(&out, &ex, ev.Exit)
-				w.served++
+				w.busy += ex.Duration
 				w.events = events
 				emit(base+k, out, ex)
 				break
@@ -417,7 +430,7 @@ func (p *pool) runGroup(wp **worker, base int, tests []Test, emit func(i int, ou
 			return k + 1
 		}
 	}
-	if w.served >= p.testsPerProc {
+	if w.busy >= w.life {
 		p.retire(w, p.timeout)
 		p.recycled.Add(1)
 		*wp = nil

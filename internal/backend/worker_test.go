@@ -13,16 +13,29 @@ import (
 	"afex/shim"
 )
 
-// warmRunner builds the process backend over crashy with explicit
-// pool/recycle parameters; it came up warm, so it is the pool's
-// Recycler face.
-func warmRunner(t *testing.T, procs, testsPerProc int, timeout time.Duration) *workerRunner {
+// warmRunner builds the process backend over crashy with an explicit
+// pool width; it came up warm, so it is the pool's Recycler face.
+func warmRunner(t *testing.T, procs int, timeout time.Duration) *workerRunner {
 	t.Helper()
-	return fixtureRunner(t, crashyBin, procs, testsPerProc, timeout).(*workerRunner)
+	return fixtureRunner(t, crashyBin, procs, false, timeout).(*workerRunner)
+}
+
+// shortLived makes every worker of an idle pool — those in its slots and
+// those it spawns — live one arm group: a share of zero spawn-to-ready
+// times.
+func shortLived(p *workerRunner) {
+	p.share = 0
+	for i := 0; i < cap(p.slots); i++ {
+		w := <-p.slots
+		if w != nil {
+			w.life = 0
+		}
+		p.slots <- w
+	}
 }
 
 func TestWorkerPoolReusesProcess(t *testing.T) {
-	r := warmRunner(t, 1, 0, 5*time.Second)
+	r := warmRunner(t, 1, 5*time.Second)
 	for i := 0; i < 4; i++ {
 		out, ex := r.Run(3, inject.Plan{})
 		if out.Failed || ex.ExitStatus != "exit:0" {
@@ -36,13 +49,13 @@ func TestWorkerPoolReusesProcess(t *testing.T) {
 	// have run on the same worker process.
 	w := <-r.slots
 	r.slots <- w
-	if w == nil || w.served != 4 {
-		t.Fatalf("pool slot = %+v, want one live worker with served=4", w)
+	if w == nil || w.seq != 4 {
+		t.Fatalf("pool slot = %+v, want one live worker that served 4 arms", w)
 	}
 }
 
 func TestWorkerCoverageResetsBetweenScenarios(t *testing.T) {
-	r := warmRunner(t, 1, 0, 5*time.Second)
+	r := warmRunner(t, 1, 5*time.Second)
 	// Test 3 covers blocks 30-31; test 0 covers 1,3-5. If the shim did
 	// not reset coverage at re-arm, the second scenario would report the
 	// union.
@@ -76,7 +89,7 @@ func TestLargeCoverageSetFoldsWhole(t *testing.T) {
 	t.Setenv(wideEnv, "1")
 	for _, m := range poolModes {
 		t.Run(m.name, func(t *testing.T) {
-			r := fixtureRunner(t, bin, 1, m.testsPerProc, 5*time.Second)
+			r := fixtureRunner(t, bin, 1, m.oneShot, 5*time.Second)
 			for i := 0; i < 2; i++ { // the second fold finds the set interned
 				out, ex := r.Run(0, inject.Plan{})
 				if ex.ExitStatus != "exit:0" || len(out.Blocks) != 20000 || out.BlockSum != prog.SumBlocks(out.Blocks) {
@@ -88,7 +101,7 @@ func TestLargeCoverageSetFoldsWhole(t *testing.T) {
 }
 
 func TestWorkerCrashMidScenarioFoldsOnceAndRespawns(t *testing.T) {
-	r := warmRunner(t, 1, 0, 5*time.Second)
+	r := warmRunner(t, 1, 5*time.Second)
 	// Warm up the worker with a clean scenario, then crash it.
 	if out, _ := r.Run(3, inject.Plan{}); out.Failed {
 		t.Fatal("warm-up scenario failed")
@@ -117,7 +130,7 @@ func TestWorkerCrashMidScenarioFoldsOnceAndRespawns(t *testing.T) {
 }
 
 func TestWorkerHangKillsOnlyThatWorker(t *testing.T) {
-	r := warmRunner(t, 1, 0, 400*time.Millisecond)
+	r := warmRunner(t, 1, 400*time.Millisecond)
 	out, ex := r.Run(2, fault("write", 1))
 	if !out.Hung || ex.ExitStatus != "timeout" {
 		t.Fatalf("hung scenario = %+v (%s), want Hung/timeout", out, ex.ExitStatus)
@@ -128,27 +141,52 @@ func TestWorkerHangKillsOnlyThatWorker(t *testing.T) {
 	}
 }
 
-func TestWorkerRecyclesAfterQuota(t *testing.T) {
-	r := warmRunner(t, 1, 2, 5*time.Second)
-	for i := 0; i < 2; i++ {
-		if out, _ := r.Run(3, inject.Plan{}); out.Failed {
-			t.Fatalf("scenario %d failed", i)
+// TestWorkerRecyclesOnSpawnShare: a warm worker lives spawnShare times
+// its own spawn-to-ready time of serving scenarios, retires after the
+// arm group that spends it — counted by Recycles — and the slot respawns
+// a worker with a life of its own.
+func TestWorkerRecyclesOnSpawnShare(t *testing.T) {
+	r := warmRunner(t, 1, 5*time.Second)
+	slot := func() *worker {
+		w := <-r.slots
+		r.slots <- w
+		return w
+	}
+	run := func() {
+		t.Helper()
+		if out, ex := r.Run(3, inject.Plan{}); out.Failed || ex.ExitStatus != "exit:0" {
+			t.Fatalf("scenario = %+v (%s), want a clean pass", out, ex.ExitStatus)
 		}
 	}
-	// Quota reached: the worker was retired and the slot emptied.
+	probe := slot()
+	if probe == nil || probe.life <= 0 {
+		t.Fatalf("the probe worker came up as %+v, want a life its share of a measured spawn", probe)
+	}
+	// A scenario costs a sliver of a life a hundred spawns long.
+	run()
+	if w := slot(); w != probe || probe.busy <= 0 || probe.busy >= probe.life || r.Recycles() != 0 {
+		t.Fatalf("after one scenario the slot holds %p, not the probe %p (busy %v of %v), or %d recycles", w, probe, probe.busy, probe.life, r.Recycles())
+	}
+	// Its life spent, the worker serves the group it is armed with, then
+	// retires and the slot empties.
 	w := <-r.slots
+	w.busy = w.life
 	r.slots <- w
-	if w != nil {
-		t.Fatalf("slot holds %+v after quota, want retirement", w)
+	run()
+	if w := slot(); w != nil || r.Recycles() != 1 {
+		t.Fatalf("after the worker's life was spent the slot holds %+v, %d recycles; want it empty, 1", w, r.Recycles())
 	}
-	// The next scenario spawns a fresh worker with a fresh quota.
-	if out, _ := r.Run(3, inject.Plan{}); out.Failed {
-		t.Fatal("post-recycle scenario failed")
+	// The next scenario spawns a fresh worker, with a life measured anew.
+	run()
+	if w := slot(); w == nil || w == probe || w.seq != 1 || w.life <= 0 {
+		t.Fatalf("recycled slot = %+v, want a fresh worker that served 1 arm", w)
 	}
-	w = <-r.slots
-	r.slots <- w
-	if w == nil || w.served != 1 {
-		t.Fatalf("recycled slot = %+v, want fresh worker with served=1", w)
+	// With a share of zero spawns every worker lives one group.
+	shortLived(r)
+	run()
+	run()
+	if w := slot(); w != nil || r.Recycles() != 3 {
+		t.Fatalf("short-lived workers left %+v and %d recycles, want an empty slot and 3", w, r.Recycles())
 	}
 }
 
@@ -172,11 +210,11 @@ func pidLogged(t *testing.T, argv ...string) (*CommandSpec, func() []string) {
 // holds it to its mode by behaviour: warm is a Recycler and serves every
 // scenario from one process; one-shot is not, and spawns a fresh process
 // per scenario (after probes processes the construction probe left dead).
-func requirePoolMode(t *testing.T, warm bool, probes int, testArgs [][]string, testsPerProc int, argv ...string) {
+func requirePoolMode(t *testing.T, warm bool, probes int, testArgs [][]string, argv ...string) {
 	t.Helper()
 	spec, pids := pidLogged(t, argv...)
 	spec.TestArgs = testArgs
-	r, err := New(Process, Config{Command: spec, Timeout: 5 * time.Second, Procs: 1, TestsPerProc: testsPerProc})
+	r, err := New(Process, Config{Command: spec, Timeout: 5 * time.Second, Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,24 +242,20 @@ func requirePoolMode(t *testing.T, warm bool, probes int, testArgs [][]string, t
 }
 
 func TestWorkerPoolComesUpWarmForWorkerModeFixture(t *testing.T) {
-	requirePoolMode(t, true, 0, nil, 0, crashyBin, "{test}")
+	requirePoolMode(t, true, 0, nil, crashyBin, "{test}")
 }
 
 func TestWorkerFallsBackColdForTestArgs(t *testing.T) {
 	// Per-test argv tails must be baked in at spawn time, so the pool
 	// keeps one fork/exec per scenario for them, unprobed.
-	requirePoolMode(t, false, 0, [][]string{{}, {}, {}, {}}, 0, crashyBin, "{test}")
+	requirePoolMode(t, false, 0, [][]string{{}, {}, {}, {}}, crashyBin, "{test}")
 }
 
 func TestWorkerFallsBackColdForOneShotFixture(t *testing.T) {
 	// A binary that ignores AFEX_WORKER_FD never announces readiness;
 	// the probe must notice and the pool come up one-shot rather than
 	// treat every scenario as a dead worker.
-	requirePoolMode(t, false, 1, nil, 0, "true")
-}
-
-func TestWorkerForcedColdByNegativeTestsPerProc(t *testing.T) {
-	requirePoolMode(t, false, 0, nil, -1, crashyBin, "{test}")
+	requirePoolMode(t, false, 1, nil, "true")
 }
 
 // TestProcessOutcomesCarryInternedSums: the supervisor sums the blocks a
@@ -245,7 +279,7 @@ func TestProcessOutcomesCarryInternedSums(t *testing.T) {
 		t.Errorf("a report without blocks folded to %+v", none)
 	}
 
-	r := warmRunner(t, 1, 0, 5*time.Second)
+	r := warmRunner(t, 1, 5*time.Second)
 	first, _ := r.Run(3, inject.Plan{})
 	second, _ := r.Run(3, inject.Plan{})
 	if len(first.Blocks) == 0 || first.BlockSum != prog.SumBlocks(first.Blocks) || second.BlockSum != first.BlockSum ||

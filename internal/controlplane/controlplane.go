@@ -61,11 +61,6 @@ type SessionSpec struct {
 	// Target is the system under test: a built-in model name
 	// ("mysqld", …) or a "cmd:" process spec ("cmd:./crashy {test}").
 	Target string `json:"target"`
-	// Backend selects the execution backend ("model", "process");
-	// empty infers it from the target's kind. A coordinator session
-	// executes on its remote managers and only checks the name against
-	// the registry.
-	Backend string `json:"backend,omitempty"`
 	// Space is a fault-space description in the Fig. 3 language.
 	// Required for cmd: targets; overrides the profiled space for
 	// built-in ones.
@@ -87,10 +82,8 @@ type SessionSpec struct {
 	Iterations int `json:"iterations,omitempty"`
 	// Seed is the RNG seed.
 	Seed int64 `json:"seed,omitempty"`
-	// Workers is the local worker count and Batch the candidates each
-	// leases per coordination round (0 = default; local sessions).
+	// Workers is the local worker count (local sessions).
 	Workers int `json:"workers,omitempty"`
-	Batch   int `json:"batch,omitempty"`
 	// Shards partitions the session's space into per-strategy regions.
 	Shards int `json:"shards,omitempty"`
 	// Feedback enables §7.4 result-quality feedback.
@@ -100,9 +93,8 @@ type SessionSpec struct {
 	TestArgs []string `json:"testArgs,omitempty"`
 	// Timeout is the process backend's per-test wall-clock cap.
 	Timeout string `json:"timeout,omitempty"`
-	// Procs/TestsPerProc tune the process backend's worker pool.
-	Procs        int `json:"procs,omitempty"`
-	TestsPerProc int `json:"testsPerProc,omitempty"`
+	// Procs is the width of the process backend's worker pool.
+	Procs int `json:"procs,omitempty"`
 	// TimeBudget stops the session after this much wall clock.
 	TimeBudget string `json:"timeBudget,omitempty"`
 	// StateDir persists the session; JournalFormat picks the journal
@@ -200,51 +192,15 @@ type Session struct {
 	err      error
 }
 
-// Plan is a resolved SessionSpec: the spec normalized (algorithm, target
-// and a cmd: target's backend named; the peer pair zeroed unless
-// Peers > 1) and the library options that run it — Coordinator when
-// Spec.Serve is set, Options otherwise. Hooks no wire spec carries
-// (Options.Progress, Stop, Observe) may be set before Manager.Start.
+// Plan is a resolved SessionSpec: the spec normalized (algorithm and
+// target named; the peer pair zeroed unless Peers > 1) and the library
+// options that run it — Coordinator when Spec.Serve is set, Options
+// otherwise; the backend follows the target's kind. Hooks no wire spec
+// carries (Options.Stop, Observe) may be set before Manager.Start.
 type Plan struct {
 	Spec        SessionSpec
 	Options     afex.Options
 	Coordinator afex.CoordinatorOptions
-}
-
-// settleBackend checks the spec against its mode. A field configuring
-// what the mode does not have — a local executor, on a coordinator — is
-// refused, never dropped. A cmd: target runs on the process backend, a
-// built-in one on the model, and an explicit backend must agree — except
-// on a coordinator, whose managers bring the backend: there the name is
-// only checked against the registry.
-func (spec *SessionSpec) settleBackend(procTarget bool) error {
-	if spec.Serve != "" {
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"workers", spec.Workers > 1}, {"batch", spec.Batch != 0}, {"procs", spec.Procs != 0},
-			{"testsPerProc", spec.TestsPerProc != 0}, {"timeout", spec.Timeout != ""}, {"testArgs", len(spec.TestArgs) > 0},
-		} {
-			if f.set {
-				return fmt.Errorf("controlplane: %s configures a local executor; a coordinator session's managers execute", f.name)
-			}
-		}
-		if spec.Backend != "" && !slices.Contains(afex.Backends(), spec.Backend) {
-			return fmt.Errorf("unknown execution backend %q (valid: %s)", spec.Backend, strings.Join(afex.Backends(), ", "))
-		}
-		return nil
-	}
-	if procTarget && spec.Backend == "" {
-		spec.Backend = afex.ProcessBackend
-	}
-	if spec.Backend == afex.ProcessBackend && !procTarget {
-		return errors.New(`--backend process requires a cmd: target spec, e.g. --target "cmd:./crashy {test}"`)
-	}
-	if procTarget && spec.Backend != afex.ProcessBackend {
-		return fmt.Errorf("cmd: targets run on the process backend, not %q", spec.Backend)
-	}
-	return nil
 }
 
 // Resolve validates the spec and turns it into the Plan that runs it.
@@ -276,13 +232,21 @@ func (spec SessionSpec) Resolve() (*Plan, error) {
 		return nil, err
 	}
 
-	procTarget := strings.HasPrefix(spec.Target, "cmd:")
-	if err := spec.settleBackend(procTarget); err != nil {
-		return nil, err
+	// A coordinator session's managers execute: a field configuring a
+	// local executor is refused by name, never dropped.
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"workers", spec.Workers > 1}, {"procs", spec.Procs != 0}, {"timeout", spec.Timeout != ""}, {"testArgs", len(spec.TestArgs) > 0},
+	} {
+		if f.set && spec.Serve != "" {
+			return nil, fmt.Errorf("controlplane: %s configures a local executor; a coordinator session's managers execute", f.name)
+		}
 	}
 	var target *afex.System
 	var command *afex.CommandSpec
-	if procTarget {
+	if strings.HasPrefix(spec.Target, "cmd:") {
 		if command, err = afex.ParseCommandSpec(spec.Target); err != nil {
 			return nil, err
 		}
@@ -354,17 +318,14 @@ func (spec SessionSpec) Resolve() (*Plan, error) {
 	}
 	p.Options = afex.Options{
 		Target:        target,
-		Backend:       spec.Backend,
 		Command:       command,
 		ExecTimeout:   execTimeout,
 		Procs:         spec.Procs,
-		TestsPerProc:  spec.TestsPerProc,
 		Space:         space,
 		Algorithm:     spec.Algorithm,
 		Explore:       afex.ExploreOptions{Seed: spec.Seed},
 		Iterations:    spec.Iterations,
 		Workers:       spec.Workers,
-		Batch:         spec.Batch,
 		Shards:        spec.Shards,
 		Feedback:      spec.Feedback,
 		TimeBudget:    timeBudget,

@@ -154,6 +154,39 @@ func TestRemovedSpecKeyIsIgnored(t *testing.T) {
 	}
 }
 
+// TestRemovedSessionKnobsAreIgnored: a body written for a build whose
+// sessions took a backend, a lease batch and a warm-worker quota still
+// decodes and starts, those keys ignored like any unknown one, whatever
+// they say: a process backend named for a model target, a batch on a
+// coordinator.
+func TestRemovedSessionKnobsAreIgnored(t *testing.T) {
+	_, srv, cl := startServer(t)
+	resp, err := http.Post("http://"+srv.Addr()+"/v1/sessions", "application/json",
+		strings.NewReader(`{"target": "mysqld", "iterations": 20, "seed": 5, "workers": 2, "backend": "process", "batch": 16, "testsPerProc": -1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st controlplane.Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit answered %s (decode: %v)", resp.Status, err)
+	}
+	final, err := cl.Wait(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != controlplane.StateDone || final.Snapshot.Executed != 20 || final.Backend != "model" {
+		t.Fatalf("session ended %q (%s) with %d executed on %q, want done with 20 on the model", final.State, final.Error, final.Snapshot.Executed, final.Backend)
+	}
+	var spec controlplane.SessionSpec
+	if err := json.Unmarshal([]byte(`{"target": "mysqld", "serve": ":0", "backend": "qemu", "batch": 8, "testsPerProc": -1}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Resolve(); err != nil {
+		t.Fatalf("a coordinator body with the removed keys: %v", err)
+	}
+}
+
 // TestStatusJSONSchema pins the wire schema: the status document's
 // snapshot uses the shared core.Snapshot JSON tags and the store
 // object decodes back into store.Stats without loss.
@@ -577,9 +610,6 @@ func TestResolveRefusals(t *testing.T) {
 	}{
 		{"no target", controlplane.SessionSpec{}, `unknown target ""`},
 		{"unknown target", controlplane.SessionSpec{Target: "nope"}, `unknown target "nope"`},
-		{"process backend on a model target", controlplane.SessionSpec{Target: "mysqld", Backend: "process"}, "--backend process requires a cmd: target spec"},
-		{"cmd: target on the model backend", controlplane.SessionSpec{Target: "cmd:./crashy {test}", Backend: "model", Space: space}, `cmd: targets run on the process backend, not "model"`},
-		{"cmd: target on an unknown backend", controlplane.SessionSpec{Target: "cmd:./crashy {test}", Backend: "qemu", Space: space}, `not "qemu"`},
 		{"cmd: target without a space", controlplane.SessionSpec{Target: "cmd:./crashy {test}"}, "cmd: targets need --space"},
 		{"empty cmd: target", controlplane.SessionSpec{Target: "cmd:", Space: space}, "empty cmd: target spec"},
 		{"resume without a state directory", controlplane.SessionSpec{Target: "mysqld", Resume: true}, "--resume requires --state-dir"},
@@ -589,21 +619,18 @@ func TestResolveRefusals(t *testing.T) {
 		{"axis too long to index", controlplane.SessionSpec{Target: "mysqld", CallLo: 0, CallHi: math.MaxInt64}, "axis callNumber"},
 		{"DSL axis too long to index", controlplane.SessionSpec{Target: "mysqld", Space: "f : { a } n : [ 0 , 9223372036854775807 ] ;"}, "axis n"},
 		{"serve with workers", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 4}, "workers configures a local executor"},
-		{"serve with batch", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Batch: 8}, "batch configures"},
 		{"serve with procs", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Procs: 2}, "procs configures"},
-		{"serve with testsPerProc", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", TestsPerProc: -1}, "testsPerProc configures"},
 		{"serve with timeout", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Timeout: "1s"}, "timeout configures"},
 		{"serve with testArgs", controlplane.SessionSpec{Target: "cmd:./crashy {test}", Space: space, Serve: ":0", TestArgs: []string{"a"}}, "testArgs configures"},
-		{"serve with an unknown backend", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Backend: "qemu"}, `unknown execution backend "qemu" (valid: model, process)`},
 	} {
 		if p, err := c.spec.Resolve(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: resolved to %+v, %v; want an error containing %q", c.name, p, err, c.want)
 		}
 	}
-	// What a coordinator's backend keeps meaning: any registered name,
-	// whatever the target's kind — its workers bring the backend.
-	if _, err := (controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Backend: "process", Workers: 1}).Resolve(); err != nil {
-		t.Errorf("serve with a registered backend name: %v", err)
+	// One worker is what a coordinator session has anyway, not a local
+	// executor's setting.
+	if _, err := (controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 1}).Resolve(); err != nil {
+		t.Errorf("serve with one worker: %v", err)
 	}
 }
 
@@ -629,7 +656,6 @@ func TestResolveNormalizesAndTouchesNothing(t *testing.T) {
 	}
 	want := controlplane.SessionSpec{
 		Target:    "cmd:/nonexistent/fixture {test}",
-		Backend:   "process",
 		Algorithm: "fitness",
 		Space:     p.Spec.Space,
 		TestArgs:  []string{"--row 0", "--row 1"},

@@ -34,7 +34,7 @@ func FuzzSessionSpec(f *testing.F) {
 	// a body written for a build that had the prefetch ring: the key is ignored
 	f.Add([]byte(`{"target": "httpd", "feedback": true, "prefetch": -1}`))
 	// a real-process session, as CI's control-plane step submits it
-	seed(controlplane.SessionSpec{Target: "cmd:/nonexistent/crashy {test}", Backend: "process", Space: crashy,
+	seed(controlplane.SessionSpec{Target: "cmd:/nonexistent/crashy {test}", Space: crashy,
 		Timeout: "1s", Algorithm: "exhaustive", StateDir: stateDir, TestArgs: []string{"--row 0"}})
 	// the space description language, through "space"
 	for _, space := range []string{
@@ -45,22 +45,24 @@ func FuzzSessionSpec(f *testing.F) {
 		seed(controlplane.SessionSpec{Target: "coreutils", Space: space})
 	}
 	// the profiled shapes
-	seed(controlplane.SessionSpec{Target: "coreutils", Pairs: true, Funcs: 4, CallHi: 100000, Shards: 4, Workers: 2, Batch: 16})
+	seed(controlplane.SessionSpec{Target: "coreutils", Pairs: true, Funcs: 4, CallHi: 100000, Shards: 4, Workers: 2})
 	seed(controlplane.SessionSpec{Target: "httpd", ErrnoAxis: true, CallLo: 9, CallHi: 3, Feedback: true})
 	seed(controlplane.SessionSpec{Target: "mysqld", CallHi: math.MaxInt64})
 	// one per refusal
 	seed(controlplane.SessionSpec{})
 	seed(controlplane.SessionSpec{Target: "nope"})
-	seed(controlplane.SessionSpec{Target: "mysqld", Backend: "process"})
-	seed(controlplane.SessionSpec{Target: "cmd:./crashy {test}", Backend: "model", Space: crashy})
+	// bodies written for a build that had backend, batch and testsPerProc
+	// keys: the keys are ignored, and the backend follows the target
+	f.Add([]byte(`{"target": "mysqld", "backend": "process", "batch": 16, "testsPerProc": -1}`))
+	f.Add([]byte(`{"target": "cmd:./crashy {test}", "backend": "model", "space": "` + crashy + `"}`))
 	seed(controlplane.SessionSpec{Target: "cmd:./crashy {test}"})
 	seed(controlplane.SessionSpec{Target: "cmd:", Space: crashy})
 	seed(controlplane.SessionSpec{Target: "mysqld", Resume: true})
 	seed(controlplane.SessionSpec{Target: "mysqld", TimeBudget: "soon"})
 	// a body written for a build that had lease and heartbeat knobs: the keys are ignored
 	f.Add([]byte(`{"target": "mysqld", "leaseTimeout": "-1s", "heartbeat": "1s", "heartbeatMisses": 2}`))
-	seed(controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 4, Procs: 2, TestsPerProc: -1})
-	seed(controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Backend: "qemu", Peers: 2, Peer: -1})
+	seed(controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 4, Procs: 2})
+	f.Add([]byte(`{"target": "mysqld", "serve": ":0", "backend": "qemu", "peers": 2, "peer": -1}`))
 	f.Add([]byte(`{"target": 7}`))
 	f.Add([]byte(`[]`))
 

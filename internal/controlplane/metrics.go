@@ -55,7 +55,7 @@ func (mw *metricWriter) sample(name, help, typ string, labels [][2]string, value
 //	afex_unique_failure_clusters{session=} distinct failure clusters
 //	afex_pending_leases{session=}         leased, unreported tests
 //	afex_coverage_ratio{session=}         explored fraction of the space
-//	afex_worker_pool_recycles_total{session=} quota-driven worker recycles
+//	afex_worker_pool_recycles_total{session=} end-of-life worker recycles
 //	afex_avg_test_seconds{session=}       EWMA of per-test execution wall clock
 //	afex_adaptive_batch{session=}         engine-suggested wire-batch size
 //	afex_session_snapshots_total{session=} session snapshots handed to the store
@@ -106,7 +106,7 @@ func writeMetrics(w io.Writer, m *Manager) {
 		func(i int) float64 { return float64(snaps[i].Pending) })
 	perSession("afex_coverage_ratio", "Explored fraction of the fault space.", "gauge",
 		func(i int) float64 { return snaps[i].Coverage })
-	perSession("afex_worker_pool_recycles_total", "Worker processes recycled at their test quota.", "counter",
+	perSession("afex_worker_pool_recycles_total", "Worker processes recycled at the end of their life.", "counter",
 		func(i int) float64 { return float64(snaps[i].PoolRecycles) })
 	perSession("afex_avg_test_seconds", "EWMA of per-test execution wall clock reported by executors.", "gauge",
 		func(i int) float64 { return float64(snaps[i].AvgTestNS) / 1e9 })

@@ -223,9 +223,6 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	if cfg.Impact.zero() {
 		cfg.Impact = DefaultImpact()
 	}
-	if cfg.ProgressEvery <= 0 {
-		cfg.ProgressEvery = 100
-	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = DefaultBatch
 	}
@@ -273,11 +270,10 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	}
 	if bname != "" {
 		r, err := backend.New(bname, backend.Config{
-			Target:       cfg.Target,
-			Command:      cfg.Command,
-			Timeout:      cfg.ExecTimeout,
-			Procs:        cfg.Procs,
-			TestsPerProc: cfg.TestsPerProc,
+			Target:  cfg.Target,
+			Command: cfg.Command,
+			Timeout: cfg.ExecTimeout,
+			Procs:   cfg.Procs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -437,7 +433,7 @@ func (e *Engine) progressLocked() {
 
 // Fold folds one executed test back into shared state and the explorer:
 // coverage accounting, impact scoring, result-quality feedback,
-// tallying, redundancy clustering, and the Observe/Progress/Stop hooks.
+// tallying, redundancy clustering, and the Observe/Stop hooks.
 // It returns true when the session should stop.
 func (e *Engine) Fold(c explore.Candidate, rec Record, outcome prog.Outcome) bool {
 	return e.FoldBatch([]ExecutedTest{{C: c, Rec: rec, Out: outcome}})
@@ -594,8 +590,8 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 	return stop, view
 }
 
-// batchSnap lazily caches one Snapshot per fold batch for the Progress
-// and Stop hooks. The expensive part — the portfolio explorer's per-arm
+// batchSnap lazily caches one Snapshot per fold batch for the Stop
+// hook. The expensive part — the portfolio explorer's per-arm
 // statistics — is built at most once per batch: arm state only changes
 // on lease and on the batched feedback report after the folds, so every
 // fold in a batch would see identical Arms anyway. Counters are
@@ -718,9 +714,6 @@ func (e *Engine) foldLocked(et *ExecutedTest, bs *batchSnap) (bool, explore.Feed
 
 	if e.cfg.Observe != nil {
 		e.cfg.Observe(rec)
-	}
-	if e.cfg.Progress != nil && e.res.Executed%e.cfg.ProgressEvery == 0 {
-		e.cfg.Progress(e.batchSnapshotLocked(bs))
 	}
 	if e.cfg.Stop != nil && e.cfg.Stop(e.batchSnapshotLocked(bs)) {
 		e.Stop()

@@ -68,23 +68,3 @@ func TestTimeBudgetStopsSession(t *testing.T) {
 	// a budget that elapses before the first lease executes nothing —
 	// zero is the correct outcome for a nanosecond budget.
 }
-
-func TestProgressCallback(t *testing.T) {
-	var snaps []Snapshot
-	_, err := Run(Config{
-		Target:        sessionTarget(),
-		Space:         sessionSpace(),
-		Algorithm:     "exhaustive",
-		Progress:      func(s Snapshot) { snaps = append(snaps, s) },
-		ProgressEvery: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 3 { // 16 executed / every 5 → at 5, 10, 15
-		t.Fatalf("progress called %d times, want 3", len(snaps))
-	}
-	if snaps[0].Executed != 5 || snaps[2].Executed != 15 {
-		t.Errorf("snapshots = %+v", snaps)
-	}
-}

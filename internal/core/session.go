@@ -91,11 +91,6 @@ type Config struct {
 	// parallelism is min(Workers, Procs)). Zero selects
 	// backend.DefaultProcs.
 	Procs int
-	// TestsPerProc bounds how many scenarios one warm worker process
-	// serves before the process backend recycles it. Zero selects
-	// backend.DefaultTestsPerProc; negative disables warm workers,
-	// forcing one fork/exec per scenario.
-	TestsPerProc int
 	// JournalFormat selects the persistent journal encoding for a new
 	// state directory: "jsonl" (the default — line-delimited JSON,
 	// greppable, byte-deterministic for deterministic sessions) or
@@ -154,10 +149,6 @@ type Config struct {
 	// clock ("the tester can choose to stop the tests after some
 	// specified amount of time", §6.4).
 	TimeBudget time.Duration
-	// Progress, if non-nil, receives a snapshot every ProgressEvery
-	// executed tests (default 100) — the progress log of §6.4 step 7.
-	Progress      func(Snapshot)
-	ProgressEvery int
 	// Observe, if non-nil, is called with every completed record (under
 	// the session lock, before Stop). It lets callers implement search
 	// targets over record contents, e.g. "stop once these exact faults
@@ -233,8 +224,8 @@ type Snapshot struct {
 	// outstanding work of in-flight workers or remote managers.
 	Pending int `json:"pending"`
 	// PoolRecycles counts warm worker processes the execution backend
-	// has recycled after serving their scenario quota (process backend
-	// only; zero elsewhere).
+	// has recycled at the end of their life (process backend only; zero
+	// elsewhere).
 	PoolRecycles int64   `json:"poolRecycles"`
 	Coverage     float64 `json:"coverage"`
 	// BlockSets counts the distinct coverage sets folded (by content sum,

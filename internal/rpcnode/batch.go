@@ -150,10 +150,12 @@ type BatchAck struct {
 
 // Hello is the dial-time handshake: it hands the manager the
 // per-subspace axis names and refuses a manager speaking an older
-// protocol generation or running another target (LeaseBook.Hello).
+// protocol generation or running another target (LeaseBook.Hello). A
+// refusal reaches the manager as text, behind DialBackend's own
+// "rpcnode: dial" prefix, so it names no package itself.
 func (c *Coordinator) Hello(h Hello, reply *HelloReply) error {
 	if h.Proto < protoBatched {
-		return fmt.Errorf("rpcnode: manager %q speaks protocol %d, this coordinator needs %d", h.Manager, h.Proto, protoBatched)
+		return fmt.Errorf("manager %q speaks protocol %d, this coordinator needs %d", h.Manager, h.Proto, protoBatched)
 	}
 	c.mu.Lock()
 	err := c.book.Hello(c.now(), h.Manager, h.Target)

@@ -98,7 +98,7 @@ func NewLeaseBook(engine *core.Engine, space *faultspace.Union, mu sync.Locker) 
 // process backend) is admitted. An admitted Hello is a beat.
 func (b *LeaseBook) Hello(now time.Time, m, target string) error {
 	if target != "" && b.target != "" && target != b.target {
-		return fmt.Errorf("rpcnode: manager %q runs target %q, this session explores %q", m, target, b.target)
+		return fmt.Errorf("manager %q runs target %q, this session explores %q", m, target, b.target)
 	}
 	b.Beat(now, m)
 	return nil

@@ -64,6 +64,8 @@ func TestHelloAdmitsByTarget(t *testing.T) {
 		t.Fatal("a manager running mysqld joined an rpc session")
 	} else if !strings.Contains(err.Error(), `"mysqld"`) || !strings.Contains(err.Error(), `"rpc"`) {
 		t.Fatalf("refusal %q does not name both targets", err)
+	} else if n := strings.Count(err.Error(), "rpcnode:"); n != 1 {
+		t.Fatalf("refusal %q names the package %d times, want once", err, n)
 	}
 	var reply HelloReply
 	if err := coord.Hello(Hello{Manager: "traced", Proto: protoBatched}, &reply); err != nil {
