@@ -42,9 +42,8 @@
 // managers, each running the same lease → execute → fold loop;
 // Options.Batch sets how many candidates a worker leases per round (a
 // single worker always leases one at a time and stays bit-for-bit
-// deterministic). Advanced callers can build an Engine
-// directly with NewEngine and drive it with a custom Executor — that is
-// exactly how the distributed Coordinator is built.
+// deterministic). Advanced callers can build an Engine with NewSession
+// and drive it with a custom Executor through RunWith.
 //
 // # Execution backends
 //
@@ -102,8 +101,8 @@
 // exactly where it stopped; ReplayJournal (CLI: afex replay)
 // re-executes recorded failures from their journaled injection plans,
 // whichever format recorded them; ReadStateStats (CLI: afex stats)
-// inspects a directory; CompactState folds the snapshot-covered prefix
-// of a binary journal into its archive segment. Options.Peer/Peers
+// inspects a directory, including one whose binary journal an earlier
+// build compacted into an archive segment. Options.Peer/Peers
 // narrow a session to one of Peers disjoint regions of the space,
 // recorded in the directory so it only resumes as the peer that wrote
 // it. CoordinatorOptions carries the same StateDir, Resume and Peer/Peers
@@ -270,29 +269,17 @@ const (
 // past the latest snapshot. It is `afex stats` as a library call.
 func ReadStateStats(dir string) (*StateStats, error) { return store.ReadStats(dir) }
 
-// CompactState folds the journal prefix covered by a binary state
-// directory's latest snapshot into its archive segment, keeping the
-// resume path O(snapshot + tail) for long-lived sessions. The directory
-// must not be open in any session. Returns the number of entries moved.
-func CompactState(dir string) (int, error) { return store.Compact(dir) }
-
 // DefaultBatch is the per-worker lease batch size used when
 // Options.Batch is zero and the session runs parallel.
 const DefaultBatch = core.DefaultBatch
 
-// NewEngine validates opts and builds the execution engine without
-// running it — the entry point for custom drivers (bespoke executors,
-// throughput harnesses, alternative transports). Most callers want
-// Explore instead. Options.Target may be nil only when the engine will
-// be driven through RunWith with a custom Executor that runs tests
-// elsewhere; RunLocal and LocalExecutor require a target.
-//
-// NewEngine ignores Options.StateDir (it opens no files); use NewSession
-// for a persistent engine.
-func NewEngine(opts Options) (*Engine, error) { return core.NewEngine(opts, nil) }
-
-// NewSession builds the execution engine with its region and persistence
-// wired up. With Options.Peers > 1 the engine explores only region
+// NewSession validates opts and builds the execution engine without
+// running it, its region and persistence wired up — the entry point for
+// custom drivers (bespoke executors, throughput harnesses, alternative
+// transports). Most callers want Explore instead. Options.Target may be
+// nil only when the engine will be driven through RunWith with a custom
+// Executor that runs tests elsewhere; RunLocal and LocalExecutor require
+// a target. With Options.Peers > 1 the engine explores only region
 // Options.Peer of the space. When Options.StateDir is set, it opens
 // (creating if needed) the state directory, verifies the journal was
 // written for the same target, fault space and peer region, loads prior

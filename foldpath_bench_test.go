@@ -86,7 +86,7 @@ func (s *stackedExecutor) Execute(c explore.Candidate) (core.Record, prog.Outcom
 }
 
 func measureFeedbackThroughput(tb testing.TB, workers, iterations int, seed int64) float64 {
-	eng, err := NewEngine(Options{
+	eng, err := core.NewEngine(Options{
 		Target:     benchTarget(),
 		Space:      feedbackBenchSpace(),
 		Algorithm:  Random,
@@ -94,7 +94,7 @@ func measureFeedbackThroughput(tb testing.TB, workers, iterations int, seed int6
 		Workers:    workers,
 		Feedback:   true,
 		Explore:    ExploreOptions{Seed: seed},
-	})
+	}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -130,13 +130,13 @@ func foldBenchSpace() *faultspace.Union {
 }
 
 func newFoldBenchEngine(tb testing.TB, iterations int) *Engine {
-	eng, err := NewEngine(Options{
+	eng, err := core.NewEngine(Options{
 		Target:     benchTarget(),
 		Space:      foldBenchSpace(),
 		Algorithm:  Exhaustive,
 		Iterations: iterations,
 		Feedback:   true,
-	})
+	}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

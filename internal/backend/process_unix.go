@@ -9,9 +9,11 @@ import (
 
 // isolateProcessGroup makes the fixture the leader of a fresh process
 // group, so a timeout kill can reap helpers it spawned, not only the
-// direct child.
+// direct child, and has it die with its supervisor where the kernel
+// allows (dieWithSupervisor).
 func isolateProcessGroup(cmd *exec.Cmd) {
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	dieWithSupervisor(cmd.SysProcAttr)
 }
 
 // killTree SIGKILLs the fixture's whole process group (fall back to

@@ -169,7 +169,9 @@ func (p *pool) spawn(t Test) (*worker, error) {
 	// Stdout and Stderr stay nil: the null device.
 	cmd := exec.Command(argv[0], argv[1:]...)
 	// The fixture leads its own process group, so a timeout kill reaps
-	// any helpers it spawned instead of orphaning them one per hung test.
+	// any helpers it spawned instead of orphaning them one per hung test;
+	// on Linux it also dies with the supervisor, whose death would take a
+	// hung fixture's kill timer with it.
 	isolateProcessGroup(cmd)
 
 	w := &worker{cmd: cmd, wait: make(chan error, 1), start: time.Now()}

@@ -30,6 +30,15 @@ const DefaultBatch = 8
 // Config.SnapshotEvery is honored exactly.
 const DefaultSnapshotEvery = 256
 
+// clusterThreshold is the edit distance, in frames, within which two
+// injection stacks fall into one redundancy cluster (§5): one frame
+// apart is still the same manifestation, reached through a neighbouring
+// caller, while 0 would split every such pair. Nothing in the system
+// measures a better value, so it is a constant, not a knob; snapshots
+// carry each set's own threshold, so a restored set keeps the one it was
+// written with.
+const clusterThreshold = 1
+
 // Executor runs leased candidates against the system under test; a
 // BackendExecutor runs them on an execution backend, in a local worker
 // or a remote node manager alike. Executors must be safe for concurrent
@@ -44,14 +53,12 @@ type Executor interface {
 // Source is where the worker loop leases candidates and folds what it
 // ran, in the order it ended: the Engine in process, or a lease source
 // over the wire (package rpcnode), so a remote node manager runs this
-// package's loop (Work). Park waits out an empty Lease and reports
-// whether to lease again (the Engine never waits: its Park is false);
-// once Stopped, a worker arms nothing more and hands back what it has
-// not started through Unlease.
+// package's loop (Work). An empty Lease ends the loop: a source that
+// has to wait for work waits inside Lease. Once Stopped, a worker arms
+// nothing more and hands back what it has not started through Unlease.
 type Source interface {
 	Lease(n int) []explore.Candidate
 	FoldBatch(done []ExecutedTest) bool
-	Park() bool
 	Stopped() bool
 	Unlease(n int)
 }
@@ -92,19 +99,21 @@ type Engine struct {
 	axisNames [][]string
 
 	// mu is the session lock: fold state (counters, coverage, clusters,
-	// records, hooks). Lease bookkeeping and the explorer have their own
-	// narrower locks below; Lease takes only those, never mu. Lock order
-	// is mu → {leaseMu, exMu}, and leaseMu/exMu are never held together.
+	// records, hooks). Lease takes only exMu, never mu. Lock order is
+	// mu → exMu.
 	mu sync.Mutex
 
-	// leaseMu guards lease bookkeeping: the pending/committed budget
-	// counters, the seal and the latency average. It is deliberately
-	// narrow — never held across explorer calls or fold work.
-	leaseMu sync.Mutex
-	// pending counts candidates handed out (or being generated by a
-	// Lease) but not yet folded back. committed counts every claim
-	// against the Iterations budget: executed + pending. The remaining
-	// budget is Iterations - committed, so leases never overshoot.
+	// exMu guards all explorer access — BatchNext, ReportBatch, state
+	// export, sensitivities, arm statistics — preserving the Explorer
+	// contract ("Next and Report may be called from one goroutine
+	// only"): generation runs under it alone, never under mu. Leasing
+	// and fold commits meet only here, so it also guards the lease
+	// bookkeeping below (pending through latEWMA) and the seal.
+	exMu sync.Mutex
+	// pending counts candidates handed out but not yet folded back.
+	// committed counts every claim against the Iterations budget:
+	// executed + pending. The remaining budget is Iterations - committed,
+	// so leases never overshoot.
 	pending   int
 	committed int
 	// done is Done's channel, closed through seal.
@@ -121,12 +130,6 @@ type Engine struct {
 	// lost with a dead manager), fast ones large batches (round-trip
 	// amortization). Zero until the first observation.
 	latEWMA float64
-
-	// exMu guards all explorer access — BatchNext, ReportBatch, state
-	// export, sensitivities, arm statistics — preserving the Explorer
-	// contract ("Next and Report may be called from one goroutine
-	// only"): generation runs under it alone, never under mu.
-	exMu sync.Mutex
 
 	covered     map[int]struct{}
 	recovered   map[int]struct{}
@@ -218,7 +221,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 		cfg.Algorithm = ex.Name()
 	}
 	if cfg.ClusterThreshold == 0 {
-		cfg.ClusterThreshold = 1
+		cfg.ClusterThreshold = clusterThreshold
 	}
 	if cfg.Impact.zero() {
 		cfg.Impact = DefaultImpact()
@@ -348,13 +351,14 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 // overshoots). It returns nil once the session is stopped, the deadline
 // has passed, the budget is committed, or the explorer is exhausted.
 //
-// Candidates are generated here, by the Lease that hands them
-// out, under the explorer lock alone. The session lock is never taken,
-// so leasing does not serialize against fold commits. The budget stays
-// exact without it by reserve-then-refund: the request is committed
-// before the explorer runs and any shortfall returned after. A
-// single-worker session calls Lease and FoldBatch from one goroutine,
-// so its explorer sees strict Next/Report alternation.
+// Candidates are generated here, by the Lease that hands them out,
+// under the explorer lock alone, which also guards the budget: at most
+// Iterations − committed are generated, and what came back is counted.
+// The session lock is never taken, so leasing does not serialize against
+// the fold work of a commit, only against its explorer report. A Stop
+// that lands mid-generation waits for it to finish, and the Lease hands
+// out nothing. A single-worker session calls Lease and FoldBatch from
+// one goroutine, so its explorer sees strict Next/Report alternation.
 func (e *Engine) Lease(max int) []explore.Candidate {
 	if max <= 0 {
 		max = 1
@@ -369,40 +373,25 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 		e.Stop()
 		return nil
 	}
-	e.leaseMu.Lock()
-	fresh := max
+	e.exMu.Lock()
+	defer e.exMu.Unlock()
+	n := max
 	if e.cfg.Iterations > 0 {
-		if remaining := e.cfg.Iterations - e.committed; fresh > remaining {
-			fresh = remaining
-		}
+		n = min(n, e.cfg.Iterations-e.committed)
 	}
-	if fresh <= 0 || e.exhausted {
-		e.leaseMu.Unlock()
+	if n <= 0 || e.exhausted {
 		return nil
 	}
-	e.committed += fresh
-	e.pending += fresh
-	e.leaseMu.Unlock()
-
-	e.exMu.Lock()
-	next := explore.BatchNext(e.explorer, fresh)
-	e.exMu.Unlock()
-
-	e.leaseMu.Lock()
-	defer e.leaseMu.Unlock()
+	next := explore.BatchNext(e.explorer, n)
 	if e.stopped.Load() {
 		// Stopped during generation: the candidates were never leased,
 		// journaled or counted — they live on in the explorer's
-		// regenerable queued set — so drop them and refund the whole
-		// reservation.
-		e.committed -= fresh
-		e.pending -= fresh
+		// regenerable queued set — so drop them.
 		return nil
 	}
-	// Refund the shortfall; the rest is leased.
-	e.committed -= fresh - len(next)
-	e.pending -= fresh - len(next)
-	if len(next) < fresh {
+	e.committed += len(next)
+	e.pending += len(next)
+	if len(next) < n {
 		e.exhausted = true
 		e.progressLocked()
 	}
@@ -412,8 +401,8 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 // Unlease returns budget for n leased candidates that will never be
 // executed (a worker shutting down mid-batch).
 func (e *Engine) Unlease(n int) {
-	e.leaseMu.Lock()
-	defer e.leaseMu.Unlock()
+	e.exMu.Lock()
+	defer e.exMu.Unlock()
 	if n > e.pending {
 		n = e.pending
 	}
@@ -423,8 +412,8 @@ func (e *Engine) Unlease(n int) {
 }
 
 // progressLocked is called at every fold, Unlease and Stop and when
-// the explorer runs dry: it seals Done once the engine is stopped or
-// owes nothing with the explorer dry or the budget committed.
+// the explorer runs dry, under exMu: it seals Done once the engine is
+// stopped or owes nothing with the explorer dry or the budget committed.
 func (e *Engine) progressLocked() {
 	if e.stopped.Load() || e.pending == 0 && (e.exhausted || e.cfg.Iterations > 0 && e.committed >= e.cfg.Iterations) {
 		e.seal.Do(func() { close(e.done) })
@@ -536,14 +525,6 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 		return true, nil
 	}
 	feedback := make([]explore.Feedback, 0, len(batch))
-	// The pending decrement for the whole batch under one short
-	// lease-lock acquisition. Every candidate folds: the engine trusts
-	// its executors to fold each lease once (a coordinator drops a late
-	// report from a manager it has given up on before it gets here).
-	e.leaseMu.Lock()
-	e.pending -= min(len(batch), e.pending)
-	e.progressLocked()
-	e.leaseMu.Unlock()
 	stop := false
 	var bs batchSnap
 	for i := range batch {
@@ -558,11 +539,16 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 		e.Stop()
 		stop = true
 	}
-	// Explorer feedback at the batch boundary, under the explorer lock
-	// alone: a concurrent Lease's generation waits only for this report,
-	// and feedback order remains commit order.
+	// Explorer feedback and the pending decrement for the whole batch at
+	// the batch boundary, under the explorer lock: a concurrent Lease's
+	// generation waits only for this, and feedback order remains commit
+	// order. Every candidate folds: the engine trusts its executors to
+	// fold each lease once (a coordinator drops a late report from a
+	// manager it has given up on before it gets here).
 	e.exMu.Lock()
 	explore.ReportBatch(e.explorer, feedback)
+	e.pending -= min(len(batch), e.pending)
+	e.progressLocked()
 	e.exMu.Unlock()
 	var view *sessionView
 	if e.cfg.Store != nil {
@@ -731,15 +717,13 @@ func (e *Engine) SetTargetName(name string) {
 	e.mu.Unlock()
 }
 
-// Waiting reports whether an empty Lease should be polled again. The
-// engine tracks no lease it could hand out a second time, so never: an
-// outstanding lease folds or is unleased by its executor, and a lease
-// lost with a remote manager is its coordinator's to re-lease.
+// Waiting stays only because package bench names it and may change
+// only in a [benchmark] PR: nothing else reads it, and ROADMAP item 7(f)
+// removes it. It is always false — an empty Lease is never worth
+// polling again: an outstanding lease folds or is unleased by its
+// executor, and a lease lost with a remote manager is its coordinator's
+// to re-lease.
 func (e *Engine) Waiting() bool { return false }
-
-// Park is Waiting for the worker loop: a worker whose Lease came back
-// empty is done.
-func (e *Engine) Park() bool { return false }
 
 // Wire-batch sizing: an adaptive lease batch targets WireBatchRound of
 // execution wall clock per round trip, between 1 (a test slower than
@@ -766,13 +750,13 @@ func (e *Engine) ObserveLatency(perTest time.Duration) {
 	if perTest <= 0 {
 		return
 	}
-	e.leaseMu.Lock()
+	e.exMu.Lock()
 	if e.latEWMA == 0 {
 		e.latEWMA = float64(perTest)
 	} else {
 		e.latEWMA += latencyAlpha * (float64(perTest) - e.latEWMA)
 	}
-	e.leaseMu.Unlock()
+	e.exMu.Unlock()
 }
 
 // AdaptiveBatch suggests how many candidates one lease round trip
@@ -781,13 +765,13 @@ func (e *Engine) ObserveLatency(perTest time.Duration) {
 // managers⌉ so that, at a session's start and its end, the managers
 // sharing the budget each get a lease.
 func (e *Engine) AdaptiveBatch(managers int) int {
-	e.leaseMu.Lock()
-	defer e.leaseMu.Unlock()
+	e.exMu.Lock()
+	defer e.exMu.Unlock()
 	return e.adaptiveBatchLocked(managers)
 }
 
 // adaptiveBatchLocked computes the suggested wire batch; callers hold
-// e.leaseMu.
+// e.exMu.
 func (e *Engine) adaptiveBatchLocked(managers int) int {
 	n := DefaultWireBatch
 	if e.latEWMA > 0 {
@@ -802,12 +786,13 @@ func (e *Engine) adaptiveBatchLocked(managers int) int {
 
 // Stop ends the session: subsequent Lease calls return nil, one caught
 // generating drops what it generated, and Done closes. In-flight tests
-// may still fold.
+// may still fold. It waits out a generation in progress, so it must not
+// be called from inside the explorer.
 func (e *Engine) Stop() {
 	e.stopped.Store(true)
-	e.leaseMu.Lock()
+	e.exMu.Lock()
 	e.progressLocked()
-	e.leaseMu.Unlock()
+	e.exMu.Unlock()
 }
 
 // Stopped reports whether the session has stopped handing out work.
@@ -845,13 +830,13 @@ func (e *Engine) quickSnapshotLocked() Snapshot {
 		BlockSets:      len(e.foldedSets),
 		BlockWalks:     e.blockWalks,
 	}
-	e.leaseMu.Lock()
+	e.exMu.Lock()
 	s.Pending = e.pending
 	if e.latEWMA > 0 {
 		s.AvgTestNS = int64(e.latEWMA)
 		s.AdaptiveBatch = e.adaptiveBatchLocked(1)
 	}
-	e.leaseMu.Unlock()
+	e.exMu.Unlock()
 	if e.recycles != nil {
 		s.PoolRecycles = e.recycles()
 	}
@@ -1079,10 +1064,6 @@ func work(src Source, clk clock, exec Executor, batch int, observe func(time.Dur
 	for {
 		cands = src.Lease(batch)
 		if len(cands) == 0 {
-			// A coordinator with leases out: wait, don't quit.
-			if src.Park() {
-				continue
-			}
 			return
 		}
 		began := clk.Now()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -245,9 +246,9 @@ func TestLeaseRespectsBudgetAndStop(t *testing.T) {
 func budgetAtRest(t *testing.T, eng *Engine, step string) {
 	t.Helper()
 	executed := eng.Snapshot().Executed
-	eng.leaseMu.Lock()
+	eng.exMu.Lock()
 	committed, pending := eng.committed, eng.pending
-	eng.leaseMu.Unlock()
+	eng.exMu.Unlock()
 	if committed != executed+pending {
 		t.Fatalf("after %s: committed %d, want executed %d + pending %d", step, committed, executed, pending)
 	}
@@ -278,22 +279,26 @@ func (s *countingStore) count() int {
 	return s.records
 }
 
-// stoppingExplorer stops the session from inside generation: a Stop
-// landing while a Lease holds only the explorer lock.
+// stoppingExplorer has the session stopped while it generates: another
+// goroutine calls Stop, which lands while the Lease holds the explorer
+// lock and waits for it, and generation ends once the stop is seen.
 type stoppingExplorer struct {
 	explore.Explorer
-	stop func()
+	eng *Engine
 }
 
 func (s *stoppingExplorer) BatchNext(n int) []explore.Candidate {
 	next := explore.BatchNext(s.Explorer, n)
-	s.stop()
+	go s.eng.Stop()
+	for !s.eng.Stopped() {
+		runtime.Gosched()
+	}
 	return next
 }
 
 // TestStopMidGenerationRefunds: a Lease caught generating by Stop hands
-// out nothing, refunds what it reserved and leaves no trace — nothing
-// pending, nothing journaled.
+// out nothing and leaves no trace — nothing counted, nothing pending,
+// nothing journaled.
 func TestStopMidGenerationRefunds(t *testing.T) {
 	inner, err := explore.New("random", sessionSpace(), explore.Config{Seed: 1})
 	if err != nil {
@@ -311,10 +316,11 @@ func TestStopMidGenerationRefunds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.stop = eng.Stop
+	ex.eng = eng
 	if got := eng.Lease(4); got != nil {
 		t.Fatalf("Lease stopped mid-generation handed out %d candidates", len(got))
 	}
+	<-eng.Done() // the Stop, once the Lease let go of the explorer lock
 	budgetAtRest(t, eng, "Lease stopped mid-generation")
 	if snap := eng.Snapshot(); snap.Pending != 0 {
 		t.Fatalf("pending %d, want 0", snap.Pending)

@@ -138,7 +138,10 @@ type Config struct {
 	// previously seen injection stacks.
 	Feedback bool
 	// ClusterThreshold is the maximum Levenshtein distance (frames)
-	// within a redundancy cluster. Default 1.
+	// within a redundancy cluster; 0 selects clusterThreshold (1). It
+	// stays only because package bench reads it and may change only in
+	// a [benchmark] PR: nothing sets it, and ROADMAP item 7(d) removes
+	// it.
 	ClusterThreshold int
 	// Impact scores outcomes; zero value selects DefaultImpact.
 	Impact ImpactConfig

@@ -302,9 +302,9 @@ func beatOf(reply HelloReply) time.Duration {
 
 // remote is the worker loop's lease source over the wire: Lease is
 // NextBatch, with the next in flight while a lease executes (not at
-// Batch = 1); FoldBatch is ReportBatch, one at a time so a stack's
-// frames arrive before its bare hash; Park sleeps out a Retry. The locks
-// held across a call wait on the coordinator alone.
+// Batch = 1) and a Retry slept out before asking again; FoldBatch is
+// ReportBatch, one at a time so a stack's frames arrive before its bare
+// hash. The locks held across a call wait on the coordinator alone.
 type remote struct {
 	m         *Manager
 	leasing   sync.Mutex   // held across a lease reply's wait; guards next
@@ -318,43 +318,57 @@ type remote struct {
 	// candidate converts from the first, and its report retires it.
 	tasks     map[string][]TaskWire
 	perTestNS int64 // the last executed lease's wall clock per test
-	retryMS   int   // the last Retry's RetryAfterMS
 	done      bool  // nothing more to lease: Done, or a call failed
 	err       error // the first failed call; the loops arm nothing more
 }
 
 // Lease takes the prefetched NextBatch reply, or asks for one, and
-// prefetches the next before handing the tasks out.
+// prefetches the next before handing the tasks out. A Retry is waited
+// out here, its RetryAfterMS (at least a millisecond) at a time, so an
+// empty Lease means there is nothing more: Done, or a failed call.
 func (r *remote) Lease(n int) []explore.Candidate {
 	r.leasing.Lock()
 	defer r.leasing.Unlock()
 	call := r.next
 	r.next = nil
-	r.mu.Lock()
-	req, done := BatchRequest{Manager: r.m.ID, Max: n, AvgTestNS: r.perTestNS}, r.done
-	r.mu.Unlock()
-	if done {
-		return nil
+	for {
+		r.mu.Lock()
+		req, done := BatchRequest{Manager: r.m.ID, Max: n, AvgTestNS: r.perTestNS}, r.done
+		r.mu.Unlock()
+		if done {
+			return nil
+		}
+		if call == nil {
+			call = r.m.client.Go("Coordinator.NextBatch", req, new(TaskBatch), nil)
+		}
+		<-call.Done
+		batch := call.Reply.(*TaskBatch)
+		if call.Error == nil && len(batch.Tasks) > 0 {
+			if n != 1 {
+				r.next = r.m.client.Go("Coordinator.NextBatch", req, new(TaskBatch), nil)
+			}
+			return r.hold(batch.Tasks)
+		}
+		if call.Error != nil || !batch.Retry {
+			r.mu.Lock()
+			r.failLocked(call.Error)
+			r.done = true
+			r.mu.Unlock()
+			return nil
+		}
+		time.Sleep(time.Duration(max(batch.RetryAfterMS, 1)) * time.Millisecond)
+		call = nil
 	}
-	if call == nil {
-		call = r.m.client.Go("Coordinator.NextBatch", req, new(TaskBatch), nil)
-	}
-	<-call.Done
-	batch := call.Reply.(*TaskBatch)
-	leased := call.Error == nil && len(batch.Tasks) > 0
-	if leased && n != 1 {
-		r.next = r.m.client.Go("Coordinator.NextBatch", req, new(TaskBatch), nil)
-	}
+}
+
+// hold keeps leased tasks until their reports and returns them as
+// candidates.
+func (r *remote) hold(tasks []TaskWire) []explore.Candidate {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !leased {
-		r.failLocked(call.Error)
-		r.done, r.retryMS = r.done || !batch.Retry, batch.RetryAfterMS
-		return nil
-	}
-	cands := make([]explore.Candidate, len(batch.Tasks))
-	for i := range batch.Tasks {
-		q := batch.Tasks[i : i+1 : i+1] // the task's queue, copied only if its key is already held
+	cands := make([]explore.Candidate, len(tasks))
+	for i := range tasks {
+		q := tasks[i : i+1 : i+1] // the task's queue, copied only if its key is already held
 		cands[i] = explore.CandidateAt(faultspace.Point{Sub: q[0].Sub, Fault: q[0].Fault})
 		if held := r.tasks[cands[i].Key()]; held != nil {
 			q = append(held, q[0])
@@ -413,18 +427,6 @@ func (r *remote) failLocked(err error) {
 	if err != nil && r.err == nil {
 		r.err, r.done = err, true
 	}
-}
-
-// Park waits out a Retry's RetryAfterMS, at least a millisecond, and
-// reports whether to lease again.
-func (r *remote) Park() bool {
-	r.mu.Lock()
-	done, ms := r.done, max(r.retryMS, 1)
-	r.mu.Unlock()
-	if !done {
-		time.Sleep(time.Duration(ms) * time.Millisecond)
-	}
-	return !done
 }
 
 func (r *remote) Stopped() bool {

@@ -123,14 +123,18 @@ func TestConcurrentLoopsLeaseOnce(t *testing.T) {
 	}
 }
 
-// fakeCoordinator serves a fixed list of tasks in one lease, then Done,
-// and keeps what is reported.
+// fakeCoordinator answers Retry to the first retries NextBatch calls,
+// then serves a fixed list of tasks in one lease, then Done, and keeps
+// what is reported and how many calls came after its Done.
 type fakeCoordinator struct {
 	axisNames [][]string
 	beat      time.Duration
 	tasks     []TaskWire
+	retries   int
 	mu        sync.Mutex
 	leased    bool
+	done      bool
+	afterDone int
 	results   []ResultWire
 }
 
@@ -142,11 +146,18 @@ func (f *fakeCoordinator) Hello(h Hello, reply *HelloReply) error {
 func (f *fakeCoordinator) NextBatch(req BatchRequest, batch *TaskBatch) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.leased {
-		batch.Done = true
-		return nil
+	switch {
+	case f.retries > 0:
+		f.retries--
+		batch.Retry, batch.RetryAfterMS = true, 1
+	case f.leased:
+		if f.done {
+			f.afterDone++
+		}
+		f.done, batch.Done = true, true
+	default:
+		f.leased, batch.Tasks = true, f.tasks
 	}
-	f.leased, batch.Tasks = true, f.tasks
 	return nil
 }
 
@@ -265,6 +276,55 @@ func TestRunUntilDoneCountsAcknowledgedFolds(t *testing.T) {
 	fake.mu.Unlock()
 	if sent != 5 || n != 2 {
 		t.Errorf("sent %d results, the coordinator folded 2, RunUntilDone counted %d", sent, n)
+	}
+}
+
+// TestRunUntilDoneWaitsOutRetry: a coordinator that answers Retry twice,
+// then leases its tasks, then says Done. Every loop of the manager waits
+// the Retries out inside its lease and leases again; every task runs and
+// is reported exactly once, RunUntilDone returns nil, and nothing asks
+// for a lease after the Done.
+func TestRunUntilDoneWaitsOutRetry(t *testing.T) {
+	fake := &fakeCoordinator{axisNames: [][]string{{"testID", "function", "callNumber"}}, retries: 2}
+	for seq := 1; seq <= 5; seq++ {
+		fake.tasks = append(fake.tasks, TaskWire{Seq: seq, Sub: 0, Fault: []int{0, 0, seq}, Vals: []string{"0", "read", strconv.Itoa(seq)}})
+	}
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Coordinator", fake); err != nil {
+		t.Fatal(err)
+	}
+	here, there := net.Pipe()
+	go srv.ServeConn(there)
+	runner, err := backend.New(backend.Model, backend.Config{Target: rpcTarget()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := &Manager{ID: "m", Concurrency: 2, client: rpc.NewClient(here), runner: runner, backendName: backend.Model,
+		sentStacks: map[uint64]bool{}, encoded: map[uint64][]byte{}}
+	defer mgr.Close()
+	if err := mgr.hello(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := mgr.RunUntilDone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake.mu.Lock()
+	defer fake.mu.Unlock()
+	if fake.retries != 0 || !fake.done || fake.afterDone != 0 {
+		t.Fatalf("retries left %d, done %v, %d lease calls after the Done", fake.retries, fake.done, fake.afterDone)
+	}
+	reported := map[int]int{}
+	for _, rw := range fake.results {
+		reported[rw.Seq]++
+	}
+	for _, tw := range fake.tasks {
+		if reported[tw.Seq] != 1 {
+			t.Errorf("task %d reported %d times", tw.Seq, reported[tw.Seq])
+		}
+	}
+	if n != len(fake.tasks) || len(fake.results) != len(fake.tasks) {
+		t.Errorf("RunUntilDone counted %d folds and sent %d results for %d tasks", n, len(fake.results), len(fake.tasks))
 	}
 }
 

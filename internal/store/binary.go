@@ -31,10 +31,13 @@ package store
 // over the entries before the snapshot without keeping them. A stale or
 // wrong position costs speed, never correctness.
 //
-// Compaction (Compact) moves the entries a snapshot already covers
-// into archive.afexj and rewrites the live segment with only the tail,
-// so directories of long-lived sessions stay O(tail) on the resume
-// path while full reads (replay, stats) concatenate archive + live.
+// Earlier builds could also compact a directory: move the entries a
+// snapshot covered into archive.afexj and rewrite the live segment to
+// the tail, recording the watermark in meta.json (Meta.CompactedSeq).
+// Nothing writes an archive any more — the snapshot's position already
+// makes the resume O(snapshot + tail) — but full reads (replay, stats)
+// still concatenate archive + live, so such a directory reads, resumes
+// and appends as it did.
 
 import (
 	"bufio"
@@ -336,8 +339,8 @@ func (w *frameWriter) putUint(v uint64) { w.put(binary.AppendUvarint(w.hdr[:0], 
 
 func (w *frameWriter) close() { w.bw.Write(binary.LittleEndian.AppendUint32(w.hdr[:0], w.crc)) }
 
-// segWriter appends entry frames to a segment — the store's writer, the
-// archive append and the compaction rewrite all go through one.
+// segWriter appends entry frames to the live segment for the store's
+// writer.
 type segWriter struct {
 	frameWriter
 	enc segEnc
@@ -361,19 +364,6 @@ func (sw *segWriter) append(e *Entry) int64 {
 	sw.put(sw.enc.buf)
 	sw.close()
 	return off
-}
-
-// appendRange writes the entries with Seq in [lo, hi), in order, and
-// returns how many it wrote.
-func (sw *segWriter) appendRange(entries []Entry, lo, hi int) int {
-	n := 0
-	for i := range entries {
-		if entries[i].Seq >= lo && entries[i].Seq < hi {
-			sw.append(&entries[i])
-			n++
-		}
-	}
-	return n
 }
 
 // frameReader steps through a segment's frames from an arbitrary frame

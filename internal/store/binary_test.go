@@ -434,68 +434,70 @@ func TestBinaryTailResumeRejectsLostJournal(t *testing.T) {
 	}
 }
 
-// TestCompact: the snapshot-covered prefix moves to the archive, full
-// reads still see every entry exactly once, tail resume keeps working,
-// and a re-run with nothing new to cover is a no-op.
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
+// TestCompactedByAnEarlierBuild: testdata/compacted is a binary
+// directory an earlier build's compaction left: 120 entries
+// (writeEntries), a snapshot at 100 written after them, the 100 it
+// covers moved to archive.afexj, the live segment rewritten to the other
+// 20 and meta.json's watermark at 100. It reads entry for entry as the
+// same journal never compacted, and appends continue its sequence. The
+// snapshot's position no longer lands in the rewritten live segment, so
+// a resume walks it, and gets the restore the uncompacted full journal
+// gives — also when the compaction was interrupted between the live
+// rewrite and the meta.json rewrite (cutBeforeMeta).
+func TestCompactedByAnEarlierBuild(t *testing.T) {
 	const n, snapAt = 120, 100
-	writeEntries(t, dir, Options{Format: FormatBinary}, n)
-	all, err := ReadJournal(dir)
+	dir := fixtureDir(t, "compacted")
+	plain := t.TempDir()
+	journalWithSnapshot(t, plain, Options{Format: FormatBinary}, n, snapAt)
+	want, err := ReadJournal(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenOptions(dir, Options{})
+	got, err := ReadJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SnapshotSession(testSnapshot(snapAt, all))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	moved, err := Compact(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != snapAt {
-		t.Fatalf("compaction archived %d entries, want %d", moved, snapAt)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the compacted journal reads as %d entries, not as the %d the uncompacted one holds", len(got), len(want))
 	}
 	st, err := ReadStats(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ArchivedEntries != snapAt || st.LiveEntries != n-snapAt || st.Entries != n || st.CompactedSeq != snapAt {
-		t.Fatalf("post-compaction stats: %+v", st)
+	if st.ArchivedEntries != snapAt || st.LiveEntries != n-snapAt || st.Entries != n || st.CompactedSeq != snapAt || st.ResumePath != "tail" {
+		t.Fatalf("compacted directory's stats: %+v", st)
 	}
 
-	after, err := ReadJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(all, after) {
-		t.Fatalf("compaction changed the journal's content: %d entries vs %d", len(after), len(all))
+	cut := fixtureDir(t, "compacted")
+	cutBeforeMeta(t, cut)
+	full := recoverDir(t, plain, false)
+	for _, d := range []string{dir, cut} {
+		if lands(t, d) {
+			t.Fatal("the position lands in the live segment the compaction rewrote")
+		}
+		tail := recoverDir(t, d, true)
+		if tail.Info.Path != "tail" || tail.Base != snapAt || len(tail.Records) != n-snapAt {
+			t.Fatalf("tail resume of the compacted directory: %+v, base %d, %d records; want base %d, %d records",
+				tail.Info, tail.Base, len(tail.Records), snapAt, n-snapAt)
+		}
+		sameRestore(t, tail, recoverDir(t, d, false))
+		sameRestore(t, tail, full)
 	}
 
-	// Tail resume over the compacted directory.
-	s2, err := OpenOptions(dir, Options{TailResume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r == nil || r.Base != snapAt || len(r.Records) != n-snapAt {
-		t.Fatalf("tail resume after compaction: base %d records %d, want %d/%d", r.Base, len(r.Records), snapAt, n-snapAt)
-	}
 	// Appending continues the same sequence in the rewritten live segment.
-	s2.Begin("demo", "sig", "")
+	s, err := OpenOptions(dir, Options{TailResume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	s.Begin("demo", "sig", "")
 	for i := n; i < n+10; i++ {
 		c, rec := testRecord(i)
-		s2.JournalRecord(c, rec)
+		s.JournalRecord(c, rec)
 	}
-	if err := s2.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	grown, err := ReadJournal(dir)
@@ -503,25 +505,12 @@ func TestCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(grown) != n+10 {
-		t.Fatalf("journal holds %d entries after post-compaction appends, want %d", len(grown), n+10)
+		t.Fatalf("journal holds %d entries after appends to the compacted directory, want %d", len(grown), n+10)
 	}
 	for i, e := range grown {
 		if e.Seq != i {
-			t.Fatalf("entry %d has seq %d after compaction+append", i, e.Seq)
+			t.Fatalf("entry %d has seq %d after appends to the compacted directory", i, e.Seq)
 		}
-	}
-
-	if moved, err := Compact(dir); err != nil || moved != 0 {
-		t.Fatalf("re-compaction with no new snapshot moved %d entries (err %v), want 0", moved, err)
-	}
-}
-
-// TestCompactRejectsJSONL: compaction is a binary-format operation.
-func TestCompactRejectsJSONL(t *testing.T) {
-	dir := t.TempDir()
-	writeEntries(t, dir, Options{}, 5)
-	if _, err := Compact(dir); err == nil {
-		t.Fatal("compaction accepted a JSONL directory")
 	}
 }
 

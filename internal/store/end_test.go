@@ -123,52 +123,3 @@ func TestBinaryWholeUndecodableFrameRefused(t *testing.T) {
 		t.Fatalf("stats of %d whole frames: %+v (%v)", n+5, st, err)
 	}
 }
-
-// TestCompactionCutsATornArchive: an archive append cut short by a crash
-// leaves a torn tail. The next compaction cuts the archive to its whole
-// frames before it appends, so the entries it moves stay readable
-// instead of sitting behind the torn bytes, lost once the live rewrite
-// drops them.
-func TestCompactionCutsATornArchive(t *testing.T) {
-	dir := t.TempDir()
-	const n, first, second = 140, 100, 130
-	all := journalWithSnapshot(t, dir, Options{Format: FormatBinary}, 120, first)
-	all = append(all, testEntries(n)[120:]...)
-	if moved, err := Compact(dir); err != nil || moved != first {
-		t.Fatalf("first compaction moved %d entries (%v), want %d", moved, err, first)
-	}
-	arch := filepath.Join(dir, archiveName)
-	raw, err := os.ReadFile(arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(arch, append(raw, raw[len(segMagic):len(segMagic)+10]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 120; i < n; i++ {
-		if i == second {
-			s.SnapshotSession(testSnapshot(second, all))
-		}
-		c, rec := testRecord(i)
-		s.JournalRecord(c, rec)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if moved, err := Compact(dir); err != nil || moved != second-first {
-		t.Fatalf("second compaction moved %d entries (%v), want %d", moved, err, second-first)
-	}
-	entries, err := ReadJournal(dir)
-	if err != nil || len(entries) != n {
-		t.Fatalf("compacted journal reads as %d entries (%v), want %d", len(entries), err, n)
-	}
-	for i := range entries {
-		if entries[i].Seq != i {
-			t.Fatalf("entry %d has seq %d", i, entries[i].Seq)
-		}
-	}
-}

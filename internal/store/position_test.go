@@ -16,8 +16,8 @@ import (
 )
 
 // The journal position a snapshot records: where the writer puts it,
-// what a read makes of it, and what compaction and old directories do to
-// it.
+// what a read makes of it, and what an earlier build's compaction and old
+// directories do to it.
 
 // landsIn reports whether dir's snapshot names the frame of the entry
 // just before it.
@@ -173,11 +173,8 @@ func (c *checkedStore) SnapshotSession(st *core.SessionState) {
 
 // TestPositionsUnderParallelFolds: a two-worker session snapshotting
 // every few folds, killed (closed without Finish) at several points.
-// Every snapshot it publishes records entry Seq-1's frame, the tail
-// resume equals the full-journal one, and after a compaction — finished,
-// or interrupted between the live rewrite and the meta.json rewrite —
-// the position no longer lands and the resume walks or takes the full
-// journal, never a short tail.
+// Every snapshot it publishes records entry Seq-1's frame, and the tail
+// resume equals the full-journal one.
 func TestPositionsUnderParallelFolds(t *testing.T) {
 	for _, kill := range []int{23, 61, 100} {
 		dir := t.TempDir()
@@ -207,58 +204,49 @@ func TestPositionsUnderParallelFolds(t *testing.T) {
 			t.Fatalf("kill at %d: resumed by %+v and %+v with %d records", kill, tail.Info, full.Info, len(full.Records))
 		}
 		sameRestore(t, tail, full)
-
-		// Compaction interrupted after the live rewrite: meta.json still
-		// names the old watermark.
-		cut := copyDir(t, dir)
-		meta, err := os.ReadFile(filepath.Join(cut, metaName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range []string{dir, cut} {
-			if _, err := Compact(d); err != nil {
-				t.Fatal(err)
-			}
-			if lands(t, d) {
-				t.Fatalf("kill at %d: the position still lands after compaction rewrote the live segment", kill)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(cut, metaName), meta, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range []string{dir, cut} {
-			after := recoverDir(t, d, true)
-			sameRestore(t, after, recoverDir(t, d, false))
-			if after.Base > 0 {
-				sameRestore(t, after, full)
-			} else if !reflect.DeepEqual(after.Records, full.Records) {
-				t.Fatalf("kill at %d: full-journal resume after compaction differs", kill)
-			}
-		}
 	}
 }
 
-// TestCompactionCutBeforeMetaOnEmptyTail: when the snapshot covers the
-// whole journal, an interrupted compaction leaves an empty live segment
-// and the old watermark. Nothing then proves the journal reaches the
-// snapshot, so the resume takes the full journal: archive and live.
+// TestCompactionCutBeforeMetaOnEmptyTail: testdata/compacted-whole is
+// a directory an earlier build compacted when its snapshot covered the
+// whole journal (journalWithSnapshot, 40 entries, a snapshot at 40): an
+// empty live segment and the watermark at 40, which proves the journal
+// reaches the snapshot, so it resumes by the empty tail. Interrupted
+// before the meta.json rewrite, it has the old watermark: nothing then
+// proves the journal reaches the snapshot, so the resume takes the full
+// journal, archive and live.
 func TestCompactionCutBeforeMetaOnEmptyTail(t *testing.T) {
-	dir := t.TempDir()
 	const n = 40
-	journalWithSnapshot(t, dir, Options{Format: FormatBinary}, n, n)
-	meta, err := os.ReadFile(filepath.Join(dir, metaName))
-	if err != nil {
-		t.Fatal(err)
+	dir := fixtureDir(t, "compacted-whole")
+	if r := recoverDir(t, dir, true); r.Info.Path != "tail" || r.Base != n || len(r.Records) != 0 {
+		t.Fatalf("compaction of an empty tail resumes by %+v with %d records, base %d", r.Info, len(r.Records), r.Base)
 	}
-	if moved, err := Compact(dir); err != nil || moved != n {
-		t.Fatalf("compaction moved %d entries (%v), want %d", moved, err, n)
-	}
-	if err := os.WriteFile(filepath.Join(dir, metaName), meta, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	cutBeforeMeta(t, dir)
 	r := recoverDir(t, dir, true)
 	if r.Info.Path != "full-journal" || r.Base != 0 || len(r.Records) != n || len(r.Tail) != 0 || r.State == nil {
 		t.Fatalf("interrupted compaction of an empty tail resumes by %+v with %d records, base %d", r.Info, len(r.Records), r.Base)
+	}
+}
+
+// fixtureDir copies the state directory testdata/name into a fresh
+// directory, so a test may open and append to it.
+func fixtureDir(t testing.TB, name string) string {
+	t.Helper()
+	return copyDir(t, filepath.Join("testdata", name))
+}
+
+// cutBeforeMeta gives a compacted directory back the meta.json its
+// compaction started from, watermark and all: the shape a compaction
+// interrupted between the live rewrite and the meta.json rewrite left.
+func cutBeforeMeta(t testing.TB, dir string) {
+	t.Helper()
+	meta, err := ReadMeta(dir)
+	if err != nil || meta == nil || meta.CompactedSeq == 0 {
+		t.Fatalf("%s is not a compacted directory: %+v (%v)", dir, meta, err)
+	}
+	meta.CompactedSeq = 0
+	if err := os.WriteFile(filepath.Join(dir, metaName), mustJSON(meta), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -26,14 +26,16 @@
 // Layout of a state directory:
 //
 //	meta.json     target name, space signature, run count, run stamps,
-//	              journal format, compaction watermark
+//	              journal format, the compaction watermark of an
+//	              earlier build
 //	journal.jsonl one Entry per executed scenario, append-only (the
 //	              default "jsonl" format — human-greppable, and byte
 //	              deterministic for a deterministic session)
 //	journal.afexj the "binary" format: crc-framed length-prefixed
 //	              entries (see binary.go)
-//	archive.afexj compacted journal prefix already covered by a
-//	              snapshot (binary format only; see Compact)
+//	archive.afexj the journal prefix an earlier build's compaction
+//	              moved out of journal.afexj (binary format only):
+//	              written by earlier builds, still read
 //	snapshot.afexs latest core.SessionState, replaced atomically: crc
 //	              frames — the small fixed part as JSON, the three
 //	              cluster sets with each distinct stack and frame once,
@@ -144,9 +146,10 @@ type Meta struct {
 	// FormatBinary). Absent in directories written before formats
 	// existed — those are JSONL by construction.
 	Journal string `json:"journal,omitempty"`
-	// CompactedSeq is the compaction watermark of a binary directory:
-	// entries [0, CompactedSeq) live in archive.afexj, the live journal
-	// holds the rest. Always <= the snapshot's Seq.
+	// CompactedSeq is the compaction watermark of a binary directory an
+	// earlier build compacted: entries [0, CompactedSeq) live in
+	// archive.afexj, the live journal holds the rest. Always <= the
+	// snapshot's Seq. Nothing writes it any more; it is read and kept.
 	CompactedSeq int `json:"compactedSeq,omitempty"`
 	// Peer/Peers record the directory's multi-coordinator shard
 	// assignment (Options.Peer/Peers): region Peer of Peers. Absent for
@@ -576,6 +579,30 @@ func (s *Store) Begin(target, spaceSig, stamp string) error {
 	return writeAtomicFile(s.dir, metaName, writeBytes(mustJSON(&s.meta)))
 }
 
+// writeAtomicFile replaces dir/name with what fill writes, through a temp
+// file and a rename, so a reader never sees a partial file: when fill, a
+// write or the close fails, the temp file is removed and dir/name is left
+// as it was.
+func writeAtomicFile(dir, name string, fill func(io.Writer) error) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		err = errors.Join(fill(f), f.Close())
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// writeBytes is the fill of a file whose bytes are all in hand.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error { _, err := w.Write(data); return err }
+}
+
 // JournalRecord implements core.Store: enqueue only, never IO.
 func (s *Store) JournalRecord(c explore.Candidate, rec core.Record) {
 	s.enqueue(msg{rec: rec, cand: c, run: s.run})
@@ -837,10 +864,11 @@ func sniffBinary(path string) bool {
 	return string(magic[:]) == segMagic
 }
 
-// readBinaryDir loads a binary directory's full journal: the compacted
-// archive (when one exists) followed by the live segment. The keep-first
-// dedup makes an interrupted compaction harmless — entries present in
-// both segments read once, from the archive.
+// readBinaryDir loads a binary directory's full journal: the archive an
+// earlier build's compaction wrote (when one exists) followed by the
+// live segment. The keep-first dedup makes a compaction that build left
+// interrupted harmless — entries present in both segments read once,
+// from the archive.
 func readBinaryDir(dir string) ([]Entry, error) {
 	arch, err := readSegment(filepath.Join(dir, archiveName))
 	if err != nil {
