@@ -108,6 +108,16 @@
 // it. CoordinatorOptions carries the same StateDir, Resume and Peer/Peers
 // for a distributed coordinator. See the README's "Persistence &
 // resume" section.
+//
+// # Reproduction
+//
+// A recorded fault goes back one way: its plan, re-armed on an
+// execution backend (ExecRunner). `afex replay --scenario` parses a
+// Record.Scenario (the flat name/value list of the paper's Fig. 5) into
+// that plan, and Result.ReproScript writes that command line;
+// Result.MeasurePrecision re-runs each cluster representative on the
+// runner it is given — in `afex explore --precision-trials`, one of the
+// session's own backend, so process targets are measured too.
 package afex
 
 import (

@@ -172,7 +172,7 @@ func BenchmarkAblationGenetic(b *testing.B) {
 	p := targets.Httpd()
 	space := experiments.ApacheSpace()
 	for i := 0; i < b.N; i++ {
-		ex := explore.NewGenetic(space, explore.GeneticConfig{Seed: int64(i + 1)})
+		ex := explore.NewGenetic(space, int64(i+1))
 		failed := 0
 		for n := 0; n < 1000; n++ {
 			c, ok := ex.Next()

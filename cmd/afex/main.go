@@ -168,11 +168,6 @@ func cmdExplore(args []string) error {
 	if err != nil {
 		return err
 	}
-	target := plan.Options.Target
-	if *precisionTrials > 0 && target == nil {
-		// Fail before the exploration runs, not after hours of it.
-		return fmt.Errorf("--precision-trials re-runs through the program model and needs a built-in target")
-	}
 	m, err := newManager(*pprofAddr)
 	if err != nil {
 		return err
@@ -208,8 +203,13 @@ func cmdExplore(args []string) error {
 		fmt.Printf("full results written to %s\n", *out)
 	}
 	if *precisionTrials > 0 {
+		r, err := precisionRunner(plan)
+		if err != nil {
+			return errors.Join(storeErr, err)
+		}
+		defer r.Close()
 		fmt.Printf("impact precision of cluster representatives (%d trials each):\n", *precisionTrials)
-		for _, rec := range res.MeasurePrecision(target, afex.DefaultImpact(), *precisionTrials) {
+		for _, rec := range res.MeasurePrecision(r, afex.DefaultImpact(), *precisionTrials) {
 			fmt.Printf("  precision=%8v  %s\n", rec.Precision, rec.Scenario)
 		}
 	}
@@ -234,6 +234,21 @@ func targetBackend(targetName string, cfg afex.BackendConfig) (string, afex.Back
 	}
 	cfg.Target, err = afex.Target(targetName)
 	return afex.ModelBackend, cfg, err
+}
+
+// precisionRunner builds the runner --precision-trials re-runs each
+// representative on: one of the session's own backend (a cmd: target
+// with its --test-args rows and --timeout). A coordinator session's
+// managers execute, so it gets a bare one of its target.
+func precisionRunner(plan *controlplane.Plan) (backend.Runner, error) {
+	name, cfg, err := targetBackend(plan.Spec.Target, afex.BackendConfig{Timeout: plan.Options.ExecTimeout})
+	if err != nil {
+		return nil, err
+	}
+	if plan.Options.Command != nil {
+		cfg.Command = plan.Options.Command
+	}
+	return backend.New(name, cfg)
 }
 
 // replayRunner builds the re-execution function for a target name (the
@@ -280,12 +295,11 @@ func cmdReplay(args []string) error {
 	if *targetName == "" || *scenario == "" {
 		return fmt.Errorf("replay requires --target and --scenario (or a journal path)")
 	}
-	sc, err := dsl.ParseScenario(*scenario)
+	names, vals, err := dsl.ParseScenario(*scenario)
 	if err != nil {
 		return err
 	}
-	var plugin inject.Plugin
-	pt, plan, err := plugin.Convert(sc)
+	pt, plan, err := inject.Plugin{}.ConvertValues(names, vals)
 	if err != nil {
 		return err
 	}

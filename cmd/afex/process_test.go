@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,9 +51,10 @@ func crashyArgs(extra ...string) []string {
 // TestCmdExploreProcessBackend is the acceptance path: exploring the
 // bundled fixture as a cmd: target finds failure clusters (the
 // fixture plants an orderly failure, a crash and a hang), surfacing the
-// CI-gating exit sentinel.
+// CI-gating exit sentinel, and re-runs each representative on the
+// process backend for its impact precision.
 func TestCmdExploreProcessBackend(t *testing.T) {
-	err := cmdExplore(crashyArgs("--algorithm", "exhaustive", "--iterations", "0"))
+	err := cmdExplore(crashyArgs("--algorithm", "exhaustive", "--iterations", "0", "--precision-trials", "2"))
 	if !errors.Is(err, errFailuresFound) {
 		t.Fatalf("process exploration of the crashy fixture should find failures, got %v", err)
 	}
@@ -264,5 +266,46 @@ func TestBatchedProcessSessionMatchesSequential(t *testing.T) {
 		if got := batched[key]; got != want {
 			t.Errorf("scenario %s: batched session folded %q, sequential %q", key, got, want)
 		}
+	}
+}
+
+// TestReproScriptReplaysACmdTarget: a cmd: target's repro script
+// (explore --out's repro/NNNN.sh) replays. Its exec line, split into
+// words as /bin/sh splits it, is an `afex replay` command line that
+// runs — the target's {test} placeholder stays inside --target.
+func TestReproScriptReplaysACmdTarget(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	if err := noFailures(cmdExplore(crashyArgs("--algorithm", "exhaustive", "--iterations", "0", "--out", dir))); err != nil {
+		t.Fatal(err)
+	}
+	scripts, err := filepath.Glob(filepath.Join(dir, "repro", "*.sh"))
+	if err != nil || len(scripts) == 0 {
+		t.Fatalf("no repro scripts written: %v", err)
+	}
+	replayed := 0
+	for _, path := range scripts {
+		script, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(script), "hung=true") {
+			continue // would wait out the default timeout
+		}
+		_, line, ok := strings.Cut(string(script), "\nexec afex replay ")
+		if !ok {
+			t.Fatalf("%s has no exec line:\n%s", path, script)
+		}
+		words, err := exec.Command("/bin/sh", "-c", "set -- "+strings.TrimSpace(line)+`; printf '%s\0' "$@"`).Output()
+		if err != nil {
+			t.Fatalf("/bin/sh could not split %q: %v", line, err)
+		}
+		args := strings.Split(strings.TrimSuffix(string(words), "\x00"), "\x00")
+		if err := cmdReplay(args); err != nil {
+			t.Fatalf("%s: afex replay %q: %v", path, args, err)
+		}
+		replayed++
+	}
+	if replayed == 0 {
+		t.Fatal("every representative hung; nothing replayed")
 	}
 }

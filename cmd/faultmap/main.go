@@ -15,12 +15,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"afex"
-	"afex/internal/inject"
-	"afex/internal/libc"
-	"afex/internal/prog"
+	"afex/internal/experiments"
 )
 
 func main() {
@@ -49,32 +46,24 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sp := afex.Profile(target)
-	funcs := sp.TopFunctions(*nFuncs)
-
-	fmt.Fprintf(w, "fault map of %s (call #%d; '#' test failure, '@' crash, '.' no failure)\n", target.Name, *call)
-	for j, fn := range funcs {
+	m := experiments.FaultMapFor(target, *module, *nFuncs, *call)
+	fmt.Fprintf(w, "fault map of %s (call #%d; '#' test failure, '@' crash, '.' no failure)\n", m.Target, m.Call)
+	for j, fn := range m.Functions {
 		fmt.Fprintf(w, "  col %2d: %s\n", j, fn)
 	}
-	for t, tc := range target.TestSuite {
-		if *module != "" && !strings.Contains(tc.Name, "/"+*module+"-") {
-			continue
-		}
-		row := make([]byte, len(funcs))
-		for j, fn := range funcs {
-			prof := libc.Lookup(fn)
-			plan := inject.Single(inject.Fault{Function: fn, CallNumber: *call, Err: prof.Errors[0]})
-			out := prog.Run(target, t, plan)
+	for i, name := range m.TestNames {
+		row := make([]byte, len(m.Functions))
+		for j := range row {
 			switch {
-			case out.Injected && out.Crashed:
+			case m.Crash[i][j]:
 				row[j] = '@'
-			case out.Injected && out.Failed:
+			case m.Fail[i][j]:
 				row[j] = '#'
 			default:
 				row[j] = '.'
 			}
 		}
-		fmt.Fprintf(w, "%-28s %s\n", tc.Name, row)
+		fmt.Fprintf(w, "%-28s %s\n", name, row)
 	}
 	return nil
 }

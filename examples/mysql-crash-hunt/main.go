@@ -2,7 +2,8 @@
 // the MySQL-like target until both planted recovery bugs are found, then
 // characterize them the way AFEX presents results to developers: the
 // injection-point stack trace, a generated reproduction script, and the
-// impact precision (reproducibility) of each representative scenario.
+// impact precision (reproducibility) of its redundancy cluster's
+// representative, re-run on the model backend by Result.MeasurePrecision.
 //
 // The two bugs mirror the paper's finds:
 //   - mysql-bug-53268: mi_create's single recovery label releases
@@ -18,10 +19,7 @@ import (
 	"log"
 
 	"afex"
-	"afex/internal/dsl"
-	"afex/internal/inject"
-	"afex/internal/prog"
-	"afex/internal/quality"
+	"afex/internal/backend"
 	"afex/internal/targets"
 )
 
@@ -65,6 +63,20 @@ func main() {
 	fmt.Printf("executed %d tests: %d failures, %d crashes in %d redundancy clusters\n\n",
 		res.Executed, res.Failed, res.Crashed, res.UniqueCrashes)
 
+	// Impact precision (§5): re-run each cluster representative 5 times;
+	// the model target is deterministic, so variance is 0 and precision
+	// +Inf — exactly the reproducible kind of failure worth debugging
+	// first.
+	runner, err := backend.New(backend.Model, backend.Config{Target: target})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer runner.Close()
+	precision := map[int]float64{} // by failure cluster
+	for _, rep := range res.MeasurePrecision(runner, afex.DefaultImpact(), 5) {
+		precision[rep.Cluster] = rep.Precision
+	}
+
 	for _, bug := range wanted {
 		if res.CrashIDs[bug] == 0 {
 			fmt.Printf("bug %s: NOT found within budget\n", bug)
@@ -81,29 +93,7 @@ func main() {
 			fmt.Printf("    %s\n", fr)
 		}
 
-		// Impact precision (§5): re-run the scenario 5 times; the model
-		// target is deterministic, so variance is 0 and precision +Inf —
-		// exactly the reproducible kind of failure worth debugging first.
-		sc, err := dsl.ParseScenario(rec.Scenario)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var plugin inject.Plugin
-		pt, plan, err := plugin.Convert(sc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		impacts, precision := quality.Measure(5, func(int) float64 {
-			out := prog.Run(target, pt.TestID, plan)
-			if out.Crashed {
-				return 20
-			}
-			if out.Failed {
-				return 10
-			}
-			return 0
-		})
-		fmt.Printf("  impact over 5 trials: %v → precision %v\n", impacts, precision)
+		fmt.Printf("  impact precision of its cluster over 5 trials: %v\n", precision[rec.Cluster])
 		fmt.Printf("  generated reproduction script:\n")
 		for _, line := range splitLines(res.ReproScript(rec)) {
 			fmt.Printf("    %s\n", line)

@@ -526,9 +526,8 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 	}
 	feedback := make([]explore.Feedback, 0, len(batch))
 	stop := false
-	var bs batchSnap
 	for i := range batch {
-		stopped, fb := e.foldLocked(&batch[i], &bs)
+		stopped, fb := e.foldLocked(&batch[i])
 		feedback = append(feedback, fb)
 		stop = stop || stopped
 	}
@@ -576,29 +575,6 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 	return stop, view
 }
 
-// batchSnap lazily caches one Snapshot per fold batch for the Stop
-// hook. The expensive part — the portfolio explorer's per-arm
-// statistics — is built at most once per batch: arm state only changes
-// on lease and on the batched feedback report after the folds, so every
-// fold in a batch would see identical Arms anyway. Counters are
-// refreshed on every use.
-type batchSnap struct {
-	snap Snapshot
-	have bool
-}
-
-func (e *Engine) batchSnapshotLocked(bs *batchSnap) Snapshot {
-	if !bs.have {
-		bs.snap = e.snapshotLocked()
-		bs.have = true
-		return bs.snap
-	}
-	arms := bs.snap.Arms
-	bs.snap = e.quickSnapshotLocked()
-	bs.snap.Arms = arms
-	return bs.snap
-}
-
 const (
 	maxFoldedSets      = 1 << 20 // bounds Engine.foldedSets
 	maxReservedRecords = 1 << 18 // bounds reserveRecords
@@ -612,7 +588,7 @@ func (e *Engine) reserveRecords(restored []Record) []Record {
 	return append(make([]Record, 0, len(restored)+room), restored...)
 }
 
-func (e *Engine) foldLocked(et *ExecutedTest, bs *batchSnap) (bool, explore.Feedback) {
+func (e *Engine) foldLocked(et *ExecutedTest) (bool, explore.Feedback) {
 	c, rec, outcome, pre := et.C, et.Rec, et.Out, et.Pre
 	rec.ID = e.res.Executed
 	rec.Outcome = outcome
@@ -701,7 +677,7 @@ func (e *Engine) foldLocked(et *ExecutedTest, bs *batchSnap) (bool, explore.Feed
 	if e.cfg.Observe != nil {
 		e.cfg.Observe(rec)
 	}
-	if e.cfg.Stop != nil && e.cfg.Stop(e.batchSnapshotLocked(bs)) {
+	if e.cfg.Stop != nil && e.cfg.Stop(e.snapshotLocked()) {
 		e.Stop()
 		return true, fb
 	}
@@ -811,9 +787,8 @@ func (e *Engine) Snapshot() Snapshot {
 	return e.snapshotLocked()
 }
 
-// quickSnapshotLocked fills the counter fields of a Snapshot — the O(1)
-// part, cheap enough to refresh on every fold.
-func (e *Engine) quickSnapshotLocked() Snapshot {
+// snapshotLocked is Snapshot under e.mu.
+func (e *Engine) snapshotLocked() Snapshot {
 	cov := 0.0
 	if e.cfg.Target != nil && e.cfg.Target.NumBlocks > 0 {
 		cov = float64(len(e.covered)) / float64(e.cfg.Target.NumBlocks)
@@ -836,6 +811,9 @@ func (e *Engine) quickSnapshotLocked() Snapshot {
 		s.AvgTestNS = int64(e.latEWMA)
 		s.AdaptiveBatch = e.adaptiveBatchLocked(1)
 	}
+	if e.armStats != nil {
+		s.Arms = e.armStats()
+	}
 	e.exMu.Unlock()
 	if e.recycles != nil {
 		s.PoolRecycles = e.recycles()
@@ -843,16 +821,6 @@ func (e *Engine) quickSnapshotLocked() Snapshot {
 	s.Snapshots = e.snapshots.Load()
 	s.SnapshotNS = e.snapshotNS.Load()
 	s.Resume = e.resume
-	return s
-}
-
-func (e *Engine) snapshotLocked() Snapshot {
-	s := e.quickSnapshotLocked()
-	if e.armStats != nil {
-		e.exMu.Lock()
-		s.Arms = e.armStats()
-		e.exMu.Unlock()
-	}
 	return s
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"afex/internal/backend"
 	"afex/internal/explore"
 	"afex/internal/faultspace"
 	"afex/internal/prog"
@@ -109,7 +110,11 @@ func TestMeasurePrecisionDeterministicTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := res.MeasurePrecision(sessionTarget(), DefaultImpact(), 5)
+	runner, err := backend.New(backend.Model, backend.Config{Target: sessionTarget()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := res.MeasurePrecision(runner, DefaultImpact(), 5)
 	if len(reps) == 0 {
 		t.Fatal("no representatives measured")
 	}

@@ -497,36 +497,32 @@ func (r *ResultSet) Representatives() []Record {
 }
 
 // MeasurePrecision re-runs each failure-cluster representative trials
-// times against the target and fills its Precision field (§5: "AFEX runs
-// the same test n times and computes the variance of the fault's impact
-// across the n trials; the impact precision is 1/Var"). It returns the
-// measured representatives. The program models are deterministic, so the
-// typical result is +Inf — exactly the reproducible failures the paper
-// says developers should debug first; a stochastic target would yield
-// finite values.
+// times on the execution-backend runner r — its journaled plan re-armed
+// on the target the session drove — and fills its Precision field (§5:
+// "AFEX runs the same test n times and computes the variance of the
+// fault's impact across the n trials; the impact precision is 1/Var").
+// It returns the measured representatives. The program models are
+// deterministic, so on one the result is always +Inf — exactly the
+// reproducible failures the paper says developers should debug first;
+// only real processes can yield finite values.
 //
 // Impact per trial is scored with the same configuration the session
 // used, minus coverage novelty (which is session state, not a property
 // of the fault).
-func (r *ResultSet) MeasurePrecision(target *prog.Program, im ImpactConfig, trials int) []Record {
+func (r *ResultSet) MeasurePrecision(runner backend.Runner, im ImpactConfig, trials int) []Record {
 	if trials <= 1 {
 		trials = 2
 	}
 	reps := r.Representatives()
 	for i := range reps {
 		rec := &reps[i]
-		impacts := make([]float64, trials)
-		for t := 0; t < trials; t++ {
-			out := prog.Run(target, rec.TestID, rec.Plan)
-			v := 0.0
+		_, rec.Precision = quality.Measure(trials, func(int) float64 {
+			out, _ := runner.Run(rec.TestID, rec.Plan)
 			if im.Score != nil {
-				v = im.Score(out, 0, rec.Plan, rec.TestID)
-			} else {
-				v = im.outcomeBase(out)
+				return im.Score(out, 0, rec.Plan, rec.TestID)
 			}
-			impacts[t] = v
-		}
-		rec.Precision = quality.Precision(impacts)
+			return im.outcomeBase(out)
+		})
 		// Reflect the measurement into the session record too.
 		if own := r.RecordByID(rec.ID); own != nil {
 			own.Precision = rec.Precision
@@ -550,8 +546,17 @@ func (r *ResultSet) ReproScript(rec Record) string {
 			fmt.Fprintf(&b, "#   %s\n", fr)
 		}
 	}
-	fmt.Fprintf(&b, "exec afex replay --target %s --scenario %q\n", r.Target, rec.Scenario)
+	fmt.Fprintf(&b, "exec afex replay --target %s --scenario %s\n", shellQuote(r.Target), shellQuote(rec.Scenario))
 	return b.String()
+}
+
+// shellQuote renders s as one /bin/sh word: as it is when the shell
+// reads every byte of it literally, else in single quotes.
+func shellQuote(s string) string {
+	if s != "" && strings.Trim(s, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.,:/@%+=") == "" {
+		return s
+	}
+	return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'"
 }
 
 // Report renders the operational synopsis of §6.3: search setup, counts,

@@ -21,7 +21,7 @@ package dsl
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -342,77 +342,29 @@ func (d *Description) String() string {
 	return b.String()
 }
 
-// Scenario is a concrete fault scenario: parameter name/value pairs, the
-// flat format of Fig. 5 ("function malloc errno ENOMEM retval 0
-// callNumber 23"). This is what the explorer sends to node managers.
-type Scenario map[string]string
-
-// FormatScenario renders a scenario in the Fig. 5 wire format with keys in
-// a stable order (source axis order if provided, else sorted).
-func FormatScenario(s Scenario, order []string) string {
-	keys := make([]string, 0, len(s))
-	if order != nil {
-		for _, k := range order {
-			if _, ok := s[k]; ok {
-				keys = append(keys, k)
-			}
-		}
-		// Append any keys not covered by the ordering.
-		for k := range s {
-			found := false
-			for _, o := range keys {
-				if o == k {
-					found = true
-					break
-				}
-			}
-			if !found {
-				keys = append(keys, k)
-			}
-		}
-	} else {
-		for k := range s {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-	}
-	parts := make([]string, 0, 2*len(keys))
-	for _, k := range keys {
-		parts = append(parts, k, s[k])
-	}
-	return strings.Join(parts, " ")
-}
-
-// ParseScenario parses the Fig. 5 wire format back into a Scenario.
-// The input must contain an even number of whitespace-separated tokens.
-func ParseScenario(in string) (Scenario, error) {
+// ParseScenario parses a scenario in the flat wire format of Fig. 5
+// ("function malloc errno ENOMEM retval 0 callNumber 23") into parallel
+// name/value slices, in the order written — what FormatPairs renders.
+// The input must hold an even number of whitespace-separated tokens and
+// name each key once.
+func ParseScenario(in string) (names, vals []string, err error) {
 	fields := strings.Fields(in)
 	if len(fields)%2 != 0 {
-		return nil, fmt.Errorf("dsl: scenario %q has odd token count", in)
+		return nil, nil, fmt.Errorf("dsl: scenario %q has odd token count", in)
 	}
-	s := make(Scenario, len(fields)/2)
+	names, vals = make([]string, 0, len(fields)/2), make([]string, 0, len(fields)/2)
 	for i := 0; i < len(fields); i += 2 {
-		if _, dup := s[fields[i]]; dup {
-			return nil, fmt.Errorf("dsl: scenario %q repeats key %q", in, fields[i])
+		if slices.Contains(names, fields[i]) {
+			return nil, nil, fmt.Errorf("dsl: scenario %q repeats key %q", in, fields[i])
 		}
-		s[fields[i]] = fields[i+1]
+		names, vals = append(names, fields[i]), append(vals, fields[i+1])
 	}
-	return s, nil
-}
-
-// ScenarioFor renders the fault p of union u as a Scenario.
-func ScenarioFor(u *faultspace.Union, p faultspace.Point) Scenario {
-	sp := u.Spaces[p.Sub]
-	s := make(Scenario, len(sp.Axes))
-	for i, a := range sp.Axes {
-		s[a.Name()] = a.Value(p.Fault[i])
-	}
-	return s
+	return names, vals, nil
 }
 
 // AxisNames returns the axis names of subspace sub of u, in axis order —
-// the key order of the slice-based scenario path. Callers on hot paths
-// compute this once per subspace and reuse it.
+// the key order of a scenario. Callers on hot paths compute this once
+// per subspace and reuse it.
 func AxisNames(u *faultspace.Union, sub int) []string {
 	sp := u.Spaces[sub]
 	names := make([]string, len(sp.Axes))
@@ -423,9 +375,7 @@ func AxisNames(u *faultspace.Union, sub int) []string {
 }
 
 // ValuesFor renders the fault p of union u as attribute values in axis
-// order: the allocation-light sibling of ScenarioFor for per-candidate
-// execution paths, which pair with AxisNames of the same subspace
-// instead of a map.
+// order, to pair with AxisNames of the same subspace.
 func ValuesFor(u *faultspace.Union, p faultspace.Point) []string {
 	sp := u.Spaces[p.Sub]
 	vals := make([]string, len(sp.Axes))
@@ -436,8 +386,7 @@ func ValuesFor(u *faultspace.Union, p faultspace.Point) []string {
 }
 
 // FormatPairs renders parallel name/value slices in the Fig. 5 wire
-// format — FormatScenario for the slice-based scenario path. Both slices
-// must have equal length.
+// format. Both slices must have equal length.
 func FormatPairs(names, vals []string) string {
 	size := 0
 	for i := range names {

@@ -2,6 +2,7 @@ package dsl
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -245,16 +246,6 @@ func TestDescriptionRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestFormatPairsMatchesFormatScenario(t *testing.T) {
-	names := []string{"testID", "function", "callNumber"}
-	vals := []string{"3", "read", "7"}
-	got := FormatPairs(names, vals)
-	want := FormatScenario(Scenario{"testID": "3", "function": "read", "callNumber": "7"}, names)
-	if got != want {
-		t.Errorf("FormatPairs = %q, FormatScenario = %q", got, want)
-	}
-}
-
 func TestAxisNamesAndValuesFor(t *testing.T) {
 	d, err := Parse(`testID : [0,9] function : { read, write } callNumber : [1,5] ;`)
 	if err != nil {
@@ -269,10 +260,6 @@ func TestAxisNamesAndValuesFor(t *testing.T) {
 	vals := ValuesFor(u, pt)
 	if len(vals) != 3 || vals[0] != "3" || vals[1] != "write" || vals[2] != "5" {
 		t.Fatalf("ValuesFor = %v", vals)
-	}
-	// The slice path and the map path must render the same wire format.
-	if FormatPairs(names, vals) != FormatScenario(ScenarioFor(u, pt), names) {
-		t.Error("slice and map scenario paths disagree")
 	}
 }
 
@@ -292,45 +279,26 @@ func TestBuildAxisOrderMatchesSource(t *testing.T) {
 }
 
 func TestScenarioFormatParseRoundTrip(t *testing.T) {
-	s := Scenario{"function": "malloc", "errno": "ENOMEM", "retval": "0", "callNumber": "23"}
-	wire := FormatScenario(s, []string{"function", "errno", "retval", "callNumber"})
+	names := []string{"function", "errno", "retval", "callNumber"}
+	vals := []string{"malloc", "ENOMEM", "0", "23"}
+	wire := FormatPairs(names, vals)
 	if wire != "function malloc errno ENOMEM retval 0 callNumber 23" {
 		t.Errorf("wire = %q", wire)
 	}
-	back, err := ParseScenario(wire)
+	backNames, backVals, err := ParseScenario(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(s) {
-		t.Fatalf("round trip lost keys: %v", back)
-	}
-	for k, v := range s {
-		if back[k] != v {
-			t.Errorf("key %q: %q != %q", k, back[k], v)
-		}
-	}
-}
-
-func TestFormatScenarioStableWithoutOrder(t *testing.T) {
-	s := Scenario{"b": "2", "a": "1", "c": "3"}
-	if got := FormatScenario(s, nil); got != "a 1 b 2 c 3" {
-		t.Errorf("sorted format = %q", got)
-	}
-}
-
-func TestFormatScenarioExtraKeysAppended(t *testing.T) {
-	s := Scenario{"x": "1", "y": "2"}
-	got := FormatScenario(s, []string{"y"})
-	if got != "y 2 x 1" {
-		t.Errorf("got %q", got)
+	if !reflect.DeepEqual(backNames, names) || !reflect.DeepEqual(backVals, vals) {
+		t.Errorf("round trip = %v %v, want %v %v", backNames, backVals, names, vals)
 	}
 }
 
 func TestParseScenarioErrors(t *testing.T) {
-	if _, err := ParseScenario("a 1 b"); err == nil {
+	if _, _, err := ParseScenario("a 1 b"); err == nil {
 		t.Error("odd token count accepted")
 	}
-	if _, err := ParseScenario("a 1 a 2"); err == nil {
+	if _, _, err := ParseScenario("a 1 a 2"); err == nil {
 		t.Error("duplicate key accepted")
 	}
 }
@@ -338,32 +306,19 @@ func TestParseScenarioErrors(t *testing.T) {
 func TestScenarioRoundTripProperty(t *testing.T) {
 	letters := "abcdefghij"
 	if err := quick.Check(func(keys []uint8, vals []uint8) bool {
-		s := Scenario{}
-		n := len(keys)
-		if len(vals) < n {
-			n = len(vals)
-		}
-		for i := 0; i < n; i++ {
+		var names, values []string
+		for i := 0; i < len(keys) && i < len(vals); i++ {
 			k := "k" + string(letters[int(keys[i])%10])
-			v := "v" + string(letters[int(vals[i])%10])
-			s[k] = v
+			if slices.Contains(names, k) {
+				continue
+			}
+			names, values = append(names, k), append(values, "v"+string(letters[int(vals[i])%10]))
 		}
-		if len(s) == 0 {
+		if len(names) == 0 {
 			return true
 		}
-		back, err := ParseScenario(FormatScenario(s, nil))
-		if err != nil {
-			return false
-		}
-		if len(back) != len(s) {
-			return false
-		}
-		for k, v := range s {
-			if back[k] != v {
-				return false
-			}
-		}
-		return true
+		backNames, backVals, err := ParseScenario(FormatPairs(names, values))
+		return err == nil && reflect.DeepEqual(backNames, names) && reflect.DeepEqual(backVals, values)
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
@@ -419,6 +374,8 @@ func TestParseValidDescriptionsBuild(t *testing.T) {
 	}
 }
 
+// TestScenarioFor: the scenario of a point is its axis names and
+// values in axis order, in the Fig. 5 wire format.
 func TestScenarioFor(t *testing.T) {
 	d, err := Parse(`testID : [0,9] function : { read, write } callNumber : [1,5] ;`)
 	if err != nil {
@@ -426,8 +383,7 @@ func TestScenarioFor(t *testing.T) {
 	}
 	u := d.Build()
 	pt := faultspace.Point{Sub: 0, Fault: faultspace.Fault{3, 1, 4}}
-	sc := ScenarioFor(u, pt)
-	if sc["testID"] != "3" || sc["function"] != "write" || sc["callNumber"] != "5" {
-		t.Errorf("scenario = %v", sc)
+	if sc := FormatPairs(AxisNames(u, 0), ValuesFor(u, pt)); sc != "testID 3 function write callNumber 5" {
+		t.Errorf("scenario = %q", sc)
 	}
 }

@@ -74,15 +74,15 @@ func profileFor(p *prog.Program) *trace.SuiteProfile {
 }
 
 // executePoint runs the single fault at point pt of the space against the
-// target and returns the outcome, bypassing any explorer.
-func executePoint(p *prog.Program, space *faultspace.Union, pt faultspace.Point) prog.Outcome {
-	var plugin inject.Plugin
-	sc := dsl.ScenarioFor(space, pt)
-	ipt, plan, err := plugin.Convert(sc)
+// target, bypassing any explorer, and returns its scenario and outcome.
+func executePoint(p *prog.Program, space *faultspace.Union, pt faultspace.Point) (string, prog.Outcome) {
+	names, vals := dsl.AxisNames(space, pt.Sub), dsl.ValuesFor(space, pt)
+	sc := dsl.FormatPairs(names, vals)
+	ipt, plan, err := inject.Plugin{}.ConvertValues(names, vals)
 	if err != nil {
-		return prog.Outcome{}
+		return sc, prog.Outcome{}
 	}
-	return prog.Run(p, ipt.TestID, plan)
+	return sc, prog.Run(p, ipt.TestID, plan)
 }
 
 // spaceFor returns the target's fault space per the §7 methodology.
@@ -165,52 +165,55 @@ func avg(o Opts, fn func(seed int64) []float64) []float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 1 — fault space map for ls.
+// Fig. 1 — fault-space maps.
 
-// Fig1Result is the Fig. 1 fault-space map: which ⟨function, test⟩ cells
-// of the ls utility's tests fail when the first call to the function is
-// failed.
-type Fig1Result struct {
+// FaultMap is a Fig. 1-style fault-space map of a target: which ⟨test,
+// function⟩ cells fail, and which crash, when the Call-th call to the
+// function is failed.
+type FaultMap struct {
+	Target    string
+	Module    string // the tests' module; "" for the whole suite
+	Call      int
 	Functions []string
 	TestIDs   []int
 	TestNames []string
-	// Fail[t][f] is true when failing the first call to Functions[f]
-	// during TestIDs[t] makes the test fail.
-	Fail [][]bool
+	// Fail[t][f] is true when failing call Call to Functions[f] during
+	// TestIDs[t] makes the test fail; Crash[t][f] when it crashes (a
+	// crash is a failure too).
+	Fail, Crash [][]bool
+}
+
+// FaultMapFor maps target p: rows are the tests of module (the whole
+// suite when ""), columns its nFuncs most-called libc functions, and
+// each cell is one run with the call-th call to the function failed
+// with the first error of its fault profile.
+func FaultMapFor(p *prog.Program, module string, nFuncs, call int) FaultMap {
+	funcs := trace.Profile(p).TopFunctions(nFuncs)
+	m := FaultMap{Target: p.Name, Module: module, Call: call, Functions: funcs}
+	for t, tc := range p.TestSuite {
+		if module != "" && !strings.Contains(tc.Name, "/"+module+"-") {
+			continue
+		}
+		fail, crash := make([]bool, len(funcs)), make([]bool, len(funcs))
+		for j, fn := range funcs {
+			out := prog.Run(p, t, planFor(fn, call))
+			fail[j], crash[j] = out.Injected && out.Failed, out.Injected && out.Crashed
+		}
+		m.TestIDs, m.TestNames = append(m.TestIDs, t), append(m.TestNames, tc.Name)
+		m.Fail, m.Crash = append(m.Fail, fail), append(m.Crash, crash)
+	}
+	return m
 }
 
 // Fig1 builds the fault-space map of the ls tests in the coreutils
 // target, mirroring Fig. 1: black cells (true) are test failures.
-func Fig1(o Opts) Fig1Result {
-	p := targets.Coreutils()
-	sp := trace.Profile(p)
-	funcs := sp.TopFunctions(19)
-	var res Fig1Result
-	res.Functions = funcs
-	for t, tc := range p.TestSuite {
-		if !strings.Contains(tc.Name, "/ls-") {
-			continue
-		}
-		res.TestIDs = append(res.TestIDs, t)
-		res.TestNames = append(res.TestNames, tc.Name)
-	}
-	res.Fail = make([][]bool, len(res.TestIDs))
-	for i, t := range res.TestIDs {
-		res.Fail[i] = make([]bool, len(funcs))
-		for j, fn := range funcs {
-			plan := planFor(fn, 1)
-			out := prog.Run(p, t, plan)
-			res.Fail[i][j] = out.Injected && out.Failed
-		}
-	}
-	return res
-}
+func Fig1(o Opts) FaultMap { return FaultMapFor(targets.Coreutils(), "ls", 19, 1) }
 
 // String renders the map with one row per test, '#' for failure, '.' for
 // no failure — the ASCII analogue of Fig. 1.
-func (r Fig1Result) String() string {
+func (r FaultMap) String() string {
 	var b strings.Builder
-	b.WriteString("Fig. 1 — fault map of ls (rows: tests, cols: libc functions, '#' = test failure)\n")
+	fmt.Fprintf(&b, "Fig. 1 — fault map of %s (rows: tests, cols: libc functions, '#' = test failure)\n", r.Module)
 	for j, fn := range r.Functions {
 		fmt.Fprintf(&b, "  col %2d: %s\n", j, fn)
 	}
@@ -229,7 +232,7 @@ func (r Fig1Result) String() string {
 }
 
 // Density returns the fraction of cells that are failures.
-func (r Fig1Result) Density() float64 {
+func (r FaultMap) Density() float64 {
 	n, total := 0, 0
 	for _, row := range r.Fail {
 		for _, f := range row {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"afex/internal/core"
-	"afex/internal/dsl"
 	"afex/internal/explore"
 	"afex/internal/faultspace"
 	"afex/internal/inject"
@@ -201,7 +200,6 @@ func Table6(o Opts) Table6Result {
 	// do not.
 	goal := map[string]bool{}
 	s0 := full.Spaces[0]
-	axisNames := dsl.AxisNames(full, 0)
 	s0.Enumerate(func(f faultspace.Fault) bool {
 		if s0.Attr(f, 1) != "malloc" {
 			return true
@@ -210,10 +208,9 @@ func Table6(o Opts) Table6Result {
 		if !lnmv[tid] {
 			return true
 		}
-		pt := faultspace.Point{Sub: 0, Fault: f}
-		out := executePoint(p, full, pt)
+		sc, out := executePoint(p, full, faultspace.Point{Sub: 0, Fault: f})
 		if out.Injected && out.Failed {
-			goal[dsl.FormatScenario(dsl.ScenarioFor(full, pt), axisNames)] = true
+			goal[sc] = true
 		}
 		return true
 	})

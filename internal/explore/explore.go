@@ -184,28 +184,33 @@ type Skipper interface {
 	Skip(c Candidate)
 }
 
+// The fitness-guided explorer's tuning, at the values the evaluation
+// uses throughout.
+const (
+	// initialBatch is the number of random seed tests generated before
+	// fitness guidance kicks in (step 1 of §3).
+	initialBatch = 20
+	// queueSize bounds Qpriority.
+	queueSize = 20
+	// sensitivityWindow is n in "sum the fitness of the previous n test
+	// cases in which attribute αi was mutated".
+	sensitivityWindow = 20
+	// sigmaFraction scales the Gaussian σ as a fraction of |Ai|: the
+	// paper uses σ = |Ai|/5.
+	sigmaFraction = 0.2
+	// agingFactor multiplies every pool member's fitness after each
+	// executed test.
+	agingFactor = 0.93
+	// retireFraction: a pool member retires when its fitness decays
+	// below retireFraction times the pool's mean fitness.
+	retireFraction = 0.05
+)
+
 // Config parameterizes the fitness-guided explorer. Zero values select
-// the defaults used throughout the evaluation.
+// the full algorithm used throughout the evaluation.
 type Config struct {
 	// Seed makes the exploration deterministic.
 	Seed int64
-	// InitialBatch is the number of random seed tests generated before
-	// fitness guidance kicks in (step 1 of §3). Default 20.
-	InitialBatch int
-	// QueueSize bounds Qpriority. Default 20.
-	QueueSize int
-	// SensitivityWindow is n in "sum the fitness of the previous n test
-	// cases in which attribute αi was mutated". Default 20.
-	SensitivityWindow int
-	// SigmaFraction scales the Gaussian σ as a fraction of |Ai|. The
-	// paper uses σ = |Ai|/5, i.e. 0.2. Default 0.2.
-	SigmaFraction float64
-	// AgingFactor multiplies every pool member's fitness after each
-	// executed test. Default 0.93.
-	AgingFactor float64
-	// RetireFraction: a pool member retires when its fitness decays below
-	// RetireFraction times the pool's mean fitness. Default 0.05.
-	RetireFraction float64
 
 	// Ablation switches (all default off, i.e. full algorithm), compared
 	// by experiments.Ablations and the root package's BenchmarkAblation*.
@@ -221,28 +226,6 @@ type Config struct {
 	// Greedy always mutates the highest-fitness pool member instead of
 	// sampling fitness-proportionally.
 	Greedy bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.InitialBatch <= 0 {
-		c.InitialBatch = 20
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 20
-	}
-	if c.SensitivityWindow <= 0 {
-		c.SensitivityWindow = 20
-	}
-	if c.SigmaFraction <= 0 {
-		c.SigmaFraction = 0.2
-	}
-	if c.AgingFactor <= 0 {
-		c.AgingFactor = 0.93
-	}
-	if c.RetireFraction <= 0 {
-		c.RetireFraction = 0.05
-	}
-	return c
 }
 
 // executed is a pool entry: an executed test and its decaying fitness.
@@ -352,6 +335,8 @@ type FitnessGuided struct {
 	axisLen [][]int
 	// seedsLeft counts remaining initial random seeds.
 	seedsLeft int
+	// poolCap bounds the pool: queueSize (tests vary it in-package).
+	poolCap   int
 	executedN int
 
 	// What the attempts of one Next call draw from, built on first use
@@ -372,12 +357,12 @@ type drawWeights struct {
 
 // NewFitnessGuided builds a fitness-guided explorer over the given space.
 func NewFitnessGuided(space *faultspace.Union, cfg Config) *FitnessGuided {
-	cfg = cfg.withDefaults()
 	fg := &FitnessGuided{
 		cfg:       cfg,
 		admitter:  admitter{space: space, queued: make(map[string]bool)},
 		rng:       xrand.New(cfg.Seed),
-		seedsLeft: cfg.InitialBatch,
+		seedsLeft: initialBatch,
+		poolCap:   queueSize,
 	}
 	fg.sens = make([][]*axisWindow, len(space.Spaces))
 	fg.axisLen = make([][]int, len(space.Spaces))
@@ -385,7 +370,7 @@ func NewFitnessGuided(space *faultspace.Union, cfg Config) *FitnessGuided {
 	for i, s := range space.Spaces {
 		fg.sens[i] = make([]*axisWindow, s.Dims())
 		for k, a := range s.Axes {
-			fg.sens[i][k] = newAxisWindow(cfg.SensitivityWindow)
+			fg.sens[i][k] = newAxisWindow(sensitivityWindow)
 			fg.axisLen[i] = append(fg.axisLen[i], a.Len())
 		}
 	}
@@ -516,7 +501,7 @@ func (fg *FitnessGuided) mutate() (c Candidate, parent int, ok bool) {
 			newVal++
 		}
 	} else {
-		sigma := fg.cfg.SigmaFraction * float64(n)
+		sigma := sigmaFraction * float64(n)
 		newVal = fg.rng.Gaussian(n, old, sigma)
 	}
 	// A memoised mutation was no hole (Hole is a function of the fault),
@@ -591,14 +576,14 @@ func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 
 	if !fg.cfg.NoAging {
 		for _, e := range fg.pool {
-			e.fitness *= fg.cfg.AgingFactor
+			e.fitness *= agingFactor
 		}
 		fg.retire()
 	}
 
 	e := &executed{point: c.Point, key: key, fitness: fitness, impact: impact}
 	fg.pool, fg.refused = append(fg.pool, e), append(fg.refused, nil)
-	if last := len(fg.pool) - 1; last >= fg.cfg.QueueSize {
+	if last := len(fg.pool) - 1; last >= fg.poolCap {
 		fg.call++ // the pool changed: rebuild its weights
 		weights := fg.poolWeights().w
 		victim := fg.rng.InverseWeightedInto(weights, weights)
@@ -626,7 +611,7 @@ func (fg *FitnessGuided) BatchNext(n int) []Candidate { return nextEach(fg, n) }
 func (fg *FitnessGuided) ReportBatch(batch []Feedback) { reportEach(fg, batch) }
 
 // retire drops pool members whose decayed fitness fell below
-// RetireFraction of the pool mean; they can no longer have offspring.
+// retireFraction of the pool mean; they can no longer have offspring.
 func (fg *FitnessGuided) retire() {
 	if len(fg.pool) == 0 {
 		return
@@ -639,7 +624,7 @@ func (fg *FitnessGuided) retire() {
 	if mean <= 0 {
 		return
 	}
-	threshold := fg.cfg.RetireFraction * mean
+	threshold := retireFraction * mean
 	kept, memos := fg.pool[:0], fg.refused[:0]
 	for i, e := range fg.pool {
 		if e.fitness >= threshold {

@@ -62,7 +62,8 @@ func TestFitnessGuidedExhaustsSpace(t *testing.T) {
 
 func TestFitnessGuidedInitialBatchIsRandom(t *testing.T) {
 	space := smallSpace()
-	ex := NewFitnessGuided(space, Config{Seed: 3, InitialBatch: 10})
+	ex := NewFitnessGuided(space, Config{Seed: 3})
+	ex.seedsLeft = 10
 	for i, c := range drive(ex, 10, zeroImpact) {
 		if c.MutatedAxis != -1 || c.ParentKey != "" {
 			t.Fatalf("seed %d is not random: %+v", i, c)
@@ -72,7 +73,8 @@ func TestFitnessGuidedInitialBatchIsRandom(t *testing.T) {
 
 func TestFitnessGuidedMutatesOneAxis(t *testing.T) {
 	space := smallSpace()
-	ex := NewFitnessGuided(space, Config{Seed: 4, InitialBatch: 5})
+	ex := NewFitnessGuided(space, Config{Seed: 4})
+	ex.seedsLeft = 5
 	cands := drive(ex, 80, func(p faultspace.Point) float64 { return 10 })
 	mutations := 0
 	for _, c := range cands {

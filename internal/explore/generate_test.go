@@ -23,7 +23,8 @@ func wideSpace() *faultspace.Union {
 // Next rejects 100 mutations, then accepts a random seed.
 func minedOut(t *testing.T) *FitnessGuided {
 	t.Helper()
-	fg := NewFitnessGuided(wideSpace(), Config{Seed: 3, InitialBatch: 1})
+	fg := NewFitnessGuided(wideSpace(), Config{Seed: 3})
+	fg.seedsLeft = 1
 	c, _ := fg.Next()
 	fg.Report(c, 1, 1)
 	for axis := range c.Point.Fault {
@@ -106,7 +107,7 @@ func TestCandidateKeyIsPointKey(t *testing.T) {
 	prior := NewKeySet([]string{"0:0,0,0", "0:3,1,4"})
 	stacks := map[string]func() Explorer{
 		"fitness":   func() Explorer { return NewFitnessGuided(stateSpace(), Config{Seed: 1}) },
-		"genetic":   func() Explorer { return NewGenetic(stateSpace(), GeneticConfig{Seed: 1}) },
+		"genetic":   func() Explorer { return NewGenetic(stateSpace(), 1) },
 		"random":    func() Explorer { return NewRandom(stateSpace(), 1) },
 		"portfolio": func() Explorer { return NewPortfolio(stateSpace(), Config{Seed: 1}) },
 		"novel(sharded-portfolio)": func() Explorer {

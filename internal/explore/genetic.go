@@ -21,9 +21,6 @@ type Genetic struct {
 	admitter
 	rng *xrand.Rand
 
-	popSize      int
-	mutationRate float64
-
 	// population holds the current generation's evaluated members.
 	population []*executed
 	// offspring queues the next generation awaiting execution.
@@ -31,29 +28,20 @@ type Genetic struct {
 	executedN int
 }
 
-// GeneticConfig parameterizes the genetic explorer.
-type GeneticConfig struct {
-	Seed int64
-	// PopSize is the generation size. Default 30.
-	PopSize int
-	// MutationRate is the per-attribute probability of a uniform
-	// mutation after crossover. Default 0.1.
-	MutationRate float64
-}
+// The genetic explorer's tuning.
+const (
+	// popSize is the generation size.
+	popSize = 30
+	// mutationRate is the per-attribute probability of a uniform
+	// mutation after crossover.
+	mutationRate = 0.1
+)
 
 // NewGenetic builds a genetic-algorithm explorer over the space.
-func NewGenetic(space *faultspace.Union, cfg GeneticConfig) *Genetic {
-	if cfg.PopSize <= 0 {
-		cfg.PopSize = 30
-	}
-	if cfg.MutationRate <= 0 {
-		cfg.MutationRate = 0.1
-	}
+func NewGenetic(space *faultspace.Union, seed int64) *Genetic {
 	return &Genetic{
-		admitter:     admitter{space: space, queued: make(map[string]bool)},
-		rng:          xrand.New(cfg.Seed),
-		popSize:      cfg.PopSize,
-		mutationRate: cfg.MutationRate,
+		admitter: admitter{space: space, queued: make(map[string]bool)},
+		rng:      xrand.New(seed),
 	}
 }
 
@@ -67,7 +55,7 @@ func (g *Genetic) Next() (Candidate, bool) {
 		if len(g.offspring) > 0 {
 			c = g.offspring[0]
 			g.offspring = g.offspring[1:]
-		} else if len(g.population) >= g.popSize {
+		} else if len(g.population) >= popSize {
 			g.breed()
 			continue
 		} else {
@@ -92,7 +80,7 @@ func (g *Genetic) breed() {
 		weights[i] = m.fitness
 	}
 	total := xrand.WeightTotal(weights)
-	for len(g.offspring) < g.popSize {
+	for len(g.offspring) < popSize {
 		a := g.population[g.rng.WeightedTotal(weights, total)]
 		b := g.population[g.rng.WeightedTotal(weights, total)]
 		child := g.crossover(a, b)
@@ -125,7 +113,7 @@ func (g *Genetic) crossover(a, b *executed) faultspace.Point {
 func (g *Genetic) mutate(p faultspace.Point) {
 	s := g.space.Spaces[p.Sub]
 	for k := range p.Fault {
-		if g.rng.Float64() < g.mutationRate {
+		if g.rng.Float64() < mutationRate {
 			p.Fault[k] = g.rng.Intn(s.Axes[k].Len())
 		}
 	}

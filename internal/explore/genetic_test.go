@@ -7,7 +7,7 @@ import (
 )
 
 func TestGeneticNeverRepeats(t *testing.T) {
-	ex := NewGenetic(smallSpace(), GeneticConfig{Seed: 1})
+	ex := NewGenetic(smallSpace(), 1)
 	seen := map[string]bool{}
 	for _, c := range drive(ex, 100, func(p faultspace.Point) float64 { return float64(p.Fault[0]) }) {
 		if seen[c.Point.Key()] {
@@ -21,7 +21,7 @@ func TestGeneticNeverRepeats(t *testing.T) {
 }
 
 func TestGeneticExhaustsSpace(t *testing.T) {
-	ex := NewGenetic(smallSpace(), GeneticConfig{Seed: 2})
+	ex := NewGenetic(smallSpace(), 2)
 	got := drive(ex, 1000, zeroImpact)
 	if len(got) != 100 {
 		t.Fatalf("executed %d tests, want the whole 100-point space", len(got))
@@ -58,7 +58,7 @@ func TestGeneticBeatsRandomButLosesToFitnessGuided(t *testing.T) {
 	}
 	gen, rnd, fit := 0, 0, 0
 	for seed := int64(1); seed <= 8; seed++ {
-		gen += count(drive(NewGenetic(mk(), GeneticConfig{Seed: seed}), 200, ridge))
+		gen += count(drive(NewGenetic(mk(), seed), 200, ridge))
 		rnd += count(drive(NewRandom(mk(), seed), 200, ridge))
 		fit += count(drive(NewFitnessGuided(mk(), Config{Seed: seed}), 200, ridge))
 	}
@@ -73,7 +73,7 @@ func TestGeneticBeatsRandomButLosesToFitnessGuided(t *testing.T) {
 func TestGeneticHandlesHoles(t *testing.T) {
 	s := faultspace.New("h", faultspace.IntAxis("x", 0, 9), faultspace.IntAxis("y", 0, 9))
 	s.Hole = func(f faultspace.Fault) bool { return f[0] == 5 }
-	ex := NewGenetic(faultspace.NewUnion(s), GeneticConfig{Seed: 3})
+	ex := NewGenetic(faultspace.NewUnion(s), 3)
 	for _, c := range drive(ex, 60, func(p faultspace.Point) float64 { return 5 }) {
 		if c.Point.Fault[0] == 5 {
 			t.Fatalf("genetic explorer produced hole point %v", c.Point.Fault)

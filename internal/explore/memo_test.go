@@ -100,15 +100,20 @@ func (w *memoWatch) look(t *testing.T, fg *FitnessGuided) {
 // "taken" shrinks — and carry on in lockstep to exhaustion.
 func TestFitnessMemoMatchesReference(t *testing.T) {
 	const steps = 1600
-	for name, cfg := range map[string]Config{
-		"retire":   {QueueSize: steps + 1},
-		"eviction": {NoAging: true},
-		"full":     {},
+	for name, tc := range map[string]struct {
+		cfg     Config
+		poolCap int
+	}{
+		"retire":   {poolCap: steps + 1},
+		"eviction": {cfg: Config{NoAging: true}, poolCap: queueSize},
+		"full":     {poolCap: queueSize},
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
+			cfg := tc.cfg
 			cfg.Seed = seed
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				got, want := NewFitnessGuided(memoSpace(), cfg), newRefFitness(memoSpace(), cfg)
+				got.poolCap, want.poolCap = tc.poolCap, tc.poolCap
 				w := &memoWatch{owner: map[*refusals]*executed{}}
 				var mid *State
 				for i := 0; i < steps; i++ {

@@ -164,7 +164,7 @@ func (fg *refFitness) mutate() (Candidate, bool) {
 			newVal++
 		}
 	} else {
-		sigma := fg.cfg.SigmaFraction * float64(n)
+		sigma := sigmaFraction * float64(n)
 		newVal = fg.rng.Gaussian(n, old, sigma)
 	}
 
@@ -190,14 +190,14 @@ func (fg *refFitness) Report(c Candidate, impact, fitness float64) {
 
 	if !fg.cfg.NoAging {
 		for _, e := range fg.pool {
-			e.fitness *= fg.cfg.AgingFactor
+			e.fitness *= agingFactor
 		}
 		fg.retire()
 	}
 
 	e := &executed{point: c.Point, key: key, fitness: fitness, impact: impact}
 	fg.pool = append(fg.pool, e)
-	if len(fg.pool) > fg.cfg.QueueSize {
+	if len(fg.pool) > fg.poolCap {
 		weights := make([]float64, len(fg.pool))
 		for i, m := range fg.pool {
 			weights[i] = m.fitness
@@ -226,7 +226,7 @@ func (fg *refFitness) retire() {
 	if mean <= 0 {
 		return
 	}
-	threshold := fg.cfg.RetireFraction * mean
+	threshold := retireFraction * mean
 	kept := fg.pool[:0]
 	for _, e := range fg.pool {
 		if e.fitness >= threshold {
@@ -247,7 +247,7 @@ func (g *refGenetic) Next() (Candidate, bool) {
 		if len(g.offspring) > 0 {
 			c = g.offspring[0]
 			g.offspring = g.offspring[1:]
-		} else if len(g.population) >= g.popSize {
+		} else if len(g.population) >= popSize {
 			g.breed()
 			continue
 		} else {
@@ -283,7 +283,7 @@ func (g *refGenetic) breed() {
 	for i, m := range g.population {
 		weights[i] = m.fitness
 	}
-	for len(g.offspring) < g.popSize {
+	for len(g.offspring) < popSize {
 		a := g.population[g.rng.Weighted(weights)]
 		b := g.population[g.rng.Weighted(weights)]
 		child := g.crossover(a, b)
@@ -429,11 +429,10 @@ func TestFitnessMatchesReferenceToExhaustion(t *testing.T) {
 func TestGeneticMatchesReference(t *testing.T) {
 	for _, space := range []func() *faultspace.Union{stateSpace, holeySpace} {
 		for seed := int64(1); seed <= 3; seed++ {
-			cfg := GeneticConfig{Seed: seed}
-			got, want := NewGenetic(space(), cfg), &refGenetic{NewGenetic(space(), cfg)}
+			got, want := NewGenetic(space(), seed), &refGenetic{NewGenetic(space(), seed)}
 			lockstep(t, got, want, 150)
 			st := got.ExportState()
-			got, want = NewGenetic(space(), cfg), &refGenetic{NewGenetic(space(), cfg)}
+			got, want = NewGenetic(space(), seed), &refGenetic{NewGenetic(space(), seed)}
 			if err := got.ImportState(st); err != nil {
 				t.Fatal(err)
 			}

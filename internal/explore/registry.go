@@ -95,7 +95,7 @@ func init() {
 		return NewExhaustive(space), nil
 	})
 	Register("genetic", func(space *faultspace.Union, cfg Config) (Explorer, error) {
-		return NewGenetic(space, GeneticConfig{Seed: cfg.Seed}), nil
+		return NewGenetic(space, cfg.Seed), nil
 	})
 	Register("portfolio", func(space *faultspace.Union, cfg Config) (Explorer, error) {
 		return NewPortfolio(space, cfg), nil

@@ -185,9 +185,9 @@ func (fg *FitnessGuided) importSearch(st *SearchState) error {
 		}
 		for k := range st.Sens[i] {
 			w := &st.Sens[i][k]
-			if len(w.Vals) > fg.cfg.SensitivityWindow {
+			if len(w.Vals) > sensitivityWindow {
 				return fmt.Errorf("explore: state sensitivity window %d exceeds configured %d",
-					len(w.Vals), fg.cfg.SensitivityWindow)
+					len(w.Vals), sensitivityWindow)
 			}
 			// The ring cursor must index into Vals (or be 0 while the
 			// window is still filling); a corrupt cursor would panic on
@@ -218,7 +218,7 @@ func (fg *FitnessGuided) importSearch(st *SearchState) error {
 	fg.refused = make([]*refusals, len(fg.pool))
 	for i := range st.Sens {
 		for k := range st.Sens[i] {
-			w := newAxisWindow(fg.cfg.SensitivityWindow)
+			w := newAxisWindow(sensitivityWindow)
 			w.vals = append(w.vals, st.Sens[i][k].Vals...)
 			w.next = st.Sens[i][k].Next
 			if sum := st.Sens[i][k].Sum; sum != nil {

@@ -93,7 +93,7 @@ func rawSums(fg *FitnessGuided) []float64 {
 func TestWindowSumSurvivesRoundTrip(t *testing.T) {
 	cfg := Config{Seed: 5}
 	orig := NewFitnessGuided(stateSpace(), cfg)
-	for i := 0; i < 10*orig.cfg.SensitivityWindow; i++ {
+	for i := 0; i < 10*sensitivityWindow; i++ {
 		c, ok := orig.Next()
 		if !ok {
 			t.Fatalf("space exhausted after %d", i)

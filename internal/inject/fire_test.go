@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"afex/internal/dsl"
 	"afex/internal/inject"
 	"afex/internal/libc"
 	"afex/internal/prog"
@@ -78,10 +77,9 @@ func TestInjectorMultiFault(t *testing.T) {
 
 func TestPluginConvertSecondSlotNoInjection(t *testing.T) {
 	var p inject.Plugin
-	_, plan, err := p.Convert(dsl.Scenario{
-		"function": "read", "callNumber": "1",
-		"function2": "malloc", "callNumber2": "0", // explicit no-injection slot
-	})
+	_, plan, err := p.ConvertValues(
+		[]string{"function", "callNumber", "function2", "callNumber2"},
+		[]string{"read", "1", "malloc", "0"}) // callNumber2 0: an explicit no-injection slot
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"afex/internal/dsl"
 	"afex/internal/libc"
 )
 
@@ -83,57 +82,38 @@ func (p Point) String() string {
 	return fmt.Sprintf("test=%d %s@%d", p.TestID, p.Function, p.CallNumber)
 }
 
-// Plugin converts AFEX-internal fault descriptions (dsl.Scenario maps)
-// into concrete injector configuration. This mirrors the node manager
-// plugins of §6: "each plugin adapts a subspace of the fault space to the
-// particulars of its associated injector". The scenario keys recognized
-// are: testID, function, errno, retval/retVal, callNumber — plus
-// function2/errno2/retval2/callNumber2 for two-fault scenarios ("inject
-// an EINTR error in the third read socket call, and an ENOMEM error in
-// the seventh malloc call", §6). A callNumber of 0 encodes "this slot
-// injects nothing", so pair spaces can include single-fault points.
+// Plugin converts scenarios — parallel name/value slices in axis order
+// (dsl.AxisNames / dsl.ValuesFor, or dsl.ParseScenario of a recorded
+// one) — into concrete injector configuration. This mirrors the node
+// manager plugins of §6: "each plugin adapts a subspace of the fault
+// space to the particulars of its associated injector". The scenario
+// keys recognized are: testID, function, errno, retval/retVal,
+// callNumber — plus function2/errno2/retval2/callNumber2 for two-fault
+// scenarios ("inject an EINTR error in the third read socket call, and
+// an ENOMEM error in the seventh malloc call", §6). A callNumber of 0
+// encodes "this slot injects nothing", so pair spaces can include
+// single-fault points.
 type Plugin struct{}
 
-// Convert builds an injection point and plan from a scenario. Missing
-// errno/retval fields are filled from the function's fault profile (its
-// first error return), matching how a tester would default them. An
-// unknown function or malformed number is an error: the fault space
-// description disagrees with the injector's capabilities.
+// ConvertValues builds an injection point and plan from a scenario.
+// Missing errno/retval fields are filled from the function's fault
+// profile (its first error return), matching how a tester would default
+// them. An unknown function or malformed number is an error: the fault
+// space description disagrees with the injector's capabilities.
 //
 // The returned Point describes the primary fault; the Plan carries every
 // fault of a multi-fault scenario.
-func (Plugin) Convert(s dsl.Scenario) (Point, Plan, error) {
-	return convert(func(key string) string { return s[key] })
-}
-
-// ConvertValues is Convert for the slice-based scenario path: parallel
-// name/value slices in axis order (dsl.AxisNames / dsl.ValuesFor)
-// instead of a per-candidate map. Axis counts are small, so the linear
-// key scan beats building and hashing a map on every executed test.
 func (Plugin) ConvertValues(names, vals []string) (Point, Plan, error) {
-	return convert(func(key string) string {
-		for i, n := range names {
-			if n == key {
-				return vals[i]
-			}
-		}
-		return ""
-	})
-}
-
-// convert implements Convert/ConvertValues over a scenario accessor.
-// An absent key reads as "" — no axis value is ever the empty string, so
-// the two are equivalent.
-func convert(get func(string) string) (Point, Plan, error) {
+	s := scenario{names, vals}
 	var pt Point
 	var err error
-	if v := get("testID"); v != "" {
+	if v := s.get("testID"); v != "" {
 		pt.TestID, err = strconv.Atoi(v)
 		if err != nil {
 			return pt, Plan{}, fmt.Errorf("inject: bad testID %q: %v", v, err)
 		}
 	}
-	primary, err := convertSlot(get, "")
+	primary, err := s.slot("")
 	if err != nil {
 		return pt, Plan{}, err
 	}
@@ -143,7 +123,7 @@ func convert(get func(string) string) (Point, Plan, error) {
 	pt.Function = primary.Function
 	pt.CallNumber = primary.CallNumber
 	plan := Single(*primary)
-	if secondary, err := convertSlot(get, "2"); err != nil {
+	if secondary, err := s.slot("2"); err != nil {
 		return pt, Plan{}, err
 	} else if secondary != nil {
 		plan.Faults = append(plan.Faults, *secondary)
@@ -151,12 +131,27 @@ func convert(get func(string) string) (Point, Plan, error) {
 	return pt, plan, nil
 }
 
-// convertSlot converts one fault slot of a scenario; suffix "" is the
+// scenario is ConvertValues' view of its arguments.
+type scenario struct{ names, vals []string }
+
+// get returns key's value, "" when absent — no axis value is ever the
+// empty string, so the two are equivalent. Axis counts are small, so a
+// linear scan beats building and hashing a map on every executed test.
+func (s scenario) get(key string) string {
+	for i, n := range s.names {
+		if n == key {
+			return s.vals[i]
+		}
+	}
+	return ""
+}
+
+// slot converts one fault slot of the scenario; suffix "" is the
 // primary fault, "2" the secondary. A missing function means the slot is
 // absent (nil, nil); a callNumber of 0 arms nothing but is still a valid
 // description (the no-injection point of spaces that include one).
-func convertSlot(get func(string) string, suffix string) (*Fault, error) {
-	fn := get("function" + suffix)
+func (s scenario) slot(suffix string) (*Fault, error) {
+	fn := s.get("function" + suffix)
 	if fn == "" {
 		return nil, nil
 	}
@@ -164,7 +159,7 @@ func convertSlot(get func(string) string, suffix string) (*Fault, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("inject: unknown library function %q", fn)
 	}
-	cn := get("callNumber" + suffix)
+	cn := s.get("callNumber" + suffix)
 	if cn == "" {
 		cn = "1"
 	}
@@ -173,7 +168,7 @@ func convertSlot(get func(string) string, suffix string) (*Fault, error) {
 		return nil, fmt.Errorf("inject: bad callNumber%s %q: %v", suffix, cn, err)
 	}
 	er := prof.Errors[0]
-	if v := get("errno" + suffix); v != "" {
+	if v := s.get("errno" + suffix); v != "" {
 		found := false
 		for _, e := range prof.Errors {
 			if e.Errno == v {
@@ -188,9 +183,9 @@ func convertSlot(get func(string) string, suffix string) (*Fault, error) {
 			er = libc.ErrorReturn{Retval: er.Retval, Errno: v}
 		}
 	}
-	rv := get("retval" + suffix)
+	rv := s.get("retval" + suffix)
 	if rv == "" {
-		rv = get("retVal" + suffix) // the paper's Fig. 4 spells it both ways
+		rv = s.get("retVal" + suffix) // the paper's Fig. 4 spells it both ways
 	}
 	if rv != "" {
 		er.Retval, err = strconv.Atoi(rv)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"afex/internal/dsl"
 	"afex/internal/libc"
 )
 
@@ -41,9 +40,9 @@ func TestPointString(t *testing.T) {
 
 func TestPluginConvertBasics(t *testing.T) {
 	var p Plugin
-	pt, plan, err := p.Convert(dsl.Scenario{
-		"testID": "7", "function": "read", "errno": "EINTR", "retval": "-1", "callNumber": "3",
-	})
+	pt, plan, err := p.ConvertValues(
+		[]string{"testID", "function", "errno", "retval", "callNumber"},
+		[]string{"7", "read", "EINTR", "-1", "3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestPluginConvertBasics(t *testing.T) {
 
 func TestPluginConvertDefaultsFromProfile(t *testing.T) {
 	var p Plugin
-	_, plan, err := p.Convert(dsl.Scenario{"function": "malloc", "callNumber": "2"})
+	_, plan, err := p.ConvertValues([]string{"function", "callNumber"}, []string{"malloc", "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestPluginConvertDefaultsFromProfile(t *testing.T) {
 
 func TestPluginConvertDefaultCallNumber(t *testing.T) {
 	var p Plugin
-	pt, _, err := p.Convert(dsl.Scenario{"function": "read"})
+	pt, _, err := p.ConvertValues([]string{"function"}, []string{"read"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestPluginConvertDefaultCallNumber(t *testing.T) {
 func TestPluginConvertRetValSpelling(t *testing.T) {
 	// Fig. 4 spells it "retVal" in one subspace and "retval" in another.
 	var p Plugin
-	_, plan, err := p.Convert(dsl.Scenario{"function": "read", "retVal": "-1", "callNumber": "1"})
+	_, plan, err := p.ConvertValues([]string{"function", "retVal", "callNumber"}, []string{"read", "-1", "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestPluginConvertRetValSpelling(t *testing.T) {
 
 func TestPluginConvertUnknownErrnoKeepsRetval(t *testing.T) {
 	var p Plugin
-	_, plan, err := p.Convert(dsl.Scenario{"function": "read", "errno": "EWHATEVER", "callNumber": "1"})
+	_, plan, err := p.ConvertValues([]string{"function", "errno", "callNumber"}, []string{"read", "EWHATEVER", "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +110,9 @@ func TestPluginConvertUnknownErrnoKeepsRetval(t *testing.T) {
 
 func TestPluginConvertTwoFaultScenario(t *testing.T) {
 	var p Plugin
-	pt, plan, err := p.Convert(dsl.Scenario{
-		"testID":   "3",
-		"function": "read", "errno": "EINTR", "callNumber": "3",
-		"function2": "malloc", "errno2": "ENOMEM", "callNumber2": "7",
-	})
+	pt, plan, err := p.ConvertValues(
+		[]string{"testID", "function", "errno", "callNumber", "function2", "errno2", "callNumber2"},
+		[]string{"3", "read", "EINTR", "3", "malloc", "ENOMEM", "7"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,63 +130,25 @@ func TestPluginConvertTwoFaultScenario(t *testing.T) {
 
 func TestPluginConvertBadSecondSlot(t *testing.T) {
 	var p Plugin
-	if _, _, err := p.Convert(dsl.Scenario{
-		"function": "read", "callNumber": "1",
-		"function2": "bogus", "callNumber2": "1",
-	}); err == nil {
+	if _, _, err := p.ConvertValues(
+		[]string{"function", "callNumber", "function2", "callNumber2"},
+		[]string{"read", "1", "bogus", "1"}); err == nil {
 		t.Error("unknown secondary function accepted")
 	}
 }
 
 func TestPluginConvertErrors(t *testing.T) {
 	var p Plugin
-	cases := []dsl.Scenario{
-		{"callNumber": "1"}, // missing function
-		{"function": "not_a_function", "callNumber": "1"},      // unknown function
-		{"function": "read", "callNumber": "many"},             // bad number
-		{"function": "read", "callNumber": "1", "retval": "x"}, // bad retval
-		{"function": "read", "testID": "NaN"},                  // bad testID
+	cases := [][2][]string{
+		{{"callNumber"}, {"1"}},                                    // missing function
+		{{"function", "callNumber"}, {"not_a_function", "1"}},      // unknown function
+		{{"function", "callNumber"}, {"read", "many"}},             // bad number
+		{{"function", "callNumber", "retval"}, {"read", "1", "x"}}, // bad retval
+		{{"function", "testID"}, {"read", "NaN"}},                  // bad testID
 	}
 	for _, sc := range cases {
-		if _, _, err := p.Convert(sc); err == nil {
-			t.Errorf("Convert(%v) succeeded, want error", sc)
+		if _, _, err := p.ConvertValues(sc[0], sc[1]); err == nil {
+			t.Errorf("ConvertValues(%v, %v) succeeded, want error", sc[0], sc[1])
 		}
-	}
-}
-
-// TestConvertValuesMatchesConvert: the slice-based scenario path must
-// agree with the map path on every scenario shape, including two-fault
-// scenarios and profile-defaulted fields.
-func TestConvertValuesMatchesConvert(t *testing.T) {
-	var p Plugin
-	cases := []struct {
-		names []string
-		vals  []string
-	}{
-		{[]string{"testID", "function", "callNumber"}, []string{"3", "read", "2"}},
-		{[]string{"function", "errno", "retval", "callNumber"}, []string{"malloc", "ENOMEM", "0", "7"}},
-		{[]string{"testID", "function", "callNumber", "function2", "callNumber2"},
-			[]string{"1", "read", "2", "malloc", "5"}},
-		{[]string{"function"}, []string{"write"}}, // callNumber defaults to 1
-	}
-	for _, tc := range cases {
-		sc := dsl.Scenario{}
-		for i, n := range tc.names {
-			sc[n] = tc.vals[i]
-		}
-		mp, mplan, merr := p.Convert(sc)
-		vp, vplan, verr := p.ConvertValues(tc.names, tc.vals)
-		if (merr == nil) != (verr == nil) {
-			t.Fatalf("%v: errors disagree: %v vs %v", tc.names, merr, verr)
-		}
-		if mp != vp {
-			t.Errorf("%v: points disagree: %+v vs %+v", tc.names, mp, vp)
-		}
-		if mplan.String() != vplan.String() {
-			t.Errorf("%v: plans disagree: %q vs %q", tc.names, mplan, vplan)
-		}
-	}
-	if _, _, err := p.ConvertValues([]string{"callNumber"}, []string{"1"}); err == nil {
-		t.Error("missing function accepted by ConvertValues")
 	}
 }

@@ -208,10 +208,29 @@ func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// A stack's frames travel once (Manager.internStacks), perhaps on a
+	// result the book drops: learn them from every result first.
+	for i := range rb.Results {
+		c.learnStack(&rb.Results[i])
+	}
 	ack.Folded = c.book.Report(c.now(), rb.Manager, len(rb.Results),
 		func(i int) int { return rb.Results[i].Seq },
 		func(i int, t Task) core.ExecutedTest { return c.foldInput(t, &rb.Results[i], bname) })
 	return nil
+}
+
+// learnStack interns the frames a result carries under their hash.
+// Called under c.mu.
+func (c *Coordinator) learnStack(rw *ResultWire) {
+	if rw.StackHash == 0 || len(rw.Stack) == 0 {
+		return
+	}
+	if c.stacks == nil {
+		c.stacks = make(map[uint64][]string)
+	}
+	if _, seen := c.stacks[rw.StackHash]; !seen {
+		c.stacks[rw.StackHash] = append([]string(nil), rw.Stack...)
+	}
 }
 
 // foldInput is a retired lease's fold input: the reported outcome, its
@@ -220,17 +239,8 @@ func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 // a persistent session's journal replays the failure. Called under c.mu.
 func (c *Coordinator) foldInput(t Task, rw *ResultWire, bname string) core.ExecutedTest {
 	stack := rw.Stack
-	if rw.StackHash != 0 {
-		if len(stack) > 0 {
-			if c.stacks == nil {
-				c.stacks = make(map[uint64][]string)
-			}
-			if _, seen := c.stacks[rw.StackHash]; !seen {
-				c.stacks[rw.StackHash] = append([]string(nil), stack...)
-			}
-		} else {
-			stack = c.stacks[rw.StackHash]
-		}
+	if len(stack) == 0 && rw.StackHash != 0 {
+		stack = c.stacks[rw.StackHash]
 	}
 	out := c.coverage(rw.Blocks)
 	out.Failed, out.Crashed, out.Hung, out.Injected = rw.Failed, rw.Crashed, rw.Hung, rw.Injected

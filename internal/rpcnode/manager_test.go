@@ -4,6 +4,7 @@ import (
 	"net"
 	"net/rpc"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -393,6 +394,37 @@ func FuzzTaskConversion(f *testing.F) {
 	})
 }
 
+// TestStackFramesOfADroppedResultFold: a manager ships a stack's frames
+// once, on the first result with its hash, and the book may drop that
+// result — a reaped manager's late report skips every seq it no longer
+// holds, while its beat re-admits the manager. The bare hash on a result
+// the book folds still resolves to the frames.
+func TestStackFramesOfADroppedResultFold(t *testing.T) {
+	space := rpcSpace()
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
+	var batch TaskBatch
+	if err := coord.NextBatch(BatchRequest{Manager: "a", Max: 1}, &batch); err != nil || len(batch.Tasks) != 1 {
+		t.Fatalf("lease: %v, %d tasks", err, len(batch.Tasks))
+	}
+	frames := []string{"m!r", "m!read"}
+	h := stackHash(frames)
+	rb := ResultBatch{Manager: "a", Results: []ResultWire{
+		{Seq: 999, StackHash: h, Stack: frames, Injected: true, Failed: true}, // not held
+		{Seq: batch.Tasks[0].Seq, StackHash: h, Injected: true, Failed: true},
+	}}
+	var ack BatchAck
+	if err := coord.ReportBatch(rb, &ack); err != nil || ack.Folded != 1 {
+		t.Fatalf("report: %v, %d folded", err, ack.Folded)
+	}
+	recs := coord.Result().Records
+	if len(recs) != 1 {
+		t.Fatalf("folded %d records, want 1", len(recs))
+	}
+	if got := recs[0].Outcome.InjectionStack; !reflect.DeepEqual(got, frames) {
+		t.Fatalf("folded with stack %q, want %q", got, frames)
+	}
+}
+
 // FuzzReportBatch: a report of any results never panics the coordinator.
 // It folds only the seqs the reporting manager holds, each once, and
 // acknowledges exactly the leases it retired. With the lease byte's 0x40
@@ -413,6 +445,7 @@ func FuzzReportBatch(f *testing.F) {
 	f.Add(uint8(0x84), []byte{0, 0x0f, 1, 2, 1, 2, 1, 0x08, 2, 0, 6, 9, 0x01, 3, 7, 0x80, 0x01, 0})
 	f.Add(uint8(0x88), []byte{9, 0x00, 0, 0, 8, 1, 2, 0})
 	f.Add(uint8(0x41), []byte{1, 0x00, 0, 0, 2, 1, 0x09, 0})
+	f.Add(uint8(0), []byte{0xff, 0, 0xa9, 0, 2, 0, 0x29, 0}) // frames on a seq not held, then the bare hash
 	stacks := [][]string{nil, {"m!r", "m!read"}, {"m!r", "m!write"}, {"m!w"}}
 	f.Fuzz(func(t *testing.T, lease uint8, in []byte) {
 		space := rpcSpace()
@@ -478,6 +511,7 @@ func FuzzReportBatch(f *testing.F) {
 		}
 		var rb ResultBatch
 		retired := 0
+		var folds []byte // the stack of each retired result, in fold order
 		for len(in) > 0 && len(rb.Results) < 64 {
 			rw := ResultWire{Seq: int(next()) - 1, TestID: int(int8(next()))}
 			flags := next()
@@ -496,6 +530,7 @@ func FuzzReportBatch(f *testing.F) {
 			if out[rw.Seq] == "m" {
 				delete(out, rw.Seq)
 				retired++
+				folds = append(folds, flags>>5&3)
 			}
 			rb.Results = append(rb.Results, rw)
 		}
@@ -533,6 +568,25 @@ func FuzzReportBatch(f *testing.F) {
 				t.Fatalf("point %s folded twice", rec.Point.Key())
 			}
 			seen[rec.Point.Key()] = true
+		}
+		// A stack's frames anywhere in the report resolve its bare hash,
+		// whether or not the result carrying them folds.
+		sent := map[byte]bool{}
+		for _, rw := range rb.Results {
+			for k, st := range stacks {
+				if st != nil && rw.Stack != nil && rw.StackHash == stackHash(st) {
+					sent[byte(k)] = true
+				}
+			}
+		}
+		for i, rec := range coord.Result().Records[:len(folds)] { // m's folds come first
+			var want []string
+			if sent[folds[i]] {
+				want = stacks[folds[i]]
+			}
+			if !slices.Equal(rec.Outcome.InjectionStack, want) {
+				t.Fatalf("fold %d has stack %q, want %q", i, rec.Outcome.InjectionStack, want)
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"afex/internal/backend"
 	"afex/internal/inject"
 )
 
@@ -570,7 +571,11 @@ func TestPrecisionAfterTailResume(t *testing.T) {
 	if res.Base() != killAt {
 		t.Fatalf("resume has base %d, want the tail restore from snapshot %d", res.Base(), killAt)
 	}
-	reps := res.MeasurePrecision(ropts.Target, DefaultImpact(), 3)
+	runner, err := backend.New(backend.Model, backend.Config{Target: ropts.Target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := res.MeasurePrecision(runner, DefaultImpact(), 3)
 	if len(reps) == 0 {
 		t.Fatal("no representative past the restore base")
 	}
