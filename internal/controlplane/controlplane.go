@@ -203,6 +203,11 @@ type Plan struct {
 	Coordinator afex.CoordinatorOptions
 }
 
+// MaxParallel is the most workers or procs a session takes: each is a
+// goroutine or a live target process (the warm pool sizes a channel by
+// procs up front), and a width past any machine's cores buys nothing.
+const MaxParallel = 1024
+
 // Resolve validates the spec and turns it into the Plan that runs it.
 // It is pure — no file read, directory made, listener or process
 // started — so a spec can be checked (and fuzzed) without being run; an
@@ -243,6 +248,9 @@ func (spec SessionSpec) Resolve() (*Plan, error) {
 		if f.set && spec.Serve != "" {
 			return nil, fmt.Errorf("controlplane: %s configures a local executor; a coordinator session's managers execute", f.name)
 		}
+	}
+	if n := max(spec.Workers, spec.Procs); n > MaxParallel {
+		return nil, fmt.Errorf("controlplane: workers %d, procs %d: each is at most %d", spec.Workers, spec.Procs, MaxParallel)
 	}
 	var target *afex.System
 	var command *afex.CommandSpec

@@ -622,6 +622,8 @@ func TestResolveRefusals(t *testing.T) {
 		{"serve with procs", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Procs: 2}, "procs configures"},
 		{"serve with timeout", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Timeout: "1s"}, "timeout configures"},
 		{"serve with testArgs", controlplane.SessionSpec{Target: "cmd:./crashy {test}", Space: space, Serve: ":0", TestArgs: []string{"a"}}, "testArgs configures"},
+		{"workers above the ceiling", controlplane.SessionSpec{Target: "mysqld", Workers: controlplane.MaxParallel + 1}, "at most 1024"},
+		{"procs above the ceiling", controlplane.SessionSpec{Target: "cmd:./crashy {test}", Space: space, Procs: 2000000000}, "procs 2000000000"},
 	} {
 		if p, err := c.spec.Resolve(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: resolved to %+v, %v; want an error containing %q", c.name, p, err, c.want)
@@ -631,6 +633,10 @@ func TestResolveRefusals(t *testing.T) {
 	// executor's setting.
 	if _, err := (controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 1}).Resolve(); err != nil {
 		t.Errorf("serve with one worker: %v", err)
+	}
+	// The ceiling itself is a width a local session takes.
+	if _, err := (controlplane.SessionSpec{Target: "cmd:./crashy {test}", Space: space, Workers: controlplane.MaxParallel, Procs: controlplane.MaxParallel}).Resolve(); err != nil {
+		t.Errorf("workers and procs at the ceiling: %v", err)
 	}
 }
 

@@ -62,6 +62,9 @@ func FuzzSessionSpec(f *testing.F) {
 	// a body written for a build that had lease and heartbeat knobs: the keys are ignored
 	f.Add([]byte(`{"target": "mysqld", "leaseTimeout": "-1s", "heartbeat": "1s", "heartbeatMisses": 2}`))
 	seed(controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 4, Procs: 2})
+	// a local session wider than any machine: refused, never started
+	f.Add([]byte(`{"target": "mysqld", "procs": 2000000000}`))
+	seed(controlplane.SessionSpec{Target: "coreutils", Workers: controlplane.MaxParallel + 1})
 	f.Add([]byte(`{"target": "mysqld", "serve": ":0", "backend": "qemu", "peers": 2, "peer": -1}`))
 	f.Add([]byte(`{"target": 7}`))
 	f.Add([]byte(`[]`))
@@ -84,6 +87,9 @@ func FuzzSessionSpec(f *testing.F) {
 		}
 		if space == nil || space.Size() <= 0 || other != nil {
 			t.Fatalf("%q resolved to a plan with spaces %v / %v", data, space, other)
+		}
+		if o := p.Options; o.Workers > controlplane.MaxParallel || o.Procs > controlplane.MaxParallel {
+			t.Fatalf("%q resolved to %d workers, %d procs", data, o.Workers, o.Procs)
 		}
 		for _, sub := range space.Spaces {
 			for _, a := range sub.Axes {

@@ -149,6 +149,7 @@ type Engine struct {
 	failClusters  *cluster.Set
 	crashClusters *cluster.Set
 	res           *ResultSet
+	feedback      []explore.Feedback // commitBatch's, reused under mu
 	// stopped flips once and is read on every Lease, so it is atomic
 	// rather than lock-bound; deadline is immutable after NewEngine.
 	stopped  atomic.Bool
@@ -433,10 +434,10 @@ type ExecutedTest struct {
 	C   explore.Candidate
 	Rec Record
 	Out prog.Outcome
-	// Pre carries the precompute stage's output (see Precompute). Nil
-	// entries are precomputed by FoldBatch itself before it takes the
-	// session lock.
-	Pre *FoldPre
+	// Pre carries the precompute stage's output (see Precompute). An
+	// entry whose Pre is unset (the zero FoldPre) is precomputed by
+	// FoldBatch itself before it takes the session lock.
+	Pre FoldPre
 }
 
 // FoldPre is the output of the fold pipeline's precompute stage: the
@@ -446,7 +447,7 @@ type ExecutedTest struct {
 // invalidated in between, so results are identical to folding serially.
 type FoldPre struct {
 	// pointKey is the candidate's scenario key, shared by the seen
-	// tally and the novelty seed within one fold.
+	// tally and the novelty seed within one fold; never empty once set.
 	pointKey string
 	// stackKey is the injection stack's exact-match encoding (injected
 	// outcomes only), shared by the similarity memo and all cluster
@@ -468,14 +469,14 @@ type FoldPre struct {
 // from executor goroutines. FoldBatch precomputes any entry that skipped
 // this stage, so calling it is an optimization, never a requirement.
 func (e *Engine) Precompute(et *ExecutedTest) {
-	pre := &FoldPre{pointKey: et.C.Key()}
+	pre := &et.Pre
+	*pre = FoldPre{pointKey: et.C.Key()}
 	if et.Out.Injected {
 		pre.stackKey = cluster.StackKey(et.Out.InjectionStack)
 		if e.cfg.Feedback {
 			pre.sim, pre.simVersion = e.allStacks.PeekSimilarity(et.Out.InjectionStack, pre.stackKey)
 		}
 	}
-	et.Pre = pre
 }
 
 // FoldBatch folds a batch of executed tests as a two-phase pipeline:
@@ -504,7 +505,7 @@ func (e *Engine) FoldBatch(batch []ExecutedTest) bool {
 		return false
 	}
 	for i := range batch {
-		if batch[i].Pre == nil {
+		if batch[i].Pre.pointKey == "" {
 			e.Precompute(&batch[i])
 		}
 	}
@@ -524,11 +525,11 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 	if e.finished {
 		return true, nil
 	}
-	feedback := make([]explore.Feedback, 0, len(batch))
+	e.feedback = e.feedback[:0]
 	stop := false
 	for i := range batch {
 		stopped, fb := e.foldLocked(&batch[i])
-		feedback = append(feedback, fb)
+		e.feedback = append(e.feedback, fb)
 		stop = stop || stopped
 	}
 	// The deadline is checked once per batch (a sequential session folds
@@ -545,7 +546,8 @@ func (e *Engine) commitBatch(batch []ExecutedTest) (bool, *sessionView) {
 	// fold each lease once (a coordinator drops a late report from a
 	// manager it has given up on before it gets here).
 	e.exMu.Lock()
-	explore.ReportBatch(e.explorer, feedback)
+	explore.ReportBatch(e.explorer, e.feedback)
+	clear(e.feedback)
 	e.pending -= min(len(batch), e.pending)
 	e.progressLocked()
 	e.exMu.Unlock()
@@ -589,7 +591,7 @@ func (e *Engine) reserveRecords(restored []Record) []Record {
 }
 
 func (e *Engine) foldLocked(et *ExecutedTest) (bool, explore.Feedback) {
-	c, rec, outcome, pre := et.C, et.Rec, et.Out, et.Pre
+	c, rec, outcome, pre := et.C, et.Rec, et.Out, &et.Pre
 	rec.ID = e.res.Executed
 	rec.Outcome = outcome
 	rec.Cluster = -1
@@ -946,26 +948,33 @@ func (l *BackendExecutor) Execute(c explore.Candidate) (Record, prog.Outcome) {
 	return rec, outcome
 }
 
+// armed is a worker loop's executeBatch buffers: tests[j] arms cands[at[j]] with recs[j].
+type armed struct {
+	recs  []Record
+	tests []backend.Test
+	at    []int
+}
+
 // executeBatch is Execute for a whole lease: every candidate converts
 // first, then the convertible ones run as one backend batch, each
 // emitted as it ends.
-func (l *BackendExecutor) executeBatch(cands []explore.Candidate, emit func(i int, rec Record, out prog.Outcome)) {
-	recs := make([]Record, 0, len(cands))
-	tests := make([]backend.Test, 0, len(cands))
-	at := make([]int, 0, len(cands)) // tests[j] arms cands[at[j]]
+func (l *BackendExecutor) executeBatch(cands []explore.Candidate, a *armed, emit func(i int, rec Record, out prog.Outcome)) {
 	for i, c := range cands {
 		rec, t, ok := l.Convert(c)
 		if !ok {
 			emit(i, rec, prog.Outcome{})
 			continue
 		}
-		recs, tests, at = append(recs, rec), append(tests, t), append(at, i)
+		a.recs, a.tests, a.at = append(a.recs, rec), append(a.tests, t), append(a.at, i)
 	}
-	backend.RunBatch(l.Runner, tests, func(j int, out prog.Outcome, ex backend.Exec) {
-		rec := recs[j]
+	backend.RunBatch(l.Runner, a.tests, func(j int, out prog.Outcome, ex backend.Exec) {
+		rec := a.recs[j]
 		rec.Backend, rec.ExitStatus, rec.Duration = ex.Backend, ex.ExitStatus, ex.Duration
-		emit(at[j], rec, out)
+		emit(a.at[j], rec, out)
 	})
+	clear(a.recs)
+	clear(a.tests)
+	a.recs, a.tests, a.at = a.recs[:0], a.tests[:0], a.at[:0]
 }
 
 // RunLocal drives the engine to completion with its backend executor
@@ -1013,18 +1022,21 @@ func Work(src Source, exec Executor, batch int, observe func(perTest time.Durati
 // (an engine's FoldBatch precomputes outside the session lock), until
 // the source has nothing more to hand out. Every executed result folds,
 // stopped or not: stopping ends leasing, not accounting. A non-nil
-// observe takes each executed lease's wall clock per test.
+// observe takes each executed lease's wall clock per test. Its buffers
+// are reused lease after lease, cleared so they keep nothing alive.
 func work(src Source, clk clock, exec Executor, batch int, observe func(time.Duration)) {
 	var (
 		cands  []explore.Candidate
 		left   int // of cands, not yet emitted
 		folded time.Time
 		done   = make([]ExecutedTest, 0, batch)
+		bufs   armed
 	)
 	emit := func(i int, rec Record, out prog.Outcome) {
 		done = append(done, ExecutedTest{C: cands[i], Rec: rec, Out: out})
 		if left--; left > 0 && clk.Now().Sub(folded) >= foldEvery {
 			src.FoldBatch(done)
+			clear(done)
 			done = done[:0]
 			folded = clk.Now()
 		}
@@ -1036,11 +1048,12 @@ func work(src Source, clk clock, exec Executor, batch int, observe func(time.Dur
 		}
 		began := clk.Now()
 		left, folded = len(cands), began
-		execute(src, exec, cands, emit)
+		execute(src, exec, cands, &bufs, emit)
 		if observe != nil {
 			observe(clk.Now().Sub(began) / time.Duration(len(cands)))
 		}
 		src.FoldBatch(done)
+		clear(done)
 		done = done[:0]
 	}
 }
@@ -1050,13 +1063,13 @@ func work(src Source, clk clock, exec Executor, batch int, observe func(time.Dur
 // once; any other Executor, and a batch of one, runs candidate by
 // candidate. A stop is honoured before anything is armed — the
 // candidates not started are unleased — and what is armed runs out.
-func execute(src Source, exec Executor, cands []explore.Candidate, emit func(i int, rec Record, out prog.Outcome)) {
+func execute(src Source, exec Executor, cands []explore.Candidate, bufs *armed, emit func(i int, rec Record, out prog.Outcome)) {
 	if l, ok := exec.(*BackendExecutor); ok && len(cands) > 1 {
 		if src.Stopped() {
 			src.Unlease(len(cands))
 			return
 		}
-		l.executeBatch(cands, emit)
+		l.executeBatch(cands, bufs, emit)
 		return
 	}
 	for i, c := range cands {

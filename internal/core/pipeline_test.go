@@ -160,3 +160,37 @@ func TestPrecomputedFoldMatchesUnprecomputed(t *testing.T) {
 			plain.UniqueFailures, plain.UniqueCrashes, pre.UniqueFailures, pre.UniqueCrashes)
 	}
 }
+
+// TestPrecomputedFoldAllocatesNothing: a warmed engine folds a
+// precomputed batch into storage it already has — the records the
+// budget reserved and the engine's own feedback buffer — so FoldBatch
+// allocates nothing.
+func TestPrecomputedFoldAllocatesNothing(t *testing.T) {
+	space := faultspace.NewUnion(faultspace.New("s",
+		faultspace.IntAxis("testID", 0, 9),
+		faultspace.SetAxis("function", "read", "write"),
+		faultspace.IntAxis("callNumber", 1, 50),
+	))
+	eng, err := NewEngine(Config{Space: space, Iterations: int(space.Size())}, explore.NewExhaustive(space))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch, runs = 8, 100
+	var ets []ExecutedTest
+	for len(ets) < (runs+1)*batch {
+		for _, c := range eng.Lease(batch) {
+			et := ExecutedTest{C: c, Rec: Record{Point: c.Point}}
+			eng.Precompute(&et)
+			ets = append(ets, et)
+		}
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		eng.FoldBatch(ets[:batch])
+		ets = ets[batch:]
+	}); n != 0 {
+		t.Fatalf("folding a precomputed batch of %d allocates %v times", batch, n)
+	}
+	if got := eng.Snapshot().Executed; got != (runs+1)*batch {
+		t.Fatalf("folded %d, want %d", got, (runs+1)*batch)
+	}
+}

@@ -78,12 +78,13 @@ func ReportBatch(ex Explorer, batch []Feedback) {
 }
 
 // nextEach is BatchNext as up to n Next calls, stopping early on
-// exhaustion.
+// exhaustion. n may come off the wire, so the room reserved up front is
+// at most the largest lease a coordinator hands out (core.MaxWireBatch).
 func nextEach(ex Explorer, n int) []Candidate {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]Candidate, 0, n)
+	out := make([]Candidate, 0, min(n, 512))
 	for len(out) < n {
 		c, ok := ex.Next()
 		if !ok {

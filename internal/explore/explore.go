@@ -325,6 +325,7 @@ type FitnessGuided struct {
 	rng *xrand.Rand
 
 	pool []*executed // Qpriority
+	idle []*executed // zeroed entries that left the pool, for Report
 	// refused[i] is pool[i]'s memo, nil until its first refusal (beside
 	// pool: executed fills its size class); spare holds reset memos.
 	refused, spare      []*refusals
@@ -581,13 +582,21 @@ func (fg *FitnessGuided) Report(c Candidate, impact, fitness float64) {
 		fg.retire()
 	}
 
-	e := &executed{point: c.Point, key: key, fitness: fitness, impact: impact}
+	var e *executed
+	if n := len(fg.idle); n > 0 {
+		e, fg.idle = fg.idle[n-1], fg.idle[:n-1]
+	} else {
+		e = new(executed)
+	}
+	*e = executed{point: c.Point, key: key, fitness: fitness, impact: impact}
 	fg.pool, fg.refused = append(fg.pool, e), append(fg.refused, nil)
 	if last := len(fg.pool) - 1; last >= fg.poolCap {
 		fg.call++ // the pool changed: rebuild its weights
 		weights := fg.poolWeights().w
 		victim := fg.rng.InverseWeightedInto(weights, weights)
 		fg.recycle(fg.refused[victim])
+		*fg.pool[victim] = executed{} // it waits in idle, pinning nothing
+		fg.idle = append(fg.idle, fg.pool[victim])
 		fg.pool[victim], fg.refused[victim] = fg.pool[last], fg.refused[last]
 		fg.pool, fg.refused = fg.pool[:last], fg.refused[:last]
 	}
@@ -631,6 +640,8 @@ func (fg *FitnessGuided) retire() {
 			kept, memos = append(kept, e), append(memos, fg.refused[i])
 		} else {
 			fg.recycle(fg.refused[i])
+			*e = executed{}
+			fg.idle = append(fg.idle, e)
 		}
 	}
 	fg.pool, fg.refused = kept, memos

@@ -113,22 +113,23 @@ func (Plugin) ConvertValues(names, vals []string) (Point, Plan, error) {
 			return pt, Plan{}, fmt.Errorf("inject: bad testID %q: %v", v, err)
 		}
 	}
-	primary, err := s.slot("")
+	primary, ok, err := s.slot("")
 	if err != nil {
 		return pt, Plan{}, err
 	}
-	if primary == nil {
+	if !ok {
 		return pt, Plan{}, fmt.Errorf("inject: scenario missing function")
 	}
 	pt.Function = primary.Function
 	pt.CallNumber = primary.CallNumber
-	plan := Single(*primary)
-	if secondary, err := s.slot("2"); err != nil {
+	secondary, ok, err := s.slot("2")
+	if err != nil {
 		return pt, Plan{}, err
-	} else if secondary != nil {
-		plan.Faults = append(plan.Faults, *secondary)
 	}
-	return pt, plan, nil
+	if !ok {
+		return pt, Single(primary), nil
+	}
+	return pt, Plan{Faults: []Fault{primary, secondary}}, nil
 }
 
 // scenario is ConvertValues' view of its arguments.
@@ -148,16 +149,16 @@ func (s scenario) get(key string) string {
 
 // slot converts one fault slot of the scenario; suffix "" is the
 // primary fault, "2" the secondary. A missing function means the slot is
-// absent (nil, nil); a callNumber of 0 arms nothing but is still a valid
+// absent (not ok); a callNumber of 0 arms nothing but is still a valid
 // description (the no-injection point of spaces that include one).
-func (s scenario) slot(suffix string) (*Fault, error) {
+func (s scenario) slot(suffix string) (Fault, bool, error) {
 	fn := s.get("function" + suffix)
 	if fn == "" {
-		return nil, nil
+		return Fault{}, false, nil
 	}
 	prof := libc.Lookup(fn)
 	if prof == nil {
-		return nil, fmt.Errorf("inject: unknown library function %q", fn)
+		return Fault{}, false, fmt.Errorf("inject: unknown library function %q", fn)
 	}
 	cn := s.get("callNumber" + suffix)
 	if cn == "" {
@@ -165,7 +166,7 @@ func (s scenario) slot(suffix string) (*Fault, error) {
 	}
 	callNumber, err := strconv.Atoi(cn)
 	if err != nil {
-		return nil, fmt.Errorf("inject: bad callNumber%s %q: %v", suffix, cn, err)
+		return Fault{}, false, fmt.Errorf("inject: bad callNumber%s %q: %v", suffix, cn, err)
 	}
 	er := prof.Errors[0]
 	if v := s.get("errno" + suffix); v != "" {
@@ -190,8 +191,8 @@ func (s scenario) slot(suffix string) (*Fault, error) {
 	if rv != "" {
 		er.Retval, err = strconv.Atoi(rv)
 		if err != nil {
-			return nil, fmt.Errorf("inject: bad retval%s %q: %v", suffix, rv, err)
+			return Fault{}, false, fmt.Errorf("inject: bad retval%s %q: %v", suffix, rv, err)
 		}
 	}
-	return &Fault{Function: fn, CallNumber: callNumber, Err: er}, nil
+	return Fault{Function: fn, CallNumber: callNumber, Err: er}, true, nil
 }

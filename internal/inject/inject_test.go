@@ -128,6 +128,24 @@ func TestPluginConvertTwoFaultScenario(t *testing.T) {
 	}
 }
 
+// TestConvertValuesAllocatesThePlan: a conversion allocates only the
+// plan's fault slice, one- and two-fault scenarios alike; each slot is
+// converted as a value.
+func TestConvertValuesAllocatesThePlan(t *testing.T) {
+	for _, c := range []struct{ names, vals []string }{
+		{[]string{"testID", "function", "errno", "retval", "callNumber"}, []string{"7", "read", "EINTR", "-1", "3"}},
+		{[]string{"testID", "function", "callNumber", "function2", "errno2", "callNumber2"}, []string{"3", "read", "3", "malloc", "ENOMEM", "7"}},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, err := (Plugin{}).ConvertValues(c.names, c.vals); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("converting %v allocates %v times, want 1 (the plan)", c.vals, n)
+		}
+	}
+}
+
 func TestPluginConvertBadSecondSlot(t *testing.T) {
 	var p Plugin
 	if _, _, err := p.ConvertValues(

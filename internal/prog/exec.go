@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"afex/internal/inject"
@@ -28,7 +29,8 @@ type compiled struct {
 	sets  BlockSets
 	// memo[t] is test t's fault-free run, filled on first use by the
 	// same interpreter. At most suite × (blocks + functions) entries.
-	memo []atomic.Pointer[faultFree]
+	memo     []atomic.Pointer[faultFree]
+	machines sync.Pool // run's scratch; runs are concurrent
 }
 
 type cRoutine struct {
@@ -167,8 +169,7 @@ func Run(p *Program, testID int, plan inject.Plan) Outcome {
 	if ff := c.faultFree(testID); !c.reaches(ff, plan) {
 		return ff.out
 	}
-	out, _ := c.run(testID, c.arm(plan))
-	return out
+	return c.run(testID, plan, nil)
 }
 
 // reaches reports whether the fault-free run makes a call one of the
@@ -181,19 +182,6 @@ func (c *compiled) reaches(ff *faultFree, plan inject.Plan) bool {
 		}
 	}
 	return false
-}
-
-// arm resolves the plan's faults that could ever fire — a call number
-// above 0, a function the program calls — in plan order. It allocates,
-// so Run calls it only once reaches has said the interpreter must run.
-func (c *compiled) arm(plan inject.Plan) []armedFault {
-	armed := make([]armedFault, 0, len(plan.Faults))
-	for _, f := range plan.Faults {
-		if id, ok := c.funcID[f.Function]; ok && f.CallNumber > 0 {
-			armed = append(armed, armedFault{fn: id, call: f.CallNumber, err: f.Err})
-		}
-	}
-	return armed
 }
 
 // FaultFree returns the memoised fault-free outcome of test testID and
@@ -212,7 +200,8 @@ func (c *compiled) faultFree(testID int) *faultFree {
 	if ff := c.memo[testID].Load(); ff != nil {
 		return ff
 	}
-	out, calls := c.run(testID, nil)
+	calls := make([]int32, len(c.funcs))
+	out := c.run(testID, inject.Plan{}, calls)
 	c.memo[testID].CompareAndSwap(nil, &faultFree{out: out, calls: calls})
 	return c.memo[testID].Load()
 }
@@ -240,15 +229,20 @@ type machine struct {
 	out     Outcome
 }
 
-// run interprets one test with the given faults armed and returns the
-// outcome and the per-function call counts.
-func (c *compiled) run(testID int, armed []armedFault) (Outcome, []int32) {
-	m := machine{
-		c:       c,
-		armed:   armed,
-		calls:   make([]int32, len(c.funcs)),
-		covered: make([]uint64, (len(c.blocks)+63)/64),
-		stack:   make([]string, 0, 8),
+// run interprets one test with the plan's faults that could ever fire
+// armed — a call number above 0, a function the program calls — and
+// returns the outcome, copying the per-function call counts into calls.
+// It runs on a machine from c's pool and hands it back cleared (the
+// stack's frames are c's own strings).
+func (c *compiled) run(testID int, plan inject.Plan, calls []int32) Outcome {
+	m, _ := c.machines.Get().(*machine)
+	if m == nil {
+		m = &machine{c: c, calls: make([]int32, len(c.funcs)), covered: make([]uint64, (len(c.blocks)+63)/64), stack: make([]string, 0, 8)}
+	}
+	for _, f := range plan.Faults {
+		if id, ok := c.funcID[f.Function]; ok && f.CallNumber > 0 {
+			m.armed = append(m.armed, armedFault{fn: id, call: f.CallNumber, err: f.Err})
+		}
 	}
 	for _, rid := range c.scripts[testID] {
 		ctl := m.call(rid)
@@ -279,7 +273,14 @@ func (c *compiled) run(testID int, armed []armedFault) (Outcome, []int32) {
 		}
 		m.out.Blocks = c.sets.Intern(m.out.BlockSum, blocks)
 	}
-	return m.out, m.calls
+	out := m.out
+	copy(calls, m.calls)
+	clear(m.calls)
+	clear(m.covered)
+	clear(m.armed)
+	m.armed, m.out = m.armed[:0], Outcome{}
+	c.machines.Put(m)
+	return out
 }
 
 func (m *machine) cover(block int32) {

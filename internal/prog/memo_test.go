@@ -30,8 +30,10 @@ func loopProgram(n int) *Program {
 }
 
 // TestRunAllocations pins what a Run costs the allocator: nothing when
-// the plan cannot fire, and when it fires a constant — scratch counters,
-// the outcome's map and the stack copy — however long the test is.
+// the plan cannot fire, and when it fires only the injection stack's
+// copy, however long the test is — the machine's scratch (armed faults,
+// call counters, coverage bitset, stack) is reused from run to run, and
+// a covered set the program has produced before is not built again.
 func TestRunAllocations(t *testing.T) {
 	short, long := loopProgram(2), loopProgram(400)
 	miss, hit := failRead(3*400+1), failRead(2)
@@ -44,10 +46,13 @@ func TestRunAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { Run(long, 0, inject.Plan{}) }); n != 0 {
 		t.Errorf("the empty plan cost %v allocations, want 0", n)
 	}
-	onShort := testing.AllocsPerRun(100, func() { Run(short, 0, hit) })
-	onLong := testing.AllocsPerRun(100, func() { Run(long, 0, hit) })
-	if onShort != onLong || onLong > 8 {
-		t.Errorf("a firing run cost %v allocations on a 2-step test and %v on a 400-step one, want the same small number", onShort, onLong)
+	// sync.Pool drops machines at random under the race detector.
+	if !raceEnabled {
+		onShort := testing.AllocsPerRun(100, func() { Run(short, 0, hit) })
+		onLong := testing.AllocsPerRun(100, func() { Run(long, 0, hit) })
+		if onShort != 1 || onLong != 1 {
+			t.Errorf("a firing run cost %v allocations on a 2-step test and %v on a 400-step one, want 1 (the stack copy)", onShort, onLong)
+		}
 	}
 	if out := Run(long, 0, hit); !out.Injected || out.OpsExecuted != 3*400 {
 		t.Fatalf("the firing plan did not walk the whole test: %+v", out)

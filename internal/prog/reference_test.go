@@ -68,9 +68,7 @@ func ReferenceRun(p *Program, testID int, plan inject.Plan) (Outcome, map[string
 // RunFromScratch is Run without the memo: the compiled interpreter over
 // the whole test with the plan armed, whether or not it can fire.
 func RunFromScratch(p *Program, testID int, plan inject.Plan) Outcome {
-	c := p.compile()
-	out, _ := c.run(testID, c.arm(plan))
-	return out
+	return p.compile().run(testID, plan, nil)
 }
 
 func runEnv(p *Program, testID int, env *refEnv) Outcome {

@@ -72,7 +72,8 @@ type LeaseBook struct {
 	// wake is closed at the next fold or reap, for a lessee told to
 	// retry; nil while none has been.
 	wake   chan struct{}
-	closed bool // every lease from now on is Done (Close)
+	closed bool                  // every lease from now on is Done (Close)
+	free   [][]core.ExecutedTest // Report's fold buffers, cleared
 }
 
 // NewLeaseBook returns an empty book leasing space's candidates from
@@ -132,7 +133,8 @@ func (b *LeaseBook) Beat(now time.Time, m string) int {
 // Lease hands manager m up to n tasks, dead managers' leases first,
 // then fresh candidates, each under a new seq; n ≤ 0 sizes the lease
 // from perTest, m's last per-test wall clock (0 = none), and the live
-// managers' share of the budget (Engine.AdaptiveBatch). With nothing to
+// managers' share of the budget (Engine.AdaptiveBatch); n comes off the
+// wire, so a lease is at most core.MaxWireBatch. With nothing to
 // hand out it answers Retry while leases are out and the engine runs,
 // else Done; once the book is closed, Done.
 func (b *LeaseBook) Lease(now time.Time, m string, n int, perTest time.Duration) Grant {
@@ -145,6 +147,7 @@ func (b *LeaseBook) Lease(now time.Time, m string, n int, perTest time.Duration)
 	if n <= 0 {
 		n = b.engine.AdaptiveBatch(live)
 	}
+	n = min(n, core.MaxWireBatch)
 	b.mu.Lock()
 	var relet []Task
 	if !b.engine.Stopped() {
@@ -193,6 +196,9 @@ func (b *LeaseBook) Lease(now time.Time, m string, n int, perTest time.Duration)
 func (b *LeaseBook) Report(now time.Time, m string, n int, seq func(int) int, test func(int, Task) core.ExecutedTest) int {
 	b.Beat(now, m)
 	var ets []core.ExecutedTest
+	if k := len(b.free); k > 0 {
+		ets, b.free = b.free[k-1], b.free[:k-1]
+	}
 	for i := 0; i < n; i++ {
 		s := seq(i)
 		t, ok := b.leases[s]
@@ -200,20 +206,19 @@ func (b *LeaseBook) Report(now time.Time, m string, n int, seq func(int) int, te
 			continue
 		}
 		delete(b.leases, s)
-		if ets == nil {
-			ets = make([]core.ExecutedTest, 0, n-i)
-		}
 		ets = append(ets, test(i, t))
 	}
-	if len(ets) == 0 {
-		return 0
+	folded := len(ets)
+	if folded > 0 {
+		b.perManager[m] += folded
+		b.mu.Unlock()
+		b.engine.FoldBatch(ets)
+		b.mu.Lock()
+		b.progress()
 	}
-	b.perManager[m] += len(ets)
-	b.mu.Unlock()
-	b.engine.FoldBatch(ets)
-	b.mu.Lock()
-	b.progress()
-	return len(ets)
+	clear(ets)
+	b.free = append(b.free, ets[:0])
+	return folded
 }
 
 // Close ends leasing: the coordinator is going away, and every lessee

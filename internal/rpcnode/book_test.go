@@ -2,6 +2,7 @@ package rpcnode
 
 import (
 	"net/rpc"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,7 +10,136 @@ import (
 
 	"afex/internal/core"
 	"afex/internal/explore"
+	"afex/internal/faultspace"
+	"afex/internal/inject"
 )
+
+// wideSpace is 600 points: enough for several full leases.
+func wideSpace() *faultspace.Union {
+	return faultspace.NewUnion(faultspace.New("s",
+		faultspace.IntAxis("testID", 0, 9),
+		faultspace.SetAxis("function", "read", "write"),
+		faultspace.IntAxis("callNumber", 1, 30),
+	))
+}
+
+// TestNextBatchBoundsTheWireMax: a lease request's Max comes off the
+// wire, and a session without an iteration budget bounds it nowhere
+// else, so the book caps it at core.MaxWireBatch. Uncapped, a manager
+// asking for 1<<40 tasks had the explorer reserve room for all of them
+// up front, and the coordinator process died out of memory.
+func TestNextBatchBoundsTheWireMax(t *testing.T) {
+	coord := newCoordinator(t, wideSpace(), nil, 0, nil)
+	var reply HelloReply
+	if err := coord.Hello(Hello{Manager: "m", Proto: protoBatched}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	var batch TaskBatch
+	if err := coord.NextBatch(BatchRequest{Manager: "m", Max: 1 << 40}, &batch); err != nil || len(batch.Tasks) != core.MaxWireBatch {
+		t.Fatalf("a request for 1<<40 tasks leased %d (%v), want core.MaxWireBatch = %d", len(batch.Tasks), err, core.MaxWireBatch)
+	}
+}
+
+// TestLeaseBookReportAllocatesNothing: in steady state a report folds
+// through the book's own fold buffer and the engine's storage, so
+// LeaseBook.Report allocates nothing.
+func TestLeaseBookReportAllocatesNothing(t *testing.T) {
+	space := wideSpace()
+	eng, err := core.NewEngine(core.Config{Space: space, Iterations: int(space.Size())}, explore.NewExhaustive(space))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	mu.Lock()
+	book := NewLeaseBook(eng, space, &mu)
+	now := time.Unix(0, 0)
+	const per, runs = 4, 100
+	var seqs []int
+	for len(seqs) < (runs+1)*per {
+		for _, tw := range book.Lease(now, "a", per, 0).Tasks {
+			seqs = append(seqs, tw.Seq)
+		}
+	}
+	seq := func(i int) int { return seqs[i] }
+	test := func(_ int, task Task) core.ExecutedTest {
+		return core.ExecutedTest{C: task.Cand, Rec: core.Record{Point: task.Cand.Point, Scenario: task.Scenario}}
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if folded := book.Report(now, "a", per, seq, test); folded != per {
+			t.Fatalf("a report of %d leases folded %d", per, folded)
+		}
+		seqs = seqs[per:]
+	}); n != 0 {
+		t.Fatalf("a report of %d leases allocates %v times", per, n)
+	}
+}
+
+// TestConcurrentReportsFoldOnce: three managers' ReportBatch calls reach
+// one coordinator at once, each manager reporting its leases in several
+// batches. Every lease folds exactly once, into a record that carries
+// what its own manager reported, and no two records share a plan or a
+// fault: the book reuses its fold buffers, and never two at a time.
+func TestConcurrentReportsFoldOnce(t *testing.T) {
+	space := wideSpace()
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
+	managers := []string{"a", "b", "c"}
+	leased := map[string][]TaskWire{}
+	tasks := map[int]TaskWire{} // by seq
+	for i := 0; i < int(space.Size())/50; i++ {
+		m := managers[i%len(managers)]
+		var batch TaskBatch
+		if err := coord.NextBatch(BatchRequest{Manager: m, Max: 50}, &batch); err != nil || len(batch.Tasks) != 50 {
+			t.Fatalf("%s leased %d tasks (%v), want 50", m, len(batch.Tasks), err)
+		}
+		leased[m] = append(leased[m], batch.Tasks...)
+		for _, tw := range batch.Tasks {
+			tasks[tw.Seq] = tw
+		}
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for m, held := range leased {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for len(held) > 0 {
+				k := min(len(held), 7)
+				rb := ResultBatch{Manager: m}
+				for _, tw := range held[:k] {
+					rb.Results = append(rb.Results, ResultWire{Seq: tw.Seq, TestID: tw.Seq, ExitStatus: m})
+				}
+				var ack BatchAck
+				if err := coord.ReportBatch(rb, &ack); err != nil || ack.Folded != k {
+					t.Errorf("%s's report of %d leases folded %d (%v)", m, k, ack.Folded, err)
+					return
+				}
+				held = held[k:]
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	res := coord.Result()
+	if len(res.Records) != len(tasks) {
+		t.Fatalf("%d records for %d leases", len(res.Records), len(tasks))
+	}
+	plans, faults := map[*inject.Fault]bool{}, map[*int]bool{}
+	for _, rec := range res.Records {
+		tw, ok := tasks[rec.TestID]
+		if !ok {
+			t.Fatalf("record %d folds seq %d, which was never leased or folded twice", rec.ID, rec.TestID)
+		}
+		delete(tasks, rec.TestID)
+		if holder := rec.ExitStatus; leased[holder] == nil || rec.Point.Sub != tw.Sub || !slices.Equal([]int(rec.Point.Fault), tw.Fault) {
+			t.Fatalf("record %d of seq %d: point %v reported by %q, leased %v", rec.ID, rec.TestID, rec.Point, holder, tw.Fault)
+		}
+		if len(rec.Plan.Faults) != 1 || plans[&rec.Plan.Faults[0]] || faults[&rec.Point.Fault[0]] {
+			t.Fatalf("record %d shares its plan or its fault with another", rec.ID)
+		}
+		plans[&rec.Plan.Faults[0]], faults[&rec.Point.Fault[0]] = true, true
+	}
+}
 
 // TestReportFoldsOnlyForTheHolder: a report folds only the seqs its
 // sender holds. Manager b's report of a's lease folds nothing and counts
@@ -138,14 +268,21 @@ func TestCloseDrainsInFlightLease(t *testing.T) {
 // the engine's pending, no candidate folds twice, a report folds exactly
 // the seqs its sender holds, and Done comes only with nothing out. A
 // last manager then drains the session: every point of the space (or the
-// budget) folds once.
+// budget) folds once. A lease asks for up to 1<<40 tasks, as a request
+// off the wire may, and budgets of 128 and up lease from a search that
+// generates one candidate at a time.
 func FuzzLeaseBook(f *testing.F) {
 	f.Add(uint8(0), []byte{0x00, 3, 0x01, 0xff, 0x02, 7, 0x04, 2, 0x05, 0xff})
 	f.Add(uint8(5), []byte{0x00, 0, 0x04, 0, 0x02, 7, 0x08, 1, 0x09, 0xff, 0x01, 0xff})
 	f.Add(uint8(3), []byte{0x00, 2, 0x02, 2, 0x03, 0, 0x02, 6, 0x04, 4, 0x05, 0x0f})
+	f.Add(uint8(135), []byte{0x00, 0x80 + 40, 0x01, 0xff}) // 1<<40 tasks, no budget
 	f.Fuzz(func(t *testing.T, budget uint8, ops []byte) {
 		space := rpcSpace()
-		eng, err := core.NewEngine(core.Config{Space: space, Iterations: int(budget % 9)}, explore.NewExhaustive(space))
+		ex := explore.Explorer(explore.NewExhaustive(space))
+		if budget >= 128 {
+			ex = explore.NewRandom(space, int64(budget))
+		}
+		eng, err := core.NewEngine(core.Config{Space: space, Iterations: int(budget % 9)}, ex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +334,11 @@ func FuzzLeaseBook(f *testing.F) {
 			m := managers[int(op>>2)%len(managers)]
 			switch op & 3 {
 			case 0:
-				lease(m, int(arg%4))
+				n := int(arg % 4)
+				if arg >= 0x80 {
+					n = 1 << ((arg - 0x80) % 41)
+				}
+				lease(m, n)
 				balanced(m + "'s lease")
 			case 1:
 				var pick []int
