@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,8 +125,8 @@ type Engine struct {
 	exhausted bool
 
 	// latEWMA tracks per-test execution wall clock (nanoseconds) as an
-	// exponentially weighted moving average of executor observations
-	// (ObserveLatency). Adaptive wire batching divides a target round
+	// exponentially weighted moving average of what lessees report
+	// (LeaseFor). Adaptive wire batching divides a target round
 	// duration by it: slow targets get small lease batches (little
 	// lost with a dead manager), fast ones large batches (round-trip
 	// amortization). Zero until the first observation.
@@ -253,7 +254,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	}
 	if cfg.Target != nil {
 		e.res.Target = cfg.Target.Name
-		e.recoverySet = recoveryBlocks(cfg.Target)
+		e.recoverySet = cfg.Target.RecoveryBlocks()
 	} else if cfg.Command != nil {
 		e.res.Target = cfg.Command.Target()
 	}
@@ -364,6 +365,48 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 	if max <= 0 {
 		max = 1
 	}
+	e.exMu.Lock()
+	defer e.exMu.Unlock()
+	return e.leaseLocked(max)
+}
+
+// LeaseFor is a coordinator's lease, observed, sized and generated in
+// one explorer-lock round. perTest, the lessee's per-test wall clock
+// over its last lease (≤ 0 = none), folds into the latency average
+// first. The lease is then n candidates, or with n ≤ 0 the adaptive
+// size for managers live managers, and at most MaxWireBatch either way.
+// It returns that size and, if generate, the candidates Lease would
+// hand out for it.
+//
+// A coordinator's lessees queue on exMu behind each other's generation.
+// Unlocking it readies the next one on this goroutine's processor,
+// where it would wait until this goroutine blocks, after rendering and
+// sending its lease; LeaseFor yields instead, so the next generation
+// starts at once.
+func (e *Engine) LeaseFor(perTest time.Duration, managers, n int, generate bool) (int, []explore.Candidate) {
+	defer runtime.Gosched()
+	e.exMu.Lock()
+	defer e.exMu.Unlock()
+	if perTest > 0 {
+		if e.latEWMA == 0 {
+			e.latEWMA = float64(perTest)
+		} else {
+			e.latEWMA += latencyAlpha * (float64(perTest) - e.latEWMA)
+		}
+	}
+	if n <= 0 {
+		n = e.adaptiveBatchLocked(managers)
+	}
+	n = min(n, MaxWireBatch)
+	if !generate {
+		return n, nil
+	}
+	return n, e.leaseLocked(n)
+}
+
+// leaseLocked generates up to n > 0 candidates for Lease and LeaseFor;
+// callers hold e.exMu.
+func (e *Engine) leaseLocked(n int) []explore.Candidate {
 	if e.stopped.Load() {
 		return nil
 	}
@@ -371,12 +414,10 @@ func (e *Engine) Lease(max int) []explore.Candidate {
 	// slow tests (or none finishing) must stop handing out work the
 	// moment the TimeBudget elapses, not at the next fold.
 	if !e.deadline.IsZero() && !e.cfg.clock.Now().Before(e.deadline) {
-		e.Stop()
+		e.stopped.Store(true)
+		e.progressLocked()
 		return nil
 	}
-	e.exMu.Lock()
-	defer e.exMu.Unlock()
-	n := max
 	if e.cfg.Iterations > 0 {
 		n = min(n, e.cfg.Iterations-e.committed)
 	}
@@ -715,41 +756,15 @@ const (
 	MaxWireBatch     = 512
 )
 
-// latencyAlpha is the EWMA smoothing factor for ObserveLatency: recent
-// batches dominate, so a target that warms up (or degrades) re-sizes
-// batches within a few rounds.
+// latencyAlpha is the EWMA smoothing factor of LeaseFor's latency
+// average: recent leases dominate, so a target that warms up (or
+// degrades) re-sizes leases within a few rounds.
 const latencyAlpha = 0.2
 
-// ObserveLatency folds one executor-measured per-test execution wall
-// clock into the engine's latency average, steering AdaptiveBatch.
-// Distributed coordinators call it with the managers' self-reported
-// averages; non-positive observations are ignored.
-func (e *Engine) ObserveLatency(perTest time.Duration) {
-	if perTest <= 0 {
-		return
-	}
-	e.exMu.Lock()
-	if e.latEWMA == 0 {
-		e.latEWMA = float64(perTest)
-	} else {
-		e.latEWMA += latencyAlpha * (float64(perTest) - e.latEWMA)
-	}
-	e.exMu.Unlock()
-}
-
-// AdaptiveBatch suggests how many candidates one lease round trip
-// should carry given the observed per-test latency (DefaultWireBatch
-// before any observation), capped at ⌈(Iterations − committed) /
+// adaptiveBatchLocked is the adaptive lease size (DefaultWireBatch before
+// any observed latency), capped at ⌈(Iterations − committed) /
 // managers⌉ so that, at a session's start and its end, the managers
-// sharing the budget each get a lease.
-func (e *Engine) AdaptiveBatch(managers int) int {
-	e.exMu.Lock()
-	defer e.exMu.Unlock()
-	return e.adaptiveBatchLocked(managers)
-}
-
-// adaptiveBatchLocked computes the suggested wire batch; callers hold
-// e.exMu.
+// sharing the budget each get a lease. Callers hold e.exMu.
 func (e *Engine) adaptiveBatchLocked(managers int) int {
 	n := DefaultWireBatch
 	if e.latEWMA > 0 {

@@ -237,11 +237,9 @@ type Snapshot struct {
 	BlockSets  int `json:"blockSets"`
 	BlockWalks int `json:"blockWalks"`
 	// AvgTestNS is the EWMA of per-test execution wall clock reported
-	// by executors (Engine.ObserveLatency) and AdaptiveBatch the
-	// engine's current suggested wire-batch size derived from it, for a
-	// lone manager (Engine.AdaptiveBatch(1)). Both
-	// stay zero until an executor reports latency — today only
-	// distributed managers do.
+	// by lessees (Engine.LeaseFor) and AdaptiveBatch the adaptive lease
+	// size derived from it, for a lone manager. Both stay zero until a
+	// lessee reports latency — today only distributed managers do.
 	AvgTestNS     int64 `json:"avgTestNs,omitempty"`
 	AdaptiveBatch int   `json:"adaptiveBatch,omitempty"`
 	// Snapshots counts the session snapshots handed to the store so far
@@ -422,18 +420,6 @@ func Run(cfg Config) (*ResultSet, error) {
 		return nil, err
 	}
 	return e.RunLocal(), nil
-}
-
-func recoveryBlocks(p *prog.Program) map[int]struct{} {
-	set := make(map[int]struct{})
-	for _, r := range p.Routines {
-		for _, op := range r.Ops {
-			if op.RecoveryBlock != 0 {
-				set[op.RecoveryBlock] = struct{}{}
-			}
-		}
-	}
-	return set
 }
 
 // FailedAt reports whether the i-th executed test was a failure-inducing

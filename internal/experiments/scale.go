@@ -117,7 +117,7 @@ const (
 	simCandidateCost = time.Millisecond
 	// scaleTests is each simulated session's budget: about 47 tests,
 	// four adaptive leases, for each of 64 managers, so a session is
-	// more than its start and its end. Engine.AdaptiveBatch caps a lease
+	// more than its start and its end. Engine.LeaseFor caps a lease
 	// at the managers' share of what is left, so a smaller budget moves
 	// the 64-node row little (25.13× at 2,000 tests, EXPERIMENTS.md).
 	scaleTests = 3000
@@ -132,7 +132,7 @@ const WallClock = "[wall clock]"
 
 // ScaleResult is the §7.7 table: the Apache model under fitness-guided
 // search at each node count, for two lease sizes. Adaptive sizes leases
-// from the per-test cost the managers report (Engine.AdaptiveBatch), as
+// from the per-test cost the managers report (Engine.LeaseFor), as
 // over the wire by default; Single leases one test per round trip.
 // OneDies is adaptive leasing's tests/s when one manager stops calling
 // at simDeath, mid-lease: the survivors' calls reap it after three

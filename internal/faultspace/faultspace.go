@@ -138,15 +138,6 @@ func (s *Space) Contains(f Fault) bool {
 // injector parameter).
 func (s *Space) Attr(f Fault, i int) string { return s.Axes[i].Value(f[i]) }
 
-// Describe renders f as "name=value" pairs, the form node managers receive.
-func (s *Space) Describe(f Fault) string {
-	parts := make([]string, len(f))
-	for i := range f {
-		parts[i] = s.Axes[i].Name() + "=" + s.Attr(f, i)
-	}
-	return strings.Join(parts, " ")
-}
-
 // Random returns a uniformly random valid fault, retrying past holes.
 // intn must behave like rand.Intn. It panics if the space is empty or if
 // 1000 consecutive draws hit holes (a degenerate Hole predicate).

@@ -332,20 +332,20 @@ func (o Outcome) Coverage(p *Program) float64 {
 	return float64(len(o.Blocks)) / float64(p.NumBlocks)
 }
 
-// RecoveryBlocks returns the total number of recovery blocks in the
-// program (blocks reachable only on error paths). The coreutils
-// experiment (§7.2) estimates "roughly 0.64% of the code performs
-// recovery" by differencing coverage; the model can report it exactly.
-func (p *Program) RecoveryBlocks() int {
-	seen := map[int]struct{}{}
+// RecoveryBlocks returns the set of the program's recovery blocks
+// (blocks reachable only on error paths). The coreutils experiment
+// (§7.2) estimates "roughly 0.64% of the code performs recovery" by
+// differencing coverage; the model knows the set exactly.
+func (p *Program) RecoveryBlocks() map[int]struct{} {
+	set := make(map[int]struct{})
 	for _, r := range p.Routines {
 		for _, op := range r.Ops {
 			if op.RecoveryBlock != 0 {
-				seen[op.RecoveryBlock] = struct{}{}
+				set[op.RecoveryBlock] = struct{}{}
 			}
 		}
 	}
-	return len(seen)
+	return set
 }
 
 // FunctionsUsed returns the sorted set of libc functions referenced by

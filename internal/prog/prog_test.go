@@ -401,7 +401,7 @@ func TestErrnoBehaviorSwitch(t *testing.T) {
 
 func TestRecoveryBlocksAndFunctionsUsed(t *testing.T) {
 	p := oneOpProgram(CleanRecovery)
-	if got := p.RecoveryBlocks(); got != 1 {
+	if got := len(p.RecoveryBlocks()); got != 1 {
 		t.Errorf("RecoveryBlocks = %d, want 1", got)
 	}
 	funcs := p.FunctionsUsed()

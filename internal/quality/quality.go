@@ -18,23 +18,13 @@ import (
 // Precision quantifies reproducibility: AFEX re-runs a test n times and
 // reports 1/Var of the measured impact. High precision means the system's
 // response to the fault is likely deterministic — the failures developers
-// should debug first. A zero variance (perfectly deterministic) yields
-// +Inf; callers that prefer a finite scale can use the Capped variant.
+// should debug first. A zero variance (perfectly deterministic) yields +Inf.
 func Precision(impacts []float64) float64 {
 	v := xrand.Variance(impacts)
 	if v == 0 {
 		return math.Inf(1)
 	}
 	return 1 / v
-}
-
-// CappedPrecision is Precision clamped to cap for display and ranking.
-func CappedPrecision(impacts []float64, cap float64) float64 {
-	p := Precision(impacts)
-	if p > cap {
-		return cap
-	}
-	return p
 }
 
 // Measure runs trial n times and returns the impacts and their precision.

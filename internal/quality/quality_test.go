@@ -21,15 +21,6 @@ func TestPrecisionNoisy(t *testing.T) {
 	}
 }
 
-func TestCappedPrecision(t *testing.T) {
-	if got := CappedPrecision([]float64{5, 5}, 100); got != 100 {
-		t.Errorf("capped = %v, want 100", got)
-	}
-	if got := CappedPrecision([]float64{0, 10}, 100); got != 1.0/25.0 {
-		t.Errorf("capped = %v", got)
-	}
-}
-
 func TestMeasure(t *testing.T) {
 	runs := 0
 	impacts, precision := Measure(5, func(i int) float64 {

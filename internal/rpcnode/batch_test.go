@@ -1,15 +1,18 @@
 package rpcnode
 
 import (
+	"fmt"
 	"net"
 	"net/rpc"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"afex/internal/core"
 	"afex/internal/explore"
+	"afex/internal/faultspace"
 	"afex/internal/store"
 	"afex/internal/xrand"
 )
@@ -376,27 +379,36 @@ func TestReportBatchDropsUnknownLeases(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchSizing: the engine's suggested batch tracks observed
-// latency — large for microsecond tests, 1 for tests slower than the
-// round target — and surfaces in the snapshot; under a budget it is
-// never more than a manager's share of what is left.
+// TestAdaptiveBatchSizing: a lease the manager leaves to the book
+// (n = 0) tracks the latencies its lessees report — large for
+// microsecond tests, 1 for tests slower than the round target — which
+// surface in the snapshot; under a budget it is never more than a live
+// manager's share of what is left.
 func TestAdaptiveBatchSizing(t *testing.T) {
-	space := rpcSpace()
-	coord := newCoordinator(t, space, explore.NewExhaustive(space), 0, nil)
-	eng := coord.Engine()
-	if got := eng.AdaptiveBatch(64); got != core.DefaultWireBatch {
+	space := faultspace.NewUnion(faultspace.New("s",
+		faultspace.IntAxis("testID", 0, 99),
+		faultspace.SetAxis("function", "read", "write"),
+		faultspace.IntAxis("callNumber", 1, 30),
+	))
+	book, eng := newBook(t, space, 0)
+	now := time.Unix(0, 0)
+	for i := 1; i < 64; i++ {
+		book.Beat(now, fmt.Sprint("m", i))
+	}
+	if got := len(book.Lease(now, "m0", 0, 0).Tasks); got != core.DefaultWireBatch {
 		t.Errorf("cold batch = %d, want %d", got, core.DefaultWireBatch)
 	}
-	for i := 0; i < 50; i++ {
-		eng.ObserveLatency(10 * 1000) // 10µs tests
+	// observe reports perTest n times, the last with a lease the book sizes.
+	observe := func(perTest time.Duration, n int) int {
+		for i := 1; i < n; i++ {
+			book.Lease(now, "m0", 1, perTest)
+		}
+		return len(book.Lease(now, "m0", 0, perTest).Tasks)
 	}
-	if got := eng.AdaptiveBatch(2); got != core.MaxWireBatch {
+	if got := observe(10*time.Microsecond, 50); got != core.MaxWireBatch {
 		t.Errorf("fast-target batch = %d, want cap %d", got, core.MaxWireBatch)
 	}
-	for i := 0; i < 200; i++ {
-		eng.ObserveLatency(2 * 1000 * 1000 * 1000) // 2s tests
-	}
-	if got := eng.AdaptiveBatch(1); got != 1 {
+	if got := observe(2*time.Second, 200); got != 1 {
 		t.Errorf("slow-target batch = %d, want 1", got)
 	}
 	snap := eng.Snapshot()
@@ -404,17 +416,23 @@ func TestAdaptiveBatchSizing(t *testing.T) {
 		t.Errorf("snapshot lacks adaptive sizing: %+v", snap)
 	}
 
-	budgeted := newCoordinator(t, space, explore.NewExhaustive(space), 7, nil).Engine()
-	for _, c := range []struct{ managers, leased, want int }{
-		{0, 0, 7}, {1, 0, 7}, {2, 0, 4}, {3, 0, 3}, {64, 0, 1},
-		{2, 3, 2}, {3, 2, 1}, {1, 1, 1},
-		{2, 1, core.DefaultWireBatch}, // spent: only dead managers' leases are left to hand out
+	// Each row's budget is leased by a manager that then dies, so its
+	// leases wait to be re-leased and the lease's size shows whole.
+	for _, c := range []struct{ budget, managers, leased, want int }{
+		{7, 0, 0, 7}, {7, 1, 0, 7}, {7, 2, 0, 4}, {7, 3, 0, 3}, {7, 64, 0, 1},
+		{7, 2, 3, 2}, {7, 3, 5, 1}, {7, 1, 6, 1},
+		{40, 2, 40, core.DefaultWireBatch}, // spent: only dead managers' leases are left to hand out
 	} {
-		if c.leased > 0 && len(budgeted.Lease(c.leased)) != c.leased {
+		book, _ := newBook(t, space, c.budget)
+		if c.leased > 0 && len(book.Lease(now, "gone", c.leased, 0).Tasks) != c.leased {
 			t.Fatalf("leased fewer than %d", c.leased)
 		}
-		if got := budgeted.AdaptiveBatch(c.managers); got != c.want {
-			t.Errorf("%d managers after %d more leased: batch %d, want %d", c.managers, c.leased, got, c.want)
+		later := now.Add(deathAfter)
+		for i := 1; i < c.managers; i++ {
+			book.Beat(later, fmt.Sprint("m", i))
+		}
+		if got := len(book.Lease(later, "m0", 0, 0).Tasks); got != c.want {
+			t.Errorf("%d managers, %d of %d leased: batch %d, want %d", c.managers, c.leased, c.budget, got, c.want)
 		}
 	}
 }

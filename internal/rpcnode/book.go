@@ -64,7 +64,7 @@ type LeaseBook struct {
 	leases map[int]Task
 	// relet holds the leases of managers declared dead, in seq order,
 	// for Lease to hand out before fresh candidates; leasing counts the
-	// Lease calls inside Engine.Lease, whose candidates are out too.
+	// Lease calls inside Engine.LeaseFor, whose candidates are out too.
 	relet      []Task
 	leasing    int
 	beats      map[string]time.Time // each live manager's last call
@@ -131,37 +131,36 @@ func (b *LeaseBook) Beat(now time.Time, m string) int {
 }
 
 // Lease hands manager m up to n tasks, dead managers' leases first,
-// then fresh candidates, each under a new seq; n ≤ 0 sizes the lease
-// from perTest, m's last per-test wall clock (0 = none), and the live
-// managers' share of the budget (Engine.AdaptiveBatch); n comes off the
-// wire, so a lease is at most core.MaxWireBatch. With nothing to
-// hand out it answers Retry while leases are out and the engine runs,
-// else Done; once the book is closed, Done.
+// then fresh candidates, each under a new seq. Engine.LeaseFor folds
+// perTest (m's last per-test wall clock, 0 = none) into the latency
+// average and sizes the lease: n, or with n ≤ 0 the adaptive size for
+// the live managers; n comes off the wire, so a lease is at most
+// core.MaxWireBatch. With the re-lease queue empty that one call also
+// generates the lease; otherwise the queue is cut to the size first and
+// a second call generates what it did not fill. With nothing to hand
+// out it answers Retry while leases are out and the engine runs, else
+// Done; once the book is closed, Done.
 func (b *LeaseBook) Lease(now time.Time, m string, n int, perTest time.Duration) Grant {
 	live := b.Beat(now, m)
 	if b.closed {
 		return Grant{Done: true}
 	}
+	queued := len(b.relet) > 0
+	b.leasing++
 	b.mu.Unlock()
-	b.engine.ObserveLatency(perTest)
-	if n <= 0 {
-		n = b.engine.AdaptiveBatch(live)
-	}
-	n = min(n, core.MaxWireBatch)
+	n, cands := b.engine.LeaseFor(perTest, live, n, !queued)
 	b.mu.Lock()
 	var relet []Task
-	if !b.engine.Stopped() {
+	if queued && !b.engine.Stopped() {
 		k := min(n, len(b.relet))
 		relet, b.relet = b.relet[:k:k], b.relet[k:]
 	}
-	var cands []explore.Candidate
-	if len(relet) < n {
-		b.leasing++
+	if queued && len(relet) < n {
 		b.mu.Unlock()
-		cands = b.engine.Lease(n - len(relet))
+		_, cands = b.engine.LeaseFor(0, live, n-len(relet), true)
 		b.mu.Lock()
-		b.leasing--
 	}
+	b.leasing--
 	if len(relet)+len(cands) == 0 {
 		if b.leasing+len(b.leases) == 0 || b.engine.Stopped() {
 			b.progress() // a lessee told to retry while this call leased is done too
@@ -177,7 +176,7 @@ func (b *LeaseBook) Lease(now time.Time, m string, n int, perTest time.Duration)
 		b.seq++
 		t.holder = m
 		b.leases[b.seq] = t
-		tasks = append(tasks, TaskWire{Seq: b.seq, Sub: t.Cand.Point.Sub, Fault: append([]int(nil), t.Cand.Point.Fault...), Vals: t.Vals})
+		tasks = append(tasks, TaskWire{Seq: b.seq, Sub: t.Cand.Point.Sub, Fault: t.Cand.Point.Fault, Vals: t.Vals})
 	}
 	for _, t := range relet {
 		enter(t)

@@ -23,6 +23,20 @@ func wideSpace() *faultspace.Union {
 	))
 }
 
+// newBook returns a lease book over a fresh engine that explores space
+// exhaustively under budget (0 = none), its lock held as a
+// coordinator's is across every call.
+func newBook(t *testing.T, space *faultspace.Union, budget int) (*LeaseBook, *core.Engine) {
+	t.Helper()
+	eng, err := core.NewEngine(core.Config{Space: space, Iterations: budget}, explore.NewExhaustive(space))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	mu.Lock()
+	return NewLeaseBook(eng, space, &mu), eng
+}
+
 // TestNextBatchBoundsTheWireMax: a lease request's Max comes off the
 // wire, and a session without an iteration budget bounds it nowhere
 // else, so the book caps it at core.MaxWireBatch. Uncapped, a manager
@@ -45,13 +59,7 @@ func TestNextBatchBoundsTheWireMax(t *testing.T) {
 // LeaseBook.Report allocates nothing.
 func TestLeaseBookReportAllocatesNothing(t *testing.T) {
 	space := wideSpace()
-	eng, err := core.NewEngine(core.Config{Space: space, Iterations: int(space.Size())}, explore.NewExhaustive(space))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	mu.Lock()
-	book := NewLeaseBook(eng, space, &mu)
+	book, _ := newBook(t, space, int(space.Size()))
 	now := time.Unix(0, 0)
 	const per, runs = 4, 100
 	var seqs []int
@@ -138,6 +146,114 @@ func TestConcurrentReportsFoldOnce(t *testing.T) {
 			t.Fatalf("record %d shares its plan or its fault with another", rec.ID)
 		}
 		plans[&rec.Plan.Faults[0]], faults[&rec.Point.Fault[0]] = true, true
+	}
+}
+
+// TestConcurrentLeasesFoldOnce: three managers lease from one
+// coordinator. c dies holding its first lease, which a and b wait for;
+// a's first report moves the clock past c's miss budget, so the next
+// beat re-queues c's leases (and perhaps b's), and a and b, leasing at
+// once, take from the re-lease queue and the explorer side by side.
+// Every candidate folds exactly once, none of them c's, and the budget
+// lands exactly.
+func TestConcurrentLeasesFoldOnce(t *testing.T) {
+	space := wideSpace()
+	const budget = 300
+	coord := newCoordinator(t, space, explore.NewExhaustive(space), budget, nil)
+	clk := &stepClock{}
+	coord.now = clk.Now
+	var reaped sync.Once
+	var dead []TaskWire
+	cLeased := make(chan struct{})
+	run := func(m string) {
+		if m == "c" {
+			defer close(cLeased)
+		} else {
+			<-cLeased
+		}
+		for {
+			var batch TaskBatch
+			if err := coord.NextBatch(BatchRequest{Manager: m, Max: 8}, &batch); err != nil {
+				t.Errorf("%s: %v", m, err)
+				return
+			}
+			if batch.Done {
+				return
+			}
+			if m == "c" && len(batch.Tasks) > 0 {
+				dead = batch.Tasks // and c never calls again
+				return
+			}
+			rb := ResultBatch{Manager: m}
+			for _, tw := range batch.Tasks {
+				rb.Results = append(rb.Results, ResultWire{Seq: tw.Seq, ExitStatus: m})
+			}
+			var ack BatchAck
+			if err := coord.ReportBatch(rb, &ack); err != nil {
+				t.Errorf("%s: %v", m, err)
+				return
+			}
+			if m == "a" && ack.Folded > 0 {
+				reaped.Do(func() { clk.Advance(deathAfter) })
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for _, m := range []string{"a", "b", "c"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(m)
+		}()
+	}
+	wg.Wait()
+	if len(dead) == 0 {
+		t.Fatal("c leased nothing")
+	}
+	res := coord.Result()
+	if res.Executed != budget || len(res.Records) != budget {
+		t.Fatalf("executed %d, %d records; want the budget, %d", res.Executed, len(res.Records), budget)
+	}
+	by := map[string]core.Record{}
+	for _, rec := range res.Records {
+		if _, twice := by[rec.Point.Key()]; twice {
+			t.Fatalf("point %v folds twice", rec.Point)
+		}
+		by[rec.Point.Key()] = rec
+	}
+	for _, tw := range dead {
+		rec, ok := by[faultspace.Point{Sub: tw.Sub, Fault: tw.Fault}.Key()]
+		if !ok || rec.ExitStatus == "c" {
+			t.Fatalf("c's lease of %v folded %v (%+v), want once by a survivor", tw.Fault, ok, rec)
+		}
+	}
+	if n := coord.Snapshot().PerManager["c"]; n != 0 {
+		t.Fatalf("the dead manager folded %d", n)
+	}
+}
+
+// TestLeaseFaultsSurviveARelet: a task carries its candidate's fault, not
+// a copy, since nothing writes a fault once it is leased; the dead
+// manager's tasks re-leased to another carry the same faults.
+func TestLeaseFaultsSurviveARelet(t *testing.T) {
+	book, _ := newBook(t, wideSpace(), 0)
+	now := time.Unix(0, 0)
+	first := book.Lease(now, "a", 5, 0).Tasks
+	want := make([][]int, len(first))
+	for i, tw := range first {
+		if cand := book.leases[tw.Seq].Cand; cand.Point.Sub != tw.Sub || &cand.Point.Fault[0] != &tw.Fault[0] {
+			t.Fatalf("seq %d ships %d/%v, not candidate %v's own fault", tw.Seq, tw.Sub, tw.Fault, cand.Point)
+		}
+		want[i] = slices.Clone(tw.Fault)
+	}
+	again := book.Lease(now.Add(deathAfter), "b", len(first), 0).Tasks
+	if len(again) != len(first) {
+		t.Fatalf("b was re-leased %d of a's %d tasks", len(again), len(first))
+	}
+	for i, tw := range again {
+		if cand := book.leases[tw.Seq].Cand; tw.Seq == first[i].Seq || tw.Sub != first[i].Sub || !slices.Equal(tw.Fault, want[i]) || &cand.Point.Fault[0] != &tw.Fault[0] {
+			t.Fatalf("re-let seq %d ships %v for candidate %v, want a's %v under a new seq", tw.Seq, tw.Fault, cand.Point, want[i])
+		}
 	}
 }
 
@@ -399,17 +515,10 @@ func FuzzLeaseBook(f *testing.F) {
 }
 
 // TestLeaseBookWakesRetriesAtTheEnd: a lessee told to retry only because
-// another call was inside Engine.Lease is woken when that call finds the
+// another call was inside Engine.LeaseFor is woken when that call finds the
 // session over, not left waiting for a report that will never come.
 func TestLeaseBookWakesRetriesAtTheEnd(t *testing.T) {
-	space := rpcSpace()
-	eng, err := core.NewEngine(core.Config{Space: space, Iterations: 1}, explore.NewExhaustive(space))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	mu.Lock()
-	book := NewLeaseBook(eng, space, &mu)
+	book, _ := newBook(t, rpcSpace(), 1)
 	now := time.Unix(0, 0)
 	g := book.Lease(now, "a", 1, 0)
 	if len(g.Tasks) != 1 {
@@ -421,7 +530,7 @@ func TestLeaseBookWakesRetriesAtTheEnd(t *testing.T) {
 	if folded != 1 {
 		t.Fatalf("folded %d, want 1", folded)
 	}
-	book.leasing++ // another call is inside Engine.Lease
+	book.leasing++ // another call is inside Engine.LeaseFor
 	waiting := book.Lease(now, "b", 1, 0)
 	if !waiting.Retry {
 		t.Fatalf("with a lease call in flight: got %+v, want Retry", waiting)
