@@ -78,7 +78,6 @@ type Source interface {
 type Engine struct {
 	cfg      Config
 	explorer explore.Explorer
-	plugin   inject.Plugin
 	// runner is the execution backend the engine's own executor drives
 	// (nil for engines whose tests run elsewhere, e.g. a distributed
 	// coordinator); backendName is its registered name, stamped on
@@ -95,9 +94,10 @@ type Engine struct {
 	// (nil when the backend has no pool). Lock-free on the backend side,
 	// so snapshots may call it under the session lock.
 	recycles func() int64
-	// axisNames caches each subspace's axis names for the slice-based
-	// scenario path (no per-candidate map on the execution hot path).
+	// axisNames and forms cache each subspace's axis names and their
+	// key layout for the execution hot path.
 	axisNames [][]string
+	forms     []inject.Form
 
 	// mu is the session lock: fold state (counters, coverage, clusters,
 	// records, hooks). Lease takes only exMu, never mu. Lock order is
@@ -292,8 +292,10 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	if cfg.Space != nil {
 		e.res.SpaceSize = cfg.Space.Size()
 		e.axisNames = make([][]string, len(cfg.Space.Spaces))
+		e.forms = make([]inject.Form, len(cfg.Space.Spaces))
 		for i := range cfg.Space.Spaces {
 			e.axisNames[i] = dsl.AxisNames(cfg.Space, i)
+			e.forms[i] = inject.FormOf(e.axisNames[i])
 		}
 	}
 	// Persistence: rebuild session state from a recovered journal +
@@ -927,13 +929,15 @@ func (e *Engine) Backend() string { return e.backendName }
 // set can tally it. (With spaces built by package trace this cannot
 // happen; custom spaces may include e.g. functions the injector lacks.)
 func (e *Engine) convert(c explore.Candidate) (rec Record, t backend.Test, ok bool) {
-	// Slice-based scenario path: axis names are cached per subspace and
-	// values render in axis order, so converting and formatting a
-	// candidate allocates no intermediate map.
-	names := e.axisNames[c.Point.Sub]
-	vals := dsl.ValuesFor(e.cfg.Space, c.Point)
-	rec = Record{Point: c.Point, Scenario: dsl.FormatPairs(names, vals), Backend: e.backendName}
-	pt, plan, err := e.plugin.ConvertValues(names, vals)
+	// The scenario text is rendered once, and the plan read from views
+	// of it: the text and the plan are all a conversion allocates.
+	var stack [16]string
+	sub, vals := c.Point.Sub, stack[:]
+	if n := len(e.axisNames[sub]); n > len(stack) {
+		vals = make([]string, n)
+	}
+	rec = Record{Point: c.Point, Scenario: dsl.Render(e.cfg.Space, e.axisNames[sub], c.Point, vals), Backend: e.backendName}
+	pt, plan, err := e.forms[sub].Convert(vals)
 	if err != nil {
 		rec.Skipped = true
 		return rec, t, false

@@ -125,6 +125,31 @@ func TestConvertHolesAreCounted(t *testing.T) {
 	}
 }
 
+// TestConvertAllocatesTheTextAndThePlan: converting a single-fault
+// candidate allocates its scenario text and its plan, nothing else,
+// whatever the width of its numbers.
+func TestConvertAllocatesTheTextAndThePlan(t *testing.T) {
+	space := faultspace.NewUnion(faultspace.New("s",
+		faultspace.IntAxis("testID", 0, 300),
+		faultspace.SetAxis("function", "read", "write"),
+		faultspace.SetAxis("errno", "EIO", "EINTR"),
+		faultspace.SetAxis("retval", "-1"),
+		faultspace.IntAxis("callNumber", 1, 500),
+	))
+	eng, err := NewEngine(Config{Target: sessionTarget(), Space: space}, explore.NewExhaustive(space))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := explore.CandidateAt(faultspace.Point{Fault: faultspace.Fault{250, 1, 1, 0, 399}})
+	var rec Record
+	if n := testing.AllocsPerRun(100, func() { rec, _, _ = eng.convert(c) }); n != 2 {
+		t.Errorf("a conversion allocates %v times, want 2 (the text and the plan)", n)
+	}
+	if rec.Scenario != "testID 250 function write errno EINTR retval -1 callNumber 400" || rec.Plan.String() != "function write errno EINTR retval -1 callNumber 400" {
+		t.Errorf("converted to %q, plan %s", rec.Scenario, rec.Plan)
+	}
+}
+
 func TestNoHolesNoReportLine(t *testing.T) {
 	res, err := Run(Config{Target: sessionTarget(), Space: sessionSpace(), Algorithm: "exhaustive"})
 	if err != nil {

@@ -344,7 +344,7 @@ func (d *Description) String() string {
 
 // ParseScenario parses a scenario in the flat wire format of Fig. 5
 // ("function malloc errno ENOMEM retval 0 callNumber 23") into parallel
-// name/value slices, in the order written — what FormatPairs renders.
+// name/value slices, in the order written — what Render writes.
 // The input must hold an even number of whitespace-separated tokens and
 // name each key once.
 func ParseScenario(in string) (names, vals []string, err error) {
@@ -374,32 +374,25 @@ func AxisNames(u *faultspace.Union, sub int) []string {
 	return names
 }
 
-// ValuesFor renders the fault p of union u as attribute values in axis
-// order, to pair with AxisNames of the same subspace.
-func ValuesFor(u *faultspace.Union, p faultspace.Point) []string {
-	sp := u.Spaces[p.Sub]
-	vals := make([]string, len(sp.Axes))
-	for i, a := range sp.Axes {
-		vals[i] = a.Value(p.Fault[i])
-	}
-	return vals
-}
-
-// FormatPairs renders parallel name/value slices in the Fig. 5 wire
-// format. Both slices must have equal length.
-func FormatPairs(names, vals []string) string {
-	size := 0
-	for i := range names {
-		size += len(names[i]) + len(vals[i]) + 2
-	}
-	b := make([]byte, 0, size)
-	for i := range names {
+// Render writes the fault p of union u as its scenario text in the
+// Fig. 5 wire format, names being AxisNames of p's subspace, and fills
+// vals[:len(names)] with the values, substrings of that text: the text is
+// the one allocation.
+func Render(u *faultspace.Union, names []string, p faultspace.Point, vals []string) string {
+	var stack [256]byte
+	var ends [16]int // each value's end; grows past 16 axes
+	b, cut := stack[:0], ends[:0]
+	for i, a := range u.Spaces[p.Sub].Axes {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = append(b, names[i]...)
-		b = append(b, ' ')
-		b = append(b, vals[i]...)
+		b = faultspace.AppendValue(append(append(b, names[i]...), ' '), a, p.Fault[i])
+		cut = append(cut, len(b))
 	}
-	return string(b)
+	s, start := string(b), 0
+	for i, end := range cut {
+		start += len(names[i]) + 1
+		vals[i], start = s[start:end], end+1
+	}
+	return s
 }

@@ -1,6 +1,7 @@
 package dsl
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -246,7 +247,7 @@ func TestDescriptionRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestAxisNamesAndValuesFor(t *testing.T) {
+func TestAxisNamesAndRender(t *testing.T) {
 	d, err := Parse(`testID : [0,9] function : { read, write } callNumber : [1,5] ;`)
 	if err != nil {
 		t.Fatal(err)
@@ -257,9 +258,51 @@ func TestAxisNamesAndValuesFor(t *testing.T) {
 		t.Fatalf("AxisNames = %v", names)
 	}
 	pt := faultspace.Point{Sub: 0, Fault: faultspace.Fault{3, 1, 4}}
-	vals := ValuesFor(u, pt)
-	if len(vals) != 3 || vals[0] != "3" || vals[1] != "write" || vals[2] != "5" {
-		t.Fatalf("ValuesFor = %v", vals)
+	vals := make([]string, 3)
+	Render(u, names, pt, vals)
+	if vals[0] != "3" || vals[1] != "write" || vals[2] != "5" {
+		t.Fatalf("Render's values = %v", vals)
+	}
+}
+
+// renderPairs renders parallel name/value slices as the point of a
+// space whose axes each hold the one value.
+func renderPairs(names, vals []string) string {
+	axes := make([]faultspace.Axis, len(names))
+	for i := range names {
+		axes[i] = faultspace.SetAxis(names[i], vals[i])
+	}
+	u := faultspace.NewUnion(faultspace.New("", axes...))
+	return Render(u, names, faultspace.Point{Fault: make(faultspace.Fault, len(names))}, make([]string, len(names)))
+}
+
+// TestRenderAllocatesTheText: the scenario text is Render's one
+// allocation, its values views of it, however many axes the space has.
+func TestRenderAllocatesTheText(t *testing.T) {
+	d, err := Parse(`testID : [0,999] function : { read, write } callNumber : [1,500] ;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := d.Build()
+	names, vals := AxisNames(u, 0), make([]string, 3)
+	pt := faultspace.Point{Sub: 0, Fault: faultspace.Fault{321, 1, 400}}
+	if n := testing.AllocsPerRun(100, func() { Render(u, names, pt, vals) }); n != 1 {
+		t.Errorf("Render allocates %v times, want 1", n)
+	}
+	var wide []faultspace.Axis
+	var want []string
+	for i := 0; i < 40; i++ {
+		wide = append(wide, faultspace.IntAxis(fmt.Sprintf("axis%d", i), 1000, 2000))
+		want = append(want, fmt.Sprintf("axis%d %d", i, 1000+i))
+	}
+	u = faultspace.NewUnion(faultspace.New("", wide...))
+	names, vals = AxisNames(u, 0), make([]string, len(wide))
+	pt = faultspace.Point{Fault: make(faultspace.Fault, len(wide))}
+	for i := range pt.Fault {
+		pt.Fault[i] = i
+	}
+	if sc := Render(u, names, pt, vals); sc != strings.Join(want, " ") || vals[39] != "1039" {
+		t.Errorf("40 axes render %q, values %q", sc, vals)
 	}
 }
 
@@ -281,7 +324,7 @@ func TestBuildAxisOrderMatchesSource(t *testing.T) {
 func TestScenarioFormatParseRoundTrip(t *testing.T) {
 	names := []string{"function", "errno", "retval", "callNumber"}
 	vals := []string{"malloc", "ENOMEM", "0", "23"}
-	wire := FormatPairs(names, vals)
+	wire := renderPairs(names, vals)
 	if wire != "function malloc errno ENOMEM retval 0 callNumber 23" {
 		t.Errorf("wire = %q", wire)
 	}
@@ -317,7 +360,7 @@ func TestScenarioRoundTripProperty(t *testing.T) {
 		if len(names) == 0 {
 			return true
 		}
-		backNames, backVals, err := ParseScenario(FormatPairs(names, values))
+		backNames, backVals, err := ParseScenario(renderPairs(names, values))
 		return err == nil && reflect.DeepEqual(backNames, names) && reflect.DeepEqual(backVals, values)
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -383,7 +426,7 @@ func TestScenarioFor(t *testing.T) {
 	}
 	u := d.Build()
 	pt := faultspace.Point{Sub: 0, Fault: faultspace.Fault{3, 1, 4}}
-	if sc := FormatPairs(AxisNames(u, 0), ValuesFor(u, pt)); sc != "testID 3 function write callNumber 5" {
+	if sc := Render(u, AxisNames(u, 0), pt, make([]string, 3)); sc != "testID 3 function write callNumber 5" {
 		t.Errorf("scenario = %q", sc)
 	}
 }

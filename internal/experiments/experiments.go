@@ -76,9 +76,10 @@ func profileFor(p *prog.Program) *trace.SuiteProfile {
 // executePoint runs the single fault at point pt of the space against the
 // target, bypassing any explorer, and returns its scenario and outcome.
 func executePoint(p *prog.Program, space *faultspace.Union, pt faultspace.Point) (string, prog.Outcome) {
-	names, vals := dsl.AxisNames(space, pt.Sub), dsl.ValuesFor(space, pt)
-	sc := dsl.FormatPairs(names, vals)
-	ipt, plan, err := inject.Plugin{}.ConvertValues(names, vals)
+	names := dsl.AxisNames(space, pt.Sub)
+	vals := make([]string, len(names))
+	sc := dsl.Render(space, names, pt, vals)
+	ipt, plan, err := inject.FormOf(names).Convert(vals)
 	if err != nil {
 		return sc, prog.Outcome{}
 	}

@@ -9,12 +9,12 @@ package explore
 // amortizing coordination over the batch, exactly the way the RPC
 // protocol amortizes network round-trips.
 //
-// Every Explorer has both batch methods. The searches that generate one
+// Every Explorer has both batch methods. Every search generates one
 // candidate at a time (mutation, rejection sampling, the bandit's
-// per-lease decision, the shards' round-robin, the novelty filter) lease
-// through nextEach and fold through reportEach, so for them a batch is n
-// single steps and the win is the one lock round-trip; only enumeration
-// has a genuinely cheaper bulk form (Exhaustive.BatchNext).
+// per-lease decision, the shards' round-robin, the novelty filter, the
+// enumeration cursor) and leases through nextEach; all but enumeration
+// fold through reportEach. So a batch is n single steps and the win is
+// the one lock round-trip.
 
 // Prefetchable and IsPrefetchable stay only because package bench names
 // them and may change only in a [benchmark] PR: nothing else implements
@@ -102,19 +102,11 @@ func reportEach(ex Explorer, batch []Feedback) {
 	}
 }
 
-// BatchNext implements BatchNexter: a straight cut of the materialized
-// enumeration, with no per-candidate bookkeeping at all.
+// BatchNext implements BatchNexter: a cut from the enumeration cursor,
+// nothing at all once it has ended.
 func (e *Exhaustive) BatchNext(n int) []Candidate {
-	if e.next >= len(e.points) {
+	if e.sub >= len(e.space.Spaces) {
 		return nil
 	}
-	if rest := len(e.points) - e.next; n > rest {
-		n = rest
-	}
-	out := make([]Candidate, n)
-	for i := 0; i < n; i++ {
-		out[i] = CandidateAt(e.points[e.next+i])
-	}
-	e.next += n
-	return out
+	return nextEach(e, n)
 }

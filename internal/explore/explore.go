@@ -716,23 +716,40 @@ func (r *Random) Executed() int { return r.executedN }
 func (r *Random) HistorySize() int { return r.history.Len() }
 
 // Exhaustive enumerates the whole space in lexicographic order, the
-// brute-force baseline of Gunawi et al. that §3 contrasts with.
+// brute-force baseline of Gunawi et al. that §3 contrasts with. It is a
+// cursor over the union in Union.Enumerate's order, holes skipped, so
+// its memory is one point however large the space.
 type Exhaustive struct {
-	points    []faultspace.Point
+	space     *faultspace.Union
+	sub       int              // at's subspace; len(space.Spaces) once enumeration ends
+	at        faultspace.Fault // the next point, nil before sub's first
 	next      int
 	executedN int
 }
 
-// NewExhaustive builds an exhaustive explorer. The enumeration order is
-// materialized up front; for the spaces where exhaustive search is
-// feasible at all (coreutils-scale) this is small.
+// NewExhaustive builds an exhaustive explorer positioned at the space's
+// first valid point.
 func NewExhaustive(space *faultspace.Union) *Exhaustive {
-	e := &Exhaustive{}
-	space.Enumerate(func(p faultspace.Point) bool {
-		e.points = append(e.points, p)
-		return true
-	})
+	e := &Exhaustive{space: space}
+	e.advance()
 	return e
+}
+
+// advance moves the cursor to the next valid point in enumeration order,
+// past holes and empty subspaces (to sub's first when at is nil).
+func (e *Exhaustive) advance() {
+	for e.sub < len(e.space.Spaces) {
+		sp := e.space.Spaces[e.sub]
+		if e.at == nil && sp.Size() > 0 {
+			e.at = make(faultspace.Fault, len(sp.Axes))
+		} else if e.at == nil || !sp.Step(e.at) {
+			e.sub, e.at = e.sub+1, nil
+			continue
+		}
+		if sp.Hole == nil || !sp.Hole(e.at) {
+			return
+		}
+	}
 }
 
 // Name implements Named.
@@ -740,10 +757,11 @@ func (e *Exhaustive) Name() string { return "exhaustive" }
 
 // Next implements Explorer.
 func (e *Exhaustive) Next() (Candidate, bool) {
-	if e.next >= len(e.points) {
+	if e.sub >= len(e.space.Spaces) {
 		return Candidate{}, false
 	}
-	c := CandidateAt(e.points[e.next])
+	c := CandidateAt(faultspace.Point{Sub: e.sub, Fault: e.at.Clone()})
+	e.advance()
 	e.next++
 	return c, true
 }

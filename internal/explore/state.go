@@ -386,13 +386,13 @@ func (g *Genetic) ImportState(st *State) error {
 }
 
 // ExportState implements StatefulExplorer for the exhaustive baseline:
-// only the enumeration cursor matters (the order is materialized from
-// the space at construction).
+// only the enumeration cursor matters (the order is the space's own).
 func (e *Exhaustive) ExportState() *State {
 	return &State{Algorithm: e.Name(), Searches: []SearchState{{Cursor: e.next, Executed: e.executedN}}}
 }
 
-// ImportState implements StatefulExplorer.
+// ImportState implements StatefulExplorer: the cursor walks from the
+// space's first point to the recorded one.
 func (e *Exhaustive) ImportState(st *State) error {
 	if st == nil || st.Algorithm != e.Name() {
 		return fmt.Errorf("explore: state is %q, explorer is %q", stateAlg(st), e.Name())
@@ -401,10 +401,15 @@ func (e *Exhaustive) ImportState(st *State) error {
 		return fmt.Errorf("explore: exhaustive state has %d searches, want 1", len(st.Searches))
 	}
 	src := &st.Searches[0]
-	if src.Cursor < 0 || src.Cursor > len(e.points) {
-		return fmt.Errorf("explore: exhaustive cursor %d out of range for %d points", src.Cursor, len(e.points))
+	w := NewExhaustive(e.space)
+	for w.next < src.Cursor && w.sub < len(w.space.Spaces) {
+		w.advance()
+		w.next++
 	}
-	e.next = src.Cursor
+	if src.Cursor < 0 || src.Cursor > w.next {
+		return fmt.Errorf("explore: exhaustive cursor %d out of range for %d points", src.Cursor, w.next)
+	}
+	*e = *w
 	e.executedN = src.Executed
 	return nil
 }

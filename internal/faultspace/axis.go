@@ -111,6 +111,15 @@ func (a *intAxis) slice(off, n int) Axis {
 	return &intAxis{name: a.name, lo: a.lo + off, hi: a.lo + off + n - 1}
 }
 
+// AppendValue appends a.Value(i) to dst: a numeric range axis appends
+// its digits with no string in between, any other axis its Value.
+func AppendValue(dst []byte, a Axis, i int) []byte {
+	if n, ok := a.(*intAxis); ok && i >= 0 && i < n.Len() {
+		return strconv.AppendInt(dst, int64(n.lo+i), 10)
+	}
+	return append(dst, a.Value(i)...) // out of range, Value panics
+}
+
 // canonicalInt rejects integer spellings Value would never produce
 // ("007", "+1", "-0"), so Index stays the exact inverse of Value.
 func canonicalInt(v string) bool {

@@ -6,32 +6,6 @@ import (
 	"afex/internal/faultspace"
 )
 
-// ExampleSpace_LinearDensity reproduces the §2 intuition: where impact
-// forms a vertical stripe on the fault grid, the relative linear density
-// along the stripe's axis exceeds 1 — "walking in the vertical direction
-// is more likely to encounter faults that cause test errors than walking
-// in the horizontal direction".
-func ExampleSpace_LinearDensity() {
-	grid := faultspace.New("grid",
-		faultspace.IntAxis("function", 0, 9),
-		faultspace.IntAxis("test", 0, 9),
-	)
-	impact := func(f faultspace.Fault) float64 {
-		if f[0] == 3 { // all tests fail when function 3's call fails
-			return 1
-		}
-		return 0
-	}
-	center := faultspace.Fault{3, 5}
-	vertical := grid.LinearDensity(center, 1, 4, impact)
-	horizontal := grid.LinearDensity(center, 0, 4, impact)
-	fmt.Printf("along the stripe: %.2f (>1)\n", vertical)
-	fmt.Printf("across it:        %.2f\n", horizontal)
-	// Output:
-	// along the stripe: 4.44 (>1)
-	// across it:        0.56
-}
-
 // ExampleDistance shows the Manhattan distance δ between faults — the
 // metric D-vicinities are defined over.
 func ExampleDistance() {

@@ -12,10 +12,8 @@
 // reported sanely, and Union.Shard partitions a space into disjoint
 // regions for concurrent exploration (see shard.go).
 //
-// The package provides the geometric machinery the exploration algorithm
-// and its evaluation rely on: Manhattan distance δ, D-vicinities, and the
-// relative linear density metric ρ that characterizes fault-space
-// structure.
+// The package provides the geometry of §2: Manhattan distance δ (its
+// tests walk D-vicinities and compute the relative linear density ρ).
 package faultspace
 
 import (
@@ -165,26 +163,24 @@ func (s *Space) Enumerate(visit func(Fault) bool) {
 		return
 	}
 	f := make(Fault, len(s.Axes))
-	for {
-		if s.Hole == nil || !s.Hole(f) {
-			if !visit(f.Clone()) {
-				return
-			}
-		}
-		// Odometer increment.
-		i := len(f) - 1
-		for i >= 0 {
-			f[i]++
-			if f[i] < s.Axes[i].Len() {
-				break
-			}
-			f[i] = 0
-			i--
-		}
-		if i < 0 {
+	for ok := true; ok; ok = s.Step(f) {
+		if (s.Hole == nil || !s.Hole(f)) && !visit(f.Clone()) {
 			return
 		}
 	}
+}
+
+// Step moves f to the next fault after it in lexicographic order, holes
+// included (an odometer increment), and reports false, f all zeros,
+// after the last.
+func (s *Space) Step(f Fault) bool {
+	for i := len(f) - 1; i >= 0; i-- {
+		if f[i]++; f[i] < s.Axes[i].Len() {
+			return true
+		}
+		f[i] = 0
+	}
+	return false
 }
 
 // Distance returns the Manhattan (city-block) distance δ(f, g): the
@@ -200,84 +196,6 @@ func Distance(f, g Fault) int {
 		}
 	}
 	return d
-}
-
-// Vicinity calls visit for every valid fault within Manhattan distance D
-// of center (inclusive), center itself included. Enumeration is bounded by
-// axis lengths and skips holes.
-func (s *Space) Vicinity(center Fault, d int, visit func(Fault) bool) {
-	f := center.Clone()
-	var rec func(axis, budget int) bool
-	rec = func(axis, budget int) bool {
-		if axis == len(s.Axes) {
-			if s.Hole == nil || !s.Hole(f) {
-				return visit(f.Clone())
-			}
-			return true
-		}
-		lo := center[axis] - budget
-		if lo < 0 {
-			lo = 0
-		}
-		hi := center[axis] + budget
-		if hi > s.Axes[axis].Len()-1 {
-			hi = s.Axes[axis].Len() - 1
-		}
-		for v := lo; v <= hi; v++ {
-			f[axis] = v
-			used := v - center[axis]
-			if used < 0 {
-				used = -used
-			}
-			if !rec(axis+1, budget-used) {
-				return false
-			}
-		}
-		f[axis] = center[axis]
-		return true
-	}
-	rec(0, d)
-}
-
-// LinearDensity computes the relative linear density ρ_k(φ) of §2 along
-// axis k, restricted to the D-vicinity of φ: the average impact of faults
-// that differ from φ only on axis k (within the vicinity), scaled by the
-// average impact of all faults in the vicinity. impact must be defined for
-// every valid fault it is handed.
-//
-// ρ > 1 means walking along axis k from φ encounters more high-impact
-// faults than walking in a random direction.
-func (s *Space) LinearDensity(center Fault, k, d int, impact func(Fault) float64) float64 {
-	var lineSum float64
-	var lineN int
-	f := center.Clone()
-	lo := center[k] - d
-	if lo < 0 {
-		lo = 0
-	}
-	hi := center[k] + d
-	if hi > s.Axes[k].Len()-1 {
-		hi = s.Axes[k].Len() - 1
-	}
-	for v := lo; v <= hi; v++ {
-		f[k] = v
-		if s.Hole != nil && s.Hole(f) {
-			continue
-		}
-		lineSum += impact(f)
-		lineN++
-	}
-	var allSum float64
-	var allN int
-	s.Vicinity(center, d, func(g Fault) bool {
-		allSum += impact(g)
-		allN++
-		return true
-	})
-	if lineN == 0 || allN == 0 || allSum == 0 {
-		return 0
-	}
-	return (lineSum / float64(lineN)) / (allSum / float64(allN))
 }
 
 // ShuffleAxis returns a copy of the space with the values of axis k

@@ -209,7 +209,7 @@ func TestVicinityMatchesBruteForce(t *testing.T) {
 			return true
 		})
 		got := map[string]bool{}
-		s.Vicinity(center, d, func(f Fault) bool {
+		vicinity(s, center, d, func(f Fault) bool {
 			if got[f.Key()] {
 				t.Fatalf("Vicinity visited %v twice", f)
 			}
@@ -230,7 +230,7 @@ func TestVicinityMatchesBruteForce(t *testing.T) {
 func TestVicinityEarlyStop(t *testing.T) {
 	s := testSpace()
 	n := 0
-	s.Vicinity(Fault{1, 2, 1}, 3, func(Fault) bool { n++; return n < 5 })
+	vicinity(s, Fault{1, 2, 1}, 3, func(Fault) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Errorf("early stop visited %d, want 5", n)
 	}
@@ -248,8 +248,8 @@ func TestLinearDensityStructured(t *testing.T) {
 		return 0
 	}
 	center := Fault{4, 5}
-	vertical := s.LinearDensity(center, 1, 3, impact)   // along y: stays on stripe
-	horizontal := s.LinearDensity(center, 0, 3, impact) // along x: leaves stripe
+	vertical := linearDensity(s, center, 1, 3, impact)   // along y: stays on stripe
+	horizontal := linearDensity(s, center, 0, 3, impact) // along x: leaves stripe
 	if vertical <= 1 {
 		t.Errorf("vertical density = %.2f, want > 1", vertical)
 	}
@@ -261,7 +261,7 @@ func TestLinearDensityStructured(t *testing.T) {
 func TestLinearDensityUniform(t *testing.T) {
 	s := New("grid", IntAxis("x", 0, 9), IntAxis("y", 0, 9))
 	impact := func(Fault) float64 { return 1 }
-	if d := s.LinearDensity(Fault{5, 5}, 0, 3, impact); d < 0.99 || d > 1.01 {
+	if d := linearDensity(s, Fault{5, 5}, 0, 3, impact); d < 0.99 || d > 1.01 {
 		t.Errorf("uniform impact density = %.3f, want 1", d)
 	}
 }

@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"afex/internal/dsl"
+	"afex/internal/faultspace"
 )
 
 // FuzzParseScenario: a scenario arrives from outside the process — `afex
 // replay --scenario`, a journal's Scenario field — so whatever the input,
 // parsing it and converting what parses never panics, and every scenario
-// the parser accepts renders (FormatPairs) to one that parses back to
-// the same names and values.
+// the parser accepts, as the point of a space whose axes hold its values,
+// renders (dsl.Render) to one that parses back to the same names and
+// values, the values Render hands back among them.
 func FuzzParseScenario(f *testing.F) {
 	for _, seed := range []string{
 		"testID 5 function read errno EIO retval -1 callNumber 3",
@@ -33,13 +35,19 @@ func FuzzParseScenario(f *testing.F) {
 			return
 		}
 		_, _, _ = Plugin{}.ConvertValues(names, vals)
-		wire := dsl.FormatPairs(names, vals)
+		axes := make([]faultspace.Axis, len(names))
+		for i := range names {
+			axes[i] = faultspace.SetAxis(names[i], vals[i])
+		}
+		views := make([]string, len(names))
+		wire := dsl.Render(faultspace.NewUnion(faultspace.New("", axes...)), names,
+			faultspace.Point{Fault: make(faultspace.Fault, len(names))}, views)
 		n2, v2, err := dsl.ParseScenario(wire)
 		if err != nil {
-			t.Fatalf("FormatPairs of an accepted scenario does not parse: %v\n%q", err, wire)
+			t.Fatalf("Render of an accepted scenario does not parse: %v\n%q", err, wire)
 		}
-		if !reflect.DeepEqual(n2, names) || !reflect.DeepEqual(v2, vals) {
-			t.Fatalf("round trip of %q: %q %q, want %q %q", wire, n2, v2, names, vals)
+		if !reflect.DeepEqual(n2, names) || !reflect.DeepEqual(v2, vals) || !reflect.DeepEqual(views, vals) {
+			t.Fatalf("round trip of %q: %q %q (views %q), want %q %q", wire, n2, v2, views, names, vals)
 		}
 	})
 }

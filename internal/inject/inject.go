@@ -15,6 +15,7 @@ package inject
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"afex/internal/libc"
@@ -83,37 +84,63 @@ func (p Point) String() string {
 }
 
 // Plugin converts scenarios — parallel name/value slices in axis order
-// (dsl.AxisNames / dsl.ValuesFor, or dsl.ParseScenario of a recorded
-// one) — into concrete injector configuration. This mirrors the node
-// manager plugins of §6: "each plugin adapts a subspace of the fault
-// space to the particulars of its associated injector". The scenario
-// keys recognized are: testID, function, errno, retval/retVal,
-// callNumber — plus function2/errno2/retval2/callNumber2 for two-fault
-// scenarios ("inject an EINTR error in the third read socket call, and
-// an ENOMEM error in the seventh malloc call", §6). A callNumber of 0
-// encodes "this slot injects nothing", so pair spaces can include
-// single-fault points.
+// (dsl.AxisNames / dsl.Render, or dsl.ParseScenario of a recorded one) —
+// into concrete injector configuration. This mirrors the node manager
+// plugins of §6: "each plugin adapts a subspace of the fault space to the
+// particulars of its associated injector". The scenario keys recognized
+// are: testID, function, errno, retval/retVal, callNumber — plus
+// function2/errno2/retval2/callNumber2 for two-fault scenarios ("inject
+// an EINTR error in the third read socket call, and an ENOMEM error in
+// the seventh malloc call", §6). A callNumber of 0 encodes "this slot
+// injects nothing", so pair spaces can include single-fault points.
 type Plugin struct{}
 
-// ConvertValues builds an injection point and plan from a scenario.
-// Missing errno/retval fields are filled from the function's fault
-// profile (its first error return), matching how a tester would default
-// them. An unknown function or malformed number is an error: the fault
-// space description disagrees with the injector's capabilities.
+// ConvertValues builds an injection point and plan from a scenario: it
+// is FormOf(names).Convert(vals). Callers converting many scenarios of
+// one subspace resolve its Form once.
+func (Plugin) ConvertValues(names, vals []string) (Point, Plan, error) {
+	return FormOf(names).Convert(vals)
+}
+
+// Form is a scenario key layout: for each key the plugin reads, its
+// index among a subspace's axis names (the first, if a name repeats;
+// -1 when absent).
+type Form struct {
+	testID int
+	slots  [2]slotForm // the primary fault's keys, then the "2"-suffixed
+}
+
+type slotForm struct{ function, callNumber, errno, retval, retVal int }
+
+// FormOf resolves the key layout of names.
+func FormOf(names []string) Form {
+	f := Form{testID: slices.Index(names, "testID")}
+	for k, suffix := range [2]string{"", "2"} {
+		at := func(key string) int { return slices.Index(names, key+suffix) }
+		f.slots[k] = slotForm{at("function"), at("callNumber"), at("errno"), at("retval"), at("retVal")}
+	}
+	return f
+}
+
+// Convert builds an injection point and plan from a scenario's values,
+// laid out as f. Missing errno/retval fields are filled from the
+// function's fault profile (its first error return), matching how a
+// tester would default them. An unknown function or malformed number is
+// an error: the fault space description disagrees with the injector's
+// capabilities.
 //
 // The returned Point describes the primary fault; the Plan carries every
 // fault of a multi-fault scenario.
-func (Plugin) ConvertValues(names, vals []string) (Point, Plan, error) {
-	s := scenario{names, vals}
+func (f Form) Convert(vals []string) (Point, Plan, error) {
 	var pt Point
 	var err error
-	if v := s.get("testID"); v != "" {
+	if v := value(vals, f.testID); v != "" {
 		pt.TestID, err = strconv.Atoi(v)
 		if err != nil {
 			return pt, Plan{}, fmt.Errorf("inject: bad testID %q: %v", v, err)
 		}
 	}
-	primary, ok, err := s.slot("")
+	primary, ok, err := f.slots[0].convert(vals, "")
 	if err != nil {
 		return pt, Plan{}, err
 	}
@@ -122,7 +149,7 @@ func (Plugin) ConvertValues(names, vals []string) (Point, Plan, error) {
 	}
 	pt.Function = primary.Function
 	pt.CallNumber = primary.CallNumber
-	secondary, ok, err := s.slot("2")
+	secondary, ok, err := f.slots[1].convert(vals, "2")
 	if err != nil {
 		return pt, Plan{}, err
 	}
@@ -132,27 +159,21 @@ func (Plugin) ConvertValues(names, vals []string) (Point, Plan, error) {
 	return pt, Plan{Faults: []Fault{primary, secondary}}, nil
 }
 
-// scenario is ConvertValues' view of its arguments.
-type scenario struct{ names, vals []string }
-
-// get returns key's value, "" when absent — no axis value is ever the
-// empty string, so the two are equivalent. Axis counts are small, so a
-// linear scan beats building and hashing a map on every executed test.
-func (s scenario) get(key string) string {
-	for i, n := range s.names {
-		if n == key {
-			return s.vals[i]
-		}
+// value returns vals[i], "" for an absent key (i < 0) — no axis value is
+// ever the empty string, so the two are equivalent.
+func value(vals []string, i int) string {
+	if i < 0 {
+		return ""
 	}
-	return ""
+	return vals[i]
 }
 
-// slot converts one fault slot of the scenario; suffix "" is the
+// convert converts one fault slot of a scenario; suffix "" is the
 // primary fault, "2" the secondary. A missing function means the slot is
 // absent (not ok); a callNumber of 0 arms nothing but is still a valid
 // description (the no-injection point of spaces that include one).
-func (s scenario) slot(suffix string) (Fault, bool, error) {
-	fn := s.get("function" + suffix)
+func (s slotForm) convert(vals []string, suffix string) (Fault, bool, error) {
+	fn := value(vals, s.function)
 	if fn == "" {
 		return Fault{}, false, nil
 	}
@@ -160,7 +181,7 @@ func (s scenario) slot(suffix string) (Fault, bool, error) {
 	if prof == nil {
 		return Fault{}, false, fmt.Errorf("inject: unknown library function %q", fn)
 	}
-	cn := s.get("callNumber" + suffix)
+	cn := value(vals, s.callNumber)
 	if cn == "" {
 		cn = "1"
 	}
@@ -169,7 +190,7 @@ func (s scenario) slot(suffix string) (Fault, bool, error) {
 		return Fault{}, false, fmt.Errorf("inject: bad callNumber%s %q: %v", suffix, cn, err)
 	}
 	er := prof.Errors[0]
-	if v := s.get("errno" + suffix); v != "" {
+	if v := value(vals, s.errno); v != "" {
 		found := false
 		for _, e := range prof.Errors {
 			if e.Errno == v {
@@ -184,9 +205,9 @@ func (s scenario) slot(suffix string) (Fault, bool, error) {
 			er = libc.ErrorReturn{Retval: er.Retval, Errno: v}
 		}
 	}
-	rv := s.get("retval" + suffix)
+	rv := value(vals, s.retval)
 	if rv == "" {
-		rv = s.get("retVal" + suffix) // the paper's Fig. 4 spells it both ways
+		rv = value(vals, s.retVal) // the paper's Fig. 4 spells it both ways
 	}
 	if rv != "" {
 		er.Retval, err = strconv.Atoi(rv)

@@ -16,8 +16,9 @@ package rpcnode
 //     lease source these calls make (remote), executing each lease whole
 //     so a batching backend arms it at once; the next NextBatch is in
 //     flight while a lease executes — not at Batch = 1, see Manager.Batch.
-//   - Tasks ship coordinates and axis values, not formatted scenario
-//     strings (the axis names travel once, in the Hello reply);
+//   - Tasks ship coordinates and axis values — views of the scenario
+//     text the coordinator renders once per task and journals — not the
+//     text itself (the axis names travel once, in the Hello reply);
 //     results ship varint-delta block sets and interned stacks
 //     (wire.go).
 //
@@ -235,8 +236,9 @@ func (c *Coordinator) learnStack(rw *ResultWire) {
 
 // foldInput is a retired lease's fold input: the reported outcome, its
 // interned stack and coverage set resolved, and the armed plan rebuilt
-// from the lease's axis values (the wire carries only the outcome), so
-// a persistent session's journal replays the failure. Called under c.mu.
+// from the lease's axis values through its subspace's Form (the wire
+// carries only the outcome), so a persistent session's journal replays
+// the failure. Called under c.mu.
 func (c *Coordinator) foldInput(t Task, rw *ResultWire, bname string) core.ExecutedTest {
 	stack := rw.Stack
 	if len(stack) == 0 && rw.StackHash != 0 {
@@ -255,7 +257,7 @@ func (c *Coordinator) foldInput(t Task, rw *ResultWire, bname string) core.Execu
 		Duration:   time.Duration(rw.DurationNS),
 	}
 	if !rw.Skipped {
-		if _, plan, err := (inject.Plugin{}).ConvertValues(c.book.axisNames[t.Cand.Point.Sub], t.Vals); err == nil {
+		if _, plan, err := c.forms[t.Cand.Point.Sub].Convert(t.Vals); err == nil {
 			rec.Plan = plan
 		}
 	}
@@ -293,7 +295,7 @@ func (m *Manager) hello() error {
 	if reply.Proto != protoBatched {
 		return fmt.Errorf("handshake: coordinator speaks protocol %d, this manager needs %d", reply.Proto, protoBatched)
 	}
-	m.axisNames = reply.AxisNames
+	m.setAxes(reply.AxisNames)
 	m.beat = beatOf(reply)
 	return nil
 }
@@ -395,7 +397,7 @@ func (r *remote) convert(c explore.Candidate) (core.Record, backend.Test, bool) 
 	r.mu.Lock()
 	tw := r.tasks[c.Key()][0]
 	r.mu.Unlock()
-	pt, plan, err := convertTask(r.m.axisNames, tw)
+	pt, plan, err := r.m.convertTask(tw)
 	if err != nil {
 		return core.Record{Skipped: true}, backend.Test{}, false
 	}
@@ -475,20 +477,28 @@ func (m *Manager) encodeCoverage(out prog.Outcome) []byte {
 	return enc
 }
 
+// setAxes keeps the Hello reply's axis names and resolves their key
+// layouts.
+func (m *Manager) setAxes(axisNames [][]string) {
+	m.axisNames, m.forms = axisNames, make([]inject.Form, len(axisNames))
+	for i, names := range axisNames {
+		m.forms[i] = inject.FormOf(names)
+	}
+}
+
 // convertTask rebuilds the injection plan straight from the leased
-// coordinates — the wire ships axis values, not formatted scenario
-// strings, so nothing is parsed per task. A task naming a subspace the
+// task's axis values through its subspace's key layout, so nothing is
+// parsed or looked up by name per task. A task naming a subspace the
 // coordinator did not announce, or carrying other than one value per
 // axis, is an error.
-func convertTask(axisNames [][]string, tw TaskWire) (inject.Point, inject.Plan, error) {
-	if tw.Sub < 0 || tw.Sub >= len(axisNames) {
-		return inject.Point{}, inject.Plan{}, fmt.Errorf("rpcnode: task %d names subspace %d of %d", tw.Seq, tw.Sub, len(axisNames))
+func (m *Manager) convertTask(tw TaskWire) (inject.Point, inject.Plan, error) {
+	if tw.Sub < 0 || tw.Sub >= len(m.axisNames) {
+		return inject.Point{}, inject.Plan{}, fmt.Errorf("rpcnode: task %d names subspace %d of %d", tw.Seq, tw.Sub, len(m.axisNames))
 	}
-	names := axisNames[tw.Sub]
-	if len(tw.Vals) != len(names) {
-		return inject.Point{}, inject.Plan{}, fmt.Errorf("rpcnode: task %d carries %d values for %d axes", tw.Seq, len(tw.Vals), len(names))
+	if len(tw.Vals) != len(m.axisNames[tw.Sub]) {
+		return inject.Point{}, inject.Plan{}, fmt.Errorf("rpcnode: task %d carries %d values for %d axes", tw.Seq, len(tw.Vals), len(m.axisNames[tw.Sub]))
 	}
-	return inject.Plugin{}.ConvertValues(names, tw.Vals)
+	return m.forms[tw.Sub].Convert(tw.Vals)
 }
 
 // internStacks applies per-connection stack interning: every non-empty

@@ -26,8 +26,9 @@ const (
 	RetryAfter = time.Millisecond
 )
 
-// A Task is one lease in the book's table: the candidate, its axis
-// values and scenario (so a report re-marshals nothing), and its holder.
+// A Task is one lease in the book's table: the candidate, its scenario
+// and axis values, views of that text (so a report re-marshals nothing),
+// and its holder.
 type Task struct {
 	Cand     explore.Candidate
 	Vals     []string
@@ -181,9 +182,16 @@ func (b *LeaseBook) Lease(now time.Time, m string, n int, perTest time.Duration)
 	for _, t := range relet {
 		enter(t)
 	}
+	k := 0
 	for _, c := range cands {
-		vals := dsl.ValuesFor(b.space, c.Point)
-		enter(Task{Cand: c, Vals: vals, Scenario: dsl.FormatPairs(b.axisNames[c.Point.Sub], vals)})
+		k += len(b.axisNames[c.Point.Sub])
+	}
+	vals := make([]string, k) // the fresh tasks' values, views of their scenarios
+	for _, c := range cands {
+		names := b.axisNames[c.Point.Sub]
+		v := vals[:len(names):len(names)]
+		vals = vals[len(names):]
+		enter(Task{Cand: c, Vals: v, Scenario: dsl.Render(b.space, names, c.Point, v)})
 	}
 	return Grant{Tasks: tasks}
 }

@@ -1,6 +1,7 @@
 package rpcnode
 
 import (
+	"errors"
 	"net"
 	"net/rpc"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"afex/internal/core"
 	"afex/internal/explore"
 	"afex/internal/faultspace"
+	"afex/internal/inject"
 	"afex/internal/prog"
 )
 
@@ -373,12 +375,16 @@ func FuzzTaskConversion(f *testing.F) {
 		}
 		vals := splitList(raw, ",")
 		tw := TaskWire{Seq: 1, Sub: sub, Fault: []int{len(vals)}, Vals: vals}
-		m := &Manager{axisNames: axisNames, backendName: backend.Model}
+		m := &Manager{backendName: backend.Model}
+		m.setAxes(axisNames)
 		src := &remote{m: m, tasks: map[string][]TaskWire{}}
 		c := explore.CandidateAt(faultspace.Point{Sub: tw.Sub, Fault: tw.Fault})
 		src.tasks[c.Key()] = []TaskWire{tw}
 		rec, out := (&core.BackendExecutor{Runner: runner, Convert: src.convert}).Execute(c)
-		pt, plan, err := convertTask(axisNames, tw)
+		pt, plan, err := inject.Point{}, inject.Plan{}, errors.New("no such subspace or other than one value per axis")
+		if sub >= 0 && sub < len(axisNames) && len(vals) == len(axisNames[sub]) {
+			pt, plan, err = inject.Plugin{}.ConvertValues(axisNames[sub], vals)
+		}
 		if rec.Skipped != (err != nil) {
 			t.Fatalf("task %+v: skipped %v, conversion error %v", tw, rec.Skipped, err)
 		}

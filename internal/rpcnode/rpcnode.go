@@ -79,6 +79,8 @@ type Coordinator struct {
 	covs map[string]prog.Outcome
 	// now is the book's clock (the wall clock; tests set their own).
 	now func() time.Time
+	// forms is each subspace's key layout, to rebuild a folded plan.
+	forms []inject.Form
 }
 
 // NewCoordinatorConfig builds a coordinator over a new engine of cfg —
@@ -104,6 +106,9 @@ func NewCoordinatorConfig(cfg core.Config, ex explore.Explorer, impact func(prog
 	}
 	c := &Coordinator{covs: make(map[string]prog.Outcome), now: time.Now}
 	c.book = NewLeaseBook(engine, cfg.Space, &c.mu)
+	for _, names := range c.book.axisNames {
+		c.forms = append(c.forms, inject.FormOf(names))
+	}
 	return c, nil
 }
 
@@ -251,9 +256,10 @@ type Manager struct {
 	runner      backend.Runner
 	backendName string
 	// axisNames holds the coordinator's per-subspace axis names,
-	// delivered once in the Hello reply so leased tasks convert from
-	// coordinates.
+	// delivered once in the Hello reply, and forms their key layouts, so
+	// leased tasks convert from their values.
 	axisNames [][]string
+	forms     []inject.Form
 	// beat is the interval between the Coordinator.Heartbeat calls
 	// RunUntilDone sends alongside the work loop, so the coordinator can
 	// tell a dead manager from one grinding through a slow test: the
