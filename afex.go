@@ -413,9 +413,11 @@ func Profile(target *System) *SuiteProfile { return trace.Profile(target) }
 
 // SpaceFor builds the target's fault space per the paper's methodology:
 // testID × the nFuncs most-called libc functions × callNumber in
-// [callLo, callHi] (callLo 0 includes an explicit no-injection point).
+// [callLo, callHi] (callLo 0 includes an explicit no-injection point;
+// nFuncs ≤ 0 means 19 and callHi ≤ 0 the bounds 1..10, as for a
+// session's flags).
 func SpaceFor(target *System, nFuncs, callLo, callHi int) *Space {
-	return Profile(target).BuildSpace(nFuncs, callLo, callHi)
+	return Profile(target).Describe(trace.Shape{Funcs: nFuncs, CallLo: callLo, CallHi: callHi}).Build()
 }
 
 // DetailedSpaceFor builds a Fig. 4-style fault space with explicit errno
@@ -424,7 +426,7 @@ func SpaceFor(target *System, nFuncs, callLo, callHi int) *Space {
 // target's error handling switches on errno (EINTR retried, EIO fatal)
 // and the flat testID × function × callNumber space would blur that.
 func DetailedSpaceFor(target *System, nFuncs, callLo, callHi int) *Space {
-	return Profile(target).BuildDetailedSpace(nFuncs, callLo, callHi)
+	return Profile(target).Describe(trace.Shape{Funcs: nFuncs, CallLo: callLo, CallHi: callHi, ErrnoAxis: true}).Build()
 }
 
 // PairSpaceFor builds a two-fault space for the target: testID ×
@@ -439,7 +441,7 @@ func DetailedSpaceFor(target *System, nFuncs, callLo, callHi int) *Space {
 // billion-point pair space is cheap; use Options.Shards to spread the
 // search over disjoint regions of it.
 func PairSpaceFor(target *System, nFuncs, callHi int) *Space {
-	return Profile(target).BuildPairSpace(nFuncs, callHi)
+	return Profile(target).Describe(trace.Shape{Funcs: nFuncs, CallHi: callHi, Pairs: true}).Build()
 }
 
 // ParseSpace parses a fault space description in the Fig. 3 language:

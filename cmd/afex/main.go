@@ -16,7 +16,8 @@
 //	afex worker  --target "cmd:./crashy {test}" [--timeout 5s] [--procs 4] --addr host:7070 --id mgr02
 //	afex replay  --target mysqld --scenario "testID 5 function read errno EIO retval -1 callNumber 3"
 //	afex replay  <state-dir-or-journal> [--target mysqld] [--all] [--trials 1] [--timeout 5s]
-//	afex profile --target coreutils [--funcs 19]
+//	afex profile --target coreutils [--funcs 19] [--call-lo 1] [--call-hi 10] [--pairs] [--errno-axis]
+//	             (prints the Fig. 3 text a session with the same flags parses; --space @file reads it)
 //	afex targets [--json]
 //	afex stats   <state-dir> [--json]
 //
@@ -75,7 +76,7 @@ func main() {
 	case "replay":
 		err = cmdReplay(os.Args[2:])
 	case "profile":
-		err = cmdProfile(os.Args[2:])
+		err = cmdProfile(os.Args[2:], os.Stdout)
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "worker":
@@ -111,6 +112,7 @@ commands:
   explore   search a target's fault space for high-impact faults
   replay    re-inject one scenario — or a journal of recorded failures
   profile   run the suite under tracing; print the fault-space description
+            (the text a session with the same shape flags explores)
   serve     run an exploration coordinator for remote node managers,
             or (--http) the control-plane HTTP server hosting many sessions
   worker    join a coordinator as a node manager
@@ -403,12 +405,15 @@ func plural(n int) string {
 	return "s"
 }
 
-func cmdProfile(args []string) error {
+// cmdProfile prints the target's suite profile and the Fig. 3 text of
+// the profiled space the shape flags name — the text a session with the
+// same flags parses, so `--space @file` reads the output back — with
+// the callsite analyzer's fault profiles after it as comments.
+func cmdProfile(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	targetName := fs.String("target", "coreutils", "target system under test")
-	nFuncs := fs.Int("funcs", 19, "function-axis size")
-	callLo := fs.Int("call-lo", 1, "callNumber axis lower bound")
-	callHi := fs.Int("call-hi", 10, "callNumber axis upper bound")
+	targetName := fs.String("target", "coreutils", "built-in target to profile")
+	shape := trace.DefaultShape
+	bindShape(fs, &shape)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -417,12 +422,12 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	sp := afex.Profile(target)
-	fmt.Printf("# %s: %d tests, baseline coverage %.2f%%, %d distinct libc functions\n",
+	fmt.Fprintf(w, "# %s: %d tests, baseline coverage %.2f%%, %d distinct libc functions\n",
 		target.Name, sp.Tests, 100*sp.Coverage, len(sp.TotalCalls))
-	fmt.Printf("# fault space description (Fig. 3 language):\n")
-	fmt.Print(sp.BuildDescription(*nFuncs, *callLo, *callHi).String())
-	fmt.Printf("# fault profiles (callsite analyzer):\n")
-	fmt.Print(trace.FaultProfileReport(sp.TopFunctions(*nFuncs)))
+	fmt.Fprintf(w, "# fault space description (Fig. 3 language):\n")
+	fmt.Fprint(w, sp.Describe(shape).String())
+	fmt.Fprintf(w, "# fault profiles (callsite analyzer):\n")
+	fmt.Fprint(w, trace.FaultProfileReport(sp.TopFunctions(shape.WithDefaults().Funcs)))
 	return nil
 }
 

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"afex"
+	"afex/internal/faultspace"
 )
 
 // readJournalEntries loads a state directory's journal.
@@ -199,9 +203,102 @@ func TestCmdReplayTrialsAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestCmdProfile(t *testing.T) {
-	if err := cmdProfile([]string{"--target", "httpd", "--funcs", "5"}); err != nil {
+// profileFile runs `afex profile` with args and writes its output to a
+// file in dir, returning the path.
+func profileFile(t *testing.T, dir string, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := cmdProfile(args, &out); err != nil {
 		t.Fatal(err)
+	}
+	file := filepath.Join(dir, "space.afex")
+	if err := os.WriteFile(file, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return file
+}
+
+// TestCmdProfile: `afex profile`'s output is a space file. For every
+// built-in target and shape, a session reading it with --space @file
+// resolves to the union the same shape flags resolve to; on four of
+// them a sequential session writes the same journal.
+func TestCmdProfile(t *testing.T) {
+	shapes := [][]string{
+		nil,
+		{"--call-lo", "0", "--call-hi", "2"},
+		{"--errno-axis"},
+		{"--pairs", "--funcs", "4", "--call-hi", "5"},
+	}
+	resolve := func(args ...string) *afex.Space {
+		t.Helper()
+		fs, spec := specFlags("explore")
+		if err := parseSpec(fs, args, spec); err != nil {
+			t.Fatal(err)
+		}
+		p, err := spec.Resolve()
+		if err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		return p.Options.Space
+	}
+	for _, target := range afex.TargetNames() {
+		for _, shape := range shapes {
+			file := profileFile(t, t.TempDir(), slices.Concat([]string{"--target", target}, shape)...)
+			fromFile, fromFlags := resolve("--target", target, "--space", "@"+file), resolve(slices.Concat([]string{"--target", target}, shape)...)
+			if a, b := faultspace.Signature(fromFile), faultspace.Signature(fromFlags); a != b {
+				t.Errorf("%s %q: profile's text is the space\n  %s\nthe flags explore\n  %s", target, shape, a, b)
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		target string
+		shape  []string
+	}{
+		{"mysqld", nil},
+		{"httpd", []string{"--errno-axis"}},
+		{"coreutils", []string{"--pairs", "--funcs", "4", "--call-hi", "5"}},
+		{"mongo-v2.0", nil},
+	} {
+		dir := t.TempDir()
+		file := profileFile(t, dir, slices.Concat([]string{"--target", c.target}, c.shape)...)
+		journal := func(name string, args ...string) []afex.JournalEntry {
+			t.Helper()
+			state := filepath.Join(dir, name)
+			session := []string{"--target", c.target, "--iterations", "60", "--seed", "7", "--state-dir", state}
+			if err := noFailures(cmdExplore(slices.Concat(session, args))); err != nil {
+				t.Fatalf("%s %q: %v", c.target, args, err)
+			}
+			entries, err := readJournalEntries(state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range entries {
+				entries[i].DurationNS = 0
+			}
+			return entries
+		}
+		fromFile, fromFlags := journal("file", "--space", "@"+file), journal("flags", c.shape...)
+		if len(fromFile) != 60 || !reflect.DeepEqual(fromFile, fromFlags) {
+			t.Errorf("%s %q: --space @file journaled %d entries, the flags %d, or they differ", c.target, c.shape, len(fromFile), len(fromFlags))
+		}
+	}
+}
+
+// TestProfileDefaultsTheShape: a zero shape flag means its default, in
+// profile as in a session, so profile never prints an empty space.
+func TestProfileDefaultsTheShape(t *testing.T) {
+	dir := t.TempDir()
+	defaults, err := os.ReadFile(profileFile(t, dir, "--target", "httpd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := os.ReadFile(profileFile(t, dir, "--target", "httpd", "--funcs", "0", "--call-hi", "0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(zero, defaults) {
+		t.Errorf("--funcs 0 --call-hi 0 prints\n%s\nwithout flags\n%s", zero, defaults)
 	}
 }
 

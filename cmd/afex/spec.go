@@ -7,19 +7,22 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 
 	"afex"
 	"afex/internal/controlplane"
+	"afex/internal/trace"
 )
 
 // specDefaults is the session each command describes given no flags.
 // explore and serve spell out (and so print in their help) what submit
-// leaves to the server: empty algorithm = fitness, zero shape = 19/1/10.
+// leaves to the server: empty algorithm = fitness, zero shape = the
+// default one.
 var specDefaults = map[string]controlplane.SessionSpec{
-	"explore": {Target: "coreutils", Algorithm: afex.FitnessGuided, Iterations: 250, Seed: 1, Workers: 1, Funcs: 19, CallLo: 1, CallHi: 10},
-	"serve":   {Target: "coreutils", Algorithm: afex.FitnessGuided, Iterations: 500, Seed: 1, Funcs: 19, CallLo: 1, CallHi: 10, Serve: ":7070"},
+	"explore": {Target: "coreutils", Algorithm: afex.FitnessGuided, Iterations: 250, Seed: 1, Workers: 1, Shape: trace.DefaultShape},
+	"serve":   {Target: "coreutils", Algorithm: afex.FitnessGuided, Iterations: 500, Seed: 1, Shape: trace.DefaultShape, Serve: ":7070"},
 	"submit":  {Target: "coreutils", Seed: 1},
 }
 
@@ -46,11 +49,7 @@ func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 func bindSpec(fs *flag.FlagSet, spec *controlplane.SessionSpec) {
 	fs.StringVar(&spec.Target, "target", spec.Target, "target system under test: a built-in model, or a \"cmd:\" spec launching a real fixture on the process backend ({test} expands to the testID)")
 	fs.StringVar(&spec.Space, "space", spec.Space, "fault-space description in the Fig. 3 language, or @file (required for cmd: targets; overrides the profiled space for built-in ones)")
-	fs.IntVar(&spec.Funcs, "funcs", spec.Funcs, "profiled space: function-axis size (0 = 19)")
-	fs.IntVar(&spec.CallLo, "call-lo", spec.CallLo, "profiled space: callNumber axis lower bound (0 adds a no-injection point)")
-	fs.IntVar(&spec.CallHi, "call-hi", spec.CallHi, "profiled space: callNumber axis upper bound (0 = bounds 1 to 10)")
-	fs.BoolVar(&spec.Pairs, "pairs", spec.Pairs, "explore two-fault scenarios (quadratic space; keep --funcs/--call-hi small)")
-	fs.BoolVar(&spec.ErrnoAxis, "errno-axis", spec.ErrnoAxis, "use a detailed space with per-function errno/retval axes (Fig. 4 style)")
+	bindShape(fs, &spec.Shape)
 	fs.StringVar(&spec.Algorithm, "algorithm", spec.Algorithm, "exploration strategy: "+strings.Join(afex.Algorithms(), " | ")+" (empty = "+afex.FitnessGuided+")")
 	fs.IntVar(&spec.Iterations, "iterations", spec.Iterations, "number of tests to execute (0 = until exhausted; a coordinator session then runs until stopped)")
 	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "RNG seed")
@@ -67,6 +66,18 @@ func bindSpec(fs *flag.FlagSet, spec *controlplane.SessionSpec) {
 	fs.StringVar(&spec.Serve, "serve", spec.Serve, "coordinator mode: serve the manager RPC protocol on this address; remote afex workers execute the scenarios")
 	fs.IntVar(&spec.Peers, "peers", spec.Peers, "split the space across this many peer sessions via disjoint sharding; this one explores region --peer")
 	fs.IntVar(&spec.Peer, "peer", spec.Peer, "this session's 0-based region index among --peers")
+}
+
+// bindShape registers the profiled-space shorthands on fs, writing into
+// s: the flags whose Fig. 3 text `afex profile` prints and a session
+// with the same flags parses.
+func bindShape(fs *flag.FlagSet, s *trace.Shape) {
+	d := trace.DefaultShape
+	fs.IntVar(&s.Funcs, "funcs", s.Funcs, fmt.Sprintf("profiled space: function-axis size (0 = %d)", d.Funcs))
+	fs.IntVar(&s.CallLo, "call-lo", s.CallLo, "profiled space: callNumber axis lower bound (0 adds a no-injection point)")
+	fs.IntVar(&s.CallHi, "call-hi", s.CallHi, fmt.Sprintf("profiled space: callNumber axis upper bound (0 = bounds %d to %d)", d.CallLo, d.CallHi))
+	fs.BoolVar(&s.Pairs, "pairs", s.Pairs, "profiled space: two-fault scenarios (quadratic space; keep --funcs/--call-hi small)")
+	fs.BoolVar(&s.ErrnoAxis, "errno-axis", s.ErrnoAxis, "profiled space: per-function errno/retval axes (Fig. 4 style)")
 }
 
 // parseSpec parses args and inlines an "@file" space, so the spec that

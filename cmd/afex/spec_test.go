@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"afex/internal/controlplane"
+	"afex/internal/trace"
 )
 
 // TestSessionFlagTable: explore, serve and submit take the same session
@@ -31,7 +32,7 @@ func TestSessionFlagTable(t *testing.T) {
 	}
 	all := spec{
 		Target: "cmd:./crashy {test}", Space: crashySpace,
-		Funcs: 4, CallLo: 0, CallHi: 7, Pairs: true, ErrnoAxis: true,
+		Shape:     trace.Shape{Funcs: 4, CallLo: 0, CallHi: 7, Pairs: true, ErrnoAxis: true},
 		Algorithm: "genetic", Iterations: 99, Seed: -3, Feedback: true,
 		Workers: 8, Shards: 4,
 		TestArgs: []string{"row 0", "row 1"}, Timeout: "1500ms", Procs: 2,
@@ -44,14 +45,14 @@ func TestSessionFlagTable(t *testing.T) {
 		argv []string
 		want spec
 	}{
-		{"explore", nil, spec{Target: "coreutils", Algorithm: "fitness", Iterations: 250, Seed: 1, Workers: 1, Funcs: 19, CallLo: 1, CallHi: 10}},
-		{"serve", nil, spec{Target: "coreutils", Algorithm: "fitness", Iterations: 500, Seed: 1, Funcs: 19, CallLo: 1, CallHi: 10, Serve: ":7070"}},
+		{"explore", nil, spec{Target: "coreutils", Algorithm: "fitness", Iterations: 250, Seed: 1, Workers: 1, Shape: trace.Shape{Funcs: 19, CallLo: 1, CallHi: 10}}},
+		{"serve", nil, spec{Target: "coreutils", Algorithm: "fitness", Iterations: 500, Seed: 1, Shape: trace.Shape{Funcs: 19, CallLo: 1, CallHi: 10}, Serve: ":7070"}},
 		{"submit", nil, spec{Target: "coreutils", Seed: 1}},
 		{"explore", everything, all},
 		{"serve", everything, all},
 		{"submit", everything, all},
-		{"explore", []string{"--algorithm", "random"}, spec{Target: "coreutils", Algorithm: "random", Iterations: 250, Seed: 1, Workers: 1, Funcs: 19, CallLo: 1, CallHi: 10}},
-		{"serve", []string{"--addr", "127.0.0.1:0", "--target", "mysqld"}, spec{Target: "mysqld", Algorithm: "fitness", Iterations: 500, Seed: 1, Funcs: 19, CallLo: 1, CallHi: 10, Serve: "127.0.0.1:0"}},
+		{"explore", []string{"--algorithm", "random"}, spec{Target: "coreutils", Algorithm: "random", Iterations: 250, Seed: 1, Workers: 1, Shape: trace.Shape{Funcs: 19, CallLo: 1, CallHi: 10}}},
+		{"serve", []string{"--addr", "127.0.0.1:0", "--target", "mysqld"}, spec{Target: "mysqld", Algorithm: "fitness", Iterations: 500, Seed: 1, Shape: trace.Shape{Funcs: 19, CallLo: 1, CallHi: 10}, Serve: "127.0.0.1:0"}},
 	} {
 		fs, got := specFlags(c.cmd)
 		if err := parseSpec(fs, c.argv, got); err != nil {

@@ -63,7 +63,7 @@ func ExampleProfile() {
 	sp := afex.Profile(target)
 	fmt.Println("tests:", sp.Tests)
 	fmt.Println("baseline failures:", sp.FailedBaseline)
-	fmt.Println("Φ_Apache:", sp.BuildSpace(19, 1, 10).Size())
+	fmt.Println("Φ_Apache:", afex.SpaceFor(target, 19, 1, 10).Size())
 	// Output:
 	// tests: 58
 	// baseline failures: 0

@@ -2,14 +2,14 @@
 // execution backend and the adaptive portfolio explorer.
 //
 // Everything else in this repository runs simulated program models;
-// this example runs the real thing: it builds the custom fixture in
-// ./fixture (a tiny log-structured store linked against the AFEX shim),
-// describes its fault space in the Fig. 3 language, and lets the
-// portfolio bandit split the budget across fitness/random/genetic arms
-// while every test executes as a supervised subprocess — injection
-// plans delivered over AFEX_PLAN, stacks and coverage streamed back
-// over the report pipe, timeouts folded as hangs and signaled exits as
-// crashes.
+// this example runs the real thing: it builds the bundled fixture
+// cmd/crashy (a tiny binary linked against the AFEX shim, with a
+// planted crash, hang and orderly failure), describes its fault space
+// in the Fig. 3 language, and lets the portfolio bandit split the
+// budget across fitness/random/genetic arms while every test executes
+// as a supervised subprocess — injection plans delivered over the arm
+// pipe, stacks and coverage streamed back over the report pipe,
+// timeouts folded as hangs and signaled exits as crashes.
 //
 // Run with: go run ./examples/process-target
 package main
@@ -25,12 +25,12 @@ import (
 	"afex"
 )
 
-// The fixture's fault space: 3 tests × the six libc calls the fixture
-// guards × call numbers 1..3 — 54 points, small enough to watch, big
-// enough that the explorer's choices matter.
+// crashy's fault space: its 4 tests × the four libc calls it guards ×
+// call numbers 1..3 — 48 points, small enough to watch, big enough that
+// the explorer's choices matter.
 const space = `
-	testID : [ 0 , 2 ]
-	function : { open , write , fsync , rename , unlink , read }
+	testID : [ 0 , 3 ]
+	function : { open , read , malloc , write }
 	callNumber : [ 1 , 3 ] ;
 `
 
@@ -42,8 +42,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	bin := filepath.Join(dir, "fixture")
-	if out, err := exec.Command("go", "build", "-o", bin, "afex/examples/process-target/fixture").CombinedOutput(); err != nil {
+	bin := filepath.Join(dir, "crashy")
+	if out, err := exec.Command("go", "build", "-o", bin, "afex/cmd/crashy").CombinedOutput(); err != nil {
 		log.Fatalf("building fixture: %v\n%s", err, out)
 	}
 
@@ -61,8 +61,8 @@ func main() {
 		Command:     spec,
 		Space:       sp,
 		Algorithm:   afex.Portfolio, // let the bandit learn which arm pays
-		Iterations:  80,
-		ExecTimeout: time.Second, // the compaction hang costs exactly this
+		Iterations:  48,
+		ExecTimeout: time.Second, // the flush-log hang costs exactly this
 		Workers:     4,
 		Procs:       4,
 		Explore:     afex.ExploreOptions{Seed: 1},

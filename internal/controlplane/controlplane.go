@@ -51,6 +51,7 @@ import (
 	"afex/internal/core"
 	"afex/internal/rpcnode"
 	"afex/internal/store"
+	"afex/internal/trace"
 )
 
 // SessionSpec is the JSON body of POST /v1/sessions: everything needed
@@ -65,16 +66,11 @@ type SessionSpec struct {
 	// Required for cmd: targets; overrides the profiled space for
 	// built-in ones.
 	Space string `json:"space,omitempty"`
-	// Funcs/CallLo/CallHi shape the profiled space of a built-in
-	// target when Space is empty (defaults 19/1/10).
-	Funcs  int `json:"funcs,omitempty"`
-	CallLo int `json:"callLo,omitempty"`
-	CallHi int `json:"callHi,omitempty"`
-	// Pairs makes the profiled space a two-fault one (quadratic; keep
-	// Funcs/CallHi small or shard it); ErrnoAxis a Fig. 4-style one with
-	// per-function errno/retval axes. Pairs wins when both are set.
-	Pairs     bool `json:"pairs,omitempty"`
-	ErrnoAxis bool `json:"errnoAxis,omitempty"`
+	// Shape (funcs, callLo, callHi, pairs, errnoAxis) is shorthand for
+	// the Fig. 3 text of a built-in target's profiled space, the text
+	// Resolve parses when Space is empty (zero fields take
+	// trace.DefaultShape's).
+	trace.Shape
 	// Algorithm selects the exploration strategy ("" = fitness).
 	Algorithm string `json:"algorithm,omitempty"`
 	// Iterations caps executed tests (0 = until the space is exhausted,
@@ -272,25 +268,18 @@ func (spec SessionSpec) Resolve() (*Plan, error) {
 		spec.Target = target.Name
 	}
 
-	funcs, lo, hi := spec.Funcs, spec.CallLo, spec.CallHi
-	if funcs <= 0 {
-		funcs = 19
+	// The shape is shorthand for one text; a session's space is always
+	// a parsed one.
+	text := spec.Space
+	if text == "" {
+		text = afex.Profile(target).Describe(spec.Shape).String()
 	}
-	if hi <= 0 {
-		lo, hi = 1, 10
-	}
-	var space *afex.Space
-	switch {
-	case spec.Space != "":
-		if space, err = afex.ParseSpace(spec.Space); err != nil {
-			return nil, err
+	space, err := afex.ParseSpace(text)
+	if err != nil {
+		if spec.Space == "" { // the text is the shape's, not the client's
+			err = fmt.Errorf("controlplane: shape %+v: %w", spec.Shape, err)
 		}
-	case spec.Pairs:
-		space = afex.PairSpaceFor(target, funcs, hi)
-	case spec.ErrnoAxis:
-		space = afex.DetailedSpaceFor(target, funcs, lo, hi)
-	default:
-		space = afex.SpaceFor(target, funcs, lo, hi)
+		return nil, err
 	}
 	// An interval of 2^63 values overflows its own length: refuse it
 	// while it is still input, not in the search's first random draw.

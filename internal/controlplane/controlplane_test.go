@@ -16,9 +16,11 @@ import (
 	"afex/internal/cluster"
 	"afex/internal/controlplane"
 	"afex/internal/core"
+	"afex/internal/faultspace"
 	"afex/internal/rpcnode"
 	"afex/internal/store"
 	"afex/internal/targets"
+	"afex/internal/trace"
 )
 
 // startServer boots a control-plane server on an ephemeral port.
@@ -184,6 +186,32 @@ func TestRemovedSessionKnobsAreIgnored(t *testing.T) {
 	}
 	if _, err := spec.Resolve(); err != nil {
 		t.Fatalf("a coordinator body with the removed keys: %v", err)
+	}
+}
+
+// TestShapeKeepsItsJSONNames: the embedded shape's fields keep their
+// wire names, so a body that names them decodes into the shape, a spec
+// marshals them flat, and Resolve turns the shape into the space the
+// library's shorthand builds.
+func TestShapeKeepsItsJSONNames(t *testing.T) {
+	body := `{"target":"coreutils","funcs":4,"callLo":2,"callHi":5,"pairs":true,"errnoAxis":true}`
+	var spec controlplane.SessionSpec
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if want := (trace.Shape{Funcs: 4, CallLo: 2, CallHi: 5, Pairs: true, ErrnoAxis: true}); spec.Shape != want {
+		t.Fatalf("decoded shape %+v, want %+v", spec.Shape, want)
+	}
+	if raw, err := json.Marshal(spec); err != nil || string(raw) != body {
+		t.Fatalf("marshalled %s (%v), want %s", raw, err, body)
+	}
+	p, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, _ := targets.ByName("coreutils")
+	if got, want := faultspace.Signature(p.Options.Space), faultspace.Signature(afex.PairSpaceFor(target, 4, 5)); got != want {
+		t.Fatalf("resolved %s, want the pair space %s", got, want)
 	}
 }
 
@@ -488,7 +516,7 @@ func TestCoordinatorHonoursTimeBudget(t *testing.T) {
 	s, err := m.Submit(controlplane.SessionSpec{
 		Target:     "mysqld",
 		Serve:      "127.0.0.1:0",
-		CallHi:     1_000_000,
+		Shape:      trace.Shape{CallHi: 1_000_000},
 		TimeBudget: "300ms",
 	})
 	if err != nil {
@@ -616,7 +644,9 @@ func TestResolveRefusals(t *testing.T) {
 		{"bad duration", controlplane.SessionSpec{Target: "mysqld", TimeBudget: "soon"}, "timeBudget"},
 		{"bad space", controlplane.SessionSpec{Target: "mysqld", Space: "function : {"}, "dsl"},
 		{"empty space", controlplane.SessionSpec{Target: "mysqld", Space: " "}, "fault space is empty"},
-		{"axis too long to index", controlplane.SessionSpec{Target: "mysqld", CallLo: 0, CallHi: math.MaxInt64}, "axis callNumber"},
+		{"axis too long to index", controlplane.SessionSpec{Target: "mysqld", Shape: trace.Shape{CallLo: 0, CallHi: math.MaxInt64}}, "axis callNumber"},
+		{"negative callLo", controlplane.SessionSpec{Target: "mysqld", Shape: trace.Shape{CallLo: -1, CallHi: 3}}, "CallLo:-1"},
+		{"callHi below callLo", controlplane.SessionSpec{Target: "httpd", Shape: trace.Shape{CallLo: 9, CallHi: 3, ErrnoAxis: true}}, "hi < lo"},
 		{"DSL axis too long to index", controlplane.SessionSpec{Target: "mysqld", Space: "f : { a } n : [ 0 , 9223372036854775807 ] ;"}, "axis n"},
 		{"serve with workers", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Workers: 4}, "workers configures a local executor"},
 		{"serve with procs", controlplane.SessionSpec{Target: "mysqld", Serve: ":0", Procs: 2}, "procs configures"},
@@ -679,7 +709,7 @@ func TestResolveNormalizesAndTouchesNothing(t *testing.T) {
 
 	// An alias resolves to the name the state directory will record, and
 	// a serve spec to coordinator options carrying what used to be lost.
-	p, err = controlplane.SessionSpec{Target: "mysql", Serve: ":0", Feedback: true, TimeBudget: "1m", Peers: 2, Peer: 1, Pairs: true, Funcs: 3, CallHi: 2}.Resolve()
+	p, err = controlplane.SessionSpec{Target: "mysql", Serve: ":0", Feedback: true, TimeBudget: "1m", Peers: 2, Peer: 1, Shape: trace.Shape{Pairs: true, Funcs: 3, CallHi: 2}}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

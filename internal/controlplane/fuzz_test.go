@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"afex/internal/controlplane"
+	"afex/internal/trace"
 )
 
 // FuzzSessionSpec: the body of POST /v1/sessions is bytes from outside
@@ -45,9 +46,9 @@ func FuzzSessionSpec(f *testing.F) {
 		seed(controlplane.SessionSpec{Target: "coreutils", Space: space})
 	}
 	// the profiled shapes
-	seed(controlplane.SessionSpec{Target: "coreutils", Pairs: true, Funcs: 4, CallHi: 100000, Shards: 4, Workers: 2})
-	seed(controlplane.SessionSpec{Target: "httpd", ErrnoAxis: true, CallLo: 9, CallHi: 3, Feedback: true})
-	seed(controlplane.SessionSpec{Target: "mysqld", CallHi: math.MaxInt64})
+	seed(controlplane.SessionSpec{Target: "coreutils", Shape: trace.Shape{Pairs: true, Funcs: 4, CallHi: 100000}, Shards: 4, Workers: 2})
+	seed(controlplane.SessionSpec{Target: "httpd", Shape: trace.Shape{ErrnoAxis: true, CallLo: 9, CallHi: 3}, Feedback: true})
+	seed(controlplane.SessionSpec{Target: "mysqld", Shape: trace.Shape{CallHi: math.MaxInt64}})
 	// one per refusal
 	seed(controlplane.SessionSpec{})
 	seed(controlplane.SessionSpec{Target: "nope"})

@@ -25,7 +25,7 @@ func TestErrnoAxisExplorationDistinguishesErrnos(t *testing.T) {
 		CrashBias:         0,
 		ErrnoAware:        1.0, // every handler special-cases EINTR/EAGAIN
 	})
-	space := trace.Profile(p).BuildDetailedSpace(8, 1, 3)
+	space := trace.Profile(p).Describe(trace.Shape{Funcs: 8, CallLo: 1, CallHi: 3, ErrnoAxis: true}).Build()
 	res, err := Run(Config{Target: p, Space: space, Algorithm: "exhaustive"})
 	if err != nil {
 		t.Fatal(err)

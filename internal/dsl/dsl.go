@@ -138,14 +138,16 @@ func (l *lexer) identifier() (string, error) {
 	start := l.pos
 	// The paper's grammar starts identifiers with a letter; a leading
 	// underscore is accepted as a practical extension because real libc
-	// symbol names need it (__xstat64, __IO_putc).
+	// symbol names need it (__xstat64, __IO_putc). So is a "." after
+	// the first character, because versioned target names carry one
+	// (the subtype mongo_v2.0_libcalls).
 	if l.pos >= len(l.in) || !(isLetter(l.in[l.pos]) || l.in[l.pos] == '_') {
 		return "", l.errf("expected identifier")
 	}
 	l.pos++
 	for l.pos < len(l.in) {
 		c := l.in[l.pos]
-		if isLetter(c) || isDigit(c) || c == '_' {
+		if isLetter(c) || isDigit(c) || c == '_' || c == '.' {
 			l.pos++
 			continue
 		}

@@ -66,6 +66,22 @@ func TestParseUnderscoreIdentifiers(t *testing.T) {
 	}
 }
 
+// TestParseDottedIdentifiers: a "." may follow an identifier's first
+// character, as in the subtype of a versioned target's profiled space;
+// it may not start one.
+func TestParseDottedIdentifiers(t *testing.T) {
+	d, err := Parse(`mongo_v2.0_libcalls function : { read, v1.2 } ;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp := d.Spaces[0]; sp.Subtype != "mongo_v2.0_libcalls" || sp.Params[0].Set[1] != "v1.2" {
+		t.Errorf("space = %+v", sp)
+	}
+	if _, err := Parse(`function : { .read } ;`); err == nil {
+		t.Error(`".read" parsed as an identifier`)
+	}
+}
+
 func TestParseSubtype(t *testing.T) {
 	d, err := Parse(`io_faults function : { read, write } callNumber : [1,3] ;`)
 	if err != nil {

@@ -92,7 +92,7 @@ func spaceFor(p *prog.Program, nFuncs, callLo, callHi int) *faultspace.Union {
 	if u, ok := spaceCache[key]; ok {
 		return u
 	}
-	u := trace.Profile(p).BuildSpace(nFuncs, callLo, callHi)
+	u := trace.Profile(p).Describe(trace.Shape{Funcs: nFuncs, CallLo: callLo, CallHi: callHi}).Build()
 	spaceCache[key] = u
 	return u
 }

@@ -24,7 +24,7 @@ func TestMinedOutParentCostsALookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := trace.Profile(target).BuildSpace(19, 1, 2000)
+	space := trace.Profile(target).Describe(trace.Shape{Funcs: 19, CallLo: 1, CallHi: 2000}).Build()
 	fg := explore.NewFitnessGuided(space, explore.Config{Seed: 1})
 	e, err := core.NewEngine(core.Config{
 		Target: target, Space: space, Feedback: true, Workers: 1, Iterations: 50000,

@@ -374,7 +374,9 @@ func TestFitnessMatchesReferenceOnTargets(t *testing.T) {
 			t.Fatal(err)
 		}
 		profile := trace.Profile(prog)
-		space := func() *faultspace.Union { return profile.BuildDetailedSpace(6, 0, 8) }
+		space := func() *faultspace.Union {
+			return profile.Describe(trace.Shape{Funcs: 6, CallLo: 0, CallHi: 8, ErrnoAxis: true}).Build()
+		}
 		for seed := int64(1); seed <= 3; seed++ {
 			for sw, cfg := range ablations {
 				cfg.Seed = seed

@@ -139,11 +139,11 @@ function : { write } callNumber : [ 0 , 3 ] function2 : { close, open } errno2 :
 	repeated := faultspace.NewUnion(faultspace.New("repeated", faultspace.SetAxis("retval", "0", "x"),
 		faultspace.SetAxis("function", "malloc"), faultspace.SetAxis("retval", "7"), faultspace.IntAxis("testID", 3, 4)))
 	return []*faultspace.Union{
-		prof.BuildSpace(19, 1, 100),
-		prof.BuildDetailedSpace(19, 1, 100),
-		prof.BuildPairSpace(6, 40),
+		prof.Describe(trace.Shape{Funcs: 19, CallLo: 1, CallHi: 100}).Build(),
+		prof.Describe(trace.Shape{Funcs: 19, CallLo: 1, CallHi: 100, ErrnoAxis: true}).Build(),
+		prof.Describe(trace.Shape{Funcs: 6, CallHi: 40, Pairs: true}).Build(),
 		d.Build(),
-		prof.BuildPairSpace(6, 40).Shard(3)[1],
+		prof.Describe(trace.Shape{Funcs: 6, CallHi: 40, Pairs: true}).Build().Shard(3)[1],
 		repeated,
 	}
 }

@@ -96,7 +96,7 @@ func sessionConfig(algo string, shards, workers, iterations int) core.Config {
 	target := targets.Mysqld()
 	return core.Config{
 		Target:     target,
-		Space:      trace.Profile(target).BuildSpace(10, 0, 5),
+		Space:      trace.Profile(target).Describe(trace.Shape{Funcs: 10, CallLo: 0, CallHi: 5}).Build(),
 		Algorithm:  algo,
 		Shards:     shards,
 		Workers:    workers,

@@ -7,8 +7,8 @@
 // and (2) running LFI's analyzer over libc.so to get each function's
 // possible error returns. Here, Profile reads the simulated suite's
 // fault-free call counts, and the libc registry already carries the fault
-// profiles; BuildDescription assembles the two into a description in the
-// Fig. 3 language, and BuildSpace into an explorable fault space.
+// profiles; Describe assembles the two into a description in the Fig. 3
+// language, the one text a session's space shorthands (Shape) stand for.
 package trace
 
 import (
@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"afex/internal/dsl"
-	"afex/internal/faultspace"
 	"afex/internal/libc"
 	"afex/internal/prog"
 )
@@ -109,62 +108,77 @@ func (sp *SuiteProfile) TopFunctions(n int) []string {
 	return names
 }
 
-// BuildDescription renders a fault-space description (Fig. 3 language)
-// for the profiled target: testID × function × callNumber. nFuncs caps
-// the function axis at the most-called functions; callLo/callHi bound the
-// callNumber axis (callLo 0 includes the no-injection point, as the
-// paper's coreutils space does).
-func (sp *SuiteProfile) BuildDescription(nFuncs, callLo, callHi int) *dsl.Description {
-	funcs := sp.TopFunctions(nFuncs)
-	return &dsl.Description{Spaces: []dsl.SpaceDesc{{
-		Subtype: strings.ReplaceAll(sp.Target, "-", "_") + "_libcalls",
-		Params: []dsl.Parameter{
-			{Name: "testID", Lo: 0, Hi: sp.Tests - 1, Kind: dsl.Point},
-			{Name: "function", Set: funcs},
-			{Name: "callNumber", Lo: callLo, Hi: callHi, Kind: dsl.Point},
-		},
-	}}}
+// Shape is the shorthand for a profiled fault space: the session fields
+// (`--funcs`, `--call-lo`, `--call-hi`, `--pairs`, `--errno-axis`) that
+// name one Fig. 3 text, SuiteProfile.Describe. The JSON names are the
+// session spec's, which embeds it.
+type Shape struct {
+	// Funcs caps the function axis at the most-called functions.
+	Funcs int `json:"funcs,omitempty"`
+	// CallLo/CallHi bound the callNumber axis; CallLo 0 includes the
+	// no-injection point, as the paper's coreutils space does.
+	CallLo int `json:"callLo,omitempty"`
+	CallHi int `json:"callHi,omitempty"`
+	// Pairs makes the space a two-fault one (quadratic; keep Funcs and
+	// CallHi small or shard it); ErrnoAxis a Fig. 4-style one with
+	// per-function errno/retval axes. Pairs wins when both are set.
+	Pairs     bool `json:"pairs,omitempty"`
+	ErrnoAxis bool `json:"errnoAxis,omitempty"`
 }
 
-// BuildSpace is BuildDescription followed by Build, returning the
-// explorable union (always a single subspace for this methodology).
-func (sp *SuiteProfile) BuildSpace(nFuncs, callLo, callHi int) *faultspace.Union {
-	return sp.BuildDescription(nFuncs, callLo, callHi).Build()
+// DefaultShape is the flat evaluation space of §7: the 19 most-called
+// functions × callNumber 1..10.
+var DefaultShape = Shape{Funcs: 19, CallLo: 1, CallHi: 10}
+
+// WithDefaults fills what s leaves open from DefaultShape: Funcs ≤ 0
+// takes its function count, CallHi ≤ 0 its callNumber bounds.
+func (s Shape) WithDefaults() Shape {
+	if s.Funcs <= 0 {
+		s.Funcs = DefaultShape.Funcs
+	}
+	if s.CallHi <= 0 {
+		s.CallLo, s.CallHi = DefaultShape.CallLo, DefaultShape.CallHi
+	}
+	return s
 }
 
-// BuildPairSpace builds a two-fault space: testID × (function,
-// callNumber) × (function2, callNumber2). Both callNumber axes start at
-// 0, the no-injection point, so the pair space subsumes all single-fault
-// scenarios. Multi-fault exploration is what finds retry-exhaustion bugs
-// — recovery code that survives one fault but not a second one on the
-// same path — which no single-fault scan can trigger (§6's example
-// scenario injects an EINTR and an ENOMEM in one run).
+// Describe renders the fault-space description (Fig. 3 language) of
+// shape s for the profiled target. The function axis holds the s.Funcs
+// most-called functions, and the shape picks one of three forms:
 //
-// Pair spaces are quadratically larger than single-fault spaces in
-// *points*, but the numeric axes are lazy, so construction cost and
-// memory stay O(axes) for any callHi — billion-point pair spaces are
-// fine to build and explore (shard them across workers for throughput).
-func (sp *SuiteProfile) BuildPairSpace(nFuncs, callHi int) *faultspace.Union {
-	funcs := sp.TopFunctions(nFuncs)
-	return faultspace.NewUnion(faultspace.New(
-		strings.ReplaceAll(sp.Target, "-", "_")+"_pairs",
-		faultspace.IntAxis("testID", 0, sp.Tests-1),
-		faultspace.SetAxis("function", funcs...),
-		faultspace.IntAxis("callNumber", 0, callHi),
-		faultspace.SetAxis("function2", funcs...),
-		faultspace.IntAxis("callNumber2", 0, callHi),
-	))
-}
-
-// BuildDetailedDescription builds a Fig. 4-style description with
-// explicit errno and retval axes: one subspace per function, each
-// carrying exactly the error returns the function's fault profile allows
-// (the callsite analyzer's output). Unlike the flat evaluation space, a
-// detailed space lets the explorer discover that the same callsite
-// recovers from one errno and breaks on another.
-func (sp *SuiteProfile) BuildDetailedDescription(nFuncs, callLo, callHi int) *dsl.Description {
+//   - flat: testID × function × callNumber, one subspace;
+//   - ErrnoAxis (Fig. 4): one subspace per function, each carrying
+//     exactly the error returns the function's fault profile allows (the
+//     callsite analyzer's output) as errno and retval axes, so the
+//     explorer can learn that a callsite recovers from one errno and
+//     breaks on another;
+//   - Pairs: testID × (function, callNumber) × (function2, callNumber2),
+//     both call axes from 0, the no-injection point, so the pair space
+//     subsumes every single-fault scenario. Two faults on one path are
+//     what find retry-exhaustion bugs — recovery code that survives one
+//     fault but not a second (§6's example scenario injects an EINTR
+//     and an ENOMEM in one run). The space grows quadratically in
+//     points, but numeric axes are lazy, so building it stays O(axes)
+//     for any CallHi.
+func (sp *SuiteProfile) Describe(s Shape) *dsl.Description {
+	s = s.WithDefaults()
+	funcs := sp.TopFunctions(s.Funcs)
+	prefix := strings.ReplaceAll(sp.Target, "-", "_") + "_"
+	testID := dsl.Parameter{Name: "testID", Lo: 0, Hi: sp.Tests - 1}
+	calls := func(name string, lo int) dsl.Parameter { return dsl.Parameter{Name: name, Lo: lo, Hi: s.CallHi} }
+	switch {
+	case s.Pairs:
+		return &dsl.Description{Spaces: []dsl.SpaceDesc{{Subtype: prefix + "pairs", Params: []dsl.Parameter{
+			testID, {Name: "function", Set: funcs}, calls("callNumber", 0),
+			{Name: "function2", Set: funcs}, calls("callNumber2", 0),
+		}}}}
+	case !s.ErrnoAxis:
+		return &dsl.Description{Spaces: []dsl.SpaceDesc{{Subtype: prefix + "libcalls", Params: []dsl.Parameter{
+			testID, {Name: "function", Set: funcs}, calls("callNumber", s.CallLo),
+		}}}}
+	}
 	d := &dsl.Description{}
-	for _, fn := range sp.TopFunctions(nFuncs) {
+	for _, fn := range funcs {
 		prof := libc.Lookup(fn)
 		if prof == nil {
 			continue
@@ -186,39 +200,36 @@ func (sp *SuiteProfile) BuildDetailedDescription(nFuncs, callLo, callHi int) *ds
 		}
 		sort.Strings(rvs)
 		d.Spaces = append(d.Spaces, dsl.SpaceDesc{
-			Subtype: strings.ReplaceAll(sp.Target, "-", "_") + "_" + strings.ReplaceAll(fn, "__", "x"),
+			Subtype: prefix + strings.ReplaceAll(fn, "__", "x"),
 			Params: []dsl.Parameter{
-				{Name: "testID", Lo: 0, Hi: sp.Tests - 1, Kind: dsl.Point},
+				testID,
 				{Name: "function", Set: []string{fn}},
 				{Name: "errno", Set: errnos},
 				{Name: "retval", Set: rvs},
-				{Name: "callNumber", Lo: callLo, Hi: callHi, Kind: dsl.Point},
+				calls("callNumber", s.CallLo),
 			},
 		})
 	}
 	return d
 }
 
-// BuildDetailedSpace is BuildDetailedDescription followed by Build.
-func (sp *SuiteProfile) BuildDetailedSpace(nFuncs, callLo, callHi int) *faultspace.Union {
-	return sp.BuildDetailedDescription(nFuncs, callLo, callHi).Build()
-}
-
 // FaultProfileReport renders the LFI-callsite-analyzer view for the
-// given functions: each function's possible error returns and errnos.
+// given functions: each function's possible error returns and errnos,
+// one "#" comment line each, so the report can follow a description in
+// a file the parser reads.
 func FaultProfileReport(funcs []string) string {
 	var b strings.Builder
 	for _, fn := range funcs {
 		p := libc.Lookup(fn)
 		if p == nil {
-			fmt.Fprintf(&b, "%-22s <not provided by libc>\n", fn)
+			fmt.Fprintf(&b, "# %-22s <not provided by libc>\n", fn)
 			continue
 		}
 		parts := make([]string, len(p.Errors))
 		for i, e := range p.Errors {
 			parts[i] = fmt.Sprintf("ret=%d errno=%s", e.Retval, e.Errno)
 		}
-		fmt.Fprintf(&b, "%-22s class=%-8s %s\n", fn, p.Class, strings.Join(parts, ", "))
+		fmt.Fprintf(&b, "# %-22s class=%-8s %s\n", fn, p.Class, strings.Join(parts, ", "))
 	}
 	return b.String()
 }

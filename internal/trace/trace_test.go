@@ -1,11 +1,14 @@
 package trace
 
 import (
+	"os"
 	"strings"
 	"testing"
 
 	"afex/internal/dsl"
+	"afex/internal/faultspace"
 	"afex/internal/prog"
+	"afex/internal/targets"
 )
 
 func traceProgram() *prog.Program {
@@ -76,9 +79,9 @@ func TestTopFunctionsSelectionAndOrder(t *testing.T) {
 	}
 }
 
-func TestBuildDescriptionAndSpace(t *testing.T) {
+func TestDescribeFlat(t *testing.T) {
 	sp := Profile(traceProgram())
-	d := sp.BuildDescription(3, 0, 4)
+	d := sp.Describe(Shape{Funcs: 3, CallLo: 0, CallHi: 4})
 	if len(d.Spaces) != 1 {
 		t.Fatalf("spaces = %d", len(d.Spaces))
 	}
@@ -92,20 +95,35 @@ func TestBuildDescriptionAndSpace(t *testing.T) {
 	if params[2].Name != "callNumber" || params[2].Lo != 0 || params[2].Hi != 4 {
 		t.Errorf("callNumber param = %+v", params[2])
 	}
-	u := sp.BuildSpace(3, 0, 4)
-	if u.Size() != 3*3*5 {
+	if u := d.Build(); u.Size() != 3*3*5 {
 		t.Errorf("space size = %d, want 45", u.Size())
 	}
-	// The description renders in the Fig. 3 language and re-parses.
+	// The description renders in the Fig. 3 language.
 	text := d.String()
 	if !strings.Contains(text, "testID : [ 0 , 2 ]") {
 		t.Errorf("description text = %q", text)
 	}
 }
 
-func TestBuildPairSpace(t *testing.T) {
+// TestShapeDefaults: a shape leaves open what DefaultShape fills, so a
+// zero shape and the default one describe the same text.
+func TestShapeDefaults(t *testing.T) {
 	sp := Profile(traceProgram())
-	u := sp.BuildPairSpace(3, 2)
+	want := sp.Describe(DefaultShape).String()
+	for _, s := range []Shape{{}, {Funcs: -1, CallLo: 7, CallHi: 0}, {Funcs: 19, CallLo: 1, CallHi: 10}} {
+		if got := sp.Describe(s).String(); got != want {
+			t.Errorf("%+v describes\n%s\nwant\n%s", s, got, want)
+		}
+	}
+	// A pair space ignores CallLo: both call axes start at 0.
+	if a, b := sp.Describe(Shape{Pairs: true, CallLo: 3}).String(), sp.Describe(Shape{Pairs: true}).String(); a != b {
+		t.Errorf("pair space depends on CallLo:\n%s\n%s", a, b)
+	}
+}
+
+func TestDescribePairs(t *testing.T) {
+	sp := Profile(traceProgram())
+	u := sp.Describe(Shape{Funcs: 3, CallHi: 2, Pairs: true, ErrnoAxis: true}).Build()
 	if len(u.Spaces) != 1 {
 		t.Fatalf("pair space has %d subspaces", len(u.Spaces))
 	}
@@ -125,9 +143,9 @@ func TestBuildPairSpace(t *testing.T) {
 	}
 }
 
-func TestBuildDetailedSpace(t *testing.T) {
+func TestDescribeErrnoAxis(t *testing.T) {
 	sp := Profile(traceProgram())
-	d := sp.BuildDetailedDescription(3, 1, 2)
+	d := sp.Describe(Shape{Funcs: 3, CallLo: 1, CallHi: 2, ErrnoAxis: true})
 	if len(d.Spaces) != 3 { // one subspace per function
 		t.Fatalf("detailed description has %d subspaces, want 3", len(d.Spaces))
 	}
@@ -172,6 +190,58 @@ func TestBuildDetailedSpace(t *testing.T) {
 	}
 }
 
+// TestDescribeSignatures: for every built-in target and shape, the
+// description's text parses back to a union with the signature of the
+// union it builds, and that signature is the one pinned in
+// testdata/signatures.golden (written by the builders Describe
+// replaced), so existing state directories resume and journals do not
+// move.
+func TestDescribeSignatures(t *testing.T) {
+	raw, err := os.ReadFile("testdata/signatures.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		f := strings.Fields(line)
+		golden[f[0]+" "+f[1]] = f[2]
+	}
+	shapes := map[string]Shape{
+		"flat-19-1-10":  {Funcs: 19, CallLo: 1, CallHi: 10},
+		"flat-19-0-2":   {Funcs: 19, CallLo: 0, CallHi: 2},
+		"errno-19-1-10": {Funcs: 19, CallLo: 1, CallHi: 10, ErrnoAxis: true},
+		"pairs-4-5":     {Funcs: 4, CallHi: 5, Pairs: true},
+	}
+	checked := 0
+	for _, name := range targets.Names() {
+		p, err := targets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := Profile(p)
+		for shapeName, s := range shapes {
+			key := name + " " + shapeName
+			d := sp.Describe(s)
+			parsed, err := dsl.Parse(d.String())
+			if err != nil {
+				t.Errorf("%s: the description does not parse: %v", key, err)
+				continue
+			}
+			want := golden[key]
+			if got := faultspace.Signature(parsed.Build()); got != want {
+				t.Errorf("%s: parsed text has signature\n  %s\nwant\n  %s", key, got, want)
+			}
+			if got := faultspace.Signature(d.Build()); got != want {
+				t.Errorf("%s: description builds signature\n  %s\nwant\n  %s", key, got, want)
+			}
+			checked++
+		}
+	}
+	if checked != len(golden) {
+		t.Errorf("checked %d target × shape pairs, the golden holds %d", checked, len(golden))
+	}
+}
+
 func TestFaultProfileReport(t *testing.T) {
 	r := FaultProfileReport([]string{"malloc", "no_such_fn"})
 	if !strings.Contains(r, "malloc") || !strings.Contains(r, "ENOMEM") {
@@ -180,4 +250,48 @@ func TestFaultProfileReport(t *testing.T) {
 	if !strings.Contains(r, "not provided") {
 		t.Errorf("report lacks unknown-function note: %q", r)
 	}
+}
+
+// FuzzDescribe: for any shape of any built-in target, the description's
+// text parses back to a union with the signature of the union the
+// description builds, unless the shape asks for what the language cannot
+// say (a negative call number or an empty callNumber interval), which
+// the parser refuses.
+func FuzzDescribe(f *testing.F) {
+	f.Add(uint8(0), 19, 1, 10, false, false)
+	f.Add(uint8(1), 19, 0, 2, false, true)
+	f.Add(uint8(3), 4, 0, 5, true, false)
+	f.Add(uint8(4), 0, 9, 3, false, true)
+	f.Add(uint8(2), 600, 1, 1<<40, true, true)
+	names := targets.Names()
+	profiles := map[string]*SuiteProfile{}
+	f.Fuzz(func(t *testing.T, target uint8, funcs, lo, hi int, pairs, errno bool) {
+		name := names[int(target)%len(names)]
+		sp := profiles[name]
+		if sp == nil {
+			p, err := targets.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp = Profile(p)
+			profiles[name] = sp
+		}
+		s := Shape{Funcs: funcs, CallLo: lo, CallHi: hi, Pairs: pairs, ErrnoAxis: errno}
+		d := sp.Describe(s)
+		parsed, err := dsl.Parse(d.String())
+		s = s.WithDefaults()
+		sayable := s.Pairs || (s.CallLo >= 0 && s.CallLo <= s.CallHi)
+		if err != nil {
+			if sayable {
+				t.Fatalf("%+v: %v\n%s", s, err, d.String())
+			}
+			return
+		}
+		if !sayable {
+			t.Fatalf("%+v parsed:\n%s", s, d.String())
+		}
+		if a, b := faultspace.Signature(parsed.Build()), faultspace.Signature(d.Build()); a != b {
+			t.Fatalf("%+v: parsed text has signature\n  %s\nthe description builds\n  %s", s, a, b)
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"afex/internal/explore"
+	"afex/internal/trace"
 )
 
 // Fault-space representation benchmarks.
@@ -25,7 +26,7 @@ func BenchmarkPairSpaceBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("callHi=%d", callHi), func(b *testing.B) {
 			var size int64
 			for i := 0; i < b.N; i++ {
-				u := prof.BuildPairSpace(10, callHi)
+				u := prof.Describe(trace.Shape{Funcs: 10, CallHi: callHi, Pairs: true}).Build()
 				size = u.Size()
 			}
 			if size <= 0 {
