@@ -309,3 +309,32 @@ func TestReproScriptReplaysACmdTarget(t *testing.T) {
 		t.Fatal("every representative hung; nothing replayed")
 	}
 }
+
+// TestProcessSessionReportsBlocksNotAZeroPercent: a cmd: target does not
+// say how many blocks it has, so its session report counts the distinct
+// blocks the fixture covered instead of printing a 0.00% coverage.
+func TestProcessSessionReportsBlocksNotAZeroPercent(t *testing.T) {
+	space, err := afex.ParseSpace(crashySpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := afex.ParseCommandSpec("cmd:" + crashyBin + " {test}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, closeStore, err := afex.NewSession(afex.Options{
+		Command: spec, Space: space, Algorithm: afex.Exhaustive, Procs: 2, ExecTimeout: 500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := eng.RunLocal()
+	if err := closeStore(); err != nil {
+		t.Fatal(err)
+	}
+	report := res.Report(0)
+	want := fmt.Sprintf("  coverage      %d blocks\n", res.Blocks)
+	if res.Blocks == 0 || !strings.Contains(report, want) || strings.Contains(report, "0.00%") {
+		t.Fatalf("%d blocks covered; the report says:\n%s", res.Blocks, report)
+	}
+}

@@ -262,6 +262,7 @@ type Set struct {
 	// answers are repaired by scanning log[v:] only.
 	log     [][]string
 	logKeys []string
+	order   memoryOrder // the key order of the last export's log prefix
 	// memo caches MaxSimilarity by exact stack key. Entries are deleted
 	// when their own stack is added (the exact-match hash answers 1 from
 	// then on) and extended lazily via the log when stale.

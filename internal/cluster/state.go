@@ -13,11 +13,14 @@ package cluster
 // memory is the distinct stacks, exported in the order of the keys they
 // were remembered under (stored beside the log, never rebuilt), and
 // nothing behind the view is copied — clusters, members and stacks are
-// append-only and never mutated in place.
+// append-only and never mutated in place. The set keeps the order the
+// last export left, so the next sorts only the stacks logged since and
+// merges them in.
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"unsafe"
 )
 
@@ -42,7 +45,7 @@ type ClusterState struct {
 
 // SetView is a consistent point-in-time capture of a Set, taken in
 // O(#clusters) under the shared lock. Ordering the O(#distinct stacks)
-// memory happens in ExportState, which needs no lock at all: the view
+// memory happens in ExportState, under no lock of the set's: the view
 // pins slice lengths, and the underlying arrays are append-only (cluster
 // representatives, member lists and logged stacks are never mutated in
 // place), so the Set can keep absorbing stacks while a snapshot
@@ -52,6 +55,47 @@ type SetView struct {
 	clusters  []clusterView
 	stacks    [][]string
 	keys      []string
+	order     *memoryOrder
+}
+
+// memoryOrder is the memory's key order as the last export left it: the
+// log positions of the stacks it covered, sorted by their keys. Each
+// export that adds to it makes a new slice, so an order handed out is
+// never written.
+type memoryOrder struct {
+	mu sync.Mutex
+	at []int32
+}
+
+// sorted returns the positions of the stacks keyed by keys — a prefix of
+// the log — in key order, sorting only the ones past the last export's
+// and merging them in (all of them, for a view older than that export).
+func (o *memoryOrder) sorted(keys []string) []int32 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n, prev := len(keys), o.at
+	if len(prev) == n {
+		return prev
+	} else if len(prev) > n {
+		prev = nil
+	}
+	at := make([]int32, n)
+	fresh := at[:n-len(prev)]
+	for i := range fresh {
+		fresh[i] = int32(len(prev) + i)
+	}
+	sort.Slice(fresh, func(i, j int) bool { return keys[fresh[i]] < keys[fresh[j]] })
+	// Merged from the back, a write never lands on a fresh position still
+	// to be read.
+	for i, j, k := len(fresh)-1, len(prev)-1, n-1; j >= 0; k-- {
+		if i >= 0 && keys[fresh[i]] > keys[prev[j]] {
+			at[k], i = fresh[i], i-1
+		} else {
+			at[k], j = prev[j], j-1
+		}
+	}
+	o.at = at
+	return at
 }
 
 type clusterView struct {
@@ -64,7 +108,7 @@ type clusterView struct {
 func (s *Set) View() *SetView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v := &SetView{threshold: s.Threshold, stacks: s.log, keys: s.logKeys}
+	v := &SetView{threshold: s.Threshold, stacks: s.log, keys: s.logKeys, order: &s.order}
 	v.clusters = make([]clusterView, len(s.clusters))
 	for i := range s.clusters {
 		v.clusters[i] = clusterView{
@@ -92,13 +136,8 @@ func (v *SetView) ExportState() *SetState {
 	if len(v.stacks) > 0 {
 		// Keys are distinct, so the order — and the snapshot's bytes — are
 		// a function of the set's contents alone.
-		order := make([]int, len(v.stacks))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool { return v.keys[order[i]] < v.keys[order[j]] })
-		st.Stacks = make([][]string, len(order))
-		for i, at := range order {
+		st.Stacks = make([][]string, len(v.stacks))
+		for i, at := range v.order.sorted(v.keys) {
 			st.Stacks[i] = v.stacks[at]
 		}
 	}

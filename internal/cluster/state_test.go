@@ -224,3 +224,37 @@ func TestSetsRestoredTogetherShareKeys(t *testing.T) {
 		t.Fatalf("%d keys rendered for %d distinct stacks, %d uses shared", len(rendered), len(interned), shared)
 	}
 }
+
+// TestExportMergesIntoTheColdOrder: an export sorts only the stacks
+// logged since the last one and merges them in, and what it hands out is
+// the order a set that never exported gives: after every batch of adds,
+// and for a view taken before a later export.
+func TestExportMergesIntoTheColdOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	warm := NewSet(1)
+	var old *SetView
+	for round := 0; round < 40; round++ {
+		for k := rng.Intn(8); k >= 0; k-- {
+			warm.Add(round, randomStack(rng))
+		}
+		if round == 10 {
+			old = warm.View()
+		}
+		got := warm.ExportState()
+		cold, err := newSetFromState(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cold.ExportState(); !slices.EqualFunc(got.Stacks, want.Stacks, slices.Equal) {
+			t.Fatalf("round %d: the memory exports as %q, a set that never exported as %q", round, got.Stacks, want.Stacks)
+		}
+	}
+	got := old.ExportState()
+	cold, err := newSetFromState(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cold.ExportState(); len(got.Stacks) >= len(warm.ExportState().Stacks) || !slices.EqualFunc(got.Stacks, want.Stacks, slices.Equal) {
+		t.Fatalf("a view older than the last export exports as %q, want %q", got.Stacks, want.Stacks)
+	}
+}

@@ -23,9 +23,10 @@ const DefaultBatch = 8
 // DefaultSnapshotEvery is the floor on the number of folded tests
 // between periodic session snapshots when Config.SnapshotEvery is unset
 // and a Store is attached; the defaulted interval then grows with
-// session size (Executed/8): assembling a snapshot costs the distinct
-// state only, but the store still encodes and writes the executed keys
-// and cluster members, which grow with the session. The cadence trades
+// session size (Executed/8): assembling a snapshot sorts only the stacks
+// remembered since the last, and the store re-interns no stack it has
+// met, but it still copies the executed keys and re-encodes the cluster
+// members, which grow with the session. The cadence trades
 // resume fidelity (post-snapshot records replay from the journal with
 // stale explorer randomness) against that write. An explicit
 // Config.SnapshotEvery is honored exactly.
@@ -165,12 +166,14 @@ type Engine struct {
 	prevElapsed  time.Duration
 	sinceSnap    int
 	adaptiveSnap bool
-	// seen is every executed key in fold order across every run: a set
-	// over cfg.Seen, the frozen set the session started from, with this
-	// run's folds beside it; nil for store-less sessions. A snapshot
-	// exports it as a view (SessionState.Aggregates.SeenKeys), so a tail
-	// restore can seed the novelty filter without re-reading the journal.
-	seen *explore.KeySet
+	// seen is every executed key in fold order across every run: the list
+	// after cfg.Seen, the frozen set the session started from (which holds
+	// the restored records' keys), with this run's folds appended; nil for
+	// store-less sessions. It has no index: only a snapshot reads it, as a
+	// view (SessionState.Aggregates.SeenKeys), so a tail restore can seed
+	// the novelty filter without re-reading the journal, and that restore
+	// indexes the list once (store.Recover).
+	seen *explore.Keys
 	// resume is how the session was restored (nil when it was not).
 	resume *ResumeInfo
 	// snapMu serializes session-snapshot delivery to the store, which
@@ -332,10 +335,7 @@ func NewEngine(cfg Config, ex explore.Explorer) (*Engine, error) {
 	// Seen-key tracking feeds snapshot aggregates, which is what makes
 	// tail-only resume possible; only store-backed sessions pay for it.
 	if cfg.Store != nil {
-		e.seen = explore.Over(cfg.Seen)
-		for i := range e.res.Records {
-			e.seen.Add(e.res.Records[i].Point.Key())
-		}
+		e.seen = explore.After(cfg.Seen)
 	}
 	e.explorer = ex
 	e.adaptiveSnap = adaptiveSnap
@@ -690,7 +690,7 @@ func (e *Engine) foldLocked(et *ExecutedTest) (bool, explore.Feedback) {
 	// Tally and cluster.
 	e.res.Executed++
 	if e.seen != nil {
-		e.seen.Add(pre.pointKey)
+		e.seen.Append(pre.pointKey)
 	}
 	if rec.Skipped {
 		e.res.Holes++
@@ -884,6 +884,7 @@ func (e *Engine) finishLocked() (*ResultSet, *sessionView, backend.Runner) {
 	e.exMu.Unlock()
 	e.res.UniqueFailures = e.failClusters.Len()
 	e.res.UniqueCrashes = e.crashClusters.Len()
+	e.res.Blocks = len(e.covered)
 	if e.cfg.Target != nil && e.cfg.Target.NumBlocks > 0 {
 		e.res.Coverage = float64(len(e.covered)) / float64(e.cfg.Target.NumBlocks)
 	}

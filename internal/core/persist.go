@@ -13,7 +13,8 @@ package core
 // views of append-only lists in fold/report order. Nothing in a snapshot
 // is produced by walking a map of the session or sorting a copy of it:
 // capturing costs O(clusters + explorer pool and windows) under the
-// locks, assembling O(distinct stacks + covered blocks) outside them,
+// locks, assembling O(distinct stacks + covered blocks) outside them
+// (sorting only the stacks remembered since the last snapshot),
 // and the lists the state refers to are shared with the live session —
 // they only ever grow past the captured length, so the store's writer
 // can encode them while folding continues. The lists of a SessionState
@@ -27,10 +28,11 @@ package core
 // explore.KeySet: the store decodes the snapshot's list into an arena and
 // indexes it once with the tail's keys in Recover, Config.Seen hands it to
 // the engine frozen, the novelty filter and every explorer history that
-// repeats it read it, and the engine keeps only this run's folds beside
-// it — so SeenKeys of the next snapshot is fold order across every run,
-// exactly what an uninterrupted session lists. Snapshot.Resume reports
-// which way a session came back and what each step cost.
+// repeats it read it, and the engine appends this run's folds after it
+// in a list with no index — so SeenKeys of the next snapshot is fold
+// order across every run, exactly what an uninterrupted session lists.
+// Snapshot.Resume reports which way a session came back and what each
+// step cost.
 //
 // Ordering contract: JournalRecord is called under the session lock, in
 // fold order (folds can arrive from concurrent RPC goroutines; the lock
@@ -301,7 +303,7 @@ func restoreExplorer(ex explore.Explorer, r *Restore) error {
 // session state, taken in O(counters + #clusters) under e.mu and
 // materialized into a SessionState outside it. The list fields are
 // views into the engine's append-only mirrors (coveredList,
-// recoveredList, the seen set) and the cluster sets' append-only logs: the
+// recoveredList, the seen list) and the cluster sets' append-only logs: the
 // captured slice headers pin the lengths, and no element behind them is
 // ever mutated in place, so assembling — sorting the covered blocks and
 // the distinct stacks — races with nothing even while folds continue.
@@ -333,7 +335,7 @@ func (e *Engine) sessionViewLocked() *sessionView {
 		elapsed:       e.prevElapsed + began.Sub(e.start),
 		covered:       e.coveredList,
 		recovered:     e.recoveredList,
-		seenKeys:      e.seen.Keys(),
+		seenKeys:      e.seen.View(),
 		allStacks:     e.allStacks.View(),
 		failClusters:  e.failClusters.View(),
 		crashClusters: e.crashClusters.View(),

@@ -105,3 +105,36 @@ func TestSnapshotCostsDistinctState(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreBackedFoldsIndexNoKeys: the executed keys a store-backed
+// session keeps for its snapshots are a list nothing asks whether it
+// holds a key, so folding enters no key into a table (the exhaustive
+// search keeps a cursor, not a history); the list still names every fold
+// in fold order.
+func TestStoreBackedFoldsIndexNoKeys(t *testing.T) {
+	st := &lastSnapshotStore{}
+	eng, err := NewEngine(Config{
+		Space:      faultspace.NewUnion(faultspace.New("s", faultspace.IntAxis("testID", 0, 99), faultspace.IntAxis("callNumber", 1, 30))),
+		Algorithm:  "exhaustive",
+		Iterations: 2000,
+		Store:      st,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := explore.KeysBuilt()
+	eng.RunWith(fewStacksExecutor{})
+	res := eng.Finish()
+	if built = explore.KeysBuilt() - built; built != 0 {
+		t.Fatalf("%d folds entered %d keys into a table", res.Executed, built)
+	}
+	seen := st.last.Aggregates.SeenKeys
+	if res.Executed != 2000 || seen.Len() != res.Executed {
+		t.Fatalf("snapshot lists %d executed keys of %d folds, want 2000", seen.Len(), res.Executed)
+	}
+	for i := range res.Records {
+		if seen.At(i) != res.Records[i].Point.Key() {
+			t.Fatalf("executed key %d is %q, fold %d ran %q", i, seen.At(i), i, res.Records[i].Point.Key())
+		}
+	}
+}

@@ -368,9 +368,12 @@ type ResultSet struct {
 
 	// Coverage is the fraction of the target's basic blocks covered by
 	// the session's runs; RecoveryCoverage the fraction of recovery
-	// blocks.
+	// blocks. Both stay zero for a target that does not say how many
+	// blocks it has (a cmd: fixture); Blocks counts the distinct blocks
+	// covered either way.
 	Coverage         float64
 	RecoveryCoverage float64
+	Blocks           int
 
 	// Sensitivities is the fitness-guided explorer's final normalized
 	// per-axis sensitivity (nil for the baselines).
@@ -559,7 +562,11 @@ func (r *ResultSet) Report(topK int) string {
 	}
 	fmt.Fprintf(&b, "  failures      %d (%d unique)\n", r.Failed, r.UniqueFailures)
 	fmt.Fprintf(&b, "  crashes       %d (%d unique), hangs %d\n", r.Crashed, r.UniqueCrashes, r.Hung)
-	fmt.Fprintf(&b, "  coverage      %.2f%% (recovery code %.2f%%)\n", 100*r.Coverage, 100*r.RecoveryCoverage)
+	if r.Coverage == 0 && r.Blocks > 0 {
+		fmt.Fprintf(&b, "  coverage      %d blocks\n", r.Blocks)
+	} else {
+		fmt.Fprintf(&b, "  coverage      %.2f%% (recovery code %.2f%%)\n", 100*r.Coverage, 100*r.RecoveryCoverage)
+	}
 	fmt.Fprintf(&b, "  elapsed       %v\n", r.Elapsed.Round(time.Millisecond))
 	if len(r.CrashIDs) > 0 {
 		ids := make([]string, 0, len(r.CrashIDs))

@@ -20,10 +20,12 @@ import (
 // base's table; it follows the base at no cost while the keys it adds are
 // the base's next ones (a resumed explorer replaying the journal tail) and
 // indexes only what it adds itself. So the store indexes a recovered
-// session's executed keys once, and the engine, the novelty filter and
-// every explorer history that repeats them read that set, without a lock:
-// nobody adds to a base. The zero value is an empty set; a nil *KeySet
-// reads as one.
+// session's executed keys once, and the novelty filter and every explorer
+// history that repeats them read that set, without a lock: nobody adds to
+// a base. The engine's fold-order list of executed keys follows it as a
+// Keys with no index at all (After, Append), since nothing asks it whether
+// it holds a key. The zero value is an empty set; a nil *KeySet reads as
+// one.
 type KeySet struct {
 	keys Keys
 	// tab holds own key index + 1 per slot, 0 for empty, in a power of two
@@ -228,10 +230,23 @@ func (k *Keys) Set() *KeySet {
 	return s
 }
 
-// Over returns a set to add to that begins with every key of base, which
-// must never change again.
-func Over(base *KeySet) *KeySet {
-	return (&Keys{base: base, n: base.Len()}).Set()
+// After returns an empty list past every key of base, which must never
+// change again, for Append to grow.
+func After(base *KeySet) *Keys { return &Keys{base: base, n: base.Len()} }
+
+// Append adds key to the list's own segment. Nothing indexes it or checks
+// that it is new: the list is for a holder whose keys are distinct already
+// and who never asks whether it holds one.
+func (k *Keys) Append(key string) { k.put(key) }
+
+// View returns the list as it stands, a view the caller may keep reading
+// (or encoding) while k grows; nil for an empty list.
+func (k *Keys) View() *Keys {
+	if k.Len() == 0 {
+		return nil
+	}
+	v := k.clip()
+	return &v
 }
 
 // Extend returns the set of k's keys followed by more, indexed once, or
@@ -346,13 +361,10 @@ func (s *KeySet) Len() int {
 	return s.keys.Len()
 }
 
-// Keys returns the keys in the order they entered, as a view the caller
-// may keep reading (or encoding) while the set grows; nil for an empty
-// set.
+// Keys returns the keys in the order they entered, as a view (Keys.View).
 func (s *KeySet) Keys() *Keys {
-	if s.Len() == 0 {
+	if s == nil {
 		return nil
 	}
-	k := s.keys.clip()
-	return &k
+	return s.keys.View()
 }

@@ -60,6 +60,58 @@ func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Update(crc32.ChecksumIEEE(dst[at:at+1]), crc32.IEEETable, payload))
 }
 
+// referenceSetsFrame is the sets frame as the encoder before the store
+// kept its interned stacks wrote it: frames and stacks interned afresh
+// through string-keyed maps, ids handed out in walk order.
+func referenceSetsFrame(sets [3]*cluster.SetState) []byte {
+	frames, stackIDs := map[string]uint64{}, map[string]uint64{}
+	var frameTab, stackTab, out segEnc
+	stack := func(stack []string) uint64 {
+		var ids []byte
+		for _, f := range stack {
+			id, ok := frames[f]
+			if !ok {
+				id = uint64(len(frames))
+				frames[f] = id
+				frameTab.str(f)
+			}
+			ids = binary.AppendUvarint(ids, id)
+		}
+		id, ok := stackIDs[string(ids)]
+		if !ok {
+			id = uint64(len(stackIDs))
+			stackIDs[string(ids)] = id
+			stackTab.uint(uint64(len(stack)))
+			stackTab.buf = append(stackTab.buf, ids...)
+		}
+		return id
+	}
+	for _, st := range sets {
+		out.bool(st != nil)
+		if st == nil {
+			continue
+		}
+		out.int(st.Threshold)
+		out.uint(uint64(len(st.Clusters)))
+		for _, c := range st.Clusters {
+			out.uint(stack(c.Representative))
+			out.uint(uint64(len(c.Members)))
+			prev := 0
+			for _, m := range c.Members {
+				out.int(m - prev)
+				prev = m
+			}
+		}
+		out.uint(uint64(len(st.Stacks)))
+		for _, s := range st.Stacks {
+			out.uint(stack(s))
+		}
+	}
+	payload := binary.AppendUvarint(nil, uint64(len(frames)))
+	payload = append(binary.AppendUvarint(append(payload, frameTab.buf...), uint64(len(stackIDs))), stackTab.buf...)
+	return appendFrame(nil, frameSets, append(payload, out.buf...))
+}
+
 // snapshotBytes is the file the snapshot writer streams for st at pos.
 func snapshotBytes(st *core.SessionState, pos int64) ([]byte, error) {
 	var buf bytes.Buffer

@@ -41,6 +41,12 @@ package store
 // removed once a snapshot in this form has landed. A state frame of the
 // kind earlier builds wrote (frameState: seq, then the JSON) reads as one
 // at position 0.
+//
+// What a periodic snapshot re-encodes: the small state JSON, the sets
+// frame's ids and tables (a walk of the sets), and the key lists, copied
+// as the bytes they are stored in. What it reuses: each stack's frames,
+// interned once in the store's lifetime (setsEnc), and the memory's key
+// order, which the cluster set merges forward from its last export.
 
 import (
 	"bufio"
@@ -52,6 +58,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"unsafe"
 
 	"afex/internal/cluster"
 	"afex/internal/core"
@@ -110,32 +117,87 @@ func clusterSets(st *core.SessionState) [3]**cluster.SetState {
 // crash clusters' memories are subsets of the similarity memory's and
 // every representative is a remembered stack, so interning across the
 // three sets is what makes the frame hold each stack once.
+//
+// A stored stack never changes, so each is interned once in the store's
+// lifetime: its storage (first element and depth — a key whose pointer
+// holds the storage, so the address is not reused while it is a key)
+// names a stack of global frame ids, one per distinct content. Each
+// snapshot hands out its own ids in walk order, stamping the global
+// entries with its epoch, so a stack an earlier snapshot met costs one
+// lookup of its storage and hashes no string.
 type setsEnc struct {
-	frames, stacks     map[string]uint64
+	byStorage          map[stackRef]uint32
+	byContent          map[string]uint32 // a stack's global frame ids, 4 bytes each
+	frameIDs           map[string]uint32
+	frameAt            []stamp   // global frame id → its id in this snapshot
+	stacks             []content // global stack id → its frames and id
+	epoch              uint32
+	nFrames, nStacks   uint32
 	frameTab, stackTab segEnc
 	sets               segEnc
-	ids                []byte // one stack as frame ids, the stack table's key
+	ids                []byte
 }
 
-// stack returns the id of a stack, entering it (and the frames it is the
-// first to name) into the tables when it is new.
+type stackRef struct {
+	first *string
+	depth int
+}
+
+// stamp is a global id's id in the snapshot of epoch.
+type stamp struct{ epoch, id uint32 }
+
+// content is a distinct stack: its byContent key, and its stamp.
+type content struct {
+	ids string
+	at  stamp
+}
+
+// stack returns the snapshot's id of a stack, entering it (and the frames
+// it is the first to name) into the frame's tables when the snapshot has
+// not named it yet.
 func (e *setsEnc) stack(stack []string) uint64 {
+	ref := stackRef{unsafe.SliceData(stack), len(stack)}
+	id, ok := e.byStorage[ref]
+	if !ok {
+		id = e.intern(stack)
+		e.byStorage[ref] = id
+	}
+	c := &e.stacks[id]
+	if c.at.epoch != e.epoch {
+		c.at = stamp{e.epoch, e.nStacks}
+		e.nStacks++
+		e.stackTab.uint(uint64(len(stack)))
+		for k, ids := 0, c.ids; k < len(stack); k, ids = k+1, ids[4:] {
+			f := &e.frameAt[uint32(ids[0])|uint32(ids[1])<<8|uint32(ids[2])<<16|uint32(ids[3])<<24]
+			if f.epoch != e.epoch {
+				*f = stamp{e.epoch, e.nFrames}
+				e.nFrames++
+				e.frameTab.str(stack[k])
+			}
+			e.stackTab.uint(uint64(f.id))
+		}
+	}
+	return uint64(c.at.id)
+}
+
+// intern returns the global id of a stack's content, entering the content
+// and the frames it is the first to name.
+func (e *setsEnc) intern(stack []string) uint32 {
 	e.ids = e.ids[:0]
 	for _, f := range stack {
-		id, ok := e.frames[f]
+		g, ok := e.frameIDs[f]
 		if !ok {
-			id = uint64(len(e.frames))
-			e.frames[f] = id
-			e.frameTab.str(f)
+			g = uint32(len(e.frameAt))
+			e.frameIDs[f] = g
+			e.frameAt = append(e.frameAt, stamp{})
 		}
-		e.ids = binary.AppendUvarint(e.ids, id)
+		e.ids = binary.LittleEndian.AppendUint32(e.ids, g)
 	}
-	id, ok := e.stacks[string(e.ids)]
+	id, ok := e.byContent[string(e.ids)]
 	if !ok {
-		id = uint64(len(e.stacks))
-		e.stacks[string(e.ids)] = id
-		e.stackTab.uint(uint64(len(stack)))
-		e.stackTab.buf = append(e.stackTab.buf, e.ids...)
+		id = uint32(len(e.stacks))
+		e.stacks = append(e.stacks, content{ids: string(e.ids)})
+		e.byContent[e.stacks[id].ids] = id
 	}
 	return id
 }
@@ -164,14 +226,26 @@ func (e *setsEnc) set(st *cluster.SetState) {
 }
 
 // encode walks the three sets into the tables and sets of the frame,
-// whose size (payloadLen) is then known before it is written. The maps and
-// buffers are the encoder's own, emptied for each snapshot.
+// whose size (payloadLen) is then known before it is written. The buffers
+// are the encoder's own, emptied for each snapshot; a new epoch empties
+// the snapshot's ids.
 func (e *setsEnc) encode(sets [3]*cluster.SetState) {
-	if e.frames == nil {
-		e.frames, e.stacks = make(map[string]uint64), make(map[string]uint64)
+	if e.byStorage == nil {
+		n := 0 // sized for the first snapshot, often a store's only one
+		if sets[0] != nil {
+			n = len(sets[0].Stacks)
+		}
+		e.byStorage, e.byContent, e.frameIDs = make(map[stackRef]uint32, n), make(map[string]uint32, n), make(map[string]uint32, n)
+		e.stacks = make([]content, 0, n)
 	}
-	clear(e.frames)
-	clear(e.stacks)
+	if e.epoch++; e.epoch == 0 {
+		clear(e.frameAt)
+		for i := range e.stacks {
+			e.stacks[i].at = stamp{}
+		}
+		e.epoch = 1
+	}
+	e.nFrames, e.nStacks = 0, 0
 	e.frameTab.reset()
 	e.stackTab.reset()
 	e.sets.reset()
@@ -181,8 +255,8 @@ func (e *setsEnc) encode(sets [3]*cluster.SetState) {
 }
 
 func (e *setsEnc) payloadLen() int {
-	return uvarintLen(uint64(len(e.frames))) + len(e.frameTab.buf) +
-		uvarintLen(uint64(len(e.stacks))) + len(e.stackTab.buf) + len(e.sets.buf)
+	return uvarintLen(uint64(e.nFrames)) + len(e.frameTab.buf) +
+		uvarintLen(uint64(e.nStacks)) + len(e.stackTab.buf) + len(e.sets.buf)
 }
 
 // decodeSets decodes a sets frame into strings that are substrings of the
@@ -344,9 +418,9 @@ func (w *snapWriter) writeSets(sets [3]*cluster.SetState) {
 	e := &w.sets
 	e.encode(sets)
 	w.open(frameSets, e.payloadLen())
-	w.putUint(uint64(len(e.frames)))
+	w.putUint(uint64(e.nFrames))
 	w.put(e.frameTab.buf)
-	w.putUint(uint64(len(e.stacks)))
+	w.putUint(uint64(e.nStacks))
 	w.put(e.stackTab.buf)
 	w.put(e.sets.buf)
 	w.close()
