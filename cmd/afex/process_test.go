@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -336,5 +337,47 @@ func TestProcessSessionReportsBlocksNotAZeroPercent(t *testing.T) {
 	want := fmt.Sprintf("  coverage      %d blocks\n", res.Blocks)
 	if res.Blocks == 0 || !strings.Contains(report, want) || strings.Contains(report, "0.00%") {
 		t.Fatalf("%d blocks covered; the report says:\n%s", res.Blocks, report)
+	}
+}
+
+// TestProcessProgressCountsBlocks: the progress line of a cmd: session
+// counts the blocks covered, as its report does, instead of a coverage
+// percentage of a block count the fixture never gave.
+func TestProcessProgressCountsBlocks(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	lines := make(chan []string)
+	go func() {
+		var got []string
+		sc := bufio.NewScanner(r)
+		for sc.Scan() {
+			if strings.HasPrefix(sc.Text(), "progress: ") {
+				got = append(got, sc.Text())
+			}
+		}
+		lines <- got
+	}()
+	err = cmdExplore(crashyArgs("--space", "testID : [ 0 , 3 ] function : { open , read , malloc , write } callNumber : [ 1 , 300 ] ;",
+		"--algorithm", "exhaustive", "--iterations", "0", "--progress", "100ms"))
+	os.Stderr = stderr
+	w.Close()
+	got := <-lines
+	if !errors.Is(err, errFailuresFound) {
+		t.Fatalf("exploring the crashy fixture: %v", err)
+	}
+	if len(got) == 0 {
+		t.Fatal("no progress line")
+	}
+	for _, line := range got {
+		if strings.Contains(line, "executed=0 ") {
+			continue // nothing covered yet
+		}
+		if !strings.Contains(line, " blocks=") || strings.Contains(line, "coverage=") {
+			t.Fatalf("progress line %q does not count blocks", line)
+		}
 	}
 }

@@ -125,6 +125,8 @@ func TestLocalSessionOverHTTP(t *testing.T) {
 		// the fold's skip of repeated coverage sets reports itself
 		`afex_block_sets{session="` + st.ID + `"}`,
 		"# TYPE afex_block_walks_total counter",
+		// the covered-block fraction, which a cmd: target has none of
+		"# HELP afex_coverage_ratio Covered fraction of the target's basic blocks",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)

@@ -54,7 +54,7 @@ func (mw *metricWriter) sample(name, help, typ string, labels [][2]string, value
 //	afex_hangs_total{session=}            hung scenarios
 //	afex_unique_failure_clusters{session=} distinct failure clusters
 //	afex_pending_leases{session=}         leased, unreported tests
-//	afex_coverage_ratio{session=}         explored fraction of the space
+//	afex_coverage_ratio{session=}         covered fraction of the target's blocks
 //	afex_worker_pool_recycles_total{session=} end-of-life worker recycles
 //	afex_avg_test_seconds{session=}       EWMA of per-test execution wall clock
 //	afex_adaptive_batch{session=}         engine-suggested wire-batch size
@@ -104,7 +104,7 @@ func writeMetrics(w io.Writer, m *Manager) {
 		func(i int) float64 { return float64(snaps[i].UniqueFailures) })
 	perSession("afex_pending_leases", "Tests leased out and not yet reported.", "gauge",
 		func(i int) float64 { return float64(snaps[i].Pending) })
-	perSession("afex_coverage_ratio", "Explored fraction of the fault space.", "gauge",
+	perSession("afex_coverage_ratio", "Covered fraction of the target's basic blocks (0 for a target without a block count).", "gauge",
 		func(i int) float64 { return snaps[i].Coverage })
 	perSession("afex_worker_pool_recycles_total", "Worker processes recycled at the end of their life.", "counter",
 		func(i int) float64 { return float64(snaps[i].PoolRecycles) })

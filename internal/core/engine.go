@@ -821,6 +821,7 @@ func (e *Engine) snapshotLocked() Snapshot {
 		NewCrashIDs:    len(e.res.CrashIDs),
 		UniqueFailures: e.failClusters.Len(),
 		Coverage:       cov,
+		Blocks:         len(e.covered),
 		BlockSets:      len(e.foldedSets),
 		BlockWalks:     e.blockWalks,
 	}

@@ -229,8 +229,12 @@ type Snapshot struct {
 	// PoolRecycles counts warm worker processes the execution backend
 	// has recycled at the end of their life (process backend only; zero
 	// elsewhere).
-	PoolRecycles int64   `json:"poolRecycles"`
-	Coverage     float64 `json:"coverage"`
+	PoolRecycles int64 `json:"poolRecycles"`
+	// Coverage is the fraction of the target's basic blocks covered, and
+	// Blocks the distinct blocks covered: all a target that does not say
+	// how many it has (a cmd: fixture) can be given.
+	Coverage float64 `json:"coverage"`
+	Blocks   int     `json:"blocks"`
 	// BlockSets counts the distinct coverage sets folded (by content sum,
 	// prog.Outcome.BlockSum) and BlockWalks the folds that walked theirs;
 	// the rest repeated a set and skipped: 1 − BlockWalks/Executed.
@@ -259,12 +263,16 @@ type Snapshot struct {
 
 // Summary renders the snapshot as the one-line progress synopsis shared
 // by the CLI's --progress ticker and the control plane's session status:
-// the counter tally, the lease picture, coverage, and — for portfolio
-// sessions — the live per-arm pulls and mean reward.
+// the counter tally, the lease picture, coverage (the blocks covered,
+// for a target that has no block count), and — for portfolio sessions —
+// the live per-arm pulls and mean reward.
 func (s Snapshot) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "executed=%d failures=%d clusters=%d leases=%d coverage=%.1f%%",
-		s.Executed, s.Failed, s.UniqueFailures, s.Pending, 100*s.Coverage)
+	cov := fmt.Sprintf("coverage=%.1f%%", 100*s.Coverage)
+	if s.Coverage == 0 && s.Blocks > 0 {
+		cov = fmt.Sprintf("blocks=%d", s.Blocks)
+	}
+	fmt.Fprintf(&b, "executed=%d failures=%d clusters=%d leases=%d %s", s.Executed, s.Failed, s.UniqueFailures, s.Pending, cov)
 	if len(s.Arms) > 0 {
 		b.WriteString(" arms[")
 		for i, a := range s.Arms {

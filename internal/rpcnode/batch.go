@@ -1,9 +1,11 @@
 package rpcnode
 
-// The wire protocol. Two blocking gob round trips per scenario would
-// make the network, not test execution, the bottleneck once the
-// warm-worker backend executes a scenario in tens of microseconds, so
-// the protocol moves many tasks per round trip:
+// The wire protocol. A round trip per scenario would make the network,
+// not test execution, the bottleneck once the warm-worker backend
+// executes a scenario in tens of microseconds, so the protocol moves
+// many tasks per round trip, each lease and each report one frame of
+// the package's own codec (codec.go) — net/rpc multiplexes the calls,
+// gob encodes none of them:
 //
 //   - Coordinator.NextBatch leases up to Max candidates at once, sized
 //     by default from the managers' measured per-test latency and the
@@ -22,15 +24,17 @@ package rpcnode
 //     results ship varint-delta block sets and interned stacks
 //     (wire.go).
 //
-// Coordinator.Hello is the dial-time handshake. It carries the axis
-// names, the beat interval and a protocol generation, which both ends
-// require to be protoBatched: a mismatch fails the dial with an error
-// naming it.
+// Each end opens a connection with a preamble naming the protocol
+// generation, protoBatched, so a gob peer fails its first read: a
+// manager's dial names the generation, a coordinator closes the
+// connection. Coordinator.Hello, the dial-time handshake, carries the
+// axis names, the beat interval and the generation again.
 
 import (
 	"fmt"
 	"net/rpc"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,9 +46,15 @@ import (
 	"afex/internal/prog"
 )
 
-// protoBatched is the protocol generation of Hello/NextBatch/ReportBatch
-// — the only one spoken.
-const protoBatched = 2
+// protoBatched is the protocol generation spoken: Hello/NextBatch/
+// ReportBatch in the frame codec. Generation 2 was the same messages in
+// gob, which only a coordinator served by a gob server of its own (the
+// benchmark's traced path, bench/rpc.go) still hears; Hello answers it
+// in kind.
+const (
+	protoBatched = 3
+	protoGob     = 2
+)
 
 // pollWait bounds how long NextBatch waits, with nothing to hand out,
 // for a report or a reap before it answers Retry: one beat, so a
@@ -150,12 +160,12 @@ type BatchAck struct {
 }
 
 // Hello is the dial-time handshake: it hands the manager the
-// per-subspace axis names and refuses a manager speaking an older
-// protocol generation or running another target (LeaseBook.Hello). A
-// refusal reaches the manager as text, behind DialBackend's own
-// "rpcnode: dial" prefix, so it names no package itself.
+// per-subspace axis names and refuses a manager of the unbatched
+// protocol or running another target (LeaseBook.Hello). A refusal
+// reaches the manager as text, behind DialBackend's own "rpcnode: dial"
+// prefix, so it names no package itself.
 func (c *Coordinator) Hello(h Hello, reply *HelloReply) error {
-	if h.Proto < protoBatched {
+	if h.Proto < protoGob {
 		return fmt.Errorf("manager %q speaks protocol %d, this coordinator needs %d", h.Manager, h.Proto, protoBatched)
 	}
 	c.mu.Lock()
@@ -164,7 +174,7 @@ func (c *Coordinator) Hello(h Hello, reply *HelloReply) error {
 	if err != nil {
 		return err
 	}
-	reply.Proto = protoBatched
+	reply.Proto = min(h.Proto, protoBatched)
 	reply.AxisNames = c.book.axisNames
 	reply.Heartbeat = DefaultHeartbeat
 	return nil
@@ -220,8 +230,8 @@ func (c *Coordinator) ReportBatch(rb ResultBatch, ack *BatchAck) error {
 	return nil
 }
 
-// learnStack interns the frames a result carries under their hash.
-// Called under c.mu.
+// learnStack interns a copy of the frames a result carries under their
+// hash. Called under c.mu.
 func (c *Coordinator) learnStack(rw *ResultWire) {
 	if rw.StackHash == 0 || len(rw.Stack) == 0 {
 		return
@@ -230,30 +240,41 @@ func (c *Coordinator) learnStack(rw *ResultWire) {
 		c.stacks = make(map[uint64][]string)
 	}
 	if _, seen := c.stacks[rw.StackHash]; !seen {
-		c.stacks[rw.StackHash] = append([]string(nil), rw.Stack...)
+		c.stacks[rw.StackHash] = cloneFrames(rw.Stack)
 	}
+}
+
+// cloneFrames copies a stack out of the frame it was decoded from: one
+// string for all its frames, each frame a view of it.
+func cloneFrames(stack []string) []string {
+	all, out := strings.Join(stack, ""), make([]string, len(stack))
+	for i, f := range stack {
+		out[i], all = all[:len(f)], all[len(f):]
+	}
+	return out
 }
 
 // foldInput is a retired lease's fold input: the reported outcome, its
 // interned stack and coverage set resolved, and the armed plan rebuilt
 // from the lease's axis values through its subspace's Form (the wire
 // carries only the outcome), so a persistent session's journal replays
-// the failure. Called under c.mu.
+// the failure. Its strings are copies: the result is a view of its
+// frame. Called under c.mu.
 func (c *Coordinator) foldInput(t Task, rw *ResultWire, bname string) core.ExecutedTest {
-	stack := rw.Stack
-	if len(stack) == 0 && rw.StackHash != 0 {
-		stack = c.stacks[rw.StackHash]
+	stack, interned := c.stacks[rw.StackHash] // learned from this report or an earlier one
+	if !interned && len(rw.Stack) > 0 {
+		stack = cloneFrames(rw.Stack) // frames without a hash
 	}
 	out := c.coverage(rw.Blocks)
 	out.Failed, out.Crashed, out.Hung, out.Injected = rw.Failed, rw.Crashed, rw.Hung, rw.Injected
-	out.CrashID, out.InjectionStack = rw.CrashID, stack
+	out.CrashID, out.InjectionStack = strings.Clone(rw.CrashID), stack
 	rec := core.Record{
 		Point:      t.Cand.Point,
 		Scenario:   t.Scenario,
 		TestID:     rw.TestID,
 		Skipped:    rw.Skipped,
 		Backend:    bname,
-		ExitStatus: rw.ExitStatus,
+		ExitStatus: strings.Clone(rw.ExitStatus),
 		Duration:   time.Duration(rw.DurationNS),
 	}
 	if !rw.Skipped {

@@ -2,7 +2,6 @@ package rpcnode
 
 import (
 	"net"
-	"net/rpc"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,7 +90,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 
 // measureWireBytes sweeps a 200-point space through one manager over a
 // byte-counting loopback connection and returns the measured wire cost
-// per executed test (both directions, gob framing included) plus the
+// per executed test (both directions, frame headers included) plus the
 // executed count.
 func measureWireBytes(tb testing.TB, batch int) (float64, int) {
 	space := benchRPCSpace(50)
@@ -117,7 +116,7 @@ func measureWireBytes(tb testing.TB, batch int) (float64, int) {
 		ID:          "wire",
 		Target:      target,
 		Batch:       batch,
-		client:      rpc.NewClient(cc),
+		client:      newClient(cc),
 		runner:      runner,
 		backendName: backend.Model,
 		sentStacks:  make(map[uint64]bool),

@@ -1,7 +1,6 @@
 package rpcnode
 
 import (
-	"net/rpc"
 	"slices"
 	"strings"
 	"sync"
@@ -341,7 +340,7 @@ func TestCloseDrainsInFlightLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := rpc.Dial("tcp", srv.Addr())
+	client, err := dialCoordinator(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +555,7 @@ func TestCloseBoundsAnIdleManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := rpc.Dial("tcp", srv.Addr())
+	client, err := dialCoordinator(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

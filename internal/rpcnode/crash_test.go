@@ -115,7 +115,7 @@ func onceEach(t *testing.T, res *core.ResultSet) {
 func TestDefaultCoordinatorSealsAfterManagerDeath(t *testing.T) {
 	space := rpcSpace()
 	coord, clk, srv := onStepClock(t, core.Config{Space: space, Iterations: 6}, nil)
-	doomed, err := rpc.Dial("tcp", srv.Addr())
+	doomed, err := dialCoordinator(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDefaultCoordinatorSealsAfterManagerDeath(t *testing.T) {
 func TestManagerCrashMidLease(t *testing.T) {
 	space := rpcSpace()
 	coord, clk, srv := onStepClock(t, core.Config{Space: space}, explore.NewExhaustive(space))
-	doomed, err := rpc.Dial("tcp", srv.Addr())
+	doomed, err := dialCoordinator(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestManagerCrashMidLease(t *testing.T) {
 func TestManagerCrashMidBatch(t *testing.T) {
 	space := rpcSpace()
 	coord, clk, srv := onStepClock(t, core.Config{Space: space}, explore.NewExhaustive(space))
-	doomed, err := rpc.Dial("tcp", srv.Addr())
+	doomed, err := dialCoordinator(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

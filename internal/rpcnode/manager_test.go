@@ -204,7 +204,7 @@ func TestMalformedTasksAreSkipped(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go srv.ServeConn(conn)
+			go serveConn(srv, conn)
 		}
 	}()
 	mgr, err := Dial(lis.Addr().String(), "m", rpcTarget())
@@ -259,12 +259,12 @@ func TestRunUntilDoneCountsAcknowledgedFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	here, there := net.Pipe()
-	go srv.ServeConn(there)
+	go serveConn(srv, there)
 	runner, err := backend.New(backend.Model, backend.Config{Target: rpcTarget()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := &Manager{ID: "m", Concurrency: 1, client: rpc.NewClient(here), runner: runner, backendName: backend.Model,
+	mgr := &Manager{ID: "m", Concurrency: 1, client: newClient(here), runner: runner, backendName: backend.Model,
 		sentStacks: map[uint64]bool{}, encoded: map[uint64][]byte{}}
 	defer mgr.Close()
 	if err := mgr.hello(); err != nil {
@@ -297,12 +297,12 @@ func TestRunUntilDoneWaitsOutRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	here, there := net.Pipe()
-	go srv.ServeConn(there)
+	go serveConn(srv, there)
 	runner, err := backend.New(backend.Model, backend.Config{Target: rpcTarget()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := &Manager{ID: "m", Concurrency: 2, client: rpc.NewClient(here), runner: runner, backendName: backend.Model,
+	mgr := &Manager{ID: "m", Concurrency: 2, client: newClient(here), runner: runner, backendName: backend.Model,
 		sentStacks: map[uint64]bool{}, encoded: map[uint64][]byte{}}
 	defer mgr.Close()
 	if err := mgr.hello(); err != nil {
@@ -610,8 +610,8 @@ func FuzzHello(f *testing.F) {
 			t.Fatal(err)
 		}
 		here, there := net.Pipe()
-		go srv.ServeConn(there)
-		m := &Manager{ID: "m", client: rpc.NewClient(here)}
+		go serveConn(srv, there)
+		m := &Manager{ID: "m", client: newClient(here)}
 		defer m.client.Close()
 		if err := m.hello(); err != nil {
 			t.Fatal(err)

@@ -4,7 +4,8 @@
 // to 14 nodes in Amazon EC2 and verified that the number of tests
 // performed scales linearly").
 //
-// The protocol (batch.go) is batched net/rpc with a compact wire format
+// The protocol (batch.go) is batched net/rpc over the package's own
+// frame codec (codec.go) with compact block sets and interned stacks
 // (wire.go). The coordinator is a thin adapter over the shared execution
 // engine (core.Engine) and one lease book (LeaseBook). The book owns the
 // lease bookkeeping — sequence numbers, each lease's holder, manager
@@ -203,7 +204,7 @@ func Serve(addr string, c *Coordinator) (*Server, error) {
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				srv.ServeConn(conn) // returns once the manager hangs up and every reply is out
+				srv.ServeCodec(newFrameCodec(conn)) // returns once the manager hangs up and every reply is out
 			}()
 		}
 	}()
@@ -291,7 +292,7 @@ func DialBackend(addr, id, name string, bcfg backend.Config) (*Manager, error) {
 	if name == "" {
 		name = backend.Model // the registry's own default
 	}
-	client, err := rpc.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		r.Close()
 		return nil, fmt.Errorf("rpcnode: dial %s: %w", addr, err)
@@ -299,7 +300,7 @@ func DialBackend(addr, id, name string, bcfg backend.Config) (*Manager, error) {
 	m := &Manager{
 		ID:          id,
 		Target:      bcfg.Target,
-		client:      client,
+		client:      rpc.NewClientWithCodec(newFrameCodec(conn)),
 		runner:      r,
 		backendName: name,
 		sentStacks:  make(map[uint64]bool),

@@ -1,7 +1,7 @@
 package rpcnode
 
 // Wire compaction: covered-block sets travel
-// as sorted varint deltas instead of a gob []int (block IDs cluster
+// as sorted varint deltas, not as a list of ids (block IDs cluster
 // densely, so most deltas fit one byte), and injection stacks are
 // interned per connection — a manager ships a stack's frames the first
 // time it sees them and an 8-byte content hash thereafter (fault
